@@ -563,7 +563,7 @@ func BenchmarkUTXOValidateBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := ledger.NewUTXOSet()
+	set := ledger.NewShardedStore(4)
 	for _, tx := range gen.Genesis() {
 		id := tx.ID()
 		for i, o := range tx.Outputs {

@@ -66,7 +66,7 @@ func main() {
 	par := flag.Int("parallel", def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
 	pipelined := flag.Bool("pipelined", def.Pipelined, "run rounds as a concurrent stage pipeline (§IV overlap)")
 	scheme := flag.String("scheme", def.Scheme, "signature scheme: hash|ed25519")
-	transport := flag.String("transport", def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes; fault-free scenarios only)")
+	transport := flag.String("transport", def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")
 	top := flag.Int("top", 5, "reputation leaderboard size")
 
 	var sweepAxes []sweep.Axis

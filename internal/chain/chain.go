@@ -118,11 +118,11 @@ func (c *Chain) At(i int) (Entry, bool) {
 
 // Verify re-checks the whole chain: linkage, round numbering, tx roots,
 // and (when a genesis UTXO snapshot is supplied) transaction replay.
-func (c *Chain) Verify(genesis *ledger.UTXOSet) error {
+func (c *Chain) Verify(genesis *ledger.ShardedStore) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var prev crypto.Digest
-	var view *ledger.UTXOSet
+	var view *ledger.ShardedStore
 	if genesis != nil {
 		view = genesis.Snapshot()
 	}

@@ -7,7 +7,7 @@ import (
 	"cycledger/internal/ledger"
 )
 
-func mintTo(t *testing.T, s *ledger.UTXOSet, owner string, amt, salt uint64) ledger.OutPoint {
+func mintTo(t *testing.T, s *ledger.ShardedStore, owner string, amt, salt uint64) ledger.OutPoint {
 	t.Helper()
 	tx := &ledger.Tx{Outputs: []ledger.Output{{Owner: owner, Amount: amt}}, Nonce: salt}
 	op := ledger.OutPoint{Tx: tx.ID()}
@@ -18,7 +18,7 @@ func mintTo(t *testing.T, s *ledger.UTXOSet, owner string, amt, salt uint64) led
 }
 
 func TestAppendAndVerify(t *testing.T) {
-	genesis := ledger.NewUTXOSet()
+	genesis := ledger.NewShardedStore(4)
 	op := mintTo(t, genesis, "alice", 10, 1)
 	tx := &ledger.Tx{Inputs: []ledger.OutPoint{op}, Outputs: []ledger.Output{{Owner: "bob", Amount: 9}}}
 
@@ -69,7 +69,7 @@ func TestAppendRejectsWrongRound(t *testing.T) {
 }
 
 func TestVerifyCatchesTampering(t *testing.T) {
-	genesis := ledger.NewUTXOSet()
+	genesis := ledger.NewShardedStore(4)
 	op := mintTo(t, genesis, "alice", 10, 1)
 	tx := &ledger.Tx{Inputs: []ledger.OutPoint{op}, Outputs: []ledger.Output{{Owner: "bob", Amount: 10}}}
 	c := New()
@@ -84,7 +84,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 }
 
 func TestVerifyCatchesBadFees(t *testing.T) {
-	genesis := ledger.NewUTXOSet()
+	genesis := ledger.NewShardedStore(4)
 	op := mintTo(t, genesis, "alice", 10, 1)
 	tx := &ledger.Tx{Inputs: []ledger.OutPoint{op}, Outputs: []ledger.Output{{Owner: "bob", Amount: 9}}}
 	c := New()
@@ -97,7 +97,7 @@ func TestVerifyCatchesBadFees(t *testing.T) {
 }
 
 func TestVerifyCatchesDoubleSpendAcrossBlocks(t *testing.T) {
-	genesis := ledger.NewUTXOSet()
+	genesis := ledger.NewShardedStore(4)
 	op := mintTo(t, genesis, "alice", 10, 1)
 	tx1 := &ledger.Tx{Inputs: []ledger.OutPoint{op}, Outputs: []ledger.Output{{Owner: "bob", Amount: 10}}, Nonce: 1}
 	tx2 := &ledger.Tx{Inputs: []ledger.OutPoint{op}, Outputs: []ledger.Output{{Owner: "eve", Amount: 10}}, Nonce: 2}

@@ -10,8 +10,8 @@
 // run on fixed [4]uint64 limbs via math/bits — no math/big, and therefore no
 // heap allocation — because they sit on the simulator's per-candidate,
 // per-attempt hot paths (shard assignment, the PoW search loop, the role
-// lottery). The math/big versions (Below, FractionTarget, MaxDigestInt) are
-// kept as reference oracles; equivalence is enforced by tests.
+// lottery). The math/big reference forms they replaced live in hash_test.go
+// as oracles; equivalence is enforced by tests.
 package crypto
 
 import (
@@ -19,7 +19,6 @@ import (
 	"encoding"
 	"encoding/binary"
 	"hash"
-	"math/big"
 	"math/bits"
 )
 
@@ -190,34 +189,6 @@ type Target [4]uint64
 // satisfies BelowTarget(MaxTarget).
 var MaxTarget = Target{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
-// TargetFromBig converts a big.Int threshold to limbs. Values ≥ 2^256
-// saturate to MaxTarget; negative values collapse to zero. It exists for
-// interoperating with the math/big reference helpers and for tests.
-func TargetFromBig(x *big.Int) Target {
-	if x.Sign() <= 0 {
-		return Target{}
-	}
-	if x.BitLen() > 256 {
-		return MaxTarget
-	}
-	var buf [32]byte
-	x.FillBytes(buf[:])
-	var t Target
-	for i := range t {
-		t[i] = binary.BigEndian.Uint64(buf[8*i : 8*i+8])
-	}
-	return t
-}
-
-// Big returns the target as a math/big integer (reference/oracle use).
-func (t Target) Big() *big.Int {
-	var buf [32]byte
-	for i, limb := range t {
-		binary.BigEndian.PutUint64(buf[8*i:8*i+8], limb)
-	}
-	return new(big.Int).SetBytes(buf[:])
-}
-
 // IsZero reports whether the target accepts (essentially) nothing.
 func (t Target) IsZero() bool {
 	return t == Target{}
@@ -240,14 +211,6 @@ func (d Digest) BelowTarget(t Target) bool {
 	return true // equal
 }
 
-// Below returns whether the digest, read as a 256-bit big-endian integer,
-// is at or below the target. This is the math/big reference form of
-// BelowTarget, kept as an oracle; hot paths use BelowTarget.
-func (d Digest) Below(target *big.Int) bool {
-	x := new(big.Int).SetBytes(d[:])
-	return x.Cmp(target) <= 0
-}
-
 // IsZero reports whether the digest is all zeroes.
 func (d Digest) IsZero() bool {
 	for _, b := range d {
@@ -258,18 +221,12 @@ func (d Digest) IsZero() bool {
 	return true
 }
 
-// MaxDigestInt is the largest value a Digest can represent (2^256 - 1).
-func MaxDigestInt() *big.Int {
-	one := big.NewInt(1)
-	max := new(big.Int).Lsh(one, 256)
-	return max.Sub(max, one)
-}
-
 // FractionTargetLimbs returns a target t such that a uniformly random
 // digest satisfies d.BelowTarget(t) with probability num/den — the limb
-// form of FractionTarget, computed by 320-bit long division (bits.Div64)
-// with no math/big. Fractions ≥ 1 saturate to MaxTarget (accept all), so
-// callers can pass FractionTargetLimbs(1, 1) for a trivial puzzle.
+// form of the math/big FractionTarget oracle (hash_test.go), computed by
+// 320-bit long division (bits.Div64). Fractions ≥ 1 saturate to MaxTarget
+// (accept all), so callers can pass FractionTargetLimbs(1, 1) for a trivial
+// puzzle.
 func FractionTargetLimbs(num, den uint64) Target {
 	if den == 0 {
 		panic("crypto: FractionTarget with zero denominator")
@@ -295,24 +252,6 @@ func FractionTargetLimbs(num, den uint64) Target {
 		if t[i] != ^uint64(0) {
 			break // no borrow
 		}
-	}
-	return t
-}
-
-// FractionTarget returns a target t such that a uniformly random digest
-// satisfies d ≤ t with probability num/den. It is used to build difficulty
-// functions d(role) for the role lottery: to select an expected k winners
-// from p candidates, use FractionTarget(k, p). This is the math/big
-// reference form; hot paths use FractionTargetLimbs.
-func FractionTarget(num, den uint64) *big.Int {
-	if den == 0 {
-		panic("crypto: FractionTarget with zero denominator")
-	}
-	t := new(big.Int).Lsh(big.NewInt(1), 256)
-	t.Mul(t, new(big.Int).SetUint64(num))
-	t.Div(t, new(big.Int).SetUint64(den))
-	if t.Sign() > 0 {
-		t.Sub(t, big.NewInt(1))
 	}
 	return t
 }

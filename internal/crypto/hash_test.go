@@ -1,11 +1,76 @@
 package crypto
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The math/big reference forms of the limb arithmetic in hash.go. They have
+// no production caller: the tests below use them as equivalence oracles.
+
+// TargetFromBig converts a big.Int threshold to limbs. Values ≥ 2^256
+// saturate to MaxTarget; negative values collapse to zero. It exists for
+// interoperating with the math/big reference helpers and for tests.
+func TargetFromBig(x *big.Int) Target {
+	if x.Sign() <= 0 {
+		return Target{}
+	}
+	if x.BitLen() > 256 {
+		return MaxTarget
+	}
+	var buf [32]byte
+	x.FillBytes(buf[:])
+	var t Target
+	for i := range t {
+		t[i] = binary.BigEndian.Uint64(buf[8*i : 8*i+8])
+	}
+	return t
+}
+
+// Big returns the target as a math/big integer (reference/oracle use).
+func (t Target) Big() *big.Int {
+	var buf [32]byte
+	for i, limb := range t {
+		binary.BigEndian.PutUint64(buf[8*i:8*i+8], limb)
+	}
+	return new(big.Int).SetBytes(buf[:])
+}
+
+// Below returns whether the digest, read as a 256-bit big-endian integer,
+// is at or below the target. This is the math/big reference form of
+// BelowTarget, kept as an oracle; hot paths use BelowTarget.
+func (d Digest) Below(target *big.Int) bool {
+	x := new(big.Int).SetBytes(d[:])
+	return x.Cmp(target) <= 0
+}
+
+// MaxDigestInt is the largest value a Digest can represent (2^256 - 1).
+func MaxDigestInt() *big.Int {
+	one := big.NewInt(1)
+	max := new(big.Int).Lsh(one, 256)
+	return max.Sub(max, one)
+}
+
+// FractionTarget returns a target t such that a uniformly random digest
+// satisfies d ≤ t with probability num/den. It is used to build difficulty
+// functions d(role) for the role lottery: to select an expected k winners
+// from p candidates, use FractionTarget(k, p). This is the math/big
+// reference form; hot paths use FractionTargetLimbs.
+func FractionTarget(num, den uint64) *big.Int {
+	if den == 0 {
+		panic("crypto: FractionTarget with zero denominator")
+	}
+	t := new(big.Int).Lsh(big.NewInt(1), 256)
+	t.Mul(t, new(big.Int).SetUint64(num))
+	t.Div(t, new(big.Int).SetUint64(den))
+	if t.Sign() > 0 {
+		t.Sub(t, big.NewInt(1))
+	}
+	return t
+}
 
 func TestHInjectiveEncoding(t *testing.T) {
 	// ("ab","c") and ("a","bc") must hash differently: the length-prefixed

@@ -8,7 +8,7 @@ import (
 )
 
 // mint creates a funding transaction's outputs directly in the set.
-func mint(t *testing.T, s *UTXOSet, owner string, amount uint64, salt uint64) OutPoint {
+func mint(t *testing.T, s *ShardedStore, owner string, amount uint64, salt uint64) OutPoint {
 	t.Helper()
 	tx := &Tx{Outputs: []Output{{Owner: owner, Amount: amount}}, Nonce: salt}
 	op := OutPoint{Tx: tx.ID(), Index: 0}
@@ -35,7 +35,7 @@ func TestTxIDDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestUTXOAddSpend(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	if s.Len() != 1 || s.TotalValue() != 10 {
 		t.Fatal("bad set after mint")
@@ -55,7 +55,7 @@ func TestUTXOAddSpend(t *testing.T) {
 }
 
 func TestValidateHappyPath(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	tx := &Tx{
 		Inputs:  []OutPoint{op},
@@ -71,7 +71,7 @@ func TestValidateHappyPath(t *testing.T) {
 }
 
 func TestValidateRejections(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 
 	cases := []struct {
@@ -94,7 +94,7 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestValidateArityLimit(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	tx := &Tx{Inputs: make([]OutPoint, MaxTxArity+1), Outputs: []Output{{Owner: "b", Amount: 1}}}
 	for i := range tx.Inputs {
 		tx.Inputs[i] = OutPoint{Index: uint32(i)}
@@ -105,7 +105,7 @@ func TestValidateArityLimit(t *testing.T) {
 }
 
 func TestValidateOverflow(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	a := mint(t, s, "x", ^uint64(0)-1, 1)
 	b := mint(t, s, "x", 5, 2)
 	tx := &Tx{Inputs: []OutPoint{a, b}, Outputs: []Output{{Owner: "y", Amount: 1}}}
@@ -115,7 +115,7 @@ func TestValidateOverflow(t *testing.T) {
 }
 
 func TestApplyTxAtomic(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	tx := &Tx{Inputs: []OutPoint{op, {Index: 42}}, Outputs: []Output{{Owner: "bob", Amount: 1}}}
 	if err := s.ApplyTx(tx); err == nil {
@@ -128,7 +128,7 @@ func TestApplyTxAtomic(t *testing.T) {
 }
 
 func TestApplyTxConservation(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	tx := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "bob", Amount: 6}, {Owner: "carol", Amount: 4}}}
 	if err := s.ApplyTx(tx); err != nil {
@@ -143,7 +143,7 @@ func TestApplyTxConservation(t *testing.T) {
 }
 
 func TestValidateBatchCatchesIntraBatchDoubleSpend(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	tx1 := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "bob", Amount: 9}}, Nonce: 1}
 	tx2 := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "carol", Amount: 9}}, Nonce: 2}
@@ -165,7 +165,7 @@ func TestValidateBatchCatchesIntraBatchDoubleSpend(t *testing.T) {
 
 func TestBatchSpendChain(t *testing.T) {
 	// tx2 spends tx1's output inside the same batch: valid in sequence.
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	tx1 := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "bob", Amount: 10}}}
 	tx2 := &Tx{Inputs: []OutPoint{{Tx: tx1.ID(), Index: 0}}, Outputs: []Output{{Owner: "carol", Amount: 10}}}
@@ -206,7 +206,7 @@ func TestShardOfRoughlyBalanced(t *testing.T) {
 
 func TestCrossShardClassification(t *testing.T) {
 	const m = 4
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	// Find two users in different shards.
 	var uA, uB string
 	for i := 0; ; i++ {
@@ -238,7 +238,7 @@ func TestCrossShardClassification(t *testing.T) {
 
 func TestOutpointsOfShardDeterministic(t *testing.T) {
 	const m = 4
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	for i := 0; i < 50; i++ {
 		mint(t, s, fmt.Sprintf("user-%d", i), uint64(i+1), uint64(i))
 	}
@@ -261,7 +261,7 @@ func TestOutpointsOfShardDeterministic(t *testing.T) {
 }
 
 func TestSnapshotIsolated(t *testing.T) {
-	s := NewUTXOSet()
+	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)
 	snap := s.Snapshot()
 	if err := snap.Spend(op); err != nil {
@@ -275,7 +275,7 @@ func TestSnapshotIsolated(t *testing.T) {
 func TestValueConservationProperty(t *testing.T) {
 	// Property: applying any chain of self-payments conserves total value.
 	f := func(amounts []uint8) bool {
-		s := NewUTXOSet()
+		s := NewShardedStore(4)
 		var total uint64
 		for i, a := range amounts {
 			if a == 0 {

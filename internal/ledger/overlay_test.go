@@ -3,7 +3,7 @@ package ledger
 import "testing"
 
 func TestOverlayIsolation(t *testing.T) {
-	base := NewUTXOSet()
+	base := NewShardedStore(4)
 	op := mint(t, base, "alice", 10, 1)
 	ov := NewOverlay(base)
 	tx := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "bob", Amount: 10}}}
@@ -27,7 +27,7 @@ func TestOverlayIsolation(t *testing.T) {
 
 func TestOverlayChainedSpend(t *testing.T) {
 	// The §VIII-B case: tx2 spends tx1's output within one list.
-	base := NewUTXOSet()
+	base := NewShardedStore(4)
 	op := mint(t, base, "alice", 10, 1)
 	ov := NewOverlay(base)
 	tx1 := &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "bob", Amount: 10}}}
@@ -54,7 +54,7 @@ func TestOverlayChainedSpend(t *testing.T) {
 }
 
 func TestOverlayApplyAtomic(t *testing.T) {
-	base := NewUTXOSet()
+	base := NewShardedStore(4)
 	op := mint(t, base, "alice", 10, 1)
 	ov := NewOverlay(base)
 	bad := &Tx{Inputs: []OutPoint{op, {Index: 7}}, Outputs: []Output{{Owner: "bob", Amount: 1}}}

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// Store is mutable UTXO state as the protocol layer consumes it. Both the
-// classic UTXOSet and the lock-striped ShardedStore implement it; the
-// engine programs against the interface so state partitioning is a
-// deployment choice, not a protocol change.
+// Store is mutable UTXO state as the protocol layer consumes it. The
+// lock-striped ShardedStore implements it; the engine programs against the
+// interface so state partitioning is a deployment choice, not a protocol
+// change.
 type Store interface {
 	UTXOView
 	// Add inserts an unspent output. Inserting an existing outpoint is an
@@ -123,7 +123,7 @@ func (s *ShardedStore) Spend(op OutPoint) error {
 // rlockAll read-locks every stripe in ascending order (the same global
 // order the write path uses), giving aggregate reads a consistent
 // point-in-time view even while cross-stripe applies run concurrently —
-// the atomicity the single-lock UTXOSet used to provide.
+// the atomicity a single-lock set would provide.
 func (s *ShardedStore) rlockAll() {
 	for _, st := range s.stripes {
 		st.mu.RLock()

@@ -95,8 +95,8 @@ func oracleTxID(tx *Tx) TxID {
 // randomTxAndView builds a transaction with a random mix of resolvable,
 // unresolvable, and duplicate-shard inputs/outputs plus a view resolving a
 // random subset of the inputs.
-func randomTxAndView(rng *rand.Rand) (*Tx, *UTXOSet) {
-	view := NewUTXOSet()
+func randomTxAndView(rng *rand.Rand) (*Tx, *ShardedStore) {
+	view := NewShardedStore(4)
 	tx := &Tx{Nonce: rng.Uint64()}
 	nIn := rng.Intn(6)
 	for i := 0; i < nIn; i++ {

@@ -5,55 +5,3 @@ type UTXOView interface {
 	// Get returns the output at the given outpoint if it is unspent.
 	Get(OutPoint) (Output, bool)
 }
-
-// defaultStripes is the lock-stripe count behind the compatibility
-// UTXOSet: enough to spread contention in tests and tools that still use
-// the classic type, without the caller having to pick a shard count.
-const defaultStripes = 16
-
-// UTXOSet is the classic single-set API, kept as a compatibility wrapper
-// around a lock-striped ShardedStore. It is safe for concurrent use; new
-// code that knows its shard count should use NewShardedStore directly so
-// the striping matches the protocol's committee layout.
-type UTXOSet struct {
-	s *ShardedStore
-}
-
-// NewUTXOSet returns an empty set.
-func NewUTXOSet() *UTXOSet {
-	return &UTXOSet{s: NewShardedStore(defaultStripes)}
-}
-
-// Get implements UTXOView.
-func (s *UTXOSet) Get(op OutPoint) (Output, bool) { return s.s.Get(op) }
-
-// Add inserts an unspent output. Inserting an existing outpoint is an
-// error: outpoints are unique by construction.
-func (s *UTXOSet) Add(op OutPoint, out Output) error { return s.s.Add(op, out) }
-
-// Spend removes an unspent output, failing if it is absent.
-func (s *UTXOSet) Spend(op OutPoint) error { return s.s.Spend(op) }
-
-// Len returns the number of unspent outputs.
-func (s *UTXOSet) Len() int { return s.s.Len() }
-
-// TotalValue sums all unspent amounts (conservation checks in tests).
-func (s *UTXOSet) TotalValue() uint64 { return s.s.TotalValue() }
-
-// Snapshot returns a deep copy, used to give each committee an isolated
-// view of its shard state.
-func (s *UTXOSet) Snapshot() *UTXOSet {
-	return &UTXOSet{s: s.s.Snapshot()}
-}
-
-// OutpointsOfShard lists the outpoints whose owner belongs to the given
-// shard, in deterministic order (sorted by outpoint), so committees can
-// build reproducible Remaining-UTXO lists.
-func (s *UTXOSet) OutpointsOfShard(shard, m uint64) []OutPoint {
-	return s.s.OutpointsOfShard(shard, m)
-}
-
-// ApplyTx atomically spends the transaction's inputs and adds its outputs.
-// It assumes the transaction has already passed Validate; it fails (without
-// partial effect) if any input is missing.
-func (s *UTXOSet) ApplyTx(tx *Tx) error { return s.s.ApplyTx(tx) }

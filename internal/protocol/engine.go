@@ -142,9 +142,9 @@ type Engine struct {
 // protocol's timeout/watchdog machinery. Config-driven runs go through
 // Params.Faults; this entry point exists for tests and advanced callers
 // that need a custom model (e.g. crash injection keyed to phase starts).
-// Call before the first round; nil uninstalls. It fails when the
-// transport cannot honour the model (the live transport rejects every
-// real fault model).
+// Call before the first round; nil uninstalls. It fails only if the
+// transport cannot honour the model; both built-in transports honour
+// every model (the simnet applies it before a payload moves).
 func (e *Engine) InstallFaults(f simnet.Faults) error {
 	if _, none := f.(simnet.NoFaults); none {
 		f = nil
@@ -410,10 +410,10 @@ func (e *Engine) Reports() []*RoundReport { return e.reports }
 // Chain returns the verified block store accumulated across rounds.
 func (e *Engine) Chain() *chain.Chain { return e.chain }
 
-// GenesisUTXO rebuilds the genesis UTXO snapshot, for external chain
-// re-verification.
-func (e *Engine) GenesisUTXO() (*ledger.UTXOSet, error) {
-	s := ledger.NewUTXOSet()
+// GenesisUTXO rebuilds the genesis UTXO snapshot, striped like the live
+// ledger, for external chain re-verification.
+func (e *Engine) GenesisUTXO() (*ledger.ShardedStore, error) {
+	s := ledger.NewShardedStore(uint64(e.P.M))
 	for _, tx := range e.gen.Genesis() {
 		id := tx.ID()
 		for i, o := range tx.Outputs {

@@ -1,14 +1,12 @@
 package protocol
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"cycledger/internal/simnet"
-	"cycledger/internal/transport"
 )
 
 // TestFaultsConfigValidate covers the spec's structural rejections.
@@ -551,28 +549,6 @@ func TestAdaptiveSmallBudgetAbsorbedByRecovery(t *testing.T) {
 	}
 	if recoveries == 0 {
 		t.Fatal("budget-2 leader crashes triggered no recovery")
-	}
-}
-
-// stubCodec satisfies transport.Codec without encoding anything; the
-// live-transport rejection below fails at fault installation, before any
-// message is framed.
-type stubCodec struct{}
-
-func (stubCodec) SizeHint(any) (int, error)                { return 0, errors.New("stub codec") }
-func (stubCodec) AppendEncode([]byte, any) ([]byte, error) { return nil, errors.New("stub codec") }
-func (stubCodec) Decode([]byte) (any, int, error)          { return nil, 0, errors.New("stub codec") }
-
-// TestAdaptiveLiveTransportRefused: the live transport cannot honour any
-// fault model, adaptive included — engine construction must fail rather
-// than silently run the scenario fault-free.
-func TestAdaptiveLiveTransportRefused(t *testing.T) {
-	p := DefaultParams()
-	p.Rounds = 1
-	p.Transport = transport.LiveFactory(stubCodec{})
-	p.Faults = adaptiveSpec(4)
-	if _, err := NewEngine(p); err == nil {
-		t.Fatal("NewEngine accepted an adaptive fault model on the live transport")
 	}
 }
 

@@ -21,11 +21,21 @@ type Fate struct {
 // nil Faults (or NoFaults): the engine then behaves byte-identically to a
 // fault-free network.
 //
-// Determinism contract:
+// Determinism contract (the serial send drain's ordering contract — the one
+// place it is specified; Network.send implements it):
 //
-//   - Fate is consulted exactly once per transmitted message, always from
-//     the single goroutine that applies send effects, in deterministic
-//     order — implementations may therefore consume their own seeded RNG.
+//   - While a model is installed, handler sends are not routed by the lanes
+//     that produced them. Each lane holds its sends, and after the tick's
+//     execution barrier the driving goroutine drains them in merged (ks, kc)
+//     scheduling-key order — a pure function of causal origin, identical at
+//     any parallelism and registration order. Per message, in this order:
+//     send audit, Down(now, sender) (a crashed sender transmits nothing and
+//     is charged nothing), sent accounting, Fate, and for a survivor the
+//     payload carrier's Ship, the keyed delay draw and the push. External
+//     Sends take the same path on the driver's goroutine.
+//   - Fate is therefore consulted exactly once per transmitted message, on
+//     one goroutine, in deterministic order — implementations may consume
+//     their own seeded RNG and keep state (Loss, Lag, BurstLoss do).
 //   - Down must be a pure function of (now, node): it is evaluated during
 //     (possibly parallel) event execution and re-evaluated freely, so it
 //     must not mutate state or draw randomness.

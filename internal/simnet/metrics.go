@@ -49,12 +49,13 @@ type Metrics struct {
 	totalDrop Counter
 	totalLate Counter
 	// lanes are the per-worker shards; lane i is written exclusively by
-	// the worker running lane i of the current macro-step (receives and
-	// fast-path sends) or by the single-threaded barrier (slow-path sends
-	// and drops), and folded into the maps above by mergeLanes. The fold
-	// is amortised: the Network folds every mergeEvery batches and at the
-	// end of every drain, so readers — which only run between drains —
-	// always see fully merged accounting. The phase label is constant
+	// the worker running lane i of the current macro-step (receives, dead-
+	// destination drops and inline-routed sends); the serial send path
+	// writes lane 0 between execution phases. mergeLanes folds them into
+	// the maps above. The fold is amortised: the Network folds every
+	// mergeEvery batches and at the end of every drain, so readers — which
+	// only run between drains — always see fully merged accounting (an
+	// external Send folds at once). The phase label is constant
 	// within a drain (SetPhase happens between drains), which is what
 	// makes deferring the fold safe.
 	lanes []laneShard
@@ -230,76 +231,6 @@ func (m *Metrics) Phase() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.phase
-}
-
-// RecordSend charges a message to the sender-side, per-tag, and total
-// counters. Exported for transports that account traffic outside a
-// Network (the live transport); the simnet's external send path uses the
-// same accounting.
-func (m *Metrics) RecordSend(msg Message) { m.recordSend(msg) }
-
-// RecordRecv charges a delivered message to the receiver-side counters of
-// the current phase. Unlike the simnet's lock-free lane shards, this takes
-// the mutex per call — the live transport's clock applies deliveries one
-// batch at a time, where per-call locking is not a bottleneck.
-func (m *Metrics) RecordRecv(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := phaseNode{m.phase, msg.To}
-	c := m.received[k]
-	if c == nil {
-		c = &Counter{}
-		m.received[k] = c
-	}
-	c.add(msg.Size)
-}
-
-// RecordLate charges a beyond-bound delivery to the late counter.
-func (m *Metrics) RecordLate(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.totalLate.add(msg.Size)
-}
-
-// RecordDropped charges a lost message to the destination's dropped
-// counters. Exported counterpart of the simnet's internal accounting, for
-// external transports.
-func (m *Metrics) RecordDropped(msg Message) { m.recordDropped(msg) }
-
-func (m *Metrics) recordSend(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := phaseNode{m.phase, msg.From}
-	c := m.sent[k]
-	if c == nil {
-		c = &Counter{}
-		m.sent[k] = c
-	}
-	c.add(msg.Size)
-	tc := m.byTag[msg.Tag]
-	if tc == nil {
-		tc = &Counter{}
-		m.byTag[msg.Tag] = tc
-	}
-	tc.add(msg.Size)
-	m.total.add(msg.Size)
-}
-
-// recordDropped charges a message lost in flight (or delivered to a dead
-// node) to the dropped counters of the destination that missed it. The
-// message was already charged to the sender by recordSend; it must never
-// reach the received maps.
-func (m *Metrics) recordDropped(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := phaseNode{m.phase, msg.To}
-	c := m.dropped[k]
-	if c == nil {
-		c = &Counter{}
-		m.dropped[k] = c
-	}
-	c.add(msg.Size)
-	m.totalDrop.add(msg.Size)
 }
 
 // Sent returns the sender-side counter for (phase, node).

@@ -20,11 +20,14 @@
 //
 // The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
 // ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker
-// lane owns a calendar queue, an event free list, and a Context free list;
+// lane owns a calendar queue, an event free list, and one reusable Context;
 // a macro-step pops each lane's tick batch in parallel, renumbers the
 // merged batch once on the driving goroutine, executes lanes in parallel
-// with same-lane effects pushed lane-locally, and exchanges cross-lane
-// sends through per-(src,dst) outboxes drained by the destination lane.
+// with timers and same-lane sends pushed lane-locally, and exchanges
+// cross-lane sends through per-(src,dst) outboxes drained by the
+// destination lane. When something must observe sends serially — a fault
+// model, the send audit, or a payload Carrier — lanes hold their sends
+// instead and one serial drain routes them in key order (see send).
 // Determinism is carried by the scheduling key (ks, kc) — a pure function
 // of the event's causal origin — which every lane layout sorts identically,
 // so a seeded run produces identical results at any parallelism level and
@@ -117,9 +120,7 @@ func mix64(x uint64) uint64 {
 // link: uniform in [1, bound], or exactly the bound when the model is
 // Deterministic. The draw is a pure hash of (seed, ks, kc) — the run seed
 // and the message's scheduling key — so any goroutine can compute it
-// without touching shared RNG state, and the simnet and the live
-// transport derive identical delays for the same message (the oracle
-// contract: same seed, same key, same delay).
+// without touching shared RNG state (same seed, same key, same delay).
 func (l Latency) DrawKeyed(seed, ks uint64, kc uint32, from, to NodeID) Time {
 	b := l.bound(from, to)
 	if b < 1 {
@@ -159,9 +160,12 @@ type event struct {
 	kind eventKind
 	node NodeID // destination (message) or owner (timer)
 	late bool   // held beyond the synchrony bound by the fault model
-	msg  Message
-	fn   func(*Context)
-	ctx  *Context // slow-path effect buffer, attached between exec and apply
+	// shipped: the payload travels by the Carrier, which holds it under this
+	// event's key until the delivery claims (or discards) it; msg then keeps
+	// only the accounting fields.
+	shipped bool
+	msg     Message
+	fn      func(*Context)
 }
 
 // eventHeap orders events by (at, ks, kc). It backs the calendar queue's
@@ -186,11 +190,12 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// xmsg is one cross-lane send in flight between two lanes: a value record
-// (never a pooled pointer) so event structs stay inside their owning
-// lane's free list. The destination lane materialises it into one of its
-// own events during the exchange phase. Fast-path only — the fault-model
-// path applies all sends serially — so no late flag is needed.
+// xmsg is one send on its way out of the lane that produced it: a value
+// record (never a pooled pointer) so event structs stay inside their
+// owning lane's free list. In a cross-lane outbox it carries its delivery
+// tick and the destination lane materialises it during the exchange phase;
+// in a held list (see send) only the key and the message matter — the
+// serial drain decides its fate and draws its delay.
 type xmsg struct {
 	at  Time
 	ks  uint64
@@ -212,9 +217,9 @@ type lane struct {
 	hasNext bool
 	drops   uint64   // dead-destination drops recorded this step
 	freeEv  []*event // lane-local event pool
-	freeCtx []*Context
-	execCtx Context  // fast path: one reusable effect buffer per lane
+	execCtx Context  // the lane's one reusable effect buffer
 	xout    [][]xmsg // xout[dst]: sends produced here for another lane
+	held    []xmsg   // sends awaiting the serial drain, ascending by key
 }
 
 func newLane(idx int, horizon Time, lanes int) *lane {
@@ -234,25 +239,8 @@ func (ln *lane) newEvent() *event {
 }
 
 func (ln *lane) freeEvent(ev *event) {
-	*ev = event{} // drop payload/fn/ctx references before pooling
+	*ev = event{} // drop payload/fn references before pooling
 	ln.freeEv = append(ln.freeEv, ev)
-}
-
-func (ln *lane) newContext(node NodeID, t Time) *Context {
-	if k := len(ln.freeCtx) - 1; k >= 0 {
-		c := ln.freeCtx[k]
-		ln.freeCtx[k] = nil
-		ln.freeCtx = ln.freeCtx[:k]
-		c.Node, c.now = node, t
-		return c
-	}
-	return &Context{Node: node, now: t}
-}
-
-func (ln *lane) freeContext(c *Context) {
-	clear(c.out) // drop payload references, keep capacity
-	c.out = c.out[:0]
-	ln.freeCtx = append(ln.freeCtx, c)
 }
 
 // nodeSlot is the dense per-node table entry: the handler plus the
@@ -273,6 +261,7 @@ type Network struct {
 	down        map[NodeID]bool // crashed/offline nodes drop all traffic
 	faults      Faults          // nil = fault-free (byte-identical to the pre-fault engine)
 	sendAudit   func(Message)   // optional per-send assertion hook (size audits in tests)
+	carrier     Carrier         // nil = payloads ride in the event (the simulator proper)
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -280,8 +269,7 @@ type Network struct {
 	horizon     Time
 
 	lanes   []*lane
-	merged  []*event // slow-path scratch: the batch in merged key order
-	heads   []int    // renumber merge cursors
+	heads   []int    // merge cursors (renumber, drainHeld)
 	moved   []*event // SetParallelism redistribution scratch
 	stepWG  sync.WaitGroup
 	lastPop int // previous batch size, steers pooled-vs-inline pop
@@ -432,6 +420,35 @@ func (n *Network) SetFaults(f Faults) {
 // the hook. The hook must not re-enter the Network.
 func (n *Network) SetSendAudit(fn func(Message)) { n.sendAudit = fn }
 
+// Carrier moves message payloads between nodes outside the scheduler: the
+// live transport installs one so that every payload crosses its codec and
+// a link while the Network keeps the clock, the queue, the delay draw, the
+// fault model and the accounting. With a carrier installed an event holds
+// only a message's accounting fields (From, To, Tag, Size) and the carrier
+// holds the payload under the event's scheduling key.
+type Carrier interface {
+	// Ship takes charge of the payload of a message that will be delivered
+	// under key (ks, kc). It is called from the serial send path (see
+	// Faults), after the audit, crash and Fate checks. Returning false
+	// means the carrier has no process for msg.To: the event still advances
+	// the clock and the delivery count, but no handler runs for it — a
+	// message to an unregistered node.
+	Ship(ks uint64, kc uint32, msg Message) bool
+	// Deliver claims the payload shipped under (ks, kc) for node ctx.Node
+	// and runs h on that node's own process, returning once h has filled
+	// ctx. Lanes call it concurrently, never twice at once for one node.
+	Deliver(ctx *Context, ks uint64, kc uint32, h Handler)
+	// Fire runs a timer of node ctx.Node on that node's own process.
+	Fire(ctx *Context, fn func(*Context))
+	// Discard claims and drops the payload shipped under (ks, kc) to a
+	// destination that was down at delivery time.
+	Discard(ks uint64, kc uint32, to NodeID)
+}
+
+// SetCarrier installs the payload carrier (nil restores in-event payloads).
+// Install before traffic starts.
+func (n *Network) SetCarrier(c Carrier) { n.carrier = c }
+
 // Metrics exposes the traffic accounting.
 func (n *Network) Metrics() *Metrics { return n.metrics }
 
@@ -446,10 +463,16 @@ func (n *Network) Delivered() uint64 { return n.delivered }
 func (n *Network) Dropped() uint64 { return n.dropped }
 
 // Send enqueues a message from outside any handler (e.g. test drivers and
-// round orchestration). Delay is derived from the link's synchrony bound
-// and a fresh scheduling key.
+// round orchestration) under a fresh scheduling key. The key is consumed
+// only if the message is scheduled — one lost to the fault model leaves the
+// counter untouched — and the accounting is folded at once: the phase label
+// may change before the next drain, so an external send must not sit in a
+// lane shard.
 func (n *Network) Send(from, to NodeID, tag string, payload any, size int) {
-	n.enqueueMessage(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size})
+	if n.send(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, n.ctr, 0) {
+		n.ctr++
+	}
+	n.metrics.mergeLanes()
 }
 
 // After schedules fn on the given node after delay d.
@@ -473,56 +496,99 @@ func (n *Network) nextKey() uint64 {
 	return k
 }
 
-// enqueueMessage is the external (driver-goroutine) send path. It records
-// metrics directly into the shared maps — the phase label may change
-// between drains, so external sends must not sit in a lane shard.
-func (n *Network) enqueueMessage(msg Message) {
+// send is the one serial send path: external Sends, and — whenever a fault
+// model, a send audit or a carrier is installed — every handler send, via
+// drainHeld. It runs on the driving goroutine only, in key order within a
+// step, which is the contract Faults documents: audit, crashed-sender
+// check, accounting, Fate, then the keyed delay draw and the push into the
+// destination's lane. It reports whether the message was scheduled.
+func (n *Network) send(msg Message, ks uint64, kc uint32) bool {
 	if n.sendAudit != nil {
 		n.sendAudit(msg)
 	}
+	if n.faults != nil && n.faults.Down(n.now, msg.From) {
+		return false // a crashed sender transmits nothing
+	}
+	sh := &n.metrics.lanes[0] // serial path: any shard is race-free
+	sh.recordSend(msg)
+	var extra Time
 	if n.faults != nil {
-		n.enqueueWithFaults(msg)
-		return
+		fate := n.faults.Fate(n.now, msg.From, msg.To)
+		if fate.Drop {
+			sh.recordDropped(msg)
+			n.dropped++
+			return false
+		}
+		extra = fate.Delay
 	}
-	n.metrics.recordSend(msg)
-	ks := n.nextKey()
-	d := n.latency.DrawKeyed(n.seed, ks, 0, msg.From, msg.To)
-	ln := n.laneOf(msg.To)
-	ev := ln.newEvent()
-	ev.at, ev.ks, ev.kind, ev.node, ev.msg = n.now+d, ks, evMessage, msg.To, msg
-	ln.q.push(ev)
-}
-
-// enqueueWithFaults is the fault-model external send path. It is only
-// entered when a model is installed, so the fault-free engine stays
-// byte-identical to a network that never had SetFaults called. Sends
-// happen on one goroutine in deterministic order, so the model's Fate may
-// consume its own seeded RNG.
-func (n *Network) enqueueWithFaults(msg Message) {
-	if n.faults.Down(n.now, msg.From) {
-		return // a crashed sender transmits nothing
-	}
-	n.metrics.recordSend(msg)
-	fate := n.faults.Fate(n.now, msg.From, msg.To)
-	if fate.Drop {
-		n.metrics.recordDropped(msg)
-		n.dropped++
-		return
-	}
-	ks := n.nextKey()
-	d := n.latency.DrawKeyed(n.seed, ks, 0, msg.From, msg.To)
+	d := n.latency.DrawKeyed(n.seed, ks, kc, msg.From, msg.To)
+	dl := n.laneOf(msg.To)
+	ev := dl.newEvent()
 	// Late is tallied at delivery, not here: a lagged message that dies at
 	// a crashed destination counts as dropped, never as late.
-	ln := n.laneOf(msg.To)
-	ev := ln.newEvent()
-	ev.at, ev.ks, ev.kind, ev.node, ev.late, ev.msg = n.now+d+fate.Delay, ks, evMessage, msg.To, fate.Delay > 0, msg
-	ln.q.push(ev)
+	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
+	if n.carrier != nil {
+		ev.shipped = n.carrier.Ship(ks, kc, msg)
+		ev.msg.Payload = nil
+	}
+	dl.q.push(ev)
+	return true
+}
+
+// cursors returns one zeroed merge cursor per lane (reused scratch).
+func (n *Network) cursors() []int {
+	if cap(n.heads) < len(n.lanes) {
+		n.heads = make([]int, len(n.lanes))
+	}
+	heads := n.heads[:len(n.lanes)]
+	clear(heads)
+	return heads
+}
+
+// holdsSends reports whether something must observe sends one at a time in
+// key order — a fault model's stateful Fate, the send audit, a carrier — so
+// that lanes hold them for drainHeld instead of routing them inline.
+func (n *Network) holdsSends() bool {
+	return n.faults != nil || n.sendAudit != nil || n.carrier != nil
+}
+
+// drainHeld routes the sends the lanes held back during execution, on the
+// driving goroutine, in merged (ks, kc) order. Each lane's list is already
+// ascending (a lane executes its batch in key order), and one producer's
+// sends are contiguous in it, so the merge picks a lane per producer.
+func (n *Network) drainHeld() {
+	heads := n.cursors()
+	for {
+		var best *xmsg
+		bi := -1
+		for i, ln := range n.lanes {
+			if heads[i] < len(ln.held) {
+				x := &ln.held[heads[i]]
+				if best == nil || x.ks < best.ks {
+					best, bi = x, i
+				}
+			}
+		}
+		if best == nil {
+			break
+		}
+		held, ks := n.lanes[bi].held, best.ks
+		h := heads[bi]
+		for ; h < len(held) && held[h].ks == ks; h++ {
+			n.send(held[h].msg, ks, held[h].kc)
+		}
+		heads[bi] = h
+	}
+	for _, ln := range n.lanes {
+		clear(ln.held) // drop payload references, keep capacity
+		ln.held = ln.held[:0]
+	}
 }
 
 // Context is the per-delivery effect buffer handed to handlers. Handlers
-// must route all sends and timers through it; effects are applied in
-// deterministic order — lane-locally on the fault-free fast path, on the
-// single-threaded barrier under a fault model or send audit.
+// must route all sends and timers through it; the executing lane applies
+// the effects in the order the handler produced them, keyed by
+// (producer seq, effect index).
 type Context struct {
 	Node NodeID
 	now  Time
@@ -556,27 +622,6 @@ func (c *Context) After(d Time, fn func(*Context)) {
 	c.out = append(c.out, effect{isTimer: true, delay: d, fn: fn})
 }
 
-// NewContext returns a standalone effect buffer for transports that run
-// handlers outside a Network — the live transport hands one to each
-// handler invocation and drains it with Effects. Contexts created here are
-// not pooled; the Network's own deliveries keep using the lane free lists.
-func NewContext(node NodeID, now Time) *Context {
-	return &Context{Node: node, now: now}
-}
-
-// Effects replays the buffered effects in the order the handler produced
-// them: onMsg for each Send/Broadcast, onTimer for each After (with the
-// handler-requested delay, unclamped). The buffer is left intact.
-func (c *Context) Effects(onMsg func(Message), onTimer func(d Time, fn func(*Context))) {
-	for _, ef := range c.out {
-		if ef.isTimer {
-			onTimer(ef.delay, ef.fn)
-		} else {
-			onMsg(ef.msg)
-		}
-	}
-}
-
 // minTick refreshes every lane's earliest pending tick and returns the
 // cross-lane minimum — the serial reduction that replaced the old global
 // peek. O(lanes) slice-header scans per macro-step.
@@ -608,10 +653,10 @@ func (n *Network) Step() bool {
 
 // stepAt runs the macro-step at tick t (which minTick reported as the
 // cross-lane earliest): parallel per-lane pop, serial renumber, parallel
-// execution, parallel cross-lane exchange, serial counter fold.
+// execution, then the sends — the serial drain when they were held, the
+// parallel cross-lane exchange otherwise — and the serial counter fold.
 func (n *Network) stepAt(t Time) {
 	n.now = t
-	slow := n.faults != nil || n.sendAudit != nil
 
 	// Phase A: every lane with events at t pops and key-sorts its batch,
 	// running the dead-destination pre-pass (skip flags + drop accounting
@@ -630,36 +675,25 @@ func (n *Network) stepAt(t Time) {
 	// Serial barrier: assign final seqs in merged (ks, kc) order — the one
 	// canonical order every lane layout produces — so the keys of every
 	// event's effects are independent of parallelism.
-	total := n.renumber(slow)
+	total := n.renumber()
 	n.lastPop = total
 
-	// Phase B: execute. The fault-free fast path applies effects inline —
-	// timers and same-lane sends push into the lane's own calendar queue,
-	// cross-lane sends land in value outboxes. Under a fault model or send
-	// audit the lanes only buffer Contexts; effects apply serially below,
-	// preserving the Fate/audit contract (one goroutine, key order).
+	// Phase B: execute. Timers push into the lane's own calendar queue;
+	// sends are routed inline (same lane, or a value outbox) or held.
 	pooled := n.parallelism > 1 && total > 1
-	if slow {
-		if pooled {
-			n.dispatch(phaseExecSlow)
-		} else {
-			for _, ln := range n.lanes {
-				if len(ln.batch) > 0 {
-					n.execLaneSlow(ln)
-				}
-			}
-		}
-		n.applySlow()
+	if pooled {
+		n.dispatch(phaseExec)
 	} else {
-		if pooled {
-			n.dispatch(phaseExecFast)
-		} else {
-			for _, ln := range n.lanes {
-				if len(ln.batch) > 0 {
-					n.execLaneFast(ln)
-				}
+		for _, ln := range n.lanes {
+			if len(ln.batch) > 0 {
+				n.execLane(ln)
 			}
 		}
+	}
+
+	if n.holdsSends() {
+		n.drainHeld()
+	} else {
 		// Phase C: destination lanes drain the outboxes addressed to them,
 		// materialising each record from their own free list.
 		xtotal := 0
@@ -700,8 +734,10 @@ func (n *Network) stepAt(t Time) {
 // popLane pops one lane's tick batch and runs the dead-destination
 // pre-pass: events owned by a node that is down (SetDown or the fault
 // model's crash schedule) are flagged, and skipped messages are accounted
-// as dropped into the lane's own shard. Runs on pool workers; touches only
-// lane-owned state plus read-only maps and the pure Faults.Down.
+// as dropped into the lane's own shard (a shipped payload is discarded, so
+// the carrier never keeps what no delivery will claim). Runs on pool
+// workers; touches only lane-owned state plus read-only maps and the pure
+// Faults.Down.
 func (n *Network) popLane(ln *lane) {
 	ln.batch = ln.q.popBatch(n.now, ln.batch[:0])
 	ln.anySkip = false
@@ -721,19 +757,18 @@ func (n *Network) popLane(ln *lane) {
 			if ev.kind == evMessage {
 				sh.recordDropped(ev.msg)
 				ln.drops++
+				if ev.shipped {
+					n.carrier.Discard(ev.ks, ev.kc, ev.node)
+				}
 			}
 		}
 	}
 }
 
 // renumber assigns final seqs to the popped batch in merged (ks, kc)
-// order via an L-way merge over the key-sorted lane batches. When
-// buildMerged is set (the slow path) it also collects the merged order
-// for the serial effect-application barrier. Returns the batch total.
-func (n *Network) renumber(buildMerged bool) int {
-	if buildMerged {
-		n.merged = n.merged[:0]
-	}
+// order via an L-way merge over the key-sorted lane batches. Returns the
+// batch total.
+func (n *Network) renumber() int {
 	total, active := 0, 0
 	var single *lane
 	for _, ln := range n.lanes {
@@ -751,19 +786,9 @@ func (n *Network) renumber(buildMerged bool) int {
 			ev.seq = n.ctr
 			n.ctr++
 		}
-		if buildMerged {
-			n.merged = append(n.merged, single.batch...)
-		}
 		return total
 	}
-	L := len(n.lanes)
-	if cap(n.heads) < L {
-		n.heads = make([]int, L)
-	}
-	heads := n.heads[:L]
-	for i := range heads {
-		heads[i] = 0
-	}
+	heads := n.cursors()
 	for done := 0; done < total; done++ {
 		var best *event
 		bi := -1
@@ -778,24 +803,25 @@ func (n *Network) renumber(buildMerged bool) int {
 		best.seq = n.ctr
 		n.ctr++
 		heads[bi]++
-		if buildMerged {
-			n.merged = append(n.merged, best)
-		}
 	}
 	return total
 }
 
-// execLaneFast runs one lane's batch on the fault-free fast path: the
-// handler fires with the lane's reusable Context, then its effects apply
-// inline — timers and same-lane sends push into this lane's calendar
-// queue from this lane's free list, cross-lane sends append to the value
-// outbox for the destination lane. Send-side metrics go to this lane's
-// shard. Runs on pool workers; all state touched is lane-owned.
-func (n *Network) execLaneFast(ln *lane) {
+// execLane runs one lane's batch — the one executor. The handler (or
+// timer) fires with the lane's reusable Context — on the node's own
+// process when a carrier is installed — then its effects apply inline,
+// keyed (producer seq, effect index): timers push into this lane's
+// calendar queue from this lane's free list; a send is either routed here
+// (same-lane push, or the value outbox of the destination lane, with its
+// send-side metrics in this lane's shard) or, when holdsSends, appended to
+// the lane's held list for drainHeld. Runs on pool workers; all state
+// touched is lane-owned.
+func (n *Network) execLane(ln *lane) {
 	sh := &n.metrics.lanes[ln.idx]
 	ctx := &ln.execCtx
 	t := n.now
 	L := len(n.lanes)
+	hold, carrier := n.holdsSends(), n.carrier
 	for i, ev := range ln.batch {
 		if ln.anySkip && ln.skip[i] {
 			ln.freeEvent(ev)
@@ -805,7 +831,7 @@ func (n *Network) execLaneFast(ln *lane) {
 		switch ev.kind {
 		case evMessage:
 			h := n.handlerOf(ev.node)
-			if h == nil {
+			if h == nil || (carrier != nil && !ev.shipped) {
 				ln.freeEvent(ev)
 				continue
 			}
@@ -813,10 +839,17 @@ func (n *Network) execLaneFast(ln *lane) {
 			if ev.late {
 				sh.recordLate(ev.msg)
 			}
-			h(ctx, ev.msg)
+			if carrier != nil {
+				carrier.Deliver(ctx, ev.ks, ev.kc, h)
+			} else {
+				h(ctx, ev.msg)
+			}
 		case evTimer:
-			fn := ev.fn
-			fn(ctx)
+			if carrier != nil {
+				carrier.Fire(ctx, ev.fn)
+			} else {
+				ev.fn(ctx)
+			}
 		}
 		pseq, node := ev.seq, ev.node
 		ln.freeEvent(ev) // may be recycled for a child immediately below
@@ -830,117 +863,26 @@ func (n *Network) execLaneFast(ln *lane) {
 				ch := ln.newEvent()
 				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = t+d, pseq, uint32(idx), evTimer, node, ef.fn
 				ln.q.push(ch)
+				continue
+			}
+			msg := ef.msg
+			if hold {
+				ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), msg: msg})
+				continue
+			}
+			sh.recordSend(msg)
+			d := n.latency.DrawKeyed(n.seed, pseq, uint32(idx), msg.From, msg.To)
+			if dl := n.laneFor(msg.To, L); dl == ln.idx {
+				ch := ln.newEvent()
+				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.msg = t+d, pseq, uint32(idx), evMessage, msg.To, msg
+				ln.q.push(ch)
 			} else {
-				msg := ef.msg
-				sh.recordSend(msg)
-				d := n.latency.DrawKeyed(n.seed, pseq, uint32(idx), msg.From, msg.To)
-				if dl := n.laneFor(msg.To, L); dl == ln.idx {
-					ch := ln.newEvent()
-					ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.msg = t+d, pseq, uint32(idx), evMessage, msg.To, msg
-					ln.q.push(ch)
-				} else {
-					ln.xout[dl] = append(ln.xout[dl], xmsg{at: t + d, ks: pseq, kc: uint32(idx), msg: msg})
-				}
+				ln.xout[dl] = append(ln.xout[dl], xmsg{at: t + d, ks: pseq, kc: uint32(idx), msg: msg})
 			}
 		}
 		clear(ctx.out)
 		ctx.out = ctx.out[:0]
 	}
-}
-
-// execLaneSlow runs one lane's batch under a fault model or send audit:
-// handlers fire in parallel exactly as on the fast path, but effects stay
-// buffered in per-event Contexts for the serial barrier. Receive-side
-// metrics still go to the lane shard.
-func (n *Network) execLaneSlow(ln *lane) {
-	sh := &n.metrics.lanes[ln.idx]
-	t := n.now
-	for i, ev := range ln.batch {
-		ev.ctx = nil
-		if ln.anySkip && ln.skip[i] {
-			continue
-		}
-		switch ev.kind {
-		case evMessage:
-			h := n.handlerOf(ev.node)
-			if h == nil {
-				continue
-			}
-			ctx := ln.newContext(ev.node, t)
-			ev.ctx = ctx
-			sh.recordRecv(ev.msg)
-			if ev.late {
-				sh.recordLate(ev.msg)
-			}
-			h(ctx, ev.msg)
-		case evTimer:
-			ctx := ln.newContext(ev.node, t)
-			ev.ctx = ctx
-			ev.fn(ctx)
-		}
-	}
-}
-
-// applySlow applies the batch's buffered effects on the driving goroutine
-// in merged key order — exactly the order the pre-shard engine used — so
-// the fault model's Fate is consulted once per message, on one goroutine,
-// in an order independent of parallelism, and the send audit observes the
-// same sequence. Events and Contexts return to their owning lane's pools.
-func (n *Network) applySlow() {
-	for mi, ev := range n.merged {
-		ln := n.laneOf(ev.node)
-		if ctx := ev.ctx; ctx != nil {
-			for idx := range ctx.out {
-				ef := &ctx.out[idx]
-				if ef.isTimer {
-					d := ef.delay
-					if d < 1 {
-						d = 1
-					}
-					ch := ln.newEvent()
-					ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = n.now+d, ev.seq, uint32(idx), evTimer, ev.node, ef.fn
-					ln.q.push(ch)
-				} else {
-					n.sendSlow(ef.msg, ev.seq, uint32(idx))
-				}
-			}
-			ev.ctx = nil
-			ln.freeContext(ctx)
-		}
-		ln.freeEvent(ev)
-		n.merged[mi] = nil
-	}
-	n.merged = n.merged[:0]
-}
-
-// sendSlow is the barrier send path: audit, fault fate, accounting (into
-// the sender's lane shard — the barrier is single-threaded, so shard
-// writes cannot race), delay, push into the destination's lane.
-func (n *Network) sendSlow(msg Message, ks uint64, kc uint32) {
-	if n.sendAudit != nil {
-		n.sendAudit(msg)
-	}
-	if n.faults != nil && n.faults.Down(n.now, msg.From) {
-		return // a crashed sender transmits nothing
-	}
-	sh := &n.metrics.lanes[n.laneFor(msg.From, len(n.lanes))]
-	sh.recordSend(msg)
-	var extra Time
-	if n.faults != nil {
-		fate := n.faults.Fate(n.now, msg.From, msg.To)
-		if fate.Drop {
-			dsh := &n.metrics.lanes[n.laneFor(msg.To, len(n.lanes))]
-			dsh.recordDropped(msg)
-			n.dropped++
-			return
-		}
-		extra = fate.Delay
-	}
-	d := n.latency.DrawKeyed(n.seed, ks, kc, msg.From, msg.To)
-	dl := n.laneOf(msg.To)
-	ev := dl.newEvent()
-	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
-	dl.q.push(ev)
 }
 
 // exchangeLane drains every outbox addressed to this lane, materialising

@@ -17,8 +17,8 @@ import (
 // Determinism is unaffected by the worker count: lane assignment is a
 // pure function of NodeID and the Network's parallelism (see laneFor),
 // each lane phase touches only lane-owned state, and the orders that
-// matter — batch renumbering and fault-model effect application — run on
-// the single-threaded barriers between phases. Workers never submit
+// matter — batch renumbering and the held-send drain — run on the
+// single-threaded barriers between phases. Workers never submit
 // tasks, so pool starvation cannot deadlock.
 type laneTask struct {
 	net   *Network
@@ -30,8 +30,7 @@ type laneTask struct {
 // Macro-step phases a pool worker can run for one lane.
 const (
 	phasePop = iota
-	phaseExecFast
-	phaseExecSlow
+	phaseExec
 	phaseExchange
 )
 
@@ -42,7 +41,7 @@ func (n *Network) wants(phase int, ln *lane) bool {
 	switch phase {
 	case phasePop:
 		return ln.hasNext && ln.nextAt == n.now
-	case phaseExecFast, phaseExecSlow:
+	case phaseExec:
 		return len(ln.batch) > 0
 	default: // phaseExchange: the per-source check is inside exchangeLane
 		return true
@@ -76,10 +75,8 @@ func (n *Network) runPhase(phase, lane int) {
 	switch phase {
 	case phasePop:
 		n.popLane(ln)
-	case phaseExecFast:
-		n.execLaneFast(ln)
-	case phaseExecSlow:
-		n.execLaneSlow(ln)
+	case phaseExec:
+		n.execLane(ln)
 	case phaseExchange:
 		n.exchangeLane(ln)
 	}

@@ -16,21 +16,28 @@ const maxFrame = 2 << 20
 // Frame layout, after the u32 length prefix (which counts the bytes that
 // follow it):
 //
-//	[u64 seq][u32 from][u16 tagLen][tag][u32 declared size][payload encoding]
+//	[u64 ks][u32 kc][u32 from][u16 tagLen][tag][u32 declared size][payload encoding]
 //
-// seq is the clock's global event sequence number — the receiver files the
-// decoded message under it so the delivery event, which carries the same
-// seq, can claim exactly its payload. The declared size travels separately
-// from the encoding because the simulation's traffic model sizes a few
-// modeled messages (PVSS beacon shares) analytically rather than by
-// serialisation.
+// (ks, kc) is the scheduling key of the message's delivery event — the
+// receiver files the decoded message under it so the delivery, which
+// carries the same key, can claim exactly its payload. The declared size
+// travels separately from the encoding because the simulation's traffic
+// model sizes a few modeled messages (PVSS beacon shares) analytically
+// rather than by serialisation.
 
-// appendFrame builds one message frame for seq carrying msg, with the
+// msgKey is a delivery event's scheduling key, the inbox index.
+type msgKey struct {
+	ks uint64
+	kc uint32
+}
+
+// appendFrame builds one message frame for key carrying msg, with the
 // payload encoded by codec.
-func appendFrame(buf []byte, codec Codec, seq uint64, msg simnet.Message) ([]byte, error) {
+func appendFrame(buf []byte, codec Codec, key msgKey, msg simnet.Message) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
-	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, key.ks)
+	buf = binary.BigEndian.AppendUint32(buf, key.kc)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(msg.From)))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(msg.Tag)))
 	buf = append(buf, msg.Tag...)
@@ -44,39 +51,42 @@ func appendFrame(buf []byte, codec Codec, seq uint64, msg simnet.Message) ([]byt
 }
 
 // readFrame reads one message frame destined to node `to`, returning the
-// clock seq it answers and the reconstructed message.
-func readFrame(r io.Reader, codec Codec, to simnet.NodeID) (uint64, simnet.Message, error) {
+// key it answers and the reconstructed message.
+func readFrame(r io.Reader, codec Codec, to simnet.NodeID) (msgKey, simnet.Message, error) {
+	fail := func(err error) (msgKey, simnet.Message, error) { return msgKey{}, simnet.Message{}, err }
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, simnet.Message{}, err
+		return fail(err)
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > maxFrame {
-		return 0, simnet.Message{}, fmt.Errorf("transport: frame length %d exceeds cap %d", n, maxFrame)
+		return fail(fmt.Errorf("transport: frame length %d exceeds cap %d", n, maxFrame))
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, simnet.Message{}, err
+		return fail(err)
 	}
-	if len(body) < 8+4+2 {
-		return 0, simnet.Message{}, fmt.Errorf("transport: frame of %d bytes is shorter than its header", len(body))
+	const hdr = 8 + 4 + 4 + 2 // key, from, tag length
+	if len(body) < hdr {
+		return fail(fmt.Errorf("transport: frame of %d bytes is shorter than its header", len(body)))
 	}
-	seq := binary.BigEndian.Uint64(body)
-	from := simnet.NodeID(int32(binary.BigEndian.Uint32(body[8:])))
-	tagLen := int(binary.BigEndian.Uint16(body[12:]))
-	if len(body) < 14+tagLen+4 {
-		return 0, simnet.Message{}, fmt.Errorf("transport: frame truncated inside its %d-byte tag", tagLen)
+	key := msgKey{ks: binary.BigEndian.Uint64(body), kc: binary.BigEndian.Uint32(body[8:])}
+	from := simnet.NodeID(int32(binary.BigEndian.Uint32(body[12:])))
+	tagLen := int(binary.BigEndian.Uint16(body[16:]))
+	if len(body) < hdr+tagLen+4 {
+		return fail(fmt.Errorf("transport: frame truncated inside its %d-byte tag", tagLen))
 	}
-	tag := string(body[14 : 14+tagLen])
-	size := int(int32(binary.BigEndian.Uint32(body[14+tagLen:])))
-	payload, used, err := codec.Decode(body[18+tagLen:])
+	tag := string(body[hdr : hdr+tagLen])
+	size := int(int32(binary.BigEndian.Uint32(body[hdr+tagLen:])))
+	enc := body[hdr+tagLen+4:]
+	payload, used, err := codec.Decode(enc)
 	if err != nil {
-		return 0, simnet.Message{}, fmt.Errorf("transport: decoding %s payload: %w", tag, err)
+		return fail(fmt.Errorf("transport: decoding %s payload: %w", tag, err))
 	}
-	if used != len(body)-18-tagLen {
-		return 0, simnet.Message{}, fmt.Errorf("transport: %s payload decoded %d of %d bytes", tag, used, len(body)-18-tagLen)
+	if used != len(enc) {
+		return fail(fmt.Errorf("transport: %s payload decoded %d of %d bytes", tag, used, len(enc)))
 	}
-	return seq, simnet.Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, nil
+	return key, simnet.Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, nil
 }
 
 // writeHello sends the connection's opening frame naming the dialing

@@ -4,14 +4,16 @@
 // transport (Live) that runs every node as a real concurrent goroutine
 // exchanging codec-encoded bytes over per-link connections.
 //
-// The simnet is the oracle: both implementations draw per-message delays
-// from the same seeded RNG in the same order, so a fault-free scenario
-// produces identical virtual-time schedules — and therefore identical
-// RoundReports, byte for byte — on either transport. The live transport
-// differs only in mechanism: payloads cross node boundaries exclusively
-// as serialised frames (see frame.go) over Mesh links, handlers execute
-// concurrently on per-node goroutines, and a conservative clock sequences
-// deliveries so concurrency never reorders the oracle schedule.
+// There is one scheduler: Live is Sim plus a payload carrier
+// (simnet.Carrier). The same *simnet.Network owns virtual time, the event
+// queue, scheduling keys, the keyed delay draw, the fault model and the
+// traffic accounting on both transports, so any scenario — faulted or not
+// — produces identical virtual-time schedules, and therefore identical
+// RoundReports, byte for byte, on either. The live transport differs only
+// in mechanism: payloads cross node boundaries exclusively as serialised
+// frames (see frame.go) over Mesh links, shipped from the Network's
+// serial send drain and claimed by key at delivery, and handlers execute
+// on per-node goroutines.
 package transport
 
 import (
@@ -37,13 +39,14 @@ type Transport interface {
 	Now() simnet.Time
 	// Metrics exposes the traffic accounting.
 	Metrics() *simnet.Metrics
-	// SetFaults installs a fault model. Transports that cannot honour the
-	// model reject it with an error; nil (or simnet.NoFaults) always
-	// succeeds and restores fault-free behaviour.
+	// SetFaults installs a fault model. A transport that cannot honour the
+	// model rejects it with an error (Sim and Live honour every model);
+	// nil (or simnet.NoFaults) always succeeds and restores fault-free
+	// behaviour.
 	SetFaults(f simnet.Faults) error
-	// SetParallelism tunes same-tick execution width where the transport
-	// supports it; elsewhere it is a no-op (the live transport is always
-	// one goroutine per node).
+	// SetParallelism sets the same-tick execution width: the number of
+	// simnet worker lanes, which on the live transport bounds how many
+	// node goroutines run at once within a tick.
 	SetParallelism(k int)
 	// SetDown marks a node offline (true) or online (false); offline nodes
 	// drop incoming messages and their timers do not fire.
@@ -58,8 +61,8 @@ type Transport interface {
 }
 
 // Factory builds a Transport for an engine run. The latency model and
-// seed are the engine's, so every factory-built transport draws the same
-// delay schedule.
+// seed are the engine's, so every factory-built transport derives the
+// same delay schedule.
 type Factory func(lat simnet.Latency, seed int64) (Transport, error)
 
 // Codec serialises message payloads for transports that move real bytes.

@@ -3,14 +3,23 @@ package transport_test
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"cycledger/internal/simnet"
 	"cycledger/internal/transport"
 )
 
-// testCodec serialises the toy payloads these tests use (nil and string),
-// keeping the transport tests independent of the production wire codec.
+// note is a pointer-typed toy payload: a transport that passed it by
+// reference instead of across the codec would hand the receiver the
+// sender's own pointer.
+type note struct{ text string }
+
+// testCodec serialises the toy payloads these tests use (nil, string and
+// *note), keeping the transport tests independent of the production wire
+// codec.
 type testCodec struct{}
 
 func (testCodec) SizeHint(v any) (int, error) {
@@ -19,6 +28,8 @@ func (testCodec) SizeHint(v any) (int, error) {
 		return 1, nil
 	case string:
 		return 5 + len(s), nil
+	case *note:
+		return 5 + len(s.text), nil
 	}
 	return 0, fmt.Errorf("testCodec: unregistered type %T", v)
 }
@@ -31,6 +42,10 @@ func (testCodec) AppendEncode(buf []byte, v any) ([]byte, error) {
 		buf = append(buf, 1)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
 		return append(buf, s...), nil
+	case *note:
+		buf = append(buf, 2)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.text)))
+		return append(buf, s.text...), nil
 	}
 	return nil, fmt.Errorf("testCodec: unregistered type %T", v)
 }
@@ -42,13 +57,16 @@ func (testCodec) Decode(data []byte) (any, int, error) {
 	switch data[0] {
 	case 0:
 		return nil, 1, nil
-	case 1:
+	case 1, 2:
 		if len(data) < 5 {
 			return nil, 0, fmt.Errorf("testCodec: truncated length")
 		}
 		n := int(binary.BigEndian.Uint32(data[1:]))
 		if n > len(data)-5 {
 			return nil, 0, fmt.Errorf("testCodec: truncated string")
+		}
+		if data[0] == 2 {
+			return &note{text: string(data[5 : 5+n])}, 5 + n, nil
 		}
 		return string(data[5 : 5+n]), 5 + n, nil
 	}
@@ -149,20 +167,95 @@ func TestLiveMatchesSimnet(t *testing.T) {
 	}
 }
 
-// TestLiveRejectsFaults checks the live transport's restriction: real
-// fault models are refused with an error, the fault-free defaults pass.
-func TestLiveRejectsFaults(t *testing.T) {
+// snapshot renders everything a scenario run leaves observable on a
+// transport — event counts, virtual time, and every metrics view — so two
+// runs compare with one string equality.
+func snapshot(tr transport.Transport, counts [2]uint64) string {
+	var b strings.Builder
+	m := tr.Metrics()
+	fmt.Fprintf(&b, "counts %v now %d total %+v dropped %+v late %+v\n",
+		counts, tr.Now(), m.Total(), m.DroppedTotal(), m.LateTotal())
+	for _, tag := range m.Tags() {
+		fmt.Fprintf(&b, "tag %s %+v\n", tag, m.Tag(tag))
+	}
+	for _, phase := range m.Phases() {
+		for id := simnet.NodeID(0); id < 5; id++ {
+			fmt.Fprintf(&b, "%s/%d sent %+v received %+v dropped %+v\n",
+				phase, id, m.Sent(phase, id), m.Received(phase, id), m.Dropped(phase, id))
+		}
+	}
+	return b.String()
+}
+
+// TestLiveMatchesSimnetFaulted is the parity check under a fault model:
+// iid loss, beyond-bound lag and a crash/rejoin window are applied by the
+// shared scheduler before the live transport's carrier sees a message, so
+// both transports must agree on every observable, late and dropped
+// traffic included — and once the run is idle no inbox may still hold a
+// payload, neither of a message that died at a down destination nor of any
+// other.
+func TestLiveMatchesSimnetFaulted(t *testing.T) {
+	const seed = 42
+	lat := simnet.DefaultLatency()
+	// Each transport gets its own instance: Loss and Lag own RNG state.
+	none := func() simnet.Faults { return nil }
+	faulted := func() simnet.Faults {
+		return simnet.Composite{
+			simnet.NewLoss(0.05, 9),
+			simnet.NewLag(0.3, 25, 10),
+			simnet.NewChurn(map[simnet.NodeID][]simnet.Window{4: {{From: 5, To: 18}}}),
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults func() simnet.Faults
+	}{{"fault-free", none}, {"faulted", faulted}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := transport.NewSim(lat, seed)
+			live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), lat, seed)
+			defer live.Close()
+			simFaults := tc.faults()
+			if err := sim.SetFaults(simFaults); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.SetFaults(tc.faults()); err != nil {
+				t.Fatalf("live transport refused a fault model: %v", err)
+			}
+			want := snapshot(sim, runScenario(sim))
+			got := snapshot(live, runScenario(live))
+			if want != got {
+				t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", want, got)
+			}
+			if simFaults != nil && (sim.Metrics().LateTotal().Messages == 0 || sim.Metrics().DroppedTotal().Messages < 2) {
+				t.Errorf("fault model did not bite: late %+v dropped %+v", sim.Metrics().LateTotal(), sim.Metrics().DroppedTotal())
+			}
+			if n := live.Buffered(); n != 0 {
+				t.Errorf("%d payloads left in inboxes after the run", n)
+			}
+		})
+	}
+}
+
+// TestLivePayloadIsolation checks that a payload reaches its handler only
+// through the codec: a pointer sent over the live transport arrives as a
+// different pointer with equal contents, so the scheduler's event never
+// carried it.
+func TestLivePayloadIsolation(t *testing.T) {
 	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 1)
 	defer live.Close()
-	if err := live.SetFaults(nil); err != nil {
-		t.Fatalf("SetFaults(nil): %v", err)
+	var got *note
+	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) { got = msg.Payload.(*note) })
+	sent := &note{text: "by value"}
+	live.Send(1, 0, "NOTE", sent, 13)
+	live.RunUntilIdle()
+	if got == nil {
+		t.Fatal("handler never ran")
 	}
-	if err := live.SetFaults(simnet.NoFaults{}); err != nil {
-		t.Fatalf("SetFaults(NoFaults): %v", err)
+	if got == sent {
+		t.Fatal("handler received the sender's own pointer: the payload bypassed the link")
 	}
-	churn := simnet.NewChurn(map[simnet.NodeID][]simnet.Window{0: {{From: 1, To: 2}}})
-	if err := live.SetFaults(churn); err == nil {
-		t.Fatal("SetFaults accepted a real fault model")
+	if *got != *sent {
+		t.Fatalf("payload changed in flight: sent %+v, got %+v", *sent, *got)
 	}
 }
 
@@ -197,5 +290,33 @@ func TestLiveCloseIdempotent(t *testing.T) {
 	}
 	if live.Now() == 0 {
 		t.Error("virtual time lost after Close")
+	}
+}
+
+// TestLiveCloseLeavesNoGoroutines checks Close waits for everything the
+// transport started — node processes, link pumps, read loops: after a
+// two-phase scenario the goroutine count is back at its pre-NewLive
+// baseline, and a second Close is still nil.
+func TestLiveCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 42)
+	runScenario(live)
+	if during := runtime.NumGoroutine(); during <= before {
+		t.Fatalf("scenario started no goroutines (%d before, %d during)", before, during)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	// Close returns once every goroutine has passed its last statement; the
+	// runtime may take a moment longer to retire them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: %d before NewLive, %d after Close", before, after)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"cycledger/internal/ledger"
 )
 
-func buildSet(t *testing.T, g *Generator) *ledger.UTXOSet {
+func buildSet(t *testing.T, g *Generator) *ledger.ShardedStore {
 	t.Helper()
-	s := ledger.NewUTXOSet()
+	s := ledger.NewShardedStore(4)
 	for _, tx := range g.Genesis() {
 		id := tx.ID()
 		for i, o := range tx.Outputs {

@@ -47,7 +47,7 @@ type Config struct {
 	// Transport names the network the engine runs over: "sim" (the
 	// deterministic simulator, the default) or "live" (real concurrent
 	// node processes exchanging wire-encoded bytes; report-identical to
-	// "sim" by the oracle-parity contract, but fault models are refused).
+	// "sim", fault models included — one scheduler drives both).
 	Transport string `json:"transport"`
 
 	DisableRecovery  bool `json:"disable_recovery"`

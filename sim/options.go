@@ -88,9 +88,9 @@ func WithPipeline(pipelined bool, parallelism int) Option {
 // WithTransport selects the network the engine runs over: "sim" (the
 // deterministic simulator, the default) or "live" (real concurrent node
 // processes exchanging wire-encoded bytes over in-memory links). Live runs
-// produce reports identical to sim runs for fault-free scenarios; fault
-// models are refused at build time. Close the simulation after a live run
-// to tear the node processes down.
+// produce reports identical to sim runs, fault models included: both are
+// scheduled by the one simnet. Close the simulation after a live run to
+// tear the node processes down.
 func WithTransport(name string) Option {
 	return func(b *builder) error {
 		if _, err := parseTransport(name); err != nil {
