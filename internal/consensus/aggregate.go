@@ -224,9 +224,54 @@ func VerifyAggCert(scheme AggregateScheme, ar AggResult, committee []simnet.Node
 	return nil
 }
 
-// Result converts back to the legacy certificate shape with the Confirm
-// list elided (the aggregate already certified the decision), so verified
-// aggregate certificates can flow into code that stores Results.
-func (ar AggResult) Result() Result {
-	return Result{Round: ar.Round, SN: ar.SN, Digest: ar.Digest, Payload: ar.Payload}
+// Certificate is a committee's >C/2 Algorithm 3 decision certificate as a
+// third party (the referee committee, a remote leader) sees it: the decided
+// instance and payload plus whatever evidence lets it be checked against the
+// committee roster. Result carries one Confirm per voter, AggResult one voter
+// bitmap plus one aggregate proof; carriers hold either without knowing
+// which, and a receiver accepts whichever form verifies.
+type Certificate interface {
+	// Instance returns the decided instance's header: round, sequence
+	// number and payload digest.
+	Instance() (round, sn uint64, digest crypto.Digest)
+	// Decided returns the decided payload.
+	Decided() any
+	// Verify checks the certificate against the committee roster under the
+	// given scheme: strictly more than half of the committee, each member
+	// at most once, every signature valid on the decided digest.
+	Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error
+	// WireSize is the certificate's exact encoded size, tag included.
+	WireSize() int
+}
+
+// Instance implements Certificate.
+func (r Result) Instance() (round, sn uint64, digest crypto.Digest) {
+	return r.Round, r.SN, r.Digest
+}
+
+// Decided implements Certificate.
+func (r Result) Decided() any { return r.Payload }
+
+// Verify implements Certificate via VerifyCert.
+func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+	return VerifyCert(scheme, r, committee, pkOf)
+}
+
+// Instance implements Certificate.
+func (ar AggResult) Instance() (round, sn uint64, digest crypto.Digest) {
+	return ar.Round, ar.SN, ar.Digest
+}
+
+// Decided implements Certificate.
+func (ar AggResult) Decided() any { return ar.Payload }
+
+// Verify implements Certificate via VerifyAggCert. Under a scheme with no
+// aggregate face the certificate cannot be checked, which is an error like
+// any other failed verification.
+func (ar AggResult) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+	as, ok := scheme.(AggregateScheme)
+	if !ok {
+		return fmt.Errorf("consensus: aggregate certificate under %T, which cannot verify aggregates", scheme)
+	}
+	return VerifyAggCert(as, ar, committee, pkOf)
 }

@@ -60,27 +60,51 @@ func randSubset(rng *rand.Rand, n, k int) []int {
 	return rng.Perm(n)[:k]
 }
 
-// TestAggregateEquivalenceRandom is the core equivalence property: over
-// random committee sizes and random voter subsets, VerifyAggCert accepts an
-// aggregate certificate if and only if VerifyCert accepts the per-voter
-// certificate it was folded from.
+// TestAggregateEquivalenceRandom is the core equivalence property, checked
+// at the seam carriers use: over random committee sizes and random voter
+// subsets, the two Certificate forms of one decision — the per-voter Result
+// (the oracle) and the AggResult folded from it — report the same instance
+// and payload, and Verify accepts the one if and only if it accepts the
+// other.
 func TestAggregateEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(20)
 		k := rng.Intn(n + 1)
 		f := newCertFixture(rng, n, randSubset(rng, n, k))
-		wantErr := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf) != nil
-		ar := f.aggregate(t)
-		gotErr := VerifyAggCert(HashScheme{}, ar, f.committee, f.pkOf) != nil
+		f.res.Payload = trial
+		var oracle, folded Certificate = f.res, f.aggregate(t)
+		r1, sn1, d1 := oracle.Instance()
+		r2, sn2, d2 := folded.Instance()
+		if r1 != r2 || sn1 != sn2 || d1 != d2 || oracle.Decided() != folded.Decided() {
+			t.Fatalf("trial %d: fold changed the decision: (%d,%d,%x,%v) vs (%d,%d,%x,%v)",
+				trial, r1, sn1, d1, oracle.Decided(), r2, sn2, d2, folded.Decided())
+		}
+		wantErr := oracle.Verify(HashScheme{}, f.committee, f.pkOf) != nil
+		gotErr := folded.Verify(HashScheme{}, f.committee, f.pkOf) != nil
 		if wantErr != gotErr {
-			t.Fatalf("trial %d (n=%d k=%d): VerifyCert err=%v, VerifyAggCert err=%v",
+			t.Fatalf("trial %d (n=%d k=%d): Result.Verify err=%v, AggResult.Verify err=%v",
 				trial, n, k, wantErr, gotErr)
 		}
 		if wantMaj := 2*k > n; gotErr == wantMaj {
 			t.Fatalf("trial %d (n=%d k=%d): majority=%v but aggregate verification err=%v",
 				trial, n, k, wantMaj, gotErr)
 		}
+	}
+}
+
+// TestAggResultVerifyNeedsAggregateScheme: under a scheme with no aggregate
+// face an aggregate certificate is refused with an error — never a panic,
+// never an acceptance — while the per-voter form of the same decision still
+// verifies under its own scheme.
+func TestAggResultVerifyNeedsAggregateScheme(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := newCertFixture(rng, 7, []int{0, 1, 2, 3})
+	if err := f.aggregate(t).Verify(Ed25519Scheme{}, f.committee, f.pkOf); err == nil {
+		t.Fatal("aggregate certificate accepted under Ed25519Scheme")
+	}
+	if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
+		t.Fatalf("per-voter certificate rejected: %v", err)
 	}
 }
 

@@ -98,10 +98,7 @@ func (e *Engine) phaseSchedule() map[string]simnet.Window {
 		}
 	} else {
 		d, g := e.lat.Delta, e.lat.Gamma
-		var stretch simnet.Time
-		if e.P.AggregateCerts {
-			stretch = simnet.Time(simnet.TreeDepth(e.P.C)) * d
-		}
+		stretch := e.treeStretch(e.P.C)
 		spans["config"] = 2 + 2*d
 		spans["semicommit"] = 2 + 2*g + stretch
 		spans["intra"] = 2 + 6*d + stretch + 2*g // §IV-C collection deadline + result to C_R

@@ -1,0 +1,109 @@
+package protocol
+
+import (
+	"cycledger/internal/consensus"
+	"cycledger/internal/simnet"
+)
+
+// Aggregate mode (Params.AggregateCerts) changes two things, both on the
+// sending side, and this file holds them: what certificate a sender attaches
+// when a decision leaves its committee (certify — the per-voter Result or
+// its bitmap + proof fold), and how a committee broadcast fans out
+// (committeeCast — flat from the root, or down the binomial dissemination
+// tree, with treeStretch the matching deadline allowance). The messages are
+// the same in both modes and receivers never ask which one is on: they call
+// Certificate.Verify and accept what verifies.
+
+// certify returns the certificate this node attaches to a decision its own
+// consensus instance just produced: res itself, or in aggregate mode its
+// fold over the given roster. The fold cannot fail for a certificate our own
+// instance produced; if it ever did, the per-voter form is still valid.
+func (n *Node) certify(res consensus.Result, members []simnet.NodeID) consensus.Certificate {
+	if as, ok := n.eng.P.Scheme.(consensus.AggregateScheme); ok && n.eng.P.AggregateCerts {
+		if ar, err := consensus.AggregateResult(as, res, members); err == nil {
+			return ar
+		}
+	}
+	return res
+}
+
+// treeStretch is the extra time a broadcast to a c-member committee needs
+// before its deadline: up to ⌈log₂ c⌉ relay hops of Δ each under tree
+// dissemination, nothing when the root reaches every member directly.
+func (e *Engine) treeStretch(c int) simnet.Time {
+	if !e.P.AggregateCerts {
+		return 0
+	}
+	return simnet.Time(simnet.TreeDepth(c)) * e.lat.Delta
+}
+
+// committeeCast is this node's step of a committee broadcast rooted at root.
+// Flat: the root sends to every other member and nobody relays. Tree: the
+// root and every relay send to their children only (treeRelay), so the
+// leader's egress is O(log C) sends. The payload's size is taken only once
+// this node is known to send — a flat-mode member calling in as a would-be
+// relay pays nothing.
+func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload consensus.WireSizer) {
+	if n.eng.P.AggregateCerts {
+		n.treeRelay(ctx, root, tag, payload, payload.WireSize())
+		return
+	}
+	if n.ID != root {
+		return
+	}
+	size := payload.WireSize()
+	for _, id := range n.committeeNodes {
+		if id != n.ID {
+			ctx.Send(id, tag, payload, size)
+		}
+	}
+}
+
+// treeRelay sends the message to this node's children in the committee's
+// binomial broadcast tree rooted at root — the leader's O(log C) egress
+// and every relay's forwarding step. The rank order is positional shared
+// state: root at rank 0, then the remaining members in roster order. Both
+// sender and relays derive it in one pass over the member list instead of
+// materializing a rank slice — the per-message rank/children allocations
+// were the broadcast path's top allocation site at large committees.
+func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, payload any, size int) {
+	members := n.committeeNodes
+	rootPos, my := -1, -1
+	for i, id := range members {
+		if id == root {
+			rootPos = i
+		}
+		if id == n.ID {
+			my = i
+		}
+	}
+	ln := len(members)
+	if rootPos < 0 {
+		ln++ // root sits outside the member list; every member shifts up one
+	}
+	var rank int
+	switch {
+	case n.ID == root:
+		rank = 0
+	case my < 0:
+		return
+	case rootPos >= 0 && my > rootPos:
+		rank = my
+	default:
+		rank = my + 1
+	}
+	// Children of rank j are j + 2^t for every 2^t > j in range (the
+	// simnet.TreeChildren rule, inlined to avoid the slice). Rank r ≥ 1
+	// maps back to members[r-1], skipping the root's own slot when it sits
+	// inside the list.
+	for step := 1; rank+step < ln; step <<= 1 {
+		if step <= rank {
+			continue
+		}
+		ci := rank + step - 1
+		if rootPos >= 0 && ci >= rootPos {
+			ci++
+		}
+		ctx.Send(members[ci], tag, payload, size)
+	}
+}

@@ -90,7 +90,7 @@ func (p IntraPayload) Digest() crypto.Digest {
 // IntraResultMsg certifies a committee's intra-shard decision to C_R.
 type IntraResultMsg struct {
 	Committee uint64
-	Result    consensus.Result
+	Result    consensus.Certificate
 	Members   []simnet.NodeID // the roster the certificate is checked against
 }
 
@@ -133,8 +133,8 @@ type InterFwdMsg struct {
 	From    uint64 // input committee i
 	To      uint64 // output committee j
 	Txs     []*ledger.Tx
-	Cert    consensus.Result // C_i's Algorithm 3 certificate
-	Members []simnet.NodeID  // C_i's member list (checked against H(S_i))
+	Cert    consensus.Certificate // C_i's Algorithm 3 certificate
+	Members []simnet.NodeID       // C_i's member list (checked against H(S_i))
 }
 
 // InterResultMsg reports C_j's agreement back to leader i and C_R.
@@ -142,7 +142,7 @@ type InterResultMsg struct {
 	Round  uint64
 	From   uint64
 	To     uint64
-	Result consensus.Result
+	Result consensus.Certificate
 }
 
 // InterQueryMsg asks the receiving leader which of the candidate
@@ -200,7 +200,7 @@ func (p ScorePayload) Digest() crypto.Digest {
 // ScoreResultMsg certifies a committee's score list to C_R.
 type ScoreResultMsg struct {
 	Committee uint64
-	Result    consensus.Result
+	Result    consensus.Certificate
 	Members   []simnet.NodeID
 }
 
@@ -263,14 +263,28 @@ func (m ApproveMsg) SigParts() [][]byte {
 	return [][]byte{[]byte(TagApprove), u64(m.Round), u64(m.Committee), nodeIDBytes(m.Accuser), nodeIDBytes(m.Voter)}
 }
 
-// EvictReqMsg is the accuser's escalation to C_R: witness plus >c/2
-// approval signatures.
+// EvictReqMsg is the accuser's escalation to C_R: the witness plus the >c/2
+// approval certificate, in one of two evidence forms. Per-voter: Approvals
+// lists the signed ApproveMsgs. Aggregate (Bitmap non-nil): the list is
+// folded into a voter bitmap over the committee roster order plus one
+// aggregate proof of the same signatures. The witness travels unchanged in
+// both — it is one leader-signed message (or a silence marker), not a
+// per-voter list.
 type EvictReqMsg struct {
 	Round     uint64
 	Committee uint64
 	Accuser   simnet.NodeID
 	Witness   RecoveryWitness
 	Approvals []ApproveMsg
+	Bitmap    consensus.Bitmap
+	Proof     []byte
+}
+
+// approval returns the ApproveMsg the given voter must have signed for
+// this request. Both evidence forms are checked against it, so an approval
+// counts only if it was signed for this round, committee and accuser.
+func (m EvictReqMsg) approval(voter simnet.NodeID) ApproveMsg {
+	return ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter}
 }
 
 // EvictPayload is C_R's Algorithm 3 payload deciding the replacement.
@@ -373,77 +387,7 @@ type UTXOFinalMsg struct {
 	Round     uint64
 	Committee uint64
 	Digest    crypto.Digest
-	Result    consensus.Result
-}
-
-// Aggregate-certificate message variants (Params.AggregateCerts). Each
-// mirrors its per-voter counterpart field for field with the
-// consensus.Result certificate replaced by a consensus.AggResult — one
-// voter bitmap plus one constant-size proof — and travels under the same
-// wire tag, so phase traffic accounting and handler dispatch are unchanged;
-// receivers distinguish the two forms by payload type.
-
-// AggIntraResultMsg is IntraResultMsg with an aggregate certificate.
-type AggIntraResultMsg struct {
-	Committee uint64
-	Result    consensus.AggResult
-	Members   []simnet.NodeID
-}
-
-// AggScoreResultMsg is ScoreResultMsg with an aggregate certificate.
-type AggScoreResultMsg struct {
-	Committee uint64
-	Result    consensus.AggResult
-	Members   []simnet.NodeID
-}
-
-// AggInterFwdMsg is InterFwdMsg with an aggregate certificate.
-type AggInterFwdMsg struct {
-	Round   uint64
-	From    uint64
-	To      uint64
-	Txs     []*ledger.Tx
-	Cert    consensus.AggResult
-	Members []simnet.NodeID
-}
-
-// AggInterResultMsg is InterResultMsg with an aggregate certificate.
-type AggInterResultMsg struct {
-	Round  uint64
-	From   uint64
-	To     uint64
-	Result consensus.AggResult
-}
-
-// AggUTXOFinalMsg is UTXOFinalMsg with an aggregate certificate.
-type AggUTXOFinalMsg struct {
-	Round     uint64
-	Committee uint64
-	Digest    crypto.Digest
-	Result    consensus.AggResult
-}
-
-// AggEvictReqMsg is EvictReqMsg with the >c/2 approval list folded into a
-// voter bitmap over the committee roster order plus one aggregate proof of
-// the ApproveMsg signatures. The witness travels unchanged — it is one
-// leader-signed message (or a silence marker), not a per-voter list.
-type AggEvictReqMsg struct {
-	Round     uint64
-	Committee uint64
-	Accuser   simnet.NodeID
-	Witness   RecoveryWitness
-	Bitmap    consensus.Bitmap
-	Proof     []byte
-}
-
-// approveMsgAt returns the signed byte parts of roster member i's approval
-// for this eviction request — the msgAt closure for verifying the
-// aggregate approval certificate against a committee roster.
-func (m AggEvictReqMsg) approveMsgAt(members []simnet.NodeID) func(i int) [][]byte {
-	return func(i int) [][]byte {
-		ap := ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: members[i]}
-		return ap.SigParts()
-	}
+	Result    consensus.Certificate
 }
 
 // UTXOPayload is the committee-level Algorithm 3 payload for the final

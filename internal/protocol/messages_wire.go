@@ -124,9 +124,14 @@ func (m ApproveMsg) WireSize() int {
 	return 2 + 8 + 8 + 4 + 4 + sliceBytesWire(m.Sig)
 }
 
-// WireSize returns the exact encoded size.
+// WireSize returns the exact encoded size of whichever evidence form the
+// request carries.
 func (m EvictReqMsg) WireSize() int {
-	n := 2 + 8 + 8 + 4 + m.Witness.WireSize() + 4
+	n := 2 + 8 + 8 + 4 + m.Witness.WireSize()
+	if m.Bitmap != nil {
+		return n + sliceBytesWire(m.Bitmap) + sliceBytesWire(m.Proof)
+	}
+	n += 4
 	for _, ap := range m.Approvals {
 		n += ap.WireSize()
 	}
@@ -170,34 +175,4 @@ func (m UTXOFinalMsg) WireSize() int {
 // WireSize returns the exact encoded size.
 func (p UTXOPayload) WireSize() int {
 	return 2 + 8 + 32
-}
-
-// WireSize returns the exact encoded size.
-func (m AggIntraResultMsg) WireSize() int {
-	return 2 + 8 + m.Result.WireSize() + nodesWire(m.Members)
-}
-
-// WireSize returns the exact encoded size.
-func (m AggScoreResultMsg) WireSize() int {
-	return 2 + 8 + m.Result.WireSize() + nodesWire(m.Members)
-}
-
-// WireSize returns the exact encoded size.
-func (m AggInterFwdMsg) WireSize() int {
-	return 2 + 8 + 8 + 8 + txsWire(m.Txs) + m.Cert.WireSize() + nodesWire(m.Members)
-}
-
-// WireSize returns the exact encoded size.
-func (m AggInterResultMsg) WireSize() int {
-	return 2 + 8 + 8 + 8 + m.Result.WireSize()
-}
-
-// WireSize returns the exact encoded size.
-func (m AggUTXOFinalMsg) WireSize() int {
-	return 2 + 8 + 8 + 32 + m.Result.WireSize()
-}
-
-// WireSize returns the exact encoded size.
-func (m AggEvictReqMsg) WireSize() int {
-	return 2 + 8 + 8 + 4 + m.Witness.WireSize() + sliceBytesWire(m.Bitmap) + sliceBytesWire(m.Proof)
 }

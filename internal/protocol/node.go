@@ -66,7 +66,7 @@ type Node struct {
 	crSemiComs    map[uint64]*SemiComMsg
 	crMemberLists map[uint64][]simnet.NodeID
 	crIntra       map[uint64]*IntraResultMsg
-	crInter       map[string]*InterResultMsg
+	crInter       map[[2]uint64]*InterResultMsg // keyed (from, to)
 	crScores      map[uint64]*ScoreResultMsg
 	crPow         map[simnet.NodeID]bool
 	crEvicted     map[uint64]*EvictPayload
@@ -115,7 +115,7 @@ func (n *Node) resetRound(r *Roster) {
 	n.crSemiComs = make(map[uint64]*SemiComMsg)
 	n.crMemberLists = make(map[uint64][]simnet.NodeID)
 	n.crIntra = make(map[uint64]*IntraResultMsg)
-	n.crInter = make(map[string]*InterResultMsg)
+	n.crInter = make(map[[2]uint64]*InterResultMsg)
 	n.crScores = make(map[uint64]*ScoreResultMsg)
 	n.crPow = make(map[simnet.NodeID]bool)
 	n.crEvicted = make(map[uint64]*EvictPayload)
@@ -315,27 +315,16 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 			}
 		}
 	case TagIntraResult:
-		// Aggregate-certificate variants travel under the same tag and are
-		// told apart by payload type (here and below).
-		switch m := msg.Payload.(type) {
-		case IntraResultMsg:
+		if m, ok := msg.Payload.(IntraResultMsg); ok {
 			n.onIntraResult(ctx, m)
-		case AggIntraResultMsg:
-			n.onAggIntraResult(ctx, m)
 		}
 	case TagInterFwd:
-		switch m := msg.Payload.(type) {
-		case InterFwdMsg:
+		if m, ok := msg.Payload.(InterFwdMsg); ok {
 			n.onInterFwd(ctx, m)
-		case AggInterFwdMsg:
-			n.onAggInterFwd(ctx, m)
 		}
 	case TagInterResult:
-		switch m := msg.Payload.(type) {
-		case InterResultMsg:
+		if m, ok := msg.Payload.(InterResultMsg); ok {
 			n.onInterResult(ctx, m)
-		case AggInterResultMsg:
-			n.onAggInterResult(ctx, m)
 		}
 	case TagInterQuery:
 		if m, ok := msg.Payload.(InterQueryMsg); ok {
@@ -346,11 +335,8 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 			n.onInterPref(ctx, m)
 		}
 	case TagScoreResult:
-		switch m := msg.Payload.(type) {
-		case ScoreResultMsg:
+		if m, ok := msg.Payload.(ScoreResultMsg); ok {
 			n.onScoreResult(ctx, m)
-		case AggScoreResultMsg:
-			n.onAggScoreResult(ctx, m)
 		}
 	case TagAccuse:
 		if m, ok := msg.Payload.(AccuseMsg); ok {
@@ -361,11 +347,8 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 			n.onApprove(ctx, m)
 		}
 	case TagEvictReq:
-		switch m := msg.Payload.(type) {
-		case EvictReqMsg:
+		if m, ok := msg.Payload.(EvictReqMsg); ok {
 			n.onEvictReq(ctx, m)
-		case AggEvictReqMsg:
-			n.onAggEvictReq(ctx, m)
 		}
 	case TagNewLeader:
 		if m, ok := msg.Payload.(NewLeaderMsg); ok {
@@ -380,12 +363,8 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 			n.onBlock(ctx, m)
 		}
 	case TagUTXOFinal:
-		switch m := msg.Payload.(type) {
-		case UTXOFinalMsg:
+		if m, ok := msg.Payload.(UTXOFinalMsg); ok {
 			n.onUTXOFinal(ctx, m)
-		case AggUTXOFinalMsg:
-			// Recorded for completeness, exactly like the per-voter form.
-			_ = m
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/ledger"
@@ -106,18 +105,9 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	}
 	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: txs}
 	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, u64(msg.Round), u64(msg.Committee), u64(uint64(attempt)))
-	size := msg.WireSize()
-	if n.treeMode() {
-		// O(log C) egress: send only to the tree children; receivers relay
-		// (onTxList) down their own subtrees.
-		n.treeRelay(ctx, n.ID, TagTxList, msg, size)
-	} else {
-		for _, id := range n.committeeNodes {
-			if id != n.ID {
-				ctx.Send(id, TagTxList, msg, size)
-			}
-		}
-	}
+	// Under tree dissemination only the tree children are sent to here;
+	// receivers relay (onTxList) down their own subtrees.
+	n.committeeCast(ctx, n.ID, TagTxList, msg)
 	// The leader votes too.
 	n.votes = make(map[simnet.NodeID]reputation.VoteVector)
 	n.voteOrder = nil
@@ -127,10 +117,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	// so the deadline stretches by that many Δ in tree mode; fault-free
 	// rounds are unaffected — the leader concludes on the last vote, not
 	// the deadline.
-	deadline := 6 * n.eng.lat.Delta
-	if n.treeMode() {
-		deadline += simnet.Time(simnet.TreeDepth(len(n.committeeNodes))) * n.eng.lat.Delta
-	}
+	deadline := 6*n.eng.lat.Delta + n.eng.treeStretch(len(n.committeeNodes))
 	ctx.After(deadline, func(c *simnet.Context) {
 		n.finishIntra(c, attempt)
 	})
@@ -141,14 +128,14 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if n.treeMode() && (n.txList == nil || n.txList.Attempt != m.Attempt) {
-		// First sight of this list (or of a recovery re-run): forward it
-		// down this node's subtree before voting, so the whole committee is
-		// reached in ≤ ⌈log₂ C⌉ hops. A crashed relay silences exactly its
-		// subtree, whose members then corroborate the intra silence
-		// watchdog (txList == nil) — the fault model sees tree faults with
-		// no extra machinery.
-		n.treeRelay(ctx, n.curLeader, TagTxList, m, m.WireSize())
+	if n.txList == nil || n.txList.Attempt != m.Attempt {
+		// First sight of this list (or of a recovery re-run): under tree
+		// dissemination, forward it down this node's subtree before voting,
+		// so the whole committee is reached in ≤ ⌈log₂ C⌉ hops. A crashed
+		// relay silences exactly its subtree, whose members then
+		// corroborate the intra silence watchdog (txList == nil) — the
+		// fault model sees tree faults with no extra machinery.
+		n.committeeCast(ctx, n.curLeader, TagTxList, m)
 	}
 	mm := m
 	n.txList = &mm
@@ -364,24 +351,9 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	if n.Behavior.ConcealCross && n.role == RoleLeader {
 		return // malicious leader hides the cross-shard work
 	}
-	// Verify the sending committee's certificate. The member list is
-	// checked against the C_R-validated semi-commitment when available —
-	// this is exactly what the semi-commitment exists for (§IV-D: "a
-	// faulty leader cannot fabricate a consensus result concerning the
-	// semi-commitment").
-	if com, ok := n.validatedSemiComs[m.From]; ok {
-		d := committee.NewDirectory()
-		for _, id := range m.Members {
-			d.Add(committee.MemberRecord{Node: id, PK: n.eng.pkOf(id)})
-		}
-		_ = com
-		_ = d
-		// Note: the canonical directory encoding includes per-record
-		// sortition hashes which are not carried in InterFwdMsg; the
-		// engine-level check compares node sets. Certificate quorum is
-		// the binding check below.
-	}
-	if err := consensus.VerifyCert(n.eng.P.Scheme, m.Cert, m.Members, n.eng.pkOf); err != nil {
+	// The certificate's >c/2 quorum over the carried roster is the binding
+	// check (§IV-D: "a faulty leader cannot fabricate a consensus result").
+	if err := m.Cert.Verify(n.eng.P.Scheme, m.Members, n.eng.pkOf); err != nil {
 		return
 	}
 	if _, dup := n.interFwds[m.From]; dup {
@@ -507,7 +479,7 @@ func (n *Node) onScoreResult(ctx *simnet.Context, m ScoreResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
-	if err := consensus.VerifyCert(n.eng.P.Scheme, m.Result, m.Members, n.eng.pkOf); err != nil {
+	if err := m.Result.Verify(n.eng.P.Scheme, m.Members, n.eng.pkOf); err != nil {
 		return
 	}
 	if _, dup := n.crScores[m.Committee]; dup {
@@ -522,7 +494,7 @@ func (n *Node) onIntraResult(ctx *simnet.Context, m IntraResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
-	if err := consensus.VerifyCert(n.eng.P.Scheme, m.Result, m.Members, n.eng.pkOf); err != nil {
+	if err := m.Result.Verify(n.eng.P.Scheme, m.Members, n.eng.pkOf); err != nil {
 		return
 	}
 	if _, dup := n.crIntra[m.Committee]; dup {
@@ -542,29 +514,13 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(IntraPayload); ok {
 			n.intraDecided = &payload
 		}
-		if ar, ok := n.aggCert(res, n.committeeNodes); ok {
-			msg := AggIntraResultMsg{Committee: n.comID, Result: ar, Members: n.committeeNodes}
-			size := msg.WireSize()
-			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagIntraResult, msg, size)
-			}
-			return
-		}
-		msg := IntraResultMsg{Committee: n.comID, Result: res, Members: n.committeeNodes}
+		msg := IntraResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
 		size := msg.WireSize()
 		for _, rm := range n.eng.roster.Referee {
 			ctx.Send(rm, TagIntraResult, msg, size)
 		}
 	case res.SN == snScore:
-		if ar, ok := n.aggCert(res, n.committeeNodes); ok {
-			msg := AggScoreResultMsg{Committee: n.comID, Result: ar, Members: n.committeeNodes}
-			size := msg.WireSize()
-			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagScoreResult, msg, size)
-			}
-			return
-		}
-		msg := ScoreResultMsg{Committee: n.comID, Result: res, Members: n.committeeNodes}
+		msg := ScoreResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
 		size := msg.WireSize()
 		for _, rm := range n.eng.roster.Referee {
 			ctx.Send(rm, TagScoreResult, msg, size)
@@ -575,16 +531,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if !ok {
 			return
 		}
-		if ar, ok := n.aggCert(res, n.committeeNodes); ok {
-			fwd := AggInterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: ar, Members: n.committeeNodes}
-			size := fwd.WireSize()
-			ctx.Send(n.eng.roster.Leaders[j], TagInterFwd, fwd, size)
-			for _, pm := range n.eng.roster.Partials[j] {
-				ctx.Send(pm, TagInterFwd, fwd, size)
-			}
-			return
-		}
-		fwd := InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: res, Members: n.committeeNodes}
+		fwd := InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
 		size := fwd.WireSize()
 		ctx.Send(n.eng.roster.Leaders[j], TagInterFwd, fwd, size)
 		for _, pm := range n.eng.roster.Partials[j] {
@@ -595,16 +542,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(InterPayload); ok {
 			n.interDecided[i] = &payload
 		}
-		if ar, ok := n.aggCert(res, n.committeeNodes); ok {
-			msg := AggInterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: ar}
-			size := msg.WireSize()
-			ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
-			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagInterResult, msg, size)
-			}
-			return
-		}
-		msg := InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: res}
+		msg := InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res, n.committeeNodes)}
 		size := msg.WireSize()
 		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
 		for _, rm := range n.eng.roster.Referee {
@@ -630,14 +568,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		// propagation burden.
 	case res.SN == snUTXO:
 		if payload, ok := res.Payload.(UTXOPayload); ok {
-			if ar, ok := n.aggCert(res, n.committeeNodes); ok {
-				msg := AggUTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: ar}
-				for _, rm := range n.eng.roster.Referee {
-					ctx.Send(rm, TagUTXOFinal, msg, msg.WireSize())
-				}
-				return
-			}
-			msg := UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: res}
+			msg := UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res, n.committeeNodes)}
 			for _, rm := range n.eng.roster.Referee {
 				ctx.Send(rm, TagUTXOFinal, msg, msg.WireSize())
 			}
@@ -684,23 +615,14 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 		return
 	}
 	n.block = m.Block
-	if n.treeMode() && n.role != RoleLeader && n.role != RoleReferee && n.role != RoleIdle {
-		// Tree mode: committee members relay the block down their subtree
-		// (referees keep their own propagation path untouched).
-		n.treeRelay(ctx, n.curLeader, TagBlock, m, m.WireSize())
+	if n.role != RoleLeader && n.role != RoleReferee && n.role != RoleIdle {
+		// Under tree dissemination committee members relay the block down
+		// their subtree (referees keep their own propagation path untouched).
+		n.committeeCast(ctx, n.curLeader, TagBlock, m)
 	}
 	if n.role == RoleLeader && !n.Behavior.Offline {
-		// Leaders forward the block inside their committee — tree children
-		// only in tree mode, the full roster otherwise.
-		if n.treeMode() {
-			n.treeRelay(ctx, n.ID, TagBlock, m, m.WireSize())
-		} else {
-			for _, id := range n.committeeNodes {
-				if id != n.ID {
-					ctx.Send(id, TagBlock, m, m.WireSize())
-				}
-			}
-		}
+		// Leaders forward the block inside their committee.
+		n.committeeCast(ctx, n.ID, TagBlock, m)
 		// Agree on the final shard-UTXO digest.
 		digest := crypto.H([]byte("utxo"), u64(n.eng.round), u64(n.comID), m.Block.Randomness[:])
 		n.utxoDigest = digest
@@ -724,6 +646,4 @@ func (n *Node) onPow(ctx *simnet.Context, m PowMsg) {
 	n.crPow[m.Node] = true
 }
 
-func interKey(from, to uint64) string {
-	return string(rune('A'+from)) + "->" + string(rune('A'+to))
-}
+func interKey(from, to uint64) [2]uint64 { return [2]uint64{from, to} }

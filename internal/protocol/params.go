@@ -81,15 +81,19 @@ type Params struct {
 	// the fault-free implementation.
 	Faults *FaultsConfig
 
-	// AggregateCerts switches every cross-committee certificate — intra/
-	// score/inter results, the UTXO finality vote, and eviction approval
-	// sets — from the per-voter Confirm list to one constant-size aggregate
-	// proof plus a voter bitmap (consensus.AggResult), and routes committee
-	// broadcasts (transaction lists, block propagation) over a binomial
-	// dissemination tree so leader egress is O(log C) sends instead of
-	// O(C). Requires a Scheme that implements consensus.AggregateScheme.
-	// Decisions, rewards, and recoveries are unchanged — only traffic
-	// shape; the equivalence is pinned by tests.
+	// AggregateCerts is a sender-side choice with two effects. Decisions
+	// leaving a committee — intra/score/inter results, the UTXO finality
+	// vote — carry their certificate as a consensus.AggResult (one voter
+	// bitmap plus one constant-size aggregate proof) instead of the
+	// per-voter Confirm list, and an eviction request carries its approval
+	// set folded the same way. And committee broadcasts (transaction lists,
+	// block propagation) fan out over a binomial dissemination tree, so
+	// leader egress is O(log C) sends instead of O(C). Receivers never read
+	// it: the messages are the same in both modes and a receiver accepts
+	// whichever certificate form verifies. Requires a Scheme that
+	// implements consensus.AggregateScheme. Decisions, rewards, and
+	// recoveries are unchanged — only traffic shape; the equivalence is
+	// pinned by tests.
 	AggregateCerts bool
 
 	// Transport builds the network the engine runs over; nil selects the

@@ -234,7 +234,7 @@ func (e *Engine) phaseScore(report *RoundReport) {
 		if msg == nil {
 			continue
 		}
-		payload, ok := msg.Result.Payload.(ScorePayload)
+		payload, ok := msg.Result.Decided().(ScorePayload)
 		if !ok {
 			continue
 		}

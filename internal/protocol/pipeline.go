@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"cycledger/internal/ledger"
@@ -282,26 +281,18 @@ func (e *Engine) stageAssemble(report *RoundReport) error {
 	}
 	for k := uint64(0); k < e.roster.M; k++ {
 		if msg := refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }); msg != nil {
-			if payload, ok := msg.Result.Payload.(IntraPayload); ok {
+			if payload, ok := msg.Result.Decided().(IntraPayload); ok {
 				add(payload.Txs)
 			}
 		}
 	}
-	interKeySet := make(map[string]bool)
-	for _, id := range e.roster.Referee {
-		for key := range e.nodes[id].crInter {
-			interKeySet[key] = true
-		}
-	}
-	interKeys := make([]string, 0, len(interKeySet))
-	for key := range interKeySet {
-		interKeys = append(interKeys, key)
-	}
-	sort.Strings(interKeys)
-	for _, key := range interKeys {
-		if msg := refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[key] }); msg != nil {
-			if payload, ok := msg.Result.Payload.(InterPayload); ok {
-				add(payload.Txs)
+	for from := uint64(0); from < e.roster.M; from++ {
+		for to := uint64(0); to < e.roster.M; to++ {
+			key := interKey(from, to)
+			if msg := refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[key] }); msg != nil {
+				if payload, ok := msg.Result.Decided().(InterPayload); ok {
+					add(payload.Txs)
+				}
 			}
 		}
 	}

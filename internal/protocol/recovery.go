@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"cycledger/internal/consensus"
+	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
 )
 
@@ -112,21 +113,9 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 		return
 	}
 	n.escalated = true
-	if as := n.aggScheme(); as != nil {
-		if req, ok := n.aggEvictReq(as); ok {
-			size := req.WireSize()
-			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagEvictReq, req, size)
-			}
-			return
-		}
-	}
-	req := EvictReqMsg{
-		Round:     n.eng.round,
-		Committee: n.comID,
-		Accuser:   n.ID,
-		Witness:   n.myAccusation.Witness,
-		Approvals: append([]ApproveMsg(nil), n.myApprovals...),
+	req := EvictReqMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Witness: n.myAccusation.Witness}
+	if req.Bitmap, req.Proof = n.foldApprovals(); req.Bitmap == nil {
+		req.Approvals = append([]ApproveMsg(nil), n.myApprovals...)
 	}
 	size := req.WireSize()
 	for _, rm := range n.eng.roster.Referee {
@@ -134,11 +123,17 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	}
 }
 
-// aggEvictReq folds the accuser's collected approvals into the aggregate
-// eviction request: a bitmap over the committee roster order plus one
-// aggregate proof of the ApproveMsg signatures (verified by onAggEvictReq
-// against the same roster).
-func (n *Node) aggEvictReq(as consensus.AggregateScheme) (AggEvictReqMsg, bool) {
+// foldApprovals is the aggregate-mode evidence for an escalation: the
+// accuser's collected approvals as a bitmap over the committee roster order
+// plus one aggregate proof of the ApproveMsg signatures (checked by
+// approvalQuorum against the same roster). The bitmap is nil when aggregate
+// mode is off or the fold fails, and the request then carries the approval
+// list.
+func (n *Node) foldApprovals() (consensus.Bitmap, []byte) {
+	as, ok := n.eng.P.Scheme.(consensus.AggregateScheme)
+	if !ok || !n.eng.P.AggregateCerts {
+		return nil, nil
+	}
 	members := n.eng.roster.Committee(n.comID)
 	pos := make(map[simnet.NodeID]int, len(members))
 	for i, id := range members {
@@ -162,16 +157,9 @@ func (n *Node) aggEvictReq(as consensus.AggregateScheme) (AggEvictReqMsg, bool) 
 	}
 	proof, err := as.Aggregate(sigs)
 	if err != nil {
-		return AggEvictReqMsg{}, false
+		return nil, nil
 	}
-	return AggEvictReqMsg{
-		Round:     n.eng.round,
-		Committee: n.comID,
-		Accuser:   n.ID,
-		Witness:   n.myAccusation.Witness,
-		Bitmap:    bm,
-		Proof:     proof,
-	}, true
+	return bm, proof
 }
 
 // onEvictReq is the referee side: the committee's coordinator verifies the
@@ -194,28 +182,52 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 	if m.Witness.Kind != "silence" && !m.Witness.Verify(n.eng.P.Scheme, n.eng.pkOf(leader)) {
 		return
 	}
-	// For silence the approval certificate below is the whole evidence:
-	// >c/2 distinct committee members signed that the leader went quiet.
-	// Check the approval certificate: distinct committee members, valid
-	// signatures, strict majority.
-	members := map[simnet.NodeID]bool{}
-	for _, id := range n.eng.roster.Committee(m.Committee) {
-		members[id] = true
+	// For silence the approval certificate is the whole evidence: >c/2
+	// distinct committee members signed that the leader went quiet.
+	if !n.approvalQuorum(m) {
+		return
 	}
-	seen := map[simnet.NodeID]bool{}
+	n.proposeEviction(ctx, m.Committee, m.Witness)
+}
+
+// approvalQuorum checks the request's approval certificate in whichever
+// evidence form it carries: strictly more than half of the committee, each
+// member at most once, every signature valid on the approval of *this*
+// request. The signed message is rebuilt from the request header
+// (EvictReqMsg.approval) in both forms, never taken from the evidence, so
+// approvals collected in another round or for another accuser cannot be
+// replayed into a request — which matters most for silence, where they are
+// the only evidence.
+func (n *Node) approvalQuorum(m EvictReqMsg) bool {
+	members := n.eng.roster.Committee(m.Committee)
+	scheme := n.eng.P.Scheme
+	if m.Bitmap != nil {
+		as, ok := scheme.(consensus.AggregateScheme)
+		if !ok || m.Bitmap.Validate(len(members)) != nil || 2*m.Bitmap.Count() <= len(members) {
+			return false
+		}
+		pks := make([]crypto.PublicKey, len(members))
+		for i, id := range members {
+			pks[i] = n.eng.pkOf(id)
+		}
+		msgAt := func(i int) [][]byte { return m.approval(members[i]).SigParts() }
+		return as.VerifyAggregate(pks, m.Bitmap, msgAt, m.Proof) == nil
+	}
+	isMember := make(map[simnet.NodeID]bool, len(members))
+	for _, id := range members {
+		isMember[id] = true
+	}
+	seen := make(map[simnet.NodeID]bool, len(m.Approvals))
 	for _, ap := range m.Approvals {
-		if !members[ap.Voter] || seen[ap.Voter] {
+		if !isMember[ap.Voter] || seen[ap.Voter] {
 			continue
 		}
-		if n.eng.P.Scheme.Verify(n.eng.pkOf(ap.Voter), ap.Sig, ap.SigParts()...) != nil {
+		if scheme.Verify(n.eng.pkOf(ap.Voter), ap.Sig, m.approval(ap.Voter).SigParts()...) != nil {
 			continue
 		}
 		seen[ap.Voter] = true
 	}
-	if 2*len(seen) <= len(members) {
-		return
-	}
-	n.proposeEviction(ctx, m.Committee, m.Witness)
+	return 2*len(seen) > len(members)
 }
 
 // proposeEviction starts C_R's Algorithm 3 instance replacing the leader

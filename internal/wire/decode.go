@@ -236,6 +236,21 @@ func expect[T any](r *reader, what string) T {
 	return t
 }
 
+// expectCert decodes the decision certificate nested in a carrier message.
+// Certificates are self-tagged, so exactly two frames are admitted —
+// TagResult and TagAggResult — and any other value, however well-formed, is
+// a decode error.
+func expectCert(r *reader, what string) consensus.Certificate {
+	switch c := decodeAny(r).(type) {
+	case consensus.Result:
+		return c
+	case consensus.AggResult:
+		return c
+	}
+	r.fail(what)
+	return nil
+}
+
 // decodeAny reads one tagged value at the cursor.
 func decodeAny(r *reader) any {
 	tag := r.u16("type tag")
@@ -274,7 +289,7 @@ func decodeAny(r *reader) any {
 		return m
 	case TagIntraResult:
 		m := protocol.IntraResultMsg{Committee: r.u64("committee")}
-		m.Result = expect[consensus.Result](r, "result")
+		m.Result = expectCert(r, "result")
 		m.Members = r.nodes("members")
 		return m
 	case TagSemiCom:
@@ -294,12 +309,12 @@ func decodeAny(r *reader) any {
 	case TagInterFwd:
 		m := protocol.InterFwdMsg{Round: r.u64("round"), From: r.u64("from"), To: r.u64("to")}
 		m.Txs = r.txs("txs")
-		m.Cert = expect[consensus.Result](r, "cert")
+		m.Cert = expectCert(r, "cert")
 		m.Members = r.nodes("members")
 		return m
 	case TagInterResult:
 		m := protocol.InterResultMsg{Round: r.u64("round"), From: r.u64("from"), To: r.u64("to")}
-		m.Result = expect[consensus.Result](r, "result")
+		m.Result = expectCert(r, "result")
 		return m
 	case TagInterQuery:
 		m := protocol.InterQueryMsg{Round: r.u64("round"), From: r.u64("from"), To: r.u64("to")}
@@ -332,7 +347,7 @@ func decodeAny(r *reader) any {
 		return m
 	case TagScoreResult:
 		m := protocol.ScoreResultMsg{Committee: r.u64("committee")}
-		m.Result = expect[consensus.Result](r, "result")
+		m.Result = expectCert(r, "result")
 		m.Members = r.nodes("members")
 		return m
 	case TagRecoveryWitness:
@@ -348,10 +363,17 @@ func decodeAny(r *reader) any {
 		m.Voter = r.nodeID("voter")
 		m.Sig = r.bytes("sig")
 		return m
-	case TagEvictReq:
+	case TagEvictReq, TagAggEvictReq:
 		m := protocol.EvictReqMsg{Round: r.u64("round"), Committee: r.u64("committee")}
 		m.Accuser = r.nodeID("accuser")
 		m.Witness = expect[protocol.RecoveryWitness](r, "witness")
+		if tag == TagAggEvictReq {
+			// Non-nil even when empty: a non-nil Bitmap is what marks the
+			// aggregate evidence form, so the value re-encodes to this frame.
+			m.Bitmap = append(consensus.Bitmap{}, r.bytes("bitmap")...)
+			m.Proof = r.bytes("proof")
+			return m
+		}
 		c := r.count("approvals", 2)
 		if c > 0 {
 			m.Approvals = make([]protocol.ApproveMsg, c)
@@ -392,7 +414,7 @@ func decodeAny(r *reader) any {
 	case TagUTXOFinal:
 		m := protocol.UTXOFinalMsg{Round: r.u64("round"), Committee: r.u64("committee")}
 		m.Digest = r.digest("digest")
-		m.Result = expect[consensus.Result](r, "result")
+		m.Result = expectCert(r, "result")
 		return m
 	case TagUTXOPayload:
 		m := protocol.UTXOPayload{Committee: r.u64("committee")}
@@ -433,38 +455,6 @@ func decodeAny(r *reader) any {
 		m.Bitmap = consensus.Bitmap(r.bytes("bitmap"))
 		m.Proof = r.bytes("proof")
 		return m
-	case TagAggIntraResult:
-		m := protocol.AggIntraResultMsg{Committee: r.u64("committee")}
-		m.Result = expect[consensus.AggResult](r, "result")
-		m.Members = r.nodes("members")
-		return m
-	case TagAggScoreResult:
-		m := protocol.AggScoreResultMsg{Committee: r.u64("committee")}
-		m.Result = expect[consensus.AggResult](r, "result")
-		m.Members = r.nodes("members")
-		return m
-	case TagAggInterFwd:
-		m := protocol.AggInterFwdMsg{Round: r.u64("round"), From: r.u64("from"), To: r.u64("to")}
-		m.Txs = r.txs("txs")
-		m.Cert = expect[consensus.AggResult](r, "cert")
-		m.Members = r.nodes("members")
-		return m
-	case TagAggInterResult:
-		m := protocol.AggInterResultMsg{Round: r.u64("round"), From: r.u64("from"), To: r.u64("to")}
-		m.Result = expect[consensus.AggResult](r, "result")
-		return m
-	case TagAggUTXOFinal:
-		m := protocol.AggUTXOFinalMsg{Round: r.u64("round"), Committee: r.u64("committee")}
-		m.Digest = r.digest("digest")
-		m.Result = expect[consensus.AggResult](r, "result")
-		return m
-	case TagAggEvictReq:
-		m := protocol.AggEvictReqMsg{Round: r.u64("round"), Committee: r.u64("committee")}
-		m.Accuser = r.nodeID("accuser")
-		m.Witness = expect[protocol.RecoveryWitness](r, "witness")
-		m.Bitmap = consensus.Bitmap(r.bytes("bitmap"))
-		m.Proof = r.bytes("proof")
-		return m
 	case TagJoinRequest:
 		var m committee.JoinRequest
 		m.Rec = expect[committee.MemberRecord](r, "record")
@@ -492,7 +482,9 @@ func decodeAny(r *reader) any {
 		m.Nonce = r.u64("nonce")
 		return m
 	default:
-		r.fail("type tag")
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: tag %d at offset %d", ErrUnknownType, tag, r.off-2)
+		}
 		return nil
 	}
 }

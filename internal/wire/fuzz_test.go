@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"cycledger/internal/consensus"
 	"cycledger/internal/ledger"
-	"cycledger/internal/protocol"
-	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
 )
 
@@ -57,21 +54,12 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecodeAggCert drills into the aggregate-certificate frames: the seed
-// corpus is every Agg* fixture's encoding plus mutated bitmap/proof length
-// prefixes, and the contract matches FuzzDecode — no panic, no over-read,
-// and accepted input re-encodes to a canonical fixed point.
+// corpus is the encoding of every fixture that holds an aggregate
+// certificate or aggregate approval evidence, plus mutated bitmap/proof
+// length prefixes, and the contract matches FuzzDecode — no panic, no
+// over-read, and accepted input re-encodes to a canonical fixed point.
 func FuzzDecodeAggCert(f *testing.F) {
-	aggs := []any{
-		sampleAggResult(),
-		protocol.AggIntraResultMsg{Committee: 1, Result: sampleAggResult(), Members: []simnet.NodeID{1, 2, 3}},
-		protocol.AggScoreResultMsg{Committee: 1, Result: sampleAggResult(), Members: []simnet.NodeID{1, 2}},
-		protocol.AggInterFwdMsg{Round: 3, From: 0, To: 2, Txs: []*ledger.Tx{sampleTx(5)},
-			Cert: sampleAggResult(), Members: []simnet.NodeID{4, 5}},
-		protocol.AggInterResultMsg{Round: 3, From: 2, To: 0, Result: sampleAggResult()},
-		protocol.AggUTXOFinalMsg{Round: 3, Committee: 1, Digest: digestOf("utxo"), Result: sampleAggResult()},
-		protocol.AggEvictReqMsg{Round: 3, Committee: 1, Accuser: 9, Witness: sampleRecoveryWitness(),
-			Bitmap: consensus.Bitmap{0b0001_1011}, Proof: []byte("proof-evict")},
-	}
+	aggs := append(carrierFixtures(sampleAggResult()), sampleAggResult(), sampleAggEvictReq())
 	for _, v := range aggs {
 		enc, err := wire.Encode(v)
 		if err != nil {

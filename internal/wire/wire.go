@@ -18,7 +18,9 @@
 // two's-complement; 1-byte presence flags for pointer fields; maps
 // encoded with sorted keys so encoding is canonical. Nested messages of
 // concrete type (an Echo's Propose, a Result's Confirms) are encoded with
-// their own tag, the same framing as at top level.
+// their own tag, the same framing as at top level. That is also how the
+// five certificate-carrying messages say which certificate form they hold:
+// the nested consensus.Certificate is a TagResult or a TagAggResult frame.
 //
 // Decode is hardened against hostile input: a max-size guard rejects
 // oversized buffers before any work, and every count and length prefix is
@@ -126,21 +128,18 @@ const (
 	TagSolution uint16 = 35
 	// TagAggResult frames consensus.AggResult.
 	TagAggResult uint16 = 36
-	// TagAggIntraResult frames protocol.AggIntraResultMsg.
-	TagAggIntraResult uint16 = 37
-	// TagAggScoreResult frames protocol.AggScoreResultMsg.
-	TagAggScoreResult uint16 = 38
-	// TagAggInterFwd frames protocol.AggInterFwdMsg.
-	TagAggInterFwd uint16 = 39
-	// TagAggInterResult frames protocol.AggInterResultMsg.
-	TagAggInterResult uint16 = 40
-	// TagAggUTXOFinal frames protocol.AggUTXOFinalMsg.
-	TagAggUTXOFinal uint16 = 41
-	// TagAggEvictReq frames protocol.AggEvictReqMsg.
+	// Tags 37–41 are retired and never reused: they framed aggregate twins
+	// of the five certificate-carrying messages, which now travel under
+	// their one tag each with the certificate form told by its own tag
+	// (TagResult or TagAggResult).
+
+	// TagAggEvictReq frames protocol.EvictReqMsg with aggregate approval
+	// evidence (bitmap + proof where TagEvictReq carries the approval list).
 	TagAggEvictReq uint16 = 42
 )
 
-// ErrUnknownType reports an encode request for an unregistered Go type.
+// ErrUnknownType reports an encode request for an unregistered Go type, or
+// a decode buffer whose next frame opens with an unassigned type tag.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
 // ErrTooLarge reports a decode buffer exceeding MaxMessageSize.
@@ -216,18 +215,6 @@ func SizeHint(v any) (int, error) {
 	case consensus.Result:
 		return m.WireSize(), nil
 	case consensus.AggResult:
-		return m.WireSize(), nil
-	case protocol.AggIntraResultMsg:
-		return m.WireSize(), nil
-	case protocol.AggScoreResultMsg:
-		return m.WireSize(), nil
-	case protocol.AggInterFwdMsg:
-		return m.WireSize(), nil
-	case protocol.AggInterResultMsg:
-		return m.WireSize(), nil
-	case protocol.AggUTXOFinalMsg:
-		return m.WireSize(), nil
-	case protocol.AggEvictReqMsg:
 		return m.WireSize(), nil
 	case committee.JoinRequest:
 		return m.WireSize(), nil
@@ -383,13 +370,23 @@ func AppendEncode(buf []byte, v any) ([]byte, error) {
 		buf = appendNodeID(buf, m.Voter)
 		return appendBytes(buf, m.Sig), nil
 	case protocol.EvictReqMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagEvictReq)
+		// Two frame layouts, one per evidence form; both decode to the
+		// one struct.
+		tag := TagEvictReq
+		if m.Bitmap != nil {
+			tag = TagAggEvictReq
+		}
+		buf = binary.BigEndian.AppendUint16(buf, tag)
 		buf = binary.BigEndian.AppendUint64(buf, m.Round)
 		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
 		buf = appendNodeID(buf, m.Accuser)
 		var err error
 		if buf, err = AppendEncode(buf, m.Witness); err != nil {
 			return nil, err
+		}
+		if m.Bitmap != nil {
+			buf = appendBytes(buf, m.Bitmap)
+			return appendBytes(buf, m.Proof), nil
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Approvals)))
 		for _, ap := range m.Approvals {
@@ -484,58 +481,6 @@ func AppendEncode(buf []byte, v any) ([]byte, error) {
 		buf = append(buf, m.Digest[:]...)
 		var err error
 		if buf, err = AppendEncode(buf, m.Payload); err != nil {
-			return nil, err
-		}
-		buf = appendBytes(buf, m.Bitmap)
-		return appendBytes(buf, m.Proof), nil
-	case protocol.AggIntraResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggIntraResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		var err error
-		if buf, err = AppendEncode(buf, m.Result); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.AggScoreResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggScoreResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		var err error
-		if buf, err = AppendEncode(buf, m.Result); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.AggInterFwdMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggInterFwd)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		var err error
-		if buf, err = appendTxs(buf, m.Txs); err != nil {
-			return nil, err
-		}
-		if buf, err = AppendEncode(buf, m.Cert); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.AggInterResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggInterResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		return AppendEncode(buf, m.Result)
-	case protocol.AggUTXOFinalMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggUTXOFinal)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = append(buf, m.Digest[:]...)
-		return AppendEncode(buf, m.Result)
-	case protocol.AggEvictReqMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggEvictReq)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Accuser)
-		var err error
-		if buf, err = AppendEncode(buf, m.Witness); err != nil {
 			return nil, err
 		}
 		buf = appendBytes(buf, m.Bitmap)
