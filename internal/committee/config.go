@@ -3,6 +3,7 @@ package committee
 import (
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Message tags of Algorithm 2.
@@ -20,6 +21,34 @@ type JoinRequest struct {
 // MemListMsg is the payload of CFG_MEMLIST.
 type MemListMsg struct {
 	Records []MemberRecord
+}
+
+// The package's rows in the wire registry: each message's layout method is
+// its one wire description — size, encoding and decoding are that walk.
+func init() {
+	wire.Register(JoinRequest.layout, wire.TagJoinRequest)
+	wire.Register(MemListMsg.layout, wire.TagMemList)
+	wire.Register(MemberRecord.layout, wire.TagMemberRecord)
+}
+
+func (j JoinRequest) layout(c *wire.Coder) JoinRequest {
+	wire.Field(c, &j.Rec)
+	return j
+}
+
+func (m MemListMsg) layout(c *wire.Coder) MemListMsg {
+	wire.Slice(c, &m.Records, 2, wire.Field[MemberRecord])
+	return m
+}
+
+// layout walks the node ID, length-prefixed public key, sortition hash and
+// length-prefixed proof.
+func (r MemberRecord) layout(c *wire.Coder) MemberRecord {
+	wire.ID(c, &r.Node)
+	c.Bytes((*[]byte)(&r.PK))
+	wire.Hash(c, &r.Hash)
+	c.Bytes(&r.Proof)
+	return r
 }
 
 // ConfigNode is one node's Algorithm 2 endpoint. Key members start with
@@ -83,8 +112,9 @@ func (cn *ConfigNode) Start(ctx *simnet.Context) {
 		return
 	}
 	req := JoinRequest{Rec: cn.Self}
+	size := wire.Size(req)
 	for _, km := range cn.KeyMembers {
-		ctx.Send(km.Node, TagConfig, req, req.WireSize())
+		ctx.Send(km.Node, TagConfig, req, size)
 	}
 }
 
@@ -103,7 +133,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		// Respond with the current list, then add the joiner
 		// (Algorithm 2: "responds the current list back, and adds").
 		resp := MemListMsg{Records: cn.S.Records()}
-		ctx.Send(req.Rec.Node, TagMemList, resp, resp.WireSize())
+		ctx.Send(req.Rec.Node, TagMemList, resp, wire.Size(resp))
 		cn.S.Add(req.Rec)
 	case TagMemList:
 		resp, ok := msg.Payload.(MemListMsg)
@@ -112,6 +142,8 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		}
 		// Union the list and introduce ourselves to members we have not
 		// contacted yet.
+		intro := JoinRequest{Rec: cn.Self}
+		size := wire.Size(intro)
 		for _, rec := range resp.Records {
 			if !cn.verify(rec) {
 				continue
@@ -119,8 +151,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 			cn.S.Add(rec)
 			if rec.Node != cn.Self.Node && !cn.introduced[rec.Node] {
 				cn.introduced[rec.Node] = true
-				intro := JoinRequest{Rec: cn.Self}
-				ctx.Send(rec.Node, TagMember, intro, intro.WireSize())
+				ctx.Send(rec.Node, TagMember, intro, size)
 			}
 		}
 	case TagMember:

@@ -6,6 +6,7 @@ import (
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Bitmap records which roster members contributed to an aggregate
@@ -79,8 +80,8 @@ func (b Bitmap) Clone() Bitmap {
 // in: Aggregate needs only the signatures, and VerifyAggregate reconstructs
 // each contributor's message from its roster position via msgAt.
 type AggregateScheme interface {
-	// Aggregate folds the given signatures into one proof of AggSize()
-	// bytes. The order must match the ascending roster positions of the
+	// Aggregate folds the given signatures into one constant-size proof.
+	// The order must match the ascending roster positions of the
 	// contributors' bitmap bits.
 	Aggregate(sigs [][]byte) ([]byte, error)
 	// VerifyAggregate checks proof against the contributors named by
@@ -89,8 +90,6 @@ type AggregateScheme interface {
 	// len(roster) (see Bitmap.Validate); VerifyAggregate itself imposes no
 	// quorum rule — thresholds belong to the certificate layer.
 	VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) [][]byte, proof []byte) error
-	// AggSize is the wire size of an aggregate proof.
-	AggSize() int
 }
 
 // Aggregate implements AggregateScheme: the proof is the XOR fold of the
@@ -137,9 +136,6 @@ func (HashScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgA
 	return nil
 }
 
-// AggSize implements AggregateScheme.
-func (HashScheme) AggSize() int { return crypto.HashSize }
-
 // AggResult is the aggregate form of a decision certificate: the same
 // instance header and payload as Result, but the >C/2 per-voter Confirm
 // list collapsed into one voter bitmap (over the committee roster order)
@@ -155,37 +151,69 @@ type AggResult struct {
 	Proof   []byte
 }
 
+// layout is constant in the committee size up to the ⌈C/8⌉-byte bitmap.
+func (ar AggResult) layout(c *wire.Coder) AggResult {
+	c.U64(&ar.Round)
+	c.U64(&ar.SN)
+	wire.Hash(c, &ar.Digest)
+	c.Any(&ar.Payload)
+	c.Bytes((*[]byte)(&ar.Bitmap))
+	c.Bytes(&ar.Proof)
+	return ar
+}
+
+// FoldVoters is the fold behind every aggregate certificate: n voters, the
+// k-th being voter(k)'s (member, signature), become a bitmap over the roster
+// order plus one aggregate proof of the signatures, taken in ascending
+// roster position per the Aggregate contract. A voter outside the roster,
+// or one already marked (dup), is handed to reject: a non-nil error aborts
+// the fold, nil skips the voter.
+func FoldVoters(scheme AggregateScheme, roster []simnet.NodeID, n int, voter func(k int) (simnet.NodeID, []byte), reject func(id simnet.NodeID, dup bool) error) (Bitmap, []byte, error) {
+	pos := make(map[simnet.NodeID]int, len(roster))
+	for i, id := range roster {
+		pos[id] = i
+	}
+	bm := NewBitmap(len(roster))
+	byPos := make([][]byte, len(roster))
+	for k := 0; k < n; k++ {
+		id, sig := voter(k)
+		i, member := pos[id]
+		if !member || bm.Has(i) {
+			if err := reject(id, member); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		bm.Set(i)
+		byPos[i] = sig
+	}
+	sigs := byPos[:0]
+	for i, sig := range byPos {
+		if bm.Has(i) {
+			sigs = append(sigs, sig)
+		}
+	}
+	proof, err := scheme.Aggregate(sigs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return bm, proof, nil
+}
+
 // AggregateResult folds a per-voter certificate into aggregate form. The
 // committee slice fixes the bitmap's bit order; a confirmer outside the
 // committee or listed twice is an error. The input certificate is not
 // otherwise verified — callers aggregate certificates their own consensus
 // instance produced.
 func AggregateResult(scheme AggregateScheme, res Result, committee []simnet.NodeID) (AggResult, error) {
-	pos := make(map[simnet.NodeID]int, len(committee))
-	for i, id := range committee {
-		pos[id] = i
-	}
-	bm := NewBitmap(len(committee))
-	sigs := make([][]byte, 0, len(res.Confirms))
-	// Collect in ascending roster position, per the Aggregate contract.
-	byPos := make(map[int][]byte, len(res.Confirms))
-	for _, c := range res.Confirms {
-		i, ok := pos[c.Confirmer]
-		if !ok {
-			return AggResult{}, fmt.Errorf("consensus: aggregate: confirmer %d not in committee", c.Confirmer)
-		}
-		if bm.Has(i) {
-			return AggResult{}, fmt.Errorf("consensus: aggregate: duplicate confirmer %d", c.Confirmer)
-		}
-		bm.Set(i)
-		byPos[i] = c.Sig
-	}
-	for i := range committee {
-		if bm.Has(i) {
-			sigs = append(sigs, byPos[i])
-		}
-	}
-	proof, err := scheme.Aggregate(sigs)
+	bm, proof, err := FoldVoters(scheme, committee, len(res.Confirms),
+		func(k int) (simnet.NodeID, []byte) { return res.Confirms[k].Confirmer, res.Confirms[k].Sig },
+		func(id simnet.NodeID, dup bool) error {
+			if dup {
+				return fmt.Errorf("consensus: aggregate: duplicate confirmer %d", id)
+			}
+			return fmt.Errorf("consensus: aggregate: confirmer %d not in committee", id)
+		})
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -208,7 +236,7 @@ func VerifyAggCert(scheme AggregateScheme, ar AggResult, committee []simnet.Node
 	if err := ar.Bitmap.Validate(len(committee)); err != nil {
 		return err
 	}
-	if n := ar.Bitmap.Count(); 2*n <= len(committee) {
+	if n := ar.Bitmap.Count(); !Majority(n, len(committee)) {
 		return fmt.Errorf("consensus: %d aggregate confirms is not a majority of %d", n, len(committee))
 	}
 	roster := make([]crypto.PublicKey, len(committee))
@@ -240,8 +268,6 @@ type Certificate interface {
 	// given scheme: strictly more than half of the committee, each member
 	// at most once, every signature valid on the decided digest.
 	Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error
-	// WireSize is the certificate's exact encoded size, tag included.
-	WireSize() int
 }
 
 // Instance implements Certificate.

@@ -5,6 +5,7 @@ import (
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Message tags used on the wire.
@@ -14,15 +15,43 @@ const (
 	TagConfirm = "CONS_CONFIRM"
 )
 
+// The package's rows in the wire registry: each message's layout method is
+// its one wire description — the size a Send declares, the encoding and the
+// decoder are that walk in the Coder's three modes.
+func init() {
+	wire.Register(Propose.layout, wire.TagPropose)
+	wire.Register(Echo.layout, wire.TagEcho)
+	wire.Register(Confirm.layout, wire.TagConfirm)
+	wire.Register(Witness.layout, wire.TagWitness)
+	wire.Register(Result.layout, wire.TagResult)
+	wire.Register(AggResult.layout, wire.TagAggResult)
+}
+
+// Majority reports whether votes is strictly more than half of n — the one
+// threshold every certificate in the protocol is held to (>C/2 confirms,
+// echoes, impeachment approvals, referee announcements).
+func Majority(votes, n int) bool { return 2*votes > n }
+
 // Propose is the leader's proposal for instance (Round, SN).
 type Propose struct {
 	Round   uint64
 	SN      uint64
 	Digest  crypto.Digest
 	Payload any
-	Size    int // abstract payload size for traffic accounting
+	Size    int // the payload's encoded size, as the leader declared it
 	Leader  simnet.NodeID
 	Sig     []byte
+}
+
+func (p Propose) layout(c *wire.Coder) Propose {
+	c.U64(&p.Round)
+	c.U64(&p.SN)
+	wire.Hash(c, &p.Digest)
+	c.Any(&p.Payload)
+	c.Int(&p.Size)
+	wire.ID(c, &p.Leader)
+	c.Bytes(&p.Sig)
+	return p
 }
 
 // Echo is a member's endorsement of a digest; it retransmits the leader's
@@ -36,6 +65,16 @@ type Echo struct {
 	Propose Propose
 }
 
+func (e Echo) layout(c *wire.Coder) Echo {
+	c.U64(&e.Round)
+	c.U64(&e.SN)
+	wire.Hash(c, &e.Digest)
+	wire.ID(c, &e.Echoer)
+	c.Bytes(&e.Sig)
+	wire.Field(c, &e.Propose)
+	return e
+}
+
 // Confirm is a member's final endorsement, carrying its echo evidence.
 type Confirm struct {
 	Round     uint64
@@ -46,10 +85,30 @@ type Confirm struct {
 	EchoSigs  map[simnet.NodeID][]byte
 }
 
+func (m Confirm) layout(c *wire.Coder) Confirm {
+	c.U64(&m.Round)
+	c.U64(&m.SN)
+	wire.Hash(c, &m.Digest)
+	wire.ID(c, &m.Confirmer)
+	c.Bytes(&m.Sig)
+	wire.Map(c, &m.EchoSigs, 4+4, func(c *wire.Coder, id simnet.NodeID, sig []byte) (simnet.NodeID, []byte) {
+		wire.ID(c, &id)
+		c.Bytes(&sig)
+		return id, sig
+	})
+	return m
+}
+
 // Witness proves leader equivocation: two proposals signed by the same
 // leader for the same (round, sn) with different digests.
 type Witness struct {
 	A, B Propose
+}
+
+func (w Witness) layout(c *wire.Coder) Witness {
+	wire.Field(c, &w.A)
+	wire.Field(c, &w.B)
+	return w
 }
 
 // Valid reports whether the witness is self-consistent (same instance,
@@ -76,9 +135,13 @@ type Result struct {
 	Confirms []Confirm
 }
 
-// CertSize returns the certificate's approximate wire size.
-func (r Result) CertSize(scheme SignatureScheme) int {
-	return len(r.Confirms)*(scheme.SigSize()+16) + crypto.HashSize
+func (r Result) layout(c *wire.Coder) Result {
+	c.U64(&r.Round)
+	c.U64(&r.SN)
+	wire.Hash(c, &r.Digest)
+	c.Any(&r.Payload)
+	wire.Slice(c, &r.Confirms, 2, wire.Field[Confirm])
+	return r
 }
 
 // VerifyCert checks a decision certificate against the committee roster:
@@ -107,7 +170,7 @@ func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, p
 			return fmt.Errorf("consensus: confirm signature from %d: %w", c.Confirmer, err)
 		}
 	}
-	if 2*len(seen) <= len(committee) {
+	if !Majority(len(seen), len(committee)) {
 		return fmt.Errorf("consensus: %d confirms is not a majority of %d", len(seen), len(committee))
 	}
 	return nil
@@ -119,7 +182,6 @@ type instance struct {
 	echoDigests map[simnet.NodeID]crypto.Digest
 	echoSigs    map[simnet.NodeID][]byte
 	confirmSent bool
-	accepted    bool
 	// leader side
 	confirms map[simnet.NodeID]Confirm
 	decided  bool
@@ -175,8 +237,6 @@ func (p *Protocol) inst(sn uint64) *instance {
 	return in
 }
 
-func (p *Protocol) quorum(v int) bool { return 2*v > len(p.Committee) }
-
 // payloadDigest binds the payload to the instance. Payloads carry their own
 // canonical digest via the Digestable interface; otherwise the digest must
 // be supplied at Propose time.
@@ -198,11 +258,7 @@ func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest,
 	in := p.inst(sn)
 	in.propose = &prop
 	in.seen[digest] = prop
-	for _, id := range p.Committee {
-		if id != p.Self {
-			ctx.Send(id, TagPropose, prop, prop.WireSize())
-		}
-	}
+	p.SendRaw(ctx, prop, p.Committee)
 	// The leader implicitly echoes and confirms its own proposal.
 	p.recordEcho(ctx, sn, Echo{
 		Round: p.Round, SN: sn, Digest: digest, Echoer: p.Self,
@@ -211,12 +267,14 @@ func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest,
 	})
 }
 
-// SendRaw delivers an arbitrary pre-built proposal to a subset of members —
-// the equivocation primitive used by adversarial leaders.
+// SendRaw delivers a pre-built proposal to a subset of members: Propose's
+// broadcast and, on its own, the equivocation primitive of adversarial
+// leaders.
 func (p *Protocol) SendRaw(ctx *simnet.Context, prop Propose, to []simnet.NodeID) {
+	size := wire.Size(prop)
 	for _, id := range to {
 		if id != p.Self {
-			ctx.Send(id, TagPropose, prop, prop.WireSize())
+			ctx.Send(id, TagPropose, prop, size)
 		}
 	}
 }
@@ -300,7 +358,7 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	// ECHO to the whole committee, retransmitting the proposal.
 	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
 	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-	size := echo.WireSize()
+	size := wire.Size(echo)
 	for _, id := range p.Committee {
 		if id != p.Self {
 			ctx.Send(id, TagEcho, echo, size)
@@ -335,7 +393,7 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 			// Echo ourselves now that we hold the proposal.
 			echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
 			mine := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-			size := mine.WireSize()
+			size := wire.Size(mine)
 			for _, id := range p.Committee {
 				if id != p.Self {
 					ctx.Send(id, TagEcho, mine, size)
@@ -371,11 +429,10 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 			echoSigs[id] = in.echoSigs[id]
 		}
 	}
-	if !p.quorum(votes) {
+	if !Majority(votes, len(p.Committee)) {
 		return
 	}
 	in.confirmSent = true
-	in.accepted = true
 	sig := p.Scheme.Sign(p.Keys, sigMsg(TagConfirm, p.Round, sn, d, int32(p.Self)))
 	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig, EchoSigs: echoSigs}
 	if p.OnAccept != nil {
@@ -384,7 +441,7 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 	if p.Self == p.Leader {
 		p.onConfirm(ctx, conf)
 	} else {
-		ctx.Send(p.Leader, TagConfirm, conf, conf.WireSize())
+		ctx.Send(p.Leader, TagConfirm, conf, wire.Size(conf))
 	}
 }
 
@@ -403,7 +460,7 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 		return
 	}
 	in.confirms[c.Confirmer] = c
-	if !p.quorum(len(in.confirms)) {
+	if !Majority(len(in.confirms), len(p.Committee)) {
 		return
 	}
 	in.decided = true
@@ -423,12 +480,6 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 func (p *Protocol) HasProposal(sn uint64) bool {
 	in, ok := p.insts[sn]
 	return ok && in.propose != nil
-}
-
-// Accepted reports whether this node confirmed instance sn (test hook).
-func (p *Protocol) Accepted(sn uint64) bool {
-	in, ok := p.insts[sn]
-	return ok && in.accepted
 }
 
 // Decided reports whether the leader reached a decision for sn.

@@ -349,7 +349,7 @@ func TestHashSchemeRoundTrip(t *testing.T) {
 	if err := s.Verify(kp.PK, sig, []byte("n")); err == nil {
 		t.Fatal("hash scheme verified wrong message")
 	}
-	if s.SigSize() != 32 {
+	if len(sig) != crypto.HashSize {
 		t.Fatal("hash scheme size")
 	}
 }

@@ -28,8 +28,6 @@ import (
 type SignatureScheme interface {
 	Sign(kp crypto.KeyPair, parts ...[]byte) []byte
 	Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error
-	// SigSize is the wire size charged per signature.
-	SigSize() int
 }
 
 // Ed25519Scheme signs with real Ed25519 keys.
@@ -44,9 +42,6 @@ func (Ed25519Scheme) Sign(kp crypto.KeyPair, parts ...[]byte) []byte {
 func (Ed25519Scheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
 	return crypto.Verify(pk, sig, parts...)
 }
-
-// SigSize implements SignatureScheme.
-func (Ed25519Scheme) SigSize() int { return 64 }
 
 // HashScheme is the fast simulation scheme: tag = H(pk ‖ parts). It is
 // verifiable by anyone who knows pk (everyone, in a simulation) and
@@ -83,9 +78,6 @@ func (HashScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error
 	}
 	return nil
 }
-
-// SigSize implements SignatureScheme.
-func (HashScheme) SigSize() int { return 32 }
 
 // sigMsg builds the canonical byte string signed for a consensus message:
 // tag ‖ round ‖ sn ‖ digest [‖ node]. All numeric fields are fixed-width

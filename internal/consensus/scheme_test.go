@@ -16,8 +16,8 @@ func TestHashSchemeSigLengths(t *testing.T) {
 	msg := sigMsg(TagPropose, 7, 3, crypto.HString("payload"), -1)
 
 	sig := s.Sign(kp, msg)
-	if len(sig) != s.SigSize() {
-		t.Fatalf("signature length %d, want SigSize %d", len(sig), s.SigSize())
+	if len(sig) != crypto.HashSize {
+		t.Fatalf("signature length %d, want %d", len(sig), crypto.HashSize)
 	}
 	if err := s.Verify(kp.PK, sig, msg); err != nil {
 		t.Fatalf("genuine signature rejected: %v", err)
@@ -51,11 +51,11 @@ func TestHashSchemeAppendSign(t *testing.T) {
 	msg := sigMsg(TagEcho, 1, 2, crypto.HString("m"), 4)
 
 	want := s.Sign(kp, msg)
-	got := s.AppendSign(make([]byte, 0, s.SigSize()), kp, msg)
+	got := s.AppendSign(make([]byte, 0, crypto.HashSize), kp, msg)
 	if string(got) != string(want) {
 		t.Fatal("AppendSign disagrees with Sign")
 	}
-	buf := make([]byte, 0, s.SigSize())
+	buf := make([]byte, 0, crypto.HashSize)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = s.AppendSign(buf[:0], kp, msg)
 	})

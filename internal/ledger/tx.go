@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/wire"
 )
 
 // TxID uniquely identifies a transaction (hash of its canonical encoding).
@@ -77,33 +78,12 @@ func (tx *Tx) encodedSize() int {
 // encode produces the canonical byte encoding used for hashing, written
 // into one exact-size buffer.
 func (tx *Tx) encode() []byte {
-	buf := make([]byte, 0, tx.encodedSize())
-	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Inputs)))
-	for _, in := range tx.Inputs {
-		buf = append(buf, in.Tx[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, in.Index)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Outputs)))
-	for _, out := range tx.Outputs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(out.Owner)))
-		buf = append(buf, out.Owner...)
-		buf = binary.BigEndian.AppendUint64(buf, out.Amount)
-	}
-	return buf
+	return tx.AppendEncode(make([]byte, 0, tx.encodedSize()))
 }
 
-// EncodedSize returns the exact length of the canonical encoding — the
-// transaction's wire size. The wire codec frames this encoding verbatim,
-// so hashing and transport share one byte layout.
-func (tx *Tx) EncodedSize() int { return tx.encodedSize() }
-
-// WireSize returns the transaction's exact encoded size under the
-// internal/wire codec: the 2-byte type tag plus the canonical encoding.
-func (tx *Tx) WireSize() int { return 2 + tx.encodedSize() }
-
 // AppendEncode appends the canonical encoding to buf and returns the
-// extended slice. Exactly EncodedSize bytes are appended.
+// extended slice. The wire codec frames this encoding verbatim, so hashing
+// and transport share one byte layout.
 func (tx *Tx) AppendEncode(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Inputs)))
@@ -119,6 +99,19 @@ func (tx *Tx) AppendEncode(buf []byte) []byte {
 	}
 	return buf
 }
+
+// layout frames the canonical encoding for the wire codec: a transaction
+// travels as its hash preimage, so its three codec modes are the three
+// functions above and below rather than a field walk.
+func (tx *Tx) layout(c *wire.Coder) *Tx {
+	c.Opaque(tx.encodedSize, tx.AppendEncode, func(b []byte) (n int, err error) {
+		tx, n, err = DecodeTx(b)
+		return n, err
+	})
+	return tx
+}
+
+func init() { wire.Register((*Tx).layout, wire.TagTx) }
 
 // DecodeTx parses one canonical transaction encoding from the front of
 // buf, returning the transaction and the number of bytes consumed. The ID
@@ -202,15 +195,6 @@ func (tx *Tx) ID() TxID {
 // ResetID clears the memoized hash after a deliberate in-place mutation
 // (test fixtures; production code follows copy-on-mutate instead).
 func (tx *Tx) ResetID() { tx.idSet = false }
-
-// OutputSum returns the total value created by the transaction.
-func (tx *Tx) OutputSum() uint64 {
-	var s uint64
-	for _, o := range tx.Outputs {
-		s += o.Amount
-	}
-	return s
-}
 
 // shardDomain is the domain-separation tag of the user→shard map.
 const shardDomain = "cycledger/shard/v1"

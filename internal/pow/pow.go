@@ -10,6 +10,7 @@ import (
 	"errors"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/wire"
 )
 
 // Puzzle is the per-round challenge published by the referee committee.
@@ -29,9 +30,14 @@ type Solution struct {
 	Nonce uint64
 }
 
-// WireSize returns the solution's exact encoded size under the
-// internal/wire codec: 2-byte tag, length-prefixed public key, nonce.
-func (s Solution) WireSize() int { return 2 + 4 + len(s.PK) + 8 }
+// layout is the solution's wire description (see wire.Register).
+func (s Solution) layout(c *wire.Coder) Solution {
+	c.Bytes((*[]byte)(&s.PK))
+	c.U64(&s.Nonce)
+	return s
+}
+
+func init() { wire.Register(Solution.layout, wire.TagSolution) }
 
 // NewPuzzle creates a puzzle whose expected solving cost is `hardness`
 // hash evaluations (a uniformly random digest succeeds with probability

@@ -3,6 +3,7 @@ package protocol
 import (
 	"cycledger/internal/consensus"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Aggregate mode (Params.AggregateCerts) changes two things, both on the
@@ -43,15 +44,15 @@ func (e *Engine) treeStretch(c int) simnet.Time {
 // leader's egress is O(log C) sends. The payload's size is taken only once
 // this node is known to send — a flat-mode member calling in as a would-be
 // relay pays nothing.
-func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload consensus.WireSizer) {
+func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload any) {
 	if n.eng.P.AggregateCerts {
-		n.treeRelay(ctx, root, tag, payload, payload.WireSize())
+		n.treeRelay(ctx, root, tag, payload)
 		return
 	}
 	if n.ID != root {
 		return
 	}
-	size := payload.WireSize()
+	size := wire.Size(payload)
 	for _, id := range n.committeeNodes {
 		if id != n.ID {
 			ctx.Send(id, tag, payload, size)
@@ -66,7 +67,7 @@ func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string
 // sender and relays derive it in one pass over the member list instead of
 // materializing a rank slice — the per-message rank/children allocations
 // were the broadcast path's top allocation site at large committees.
-func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, payload any, size int) {
+func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, payload any) {
 	members := n.committeeNodes
 	rootPos, my := -1, -1
 	for i, id := range members {
@@ -96,6 +97,7 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 	// simnet.TreeChildren rule, inlined to avoid the slice). Rank r ≥ 1
 	// maps back to members[r-1], skipping the root's own slot when it sits
 	// inside the list.
+	size := -1 // taken at the first child: a leaf of the tree sizes nothing
 	for step := 1; rank+step < ln; step <<= 1 {
 		if step <= rank {
 			continue
@@ -103,6 +105,9 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 		ci := rank + step - 1
 		if rootPos >= 0 && ci >= rootPos {
 			ci++
+		}
+		if size < 0 {
+			size = wire.Size(payload)
 		}
 		ctx.Send(members[ci], tag, payload, size)
 	}

@@ -16,6 +16,7 @@ import (
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
 	"cycledger/internal/transport"
+	"cycledger/internal/wire"
 	"cycledger/internal/workload"
 )
 
@@ -462,7 +463,7 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 		return
 	}
 	msg := BlockMsg{Block: blk}
-	size := msg.WireSize()
+	size := wire.Size(msg)
 	for k := idx; k < e.P.M; k += len(e.roster.Referee) {
 		ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)
 	}

@@ -10,6 +10,7 @@ import (
 	"cycledger/internal/pow"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Wire tags of the protocol's non-consensus messages.
@@ -47,6 +48,59 @@ const (
 	snBlock        = 5000 // C_R block instance
 )
 
+// The package's rows in the wire registry. Each message's layout method,
+// next to its struct below, is its one wire description: the size a Send
+// declares (wire.Size), the encoding and the decoder are that walk in the
+// Coder's three modes, so adding a field is one line in one method.
+func init() {
+	wire.Register(TxListMsg.layout, wire.TagTxList)
+	wire.Register(VoteMsg.layout, wire.TagVote)
+	wire.Register(IntraPayload.layout, wire.TagIntraPayload)
+	wire.Register(IntraResultMsg.layout, wire.TagIntraResult)
+	wire.Register(SemiComMsg.layout, wire.TagSemiCom)
+	wire.Register(SemiComOKMsg.layout, wire.TagSemiComOK)
+	wire.Register(InterFwdMsg.layout, wire.TagInterFwd)
+	wire.Register(InterResultMsg.layout, wire.TagInterResult)
+	wire.Register(InterQueryMsg.layout, wire.TagInterQuery)
+	wire.Register(InterPrefMsg.layout, wire.TagInterPref)
+	wire.Register(InterPayload.layout, wire.TagInterPayload)
+	wire.Register(ScorePayload.layout, wire.TagScorePayload)
+	wire.Register(ScoreResultMsg.layout, wire.TagScoreResult)
+	wire.Register(RecoveryWitness.layout, wire.TagRecoveryWitness)
+	wire.Register(AccuseMsg.layout, wire.TagAccuse)
+	wire.Register(ApproveMsg.layout, wire.TagApprove)
+	wire.Register(EvictReqMsg.layout, wire.TagEvictReq, wire.TagAggEvictReq)
+	wire.Register(EvictPayload.layout, wire.TagEvictPayload)
+	wire.Register(NewLeaderMsg.layout, wire.TagNewLeader)
+	wire.Register(PowMsg.layout, wire.TagPow)
+	wire.Register(SemiComPayload.layout, wire.TagSemiComPayload)
+	wire.Register((*Block).layout, wire.TagBlock)
+	wire.Register(BlockMsg.layout, wire.TagBlockMsg)
+	wire.Register(UTXOFinalMsg.layout, wire.TagUTXOFinal)
+	wire.Register(UTXOPayload.layout, wire.TagUTXOPayload)
+}
+
+// Field walks shared by several layouts: a list of tagged transactions, a
+// node list, and a vote vector (one byte per vote, vote+1, so 0..2).
+
+func txList(c *wire.Coder, p *[]*ledger.Tx) { wire.Slice(c, p, 2, wire.Field[*ledger.Tx]) }
+
+func nodeList(c *wire.Coder, p *[]simnet.NodeID) { wire.Slice(c, p, 4, wire.ID[simnet.NodeID]) }
+
+func voteVector(c *wire.Coder, p *reputation.VoteVector) {
+	wire.Slice(c, (*[]reputation.Vote)(p), 1, func(c *wire.Coder, v *reputation.Vote) {
+		b := byte(*v + 1)
+		c.U8(&b)
+		if !c.Reading() {
+			return
+		}
+		if b > 2 {
+			c.Fail("vote")
+		}
+		*v = reputation.Vote(b) - 1
+	})
+}
+
 // TxListMsg is the leader's transaction list broadcast.
 type TxListMsg struct {
 	Round     uint64
@@ -54,6 +108,15 @@ type TxListMsg struct {
 	Attempt   int // bumped when a recovered leader re-runs the phase
 	Txs       []*ledger.Tx
 	Sig       []byte
+}
+
+func (m TxListMsg) layout(c *wire.Coder) TxListMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	c.Int(&m.Attempt)
+	txList(c, &m.Txs)
+	c.Bytes(&m.Sig)
+	return m
 }
 
 // VoteMsg carries a member's votes, aligned with the TxListMsg order.
@@ -66,12 +129,29 @@ type VoteMsg struct {
 	Sig       []byte
 }
 
+func (m VoteMsg) layout(c *wire.Coder) VoteMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	c.Int(&m.Attempt)
+	wire.ID(c, &m.Voter)
+	voteVector(c, &m.Votes)
+	c.Bytes(&m.Sig)
+	return m
+}
+
 // IntraPayload is the Algorithm 3 payload of the intra-committee phase:
 // the decided transaction set and the full vote list (§IV-C step 4).
 type IntraPayload struct {
 	Txs    []*ledger.Tx
 	Voters []simnet.NodeID
 	Votes  []reputation.VoteVector
+}
+
+func (p IntraPayload) layout(c *wire.Coder) IntraPayload {
+	txList(c, &p.Txs)
+	nodeList(c, &p.Voters)
+	wire.Slice(c, &p.Votes, 4, voteVector)
+	return p
 }
 
 // Digest binds the payload canonically.
@@ -94,6 +174,13 @@ type IntraResultMsg struct {
 	Members   []simnet.NodeID // the roster the certificate is checked against
 }
 
+func (m IntraResultMsg) layout(c *wire.Coder) IntraResultMsg {
+	c.U64(&m.Committee)
+	wire.AnyOf(c, &m.Result)
+	nodeList(c, &m.Members)
+	return m
+}
+
 // SemiComMsg is the leader's semi-commitment announcement. Records is the
 // member list S (sent to C_R and the partial set); SemiCom should equal
 // H(S) for an honest leader.
@@ -103,6 +190,15 @@ type SemiComMsg struct {
 	SemiCom   crypto.Digest
 	Records   []committee.MemberRecord
 	Sig       []byte
+}
+
+func (m SemiComMsg) layout(c *wire.Coder) SemiComMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.Hash(c, &m.SemiCom)
+	wire.Slice(c, &m.Records, 2, wire.Field[committee.MemberRecord])
+	c.Bytes(&m.Sig)
+	return m
 }
 
 // SigParts returns the byte parts a leader signs for a SemiComMsg.
@@ -126,6 +222,16 @@ type SemiComOKMsg struct {
 	SemiComs map[uint64]crypto.Digest // committee → validated H(S)
 }
 
+func (m SemiComOKMsg) layout(c *wire.Coder) SemiComOKMsg {
+	c.U64(&m.Round)
+	wire.Map(c, &m.SemiComs, 8+32, func(c *wire.Coder, k uint64, d crypto.Digest) (uint64, crypto.Digest) {
+		c.U64(&k)
+		wire.Hash(c, &d)
+		return k, d
+	})
+	return m
+}
+
 // InterFwdMsg carries a certified cross-shard transaction list from the
 // input committee's leader to the output committee's key members (§IV-D).
 type InterFwdMsg struct {
@@ -137,12 +243,30 @@ type InterFwdMsg struct {
 	Members []simnet.NodeID       // C_i's member list (checked against H(S_i))
 }
 
+func (m InterFwdMsg) layout(c *wire.Coder) InterFwdMsg {
+	c.U64(&m.Round)
+	c.U64(&m.From)
+	c.U64(&m.To)
+	txList(c, &m.Txs)
+	wire.AnyOf(c, &m.Cert)
+	nodeList(c, &m.Members)
+	return m
+}
+
 // InterResultMsg reports C_j's agreement back to leader i and C_R.
 type InterResultMsg struct {
 	Round  uint64
 	From   uint64
 	To     uint64
 	Result consensus.Certificate
+}
+
+func (m InterResultMsg) layout(c *wire.Coder) InterResultMsg {
+	c.U64(&m.Round)
+	c.U64(&m.From)
+	c.U64(&m.To)
+	wire.AnyOf(c, &m.Result)
+	return m
 }
 
 // InterQueryMsg asks the receiving leader which of the candidate
@@ -154,6 +278,14 @@ type InterQueryMsg struct {
 	Txs   []*ledger.Tx
 }
 
+func (m InterQueryMsg) layout(c *wire.Coder) InterQueryMsg {
+	c.U64(&m.Round)
+	c.U64(&m.From)
+	c.U64(&m.To)
+	txList(c, &m.Txs)
+	return m
+}
+
 // InterPrefMsg is the receiving leader's validity preference, aligned with
 // the query's transaction order.
 type InterPrefMsg struct {
@@ -163,10 +295,24 @@ type InterPrefMsg struct {
 	Valid []bool
 }
 
+func (m InterPrefMsg) layout(c *wire.Coder) InterPrefMsg {
+	c.U64(&m.Round)
+	c.U64(&m.From)
+	c.U64(&m.To)
+	wire.Slice(c, &m.Valid, 1, (*wire.Coder).Bool)
+	return m
+}
+
 // InterPayload is the Algorithm 3 payload inside C_j for a received list.
 type InterPayload struct {
 	From uint64
 	Txs  []*ledger.Tx
+}
+
+func (p InterPayload) layout(c *wire.Coder) InterPayload {
+	c.U64(&p.From)
+	txList(c, &p.Txs)
+	return p
 }
 
 // Digest binds the payload.
@@ -184,6 +330,12 @@ func (p InterPayload) Digest() crypto.Digest {
 type ScorePayload struct {
 	Members []simnet.NodeID
 	Scores  []float64
+}
+
+func (p ScorePayload) layout(c *wire.Coder) ScorePayload {
+	nodeList(c, &p.Members)
+	wire.Slice(c, &p.Scores, 8, (*wire.Coder).F64)
+	return p
 }
 
 // Digest binds the payload.
@@ -204,6 +356,13 @@ type ScoreResultMsg struct {
 	Members   []simnet.NodeID
 }
 
+func (m ScoreResultMsg) layout(c *wire.Coder) ScoreResultMsg {
+	c.U64(&m.Committee)
+	wire.AnyOf(c, &m.Result)
+	nodeList(c, &m.Members)
+	return m
+}
+
 // RecoveryWitness is the evidence driving leader re-selection (§V-D).
 // Kind "silence" extends the paper's provable-misbehaviour witnesses to
 // crash faults: it carries no leader-signed evidence (Phase names the
@@ -217,6 +376,15 @@ type RecoveryWitness struct {
 	Phase     string // "silence" only: the phase the leader went quiet in
 	Equiv     *consensus.Witness
 	SemiCom   *SemiComMsg
+}
+
+func (w RecoveryWitness) layout(c *wire.Coder) RecoveryWitness {
+	c.String(&w.Kind)
+	c.U64(&w.Committee)
+	c.String(&w.Phase)
+	wire.Optional(c, &w.Equiv)
+	wire.Optional(c, &w.SemiCom)
+	return w
 }
 
 // Verify checks the witness against the accused leader's public key. A
@@ -249,6 +417,14 @@ type AccuseMsg struct {
 	Witness   RecoveryWitness
 }
 
+func (m AccuseMsg) layout(c *wire.Coder) AccuseMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.ID(c, &m.Accuser)
+	wire.Field(c, &m.Witness)
+	return m
+}
+
 // ApproveMsg is a member's impeachment vote, signed.
 type ApproveMsg struct {
 	Round     uint64
@@ -256,6 +432,15 @@ type ApproveMsg struct {
 	Accuser   simnet.NodeID
 	Voter     simnet.NodeID
 	Sig       []byte
+}
+
+func (m ApproveMsg) layout(c *wire.Coder) ApproveMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.ID(c, &m.Accuser)
+	wire.ID(c, &m.Voter)
+	c.Bytes(&m.Sig)
+	return m
 }
 
 // SigParts returns the signed byte parts of an approval.
@@ -280,6 +465,28 @@ type EvictReqMsg struct {
 	Proof     []byte
 }
 
+// layout has two frame forms, one per evidence form, told apart by the tag.
+func (m EvictReqMsg) layout(c *wire.Coder) EvictReqMsg {
+	agg := m.Bitmap != nil
+	c.Alt(wire.TagAggEvictReq, &agg)
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.ID(c, &m.Accuser)
+	wire.Field(c, &m.Witness)
+	if !agg {
+		wire.Slice(c, &m.Approvals, 2, wire.Field[ApproveMsg])
+		return m
+	}
+	c.Bytes((*[]byte)(&m.Bitmap))
+	if m.Bitmap == nil {
+		// Non-nil even when empty: a non-nil Bitmap is what marks the
+		// aggregate evidence form, so the value re-encodes to this frame.
+		m.Bitmap = consensus.Bitmap{}
+	}
+	c.Bytes(&m.Proof)
+	return m
+}
+
 // approval returns the ApproveMsg the given voter must have signed for
 // this request. Both evidence forms are checked against it, so an approval
 // counts only if it was signed for this round, committee and accuser.
@@ -293,6 +500,14 @@ type EvictPayload struct {
 	Evicted   simnet.NodeID
 	Successor simnet.NodeID
 	Witness   RecoveryWitness
+}
+
+func (p EvictPayload) layout(c *wire.Coder) EvictPayload {
+	c.U64(&p.Committee)
+	wire.ID(c, &p.Evicted)
+	wire.ID(c, &p.Successor)
+	wire.Field(c, &p.Witness)
+	return p
 }
 
 // Digest binds the payload.
@@ -309,6 +524,15 @@ type NewLeaderMsg struct {
 	Referee   simnet.NodeID
 }
 
+func (m NewLeaderMsg) layout(c *wire.Coder) NewLeaderMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.ID(c, &m.Evicted)
+	wire.ID(c, &m.Successor)
+	wire.ID(c, &m.Referee)
+	return m
+}
+
 // PowMsg submits a participation-puzzle solution to C_R (§IV-F).
 type PowMsg struct {
 	Round    uint64
@@ -316,11 +540,24 @@ type PowMsg struct {
 	Solution pow.Solution
 }
 
+func (m PowMsg) layout(c *wire.Coder) PowMsg {
+	c.U64(&m.Round)
+	wire.ID(c, &m.Node)
+	wire.Field(c, &m.Solution)
+	return m
+}
+
 // SemiComPayload is C_R's Algorithm 3 payload validating one committee's
 // semi-commitment.
 type SemiComPayload struct {
 	Committee uint64
 	Msg       SemiComMsg
+}
+
+func (p SemiComPayload) layout(c *wire.Coder) SemiComPayload {
+	c.U64(&p.Committee)
+	wire.Field(c, &p.Msg)
+	return p
 }
 
 // Digest binds the payload.
@@ -341,6 +578,30 @@ type Block struct {
 	Rewards      map[string]uint64
 }
 
+func (b *Block) layout(c *wire.Coder) *Block {
+	if c.Reading() {
+		b = new(Block)
+	}
+	c.U64(&b.Round)
+	txList(c, &b.Txs)
+	c.U64(&b.Fees)
+	wire.Hash(c, &b.Randomness)
+	nodeList(c, &b.NextReferee)
+	nodeList(c, &b.NextLeaders)
+	wire.Slice(c, &b.NextPartials, 4, nodeList)
+	wire.Map(c, &b.Reputations, 4+8, func(c *wire.Coder, k string, v float64) (string, float64) {
+		c.String(&k)
+		c.F64(&v)
+		return k, v
+	})
+	wire.Map(c, &b.Rewards, 4+8, func(c *wire.Coder, k string, v uint64) (string, uint64) {
+		c.String(&k)
+		c.U64(&v)
+		return k, v
+	})
+	return b
+}
+
 // Digest binds the block for C_R's Algorithm 3 instance.
 func (b *Block) Digest() crypto.Digest {
 	parts := [][]byte{[]byte("block"), u64(b.Round), b.Randomness[:], u64(b.Fees)}
@@ -357,29 +618,18 @@ func (b *Block) Digest() crypto.Digest {
 	return crypto.H(parts...)
 }
 
-// WireSize returns the block's exact encoded size under the internal/wire
-// codec (previously an approximation; exact since the codec exists).
-func (b *Block) WireSize() int {
-	n := 2 + 8 + txsWire(b.Txs) + 8 + 32
-	n += nodesWire(b.NextReferee) + nodesWire(b.NextLeaders)
-	n += 4
-	for _, ps := range b.NextPartials {
-		n += nodesWire(ps)
-	}
-	n += 4
-	for k := range b.Reputations {
-		n += 4 + len(k) + 8
-	}
-	n += 4
-	for k := range b.Rewards {
-		n += 4 + len(k) + 8
-	}
-	return n
-}
-
 // BlockMsg propagates the decided block.
 type BlockMsg struct {
 	Block *Block
+}
+
+func (m BlockMsg) layout(c *wire.Coder) BlockMsg {
+	present := m.Block != nil
+	c.Bool(&present)
+	if present {
+		wire.Field(c, &m.Block)
+	}
+	return m
 }
 
 // UTXOFinalMsg reports a committee's end-of-round UTXO digest to C_R.
@@ -390,11 +640,25 @@ type UTXOFinalMsg struct {
 	Result    consensus.Certificate
 }
 
+func (m UTXOFinalMsg) layout(c *wire.Coder) UTXOFinalMsg {
+	c.U64(&m.Round)
+	c.U64(&m.Committee)
+	wire.Hash(c, &m.Digest)
+	wire.AnyOf(c, &m.Result)
+	return m
+}
+
 // UTXOPayload is the committee-level Algorithm 3 payload for the final
 // UTXO agreement.
 type UTXOPayload struct {
 	Committee uint64
 	UTXO      crypto.Digest
+}
+
+func (p UTXOPayload) layout(c *wire.Coder) UTXOPayload {
+	c.U64(&p.Committee)
+	wire.Hash(c, &p.UTXO)
+	return p
 }
 
 // Digest binds the payload.

@@ -125,11 +125,6 @@ func (n *Node) resetRound(r *Roster) {
 	n.utxoDigest = crypto.Digest{}
 }
 
-// isKeyMember reports whether the node holds a key seat this round.
-func (n *Node) isKeyMember() bool {
-	return n.role == RoleLeader || n.role == RolePartial
-}
-
 // committeeSize is C for quorum computations.
 func (n *Node) committeeSize() int { return len(n.committeeNodes) }
 

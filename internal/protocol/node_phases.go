@@ -6,6 +6,7 @@ import (
 	"cycledger/internal/ledger"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // ---------------------------------------------------------------------------
@@ -25,7 +26,7 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 	}
 	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Records()}
 	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, msg.SigParts()...)
-	size := msg.WireSize()
+	size := wire.Size(msg)
 	for _, rm := range n.eng.roster.Referee {
 		ctx.Send(rm, TagSemiCom, msg, size)
 	}
@@ -65,7 +66,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		if m.ListDigest() == m.SemiCom {
 			payload := SemiComPayload{Committee: m.Committee, Msg: m}
 			if p := n.consFor(n.ID); p != nil {
-				p.Propose(ctx, snSemiComBase+m.Committee, payload.Digest(), payload, payload.WireSize())
+				p.Propose(ctx, snSemiComBase+m.Committee, payload.Digest(), payload, wire.Size(payload))
 			}
 		} else if !n.eng.P.DisableRecovery {
 			n.proposeEviction(ctx, m.Committee, RecoveryWitness{
@@ -142,7 +143,7 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 	votes := n.voteOnTxs(m.Txs)
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
 	vm.Sig = n.eng.P.Scheme.Sign(n.Keys, voteSigMsg(m.Round, n.ID, votes))
-	ctx.Send(n.curLeader, TagVote, vm, vm.WireSize())
+	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
 }
 
 // voteOnTxs produces this node's vote vector: the committee's honest
@@ -235,14 +236,14 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
 		alt := IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
-		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, payload.Digest(), payload, payload.WireSize())
-		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, alt.Digest(), alt, alt.WireSize())
+		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, payload.Digest(), payload, wire.Size(payload))
+		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, alt.Digest(), alt, wire.Size(alt))
 		half := len(n.committeeNodes) / 2
 		p.SendRaw(ctx, propA, n.committeeNodes[:half])
 		p.SendRaw(ctx, propB, n.committeeNodes[half:])
 		return
 	}
-	p.Propose(ctx, sn, payload.Digest(), payload, payload.WireSize())
+	p.Propose(ctx, sn, payload.Digest(), payload, wire.Size(payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ func (n *Node) startInter(ctx *simnet.Context) {
 	for _, j := range targets {
 		j, txs := j, n.interOut[j]
 		query := InterQueryMsg{Round: n.eng.round, From: n.comID, To: j, Txs: txs}
-		ctx.Send(n.eng.roster.Leaders[j], TagInterQuery, query, query.WireSize())
+		ctx.Send(n.eng.roster.Leaders[j], TagInterQuery, query, wire.Size(query))
 		ctx.After(4*n.eng.lat.Gamma, func(c *simnet.Context) {
 			if n.interOutStarted[j] {
 				return
@@ -294,7 +295,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 		return
 	}
 	payload := InterPayload{From: n.comID, Txs: txs}
-	p.Propose(ctx, snInterOutBase+j, payload.Digest(), payload, payload.WireSize())
+	p.Propose(ctx, snInterOutBase+j, payload.Digest(), payload, wire.Size(payload))
 }
 
 // onInterQuery answers a §VIII-A pre-screen: the receiving leader marks
@@ -312,7 +313,7 @@ func (n *Node) onInterQuery(ctx *simnet.Context, m InterQueryMsg) {
 		valid[i] = err == nil
 	}
 	pref := InterPrefMsg{Round: m.Round, From: m.From, To: m.To, Valid: valid}
-	ctx.Send(n.eng.roster.Leaders[m.From], TagInterPref, pref, pref.WireSize())
+	ctx.Send(n.eng.roster.Leaders[m.From], TagInterPref, pref, wire.Size(pref))
 }
 
 // onInterPref filters the pending list by the receiver's preference and
@@ -366,7 +367,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	case RoleLeader:
 		payload := InterPayload{From: m.From, Txs: m.Txs}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snInterInBase+m.From, payload.Digest(), payload, payload.WireSize())
+			p.Propose(ctx, snInterInBase+m.From, payload.Digest(), payload, wire.Size(payload))
 		}
 	case RolePartial:
 		// Lemma 7 liveness: if the leader stays silent for 2Γ, forward
@@ -382,7 +383,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 			if n.leaderProposedInterIn(src) {
 				return
 			}
-			c.Send(n.curLeader, TagInterFwd, mm, mm.WireSize())
+			c.Send(n.curLeader, TagInterFwd, mm, wire.Size(mm))
 			c.After(wait, func(c2 *simnet.Context) {
 				if n.leaderProposedInterIn(src) {
 					return
@@ -390,7 +391,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.isFirstPartial() {
 					payload := InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
-						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, payload.WireSize())
+						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, wire.Size(payload))
 					}
 				}
 			})
@@ -470,7 +471,7 @@ func (n *Node) startScore(ctx *simnet.Context) {
 	}
 	payload := ScorePayload{Members: append([]simnet.NodeID(nil), n.voteOrder...), Scores: scores}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, snScore, payload.Digest(), payload, payload.WireSize())
+		p.Propose(ctx, snScore, payload.Digest(), payload, wire.Size(payload))
 	}
 }
 
@@ -515,13 +516,13 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 			n.intraDecided = &payload
 		}
 		msg := IntraResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := msg.WireSize()
+		size := wire.Size(msg)
 		for _, rm := range n.eng.roster.Referee {
 			ctx.Send(rm, TagIntraResult, msg, size)
 		}
 	case res.SN == snScore:
 		msg := ScoreResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := msg.WireSize()
+		size := wire.Size(msg)
 		for _, rm := range n.eng.roster.Referee {
 			ctx.Send(rm, TagScoreResult, msg, size)
 		}
@@ -532,7 +533,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 			return
 		}
 		fwd := InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := fwd.WireSize()
+		size := wire.Size(fwd)
 		ctx.Send(n.eng.roster.Leaders[j], TagInterFwd, fwd, size)
 		for _, pm := range n.eng.roster.Partials[j] {
 			ctx.Send(pm, TagInterFwd, fwd, size)
@@ -543,7 +544,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 			n.interDecided[i] = &payload
 		}
 		msg := InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res, n.committeeNodes)}
-		size := msg.WireSize()
+		size := wire.Size(msg)
 		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
 		for _, rm := range n.eng.roster.Referee {
 			ctx.Send(rm, TagInterResult, msg, size)
@@ -555,8 +556,9 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(SemiComPayload); ok {
 			n.validatedSemiComs[k] = payload.Msg.SemiCom
 			ok := SemiComOKMsg{Round: n.eng.round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
+			size := wire.Size(ok)
 			for _, id := range n.eng.roster.AllKeyMembers() {
-				ctx.Send(id, TagSemiComOK, ok, ok.WireSize())
+				ctx.Send(id, TagSemiComOK, ok, size)
 			}
 		}
 	case res.SN >= snEvictBase && res.SN < snBlock:
@@ -569,8 +571,9 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 	case res.SN == snUTXO:
 		if payload, ok := res.Payload.(UTXOPayload); ok {
 			msg := UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res, n.committeeNodes)}
+			size := wire.Size(msg)
 			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagUTXOFinal, msg, msg.WireSize())
+				ctx.Send(rm, TagUTXOFinal, msg, size)
 			}
 		}
 	}
@@ -587,8 +590,9 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 		n.crEvicted[ev.Committee] = &evv
 		// Every referee member notifies the committee (Algorithm 6).
 		msg := NewLeaderMsg{Round: n.eng.round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
+		size := wire.Size(msg)
 		for _, id := range n.eng.roster.Committee(ev.Committee) {
-			ctx.Send(id, TagNewLeader, msg, msg.WireSize())
+			ctx.Send(id, TagNewLeader, msg, size)
 		}
 	case n.role == RoleReferee && sn == snBlock:
 		blk, ok := payload.(*Block)
@@ -628,7 +632,7 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 		n.utxoDigest = digest
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snUTXO, payload.Digest(), payload, payload.WireSize())
+			p.Propose(ctx, snUTXO, payload.Digest(), payload, wire.Size(payload))
 		}
 	}
 }

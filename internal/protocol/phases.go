@@ -10,6 +10,7 @@ import (
 	"cycledger/internal/pvss"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // engineBeaconMax caps the PVSS participant count the engine verifies at
@@ -331,7 +332,7 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 			continue
 		}
 		msg := PowMsg{Round: e.round, Node: n.ID, Solution: entry.sol}
-		size := msg.WireSize()
+		size := wire.Size(msg)
 		for _, rm := range e.roster.Referee {
 			e.Net.Send(n.ID, rm, TagPow, msg, size)
 		}
@@ -547,7 +548,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 	proposer := ref
 	e.Net.After(proposer.ID, 1, func(ctx *simnet.Context) {
 		if p := proposer.consFor(proposer.ID); p != nil {
-			p.Propose(ctx, snBlock, blk.Digest(), blk, blk.WireSize())
+			p.Propose(ctx, snBlock, blk.Digest(), blk, wire.Size(blk))
 		}
 	})
 	e.Net.RunUntilIdle()
@@ -570,7 +571,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 			rb := server.crBlock
 			e.Net.After(server.ID, 1, func(ctx *simnet.Context) {
 				msg := BlockMsg{Block: rb}
-				size := msg.WireSize()
+				size := wire.Size(msg)
 				for _, k := range affected {
 					ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)
 				}

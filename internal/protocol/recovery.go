@@ -6,6 +6,7 @@ import (
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // Leader re-selection (§V-D, Algorithm 6, Fig. 6).
@@ -58,7 +59,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	n.myAccusation = &msg
 	n.myApprovals = nil
 	n.escalated = false
-	size := msg.WireSize()
+	size := wire.Size(msg)
 	for _, id := range n.committeeNodes {
 		if id != n.ID && id != n.curLeader {
 			ctx.Send(id, TagAccuse, msg, size)
@@ -91,7 +92,7 @@ func (n *Node) onAccuse(ctx *simnet.Context, m AccuseMsg) {
 	}
 	ap := ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: n.ID}
 	ap.Sig = n.eng.P.Scheme.Sign(n.Keys, ap.SigParts()...)
-	ctx.Send(m.Accuser, TagApprove, ap, ap.WireSize())
+	ctx.Send(m.Accuser, TagApprove, ap, wire.Size(ap))
 }
 
 // onApprove tallies impeachment votes on the accuser; past a majority the
@@ -109,7 +110,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 		}
 	}
 	n.myApprovals = append(n.myApprovals, m)
-	if 2*len(n.myApprovals) <= n.committeeSize() {
+	if !consensus.Majority(len(n.myApprovals), n.committeeSize()) {
 		return
 	}
 	n.escalated = true
@@ -117,7 +118,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if req.Bitmap, req.Proof = n.foldApprovals(); req.Bitmap == nil {
 		req.Approvals = append([]ApproveMsg(nil), n.myApprovals...)
 	}
-	size := req.WireSize()
+	size := wire.Size(req)
 	for _, rm := range n.eng.roster.Referee {
 		ctx.Send(rm, TagEvictReq, req, size)
 	}
@@ -134,31 +135,10 @@ func (n *Node) foldApprovals() (consensus.Bitmap, []byte) {
 	if !ok || !n.eng.P.AggregateCerts {
 		return nil, nil
 	}
-	members := n.eng.roster.Committee(n.comID)
-	pos := make(map[simnet.NodeID]int, len(members))
-	for i, id := range members {
-		pos[id] = i
-	}
-	bm := consensus.NewBitmap(len(members))
-	byPos := make(map[int][]byte, len(n.myApprovals))
-	for _, ap := range n.myApprovals {
-		i, ok := pos[ap.Voter]
-		if !ok || bm.Has(i) {
-			continue
-		}
-		bm.Set(i)
-		byPos[i] = ap.Sig
-	}
-	sigs := make([][]byte, 0, len(byPos))
-	for i := range members {
-		if bm.Has(i) {
-			sigs = append(sigs, byPos[i])
-		}
-	}
-	proof, err := as.Aggregate(sigs)
-	if err != nil {
-		return nil, nil
-	}
+	// An outsider or a repeat is skipped; a failed fold leaves both nil.
+	bm, proof, _ := consensus.FoldVoters(as, n.eng.roster.Committee(n.comID), len(n.myApprovals),
+		func(k int) (simnet.NodeID, []byte) { return n.myApprovals[k].Voter, n.myApprovals[k].Sig },
+		func(simnet.NodeID, bool) error { return nil })
 	return bm, proof
 }
 
@@ -203,7 +183,7 @@ func (n *Node) approvalQuorum(m EvictReqMsg) bool {
 	scheme := n.eng.P.Scheme
 	if m.Bitmap != nil {
 		as, ok := scheme.(consensus.AggregateScheme)
-		if !ok || m.Bitmap.Validate(len(members)) != nil || 2*m.Bitmap.Count() <= len(members) {
+		if !ok || m.Bitmap.Validate(len(members)) != nil || !consensus.Majority(m.Bitmap.Count(), len(members)) {
 			return false
 		}
 		pks := make([]crypto.PublicKey, len(members))
@@ -227,7 +207,7 @@ func (n *Node) approvalQuorum(m EvictReqMsg) bool {
 		}
 		seen[ap.Voter] = true
 	}
-	return 2*len(seen) > len(members)
+	return consensus.Majority(len(seen), len(members))
 }
 
 // proposeEviction starts C_R's Algorithm 3 instance replacing the leader
@@ -248,7 +228,7 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 	n.crEvictGen[k] = gen + 1
 	payload := EvictPayload{Committee: k, Evicted: evicted, Successor: successor, Witness: w}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, sn, payload.Digest(), payload, payload.WireSize())
+		p.Propose(ctx, sn, payload.Digest(), payload, wire.Size(payload))
 	}
 }
 
@@ -267,7 +247,7 @@ func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg) {
 		n.leaderVotes[m.Successor] = votes
 	}
 	votes[m.Referee] = true
-	if 2*len(votes) <= len(n.eng.roster.Referee) {
+	if !consensus.Majority(len(votes), len(n.eng.roster.Referee)) {
 		return
 	}
 	if n.curLeader == m.Successor {

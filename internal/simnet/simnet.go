@@ -279,7 +279,7 @@ type Network struct {
 // mergeEvery is how many batches may elapse between folds of the per-lane
 // metrics shards into the shared maps. Counters are monotone sums and the
 // phase label is constant within a drain, so folding is deferrable; every
-// drain (and the public Step) folds before returning control to readers.
+// drain folds before returning control to readers.
 const mergeEvery = 32
 
 // poolCutoff is the batch size below which a macro-step runs its phases
@@ -635,20 +635,6 @@ func (n *Network) minTick() (Time, bool) {
 		}
 	}
 	return t, t >= 0
-}
-
-// Step processes every event scheduled at the earliest pending timestamp
-// and folds the metrics shards so readers see the result immediately.
-// It returns false when no events remain.
-func (n *Network) Step() bool {
-	t, ok := n.minTick()
-	if !ok {
-		return false
-	}
-	n.stepAt(t)
-	n.metrics.mergeLanes()
-	n.folds = 0
-	return true
 }
 
 // stepAt runs the macro-step at tick t (which minTick reported as the

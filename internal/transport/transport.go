@@ -69,9 +69,6 @@ type Factory func(lat simnet.Latency, seed int64) (Transport, error)
 // package wire provides the production implementation; the interface
 // keeps this package free of a dependency on the message definitions.
 type Codec interface {
-	// SizeHint returns the exact encoded size of v, or an error for an
-	// unregistered type.
-	SizeHint(v any) (int, error)
 	// AppendEncode appends v's encoding to buf and returns the extended
 	// buffer.
 	AppendEncode(buf []byte, v any) ([]byte, error)

@@ -22,18 +22,6 @@ type note struct{ text string }
 // codec.
 type testCodec struct{}
 
-func (testCodec) SizeHint(v any) (int, error) {
-	switch s := v.(type) {
-	case nil:
-		return 1, nil
-	case string:
-		return 5 + len(s), nil
-	case *note:
-		return 5 + len(s.text), nil
-	}
-	return 0, fmt.Errorf("testCodec: unregistered type %T", v)
-}
-
 func (testCodec) AppendEncode(buf []byte, v any) ([]byte, error) {
 	switch s := v.(type) {
 	case nil:

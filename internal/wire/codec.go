@@ -6,9 +6,6 @@ package wire
 // package-level functions.
 type Codec struct{}
 
-// SizeHint returns the exact encoded size of v.
-func (Codec) SizeHint(v any) (int, error) { return SizeHint(v) }
-
 // AppendEncode appends v's encoding to buf.
 func (Codec) AppendEncode(buf []byte, v any) ([]byte, error) { return AppendEncode(buf, v) }
 

@@ -1,0 +1,303 @@
+package wire
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// A Coder is the cursor a layout function walks its fields against. It
+// runs in one of three modes, fixed for the whole walk: counting adds up
+// the bytes the fields would take, appending writes them, reading parses
+// them back into the fields. A layout therefore describes a type once —
+// the same calls, in the same order, size it, encode it and decode it.
+//
+// Reading is bounds-checked: the first failure latches, and every later
+// read is a cheap no-op that leaves its field at the zero value, so a
+// layout reads straight-line without per-field error plumbing. Counting
+// and appending never stop early; the one error they can meet, an
+// unregistered nested value, is latched and contributes no bytes. They
+// also never store through a field pointer: a message in flight is shared
+// by every node it was sent to, and sizing it must stay a pure read.
+type Coder struct {
+	mode  mode
+	n     int    // counting: bytes so far
+	buf   []byte // appending: the output; reading: the input
+	off   int    // reading: cursor into buf
+	tagAt int    // appending: offset of the frame tag last written
+	tag   uint16 // reading: the frame tag last read
+	err   error
+}
+
+type mode uint8
+
+const (
+	counting mode = iota
+	appending
+	reading
+)
+
+// Reading reports whether the walk is decoding. A layout asks when a step
+// only makes sense in one direction: allocating the value a pointer type
+// decodes into, or validating what was just read.
+func (c *Coder) Reading() bool { return c.mode == reading }
+
+// Fail latches a decode error at the cursor; what names the thing that was
+// truncated or invalid.
+func (c *Coder) Fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("wire: truncated or invalid %s at offset %d", what, c.off)
+	}
+}
+
+// take returns the next n input bytes, or nil after latching a failure.
+func (c *Coder) take(n int, what string) []byte {
+	if c.err != nil || len(c.buf)-c.off < n {
+		c.Fail(what)
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// U8 walks one byte.
+func (c *Coder) U8(p *byte) {
+	switch c.mode {
+	case counting:
+		c.n++
+	case appending:
+		c.buf = append(c.buf, *p)
+	default:
+		if b := c.take(1, "byte"); b != nil {
+			*p = b[0]
+		}
+	}
+}
+
+// Bool walks a one-byte flag: 1 or 0 on the wire, any non-zero byte reads
+// as true.
+func (c *Coder) Bool(p *bool) {
+	var b byte
+	if *p {
+		b = 1
+	}
+	c.U8(&b)
+	if c.mode == reading {
+		*p = b != 0
+	}
+}
+
+func (c *Coder) u16(p *uint16) {
+	switch c.mode {
+	case counting:
+		c.n += 2
+	case appending:
+		c.buf = binary.BigEndian.AppendUint16(c.buf, *p)
+	default:
+		if b := c.take(2, "type tag"); b != nil {
+			*p = binary.BigEndian.Uint16(b)
+		}
+	}
+}
+
+// U32 walks a fixed-width big-endian 32-bit integer.
+func (c *Coder) U32(p *uint32) {
+	switch c.mode {
+	case counting:
+		c.n += 4
+	case appending:
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *p)
+	default:
+		if b := c.take(4, "u32"); b != nil {
+			*p = binary.BigEndian.Uint32(b)
+		}
+	}
+}
+
+// U64 walks a fixed-width big-endian 64-bit integer.
+func (c *Coder) U64(p *uint64) {
+	switch c.mode {
+	case counting:
+		c.n += 8
+	case appending:
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *p)
+	default:
+		if b := c.take(8, "u64"); b != nil {
+			*p = binary.BigEndian.Uint64(b)
+		}
+	}
+}
+
+// Int walks an int carried as four bytes of two's complement.
+func (c *Coder) Int(p *int) {
+	v := uint32(int32(*p))
+	c.U32(&v)
+	if c.mode == reading {
+		*p = int(int32(v))
+	}
+}
+
+// ID walks a node identifier (any int32-based type) as four bytes of two's
+// complement.
+func ID[T ~int32](c *Coder, p *T) {
+	v := uint32(*p)
+	c.U32(&v)
+	if c.mode == reading {
+		*p = T(int32(v))
+	}
+}
+
+// F64 walks a float64 as its IEEE-754 bits.
+func (c *Coder) F64(p *float64) {
+	v := math.Float64bits(*p)
+	c.U64(&v)
+	if c.mode == reading {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// Hash walks a 32-byte digest, with no length prefix.
+func Hash[T ~[32]byte](c *Coder, p *T) {
+	switch c.mode {
+	case counting:
+		c.n += len(*p)
+	case appending:
+		c.buf = append(c.buf, (*p)[:]...)
+	default:
+		copy((*p)[:], c.take(len(*p), "digest"))
+	}
+}
+
+// Len walks an element count — the u32 prefix of a slice, a map or a
+// string — and returns it: n itself when counting or appending, the decoded
+// count when reading. A decoded count is validated against the bytes left,
+// on the assumption that every element takes at least min of them, so a
+// hostile prefix can never drive a large allocation.
+func (c *Coder) Len(n, min int) int {
+	v := uint32(n)
+	c.U32(&v)
+	if c.mode != reading {
+		return n
+	}
+	if c.err != nil {
+		return 0
+	}
+	n = int(v)
+	if n < 0 || (min > 0 && n > (len(c.buf)-c.off)/min) {
+		c.Fail("count")
+		return 0
+	}
+	return n
+}
+
+// Bytes walks a length-prefixed byte slice. An empty slice decodes as nil.
+func (c *Coder) Bytes(p *[]byte) {
+	n := c.Len(len(*p), 1)
+	switch c.mode {
+	case counting:
+		c.n += n
+	case appending:
+		c.buf = append(c.buf, *p...)
+	default:
+		*p = nil
+		if n > 0 {
+			*p = append([]byte(nil), c.take(n, "bytes")...)
+		}
+	}
+}
+
+// String walks a length-prefixed string.
+func (c *Coder) String(p *string) {
+	n := c.Len(len(*p), 1)
+	switch c.mode {
+	case counting:
+		c.n += n
+	case appending:
+		c.buf = append(c.buf, *p...)
+	default:
+		*p = string(c.take(n, "string"))
+	}
+}
+
+// Slice walks a count-prefixed list, each element through elem; min is the
+// least number of bytes one element can take. An empty list decodes as nil.
+func Slice[T any](c *Coder, p *[]T, min int, elem func(*Coder, *T)) {
+	n := c.Len(len(*p), min)
+	if c.mode == reading {
+		*p = nil
+		if n > 0 {
+			*p = make([]T, n)
+		}
+	}
+	s := *p
+	for i := range s {
+		if c.mode == reading && c.err != nil {
+			return
+		}
+		elem(c, &s[i])
+	}
+}
+
+// Map walks a count-prefixed map, each entry through kv, which walks the
+// key and then the value and returns both (so the entry never has to live
+// on the heap). Entries are written in ascending key order, which makes the
+// encoding canonical; counting needs no order and neither sorts nor
+// allocates. min is the least number of bytes one entry can take. An empty
+// map decodes as nil.
+func Map[K cmp.Ordered, V any](c *Coder, p *map[K]V, min int, kv func(*Coder, K, V) (K, V)) {
+	n := c.Len(len(*p), min)
+	switch c.mode {
+	case counting:
+		for k, v := range *p {
+			kv(c, k, v)
+		}
+	case appending:
+		keys := make([]K, 0, n)
+		for k := range *p {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			kv(c, k, (*p)[k])
+		}
+	default:
+		*p = nil
+		if n == 0 {
+			return
+		}
+		m := make(map[K]V, n)
+		for i := 0; i < n && c.err == nil; i++ {
+			var k K
+			var v V
+			k, v = kv(c, k, v)
+			m[k] = v
+		}
+		*p = m
+	}
+}
+
+// Opaque walks a value that keeps a canonical encoding of its own (a
+// transaction, whose encoding is also its hash preimage): size is its exact
+// length, app appends it, and dec parses it from the front of the input and
+// returns the bytes consumed.
+func (c *Coder) Opaque(size func() int, app func([]byte) []byte, dec func([]byte) (int, error)) {
+	switch c.mode {
+	case counting:
+		c.n += size()
+	case appending:
+		c.buf = app(c.buf)
+	default:
+		if c.err != nil {
+			return
+		}
+		n, err := dec(c.buf[c.off:])
+		if err != nil {
+			c.Fail("opaque value")
+			return
+		}
+		c.off += n
+	}
+}

@@ -1,0 +1,51 @@
+package wire_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"testing"
+
+	"cycledger/internal/wire"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/encoding.golden from this build's encoder")
+
+// TestEncodingGolden pins the wire format byte for byte: the encoding of
+// every fixture — both certificate forms in every carrier, both eviction
+// evidence forms — must equal the committed golden file, one "type hex" line
+// per fixture in fixtures() order. The file was generated by the encoder as
+// it stood before the per-type layouts replaced the hand-written encode and
+// decode switches; regenerate it (-update) only for a deliberate format
+// change, which is also a re-baseline of every traffic figure.
+func TestEncodingGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, v := range fixtures() {
+		enc, err := wire.Encode(v)
+		if err != nil {
+			t.Fatalf("Encode %T: %v", v, err)
+		}
+		fmt.Fprintf(&got, "%T %x\n", v, enc)
+	}
+	const path = "testdata/encoding.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d fixtures, golden file has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("fixture %d encodes differently:\n got %s\nwant %s", i, gotLines[i], wantLines[i])
+		}
+	}
+}

@@ -3,24 +3,24 @@
 // internal/protocol, the Algorithm 3 consensus messages, the committee
 // configuration messages, transactions, and PoW solutions.
 //
-// Every registered type is framed as [u16 tag][body]. Encoding is an
-// exact-size append-into-buffer walk (no reflection on the hot path):
-// SizeHint returns the precise encoded length, AppendEncode appends
-// exactly that many bytes, and Decode inverts it — encode∘decode is the
-// identity on every registered type, which the codec's round-trip tests
-// enforce. The per-type sizes are mirrored by the WireSize methods in the
-// message packages themselves (internal/consensus/wiresize.go et al.) so
-// protocol call sites can declare exact Send sizes without importing this
-// package; the audit tests assert the two stay in agreement.
+// The package is a leaf: it holds the type tags, the field primitives
+// (Coder), and a tag→type registry, and imports none of the message
+// packages. Each message package describes a type once, as a layout — one
+// walk over its fields against a Coder — and registers it under its tag
+// (Register). Size, AppendEncode and Decode are that one walk in the
+// Coder's three modes, so a type's declared Send size, its encoding and
+// its decoder cannot disagree, and encode∘decode is the identity on every
+// registered type by construction as much as by test.
 //
-// Body conventions: fixed-width big-endian integers; u32 length prefixes
-// for byte slices, strings, and element counts; NodeIDs as 4-byte
-// two's-complement; 1-byte presence flags for pointer fields; maps
-// encoded with sorted keys so encoding is canonical. Nested messages of
-// concrete type (an Echo's Propose, a Result's Confirms) are encoded with
-// their own tag, the same framing as at top level. That is also how the
-// five certificate-carrying messages say which certificate form they hold:
-// the nested consensus.Certificate is a TagResult or a TagAggResult frame.
+// Every registered type is framed as [u16 tag][body]. Body conventions:
+// fixed-width big-endian integers; u32 length prefixes for byte slices,
+// strings, and element counts; NodeIDs as 4-byte two's-complement; 1-byte
+// presence flags for pointer fields; maps encoded with sorted keys so
+// encoding is canonical; empty slices and maps decode as nil. Nested
+// messages (an Echo's Propose, a Result's Confirms) are encoded with their
+// own tag, the same framing as at top level. That is also how the five
+// certificate-carrying messages say which certificate form they hold: the
+// nested consensus.Certificate is a TagResult or a TagAggResult frame.
 //
 // Decode is hardened against hostile input: a max-size guard rejects
 // oversized buffers before any work, and every count and length prefix is
@@ -30,19 +30,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-
-	"cycledger/internal/committee"
-	"cycledger/internal/consensus"
-	"cycledger/internal/ledger"
-	"cycledger/internal/pow"
-	"cycledger/internal/protocol"
-	"cycledger/internal/reputation"
-	"cycledger/internal/simnet"
+	"reflect"
+	"sync"
 )
 
 // MaxMessageSize is the decode-side guard: no legitimate message in any
@@ -133,8 +124,9 @@ const (
 	// their one tag each with the certificate form told by its own tag
 	// (TagResult or TagAggResult).
 
-	// TagAggEvictReq frames protocol.EvictReqMsg with aggregate approval
-	// evidence (bitmap + proof where TagEvictReq carries the approval list).
+	// TagAggEvictReq is the second frame of the eviction request: aggregate
+	// approval evidence (bitmap + proof) where TagEvictReq carries the
+	// approval list. Both decode to the one struct.
 	TagAggEvictReq uint16 = 42
 )
 
@@ -145,372 +137,257 @@ var ErrUnknownType = errors.New("wire: unknown message type")
 // ErrTooLarge reports a decode buffer exceeding MaxMessageSize.
 var ErrTooLarge = errors.New("wire: message exceeds MaxMessageSize")
 
-// SizeHint returns the exact encoded size of a registered value, tag
-// included. It is the codec-side mirror of the message packages' WireSize
-// methods; the audit test asserts they agree.
-func SizeHint(v any) (int, error) {
-	switch m := v.(type) {
-	case nil:
-		return 2, nil
-	case *ledger.Tx:
-		return m.WireSize(), nil
-	case protocol.TxListMsg:
-		return m.WireSize(), nil
-	case protocol.VoteMsg:
-		return m.WireSize(), nil
-	case protocol.IntraPayload:
-		return m.WireSize(), nil
-	case protocol.IntraResultMsg:
-		return m.WireSize(), nil
-	case protocol.SemiComMsg:
-		return m.WireSize(), nil
-	case protocol.SemiComOKMsg:
-		return m.WireSize(), nil
-	case protocol.InterFwdMsg:
-		return m.WireSize(), nil
-	case protocol.InterResultMsg:
-		return m.WireSize(), nil
-	case protocol.InterQueryMsg:
-		return m.WireSize(), nil
-	case protocol.InterPrefMsg:
-		return m.WireSize(), nil
-	case protocol.InterPayload:
-		return m.WireSize(), nil
-	case protocol.ScorePayload:
-		return m.WireSize(), nil
-	case protocol.ScoreResultMsg:
-		return m.WireSize(), nil
-	case protocol.RecoveryWitness:
-		return m.WireSize(), nil
-	case protocol.AccuseMsg:
-		return m.WireSize(), nil
-	case protocol.ApproveMsg:
-		return m.WireSize(), nil
-	case protocol.EvictReqMsg:
-		return m.WireSize(), nil
-	case protocol.EvictPayload:
-		return m.WireSize(), nil
-	case protocol.NewLeaderMsg:
-		return m.WireSize(), nil
-	case protocol.PowMsg:
-		return m.WireSize(), nil
-	case protocol.SemiComPayload:
-		return m.WireSize(), nil
-	case *protocol.Block:
-		return m.WireSize(), nil
-	case protocol.BlockMsg:
-		return m.WireSize(), nil
-	case protocol.UTXOFinalMsg:
-		return m.WireSize(), nil
-	case protocol.UTXOPayload:
-		return m.WireSize(), nil
-	case consensus.Propose:
-		return m.WireSize(), nil
-	case consensus.Echo:
-		return m.WireSize(), nil
-	case consensus.Confirm:
-		return m.WireSize(), nil
-	case consensus.Witness:
-		return m.WireSize(), nil
-	case consensus.Result:
-		return m.WireSize(), nil
-	case consensus.AggResult:
-		return m.WireSize(), nil
-	case committee.JoinRequest:
-		return m.WireSize(), nil
-	case committee.MemListMsg:
-		return m.WireSize(), nil
-	case committee.MemberRecord:
-		return m.WireSize(), nil
-	case pow.Solution:
-		return m.WireSize(), nil
-	default:
-		return 0, fmt.Errorf("%w: %T", ErrUnknownType, v)
+// A row is one registered type: the tags its frames open with and its
+// layout, held twice — as the typed function for a walk that knows the
+// type statically, and behind an any for one that has to dispatch on a tag
+// or a dynamic type.
+type row struct {
+	tags   []uint16
+	layout any                       // func(T, *Coder) T
+	walk   func(c *Coder, v any) any // the same, boxing the result only when reading
+}
+
+// The registry, filled by the message packages' init functions and
+// read-only afterwards.
+var (
+	byType = map[reflect.Type]*row{}
+	byTag  []*row // indexed by tag; nil where unassigned
+)
+
+// Register enters type T in the codec: layout is its one description, tags
+// the frame tags it travels under (one, except for a type with two frame
+// forms — see Coder.Alt). A layout walks the fields of the value it is
+// given, in wire order, and returns it; it takes and returns the value
+// rather than a pointer so that sizing a message never moves it to the
+// heap. Pointer-shaped payloads register the pointer type and allocate
+// when Reading. Register panics on a tag or type entered twice: the
+// registry is a bijection between layouts and types.
+func Register[T any](layout func(T, *Coder) T, tags ...uint16) {
+	r := &row{tags: tags, layout: layout, walk: func(c *Coder, v any) any {
+		m, _ := v.(T)
+		m = layout(m, c)
+		if c.mode != reading {
+			return nil
+		}
+		return m
+	}}
+	t := reflect.TypeFor[T]()
+	if byType[t] != nil || len(tags) == 0 {
+		panic(fmt.Sprintf("wire: %v registered twice or without a tag", t))
 	}
+	byType[t] = r
+	for _, tag := range tags {
+		for int(tag) >= len(byTag) {
+			byTag = append(byTag, nil)
+		}
+		if tag == TagNil || byTag[tag] != nil {
+			panic(fmt.Sprintf("wire: tag %d of %v is already taken", tag, t))
+		}
+		byTag[tag] = r
+	}
+}
+
+func rowOf(tag uint16) *row {
+	if int(tag) < len(byTag) {
+		return byTag[tag]
+	}
+	return nil
+}
+
+// unknownType latches ErrUnknownType for an unregistered Go type.
+func (c *Coder) unknownType(t reflect.Type) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %v", ErrUnknownType, t)
+	}
+}
+
+// unknownTag latches ErrUnknownType for the unassigned tag just read.
+func (c *Coder) unknownTag(tag uint16) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: tag %d at offset %d", ErrUnknownType, tag, c.off-2)
+	}
+}
+
+// open starts a nested frame of r's type: it counts or writes the type's
+// first tag, or checks that the tag at the cursor is one of the type's.
+func (c *Coder) open(r *row) bool {
+	tag := r.tags[0]
+	c.tagAt = len(c.buf)
+	c.u16(&tag)
+	if c.mode != reading {
+		return true
+	}
+	switch {
+	case c.err != nil:
+	case rowOf(tag) == r:
+		c.tag = tag
+	case rowOf(tag) == nil && tag != TagNil:
+		c.unknownTag(tag)
+	default:
+		c.Fail("nested frame")
+	}
+	return c.err == nil
+}
+
+// Field walks a nested message of registered type T: its tag, then its
+// layout.
+func Field[T any](c *Coder, p *T) {
+	if !field(c, p) {
+		c.unknownType(reflect.TypeFor[T]())
+	}
+}
+
+// field is Field, reporting instead of latching that T is not registered.
+func field[T any](c *Coder, p *T) bool {
+	r := byType[reflect.TypeFor[T]()]
+	if r == nil {
+		return false
+	}
+	if c.open(r) {
+		m := r.layout.(func(T, *Coder) T)(*p, c)
+		if c.mode == reading {
+			*p = m
+		}
+	}
+	return true
+}
+
+// Optional walks a pointer field to a registered type T: a presence byte,
+// then the frame when the pointer is set.
+func Optional[T any](c *Coder, p **T) {
+	present := *p != nil
+	c.Bool(&present)
+	if !present {
+		return
+	}
+	if c.mode == reading {
+		*p = new(T)
+	}
+	Field(c, *p)
+}
+
+// Any walks a field that may hold any registered value, nil included (an
+// Algorithm 3 payload): the frame is told by the value's dynamic type when
+// counting and appending, by its tag when reading.
+func (c *Coder) Any(p *any) {
+	if c.mode == reading {
+		var tag uint16
+		c.u16(&tag)
+		*p = nil
+		if c.err != nil || tag == TagNil {
+			return
+		}
+		r := rowOf(tag)
+		if r == nil {
+			c.unknownTag(tag)
+			return
+		}
+		c.tag = tag
+		*p = r.walk(c, nil)
+		return
+	}
+	if *p == nil {
+		tag := TagNil
+		c.u16(&tag)
+		return
+	}
+	r := byType[reflect.TypeOf(*p)]
+	if r == nil {
+		c.unknownType(reflect.TypeOf(*p))
+		return
+	}
+	c.open(r)
+	r.walk(c, *p)
+}
+
+// AnyOf walks a field of interface type I: like Any, except that a decoded
+// value which does not implement I — nil included — is an error, however
+// well-formed its frame.
+func AnyOf[I any](c *Coder, p *I) {
+	v := any(*p)
+	c.Any(&v)
+	if c.mode != reading || c.err != nil {
+		return
+	}
+	x, ok := v.(I)
+	if !ok {
+		c.Fail("nested frame")
+	}
+	*p = x
+}
+
+// Alt is for a type registered under two tags, each a different body form:
+// when appending with *second set it retags the frame just opened as
+// second, and when reading it sets *second to whether the frame was opened
+// with that tag. It must be the layout's first call.
+func (c *Coder) Alt(tag uint16, second *bool) {
+	switch c.mode {
+	case appending:
+		if *second {
+			c.buf[c.tagAt], c.buf[c.tagAt+1] = byte(tag>>8), byte(tag)
+		}
+	case reading:
+		*second = c.tag == tag
+	}
+}
+
+// coders recycles Coders across the package's entry points: a layout is
+// reached through a function value, so a Coder on the caller's stack would
+// escape to the heap on every call.
+var coders = sync.Pool{New: func() any { return new(Coder) }}
+
+func newCoder(m mode, buf []byte) *Coder {
+	c := coders.Get().(*Coder)
+	*c = Coder{mode: m, buf: buf}
+	return c
+}
+
+// done returns the Coder to the pool and reports how the walk ended: the
+// bytes counted or consumed, the output buffer, and the latched error.
+func (c *Coder) done() (n int, out []byte, err error) {
+	n, out, err = c.n, c.buf, c.err
+	if c.mode == reading {
+		n = c.off
+	}
+	*c = Coder{}
+	coders.Put(c)
+	return n, out, err
+}
+
+// Size returns the exact encoded size of a value, tag included — the byte
+// count every Send declares. It is the value's layout in counting mode: no
+// allocation, no sorting. T is a registered type or an interface holding
+// one; an unregistered value (a test double that never crosses a real
+// transport), at top level or nested, counts as zero bytes.
+func Size[T any](v T) int {
+	c := newCoder(counting, nil)
+	if !field(c, &v) {
+		x := any(v)
+		c.Any(&x)
+	}
+	n, _, _ := c.done()
+	return n
+}
+
+// SizeHint is Size for a value of dynamic type, reporting an unregistered
+// one as ErrUnknownType.
+func SizeHint(v any) (int, error) {
+	c := newCoder(counting, nil)
+	c.Any(&v)
+	n, _, err := c.done()
+	return n, err
 }
 
 // AppendEncode appends the tagged encoding of a registered value to buf
 // and returns the extended slice. Exactly SizeHint(v) bytes are appended.
 func AppendEncode(buf []byte, v any) ([]byte, error) {
-	switch m := v.(type) {
-	case nil:
-		return binary.BigEndian.AppendUint16(buf, TagNil), nil
-	case *ledger.Tx:
-		buf = binary.BigEndian.AppendUint16(buf, TagTx)
-		return m.AppendEncode(buf), nil
-	case protocol.TxListMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagTxList)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.Attempt)))
-		var err error
-		if buf, err = appendTxs(buf, m.Txs); err != nil {
-			return nil, err
-		}
-		return appendBytes(buf, m.Sig), nil
-	case protocol.VoteMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagVote)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.Attempt)))
-		buf = appendNodeID(buf, m.Voter)
-		buf = appendVotes(buf, m.Votes)
-		return appendBytes(buf, m.Sig), nil
-	case protocol.IntraPayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagIntraPayload)
-		var err error
-		if buf, err = appendTxs(buf, m.Txs); err != nil {
-			return nil, err
-		}
-		buf = appendNodes(buf, m.Voters)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Votes)))
-		for _, v := range m.Votes {
-			buf = appendVotes(buf, v)
-		}
-		return buf, nil
-	case protocol.IntraResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagIntraResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		var err error
-		if buf, err = AppendEncode(buf, m.Result); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.SemiComMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagSemiCom)
-		return appendSemiComBody(buf, m)
-	case protocol.SemiComOKMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagSemiComOK)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.SemiComs)))
-		keys := make([]uint64, 0, len(m.SemiComs))
-		for k := range m.SemiComs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			d := m.SemiComs[k]
-			buf = binary.BigEndian.AppendUint64(buf, k)
-			buf = append(buf, d[:]...)
-		}
-		return buf, nil
-	case protocol.InterFwdMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagInterFwd)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		var err error
-		if buf, err = appendTxs(buf, m.Txs); err != nil {
-			return nil, err
-		}
-		if buf, err = AppendEncode(buf, m.Cert); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.InterResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagInterResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		return AppendEncode(buf, m.Result)
-	case protocol.InterQueryMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagInterQuery)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		return appendTxs(buf, m.Txs)
-	case protocol.InterPrefMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagInterPref)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		buf = binary.BigEndian.AppendUint64(buf, m.To)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Valid)))
-		for _, b := range m.Valid {
-			if b {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-		return buf, nil
-	case protocol.InterPayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagInterPayload)
-		buf = binary.BigEndian.AppendUint64(buf, m.From)
-		return appendTxs(buf, m.Txs)
-	case protocol.ScorePayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagScorePayload)
-		buf = appendNodes(buf, m.Members)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Scores)))
-		for _, s := range m.Scores {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s))
-		}
-		return buf, nil
-	case protocol.ScoreResultMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagScoreResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		var err error
-		if buf, err = AppendEncode(buf, m.Result); err != nil {
-			return nil, err
-		}
-		return appendNodes(buf, m.Members), nil
-	case protocol.RecoveryWitness:
-		buf = binary.BigEndian.AppendUint16(buf, TagRecoveryWitness)
-		return appendRecoveryWitnessBody(buf, m)
-	case protocol.AccuseMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagAccuse)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Accuser)
-		return AppendEncode(buf, m.Witness)
-	case protocol.ApproveMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagApprove)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Accuser)
-		buf = appendNodeID(buf, m.Voter)
-		return appendBytes(buf, m.Sig), nil
-	case protocol.EvictReqMsg:
-		// Two frame layouts, one per evidence form; both decode to the
-		// one struct.
-		tag := TagEvictReq
-		if m.Bitmap != nil {
-			tag = TagAggEvictReq
-		}
-		buf = binary.BigEndian.AppendUint16(buf, tag)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Accuser)
-		var err error
-		if buf, err = AppendEncode(buf, m.Witness); err != nil {
-			return nil, err
-		}
-		if m.Bitmap != nil {
-			buf = appendBytes(buf, m.Bitmap)
-			return appendBytes(buf, m.Proof), nil
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Approvals)))
-		for _, ap := range m.Approvals {
-			if buf, err = AppendEncode(buf, ap); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case protocol.EvictPayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagEvictPayload)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Evicted)
-		buf = appendNodeID(buf, m.Successor)
-		return AppendEncode(buf, m.Witness)
-	case protocol.NewLeaderMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagNewLeader)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = appendNodeID(buf, m.Evicted)
-		buf = appendNodeID(buf, m.Successor)
-		return appendNodeID(buf, m.Referee), nil
-	case protocol.PowMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagPow)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = appendNodeID(buf, m.Node)
-		return AppendEncode(buf, m.Solution)
-	case protocol.SemiComPayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagSemiComPayload)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		return AppendEncode(buf, m.Msg)
-	case *protocol.Block:
-		buf = binary.BigEndian.AppendUint16(buf, TagBlock)
-		return appendBlockBody(buf, m)
-	case protocol.BlockMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagBlockMsg)
-		if m.Block == nil {
-			return append(buf, 0), nil
-		}
-		buf = append(buf, 1)
-		return AppendEncode(buf, m.Block)
-	case protocol.UTXOFinalMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagUTXOFinal)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		buf = append(buf, m.Digest[:]...)
-		return AppendEncode(buf, m.Result)
-	case protocol.UTXOPayload:
-		buf = binary.BigEndian.AppendUint16(buf, TagUTXOPayload)
-		buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-		return append(buf, m.UTXO[:]...), nil
-	case consensus.Propose:
-		buf = binary.BigEndian.AppendUint16(buf, TagPropose)
-		return appendProposeBody(buf, m)
-	case consensus.Echo:
-		buf = binary.BigEndian.AppendUint16(buf, TagEcho)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.SN)
-		buf = append(buf, m.Digest[:]...)
-		buf = appendNodeID(buf, m.Echoer)
-		buf = appendBytes(buf, m.Sig)
-		return AppendEncode(buf, m.Propose)
-	case consensus.Confirm:
-		buf = binary.BigEndian.AppendUint16(buf, TagConfirm)
-		return appendConfirmBody(buf, m)
-	case consensus.Witness:
-		buf = binary.BigEndian.AppendUint16(buf, TagWitness)
-		var err error
-		if buf, err = AppendEncode(buf, m.A); err != nil {
-			return nil, err
-		}
-		return AppendEncode(buf, m.B)
-	case consensus.Result:
-		buf = binary.BigEndian.AppendUint16(buf, TagResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.SN)
-		buf = append(buf, m.Digest[:]...)
-		var err error
-		if buf, err = AppendEncode(buf, m.Payload); err != nil {
-			return nil, err
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Confirms)))
-		for _, c := range m.Confirms {
-			if buf, err = AppendEncode(buf, c); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case consensus.AggResult:
-		buf = binary.BigEndian.AppendUint16(buf, TagAggResult)
-		buf = binary.BigEndian.AppendUint64(buf, m.Round)
-		buf = binary.BigEndian.AppendUint64(buf, m.SN)
-		buf = append(buf, m.Digest[:]...)
-		var err error
-		if buf, err = AppendEncode(buf, m.Payload); err != nil {
-			return nil, err
-		}
-		buf = appendBytes(buf, m.Bitmap)
-		return appendBytes(buf, m.Proof), nil
-	case committee.JoinRequest:
-		buf = binary.BigEndian.AppendUint16(buf, TagJoinRequest)
-		return AppendEncode(buf, m.Rec)
-	case committee.MemListMsg:
-		buf = binary.BigEndian.AppendUint16(buf, TagMemList)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Records)))
-		var err error
-		for _, rec := range m.Records {
-			if buf, err = AppendEncode(buf, rec); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case committee.MemberRecord:
-		buf = binary.BigEndian.AppendUint16(buf, TagMemberRecord)
-		buf = appendNodeID(buf, m.Node)
-		buf = appendBytes(buf, m.PK)
-		buf = append(buf, m.Hash[:]...)
-		return appendBytes(buf, m.Proof), nil
-	case pow.Solution:
-		buf = binary.BigEndian.AppendUint16(buf, TagSolution)
-		buf = appendBytes(buf, m.PK)
-		return binary.BigEndian.AppendUint64(buf, m.Nonce), nil
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknownType, v)
+	c := newCoder(appending, buf)
+	c.Any(&v)
+	_, buf, err := c.done()
+	if err != nil {
+		return nil, err
 	}
+	return buf, nil
 }
 
 // Encode is the allocate-and-encode convenience over SizeHint +
@@ -520,169 +397,28 @@ func Encode(v any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := AppendEncode(make([]byte, 0, n), v)
+	return AppendEncode(make([]byte, 0, n), v)
+}
+
+// Decode parses one tagged message from the front of data, returning the
+// decoded value and the number of bytes consumed. The returned value has
+// the dynamic type the protocol layer's handlers assert on: value types
+// for messages, pointers for the two pointer-shaped payloads (transactions
+// and blocks), and untyped nil for TagNil.
+//
+// Buffers larger than MaxMessageSize are rejected outright; every length
+// and count prefix is validated against the remaining bytes before
+// allocation, so Decode never panics on arbitrary input.
+func Decode(data []byte) (any, int, error) {
+	if len(data) > MaxMessageSize {
+		return nil, 0, ErrTooLarge
+	}
+	c := newCoder(reading, data)
+	var v any
+	c.Any(&v)
+	n, _, err := c.done()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if len(buf) != n {
-		return nil, fmt.Errorf("wire: SizeHint %d != encoded %d for %T", n, len(buf), v)
-	}
-	return buf, nil
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendNodeID(buf []byte, id simnet.NodeID) []byte {
-	return binary.BigEndian.AppendUint32(buf, uint32(id))
-}
-
-func appendNodes(buf []byte, ids []simnet.NodeID) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = appendNodeID(buf, id)
-	}
-	return buf
-}
-
-func appendVotes(buf []byte, v reputation.VoteVector) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-	for _, x := range v {
-		buf = append(buf, byte(x+1))
-	}
-	return buf
-}
-
-func appendTxs(buf []byte, txs []*ledger.Tx) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(txs)))
-	var err error
-	for _, tx := range txs {
-		if buf, err = AppendEncode(buf, tx); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func appendSemiComBody(buf []byte, m protocol.SemiComMsg) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf, m.Round)
-	buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-	buf = append(buf, m.SemiCom[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Records)))
-	var err error
-	for _, rec := range m.Records {
-		if buf, err = AppendEncode(buf, rec); err != nil {
-			return nil, err
-		}
-	}
-	return appendBytes(buf, m.Sig), nil
-}
-
-func appendRecoveryWitnessBody(buf []byte, m protocol.RecoveryWitness) ([]byte, error) {
-	buf = appendString(buf, m.Kind)
-	buf = binary.BigEndian.AppendUint64(buf, m.Committee)
-	buf = appendString(buf, m.Phase)
-	var err error
-	if m.Equiv == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		if buf, err = AppendEncode(buf, *m.Equiv); err != nil {
-			return nil, err
-		}
-	}
-	if m.SemiCom == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		if buf, err = AppendEncode(buf, *m.SemiCom); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func appendProposeBody(buf []byte, m consensus.Propose) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf, m.Round)
-	buf = binary.BigEndian.AppendUint64(buf, m.SN)
-	buf = append(buf, m.Digest[:]...)
-	var err error
-	if buf, err = AppendEncode(buf, m.Payload); err != nil {
-		return nil, err
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.Size)))
-	buf = appendNodeID(buf, m.Leader)
-	return appendBytes(buf, m.Sig), nil
-}
-
-func appendConfirmBody(buf []byte, m consensus.Confirm) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf, m.Round)
-	buf = binary.BigEndian.AppendUint64(buf, m.SN)
-	buf = append(buf, m.Digest[:]...)
-	buf = appendNodeID(buf, m.Confirmer)
-	buf = appendBytes(buf, m.Sig)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.EchoSigs)))
-	ids := make([]simnet.NodeID, 0, len(m.EchoSigs))
-	for id := range m.EchoSigs {
-		ids = append(ids, id)
-	}
-	simnet.SortNodeIDs(ids)
-	for _, id := range ids {
-		buf = appendNodeID(buf, id)
-		buf = appendBytes(buf, m.EchoSigs[id])
-	}
-	return buf, nil
-}
-
-func appendBlockBody(buf []byte, b *protocol.Block) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf, b.Round)
-	var err error
-	if buf, err = appendTxs(buf, b.Txs); err != nil {
-		return nil, err
-	}
-	buf = binary.BigEndian.AppendUint64(buf, b.Fees)
-	buf = append(buf, b.Randomness[:]...)
-	buf = appendNodes(buf, b.NextReferee)
-	buf = appendNodes(buf, b.NextLeaders)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.NextPartials)))
-	for _, ps := range b.NextPartials {
-		buf = appendNodes(buf, ps)
-	}
-	buf = appendSortedFloatMap(buf, b.Reputations)
-	return appendSortedUintMap(buf, b.Rewards), nil
-}
-
-func appendSortedFloatMap(buf []byte, m map[string]float64) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m[k]))
-	}
-	return buf
-}
-
-func appendSortedUintMap(buf []byte, m map[string]uint64) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = binary.BigEndian.AppendUint64(buf, m[k])
-	}
-	return buf
+	return v, n, nil
 }

@@ -5,7 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"cycledger/internal/committee"
@@ -50,7 +56,7 @@ func samplePropose(sn uint64) consensus.Propose {
 		SN:      sn,
 		Digest:  digestOf("propose"),
 		Payload: payload,
-		Size:    payload.WireSize(),
+		Size:    wire.Size(payload),
 		Leader:  7,
 		Sig:     []byte("sig-propose"),
 	}
@@ -213,8 +219,8 @@ func sampleBlock() *protocol.Block {
 }
 
 // TestRoundTrip checks, for every registered type, the codec's core
-// contract: len(Encode(v)) == SizeHint(v) == v.WireSize(), Decode consumes
-// the whole buffer, the decoded value equals the original, and no strict
+// contract: len(Encode(v)) == SizeHint(v), Decode consumes the whole
+// buffer, the decoded value equals the original, and no strict
 // prefix of a valid encoding decodes (injective framing).
 func TestRoundTrip(t *testing.T) {
 	for i, v := range fixtures() {
@@ -230,9 +236,6 @@ func TestRoundTrip(t *testing.T) {
 			}
 			if len(enc) != hint {
 				t.Fatalf("encoded length %d != SizeHint %d", len(enc), hint)
-			}
-			if ws, ok := v.(interface{ WireSize() int }); ok && ws.WireSize() != hint {
-				t.Fatalf("WireSize %d != SizeHint %d", ws.WireSize(), hint)
 			}
 			dec, n, err := wire.Decode(enc)
 			if err != nil {
@@ -278,30 +281,88 @@ func TestCarrierSizesPinned(t *testing.T) {
 			}
 		}
 	}
-	if got := sampleEvictReq().WireSize(); got != 731 {
+	if got := wire.Size(sampleEvictReq()); got != 731 {
 		t.Errorf("per-voter EvictReqMsg: size %d, pinned 731", got)
 	}
-	if got := sampleAggEvictReq().WireSize(); got != 716 {
+	if got := wire.Size(sampleAggEvictReq()); got != 716 {
 		t.Errorf("aggregate EvictReqMsg: size %d, pinned 716", got)
 	}
 }
 
-// TestTagCoverage checks the fixture set exercises every tag the codec
-// knows, so a type added to the codec without a fixture fails loudly here.
-// The registered set is asked of the decoder itself — every tag whose bare
-// two-byte frame is not refused as ErrUnknownType — so retired numbers
-// (37–41) are not demanded and no second tag list needs maintaining.
+// declaredTags parses wire.go for the exported Tag* constants, so the test
+// holds the registry to the tag list a reader of the package sees, not to a
+// second list kept here.
+func declaredTags(t *testing.T) map[string]uint16 {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]uint16{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || !strings.HasPrefix(spec.Names[0].Name, "Tag") || len(spec.Values) != 1 {
+			return true
+		}
+		lit, ok := spec.Values[0].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("%s is not a literal", spec.Names[0].Name)
+		}
+		v, err := strconv.ParseUint(lit.Value, 10, 16)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Names[0].Name, err)
+		}
+		tags[spec.Names[0].Name] = uint16(v)
+		return true
+	})
+	return tags
+}
+
+// TestTagCoverage checks the registry is a bijection and the fixture set
+// exercises all of it: every exported Tag* constant except TagNil (which
+// frames the untyped nil and has no type) belongs to exactly one registered
+// layout, every layout has one tag (the eviction request, with its two
+// evidence forms, two), the retired numbers 37–41 are neither declared nor
+// decodable, the decoder knows exactly the declared tags, and every tag has
+// a fixture — so a type added without a row, a tag or a fixture fails
+// loudly here. It also holds the count mode to its contract on every
+// fixture: SizeHint equals the encoded length and allocates nothing.
 func TestTagCoverage(t *testing.T) {
-	want := map[uint16]bool{}
-	for tag := 0; tag <= 0xffff; tag++ {
-		_, _, err := wire.Decode([]byte{byte(tag >> 8), byte(tag)})
-		if !errors.Is(err, wire.ErrUnknownType) {
-			want[uint16(tag)] = false
+	declared := declaredTags(t)
+	if len(declared) < 30 {
+		t.Fatalf("parsed only %d Tag constants from wire.go", len(declared))
+	}
+	owner := map[uint16]string{}
+	for typ, tags := range wire.Registry() {
+		if want := 1 + strings.Count(typ, "EvictReqMsg"); len(tags) != want {
+			t.Errorf("%s is registered under %d tags, want %d", typ, len(tags), want)
+		}
+		for _, tag := range tags {
+			if prev, taken := owner[tag]; taken {
+				t.Errorf("tag %d belongs to both %s and %s", tag, prev, typ)
+			}
+			owner[tag] = typ
 		}
 	}
-	for tag := uint16(37); tag <= 41; tag++ {
-		if _, registered := want[tag]; registered {
-			t.Errorf("retired tag %d decodes again", tag)
+	want := map[uint16]bool{wire.TagNil: false}
+	for name, tag := range declared {
+		if tag >= 37 && tag <= 41 {
+			t.Errorf("%s reuses retired tag %d", name, tag)
+		}
+		if _, has := owner[tag]; !has && tag != wire.TagNil {
+			t.Errorf("%s (%d) has no registered layout", name, tag)
+		}
+		want[tag] = false
+	}
+	for tag, typ := range owner {
+		if _, ok := want[tag]; !ok {
+			t.Errorf("%s is registered under undeclared tag %d", typ, tag)
+		}
+	}
+	for tag := 0; tag <= 0xffff; tag++ {
+		_, _, err := wire.Decode([]byte{byte(tag >> 8), byte(tag)})
+		if _, known := want[uint16(tag)]; known == errors.Is(err, wire.ErrUnknownType) {
+			t.Errorf("tag %d: declared %v, but a bare frame decodes with %v", tag, known, err)
 		}
 	}
 	for _, v := range fixtures() {
@@ -314,6 +375,15 @@ func TestTagCoverage(t *testing.T) {
 			t.Fatalf("%T encodes to unregistered tag %d", v, tag)
 		}
 		want[tag] = true
+		if n, err := wire.SizeHint(v); err != nil || n != len(enc) {
+			t.Errorf("%T: SizeHint %d (%v), encoded length %d", v, n, err, len(enc))
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { wire.SizeHint(v) }); allocs != 0 {
+			t.Errorf("%T: SizeHint allocates %.0f times", v, allocs)
+		}
 	}
 	for tag, seen := range want {
 		if !seen {
@@ -444,4 +514,28 @@ func TestAppendEncodeAppends(t *testing.T) {
 	if !bytes.Equal(enc[len(prefix):], solo) {
 		t.Fatal("AppendEncode after a prefix differs from Encode")
 	}
+}
+
+// TestSizeAndEncodeOnlyRead sizes and encodes one set of values from
+// several goroutines at once. A message in flight is shared by every node it
+// was sent to, so counting and appending must never store through a field —
+// not even the value already there; under -race a write-back fails here.
+func TestSizeAndEncodeOnlyRead(t *testing.T) {
+	fx := fixtures()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range fx {
+				if _, err := wire.SizeHint(v); err != nil {
+					t.Errorf("SizeHint %T: %v", v, err)
+				}
+				if _, err := wire.Encode(v); err != nil {
+					t.Errorf("Encode %T: %v", v, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cycledger/sim"
 )
@@ -234,6 +236,35 @@ func TestSweepRunsAndAggregates(t *testing.T) {
 	}
 	if got, want := res.Cells[0].Metrics, Summarize(reports); got != want {
 		t.Errorf("rep 0 metrics diverge from single run: %+v vs %+v", got, want)
+	}
+}
+
+// TestSweepClosesLiveCells runs a small grid over the transport axis and
+// checks every live cell was closed on its way out: the goroutine count
+// returns to its pre-sweep baseline instead of keeping each cell's node
+// processes, link pumps and read loops until the process exits.
+func TestSweepClosesLiveCells(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := Grid{
+		Base:  testBase(t),
+		Axes:  []Axis{{Field: "transport", Values: []any{"sim", "live"}}},
+		Seeds: 2,
+	}
+	res, err := Runner{Workers: 2}.Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete() {
+		t.Fatalf("sweep incomplete: %d cells", len(res.Cells))
+	}
+	// Close returns once every goroutine has passed its last statement; the
+	// runtime may take a moment longer to retire them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: %d before the sweep, %d after", before, after)
 	}
 }
 
