@@ -2,6 +2,8 @@ package committee
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cycledger/internal/crypto"
@@ -142,27 +144,38 @@ func TestDirectoryMerge(t *testing.T) {
 	}
 }
 
-// configHarness runs Algorithm 2 for one committee over a simnet.
+// runConfig runs Algorithm 2 for one committee over a simnet; nodes 0 and 1
+// are key members (leader + one partial-set member).
 func runConfig(t *testing.T, nMembers int, seed int64) (map[simnet.NodeID]*ConfigNode, *simnet.Network) {
+	t.Helper()
+	return runConfigShared(t, nMembers, 2, seed, nil)
+}
+
+// runConfigShared is runConfig with nKeys key members and, when shared is
+// non-nil, every endpoint pointed at that one verified-proof set (which
+// must be for round 1 and randomness H("round-rand")).
+func runConfigShared(t *testing.T, nMembers, nKeys int, seed int64, shared *VerifiedSet) (map[simnet.NodeID]*ConfigNode, *simnet.Network) {
 	t.Helper()
 	const m = 1 // single committee context; VRF proofs still verified
 	rng := rand.New(rand.NewSource(seed))
 	r := crypto.HString("round-rand")
 	net := simnet.New(simnet.DefaultLatency(), seed)
 
-	// Nodes 0,1 are key members (leader + one partial-set member).
 	var keyRecs []MemberRecord
 	recs := make([]MemberRecord, nMembers)
 	for i := 0; i < nMembers; i++ {
 		rec, _, _ := record(rng, simnet.NodeID(i), 1, r, m)
 		recs[i] = rec
-		if i < 2 {
+		if i < nKeys {
 			keyRecs = append(keyRecs, rec)
 		}
 	}
 	nodes := make(map[simnet.NodeID]*ConfigNode)
 	for i := 0; i < nMembers; i++ {
-		cn := NewConfigNode(1, r, m, recs[i], i < 2, keyRecs)
+		cn := NewConfigNode(1, r, m, recs[i], i < nKeys, keyRecs)
+		if shared != nil {
+			cn.Verified = shared
+		}
 		nodes[recs[i].Node] = cn
 		id := recs[i].Node
 		net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {
@@ -226,5 +239,199 @@ func TestConfigComplexityScalesWithC(t *testing.T) {
 	ratio := large / small
 	if ratio < 2.5 || ratio > 6.5 {
 		t.Fatalf("message ratio %.1f for doubled committee, want ≈ 4", ratio)
+	}
+}
+
+func TestConfigVerifiesEachProofOnce(t *testing.T) {
+	// c = 16, λ = 3: four key members, twelve members holding a proof.
+	const c, keys = 16, 4
+	private, _ := runConfigShared(t, c, keys, 11, nil)
+	shared := NewVerifiedSet(1, crypto.HString("round-rand"))
+	nodes, _ := runConfigShared(t, c, keys, 11, shared)
+
+	// Every proof was shown to many endpoints and verified by one.
+	if got := shared.Len(); got != c-keys {
+		t.Fatalf("shared set performed %d verifications, want %d", got, c-keys)
+	}
+	// An endpoint on its own verifies each proof it is shown once, so it
+	// pays for at most one verification per peer, and a key member —
+	// which every joiner contacts — for exactly that.
+	total := 0
+	for id, cn := range private {
+		n := cn.Verified.Len()
+		total += n
+		if want := c - keys; int(id) < keys && n != want {
+			t.Fatalf("key member %d verified %d proofs, want %d", id, n, want)
+		}
+		if n > c-keys {
+			t.Fatalf("member %d verified %d proofs of %d", id, n, c-keys)
+		}
+	}
+	if total <= shared.Len() {
+		t.Fatalf("private sets verified %d proofs in total: nothing was shared", total)
+	}
+	// Sharing changes who pays, not what anyone learns.
+	for id, cn := range nodes {
+		if got, want := cn.S.Records(), private[id].S.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("member %d: directory differs between shared and private sets", id)
+		}
+	}
+}
+
+func TestVerifiedSetIsExact(t *testing.T) {
+	const m = 1
+	rng := rand.New(rand.NewSource(12))
+	r := crypto.HString("round-rand")
+	keyRec, _, _ := record(rng, 0, 1, r, m)
+	cn := NewConfigNode(1, r, m, keyRec, true, []MemberRecord{keyRec})
+	net := simnet.New(simnet.DefaultLatency(), 12)
+	net.Register(0, func(ctx *simnet.Context, msg simnet.Message) { cn.Handle(ctx, msg) })
+	present := func(rec MemberRecord) {
+		t.Helper()
+		net.Send(rec.Node, 0, TagMember, JoinRequest{Rec: rec}, 10)
+		net.RunUntilIdle()
+	}
+
+	valid, kp, _ := record(rng, 7, 1, r, m)
+	present(valid)
+	present(valid) // a hit, not a second entry
+	if !cn.S.Contains(7) || cn.Verified.Len() != 1 {
+		t.Fatalf("valid record: in directory %v, set holds %d", cn.S.Contains(7), cn.Verified.Len())
+	}
+	commitment := cn.S.SemiCommitment()
+
+	mutate := func(f func(*MemberRecord)) MemberRecord {
+		rec := valid
+		rec.PK = append(crypto.PublicKey(nil), valid.PK...)
+		rec.Proof = append([]byte(nil), valid.Proof...)
+		f(&rec)
+		return rec
+	}
+	otherRound := Sortition(kp, 2, r, m).Out
+	otherRand := Sortition(kp, 1, crypto.HString("other"), m).Out
+	forged := map[string]MemberRecord{
+		"proof bit flipped": mutate(func(rec *MemberRecord) { rec.Proof[17] ^= 0x04 }),
+		"another hash":      mutate(func(rec *MemberRecord) { rec.Hash[0] ^= 1 }),
+		"another round":     mutate(func(rec *MemberRecord) { rec.Hash, rec.Proof = otherRound.Hash, otherRound.Proof }),
+		"another randomness": mutate(func(rec *MemberRecord) {
+			rec.Hash, rec.Proof = otherRand.Hash, otherRand.Proof
+		}),
+		"another key": mutate(func(rec *MemberRecord) { rec.PK[3] ^= 0x80 }),
+		"short key":   mutate(func(rec *MemberRecord) { rec.PK = rec.PK[:31] }),
+		"no key":      mutate(func(rec *MemberRecord) { rec.PK = nil }),
+		"short proof": mutate(func(rec *MemberRecord) { rec.Proof = rec.Proof[:63] }),
+		"long proof":  mutate(func(rec *MemberRecord) { rec.Proof = append(rec.Proof, 0) }),
+		"no proof":    mutate(func(rec *MemberRecord) { rec.Proof = nil }),
+	}
+	for name, rec := range forged {
+		// Once under the accepted member's ID, once under a fresh one, and
+		// twice each: a rejection must not be remembered as anything.
+		for _, id := range []simnet.NodeID{7, 8, 7, 8} {
+			rec.Node = id
+			present(rec)
+		}
+		if cn.S.Contains(8) {
+			t.Fatalf("%s: forged record accepted", name)
+		}
+		if got := cn.S.Records()[1]; !reflect.DeepEqual(got, valid) {
+			t.Fatalf("%s: forged record replaced the verified one", name)
+		}
+		if cn.Verified.Len() != 1 {
+			t.Fatalf("%s: set holds %d records, want 1", name, cn.Verified.Len())
+		}
+	}
+	if cn.S.SemiCommitment() != commitment {
+		t.Fatal("forged records moved the semi-commitment")
+	}
+}
+
+// TestVerifiedSetConcurrent has several goroutines — simnet lanes or live
+// node goroutines in the engine — verify the same valid and forged records
+// through one set at once; run it under -race.
+func TestVerifiedSetConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	r := crypto.HString("round-rand")
+	set := NewVerifiedSet(1, r)
+	const valid = 6
+	recs := make([]MemberRecord, 2*valid)
+	for i := range recs {
+		recs[i], _, _ = record(rng, simnet.NodeID(i), 1, r, 1)
+		if i >= valid {
+			recs[i].Hash[0] ^= 1
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for i := range recs {
+					rec := recs[(i+g)%len(recs)]
+					if got, want := set.verify(rec), int(rec.Node) < valid; got != want {
+						t.Errorf("record %d: verify = %v, want %v", rec.Node, got, want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if set.Len() != valid {
+		t.Fatalf("set holds %d records, want the %d valid ones", set.Len(), valid)
+	}
+}
+
+func TestConfigRejectsKeyMemberImpersonation(t *testing.T) {
+	const m = 1
+	rng := rand.New(rand.NewSource(13))
+	r := crypto.HString("round-rand")
+	// Key members as the engine publishes them: ID and key, no proof.
+	keyRecs := make([]MemberRecord, 3)
+	for i := range keyRecs {
+		keyRecs[i] = MemberRecord{Node: simnet.NodeID(i), PK: crypto.GenerateKeyPair(rng).PK}
+	}
+	self, _, _ := record(rng, 5, 1, r, m)
+	key := NewConfigNode(1, r, m, keyRecs[1], true, keyRecs)
+	common := NewConfigNode(1, r, m, self, false, keyRecs)
+
+	net := simnet.New(simnet.DefaultLatency(), 13)
+	net.Register(1, func(ctx *simnet.Context, msg simnet.Message) { key.Handle(ctx, msg) })
+	net.Register(5, func(ctx *simnet.Context, msg simnet.Message) { common.Handle(ctx, msg) })
+	for _, id := range []simnet.NodeID{0, 2, 9} {
+		net.Register(id, func(*simnet.Context, simnet.Message) {})
+	}
+	// The honest exchange: the common member joins and learns the list.
+	net.After(5, 1, common.Start)
+	net.RunUntilIdle()
+	if key.S.Len() != 4 || common.S.Len() != 4 {
+		t.Fatalf("honest join: key member knows %d, common member %d, want 4 and 4", key.S.Len(), common.S.Len())
+	}
+	keyRecords, keyCommit := key.S.Records(), key.S.SemiCommitment()
+	commonRecords, commonCommit := common.S.Records(), common.S.SemiCommitment()
+
+	// The forgery: the leader's ID over the attacker's own key, with a
+	// sortition proof that is valid for that key.
+	forged, _, _ := record(rng, 0, 1, r, m)
+	net.Send(9, 1, TagConfig, JoinRequest{Rec: forged}, 10)
+	net.Send(9, 1, TagMember, JoinRequest{Rec: forged}, 10)
+	net.Send(9, 5, TagMember, JoinRequest{Rec: forged}, 10)
+	net.Send(9, 5, TagMemList, MemListMsg{Records: []MemberRecord{forged, keyRecs[1], keyRecs[2]}}, 10)
+	net.RunUntilIdle()
+
+	if !reflect.DeepEqual(key.S.Records(), keyRecords) || key.S.SemiCommitment() != keyCommit {
+		t.Fatal("key member: a forged record replaced the leader's published one")
+	}
+	if !reflect.DeepEqual(common.S.Records(), commonRecords) || common.S.SemiCommitment() != commonCommit {
+		t.Fatal("common member: a forged record replaced the leader's published one")
+	}
+
+	// A member that has not yet learned the list must not learn the
+	// forgery either, and still learns the honest records beside it.
+	fresh := NewConfigNode(1, r, m, self, false, keyRecs)
+	net.Register(5, func(ctx *simnet.Context, msg simnet.Message) { fresh.Handle(ctx, msg) })
+	net.Send(9, 5, TagMemList, MemListMsg{Records: []MemberRecord{forged, keyRecs[1]}}, 10)
+	net.RunUntilIdle()
+	if fresh.S.Contains(0) || !fresh.S.Contains(1) {
+		t.Fatalf("fresh member: holds forged leader %v, honest key member %v", fresh.S.Contains(0), fresh.S.Contains(1))
 	}
 }

@@ -65,6 +65,13 @@ type ConfigNode struct {
 
 	S *Directory
 
+	// Verified is where this endpoint looks a sortition record up before
+	// paying for its verification. NewConfigNode installs a private set, so
+	// a node verifies each record it is shown once; a process that runs
+	// many endpoints of one round may point them all at one set, which
+	// must have been built for the same (Round, Randomness).
+	Verified *VerifiedSet
+
 	// introduced tracks which members this node has announced itself to,
 	// so MEM_LIST unions do not trigger duplicate MEMBER messages.
 	introduced map[simnet.NodeID]bool
@@ -81,6 +88,7 @@ func NewConfigNode(round uint64, randomness crypto.Digest, m uint64, self Member
 		IsKey:      isKey,
 		KeyMembers: keyMembers,
 		S:          NewDirectory(),
+		Verified:   NewVerifiedSet(round, randomness),
 		introduced: make(map[simnet.NodeID]bool),
 	}
 	if isKey {
@@ -92,17 +100,18 @@ func NewConfigNode(round uint64, randomness crypto.Digest, m uint64, self Member
 	return cn
 }
 
-// verify checks a join certificate: the record must carry a valid
-// sortition proof for this committee context. Key-member records (listed
-// in the previous block) are trusted without proof.
-func (cn *ConfigNode) verify(rec MemberRecord) bool {
-	for _, km := range cn.KeyMembers {
-		if km.Node == rec.Node {
-			return true
+// verify checks a presented record and returns the record to keep. A key
+// member's must name the ID and public key published in the previous
+// block, and it is the published record that is kept — a presented copy
+// never replaces it. Anyone else's must carry a valid sortition proof for
+// this round's context.
+func (cn *ConfigNode) verify(rec MemberRecord) (MemberRecord, bool) {
+	for i := range cn.KeyMembers {
+		if km := &cn.KeyMembers[i]; km.Node == rec.Node {
+			return *km, km.PK.Equal(rec.PK)
 		}
 	}
-	out := crypto.VRFOutput{Hash: rec.Hash, Proof: rec.Proof}
-	return crypto.VRFVerify(rec.PK, crypto.SortitionInput(cn.Round, cn.Randomness), out) == nil
+	return rec, cn.Verified.verify(rec)
 }
 
 // Start kicks off participation: a non-key member sends its join request
@@ -127,14 +136,15 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		if !ok || !cn.IsKey {
 			return true
 		}
-		if !cn.verify(req.Rec) {
+		rec, ok := cn.verify(req.Rec)
+		if !ok {
 			return true
 		}
 		// Respond with the current list, then add the joiner
 		// (Algorithm 2: "responds the current list back, and adds").
 		resp := MemListMsg{Records: cn.S.Records()}
-		ctx.Send(req.Rec.Node, TagMemList, resp, wire.Size(resp))
-		cn.S.Add(req.Rec)
+		ctx.Send(rec.Node, TagMemList, resp, wire.Size(resp))
+		cn.S.Add(rec)
 	case TagMemList:
 		resp, ok := msg.Payload.(MemListMsg)
 		if !ok || cn.IsKey {
@@ -145,7 +155,8 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		intro := JoinRequest{Rec: cn.Self}
 		size := wire.Size(intro)
 		for _, rec := range resp.Records {
-			if !cn.verify(rec) {
+			rec, ok := cn.verify(rec)
+			if !ok {
 				continue
 			}
 			cn.S.Add(rec)
@@ -159,8 +170,8 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		if !ok {
 			return true
 		}
-		if cn.verify(req.Rec) {
-			cn.S.Add(req.Rec)
+		if rec, ok := cn.verify(req.Rec); ok {
+			cn.S.Add(rec)
 		}
 	default:
 		return false

@@ -90,7 +90,6 @@ func (n *Node) resetRound(r *Roster) {
 		n.curLeader = -1
 		n.committeeNodes = nil
 	}
-	n.cfg = nil
 	n.cons = make(map[simnet.NodeID]*consensus.Protocol)
 	n.leaderTxs = nil
 	n.txList = nil

@@ -40,7 +40,10 @@ func (e *Engine) phaseConfig() {
 		n.resetRound(e.roster)
 	}
 	// Build each committee's key-member records and install config
-	// endpoints.
+	// endpoints. They share one verified-proof set, so the engine verifies
+	// each sortition proof of the round once however many endpoints are
+	// shown it; the set dies with the endpoints when the phase ends.
+	verified := committee.NewVerifiedSet(e.round, e.roster.Randomness)
 	for k := uint64(0); k < e.roster.M; k++ {
 		keyRecs := make([]committee.MemberRecord, 0, 1+len(e.roster.Partials[k]))
 		for _, id := range e.roster.KeyMembers(k) {
@@ -56,6 +59,7 @@ func (e *Engine) phaseConfig() {
 				self.Proof = res.Out.Proof
 			}
 			n.cfg = committee.NewConfigNode(e.round, e.roster.Randomness, e.roster.M, self, isKey, keyRecs)
+			n.cfg.Verified = verified
 			if !isKey && !n.Behavior.Offline {
 				cn := n.cfg
 				e.Net.After(id, 1, func(ctx *simnet.Context) { cn.Start(ctx) })
@@ -63,14 +67,14 @@ func (e *Engine) phaseConfig() {
 		}
 	}
 	e.Net.RunUntilIdle()
-	// Key members adopt their assembled member lists (the S of §IV-B).
-	for k := uint64(0); k < e.roster.M; k++ {
-		for _, id := range e.roster.KeyMembers(k) {
-			n := e.nodes[id]
-			if n.cfg != nil {
-				n.localDirectory = n.cfg.S
-			}
+	// Key members adopt their assembled member lists (the S of §IV-B);
+	// nothing else of an endpoint is read again, so all are released here
+	// and not at the next round's reset.
+	for _, n := range e.nodes {
+		if n.cfg != nil && n.cfg.IsKey {
+			n.localDirectory = n.cfg.S
 		}
+		n.cfg = nil
 	}
 }
 

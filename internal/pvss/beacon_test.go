@@ -1,6 +1,7 @@
 package pvss
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -39,6 +40,12 @@ func TestBeaconDeterministicGivenSeed(t *testing.T) {
 	}
 	if a.Randomness != b.Randomness {
 		t.Fatal("same seed produced different randomness")
+	}
+	// Pinned from the build that still exponentiated with math/big: the
+	// comb table changed how the beacon computes, not what.
+	const pinned = "2563399f3d8e7de6e309376e762e9dbceb02137b5e4ebeee783b0244969622ff"
+	if got := fmt.Sprintf("%x", a.Randomness[:]); got != pinned {
+		t.Fatalf("seed 42 randomness = %s, want %s", got, pinned)
 	}
 	c, err := RunBeacon(g, honestMembers(4), rand.New(rand.NewSource(43)))
 	if err != nil {
@@ -131,6 +138,22 @@ func TestBeaconMixedAdversary(t *testing.T) {
 	}
 	if res.Randomness.IsZero() {
 		t.Fatal("zero randomness")
+	}
+
+	// The same adversary at the engine's beacon size, pinned from the
+	// math/big build: which dealer the share checks disqualify decides
+	// which secrets are folded in.
+	ms = honestMembers(9)
+	ms[1].Behavior = DealCorruptShares
+	ms[2].Behavior = DealAbort
+	res, err = RunBeacon(g, ms, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "ce0126873ba7e1b26be0acef556fa703942e6adbcde94a1a91332514d5f1e1c4"
+	if got := fmt.Sprintf("%x", res.Randomness[:]); got != pinned || len(res.Disqualified) != 1 || res.Reconstructed != 1 {
+		t.Fatalf("9 members, seed 42: randomness %s (want %s), disqualified %v, reconstructed %d",
+			got, pinned, res.Disqualified, res.Reconstructed)
 	}
 }
 
