@@ -120,7 +120,7 @@ func (cn *ConfigNode) Start(ctx *simnet.Context) {
 	if cn.IsKey {
 		return
 	}
-	req := JoinRequest{Rec: cn.Self}
+	var req any = JoinRequest{Rec: cn.Self} // boxed once, not per destination
 	size := wire.Size(req)
 	for _, km := range cn.KeyMembers {
 		ctx.Send(km.Node, TagConfig, req, size)
@@ -152,7 +152,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		}
 		// Union the list and introduce ourselves to members we have not
 		// contacted yet.
-		intro := JoinRequest{Rec: cn.Self}
+		var intro any = JoinRequest{Rec: cn.Self}
 		size := wire.Size(intro)
 		for _, rec := range resp.Records {
 			rec, ok := cn.verify(rec)

@@ -271,10 +271,11 @@ func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest,
 // broadcast and, on its own, the equivocation primitive of adversarial
 // leaders.
 func (p *Protocol) SendRaw(ctx *simnet.Context, prop Propose, to []simnet.NodeID) {
-	size := wire.Size(prop)
+	var payload any = prop // boxed once, not per destination
+	size := wire.Size(payload)
 	for _, id := range to {
 		if id != p.Self {
-			ctx.Send(id, TagPropose, prop, size)
+			ctx.Send(id, TagPropose, payload, size)
 		}
 	}
 }
@@ -358,14 +359,20 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	// ECHO to the whole committee, retransmitting the proposal.
 	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
 	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-	size := wire.Size(echo)
-	for _, id := range p.Committee {
-		if id != p.Self {
-			ctx.Send(id, TagEcho, echo, size)
-		}
-	}
+	p.castEcho(ctx, echo)
 	p.recordEcho(ctx, prop.SN, echo)
 	p.maybeConfirm(ctx, prop.SN)
+}
+
+// castEcho sends our ECHO to every other committee member.
+func (p *Protocol) castEcho(ctx *simnet.Context, echo Echo) {
+	var payload any = echo // boxed once, not per destination
+	size := wire.Size(payload)
+	for _, id := range p.Committee {
+		if id != p.Self {
+			ctx.Send(id, TagEcho, payload, size)
+		}
+	}
 }
 
 func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
@@ -393,12 +400,7 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 			// Echo ourselves now that we hold the proposal.
 			echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
 			mine := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-			size := wire.Size(mine)
-			for _, id := range p.Committee {
-				if id != p.Self {
-					ctx.Send(id, TagEcho, mine, size)
-				}
-			}
+			p.castEcho(ctx, mine)
 			p.recordEcho(ctx, prop.SN, mine)
 		}
 	}

@@ -164,7 +164,9 @@ func DecodeTx(buf []byte) (*Tx, int, error) {
 			off += 8
 		}
 	}
-	tx.ID()
+	// The bytes just parsed are the canonical encoding: hash them instead
+	// of re-encoding the transaction to hash it.
+	tx.id, tx.idSet = crypto.H([]byte(txDomain), buf[:off]), true
 	return tx, off, nil
 }
 
@@ -186,7 +188,7 @@ func errTruncated(what string) error { return decodeError(what) }
 // settles the cache at creation time, before a Tx is shared.
 func (tx *Tx) ID() TxID {
 	if !tx.idSet {
-		tx.id = crypto.H([]byte("cycledger/tx/v1"), tx.encode())
+		tx.id = crypto.H([]byte(txDomain), tx.encode())
 		tx.idSet = true
 	}
 	return tx.id
@@ -196,8 +198,12 @@ func (tx *Tx) ID() TxID {
 // (test fixtures; production code follows copy-on-mutate instead).
 func (tx *Tx) ResetID() { tx.idSet = false }
 
-// shardDomain is the domain-separation tag of the user→shard map.
-const shardDomain = "cycledger/shard/v1"
+// Domain-separation tags: the transaction hash (ID and DecodeTx) and the
+// user→shard map.
+const (
+	txDomain    = "cycledger/tx/v1"
+	shardDomain = "cycledger/shard/v1"
+)
 
 // ShardOf maps a user identity to its shard in [0, m). The per-user digest
 // is interned (see shardcache.go) and the reduction is limb arithmetic, so

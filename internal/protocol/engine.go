@@ -462,7 +462,7 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	if idx < 0 {
 		return
 	}
-	msg := BlockMsg{Block: blk}
+	var msg any = BlockMsg{Block: blk} // boxed once, not per destination
 	size := wire.Size(msg)
 	for k := idx; k < e.P.M; k += len(e.roster.Referee) {
 		ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)

@@ -26,13 +26,10 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 	}
 	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Records()}
 	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, msg.SigParts()...)
-	size := wire.Size(msg)
-	for _, rm := range n.eng.roster.Referee {
-		ctx.Send(rm, TagSemiCom, msg, size)
-	}
-	for _, pm := range n.eng.roster.Partials[n.comID] {
-		ctx.Send(pm, TagSemiCom, msg, size)
-	}
+	var payload any = msg // boxed once, not per destination
+	size := wire.Size(payload)
+	ctx.Broadcast(n.eng.roster.Referee, TagSemiCom, payload, size)
+	ctx.Broadcast(n.eng.roster.Partials[n.comID], TagSemiCom, payload, size)
 }
 
 // onSemiCom handles a leader's announcement, on both referee members and
@@ -515,51 +512,38 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(IntraPayload); ok {
 			n.intraDecided = &payload
 		}
-		msg := IntraResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := wire.Size(msg)
-		for _, rm := range n.eng.roster.Referee {
-			ctx.Send(rm, TagIntraResult, msg, size)
-		}
+		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		ctx.Broadcast(n.eng.roster.Referee, TagIntraResult, msg, wire.Size(msg))
 	case res.SN == snScore:
-		msg := ScoreResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := wire.Size(msg)
-		for _, rm := range n.eng.roster.Referee {
-			ctx.Send(rm, TagScoreResult, msg, size)
-		}
+		var msg any = ScoreResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		ctx.Broadcast(n.eng.roster.Referee, TagScoreResult, msg, wire.Size(msg))
 	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.eng.roster.M:
 		j := res.SN - snInterOutBase
 		payload, ok := res.Payload.(InterPayload)
 		if !ok {
 			return
 		}
-		fwd := InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		var fwd any = InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
 		size := wire.Size(fwd)
 		ctx.Send(n.eng.roster.Leaders[j], TagInterFwd, fwd, size)
-		for _, pm := range n.eng.roster.Partials[j] {
-			ctx.Send(pm, TagInterFwd, fwd, size)
-		}
+		ctx.Broadcast(n.eng.roster.Partials[j], TagInterFwd, fwd, size)
 	case res.SN >= snInterInBase && res.SN < snInterInBase+n.eng.roster.M:
 		i := res.SN - snInterInBase
 		if payload, ok := res.Payload.(InterPayload); ok {
 			n.interDecided[i] = &payload
 		}
-		msg := InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res, n.committeeNodes)}
+		var msg any = InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res, n.committeeNodes)}
 		size := wire.Size(msg)
 		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
-		for _, rm := range n.eng.roster.Referee {
-			ctx.Send(rm, TagInterResult, msg, size)
-		}
+		ctx.Broadcast(n.eng.roster.Referee, TagInterResult, msg, size)
 	case res.SN >= snSemiComBase && res.SN < snSemiComBase+n.eng.roster.M:
 		// C_R validated a commitment: announce to all key members
 		// (§IV-B step 2).
 		k := res.SN - snSemiComBase
 		if payload, ok := res.Payload.(SemiComPayload); ok {
 			n.validatedSemiComs[k] = payload.Msg.SemiCom
-			ok := SemiComOKMsg{Round: n.eng.round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
-			size := wire.Size(ok)
-			for _, id := range n.eng.roster.AllKeyMembers() {
-				ctx.Send(id, TagSemiComOK, ok, size)
-			}
+			var ok any = SemiComOKMsg{Round: n.eng.round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
+			ctx.Broadcast(n.eng.roster.AllKeyMembers(), TagSemiComOK, ok, wire.Size(ok))
 		}
 	case res.SN >= snEvictBase && res.SN < snBlock:
 		// Eviction instance (any generation — see proposeEviction): decided
@@ -570,11 +554,8 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		// propagation burden.
 	case res.SN == snUTXO:
 		if payload, ok := res.Payload.(UTXOPayload); ok {
-			msg := UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res, n.committeeNodes)}
-			size := wire.Size(msg)
-			for _, rm := range n.eng.roster.Referee {
-				ctx.Send(rm, TagUTXOFinal, msg, size)
-			}
+			var msg any = UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res, n.committeeNodes)}
+			ctx.Broadcast(n.eng.roster.Referee, TagUTXOFinal, msg, wire.Size(msg))
 		}
 	}
 }
@@ -589,11 +570,8 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 		evv := ev
 		n.crEvicted[ev.Committee] = &evv
 		// Every referee member notifies the committee (Algorithm 6).
-		msg := NewLeaderMsg{Round: n.eng.round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
-		size := wire.Size(msg)
-		for _, id := range n.eng.roster.Committee(ev.Committee) {
-			ctx.Send(id, TagNewLeader, msg, size)
-		}
+		var msg any = NewLeaderMsg{Round: n.eng.round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
+		ctx.Broadcast(n.eng.roster.Committee(ev.Committee), TagNewLeader, msg, wire.Size(msg))
 	case n.role == RoleReferee && sn == snBlock:
 		blk, ok := payload.(*Block)
 		if !ok {

@@ -335,7 +335,7 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 		if !entry.ok {
 			continue
 		}
-		msg := PowMsg{Round: e.round, Node: n.ID, Solution: entry.sol}
+		var msg any = PowMsg{Round: e.round, Node: n.ID, Solution: entry.sol}
 		size := wire.Size(msg)
 		for _, rm := range e.roster.Referee {
 			e.Net.Send(n.ID, rm, TagPow, msg, size)
@@ -574,7 +574,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		if server != nil {
 			rb := server.crBlock
 			e.Net.After(server.ID, 1, func(ctx *simnet.Context) {
-				msg := BlockMsg{Block: rb}
+				var msg any = BlockMsg{Block: rb}
 				size := wire.Size(msg)
 				for _, k := range affected {
 					ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)

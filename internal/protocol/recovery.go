@@ -59,10 +59,11 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	n.myAccusation = &msg
 	n.myApprovals = nil
 	n.escalated = false
-	size := wire.Size(msg)
+	var payload any = msg // boxed once, not per destination
+	size := wire.Size(payload)
 	for _, id := range n.committeeNodes {
 		if id != n.ID && id != n.curLeader {
-			ctx.Send(id, TagAccuse, msg, size)
+			ctx.Send(id, TagAccuse, payload, size)
 		}
 	}
 	// The accuser approves its own motion.
@@ -118,10 +119,8 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if req.Bitmap, req.Proof = n.foldApprovals(); req.Bitmap == nil {
 		req.Approvals = append([]ApproveMsg(nil), n.myApprovals...)
 	}
-	size := wire.Size(req)
-	for _, rm := range n.eng.roster.Referee {
-		ctx.Send(rm, TagEvictReq, req, size)
-	}
+	var payload any = req
+	ctx.Broadcast(n.eng.roster.Referee, TagEvictReq, payload, wire.Size(payload))
 }
 
 // foldApprovals is the aggregate-mode evidence for an escalation: the

@@ -2,7 +2,7 @@
 // behind a single interface with two implementations: the deterministic
 // discrete-event simulator (package simnet, wrapped by Sim) and a live
 // transport (Live) that runs every node as a real concurrent goroutine
-// exchanging codec-encoded bytes over per-link connections.
+// exchanging codec-encoded frames through per-node mailboxes.
 //
 // There is one scheduler: Live is Sim plus a payload carrier
 // (simnet.Carrier). The same *simnet.Network owns virtual time, the event
@@ -11,9 +11,9 @@
 // — produces identical virtual-time schedules, and therefore identical
 // RoundReports, byte for byte, on either. The live transport differs only
 // in mechanism: payloads cross node boundaries exclusively as serialised
-// frames (see frame.go) over Mesh links, shipped from the Network's
-// serial send drain and claimed by key at delivery, and handlers execute
-// on per-node goroutines.
+// frames (see frame.go), filed in the destination's mailbox from the
+// Network's serial send drain and claimed by key at delivery, and handlers
+// decode and execute on per-node goroutines.
 package transport
 
 import (
@@ -54,7 +54,7 @@ type Transport interface {
 	// SetSendAudit installs a hook observing every message at send time,
 	// before delays are drawn; nil removes it.
 	SetSendAudit(fn func(simnet.Message))
-	// Close releases transport resources (goroutines, links). The sim
+	// Close releases transport resources (node goroutines). The sim
 	// adapter has none and returns nil; a closed live transport must not
 	// be used again.
 	Close() error

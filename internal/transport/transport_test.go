@@ -109,7 +109,7 @@ func TestLiveMatchesSimnet(t *testing.T) {
 	lat := simnet.DefaultLatency()
 
 	sim := transport.NewSim(lat, seed)
-	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), lat, seed)
+	live := transport.NewLive(testCodec{}, lat, seed)
 	defer live.Close()
 
 	simCounts := runScenario(sim)
@@ -179,9 +179,9 @@ func snapshot(tr transport.Transport, counts [2]uint64) string {
 // iid loss, beyond-bound lag and a crash/rejoin window are applied by the
 // shared scheduler before the live transport's carrier sees a message, so
 // both transports must agree on every observable, late and dropped
-// traffic included — and once the run is idle no inbox may still hold a
-// payload, neither of a message that died at a down destination nor of any
-// other.
+// traffic included — and once the run is idle no mailbox may still hold a
+// frame, neither of a message that died at a down destination (Discard
+// drains what a crashed node never claims) nor of any other.
 func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	const seed = 42
 	lat := simnet.DefaultLatency()
@@ -200,7 +200,7 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	}{{"fault-free", none}, {"faulted", faulted}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := transport.NewSim(lat, seed)
-			live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), lat, seed)
+			live := transport.NewLive(testCodec{}, lat, seed)
 			defer live.Close()
 			simFaults := tc.faults()
 			if err := sim.SetFaults(simFaults); err != nil {
@@ -218,7 +218,7 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 				t.Errorf("fault model did not bite: late %+v dropped %+v", sim.Metrics().LateTotal(), sim.Metrics().DroppedTotal())
 			}
 			if n := live.Buffered(); n != 0 {
-				t.Errorf("%d payloads left in inboxes after the run", n)
+				t.Errorf("%d frames left in mailboxes after the run", n)
 			}
 		})
 	}
@@ -229,7 +229,7 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 // different pointer with equal contents, so the scheduler's event never
 // carried it.
 func TestLivePayloadIsolation(t *testing.T) {
-	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 1)
+	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
 	defer live.Close()
 	var got *note
 	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) { got = msg.Payload.(*note) })
@@ -250,7 +250,7 @@ func TestLivePayloadIsolation(t *testing.T) {
 // TestLiveSendAudit checks the audit hook observes live sends with the
 // declared size, before delivery.
 func TestLiveSendAudit(t *testing.T) {
-	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 1)
+	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
 	defer live.Close()
 	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
 	var seen []simnet.Message
@@ -265,7 +265,7 @@ func TestLiveSendAudit(t *testing.T) {
 // TestLiveCloseIdempotent checks Close twice is safe and leaves the
 // transport's accessors usable.
 func TestLiveCloseIdempotent(t *testing.T) {
-	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 1)
+	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
 	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
 	live.Register(1, func(ctx *simnet.Context, msg simnet.Message) {})
 	live.Send(0, 1, "PING", "x", 6)
@@ -281,30 +281,43 @@ func TestLiveCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestLiveCloseLeavesNoGoroutines checks Close waits for everything the
-// transport started — node processes, link pumps, read loops: after a
-// two-phase scenario the goroutine count is back at its pre-NewLive
-// baseline, and a second Close is still nil.
-func TestLiveCloseLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	live := transport.NewLive(testCodec{}, transport.NewPipeMesh(), simnet.DefaultLatency(), 42)
+// TestLiveOneGoroutinePerNode pins the transport's shape: it starts one
+// goroutine per registered node and nothing per link, message or round, so
+// after a two-phase scenario that has used nine directed links the count is
+// the pre-NewLive baseline plus the five nodes exactly — and
+// Close waits for all of them: the count is back at the baseline, and a
+// second Close is still nil.
+func TestLiveOneGoroutinePerNode(t *testing.T) {
+	before := settledGoroutines()
+	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 42)
 	runScenario(live)
-	if during := runtime.NumGoroutine(); during <= before {
-		t.Fatalf("scenario started no goroutines (%d before, %d during)", before, during)
+	if during := runtime.NumGoroutine(); during != before+5 {
+		t.Errorf("%d goroutines for 5 registered nodes (%d before NewLive, %d during)", during-before, before, during)
 	}
 	if err := live.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
-	// Close returns once every goroutine has passed its last statement; the
-	// runtime may take a moment longer to retire them.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
+	if after := settledGoroutines(); after != before {
 		t.Errorf("goroutines leaked: %d before NewLive, %d after Close", before, after)
 	}
 	if err := live.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 20 ms: goroutines that a Close already joined have passed their last
+// statement, but the runtime may take a moment longer to retire them, and
+// an exact count needs a baseline without them.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }

@@ -119,6 +119,16 @@ func FuzzDecodeTx(f *testing.F) {
 			t.Fatalf("DecodeTx consumed %d of %d bytes", n, len(data))
 		}
 		enc := tx.AppendEncode(nil)
+		// DecodeTx settles the ID from the bytes it parsed, so those bytes
+		// must be the canonical encoding and the ID the one a transaction
+		// built from the same fields hashes to.
+		if !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("DecodeTx accepted a non-canonical encoding\n in:  %x\n out: %x", data[:n], enc)
+		}
+		rebuilt := &ledger.Tx{Inputs: tx.Inputs, Outputs: tx.Outputs, Nonce: tx.Nonce}
+		if tx.ID() != rebuilt.ID() {
+			t.Fatalf("decoded ID %x differs from the rebuilt transaction's %x", tx.ID(), rebuilt.ID())
+		}
 		tx2, n2, err := ledger.DecodeTx(enc)
 		if err != nil || n2 != len(enc) {
 			t.Fatalf("re-encoded tx does not decode: n=%d err=%v", n2, err)

@@ -87,7 +87,7 @@ func WithPipeline(pipelined bool, parallelism int) Option {
 
 // WithTransport selects the network the engine runs over: "sim" (the
 // deterministic simulator, the default) or "live" (real concurrent node
-// processes exchanging wire-encoded bytes over in-memory links). Live runs
+// processes exchanging wire-encoded frames through mailboxes). Live runs
 // produce reports identical to sim runs, fault models included: both are
 // scheduled by the one simnet. Close the simulation after a live run to
 // tear the node processes down.

@@ -140,7 +140,7 @@ func (s *Sim) Run(ctx context.Context) ([]*RoundReport, error) {
 func (s *Sim) Reports() []*RoundReport { return s.eng.Reports() }
 
 // Close releases the simulation's transport. The simulator transport holds
-// no resources, but live runs keep node goroutines and links alive until
+// no resources, but live runs keep one goroutine per node alive until
 // closed, so callers using WithTransport("live") should defer Close.
 func (s *Sim) Close() error { return s.eng.Close() }
 

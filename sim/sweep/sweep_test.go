@@ -242,7 +242,7 @@ func TestSweepRunsAndAggregates(t *testing.T) {
 // TestSweepClosesLiveCells runs a small grid over the transport axis and
 // checks every live cell was closed on its way out: the goroutine count
 // returns to its pre-sweep baseline instead of keeping each cell's node
-// processes, link pumps and read loops until the process exits.
+// processes until the process exits.
 func TestSweepClosesLiveCells(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := Grid{

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"cycledger/sim"
 )
@@ -147,4 +149,50 @@ func TestTransportNameValidation(t *testing.T) {
 	if _, err := sim.Resolve(sim.WithTransport("live")); err != nil {
 		t.Errorf("live transport rejected by Resolve: %v", err)
 	}
+}
+
+// TestSimCloseLeavesNoGoroutines is the teardown contract at the facade: a
+// bare Sim on the live transport holds one goroutine per node — committees
+// reshuffle between the two rounds, and nothing is added per link used —
+// and Close joins them all, so the count is back at its pre-New baseline.
+// One simnet lane keeps the process-wide worker pool out of the count.
+func TestSimCloseLeavesNoGoroutines(t *testing.T) {
+	before := settledGoroutines()
+	s, err := sim.New(small(
+		sim.WithTransport("live"),
+		sim.WithPipeline(false, 1),
+		sim.WithRounds(2),
+	)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if during := runtime.NumGoroutine(); during != before+s.TotalNodes() {
+		t.Errorf("%d goroutines for %d nodes (%d before New, %d during)", during-before, s.TotalNodes(), before, during)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := settledGoroutines(); after != before {
+		t.Errorf("goroutines leaked: %d before New, %d after Close", before, after)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 20 ms: goroutines that a Close already joined have passed their last
+// statement, but the runtime may take a moment longer to retire them, and
+// an exact count needs a baseline without them.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
