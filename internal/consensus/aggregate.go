@@ -169,10 +169,7 @@ func (ar AggResult) layout(c *wire.Coder) AggResult {
 // or one already marked (dup), is handed to reject: a non-nil error aborts
 // the fold, nil skips the voter.
 func FoldVoters(scheme AggregateScheme, roster []simnet.NodeID, n int, voter func(k int) (simnet.NodeID, []byte), reject func(id simnet.NodeID, dup bool) error) (Bitmap, []byte, error) {
-	pos := make(map[simnet.NodeID]int, len(roster))
-	for i, id := range roster {
-		pos[id] = i
-	}
+	pos := rosterIndex(roster)
 	bm := NewBitmap(len(roster))
 	byPos := make([][]byte, len(roster))
 	for k := 0; k < n; k++ {

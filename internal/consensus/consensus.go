@@ -1,7 +1,10 @@
 package consensus
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -176,18 +179,81 @@ func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, p
 	return nil
 }
 
-// instance holds per-(round, sn) state on one node.
+// instance holds per-(round, sn) state on one node as a table indexed by
+// position in Protocol.Committee: a member's vote lives in its slot, so a
+// member votes once and a node outside the roster has no vote at all.
 type instance struct {
-	propose     *Propose
-	echoDigests map[simnet.NodeID]crypto.Digest
-	echoSigs    map[simnet.NodeID][]byte
+	propose *Propose // the adopted proposal
+	slots   []slot   // slots[i] belongs to Committee[i]
+	// votes counts the echoes filed for propose.Digest: kept as echoes
+	// arrive, recounted once when a proposal is adopted after them.
+	votes       int
 	confirmSent bool
-	// leader side
-	confirms map[simnet.NodeID]Confirm
+	// leader side: the confirms that count, in arrival order
+	confirms []Confirm
 	decided  bool
-	// equivocation evidence
-	seen        map[crypto.Digest]Propose
-	equivocated bool
+	// seen holds the first two distinct-digest proposals under the leader's
+	// signature, in arrival order. It can never usefully hold more: the
+	// second proves equivocation. Every entry was verified before it was
+	// stored (or signed here, on the leader), which is what lets leaderSigned
+	// recognise a retransmission of one by its bytes.
+	seen  [2]Propose
+	nseen int
+}
+
+// slot is one member's part in an instance.
+type slot struct {
+	echoed    bool
+	confirmed bool
+	digest    crypto.Digest // the digest the member echoed
+	sig       []byte        // its echo signature
+}
+
+// equivocated reports whether the leader signed two digests for this
+// instance.
+func (in *instance) equivocated() bool { return in.nseen == len(in.seen) }
+
+// adopt takes prop as the instance's proposal and counts the echoes that
+// arrived ahead of it.
+func (in *instance) adopt(prop Propose) {
+	in.propose = &prop
+	in.votes = 0
+	for i := range in.slots {
+		if s := &in.slots[i]; s.echoed && s.digest == prop.Digest {
+			in.votes++
+		}
+	}
+}
+
+// remember files a leader-signed proposal under its digest and reports
+// whether it is the second distinct digest — the one that completes an
+// equivocation witness. A digest already held, or a third one, changes
+// nothing.
+func (in *instance) remember(prop *Propose) bool {
+	for i := range in.seen[:in.nseen] {
+		if in.seen[i].Digest == prop.Digest {
+			return false
+		}
+	}
+	if in.equivocated() {
+		return false
+	}
+	in.seen[in.nseen] = *prop
+	in.nseen++
+	return in.equivocated()
+}
+
+// recordEcho files the echo of the member at roster position i, unless it
+// already has one.
+func (in *instance) recordEcho(i int, digest crypto.Digest, sig []byte) {
+	s := &in.slots[i]
+	if s.echoed {
+		return
+	}
+	s.echoed, s.digest, s.sig = true, digest, sig
+	if in.propose != nil && digest == in.propose.Digest {
+		in.votes++
+	}
 }
 
 // Protocol is one node's Algorithm 3 endpoint for a single committee and
@@ -218,23 +284,51 @@ type Protocol struct {
 	ValidatePayload func(sn uint64, payload any) bool
 
 	insts map[uint64]*instance
+	pos   map[simnet.NodeID]int // Committee's position index, built on first use
+	// The message being signed or verified and the one-element header the
+	// scheme is handed, reused across calls: schemes do not retain them.
+	sigBuf   []byte
+	sigParts [1][]byte
+}
+
+// rosterIndex maps every member of roster to its position in it.
+func rosterIndex(roster []simnet.NodeID) map[simnet.NodeID]int {
+	pos := make(map[simnet.NodeID]int, len(roster))
+	for i, id := range roster {
+		pos[id] = i
+	}
+	return pos
+}
+
+// position returns id's index in Committee. The index is derived on first
+// use, so that a Protocol built as a struct literal needs no constructor;
+// Committee must not change after that.
+func (p *Protocol) position(id simnet.NodeID) (int, bool) {
+	if p.pos == nil {
+		p.pos = rosterIndex(p.Committee)
+	}
+	i, ok := p.pos[id]
+	return i, ok
 }
 
 func (p *Protocol) inst(sn uint64) *instance {
+	if in := p.insts[sn]; in != nil {
+		return in
+	}
 	if p.insts == nil {
 		p.insts = make(map[uint64]*instance)
 	}
-	in := p.insts[sn]
-	if in == nil {
-		in = &instance{
-			echoDigests: make(map[simnet.NodeID]crypto.Digest),
-			echoSigs:    make(map[simnet.NodeID][]byte),
-			confirms:    make(map[simnet.NodeID]Confirm),
-			seen:        make(map[crypto.Digest]Propose),
-		}
-		p.insts[sn] = in
-	}
+	in := &instance{slots: make([]slot, len(p.Committee))}
+	p.insts[sn] = in
 	return in
+}
+
+// signed points the endpoint's scratch at the canonical signed message (see
+// sigMsg) and returns the parts to hand the scheme.
+func (p *Protocol) signed(tag string, round, sn uint64, digest crypto.Digest, withNode int32) [][]byte {
+	p.sigBuf = appendSigMsg(p.sigBuf[:0], tag, round, sn, digest, withNode)
+	p.sigParts[0] = p.sigBuf
+	return p.sigParts[:]
 }
 
 // payloadDigest binds the payload to the instance. Payloads carry their own
@@ -252,30 +346,32 @@ func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeI
 }
 
 // Propose starts an instance as the leader, broadcasting to every other
-// committee member.
+// committee member. A leader proposes once per sn; conflicting proposals
+// are an adversary's business and go through BuildPropose and SendRaw.
 func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, size int) {
 	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload, size)
 	in := p.inst(sn)
-	in.propose = &prop
-	in.seen[digest] = prop
+	in.adopt(prop)
+	in.remember(&prop)
 	p.SendRaw(ctx, prop, p.Committee)
 	// The leader implicitly echoes and confirms its own proposal.
-	p.recordEcho(ctx, sn, Echo{
-		Round: p.Round, SN: sn, Digest: digest, Echoer: p.Self,
-		Sig:     p.Scheme.Sign(p.Keys, sigMsg(TagEcho, p.Round, sn, digest, int32(p.Self))),
-		Propose: prop,
-	})
+	p.echoOwn(in, prop)
 }
 
 // SendRaw delivers a pre-built proposal to a subset of members: Propose's
 // broadcast and, on its own, the equivocation primitive of adversarial
 // leaders.
 func (p *Protocol) SendRaw(ctx *simnet.Context, prop Propose, to []simnet.NodeID) {
-	var payload any = prop // boxed once, not per destination
+	p.cast(ctx, TagPropose, prop, to)
+}
+
+// cast sends one message to every node of to but this one. The payload is
+// boxed once, by the call, not once per destination.
+func (p *Protocol) cast(ctx *simnet.Context, tag string, payload any, to []simnet.NodeID) {
 	size := wire.Size(payload)
 	for _, id := range to {
 		if id != p.Self {
-			ctx.Send(id, TagPropose, payload, size)
+			ctx.Send(id, tag, payload, size)
 		}
 	}
 }
@@ -308,134 +404,122 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 	return true
 }
 
-func (p *Protocol) checkEquivocation(ctx *simnet.Context, sn uint64, prop Propose) bool {
-	in := p.inst(sn)
-	if prior, ok := in.seen[prop.Digest]; ok {
-		_ = prior
-		return in.equivocated
-	}
-	in.seen[prop.Digest] = prop
-	if len(in.seen) > 1 && !in.equivocated {
-		// Two distinct digests signed by the leader: build the witness.
-		var a, b *Propose
-		for _, pr := range in.seen {
-			pr := pr
-			if a == nil {
-				a = &pr
-			} else if pr.Digest != a.Digest {
-				b = &pr
-				break
+// leaderSigned reports whether prop, already matched to this round and to
+// in's sequence number, carries the leader's signature. A retransmission —
+// digest and signature bytes equal to a proposal the instance holds — was
+// verified when that one was stored and is not verified again; anything
+// else goes to the scheme, and a failure is never remembered. in may be nil.
+func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
+	if in != nil {
+		for i := range in.seen[:in.nseen] {
+			if s := &in.seen[i]; s.Digest == prop.Digest && bytes.Equal(s.Sig, prop.Sig) {
+				return true
 			}
 		}
-		if a != nil && b != nil {
-			in.equivocated = true
-			if p.OnEquivocation != nil {
-				p.OnEquivocation(ctx, Witness{A: *a, B: *b})
-			}
-			return true
-		}
 	}
-	return in.equivocated
+	return p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, p.signed(TagPropose, prop.Round, prop.SN, prop.Digest, -1)...) == nil
+}
+
+// checkEquivocation files a leader-signed proposal and reports whether the
+// leader has equivocated on this instance, firing OnEquivocation when prop
+// is what proves it: the witness is {first digest seen, second}.
+func (p *Protocol) checkEquivocation(ctx *simnet.Context, in *instance, prop *Propose) bool {
+	if in.remember(prop) && p.OnEquivocation != nil {
+		p.OnEquivocation(ctx, Witness{A: in.seen[0], B: in.seen[1]})
+	}
+	return in.equivocated()
 }
 
 func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if prop.Round != p.Round || prop.Leader != p.Leader {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, sigMsg(TagPropose, prop.Round, prop.SN, prop.Digest, -1)) != nil {
+	in := p.insts[prop.SN]
+	if !p.leaderSigned(in, &prop) {
 		return
 	}
-	if p.checkEquivocation(ctx, prop.SN, prop) {
+	if in == nil {
+		in = p.inst(prop.SN)
+	}
+	if p.checkEquivocation(ctx, in, &prop) {
 		return // stop participating once the leader is caught
 	}
 	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
 		return
 	}
-	in := p.inst(prop.SN)
 	if in.propose != nil {
 		return // duplicate
 	}
-	in.propose = &prop
-	// ECHO to the whole committee, retransmitting the proposal.
-	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-	p.castEcho(ctx, echo)
-	p.recordEcho(ctx, prop.SN, echo)
-	p.maybeConfirm(ctx, prop.SN)
+	p.adoptAndEcho(ctx, in, prop)
+	p.maybeConfirm(ctx, prop.SN, in)
 }
 
-// castEcho sends our ECHO to every other committee member.
-func (p *Protocol) castEcho(ctx *simnet.Context, echo Echo) {
-	var payload any = echo // boxed once, not per destination
-	size := wire.Size(payload)
-	for _, id := range p.Committee {
-		if id != p.Self {
-			ctx.Send(id, TagEcho, payload, size)
-		}
+// adoptAndEcho takes prop as the instance's proposal and ECHOes it to the
+// whole committee, retransmitting the proposal.
+func (p *Protocol) adoptAndEcho(ctx *simnet.Context, in *instance, prop Propose) {
+	in.adopt(prop)
+	p.cast(ctx, TagEcho, p.echoOwn(in, prop), p.Committee)
+}
+
+// echoOwn signs this node's echo of prop and files it in its own slot.
+func (p *Protocol) echoOwn(in *instance, prop Propose) Echo {
+	sig := p.Scheme.Sign(p.Keys, p.signed(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self))...)
+	if i, member := p.position(p.Self); member {
+		in.recordEcho(i, prop.Digest, sig)
 	}
+	return Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: sig, Propose: prop}
 }
 
 func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	if e.Round != p.Round {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, sigMsg(TagEcho, e.Round, e.SN, e.Digest, int32(e.Echoer))) != nil {
+	i, member := p.position(e.Echoer)
+	if !member {
+		return // no slot, no vote: dropped before any signature work
+	}
+	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.signed(TagEcho, e.Round, e.SN, e.Digest, int32(e.Echoer))...) != nil {
 		return
 	}
+	in := p.inst(e.SN)
 	// Adopt/inspect the retransmitted proposal: it is leader-signed, so it
 	// both substitutes for a missed PROPOSE and feeds equivocation checks.
-	pmsg := sigMsg(TagPropose, e.Propose.Round, e.Propose.SN, e.Propose.Digest, -1)
-	if e.Propose.Round == p.Round && e.Propose.SN == e.SN &&
-		p.Scheme.Verify(p.PKOf(p.Leader), e.Propose.Sig, pmsg) == nil {
-		if p.checkEquivocation(ctx, e.SN, e.Propose) {
+	// ValidatePayload runs on every echo, memoised nowhere: a payload cannot
+	// be compared for equality, so skipping it could change which echoes a
+	// tampered retransmission loses.
+	if prop := &e.Propose; prop.Round == p.Round && prop.SN == e.SN && p.leaderSigned(in, prop) {
+		if p.checkEquivocation(ctx, in, prop) {
 			return
 		}
-		if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, e.Propose.Payload) {
+		if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, prop.Payload) {
 			return
 		}
-		in := p.inst(e.SN)
 		if in.propose == nil && p.Self != p.Leader {
-			prop := e.Propose
-			in.propose = &prop
 			// Echo ourselves now that we hold the proposal.
-			echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-			mine := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-			p.castEcho(ctx, mine)
-			p.recordEcho(ctx, prop.SN, mine)
+			p.adoptAndEcho(ctx, in, *prop)
 		}
 	}
-	p.recordEcho(ctx, e.SN, e)
-	p.maybeConfirm(ctx, e.SN)
+	in.recordEcho(i, e.Digest, e.Sig)
+	p.maybeConfirm(ctx, e.SN, in)
 }
 
-func (p *Protocol) recordEcho(ctx *simnet.Context, sn uint64, e Echo) {
-	in := p.inst(sn)
-	if _, dup := in.echoDigests[e.Echoer]; dup {
+func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {
+	if in.confirmSent || in.propose == nil || in.equivocated() {
 		return
 	}
-	in.echoDigests[e.Echoer] = e.Digest
-	in.echoSigs[e.Echoer] = e.Sig
-}
-
-func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
-	in := p.inst(sn)
-	if in.confirmSent || in.propose == nil || in.equivocated {
-		return
-	}
-	d := in.propose.Digest
-	votes := 0
-	echoSigs := make(map[simnet.NodeID][]byte)
-	for id, dig := range in.echoDigests {
-		if dig == d {
-			votes++
-			echoSigs[id] = in.echoSigs[id]
-		}
-	}
-	if !Majority(votes, len(p.Committee)) {
+	if !Majority(in.votes, len(p.Committee)) {
 		return
 	}
 	in.confirmSent = true
-	sig := p.Scheme.Sign(p.Keys, sigMsg(TagConfirm, p.Round, sn, d, int32(p.Self)))
+	d := in.propose.Digest
+	// The echo evidence is materialised once, here at quorum.
+	echoSigs := make(map[simnet.NodeID][]byte, in.votes)
+	for i := range in.slots {
+		if s := &in.slots[i]; s.echoed && s.digest == d {
+			echoSigs[p.Committee[i]] = s.sig
+		}
+	}
+	sig := p.Scheme.Sign(p.Keys, p.signed(TagConfirm, p.Round, sn, d, int32(p.Self))...)
 	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig, EchoSigs: echoSigs}
 	if p.OnAccept != nil {
 		p.OnAccept(ctx, sn, d, in.propose.Payload)
@@ -443,7 +527,8 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 	if p.Self == p.Leader {
 		p.onConfirm(ctx, conf)
 	} else {
-		ctx.Send(p.Leader, TagConfirm, conf, wire.Size(conf))
+		var payload any = conf
+		ctx.Send(p.Leader, TagConfirm, payload, wire.Size(payload))
 	}
 }
 
@@ -451,26 +536,29 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 	if p.Self != p.Leader || c.Round != p.Round {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, sigMsg(TagConfirm, c.Round, c.SN, c.Digest, int32(c.Confirmer))) != nil {
+	i, member := p.position(c.Confirmer)
+	if !member {
+		return // as for echoes: a node outside the roster has no vote
+	}
+	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, p.signed(TagConfirm, c.Round, c.SN, c.Digest, int32(c.Confirmer))...) != nil {
 		return
 	}
 	in := p.inst(c.SN)
 	if in.propose == nil || c.Digest != in.propose.Digest || in.decided {
 		return
 	}
-	if _, dup := in.confirms[c.Confirmer]; dup {
+	if in.slots[i].confirmed {
 		return
 	}
-	in.confirms[c.Confirmer] = c
+	in.slots[i].confirmed = true
+	in.confirms = append(in.confirms, c)
 	if !Majority(len(in.confirms), len(p.Committee)) {
 		return
 	}
 	in.decided = true
-	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload}
-	for _, conf := range in.confirms {
-		res.Confirms = append(res.Confirms, conf)
-	}
-	sortConfirms(res.Confirms)
+	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload, Confirms: in.confirms}
+	in.confirms = nil
+	slices.SortFunc(res.Confirms, func(a, b Confirm) int { return cmp.Compare(a.Confirmer, b.Confirmer) })
 	if p.OnDecide != nil {
 		p.OnDecide(ctx, res)
 	}
@@ -488,12 +576,4 @@ func (p *Protocol) HasProposal(sn uint64) bool {
 func (p *Protocol) Decided(sn uint64) bool {
 	in, ok := p.insts[sn]
 	return ok && in.decided
-}
-
-func sortConfirms(cs []Confirm) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Confirmer < cs[j-1].Confirmer; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }

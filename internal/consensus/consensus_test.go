@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -306,9 +307,9 @@ func TestValidatePayloadWithholdsEchoes(t *testing.T) {
 	}
 }
 
-func TestConfirmFromOutsiderIgnored(t *testing.T) {
-	// A forged CONFIRM from a non-member signature must not count toward
-	// the leader's quorum.
+func TestJunkSignedConfirmsIgnored(t *testing.T) {
+	// CONFIRMs naming members but carrying junk signatures must not count
+	// toward the leader's quorum.
 	h := newHarness(t, 5, Ed25519Scheme{}, 12)
 	// Only leader + one member online: no quorum possible honestly.
 	for _, id := range h.members[2:] {
@@ -318,13 +319,244 @@ func TestConfirmFromOutsiderIgnored(t *testing.T) {
 	if h.decided[h.leader] != nil {
 		t.Fatal("decided without quorum")
 	}
-	// Replay a captured confirm under a bogus signature.
 	forged := Confirm{Round: 1, SN: 1, Digest: crypto.HString("starved"), Confirmer: 3, Sig: []byte("junk")}
 	h.net.Send(3, h.leader, TagConfirm, forged, 10)
 	h.net.Send(4, h.leader, TagConfirm, forged, 10)
 	h.net.RunUntilIdle()
 	if h.decided[h.leader] != nil {
 		t.Fatal("forged confirms produced a decision")
+	}
+}
+
+// addOutsider gives the PKI a key for a node that is in no committee: what
+// it signs verifies, and must still count for nothing.
+func (h *harness) addOutsider(id simnet.NodeID) {
+	h.keys[id] = crypto.GenerateKeyPair(rand.New(rand.NewSource(int64(id))))
+}
+
+func TestConfirmFromOutsiderIgnored(t *testing.T) {
+	// A validly signed CONFIRM from a registered non-member reaches the
+	// leader while the honest confirms are still in flight. Folded into the
+	// Result it would make VerifyCert reject the honest leader's certificate.
+	h := newHarness(t, 5, Ed25519Scheme{}, 12)
+	const outsider = simnet.NodeID(9)
+	h.addOutsider(outsider)
+	d := crypto.HString("payload")
+	conf := Confirm{
+		Round: 1, SN: 1, Digest: d, Confirmer: outsider,
+		Sig: Ed25519Scheme{}.Sign(h.keys[outsider], sigMsg(TagConfirm, 1, 1, d, int32(outsider))),
+	}
+	// Tick 2: the leader proposed at tick 1 and no honest confirm can be
+	// back before two more hops.
+	h.net.After(h.leader, 2, func(ctx *simnet.Context) {
+		h.nodes[h.leader].Handle(ctx, simnet.Message{From: outsider, To: h.leader, Tag: TagConfirm, Payload: conf})
+	})
+	h.propose("payload")
+	res := h.decided[h.leader]
+	if res == nil {
+		t.Fatal("no decision")
+	}
+	for _, c := range res.Confirms {
+		if c.Confirmer == outsider {
+			t.Fatal("outsider's confirm folded into the certificate")
+		}
+	}
+	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
+	if err := VerifyCert(Ed25519Scheme{}, *res, h.members, pkOf); err != nil {
+		t.Fatalf("honest leader's certificate rejected: %v", err)
+	}
+}
+
+func TestEchoesFromOutsidersDoNotCount(t *testing.T) {
+	// Three of five members are down, so the two that remain cannot reach
+	// the echo quorum — and two validly signed ECHOes from registered
+	// non-members must not carry them over it.
+	h := newHarness(t, 5, Ed25519Scheme{}, 12)
+	for _, id := range h.members[2:] {
+		h.net.SetDown(id, true)
+	}
+	d := h.propose("starved")
+	lp := h.nodes[h.leader]
+	prop := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, d, "starved", len("starved"))
+	for _, outsider := range []simnet.NodeID{8, 9} {
+		h.addOutsider(outsider)
+		echo := Echo{
+			Round: 1, SN: 1, Digest: d, Echoer: outsider, Propose: prop,
+			Sig: Ed25519Scheme{}.Sign(h.keys[outsider], sigMsg(TagEcho, 1, 1, d, int32(outsider))),
+		}
+		for _, to := range h.members[:2] {
+			h.net.Send(outsider, to, TagEcho, echo, 10)
+		}
+	}
+	h.net.RunUntilIdle()
+	for _, id := range h.members[:2] {
+		if _, ok := h.accepted[id]; ok {
+			t.Fatalf("node %d confirmed on outsiders' echoes", id)
+		}
+	}
+	if h.decided[h.leader] != nil {
+		t.Fatal("leader decided on outsiders' echoes")
+	}
+}
+
+func TestEquivocationWitnessDeterministic(t *testing.T) {
+	// TestEquivocatingLeaderDetected's scenario, fifty times over: the run is
+	// byte-deterministic, so every member must build the same witness every
+	// time — A the first digest it saw, B the second — not whichever a map
+	// iteration happened to yield first.
+	dA, dB := crypto.HString("version-A"), crypto.HString("version-B")
+	var first map[simnet.NodeID]Witness
+	for run := 0; run < 50; run++ {
+		h := newHarness(t, 6, Ed25519Scheme{}, 4)
+		h.net.After(h.leader, 1, func(ctx *simnet.Context) {
+			p := h.nodes[h.leader]
+			propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, nil, 9)
+			propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, nil, 9)
+			p.SendRaw(ctx, propA, h.members[1:4])
+			p.SendRaw(ctx, propB, h.members[4:])
+		})
+		h.net.RunUntilIdle()
+		got := make(map[simnet.NodeID]Witness)
+		for id, w := range h.witness {
+			got[id] = *w
+			if !w.Valid(Ed25519Scheme{}, h.keys[h.leader].PK) {
+				t.Fatalf("run %d: member %d built an invalid witness", run, id)
+			}
+		}
+		if len(got) == 0 {
+			t.Fatal("equivocation went undetected")
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		if len(got) != len(first) {
+			t.Fatalf("run %d: %d witnesses, run 0 had %d", run, len(got), len(first))
+		}
+		for id, w := range got {
+			if w0 := first[id]; w.A.Digest != w0.A.Digest || w.B.Digest != w0.B.Digest {
+				t.Fatalf("run %d: member %d's witness is (%x, %x), run 0's was (%x, %x)", run, id,
+					w.A.Digest[:4], w.B.Digest[:4], w0.A.Digest[:4], w0.B.Digest[:4])
+			}
+		}
+	}
+	// And A is the first seen: one endpoint, shown the two in either order.
+	for _, order := range [][2]crypto.Digest{{dA, dB}, {dB, dA}} {
+		h := newHarness(t, 6, Ed25519Scheme{}, 4)
+		p, member := h.nodes[h.leader], h.members[1]
+		h.net.After(member, 1, func(ctx *simnet.Context) {
+			for _, d := range order {
+				prop := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, d, nil, 9)
+				h.nodes[member].Handle(ctx, simnet.Message{From: h.leader, To: member, Tag: TagPropose, Payload: prop})
+			}
+		})
+		h.net.RunUntilIdle()
+		w := h.witness[member]
+		if w == nil || w.A.Digest != order[0] || w.B.Digest != order[1] {
+			t.Fatalf("witness %+v does not list the proposals in the order they were seen", w)
+		}
+	}
+}
+
+// countingScheme counts Verify calls on proposals under one key.
+type countingScheme struct {
+	SignatureScheme
+	pk       crypto.PublicKey
+	proposes map[string]int // (message ‖ signature) → verifications
+}
+
+func (s *countingScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
+	if pk.Equal(s.pk) && len(parts) == 1 && bytes.HasPrefix(parts[0], []byte(TagPropose)) {
+		s.proposes[string(parts[0])+string(sig)]++
+	}
+	return s.SignatureScheme.Verify(pk, sig, parts...)
+}
+
+// countProposalVerifies wraps every endpoint's scheme in a countingScheme
+// watching the leader's key.
+func (h *harness) countProposalVerifies() map[simnet.NodeID]*countingScheme {
+	counts := make(map[simnet.NodeID]*countingScheme)
+	for id, p := range h.nodes {
+		counts[id] = &countingScheme{SignatureScheme: p.Scheme, pk: h.keys[h.leader].PK, proposes: make(map[string]int)}
+		p.Scheme = counts[id]
+	}
+	return counts
+}
+
+func TestLeaderSignatureVerifiedOncePerEndpoint(t *testing.T) {
+	// Every echo retransmits the leader's signed proposal. An endpoint
+	// verifies the leader's signature once per distinct (digest, signature)
+	// it is shown for an instance — not once per echo, which at c = 48 is 47
+	// times.
+	check := func(counts map[simnet.NodeID]*countingScheme, distinct func(id simnet.NodeID, n int) bool) {
+		t.Helper()
+		for id, cs := range counts {
+			if !distinct(id, len(cs.proposes)) {
+				t.Fatalf("node %d verified %d distinct proposals", id, len(cs.proposes))
+			}
+			for _, n := range cs.proposes {
+				if n != 1 {
+					t.Fatalf("node %d verified one proposal %d times", id, n)
+				}
+			}
+		}
+	}
+
+	h := newHarness(t, 48, HashScheme{}, 21)
+	counts := h.countProposalVerifies()
+	d := h.propose("once")
+	if res := h.decided[h.leader]; res == nil || res.Digest != d {
+		t.Fatal("no decision")
+	}
+	check(counts, func(id simnet.NodeID, n int) bool {
+		if id == h.leader {
+			return n == 0 // it signed the proposal itself
+		}
+		return n == 1
+	})
+
+	// An equivocating leader: two (digest, signature) pairs, at most two
+	// verifications at an endpoint, one each.
+	h = newHarness(t, 48, HashScheme{}, 22)
+	counts = h.countProposalVerifies()
+	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
+		p := h.nodes[h.leader]
+		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("A"), nil, 0), h.members[1:24])
+		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("B"), nil, 0), h.members[24:])
+	})
+	h.net.RunUntilIdle()
+	if len(h.witness) == 0 {
+		t.Fatal("equivocation went undetected")
+	}
+	check(counts, func(_ simnet.NodeID, n int) bool { return n <= 2 })
+}
+
+func TestInstanceAllocCeiling(t *testing.T) {
+	// One decided c = 16 HashScheme instance on a bare simnet with a nil
+	// payload — the shape of bench's consensus.instance_allocs cell — across
+	// all sixteen endpoints. The map-based instance read 1,735 here and the
+	// table reads about 260; the ceiling leaves room for the simnet's and the
+	// codec's pools, not for a map per instance.
+	const ceiling = 450
+	h := newHarness(t, 16, HashScheme{}, 31)
+	for _, p := range h.nodes {
+		p.OnAccept, p.OnEquivocation = nil, nil
+	}
+	sn := uint64(0)
+	instance := func() {
+		sn++
+		d := crypto.H([]byte("alloc"), []byte{byte(sn)})
+		h.net.After(h.leader, 1, func(ctx *simnet.Context) { h.nodes[h.leader].Propose(ctx, sn, d, nil, 0) })
+		h.net.RunUntilIdle()
+	}
+	instance() // warm the simnet's pools and every endpoint's index and scratch
+	allocs := testing.AllocsPerRun(20, instance)
+	if res := h.decided[h.leader]; res == nil || res.SN != sn {
+		t.Fatalf("instance %d did not decide", sn)
+	}
+	t.Logf("%.0f allocations per decided c=16 instance", allocs)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per instance, ceiling %d", allocs, ceiling)
 	}
 }
 

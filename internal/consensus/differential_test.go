@@ -1,0 +1,416 @@
+package consensus
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"cycledger/internal/crypto"
+	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
+)
+
+// The differential tests drive one Algorithm 3 endpoint and the map-based
+// oracle (oracle_test.go) through the same schedule of proposals, echoes and
+// confirms, and require every effect to match: each send (destination, tag,
+// declared size, encoded bytes), OnAccept, OnDecide's Result bytes,
+// OnEquivocation (witness as the set {A, B}), HasProposal and Decided.
+
+// endpoint is what the schedule drives: *Protocol and *oracleProtocol.
+type endpoint interface {
+	Handle(ctx *simnet.Context, msg simnet.Message) bool
+	Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, size int)
+	HasProposal(sn uint64) bool
+	Decided(sn uint64) bool
+}
+
+// malleable wraps a scheme so that a signature has a second valid encoding,
+// sig ‖ 0xA5. Neither shipped scheme has one, and without it "a retransmitted
+// proposal whose signature bytes differ from the verified one" could only
+// ever be an invalid proposal.
+type malleable struct{ SignatureScheme }
+
+func (m malleable) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
+	if n := len(sig); n > 0 && sig[n-1] == 0xA5 && m.SignatureScheme.Verify(pk, sig[:n-1], parts...) == nil {
+		return nil
+	}
+	return m.SignatureScheme.Verify(pk, sig, parts...)
+}
+
+// world is the part of a schedule's configuration both endpoints share.
+type world struct {
+	scheme    SignatureScheme
+	committee []simnet.NodeID // deliberately not in ID order
+	keys      map[simnet.NodeID]crypto.KeyPair
+	self      simnet.NodeID
+	leader    simnet.NodeID
+}
+
+const (
+	diffRound   = 5
+	staleRound  = 99
+	foreignSkew = 7 // an embedded proposal "for another instance" is for sn+7
+)
+
+// diffSizes are the committee sizes a schedule's first byte chooses from.
+var diffSizes = []int{4, 7, 16}
+
+// diffSNs are the sequence numbers whose HasProposal/Decided are compared.
+var diffSNs = []uint64{1, 2, 1 + foreignSkew, 2 + foreignSkew}
+
+var diffDigests = [3]crypto.Digest{crypto.HString("d0"), crypto.HString("d1"), crypto.HString("d2")}
+
+// diffPayloads are registered wire values (a proposal must encode); the
+// last one is what ValidatePayload rejects.
+var diffPayloads = [3]any{nil, Confirm{SN: 1}, Confirm{SN: 2}}
+
+func diffValidate(_ uint64, payload any) bool {
+	c, ok := payload.(Confirm)
+	return !ok || c.SN != 2
+}
+
+func newWorld(c int, ed25519, leaderSide bool, selfPos int) *world {
+	w := &world{keys: make(map[simnet.NodeID]crypto.KeyPair)}
+	if ed25519 {
+		w.scheme = malleable{Ed25519Scheme{}}
+	} else {
+		w.scheme = malleable{HashScheme{}}
+	}
+	rng := rand.New(rand.NewSource(int64(c)))
+	for i := 0; i < c; i++ {
+		id := simnet.NodeID((i*11 + 5) % 37) // distinct for c ≤ 37, unsorted
+		w.committee = append(w.committee, id)
+		w.keys[id] = crypto.GenerateKeyPair(rng)
+	}
+	w.leader = w.committee[2%c]
+	w.self = w.committee[selfPos%c]
+	if leaderSide {
+		w.self = w.leader
+	}
+	return w
+}
+
+// rig is one endpoint on a network of its own, with every effect logged.
+type rig struct {
+	net *simnet.Network
+	ep  endpoint
+	log []string
+}
+
+func enc(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := wire.AppendEncode(nil, v)
+	if err != nil {
+		t.Fatalf("encoding %T: %v", v, err)
+	}
+	return b
+}
+
+func newRig(t testing.TB, w *world, oracle bool) *rig {
+	r := &rig{net: simnet.New(simnet.DefaultLatency(), 1)}
+	onDecide := func(_ *simnet.Context, res Result) {
+		r.log = append(r.log, fmt.Sprintf("decide %x", enc(t, res)))
+	}
+	onAccept := func(_ *simnet.Context, sn uint64, d crypto.Digest, payload any) {
+		r.log = append(r.log, fmt.Sprintf("accept sn=%d %x %x", sn, d[:4], enc(t, payload)))
+	}
+	onEquivocation := func(_ *simnet.Context, wit Witness) {
+		ab := [][]byte{enc(t, wit.A), enc(t, wit.B)}
+		slices.SortFunc(ab, bytes.Compare)
+		r.log = append(r.log, fmt.Sprintf("equivocation %x %x", ab[0], ab[1]))
+	}
+	pkOf := func(id simnet.NodeID) crypto.PublicKey { return w.keys[id].PK }
+	if oracle {
+		r.ep = &oracleProtocol{
+			Round: diffRound, Self: w.self, Leader: w.leader, Committee: w.committee,
+			Keys: w.keys[w.self], PKOf: pkOf, Scheme: w.scheme,
+			OnDecide: onDecide, OnAccept: onAccept, OnEquivocation: onEquivocation, ValidatePayload: diffValidate,
+		}
+	} else {
+		r.ep = &Protocol{
+			Round: diffRound, Self: w.self, Leader: w.leader, Committee: w.committee,
+			Keys: w.keys[w.self], PKOf: pkOf, Scheme: w.scheme,
+			OnDecide: onDecide, OnAccept: onAccept, OnEquivocation: onEquivocation, ValidatePayload: diffValidate,
+		}
+	}
+	r.net.Register(w.self, func(ctx *simnet.Context, msg simnet.Message) { r.ep.Handle(ctx, msg) })
+	// An endpoint never sends to itself, which tells its sends from the
+	// schedule's injected deliveries (whose sender may be its own ID).
+	r.net.SetSendAudit(func(m simnet.Message) {
+		if m.From == w.self && m.To != w.self {
+			r.log = append(r.log, fmt.Sprintf("send to=%d %s size=%d %x", m.To, m.Tag, m.Size, enc(t, m.Payload)))
+		}
+	})
+	return r
+}
+
+// step is one schedule entry, six bytes wide. The zero value of every field
+// is the honest choice, so an all-zero tail is an honest message.
+type step struct{ op, who, dig, sig, where, pay byte }
+
+const stepBytes = 6
+
+const (
+	opEcho = iota
+	opPropose
+	opConfirm
+	opLocalPropose
+	opEchoAgain // echoes are most of a real instance's traffic
+	numOps
+)
+
+func (s step) String() string {
+	return fmt.Sprintf("{op=%d who=%d dig=%#x sig=%#x where=%#x pay=%d}", s.op%numOps, s.who, s.dig, s.sig, s.where, s.pay%3)
+}
+
+// sign signs msg under kp, then spoils or re-encodes the signature:
+// variant 1 is invalid, 2 the malleable scheme's second valid encoding.
+func (w *world) sign(kp crypto.KeyPair, variant byte, msg []byte) []byte {
+	sig := w.scheme.Sign(kp, msg)
+	switch variant % 4 {
+	case 1:
+		sig = append([]byte(nil), sig...)
+		sig[0] ^= 0x80
+	case 2:
+		sig = append(append([]byte(nil), sig...), 0xA5)
+	}
+	return sig
+}
+
+// rarely returns odd when v's two low bits are both set — one schedule byte
+// in four — and usual otherwise.
+func rarely(v byte, odd, usual uint64) uint64 {
+	if v&3 == 3 {
+		return odd
+	}
+	return usual
+}
+
+// digestOf maps two schedule bits to one of the three digests in play.
+func digestOf(v byte) crypto.Digest { return diffDigests[v&3%3] }
+
+// proposal forges a leader proposal from the step's fields at the given bit
+// offsets (a direct PROPOSE and an echo's embedded one read different bits).
+func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits uint) Propose {
+	round := rarely(s.where>>roundBits, staleRound, diffRound)
+	sn = rarely(s.where>>snBits, sn+foreignSkew, sn)
+	d := digestOf(s.dig >> digBits)
+	leader := w.leader
+	if s.where&0x80 != 0 {
+		leader = w.committee[0] // a wrong Leader field; the signature is still the leader's
+	}
+	return Propose{
+		Round: round, SN: sn, Digest: d, Payload: diffPayloads[s.pay%3], Size: int(s.pay % 3), Leader: leader,
+		Sig: w.sign(w.keys[w.leader], s.sig>>sigBits, sigMsg(TagPropose, round, sn, d, -1)),
+	}
+}
+
+// schedule runs steps on both rigs and fails at the first divergence.
+type schedule struct {
+	t        testing.TB
+	w        *world
+	rigs     [2]*rig // the table, the oracle
+	proposed map[uint64]bool
+	shown    map[uint64]bool // sns for which the endpoint was shown a validly signed proposal
+}
+
+func (sc *schedule) each(f func(r *rig)) {
+	for _, r := range sc.rigs {
+		f(r)
+		r.net.RunUntilIdle()
+	}
+}
+
+func (sc *schedule) run(s step) {
+	w := sc.w
+	sn := uint64(1 + s.where&1)
+	from := w.committee[int(s.who)%len(w.committee)]
+	round := rarely(s.where>>1, staleRound, diffRound)
+	d := digestOf(s.dig)
+	deliver := func(tag string, payload any) {
+		sc.each(func(r *rig) { r.net.Send(from, w.self, tag, payload, 0) })
+	}
+	switch s.op % numOps {
+	case opEcho, opEchoAgain:
+		prop := w.proposal(s, sn, 2, 2, 3, 5)
+		sc.note(prop, s.sig>>2)
+		deliver(TagEcho, Echo{
+			Round: round, SN: sn, Digest: d, Echoer: from, Propose: prop,
+			Sig: w.sign(w.keys[from], s.sig, sigMsg(TagEcho, round, sn, d, int32(from))),
+		})
+	case opPropose:
+		// A direct PROPOSE has no enclosing echo to disagree with: its
+		// round and sn are the message's own.
+		prop := w.proposal(s, sn, 0, 0, 3, 1)
+		sc.note(prop, s.sig)
+		from = w.leader
+		deliver(TagPropose, prop)
+	case opConfirm:
+		deliver(TagConfirm, Confirm{
+			Round: round, SN: sn, Digest: d, Confirmer: from,
+			Sig:      w.sign(w.keys[from], s.sig, sigMsg(TagConfirm, round, sn, d, int32(from))),
+			EchoSigs: map[simnet.NodeID][]byte{from: {s.pay}},
+		})
+	case opLocalPropose:
+		// Only a leader proposes, once per sn, and not after it has been
+		// shown a proposal for that sn under its own signature (see
+		// oracle_test.go's header for why that case is left out).
+		if w.self != w.leader || sc.proposed[sn] || sc.shown[sn] {
+			return
+		}
+		sc.proposed[sn] = true
+		sc.each(func(r *rig) {
+			r.net.After(w.self, 1, func(ctx *simnet.Context) {
+				r.ep.Propose(ctx, sn, diffDigests[0], diffPayloads[s.pay%3], int(s.pay%3))
+			})
+		})
+	}
+}
+
+// note records that the endpoint was shown a validly signed proposal of
+// this round.
+func (sc *schedule) note(prop Propose, sigVariant byte) {
+	if sigVariant%4 != 1 && prop.Round == diffRound {
+		sc.shown[prop.SN] = true
+	}
+}
+
+func (sc *schedule) compare(i int, s step) {
+	sc.t.Helper()
+	a, b := sc.rigs[0], sc.rigs[1]
+	if !slices.Equal(a.log, b.log) {
+		sc.t.Fatalf("step %d %v: effects diverge\n table: %s\noracle: %s", i, s, strings.Join(a.log, "\n        "), strings.Join(b.log, "\n        "))
+	}
+	a.log, b.log = a.log[:0], b.log[:0]
+	for _, sn := range diffSNs {
+		if a.ep.HasProposal(sn) != b.ep.HasProposal(sn) || a.ep.Decided(sn) != b.ep.Decided(sn) {
+			sc.t.Fatalf("step %d %v: sn %d: table HasProposal=%v Decided=%v, oracle %v %v", i, s, sn,
+				a.ep.HasProposal(sn), a.ep.Decided(sn), b.ep.HasProposal(sn), b.ep.Decided(sn))
+		}
+	}
+}
+
+// runSchedule decodes data — three configuration bytes, then six per step —
+// and replays it on the table and the oracle. It returns how many effects
+// the schedule produced, so callers can tell a live schedule from noise.
+func runSchedule(t testing.TB, data []byte) int {
+	if len(data) < 3 {
+		return 0
+	}
+	w := newWorld(diffSizes[int(data[0])%len(diffSizes)], data[1]&1 == 1, data[1]&2 == 2, int(data[2]))
+	sc := &schedule{t: t, w: w, proposed: make(map[uint64]bool), shown: make(map[uint64]bool)}
+	sc.rigs = [2]*rig{newRig(t, w, false), newRig(t, w, true)}
+	data = data[3:]
+	effects := 0
+	for i := 0; len(data) >= stepBytes && i < 512; i++ {
+		s := step{data[0], data[1], data[2], data[3], data[4], data[5]}
+		data = data[stepBytes:]
+		sc.run(s)
+		effects += len(sc.rigs[0].log)
+		sc.compare(i, s)
+	}
+	return effects
+}
+
+// honestSchedule is a whole honest instance seen from one endpoint: the
+// proposal (delivered, or proposed locally on the leader), every member's
+// echo, every member's confirm.
+func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte {
+	cfg := byte(ed25519)
+	first := step{op: opPropose}
+	if leaderSide {
+		cfg |= 2
+		first = step{op: opLocalPropose}
+	}
+	data := []byte{byte(sizeIdx), cfg, selfPos}
+	add := func(s step) { data = append(data, s.op, s.who, s.dig, s.sig, s.where, s.pay) }
+	add(first)
+	c := diffSizes[sizeIdx]
+	for i := 0; i < c; i++ {
+		add(step{op: opEcho, who: byte(i)})
+	}
+	for i := 0; i < c; i++ {
+		add(step{op: opConfirm, who: byte(i)})
+	}
+	return data
+}
+
+// disturb derives an adversarial schedule from an honest one: steps are
+// duplicated and moved (echoes ahead of the proposal, late confirms) and a
+// share of their fields set at random (second digests, bad and re-encoded
+// signatures, stale rounds, foreign sns, rejected payloads).
+func disturb(rng *rand.Rand, honest []byte) []byte {
+	cfg, body := honest[:3], honest[3:]
+	var steps [][]byte
+	for ; len(body) >= stepBytes; body = body[stepBytes:] {
+		steps = append(steps, body[:stepBytes])
+		for rng.Intn(4) == 0 {
+			steps = append(steps, body[:stepBytes])
+		}
+	}
+	for k := rng.Intn(len(steps)); k > 0; k-- {
+		i, j := rng.Intn(len(steps)), rng.Intn(len(steps))
+		steps[i], steps[j] = steps[j], steps[i]
+	}
+	out := append([]byte(nil), cfg...)
+	for _, s := range steps {
+		s = append([]byte(nil), s...)
+		for f := 2; f < stepBytes; f++ {
+			if rng.Intn(8) == 0 {
+				s[f] = byte(rng.Intn(256))
+			}
+		}
+		out = append(out, s...)
+	}
+	return out
+}
+
+func TestAlgorithm3MatchesOracle(t *testing.T) {
+	for sizeIdx, c := range diffSizes {
+		for ed := 0; ed < 2; ed++ {
+			for _, leaderSide := range []bool{false, true} {
+				name := fmt.Sprintf("c=%d/ed25519=%d/leader=%v", c, ed, leaderSide)
+				t.Run(name, func(t *testing.T) {
+					honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
+					// An honest instance is live: the member confirms, the
+					// leader decides — the oracle agreeing on silence would
+					// prove nothing.
+					if n := runSchedule(t, honest); n < 2 {
+						t.Fatalf("honest schedule produced %d effects", n)
+					}
+					rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
+					variants := 150
+					if ed == 1 {
+						variants = 25 // real signatures: ~100 µs a step
+					}
+					live := 0
+					for v := 0; v < variants; v++ {
+						if runSchedule(t, disturb(rng, honest)) > 0 {
+							live++
+						}
+					}
+					if live < variants/2 {
+						t.Fatalf("only %d of %d disturbed schedules produced any effect", live, variants)
+					}
+				})
+			}
+		}
+	}
+}
+
+func FuzzAlgorithm3(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for sizeIdx := range diffSizes {
+		for ed := 0; ed < 2; ed++ {
+			for _, leaderSide := range []bool{false, true} {
+				honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
+				f.Add(honest)
+				f.Add(disturb(rng, honest))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runSchedule(t, data) })
+}

@@ -24,7 +24,8 @@ import (
 // SignatureScheme abstracts message authentication so protocol-security
 // tests can use real Ed25519 while large throughput simulations use a
 // cheap, deterministic hash tag (unforgeable signatures are irrelevant to
-// performance shape).
+// performance shape). An implementation must not retain parts, in Sign or
+// in Verify: a Protocol hands every call the same reused buffer.
 type SignatureScheme interface {
 	Sign(kp crypto.KeyPair, parts ...[]byte) []byte
 	Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error
@@ -83,15 +84,16 @@ func (HashScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error
 // tag ‖ round ‖ sn ‖ digest [‖ node]. All numeric fields are fixed-width
 // big-endian and the tag set is prefix-free, so the encoding is injective
 // without per-part length framing — which lets the whole message be one
-// exact-size buffer instead of the [][]byte slice-of-slices the old
-// sigParts allocated per sign/verify (the second-largest allocation site in
-// the round profile). withNode < 0 omits the node field.
+// buffer instead of the [][]byte slice-of-slices the old sigParts allocated
+// per sign/verify (the second-largest allocation site in the round profile).
+// withNode < 0 omits the node field.
 func sigMsg(tag string, round, sn uint64, digest crypto.Digest, withNode int32) []byte {
-	n := len(tag) + 8 + 8 + crypto.HashSize
-	if withNode >= 0 {
-		n += 4
-	}
-	buf := make([]byte, 0, n)
+	return appendSigMsg(make([]byte, 0, len(tag)+8+8+crypto.HashSize+4), tag, round, sn, digest, withNode)
+}
+
+// appendSigMsg appends sigMsg's bytes to buf: the form a Protocol uses to
+// build every message it signs or verifies in one reused buffer.
+func appendSigMsg(buf []byte, tag string, round, sn uint64, digest crypto.Digest, withNode int32) []byte {
 	buf = append(buf, tag...)
 	buf = binary.BigEndian.AppendUint64(buf, round)
 	buf = binary.BigEndian.AppendUint64(buf, sn)

@@ -81,62 +81,88 @@ func AppendHKeyed(dst []byte, key []byte, parts ...[]byte) []byte {
 }
 
 // PrefixHasher computes H(prefix..., tail) for one fixed prefix and many
-// tails: the prefix's framed stream is absorbed once and the SHA-256
-// midstate snapshotted, then each SumWith resumes the snapshot and absorbs
-// only the tail — one fewer compression per digest, with the length-prefix
+// tails. The prefix's framed stream is absorbed once and the SHA-256
+// midstate snapshotted; and because H frames the tail with its length, for a
+// run of equal-length tails those 8 bytes are as fixed as the prefix, so a
+// second midstate is kept after prefix ‖ frame(len(tail)) — re-derived from
+// the first whenever the tail length changes. Each SumWith resumes the
+// second snapshot and absorbs only the tail itself, with the length-prefix
 // framing (H's private injectivity invariant) staying inside this package.
-// The PoW search uses it, evaluating one digest per attempted nonce.
-// A PrefixHasher is not safe for concurrent use; the zero value is not
-// usable, construct with NewPrefixHasher.
+// The PoW search uses it, evaluating one digest per attempted nonce: its
+// prefix and nonce frame are 128 bytes, two whole blocks absorbed once, so
+// an attempt costs one compression where the one-shot H spends three.
+// (Reading the state back through AppendBinary to skip Sum's copy of the
+// hash is faster still, but leans on the standard library's undocumented
+// serialisation layout: declined.) A PrefixHasher is not safe for
+// concurrent use; the zero value is not usable, construct with
+// NewPrefixHasher.
 type PrefixHasher struct {
-	h      hash.Hash
-	resume encoding.BinaryUnmarshaler
-	state  []byte
-	buf    []byte // framed-tail scratch, reused across SumWith calls
-	sum    []byte // digest scratch, reused across SumWith calls
+	h       midstateHash
+	prefix  []byte // midstate after the framed prefix parts
+	framed  []byte // midstate after prefix ‖ frame(tailLen)
+	tailLen int    // the tail length framed was taken for; -1 before the first SumWith
+	sum     []byte // digest scratch, reused across SumWith calls
+}
+
+// midstateHash is a hash whose state can be snapshotted and resumed, as the
+// standard library's SHA-256 can.
+type midstateHash interface {
+	hash.Hash
+	encoding.BinaryAppender
+	encoding.BinaryUnmarshaler
 }
 
 // NewPrefixHasher absorbs the prefix parts (framed exactly as H frames
 // them) and snapshots the midstate.
 func NewPrefixHasher(prefix ...[]byte) (*PrefixHasher, error) {
-	h := sha256.New()
+	h := sha256.New().(midstateHash)
 	var lenBuf [8]byte
 	for _, p := range prefix {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
 		h.Write(lenBuf[:])
 		h.Write(p)
 	}
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	state, err := h.AppendBinary(nil)
 	if err != nil {
 		return nil, err
 	}
 	return &PrefixHasher{
-		h:      h,
-		resume: h.(encoding.BinaryUnmarshaler),
-		state:  state,
-		sum:    make([]byte, 0, HashSize),
+		h:       h,
+		prefix:  state,
+		framed:  make([]byte, 0, len(state)),
+		tailLen: -1,
+		sum:     make([]byte, 0, HashSize),
 	}, nil
 }
 
 // SumWith returns H(prefix..., tail), resuming the snapshotted midstate.
-// Steady-state calls do not allocate.
+// Steady-state calls — equal-length tails — do not allocate.
 func (p *PrefixHasher) SumWith(tail []byte) Digest {
-	if err := p.resume.UnmarshalBinary(p.state); err != nil {
-		// The state came from MarshalBinary of the same hash; a mismatch is
-		// unreachable short of memory corruption.
-		panic("crypto: resuming SHA-256 midstate: " + err.Error())
+	if len(tail) != p.tailLen {
+		p.restore(p.prefix)
+		var lenBuf [8]byte
+		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(tail)))
+		p.h.Write(lenBuf[:])
+		framed, err := p.h.AppendBinary(p.framed[:0])
+		if err != nil {
+			panic("crypto: snapshotting SHA-256 midstate: " + err.Error())
+		}
+		p.framed, p.tailLen = framed, len(tail)
+	} else {
+		p.restore(p.framed)
 	}
-	need := 8 + len(tail)
-	if cap(p.buf) < need {
-		p.buf = make([]byte, need)
-	}
-	buf := p.buf[:need]
-	binary.BigEndian.PutUint64(buf[:8], uint64(len(tail)))
-	copy(buf[8:], tail)
-	p.h.Write(buf)
+	p.h.Write(tail)
 	var d Digest
 	copy(d[:], p.h.Sum(p.sum[:0]))
 	return d
+}
+
+// restore resumes a midstate this hasher snapshotted itself; a mismatch is
+// unreachable short of memory corruption.
+func (p *PrefixHasher) restore(state []byte) {
+	if err := p.h.UnmarshalBinary(state); err != nil {
+		panic("crypto: resuming SHA-256 midstate: " + err.Error())
+	}
 }
 
 // HString is a convenience wrapper hashing string parts.

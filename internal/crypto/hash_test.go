@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/big"
 	"math/rand"
@@ -302,20 +303,50 @@ func TestModAndBelowTargetAllocFree(t *testing.T) {
 }
 
 func TestPrefixHasherMatchesH(t *testing.T) {
-	prefix := [][]byte{[]byte("tag"), []byte("round"), []byte("randomness-32-bytes-ish")}
-	ph, err := NewPrefixHasher(prefix...)
+	// Prefixes whose framed length (8 bytes of frame per part) lands one
+	// before, on and one after a SHA-256 block boundary — both the prefix's
+	// own end (63, 64, 65) and, in the PoW puzzle's shape with 31-, 32- and
+	// 33-byte keys, the end of prefix ‖ tail frame (127, 128, 129).
+	filled := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	prefixes := [][][]byte{
+		{[]byte("tag"), []byte("round"), []byte("randomness-32-bytes-ish")},
+		{filled(55, 1)}, {filled(56, 2)}, {filled(57, 3)},
+		{filled(16, 4), filled(8, 5), filled(32, 6), filled(31, 7)},
+		{filled(16, 4), filled(8, 5), filled(32, 6), filled(32, 7)},
+		{filled(16, 4), filled(8, 5), filled(32, 6), filled(33, 7)},
+	}
+	for _, prefix := range prefixes {
+		ph, err := NewPrefixHasher(prefix...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(tail []byte) {
+			t.Helper()
+			want := H(append(append([][]byte{}, prefix...), tail)...)
+			if got := ph.SumWith(tail); got != want {
+				t.Fatalf("prefix %d parts: SumWith(%d bytes) disagrees with one-shot H", len(prefix), len(tail))
+			}
+		}
+		// Every tail length 0–130, interleaved from both ends so each step
+		// changes the length and the second snapshot is re-derived mid-run;
+		// then the same length again with other bytes, which resumes it.
+		for i := 0; i <= 130; i++ {
+			n := i / 2
+			if i%2 == 1 {
+				n = 130 - i/2
+			}
+			check(filled(n, byte(i)))
+			check(filled(n, byte(i+1)))
+		}
+	}
+	// Steady-state SumWith — equal-length tails — must not allocate, also
+	// right after a change of length.
+	ph, err := NewPrefixHasher(prefixes[0]...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		tail := []byte{byte(i), byte(i >> 4), 0xAA}[:1+i%3]
-		want := H(append(append([][]byte{}, prefix...), tail)...)
-		if got := ph.SumWith(tail); got != want {
-			t.Fatalf("SumWith(%x) disagrees with one-shot H", tail)
-		}
-	}
-	// Steady-state SumWith must not allocate.
 	tail := []byte("12345678")
+	ph.SumWith(tail[:3])
 	ph.SumWith(tail)
 	allocs := testing.AllocsPerRun(100, func() { ph.SumWith(tail) })
 	if allocs != 0 {

@@ -63,14 +63,16 @@ var ErrNoSolution = errors.New("pow: attempt budget exhausted")
 // maxAttempts nonces starting from `start`. Different nodes pass different
 // start offsets so simulated work does not collide.
 //
-// The puzzle digest's framed stream is tag ‖ round ‖ R_r ‖ pk ‖ nonce, and
-// everything before the nonce is fixed across the search, so Solve absorbs
-// that prefix once into a crypto.PrefixHasher and resumes the snapshotted
-// SHA-256 midstate per attempt, absorbing only the nonce. That removes one
-// of the compression calls per attempt (the search is the simulator's
-// single largest hashing consumer at realistic hardness) while producing
-// digests byte-identical to crypto.H — Verify still checks solutions
-// through the plain one-shot path.
+// The puzzle digest's framed stream is tag (8+16) ‖ round (8+8) ‖ R_r
+// (8+32) ‖ pk (8+32) ‖ nonce (8+8), and everything before the nonce's 8
+// value bytes — its length frame included — is fixed across the search: 128
+// bytes for a 32-byte key, exactly two SHA-256 blocks. Solve absorbs them
+// once into a crypto.PrefixHasher and resumes the snapshotted midstate per
+// attempt, absorbing only the nonce. That saves two of the three
+// compressions an attempt would cost through crypto.H (the search is the
+// simulator's single largest hashing consumer at realistic hardness) while
+// producing byte-identical digests — Verify still checks solutions through
+// the plain one-shot path.
 func Solve(p Puzzle, pk crypto.PublicKey, start, maxAttempts uint64) (Solution, uint64, error) {
 	var rb [8]byte
 	binary.BigEndian.PutUint64(rb[:], p.Round)

@@ -101,28 +101,32 @@ func TestZeroHardnessClamped(t *testing.T) {
 
 func TestSolveMidstateMatchesOneShot(t *testing.T) {
 	// The midstate-resumed search must find exactly the nonce the one-shot
-	// digest path accepts, for several keys and hardness settings.
+	// digest path accepts, for several keys and hardness settings. A 32-byte
+	// key ends the nonce's length frame on a block boundary; 31- and 33-byte
+	// keys move the boundary, and the digests must not move with it.
 	rng := rand.New(rand.NewSource(99))
 	for _, hardness := range []uint64{1, 2, 64, 1 << 12} {
 		p := NewPuzzle(5, crypto.HString("midstate"), hardness)
 		for k := 0; k < 5; k++ {
 			kp := crypto.GenerateKeyPair(rng)
-			sol, attempts, err := Solve(p, kp.PK, uint64(k)<<32, 1<<20)
-			if err != nil {
-				t.Fatalf("hardness %d: %v", hardness, err)
-			}
-			// The accepted nonce verifies through the one-shot path...
-			if !Verify(p, sol) {
-				t.Fatalf("hardness %d: midstate solution fails one-shot Verify", hardness)
-			}
-			// ...and no earlier nonce would have been accepted by it.
-			for n := uint64(k) << 32; n < sol.Nonce; n++ {
-				if Verify(p, Solution{PK: kp.PK, Nonce: n}) {
-					t.Fatalf("hardness %d: midstate search skipped winning nonce %d", hardness, n)
+			for _, pk := range []crypto.PublicKey{kp.PK, kp.PK[:31], append(kp.PK[:32:32], 0x5A)} {
+				sol, attempts, err := Solve(p, pk, uint64(k)<<32, 1<<20)
+				if err != nil {
+					t.Fatalf("hardness %d: %v", hardness, err)
 				}
-			}
-			if want := sol.Nonce - (uint64(k) << 32) + 1; attempts != want {
-				t.Fatalf("attempts = %d, want %d", attempts, want)
+				// The accepted nonce verifies through the one-shot path...
+				if !Verify(p, sol) {
+					t.Fatalf("hardness %d, %d-byte key: midstate solution fails one-shot Verify", hardness, len(pk))
+				}
+				// ...and no earlier nonce would have been accepted by it.
+				for n := uint64(k) << 32; n < sol.Nonce; n++ {
+					if Verify(p, Solution{PK: pk, Nonce: n}) {
+						t.Fatalf("hardness %d, %d-byte key: midstate search skipped winning nonce %d", hardness, len(pk), n)
+					}
+				}
+				if want := sol.Nonce - (uint64(k) << 32) + 1; attempts != want {
+					t.Fatalf("attempts = %d, want %d", attempts, want)
+				}
 			}
 		}
 	}
