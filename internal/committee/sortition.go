@@ -5,7 +5,10 @@
 package committee
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -51,21 +54,37 @@ type MemberRecord struct {
 	Proof []byte
 }
 
-// Directory is a member list S. Records are kept sorted by node ID so the
-// canonical encoding — and hence the semi-commitment — is independent of
-// arrival order.
+// Directory is a member list S: its records ascending by node ID, one per
+// node, so the canonical encoding — and hence the semi-commitment — is
+// independent of arrival order and every read is the slice as it lies.
 type Directory struct {
-	records map[simnet.NodeID]MemberRecord
+	records []MemberRecord
 }
 
 // NewDirectory returns an empty member list.
-func NewDirectory() *Directory {
-	return &Directory{records: make(map[simnet.NodeID]MemberRecord)}
+func NewDirectory() *Directory { return &Directory{} }
+
+// find returns the position of id's record, or where it belongs.
+func (d *Directory) find(id simnet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(d.records, id, func(rec MemberRecord, id simnet.NodeID) int {
+		return cmp.Compare(rec.Node, id)
+	})
 }
 
-// Add inserts or overwrites a record.
+// Add inserts a record, or overwrites the one its node already has. Lists
+// mostly arrive in order, so a record past the last is appended unsearched;
+// one that belongs earlier moves the records after it, a few KB at
+// committee sizes.
 func (d *Directory) Add(rec MemberRecord) {
-	d.records[rec.Node] = rec
+	if n := len(d.records); n == 0 || d.records[n-1].Node < rec.Node {
+		d.records = append(d.records, rec)
+		return
+	}
+	if i, found := d.find(rec.Node); found {
+		d.records[i] = rec
+	} else {
+		d.records = slices.Insert(d.records, i, rec)
+	}
 }
 
 // Merge unions another directory into this one.
@@ -77,8 +96,8 @@ func (d *Directory) Merge(other *Directory) {
 
 // Contains reports membership.
 func (d *Directory) Contains(id simnet.NodeID) bool {
-	_, ok := d.records[id]
-	return ok
+	_, found := d.find(id)
+	return found
 }
 
 // Len returns the member count.
@@ -86,44 +105,34 @@ func (d *Directory) Len() int { return len(d.records) }
 
 // Nodes returns the member node IDs in sorted order.
 func (d *Directory) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(d.records))
-	for id := range d.records {
-		out = append(out, id)
+	out := make([]simnet.NodeID, len(d.records))
+	for i := range d.records {
+		out[i] = d.records[i].Node
 	}
-	simnet.SortNodeIDs(out)
 	return out
 }
 
-// Records returns the records sorted by node ID.
+// Records returns a copy of the records, sorted by node ID.
 func (d *Directory) Records() []MemberRecord {
-	nodes := d.Nodes()
-	out := make([]MemberRecord, len(nodes))
-	for i, id := range nodes {
-		out[i] = d.records[id]
-	}
-	return out
+	return append(make([]MemberRecord, 0, len(d.records)), d.records...)
 }
 
 // Clone deep-copies the directory.
 func (d *Directory) Clone() *Directory {
-	c := NewDirectory()
-	for _, rec := range d.records {
-		c.Add(rec)
-	}
-	return c
+	return &Directory{records: d.Records()}
 }
 
-// canonical returns the injective byte encoding of the sorted member list.
-func (d *Directory) canonical() [][]byte {
-	recs := d.Records()
-	parts := make([][]byte, 0, 2*len(recs))
-	for _, rec := range recs {
-		var nb [4]byte
-		nb[0] = byte(rec.Node >> 24)
-		nb[1] = byte(rec.Node >> 16)
-		nb[2] = byte(rec.Node >> 8)
-		nb[3] = byte(rec.Node)
-		parts = append(parts, nb[:], rec.PK)
+// canonical returns the parts H(S) is taken over: the domain tag, then the
+// node ID and public key of each record, in the order given. The encoding
+// is injective for a list ascending by node ID.
+func canonical(recs []MemberRecord) [][]byte {
+	ids := make([]byte, 4*len(recs))
+	parts := make([][]byte, 1, 1+2*len(recs))
+	parts[0] = []byte("cycledger/semicom/v1")
+	for i := range recs {
+		nb := ids[4*i : 4*i+4 : 4*i+4]
+		binary.BigEndian.PutUint32(nb, uint32(recs[i].Node))
+		parts = append(parts, nb, recs[i].PK)
 	}
 	return parts
 }
@@ -132,5 +141,23 @@ func (d *Directory) canonical() [][]byte {
 // committee's semi-commitment of §IV-B. Computational binding is inherited
 // from the collision resistance of H (Lemma 1).
 func (d *Directory) SemiCommitment() crypto.Digest {
-	return crypto.H(append([][]byte{[]byte("cycledger/semicom/v1")}, d.canonical()...)...)
+	return crypto.H(canonical(d.records)...)
+}
+
+// SemiCommitmentOf returns the semi-commitment of the directory the listed
+// records would build, added in order. A strictly ascending list already is
+// that directory's records and is hashed where it lies; anything else
+// (unsorted, or a node listed twice, where the last record wins) is built
+// into a directory first.
+func SemiCommitmentOf(recs []MemberRecord) crypto.Digest {
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].Node >= recs[i].Node {
+			d := &Directory{records: make([]MemberRecord, 0, len(recs))}
+			for _, rec := range recs {
+				d.Add(rec)
+			}
+			return d.SemiCommitment()
+		}
+	}
+	return crypto.H(canonical(recs)...)
 }

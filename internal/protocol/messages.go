@@ -208,11 +208,7 @@ func (m SemiComMsg) SigParts() [][]byte {
 
 // ListDigest hashes the attached member list.
 func (m SemiComMsg) ListDigest() crypto.Digest {
-	d := committee.NewDirectory()
-	for _, rec := range m.Records {
-		d.Add(rec)
-	}
-	return d.SemiCommitment()
+	return committee.SemiCommitmentOf(m.Records)
 }
 
 // SemiComOKMsg is C_R's announcement of the validated commitments to all

@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"cycledger/internal/committee"
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
 )
@@ -175,5 +176,41 @@ func TestWitnessKindsVerify(t *testing.T) {
 	// Unknown kinds never verify.
 	if (RecoveryWitness{Kind: "gossip"}).Verify(p.Scheme, leader.Keys.PK) {
 		t.Fatal("unknown witness kind accepted")
+	}
+}
+
+// TestListDigestIsTheDirectorys pins what C_R's check compares: the digest
+// of the directory the attached list builds, so a list that is shuffled, or
+// names a node twice, matches the honest commitment exactly when last-wins
+// leaves the same directory.
+func TestListDigestIsTheDirectorys(t *testing.T) {
+	rec := func(id simnet.NodeID, key byte) committee.MemberRecord {
+		return committee.MemberRecord{Node: id, PK: crypto.PublicKey{key, byte(id)}}
+	}
+	honest := []committee.MemberRecord{rec(3, 1), rec(5, 1), rec(8, 1), rec(13, 1)}
+	want := SemiComMsg{Records: honest}.ListDigest()
+	d := committee.NewDirectory()
+	for _, r := range honest {
+		d.Add(r)
+	}
+	if want != d.SemiCommitment() {
+		t.Fatal("ListDigest of a canonical list is not its directory's semi-commitment")
+	}
+	for name, tc := range map[string]struct {
+		list []committee.MemberRecord
+		same bool
+	}{
+		"shuffled":                 {[]committee.MemberRecord{honest[2], honest[0], honest[3], honest[1]}, true},
+		"repeated side by side":    {[]committee.MemberRecord{honest[0], honest[1], honest[1], honest[2], honest[3]}, true},
+		"repeated verbatim":        {[]committee.MemberRecord{honest[0], honest[1], honest[1], honest[2], honest[3], honest[0]}, true},
+		"forged then honest":       {[]committee.MemberRecord{honest[0], rec(5, 2), honest[2], honest[3], honest[1]}, true},
+		"honest then forged":       {[]committee.MemberRecord{honest[0], honest[1], honest[2], honest[3], rec(5, 2)}, false},
+		"forged beside the honest": {[]committee.MemberRecord{honest[0], honest[1], rec(5, 2), honest[2], honest[3]}, false},
+		"member dropped":           {honest[:3], false},
+		"member added":             {append(honest[:4:4], rec(21, 1)), false},
+	} {
+		if got := (SemiComMsg{Records: tc.list}).ListDigest(); (got == want) != tc.same {
+			t.Fatalf("%s list: digest equal to the honest one = %v, want %v", name, got == want, tc.same)
+		}
 	}
 }

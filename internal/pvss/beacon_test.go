@@ -174,3 +174,32 @@ func TestBeaconAllSilentFails(t *testing.T) {
 		t.Fatal("beacon with no dealers should fail")
 	}
 }
+
+// TestBeaconAllocCeiling pins what keeping group elements as arrays bought:
+// one honest beacon at the engine's size read 5,986 allocations while every
+// product went through math/big, and reads about 1,700 now.
+func TestBeaconAllocCeiling(t *testing.T) {
+	const ceiling = 2500
+	g := testGroup()
+	members, rng := honestMembers(9), rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := RunBeacon(g, members, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per beacon at n = 9", allocs)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per beacon, ceiling %d", allocs, ceiling)
+	}
+}
+
+func BenchmarkRunBeacon(b *testing.B) {
+	g := testGroup()
+	members, rng := honestMembers(9), rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunBeacon(g, members, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

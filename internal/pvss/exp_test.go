@@ -71,24 +71,21 @@ func TestExpSmallGroups(t *testing.T) {
 	}
 }
 
-// TestDefaultGroupSharedAndSmall pins the table's bound: one instance per
-// process, at most 64 KiB.
+// TestDefaultGroupSharedAndSmall pins the comb's shape and bound: one
+// instance per process, two tables of 255, at most 64 KiB.
 func TestDefaultGroupSharedAndSmall(t *testing.T) {
 	g := DefaultGroup()
 	if g != DefaultGroup() {
 		t.Fatal("DefaultGroup built a second instance")
 	}
-	if g.cols != 96 || len(g.comb) != 255 {
-		t.Fatalf("comb is %d entries over %d columns, want 255 over 96", len(g.comb), g.cols)
+	if g.cols != 96 || len(g.comb) != 510 || combTables != 2 {
+		t.Fatalf("comb is %d entries over %d columns in %d tables, want 510 over 96 in 2", len(g.comb), g.cols, combTables)
 	}
-	size := uintptr(0)
-	for i := range g.comb {
-		size += unsafe.Sizeof(g.comb[i]) + uintptr(cap(g.comb[i].Bits()))*unsafe.Sizeof(big.Word(0))
-	}
+	size := uintptr(len(g.comb)) * unsafe.Sizeof(fe{})
 	if size > 64<<10 {
-		t.Fatalf("comb table holds %d bytes, want at most 64 KiB", size)
+		t.Fatalf("comb holds %d bytes, want at most 64 KiB", size)
 	}
-	t.Logf("comb table: %d bytes", size)
+	t.Logf("comb: %d bytes", size)
 }
 
 // FuzzGroupExp compares the comb with the oracle on arbitrary integers.

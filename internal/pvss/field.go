@@ -15,6 +15,20 @@
 // encryption (the "PV" layer of full SCRAPE) is replaced by the simulator's
 // private channels; commitments and share verification are implemented in
 // full.
+//
+// Group elements are kept in Montgomery form (mont.go: twelve 64-bit limbs,
+// one multiplication routine) and G is raised through a two-table Lim–Lee
+// comb; math/big remains for scalars mod Q and at the *big.Int boundary of
+// the exported API. That is as far as the arithmetic goes, on purpose.
+// Measured at n = 9 and declined: four comb tables (an Exp 41 → 35 µs, one
+// RunBeacon 6.6 → 5.7 ms, for another 49 KB held live and a comb past the
+// 64 KiB it is pinned under) and assembly. Declined on operation count, not
+// measured: a dedicated squaring (≈ 8% of an Exp) and Horner's rule in the
+// exponent for VerifyShare's right-hand side (≈ 0.5 ms a round), which
+// raises to i^j unreduced where the code reduces mod Q — the two differ for
+// a hostile commitment outside the order-Q subgroup once i^j ≥ Q. Declined
+// as a different program: folding a dealer's n share checks into one random
+// linear combination, which makes an exact check a probabilistic one.
 package pvss
 
 import (
@@ -36,21 +50,29 @@ type Group struct {
 	Q *big.Int // subgroup order, (P-1)/2
 	G *big.Int // generator of the order-Q subgroup (a quadratic residue)
 
-	// comb is the fixed-base table Exp reads (see newGroup).
-	comb []big.Int
+	m *mont // arithmetic mod P; group elements are fe in Montgomery form
+
+	// comb holds the two fixed-base tables Exp reads (see newGroup),
+	// combSize entries each, over cols columns.
+	comb []fe
 	cols int
 }
 
-// combRows is the Lim–Lee comb's height: an exponent below Q is laid out
-// as combRows rows of cols = ⌈|Q|/combRows⌉ bits, and the table holds the
-// product of G^(2^(cols·i)) over every non-empty subset of rows. For the
-// default group that is 8 × 96 and 255 entries of 96 bytes (≈ 33 KB with
-// headers), after which G^e costs 96 squarings and at most 96
-// multiplications where a square-and-multiply ladder needs 767 squarings.
-const combRows = 8
+// The Lim–Lee comb lays an exponent below Q out as combRows rows of cols
+// bits and splits every row into combTables spans of cols/combTables.
+// Table k holds, for every non-empty subset of rows, the product of
+// G^(2^(cols·i + k·cols/combTables)) over the rows i in it. For the
+// default group that is 8 × 96 and 2 × 255 entries of 96 bytes (48,960 B),
+// after which G^e costs 48 squarings and at most 96 multiplications where
+// a square-and-multiply ladder needs 767 squarings.
+const (
+	combRows   = 8
+	combTables = 2
+	combSize   = 1<<combRows - 1 // entries per table: comb[k*combSize+u-1] for row subset u
+)
 
 // defaultGroup builds the one shared instance, and with it the one comb
-// table a process holds.
+// a process holds.
 var defaultGroup = sync.OnceValue(func() *Group {
 	p, ok := new(big.Int).SetString(oakleyPrimeHex, 16)
 	if !ok {
@@ -63,32 +85,24 @@ var defaultGroup = sync.OnceValue(func() *Group {
 func DefaultGroup() *Group { return defaultGroup() }
 
 // newGroup describes the order-(p-1)/2 subgroup generated by gen modulo the
-// safe prime p and precomputes gen's comb table.
+// safe prime p and precomputes gen's comb. Row i's base for table k is
+// gen^(2^(span·r)) with r = combTables·i + k, so all of them come off one
+// chain of squarings.
 func newGroup(p, gen *big.Int) *Group {
-	g := &Group{P: p, Q: new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1), G: gen}
-	g.cols = (g.Q.BitLen() + combRows - 1) / combRows
-	g.comb = make([]big.Int, 1<<combRows-1) // comb[u-1] for row subset u
-	// One backing array for every entry, so the table is its 96-byte
-	// residues and their headers and nothing else.
-	words := len(p.Bits())
-	back := make([]big.Word, len(g.comb)*words)
-	put := func(u int, v *big.Int) {
-		w := back[(u-1)*words : u*words : u*words]
-		copy(w, v.Bits())
-		g.comb[u-1].SetBits(w)
-	}
-	var s scratch
-	row, entry := new(big.Int).Mod(gen, p), new(big.Int)
-	for i := 0; i < combRows; i++ {
-		// row = gen^(2^(cols·i)): the previous row squared cols times.
-		for j := 0; i > 0 && j < g.cols; j++ {
-			s.mulMod(row, row, row, p)
+	g := &Group{P: p, Q: new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1), G: gen, m: newMont(p)}
+	span := (g.Q.BitLen() + combTables*combRows - 1) / (combTables * combRows)
+	g.cols = combTables * span
+	g.comb = make([]fe, combTables*combSize)
+	base := g.m.enter(gen)
+	for r := 0; r < combTables*combRows; r++ {
+		for j := 0; r > 0 && j < span; j++ {
+			g.m.mul(&base, &base, &base)
 		}
-		bit := 1 << i
-		put(bit, row)
+		table := g.comb[r%combTables*combSize:][:combSize]
+		bit := 1 << (r / combTables)
+		table[bit-1] = base
 		for u := 1; u < bit; u++ {
-			s.mulMod(entry, &g.comb[u-1], row, p)
-			put(bit+u, entry)
+			g.m.mul(&table[bit+u-1], &table[u-1], &base)
 		}
 	}
 	return g
@@ -111,23 +125,33 @@ func (g *Group) randScalar(rng *rand.Rand) *big.Int {
 }
 
 // Exp returns g.G^e mod p for any integer e. G has order Q, so an exponent
-// outside [0, Q) is first reduced mod Q. Column j of the comb gathers bit
-// cols·i+j of e from every row i into one table index; walking the columns
-// from the top, squaring once per column, rebuilds G^e.
+// outside [0, Q) is first reduced mod Q.
 func (g *Group) Exp(e *big.Int) *big.Int {
+	x := g.exp(e)
+	return g.m.leave(&x)
+}
+
+// exp is Exp without the step out of Montgomery form. Column j of table k
+// gathers bit cols·i + k·span + j of e from every row i into one index;
+// walking the columns from the top, squaring once per column, rebuilds G^e.
+// The package comment lists what would make this faster and why it is not
+// done.
+func (g *Group) exp(e *big.Int) fe {
 	if e.Sign() < 0 || e.Cmp(g.Q) >= 0 {
 		e = new(big.Int).Mod(e, g.Q)
 	}
-	acc := big.NewInt(1)
-	var s scratch
-	for j := g.cols - 1; j >= 0; j-- {
-		s.mulMod(acc, acc, acc, g.P)
-		u := uint(0)
-		for i := combRows - 1; i >= 0; i-- {
-			u = u<<1 | e.Bit(i*g.cols+j)
-		}
-		if u != 0 {
-			s.mulMod(acc, acc, &g.comb[u-1], g.P)
+	span := g.cols / combTables
+	acc := g.m.one
+	for j := span - 1; j >= 0; j-- {
+		g.m.mul(&acc, &acc, &acc)
+		for k := 0; k < combTables; k++ {
+			u := uint(0)
+			for i := combRows - 1; i >= 0; i-- {
+				u = u<<1 | e.Bit(i*g.cols+k*span+j)
+			}
+			if u != 0 {
+				g.m.mul(&acc, &acc, &g.comb[k*combSize+int(u)-1])
+			}
 		}
 	}
 	return acc
@@ -136,16 +160,6 @@ func (g *Group) Exp(e *big.Int) *big.Int {
 // mulMod returns a*b mod m.
 func mulMod(a, b, m *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Mul(a, b), m)
-}
-
-// scratch holds the product and quotient of a chain of modular
-// multiplications, so the chain allocates only until they have grown.
-type scratch struct{ prod, quo big.Int }
-
-// mulMod sets dst = a*b mod m for non-negative a and b; dst may be a or b.
-func (s *scratch) mulMod(dst, a, b, m *big.Int) {
-	s.prod.Mul(a, b)
-	s.quo.QuoRem(&s.prod, m, dst)
 }
 
 // lagrangeAtZero computes the Lagrange coefficient for index xi among the

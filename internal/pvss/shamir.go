@@ -66,7 +66,11 @@ func evalPoly(coeffs []*big.Int, x int64, q *big.Int) *big.Int {
 //
 //	g^{s_i} ?= ∏_j C_j^{i^j}  (mod p)
 //
-// A mismatch proves the dealer equivocated on that participant's share.
+// A mismatch proves the dealer equivocated on that participant's share. Both
+// sides are computed in Montgomery form and compared as arrays; the
+// exponents are i^j reduced mod Q, one by one (the package comment says why
+// not Horner's rule). A deal whose commitments do not number Threshold, or
+// include a nil, is rejected.
 func (d *Deal) VerifyShare(s Share) error {
 	if s.Index <= 0 {
 		return fmt.Errorf("pvss: share index %d must be positive", s.Index)
@@ -74,18 +78,24 @@ func (d *Deal) VerifyShare(s Share) error {
 	if s.Value == nil || s.Value.Sign() < 0 || s.Value.Cmp(d.Group.Q) >= 0 {
 		return fmt.Errorf("pvss: share value out of field range")
 	}
-	lhs := d.Group.Exp(s.Value)
-	rhs := big.NewInt(1)
+	if len(d.Commitments) != d.Threshold {
+		return fmt.Errorf("pvss: %d commitments for threshold %d", len(d.Commitments), d.Threshold)
+	}
+	g := d.Group
+	lhs, rhs := g.exp(s.Value), g.m.one
 	xPow := big.NewInt(1)
 	bx := big.NewInt(s.Index)
-	for _, c := range d.Commitments {
-		term := new(big.Int).Exp(c, xPow, d.Group.P)
-		rhs = mulMod(rhs, term, d.Group.P)
-		xPow = new(big.Int).Mul(xPow, bx)
+	for j, c := range d.Commitments {
+		if c == nil {
+			return fmt.Errorf("pvss: commitment %d is missing", j)
+		}
+		term := g.m.pow(g.m.enter(c), xPow)
+		g.m.mul(&rhs, &rhs, &term)
 		// Reduce the exponent mod Q (group has order Q).
-		xPow.Mod(xPow, d.Group.Q)
+		xPow.Mul(xPow, bx)
+		xPow.Mod(xPow, g.Q)
 	}
-	if lhs.Cmp(rhs) != 0 {
+	if lhs != rhs {
 		return fmt.Errorf("pvss: share %d fails commitment check", s.Index)
 	}
 	return nil
@@ -107,6 +117,9 @@ func Reconstruct(g *Group, threshold int, shares []Share) (*big.Int, error) {
 	xs := make([]int64, len(use))
 	seen := make(map[int64]bool, len(use))
 	for i, s := range use {
+		if s.Value == nil || s.Value.Sign() < 0 || s.Value.Cmp(g.Q) >= 0 {
+			return nil, fmt.Errorf("pvss: share %d value out of field range", s.Index)
+		}
 		if seen[s.Index] {
 			return nil, fmt.Errorf("pvss: duplicate share index %d", s.Index)
 		}

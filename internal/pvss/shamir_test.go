@@ -120,6 +120,48 @@ func TestVerifyShareRejectsBadIndexAndRange(t *testing.T) {
 	if err := d.VerifyShare(Share{Index: 1, Value: nil}); err == nil {
 		t.Fatal("nil value accepted")
 	}
+
+	// A hostile deal is an error too, never a panic: a commitment list
+	// that is not the threshold's length, or one with a hole in it.
+	honest := d.Commitments
+	d.Commitments = honest[:1]
+	if err := d.VerifyShare(d.Shares[0]); err == nil {
+		t.Fatal("deal with too few commitments accepted")
+	}
+	d.Commitments = append(append([]*big.Int(nil), honest...), big.NewInt(1))
+	if err := d.VerifyShare(d.Shares[0]); err == nil {
+		t.Fatal("deal with too many commitments accepted")
+	}
+	d.Commitments = []*big.Int{honest[0], nil}
+	if err := d.VerifyShare(d.Shares[0]); err == nil {
+		t.Fatal("nil commitment accepted")
+	}
+	d.Commitments = honest
+	if err := d.VerifyShare(d.Shares[0]); err != nil {
+		t.Fatalf("honest share rejected after the deal was restored: %v", err)
+	}
+}
+
+func TestReconstructRejectsBadValues(t *testing.T) {
+	g := testGroup()
+	d, _, err := NewDeal(g, 5, 3, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*big.Int{
+		"nil":      nil,
+		"negative": big.NewInt(-1),
+		"q":        new(big.Int).Set(g.Q),
+	} {
+		shares := []Share{d.Shares[0], {Index: d.Shares[1].Index, Value: v}, d.Shares[2]}
+		if _, err := Reconstruct(g, 3, shares); err == nil {
+			t.Fatalf("%s share value accepted", name)
+		}
+	}
+	// Past the threshold nothing is read, as before.
+	if _, err := Reconstruct(g, 3, append(d.Shares[:3:3], Share{Index: 9})); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewDealValidatesThreshold(t *testing.T) {
