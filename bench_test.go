@@ -12,6 +12,9 @@
 //	§VII     → BenchmarkReputationConvergence
 //	DESIGN.md ablation → BenchmarkAblationParallelCommittees
 //
+// These are plain go test -bench functions: nothing records or gates their
+// output. The performance contract is BENCHMARK.json, driven by bench/.
+//
 // Benches report their headline quantities via b.ReportMetric, so
 // `go test -bench . -benchmem` prints the reproduced numbers alongside
 // timing.
@@ -26,15 +29,11 @@ import (
 
 	"cycledger/internal/analysis"
 	"cycledger/internal/baseline"
-	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
-	"cycledger/internal/ledger"
 	"cycledger/internal/protocol"
-	"cycledger/internal/pvss"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
-	"cycledger/internal/workload"
 )
 
 // BenchmarkTable1FailProb regenerates Table I's failure-probability column
@@ -385,9 +384,10 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 // BenchmarkRoundHotPath is the canonical per-round cost benchmark: one
 // engine, default parameters, RunRound in a tight loop. Engine construction
 // (key generation, genesis) is excluded, so ns/op and allocs/op measure the
-// steady-state ledger→routing→consensus round hot path that ISSUE 4's
-// optimizations target. tools/benchjson records it into BENCH_round.json so
-// successive PRs have a trajectory to beat.
+// steady-state ledger→routing→consensus round hot path. It is the
+// configuration BENCHMARK.json's steady-small workload runs, which is where
+// the number of record is taken; this function is for profiling while
+// working (go test -bench 'RoundHotPath$' -cpuprofile).
 func BenchmarkRoundHotPath(b *testing.B) {
 	p := protocol.DefaultParams()
 	p.PowHardness = 1 << 12
@@ -423,10 +423,10 @@ func BenchmarkRoundHotPath(b *testing.B) {
 // this isolates the simnet core (per-lane calendar queues and free
 // lists, cross-lane exchange, lane-sharded metrics, persistent worker
 // pool), whose contract is ≤ 1 amortized allocation per delivered
-// message; allocs/msg reports the measured value. ticks/round is
-// deterministic for the fixed seed, so benchjson gates it alongside
-// allocs/op. The 50× cell needs CYCLEDGER_SCALE_BIG=1 (the CI scale-big
-// job sets it): one warm round alone delivers ~200k messages.
+// message; allocs/msg reports the measured value (allocs/op follows the
+// lane count, i.e. GOMAXPROCS). The 50× cell needs CYCLEDGER_SCALE_BIG=1
+// (the CI scale-big job sets it): one warm round alone delivers ~200k
+// messages.
 func BenchmarkScaleCeiling(b *testing.B) {
 	const cSize, refSize = 97, 60
 	for _, sc := range []struct {
@@ -518,94 +518,8 @@ func BenchmarkScaleCeiling(b *testing.B) {
 	}
 }
 
-// --- substrate micro-benchmarks -------------------------------------------
-
-func BenchmarkVRFProveVerify(b *testing.B) {
-	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(1)))
-	alpha := []byte("round-randomness")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := crypto.VRFProve(kp.SK, alpha)
-		if err := crypto.VRFVerify(kp.PK, alpha, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSortition(b *testing.B) {
-	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(2)))
-	r := crypto.HString("rand")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		committee.Sortition(kp, uint64(i), r, 20)
-	}
-}
-
-func BenchmarkPVSSDealVerify(b *testing.B) {
-	g := pvss.DefaultGroup()
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, _, err := pvss.NewDeal(g, 9, 5, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.VerifyShare(d.Shares[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUTXOValidateBatch(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.Users = 500
-	gen, err := workload.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := ledger.NewShardedStore(4)
-	for _, tx := range gen.Genesis() {
-		id := tx.ID()
-		for i, o := range tx.Outputs {
-			if err := set.Add(ledger.OutPoint{Tx: id, Index: uint32(i)}, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	batch := gen.NextBatch(500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		valid, _, _ := ledger.ValidateBatch(batch, set)
-		if len(valid) == 0 {
-			b.Fatal("no valid txs")
-		}
-	}
-}
-
-func BenchmarkInsideConsensusRound(b *testing.B) {
-	// One Algorithm 3 instance in a 16-member committee (HashScheme).
-	for i := 0; i < b.N; i++ {
-		runConsensusOnce(b, 16, int64(i+1))
-	}
-}
-
-func runConsensusOnce(b *testing.B, size int, seed int64) {
-	b.Helper()
-	p := protocol.DefaultParams()
-	p.C = size
-	p.M = 1
-	p.Rounds = 1
-	p.TxPerCommittee = 10
-	p.Seed = seed
-	e, err := protocol.NewEngine(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
+// BenchmarkEd25519VsHashScheme compares the two signature schemes an
+// Algorithm 3 endpoint can run on: one sign + verify of a short message.
 func BenchmarkEd25519VsHashScheme(b *testing.B) {
 	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(4)))
 	msg := []byte("consensus message")

@@ -69,6 +69,16 @@ func newHarness(t *testing.T, size int, scheme SignatureScheme, seed int64) *har
 	return h
 }
 
+// down takes the given members offline for the whole run: they receive
+// nothing, their timers do not fire, and what they send is lost.
+func (h *harness) down(ids ...simnet.NodeID) {
+	windows := make(map[simnet.NodeID][]simnet.Window, len(ids))
+	for _, id := range ids {
+		windows[id] = []simnet.Window{{From: 0}}
+	}
+	h.net.SetFaults(simnet.NewChurn(windows))
+}
+
 func (h *harness) propose(payload string) crypto.Digest {
 	d := crypto.HString(payload)
 	// Kick off via a timer on the leader so the proposal flows through a Context.
@@ -195,9 +205,7 @@ func TestNoQuorumWithoutMajorityEchoes(t *testing.T) {
 	// 6-member committee with 4 members offline: 2 echoes are not a
 	// majority, so nobody confirms and the leader never decides.
 	h := newHarness(t, 6, Ed25519Scheme{}, 5)
-	for _, id := range h.members[2:] {
-		h.net.SetDown(id, true)
-	}
+	h.down(h.members[2:]...)
 	h.propose("starved")
 	if h.decided[h.leader] != nil {
 		t.Fatal("leader decided without majority")
@@ -212,8 +220,7 @@ func TestNoQuorumWithoutMajorityEchoes(t *testing.T) {
 func TestQuorumWithMinorityOffline(t *testing.T) {
 	// 7 members, 2 offline: 5 online > 7/2 — consensus must complete.
 	h := newHarness(t, 7, Ed25519Scheme{}, 6)
-	h.net.SetDown(h.members[5], true)
-	h.net.SetDown(h.members[6], true)
+	h.down(h.members[5], h.members[6])
 	d := h.propose("resilient")
 	res := h.decided[h.leader]
 	if res == nil || res.Digest != d {
@@ -312,16 +319,18 @@ func TestJunkSignedConfirmsIgnored(t *testing.T) {
 	// toward the leader's quorum.
 	h := newHarness(t, 5, Ed25519Scheme{}, 12)
 	// Only leader + one member online: no quorum possible honestly.
-	for _, id := range h.members[2:] {
-		h.net.SetDown(id, true)
-	}
+	h.down(h.members[2:]...)
 	h.propose("starved")
 	if h.decided[h.leader] != nil {
 		t.Fatal("decided without quorum")
 	}
-	forged := Confirm{Round: 1, SN: 1, Digest: crypto.HString("starved"), Confirmer: 3, Sig: []byte("junk")}
-	h.net.Send(3, h.leader, TagConfirm, forged, 10)
-	h.net.Send(4, h.leader, TagConfirm, forged, 10)
+	// Handed to the leader directly: a down node's own sends are lost.
+	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
+		for _, from := range h.members[3:] {
+			forged := Confirm{Round: 1, SN: 1, Digest: crypto.HString("starved"), Confirmer: from, Sig: []byte("junk")}
+			h.nodes[h.leader].Handle(ctx, simnet.Message{From: from, To: h.leader, Tag: TagConfirm, Payload: forged})
+		}
+	})
 	h.net.RunUntilIdle()
 	if h.decided[h.leader] != nil {
 		t.Fatal("forged confirms produced a decision")
@@ -372,9 +381,7 @@ func TestEchoesFromOutsidersDoNotCount(t *testing.T) {
 	// the echo quorum — and two validly signed ECHOes from registered
 	// non-members must not carry them over it.
 	h := newHarness(t, 5, Ed25519Scheme{}, 12)
-	for _, id := range h.members[2:] {
-		h.net.SetDown(id, true)
-	}
+	h.down(h.members[2:]...)
 	d := h.propose("starved")
 	lp := h.nodes[h.leader]
 	prop := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, d, "starved", len("starved"))

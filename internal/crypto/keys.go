@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 )
 
 // PublicKey identifies a node. It is an Ed25519 public key.
@@ -57,61 +55,6 @@ func GenerateKeyPair(rng *rand.Rand) KeyPair {
 	sk := ed25519.NewKeyFromSeed(seed)
 	pk := sk.Public().(ed25519.PublicKey)
 	return KeyPair{PK: PublicKey(pk), SK: SecretKey(sk)}
-}
-
-// PKI is the public-key infrastructure the paper assumes: a registry mapping
-// node identities to public keys. It is safe for concurrent use.
-type PKI struct {
-	mu   sync.RWMutex
-	keys map[string]PublicKey
-}
-
-// NewPKI returns an empty registry.
-func NewPKI() *PKI {
-	return &PKI{keys: make(map[string]PublicKey)}
-}
-
-// Register adds a node's public key. Re-registering the same key for the
-// same identity is a no-op; registering a different key is an error
-// (identities are stable within a protocol instance).
-func (p *PKI) Register(id string, pk PublicKey) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if existing, ok := p.keys[id]; ok {
-		if existing.Equal(pk) {
-			return nil
-		}
-		return fmt.Errorf("crypto: identity %q already registered with a different key", id)
-	}
-	p.keys[id] = append(PublicKey(nil), pk...)
-	return nil
-}
-
-// Lookup returns the public key registered for id.
-func (p *PKI) Lookup(id string) (PublicKey, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	pk, ok := p.keys[id]
-	return pk, ok
-}
-
-// Len returns the number of registered identities.
-func (p *PKI) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.keys)
-}
-
-// Identities returns all registered identities in sorted order.
-func (p *PKI) Identities() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	ids := make([]string, 0, len(p.keys))
-	for id := range p.keys {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // ErrBadSignature is returned when signature verification fails.

@@ -38,50 +38,6 @@ func TestVerifyBadKeyLength(t *testing.T) {
 	}
 }
 
-func TestPKIRegisterLookup(t *testing.T) {
-	p := NewPKI()
-	kp := GenerateKeyPair(rand.New(rand.NewSource(5)))
-	if err := p.Register("node-1", kp.PK); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent re-registration.
-	if err := p.Register("node-1", kp.PK); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := p.Lookup("node-1")
-	if !ok || !got.Equal(kp.PK) {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := p.Lookup("absent"); ok {
-		t.Fatal("lookup of absent identity succeeded")
-	}
-	// Conflicting re-registration must fail.
-	other := GenerateKeyPair(rand.New(rand.NewSource(6)))
-	if err := p.Register("node-1", other.PK); err == nil {
-		t.Fatal("conflicting registration accepted")
-	}
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", p.Len())
-	}
-}
-
-func TestPKIIdentitiesSorted(t *testing.T) {
-	p := NewPKI()
-	rng := rand.New(rand.NewSource(7))
-	for _, id := range []string{"c", "a", "b"} {
-		if err := p.Register(id, GenerateKeyPair(rng).PK); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := p.Identities()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("Identities = %v, want %v", ids, want)
-		}
-	}
-}
-
 func TestPublicKeyOrdering(t *testing.T) {
 	a := PublicKey{0, 1}
 	b := PublicKey{0, 2}

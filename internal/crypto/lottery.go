@@ -22,14 +22,6 @@ func LotteryTicket(nextRound uint64, randomness Digest, pk PublicKey, role strin
 	return H(rb[:], randomness[:], pk, []byte(role))
 }
 
-// LotteryWins reports whether the node wins the role lottery at the given
-// difficulty target. The target is limb-form (see FractionTargetLimbs) and
-// should be computed once per round, not per candidate: the per-candidate
-// work is then one hash and one four-limb compare, with no allocation.
-func LotteryWins(nextRound uint64, randomness Digest, pk PublicKey, role string, target Target) bool {
-	return LotteryTicket(nextRound, randomness, pk, role).BelowTarget(target)
-}
-
 // PartialSetCommittee maps a winning partial-set ticket to the committee the
 // node will serve, via H(...) mod m, per §IV-F.
 func PartialSetCommittee(nextRound uint64, randomness Digest, pk PublicKey, m uint64) uint64 {

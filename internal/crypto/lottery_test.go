@@ -33,7 +33,7 @@ func TestLotteryExpectedWinners(t *testing.T) {
 	winners := 0
 	for i := 0; i < pop; i++ {
 		kp := GenerateKeyPair(rng)
-		if LotteryWins(2, r, kp.PK, RoleReferee, target) {
+		if LotteryTicket(2, r, kp.PK, RoleReferee).BelowTarget(target) {
 			winners++
 		}
 	}

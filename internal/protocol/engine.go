@@ -94,12 +94,14 @@ type RoundReport struct {
 // Throughput returns included transactions per round.
 func (r *RoundReport) Throughput() int { return r.IntraIncluded + r.CrossIncluded }
 
-// Engine runs the full protocol over a pluggable transport — the
-// deterministic simulator by default, or any Params.Transport factory
-// (e.g. the live concurrent-process transport).
+// Engine runs the full protocol over the one network it builds: the
+// deterministic simulator, carrying payloads itself by default or — with
+// Params.LiveCodec — handing them to the live carrier's concurrent node
+// processes.
 type Engine struct {
-	P   Params
-	Net transport.Transport
+	P    Params
+	Net  *simnet.Network
+	live *transport.Live // nil on the simulator
 
 	rng   *rand.Rand
 	keys  []crypto.KeyPair
@@ -143,25 +145,25 @@ type Engine struct {
 // protocol's timeout/watchdog machinery. Config-driven runs go through
 // Params.Faults; this entry point exists for tests and advanced callers
 // that need a custom model (e.g. crash injection keyed to phase starts).
-// Call before the first round; nil uninstalls. It fails only if the
-// transport cannot honour the model; both built-in transports honour
-// every model (the simnet applies it before a payload moves).
-func (e *Engine) InstallFaults(f simnet.Faults) error {
+// Call before the first round; nil uninstalls. The network applies the
+// model before a payload moves, so it holds on the live carrier too.
+func (e *Engine) InstallFaults(f simnet.Faults) {
 	if _, none := f.(simnet.NoFaults); none {
 		f = nil
 	}
-	if err := e.Net.SetFaults(f); err != nil {
-		return err
-	}
+	e.Net.SetFaults(f)
 	e.faults = f
 	e.faultsActive = f != nil
-	return nil
 }
 
-// Close releases the transport's resources (a no-op for the simulator;
-// goroutines, links, and pipes for the live transport). The engine must
-// not run further rounds afterwards.
-func (e *Engine) Close() error { return e.Net.Close() }
+// Close joins the live carrier's node goroutines (one per node; nothing to
+// do on the simulator). The engine must not run further rounds afterwards.
+func (e *Engine) Close() error {
+	if e.live != nil {
+		e.live.Close()
+	}
+	return nil
+}
 
 // nodeDown reports whether a node is unreachable right now: explicitly
 // byzantine-offline, or crashed per the fault model's schedule.
@@ -208,15 +210,10 @@ func NewEngine(p Params) (*Engine, error) {
 		}
 		return e.roster.linkClass(from, to)
 	}
-	build := p.Transport
-	if build == nil {
-		build = transport.SimFactory
+	e.Net = simnet.New(e.lat, p.Seed)
+	if p.LiveCodec != nil {
+		e.live = transport.NewLive(p.LiveCodec, e.Net)
 	}
-	net, err := build(e.lat, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	e.Net = net
 	if p.Parallelism != 1 {
 		e.Net.SetParallelism(p.Parallelism)
 	}
@@ -236,9 +233,7 @@ func NewEngine(p Params) (*Engine, error) {
 				model = simnet.Composite{prev, am}
 			}
 		}
-		if err := e.InstallFaults(model); err != nil {
-			return nil, err
-		}
+		e.InstallFaults(model)
 	}
 
 	n := p.TotalNodes()
@@ -251,6 +246,9 @@ func NewEngine(p Params) (*Engine, error) {
 		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: e.keys[i], eng: e}
 		e.nodes[i] = node
 		e.Net.Register(node.ID, node.Handle)
+		if e.live != nil {
+			e.live.Attach(node.ID)
+		}
 	}
 	e.assignByzantine()
 
@@ -466,12 +464,6 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	size := wire.Size(msg)
 	for k := idx; k < e.P.M; k += len(e.roster.Referee) {
 		ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)
-	}
-	// Referee members also serve each other.
-	for i, id := range e.roster.Referee {
-		if i != idx && (i%len(e.roster.Referee)) == idx {
-			ctx.Send(id, TagBlock, msg, size)
-		}
 	}
 }
 

@@ -280,9 +280,6 @@ func (n *Node) startInter(ctx *simnet.Context) {
 }
 
 func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) {
-	if n.interOutStarted == nil {
-		n.interOutStarted = make(map[uint64]bool)
-	}
 	if n.interOutStarted[j] {
 		return
 	}
@@ -320,7 +317,7 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 		return
 	}
 	txs, ok := n.interOut[m.To]
-	if !ok || len(m.Valid) != len(txs) || (n.interOutStarted != nil && n.interOutStarted[m.To]) {
+	if !ok || len(m.Valid) != len(txs) || n.interOutStarted[m.To] {
 		return
 	}
 	var kept []*ledger.Tx
@@ -331,9 +328,6 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 	}
 	n.eng.noteScreened(len(txs) - len(kept))
 	if len(kept) == 0 {
-		if n.interOutStarted == nil {
-			n.interOutStarted = make(map[uint64]bool)
-		}
 		n.interOutStarted[m.To] = true // nothing worth two consensus runs
 		return
 	}

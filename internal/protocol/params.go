@@ -96,12 +96,12 @@ type Params struct {
 	// pinned by tests.
 	AggregateCerts bool
 
-	// Transport builds the network the engine runs over; nil selects the
-	// deterministic simulator (transport.SimFactory). Alternative
-	// factories — the live transport with real concurrent node processes —
-	// must use the engine's latency model and seed, which the engine
-	// passes in, so the simnet oracle-parity contract holds.
-	Transport transport.Factory
+	// LiveCodec, when non-nil, runs the round over the live carrier: every
+	// node is a goroutine and every payload crosses between nodes as a
+	// frame encoded by this codec (wire.Codec in production). The engine's
+	// one simnet.Network schedules either way, so reports are identical.
+	// nil is the deterministic simulator.
+	LiveCodec transport.Codec
 }
 
 // DefaultParams returns a small but fully-featured configuration: 4

@@ -520,9 +520,10 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 
 	// Rewards: fees split proportionally to g(reputation) across this
 	// round's participants (§IV-G).
-	partNames := make([]string, 0, len(e.roster.AllNodes()))
-	reps := make([]float64, 0, len(partNames))
-	for _, id := range e.roster.AllNodes() {
+	all := e.roster.AllNodes()
+	partNames := make([]string, 0, len(all))
+	reps := make([]float64, 0, len(all))
+	for _, id := range all {
 		partNames = append(partNames, e.names[id])
 	}
 	sort.Strings(partNames)

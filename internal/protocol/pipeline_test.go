@@ -77,6 +77,73 @@ func renderReports(reports []*RoundReport) string {
 	return s
 }
 
+// TestVirtualTimePinned pins absolute virtual time. The determinism suite
+// compares runs with each other and so cannot see every run move together;
+// this states the numbers: simulated round latency (ticks) and included
+// transactions, summed over seeds 1–3 × two rounds at parallelism 1 and
+// PowHardness 4096, for the sequential and the pipelined schedule, plus
+// three consecutive rounds of one sequential engine at seed 1. A change
+// that moves any of them changed the protocol's schedule or its workload,
+// and says so by editing this table. The pipelined schedule must also keep
+// its §IV headline: at most 0.8 of the sequential latency at equal
+// throughput.
+func TestVirtualTimePinned(t *testing.T) {
+	type total struct {
+		ticks uint64
+		tx    int
+	}
+	add := func(s *total, reports []*RoundReport) {
+		for _, r := range reports {
+			s.ticks += uint64(r.Duration)
+			s.tx += r.Throughput()
+		}
+	}
+	for _, tc := range []struct {
+		m         int
+		seq, pipe total
+	}{
+		{4, total{3528, 476}, total{2577, 476}},
+		{8, total{3608, 982}, total{2655, 982}},
+	} {
+		if tc.m == 8 && testing.Short() {
+			continue
+		}
+		var got [2]total
+		for mode, pipelined := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				p := DefaultParams()
+				p.M, p.Rounds, p.PowHardness = tc.m, 2, 1<<12
+				p.Seed, p.Pipelined = seed, pipelined
+				_, reports := runEngine(t, p)
+				add(&got[mode], reports)
+			}
+		}
+		if got[0] != tc.seq || got[1] != tc.pipe {
+			t.Errorf("m=%d: sequential %+v, pipelined %+v; pinned %+v and %+v", tc.m, got[0], got[1], tc.seq, tc.pipe)
+		}
+		if 10*got[1].ticks > 8*got[0].ticks {
+			t.Errorf("m=%d: pipelined %d ticks is more than 0.8 of sequential %d", tc.m, got[1].ticks, got[0].ticks)
+		}
+	}
+
+	p := DefaultParams()
+	p.PowHardness = 1 << 12
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got total
+	add(&got, e.Reports())
+	if want := (total{1760, 248}); got != want {
+		t.Errorf("three rounds of one default engine: %+v, pinned %+v", got, want)
+	}
+}
+
 // TestPipelinedConservationAndChain: multi-round pipelined execution must
 // conserve value (minus collected fees) and leave a chain that replays
 // cleanly from genesis.

@@ -49,7 +49,6 @@ func TestRefereeMinorityOfflineStillProducesBlocks(t *testing.T) {
 			break
 		}
 		e.nodes[id].Behavior = Behavior{Offline: true}
-		e.Net.SetDown(id, true)
 		down++
 	}
 	reports, err := e.Run()
@@ -72,7 +71,6 @@ func TestRefereeMajorityOfflineStallsBlocks(t *testing.T) {
 	}
 	for _, id := range e.roster.Referee[4:] {
 		e.nodes[id].Behavior = Behavior{Offline: true}
-		e.Net.SetDown(id, true)
 	}
 	reports, err := e.Run()
 	if err != nil {

@@ -308,25 +308,6 @@ func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
 	return sum
 }
 
-// TrafficByNodes sums sent+received counters for a phase over a node set —
-// the "communication complexity" of the role in that phase. The lock is
-// taken once for the whole set.
-func (m *Metrics) TrafficByNodes(phase string, nodes []NodeID) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum Counter
-	for _, id := range nodes {
-		k := phaseNode{phase, id}
-		if c := m.sent[k]; c != nil {
-			sum.Add(*c)
-		}
-		if c := m.received[k]; c != nil {
-			sum.Add(*c)
-		}
-	}
-	return sum
-}
-
 // Tag returns the counter for a message tag.
 func (m *Metrics) Tag(tag string) Counter {
 	m.mu.Lock()

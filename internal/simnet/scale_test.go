@@ -191,7 +191,7 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 	n := New(DefaultLatency(), 3)
 	n.Register(0, func(*Context, Message) {})
 	n.Register(1, func(*Context, Message) {})
-	n.SetDown(1, true)
+	n.SetFaults(NewChurn(map[NodeID][]Window{1: {{From: 0}}}))
 	n.Metrics().SetPhase("send")
 	n.Send(0, 1, "doomed", nil, 9)
 	n.Metrics().SetPhase("blackout")
@@ -208,50 +208,6 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 	}
 	if c := n.Metrics().Dropped("blackout", 1); c.Messages != 1 || c.Bytes != 9 {
 		t.Fatalf("Dropped(blackout, 1) = %+v, want 1 msg / 9 bytes", c)
-	}
-}
-
-// TestSetDownRecoveryNoSkipAlloc is the SetDown(id, false) regression
-// test: recovery must delete the down entry (not store false), so a
-// fully recovered network takes the fault-free fast path and a warm
-// steady-state Step allocates nothing — no per-Step skip slice, no
-// event/Context churn.
-func TestSetDownRecoveryNoSkipAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is unreliable under -race")
-	}
-	n := New(DefaultLatency(), 11)
-	bounce := func(ctx *Context, msg Message) {
-		if msg.Size > 1 {
-			ctx.Send(msg.From, "pong", nil, msg.Size-1)
-		}
-	}
-	n.Register(0, bounce)
-	n.Register(1, bounce)
-
-	// Crash node 1, lose some traffic, then bring it back.
-	n.SetDown(1, true)
-	n.Send(0, 1, "ping", nil, 3)
-	n.RunUntilIdle()
-	if n.Dropped() == 0 {
-		t.Fatal("down node dropped nothing")
-	}
-	n.SetDown(1, false)
-	if len(n.down) != 0 {
-		t.Fatalf("after full recovery len(n.down) = %d, want 0 (false entries must be deleted)", len(n.down))
-	}
-
-	// Warm the pools and maps, then require a zero-allocation steady state.
-	for i := 0; i < 400; i++ {
-		n.Send(0, 1, "ping", nil, 4)
-		n.RunUntilIdle()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		n.Send(0, 1, "ping", nil, 4)
-		n.RunUntilIdle()
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Step after recovery allocates %.1f/run, want 0", allocs)
 	}
 }
 

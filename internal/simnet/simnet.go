@@ -256,12 +256,11 @@ type Network struct {
 	latency     Latency
 	seed        uint64 // raw seed fed to DrawKeyed
 	now         Time
-	ctr         uint64          // unified key/sequence counter (see event)
-	slots       []nodeSlot      // handler + lane per node, indexed by NodeID
-	down        map[NodeID]bool // crashed/offline nodes drop all traffic
-	faults      Faults          // nil = fault-free (byte-identical to the pre-fault engine)
-	sendAudit   func(Message)   // optional per-send assertion hook (size audits in tests)
-	carrier     Carrier         // nil = payloads ride in the event (the simulator proper)
+	ctr         uint64        // unified key/sequence counter (see event)
+	slots       []nodeSlot    // handler + lane per node, indexed by NodeID
+	faults      Faults        // nil = fault-free (byte-identical to the pre-fault engine)
+	sendAudit   func(Message) // optional per-send assertion hook (size audits in tests)
+	carrier     Carrier       // nil = payloads ride in the event (the simulator proper)
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -299,7 +298,6 @@ func New(latency Latency, seed int64) *Network {
 	n := &Network{
 		latency: latency,
 		seed:    uint64(seed),
-		down:    make(map[NodeID]bool),
 		metrics: NewMetrics(),
 		// Cover the protocol's timer horizon (up to 4Γ phase guards and 6Δ
 		// watchdog sweeps) so only fault-model lag overflows to the heap.
@@ -388,19 +386,6 @@ func (n *Network) laneFor(id NodeID, lanes int) int {
 // laneOf returns the lane that owns the node's events.
 func (n *Network) laneOf(id NodeID) *lane {
 	return n.lanes[n.laneFor(id, len(n.lanes))]
-}
-
-// SetDown marks a node offline (true) or online (false). Offline nodes
-// silently drop incoming messages and their timers do not fire — the
-// paper's "simply pretending to be offline" behaviour. Recovery deletes
-// the entry, so a fully recovered network runs the fault-free fast path
-// again (no dead-destination pre-pass per step).
-func (n *Network) SetDown(id NodeID, down bool) {
-	if down {
-		n.down[id] = true
-	} else {
-		delete(n.down, id)
-	}
 }
 
 // SetFaults installs a fault model (nil or NoFaults restores the
@@ -718,16 +703,15 @@ func (n *Network) stepAt(t Time) {
 }
 
 // popLane pops one lane's tick batch and runs the dead-destination
-// pre-pass: events owned by a node that is down (SetDown or the fault
-// model's crash schedule) are flagged, and skipped messages are accounted
-// as dropped into the lane's own shard (a shipped payload is discarded, so
+// pre-pass: events owned by a node that is down per the fault model's
+// crash schedule are flagged, and skipped messages are accounted as
+// dropped into the lane's own shard (a shipped payload is discarded, so
 // the carrier never keeps what no delivery will claim). Runs on pool
-// workers; touches only lane-owned state plus read-only maps and the pure
-// Faults.Down.
+// workers; touches only lane-owned state plus the pure Faults.Down.
 func (n *Network) popLane(ln *lane) {
 	ln.batch = ln.q.popBatch(n.now, ln.batch[:0])
 	ln.anySkip = false
-	if len(n.down) == 0 && n.faults == nil {
+	if n.faults == nil {
 		return
 	}
 	if cap(ln.skip) < len(ln.batch) {
@@ -736,7 +720,7 @@ func (n *Network) popLane(ln *lane) {
 	ln.skip = ln.skip[:len(ln.batch)]
 	sh := &n.metrics.lanes[ln.idx]
 	for i, ev := range ln.batch {
-		s := n.down[ev.node] || (n.faults != nil && n.faults.Down(n.now, ev.node))
+		s := n.faults.Down(n.now, ev.node)
 		ln.skip[i] = s
 		if s {
 			ln.anySkip = true

@@ -92,13 +92,15 @@ func TestDownNodeDropsTraffic(t *testing.T) {
 	n := New(DefaultLatency(), 6)
 	delivered := 0
 	n.Register(1, func(ctx *Context, msg Message) { delivered++ })
-	n.SetDown(1, true)
+	const rejoin = 100
+	n.SetFaults(NewChurn(map[NodeID][]Window{1: {{From: 0, To: rejoin}}}))
 	n.Send(0, 1, "PING", nil, 0)
 	n.RunUntilIdle()
 	if delivered != 0 {
 		t.Fatal("down node received a message")
 	}
-	n.SetDown(1, false)
+	n.After(0, rejoin, func(*Context) {})
+	n.RunUntilIdle()
 	n.Send(0, 1, "PING", nil, 0)
 	n.RunUntilIdle()
 	if delivered != 1 {
@@ -226,21 +228,6 @@ func TestMetricsAccounting(t *testing.T) {
 	tags := n.Metrics().Tags()
 	if len(tags) != 2 || tags[0] != "X" {
 		t.Fatalf("tags = %v", tags)
-	}
-}
-
-func TestTrafficByNodes(t *testing.T) {
-	n := New(DefaultLatency(), 10)
-	n.Register(2, func(ctx *Context, msg Message) {})
-	n.Register(3, func(ctx *Context, msg Message) {})
-	n.Metrics().SetPhase("p")
-	n.Send(1, 2, "X", nil, 10)
-	n.Send(1, 3, "X", nil, 10)
-	n.RunUntilIdle()
-	c := n.Metrics().TrafficByNodes("p", []NodeID{1, 2, 3})
-	// 2 sends by node 1 + 2 receives by nodes 2, 3.
-	if c.Messages != 4 || c.Bytes != 40 {
-		t.Fatalf("traffic = %+v", c)
 	}
 }
 

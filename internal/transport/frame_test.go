@@ -103,11 +103,12 @@ func TestLiveCorruptFramePanics(t *testing.T) {
 		{"key", func(frame []byte) { frame[4] ^= 1 }, "frame answers key"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
+			net, live := newLive(simnet.DefaultLatency(), 1)
 			defer live.Close()
 			ran := false
-			live.Register(0, func(ctx *simnet.Context, msg simnet.Message) { ran = true })
-			live.Send(1, 0, "PING", "x", 6)
+			live.Attach(0)
+			net.Register(0, func(ctx *simnet.Context, msg simnet.Message) { ran = true })
+			net.Send(1, 0, "PING", "x", 6)
 			live.CorruptFrames(0, tc.corrupt)
 			defer func() {
 				err, _ := recover().(error)
@@ -123,7 +124,7 @@ func TestLiveCorruptFramePanics(t *testing.T) {
 					t.Error("handler ran on a corrupt frame")
 				}
 			}()
-			live.RunUntilIdle()
+			net.RunUntilIdle()
 		})
 	}
 }

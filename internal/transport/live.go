@@ -9,9 +9,9 @@ import (
 )
 
 // Live runs one committee population as real concurrent processes: every
-// registered node is a goroutine, and every message payload crosses
-// between them only as a codec-encoded frame. It is the simulator plus a
-// payload carrier: the embedded Sim — the same *simnet.Network every other
+// attached node is a goroutine, and every message payload crosses between
+// them only as a codec-encoded frame. It is a payload carrier and nothing
+// more: the *simnet.Network it is installed on — the same one every other
 // run uses — owns virtual time, the event queue, scheduling keys, the
 // keyed delay draw, the fault model, crashed nodes and all traffic
 // accounting, and Live implements simnet.Carrier to move what the
@@ -39,42 +39,31 @@ import (
 // the lane that owns the node during the pop phase, and the claim on the
 // node's goroutine while that same lane waits in Deliver.
 //
-// SetParallelism is the Network's: worker lanes bound how many nodes run
-// at once within a tick. A frame that fails to encode or to parse is a
-// programming error (the codec is fuzz-hardened and the frames never
-// leave the process), so the delivery panics with the underlying error
-// rather than silently diverging from the simulator.
+// The Network's worker lanes bound how many nodes run at once within a
+// tick. A frame that fails to encode or to parse is a programming error
+// (the codec is fuzz-hardened and the frames never leave the process), so
+// the delivery panics with the underlying error rather than silently
+// diverging from the simulator.
 type Live struct {
-	Sim
 	codec Codec
 
 	nodes  map[simnet.NodeID]*liveNode
-	wg     sync.WaitGroup // the node goroutines, one per registered node
+	wg     sync.WaitGroup // the node goroutines, one per attached node
 	closed bool
 }
 
-// NewLive builds a live transport scheduled by a fresh simnet.Network with
-// the given latency model and seed. It starts no goroutine until a node
-// registers.
-func NewLive(codec Codec, lat simnet.Latency, seed int64) *Live {
+// NewLive builds a live carrier and installs it on net, which must be
+// idle. It starts no goroutine until a node is attached.
+func NewLive(codec Codec, net *simnet.Network) *Live {
 	l := &Live{
-		Sim:   *NewSim(lat, seed),
 		codec: codec,
 		nodes: make(map[simnet.NodeID]*liveNode),
 	}
-	l.Network.SetCarrier(l)
+	net.SetCarrier(l)
 	return l
 }
 
-// LiveFactory returns a Factory building a live transport with the given
-// codec.
-func LiveFactory(codec Codec) Factory {
-	return func(lat simnet.Latency, seed int64) (Transport, error) {
-		return NewLive(codec, lat, seed), nil
-	}
-}
-
-// liveNode is one registered node: its goroutine, the channel pair a lane
+// liveNode is one attached node: its goroutine, the channel pair a lane
 // hands it deliveries over, the mailbox of encoded frames shipped to it,
 // keyed by the scheduling key of their delivery event, and the tags it has
 // seen (parseFrame's intern).
@@ -95,10 +84,10 @@ type job struct {
 	key msgKey
 }
 
-// Register installs the handler for a node on the Network, creating the
-// node's mailbox and goroutine on first registration.
-func (l *Live) Register(id simnet.NodeID, h simnet.Handler) {
-	l.Network.Register(id, h)
+// Attach gives node id its mailbox and goroutine; attaching a node twice is
+// a no-op. Messages shipped to a node that was never attached run no
+// handler, like messages to a node the Network has no handler for.
+func (l *Live) Attach(id simnet.NodeID) {
 	if _, ok := l.nodes[id]; ok {
 		return
 	}
@@ -173,7 +162,7 @@ func (l *Live) Deliver(ctx *simnet.Context, ks uint64, kc uint32, h simnet.Handl
 }
 
 // Fire implements simnet.Carrier: the timer runs on its node's goroutine
-// (inline for a node that was never registered and so has none).
+// (inline for a node that was never attached and so has none).
 func (l *Live) Fire(ctx *simnet.Context, fn func(*simnet.Context)) {
 	n := l.nodes[ctx.Node]
 	if n == nil {
@@ -190,20 +179,16 @@ func (l *Live) Discard(ks uint64, kc uint32, to simnet.NodeID) {
 }
 
 // Close stops the node goroutines and waits for them to exit. Safe to
-// call twice; the transport must not be used afterwards.
-func (l *Live) Close() error {
+// call twice; the Network must not run afterwards.
+func (l *Live) Close() {
 	if l.closed {
-		return nil
+		return
 	}
 	l.closed = true
 	for _, n := range l.nodes {
 		close(n.work)
 	}
 	l.wg.Wait()
-	return nil
 }
 
-var (
-	_ Transport      = (*Live)(nil)
-	_ simnet.Carrier = (*Live)(nil)
-)
+var _ simnet.Carrier = (*Live)(nil)

@@ -61,17 +61,30 @@ func (testCodec) Decode(data []byte) (any, int, error) {
 	return nil, 0, fmt.Errorf("testCodec: unknown tag %d", data[0])
 }
 
+// newLive builds a network with the live carrier installed on it.
+func newLive(lat simnet.Latency, seed int64) (*simnet.Network, *transport.Live) {
+	net := simnet.New(lat, seed)
+	return net, transport.NewLive(testCodec{}, net)
+}
+
 // runScenario drives a small ping/pong/timer workload: jittered delays,
 // handler-issued sends and timers, a phase change, an external timer, a
-// modeled nil-payload broadcast, and a downed node — every behaviour the
-// live transport must reproduce from the simulator.
-func runScenario(tr transport.Transport) (counts [2]uint64) {
+// modeled nil-payload broadcast, and a node that crashes between the
+// phases — every behaviour the live carrier (nil: the simulator alone)
+// must reproduce. faults are the layers under the crash.
+func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composite) (counts [2]uint64) {
 	const n = 5
 	peers := make([]simnet.NodeID, n)
 	for i := range peers {
 		peers[i] = simnet.NodeID(i)
 	}
+	if len(faults) > 0 {
+		tr.SetFaults(faults)
+	}
 	for i := 0; i < n; i++ {
+		if live != nil {
+			live.Attach(peers[i])
+		}
 		tr.Register(peers[i], func(ctx *simnet.Context, msg simnet.Message) {
 			switch msg.Tag {
 			case "PING":
@@ -92,7 +105,8 @@ func runScenario(tr transport.Transport) (counts [2]uint64) {
 	counts[0] = tr.RunUntilIdle()
 
 	tr.Metrics().SetPhase("cool")
-	tr.SetDown(3, true)
+	crash := simnet.NewChurn(map[simnet.NodeID][]simnet.Window{3: {{From: tr.Now()}}})
+	tr.SetFaults(append(simnet.Composite{crash}, faults...))
 	tr.Send(1, 0, "PING", "again", 10)
 	tr.Send(1, 3, "PING", "to-the-dead", 11)
 	tr.After(2, 7, func(c *simnet.Context) { c.Send(0, "PING", "from-timer", 12) })
@@ -108,20 +122,20 @@ func TestLiveMatchesSimnet(t *testing.T) {
 	const seed = 42
 	lat := simnet.DefaultLatency()
 
-	sim := transport.NewSim(lat, seed)
-	live := transport.NewLive(testCodec{}, lat, seed)
+	sim := simnet.New(lat, seed)
+	net, live := newLive(lat, seed)
 	defer live.Close()
 
-	simCounts := runScenario(sim)
-	liveCounts := runScenario(live)
+	simCounts := runScenario(sim, nil, nil)
+	liveCounts := runScenario(net, live, nil)
 
 	if simCounts != liveCounts {
 		t.Errorf("event counts: sim %v, live %v", simCounts, liveCounts)
 	}
-	if sim.Now() != live.Now() {
-		t.Errorf("virtual time: sim %d, live %d", sim.Now(), live.Now())
+	if sim.Now() != net.Now() {
+		t.Errorf("virtual time: sim %d, live %d", sim.Now(), net.Now())
 	}
-	sm, lm := sim.Metrics(), live.Metrics()
+	sm, lm := sim.Metrics(), net.Metrics()
 	if sm.Total() != lm.Total() {
 		t.Errorf("total traffic: sim %+v, live %+v", sm.Total(), lm.Total())
 	}
@@ -158,7 +172,7 @@ func TestLiveMatchesSimnet(t *testing.T) {
 // snapshot renders everything a scenario run leaves observable on a
 // transport — event counts, virtual time, and every metrics view — so two
 // runs compare with one string equality.
-func snapshot(tr transport.Transport, counts [2]uint64) string {
+func snapshot(tr *simnet.Network, counts [2]uint64) string {
 	var b strings.Builder
 	m := tr.Metrics()
 	fmt.Fprintf(&b, "counts %v now %d total %+v dropped %+v late %+v\n",
@@ -185,9 +199,9 @@ func snapshot(tr transport.Transport, counts [2]uint64) string {
 func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	const seed = 42
 	lat := simnet.DefaultLatency()
-	// Each transport gets its own instance: Loss and Lag own RNG state.
-	none := func() simnet.Faults { return nil }
-	faulted := func() simnet.Faults {
+	// Each network gets its own instance: Loss and Lag own RNG state.
+	none := func() simnet.Composite { return nil }
+	faulted := func() simnet.Composite {
 		return simnet.Composite{
 			simnet.NewLoss(0.05, 9),
 			simnet.NewLag(0.3, 25, 10),
@@ -196,21 +210,15 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		faults func() simnet.Faults
+		faults func() simnet.Composite
 	}{{"fault-free", none}, {"faulted", faulted}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim := transport.NewSim(lat, seed)
-			live := transport.NewLive(testCodec{}, lat, seed)
+			sim := simnet.New(lat, seed)
+			net, live := newLive(lat, seed)
 			defer live.Close()
 			simFaults := tc.faults()
-			if err := sim.SetFaults(simFaults); err != nil {
-				t.Fatal(err)
-			}
-			if err := live.SetFaults(tc.faults()); err != nil {
-				t.Fatalf("live transport refused a fault model: %v", err)
-			}
-			want := snapshot(sim, runScenario(sim))
-			got := snapshot(live, runScenario(live))
+			want := snapshot(sim, runScenario(sim, nil, simFaults))
+			got := snapshot(net, runScenario(net, live, tc.faults()))
 			if want != got {
 				t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", want, got)
 			}
@@ -229,13 +237,14 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 // different pointer with equal contents, so the scheduler's event never
 // carried it.
 func TestLivePayloadIsolation(t *testing.T) {
-	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
+	net, live := newLive(simnet.DefaultLatency(), 1)
 	defer live.Close()
 	var got *note
-	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) { got = msg.Payload.(*note) })
+	live.Attach(0)
+	net.Register(0, func(ctx *simnet.Context, msg simnet.Message) { got = msg.Payload.(*note) })
 	sent := &note{text: "by value"}
-	live.Send(1, 0, "NOTE", sent, 13)
-	live.RunUntilIdle()
+	net.Send(1, 0, "NOTE", sent, 13)
+	net.RunUntilIdle()
 	if got == nil {
 		t.Fatal("handler never ran")
 	}
@@ -250,59 +259,54 @@ func TestLivePayloadIsolation(t *testing.T) {
 // TestLiveSendAudit checks the audit hook observes live sends with the
 // declared size, before delivery.
 func TestLiveSendAudit(t *testing.T) {
-	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
+	net, live := newLive(simnet.DefaultLatency(), 1)
 	defer live.Close()
-	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
+	live.Attach(0)
+	net.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
 	var seen []simnet.Message
-	live.SetSendAudit(func(m simnet.Message) { seen = append(seen, m) })
-	live.Send(1, 0, "PING", "x", 6)
-	live.RunUntilIdle()
+	net.SetSendAudit(func(m simnet.Message) { seen = append(seen, m) })
+	net.Send(1, 0, "PING", "x", 6)
+	net.RunUntilIdle()
 	if len(seen) != 1 || seen[0].Tag != "PING" || seen[0].Size != 6 {
 		t.Fatalf("audit saw %v", seen)
 	}
 }
 
 // TestLiveCloseIdempotent checks Close twice is safe and leaves the
-// transport's accessors usable.
+// network's accessors usable.
 func TestLiveCloseIdempotent(t *testing.T) {
-	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 1)
-	live.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
-	live.Register(1, func(ctx *simnet.Context, msg simnet.Message) {})
-	live.Send(0, 1, "PING", "x", 6)
-	live.RunUntilIdle()
-	if err := live.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
+	net, live := newLive(simnet.DefaultLatency(), 1)
+	for id := simnet.NodeID(0); id < 2; id++ {
+		live.Attach(id)
+		net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {})
 	}
-	if err := live.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if live.Now() == 0 {
+	net.Send(0, 1, "PING", "x", 6)
+	net.RunUntilIdle()
+	live.Close()
+	live.Close()
+	if net.Now() == 0 {
 		t.Error("virtual time lost after Close")
 	}
 }
 
-// TestLiveOneGoroutinePerNode pins the transport's shape: it starts one
-// goroutine per registered node and nothing per link, message or round, so
+// TestLiveOneGoroutinePerNode pins the carrier's shape: it starts one
+// goroutine per attached node and nothing per link, message or round, so
 // after a two-phase scenario that has used nine directed links the count is
 // the pre-NewLive baseline plus the five nodes exactly — and
 // Close waits for all of them: the count is back at the baseline, and a
-// second Close is still nil.
+// second Close changes nothing.
 func TestLiveOneGoroutinePerNode(t *testing.T) {
 	before := settledGoroutines()
-	live := transport.NewLive(testCodec{}, simnet.DefaultLatency(), 42)
-	runScenario(live)
+	net, live := newLive(simnet.DefaultLatency(), 42)
+	runScenario(net, live, nil)
 	if during := runtime.NumGoroutine(); during != before+5 {
-		t.Errorf("%d goroutines for 5 registered nodes (%d before NewLive, %d during)", during-before, before, during)
+		t.Errorf("%d goroutines for 5 attached nodes (%d before NewLive, %d during)", during-before, before, during)
 	}
-	if err := live.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
+	live.Close()
 	if after := settledGoroutines(); after != before {
 		t.Errorf("goroutines leaked: %d before NewLive, %d after Close", before, after)
 	}
-	if err := live.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
+	live.Close()
 }
 
 // settledGoroutines returns the goroutine count once it has held still for

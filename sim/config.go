@@ -89,7 +89,7 @@ func (c Config) Params() (protocol.Params, error) {
 	if err != nil {
 		return protocol.Params{}, err
 	}
-	factory, err := parseTransport(c.Transport)
+	liveCodec, err := parseTransport(c.Transport)
 	if err != nil {
 		return protocol.Params{}, err
 	}
@@ -115,7 +115,7 @@ func (c Config) Params() (protocol.Params, error) {
 		ParallelBlockGen:  c.ParallelBlockGen,
 		AggregateCerts:    c.AggregateCerts,
 		Faults:            c.Faults.Clone(),
-		Transport:         factory,
+		LiveCodec:         liveCodec,
 	}, nil
 }
 
@@ -166,11 +166,10 @@ func configFromParams(p protocol.Params) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	if p.Transport != nil {
-		// Factories are opaque functions; only the nil default (the
-		// simulator) has a canonical name. Configs name transports
-		// directly, so nothing round-trips through here.
-		return Config{}, fmt.Errorf("sim: transport factories cannot be named; set Config.Transport instead")
+	if p.LiveCodec != nil {
+		// Configs name transports directly, so no codec round-trips
+		// through here; only the nil default (the simulator) is mapped.
+		return Config{}, fmt.Errorf("sim: a live codec cannot be named; set Config.Transport instead")
 	}
 	return Config{
 		M:                p.M,
@@ -298,16 +297,16 @@ func behaviorName(b protocol.Behavior) (string, error) {
 	return strings.Join(parts, ","), nil
 }
 
-// parseTransport resolves a transport name to an engine factory. The nil
-// factory is the deterministic simulator (protocol.NewEngine's default);
-// "live" runs real concurrent node processes over the production wire
-// codec, report-identical to the simulator for fault-free scenarios.
-func parseTransport(s string) (transport.Factory, error) {
+// parseTransport resolves a transport name to the engine's live codec. nil
+// is the deterministic simulator (protocol.NewEngine's default); "live"
+// runs real concurrent node processes exchanging production wire frames,
+// report-identical to the simulator under every fault model.
+func parseTransport(s string) (transport.Codec, error) {
 	switch s {
 	case "", "sim":
 		return nil, nil
 	case "live":
-		return transport.LiveFactory(wire.Codec{}), nil
+		return wire.Codec{}, nil
 	default:
 		return nil, fmt.Errorf("sim: unknown transport %q (want sim or live)", s)
 	}

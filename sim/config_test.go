@@ -19,9 +19,13 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		sim.WithRecovery(false),
 		sim.WithPreScreenCross(true),
 		sim.WithParallelBlockGen(true),
+		sim.WithPowHardness(64),
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.PowHardness != 64 {
+		t.Fatalf("WithPowHardness(64) left pow_hardness at %d", want.PowHardness)
 	}
 	data, err := want.ToJSON()
 	if err != nil {
