@@ -16,6 +16,7 @@ const (
 	TagPropose = "CONS_PROPOSE"
 	TagEcho    = "CONS_ECHO"
 	TagConfirm = "CONS_CONFIRM"
+	TagFetch   = "CONS_FETCH"
 )
 
 // The package's rows in the wire registry: each message's layout method is
@@ -25,6 +26,7 @@ func init() {
 	wire.Register(Propose.layout, wire.TagPropose)
 	wire.Register(Echo.layout, wire.TagEcho)
 	wire.Register(Confirm.layout, wire.TagConfirm)
+	wire.Register(Fetch.layout, wire.TagFetch)
 	wire.Register(Witness.layout, wire.TagWitness)
 	wire.Register(Result.layout, wire.TagResult)
 	wire.Register(AggResult.layout, wire.TagAggResult)
@@ -57,15 +59,25 @@ func (p Propose) layout(c *wire.Coder) Propose {
 	return p
 }
 
-// Echo is a member's endorsement of a digest; it retransmits the leader's
-// signed proposal so members that missed the direct PROPOSE can adopt it.
+// header is the part of a proposal the leader's signature covers, which is
+// all an equivocation witness needs.
+func (p Propose) header() Propose {
+	p.Payload, p.Size = nil, 0
+	return p
+}
+
+// Echo is a member's endorsement of a digest. It carries the leader's
+// signature on that digest — enough to prove equivocation, and to tell a
+// member which digest to Fetch — but never the payload: its size does not
+// depend on what was proposed.
 type Echo struct {
-	Round   uint64
-	SN      uint64
-	Digest  crypto.Digest
-	Echoer  simnet.NodeID
-	Sig     []byte
-	Propose Propose
+	Round     uint64
+	SN        uint64
+	Digest    crypto.Digest
+	Echoer    simnet.NodeID
+	Sig       []byte
+	Leader    simnet.NodeID
+	LeaderSig []byte
 }
 
 func (e Echo) layout(c *wire.Coder) Echo {
@@ -74,8 +86,27 @@ func (e Echo) layout(c *wire.Coder) Echo {
 	wire.Hash(c, &e.Digest)
 	wire.ID(c, &e.Echoer)
 	c.Bytes(&e.Sig)
-	wire.Field(c, &e.Propose)
+	wire.ID(c, &e.Leader)
+	c.Bytes(&e.LeaderSig)
 	return e
+}
+
+// Fetch asks an echoer for the proposal behind a digest the committee is
+// echoing and the sender never received. It is unsigned: the answer is the
+// leader-signed PROPOSE itself, and a member is answered once per instance.
+type Fetch struct {
+	Round  uint64
+	SN     uint64
+	Digest crypto.Digest
+	Leader simnet.NodeID
+}
+
+func (f Fetch) layout(c *wire.Coder) Fetch {
+	c.U64(&f.Round)
+	c.U64(&f.SN)
+	wire.Hash(c, &f.Digest)
+	wire.ID(c, &f.Leader)
+	return f
 }
 
 // Confirm is a member's final endorsement, carrying its echo evidence.
@@ -102,8 +133,8 @@ func (m Confirm) layout(c *wire.Coder) Confirm {
 	return m
 }
 
-// Witness proves leader equivocation: two proposals signed by the same
-// leader for the same (round, sn) with different digests.
+// Witness proves leader equivocation: two proposal headers signed by the
+// same leader for the same (round, sn) with different digests.
 type Witness struct {
 	A, B Propose
 }
@@ -189,14 +220,15 @@ type instance struct {
 	// arrive, recounted once when a proposal is adopted after them.
 	votes       int
 	confirmSent bool
+	fetched     bool // a member asks for a missed proposal once
 	// leader side: the confirms that count, in arrival order
 	confirms []Confirm
 	decided  bool
-	// seen holds the first two distinct-digest proposals under the leader's
-	// signature, in arrival order. It can never usefully hold more: the
-	// second proves equivocation. Every entry was verified before it was
-	// stored (or signed here, on the leader), which is what lets leaderSigned
-	// recognise a retransmission of one by its bytes.
+	// seen holds the headers of the first two distinct-digest proposals under
+	// the leader's signature, in arrival order. It can never usefully hold
+	// more: the second proves equivocation. Every entry was verified before
+	// it was stored (or signed here, on the leader), which is what lets
+	// leaderSigned recognise a retransmission of one by its bytes.
 	seen  [2]Propose
 	nseen int
 }
@@ -205,6 +237,7 @@ type instance struct {
 type slot struct {
 	echoed    bool
 	confirmed bool
+	served    bool          // its Fetch has been answered
 	digest    crypto.Digest // the digest the member echoed
 	sig       []byte        // its echo signature
 }
@@ -213,16 +246,22 @@ type slot struct {
 // instance.
 func (in *instance) equivocated() bool { return in.nseen == len(in.seen) }
 
+// echoesFor counts the members whose filed echo is for digest.
+func (in *instance) echoesFor(digest crypto.Digest) int {
+	n := 0
+	for i := range in.slots {
+		if s := &in.slots[i]; s.echoed && s.digest == digest {
+			n++
+		}
+	}
+	return n
+}
+
 // adopt takes prop as the instance's proposal and counts the echoes that
 // arrived ahead of it.
 func (in *instance) adopt(prop Propose) {
 	in.propose = &prop
-	in.votes = 0
-	for i := range in.slots {
-		if s := &in.slots[i]; s.echoed && s.digest == prop.Digest {
-			in.votes++
-		}
-	}
+	in.votes = in.echoesFor(prop.Digest)
 }
 
 // remember files a leader-signed proposal under its digest and reports
@@ -238,7 +277,7 @@ func (in *instance) remember(prop *Propose) bool {
 	if in.equivocated() {
 		return false
 	}
-	in.seen[in.nseen] = *prop
+	in.seen[in.nseen] = prop.header()
 	in.nseen++
 	return in.equivocated()
 }
@@ -331,13 +370,6 @@ func (p *Protocol) signed(tag string, round, sn uint64, digest crypto.Digest, wi
 	return p.sigParts[:]
 }
 
-// payloadDigest binds the payload to the instance. Payloads carry their own
-// canonical digest via the Digestable interface; otherwise the digest must
-// be supplied at Propose time.
-type Digestable interface {
-	ConsensusDigest() crypto.Digest
-}
-
 // BuildPropose constructs a signed proposal; exported so adversarial
 // leaders can craft conflicting proposals in tests and attack scenarios.
 func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeID, round, sn uint64, digest crypto.Digest, payload any, size int) Propose {
@@ -392,6 +424,12 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 			return true
 		}
 		p.onEcho(ctx, e)
+	case TagFetch:
+		f, ok := msg.Payload.(Fetch)
+		if !ok {
+			return true
+		}
+		p.onFetch(ctx, msg.From, f)
 	case TagConfirm:
 		c, ok := msg.Payload.(Confirm)
 		if !ok {
@@ -404,11 +442,12 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 	return true
 }
 
-// leaderSigned reports whether prop, already matched to this round and to
-// in's sequence number, carries the leader's signature. A retransmission —
-// digest and signature bytes equal to a proposal the instance holds — was
-// verified when that one was stored and is not verified again; anything
-// else goes to the scheme, and a failure is never remembered. in may be nil.
+// leaderSigned reports whether prop — a proposal or the header an echo
+// carries — already matched to this round and to in's sequence number, is
+// under the leader's signature. A retransmission — digest and signature bytes
+// equal to a header the instance holds — was verified when that one was
+// stored and is not verified again; anything else goes to the scheme, and a
+// failure is never remembered. in may be nil.
 func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 	if in != nil {
 		for i := range in.seen[:in.nseen] {
@@ -444,21 +483,20 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if p.checkEquivocation(ctx, in, &prop) {
 		return // stop participating once the leader is caught
 	}
-	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
-		return
-	}
 	if in.propose != nil {
 		return // duplicate
 	}
-	p.adoptAndEcho(ctx, in, prop)
-	p.maybeConfirm(ctx, prop.SN, in)
-}
-
-// adoptAndEcho takes prop as the instance's proposal and ECHOes it to the
-// whole committee, retransmitting the proposal.
-func (p *Protocol) adoptAndEcho(ctx *simnet.Context, in *instance, prop Propose) {
+	// The leader signed the digest, not the payload: whoever relays a proposal
+	// could put another payload under the header, so the two are compared.
+	if pl, ok := prop.Payload.(interface{ Digest() crypto.Digest }); ok && pl.Digest() != prop.Digest {
+		return
+	}
+	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
+		return
+	}
 	in.adopt(prop)
 	p.cast(ctx, TagEcho, p.echoOwn(in, prop), p.Committee)
+	p.maybeConfirm(ctx, prop.SN, in)
 }
 
 // echoOwn signs this node's echo of prop and files it in its own slot.
@@ -467,11 +505,11 @@ func (p *Protocol) echoOwn(in *instance, prop Propose) Echo {
 	if i, member := p.position(p.Self); member {
 		in.recordEcho(i, prop.Digest, sig)
 	}
-	return Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: sig, Propose: prop}
+	return Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: sig, Leader: prop.Leader, LeaderSig: prop.Sig}
 }
 
 func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
-	if e.Round != p.Round {
+	if e.Round != p.Round || e.Leader != p.Leader {
 		return
 	}
 	i, member := p.position(e.Echoer)
@@ -482,25 +520,43 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 		return
 	}
 	in := p.inst(e.SN)
-	// Adopt/inspect the retransmitted proposal: it is leader-signed, so it
-	// both substitutes for a missed PROPOSE and feeds equivocation checks.
-	// ValidatePayload runs on every echo, memoised nowhere: a payload cannot
-	// be compared for equality, so skipping it could change which echoes a
-	// tampered retransmission loses.
-	if prop := &e.Propose; prop.Round == p.Round && prop.SN == e.SN && p.leaderSigned(in, prop) {
-		if p.checkEquivocation(ctx, in, prop) {
-			return
-		}
-		if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, prop.Payload) {
-			return
-		}
-		if in.propose == nil && p.Self != p.Leader {
-			// Echo ourselves now that we hold the proposal.
-			p.adoptAndEcho(ctx, in, *prop)
-		}
+	// The header the echo carries is leader-signed, so it feeds the
+	// equivocation check like a direct PROPOSE; it cannot be adopted from.
+	hdr := Propose{Round: e.Round, SN: e.SN, Digest: e.Digest, Leader: e.Leader, Sig: e.LeaderSig}
+	signed := p.leaderSigned(in, &hdr)
+	if signed && p.checkEquivocation(ctx, in, &hdr) {
+		return
 	}
 	in.recordEcho(i, e.Digest, e.Sig)
+	if signed {
+		p.maybeFetch(ctx, in, e)
+	}
 	p.maybeConfirm(ctx, e.SN, in)
+}
+
+// maybeFetch asks e's echoer for the proposal once a majority has echoed
+// e.Digest, whose header the leader signed, and this member still holds no
+// proposal: its PROPOSE was lost, or is slower than everyone else's echoes.
+func (p *Protocol) maybeFetch(ctx *simnet.Context, in *instance, e Echo) {
+	if in.propose != nil || in.fetched || p.Self == p.Leader || !Majority(in.echoesFor(e.Digest), len(p.Committee)) {
+		return
+	}
+	in.fetched = true
+	var payload any = Fetch{Round: e.Round, SN: e.SN, Digest: e.Digest, Leader: e.Leader}
+	ctx.Send(e.Echoer, TagFetch, payload, wire.Size(payload))
+}
+
+// onFetch answers a committee member that asks for the proposal this node
+// adopted with that PROPOSE, once per member per instance; anything else is
+// ignored, so a flood of fetches buys at most one proposal a member.
+func (p *Protocol) onFetch(ctx *simnet.Context, from simnet.NodeID, f Fetch) {
+	i, member := p.position(from)
+	in := p.insts[f.SN]
+	if !member || f.Round != p.Round || f.Leader != p.Leader || in == nil || in.propose == nil || in.propose.Digest != f.Digest || in.slots[i].served {
+		return
+	}
+	in.slots[i].served = true
+	p.SendRaw(ctx, *in.propose, []simnet.NodeID{from})
 }
 
 func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {

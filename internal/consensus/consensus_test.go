@@ -3,10 +3,12 @@ package consensus
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // harness wires a committee of Protocol endpoints over a simnet.
@@ -228,24 +230,177 @@ func TestQuorumWithMinorityOffline(t *testing.T) {
 	}
 }
 
-func TestMemberAdoptsProposalFromEcho(t *testing.T) {
-	// A member that never receives the direct PROPOSE still accepts via
-	// the retransmitted proposal inside ECHOes. Simulate by making the
-	// leader skip one member.
-	h := newHarness(t, 5, Ed25519Scheme{}, 7)
-	d := crypto.HString("partial-send")
-	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
-		p := h.nodes[h.leader]
-		prop := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, d, "partial-send", 12)
-		// Deliver the proposal to a single member only; everyone else must
-		// learn it from that member's ECHO retransmission.
-		p.SendRaw(ctx, prop, h.members[1:2])
-	})
-	h.net.RunUntilIdle()
-	for _, id := range h.members[1:] {
-		if h.accepted[id] != d {
-			t.Fatalf("member %d failed to adopt proposal from echoes", id)
+// auditSends counts, from here on, the messages sent under each tag and
+// appends each one to *log when log is non-nil.
+func (h *harness) auditSends(log *[]simnet.Message) map[string]int {
+	sent := make(map[string]int)
+	h.net.SetSendAudit(func(m simnet.Message) {
+		sent[m.Tag]++
+		if log != nil {
+			*log = append(*log, m)
 		}
+	})
+	return sent
+}
+
+func TestMemberFetchesMissedProposal(t *testing.T) {
+	// The leader's PROPOSE never reaches members[4], and the confirms of
+	// members[1] and members[2] never reach the leader: a decision needs the
+	// skipped member's echo (leader, 3, 4 are the leader's majority) and its
+	// confirm. An echo carries no payload, so the member has to fetch.
+	h := newHarness(t, 5, Ed25519Scheme{}, 7)
+	skipped := h.members[4]
+	h.net.SetFaults(simnet.Composite{
+		simnet.NewOneWayPartition([]simnet.NodeID{h.leader}, []simnet.NodeID{skipped}, 0, 0),
+		simnet.NewOneWayPartition(h.members[1:3], []simnet.NodeID{h.leader}, 0, 0),
+	})
+	var log []simnet.Message
+	sent := h.auditSends(&log)
+	d := h.propose("partial-send")
+
+	if sent[TagFetch] != 1 {
+		t.Fatalf("%d fetches sent, want exactly one", sent[TagFetch])
+	}
+	echoes := 0
+	for _, m := range log {
+		switch {
+		case m.Tag == TagFetch && m.From != skipped:
+			t.Fatalf("member %d fetched a proposal it was sent", m.From)
+		case m.Tag == TagPropose && m.From != h.leader && m.To != skipped:
+			t.Fatalf("member %d sent member %d a proposal it did not ask for", m.From, m.To)
+		case m.Tag == TagEcho && m.From == skipped:
+			echoes++
+		}
+	}
+	if sent[TagPropose] != len(h.members)-1+1 {
+		t.Fatalf("%d proposals sent, want the leader's broadcast and one reply", sent[TagPropose])
+	}
+	if echoes != len(h.members)-1 {
+		t.Fatalf("the skipped member sent %d echoes, want %d", echoes, len(h.members)-1)
+	}
+	if h.accepted[skipped] != d {
+		t.Fatal("the skipped member did not adopt the fetched proposal")
+	}
+	res := h.decided[h.leader]
+	if res == nil || res.Digest != d {
+		t.Fatal("no decision")
+	}
+	if !slices.ContainsFunc(res.Confirms, func(c Confirm) bool { return c.Confirmer == skipped }) {
+		t.Fatal("the skipped member's confirm is not in the certificate")
+	}
+}
+
+func TestNoFetchBeforeMajorityOrWithoutLeaderSignature(t *testing.T) {
+	// A member holding no proposal is shown echoes one at a time. It must
+	// not fetch on the first (anyone could make it fetch anything), nor on a
+	// majority whose header the leader never signed.
+	for _, signedByLeader := range []bool{true, false} {
+		h := newHarness(t, 5, Ed25519Scheme{}, 7)
+		sent := h.auditSends(nil)
+		member, d := h.members[4], crypto.HString("missed")
+		signer := h.keys[h.leader]
+		if !signedByLeader {
+			signer = h.keys[h.members[1]]
+		}
+		leaderSig := Ed25519Scheme{}.Sign(signer, sigMsg(TagPropose, 1, 1, d, -1))
+		for n, echoer := range h.members[1:4] {
+			h.net.Send(echoer, member, TagEcho, Echo{
+				Round: 1, SN: 1, Digest: d, Echoer: echoer, Leader: h.leader, LeaderSig: leaderSig,
+				Sig: Ed25519Scheme{}.Sign(h.keys[echoer], sigMsg(TagEcho, 1, 1, d, int32(echoer))),
+			}, 0)
+			h.net.RunUntilIdle()
+			want := 0
+			if signedByLeader && Majority(n+1, len(h.members)) {
+				want = 1
+			}
+			if sent[TagFetch] != want {
+				t.Fatalf("leader-signed=%v: %d fetches after %d echoes, want %d", signedByLeader, sent[TagFetch], n+1, want)
+			}
+		}
+	}
+}
+
+func TestFetchAdmission(t *testing.T) {
+	// After an honest instance every member holds the proposal. One of them
+	// answers a fetch only from a committee member, for this round, for an
+	// instance it knows and the digest it adopted — and one member only once.
+	h := newHarness(t, 5, Ed25519Scheme{}, 12)
+	d := h.propose("payload")
+	holder, asker := h.members[1], h.members[2]
+	if h.nodes[holder].insts[1].slots[2].served {
+		t.Fatal("the honest run already served the asker; pick another seed")
+	}
+	sent := h.auditSends(nil)
+	const outsider = simnet.NodeID(9)
+	h.addOutsider(outsider)
+	good := Fetch{Round: 1, SN: 1, Digest: d, Leader: h.leader}
+	ask := func(from simnet.NodeID, mutate func(*Fetch)) int {
+		f := good
+		if mutate != nil {
+			mutate(&f)
+		}
+		before := sent[TagPropose]
+		h.net.Send(from, holder, TagFetch, f, 0)
+		h.net.RunUntilIdle()
+		return sent[TagPropose] - before
+	}
+	for name, replies := range map[string]int{
+		"non-member sender": ask(outsider, nil),
+		"wrong round":       ask(asker, func(f *Fetch) { f.Round = 2 }),
+		"unknown sn":        ask(asker, func(f *Fetch) { f.SN = 7 }),
+		"another digest":    ask(asker, func(f *Fetch) { f.Digest = crypto.HString("other") }),
+		"another leader":    ask(asker, func(f *Fetch) { f.Leader = asker }),
+	} {
+		if replies != 0 {
+			t.Errorf("%s: %d replies, want none", name, replies)
+		}
+	}
+	if _, known := h.nodes[holder].insts[7]; known {
+		t.Error("a fetch for an unknown sn created an instance")
+	}
+	if n := ask(asker, nil); n != 1 {
+		t.Fatalf("a member's fetch drew %d replies, want one", n)
+	}
+	if n := ask(asker, nil); n != 0 {
+		t.Fatalf("the same member's second fetch drew %d replies, want none", n)
+	}
+	if n := ask(h.members[3], nil); n != 1 {
+		t.Fatalf("another member's fetch drew %d replies, want one", n)
+	}
+}
+
+func TestEquivocationProvedFromHeaders(t *testing.T) {
+	// A member holding A from a direct PROPOSE is shown B only as the header
+	// inside another member's echo. The witness is two headers: it verifies,
+	// and it carries neither payload into the accusation.
+	h := newHarness(t, 5, Ed25519Scheme{}, 4)
+	member, echoer := h.members[1], h.members[2]
+	dB := crypto.HString("version-B")
+	lp := h.nodes[h.leader]
+	propA := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, crypto.HString("version-A"), "version-A", 9)
+	propB := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, dB, "version-B", 9)
+	h.net.Send(h.leader, member, TagPropose, propA, 0)
+	h.net.RunUntilIdle()
+	h.net.Send(echoer, member, TagEcho, Echo{
+		Round: 1, SN: 1, Digest: dB, Echoer: echoer, Leader: h.leader, LeaderSig: propB.Sig,
+		Sig: Ed25519Scheme{}.Sign(h.keys[echoer], sigMsg(TagEcho, 1, 1, dB, int32(echoer))),
+	}, 0)
+	h.net.RunUntilIdle()
+	w := h.witness[member]
+	if w == nil {
+		t.Fatal("equivocation shown by an echo header went undetected")
+	}
+	if !w.Valid(Ed25519Scheme{}, h.keys[h.leader].PK) {
+		t.Fatal("witness built from headers does not verify")
+	}
+	if w.A.Digest != propA.Digest || w.B.Digest != dB {
+		t.Fatalf("witness is (%x, %x)", w.A.Digest[:4], w.B.Digest[:4])
+	}
+	if w.A.Payload != nil || w.B.Payload != nil || w.A.Size != 0 || w.B.Size != 0 {
+		t.Fatalf("witness carries payloads: %+v", w)
+	}
+	if _, err := wire.AppendEncode(nil, *w); err != nil {
+		t.Fatalf("witness does not encode: %v", err)
 	}
 }
 
@@ -388,7 +543,7 @@ func TestEchoesFromOutsidersDoNotCount(t *testing.T) {
 	for _, outsider := range []simnet.NodeID{8, 9} {
 		h.addOutsider(outsider)
 		echo := Echo{
-			Round: 1, SN: 1, Digest: d, Echoer: outsider, Propose: prop,
+			Round: 1, SN: 1, Digest: d, Echoer: outsider, Leader: h.leader, LeaderSig: prop.Sig,
 			Sig: Ed25519Scheme{}.Sign(h.keys[outsider], sigMsg(TagEcho, 1, 1, d, int32(outsider))),
 		}
 		for _, to := range h.members[:2] {
@@ -491,10 +646,9 @@ func (h *harness) countProposalVerifies() map[simnet.NodeID]*countingScheme {
 }
 
 func TestLeaderSignatureVerifiedOncePerEndpoint(t *testing.T) {
-	// Every echo retransmits the leader's signed proposal. An endpoint
-	// verifies the leader's signature once per distinct (digest, signature)
-	// it is shown for an instance — not once per echo, which at c = 48 is 47
-	// times.
+	// Every echo carries the leader's signature on the digest. An endpoint
+	// verifies it once per distinct (digest, signature) it is shown for an
+	// instance — not once per echo, which at c = 48 is 47 times.
 	check := func(counts map[simnet.NodeID]*countingScheme, distinct func(id simnet.NodeID, n int) bool) {
 		t.Helper()
 		for id, cs := range counts {

@@ -14,8 +14,8 @@ import (
 )
 
 // The differential tests drive one Algorithm 3 endpoint and the map-based
-// oracle (oracle_test.go) through the same schedule of proposals, echoes and
-// confirms, and require every effect to match: each send (destination, tag,
+// oracle (oracle_test.go) through the same schedule of proposals (direct and
+// relayed), echoes, fetches and confirms, and require every effect to match: each send (destination, tag,
 // declared size, encoded bytes), OnAccept, OnDecide's Result bytes,
 // OnEquivocation (witness as the set {A, B}), HasProposal and Decided.
 
@@ -28,9 +28,9 @@ type endpoint interface {
 }
 
 // malleable wraps a scheme so that a signature has a second valid encoding,
-// sig ‖ 0xA5. Neither shipped scheme has one, and without it "a retransmitted
-// proposal whose signature bytes differ from the verified one" could only
-// ever be an invalid proposal.
+// sig ‖ 0xA5. Neither shipped scheme has one, and without it "a header shown
+// again whose signature bytes differ from the verified one" could only ever
+// be an invalid header.
 type malleable struct{ SignatureScheme }
 
 func (m malleable) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
@@ -52,7 +52,9 @@ type world struct {
 const (
 	diffRound   = 5
 	staleRound  = 99
-	foreignSkew = 7 // an embedded proposal "for another instance" is for sn+7
+	foreignSkew = 7 // a leader signature "for another instance" is for sn+7
+	// diffOutsider is in no committee newWorld builds.
+	diffOutsider = simnet.NodeID(36)
 )
 
 // diffSizes are the committee sizes a schedule's first byte chooses from.
@@ -63,14 +65,31 @@ var diffSNs = []uint64{1, 2, 1 + foreignSkew, 2 + foreignSkew}
 
 var diffDigests = [3]crypto.Digest{crypto.HString("d0"), crypto.HString("d1"), crypto.HString("d2")}
 
+// sealed is a payload that, like the protocol layer's, knows its own digest:
+// a proposal carrying sealed{k} is adopted only under diffDigests[k]. It is
+// registered under a tag of the test binary's own, far from the declared ones.
+type sealed struct{ K uint64 }
+
+func (s sealed) Digest() crypto.Digest { return diffDigests[s.K%3] }
+
+func (s sealed) layout(c *wire.Coder) sealed {
+	c.U64(&s.K)
+	return s
+}
+
+func init() { wire.Register(sealed.layout, 0x7000) }
+
 // diffPayloads are registered wire values (a proposal must encode); the
 // last one is what ValidatePayload rejects.
-var diffPayloads = [3]any{nil, Confirm{SN: 1}, Confirm{SN: 2}}
+var diffPayloads = [4]any{nil, sealed{0}, sealed{1}, Confirm{SN: 2}}
 
 func diffValidate(_ uint64, payload any) bool {
-	c, ok := payload.(Confirm)
-	return !ok || c.SN != 2
+	_, rejected := payload.(Confirm)
+	return !rejected
 }
+
+// payloadOf maps a schedule byte to one of diffPayloads and its declared size.
+func payloadOf(v byte) (any, int) { return diffPayloads[v%4], int(v % 4) }
 
 func newWorld(c int, ed25519, leaderSide bool, selfPos int) *world {
 	w := &world{keys: make(map[simnet.NodeID]crypto.KeyPair)}
@@ -95,9 +114,10 @@ func newWorld(c int, ed25519, leaderSide bool, selfPos int) *world {
 
 // rig is one endpoint on a network of its own, with every effect logged.
 type rig struct {
-	net *simnet.Network
-	ep  endpoint
-	log []string
+	net  *simnet.Network
+	ep   endpoint
+	log  []string
+	sent map[string]int // the endpoint's sends by tag, over the whole schedule
 }
 
 func enc(t testing.TB, v any) []byte {
@@ -110,7 +130,7 @@ func enc(t testing.TB, v any) []byte {
 }
 
 func newRig(t testing.TB, w *world, oracle bool) *rig {
-	r := &rig{net: simnet.New(simnet.DefaultLatency(), 1)}
+	r := &rig{net: simnet.New(simnet.DefaultLatency(), 1), sent: make(map[string]int)}
 	onDecide := func(_ *simnet.Context, res Result) {
 		r.log = append(r.log, fmt.Sprintf("decide %x", enc(t, res)))
 	}
@@ -141,6 +161,7 @@ func newRig(t testing.TB, w *world, oracle bool) *rig {
 	// schedule's injected deliveries (whose sender may be its own ID).
 	r.net.SetSendAudit(func(m simnet.Message) {
 		if m.From == w.self && m.To != w.self {
+			r.sent[m.Tag]++
 			r.log = append(r.log, fmt.Sprintf("send to=%d %s size=%d %x", m.To, m.Tag, m.Size, enc(t, m.Payload)))
 		}
 	})
@@ -159,11 +180,12 @@ const (
 	opConfirm
 	opLocalPropose
 	opEchoAgain // echoes are most of a real instance's traffic
+	opFetch
 	numOps
 )
 
 func (s step) String() string {
-	return fmt.Sprintf("{op=%d who=%d dig=%#x sig=%#x where=%#x pay=%d}", s.op%numOps, s.who, s.dig, s.sig, s.where, s.pay%3)
+	return fmt.Sprintf("{op=%d who=%d dig=%#x sig=%#x where=%#x pay=%d}", s.op%numOps, s.who, s.dig, s.sig, s.where, s.pay%4)
 }
 
 // sign signs msg under kp, then spoils or re-encodes the signature:
@@ -193,7 +215,7 @@ func rarely(v byte, odd, usual uint64) uint64 {
 func digestOf(v byte) crypto.Digest { return diffDigests[v&3%3] }
 
 // proposal forges a leader proposal from the step's fields at the given bit
-// offsets (a direct PROPOSE and an echo's embedded one read different bits).
+// offsets (a PROPOSE and the signature an echo carries read different bits).
 func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits uint) Propose {
 	round := rarely(s.where>>roundBits, staleRound, diffRound)
 	sn = rarely(s.where>>snBits, sn+foreignSkew, sn)
@@ -202,8 +224,9 @@ func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits 
 	if s.where&0x80 != 0 {
 		leader = w.committee[0] // a wrong Leader field; the signature is still the leader's
 	}
+	payload, size := payloadOf(s.pay)
 	return Propose{
-		Round: round, SN: sn, Digest: d, Payload: diffPayloads[s.pay%3], Size: int(s.pay % 3), Leader: leader,
+		Round: round, SN: sn, Digest: d, Payload: payload, Size: size, Leader: leader,
 		Sig: w.sign(w.keys[w.leader], s.sig>>sigBits, sigMsg(TagPropose, round, sn, d, -1)),
 	}
 }
@@ -235,19 +258,36 @@ func (sc *schedule) run(s step) {
 	}
 	switch s.op % numOps {
 	case opEcho, opEchoAgain:
-		prop := w.proposal(s, sn, 2, 2, 3, 5)
-		sc.note(prop, s.sig>>2)
+		// The leader's signature an echo shows may be over another header
+		// than the echo's own, which leaves the echo's unsigned.
+		hdr := w.proposal(s, sn, 2, 2, 3, 5)
+		if hdr.Round == round && hdr.SN == sn && hdr.Digest == d {
+			sc.note(hdr, s.sig>>2)
+		}
 		deliver(TagEcho, Echo{
-			Round: round, SN: sn, Digest: d, Echoer: from, Propose: prop,
+			Round: round, SN: sn, Digest: d, Echoer: from, Leader: hdr.Leader, LeaderSig: hdr.Sig,
 			Sig: w.sign(w.keys[from], s.sig, sigMsg(TagEcho, round, sn, d, int32(from))),
 		})
 	case opPropose:
-		// A direct PROPOSE has no enclosing echo to disagree with: its
-		// round and sn are the message's own.
+		// A PROPOSE has no enclosing echo to disagree with: its round and sn
+		// are the message's own. Three in four come from the leader; the rest
+		// are relayed by a member, as the answer to a Fetch is.
 		prop := w.proposal(s, sn, 0, 0, 3, 1)
 		sc.note(prop, s.sig)
-		from = w.leader
+		if s.who&3 != 3 {
+			from = w.leader
+		}
 		deliver(TagPropose, prop)
+	case opFetch:
+		// Unsigned, so sig picks the sender: one in four is not a member.
+		if s.sig&3 == 3 {
+			from = diffOutsider
+		}
+		leader := w.leader
+		if s.where&0x80 != 0 {
+			leader = w.committee[0]
+		}
+		deliver(TagFetch, Fetch{Round: round, SN: sn, Digest: d, Leader: leader})
 	case opConfirm:
 		deliver(TagConfirm, Confirm{
 			Round: round, SN: sn, Digest: d, Confirmer: from,
@@ -264,7 +304,8 @@ func (sc *schedule) run(s step) {
 		sc.proposed[sn] = true
 		sc.each(func(r *rig) {
 			r.net.After(w.self, 1, func(ctx *simnet.Context) {
-				r.ep.Propose(ctx, sn, diffDigests[0], diffPayloads[s.pay%3], int(s.pay%3))
+				payload, size := payloadOf(s.pay)
+				r.ep.Propose(ctx, sn, diffDigests[0], payload, size)
 			})
 		})
 	}
@@ -295,16 +336,16 @@ func (sc *schedule) compare(i int, s step) {
 
 // runSchedule decodes data — three configuration bytes, then six per step —
 // and replays it on the table and the oracle. It returns how many effects
-// the schedule produced, so callers can tell a live schedule from noise.
-func runSchedule(t testing.TB, data []byte) int {
+// the schedule produced and how many sends under each tag, so callers can
+// tell a live schedule from noise.
+func runSchedule(t testing.TB, data []byte) (effects int, sent map[string]int) {
 	if len(data) < 3 {
-		return 0
+		return 0, nil
 	}
 	w := newWorld(diffSizes[int(data[0])%len(diffSizes)], data[1]&1 == 1, data[1]&2 == 2, int(data[2]))
 	sc := &schedule{t: t, w: w, proposed: make(map[uint64]bool), shown: make(map[uint64]bool)}
 	sc.rigs = [2]*rig{newRig(t, w, false), newRig(t, w, true)}
 	data = data[3:]
-	effects := 0
 	for i := 0; len(data) >= stepBytes && i < 512; i++ {
 		s := step{data[0], data[1], data[2], data[3], data[4], data[5]}
 		data = data[stepBytes:]
@@ -312,12 +353,13 @@ func runSchedule(t testing.TB, data []byte) int {
 		effects += len(sc.rigs[0].log)
 		sc.compare(i, s)
 	}
-	return effects
+	return effects, sc.rigs[0].sent
 }
 
 // honestSchedule is a whole honest instance seen from one endpoint: the
 // proposal (delivered, or proposed locally on the leader), every member's
-// echo, every member's confirm.
+// echo, two members' fetches (one of them asking twice), every member's
+// confirm.
 func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte {
 	cfg := byte(ed25519)
 	first := step{op: opPropose}
@@ -332,6 +374,9 @@ func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte 
 	for i := 0; i < c; i++ {
 		add(step{op: opEcho, who: byte(i)})
 	}
+	for _, who := range []byte{0, 3, 0} {
+		add(step{op: opFetch, who: who})
+	}
 	for i := 0; i < c; i++ {
 		add(step{op: opConfirm, who: byte(i)})
 	}
@@ -339,9 +384,11 @@ func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte 
 }
 
 // disturb derives an adversarial schedule from an honest one: steps are
-// duplicated and moved (echoes ahead of the proposal, late confirms) and a
-// share of their fields set at random (second digests, bad and re-encoded
-// signatures, stale rounds, foreign sns, rejected payloads).
+// duplicated and moved (echoes ahead of the proposal — which makes a member
+// fetch — late confirms) and a share of their fields set at random (second
+// digests, bad and re-encoded signatures, stale rounds, foreign sns, payloads
+// that are rejected or hash to another digest, relayed proposals, outsiders'
+// fetches).
 func disturb(rng *rand.Rand, honest []byte) []byte {
 	cfg, body := honest[:3], honest[3:]
 	var steps [][]byte
@@ -358,7 +405,7 @@ func disturb(rng *rand.Rand, honest []byte) []byte {
 	out := append([]byte(nil), cfg...)
 	for _, s := range steps {
 		s = append([]byte(nil), s...)
-		for f := 2; f < stepBytes; f++ {
+		for f := 1; f < stepBytes; f++ {
 			if rng.Intn(8) == 0 {
 				s[f] = byte(rng.Intn(256))
 			}
@@ -378,22 +425,33 @@ func TestAlgorithm3MatchesOracle(t *testing.T) {
 					// An honest instance is live: the member confirms, the
 					// leader decides — the oracle agreeing on silence would
 					// prove nothing.
-					if n := runSchedule(t, honest); n < 2 {
+					n, sent := runSchedule(t, honest)
+					if n < 2 {
 						t.Fatalf("honest schedule produced %d effects", n)
+					}
+					// Two members fetch, one of them twice: two answers.
+					if sent[TagPropose] != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
+						t.Fatalf("honest schedule sent %d proposals", sent[TagPropose])
 					}
 					rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
 					variants := 150
 					if ed == 1 {
 						variants = 25 // real signatures: ~100 µs a step
 					}
-					live := 0
+					live, fetches := 0, 0
 					for v := 0; v < variants; v++ {
-						if runSchedule(t, disturb(rng, honest)) > 0 {
+						n, sent := runSchedule(t, disturb(rng, honest))
+						if n > 0 {
 							live++
 						}
+						fetches += sent[TagFetch]
 					}
 					if live < variants/2 {
 						t.Fatalf("only %d of %d disturbed schedules produced any effect", live, variants)
+					}
+					// Echoes moved ahead of the proposal make a member fetch.
+					if !leaderSide && fetches == 0 {
+						t.Fatal("no disturbed schedule made the member fetch")
 					}
 				})
 			}

@@ -1,9 +1,12 @@
 package consensus
 
 // The map-based Algorithm 3 endpoint the positional table in consensus.go
-// replaced, kept verbatim (type names apart) as the reference the
-// differential tests in differential_test.go hold the table to. It is not a
-// second implementation to maintain: it changes only if the protocol does.
+// replaced, kept as the reference the differential tests in
+// differential_test.go hold the table to. It changes only if the protocol
+// does, as it did when ECHO stopped carrying the proposal: the header an echo
+// carries, the Fetch a member sends and answers, and the payload-digest check
+// are written here over maps, from the protocol's description and not from
+// the table's code.
 //
 // Two behaviours of it are deliberately not the table's, and the schedules
 // the differential tests generate stay clear of both: it counts echoes and
@@ -15,6 +18,8 @@ package consensus
 // is why witnesses are compared as the set {A, B}.
 
 import (
+	"slices"
+
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
@@ -26,10 +31,12 @@ type oracleInstance struct {
 	echoDigests map[simnet.NodeID]crypto.Digest
 	echoSigs    map[simnet.NodeID][]byte
 	confirmSent bool
+	fetchSent   bool
+	served      map[simnet.NodeID]bool // members whose Fetch was answered
 	// leader side
 	confirms map[simnet.NodeID]Confirm
 	decided  bool
-	// equivocation evidence
+	// equivocation evidence: leader-signed headers by digest
 	seen        map[crypto.Digest]Propose
 	equivocated bool
 }
@@ -73,6 +80,7 @@ func (p *oracleProtocol) inst(sn uint64) *oracleInstance {
 		in = &oracleInstance{
 			echoDigests: make(map[simnet.NodeID]crypto.Digest),
 			echoSigs:    make(map[simnet.NodeID][]byte),
+			served:      make(map[simnet.NodeID]bool),
 			confirms:    make(map[simnet.NodeID]Confirm),
 			seen:        make(map[crypto.Digest]Propose),
 		}
@@ -87,14 +95,25 @@ func (p *oracleProtocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.D
 	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload, size)
 	in := p.inst(sn)
 	in.propose = &prop
-	in.seen[digest] = prop
+	in.seen[digest] = oracleHeader(prop)
 	p.SendRaw(ctx, prop, p.Committee)
 	// The leader implicitly echoes and confirms its own proposal.
-	p.recordEcho(ctx, sn, Echo{
-		Round: p.Round, SN: sn, Digest: digest, Echoer: p.Self,
-		Sig:     p.Scheme.Sign(p.Keys, sigMsg(TagEcho, p.Round, sn, digest, int32(p.Self))),
-		Propose: prop,
-	})
+	p.recordEcho(ctx, sn, p.echoOf(prop))
+}
+
+// oracleHeader is what the leader's signature covers of a proposal.
+func oracleHeader(prop Propose) Propose {
+	return Propose{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Leader: prop.Leader, Sig: prop.Sig}
+}
+
+// echoOf is this node's signed echo of prop: the digest and the leader's
+// signature on it, never the payload.
+func (p *oracleProtocol) echoOf(prop Propose) Echo {
+	return Echo{
+		Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self,
+		Sig:    p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self))),
+		Leader: prop.Leader, LeaderSig: prop.Sig,
+	}
 }
 
 // SendRaw delivers a pre-built proposal to a subset of members: Propose's
@@ -126,6 +145,12 @@ func (p *oracleProtocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 			return true
 		}
 		p.onEcho(ctx, e)
+	case TagFetch:
+		f, ok := msg.Payload.(Fetch)
+		if !ok {
+			return true
+		}
+		p.onFetch(ctx, msg.From, f)
 	case TagConfirm:
 		c, ok := msg.Payload.(Confirm)
 		if !ok {
@@ -144,7 +169,7 @@ func (p *oracleProtocol) checkEquivocation(ctx *simnet.Context, sn uint64, prop 
 		_ = prior
 		return in.equivocated
 	}
-	in.seen[prop.Digest] = prop
+	in.seen[prop.Digest] = oracleHeader(prop)
 	if len(in.seen) > 1 && !in.equivocated {
 		// Two distinct digests signed by the leader: build the witness.
 		var a, b *Propose
@@ -185,10 +210,13 @@ func (p *oracleProtocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if in.propose != nil {
 		return // duplicate
 	}
+	// The signature binds the digest; the payload has to hash to it.
+	if own, ok := prop.Payload.(interface{ Digest() crypto.Digest }); ok && own.Digest() != prop.Digest {
+		return
+	}
 	in.propose = &prop
-	// ECHO to the whole committee, retransmitting the proposal.
-	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
+	// ECHO to the whole committee.
+	echo := p.echoOf(prop)
 	p.castEcho(ctx, echo)
 	p.recordEcho(ctx, prop.SN, echo)
 	p.maybeConfirm(ctx, prop.SN)
@@ -206,36 +234,52 @@ func (p *oracleProtocol) castEcho(ctx *simnet.Context, echo Echo) {
 }
 
 func (p *oracleProtocol) onEcho(ctx *simnet.Context, e Echo) {
-	if e.Round != p.Round {
+	if e.Round != p.Round || e.Leader != p.Leader {
 		return
 	}
 	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, sigMsg(TagEcho, e.Round, e.SN, e.Digest, int32(e.Echoer))) != nil {
 		return
 	}
-	// Adopt/inspect the retransmitted proposal: it is leader-signed, so it
-	// both substitutes for a missed PROPOSE and feeds equivocation checks.
-	pmsg := sigMsg(TagPropose, e.Propose.Round, e.Propose.SN, e.Propose.Digest, -1)
-	if e.Propose.Round == p.Round && e.Propose.SN == e.SN &&
-		p.Scheme.Verify(p.PKOf(p.Leader), e.Propose.Sig, pmsg) == nil {
-		if p.checkEquivocation(ctx, e.SN, e.Propose) {
+	// The echo names a digest and shows the leader's signature on it: that
+	// feeds the equivocation check, and nothing can be adopted from it.
+	underLeader := p.Scheme.Verify(p.PKOf(p.Leader), e.LeaderSig, sigMsg(TagPropose, e.Round, e.SN, e.Digest, -1)) == nil
+	if underLeader {
+		hdr := Propose{Round: e.Round, SN: e.SN, Digest: e.Digest, Leader: e.Leader, Sig: e.LeaderSig}
+		if p.checkEquivocation(ctx, e.SN, hdr) {
 			return
-		}
-		if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, e.Propose.Payload) {
-			return
-		}
-		in := p.inst(e.SN)
-		if in.propose == nil && p.Self != p.Leader {
-			prop := e.Propose
-			in.propose = &prop
-			// Echo ourselves now that we hold the proposal.
-			echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-			mine := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-			p.castEcho(ctx, mine)
-			p.recordEcho(ctx, prop.SN, mine)
 		}
 	}
 	p.recordEcho(ctx, e.SN, e)
+	// A member still without the proposal asks for it, once, when most of the
+	// committee is echoing a digest the leader signed.
+	if in := p.inst(e.SN); underLeader && in.propose == nil && !in.fetchSent && p.Self != p.Leader {
+		echoing := 0
+		for _, d := range in.echoDigests {
+			if d == e.Digest {
+				echoing++
+			}
+		}
+		if Majority(echoing, len(p.Committee)) {
+			in.fetchSent = true
+			ask := Fetch{Round: p.Round, SN: e.SN, Digest: e.Digest, Leader: p.Leader}
+			ctx.Send(e.Echoer, TagFetch, ask, wire.Size(ask))
+		}
+	}
 	p.maybeConfirm(ctx, e.SN)
+}
+
+// onFetch hands the adopted proposal to a committee member that asks for it
+// by digest, one time.
+func (p *oracleProtocol) onFetch(ctx *simnet.Context, from simnet.NodeID, f Fetch) {
+	if f.Round != p.Round || f.Leader != p.Leader || !slices.Contains(p.Committee, from) {
+		return
+	}
+	in, known := p.insts[f.SN]
+	if !known || in.propose == nil || in.propose.Digest != f.Digest || in.served[from] {
+		return
+	}
+	in.served[from] = true
+	p.SendRaw(ctx, *in.propose, []simnet.NodeID{from})
 }
 
 func (p *oracleProtocol) recordEcho(ctx *simnet.Context, sn uint64, e Echo) {

@@ -1,8 +1,9 @@
 // Package consensus implements Algorithm 3 of the CycLedger paper:
 // inside-committee consensus. A leader PROPOSEs a message M with digest
-// H(M); members ECHO the digest (retransmitting the leader's signed
-// proposal so everyone sees it); once a member observes identical ECHOes
-// from more than half the committee plus the leader's own PROPOSE, it sends
+// H(M); members ECHO the digest, with the leader's signature on it but not
+// M itself (a member that sees the committee echo a digest it has no
+// proposal for FETCHes M from an echoer); once a member observes identical
+// ECHOes from more than half the committee and holds the PROPOSE, it sends
 // CONFIRM with its echo evidence back to the leader; the leader decides
 // when more than half the committee has confirmed, yielding a signature
 // list that certifies the decision to third parties (the referee committee,
@@ -10,7 +11,7 @@
 //
 // A leader that equivocates — signs two different digests for the same
 // (round, sequence-number) — is caught by any honest member who sees both,
-// producing a self-incriminating witness (the pair of signed proposals)
+// producing a self-incriminating witness (the pair of signed headers)
 // that drives the leader re-selection procedure of §V-D.
 package consensus
 

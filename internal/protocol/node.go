@@ -269,12 +269,20 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		return
 	case consensus.TagEcho:
 		if e, ok := msg.Payload.(consensus.Echo); ok {
-			// An echo retransmits the leader-signed proposal, so it counts
-			// as a score observation even when the direct copy was lost.
-			if e.Propose.SN == snScore && e.Propose.Leader == n.curLeader {
+			// An echo names the leader-signed digest it endorses, so it
+			// counts as a score observation even when the direct copy was
+			// lost.
+			if e.SN == snScore && e.Leader == n.curLeader {
 				n.scoreSeen = true
 			}
-			if p := n.consFor(e.Propose.Leader); p != nil {
+			if p := n.consFor(e.Leader); p != nil {
+				p.Handle(ctx, msg)
+			}
+		}
+		return
+	case consensus.TagFetch:
+		if f, ok := msg.Payload.(consensus.Fetch); ok {
+			if p := n.consFor(f.Leader); p != nil {
 				p.Handle(ctx, msg)
 			}
 		}

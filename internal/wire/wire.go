@@ -128,6 +128,9 @@ const (
 	// approval evidence (bitmap + proof) where TagEvictReq carries the
 	// approval list. Both decode to the one struct.
 	TagAggEvictReq uint16 = 42
+	// TagFetch frames consensus.Fetch: a member's request for the proposal
+	// behind a digest its committee is echoing.
+	TagFetch uint16 = 43
 )
 
 // ErrUnknownType reports an encode request for an unregistered Go type, or

@@ -117,8 +117,13 @@ func sampleSemiCom() protocol.SemiComMsg {
 	}
 }
 
+// sampleWitness holds two headers, as an endpoint builds it: what the leader
+// signed of each proposal, without the payload.
 func sampleWitness() consensus.Witness {
-	return consensus.Witness{A: samplePropose(9), B: samplePropose(10)}
+	header := func(digest string) consensus.Propose {
+		return consensus.Propose{Round: 3, SN: 9, Digest: digestOf(digest), Leader: 7, Sig: []byte("sig-" + digest)}
+	}
+	return consensus.Witness{A: header("propose-a"), B: header("propose-b")}
 }
 
 func sampleRecoveryWitness() protocol.RecoveryWitness {
@@ -191,7 +196,7 @@ func fixtures() []any {
 		protocol.BlockMsg{},
 		protocol.UTXOPayload{Committee: 1, UTXO: digestOf("utxo")},
 		samplePropose(9),
-		consensus.Echo{Round: 3, SN: 9, Digest: digestOf("echo"), Echoer: 5, Sig: []byte("sig"), Propose: samplePropose(9)},
+		consensus.Echo{Round: 3, SN: 9, Digest: digestOf("echo"), Echoer: 5, Sig: []byte("sig"), Leader: 7, LeaderSig: []byte("sig-propose")},
 		sampleConfirm(),
 		sampleWitness(),
 		sampleResult(),
@@ -201,6 +206,7 @@ func fixtures() []any {
 		pow.Solution{PK: crypto.PublicKey([]byte{1, 2, 3}), Nonce: 42},
 		sampleAggResult(),
 		sampleAggEvictReq(),
+		consensus.Fetch{Round: 3, SN: 9, Digest: digestOf("echo"), Leader: 7},
 	)
 }
 
@@ -281,11 +287,13 @@ func TestCarrierSizesPinned(t *testing.T) {
 			}
 		}
 	}
-	if got := wire.Size(sampleEvictReq()); got != 731 {
-		t.Errorf("per-voter EvictReqMsg: size %d, pinned 731", got)
+	// 731 and 716 while the fixture's equivocation witness held two whole
+	// proposals; it holds their headers now, as every witness does.
+	if got := wire.Size(sampleEvictReq()); got != 429 {
+		t.Errorf("per-voter EvictReqMsg: size %d, pinned 429", got)
 	}
-	if got := wire.Size(sampleAggEvictReq()); got != 716 {
-		t.Errorf("aggregate EvictReqMsg: size %d, pinned 716", got)
+	if got := wire.Size(sampleAggEvictReq()); got != 414 {
+		t.Errorf("aggregate EvictReqMsg: size %d, pinned 414", got)
 	}
 }
 
