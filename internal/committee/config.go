@@ -75,6 +75,9 @@ type ConfigNode struct {
 	// introduced tracks which members this node has announced itself to,
 	// so MEM_LIST unions do not trigger duplicate MEMBER messages.
 	introduced map[simnet.NodeID]bool
+	// to is the destination list of the fan-out being assembled: one
+	// Broadcast tells the transport that it carries one payload.
+	to []simnet.NodeID
 }
 
 // NewConfigNode initialises the endpoint. Key members seed S with all key
@@ -120,11 +123,12 @@ func (cn *ConfigNode) Start(ctx *simnet.Context) {
 	if cn.IsKey {
 		return
 	}
-	var req any = JoinRequest{Rec: cn.Self} // boxed once, not per destination
-	size := wire.Size(req)
+	cn.to = cn.to[:0]
 	for _, km := range cn.KeyMembers {
-		ctx.Send(km.Node, TagConfig, req, size)
+		cn.to = append(cn.to, km.Node)
 	}
+	var req any = JoinRequest{Rec: cn.Self}
+	ctx.Broadcast(cn.to, TagConfig, req, wire.Size(req))
 }
 
 // Handle consumes a configuration message; returns true when the tag
@@ -152,8 +156,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		}
 		// Union the list and introduce ourselves to members we have not
 		// contacted yet.
-		var intro any = JoinRequest{Rec: cn.Self}
-		size := wire.Size(intro)
+		cn.to = cn.to[:0]
 		for _, rec := range resp.Records {
 			rec, ok := cn.verify(rec)
 			if !ok {
@@ -162,8 +165,12 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 			cn.S.Add(rec)
 			if rec.Node != cn.Self.Node && !cn.introduced[rec.Node] {
 				cn.introduced[rec.Node] = true
-				ctx.Send(rec.Node, TagMember, intro, size)
+				cn.to = append(cn.to, rec.Node)
 			}
+		}
+		if len(cn.to) > 0 {
+			var intro any = JoinRequest{Rec: cn.Self}
+			ctx.Broadcast(cn.to, TagMember, intro, wire.Size(intro))
 		}
 	case TagMember:
 		req, ok := msg.Payload.(JoinRequest)

@@ -324,6 +324,7 @@ type Protocol struct {
 
 	insts map[uint64]*instance
 	pos   map[simnet.NodeID]int // Committee's position index, built on first use
+	peers []simnet.NodeID       // Committee without Self, in order, built with pos
 	// The message being signed or verified and the one-element header the
 	// scheme is handed, reused across calls: schemes do not retain them.
 	sigBuf   []byte
@@ -339,13 +340,25 @@ func rosterIndex(roster []simnet.NodeID) map[simnet.NodeID]int {
 	return pos
 }
 
-// position returns id's index in Committee. The index is derived on first
-// use, so that a Protocol built as a struct literal needs no constructor;
-// Committee must not change after that.
-func (p *Protocol) position(id simnet.NodeID) (int, bool) {
-	if p.pos == nil {
-		p.pos = rosterIndex(p.Committee)
+// index derives the roster's two views, pos and peers, on first use, so
+// that a Protocol built as a struct literal needs no constructor; Committee
+// must not change after that.
+func (p *Protocol) index() {
+	if p.pos != nil {
+		return
 	}
+	p.pos = rosterIndex(p.Committee)
+	p.peers = make([]simnet.NodeID, 0, len(p.Committee))
+	for _, id := range p.Committee {
+		if id != p.Self {
+			p.peers = append(p.peers, id)
+		}
+	}
+}
+
+// position returns id's index in Committee.
+func (p *Protocol) position(id simnet.NodeID) (int, bool) {
+	p.index()
 	i, ok := p.pos[id]
 	return i, ok
 }
@@ -385,27 +398,35 @@ func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest,
 	in := p.inst(sn)
 	in.adopt(prop)
 	in.remember(&prop)
-	p.SendRaw(ctx, prop, p.Committee)
+	p.cast(ctx, TagPropose, prop)
 	// The leader implicitly echoes and confirms its own proposal.
 	p.echoOwn(in, prop)
 }
 
-// SendRaw delivers a pre-built proposal to a subset of members: Propose's
-// broadcast and, on its own, the equivocation primitive of adversarial
-// leaders.
+// SendRaw delivers a pre-built proposal to a subset of members (never to
+// this node): the answer to a Fetch and, on its own, the equivocation
+// primitive of adversarial leaders.
 func (p *Protocol) SendRaw(ctx *simnet.Context, prop Propose, to []simnet.NodeID) {
-	p.cast(ctx, TagPropose, prop, to)
+	var payload any = prop
+	size := wire.Size(payload)
+	for len(to) > 0 { // one Broadcast per run of to that Self does not interrupt
+		run := to
+		if i := slices.Index(to, p.Self); i >= 0 {
+			run, to = to[:i], to[i+1:]
+		} else {
+			to = nil
+		}
+		ctx.Broadcast(run, TagPropose, payload, size)
+	}
 }
 
-// cast sends one message to every node of to but this one. The payload is
-// boxed once, by the call, not once per destination.
-func (p *Protocol) cast(ctx *simnet.Context, tag string, payload any, to []simnet.NodeID) {
-	size := wire.Size(payload)
-	for _, id := range to {
-		if id != p.Self {
-			ctx.Send(id, tag, payload, size)
-		}
-	}
+// cast sends one message to every other member of the committee. It is one
+// Broadcast — the payload boxed once by the call, and known to the
+// transport to be one value — so a carrier that serialises payloads encodes
+// a proposal or an echo once, not once per member.
+func (p *Protocol) cast(ctx *simnet.Context, tag string, payload any) {
+	p.index()
+	ctx.Broadcast(p.peers, tag, payload, wire.Size(payload))
 }
 
 // Handle consumes a consensus message; it returns true when the tag
@@ -495,7 +516,7 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 		return
 	}
 	in.adopt(prop)
-	p.cast(ctx, TagEcho, p.echoOwn(in, prop), p.Committee)
+	p.cast(ctx, TagEcho, p.echoOwn(in, prop))
 	p.maybeConfirm(ctx, prop.SN, in)
 }
 

@@ -52,12 +52,7 @@ func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string
 	if n.ID != root {
 		return
 	}
-	size := wire.Size(payload)
-	for _, id := range n.committeeNodes {
-		if id != n.ID {
-			ctx.Send(id, tag, payload, size)
-		}
-	}
+	ctx.Broadcast(n.committeePeers, tag, payload, wire.Size(payload))
 }
 
 // treeRelay sends the message to this node's children in the committee's
@@ -97,7 +92,8 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 	// simnet.TreeChildren rule, inlined to avoid the slice). Rank r ≥ 1
 	// maps back to members[r-1], skipping the root's own slot when it sits
 	// inside the list.
-	size := -1 // taken at the first child: a leaf of the tree sizes nothing
+	var kids [32]simnet.NodeID // a rank has at most ⌈log₂ C⌉ children
+	k := 0
 	for step := 1; rank+step < ln; step <<= 1 {
 		if step <= rank {
 			continue
@@ -106,9 +102,10 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 		if rootPos >= 0 && ci >= rootPos {
 			ci++
 		}
-		if size < 0 {
-			size = wire.Size(payload)
-		}
-		ctx.Send(members[ci], tag, payload, size)
+		kids[k] = members[ci]
+		k++
+	}
+	if k > 0 { // a leaf of the tree sizes nothing
+		ctx.Broadcast(kids[:k], tag, payload, wire.Size(payload))
 	}
 }

@@ -460,11 +460,12 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	if idx < 0 {
 		return
 	}
-	var msg any = BlockMsg{Block: blk} // boxed once, not per destination
-	size := wire.Size(msg)
+	var leaders []simnet.NodeID
 	for k := idx; k < e.P.M; k += len(e.roster.Referee) {
-		ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)
+		leaders = append(leaders, e.roster.Leaders[k])
 	}
+	var msg any = BlockMsg{Block: blk}
+	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
 }
 
 // phaseLabel namespaces metrics per round: "r%03d/<phase>" built with

@@ -25,6 +25,7 @@ type Node struct {
 	comID          uint64
 	curLeader      simnet.NodeID
 	committeeNodes []simnet.NodeID
+	committeePeers []simnet.NodeID // committeeNodes without this node, in order
 	cfg            *committee.ConfigNode
 	cons           map[simnet.NodeID]*consensus.Protocol
 
@@ -86,9 +87,10 @@ func (n *Node) resetRound(r *Roster) {
 		n.comID = k
 		n.curLeader = r.Leaders[k]
 		n.committeeNodes = r.Committee(k)
+		n.committeePeers = without(n.committeePeers[:0], n.committeeNodes, n.ID)
 	} else {
 		n.curLeader = -1
-		n.committeeNodes = nil
+		n.committeeNodes, n.committeePeers = nil, nil
 	}
 	n.cons = make(map[simnet.NodeID]*consensus.Protocol)
 	n.leaderTxs = nil
@@ -122,6 +124,16 @@ func (n *Node) resetRound(r *Roster) {
 	n.crBlock = nil
 	n.block = nil
 	n.utxoDigest = crypto.Digest{}
+}
+
+// without appends ids to buf, leaving out skip, and returns it.
+func without(buf, ids []simnet.NodeID, skip simnet.NodeID) []simnet.NodeID {
+	for _, id := range ids {
+		if id != skip {
+			buf = append(buf, id)
+		}
+	}
+	return buf
 }
 
 // committeeSize is C for quorum computations.

@@ -518,9 +518,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 			return
 		}
 		var fwd any = InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
-		size := wire.Size(fwd)
-		ctx.Send(n.eng.roster.Leaders[j], TagInterFwd, fwd, size)
-		ctx.Broadcast(n.eng.roster.Partials[j], TagInterFwd, fwd, size)
+		ctx.Broadcast(n.eng.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
 	case res.SN >= snInterInBase && res.SN < snInterInBase+n.eng.roster.M:
 		i := res.SN - snInterInBase
 		if payload, ok := res.Payload.(InterPayload); ok {

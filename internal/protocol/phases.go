@@ -336,10 +336,7 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 			continue
 		}
 		var msg any = PowMsg{Round: e.round, Node: n.ID, Solution: entry.sol}
-		size := wire.Size(msg)
-		for _, rm := range e.roster.Referee {
-			e.Net.Send(n.ID, rm, TagPow, msg, size)
-		}
+		e.Net.Broadcast(n.ID, e.roster.Referee, TagPow, msg, wire.Size(msg))
 	}
 	e.powSols = nil
 	e.Net.RunUntilIdle()
@@ -575,11 +572,12 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		if server != nil {
 			rb := server.crBlock
 			e.Net.After(server.ID, 1, func(ctx *simnet.Context) {
-				var msg any = BlockMsg{Block: rb}
-				size := wire.Size(msg)
-				for _, k := range affected {
-					ctx.Send(e.roster.Leaders[k], TagBlock, msg, size)
+				successors := make([]simnet.NodeID, len(affected))
+				for i, k := range affected {
+					successors[i] = e.roster.Leaders[k]
 				}
+				var msg any = BlockMsg{Block: rb}
+				ctx.Broadcast(successors, TagBlock, msg, wire.Size(msg))
 			})
 			e.Net.RunUntilIdle()
 		}

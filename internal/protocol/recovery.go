@@ -59,13 +59,8 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	n.myAccusation = &msg
 	n.myApprovals = nil
 	n.escalated = false
-	var payload any = msg // boxed once, not per destination
-	size := wire.Size(payload)
-	for _, id := range n.committeeNodes {
-		if id != n.ID && id != n.curLeader {
-			ctx.Send(id, TagAccuse, payload, size)
-		}
-	}
+	var payload any = msg
+	ctx.Broadcast(without(nil, n.committeePeers, n.curLeader), TagAccuse, payload, wire.Size(payload))
 	// The accuser approves its own motion.
 	self := ApproveMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
 	self.Sig = n.eng.P.Scheme.Sign(n.Keys, self.SigParts()...)

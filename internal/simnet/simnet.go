@@ -197,10 +197,11 @@ func (h *eventHeap) Pop() any {
 // in a held list (see send) only the key and the message matter — the
 // serial drain decides its fate and draws its delay.
 type xmsg struct {
-	at  Time
-	ks  uint64
-	kc  uint32
-	msg Message
+	at   Time
+	ks   uint64
+	kc   uint32
+	same bool // a held send whose payload is the previous send's (see effect)
+	msg  Message
 }
 
 // lane is one scheduler shard: a calendar queue, pools, batch scratch, and
@@ -261,6 +262,7 @@ type Network struct {
 	faults      Faults        // nil = fault-free (byte-identical to the pre-fault engine)
 	sendAudit   func(Message) // optional per-send assertion hook (size audits in tests)
 	carrier     Carrier       // nil = payloads ride in the event (the simulator proper)
+	carried     bool          // the carrier accepted the payload of the current run of same sends
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -418,7 +420,15 @@ type Carrier interface {
 	// means the carrier has no process for msg.To: the event still advances
 	// the clock and the delivery count, but no handler runs for it — a
 	// message to an unregistered node.
-	Ship(ks uint64, kc uint32, msg Message) bool
+	//
+	// same reports that msg.Payload is the very value of the last message
+	// this carrier accepted (Ship returned true) — a later destination of
+	// one Context.Broadcast — so whatever the carrier made of that payload
+	// it may use again. A broadcast's earlier copies that never reached the
+	// carrier (lost to Fate, sent while the sender was down, refused for
+	// want of a process) do not count: the first copy it sees has same
+	// false.
+	Ship(ks uint64, kc uint32, msg Message, same bool) bool
 	// Deliver claims the payload shipped under (ks, kc) for node ctx.Node
 	// and runs h on that node's own process, returning once h has filled
 	// ctx. Lanes call it concurrently, never twice at once for one node.
@@ -454,8 +464,19 @@ func (n *Network) Dropped() uint64 { return n.dropped }
 // may change before the next drain, so an external send must not sit in a
 // lane shard.
 func (n *Network) Send(from, to NodeID, tag string, payload any, size int) {
-	if n.send(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, n.ctr, 0) {
+	if n.send(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, n.ctr, 0, false) {
 		n.ctr++
+	}
+	n.metrics.mergeLanes()
+}
+
+// Broadcast is Send to each destination in turn, known to carry one
+// payload (see Context.Broadcast).
+func (n *Network) Broadcast(from NodeID, tos []NodeID, tag string, payload any, size int) {
+	for i, to := range tos {
+		if n.send(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, n.ctr, 0, i > 0) {
+			n.ctr++
+		}
 	}
 	n.metrics.mergeLanes()
 }
@@ -486,8 +507,13 @@ func (n *Network) nextKey() uint64 {
 // drainHeld. It runs on the driving goroutine only, in key order within a
 // step, which is the contract Faults documents: audit, crashed-sender
 // check, accounting, Fate, then the keyed delay draw and the push into the
-// destination's lane. It reports whether the message was scheduled.
-func (n *Network) send(msg Message, ks uint64, kc uint32) bool {
+// destination's lane. It reports whether the message was scheduled. same
+// marks a send whose payload is the previous call's (see effect): only the
+// carrier is told, and only if it accepted an earlier copy of this run.
+func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
+	if !same {
+		n.carried = false
+	}
 	if n.sendAudit != nil {
 		n.sendAudit(msg)
 	}
@@ -513,7 +539,8 @@ func (n *Network) send(msg Message, ks uint64, kc uint32) bool {
 	// a crashed destination counts as dropped, never as late.
 	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
 	if n.carrier != nil {
-		ev.shipped = n.carrier.Ship(ks, kc, msg)
+		ev.shipped = n.carrier.Ship(ks, kc, msg, n.carried)
+		n.carried = n.carried || ev.shipped
 		ev.msg.Payload = nil
 	}
 	dl.q.push(ev)
@@ -560,7 +587,7 @@ func (n *Network) drainHeld() {
 		held, ks := n.lanes[bi].held, best.ks
 		h := heads[bi]
 		for ; h < len(held) && held[h].ks == ks; h++ {
-			n.send(held[h].msg, ks, held[h].kc)
+			n.send(held[h].msg, ks, held[h].kc, held[h].same)
 		}
 		heads[bi] = h
 	}
@@ -582,9 +609,13 @@ type Context struct {
 
 type effect struct {
 	isTimer bool
-	msg     Message
-	delay   Time
-	fn      func(*Context)
+	// same: this send carries the very payload value of the effect before
+	// it — set by Broadcast, the one place that knows — so a carrier can
+	// serialise a fan-out once. It changes nothing else about the send.
+	same  bool
+	msg   Message
+	delay Time
+	fn    func(*Context)
 }
 
 // Now returns the virtual time of the current delivery.
@@ -595,10 +626,12 @@ func (c *Context) Send(to NodeID, tag string, payload any, size int) {
 	c.out = append(c.out, effect{msg: Message{From: c.Node, To: to, Tag: tag, Payload: payload, Size: size}})
 }
 
-// Broadcast sends the same message to each destination.
+// Broadcast sends the same message to each destination: Send in a loop,
+// except that a payload carrier is told the copies carry one value (see
+// Carrier.Ship).
 func (c *Context) Broadcast(tos []NodeID, tag string, payload any, size int) {
-	for _, to := range tos {
-		c.Send(to, tag, payload, size)
+	for i, to := range tos {
+		c.out = append(c.out, effect{same: i > 0, msg: Message{From: c.Node, To: to, Tag: tag, Payload: payload, Size: size}})
 	}
 }
 
@@ -837,7 +870,7 @@ func (n *Network) execLane(ln *lane) {
 			}
 			msg := ef.msg
 			if hold {
-				ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), msg: msg})
+				ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), same: ef.same, msg: msg})
 				continue
 			}
 			sh.recordSend(msg)

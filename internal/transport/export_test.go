@@ -15,20 +15,38 @@ func (l *Live) Buffered() int {
 	return total
 }
 
-// EncodeFrame is encodeFrame for the external test package.
-func EncodeFrame(codec Codec, ks uint64, kc uint32, msg simnet.Message) ([]byte, error) {
-	return encodeFrame(codec, msgKey{ks, kc}, msg)
+// EncodeFrame builds the frame for msg under (ks, kc), as a Ship that had
+// not met the payload before does.
+func EncodeFrame(codec Codec, ks uint64, kc uint32, msg simnet.Message) (head, body []byte, err error) {
+	f, err := (&Live{codec: codec}).frameFor(msgKey{ks, kc}, msg, false)
+	return f.head, f.body, err
 }
 
 // ParseFrame is parseFrame with a fresh tag intern.
-func ParseFrame(frame []byte, codec Codec, to simnet.NodeID) (ks uint64, kc uint32, msg simnet.Message, err error) {
-	key, msg, err := parseFrame(frame, codec, to, make(map[string]string))
+func ParseFrame(head, body []byte, codec Codec, to simnet.NodeID) (ks uint64, kc uint32, msg simnet.Message, err error) {
+	key, msg, err := parseFrame(frame{head, body}, codec, to, make(map[string]string))
 	return key.ks, key.kc, msg, err
 }
 
-// CorruptFrames applies fn to every frame waiting in node id's mailbox.
-func (l *Live) CorruptFrames(id simnet.NodeID, fn func(frame []byte)) {
-	for _, frame := range l.nodes[id].mailbox {
-		fn(frame)
+// CorruptFrames applies fn to the two parts of every frame waiting in node
+// id's mailbox. The body is the slice the frame holds, shared with every
+// other recipient of the same broadcast.
+func (l *Live) CorruptFrames(id simnet.NodeID, fn func(head, body []byte)) {
+	for _, f := range l.nodes[id].mailbox {
+		fn(f.head, f.body)
 	}
+}
+
+// Claim delivers every frame waiting in node id's mailbox to h, outside any
+// run, and returns what the first delivery to fail panicked with.
+func (l *Live) Claim(id simnet.NodeID, h simnet.Handler) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(error)
+		}
+	}()
+	for key := range l.nodes[id].mailbox {
+		l.Deliver(&simnet.Context{Node: id}, key.ks, key.kc, h)
+	}
+	return nil
 }

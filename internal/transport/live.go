@@ -22,16 +22,21 @@ import (
 //
 // Mechanics of one message: the Network's serial send drain decides the
 // message will be delivered (audit, crash and Fate checks, delay draw) and
-// calls Ship with its scheduling key; Ship encodes the frame into a buffer
-// of its own and files those bytes in the destination's mailbox under the
-// key, and the queued event keeps only From/To/Tag/Size. When the Network
-// later executes the delivery, Deliver passes the lane's Context and the
-// key to the node's goroutine, which claims exactly that frame, parses and
-// decodes it there, and runs the handler; the lane then applies the
-// buffered effects as it would for any handler. A delivery that dies at a
-// down destination is Discarded, so mailboxes never leak. Timers stay
-// in-process — closures cannot be serialised — but run on their node's
-// goroutine too (Fire).
+// calls Ship with its scheduling key; Ship files a frame (see frame.go) in
+// the destination's mailbox under the key — a header of the recipient's
+// own beside the payload's encoding — and the queued event keeps only
+// From/To/Tag/Size. A payload is encoded once per fan-out: when the
+// scheduler says a message carries the payload of the one before it (a
+// Context.Broadcast), Ship files the body it already holds under the new
+// header instead of walking the value again, and nobody writes to a body
+// after that first encoding. When the Network later executes the delivery,
+// Deliver passes the lane's Context and the key to the node's goroutine,
+// which claims exactly that frame, parses it and decodes the body there —
+// every node decodes for itself; only the bytes are shared — and runs the
+// handler; the lane then applies the buffered effects as it would for any
+// handler. A delivery that dies at a down destination is Discarded, so
+// mailboxes never leak. Timers stay in-process — closures cannot be
+// serialised — but run on their node's goroutine too (Fire).
 //
 // A mailbox needs no lock: the Network separates the phases that touch it
 // with barriers. Ship runs on the driving goroutine after a tick's
@@ -46,6 +51,7 @@ import (
 // diverging from the simulator.
 type Live struct {
 	codec Codec
+	body  []byte // the encoding in the frame Ship filed last
 
 	nodes  map[simnet.NodeID]*liveNode
 	wg     sync.WaitGroup // the node goroutines, one per attached node
@@ -64,14 +70,14 @@ func NewLive(codec Codec, net *simnet.Network) *Live {
 }
 
 // liveNode is one attached node: its goroutine, the channel pair a lane
-// hands it deliveries over, the mailbox of encoded frames shipped to it,
-// keyed by the scheduling key of their delivery event, and the tags it has
-// seen (parseFrame's intern).
+// hands it deliveries over, the mailbox of frames shipped to it, keyed by
+// the scheduling key of their delivery event, and the tags it has seen
+// (parseFrame's intern).
 type liveNode struct {
 	id      simnet.NodeID
 	work    chan job
 	done    chan error
-	mailbox map[msgKey][]byte
+	mailbox map[msgKey]frame
 	tags    map[string]string
 }
 
@@ -95,7 +101,7 @@ func (l *Live) Attach(id simnet.NodeID) {
 		id:      id,
 		work:    make(chan job),
 		done:    make(chan error),
-		mailbox: make(map[msgKey][]byte),
+		mailbox: make(map[msgKey]frame),
 		tags:    make(map[string]string),
 	}
 	l.nodes[id] = n
@@ -115,12 +121,12 @@ func (n *liveNode) exec(codec Codec, j job) error {
 		j.fn(j.ctx)
 		return nil
 	}
-	frame, ok := n.mailbox[j.key]
+	f, ok := n.mailbox[j.key]
 	if !ok {
 		return errors.New("no frame in the mailbox")
 	}
 	delete(n.mailbox, j.key)
-	key, msg, err := parseFrame(frame, codec, n.id, n.tags)
+	key, msg, err := parseFrame(f, codec, n.id, n.tags)
 	if err != nil {
 		return err
 	}
@@ -139,20 +145,37 @@ func (l *Live) run(n *liveNode, j job) {
 	}
 }
 
-// Ship implements simnet.Carrier: encode the frame into a buffer of its
-// own and file it in the destination's mailbox.
-func (l *Live) Ship(ks uint64, kc uint32, msg simnet.Message) bool {
+// Ship implements simnet.Carrier: file a header of the destination's own
+// in its mailbox, beside the payload's encoding.
+func (l *Live) Ship(ks uint64, kc uint32, msg simnet.Message, same bool) bool {
 	dst := l.nodes[msg.To]
 	if dst == nil {
 		return false
 	}
 	key := msgKey{ks, kc}
-	frame, err := encodeFrame(l.codec, key, msg)
+	f, err := l.frameFor(key, msg, same)
 	if err != nil {
 		panic(fmt.Errorf("transport: live send from node %d to node %d under key (%d, %d): %w", msg.From, msg.To, ks, kc, err))
 	}
-	dst.mailbox[key] = frame
+	dst.mailbox[key] = f
 	return true
+}
+
+// frameFor builds the frame that carries msg under key. The body is encoded
+// here unless the payload is the same as in the frame built last, whose
+// body then serves again — in a buffer of its own, sized from the declared
+// size (the encoding's length for every serialised message) so that it is
+// filled without regrowth.
+func (l *Live) frameFor(key msgKey, msg simnet.Message, same bool) (frame, error) {
+	if !same {
+		body, err := l.codec.AppendEncode(make([]byte, 0, max(msg.Size, 0)), msg.Payload)
+		if err != nil {
+			return frame{}, fmt.Errorf("encoding %s payload %T: %w", msg.Tag, msg.Payload, err)
+		}
+		l.body = body
+	}
+	head, err := encodeHeader(key, msg, l.body)
+	return frame{head: head, body: l.body}, err
 }
 
 // Deliver implements simnet.Carrier: the destination's goroutine claims

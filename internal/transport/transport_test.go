@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -324,4 +325,138 @@ func settledGoroutines() int {
 		}
 	}
 	return n
+}
+
+// countingCodec is testCodec counting its AppendEncode calls, all of which
+// come from the serial send drain.
+type countingCodec struct {
+	testCodec
+	encodes *int
+}
+
+func (c countingCodec) AppendEncode(buf []byte, v any) ([]byte, error) {
+	*c.encodes++
+	return c.testCodec.AppendEncode(buf, v)
+}
+
+// crashAfter takes one node down for good once n sends have been decided
+// by the serial drain. The count makes Down impure, which the Faults
+// contract forbids a real model; it is what lets a test stop a sender in
+// the middle of one fan-out, and on one lane it is as deterministic as the
+// run.
+type crashAfter struct {
+	node    simnet.NodeID
+	n       int
+	decided int
+}
+
+func (f *crashAfter) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
+	f.decided++
+	return simnet.Fate{}
+}
+
+func (f *crashAfter) Down(_ simnet.Time, node simnet.NodeID) bool {
+	return node == f.node && f.decided >= f.n
+}
+
+// runFanout drives two broadcasts from node 0 to tos — a string at tick 1,
+// a *note at tick 3 — each answered by every recipient with a two-way
+// broadcast of its own, and returns what each handler was handed, in
+// delivery order. Node 0 is attached to live (nil: the simulator alone) and
+// so is every node of tos below 6; a higher one has neither process nor
+// handler.
+func runFanout(net *simnet.Network, live *transport.Live, tos []simnet.NodeID, faults simnet.Faults) []string {
+	var log []string
+	if faults != nil {
+		net.SetFaults(faults)
+	}
+	for _, id := range append([]simnet.NodeID{0}, tos...) {
+		if id >= 6 {
+			continue
+		}
+		if live != nil {
+			live.Attach(id)
+		}
+		net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {
+			text, _ := msg.Payload.(string)
+			if n, ok := msg.Payload.(*note); ok {
+				text = "*" + n.text
+			}
+			log = append(log, fmt.Sprintf("%d<-%d %s %q %d", ctx.Node, msg.From, msg.Tag, text, msg.Size))
+			if msg.Tag == "CAST" {
+				ctx.Broadcast([]simnet.NodeID{0, tos[0]}, "ACK", "ack:"+text, 9+len(text))
+			}
+		})
+	}
+	net.After(0, 1, func(c *simnet.Context) { c.Broadcast(tos, "CAST", "first", 10) })
+	net.After(0, 3, func(c *simnet.Context) { c.Broadcast(tos, "CAST", &note{text: "second"}, 11) })
+	net.RunUntilIdle()
+	return log
+}
+
+// TestLiveFanoutEncodesOnce is the carrier's side of "a broadcast is
+// serialised once", counted: every Context.Broadcast costs one AppendEncode
+// however many attached nodes it reaches, and still exactly one when its
+// first copy never reached the carrier — lost to Fate, or addressed to a
+// node with no process — or when the sender goes down part-way through, or
+// a recipient is down by the time its copy arrives. Each run must match the
+// simulator in everything observable, payloads included, and leave no frame
+// behind.
+func TestLiveFanoutEncodesOnce(t *testing.T) {
+	lat := simnet.DefaultLatency()
+	peers := []simnet.NodeID{1, 2, 3, 4}
+	for _, tc := range []struct {
+		name   string
+		tos    []simnet.NodeID
+		faults func() simnet.Faults
+		// broadcasts that put at least one frame in a mailbox
+		broadcasts int
+		dropped    uint64
+	}{
+		{name: "fault-free", tos: peers, faults: func() simnet.Faults { return nil }, broadcasts: 2 + 8},
+		{name: "unattached-first", tos: []simnet.NodeID{7, 1, 2, 3}, faults: func() simnet.Faults { return nil }, broadcasts: 2 + 6},
+		{name: "unattached-middle", tos: []simnet.NodeID{1, 7, 2, 3}, faults: func() simnet.Faults { return nil }, broadcasts: 2 + 6},
+		// The link 0→1 carries the first copy of both of node 0's broadcasts.
+		{name: "first-copy-lost", tos: peers, faults: func() simnet.Faults {
+			cut := simnet.NewAdaptive()
+			cut.Cut(0, peers[:1], 0, 0)
+			return cut
+		}, broadcasts: 2 + 6, dropped: 2},
+		// Node 0 stops for good after two copies of its first broadcast; the
+		// acknowledgements addressed to it die at delivery.
+		{name: "sender-down-midway", tos: peers, faults: func() simnet.Faults {
+			return &crashAfter{node: 0, n: 2}
+		}, broadcasts: 1 + 2, dropped: 2},
+		// Node 3 is down from tick 2: every copy sent to it is discarded.
+		{name: "destination-down", tos: peers, faults: func() simnet.Faults {
+			return simnet.NewChurn(map[simnet.NodeID][]simnet.Window{3: {{From: 2}}})
+		}, broadcasts: 2 + 6, dropped: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := simnet.New(lat, 7)
+			want := runFanout(sim, nil, tc.tos, tc.faults())
+
+			var encodes int
+			net := simnet.New(lat, 7)
+			live := transport.NewLive(countingCodec{encodes: &encodes}, net)
+			defer live.Close()
+			got := runFanout(net, live, tc.tos, tc.faults())
+
+			if !slices.Equal(want, got) {
+				t.Errorf("handlers saw different messages\n sim:  %q\n live: %q", want, got)
+			}
+			if a, b := snapshot(sim, [2]uint64{}), snapshot(net, [2]uint64{}); a != b {
+				t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", a, b)
+			}
+			if d := sim.Metrics().DroppedTotal().Messages; d != tc.dropped {
+				t.Errorf("%d messages dropped, want %d: the scenario is not the one described", d, tc.dropped)
+			}
+			if encodes != tc.broadcasts {
+				t.Errorf("%d AppendEncode calls for %d broadcasts", encodes, tc.broadcasts)
+			}
+			if n := live.Buffered(); n != 0 {
+				t.Errorf("%d frames left in mailboxes after the run", n)
+			}
+		})
+	}
 }

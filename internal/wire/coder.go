@@ -193,7 +193,11 @@ func (c *Coder) Len(n, min int) int {
 	return n
 }
 
-// Bytes walks a length-prefixed byte slice. An empty slice decodes as nil.
+// Bytes walks a length-prefixed byte slice. An empty slice decodes as nil;
+// any other decodes as a slice of the input itself, not a copy (see the
+// package comment for who must then leave the input alone), with its
+// capacity clipped to its length so that appending to it reallocates
+// instead of writing into the field that follows.
 func (c *Coder) Bytes(p *[]byte) {
 	n := c.Len(len(*p), 1)
 	switch c.mode {
@@ -204,7 +208,7 @@ func (c *Coder) Bytes(p *[]byte) {
 	default:
 		*p = nil
 		if n > 0 {
-			*p = append([]byte(nil), c.take(n, "bytes")...)
+			*p = slices.Clip(c.take(n, "bytes"))
 		}
 	}
 }

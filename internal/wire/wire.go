@@ -27,6 +27,17 @@
 // validated against the remaining bytes before allocation, so arbitrary
 // bytes can never panic the decoder or force a huge allocation (the fuzz
 // targets in fuzz_test.go exercise exactly this).
+//
+// Ownership: Decode does not copy byte-slice fields (signatures, proofs,
+// bitmaps) out of its input — each is a slice of data, capacity clipped to
+// its length. Whoever calls Decode therefore keeps data unmodified for as
+// long as the decoded value, or anything taken from it, is alive; a caller
+// that reuses its read buffer copies first. In return the decoder writes
+// nothing to data and, like Size and AppendEncode, nothing through the
+// value's fields, so any number of goroutines may decode one buffer at
+// once — which is how the recipients of one live broadcast share its
+// encoding (transport/frame.go). Handlers already may not mutate a payload:
+// in the simulator one value is shared by all its recipients.
 package wire
 
 import (
