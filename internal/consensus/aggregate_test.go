@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cycledger/internal/crypto"
@@ -10,7 +11,7 @@ import (
 
 // certFixture builds a committee with real keypairs and a decision
 // certificate signed by the given subset of roster positions — the raw
-// material both VerifyCert and VerifyAggCert consume.
+// material Quorum.Verify consumes in both forms.
 type certFixture struct {
 	committee []simnet.NodeID
 	keys      map[simnet.NodeID]crypto.KeyPair
@@ -31,22 +32,25 @@ func newCertFixture(rng *rand.Rand, n int, voters []int) *certFixture {
 		Digest: crypto.H([]byte{byte(rng.Intn(256))}),
 	}
 	for _, i := range voters {
-		f.res.Confirms = append(f.res.Confirms, f.confirm(i))
+		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirm(i))
 	}
 	return f
 }
 
-// confirm produces roster position i's Confirm on the fixture's instance.
-func (f *certFixture) confirm(i int) Confirm {
-	id := f.committee[i]
-	sig := HashScheme{}.Sign(f.keys[id], sigMsg(TagConfirm, f.res.Round, f.res.SN, f.res.Digest, int32(id)))
-	return Confirm{Round: f.res.Round, SN: f.res.SN, Digest: f.res.Digest, Confirmer: id, Sig: sig}
+// confirm produces roster position i's vote for the fixture's instance.
+func (f *certFixture) confirm(i int) Vote {
+	return f.confirmBy(f.committee[i], f.keys[f.committee[i]])
+}
+
+// confirmBy signs the fixture's instance as id under kp, member or not.
+func (f *certFixture) confirmBy(id simnet.NodeID, kp crypto.KeyPair) Vote {
+	return Vote{Voter: id, Sig: HashScheme{}.Sign(kp, sigMsg(TagConfirm, f.res.Round, f.res.SN, f.res.Digest, int32(id)))}
 }
 
 func (f *certFixture) pkOf(id simnet.NodeID) crypto.PublicKey { return f.keys[id].PK }
 
 // aggregate folds the fixture's certificate, failing the test on error.
-func (f *certFixture) aggregate(t *testing.T) AggResult {
+func (f *certFixture) aggregate(t *testing.T) Result {
 	t.Helper()
 	ar, err := AggregateResult(HashScheme{}, f.res, f.committee)
 	if err != nil {
@@ -62,10 +66,10 @@ func randSubset(rng *rand.Rand, n, k int) []int {
 
 // TestAggregateEquivalenceRandom is the core equivalence property, checked
 // at the seam carriers use: over random committee sizes and random voter
-// subsets, the two Certificate forms of one decision — the per-voter Result
-// (the oracle) and the AggResult folded from it — report the same instance
-// and payload, and Verify accepts the one if and only if it accepts the
-// other.
+// subsets, the two forms of one decision's Quorum — per-voter (the oracle)
+// and the fold of it — leave the instance and payload alone, and Verify
+// accepts the one if and only if it accepts the other. (The same property
+// for eviction-request evidence is TestEvictReqEvidence in protocol.)
 func TestAggregateEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -73,22 +77,27 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 		k := rng.Intn(n + 1)
 		f := newCertFixture(rng, n, randSubset(rng, n, k))
 		f.res.Payload = trial
-		var oracle, folded Certificate = f.res, f.aggregate(t)
-		r1, sn1, d1 := oracle.Instance()
-		r2, sn2, d2 := folded.Instance()
-		if r1 != r2 || sn1 != sn2 || d1 != d2 || oracle.Decided() != folded.Decided() {
-			t.Fatalf("trial %d: fold changed the decision: (%d,%d,%x,%v) vs (%d,%d,%x,%v)",
-				trial, r1, sn1, d1, oracle.Decided(), r2, sn2, d2, folded.Decided())
+		oracle, folded := f.res, f.aggregate(t)
+		if folded.Quorum.Bitmap == nil || folded.Quorum.Votes != nil {
+			t.Fatalf("trial %d: fold left the per-voter form: %+v", trial, folded.Quorum)
+		}
+		if folded.Round != oracle.Round || folded.SN != oracle.SN || folded.Digest != oracle.Digest || folded.Payload != oracle.Payload {
+			t.Fatalf("trial %d: fold changed the decision: %+v vs %+v", trial, oracle, folded)
 		}
 		wantErr := oracle.Verify(HashScheme{}, f.committee, f.pkOf) != nil
 		gotErr := folded.Verify(HashScheme{}, f.committee, f.pkOf) != nil
 		if wantErr != gotErr {
-			t.Fatalf("trial %d (n=%d k=%d): Result.Verify err=%v, AggResult.Verify err=%v",
+			t.Fatalf("trial %d (n=%d k=%d): per-voter Verify err=%v, aggregate Verify err=%v",
 				trial, n, k, wantErr, gotErr)
 		}
 		if wantMaj := 2*k > n; gotErr == wantMaj {
 			t.Fatalf("trial %d (n=%d k=%d): majority=%v but aggregate verification err=%v",
 				trial, n, k, wantMaj, gotErr)
+		}
+		// The names bench/cells.go calls are the same check.
+		if (VerifyCert(HashScheme{}, oracle, f.committee, f.pkOf) != nil) != wantErr ||
+			(VerifyAggCert(HashScheme{}, folded, f.committee, f.pkOf) != nil) != gotErr {
+			t.Fatalf("trial %d: VerifyCert / VerifyAggCert disagree with Result.Verify", trial)
 		}
 	}
 }
@@ -117,106 +126,103 @@ func TestAggregateRejections(t *testing.T) {
 	const n = 9
 	f := newCertFixture(rng, n, []int{0, 2, 3, 5, 8}) // 5 of 9: strict majority
 	ar := f.aggregate(t)
-	if err := VerifyAggCert(HashScheme{}, ar, f.committee, f.pkOf); err != nil {
+	if err := ar.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
 		t.Fatalf("baseline aggregate cert rejected: %v", err)
 	}
 
-	check := func(name string, mutate func(AggResult) AggResult, committee []simnet.NodeID) {
+	check := func(name string, mutate func(*Result)) {
 		t.Helper()
-		bad := mutate(AggResult{
-			Round: ar.Round, SN: ar.SN, Digest: ar.Digest,
-			Bitmap: ar.Bitmap.Clone(), Proof: append([]byte(nil), ar.Proof...),
-		})
-		if err := VerifyAggCert(HashScheme{}, bad, committee, f.pkOf); err == nil {
+		bad := ar
+		bad.Quorum.Bitmap, bad.Quorum.Proof = ar.Quorum.Bitmap.Clone(), append([]byte(nil), ar.Quorum.Proof...)
+		mutate(&bad)
+		if err := bad.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
 			t.Errorf("%s: aggregate cert accepted", name)
 		}
 	}
 
-	check("flipped proof bit", func(a AggResult) AggResult { a.Proof[0] ^= 1; return a }, f.committee)
-	check("truncated proof", func(a AggResult) AggResult { a.Proof = a.Proof[:16]; return a }, f.committee)
-	check("extra bitmap voter", func(a AggResult) AggResult { a.Bitmap.Set(1); return a }, f.committee)
-	check("dropped bitmap voter", func(a AggResult) AggResult { a.Bitmap[0] &^= 1; return a }, f.committee)
-	check("stray high bits", func(a AggResult) AggResult { a.Bitmap[len(a.Bitmap)-1] |= 0x80; return a }, f.committee)
-	check("oversized bitmap", func(a AggResult) AggResult { a.Bitmap = append(a.Bitmap, 0); return a }, f.committee)
-	check("wrong instance", func(a AggResult) AggResult { a.SN++; return a }, f.committee)
+	check("flipped proof bit", func(a *Result) { a.Quorum.Proof[0] ^= 1 })
+	check("truncated proof", func(a *Result) { a.Quorum.Proof = a.Quorum.Proof[:16] })
+	check("extra bitmap voter", func(a *Result) { a.Quorum.Bitmap.Set(1) })
+	check("dropped bitmap voter", func(a *Result) { a.Quorum.Bitmap[0] &^= 1 })
+	check("stray high bits", func(a *Result) { a.Quorum.Bitmap[len(a.Quorum.Bitmap)-1] |= 0x80 })
+	check("oversized bitmap", func(a *Result) { a.Quorum.Bitmap = append(a.Quorum.Bitmap, 0) })
+	check("wrong instance", func(a *Result) { a.SN++ })
+	check("wrong round", func(a *Result) { a.Round++ })
+	check("wrong digest", func(a *Result) { a.Digest[0] ^= 1 })
 
 	// Same certificate against a roster with different keys: every tag
 	// recomputes differently, so the proof cannot verify.
 	other := newCertFixture(rng, n, nil)
-	if err := VerifyAggCert(HashScheme{}, ar, other.committee, other.pkOf); err == nil {
+	if err := ar.Verify(HashScheme{}, other.committee, other.pkOf); err == nil {
 		t.Error("wrong roster: aggregate cert accepted")
 	}
 
 	// Exactly half the committee is not a strict majority.
 	half := newCertFixture(rng, 8, []int{0, 1, 2, 3})
-	if err := VerifyAggCert(HashScheme{}, half.aggregate(t), half.committee, half.pkOf); err == nil {
+	if err := half.aggregate(t).Verify(HashScheme{}, half.committee, half.pkOf); err == nil {
 		t.Error("exact half: aggregate cert accepted")
 	}
-	if err := VerifyCert(HashScheme{}, half.res, half.committee, half.pkOf); err == nil {
+	if err := half.res.Verify(HashScheme{}, half.committee, half.pkOf); err == nil {
 		t.Error("exact half: per-voter cert accepted (oracle disagrees)")
 	}
 }
 
-// TestAggregateResultErrors checks the fold itself refuses confirmers the
+// TestAggregateResultErrors checks the fold itself refuses voters the
 // per-voter verifier would refuse: outsiders and duplicates.
 func TestAggregateResultErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := newCertFixture(rng, 5, []int{0, 1, 2})
 
 	outsider := f.res
-	stranger := crypto.GenerateKeyPair(rng)
-	outsider.Confirms = append(append([]Confirm(nil), f.res.Confirms...), Confirm{
-		Round: f.res.Round, SN: f.res.SN, Digest: f.res.Digest,
-		Confirmer: 9999,
-		Sig:       HashScheme{}.Sign(stranger, sigMsg(TagConfirm, f.res.Round, f.res.SN, f.res.Digest, 9999)),
-	})
+	outsider.Quorum.Votes = append(slices.Clone(f.res.Quorum.Votes), f.confirmBy(9999, crypto.GenerateKeyPair(rng)))
 	if _, err := AggregateResult(HashScheme{}, outsider, f.committee); err == nil {
 		t.Error("confirmer outside the committee aggregated without error")
 	}
 
 	dup := f.res
-	dup.Confirms = append(append([]Confirm(nil), f.res.Confirms...), f.confirm(1))
+	dup.Quorum.Votes = append(slices.Clone(f.res.Quorum.Votes), f.confirm(1))
 	if _, err := AggregateResult(HashScheme{}, dup, f.committee); err == nil {
 		t.Error("duplicate confirmer aggregated without error")
 	}
 
 	short := f.res
-	short.Confirms = append([]Confirm(nil), f.res.Confirms...)
-	short.Confirms[0].Sig = short.Confirms[0].Sig[:8]
+	short.Quorum.Votes = slices.Clone(f.res.Quorum.Votes)
+	short.Quorum.Votes[0].Sig = short.Quorum.Votes[0].Sig[:8]
 	if _, err := AggregateResult(HashScheme{}, short, f.committee); err == nil {
 		t.Error("truncated signature aggregated without error")
 	}
 }
 
-// TestVerifyCertEdges pins the per-voter oracle's own edges — the behaviors
-// the aggregate path must match: duplicate voters, the exact-half boundary,
-// and voters outside the roster are refusals; one past half is acceptance.
+// TestVerifyCertEdges pins the per-voter form's own edges — the behaviors
+// the aggregate form must match: duplicate voters, the exact-half boundary,
+// voters outside the roster and signatures on another header are refusals;
+// one past half is acceptance.
 func TestVerifyCertEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 
 	t.Run("exact half rejected", func(t *testing.T) {
 		f := newCertFixture(rng, 6, []int{0, 1, 2})
-		if err := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf); err == nil {
+		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
 			t.Error("3 of 6 confirms accepted")
 		}
 	})
 	t.Run("one past half accepted", func(t *testing.T) {
 		f := newCertFixture(rng, 6, []int{0, 1, 2, 3})
-		if err := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf); err != nil {
+		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
 			t.Errorf("4 of 6 confirms rejected: %v", err)
 		}
 	})
 	t.Run("duplicate voter rejected", func(t *testing.T) {
 		f := newCertFixture(rng, 5, []int{0, 1, 2})
-		f.res.Confirms = append(f.res.Confirms, f.confirm(2))
-		if err := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf); err == nil {
+		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirm(2))
+		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
 			t.Error("duplicate confirmer accepted")
 		}
 	})
 	t.Run("duplicates cannot fake a majority", func(t *testing.T) {
 		f := newCertFixture(rng, 5, []int{0, 1})
-		f.res.Confirms = append(f.res.Confirms, f.confirm(1), f.confirm(1))
-		if err := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf); err == nil {
+		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirm(1), f.confirm(1))
+		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
 			t.Error("padded duplicate confirms accepted")
 		}
 	})
@@ -224,13 +230,23 @@ func TestVerifyCertEdges(t *testing.T) {
 		f := newCertFixture(rng, 5, []int{0, 1, 2})
 		stranger := crypto.GenerateKeyPair(rng)
 		f.keys[7777] = stranger
-		f.res.Confirms = append(f.res.Confirms, Confirm{
-			Round: f.res.Round, SN: f.res.SN, Digest: f.res.Digest,
-			Confirmer: 7777,
-			Sig:       HashScheme{}.Sign(stranger, sigMsg(TagConfirm, f.res.Round, f.res.SN, f.res.Digest, 7777)),
-		})
-		if err := VerifyCert(HashScheme{}, f.res, f.committee, f.pkOf); err == nil {
+		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirmBy(7777, stranger))
+		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
 			t.Error("confirmer outside the roster accepted")
+		}
+	})
+	t.Run("votes for another header rejected", func(t *testing.T) {
+		f := newCertFixture(rng, 5, []int{0, 1, 2})
+		for name, mutate := range map[string]func(*Result){
+			"round":  func(r *Result) { r.Round++ },
+			"sn":     func(r *Result) { r.SN++ },
+			"digest": func(r *Result) { r.Digest[0] ^= 1 },
+		} {
+			moved := f.res
+			mutate(&moved)
+			if err := moved.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+				t.Errorf("votes signed for another %s accepted", name)
+			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package consensus
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
 
 	"cycledger/internal/crypto"
@@ -29,7 +28,7 @@ func init() {
 	wire.Register(Fetch.layout, wire.TagFetch)
 	wire.Register(Witness.layout, wire.TagWitness)
 	wire.Register(Result.layout, wire.TagResult)
-	wire.Register(AggResult.layout, wire.TagAggResult)
+	wire.Register(Quorum.layout, wire.TagQuorum)
 }
 
 // Majority reports whether votes is strictly more than half of n — the one
@@ -43,7 +42,6 @@ type Propose struct {
 	SN      uint64
 	Digest  crypto.Digest
 	Payload any
-	Size    int // the payload's encoded size, as the leader declared it
 	Leader  simnet.NodeID
 	Sig     []byte
 }
@@ -53,7 +51,6 @@ func (p Propose) layout(c *wire.Coder) Propose {
 	c.U64(&p.SN)
 	wire.Hash(c, &p.Digest)
 	c.Any(&p.Payload)
-	c.Int(&p.Size)
 	wire.ID(c, &p.Leader)
 	c.Bytes(&p.Sig)
 	return p
@@ -62,7 +59,7 @@ func (p Propose) layout(c *wire.Coder) Propose {
 // header is the part of a proposal the leader's signature covers, which is
 // all an equivocation witness needs.
 func (p Propose) header() Propose {
-	p.Payload, p.Size = nil, 0
+	p.Payload = nil
 	return p
 }
 
@@ -109,14 +106,14 @@ func (f Fetch) layout(c *wire.Coder) Fetch {
 	return f
 }
 
-// Confirm is a member's final endorsement, carrying its echo evidence.
+// Confirm is a member's final endorsement, sent to the leader once it holds
+// the proposal and a majority of echoes for it.
 type Confirm struct {
 	Round     uint64
 	SN        uint64
 	Digest    crypto.Digest
 	Confirmer simnet.NodeID
 	Sig       []byte
-	EchoSigs  map[simnet.NodeID][]byte
 }
 
 func (m Confirm) layout(c *wire.Coder) Confirm {
@@ -125,11 +122,6 @@ func (m Confirm) layout(c *wire.Coder) Confirm {
 	wire.Hash(c, &m.Digest)
 	wire.ID(c, &m.Confirmer)
 	c.Bytes(&m.Sig)
-	wire.Map(c, &m.EchoSigs, 4+4, func(c *wire.Coder, id simnet.NodeID, sig []byte) (simnet.NodeID, []byte) {
-		wire.ID(c, &id)
-		c.Bytes(&sig)
-		return id, sig
-	})
 	return m
 }
 
@@ -160,13 +152,16 @@ func (w Witness) Valid(scheme SignatureScheme, pk crypto.PublicKey) bool {
 	return true
 }
 
-// Result is the leader-side decision: a certificate of >C/2 confirmations.
+// Result is a decision and its certificate: the decided instance and
+// payload, said once, and the Quorum of Confirm signatures on them — per
+// voter as the leader collected them, or folded to aggregate form before
+// the decision leaves the committee.
 type Result struct {
-	Round    uint64
-	SN       uint64
-	Digest   crypto.Digest
-	Payload  any
-	Confirms []Confirm
+	Round   uint64
+	SN      uint64
+	Digest  crypto.Digest
+	Payload any
+	Quorum  Quorum
 }
 
 func (r Result) layout(c *wire.Coder) Result {
@@ -174,40 +169,23 @@ func (r Result) layout(c *wire.Coder) Result {
 	c.U64(&r.SN)
 	wire.Hash(c, &r.Digest)
 	c.Any(&r.Payload)
-	wire.Slice(c, &r.Confirms, 2, wire.Field[Confirm])
+	wire.Field(c, &r.Quorum)
 	return r
 }
 
-// VerifyCert checks a decision certificate against the committee roster:
-// every confirm must be from a distinct committee member with a valid
-// signature on the decided digest, and there must be more than C/2 of
-// them. Third parties (the referee committee, remote leaders) use this to
-// accept results without having participated.
-func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
-	members := make(map[simnet.NodeID]bool, len(committee))
-	for _, id := range committee {
-		members[id] = true
-	}
-	seen := make(map[simnet.NodeID]bool)
-	for _, c := range res.Confirms {
-		if c.Round != res.Round || c.SN != res.SN || c.Digest != res.Digest {
-			return fmt.Errorf("consensus: confirm for wrong instance")
-		}
-		if !members[c.Confirmer] {
-			return fmt.Errorf("consensus: confirmer %d not in committee", c.Confirmer)
-		}
-		if seen[c.Confirmer] {
-			return fmt.Errorf("consensus: duplicate confirmer %d", c.Confirmer)
-		}
-		seen[c.Confirmer] = true
-		if err := scheme.Verify(pkOf(c.Confirmer), c.Sig, sigMsg(TagConfirm, c.Round, c.SN, c.Digest, int32(c.Confirmer))); err != nil {
-			return fmt.Errorf("consensus: confirm signature from %d: %w", c.Confirmer, err)
-		}
-	}
-	if !Majority(len(seen), len(committee)) {
-		return fmt.Errorf("consensus: %d confirms is not a majority of %d", len(seen), len(committee))
-	}
-	return nil
+// Verify checks the certificate against the committee roster: more than
+// half of the committee, each member once, signed the Confirm of this
+// result's own instance and digest (Quorum.Verify). Third parties (the
+// referee committee, remote leaders) use this to accept results without
+// having participated.
+func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+	var buf []byte
+	var parts [1][]byte
+	return r.Quorum.Verify(scheme, committee, pkOf, func(voter simnet.NodeID) [][]byte {
+		buf = appendSigMsg(buf[:0], TagConfirm, r.Round, r.SN, r.Digest, int32(voter))
+		parts[0] = buf
+		return parts[:]
+	})
 }
 
 // instance holds per-(round, sn) state on one node as a table indexed by
@@ -222,7 +200,7 @@ type instance struct {
 	confirmSent bool
 	fetched     bool // a member asks for a missed proposal once
 	// leader side: the confirms that count, in arrival order
-	confirms []Confirm
+	confirms []Vote
 	decided  bool
 	// seen holds the headers of the first two distinct-digest proposals under
 	// the leader's signature, in arrival order. It can never usefully hold
@@ -239,7 +217,6 @@ type slot struct {
 	confirmed bool
 	served    bool          // its Fetch has been answered
 	digest    crypto.Digest // the digest the member echoed
-	sig       []byte        // its echo signature
 }
 
 // equivocated reports whether the leader signed two digests for this
@@ -284,12 +261,12 @@ func (in *instance) remember(prop *Propose) bool {
 
 // recordEcho files the echo of the member at roster position i, unless it
 // already has one.
-func (in *instance) recordEcho(i int, digest crypto.Digest, sig []byte) {
+func (in *instance) recordEcho(i int, digest crypto.Digest) {
 	s := &in.slots[i]
 	if s.echoed {
 		return
 	}
-	s.echoed, s.digest, s.sig = true, digest, sig
+	s.echoed, s.digest = true, digest
 	if in.propose != nil && digest == in.propose.Digest {
 		in.votes++
 	}
@@ -385,16 +362,18 @@ func (p *Protocol) signed(tag string, round, sn uint64, digest crypto.Digest, wi
 
 // BuildPropose constructs a signed proposal; exported so adversarial
 // leaders can craft conflicting proposals in tests and attack scenarios.
-func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeID, round, sn uint64, digest crypto.Digest, payload any, size int) Propose {
+func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeID, round, sn uint64, digest crypto.Digest, payload any) Propose {
 	sig := scheme.Sign(kp, sigMsg(TagPropose, round, sn, digest, -1))
-	return Propose{Round: round, SN: sn, Digest: digest, Payload: payload, Size: size, Leader: leader, Sig: sig}
+	return Propose{Round: round, SN: sn, Digest: digest, Payload: payload, Leader: leader, Sig: sig}
 }
 
 // Propose starts an instance as the leader, broadcasting to every other
 // committee member. A leader proposes once per sn; conflicting proposals
-// are an adversary's business and go through BuildPropose and SendRaw.
-func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, size int) {
-	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload, size)
+// are an adversary's business and go through BuildPropose and SendRaw. The
+// fifth parameter is ignored (a proposal is sized by wire.Size); it stays
+// because bench/cells.go calls Propose with it.
+func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, _ int) {
+	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload)
 	in := p.inst(sn)
 	in.adopt(prop)
 	in.remember(&prop)
@@ -524,7 +503,7 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 func (p *Protocol) echoOwn(in *instance, prop Propose) Echo {
 	sig := p.Scheme.Sign(p.Keys, p.signed(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self))...)
 	if i, member := p.position(p.Self); member {
-		in.recordEcho(i, prop.Digest, sig)
+		in.recordEcho(i, prop.Digest)
 	}
 	return Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: sig, Leader: prop.Leader, LeaderSig: prop.Sig}
 }
@@ -548,7 +527,7 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	if signed && p.checkEquivocation(ctx, in, &hdr) {
 		return
 	}
-	in.recordEcho(i, e.Digest, e.Sig)
+	in.recordEcho(i, e.Digest)
 	if signed {
 		p.maybeFetch(ctx, in, e)
 	}
@@ -589,15 +568,8 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {
 	}
 	in.confirmSent = true
 	d := in.propose.Digest
-	// The echo evidence is materialised once, here at quorum.
-	echoSigs := make(map[simnet.NodeID][]byte, in.votes)
-	for i := range in.slots {
-		if s := &in.slots[i]; s.echoed && s.digest == d {
-			echoSigs[p.Committee[i]] = s.sig
-		}
-	}
 	sig := p.Scheme.Sign(p.Keys, p.signed(TagConfirm, p.Round, sn, d, int32(p.Self))...)
-	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig, EchoSigs: echoSigs}
+	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig}
 	if p.OnAccept != nil {
 		p.OnAccept(ctx, sn, d, in.propose.Payload)
 	}
@@ -628,14 +600,14 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 		return
 	}
 	in.slots[i].confirmed = true
-	in.confirms = append(in.confirms, c)
+	in.confirms = append(in.confirms, Vote{Voter: c.Confirmer, Sig: c.Sig})
 	if !Majority(len(in.confirms), len(p.Committee)) {
 		return
 	}
 	in.decided = true
-	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload, Confirms: in.confirms}
+	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload, Quorum: Quorum{Votes: in.confirms}}
 	in.confirms = nil
-	slices.SortFunc(res.Confirms, func(a, b Confirm) int { return cmp.Compare(a.Confirmer, b.Confirmer) })
+	slices.SortFunc(res.Quorum.Votes, func(a, b Vote) int { return cmp.Compare(a.Voter, b.Voter) })
 	if p.OnDecide != nil {
 		p.OnDecide(ctx, res)
 	}

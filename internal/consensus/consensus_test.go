@@ -102,8 +102,8 @@ func TestConsensusAllHonest(t *testing.T) {
 		if res.Digest != d {
 			t.Fatal("decided wrong digest")
 		}
-		if 2*len(res.Confirms) <= len(h.members) {
-			t.Fatalf("certificate has %d confirms", len(res.Confirms))
+		if 2*len(res.Quorum.Votes) <= len(h.members) {
+			t.Fatalf("certificate has %d confirms", len(res.Quorum.Votes))
 		}
 		// Every member accepted.
 		for _, id := range h.members {
@@ -122,8 +122,34 @@ func TestConsensusCertVerifies(t *testing.T) {
 		t.Fatal("no decision")
 	}
 	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
-	if err := VerifyCert(Ed25519Scheme{}, *res, h.members, pkOf); err != nil {
+	if err := res.Verify(Ed25519Scheme{}, h.members, pkOf); err != nil {
 		t.Fatalf("honest certificate rejected: %v", err)
+	}
+}
+
+// TestCertificateCostsFortyBytesAVoter: an encoded per-voter certificate is
+// its header and payload, said once, plus one (voter, signature) entry per
+// confirm — 4 + 4 + 32 bytes under HashScheme. A per-voter copy of the
+// instance, the digest or any echo evidence would show up here as a wider
+// entry at every committee size.
+func TestCertificateCostsFortyBytesAVoter(t *testing.T) {
+	for _, c := range []int{4, 16, 48} {
+		h := newHarness(t, c, HashScheme{}, int64(c))
+		h.propose("payload")
+		res := h.decided[h.leader]
+		if res == nil || len(res.Quorum.Votes) != c/2+1 || res.Quorum.Bitmap != nil {
+			t.Fatalf("c=%d: no per-voter certificate of a bare majority: %+v", c, res)
+		}
+		res.Payload = nil // a string is not a wire type
+		bare := *res
+		bare.Quorum.Votes = nil
+		enc, err := wire.Encode(*res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(enc), wire.Size(bare)+40*len(res.Quorum.Votes); got != want || wire.Size(*res) != want {
+			t.Errorf("c=%d: a certificate of %d votes encodes to %d B (sized %d), want %d", c, len(res.Quorum.Votes), got, wire.Size(*res), want)
+		}
 	}
 }
 
@@ -136,31 +162,31 @@ func TestCertRejectsForgery(t *testing.T) {
 	// Tampered digest.
 	bad := res
 	bad.Digest = crypto.HString("other")
-	if err := VerifyCert(Ed25519Scheme{}, bad, h.members, pkOf); err == nil {
+	if err := bad.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
 		t.Fatal("tampered digest certificate accepted")
 	}
 
 	// Dropped confirms below quorum.
 	bad2 := res
-	bad2.Confirms = bad2.Confirms[:2]
-	if err := VerifyCert(Ed25519Scheme{}, bad2, h.members, pkOf); err == nil {
+	bad2.Quorum.Votes = bad2.Quorum.Votes[:2]
+	if err := bad2.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 
 	// Duplicate confirmer inflating the count.
 	bad3 := res
-	bad3.Confirms = append([]Confirm{}, res.Confirms[:2]...)
-	bad3.Confirms = append(bad3.Confirms, res.Confirms[1], res.Confirms[1])
-	if err := VerifyCert(Ed25519Scheme{}, bad3, h.members, pkOf); err == nil {
+	votes := res.Quorum.Votes
+	bad3.Quorum.Votes = append(slices.Clone(votes[:2]), votes[1], votes[1])
+	if err := bad3.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
 		t.Fatal("duplicate-confirmer certificate accepted")
 	}
 
 	// Confirmer outside the committee.
 	bad4 := res
-	outsider := bad4.Confirms[0]
-	outsider.Confirmer = 99
-	bad4.Confirms = append([]Confirm{outsider}, bad4.Confirms[1:]...)
-	if err := VerifyCert(Ed25519Scheme{}, bad4, h.members, pkOf); err == nil {
+	outsider := votes[0]
+	outsider.Voter = 99
+	bad4.Quorum.Votes = append([]Vote{outsider}, votes[1:]...)
+	if err := bad4.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
 		t.Fatal("outsider certificate accepted")
 	}
 }
@@ -171,8 +197,8 @@ func TestEquivocatingLeaderDetected(t *testing.T) {
 	dB := crypto.HString("version-B")
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
 		p := h.nodes[h.leader]
-		propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, "version-A", 9)
-		propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, "version-B", 9)
+		propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, "version-A")
+		propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, "version-B")
 		p.SendRaw(ctx, propA, h.members[1:4])
 		p.SendRaw(ctx, propB, h.members[4:])
 	})
@@ -285,7 +311,7 @@ func TestMemberFetchesMissedProposal(t *testing.T) {
 	if res == nil || res.Digest != d {
 		t.Fatal("no decision")
 	}
-	if !slices.ContainsFunc(res.Confirms, func(c Confirm) bool { return c.Confirmer == skipped }) {
+	if !slices.ContainsFunc(res.Quorum.Votes, func(v Vote) bool { return v.Voter == skipped }) {
 		t.Fatal("the skipped member's confirm is not in the certificate")
 	}
 }
@@ -377,8 +403,8 @@ func TestEquivocationProvedFromHeaders(t *testing.T) {
 	member, echoer := h.members[1], h.members[2]
 	dB := crypto.HString("version-B")
 	lp := h.nodes[h.leader]
-	propA := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, crypto.HString("version-A"), "version-A", 9)
-	propB := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, dB, "version-B", 9)
+	propA := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, crypto.HString("version-A"), "version-A")
+	propB := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, dB, "version-B")
 	h.net.Send(h.leader, member, TagPropose, propA, 0)
 	h.net.RunUntilIdle()
 	h.net.Send(echoer, member, TagEcho, Echo{
@@ -396,7 +422,7 @@ func TestEquivocationProvedFromHeaders(t *testing.T) {
 	if w.A.Digest != propA.Digest || w.B.Digest != dB {
 		t.Fatalf("witness is (%x, %x)", w.A.Digest[:4], w.B.Digest[:4])
 	}
-	if w.A.Payload != nil || w.B.Payload != nil || w.A.Size != 0 || w.B.Size != 0 {
+	if w.A.Payload != nil || w.B.Payload != nil {
 		t.Fatalf("witness carries payloads: %+v", w)
 	}
 	if _, err := wire.AppendEncode(nil, *w); err != nil {
@@ -408,8 +434,8 @@ func TestWitnessValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	kp := crypto.GenerateKeyPair(rng)
 	scheme := Ed25519Scheme{}
-	a := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("a"), nil, 0)
-	b := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("b"), nil, 0)
+	a := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("a"), nil)
+	b := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("b"), nil)
 	if !(Witness{A: a, B: b}).Valid(scheme, kp.PK) {
 		t.Fatal("genuine witness rejected")
 	}
@@ -418,7 +444,7 @@ func TestWitnessValidation(t *testing.T) {
 		t.Fatal("same-digest witness accepted")
 	}
 	// Different instance: not equivocation.
-	c := BuildPropose(scheme, kp, 1, 1, 2, crypto.HString("c"), nil, 0)
+	c := BuildPropose(scheme, kp, 1, 1, 2, crypto.HString("c"), nil)
 	if (Witness{A: a, B: c}).Valid(scheme, kp.PK) {
 		t.Fatal("cross-instance witness accepted")
 	}
@@ -501,7 +527,7 @@ func (h *harness) addOutsider(id simnet.NodeID) {
 func TestConfirmFromOutsiderIgnored(t *testing.T) {
 	// A validly signed CONFIRM from a registered non-member reaches the
 	// leader while the honest confirms are still in flight. Folded into the
-	// Result it would make VerifyCert reject the honest leader's certificate.
+	// Result it would make Verify reject the honest leader's certificate.
 	h := newHarness(t, 5, Ed25519Scheme{}, 12)
 	const outsider = simnet.NodeID(9)
 	h.addOutsider(outsider)
@@ -520,13 +546,13 @@ func TestConfirmFromOutsiderIgnored(t *testing.T) {
 	if res == nil {
 		t.Fatal("no decision")
 	}
-	for _, c := range res.Confirms {
-		if c.Confirmer == outsider {
+	for _, v := range res.Quorum.Votes {
+		if v.Voter == outsider {
 			t.Fatal("outsider's confirm folded into the certificate")
 		}
 	}
 	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
-	if err := VerifyCert(Ed25519Scheme{}, *res, h.members, pkOf); err != nil {
+	if err := res.Verify(Ed25519Scheme{}, h.members, pkOf); err != nil {
 		t.Fatalf("honest leader's certificate rejected: %v", err)
 	}
 }
@@ -539,7 +565,7 @@ func TestEchoesFromOutsidersDoNotCount(t *testing.T) {
 	h.down(h.members[2:]...)
 	d := h.propose("starved")
 	lp := h.nodes[h.leader]
-	prop := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, d, "starved", len("starved"))
+	prop := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, d, "starved")
 	for _, outsider := range []simnet.NodeID{8, 9} {
 		h.addOutsider(outsider)
 		echo := Echo{
@@ -572,8 +598,8 @@ func TestEquivocationWitnessDeterministic(t *testing.T) {
 		h := newHarness(t, 6, Ed25519Scheme{}, 4)
 		h.net.After(h.leader, 1, func(ctx *simnet.Context) {
 			p := h.nodes[h.leader]
-			propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, nil, 9)
-			propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, nil, 9)
+			propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, nil)
+			propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, nil)
 			p.SendRaw(ctx, propA, h.members[1:4])
 			p.SendRaw(ctx, propB, h.members[4:])
 		})
@@ -608,7 +634,7 @@ func TestEquivocationWitnessDeterministic(t *testing.T) {
 		p, member := h.nodes[h.leader], h.members[1]
 		h.net.After(member, 1, func(ctx *simnet.Context) {
 			for _, d := range order {
-				prop := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, d, nil, 9)
+				prop := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, d, nil)
 				h.nodes[member].Handle(ctx, simnet.Message{From: h.leader, To: member, Tag: TagPropose, Payload: prop})
 			}
 		})
@@ -682,8 +708,8 @@ func TestLeaderSignatureVerifiedOncePerEndpoint(t *testing.T) {
 	counts = h.countProposalVerifies()
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
 		p := h.nodes[h.leader]
-		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("A"), nil, 0), h.members[1:24])
-		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("B"), nil, 0), h.members[24:])
+		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("A"), nil), h.members[1:24])
+		p.SendRaw(ctx, BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, crypto.HString("B"), nil), h.members[24:])
 	})
 	h.net.RunUntilIdle()
 	if len(h.witness) == 0 {
@@ -724,7 +750,7 @@ func TestInstanceAllocCeiling(t *testing.T) {
 func TestStaleRoundMessagesIgnored(t *testing.T) {
 	h := newHarness(t, 5, Ed25519Scheme{}, 13)
 	// A proposal signed for round 99 must be dropped by round-1 members.
-	prop := BuildPropose(Ed25519Scheme{}, h.keys[h.leader], h.leader, 99, 1, crypto.HString("old"), "old", 3)
+	prop := BuildPropose(Ed25519Scheme{}, h.keys[h.leader], h.leader, 99, 1, crypto.HString("old"), "old")
 	h.net.Send(h.leader, h.members[1], TagPropose, prop, 10)
 	h.net.RunUntilIdle()
 	if _, ok := h.accepted[h.members[1]]; ok {

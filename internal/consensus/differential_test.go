@@ -88,8 +88,8 @@ func diffValidate(_ uint64, payload any) bool {
 	return !rejected
 }
 
-// payloadOf maps a schedule byte to one of diffPayloads and its declared size.
-func payloadOf(v byte) (any, int) { return diffPayloads[v%4], int(v % 4) }
+// payloadOf maps a schedule byte to one of diffPayloads.
+func payloadOf(v byte) any { return diffPayloads[v%4] }
 
 func newWorld(c int, ed25519, leaderSide bool, selfPos int) *world {
 	w := &world{keys: make(map[simnet.NodeID]crypto.KeyPair)}
@@ -224,9 +224,8 @@ func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits 
 	if s.where&0x80 != 0 {
 		leader = w.committee[0] // a wrong Leader field; the signature is still the leader's
 	}
-	payload, size := payloadOf(s.pay)
 	return Propose{
-		Round: round, SN: sn, Digest: d, Payload: payload, Size: size, Leader: leader,
+		Round: round, SN: sn, Digest: d, Payload: payloadOf(s.pay), Leader: leader,
 		Sig: w.sign(w.keys[w.leader], s.sig>>sigBits, sigMsg(TagPropose, round, sn, d, -1)),
 	}
 }
@@ -291,8 +290,7 @@ func (sc *schedule) run(s step) {
 	case opConfirm:
 		deliver(TagConfirm, Confirm{
 			Round: round, SN: sn, Digest: d, Confirmer: from,
-			Sig:      w.sign(w.keys[from], s.sig, sigMsg(TagConfirm, round, sn, d, int32(from))),
-			EchoSigs: map[simnet.NodeID][]byte{from: {s.pay}},
+			Sig: w.sign(w.keys[from], s.sig, sigMsg(TagConfirm, round, sn, d, int32(from))),
 		})
 	case opLocalPropose:
 		// Only a leader proposes, once per sn, and not after it has been
@@ -304,8 +302,7 @@ func (sc *schedule) run(s step) {
 		sc.proposed[sn] = true
 		sc.each(func(r *rig) {
 			r.net.After(w.self, 1, func(ctx *simnet.Context) {
-				payload, size := payloadOf(s.pay)
-				r.ep.Propose(ctx, sn, diffDigests[0], payload, size)
+				r.ep.Propose(ctx, sn, diffDigests[0], payloadOf(s.pay), 0)
 			})
 		})
 	}

@@ -29,7 +29,6 @@ import (
 type oracleInstance struct {
 	propose     *Propose
 	echoDigests map[simnet.NodeID]crypto.Digest
-	echoSigs    map[simnet.NodeID][]byte
 	confirmSent bool
 	fetchSent   bool
 	served      map[simnet.NodeID]bool // members whose Fetch was answered
@@ -79,7 +78,6 @@ func (p *oracleProtocol) inst(sn uint64) *oracleInstance {
 	if in == nil {
 		in = &oracleInstance{
 			echoDigests: make(map[simnet.NodeID]crypto.Digest),
-			echoSigs:    make(map[simnet.NodeID][]byte),
 			served:      make(map[simnet.NodeID]bool),
 			confirms:    make(map[simnet.NodeID]Confirm),
 			seen:        make(map[crypto.Digest]Propose),
@@ -91,8 +89,8 @@ func (p *oracleProtocol) inst(sn uint64) *oracleInstance {
 
 // Propose starts an instance as the leader, broadcasting to every other
 // committee member.
-func (p *oracleProtocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, size int) {
-	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload, size)
+func (p *oracleProtocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, _ int) {
+	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload)
 	in := p.inst(sn)
 	in.propose = &prop
 	in.seen[digest] = oracleHeader(prop)
@@ -288,7 +286,6 @@ func (p *oracleProtocol) recordEcho(ctx *simnet.Context, sn uint64, e Echo) {
 		return
 	}
 	in.echoDigests[e.Echoer] = e.Digest
-	in.echoSigs[e.Echoer] = e.Sig
 }
 
 func (p *oracleProtocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
@@ -298,11 +295,9 @@ func (p *oracleProtocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 	}
 	d := in.propose.Digest
 	votes := 0
-	echoSigs := make(map[simnet.NodeID][]byte)
-	for id, dig := range in.echoDigests {
+	for _, dig := range in.echoDigests {
 		if dig == d {
 			votes++
-			echoSigs[id] = in.echoSigs[id]
 		}
 	}
 	if !Majority(votes, len(p.Committee)) {
@@ -310,7 +305,7 @@ func (p *oracleProtocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 	}
 	in.confirmSent = true
 	sig := p.Scheme.Sign(p.Keys, sigMsg(TagConfirm, p.Round, sn, d, int32(p.Self)))
-	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig, EchoSigs: echoSigs}
+	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig}
 	if p.OnAccept != nil {
 		p.OnAccept(ctx, sn, d, in.propose.Payload)
 	}
@@ -342,9 +337,9 @@ func (p *oracleProtocol) onConfirm(ctx *simnet.Context, c Confirm) {
 	in.decided = true
 	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload}
 	for _, conf := range in.confirms {
-		res.Confirms = append(res.Confirms, conf)
+		res.Quorum.Votes = append(res.Quorum.Votes, Vote{Voter: conf.Confirmer, Sig: conf.Sig})
 	}
-	oracleSortConfirms(res.Confirms)
+	oracleSortVotes(res.Quorum.Votes)
 	if p.OnDecide != nil {
 		p.OnDecide(ctx, res)
 	}
@@ -364,9 +359,9 @@ func (p *oracleProtocol) Decided(sn uint64) bool {
 	return ok && in.decided
 }
 
-func oracleSortConfirms(cs []Confirm) {
+func oracleSortVotes(cs []Vote) {
 	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Confirmer < cs[j-1].Confirmer; j-- {
+		for j := i; j > 0 && cs[j].Voter < cs[j-1].Voter; j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}

@@ -120,7 +120,7 @@ func TestEchoSizeIndependentOfPayload(t *testing.T) {
 			}
 		})
 		payload := intraPayload(txs)
-		prop := consensus.BuildPropose(nodes[0].Scheme, keys[0], 0, payloadRound, payloadSN, payload.Digest(), payload, wire.Size(payload))
+		prop := consensus.BuildPropose(nodes[0].Scheme, keys[0], 0, payloadRound, payloadSN, payload.Digest(), payload)
 		net.Send(0, 1, consensus.TagPropose, prop, wire.Size(prop))
 		net.RunUntilIdle()
 		if !nodes[1].HasProposal(payloadSN) {

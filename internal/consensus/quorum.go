@@ -1,0 +1,174 @@
+package consensus
+
+import (
+	"fmt"
+
+	"cycledger/internal/crypto"
+	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
+)
+
+// Vote is one roster member's signature. What was signed is not repeated
+// per vote: the message that carries the Quorum says it once, in its header.
+type Vote struct {
+	Voter simnet.NodeID
+	Sig   []byte
+}
+
+// Quorum is the evidence that strictly more than half of a roster signed
+// one message: a decision's confirmations, an impeachment's approvals. It
+// has two forms. Per-voter: Votes lists each signer with its signature.
+// Aggregate (Bitmap non-nil): the signers are a bitmap over the roster order
+// and their signatures one constant-size Proof. Either way a Quorum names
+// neither the roster nor the message; Verify is handed both by the carrier's
+// receiver, so evidence gathered for one header proves nothing under another.
+type Quorum struct {
+	Votes  []Vote
+	Bitmap Bitmap
+	Proof  []byte
+}
+
+// layout opens with the form byte — 0 per-voter, 1 aggregate — which is how
+// every carrier says which evidence it holds. A per-voter entry is the voter
+// and its signature, 40 bytes under HashScheme.
+func (q Quorum) layout(c *wire.Coder) Quorum {
+	var form byte
+	if q.Bitmap != nil {
+		form = 1
+	}
+	c.U8(&form)
+	switch form {
+	case 0:
+		wire.Slice(c, &q.Votes, 4+4, func(c *wire.Coder, v *Vote) {
+			wire.ID(c, &v.Voter)
+			c.Bytes(&v.Sig)
+		})
+	case 1:
+		c.Bytes((*[]byte)(&q.Bitmap))
+		if q.Bitmap == nil {
+			// Non-nil even when empty: a non-nil Bitmap is what marks the
+			// aggregate form, so the value re-encodes to this frame.
+			q.Bitmap = Bitmap{}
+		}
+		c.Bytes(&q.Proof)
+	default:
+		c.Fail("quorum form")
+	}
+	return q
+}
+
+// Verify is the protocol's one >C/2 check: roster members only, each at most
+// once, strictly more than half of them, and every signature valid under
+// pkOf(voter) on msgAt(voter) — the message the receiver rebuilds from the
+// carrier's own header, never from the evidence. msgAt's result is used
+// before the next call, so it may return the same reused buffer. An aggregate
+// Quorum under a scheme with no aggregate face cannot be checked, which is
+// an error like any other failed verification; its bitmap is validated
+// against the roster before any signature work.
+func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey, msgAt func(voter simnet.NodeID) [][]byte) error {
+	if q.Bitmap == nil {
+		if !Majority(len(q.Votes), len(roster)) {
+			return fmt.Errorf("consensus: %d votes is not a majority of %d", len(q.Votes), len(roster))
+		}
+		if _, _, err := q.seat(roster); err != nil {
+			return err
+		}
+		for _, v := range q.Votes {
+			if err := scheme.Verify(pkOf(v.Voter), v.Sig, msgAt(v.Voter)...); err != nil {
+				return fmt.Errorf("consensus: signature of voter %d: %w", v.Voter, err)
+			}
+		}
+		return nil
+	}
+	as, ok := scheme.(AggregateScheme)
+	if !ok {
+		return fmt.Errorf("consensus: aggregate quorum under %T, which cannot verify aggregates", scheme)
+	}
+	if err := q.Bitmap.Validate(len(roster)); err != nil {
+		return err
+	}
+	if n := q.Bitmap.Count(); !Majority(n, len(roster)) {
+		return fmt.Errorf("consensus: %d aggregate votes is not a majority of %d", n, len(roster))
+	}
+	pks := make([]crypto.PublicKey, len(roster))
+	for i, id := range roster {
+		pks[i] = pkOf(id)
+	}
+	if err := as.VerifyAggregate(pks, q.Bitmap, func(i int) [][]byte { return msgAt(roster[i]) }, q.Proof); err != nil {
+		return fmt.Errorf("consensus: aggregate proof: %w", err)
+	}
+	return nil
+}
+
+// seat places every vote at its voter's position in roster: the positions
+// taken, and each one's signature (nil elsewhere). A voter outside the roster
+// or listed twice is an error.
+func (q Quorum) seat(roster []simnet.NodeID) (Bitmap, [][]byte, error) {
+	pos := rosterIndex(roster)
+	taken := NewBitmap(len(roster))
+	sigs := make([][]byte, len(roster))
+	for _, v := range q.Votes {
+		i, member := pos[v.Voter]
+		if !member {
+			return nil, nil, fmt.Errorf("consensus: voter %d not in roster", v.Voter)
+		}
+		if taken.Has(i) {
+			return nil, nil, fmt.Errorf("consensus: duplicate voter %d", v.Voter)
+		}
+		taken.Set(i)
+		sigs[i] = v.Sig
+	}
+	return taken, sigs, nil
+}
+
+// Fold returns the aggregate form of a per-voter Quorum: a bitmap over the
+// roster order plus one proof of the signatures, taken in ascending roster
+// position per the Aggregate contract. A voter outside the roster or listed
+// twice is an error. The signatures are not verified — a sender folds
+// evidence it collected, and checked, itself. An aggregate Quorum is
+// returned as it is.
+func (q Quorum) Fold(scheme AggregateScheme, roster []simnet.NodeID) (Quorum, error) {
+	if q.Bitmap != nil {
+		return q, nil
+	}
+	bm, byPos, err := q.seat(roster)
+	if err != nil {
+		return Quorum{}, err
+	}
+	sigs := byPos[:0]
+	for i, sig := range byPos {
+		if bm.Has(i) {
+			sigs = append(sigs, sig)
+		}
+	}
+	proof, err := scheme.Aggregate(sigs)
+	if err != nil {
+		return Quorum{}, err
+	}
+	return Quorum{Bitmap: bm, Proof: proof}, nil
+}
+
+// The four names below are the ones bench/cells.go verifies and folds a
+// certificate by; they stay until a benchmark PR moves it to the methods.
+// Each is the method it names and nothing more.
+
+// AggResult is Result: one struct holds a certificate in either form.
+type AggResult = Result
+
+// VerifyCert is res.Verify.
+func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+	return res.Verify(scheme, committee, pkOf)
+}
+
+// VerifyAggCert is ar.Verify.
+func VerifyAggCert(scheme AggregateScheme, ar AggResult, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+	return ar.Verify(scheme, committee, pkOf)
+}
+
+// AggregateResult is res with its Quorum folded over the committee roster
+// (Quorum.Fold).
+func AggregateResult(scheme AggregateScheme, res Result, committee []simnet.NodeID) (AggResult, error) {
+	q, err := res.Quorum.Fold(scheme, committee)
+	res.Quorum = q
+	return res, err
+}

@@ -4,10 +4,10 @@
 // M itself (a member that sees the committee echo a digest it has no
 // proposal for FETCHes M from an echoer); once a member observes identical
 // ECHOes from more than half the committee and holds the PROPOSE, it sends
-// CONFIRM with its echo evidence back to the leader; the leader decides
-// when more than half the committee has confirmed, yielding a signature
-// list that certifies the decision to third parties (the referee committee,
-// other leaders).
+// a signed CONFIRM back to the leader; the leader decides when more than
+// half the committee has confirmed, yielding a Quorum of signatures that
+// certifies the decision to third parties (the referee committee, other
+// leaders).
 //
 // A leader that equivocates — signs two different digests for the same
 // (round, sequence-number) — is caught by any honest member who sees both,
@@ -58,14 +58,6 @@ type HashScheme struct{}
 func (HashScheme) Sign(kp crypto.KeyPair, parts ...[]byte) []byte {
 	d := crypto.HKeyed(kp.PK, parts...)
 	return d[:]
-}
-
-// AppendSign appends the signature tag for (kp, parts) to dst and returns
-// the extended slice — the append-into-caller-buffer variant of Sign. With
-// capacity in dst the call allocates nothing; callers that retain the
-// signature must not reuse the buffer.
-func (HashScheme) AppendSign(dst []byte, kp crypto.KeyPair, parts ...[]byte) []byte {
-	return crypto.AppendHKeyed(dst, kp.PK, parts...)
 }
 
 // Verify implements SignatureScheme. A truncated, oversized, or mutated tag

@@ -42,28 +42,6 @@ func TestHashSchemeSigLengths(t *testing.T) {
 	}
 }
 
-// TestHashSchemeAppendSign checks the append-into-caller-buffer variant
-// produces the same tag as Sign and does not allocate when the buffer has
-// capacity.
-func TestHashSchemeAppendSign(t *testing.T) {
-	s := HashScheme{}
-	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(3)))
-	msg := sigMsg(TagEcho, 1, 2, crypto.HString("m"), 4)
-
-	want := s.Sign(kp, msg)
-	got := s.AppendSign(make([]byte, 0, crypto.HashSize), kp, msg)
-	if string(got) != string(want) {
-		t.Fatal("AppendSign disagrees with Sign")
-	}
-	buf := make([]byte, 0, crypto.HashSize)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = s.AppendSign(buf[:0], kp, msg)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendSign into a sized buffer allocated %.1f times per run", allocs)
-	}
-}
-
 // TestSigMsgInjective spot-checks the fixed-width encoding: distinct
 // instances, digests, and signer fields must produce distinct messages.
 func TestSigMsgInjective(t *testing.T) {

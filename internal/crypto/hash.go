@@ -65,21 +65,6 @@ func HKeyed(key []byte, parts ...[]byte) Digest {
 	return d
 }
 
-// AppendH appends H(parts...) to dst and returns the extended slice — the
-// append-into-caller-buffer variant of H. With sufficient capacity in dst
-// the call performs no allocation.
-func AppendH(dst []byte, parts ...[]byte) []byte {
-	d := H(parts...)
-	return append(dst, d[:]...)
-}
-
-// AppendHKeyed appends HKeyed(key, parts...) to dst and returns the
-// extended slice.
-func AppendHKeyed(dst []byte, key []byte, parts ...[]byte) []byte {
-	d := HKeyed(key, parts...)
-	return append(dst, d[:]...)
-}
-
 // PrefixHasher computes H(prefix..., tail) for one fixed prefix and many
 // tails. The prefix's framed stream is absorbed once and the SHA-256
 // midstate snapshotted; and because H frames the tail with its length, for a

@@ -267,29 +267,6 @@ func TestHKeyedMatchesH(t *testing.T) {
 	}
 }
 
-func TestAppendHVariants(t *testing.T) {
-	parts := [][]byte{[]byte("x"), []byte("y")}
-	d := H(parts...)
-	buf := AppendH([]byte("prefix-"), parts...)
-	if string(buf[:7]) != "prefix-" || string(buf[7:]) != string(d[:]) {
-		t.Fatal("AppendH did not append the digest after the prefix")
-	}
-	key := []byte("k")
-	dk := HKeyed(key, parts...)
-	got := AppendHKeyed(make([]byte, 0, HashSize), key, parts...)
-	if string(got) != string(dk[:]) {
-		t.Fatal("AppendHKeyed disagrees with HKeyed")
-	}
-	// Appending into a buffer with spare capacity must not allocate.
-	scratch := make([]byte, 0, HashSize)
-	allocs := testing.AllocsPerRun(100, func() {
-		scratch = AppendH(scratch[:0], parts[0])
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendH into a sized buffer allocated %.1f times per run", allocs)
-	}
-}
-
 func TestModAndBelowTargetAllocFree(t *testing.T) {
 	d := HString("alloc-check")
 	target := FractionTargetLimbs(1, 3)

@@ -246,8 +246,8 @@ type ShardScratch struct {
 }
 
 // Compute fills the scratch with the transaction's input, output, and
-// union shard sets in one pass over the inputs and outputs — the combined
-// form of InputShards/OutputShards/TouchedShards that the router consumes.
+// union shard sets in one pass over the inputs and outputs, as the router
+// consumes them.
 // Unknown inputs are skipped (validation rejects them separately). The
 // returned sets alias the scratch and are valid until the next Compute.
 func (sc *ShardScratch) Compute(tx *Tx, view UTXOView, m uint64) {
@@ -265,38 +265,6 @@ func (sc *ShardScratch) Compute(tx *Tx, view UTXOView, m uint64) {
 		sc.Touched = insertShard(sc.Touched, s)
 	}
 }
-
-// InputShards returns the sorted set of shards referenced by the
-// transaction's inputs, given the owners recorded in the UTXO view.
-// Unknown inputs are skipped (validation will reject them separately).
-// The public shard-set functions are thin copies over the one
-// ShardScratch.Compute implementation, so classification logic lives in
-// exactly one place; hot paths use a reused scratch directly.
-func InputShards(tx *Tx, view UTXOView, m uint64) []uint64 {
-	var sc ShardScratch
-	sc.Compute(tx, view, m)
-	return append([]uint64{}, sc.In...)
-}
-
-// OutputShards returns the sorted set of shards receiving outputs.
-func OutputShards(tx *Tx, m uint64) []uint64 {
-	var sc ShardScratch
-	sc.Compute(tx, emptyView{}, m)
-	return append([]uint64{}, sc.Out...)
-}
-
-// TouchedShards returns the union of input and output shards.
-func TouchedShards(tx *Tx, view UTXOView, m uint64) []uint64 {
-	var sc ShardScratch
-	sc.Compute(tx, view, m)
-	return append([]uint64{}, sc.Touched...)
-}
-
-// emptyView resolves nothing; OutputShards needs no input owners.
-type emptyView struct{}
-
-// Get implements UTXOView.
-func (emptyView) Get(OutPoint) (Output, bool) { return Output{}, false }
 
 // IsCrossShard reports whether the transaction touches more than one shard.
 // It exits on the second distinct shard without materialising any set, so

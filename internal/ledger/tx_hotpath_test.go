@@ -9,6 +9,35 @@ import (
 	"cycledger/internal/crypto"
 )
 
+// The three shard sets of one transaction, each as its own copy, over the one
+// classifier the router uses (ShardScratch.Compute).
+
+func shardSets(tx *Tx, view UTXOView, m uint64) (in, out, touched []uint64) {
+	var sc ShardScratch
+	sc.Compute(tx, view, m)
+	return append([]uint64{}, sc.In...), append([]uint64{}, sc.Out...), append([]uint64{}, sc.Touched...)
+}
+
+func InputShards(tx *Tx, view UTXOView, m uint64) []uint64 {
+	in, _, _ := shardSets(tx, view, m)
+	return in
+}
+
+// emptyView resolves nothing; OutputShards needs no input owners.
+type emptyView struct{}
+
+func (emptyView) Get(OutPoint) (Output, bool) { return Output{}, false }
+
+func OutputShards(tx *Tx, m uint64) []uint64 {
+	_, out, _ := shardSets(tx, emptyView{}, m)
+	return out
+}
+
+func TouchedShards(tx *Tx, view UTXOView, m uint64) []uint64 {
+	_, _, touched := shardSets(tx, view, m)
+	return touched
+}
+
 // --- reference oracles -----------------------------------------------------
 //
 // The pre-optimization map-based shard-set implementations, kept verbatim

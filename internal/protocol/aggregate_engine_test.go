@@ -29,7 +29,7 @@ func stripTraffic(reports []*RoundReport) []RoundReport {
 // TestAggregateReportsMatchBaseline: switching on aggregate certificates +
 // tree dissemination must not change any protocol decision — the reports
 // are identical to the per-voter engine's except for the traffic fields.
-// This is the engine-level face of the VerifyCert ≡ VerifyAggCert property.
+// This is the engine-level face of the per-voter ≡ aggregate Quorum property.
 func TestAggregateReportsMatchBaseline(t *testing.T) {
 	scenarios := map[string]func(*Params){
 		"default": func(p *Params) {},

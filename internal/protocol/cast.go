@@ -7,24 +7,31 @@ import (
 )
 
 // Aggregate mode (Params.AggregateCerts) changes two things, both on the
-// sending side, and this file holds them: what certificate a sender attaches
-// when a decision leaves its committee (certify — the per-voter Result or
-// its bitmap + proof fold), and how a committee broadcast fans out
-// (committeeCast — flat from the root, or down the binomial dissemination
-// tree, with treeStretch the matching deadline allowance). The messages are
-// the same in both modes and receivers never ask which one is on: they call
-// Certificate.Verify and accept what verifies.
+// sending side, and this file holds them: the form of the >c/2 evidence a
+// sender attaches when a decision or an impeachment leaves its committee
+// (evidence — the per-voter list or its bitmap + proof fold), and how a
+// committee broadcast fans out (committeeCast — flat from the root, or down
+// the binomial dissemination tree, with treeStretch the matching deadline
+// allowance). The messages are the same in both modes and receivers never ask
+// which one is on: they call Quorum.Verify and accept what verifies.
 
-// certify returns the certificate this node attaches to a decision its own
-// consensus instance just produced: res itself, or in aggregate mode its
-// fold over the given roster. The fold cannot fail for a certificate our own
-// instance produced; if it ever did, the per-voter form is still valid.
-func (n *Node) certify(res consensus.Result, members []simnet.NodeID) consensus.Certificate {
+// evidence returns the form in which this node sends a quorum it collected
+// itself: q as it is, or in aggregate mode its fold over the given roster. The
+// fold cannot fail for voters the collector admitted from that roster; if it
+// ever did, the per-voter form is still valid.
+func (n *Node) evidence(q consensus.Quorum, roster []simnet.NodeID) consensus.Quorum {
 	if as, ok := n.eng.P.Scheme.(consensus.AggregateScheme); ok && n.eng.P.AggregateCerts {
-		if ar, err := consensus.AggregateResult(as, res, members); err == nil {
-			return ar
+		if folded, err := q.Fold(as, roster); err == nil {
+			return folded
 		}
 	}
+	return q
+}
+
+// certify returns the certificate this node attaches to a decision its own
+// consensus instance just produced.
+func (n *Node) certify(res consensus.Result) consensus.Result {
+	res.Quorum = n.evidence(res.Quorum, n.committeeNodes)
 	return res
 }
 
@@ -89,7 +96,7 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 		rank = my + 1
 	}
 	// Children of rank j are j + 2^t for every 2^t > j in range (the
-	// simnet.TreeChildren rule, inlined to avoid the slice). Rank r ≥ 1
+	// binomial-tree rule, inlined to avoid a slice of children). Rank r ≥ 1
 	// maps back to members[r-1], skipping the root's own slot when it sits
 	// inside the list.
 	var kids [32]simnet.NodeID // a rank has at most ⌈log₂ C⌉ children

@@ -69,7 +69,7 @@ func init() {
 	wire.Register(RecoveryWitness.layout, wire.TagRecoveryWitness)
 	wire.Register(AccuseMsg.layout, wire.TagAccuse)
 	wire.Register(ApproveMsg.layout, wire.TagApprove)
-	wire.Register(EvictReqMsg.layout, wire.TagEvictReq, wire.TagAggEvictReq)
+	wire.Register(EvictReqMsg.layout, wire.TagEvictReq)
 	wire.Register(EvictPayload.layout, wire.TagEvictPayload)
 	wire.Register(NewLeaderMsg.layout, wire.TagNewLeader)
 	wire.Register(PowMsg.layout, wire.TagPow)
@@ -170,13 +170,13 @@ func (p IntraPayload) Digest() crypto.Digest {
 // IntraResultMsg certifies a committee's intra-shard decision to C_R.
 type IntraResultMsg struct {
 	Committee uint64
-	Result    consensus.Certificate
+	Result    consensus.Result
 	Members   []simnet.NodeID // the roster the certificate is checked against
 }
 
 func (m IntraResultMsg) layout(c *wire.Coder) IntraResultMsg {
 	c.U64(&m.Committee)
-	wire.AnyOf(c, &m.Result)
+	wire.Field(c, &m.Result)
 	nodeList(c, &m.Members)
 	return m
 }
@@ -235,8 +235,8 @@ type InterFwdMsg struct {
 	From    uint64 // input committee i
 	To      uint64 // output committee j
 	Txs     []*ledger.Tx
-	Cert    consensus.Certificate // C_i's Algorithm 3 certificate
-	Members []simnet.NodeID       // C_i's member list (checked against H(S_i))
+	Cert    consensus.Result // C_i's Algorithm 3 certificate
+	Members []simnet.NodeID  // C_i's member list (checked against H(S_i))
 }
 
 func (m InterFwdMsg) layout(c *wire.Coder) InterFwdMsg {
@@ -244,7 +244,7 @@ func (m InterFwdMsg) layout(c *wire.Coder) InterFwdMsg {
 	c.U64(&m.From)
 	c.U64(&m.To)
 	txList(c, &m.Txs)
-	wire.AnyOf(c, &m.Cert)
+	wire.Field(c, &m.Cert)
 	nodeList(c, &m.Members)
 	return m
 }
@@ -254,14 +254,14 @@ type InterResultMsg struct {
 	Round  uint64
 	From   uint64
 	To     uint64
-	Result consensus.Certificate
+	Result consensus.Result
 }
 
 func (m InterResultMsg) layout(c *wire.Coder) InterResultMsg {
 	c.U64(&m.Round)
 	c.U64(&m.From)
 	c.U64(&m.To)
-	wire.AnyOf(c, &m.Result)
+	wire.Field(c, &m.Result)
 	return m
 }
 
@@ -348,13 +348,13 @@ func (p ScorePayload) Digest() crypto.Digest {
 // ScoreResultMsg certifies a committee's score list to C_R.
 type ScoreResultMsg struct {
 	Committee uint64
-	Result    consensus.Certificate
+	Result    consensus.Result
 	Members   []simnet.NodeID
 }
 
 func (m ScoreResultMsg) layout(c *wire.Coder) ScoreResultMsg {
 	c.U64(&m.Committee)
-	wire.AnyOf(c, &m.Result)
+	wire.Field(c, &m.Result)
 	nodeList(c, &m.Members)
 	return m
 }
@@ -445,49 +445,31 @@ func (m ApproveMsg) SigParts() [][]byte {
 }
 
 // EvictReqMsg is the accuser's escalation to C_R: the witness plus the >c/2
-// approval certificate, in one of two evidence forms. Per-voter: Approvals
-// lists the signed ApproveMsgs. Aggregate (Bitmap non-nil): the list is
-// folded into a voter bitmap over the committee roster order plus one
-// aggregate proof of the same signatures. The witness travels unchanged in
-// both — it is one leader-signed message (or a silence marker), not a
-// per-voter list.
+// approval certificate. Approvals holds the members' signatures only; the
+// ApproveMsg each one signed is rebuilt from this header (approval), so an
+// approval counts only if it was signed for this round, committee and
+// accuser.
 type EvictReqMsg struct {
 	Round     uint64
 	Committee uint64
 	Accuser   simnet.NodeID
 	Witness   RecoveryWitness
-	Approvals []ApproveMsg
-	Bitmap    consensus.Bitmap
-	Proof     []byte
+	Approvals consensus.Quorum
 }
 
-// layout has two frame forms, one per evidence form, told apart by the tag.
 func (m EvictReqMsg) layout(c *wire.Coder) EvictReqMsg {
-	agg := m.Bitmap != nil
-	c.Alt(wire.TagAggEvictReq, &agg)
 	c.U64(&m.Round)
 	c.U64(&m.Committee)
 	wire.ID(c, &m.Accuser)
 	wire.Field(c, &m.Witness)
-	if !agg {
-		wire.Slice(c, &m.Approvals, 2, wire.Field[ApproveMsg])
-		return m
-	}
-	c.Bytes((*[]byte)(&m.Bitmap))
-	if m.Bitmap == nil {
-		// Non-nil even when empty: a non-nil Bitmap is what marks the
-		// aggregate evidence form, so the value re-encodes to this frame.
-		m.Bitmap = consensus.Bitmap{}
-	}
-	c.Bytes(&m.Proof)
+	wire.Field(c, &m.Approvals)
 	return m
 }
 
-// approval returns the ApproveMsg the given voter must have signed for
-// this request. Both evidence forms are checked against it, so an approval
-// counts only if it was signed for this round, committee and accuser.
-func (m EvictReqMsg) approval(voter simnet.NodeID) ApproveMsg {
-	return ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter}
+// approval returns the signed parts of the ApproveMsg the given voter must
+// have signed for this request.
+func (m EvictReqMsg) approval(voter simnet.NodeID) [][]byte {
+	return ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter}.SigParts()
 }
 
 // EvictPayload is C_R's Algorithm 3 payload deciding the replacement.
@@ -633,14 +615,14 @@ type UTXOFinalMsg struct {
 	Round     uint64
 	Committee uint64
 	Digest    crypto.Digest
-	Result    consensus.Certificate
+	Result    consensus.Result
 }
 
 func (m UTXOFinalMsg) layout(c *wire.Coder) UTXOFinalMsg {
 	c.U64(&m.Round)
 	c.U64(&m.Committee)
 	wire.Hash(c, &m.Digest)
-	wire.AnyOf(c, &m.Result)
+	wire.Field(c, &m.Result)
 	return m
 }
 

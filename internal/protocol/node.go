@@ -49,7 +49,7 @@ type Node struct {
 	interDecided    map[uint64]*InterPayload   // committee j: decided incoming lists
 
 	// Recovery.
-	myApprovals  []ApproveMsg                             // as accuser
+	myApprovals  []consensus.Vote                         // as accuser
 	myAccusation *AccuseMsg                               // as accuser
 	escalated    bool                                     // EvictReq already sent
 	leaderVotes  map[simnet.NodeID]map[simnet.NodeID]bool // successor → approving referees

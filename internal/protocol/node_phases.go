@@ -35,6 +35,9 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 // onSemiCom handles a leader's announcement, on both referee members and
 // partial-set members.
 func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) {
+	if m.Committee >= n.eng.roster.M {
+		return
+	}
 	leader := n.eng.roster.Leaders[m.Committee]
 	if from != leader && from != n.curLeader {
 		return
@@ -63,7 +66,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		if m.ListDigest() == m.SemiCom {
 			payload := SemiComPayload{Committee: m.Committee, Msg: m}
 			if p := n.consFor(n.ID); p != nil {
-				p.Propose(ctx, snSemiComBase+m.Committee, payload.Digest(), payload, wire.Size(payload))
+				p.Propose(ctx, snSemiComBase+m.Committee, payload.Digest(), payload, 0)
 			}
 		} else if !n.eng.P.DisableRecovery {
 			n.proposeEviction(ctx, m.Committee, RecoveryWitness{
@@ -233,14 +236,14 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
 		alt := IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
-		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, payload.Digest(), payload, wire.Size(payload))
-		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, alt.Digest(), alt, wire.Size(alt))
+		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, payload.Digest(), payload)
+		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, alt.Digest(), alt)
 		half := len(n.committeeNodes) / 2
 		p.SendRaw(ctx, propA, n.committeeNodes[:half])
 		p.SendRaw(ctx, propB, n.committeeNodes[half:])
 		return
 	}
-	p.Propose(ctx, sn, payload.Digest(), payload, wire.Size(payload))
+	p.Propose(ctx, sn, payload.Digest(), payload, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -289,13 +292,13 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 		return
 	}
 	payload := InterPayload{From: n.comID, Txs: txs}
-	p.Propose(ctx, snInterOutBase+j, payload.Digest(), payload, wire.Size(payload))
+	p.Propose(ctx, snInterOutBase+j, payload.Digest(), payload, 0)
 }
 
 // onInterQuery answers a §VIII-A pre-screen: the receiving leader marks
 // each candidate against its view. A concealing leader ignores queries.
 func (n *Node) onInterQuery(ctx *simnet.Context, m InterQueryMsg) {
-	if n.role != RoleLeader || m.To != n.comID || m.Round != n.eng.round {
+	if n.role != RoleLeader || m.To != n.comID || m.Round != n.eng.round || m.From >= n.eng.roster.M {
 		return
 	}
 	if n.Behavior.ConcealCross || n.Behavior.Offline {
@@ -358,7 +361,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	case RoleLeader:
 		payload := InterPayload{From: m.From, Txs: m.Txs}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snInterInBase+m.From, payload.Digest(), payload, wire.Size(payload))
+			p.Propose(ctx, snInterInBase+m.From, payload.Digest(), payload, 0)
 		}
 	case RolePartial:
 		// Lemma 7 liveness: if the leader stays silent for 2Γ, forward
@@ -382,7 +385,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.isFirstPartial() {
 					payload := InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
-						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, wire.Size(payload))
+						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, 0)
 					}
 				}
 			})
@@ -462,7 +465,7 @@ func (n *Node) startScore(ctx *simnet.Context) {
 	}
 	payload := ScorePayload{Members: append([]simnet.NodeID(nil), n.voteOrder...), Scores: scores}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, snScore, payload.Digest(), payload, wire.Size(payload))
+		p.Propose(ctx, snScore, payload.Digest(), payload, 0)
 	}
 }
 
@@ -506,10 +509,10 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(IntraPayload); ok {
 			n.intraDecided = &payload
 		}
-		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.eng.roster.Referee, TagIntraResult, msg, wire.Size(msg))
 	case res.SN == snScore:
-		var msg any = ScoreResultMsg{Committee: n.comID, Result: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		var msg any = ScoreResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.eng.roster.Referee, TagScoreResult, msg, wire.Size(msg))
 	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.eng.roster.M:
 		j := res.SN - snInterOutBase
@@ -517,14 +520,14 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if !ok {
 			return
 		}
-		var fwd any = InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res, n.committeeNodes), Members: n.committeeNodes}
+		var fwd any = InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.eng.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
 	case res.SN >= snInterInBase && res.SN < snInterInBase+n.eng.roster.M:
 		i := res.SN - snInterInBase
 		if payload, ok := res.Payload.(InterPayload); ok {
 			n.interDecided[i] = &payload
 		}
-		var msg any = InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res, n.committeeNodes)}
+		var msg any = InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res)}
 		size := wire.Size(msg)
 		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
 		ctx.Broadcast(n.eng.roster.Referee, TagInterResult, msg, size)
@@ -546,7 +549,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		// propagation burden.
 	case res.SN == snUTXO:
 		if payload, ok := res.Payload.(UTXOPayload); ok {
-			var msg any = UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res, n.committeeNodes)}
+			var msg any = UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res)}
 			ctx.Broadcast(n.eng.roster.Referee, TagUTXOFinal, msg, wire.Size(msg))
 		}
 	}
@@ -556,7 +559,7 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 	switch {
 	case n.role == RoleReferee && sn >= snEvictBase && sn < snBlock:
 		ev, ok := payload.(EvictPayload)
-		if !ok {
+		if !ok || ev.Committee >= n.eng.roster.M {
 			return
 		}
 		evv := ev
@@ -602,7 +605,7 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 		n.utxoDigest = digest
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snUTXO, payload.Digest(), payload, wire.Size(payload))
+			p.Propose(ctx, snUTXO, payload.Digest(), payload, 0)
 		}
 	}
 }

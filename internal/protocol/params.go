@@ -83,9 +83,9 @@ type Params struct {
 
 	// AggregateCerts is a sender-side choice with two effects. Decisions
 	// leaving a committee — intra/score/inter results, the UTXO finality
-	// vote — carry their certificate as a consensus.AggResult (one voter
-	// bitmap plus one constant-size aggregate proof) instead of the
-	// per-voter Confirm list, and an eviction request carries its approval
+	// vote — carry their certificate's consensus.Quorum in aggregate form
+	// (one voter bitmap plus one constant-size aggregate proof) instead of
+	// one signature per voter, and an eviction request carries its approval
 	// set folded the same way. And committee broadcasts (transaction lists,
 	// block propagation) fan out over a binomial dissemination tree, so
 	// leader egress is O(log C) sends instead of O(C). Receivers never read

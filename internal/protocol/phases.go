@@ -239,7 +239,7 @@ func (e *Engine) phaseScore(report *RoundReport) {
 		if msg == nil {
 			continue
 		}
-		payload, ok := msg.Result.Decided().(ScorePayload)
+		payload, ok := msg.Result.Payload.(ScorePayload)
 		if !ok {
 			continue
 		}
@@ -550,7 +550,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 	proposer := ref
 	e.Net.After(proposer.ID, 1, func(ctx *simnet.Context) {
 		if p := proposer.consFor(proposer.ID); p != nil {
-			p.Propose(ctx, snBlock, blk.Digest(), blk, wire.Size(blk))
+			p.Propose(ctx, snBlock, blk.Digest(), blk, 0)
 		}
 	})
 	e.Net.RunUntilIdle()

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"cycledger/internal/consensus"
-	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
 )
@@ -97,6 +96,13 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if n.myAccusation == nil || m.Accuser != n.ID || n.escalated {
 		return
 	}
+	// C_R checks every vote against this request's header and this
+	// committee's roster, and one vote that fails either refuses the request:
+	// an approval for another round or committee, or from outside the
+	// committee, is not collected.
+	if k, ok := n.eng.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.eng.round {
+		return
+	}
 	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, m.SigParts()...) != nil {
 		return
 	}
@@ -105,41 +111,21 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 			return
 		}
 	}
-	n.myApprovals = append(n.myApprovals, m)
+	n.myApprovals = append(n.myApprovals, consensus.Vote{Voter: m.Voter, Sig: m.Sig})
 	if !consensus.Majority(len(n.myApprovals), n.committeeSize()) {
 		return
 	}
 	n.escalated = true
-	req := EvictReqMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Witness: n.myAccusation.Witness}
-	if req.Bitmap, req.Proof = n.foldApprovals(); req.Bitmap == nil {
-		req.Approvals = append([]ApproveMsg(nil), n.myApprovals...)
-	}
+	req := EvictReqMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Witness: n.myAccusation.Witness,
+		Approvals: n.evidence(consensus.Quorum{Votes: n.myApprovals}, n.eng.roster.Committee(n.comID))}
 	var payload any = req
 	ctx.Broadcast(n.eng.roster.Referee, TagEvictReq, payload, wire.Size(payload))
-}
-
-// foldApprovals is the aggregate-mode evidence for an escalation: the
-// accuser's collected approvals as a bitmap over the committee roster order
-// plus one aggregate proof of the ApproveMsg signatures (checked by
-// approvalQuorum against the same roster). The bitmap is nil when aggregate
-// mode is off or the fold fails, and the request then carries the approval
-// list.
-func (n *Node) foldApprovals() (consensus.Bitmap, []byte) {
-	as, ok := n.eng.P.Scheme.(consensus.AggregateScheme)
-	if !ok || !n.eng.P.AggregateCerts {
-		return nil, nil
-	}
-	// An outsider or a repeat is skipped; a failed fold leaves both nil.
-	bm, proof, _ := consensus.FoldVoters(as, n.eng.roster.Committee(n.comID), len(n.myApprovals),
-		func(k int) (simnet.NodeID, []byte) { return n.myApprovals[k].Voter, n.myApprovals[k].Sig },
-		func(simnet.NodeID, bool) error { return nil })
-	return bm, proof
 }
 
 // onEvictReq is the referee side: the committee's coordinator verifies the
 // witness and approval certificate and starts the eviction instance.
 func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
-	if n.role != RoleReferee || m.Round != n.eng.round {
+	if n.role != RoleReferee || m.Round != n.eng.round || m.Committee >= n.eng.roster.M {
 		return
 	}
 	if n.eng.coordinatorFor(m.Committee) != n.ID {
@@ -157,51 +143,13 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 		return
 	}
 	// For silence the approval certificate is the whole evidence: >c/2
-	// distinct committee members signed that the leader went quiet.
-	if !n.approvalQuorum(m) {
+	// distinct committee members signed that the leader went quiet. The
+	// signed message is rebuilt from the request's header, so approvals
+	// collected in another round or for another accuser cannot be replayed.
+	if m.Approvals.Verify(n.eng.P.Scheme, n.eng.roster.Committee(m.Committee), n.eng.pkOf, m.approval) != nil {
 		return
 	}
 	n.proposeEviction(ctx, m.Committee, m.Witness)
-}
-
-// approvalQuorum checks the request's approval certificate in whichever
-// evidence form it carries: strictly more than half of the committee, each
-// member at most once, every signature valid on the approval of *this*
-// request. The signed message is rebuilt from the request header
-// (EvictReqMsg.approval) in both forms, never taken from the evidence, so
-// approvals collected in another round or for another accuser cannot be
-// replayed into a request — which matters most for silence, where they are
-// the only evidence.
-func (n *Node) approvalQuorum(m EvictReqMsg) bool {
-	members := n.eng.roster.Committee(m.Committee)
-	scheme := n.eng.P.Scheme
-	if m.Bitmap != nil {
-		as, ok := scheme.(consensus.AggregateScheme)
-		if !ok || m.Bitmap.Validate(len(members)) != nil || !consensus.Majority(m.Bitmap.Count(), len(members)) {
-			return false
-		}
-		pks := make([]crypto.PublicKey, len(members))
-		for i, id := range members {
-			pks[i] = n.eng.pkOf(id)
-		}
-		msgAt := func(i int) [][]byte { return m.approval(members[i]).SigParts() }
-		return as.VerifyAggregate(pks, m.Bitmap, msgAt, m.Proof) == nil
-	}
-	isMember := make(map[simnet.NodeID]bool, len(members))
-	for _, id := range members {
-		isMember[id] = true
-	}
-	seen := make(map[simnet.NodeID]bool, len(m.Approvals))
-	for _, ap := range m.Approvals {
-		if !isMember[ap.Voter] || seen[ap.Voter] {
-			continue
-		}
-		if scheme.Verify(n.eng.pkOf(ap.Voter), ap.Sig, m.approval(ap.Voter).SigParts()...) != nil {
-			continue
-		}
-		seen[ap.Voter] = true
-	}
-	return consensus.Majority(len(seen), len(members))
 }
 
 // proposeEviction starts C_R's Algorithm 3 instance replacing the leader
@@ -222,7 +170,7 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 	n.crEvictGen[k] = gen + 1
 	payload := EvictPayload{Committee: k, Evicted: evicted, Successor: successor, Witness: w}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, sn, payload.Digest(), payload, wire.Size(payload))
+		p.Propose(ctx, sn, payload.Digest(), payload, 0)
 	}
 }
 

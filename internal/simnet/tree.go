@@ -10,25 +10,9 @@ import "math/bits"
 // TreeDepth(n) = ⌈log₂ n⌉ hops. The rule is purely positional — no shared
 // state, no channel setup — so any transport (the deterministic simulator
 // or the live byte-stream transport) disseminates by having each receiver
-// compute TreeChildren of its own rank and forward. A crashed or partitioned
+// compute the children of its own rank and forward. A crashed or partitioned
 // interior node silences exactly its subtree, which the protocol's
 // per-phase silence watchdogs then observe as a missing artifact.
-
-// TreeChildren returns the ranks rank relays to in an n-node binomial
-// broadcast tree, in ascending order. Rank 0 is the root; out-of-range
-// ranks have no children.
-func TreeChildren(rank, n int) []int {
-	if rank < 0 || rank >= n {
-		return nil
-	}
-	var kids []int
-	for step := 1; rank+step < n; step <<= 1 {
-		if step > rank {
-			kids = append(kids, rank+step)
-		}
-	}
-	return kids
-}
 
 // TreeDepth returns the dissemination depth bound of an n-node binomial
 // broadcast tree: ⌈log₂ n⌉ (0 for n ≤ 1). Every rank is reached from the

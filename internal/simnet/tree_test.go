@@ -2,6 +2,23 @@ package simnet
 
 import "testing"
 
+// TreeChildren returns the ranks rank relays to in an n-node binomial
+// broadcast tree, in ascending order. Rank 0 is the root; out-of-range
+// ranks have no children. It is the rule tree.go states, as a function;
+// protocol's treeRelay inlines it.
+func TreeChildren(rank, n int) []int {
+	if rank < 0 || rank >= n {
+		return nil
+	}
+	var kids []int
+	for step := 1; rank+step < n; step <<= 1 {
+		if step > rank {
+			kids = append(kids, rank+step)
+		}
+	}
+	return kids
+}
+
 // TestTreeChildrenSpansAll: for every fan-out size the binomial tree must
 // reach each non-root rank exactly once (it is a tree, not a DAG), and the
 // hop count from the root never exceeds TreeDepth.

@@ -22,13 +22,11 @@ import (
 // also never store through a field pointer: a message in flight is shared
 // by every node it was sent to, and sizing it must stay a pure read.
 type Coder struct {
-	mode  mode
-	n     int    // counting: bytes so far
-	buf   []byte // appending: the output; reading: the input
-	off   int    // reading: cursor into buf
-	tagAt int    // appending: offset of the frame tag last written
-	tag   uint16 // reading: the frame tag last read
-	err   error
+	mode mode
+	n    int    // counting: bytes so far
+	buf  []byte // appending: the output; reading: the input
+	off  int    // reading: cursor into buf
+	err  error
 }
 
 type mode uint8

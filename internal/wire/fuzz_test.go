@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"cycledger/internal/consensus"
+	"cycledger/internal/crypto"
 	"cycledger/internal/ledger"
+	"cycledger/internal/protocol"
+	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
 )
 
@@ -53,28 +57,51 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAggCert drills into the aggregate-certificate frames: the seed
-// corpus is the encoding of every fixture that holds an aggregate
-// certificate or aggregate approval evidence, plus mutated bitmap/proof
-// length prefixes, and the contract matches FuzzDecode — no panic, no
-// over-read, and accepted input re-encodes to a canonical fixed point.
+// countingScheme is HashScheme, counting every call that does signature
+// work.
+type countingScheme struct {
+	consensus.HashScheme
+	calls *int
+}
+
+func (s countingScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
+	*s.calls++
+	return s.HashScheme.Verify(pk, sig, parts...)
+}
+
+func (s countingScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap consensus.Bitmap, msgAt func(int) [][]byte, proof []byte) error {
+	*s.calls++
+	return s.HashScheme.VerifyAggregate(roster, bitmap, msgAt, proof)
+}
+
+// FuzzDecodeAggCert drills into the consensus.Quorum frame in both evidence
+// forms — on its own, inside a certificate, inside an eviction request and
+// inside a certificate's carrier. The seed corpus is those fixtures' encodings plus, for
+// each, a copy with the tail clobbered where the length prefixes of the
+// evidence live. The decode contract is stricter than FuzzDecode's: no panic,
+// no over-read, and an accepted Quorum re-encodes to exactly the bytes it was
+// read from, so a Quorum has one encoding. Every accepted Quorum is then
+// handed to Verify against a five-member roster: it must not panic, and a
+// bitmap that is not canonical for that roster is refused before any
+// signature work.
 func FuzzDecodeAggCert(f *testing.F) {
-	aggs := append(carrierFixtures(sampleAggResult()), sampleAggResult(), sampleAggEvictReq())
-	for _, v := range aggs {
+	for _, v := range []any{
+		sampleQuorum(), sampleAggQuorum(), sampleResult(), sampleAggResult(), sampleEvictReq(), sampleAggEvictReq(),
+		protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: sampleAggResult()},
+	} {
 		enc, err := wire.Encode(v)
 		if err != nil {
 			f.Fatalf("Encode %T: %v", v, err)
 		}
 		f.Add(enc)
-		// Hostile variant: clobber the tail where bitmap/proof length
-		// prefixes live, so the corpus starts near the interesting edges.
-		if len(enc) > 8 {
-			bad := append([]byte(nil), enc...)
-			bad[len(bad)-5] = 0xff
-			bad[len(bad)-6] = 0xff
-			f.Add(bad)
-		}
+		bad := append([]byte(nil), enc...)
+		bad[len(bad)-5] = 0xff
+		bad[len(bad)-6] = 0xff
+		f.Add(bad)
 	}
+	roster := []simnet.NodeID{1, 2, 3, 4, 5}
+	pkOf := func(id simnet.NodeID) crypto.PublicKey { return crypto.PublicKey{byte(id)} }
+	msgAt := func(simnet.NodeID) [][]byte { return [][]byte{[]byte("header")} }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := wire.Decode(data)
 		if err != nil {
@@ -83,20 +110,31 @@ func FuzzDecodeAggCert(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
 		}
-		enc, err := wire.Encode(v)
+		var q consensus.Quorum
+		switch m := v.(type) {
+		case consensus.Quorum:
+			q = m
+		case consensus.Result:
+			q = m.Quorum
+		case protocol.EvictReqMsg:
+			q = m.Approvals
+		case protocol.InterResultMsg:
+			q = m.Result.Quorum
+		default:
+			return
+		}
+		enc, err := wire.Encode(q)
 		if err != nil {
-			t.Fatalf("decoded value %T does not re-encode: %v", v, err)
+			t.Fatalf("decoded Quorum does not re-encode: %v", err)
 		}
-		v2, n2, err := wire.Decode(enc)
-		if err != nil || n2 != len(enc) {
-			t.Fatalf("re-encoded value does not decode: n=%d err=%v", n2, err)
+		// In each of these the Quorum is the frame's last field.
+		if !bytes.HasSuffix(data[:n], enc) {
+			t.Fatalf("accepted Quorum does not re-encode to the bytes it was read from:\n   in %x\n  out %x", data[:n], enc)
 		}
-		enc2, err := wire.Encode(v2)
-		if err != nil {
-			t.Fatalf("re-decoded value %T does not encode: %v", v2, err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("canonical encoding is not a fixed point:\n first %x\nsecond %x", enc, enc2)
+		calls := 0
+		err = q.Verify(countingScheme{calls: &calls}, roster, pkOf, msgAt)
+		if q.Bitmap != nil && q.Bitmap.Validate(len(roster)) != nil && (err == nil || calls != 0) {
+			t.Fatalf("non-canonical bitmap %08b: Verify err=%v after %d scheme calls", q.Bitmap, err, calls)
 		}
 	})
 }

@@ -12,15 +12,18 @@
 // its decoder cannot disagree, and encode∘decode is the identity on every
 // registered type by construction as much as by test.
 //
-// Every registered type is framed as [u16 tag][body]. Body conventions:
-// fixed-width big-endian integers; u32 length prefixes for byte slices,
-// strings, and element counts; NodeIDs as 4-byte two's-complement; 1-byte
-// presence flags for pointer fields; maps encoded with sorted keys so
-// encoding is canonical; empty slices and maps decode as nil. Nested
-// messages (an Echo's Propose, a Result's Confirms) are encoded with their
-// own tag, the same framing as at top level. That is also how the five
-// certificate-carrying messages say which certificate form they hold: the
-// nested consensus.Certificate is a TagResult or a TagAggResult frame.
+// Every registered type is framed as [u16 tag][body], and has exactly one
+// tag. Body conventions: fixed-width big-endian integers; u32 length
+// prefixes for byte slices, strings, and element counts; NodeIDs as 4-byte
+// two's-complement; 1-byte presence flags for pointer fields; maps encoded
+// with sorted keys so encoding is canonical; empty slices and maps decode as
+// nil. Nested messages (a Witness's two Propose headers, a carrier's Result)
+// are encoded with their own tag, the same framing as at top level. The six
+// messages that carry >C/2 evidence — the five certificate carriers through
+// their consensus.Result, the eviction request directly — all hold one
+// consensus.Quorum frame, whose first body byte says which evidence form
+// follows: 0 a list of (voter, signature) entries, 1 a voter bitmap and one
+// aggregate proof.
 //
 // Decode is hardened against hostile input: a max-size guard rejects
 // oversized buffers before any work, and every count and length prefix is
@@ -128,20 +131,16 @@ const (
 	TagMemberRecord uint16 = 34
 	// TagSolution frames pow.Solution.
 	TagSolution uint16 = 35
-	// TagAggResult frames consensus.AggResult.
-	TagAggResult uint16 = 36
-	// Tags 37–41 are retired and never reused: they framed aggregate twins
-	// of the five certificate-carrying messages, which now travel under
-	// their one tag each with the certificate form told by its own tag
-	// (TagResult or TagAggResult).
+	// Tags 36–42 are retired and never reused: each framed the aggregate
+	// twin of a type that now has one frame — 36 consensus.AggResult, 37–41
+	// the five certificate-carrying messages, 42 the eviction request — with
+	// the evidence form told inside the consensus.Quorum it holds.
 
-	// TagAggEvictReq is the second frame of the eviction request: aggregate
-	// approval evidence (bitmap + proof) where TagEvictReq carries the
-	// approval list. Both decode to the one struct.
-	TagAggEvictReq uint16 = 42
 	// TagFetch frames consensus.Fetch: a member's request for the proposal
 	// behind a digest its committee is echoing.
 	TagFetch uint16 = 43
+	// TagQuorum frames consensus.Quorum.
+	TagQuorum uint16 = 44
 )
 
 // ErrUnknownType reports an encode request for an unregistered Go type, or
@@ -151,12 +150,12 @@ var ErrUnknownType = errors.New("wire: unknown message type")
 // ErrTooLarge reports a decode buffer exceeding MaxMessageSize.
 var ErrTooLarge = errors.New("wire: message exceeds MaxMessageSize")
 
-// A row is one registered type: the tags its frames open with and its
+// A row is one registered type: the tag its frames open with and its
 // layout, held twice — as the typed function for a walk that knows the
 // type statically, and behind an any for one that has to dispatch on a tag
 // or a dynamic type.
 type row struct {
-	tags   []uint16
+	tag    uint16
 	layout any                       // func(T, *Coder) T
 	walk   func(c *Coder, v any) any // the same, boxing the result only when reading
 }
@@ -168,16 +167,15 @@ var (
 	byTag  []*row // indexed by tag; nil where unassigned
 )
 
-// Register enters type T in the codec: layout is its one description, tags
-// the frame tags it travels under (one, except for a type with two frame
-// forms — see Coder.Alt). A layout walks the fields of the value it is
+// Register enters type T in the codec: layout is its one description, tag
+// the frame tag it travels under. A layout walks the fields of the value it is
 // given, in wire order, and returns it; it takes and returns the value
 // rather than a pointer so that sizing a message never moves it to the
 // heap. Pointer-shaped payloads register the pointer type and allocate
 // when Reading. Register panics on a tag or type entered twice: the
 // registry is a bijection between layouts and types.
-func Register[T any](layout func(T, *Coder) T, tags ...uint16) {
-	r := &row{tags: tags, layout: layout, walk: func(c *Coder, v any) any {
+func Register[T any](layout func(T, *Coder) T, tag uint16) {
+	r := &row{tag: tag, layout: layout, walk: func(c *Coder, v any) any {
 		m, _ := v.(T)
 		m = layout(m, c)
 		if c.mode != reading {
@@ -186,19 +184,17 @@ func Register[T any](layout func(T, *Coder) T, tags ...uint16) {
 		return m
 	}}
 	t := reflect.TypeFor[T]()
-	if byType[t] != nil || len(tags) == 0 {
-		panic(fmt.Sprintf("wire: %v registered twice or without a tag", t))
+	if byType[t] != nil {
+		panic(fmt.Sprintf("wire: %v registered twice", t))
 	}
 	byType[t] = r
-	for _, tag := range tags {
-		for int(tag) >= len(byTag) {
-			byTag = append(byTag, nil)
-		}
-		if tag == TagNil || byTag[tag] != nil {
-			panic(fmt.Sprintf("wire: tag %d of %v is already taken", tag, t))
-		}
-		byTag[tag] = r
+	for int(tag) >= len(byTag) {
+		byTag = append(byTag, nil)
 	}
+	if tag == TagNil || byTag[tag] != nil {
+		panic(fmt.Sprintf("wire: tag %d of %v is already taken", tag, t))
+	}
+	byTag[tag] = r
 }
 
 func rowOf(tag uint16) *row {
@@ -223,18 +219,15 @@ func (c *Coder) unknownTag(tag uint16) {
 }
 
 // open starts a nested frame of r's type: it counts or writes the type's
-// first tag, or checks that the tag at the cursor is one of the type's.
+// tag, or checks that the tag at the cursor is the type's.
 func (c *Coder) open(r *row) bool {
-	tag := r.tags[0]
-	c.tagAt = len(c.buf)
+	tag := r.tag
 	c.u16(&tag)
 	if c.mode != reading {
 		return true
 	}
 	switch {
-	case c.err != nil:
-	case rowOf(tag) == r:
-		c.tag = tag
+	case c.err != nil || tag == r.tag:
 	case rowOf(tag) == nil && tag != TagNil:
 		c.unknownTag(tag)
 	default:
@@ -296,7 +289,6 @@ func (c *Coder) Any(p *any) {
 			c.unknownTag(tag)
 			return
 		}
-		c.tag = tag
 		*p = r.walk(c, nil)
 		return
 	}
@@ -312,37 +304,6 @@ func (c *Coder) Any(p *any) {
 	}
 	c.open(r)
 	r.walk(c, *p)
-}
-
-// AnyOf walks a field of interface type I: like Any, except that a decoded
-// value which does not implement I — nil included — is an error, however
-// well-formed its frame.
-func AnyOf[I any](c *Coder, p *I) {
-	v := any(*p)
-	c.Any(&v)
-	if c.mode != reading || c.err != nil {
-		return
-	}
-	x, ok := v.(I)
-	if !ok {
-		c.Fail("nested frame")
-	}
-	*p = x
-}
-
-// Alt is for a type registered under two tags, each a different body form:
-// when appending with *second set it retags the frame just opened as
-// second, and when reading it sets *second to whether the frame was opened
-// with that tag. It must be the layout's first call.
-func (c *Coder) Alt(tag uint16, second *bool) {
-	switch c.mode {
-	case appending:
-		if *second {
-			c.buf[c.tagAt], c.buf[c.tagAt+1] = byte(tag>>8), byte(tag)
-		}
-	case reading:
-		*second = c.tag == tag
-	}
 }
 
 // coders recycles Coders across the package's entry points: a layout is

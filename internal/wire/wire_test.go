@@ -56,7 +56,6 @@ func samplePropose(sn uint64) consensus.Propose {
 		SN:      sn,
 		Digest:  digestOf("propose"),
 		Payload: payload,
-		Size:    wire.Size(payload),
 		Leader:  7,
 		Sig:     []byte("sig-propose"),
 	}
@@ -69,32 +68,34 @@ func sampleConfirm() consensus.Confirm {
 		Digest:    digestOf("confirm"),
 		Confirmer: 4,
 		Sig:       []byte("sig-confirm"),
-		EchoSigs: map[simnet.NodeID][]byte{
-			2: []byte("echo-2"),
-			5: []byte("echo-5"),
-			9: []byte("echo-9"),
-		},
 	}
+}
+
+func sampleQuorum() consensus.Quorum {
+	return consensus.Quorum{Votes: []consensus.Vote{{Voter: 4, Sig: []byte("sig-confirm")}}}
+}
+
+func sampleAggQuorum() consensus.Quorum {
+	return consensus.Quorum{Bitmap: consensus.Bitmap{0b0000_0101}, Proof: []byte("proof-agg")}
 }
 
 func sampleResult() consensus.Result {
 	return consensus.Result{
-		Round:    3,
-		SN:       9,
-		Digest:   digestOf("result"),
-		Payload:  protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
-		Confirms: []consensus.Confirm{sampleConfirm()},
+		Round:   3,
+		SN:      9,
+		Digest:  digestOf("result"),
+		Payload: protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
+		Quorum:  sampleQuorum(),
 	}
 }
 
-func sampleAggResult() consensus.AggResult {
-	return consensus.AggResult{
+func sampleAggResult() consensus.Result {
+	return consensus.Result{
 		Round:   3,
 		SN:      9,
 		Digest:  digestOf("agg-result"),
 		Payload: protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
-		Bitmap:  consensus.Bitmap{0b0000_0101},
-		Proof:   []byte("proof-agg"),
+		Quorum:  sampleAggQuorum(),
 	}
 }
 
@@ -139,9 +140,9 @@ func sampleRecoveryWitness() protocol.RecoveryWitness {
 }
 
 // carrierFixtures returns the five certificate-carrying messages holding
-// the given certificate — called once per certificate form, so each carrier
+// the given certificate — called once per evidence form, so each carrier
 // round-trips with both.
-func carrierFixtures(cert consensus.Certificate) []any {
+func carrierFixtures(cert consensus.Result) []any {
 	return []any{
 		protocol.IntraResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2, 3}},
 		protocol.ScoreResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2}},
@@ -154,17 +155,17 @@ func carrierFixtures(cert consensus.Certificate) []any {
 
 func sampleEvictReq() protocol.EvictReqMsg {
 	return protocol.EvictReqMsg{Round: 3, Committee: 1, Accuser: 9, Witness: sampleRecoveryWitness(),
-		Approvals: []protocol.ApproveMsg{{Round: 3, Committee: 1, Accuser: 9, Voter: 4, Sig: []byte("s")}}}
+		Approvals: consensus.Quorum{Votes: []consensus.Vote{{Voter: 4, Sig: []byte("s")}}}}
 }
 
 func sampleAggEvictReq() protocol.EvictReqMsg {
 	return protocol.EvictReqMsg{Round: 3, Committee: 1, Accuser: 9, Witness: sampleRecoveryWitness(),
-		Bitmap: consensus.Bitmap{0b0001_1011}, Proof: []byte("proof-evict")}
+		Approvals: consensus.Quorum{Bitmap: consensus.Bitmap{0b0001_1011}, Proof: []byte("proof-evict")}}
 }
 
 // fixtures returns one representative value per registered wire type —
 // each with every field populated, so round-trips exercise the full
-// encoding — and the certificate carriers once per certificate form. The
+// encoding — and every carrier of a Quorum once per evidence form. The
 // untyped nil covers TagNil.
 func fixtures() []any {
 	out := append(carrierFixtures(sampleResult()), carrierFixtures(sampleAggResult())...)
@@ -207,6 +208,8 @@ func fixtures() []any {
 		sampleAggResult(),
 		sampleAggEvictReq(),
 		consensus.Fetch{Round: 3, SN: 9, Digest: digestOf("echo"), Leader: 7},
+		sampleQuorum(),
+		sampleAggQuorum(),
 	)
 }
 
@@ -262,20 +265,25 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCarrierSizesPinned pins every certificate-carrying message's encoded
-// size, per certificate form, to the value the codec produced when each form
-// still had its own message struct and outer tag (literals measured on these
-// same fixtures at the commit before the twins were merged). Delivered-bytes
-// accounting, and with it every traffic figure, depends on these not moving.
+// TestCarrierSizesPinned pins the encoded size of every message that carries
+// a Quorum, per evidence form, on these fixtures. Delivered-bytes accounting,
+// and with it every traffic figure, depends on these not moving. The literals
+// follow from the ones pinned before evidence became one type by per-entry
+// arithmetic: a Quorum frame is 2 (tag) + 1 (form) bytes; the per-voter
+// fixture's one entry is 4 + 4 + 11 where the nested Confirm frame with its
+// three echo signatures was 115 (−93 in all); the aggregate fixture's bitmap
+// and proof are unchanged (+3); and the eviction request's witness holds two
+// proposal headers that each lost the 4-byte Size (−8), its one approval
+// 4 + 4 + 1 where the nested ApproveMsg frame was 31.
 func TestCarrierSizesPinned(t *testing.T) {
 	want := map[string][2]int{ // per-voter, aggregate
-		"protocol.IntraResultMsg": {331, 230},
-		"protocol.ScoreResultMsg": {327, 226},
-		"protocol.InterFwdMsg":    {469, 368},
-		"protocol.InterResultMsg": {331, 230},
-		"protocol.UTXOFinalMsg":   {355, 254},
+		"protocol.IntraResultMsg": {238, 233},
+		"protocol.ScoreResultMsg": {234, 229},
+		"protocol.InterFwdMsg":    {376, 371},
+		"protocol.InterResultMsg": {238, 233},
+		"protocol.UTXOFinalMsg":   {262, 257},
 	}
-	for form, cert := range []consensus.Certificate{sampleResult(), sampleAggResult()} {
+	for form, cert := range []consensus.Result{sampleResult(), sampleAggResult()} {
 		for _, v := range carrierFixtures(cert) {
 			name := fmt.Sprintf("%T", v)
 			got, err := wire.SizeHint(v)
@@ -283,17 +291,15 @@ func TestCarrierSizesPinned(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got != want[name][form] {
-				t.Errorf("%s with %T: size %d, pinned %d", name, cert, got, want[name][form])
+				t.Errorf("%s, evidence form %d: size %d, pinned %d", name, form, got, want[name][form])
 			}
 		}
 	}
-	// 731 and 716 while the fixture's equivocation witness held two whole
-	// proposals; it holds their headers now, as every witness does.
-	if got := wire.Size(sampleEvictReq()); got != 429 {
-		t.Errorf("per-voter EvictReqMsg: size %d, pinned 429", got)
+	if got := wire.Size(sampleEvictReq()); got != 402 {
+		t.Errorf("per-voter EvictReqMsg: size %d, pinned 402", got)
 	}
-	if got := wire.Size(sampleAggEvictReq()); got != 414 {
-		t.Errorf("aggregate EvictReqMsg: size %d, pinned 414", got)
+	if got := wire.Size(sampleAggEvictReq()); got != 409 {
+		t.Errorf("aggregate EvictReqMsg: size %d, pinned 409", got)
 	}
 }
 
@@ -329,9 +335,8 @@ func declaredTags(t *testing.T) map[string]uint16 {
 // TestTagCoverage checks the registry is a bijection and the fixture set
 // exercises all of it: every exported Tag* constant except TagNil (which
 // frames the untyped nil and has no type) belongs to exactly one registered
-// layout, every layout has one tag (the eviction request, with its two
-// evidence forms, two), the retired numbers 37–41 are neither declared nor
-// decodable, the decoder knows exactly the declared tags, and every tag has
+// layout, every layout has one tag, the retired numbers 36–42 are neither
+// declared nor decodable, the decoder knows exactly the declared tags, and every tag has
 // a fixture — so a type added without a row, a tag or a fixture fails
 // loudly here. It also holds the count mode to its contract on every
 // fixture: SizeHint equals the encoded length and allocates nothing.
@@ -341,20 +346,15 @@ func TestTagCoverage(t *testing.T) {
 		t.Fatalf("parsed only %d Tag constants from wire.go", len(declared))
 	}
 	owner := map[uint16]string{}
-	for typ, tags := range wire.Registry() {
-		if want := 1 + strings.Count(typ, "EvictReqMsg"); len(tags) != want {
-			t.Errorf("%s is registered under %d tags, want %d", typ, len(tags), want)
+	for typ, tag := range wire.Registry() {
+		if prev, taken := owner[tag]; taken {
+			t.Errorf("tag %d belongs to both %s and %s", tag, prev, typ)
 		}
-		for _, tag := range tags {
-			if prev, taken := owner[tag]; taken {
-				t.Errorf("tag %d belongs to both %s and %s", tag, prev, typ)
-			}
-			owner[tag] = typ
-		}
+		owner[tag] = typ
 	}
 	want := map[uint16]bool{wire.TagNil: false}
 	for name, tag := range declared {
-		if tag >= 37 && tag <= 41 {
+		if tag >= 36 && tag <= 42 {
 			t.Errorf("%s reuses retired tag %d", name, tag)
 		}
 		if _, has := owner[tag]; !has && tag != wire.TagNil {
@@ -409,8 +409,8 @@ func TestDecodeRejectsOversize(t *testing.T) {
 
 // TestDecodeRejectsJunk checks hostile inputs error instead of panicking
 // or over-allocating: unknown tags, hostile counts, bad vote bytes, a
-// nested type-tag mismatch, and a certificate carrier whose nested frame is
-// well-formed but not a certificate.
+// nested type-tag mismatch, a certificate carrier whose nested frame is
+// well-formed but not a certificate, and a Quorum of neither form.
 func TestDecodeRejectsJunk(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},
@@ -422,6 +422,8 @@ func TestDecodeRejectsJunk(t *testing.T) {
 		"bad vote": {0, byte(wire.TagVote), 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 3},
 		// TagBlockMsg with presence byte 1 followed by a Solution, not a Block.
 		"wrong nested type": {0, byte(wire.TagBlockMsg), 1, 0, byte(wire.TagSolution), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		// TagQuorum with form byte 2, then what would be an empty vote list.
+		"quorum form": {0, byte(wire.TagQuorum), 2, 0, 0, 0, 0},
 	}
 	// A carrier message whose nested value is a valid frame, but of a type
 	// that is not a certificate: IntraResultMsg{Committee 1} followed by a
