@@ -74,11 +74,11 @@ func newHarness(t *testing.T, size int, scheme SignatureScheme, seed int64) *har
 // down takes the given members offline for the whole run: they receive
 // nothing, their timers do not fire, and what they send is lost.
 func (h *harness) down(ids ...simnet.NodeID) {
-	windows := make(map[simnet.NodeID][]simnet.Window, len(ids))
+	s := simnet.NewSchedule()
 	for _, id := range ids {
-		windows[id] = []simnet.Window{{From: 0}}
+		s.Crash(id, 0, 0)
 	}
-	h.net.SetFaults(simnet.NewChurn(windows))
+	h.net.SetFaults(s)
 }
 
 func (h *harness) propose(payload string) crypto.Digest {
@@ -276,10 +276,10 @@ func TestMemberFetchesMissedProposal(t *testing.T) {
 	// confirm. An echo carries no payload, so the member has to fetch.
 	h := newHarness(t, 5, Ed25519Scheme{}, 7)
 	skipped := h.members[4]
-	h.net.SetFaults(simnet.Composite{
-		simnet.NewOneWayPartition([]simnet.NodeID{h.leader}, []simnet.NodeID{skipped}, 0, 0),
-		simnet.NewOneWayPartition(h.members[1:3], []simnet.NodeID{h.leader}, 0, 0),
-	})
+	cuts := simnet.NewSchedule()
+	cuts.Cut([]simnet.NodeID{h.leader}, []simnet.NodeID{skipped}, 0, 0)
+	cuts.Cut(h.members[1:3], []simnet.NodeID{h.leader}, 0, 0)
+	h.net.SetFaults(cuts)
 	var log []simnet.Message
 	sent := h.auditSends(&log)
 	d := h.propose("partial-send")

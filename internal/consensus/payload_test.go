@@ -80,7 +80,9 @@ func TestAdoptionChecksPayloadDigest(t *testing.T) {
 		swaps++
 		return true
 	})
-	net.SetFaults(simnet.NewOneWayPartition([]simnet.NodeID{0}, []simnet.NodeID{victim}, 0, 0))
+	cut := simnet.NewSchedule()
+	cut.Cut([]simnet.NodeID{0}, []simnet.NodeID{victim}, 0, 0)
+	net.SetFaults(cut)
 	var accepted any
 	nodes[victim].OnAccept = func(_ *simnet.Context, _ uint64, _ crypto.Digest, payload any) { accepted = payload }
 	net.After(0, 1, func(ctx *simnet.Context) {

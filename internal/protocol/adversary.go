@@ -16,7 +16,7 @@ import (
 // engine snapshots an AdversaryView (who leads, who succeeds whom, who
 // referees, who ranks where on reputation, and when each phase's deadline
 // is expected to fall) and hands it to a budgeted planner. The planner
-// compiles its decisions into the simnet.Adaptive plan: pure crash/mute
+// compiles its decisions into its own simnet.Schedule: pure crash/mute
 // windows and directed cuts that the existing Fate/Down machinery
 // executes, so every determinism invariant of the fault layer (Fate once
 // per message, Down pure over (now, node), par-1 ≡ par-N) survives
@@ -117,7 +117,7 @@ func (e *Engine) phaseSchedule() map[string]simnet.Window {
 }
 
 // adversaryPlanner spends AdaptiveSpec.Budget against each round's
-// AdversaryView, appending directives to the simnet.Adaptive plan. Budget
+// AdversaryView, appending directives to its simnet.Schedule. Budget
 // accounting: one unit buys one node crashed for the round, one node
 // gray-failed for the round, or one committee's acting-seat→referee link
 // cut around the intra result deadline. Allocation order (reactive mode):
@@ -135,13 +135,13 @@ func (e *Engine) phaseSchedule() map[string]simnet.Window {
 // frontier.
 type adversaryPlanner struct {
 	spec   AdaptiveSpec
-	model  *simnet.Adaptive
+	model  *simnet.Schedule
 	n      int
 	margin simnet.Time // bracket slack: the key-member synchrony bound Γ
 	rng    *rand.Rand
 }
 
-func newAdversaryPlanner(spec AdaptiveSpec, model *simnet.Adaptive, n int, margin simnet.Time, seed int64) *adversaryPlanner {
+func newAdversaryPlanner(spec AdaptiveSpec, model *simnet.Schedule, n int, margin simnet.Time, seed int64) *adversaryPlanner {
 	return &adversaryPlanner{
 		spec:   spec,
 		model:  model,
@@ -227,7 +227,7 @@ func (pl *adversaryPlanner) replan(v AdversaryView) {
 					continue
 				}
 			}
-			m.Cut(seat, v.Referee, from, to)
+			m.Cut([]simnet.NodeID{seat}, v.Referee, from, to)
 			targeted[seat] = true
 			budget--
 		}

@@ -132,13 +132,12 @@ type Engine struct {
 	hooks       Hooks                  // optional progress callbacks (SetHooks)
 
 	// Fault-model state (see faults.go). faults is the installed simnet
-	// model (nil when fault-free); faultsActive additionally arms the
-	// silence watchdogs and the per-phase dropped-traffic accounting.
-	// adversary, when non-nil, is the reactive planner re-targeting its
-	// budget at each round boundary (see adversary.go).
-	faults       simnet.Faults
-	faultsActive bool
-	adversary    *adversaryPlanner
+	// model, nil when fault-free; a non-nil model also arms the silence
+	// watchdogs and the per-phase dropped-traffic accounting. adversary,
+	// when non-nil, is the reactive planner re-targeting its budget at each
+	// round boundary (see adversary.go).
+	faults    simnet.Faults
+	adversary *adversaryPlanner
 }
 
 // InstallFaults installs an arbitrary simnet fault model and activates the
@@ -148,12 +147,8 @@ type Engine struct {
 // Call before the first round; nil uninstalls. The network applies the
 // model before a payload moves, so it holds on the live carrier too.
 func (e *Engine) InstallFaults(f simnet.Faults) {
-	if _, none := f.(simnet.NoFaults); none {
-		f = nil
-	}
 	e.Net.SetFaults(f)
 	e.faults = f
-	e.faultsActive = f != nil
 }
 
 // Close joins the live carrier's node goroutines (one per node; nothing to
@@ -217,24 +212,13 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.Parallelism != 1 {
 		e.Net.SetParallelism(p.Parallelism)
 	}
-	if p.Faults.Active() {
-		model := p.Faults.Build(p.TotalNodes(), p.Seed)
-		if a := p.Faults.Adaptive; a != nil && a.Budget > 0 {
-			// The adaptive spec compiles to an initially-empty plan plus a
-			// planner fed at round boundaries; static layers stack under it.
-			am := simnet.NewAdaptive()
-			e.adversary = newAdversaryPlanner(*a, am, p.TotalNodes(), e.lat.Gamma, p.Seed)
-			switch prev := model.(type) {
-			case nil:
-				model = am
-			case simnet.Composite:
-				model = append(prev, am)
-			default:
-				model = simnet.Composite{prev, am}
-			}
-		}
-		e.InstallFaults(model)
+	// The adaptive spec compiles to an initially-empty plan, stacked last,
+	// that the planner writes at round boundaries.
+	model, plan := p.Faults.Build(p.TotalNodes(), p.Seed)
+	if plan != nil {
+		e.adversary = newAdversaryPlanner(*p.Faults.Adaptive, plan, p.TotalNodes(), e.lat.Gamma, p.Seed)
 	}
+	e.InstallFaults(model)
 
 	n := p.TotalNodes()
 	e.keys = make([]crypto.KeyPair, n)
@@ -567,7 +551,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 	}
 	m := e.Net.Metrics()
 	var allIDs []simnet.NodeID
-	if e.faultsActive {
+	if e.faults != nil {
 		report.PhaseDropped = make(map[string]simnet.Counter, len(phases))
 		allIDs = make([]simnet.NodeID, len(e.nodes))
 		for i := range e.nodes {
@@ -587,7 +571,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 		report.RoleTraffic[ph] = byRole
 		report.Messages += total.Messages
 		report.Bytes += total.Bytes
-		if e.faultsActive {
+		if e.faults != nil {
 			// Lost traffic per phase, keyed by the destination that never
 			// saw it — the resilience table's raw material. Never part of
 			// the sent/received Table II counters.

@@ -12,12 +12,13 @@ import (
 // message lag, a two-group partition with a heal tick, and periodic node
 // churn. It is pure data — the sim facade carries it in Config.Faults and
 // sweep axes address its fields by dotted JSON path (e.g. "faults.loss") —
-// and the engine compiles it into simnet fault implementations at
+// and the engine compiles it (Build) into simnet fault layers at
 // construction time.
 //
-// A nil pointer and an inactive (zero) config are equivalent: the engine
-// then behaves byte-identically to the pre-fault implementation, which is
-// the invariant the scenario goldens pin down.
+// A nil pointer and a config that compiles to no fault (the zero config,
+// a split that leaves one side empty, a fraction below one node) are
+// equivalent: the engine then behaves byte-identically to the pre-fault
+// implementation, which is the invariant the scenario goldens pin down.
 type FaultsConfig struct {
 	// Loss is the iid probability that any message is dropped in flight.
 	Loss float64 `json:"loss"`
@@ -262,37 +263,6 @@ func (f *FaultsConfig) Validate() error {
 	return nil
 }
 
-// Active reports whether the config injects any fault at all. Inactive
-// configs leave the engine on its fault-free path (no model installed, no
-// watchdogs armed), byte-identical to a nil config.
-func (f *FaultsConfig) Active() bool {
-	if f == nil {
-		return false
-	}
-	if f.Loss > 0 || (f.LagFrac > 0 && f.LagTicks > 0) {
-		return true
-	}
-	if p := f.Partition; p != nil && p.Split > 0 && p.Split < 1 {
-		return true
-	}
-	if c := f.Churn; c != nil && c.Frac > 0 {
-		return true
-	}
-	if p := f.OneWay; p != nil && p.Split > 0 && p.Split < 1 {
-		return true
-	}
-	if g := f.Gray; g != nil && g.Frac > 0 {
-		return true
-	}
-	if b := f.Burst; b != nil && b.PEnter > 0 && b.Loss > 0 {
-		return true
-	}
-	if a := f.Adaptive; a != nil && a.Budget > 0 {
-		return true
-	}
-	return false
-}
-
 // Clone returns a deep copy (nil-safe), so JSON overlays and sweep cells
 // never mutate a spec shared with another config value.
 func (f *FaultsConfig) Clone() *FaultsConfig {
@@ -373,14 +343,22 @@ func seedSubset(frac float64, n int, seed int64) []simnet.NodeID {
 	return out
 }
 
-// Build compiles the spec into a simnet fault model for a population of n
-// nodes under the given run seed. Inactive configs return nil (no model).
-// The Adaptive spec is not compiled here: it needs the protocol's roster
-// and reputation state, so the engine attaches its planner (adversary.go)
-// alongside the layers built from the static specs.
-func (f *FaultsConfig) Build(n int, seed int64) simnet.Faults {
-	if !f.Active() {
-		return nil
+// Build compiles the spec for a population of n nodes under the given run
+// seed into the model the engine installs: the RNG layers Loss, Lag and
+// BurstLoss in that order (each draws from its own seeded stream once per
+// message, so their order is part of the output), then one Schedule
+// holding every static directive — a two-way partition is the cuts A→B
+// and B→A, a one-way partition the cut A→B, gray failure a mute from tick
+// 0, churn crash windows or periodic crashes. With an adaptive budget it
+// also returns plan, the planner's own Schedule, stacked last in the
+// model; it stays apart from the static one so that the planner's
+// CloseOpen never retires a static open-ended window. A config that
+// compiles to no layer returns a nil model: an installed model arms the
+// silence watchdogs, and nil keeps the engine byte-identical to a
+// fault-free one.
+func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simnet.Schedule) {
+	if f == nil {
+		return nil, nil
 	}
 	var layers simnet.Composite
 	if f.Loss > 0 {
@@ -392,74 +370,56 @@ func (f *FaultsConfig) Build(n int, seed int64) simnet.Faults {
 	if b := f.Burst; b != nil && b.PEnter > 0 && b.Loss > 0 {
 		layers = append(layers, simnet.NewBurstLoss(b.PEnter, b.PExit, b.Loss, seed^faultSeedBurst))
 	}
-	if p := f.Partition; p != nil && p.Split > 0 && p.Split < 1 {
+	var static *simnet.Schedule
+	sched := func() *simnet.Schedule {
+		if static == nil {
+			static = simnet.NewSchedule()
+		}
+		return static
+	}
+	if p := f.Partition; p != nil {
 		if a, b, ok := splitGroups(p.Split, n); ok {
-			layers = append(layers, simnet.NewPartitionAt([][]simnet.NodeID{a, b},
-				simnet.Time(p.StartTick), simnet.Time(p.HealTick)))
+			from, to := simnet.Time(p.StartTick), simnet.Time(p.HealTick)
+			sched().Cut(a, b, from, to)
+			sched().Cut(b, a, from, to)
 		}
 	}
-	if p := f.OneWay; p != nil && p.Split > 0 && p.Split < 1 {
+	if p := f.OneWay; p != nil {
 		if a, b, ok := splitGroups(p.Split, n); ok {
-			layers = append(layers, simnet.NewOneWayPartition(a, b,
-				simnet.Time(p.StartTick), simnet.Time(p.HealTick)))
+			sched().Cut(a, b, simnet.Time(p.StartTick), simnet.Time(p.HealTick))
 		}
 	}
-	if g := f.Gray; g != nil && g.Frac > 0 {
-		if nodes := seedSubset(g.Frac, n, seed^faultSeedGray); len(nodes) > 0 {
-			layers = append(layers, simnet.NewGrayFailure(nodes))
+	if g := f.Gray; g != nil {
+		for _, id := range seedSubset(g.Frac, n, seed^faultSeedGray) {
+			sched().Mute(id, 0, 0)
 		}
 	}
-	if c := f.Churn; c != nil && c.Frac > 0 {
-		if nodes := seedSubset(c.Frac, n, seed^faultSeedChurn); len(nodes) > 0 {
-			if len(c.Windows) > 0 {
-				ws := make([]simnet.Window, len(c.Windows))
-				for i, w := range c.Windows {
-					ws[i] = simnet.Window{From: simnet.Time(w.From), To: simnet.Time(w.To)}
-				}
-				byNode := make(map[simnet.NodeID][]simnet.Window, len(nodes))
-				for _, id := range nodes {
-					byNode[id] = ws
-				}
-				layers = append(layers, simnet.NewChurn(byNode))
-			} else {
-				offsets := make(map[simnet.NodeID]int64, len(nodes))
-				for j, id := range nodes {
-					// Stagger churners evenly across the period so the crash
-					// load is spread, not synchronised.
-					offsets[id] = int64(j) * c.Period / int64(len(nodes))
-				}
-				layers = append(layers, &periodicChurn{offsets: offsets, period: c.Period, downtime: c.Downtime})
+	if c := f.Churn; c != nil {
+		nodes := seedSubset(c.Frac, n, seed^faultSeedChurn)
+		for j, id := range nodes {
+			for _, w := range c.Windows {
+				sched().Crash(id, simnet.Time(w.From), simnet.Time(w.To))
+			}
+			if len(c.Windows) == 0 {
+				// Stagger churners evenly across the period so the crash
+				// load is spread, not synchronised.
+				offset := int64(j) * c.Period / int64(len(nodes))
+				sched().CrashEvery(id, simnet.Time(offset), simnet.Time(c.Period), simnet.Time(c.Downtime))
 			}
 		}
 	}
-	if len(layers) == 0 {
-		return nil
+	if static != nil {
+		layers = append(layers, static)
 	}
-	if len(layers) == 1 {
-		return layers[0]
+	if a := f.Adaptive; a != nil && a.Budget > 0 {
+		plan = simnet.NewSchedule()
+		layers = append(layers, plan)
 	}
-	return layers
-}
-
-// periodicChurn implements simnet.Faults with a pure-function periodic
-// crash schedule: churner j is down whenever (now + offset_j) mod period
-// falls inside the downtime window. Down draws no randomness and mutates
-// nothing, so it is safe under parallel event execution.
-type periodicChurn struct {
-	offsets          map[simnet.NodeID]int64
-	period, downtime int64
-}
-
-// Fate implements simnet.Faults: churn loses no in-flight traffic itself.
-func (c *periodicChurn) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
-	return simnet.Fate{}
-}
-
-// Down implements simnet.Faults.
-func (c *periodicChurn) Down(now simnet.Time, node simnet.NodeID) bool {
-	off, ok := c.offsets[node]
-	if !ok {
-		return false
+	switch len(layers) {
+	case 0:
+		return nil, nil
+	case 1:
+		return layers[0], plan
 	}
-	return (int64(now)+off)%c.period < c.downtime
+	return layers, plan
 }

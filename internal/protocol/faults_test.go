@@ -59,8 +59,9 @@ func TestFaultsConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected a well-formed config: %v", err)
 	}
-	if !good.Active() {
-		t.Fatal("composite config not active")
+	n := DefaultParams().TotalNodes()
+	if m, _ := good.Build(n, 1); m == nil {
+		t.Fatal("composite config compiled to no model")
 	}
 	good2 := FaultsConfig{
 		OneWay:   &OneWayPartitionSpec{Split: 0.3, StartTick: 50, HealTick: 200},
@@ -72,15 +73,18 @@ func TestFaultsConfigValidate(t *testing.T) {
 	if err := good2.Validate(); err != nil {
 		t.Fatalf("Validate rejected a well-formed extended config: %v", err)
 	}
-	if !good2.Active() {
-		t.Fatal("extended composite config not active")
+	if m, plan := good2.Build(n, 1); m == nil || plan == nil {
+		t.Fatal("extended composite config compiled to no model or no planner schedule")
 	}
 	var nilCfg *FaultsConfig
-	if err := nilCfg.Validate(); err != nil || nilCfg.Active() {
-		t.Fatal("nil config must validate and be inactive")
+	if err := nilCfg.Validate(); err != nil {
+		t.Fatal("nil config must validate")
 	}
-	if (&FaultsConfig{}).Active() {
-		t.Fatal("zero config must be inactive")
+	if m, plan := nilCfg.Build(n, 1); m != nil || plan != nil {
+		t.Fatal("nil config must compile to no model")
+	}
+	if m, plan := (&FaultsConfig{}).Build(n, 1); m != nil || plan != nil {
+		t.Fatal("zero config must compile to no model")
 	}
 }
 
@@ -337,9 +341,9 @@ func TestChurnedLeaderRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := e.Roster().Leaders[0]
-	e.InstallFaults(simnet.NewChurn(map[simnet.NodeID][]simnet.Window{
-		victim: {{From: 1, To: 0}}, // crashes immediately, never rejoins
-	}))
+	s := simnet.NewSchedule()
+	s.Crash(victim, 1, 0) // crashes immediately, never rejoins
+	e.InstallFaults(s)
 	reports, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -433,10 +437,10 @@ func TestChainedRecoveryThroughCrashedSuccessor(t *testing.T) {
 	}
 	leader := e.Roster().Leaders[0]
 	successor := e.successorFor(0) // lowest-ID partial: the first replacement
-	e.InstallFaults(simnet.NewChurn(map[simnet.NodeID][]simnet.Window{
-		leader:    {{From: 1, To: 0}},
-		successor: {{From: 1, To: 0}},
-	}))
+	s := simnet.NewSchedule()
+	s.Crash(leader, 1, 0)
+	s.Crash(successor, 1, 0)
+	e.InstallFaults(s)
 	reports, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -151,11 +151,19 @@ func (p IntraPayload) layout(c *wire.Coder) IntraPayload {
 	txList(c, &p.Txs)
 	nodeList(c, &p.Voters)
 	wire.Slice(c, &p.Votes, 4, voteVector)
+	if c.Reading() && len(p.Voters) != len(p.Votes) {
+		c.Fail("vote list")
+	}
 	return p
 }
 
-// Digest binds the payload canonically.
+// Digest binds the payload canonically. A payload whose Voters and Votes
+// differ in length is malformed — no layout decodes it, no honest member
+// endorses it — and gets a digest of its own instead of an index panic.
 func (p IntraPayload) Digest() crypto.Digest {
+	if len(p.Voters) != len(p.Votes) {
+		return raggedDigest("intra", len(p.Voters), len(p.Votes))
+	}
 	parts := [][]byte{[]byte("intra")}
 	for _, tx := range p.Txs {
 		id := tx.ID()
@@ -331,11 +339,18 @@ type ScorePayload struct {
 func (p ScorePayload) layout(c *wire.Coder) ScorePayload {
 	nodeList(c, &p.Members)
 	wire.Slice(c, &p.Scores, 8, (*wire.Coder).F64)
+	if c.Reading() && len(p.Members) != len(p.Scores) {
+		c.Fail("score list")
+	}
 	return p
 }
 
-// Digest binds the payload.
+// Digest binds the payload; Members and Scores of different lengths get
+// a digest of their own, as for IntraPayload.
 func (p ScorePayload) Digest() crypto.Digest {
+	if len(p.Members) != len(p.Scores) {
+		return raggedDigest("score", len(p.Members), len(p.Scores))
+	}
 	parts := [][]byte{[]byte("score")}
 	for i, id := range p.Members {
 		var sb [8]byte
@@ -343,6 +358,12 @@ func (p ScorePayload) Digest() crypto.Digest {
 		parts = append(parts, nodeIDBytes(id), sb[:])
 	}
 	return crypto.H(parts...)
+}
+
+// raggedDigest is the digest of a payload whose parallel lists differ in
+// length: domain-separated from every well-formed payload's.
+func raggedDigest(kind string, a, b int) crypto.Digest {
+	return crypto.H([]byte(kind+"/ragged"), u64(uint64(a)), u64(uint64(b)))
 }
 
 // ScoreResultMsg certifies a committee's score list to C_R.

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
@@ -231,6 +233,20 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 	switch p := payload.(type) {
 	case InterPayload:
 		return n.checkInterPayload(p)
+	case IntraPayload:
+		return len(p.Voters) == len(p.Votes)
+	case ScorePayload:
+		// C_R applies a certified score list entry by entry: every entry
+		// must name a member of this committee.
+		if len(p.Members) != len(p.Scores) {
+			return false
+		}
+		for _, id := range p.Members {
+			if !slices.Contains(n.committeeNodes, id) {
+				return false
+			}
+		}
+		return true
 	default:
 		return true
 	}
@@ -316,7 +332,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		}
 	case TagVote:
 		if m, ok := msg.Payload.(VoteMsg); ok {
-			n.onVote(ctx, m)
+			n.onVote(ctx, m, msg.From)
 		}
 	case TagSemiCom:
 		if m, ok := msg.Payload.(SemiComMsg); ok {
@@ -370,7 +386,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		}
 	case TagPow:
 		if m, ok := msg.Payload.(PowMsg); ok {
-			n.onPow(ctx, m)
+			n.onPow(ctx, m, msg.From)
 		}
 	case TagBlock:
 		if m, ok := msg.Payload.(BlockMsg); ok {

@@ -1,9 +1,13 @@
 package protocol
 
 import (
+	"bytes"
+	"slices"
+
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/ledger"
+	"cycledger/internal/pow"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
@@ -179,12 +183,17 @@ func (n *Node) recordVote(voter simnet.NodeID, v reputation.VoteVector) {
 	n.voteOrder = append(n.voteOrder, voter)
 }
 
-// onVote is the leader side of vote collection.
-func (n *Node) onVote(ctx *simnet.Context, m VoteMsg) {
+// onVote is the leader side of vote collection. A vote counts only from
+// the member it names, under that member's signature: the count closes
+// collection at committeeSize, so a vote for anyone else is a vote stolen.
+func (n *Node) onVote(ctx *simnet.Context, m VoteMsg, from simnet.NodeID) {
 	if n.ID != n.curLeader || m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if len(m.Votes) != len(n.currentList()) {
+	if m.Voter != from || !slices.Contains(n.committeeNodes, m.Voter) || len(m.Votes) != len(n.currentList()) {
+		return
+	}
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, voteSigMsg(m.Round, m.Voter, m.Votes)) != nil {
 		return
 	}
 	n.recordVote(m.Voter, m.Votes)
@@ -615,9 +624,14 @@ func (n *Node) onUTXOFinal(ctx *simnet.Context, m UTXOFinalMsg) {
 	// partial sets, which the engine models directly.
 }
 
-// onPow records participation-puzzle solutions at C_R (§IV-F).
-func (n *Node) onPow(ctx *simnet.Context, m PowMsg) {
-	if n.role != RoleReferee {
+// onPow records participation-puzzle solutions at C_R (§IV-F): a node
+// participates only through its own submission, this round, of a solution
+// under its own key that the puzzle accepts.
+func (n *Node) onPow(ctx *simnet.Context, m PowMsg, from simnet.NodeID) {
+	if n.role != RoleReferee || m.Node != from || m.Round != n.eng.round {
+		return
+	}
+	if !bytes.Equal(m.Solution.PK, n.eng.pkOf(m.Node)) || !pow.Verify(n.eng.powPuzzle(), m.Solution) {
 		return
 	}
 	n.crPow[m.Node] = true

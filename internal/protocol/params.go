@@ -73,12 +73,12 @@ type Params struct {
 
 	// Faults injects a network fault model underneath the protocol:
 	// message loss, beyond-bound lag, a healing partition, and periodic
-	// node churn (see FaultsConfig). An active model additionally arms the
-	// protocol's silence watchdogs, so leaders that fall silent are
+	// node churn (see FaultsConfig). An installed model additionally arms
+	// the protocol's silence watchdogs, so leaders that fall silent are
 	// impeached (§V-D extended beyond provable misbehaviour) and phases
 	// that cannot conclude record timeout verdicts in the RoundReport.
-	// nil — and any inactive config — keeps the engine byte-identical to
-	// the fault-free implementation.
+	// nil — and any config that compiles to no fault — keeps the engine
+	// byte-identical to the fault-free implementation.
 	Faults *FaultsConfig
 
 	// AggregateCerts is a sender-side choice with two effects. Decisions

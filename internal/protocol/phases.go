@@ -240,11 +240,13 @@ func (e *Engine) phaseScore(report *RoundReport) {
 			continue
 		}
 		payload, ok := msg.Result.Payload.(ScorePayload)
-		if !ok {
+		if !ok || len(payload.Scores) != len(payload.Members) {
 			continue
 		}
 		for i, id := range payload.Members {
-			e.reput.AddScore(e.names[id], payload.Scores[i])
+			if name := e.NameOf(id); name != "" {
+				e.reput.AddScore(name, payload.Scores[i])
+			}
 		}
 	}
 	// Leaders that completed the intra phase earn their workload bonus

@@ -32,7 +32,7 @@ import (
 // Because detection runs after the drain instead of on long in-network
 // timers, an intact phase pays no latency floor: sweeps add one virtual
 // tick plus whatever recovery traffic they actually trigger. Sweeps run
-// only when Params.Faults is active — the fault-free engine stays
+// only when a fault model is installed — the fault-free engine stays
 // byte-identical to the pre-fault implementation, timers included.
 
 // runSilenceSweep fires the silence watchdogs for one phase on the given
@@ -40,7 +40,7 @@ import (
 // recovery traffic. Call it after the phase's own RunUntilIdle. On a
 // fault-free engine it is a no-op.
 func (e *Engine) runSilenceSweep(phase string, ks []uint64) {
-	if !e.faultsActive || e.P.DisableRecovery {
+	if e.faults == nil || e.P.DisableRecovery {
 		return
 	}
 	sweep := func(k uint64) {

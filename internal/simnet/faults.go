@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Fate is a fault model's verdict on one message: deliver it normally,
 // drop it in flight, or hold it Delay ticks beyond the delay drawn from
@@ -17,9 +14,11 @@ type Fate struct {
 	Delay Time
 }
 
-// Faults is a pluggable network fault model. The zero-fault model is a
-// nil Faults (or NoFaults): the engine then behaves byte-identically to a
-// fault-free network.
+// Faults is a pluggable network fault model. The one fault-free model is
+// a nil Faults: the engine then behaves byte-identically to a network that
+// never had a model. The implementations are three RNG layers (Loss, Lag,
+// BurstLoss), the deterministic Schedule, and Composite, which stacks
+// them.
 //
 // Determinism contract (the serial send drain's ordering contract — the one
 // place it is specified; Network.send implements it):
@@ -47,17 +46,6 @@ type Faults interface {
 	// do not fire; a node whose Down turns false again has rejoined.
 	Down(now Time, node NodeID) bool
 }
-
-// NoFaults is the explicit fault-free model: every message is delivered
-// within its synchrony bound and every node stays up. Installing it is
-// equivalent to installing no fault model at all.
-type NoFaults struct{}
-
-// Fate implements Faults: always deliver.
-func (NoFaults) Fate(Time, NodeID, NodeID) Fate { return Fate{} }
-
-// Down implements Faults: never crashed.
-func (NoFaults) Down(Time, NodeID) bool { return false }
 
 // Loss drops each message independently with probability p, from a
 // seeded RNG separate from the latency RNG (fault draws never perturb the
@@ -119,183 +107,6 @@ func (l *Lag) Fate(Time, NodeID, NodeID) Fate {
 // Down implements Faults.
 func (l *Lag) Down(Time, NodeID) bool { return false }
 
-// Partition splits the population into groups that cannot exchange
-// messages while the cut is in effect: from startAt (0 = the beginning)
-// until the partition heals. Nodes not listed in any group form one
-// implicit extra group (they can talk to each other, but not across the
-// cut). Construct with NewPartition or NewPartitionAt.
-type Partition struct {
-	group   map[NodeID]int
-	startAt Time // cut effective from this tick (0 = from the start)
-	healAt  Time // 0 = never heals
-}
-
-// NewPartition builds a partition from explicit groups, effective from
-// the start and healing at healAt (0 = never). A node listed twice keeps
-// its first group.
-func NewPartition(groups [][]NodeID, healAt Time) *Partition {
-	return NewPartitionAt(groups, 0, healAt)
-}
-
-// NewPartitionAt builds a partition whose cut takes effect at startAt and
-// heals at healAt (0 = never). Callers must order startAt before healAt;
-// the config layer rejects specs that heal before they start.
-func NewPartitionAt(groups [][]NodeID, startAt, healAt Time) *Partition {
-	p := &Partition{group: make(map[NodeID]int), startAt: startAt, healAt: healAt}
-	for g, ids := range groups {
-		for _, id := range ids {
-			if _, dup := p.group[id]; !dup {
-				p.group[id] = g
-			}
-		}
-	}
-	return p
-}
-
-// Fate implements Faults: messages crossing the cut are dropped until the
-// heal tick.
-func (p *Partition) Fate(now Time, from, to NodeID) Fate {
-	if now < p.startAt {
-		return Fate{}
-	}
-	if p.healAt > 0 && now >= p.healAt {
-		return Fate{}
-	}
-	gf, okf := p.group[from]
-	gt, okt := p.group[to]
-	if !okf {
-		gf = -1
-	}
-	if !okt {
-		gt = -1
-	}
-	return Fate{Drop: gf != gt}
-}
-
-// Down implements Faults: a partition crashes nobody.
-func (p *Partition) Down(Time, NodeID) bool { return false }
-
-// Window is one crash interval: the node is down in [From, To). To = 0
-// means the node never rejoins.
-type Window struct {
-	From Time
-	To   Time
-}
-
-// Churn crashes nodes on a fixed schedule of windows — the crash/rejoin
-// fault class. Down is a pure schedule lookup, so it is safe under
-// parallel event execution. Construct with NewChurn.
-type Churn struct {
-	windows map[NodeID][]Window
-}
-
-// NewChurn builds a churn model from per-node crash windows. Windows are
-// kept sorted by start for the lookup.
-func NewChurn(windows map[NodeID][]Window) *Churn {
-	c := &Churn{windows: make(map[NodeID][]Window, len(windows))}
-	for id, ws := range windows {
-		sorted := append([]Window(nil), ws...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].From < sorted[j].From })
-		c.windows[id] = sorted
-	}
-	return c
-}
-
-// Fate implements Faults: churn loses no in-flight messages by itself
-// (crashed endpoints are handled by Down).
-func (c *Churn) Fate(Time, NodeID, NodeID) Fate { return Fate{} }
-
-// Down implements Faults.
-func (c *Churn) Down(now Time, node NodeID) bool {
-	for _, w := range c.windows[node] {
-		if now < w.From {
-			return false
-		}
-		if w.To == 0 || now < w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// OneWayPartition is an asymmetric cut: messages from the src group to
-// the dst group are dropped while the cut is in effect, but the reverse
-// direction keeps delivering — the "my packets leave but yours never
-// arrive" failure a symmetric Partition cannot express. Construct with
-// NewOneWayPartition.
-type OneWayPartition struct {
-	src     map[NodeID]struct{}
-	dst     map[NodeID]struct{}
-	startAt Time // cut effective from this tick (0 = from the start)
-	healAt  Time // 0 = never heals
-}
-
-// NewOneWayPartition drops src→dst traffic in [startAt, healAt) (healAt 0
-// = never heals). dst→src traffic, and traffic within either group, is
-// untouched.
-func NewOneWayPartition(src, dst []NodeID, startAt, healAt Time) *OneWayPartition {
-	p := &OneWayPartition{
-		src:     make(map[NodeID]struct{}, len(src)),
-		dst:     make(map[NodeID]struct{}, len(dst)),
-		startAt: startAt,
-		healAt:  healAt,
-	}
-	for _, id := range src {
-		p.src[id] = struct{}{}
-	}
-	for _, id := range dst {
-		p.dst[id] = struct{}{}
-	}
-	return p
-}
-
-// Fate implements Faults.
-func (p *OneWayPartition) Fate(now Time, from, to NodeID) Fate {
-	if now < p.startAt || (p.healAt > 0 && now >= p.healAt) {
-		return Fate{}
-	}
-	if _, s := p.src[from]; !s {
-		return Fate{}
-	}
-	if _, d := p.dst[to]; !d {
-		return Fate{}
-	}
-	return Fate{Drop: true}
-}
-
-// Down implements Faults: a one-way cut crashes nobody.
-func (p *OneWayPartition) Down(Time, NodeID) bool { return false }
-
-// GrayFailure marks nodes that receive but never send: every message a
-// gray node transmits is lost in flight, while deliveries to it — and its
-// timers — proceed normally. Unlike a crash (Down), a gray node's state
-// keeps advancing, so it looks alive to itself and dead to everyone else.
-// Lost traffic is charged to the sender's sent and dropped counters,
-// never to anyone's received counters, exactly like any other in-flight
-// drop. Construct with NewGrayFailure.
-type GrayFailure struct {
-	gray map[NodeID]struct{}
-}
-
-// NewGrayFailure builds the model from the set of gray nodes.
-func NewGrayFailure(nodes []NodeID) *GrayFailure {
-	g := &GrayFailure{gray: make(map[NodeID]struct{}, len(nodes))}
-	for _, id := range nodes {
-		g.gray[id] = struct{}{}
-	}
-	return g
-}
-
-// Fate implements Faults: sends from gray nodes are dropped.
-func (g *GrayFailure) Fate(now Time, from, to NodeID) Fate {
-	_, isGray := g.gray[from]
-	return Fate{Drop: isGray}
-}
-
-// Down implements Faults: gray nodes are not crashed — they still
-// receive and their timers fire.
-func (g *GrayFailure) Down(Time, NodeID) bool { return false }
-
 // BurstLoss is Gilbert-Elliott two-state loss: the channel alternates
 // between a good state (no loss) and a bad state (loss with probability
 // lossBad), transitioning per consulted message with probabilities pEnter
@@ -350,7 +161,9 @@ func (b *BurstLoss) Down(Time, NodeID) bool { return false }
 
 // Composite layers several fault models: a message is dropped if any
 // layer drops it, extra delays add up, and a node is down if any layer
-// says so.
+// says so. Fate consults every layer, without short-circuit, so each RNG
+// layer draws once per message whatever the others decide: merging or
+// reordering the pure layers (Schedules) changes no answer and no stream.
 type Composite []Faults
 
 // Fate implements Faults.

@@ -15,13 +15,29 @@ func echoNet(lat Latency, seed int64, n int) (*Network, map[NodeID]int) {
 	return net, recv
 }
 
+// crash returns a schedule holding one crash window.
+func crash(node NodeID, from, to Time) *Schedule {
+	s := NewSchedule()
+	s.Crash(node, from, to)
+	return s
+}
+
+// partition returns a schedule cutting a from b both ways in [from, to).
+func partition(a, b []NodeID, from, to Time) *Schedule {
+	s := NewSchedule()
+	s.Cut(a, b, from, to)
+	s.Cut(b, a, from, to)
+	return s
+}
+
 func TestNoFaultsByteIdentical(t *testing.T) {
-	// A run with NoFaults installed must be event-for-event identical to a
-	// run with no fault model at all: same delivery times, same metrics.
+	// A run with an empty Schedule installed must be event-for-event
+	// identical to a run with no fault model at all: same delivery times,
+	// same metrics — though every send now takes the serial drain.
 	run := func(install bool) ([]Time, Counter) {
 		n := New(DefaultLatency(), 1234)
 		if install {
-			n.SetFaults(NoFaults{})
+			n.SetFaults(NewSchedule())
 		}
 		var times []Time
 		for id := NodeID(0); id < 10; id++ {
@@ -40,11 +56,11 @@ func TestNoFaultsByteIdentical(t *testing.T) {
 	aT, aC := run(false)
 	bT, bC := run(true)
 	if len(aT) != len(bT) || aC != bC {
-		t.Fatalf("NoFaults diverged: %d/%v events vs %d/%v", len(aT), aC, len(bT), bC)
+		t.Fatalf("empty Schedule diverged: %d/%v events vs %d/%v", len(aT), aC, len(bT), bC)
 	}
 	for i := range aT {
 		if aT[i] != bT[i] {
-			t.Fatalf("delivery %d at t=%d with NoFaults, t=%d without", i, bT[i], aT[i])
+			t.Fatalf("delivery %d at t=%d with an empty Schedule, t=%d without", i, bT[i], aT[i])
 		}
 	}
 }
@@ -116,7 +132,7 @@ func TestPartitionHeals(t *testing.T) {
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 9, 4)
 	// {0,1} vs {2,3}, healing at t=50.
-	n.SetFaults(NewPartition([][]NodeID{{0, 1}, {2, 3}}, 50))
+	n.SetFaults(partition([]NodeID{0, 1}, []NodeID{2, 3}, 0, 50))
 
 	n.Send(0, 1, "IN", nil, 1)  // same side: delivered
 	n.Send(0, 2, "OUT", nil, 1) // across the cut: dropped
@@ -135,9 +151,9 @@ func TestPartitionHeals(t *testing.T) {
 
 func TestPartitionUnlistedNodesFormImplicitGroup(t *testing.T) {
 	n, recv := echoNet(DefaultLatency(), 10, 4)
-	n.SetFaults(NewPartition([][]NodeID{{0}}, 0)) // never heals; 1..3 unlisted
-	n.Send(1, 2, "X", nil, 1)                     // both implicit: delivered
-	n.Send(0, 3, "X", nil, 1)                     // across: dropped
+	n.SetFaults(partition([]NodeID{0}, []NodeID{1, 2, 3}, 0, 0)) // never heals
+	n.Send(1, 2, "X", nil, 1)                                    // same side: delivered
+	n.Send(0, 3, "X", nil, 1)                                    // across: dropped
 	n.RunUntilIdle()
 	if recv[2] != 1 || recv[3] != 0 {
 		t.Fatalf("recv = %v", recv)
@@ -148,7 +164,7 @@ func TestChurnCrashAndRejoin(t *testing.T) {
 	lat := DefaultLatency()
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 11, 2)
-	n.SetFaults(NewChurn(map[NodeID][]Window{1: {{From: 5, To: 40}}}))
+	n.SetFaults(crash(1, 5, 40))
 
 	// Delivered at t=Δ=10 while node 1 is down → dropped at delivery.
 	n.Send(0, 1, "X", nil, 1)
@@ -175,7 +191,7 @@ func TestChurnCrashedSenderTransmitsNothing(t *testing.T) {
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 12, 2)
 	n.Metrics().SetPhase("p")
-	n.SetFaults(NewChurn(map[NodeID][]Window{0: {{From: 0, To: 0}}})) // down forever
+	n.SetFaults(crash(0, 0, 0)) // down forever
 	n.Send(0, 1, "X", nil, 1)
 	n.RunUntilIdle()
 	if recv[1] != 0 {
@@ -197,14 +213,14 @@ func TestCompositeMerges(t *testing.T) {
 	n, recv := echoNet(DefaultLatency(), 13, 3)
 	n.SetFaults(Composite{
 		NewLoss(1, 1), // drops everything
-		NewChurn(map[NodeID][]Window{2: {{From: 0, To: 0}}}),
+		crash(2, 0, 0),
 	})
 	n.Send(0, 1, "X", nil, 1)
 	n.RunUntilIdle()
 	if recv[1] != 0 {
 		t.Fatal("composite did not apply the loss layer")
 	}
-	f := Composite{NewChurn(map[NodeID][]Window{2: {{From: 0, To: 0}}})}
+	f := Composite{crash(2, 0, 0)}
 	if !f.Down(10, 2) || f.Down(10, 1) {
 		t.Fatal("composite Down wrong")
 	}
@@ -215,10 +231,10 @@ func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 	run := func(par int) (uint64, uint64, Counter) {
 		n := New(DefaultLatency(), 77)
 		n.SetParallelism(par)
-		n.SetFaults(Composite{
-			NewLoss(0.2, 5),
-			NewChurn(map[NodeID][]Window{3: {{From: 30, To: 90}}, 7: {{From: 10, To: 0}}}),
-		})
+		s := crash(3, 30, 90)
+		s.Crash(7, 10, 0)
+		s.CrashEvery(11, 4, 25, 10)
+		n.SetFaults(Composite{NewLoss(0.2, 5), s})
 		for id := NodeID(0); id < 30; id++ {
 			id := id
 			n.Register(id, func(ctx *Context, msg Message) {
@@ -248,7 +264,9 @@ func TestOneWayPartitionAsymmetry(t *testing.T) {
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 21, 4)
 	// 0,1 → 2,3 dropped from t=0 until t=50; the reverse always delivers.
-	n.SetFaults(NewOneWayPartition([]NodeID{0, 1}, []NodeID{2, 3}, 0, 50))
+	s := NewSchedule()
+	s.Cut([]NodeID{0, 1}, []NodeID{2, 3}, 0, 50)
+	n.SetFaults(s)
 
 	n.Send(0, 2, "A2B", nil, 1) // cut direction: dropped
 	n.Send(2, 0, "B2A", nil, 1) // reverse: delivered
@@ -277,7 +295,9 @@ func TestOneWayPartitionStartTick(t *testing.T) {
 	lat := DefaultLatency()
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 22, 2)
-	n.SetFaults(NewOneWayPartition([]NodeID{0}, []NodeID{1}, 30, 60))
+	s := NewSchedule()
+	s.Cut([]NodeID{0}, []NodeID{1}, 30, 60)
+	n.SetFaults(s)
 	n.Send(0, 1, "EARLY", nil, 1)                                      // before the cut starts: delivered
 	n.After(0, 40, func(ctx *Context) { ctx.Send(1, "MID", nil, 1) })  // inside: dropped
 	n.After(0, 70, func(ctx *Context) { ctx.Send(1, "LATE", nil, 1) }) // after heal: delivered
@@ -292,7 +312,9 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 23, 3)
 	n.Metrics().SetPhase("p")
-	n.SetFaults(NewGrayFailure([]NodeID{1}))
+	s := NewSchedule()
+	s.Mute(1, 0, 0)
+	n.SetFaults(s)
 
 	// Deliveries TO the gray node proceed; its timers fire.
 	n.Send(0, 1, "IN", nil, 5)
@@ -373,7 +395,7 @@ func TestLaggedMessageToCrashedNodeIsDroppedNotLate(t *testing.T) {
 	n, recv := echoNet(lat, 14, 2)
 	n.SetFaults(Composite{
 		NewLag(1, 30, 3), // every message held 30 ticks extra
-		NewChurn(map[NodeID][]Window{1: {{From: 0, To: 0}}}), // dest down forever
+		crash(1, 0, 0),   // dest down forever
 	})
 	n.Send(0, 1, "X", nil, 4)
 	n.RunUntilIdle()

@@ -191,7 +191,7 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 	n := New(DefaultLatency(), 3)
 	n.Register(0, func(*Context, Message) {})
 	n.Register(1, func(*Context, Message) {})
-	n.SetFaults(NewChurn(map[NodeID][]Window{1: {{From: 0}}}))
+	n.SetFaults(crash(1, 0, 0))
 	n.Metrics().SetPhase("send")
 	n.Send(0, 1, "doomed", nil, 9)
 	n.Metrics().SetPhase("blackout")
@@ -240,8 +240,8 @@ func TestSetDownRecoveryWithFaultsNoSkipAlloc(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSteadyStateNoAlloc: an ACTIVE Adaptive adversary — crash,
-// mute, and directed-cut windows all in force while traffic flows — must
+// TestAdaptiveSteadyStateNoAlloc: an ACTIVE Schedule — crash, mute, and
+// directed-cut windows all in force while traffic flows — must
 // not break the steady-state zero-allocation property. Fate and Down are
 // pure window lookups and the slow path recycles Contexts through the
 // lane free lists, so a warm network under attack allocates nothing.
@@ -250,10 +250,10 @@ func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 		t.Skip("allocation counting is unreliable under -race")
 	}
 	n := New(DefaultLatency(), 17)
-	a := NewAdaptive()
-	a.Crash(2, 1, 0)            // node 2 down for the whole run
-	a.Mute(3, 1, 0)             // node 3 gray: sends dropped, timers fire
-	a.Cut(0, []NodeID{4}, 1, 0) // directed 0→4 cut
+	a := NewSchedule()
+	a.Crash(2, 1, 0)                      // node 2 down for the whole run
+	a.Mute(3, 1, 0)                       // node 3 gray: sends dropped, timers fire
+	a.Cut([]NodeID{0}, []NodeID{4}, 1, 0) // directed 0→4 cut
 	n.SetFaults(a)
 	bounce := func(ctx *Context, msg Message) {
 		if msg.Size > 1 {
@@ -278,6 +278,6 @@ func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, drive)
 	if allocs > 0 {
-		t.Fatalf("steady-state Step under active Adaptive faults allocates %.1f/run, want 0", allocs)
+		t.Fatalf("steady-state Step under an active Schedule allocates %.1f/run, want 0", allocs)
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 func TestAdaptiveCrashMuteCutSemantics(t *testing.T) {
-	a := NewAdaptive()
+	a := NewSchedule()
 	a.Crash(1, 10, 20)
 	a.Mute(2, 0, 50)
-	a.Cut(3, []NodeID{4, 5}, 30, 60)
+	a.Cut([]NodeID{3}, []NodeID{4, 5}, 30, 60)
 
 	if a.Down(9, 1) || !a.Down(10, 1) || !a.Down(19, 1) || a.Down(20, 1) {
 		t.Fatal("crash window [10,20) wrong")
@@ -35,10 +35,10 @@ func TestAdaptiveCrashMuteCutSemantics(t *testing.T) {
 }
 
 func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {
-	a := NewAdaptive()
+	a := NewSchedule()
 	a.Crash(1, 10, 0) // open-ended
 	a.Mute(2, 10, 0)
-	a.Cut(3, []NodeID{4}, 10, 0)
+	a.Cut([]NodeID{3}, []NodeID{4}, 10, 0)
 	if !a.Down(1000, 1) || !a.Fate(1000, 2, 0).Drop || !a.Fate(1000, 3, 4).Drop {
 		t.Fatal("open-ended directives inactive")
 	}
@@ -58,15 +58,38 @@ func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {
 	}
 }
 
+// TestScheduleCrashEveryAndSharedCuts: a periodic crash cycles with its
+// offset and survives CloseOpen; one Cut call covers every listed sender.
+func TestScheduleCrashEveryAndSharedCuts(t *testing.T) {
+	s := NewSchedule()
+	s.CrashEvery(1, 30, 100, 20) // down while (now+30) mod 100 < 20
+	s.Cut([]NodeID{2, 3}, []NodeID{4}, 0, 0)
+	for now, want := range map[Time]bool{0: false, 69: false, 70: true, 89: true, 90: false, 170: true, 190: false} {
+		if got := s.Down(now, 1); got != want {
+			t.Fatalf("Down(%d, 1) = %v, want %v", now, got, want)
+		}
+	}
+	if !s.Fate(5, 2, 4).Drop || !s.Fate(5, 3, 4).Drop || s.Fate(5, 4, 2).Drop || s.Fate(5, 2, 3).Drop {
+		t.Fatal("cut {2,3}→{4} wrong")
+	}
+	s.CloseOpen(100)
+	if !s.Down(170, 1) {
+		t.Fatal("CloseOpen ended a periodic crash")
+	}
+	if s.Fate(100, 2, 4).Drop || !s.Fate(99, 3, 4).Drop {
+		t.Fatal("CloseOpen did not end the shared cut at its boundary")
+	}
+}
+
 func TestAdaptiveEmptyPlanIsNoFaults(t *testing.T) {
-	a := NewAdaptive()
+	a := NewSchedule()
 	if a.Down(5, 1) || a.Fate(5, 0, 1).Drop || a.Fate(5, 0, 1).Delay != 0 {
-		t.Fatal("empty adaptive plan injected a fault")
+		t.Fatal("empty schedule injected a fault")
 	}
 }
 
 // TestAdaptiveDeterminismShuffledRegistration drives raw broadcast
-// traffic under an adaptive plan and checks the run is byte-identical
+// traffic under a schedule and checks the run is byte-identical
 // across worker-pool parallelism AND node registration order — the same
 // fingerprint contract the scale suite pins for the fault-free core.
 func TestAdaptiveDeterminismShuffledRegistration(t *testing.T) {
@@ -74,10 +97,10 @@ func TestAdaptiveDeterminismShuffledRegistration(t *testing.T) {
 	run := func(par int, shuffleSeed int64) (Time, uint64, uint64, Counter) {
 		n := New(DefaultLatency(), 99)
 		n.SetParallelism(par)
-		a := NewAdaptive()
+		a := NewSchedule()
 		a.Crash(3, 20, 50)
 		a.Mute(5, 0, 0)
-		a.Cut(7, []NodeID{1, 2}, 10, 45)
+		a.Cut([]NodeID{7}, []NodeID{1, 2}, 10, 45)
 		n.SetFaults(a)
 		order := make([]NodeID, nodes)
 		for i := range order {

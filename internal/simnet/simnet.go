@@ -14,9 +14,9 @@
 //
 // A pluggable fault model (SetFaults) can additionally drop messages in
 // flight, delay them beyond the synchrony bound, or crash and rejoin nodes
-// on a schedule — see the Faults interface and the Loss, Lag, Partition,
-// Churn, Adaptive, and Composite implementations. Without a model (or with
-// NoFaults) the engine is byte-identical to a fault-free network.
+// on a schedule — see the Faults interface and the Loss, Lag, BurstLoss,
+// Schedule, and Composite implementations. Without a model the engine is
+// byte-identical to a fault-free network.
 //
 // The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
 // ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker
@@ -390,16 +390,11 @@ func (n *Network) laneOf(id NodeID) *lane {
 	return n.lanes[n.laneFor(id, len(n.lanes))]
 }
 
-// SetFaults installs a fault model (nil or NoFaults restores the
-// fault-free engine, which is byte-identical to a network that never had
-// SetFaults called). Install before traffic starts; the model is read
-// without synchronisation during runs.
-func (n *Network) SetFaults(f Faults) {
-	if _, none := f.(NoFaults); none {
-		f = nil
-	}
-	n.faults = f
-}
+// SetFaults installs a fault model (nil restores the fault-free engine,
+// which is byte-identical to a network that never had SetFaults called).
+// Install before traffic starts; the model is read without
+// synchronisation during runs.
+func (n *Network) SetFaults(f Faults) { n.faults = f }
 
 // SetSendAudit installs a hook observing every message at the moment it is
 // sent, before fault fates or delays are drawn. Tests use it to cross-check

@@ -93,7 +93,7 @@ func TestDownNodeDropsTraffic(t *testing.T) {
 	delivered := 0
 	n.Register(1, func(ctx *Context, msg Message) { delivered++ })
 	const rejoin = 100
-	n.SetFaults(NewChurn(map[NodeID][]Window{1: {{From: 0, To: rejoin}}}))
+	n.SetFaults(crash(1, 0, rejoin))
 	n.Send(0, 1, "PING", nil, 0)
 	n.RunUntilIdle()
 	if delivered != 0 {

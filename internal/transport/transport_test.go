@@ -106,7 +106,8 @@ func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composi
 	counts[0] = tr.RunUntilIdle()
 
 	tr.Metrics().SetPhase("cool")
-	crash := simnet.NewChurn(map[simnet.NodeID][]simnet.Window{3: {{From: tr.Now()}}})
+	crash := simnet.NewSchedule()
+	crash.Crash(3, tr.Now(), 0)
 	tr.SetFaults(append(simnet.Composite{crash}, faults...))
 	tr.Send(1, 0, "PING", "again", 10)
 	tr.Send(1, 3, "PING", "to-the-dead", 11)
@@ -203,11 +204,9 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	// Each network gets its own instance: Loss and Lag own RNG state.
 	none := func() simnet.Composite { return nil }
 	faulted := func() simnet.Composite {
-		return simnet.Composite{
-			simnet.NewLoss(0.05, 9),
-			simnet.NewLag(0.3, 25, 10),
-			simnet.NewChurn(map[simnet.NodeID][]simnet.Window{4: {{From: 5, To: 18}}}),
-		}
+		churn := simnet.NewSchedule()
+		churn.Crash(4, 5, 18)
+		return simnet.Composite{simnet.NewLoss(0.05, 9), simnet.NewLag(0.3, 25, 10), churn}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -418,8 +417,8 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 		{name: "unattached-middle", tos: []simnet.NodeID{1, 7, 2, 3}, faults: func() simnet.Faults { return nil }, broadcasts: 2 + 6},
 		// The link 0→1 carries the first copy of both of node 0's broadcasts.
 		{name: "first-copy-lost", tos: peers, faults: func() simnet.Faults {
-			cut := simnet.NewAdaptive()
-			cut.Cut(0, peers[:1], 0, 0)
+			cut := simnet.NewSchedule()
+			cut.Cut([]simnet.NodeID{0}, peers[:1], 0, 0)
 			return cut
 		}, broadcasts: 2 + 6, dropped: 2},
 		// Node 0 stops for good after two copies of its first broadcast; the
@@ -429,7 +428,9 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 		}, broadcasts: 1 + 2, dropped: 2},
 		// Node 3 is down from tick 2: every copy sent to it is discarded.
 		{name: "destination-down", tos: peers, faults: func() simnet.Faults {
-			return simnet.NewChurn(map[simnet.NodeID][]simnet.Window{3: {{From: 2}}})
+			crash := simnet.NewSchedule()
+			crash.Crash(3, 2, 0)
+			return crash
 		}, broadcasts: 2 + 6, dropped: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

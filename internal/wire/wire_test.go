@@ -49,6 +49,8 @@ func samplePropose(sn uint64) consensus.Propose {
 		Voters: []simnet.NodeID{1, 2, 5},
 		Votes: []reputation.VoteVector{
 			{reputation.No, reputation.Unknown, reputation.Yes},
+			{reputation.Yes, reputation.Yes, reputation.No},
+			{reputation.Unknown, reputation.No, reputation.Yes},
 		},
 	}
 	return consensus.Propose{
