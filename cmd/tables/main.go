@@ -153,7 +153,7 @@ func printTraffic() {
 		m := e.Net.Metrics()
 		out := make(map[string]simnet.Counter, len(phases))
 		for _, ph := range phases {
-			out[ph] = m.SentByNodes("r001/"+ph, e.Roster().Leaders)
+			out[ph] = m.SentByNodes(ph, e.Roster().Leaders)
 		}
 		return out
 	}

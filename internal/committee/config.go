@@ -68,8 +68,8 @@ type ConfigNode struct {
 	// Verified is where this endpoint looks a sortition record up before
 	// paying for its verification. NewConfigNode installs a private set, so
 	// a node verifies each record it is shown once; a process that runs
-	// many endpoints of one round may point them all at one set, which
-	// must have been built for the same (Round, Randomness).
+	// many endpoints of one round builds them all on one set with
+	// NewConfigNodeWith.
 	Verified *VerifiedSet
 
 	// introduced tracks which members this node has announced itself to,
@@ -80,18 +80,25 @@ type ConfigNode struct {
 	to []simnet.NodeID
 }
 
-// NewConfigNode initialises the endpoint. Key members seed S with all key
-// members, per Algorithm 2 line 3.
+// NewConfigNode initialises the endpoint with a verified-proof set of its
+// own. Key members seed S with all key members, per Algorithm 2 line 3.
 func NewConfigNode(round uint64, randomness crypto.Digest, m uint64, self MemberRecord, isKey bool, keyMembers []MemberRecord) *ConfigNode {
+	return NewConfigNodeWith(NewVerifiedSet(round, randomness), m, self, isKey, keyMembers)
+}
+
+// NewConfigNodeWith is NewConfigNode for an endpoint that shares the
+// verified-proof set of its round with others: the endpoint takes its
+// (Round, Randomness) from the set.
+func NewConfigNodeWith(verified *VerifiedSet, m uint64, self MemberRecord, isKey bool, keyMembers []MemberRecord) *ConfigNode {
 	cn := &ConfigNode{
-		Round:      round,
-		Randomness: randomness,
+		Round:      verified.round,
+		Randomness: verified.randomness,
 		M:          m,
 		Self:       self,
 		IsKey:      isKey,
 		KeyMembers: keyMembers,
 		S:          NewDirectory(),
-		Verified:   NewVerifiedSet(round, randomness),
+		Verified:   verified,
 		introduced: make(map[simnet.NodeID]bool),
 	}
 	if isKey {

@@ -22,7 +22,9 @@ type proofKey [ed25519.PublicKeySize + crypto.HashSize + ed25519.SignatureSize]b
 // holds one entry per distinct valid proof of its round and nothing an
 // adversary can forge. It is safe for concurrent use.
 type VerifiedSet struct {
-	input []byte // crypto.SortitionInput(round, randomness), built once
+	round      uint64
+	randomness crypto.Digest
+	input      []byte // crypto.SortitionInput(round, randomness), built once
 
 	mu sync.RWMutex
 	ok map[proofKey]struct{}
@@ -31,8 +33,10 @@ type VerifiedSet struct {
 // NewVerifiedSet returns an empty set for one round's sortition context.
 func NewVerifiedSet(round uint64, randomness crypto.Digest) *VerifiedSet {
 	return &VerifiedSet{
-		input: crypto.SortitionInput(round, randomness),
-		ok:    make(map[proofKey]struct{}),
+		round:      round,
+		randomness: randomness,
+		input:      crypto.SortitionInput(round, randomness),
+		ok:         make(map[proofKey]struct{}),
 	}
 }
 

@@ -127,7 +127,7 @@ func TestAggregateLeaderTrafficReduced(t *testing.T) {
 		var sum simnet.Counter
 		m := e.Net.Metrics()
 		for _, ph := range []string{"config", "semicommit", "intra", "inter", "score", "select", "block"} {
-			sum.Add(m.SentByNodes("r001/"+ph, e.roster.Leaders))
+			sum.Add(m.SentByNodes(ph, e.roster.Leaders))
 		}
 		return sum
 	}

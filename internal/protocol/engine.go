@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"cycledger/internal/chain"
@@ -331,9 +330,17 @@ func (e *Engine) bootstrapRoster() *Roster {
 // assignCommons places the remaining population via Algorithm 1 sortition.
 func (e *Engine) assignCommons(r *Roster, from int) {
 	for i := from; i < len(e.nodes); i++ {
-		res := committee.Sortition(e.keys[i], r.Round, r.Randomness, r.M)
-		r.addCommon(res.CommitteeID, simnet.NodeID(i))
+		e.seatCommon(r, simnet.NodeID(i))
 	}
+}
+
+// seatCommon draws a node's common-member seat on r by Algorithm 1 and
+// keeps the result on the node, whose configuration phase presents that
+// proof rather than signing the same input again.
+func (e *Engine) seatCommon(r *Roster, id simnet.NodeID) {
+	n := e.nodes[id]
+	n.seat = committee.Sortition(n.Keys, r.Round, r.Randomness, r.M)
+	r.addCommon(n.seat.CommitteeID, id)
 }
 
 // nodeIndex bounds-checks a (possibly wire-supplied) NodeID against a
@@ -452,26 +459,11 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
 }
 
-// phaseLabel namespaces metrics per round: "r%03d/<phase>" built with
-// strconv appends (this runs per phase per round and feeds map keys, so it
-// should not drag fmt's reflection into the hot diagnostic path).
-func (e *Engine) phaseLabel(phase string) string {
-	buf := make([]byte, 1, 22+len(phase)) // 'r' + up to 20 digits + '/'
-	buf[0] = 'r'
-	if e.round < 100 { // zero-pad to three digits, like %03d
-		buf = append(buf, '0')
-		if e.round < 10 {
-			buf = append(buf, '0')
-		}
-	}
-	buf = strconv.AppendUint(buf, e.round, 10)
-	buf = append(buf, '/')
-	buf = append(buf, phase...)
-	return string(buf)
-}
-
+// setPhase labels the traffic that follows with the bare phase name: the
+// network's per-phase accounting holds the current round only (RunRound
+// resets it), so a label needs no round number.
 func (e *Engine) setPhase(phase string) {
-	e.Net.Metrics().SetPhase(e.phaseLabel(phase))
+	e.Net.Metrics().SetPhase(phase)
 	if e.hooks.PhaseStart != nil {
 		e.hooks.PhaseStart(e.round, phase)
 	}
@@ -504,6 +496,10 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 		RoleTraffic:  make(map[string]map[string]simnet.Counter),
 		Rewards:      make(map[string]uint64),
 	}
+	// The network's per-phase accounting holds one round: the previous
+	// round's, read by its collectTraffic, stays readable until here, and
+	// this round's phases reuse its tables.
+	e.Net.Metrics().ResetPhases()
 	// The reactive adversary re-plans first: the roster is fixed, no
 	// traffic has moved, the network is idle — the snapshot point where
 	// appending fault windows cannot race in-flight evaluation. It reads
@@ -541,7 +537,8 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	return report, nil
 }
 
-// collectTraffic aggregates the per-phase, per-role counters for Table II.
+// collectTraffic aggregates the round's per-phase, per-role counters for
+// Table II.
 func (e *Engine) collectTraffic(report *RoundReport) {
 	phases := []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
 	roleSets := map[string][]simnet.NodeID{
@@ -559,11 +556,10 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 		}
 	}
 	for _, ph := range phases {
-		label := e.phaseLabel(ph)
 		var total simnet.Counter
 		byRole := make(map[string]simnet.Counter, len(roleSets))
 		for role, ids := range roleSets {
-			c := m.SentByNodes(label, ids)
+			c := m.SentByNodes(ph, ids)
 			byRole[role] = c
 			total.Add(c)
 		}
@@ -575,7 +571,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 			// Lost traffic per phase, keyed by the destination that never
 			// saw it — the resilience table's raw material. Never part of
 			// the sent/received Table II counters.
-			report.PhaseDropped[ph] = m.DroppedByNodes(label, allIDs)
+			report.PhaseDropped[ph] = m.DroppedByNodes(ph, allIDs)
 		}
 	}
 }

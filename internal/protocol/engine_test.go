@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"cycledger/internal/consensus"
+	"cycledger/internal/simnet"
 )
 
 func runEngine(t *testing.T, p Params) (*Engine, []*RoundReport) {
@@ -83,5 +85,52 @@ func TestEngineEd25519SchemeRound(t *testing.T) {
 	_, reports := runEngine(t, p)
 	if reports[0].Throughput() == 0 {
 		t.Fatal("no transactions included under Ed25519")
+	}
+}
+
+// TestAccountingHoldsOneRound: the network's per-phase accounting is reset
+// at every round start, so after each round it holds exactly that round's
+// traffic, what it holds after round 12 is what it held after round 3 —
+// the same tables, reused — and its labels are the bare phase names, with
+// no round number in them.
+func TestAccountingHoldsOneRound(t *testing.T) {
+	p := DefaultParams()
+	p.Rounds = 12
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.Net.Metrics()
+	all := make([]simnet.NodeID, p.TotalNodes())
+	for i := range all {
+		all[i] = simnet.NodeID(i)
+	}
+	held := 0
+	for round := 1; round <= p.Rounds; round++ {
+		before := m.Total()
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		var inTables simnet.Counter
+		for _, ph := range m.Phases() {
+			if strings.ContainsAny(ph, "0123456789") {
+				t.Fatalf("round %d: phase label %q carries a number", round, ph)
+			}
+			inTables.Add(m.SentByNodes(ph, all))
+		}
+		if sent := m.Total().Messages - before.Messages; inTables.Messages != sent {
+			t.Fatalf("round %d: per-phase tables hold %d sends, the round sent %d", round, inTables.Messages, sent)
+		}
+		switch round {
+		case 3:
+			held = m.Counters()
+		case p.Rounds:
+			if got := m.Counters(); got != held {
+				t.Fatalf("per-phase counters held: %d after round 3, %d after round %d", held, got, round)
+			}
+		}
+	}
+	if held == 0 {
+		t.Fatal("no per-phase counters held")
 	}
 }

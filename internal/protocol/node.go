@@ -22,6 +22,11 @@ type Node struct {
 
 	eng *Engine
 
+	// seat is the Algorithm 1 result that made this node a common member
+	// of the roster that last seated it that way (Engine.seatCommon); the
+	// configuration phase of that roster's round presents its proof.
+	seat committee.SortitionResult
+
 	// Round state (reset by resetRound).
 	role           Role
 	comID          uint64

@@ -54,12 +54,11 @@ func (e *Engine) phaseConfig() {
 			isKey := n.role == RoleLeader || n.role == RolePartial
 			self := committee.MemberRecord{Node: id, PK: e.pkOf(id)}
 			if !isKey {
-				res := committee.Sortition(n.Keys, e.round, e.roster.Randomness, e.roster.M)
-				self.Hash = res.Out.Hash
-				self.Proof = res.Out.Proof
+				// Drawn when the roster seated it (seatCommon).
+				self.Hash = n.seat.Out.Hash
+				self.Proof = n.seat.Out.Proof
 			}
-			n.cfg = committee.NewConfigNode(e.round, e.roster.Randomness, e.roster.M, self, isKey, keyRecs)
-			n.cfg.Verified = verified
+			n.cfg = committee.NewConfigNodeWith(verified, e.roster.M, self, isKey, keyRecs)
 			if !isKey && !n.Behavior.Offline {
 				cn := n.cfg
 				e.Net.After(id, 1, func(ctx *simnet.Context) { cn.Start(ctx) })
@@ -468,8 +467,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	}
 	// Everyone else becomes a common member by sortition under R_{r+1}.
 	for _, id := range leftover[li:] {
-		res := committee.Sortition(e.nodes[id].Keys, e.round+1, next, r.M)
-		r.addCommon(res.CommitteeID, id)
+		e.seatCommon(r, id)
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -68,5 +69,39 @@ func TestVerifiedSetBoundedByRound(t *testing.T) {
 	}
 	if got := freed.Load(); got != int32(p.Rounds) {
 		t.Fatalf("%d of %d per-round sets were collected", got, p.Rounds)
+	}
+}
+
+// TestConfigRecordIsSeatSortition: a common member's configuration record
+// carries the sortition proof drawn when the roster seated it — at
+// bootstrap for round 1, in the previous round's selection after that —
+// and that proof is exactly what a fresh Algorithm 1 run yields now.
+func TestConfigRecordIsSeatSortition(t *testing.T) {
+	p := DefaultParams()
+	p.Rounds = 3
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	e.Net.SetSendAudit(func(msg simnet.Message) {
+		if msg.Tag != committee.TagConfig {
+			return
+		}
+		rec := msg.Payload.(committee.JoinRequest).Rec
+		want := committee.Sortition(e.nodes[rec.Node].Keys, e.round, e.roster.Randomness, e.roster.M)
+		if rec.Hash != want.Out.Hash || !bytes.Equal(rec.Proof, want.Out.Proof) {
+			t.Errorf("round %d: node %d presents a record that is not its fresh sortition", e.round, rec.Node)
+		}
+		if k, _ := e.roster.CommitteeOf(rec.Node); k != want.CommitteeID {
+			t.Errorf("round %d: node %d seated in committee %d, sortition says %d", e.round, rec.Node, k, want.CommitteeID)
+		}
+		checked++
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no configuration request seen")
 	}
 }

@@ -14,8 +14,12 @@ import (
 // covering (base, base+nbucket]; pushing and popping them is a slice
 // append and a slice swap, with no comparisons. Events beyond the horizon
 // (fault-model lag, long watchdog timers) overflow into a small binary
-// heap. Under the lane-sharded scheduler each worker lane owns one
-// calQueue and pushes into it concurrently with the other lanes' pushes
+// heap. A bucket holds a slice only while it has events: popping a tick
+// returns the slice to the queue's free list and the next push into an
+// empty bucket takes one from it, so the capacity the ring retains
+// follows the ticks that are occupied at once, not every slot's
+// high-water burst. Under the lane-sharded scheduler each worker lane owns
+// one calQueue and pushes into it concurrently with the other lanes' pushes
 // into theirs, so bucket append order is whatever the lane's execution
 // produced; popBatch sorts the tick's events by their (ks, kc) scheduling
 // key, which restores the one canonical order no matter which lane — or
@@ -25,7 +29,8 @@ type calQueue struct {
 	mask      Time
 	nbucket   Time
 	inBuckets int
-	buckets   [][]*event
+	buckets   [][]*event // nil while empty
+	free      [][]*event // emptied bucket slices, capacity kept
 	overflow  eventHeap
 }
 
@@ -51,7 +56,15 @@ func (q *calQueue) len() int { return q.inBuckets + len(q.overflow) }
 func (q *calQueue) push(ev *event) {
 	if d := ev.at - q.base; d >= 1 && d <= q.nbucket {
 		idx := ev.at & q.mask
-		q.buckets[idx] = append(q.buckets[idx], ev)
+		b := q.buckets[idx]
+		if b == nil {
+			if k := len(q.free) - 1; k >= 0 {
+				b = q.free[k]
+				q.free[k] = nil
+				q.free = q.free[:k]
+			}
+		}
+		q.buckets[idx] = append(b, ev)
 		q.inBuckets++
 		return
 	}
@@ -98,14 +111,14 @@ func keyLess(a, b *event) int {
 }
 
 // popBatch appends every event scheduled at tick t to out, sorted by
-// scheduling key, and advances base to t. The emptied bucket keeps its
-// capacity so steady-state traffic never reallocates.
+// scheduling key, and advances base to t. The emptied bucket's slice goes
+// to the free list, capacity kept, so steady-state traffic never
+// reallocates.
 func (q *calQueue) popBatch(t Time, out []*event) []*event {
 	start := len(out)
 	var bucket []*event
-	idx := Time(-1)
+	idx := t & q.mask
 	if q.inBuckets > 0 && t > q.base && t-q.base <= q.nbucket {
-		idx = t & q.mask
 		bucket = q.buckets[idx]
 		out = append(out, bucket...)
 	}
@@ -113,12 +126,9 @@ func (q *calQueue) popBatch(t Time, out []*event) []*event {
 		out = append(out, heap.Pop(&q.overflow).(*event))
 	}
 	slices.SortFunc(out[start:], keyLess)
-	if idx >= 0 {
+	if bucket != nil {
 		q.inBuckets -= len(bucket)
-		for i := range bucket {
-			bucket[i] = nil
-		}
-		q.buckets[idx] = bucket[:0]
+		q.release(idx)
 	}
 	if t > q.base {
 		q.base = t
@@ -131,13 +141,11 @@ func (q *calQueue) popBatch(t Time, out []*event) []*event {
 // a new lane layout; order is irrelevant because popBatch sorts by key.
 func (q *calQueue) drain(out []*event) []*event {
 	if q.inBuckets > 0 {
-		for i := range q.buckets {
-			b := q.buckets[i]
-			out = append(out, b...)
-			for j := range b {
-				b[j] = nil
+		for i, b := range q.buckets {
+			if b != nil {
+				out = append(out, b...)
+				q.release(Time(i))
 			}
-			q.buckets[i] = b[:0]
 		}
 		q.inBuckets = 0
 	}
@@ -147,6 +155,15 @@ func (q *calQueue) drain(out []*event) []*event {
 	}
 	q.overflow = q.overflow[:0]
 	return out
+}
+
+// release empties bucket idx into the free list, dropping its event
+// references.
+func (q *calQueue) release(idx Time) {
+	b := q.buckets[idx]
+	clear(b)
+	q.free = append(q.free, b[:0])
+	q.buckets[idx] = nil
 }
 
 // reset re-anchors the ring at the given tick. Only valid on an empty

@@ -195,3 +195,52 @@ func TestCalendarQueuePerLaneBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarBucketsRetainOneBurst: a burst of B events cycled through
+// every slot of the ring — B pushes at the next tick, one pop, repeated
+// for two full revolutions — leaves the queue holding O(B) bucket
+// capacity, because an emptied bucket hands its slice to the free list
+// and the next occupied one takes it back, not B in each of the nbucket
+// slots. Once warm, a further revolution allocates nothing.
+func TestCalendarBucketsRetainOneBurst(t *testing.T) {
+	const burst = 64
+	q := newCalQueue(200) // 256-tick ring
+	evs := make([]*event, burst)
+	for i := range evs {
+		evs[i] = &event{}
+	}
+	out := make([]*event, 0, burst)
+	key := uint64(0)
+	revolution := func() {
+		for i := Time(0); i < q.nbucket; i++ {
+			at := q.base + 1
+			for _, ev := range evs {
+				*ev = event{at: at, ks: key}
+				key++
+				q.push(ev)
+			}
+			if out = q.popBatch(at, out[:0]); len(out) != burst {
+				t.Fatalf("tick %d: popped %d events, pushed %d", at, len(out), burst)
+			}
+		}
+	}
+	revolution()
+	revolution()
+	retained := 0
+	for _, b := range q.buckets {
+		retained += cap(b)
+	}
+	for _, b := range q.free {
+		retained += cap(b)
+	}
+	if retained > 2*burst {
+		t.Fatalf("a %d-event burst through %d slots retains %d bucket slots, want at most %d",
+			burst, q.nbucket, retained, 2*burst)
+	}
+	if raceEnabled {
+		return // allocation counting is unreliable under -race
+	}
+	if allocs := testing.AllocsPerRun(5, revolution); allocs > 0 {
+		t.Fatalf("a warm revolution allocates %.1f times, want 0", allocs)
+	}
+}

@@ -22,11 +22,6 @@ func (c *Counter) Add(o Counter) {
 	c.Bytes += o.Bytes
 }
 
-type phaseNode struct {
-	phase string
-	node  NodeID
-}
-
 // Metrics accounts traffic per phase, per node, and per tag. The protocol
 // layer labels phases (SetPhase) and later aggregates per-node counters by
 // role to reproduce Table II.
@@ -36,14 +31,22 @@ type phaseNode struct {
 // happened — and to the `dropped` counters keyed by the destination that
 // never saw it, but never to `received`. Messages held beyond their
 // synchrony bound are charged to `late` (and still to `received` when they
-// eventually arrive). Keeping the delivered-bytes maps free of lost
+// eventually arrive). Keeping the delivered-bytes tables free of lost
 // traffic is what keeps Table II faithful under fault models.
+//
+// Per-phase accounting lives in dense tables indexed by NodeID, one per
+// phase label, and holds every phase since the last ResetPhases: a network
+// that never resets keeps them all, one that resets every round holds one
+// round's worth, reusing the same tables round after round. The totals and
+// the per-tag counters are cumulative either way.
 type Metrics struct {
-	mu        sync.Mutex
-	phase     string
-	sent      map[phaseNode]*Counter
-	received  map[phaseNode]*Counter
-	dropped   map[phaseNode]*Counter
+	mu    sync.Mutex
+	phase string
+	// tables are the phases that saw traffic since the last ResetPhases;
+	// spare are zeroed tables kept for the phases that follow one.
+	tables []*phaseTable
+	spare  []*phaseTable
+
 	byTag     map[string]*Counter
 	total     Counter
 	totalDrop Counter
@@ -52,7 +55,7 @@ type Metrics struct {
 	// the worker running lane i of the current macro-step (receives, dead-
 	// destination drops and inline-routed sends); the serial send path
 	// writes lane 0 between execution phases. mergeLanes folds them into
-	// the maps above. The fold is amortised: the Network folds every
+	// the tables above. The fold is amortised: the Network folds every
 	// mergeEvery batches and at the end of every drain, so readers — which
 	// only run between drains — always see fully merged accounting (an
 	// external Send folds at once). The phase label is constant
@@ -61,12 +64,41 @@ type Metrics struct {
 	lanes []laneShard
 }
 
+// phaseTable is one phase's per-node counters, each slice indexed by
+// NodeID: sends keyed by the sender, receives by the destination, drops
+// by the destination that missed the message. A slice grows to the
+// highest ID it has counted.
+type phaseTable struct {
+	name     string
+	sent     []Counter
+	received []Counter
+	dropped  []Counter
+}
+
+// at returns the table entry for id, or the zero Counter when the table
+// never counted it.
+func at(tab []Counter, id NodeID) Counter {
+	if id >= 0 && int(id) < len(tab) {
+		return tab[id]
+	}
+	return Counter{}
+}
+
+// sumAt adds the table entries of a node set.
+func sumAt(tab []Counter, nodes []NodeID) Counter {
+	var sum Counter
+	for _, id := range nodes {
+		sum.Add(at(tab, id))
+	}
+	return sum
+}
+
 // laneShard accumulates one worker lane's traffic without locks. Entries
-// persist across batches (zeroed, not deleted, at fold) so steady-state
-// recording allocates nothing; touched lists the nodes and tags with live
-// counts since the last fold.
+// persist across batches (zeroed at fold) so steady-state recording
+// allocates nothing; touched lists the nodes and tags with live counts
+// since the last fold.
 type laneShard struct {
-	entries    map[NodeID]*laneEntry
+	entries    []laneEntry // indexed by NodeID
 	touched    []NodeID
 	tags       map[string]*Counter
 	tagTouched []string
@@ -85,12 +117,17 @@ type laneEntry struct {
 	active bool
 }
 
+// entry returns the node's shard entry, growing the shard for an ID it
+// has not seen. A negative ID has no entry: its traffic counts in the
+// totals and tags only.
 func (s *laneShard) entry(id NodeID) *laneEntry {
-	e := s.entries[id]
-	if e == nil {
-		e = &laneEntry{}
-		s.entries[id] = e
+	if id < 0 {
+		return nil
 	}
+	if int(id) >= len(s.entries) {
+		s.entries = append(s.entries, make([]laneEntry, int(id)+1-len(s.entries))...)
+	}
+	e := &s.entries[id]
 	if !e.active {
 		e.active = true
 		s.touched = append(s.touched, id)
@@ -99,7 +136,9 @@ func (s *laneShard) entry(id NodeID) *laneEntry {
 }
 
 func (s *laneShard) recordRecv(msg Message) {
-	s.entry(msg.To).recv.add(msg.Size)
+	if e := s.entry(msg.To); e != nil {
+		e.recv.add(msg.Size)
+	}
 }
 
 func (s *laneShard) recordLate(msg Message) {
@@ -107,7 +146,9 @@ func (s *laneShard) recordLate(msg Message) {
 }
 
 func (s *laneShard) recordSend(msg Message) {
-	s.entry(msg.From).sent.add(msg.Size)
+	if e := s.entry(msg.From); e != nil {
+		e.sent.add(msg.Size)
+	}
 	tc := s.tags[msg.Tag]
 	if tc == nil {
 		tc = &Counter{}
@@ -121,7 +162,9 @@ func (s *laneShard) recordSend(msg Message) {
 }
 
 func (s *laneShard) recordDropped(msg Message) {
-	s.entry(msg.To).drop.add(msg.Size)
+	if e := s.entry(msg.To); e != nil {
+		e.drop.add(msg.Size)
+	}
 	s.dropTotal.add(msg.Size)
 }
 
@@ -133,14 +176,50 @@ func (m *Metrics) ensureLanes(k int) {
 		k = 1
 	}
 	for len(m.lanes) < k {
-		m.lanes = append(m.lanes, laneShard{
-			entries: make(map[NodeID]*laneEntry),
-			tags:    make(map[string]*Counter),
-		})
+		m.lanes = append(m.lanes, laneShard{tags: make(map[string]*Counter)})
 	}
 }
 
-// mergeLanes folds every lane shard into the shared maps under the
+// addAt adds c to the id entry of a table, growing the table to cover id.
+func addAt(tab *[]Counter, id NodeID, c Counter) {
+	if c.Messages == 0 {
+		return
+	}
+	if int(id) >= len(*tab) {
+		*tab = append(*tab, make([]Counter, int(id)+1-len(*tab))...)
+	}
+	(*tab)[id].Add(c)
+}
+
+// table returns the current label's table, taking a spare one (or a new
+// one) when the label has none yet. Call with mu held.
+func (m *Metrics) table() *phaseTable {
+	if t := m.lookup(m.phase); t != nil {
+		return t
+	}
+	var t *phaseTable
+	if k := len(m.spare) - 1; k >= 0 {
+		t, m.spare = m.spare[k], m.spare[:k]
+	} else {
+		t = &phaseTable{}
+	}
+	t.name = m.phase
+	m.tables = append(m.tables, t)
+	return t
+}
+
+// lookup returns the table of a phase label, nil when the label saw no
+// traffic since the last ResetPhases. Call with mu held.
+func (m *Metrics) lookup(phase string) *phaseTable {
+	for _, t := range m.tables {
+		if t.name == phase {
+			return t
+		}
+	}
+	return nil
+}
+
+// mergeLanes folds every lane shard into the shared tables under the
 // current phase label. The fold is a sum of commutative counters, so the
 // result is deterministic no matter how the parallel lanes interleaved.
 func (m *Metrics) mergeLanes() {
@@ -148,38 +227,17 @@ func (m *Metrics) mergeLanes() {
 	defer m.mu.Unlock()
 	for li := range m.lanes {
 		s := &m.lanes[li]
-		for _, id := range s.touched {
-			e := s.entries[id]
-			if e.recv.Messages > 0 {
-				k := phaseNode{m.phase, id}
-				c := m.received[k]
-				if c == nil {
-					c = &Counter{}
-					m.received[k] = c
-				}
-				c.Add(e.recv)
+		if len(s.touched) > 0 {
+			t := m.table()
+			for _, id := range s.touched {
+				e := &s.entries[id]
+				addAt(&t.received, id, e.recv)
+				addAt(&t.sent, id, e.sent)
+				addAt(&t.dropped, id, e.drop)
+				*e = laneEntry{}
 			}
-			if e.sent.Messages > 0 {
-				k := phaseNode{m.phase, id}
-				c := m.sent[k]
-				if c == nil {
-					c = &Counter{}
-					m.sent[k] = c
-				}
-				c.Add(e.sent)
-			}
-			if e.drop.Messages > 0 {
-				k := phaseNode{m.phase, id}
-				c := m.dropped[k]
-				if c == nil {
-					c = &Counter{}
-					m.dropped[k] = c
-				}
-				c.Add(e.drop)
-			}
-			*e = laneEntry{}
+			s.touched = s.touched[:0]
 		}
-		s.touched = s.touched[:0]
 		for _, tag := range s.tagTouched {
 			tc := s.tags[tag]
 			c := m.byTag[tag]
@@ -209,11 +267,8 @@ func (m *Metrics) mergeLanes() {
 // NewMetrics returns empty accounting.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		phase:    "init",
-		sent:     make(map[phaseNode]*Counter),
-		received: make(map[phaseNode]*Counter),
-		dropped:  make(map[phaseNode]*Counter),
-		byTag:    make(map[string]*Counter),
+		phase: "init",
+		byTag: make(map[string]*Counter),
 	}
 }
 
@@ -224,6 +279,42 @@ func (m *Metrics) SetPhase(phase string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.phase = phase
+}
+
+// ResetPhases forgets every phase's per-node accounting — what Sent,
+// Received, Dropped, their ByNodes sums and Phases report — and labels the
+// traffic that follows "init" again, as on a new Metrics. The tables are
+// zeroed and kept for the phases to come, so a caller that resets once a
+// round holds one round of accounting however long it runs. Total,
+// DroppedTotal, LateTotal and the per-tag counters stay cumulative. Call
+// only between drains, like SetPhase.
+func (m *Metrics) ResetPhases() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, t := range m.tables {
+		clear(t.sent)
+		clear(t.received)
+		clear(t.dropped)
+		m.spare = append(m.spare, t)
+	}
+	clear(m.tables)
+	m.tables = m.tables[:0]
+	m.phase = "init"
+}
+
+// Counters returns how many per-(phase, node) counters the accounting
+// holds, in use or kept for reuse: a measure of what it retains, which
+// stays flat across rounds for a caller that calls ResetPhases each round.
+func (m *Metrics) Counters() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, ts := range [][]*phaseTable{m.tables, m.spare} {
+		for _, t := range ts {
+			n += cap(t.sent) + cap(t.received) + cap(t.dropped)
+		}
+	}
+	return n
 }
 
 // Phase returns the current phase label.
@@ -237,8 +328,8 @@ func (m *Metrics) Phase() string {
 func (m *Metrics) Sent(phase string, node NodeID) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c := m.sent[phaseNode{phase, node}]; c != nil {
-		return *c
+	if t := m.lookup(phase); t != nil {
+		return at(t.sent, node)
 	}
 	return Counter{}
 }
@@ -247,8 +338,8 @@ func (m *Metrics) Sent(phase string, node NodeID) Counter {
 func (m *Metrics) Received(phase string, node NodeID) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c := m.received[phaseNode{phase, node}]; c != nil {
-		return *c
+	if t := m.lookup(phase); t != nil {
+		return at(t.received, node)
 	}
 	return Counter{}
 }
@@ -257,8 +348,8 @@ func (m *Metrics) Received(phase string, node NodeID) Counter {
 func (m *Metrics) Dropped(phase string, node NodeID) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c := m.dropped[phaseNode{phase, node}]; c != nil {
-		return *c
+	if t := m.lookup(phase); t != nil {
+		return at(t.dropped, node)
 	}
 	return Counter{}
 }
@@ -268,13 +359,10 @@ func (m *Metrics) Dropped(phase string, node NodeID) Counter {
 func (m *Metrics) DroppedByNodes(phase string, nodes []NodeID) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var sum Counter
-	for _, id := range nodes {
-		if c := m.dropped[phaseNode{phase, id}]; c != nil {
-			sum.Add(*c)
-		}
+	if t := m.lookup(phase); t != nil {
+		return sumAt(t.dropped, nodes)
 	}
-	return sum
+	return Counter{}
 }
 
 // DroppedTotal returns whole-simulation lost traffic.
@@ -299,13 +387,10 @@ func (m *Metrics) LateTotal() Counter {
 func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var sum Counter
-	for _, id := range nodes {
-		if c := m.sent[phaseNode{phase, id}]; c != nil {
-			sum.Add(*c)
-		}
+	if t := m.lookup(phase); t != nil {
+		return sumAt(t.sent, nodes)
 	}
-	return sum
+	return Counter{}
 }
 
 // Tag returns the counter for a message tag.
@@ -337,25 +422,16 @@ func (m *Metrics) Total() Counter {
 	return m.total
 }
 
-// Phases lists phase labels that saw traffic, sorted. A phase counts as
-// having seen traffic when anything was sent, received, or dropped under
-// its label — a phase whose every message was lost still shows up.
+// Phases lists phase labels that saw traffic since the last ResetPhases,
+// sorted. A phase counts as having seen traffic when anything was sent,
+// received, or dropped under its label — a phase whose every message was
+// lost still shows up.
 func (m *Metrics) Phases() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	set := map[string]bool{}
-	for k := range m.sent {
-		set[k.phase] = true
-	}
-	for k := range m.received {
-		set[k.phase] = true
-	}
-	for k := range m.dropped {
-		set[k.phase] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+	out := make([]string, 0, len(m.tables))
+	for _, t := range m.tables {
+		out = append(out, t.name)
 	}
 	sort.Strings(out)
 	return out

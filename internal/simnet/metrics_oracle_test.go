@@ -1,0 +1,289 @@
+package simnet
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// oracleMetrics is the map-based accounting the dense per-phase tables
+// replaced — (phase, node)-keyed maps that hold every phase ever labelled —
+// without its lane shards: every count goes straight into its map, which
+// is what the shards' folds amounted to. It is the oracle for Metrics.
+type oracleMetrics struct {
+	mu        sync.Mutex
+	phase     string
+	sent      map[phaseNode]*Counter
+	received  map[phaseNode]*Counter
+	dropped   map[phaseNode]*Counter
+	byTag     map[string]*Counter
+	total     Counter
+	totalDrop Counter
+	totalLate Counter
+}
+
+type phaseNode struct {
+	phase string
+	node  NodeID
+}
+
+func newOracleMetrics() *oracleMetrics {
+	return &oracleMetrics{
+		phase:    "init",
+		sent:     make(map[phaseNode]*Counter),
+		received: make(map[phaseNode]*Counter),
+		dropped:  make(map[phaseNode]*Counter),
+		byTag:    make(map[string]*Counter),
+	}
+}
+
+func (m *oracleMetrics) bump(tab map[phaseNode]*Counter, id NodeID, size int) {
+	k := phaseNode{m.phase, id}
+	c := tab[k]
+	if c == nil {
+		c = &Counter{}
+		tab[k] = c
+	}
+	c.add(size)
+}
+
+func (m *oracleMetrics) recordSend(msg Message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.bump(m.sent, msg.From, msg.Size)
+	tc := m.byTag[msg.Tag]
+	if tc == nil {
+		tc = &Counter{}
+		m.byTag[msg.Tag] = tc
+	}
+	tc.add(msg.Size)
+	m.total.add(msg.Size)
+}
+
+func (m *oracleMetrics) recordRecv(msg Message, late bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.bump(m.received, msg.To, msg.Size)
+	if late {
+		m.totalLate.add(msg.Size)
+	}
+}
+
+func (m *oracleMetrics) recordDropped(msg Message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.bump(m.dropped, msg.To, msg.Size)
+	m.totalDrop.add(msg.Size)
+}
+
+func (m *oracleMetrics) byNodes(tab map[phaseNode]*Counter, phase string, nodes []NodeID) Counter {
+	var sum Counter
+	for _, id := range nodes {
+		if c := tab[phaseNode{phase, id}]; c != nil {
+			sum.Add(*c)
+		}
+	}
+	return sum
+}
+
+func (m *oracleMetrics) get(tab map[phaseNode]*Counter, phase string, id NodeID) Counter {
+	if c := tab[phaseNode{phase, id}]; c != nil {
+		return *c
+	}
+	return Counter{}
+}
+
+func (m *oracleMetrics) phases() []string {
+	set := map[string]bool{}
+	for _, tab := range []map[phaseNode]*Counter{m.sent, m.received, m.dropped} {
+		for k := range tab {
+			set[k.phase] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// oracleTap feeds the oracle from the outside of a Network: the send audit
+// sees every send before its fate, this wrapper around the fault model
+// sees the fate of the send the audit saw last (the serial send path runs
+// audit → Fate per message), and the handlers see every delivery. A
+// payload is an ID unique to one send or one broadcast, so a delivery can
+// tell whether its copy was lagged.
+type oracleTap struct {
+	inner  Faults
+	oracle *oracleMetrics
+	last   Message
+	lagged sync.Map // lagKey → true
+}
+
+type lagKey struct {
+	payload any
+	to      NodeID
+}
+
+func (o *oracleTap) Fate(now Time, from, to NodeID) Fate {
+	f := o.inner.Fate(now, from, to)
+	switch {
+	case f.Drop:
+		o.oracle.recordDropped(o.last)
+	case f.Delay > 0:
+		o.lagged.Store(lagKey{o.last.Payload, o.last.To}, true)
+	}
+	return f
+}
+
+func (o *oracleTap) Down(now Time, id NodeID) bool { return o.inner.Down(now, id) }
+
+// TestMetricsMatchMapOracle: the dense per-phase tables report exactly
+// what the map-based accounting reports, on randomised gossip over several
+// phases (one label revisited, and traffic before any label), at 1 and 3
+// lanes, with messages lost to NewLoss and lagged by NewLag, sends from and
+// to unregistered IDs, and ResetPhases between windows — where the oracle
+// is re-created, and the cumulative totals and tags are checked against
+// the sum of the windows.
+func TestMetricsMatchMapOracle(t *testing.T) {
+	const registered, ghosts = 11, 4 // IDs 11..14 have no handler
+	for _, lanes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			n := New(DefaultLatency(), 5)
+			n.SetParallelism(lanes)
+			tap := &oracleTap{inner: Composite{NewLoss(0.15, 6), NewLag(0.1, 300, 7)}, oracle: newOracleMetrics()}
+			n.SetFaults(tap)
+			n.SetSendAudit(func(msg Message) {
+				tap.last = msg
+				tap.oracle.recordSend(msg)
+			})
+			var ids sync.Mutex
+			next := 0
+			newID := func() int {
+				ids.Lock()
+				defer ids.Unlock()
+				next++
+				return next
+			}
+			tags := []string{"A", "B", "C"}
+			for id := NodeID(0); id < registered; id++ {
+				n.Register(id, func(ctx *Context, msg Message) {
+					_, late := tap.lagged.Load(lagKey{msg.Payload, msg.To})
+					tap.oracle.recordRecv(msg, late)
+					if msg.Size <= 1 {
+						return
+					}
+					h := int(msg.To)*7 + msg.Size*13 + msg.Payload.(int)
+					for j := 0; j <= h%2; j++ {
+						to := NodeID((h + j*5) % (registered + ghosts))
+						ctx.Send(to, tags[(h+j)%3], newID(), msg.Size-1)
+					}
+					if h%5 == 0 {
+						ctx.After(Time(h%9+1), func(c *Context) {
+							c.Broadcast([]NodeID{0, 3, registered + 1}, "T", newID(), 2)
+						})
+					}
+				})
+			}
+			m := n.Metrics()
+			rng := rand.New(rand.NewSource(int64(lanes)))
+			var baseTotal, baseDrop, baseLate Counter
+			baseTags := map[string]Counter{}
+			for window := 0; window < 4; window++ {
+				if window > 0 {
+					baseTotal, baseDrop, baseLate = m.Total(), m.DroppedTotal(), m.LateTotal()
+					for _, tag := range m.Tags() {
+						baseTags[tag] = m.Tag(tag)
+					}
+					m.ResetPhases()
+					tap.oracle = newOracleMetrics()
+				}
+				for _, phase := range []string{"init", "alpha", "beta", "alpha", "gamma"} {
+					if phase != "init" {
+						m.SetPhase(phase)
+						tap.oracle.phase = phase
+					}
+					for i, k := 0, 1+rng.Intn(6); i < k; i++ {
+						from := NodeID(rng.Intn(registered + ghosts))
+						to := NodeID(rng.Intn(registered + ghosts))
+						n.Send(from, to, tags[rng.Intn(3)], newID(), 2+rng.Intn(5))
+					}
+					n.RunUntilIdle()
+					compareWithOracle(t, fmt.Sprintf("window %d, phase %s", window, phase), m, tap.oracle,
+						registered+ghosts, baseTotal, baseDrop, baseLate, baseTags)
+				}
+			}
+			if m.DroppedTotal().Messages == 0 || m.LateTotal().Messages == 0 {
+				t.Fatalf("faults did not bite: dropped %+v, late %+v", m.DroppedTotal(), m.LateTotal())
+			}
+		})
+	}
+}
+
+func compareWithOracle(t *testing.T, where string, m *Metrics, o *oracleMetrics, ids int,
+	baseTotal, baseDrop, baseLate Counter, baseTags map[string]Counter) {
+	t.Helper()
+	phases := o.phases()
+	if got := m.Phases(); !slices.Equal(got, phases) {
+		t.Fatalf("%s: Phases() = %v, oracle %v", where, got, phases)
+	}
+	all := make([]NodeID, 0, ids+1)
+	for id := NodeID(-1); id <= NodeID(ids); id++ {
+		all = append(all, id)
+	}
+	for _, ph := range append(phases, "never") {
+		for _, id := range all {
+			if got, want := m.Sent(ph, id), o.get(o.sent, ph, id); got != want {
+				t.Fatalf("%s: Sent(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
+			}
+			if got, want := m.Received(ph, id), o.get(o.received, ph, id); got != want {
+				t.Fatalf("%s: Received(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
+			}
+			if got, want := m.Dropped(ph, id), o.get(o.dropped, ph, id); got != want {
+				t.Fatalf("%s: Dropped(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
+			}
+		}
+		for _, set := range [][]NodeID{all, all[1 : ids/2], {3, 3, NodeID(ids - 1)}, nil} {
+			if got, want := m.SentByNodes(ph, set), o.byNodes(o.sent, ph, set); got != want {
+				t.Fatalf("%s: SentByNodes(%s, %v) = %+v, oracle %+v", where, ph, set, got, want)
+			}
+			if got, want := m.DroppedByNodes(ph, set), o.byNodes(o.dropped, ph, set); got != want {
+				t.Fatalf("%s: DroppedByNodes(%s, %v) = %+v, oracle %+v", where, ph, set, got, want)
+			}
+		}
+	}
+	plus := func(a, b Counter) Counter { a.Add(b); return a }
+	if got, want := m.Total(), plus(baseTotal, o.total); got != want {
+		t.Fatalf("%s: Total() = %+v, want %+v", where, got, want)
+	}
+	if got, want := m.DroppedTotal(), plus(baseDrop, o.totalDrop); got != want {
+		t.Fatalf("%s: DroppedTotal() = %+v, want %+v", where, got, want)
+	}
+	if got, want := m.LateTotal(), plus(baseLate, o.totalLate); got != want {
+		t.Fatalf("%s: LateTotal() = %+v, want %+v", where, got, want)
+	}
+	wantTags := map[string]Counter{}
+	for tag, c := range baseTags {
+		wantTags[tag] = c
+	}
+	for tag, c := range o.byTag {
+		wantTags[tag] = plus(wantTags[tag], *c)
+	}
+	var names []string
+	for tag := range wantTags {
+		names = append(names, tag)
+	}
+	sort.Strings(names)
+	if got := m.Tags(); !slices.Equal(got, names) {
+		t.Fatalf("%s: Tags() = %v, want %v", where, got, names)
+	}
+	for _, tag := range names {
+		if got := m.Tag(tag); got != wantTags[tag] {
+			t.Fatalf("%s: Tag(%s) = %+v, want %+v", where, tag, got, wantTags[tag])
+		}
+	}
+}

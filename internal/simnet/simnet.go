@@ -278,7 +278,7 @@ type Network struct {
 }
 
 // mergeEvery is how many batches may elapse between folds of the per-lane
-// metrics shards into the shared maps. Counters are monotone sums and the
+// metrics shards into the shared tables. Counters are monotone sums and the
 // phase label is constant within a drain, so folding is deferrable; every
 // drain folds before returning control to readers.
 const mergeEvery = 32
