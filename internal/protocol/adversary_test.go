@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -210,20 +211,40 @@ func TestSuppressedScorePhaseOnlyHurtsOwnCommittee(t *testing.T) {
 	p.MaliciousFrac = float64(p.M) / float64(p.TotalNodes())
 	p.CorruptLeaders = true
 	p.ByzantineBehavior = Behavior{SuppressScore: true}
-	e, reports := runEngine(t, p)
-	if reports[0].Throughput() == 0 {
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaders := slices.Clone(e.Roster().Leaders)
+	commons := slices.Clone(e.Roster().CommonsOfAll())
+	reports, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reports[0]
+	if r.Throughput() == 0 {
 		t.Fatal("suppressing scores should not block transactions")
 	}
-	// No committee scored ⇒ every node's voting reputation stays 0; only
-	// leader bonuses were applied.
-	anyVoterScored := false
-	for _, n := range e.nodes {
-		if n.role == RoleCommon && e.Reputation().Get(n.Name) != 0 {
-			anyVoterScored = true
+	// Every suppressing leader is silence-evicted in the score phase: it
+	// ends the round a common member at -1.
+	if len(r.Recoveries) != len(leaders) {
+		t.Fatalf("%d recoveries, want one per suppressing leader: %v", len(r.Recoveries), r.Recoveries)
+	}
+	for k, rec := range r.Recoveries {
+		n := e.nodes[leaders[k]]
+		if rec.Committee != uint64(k) || rec.Evicted != n.ID || rec.Kind != "silence" {
+			t.Fatalf("recovery %d is %+v, want committee %d's leader %d evicted for silence", k, rec, k, n.ID)
+		}
+		if n.role != RoleCommon || e.Reputation().Get(n.Name) != -1 {
+			t.Fatalf("evicted leader %d: role %v, reputation %g; want common at -1", n.ID, n.role, e.Reputation().Get(n.Name))
 		}
 	}
-	if anyVoterScored {
-		t.Fatal("score suppression by all leaders should zero common-member scores")
+	// No committee scored, so no node that was a common member at round
+	// start has a voting reputation.
+	for _, id := range commons {
+		if rep := e.Reputation().Get(e.names[id]); rep != 0 {
+			t.Fatalf("common member %d was scored (%g) though every leader suppressed the score phase", id, rep)
+		}
 	}
 }
 

@@ -79,15 +79,16 @@ type RoundReport struct {
 	BlockDelivered int // nodes that received the block
 	Screened       int // cross-shard txs dropped by §VIII-A pre-screening
 
-	// Fault-model observability. Dropped/Late/PhaseDropped are zero/nil
-	// without an active fault model; Timeouts is computed on every run —
-	// a byzantine-quiet committee (e.g. an offline leader with recovery
+	// Fault-model observability. Dropped and Late are zero on a network
+	// that loses and lags nothing, and PhaseDropped is nil in any round
+	// that dropped nothing; Timeouts is computed on every run — a
+	// byzantine-quiet committee (e.g. an offline leader with recovery
 	// disabled) records timeout verdicts even on a fault-free network.
 	Dropped      uint64                    // messages lost in flight or to crashed nodes
 	DroppedBytes uint64                    // bytes of the dropped messages
 	Late         uint64                    // messages delivered beyond their synchrony bound
 	Timeouts     []PhaseTimeout            // phases concluded by timeout, in phase order
-	PhaseDropped map[string]simnet.Counter // phase → lost traffic (populated under a fault model)
+	PhaseDropped map[string]simnet.Counter // phase → lost traffic (nil when the round dropped nothing)
 }
 
 // Throughput returns included transactions per round.
@@ -130,24 +131,9 @@ type Engine struct {
 	screened    atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
 	hooks       Hooks                  // optional progress callbacks (SetHooks)
 
-	// Fault-model state (see faults.go). faults is the installed simnet
-	// model, nil when fault-free; a non-nil model also arms the silence
-	// watchdogs and the per-phase dropped-traffic accounting. adversary,
-	// when non-nil, is the reactive planner re-targeting its budget at each
-	// round boundary (see adversary.go).
-	faults    simnet.Faults
+	// adversary, when non-nil, is the reactive planner re-targeting its
+	// fault budget at each round boundary (see adversary.go).
 	adversary *adversaryPlanner
-}
-
-// InstallFaults installs an arbitrary simnet fault model and activates the
-// protocol's timeout/watchdog machinery. Config-driven runs go through
-// Params.Faults; this entry point exists for tests and advanced callers
-// that need a custom model (e.g. crash injection keyed to phase starts).
-// Call before the first round; nil uninstalls. The network applies the
-// model before a payload moves, so it holds on the live carrier too.
-func (e *Engine) InstallFaults(f simnet.Faults) {
-	e.Net.SetFaults(f)
-	e.faults = f
 }
 
 // Close joins the live carrier's node goroutines (one per node; nothing to
@@ -166,10 +152,7 @@ func (e *Engine) nodeDown(id simnet.NodeID) bool {
 	if i < 0 {
 		return true
 	}
-	if e.nodes[i].Behavior.Offline {
-		return true
-	}
-	return e.faults != nil && e.faults.Down(e.Net.Now(), id)
+	return e.nodes[i].Behavior.Offline || e.Net.Down(id)
 }
 
 // noteScreened tallies §VIII-A pre-screen drops. It is called from
@@ -217,7 +200,7 @@ func NewEngine(p Params) (*Engine, error) {
 	if plan != nil {
 		e.adversary = newAdversaryPlanner(*p.Faults.Adaptive, plan, p.TotalNodes(), e.lat.Gamma, p.Seed)
 	}
-	e.InstallFaults(model)
+	e.Net.SetFaults(model)
 
 	n := p.TotalNodes()
 	e.keys = make([]crypto.KeyPair, n)
@@ -548,7 +531,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 	}
 	m := e.Net.Metrics()
 	var allIDs []simnet.NodeID
-	if e.faults != nil {
+	if report.Dropped > 0 {
 		report.PhaseDropped = make(map[string]simnet.Counter, len(phases))
 		allIDs = make([]simnet.NodeID, len(e.nodes))
 		for i := range e.nodes {
@@ -567,7 +550,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 		report.RoleTraffic[ph] = byRole
 		report.Messages += total.Messages
 		report.Bytes += total.Bytes
-		if e.faults != nil {
+		if report.PhaseDropped != nil {
 			// Lost traffic per phase, keyed by the destination that never
 			// saw it — the resilience table's raw material. Never part of
 			// the sent/received Table II counters.

@@ -15,10 +15,10 @@ import (
 // and the engine compiles it (Build) into simnet fault layers at
 // construction time.
 //
-// A nil pointer and a config that compiles to no fault (the zero config,
-// a split that leaves one side empty, a fraction below one node) are
-// equivalent: the engine then behaves byte-identically to the pre-fault
-// implementation, which is the invariant the scenario goldens pin down.
+// A nil pointer, a config that compiles to no fault (the zero config, a
+// split that leaves one side empty, a fraction below one node) and one
+// whose faults never act within the run are equivalent: the engine's
+// reports are byte-identical (TestNoFaultsByteIdenticalToFaultFree).
 type FaultsConfig struct {
 	// Loss is the iid probability that any message is dropped in flight.
 	Loss float64 `json:"loss"`
@@ -353,9 +353,10 @@ func seedSubset(frac float64, n int, seed int64) []simnet.NodeID {
 // also returns plan, the planner's own Schedule, stacked last in the
 // model; it stays apart from the static one so that the planner's
 // CloseOpen never retires a static open-ended window. A config that
-// compiles to no layer returns a nil model: an installed model arms the
-// silence watchdogs, and nil keeps the engine byte-identical to a
-// fault-free one.
+// compiles to no layer returns a nil model. That is only the network's
+// fast path — sends routed inline instead of through the serial drain —
+// and changes no outcome: an installed model that never acts gives the
+// same reports.
 func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simnet.Schedule) {
 	if f == nil {
 		return nil, nil

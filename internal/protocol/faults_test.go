@@ -110,30 +110,68 @@ func TestFaultsConfigClone(t *testing.T) {
 	}
 }
 
-// TestNoFaultsByteIdenticalToFaultFree is the tentpole's core invariant:
-// a nil fault config, an inactive zero config, and an inactive partition
-// spec all produce reports byte-identical to the pre-fault engine path.
+// TestNoFaultsByteIdenticalToFaultFree: a fault model that never acts
+// changes nothing. A config that compiles to no layer (zero, an empty
+// split, lag without ticks, zero fractions) and an installed partition
+// that starts after the run both give reports byte-identical to a nil
+// config — on an honest population, and on one whose offline leaders the
+// silence watchdogs must evict.
 func TestNoFaultsByteIdenticalToFaultFree(t *testing.T) {
-	base := DefaultParams()
-	base.Rounds = 2
-	base.CrossFrac = 0.5
-	_, want := runEngine(t, base)
+	honest := DefaultParams()
+	honest.Rounds = 2
+	honest.CrossFrac = 0.5
+	for baseName, base := range map[string]Params{"honest": honest, "offline-leaders": offlineLeaderParams()} {
+		_, want := runEngine(t, base)
+		for name, faults := range map[string]*FaultsConfig{
+			"zero-config":         {},
+			"inactive-partition":  {Partition: &PartitionSpec{Split: 0, HealTick: 50}},
+			"inactive-lag":        {LagFrac: 0.5}, // no LagTicks → inactive
+			"explicit-nil-fields": {Loss: 0, Churn: &ChurnSpec{Frac: 0}},
+			"inert-partition":     {Partition: &PartitionSpec{Split: 0.5, StartTick: 1e12}},
+		} {
+			t.Run(baseName+"/"+name, func(t *testing.T) {
+				p := base
+				p.Faults = faults
+				_, got := runEngine(t, p)
+				if renderReports(got) != renderReports(want) {
+					t.Fatalf("a fault config that never acts diverged from the fault-free engine:\n%s\nvs\n%s",
+						renderReports(got), renderReports(want))
+				}
+			})
+		}
+	}
+}
 
-	for name, faults := range map[string]*FaultsConfig{
-		"zero-config":         {},
-		"inactive-partition":  {Partition: &PartitionSpec{Split: 0, HealTick: 50}},
-		"inactive-lag":        {LagFrac: 0.5}, // no LagTicks → inactive
-		"explicit-nil-fields": {Loss: 0, Churn: &ChurnSpec{Frac: 0}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			p := base
-			p.Faults = faults
-			_, got := runEngine(t, p)
-			if renderReports(got) != renderReports(want) {
-				t.Fatalf("inactive fault config diverged from fault-free engine:\n%s\nvs\n%s",
-					renderReports(got), renderReports(want))
+// offlineLeaderParams: a quarter of the population offline, the four
+// bootstrap leaders first, on a fault-free network.
+func offlineLeaderParams() Params {
+	p := DefaultParams()
+	p.Rounds = 2
+	p.MaliciousFrac = 0.25
+	p.CorruptLeaders = true
+	p.ByzantineBehavior = Behavior{Offline: true}
+	return p
+}
+
+// TestOfflineLeadersEvictedWithoutFaultModel: leaders that are offline
+// from the round's start are impeached for silence on a network with no
+// fault model, and round 1 commits transactions, sequential and pipelined.
+func TestOfflineLeadersEvictedWithoutFaultModel(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		p := offlineLeaderParams()
+		p.Pipelined = pipelined
+		_, reports := runEngine(t, p)
+		r := reports[0]
+		silence := 0
+		for _, rec := range r.Recoveries {
+			if rec.Kind == "silence" {
+				silence++
 			}
-		})
+		}
+		if r.Throughput() == 0 || silence == 0 {
+			t.Fatalf("pipelined=%v: round 1 committed %d tx with %d silence recoveries; want both > 0 (recoveries %v, timeouts %v)",
+				pipelined, r.Throughput(), silence, r.Recoveries, r.Timeouts)
+		}
 	}
 }
 
@@ -152,7 +190,7 @@ func TestLossyRoundAccounting(t *testing.T) {
 		}
 		dropped += r.Dropped
 		if r.PhaseDropped == nil {
-			t.Fatal("PhaseDropped not populated under an active fault model")
+			t.Fatal("PhaseDropped not populated in a round that dropped traffic")
 		}
 		var phaseDropSum uint64
 		for _, c := range r.PhaseDropped {
@@ -256,7 +294,7 @@ func crashInPhase(t *testing.T, phase string, pipelined, aggregate bool) *RoundR
 	}
 	victim := e.Roster().Leaders[0]
 	pc := newPhaseCrash(victim)
-	e.InstallFaults(pc)
+	e.Net.SetFaults(pc)
 	e.SetHooks(Hooks{PhaseStart: func(round uint64, ph string) {
 		if round == 1 && ph == phase {
 			pc.at.Store(int64(e.Net.Now()))
@@ -312,14 +350,52 @@ func TestRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// TestOfflineLeaderMatrix is TestRecoveryMatrix on a fault-free network:
+// committee 0's leader goes offline at the start of each phase and is
+// evicted for silence within the round. Sequential only: the
+// pipelined PoW stage reads every node's Behavior concurrently with the
+// consensus phases.
+func TestOfflineLeaderMatrix(t *testing.T) {
+	for _, certs := range []string{"flat", "aggregate"} {
+		for _, phase := range []string{"config", "semicommit", "intra", "inter", "score", "select", "block"} {
+			t.Run(certs+"/"+phase, func(t *testing.T) {
+				p := DefaultParams()
+				p.Rounds = 1
+				p.AggregateCerts = certs == "aggregate"
+				e, err := NewEngine(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				victim := e.nodes[e.Roster().Leaders[0]]
+				e.SetHooks(Hooks{PhaseStart: func(_ uint64, ph string) {
+					if ph == phase {
+						victim.Behavior.Offline = true
+					}
+				}})
+				reports, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range reports[0].Recoveries {
+					if rec.Committee == 0 && rec.Evicted == victim.ID && rec.Kind == "silence" {
+						return
+					}
+				}
+				t.Fatalf("leader %d offline from %s: not evicted for silence (recoveries %v, timeouts %v)",
+					victim.ID, phase, reports[0].Recoveries, reports[0].Timeouts)
+			})
+		}
+	}
+}
+
 // TestSilenceNeedsCorroboration: under an active fault model with a live,
 // reachable leader, no silence eviction may fire — a single member cannot
 // frame a leader the majority heard from.
 func TestSilenceNeedsCorroboration(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 2
-	// Active model that drops nothing relevant: tiny lag on a fraction of
-	// messages keeps watchdogs armed while every artifact arrives.
+	// Active model that drops nothing: tiny lag on a fraction of messages
+	// reorders deliveries while every artifact arrives.
 	p.Faults = &FaultsConfig{LagFrac: 0.05, LagTicks: 5}
 	_, reports := runEngine(t, p)
 	for _, r := range reports {
@@ -343,7 +419,7 @@ func TestChurnedLeaderRecovers(t *testing.T) {
 	victim := e.Roster().Leaders[0]
 	s := simnet.NewSchedule()
 	s.Crash(victim, 1, 0) // crashes immediately, never rejoins
-	e.InstallFaults(s)
+	e.Net.SetFaults(s)
 	reports, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +451,7 @@ func TestTotalSelectBlackoutFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := &selectBlackout{eng: e}
-	e.InstallFaults(pc)
+	e.Net.SetFaults(pc)
 	e.SetHooks(Hooks{PhaseStart: func(round uint64, ph string) {
 		if round == 1 {
 			pc.setPhase(ph)
@@ -440,7 +516,7 @@ func TestChainedRecoveryThroughCrashedSuccessor(t *testing.T) {
 	s := simnet.NewSchedule()
 	s.Crash(leader, 1, 0)
 	s.Crash(successor, 1, 0)
-	e.InstallFaults(s)
+	e.Net.SetFaults(s)
 	reports, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

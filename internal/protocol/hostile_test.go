@@ -153,6 +153,36 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	}
 }
 
+// TestNewLeaderCountsOnlyTheNamedReferee: a NEW_LEADER announcement counts
+// for the referee it names only when that referee sent it. A common member
+// that names a referee majority across its own messages installs nothing;
+// the same majority sending its own announcements switches the leader.
+func TestNewLeaderCountsOnlyTheNamedReferee(t *testing.T) {
+	e := seatedEngine(t)
+	forger := simnet.NodeID(70)
+	if e.roster.RoleOf(forger) != RoleCommon {
+		t.Fatalf("node %d is %v, want a common member", forger, e.roster.RoleOf(forger))
+	}
+	leader, successor := e.roster.Leaders[0], e.successorFor(0)
+	peer := e.nodes[e.roster.Partials[0][len(e.roster.Partials[0])-1]]
+	majority := e.roster.Referee[:len(e.roster.Referee)/2+1]
+	announce := func(from, referee, to simnet.NodeID) {
+		deliver(e, from, peer.ID, TagNewLeader, NewLeaderMsg{Round: e.round, Committee: 0, Evicted: leader, Successor: to, Referee: referee})
+	}
+	for _, ref := range majority {
+		announce(forger, ref, forger)
+	}
+	if peer.curLeader != leader {
+		t.Fatalf("forged announcements installed %d as committee 0's leader", peer.curLeader)
+	}
+	for _, ref := range majority {
+		announce(ref, ref, successor)
+	}
+	if peer.curLeader != successor {
+		t.Fatalf("a referee majority's announcements left leader %d, want %d", peer.curLeader, successor)
+	}
+}
+
 // TestMalformedPayloadsRefused: Intra and Score payloads whose parallel
 // lists differ in length, and a Score payload naming a non-member, are
 // refused everywhere they can arrive — as a leader-signed PROPOSE, direct
@@ -255,6 +285,9 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		}
 		for name, payload := range certified {
 			e := seatedEngine(t)
+			// The seated leaders never proposed a score, so the score phase's
+			// silence sweep would impeach them; this is about applying scores.
+			e.P.DisableRecovery = true
 			members := e.roster.Committee(0)
 			d := payload.Digest()
 			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}

@@ -387,7 +387,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		}
 	case TagNewLeader:
 		if m, ok := msg.Payload.(NewLeaderMsg); ok {
-			n.onNewLeader(ctx, m)
+			n.onNewLeader(ctx, m, msg.From)
 		}
 	case TagPow:
 		if m, ok := msg.Payload.(PowMsg); ok {

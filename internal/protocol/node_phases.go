@@ -391,7 +391,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.leaderProposedInterIn(src) {
 					return
 				}
-				if n.isFirstPartial() {
+				if n.eng.successorFor(n.comID) == n.ID {
 					payload := InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
 						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, 0)
@@ -413,20 +413,6 @@ func (n *Node) leaderProposedInterIn(src uint64) bool {
 		}
 	}
 	return false
-}
-
-func (n *Node) isFirstPartial() bool {
-	ps := n.eng.roster.Partials[n.comID]
-	if len(ps) == 0 {
-		return false
-	}
-	min := ps[0]
-	for _, id := range ps[1:] {
-		if id < min {
-			min = id
-		}
-	}
-	return n.ID == min
 }
 
 // onInterResult records the round trip on leader i and referee members.

@@ -73,12 +73,9 @@ type Params struct {
 
 	// Faults injects a network fault model underneath the protocol:
 	// message loss, beyond-bound lag, a healing partition, and periodic
-	// node churn (see FaultsConfig). An installed model additionally arms
-	// the protocol's silence watchdogs, so leaders that fall silent are
-	// impeached (§V-D extended beyond provable misbehaviour) and phases
-	// that cannot conclude record timeout verdicts in the RoundReport.
-	// nil — and any config that compiles to no fault — keeps the engine
-	// byte-identical to the fault-free implementation.
+	// node churn (see FaultsConfig). The protocol's defences do not depend
+	// on it: silence watchdogs and timeout verdicts run on every network.
+	// nil, and any model that never acts, give byte-identical runs.
 	Faults *FaultsConfig
 
 	// AggregateCerts is a sender-side choice with two effects. Decisions

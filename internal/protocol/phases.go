@@ -82,24 +82,48 @@ func (e *Engine) phaseConfig() {
 
 func (e *Engine) phaseSemiCommit(report *RoundReport) {
 	e.setPhase("semicommit")
-	pending := make([]uint64, 0, e.roster.M)
-	for k := uint64(0); k < e.roster.M; k++ {
-		pending = append(pending, k)
-	}
-	for attempt := 0; attempt < maxRecoveryAttempts && len(pending) > 0; attempt++ {
-		for _, k := range pending {
-			leader := e.nodes[e.roster.Leaders[k]]
-			e.Net.After(leader.ID, 1, func(ctx *simnet.Context) { leader.startSemiCommit(ctx) })
-		}
-		e.Net.RunUntilIdle()
-		e.runSilenceSweep("semicommit", pending)
-		pending = e.applyEvictions(report)
-	}
+	e.leaderPhase(report, "semicommit", func(leader *Node, k uint64, attempt int) func(*simnet.Context) {
+		return leader.startSemiCommit
+	})
 	// Committees whose announcement never reached C_R conclude the phase
 	// with a timeout verdict instead of blocking the round.
 	e.noteTimeouts(report, "semicommit", func(k uint64) bool {
 		return e.refereeHas(func(n *Node) bool { return n.crSemiComs[k] != nil })
 	})
+}
+
+// leaderPhase drives a phase whose every step starts at the leaders: each
+// committee's leader runs the step that start returns (start itself runs
+// on the engine, before the step is scheduled), the phase settles, and
+// committees whose leader was evicted re-run the step under the successor,
+// up to maxRecoveryAttempts.
+func (e *Engine) leaderPhase(report *RoundReport, phase string, start func(leader *Node, k uint64, attempt int) func(*simnet.Context)) {
+	pending := e.allCommittees()
+	for attempt := 0; attempt < maxRecoveryAttempts && len(pending) > 0; attempt++ {
+		for _, k := range pending {
+			leader := e.nodes[e.roster.Leaders[k]]
+			e.Net.After(leader.ID, 1, start(leader, k, attempt))
+		}
+		pending = e.settle(report, phase, pending)
+	}
+}
+
+// settle ends a leader-driven phase on committees ks: drain its traffic,
+// run the silence sweep, and fold decided evictions into the roster. It
+// returns the committees whose leader changed.
+func (e *Engine) settle(report *RoundReport, phase string, ks []uint64) []uint64 {
+	e.Net.RunUntilIdle()
+	e.runSilenceSweep(phase, ks)
+	return e.applyEvictions(report)
+}
+
+// allCommittees lists every committee index in order.
+func (e *Engine) allCommittees() []uint64 {
+	ks := make([]uint64, e.roster.M)
+	for k := range ks {
+		ks[k] = uint64(k)
+	}
+	return ks
 }
 
 // applyEvictions folds decided evictions into the roster, punishes the
@@ -157,21 +181,10 @@ func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 
 func (e *Engine) phaseIntra(report *RoundReport) {
 	e.setPhase("intra")
-	pending := make([]uint64, 0, e.roster.M)
-	for k := uint64(0); k < e.roster.M; k++ {
-		pending = append(pending, k)
-	}
-	for attempt := 0; attempt < maxRecoveryAttempts && len(pending) > 0; attempt++ {
-		for _, k := range pending {
-			leader := e.nodes[e.roster.Leaders[k]]
-			leader.leaderTxs = e.work.intra[k]
-			a := attempt
-			e.Net.After(leader.ID, 1, func(ctx *simnet.Context) { leader.startIntra(ctx, a) })
-		}
-		e.Net.RunUntilIdle()
-		e.runSilenceSweep("intra", pending)
-		pending = e.applyEvictions(report)
-	}
+	e.leaderPhase(report, "intra", func(leader *Node, k uint64, attempt int) func(*simnet.Context) {
+		leader.leaderTxs = e.work.intra[k]
+		return func(ctx *simnet.Context) { leader.startIntra(ctx, attempt) }
+	})
 	e.noteTimeouts(report, "intra", func(k uint64) bool {
 		return e.refereeHas(func(n *Node) bool { return n.crIntra[k] != nil })
 	})
@@ -217,14 +230,12 @@ func (e *Engine) phaseScore(report *RoundReport) {
 	e.setPhase("score")
 	for k := uint64(0); k < e.roster.M; k++ {
 		leader := e.nodes[e.roster.Leaders[k]]
-		e.Net.After(leader.ID, 1, func(ctx *simnet.Context) { leader.startScore(ctx) })
+		e.Net.After(leader.ID, 1, leader.startScore)
 	}
-	e.Net.RunUntilIdle()
-	e.runSilenceSweep("score", nil)
 	// Leaders that fell silent in this phase are evicted here; the phase
 	// is not re-run (the successor lacks the evicted leader's vote state),
 	// so the committee concludes with a timeout verdict instead.
-	e.applyEvictions(report)
+	e.settle(report, "score", e.allCommittees())
 	e.noteTimeouts(report, "score", func(k uint64) bool {
 		return e.refereeHas(func(n *Node) bool { return n.crScores[k] != nil })
 	})
@@ -553,15 +564,14 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 			p.Propose(ctx, snBlock, blk.Digest(), blk, 0)
 		}
 	})
-	e.Net.RunUntilIdle()
-	e.runSilenceSweep("block", nil)
 
-	// A leader that went quiet during propagation (crashed, partitioned)
-	// is evicted here; the certified block is re-served to its successors
-	// so the committees still receive it. The server is any referee member
-	// that holds the certified block and is up right now — a single member
-	// crashed mid-phase must not cancel a re-serve its peers can perform.
-	if affected := e.applyEvictions(report); len(affected) > 0 {
+	// A leader that went quiet during propagation (crashed, partitioned,
+	// offline) is evicted here; the certified block is re-served to its
+	// successors so the committees still receive it. The server is any
+	// referee member that holds the certified block and is up right now —
+	// a single member crashed mid-phase must not cancel a re-serve its
+	// peers can perform.
+	if affected := e.settle(report, "block", e.allCommittees()); len(affected) > 0 {
 		var server *Node
 		for _, id := range e.roster.Referee {
 			if n := e.nodes[id]; n.crBlock != nil && !e.nodeDown(id) {

@@ -20,9 +20,10 @@ import (
 //
 // The same pipeline carries two witness families: provable misbehaviour
 // (equivocation, forged semi-commitments — verified cryptographically at
-// every hop) and, when a fault model is active, "silence" (watchdog.go) —
-// unprovable by construction, so members vote only on local corroboration
-// and C_R accepts only the >c/2 approval certificate.
+// every hop) and "silence" (watchdog.go), raised on any network when a
+// leader's mandatory artifact never arrives — unprovable by construction,
+// so members vote only on local corroboration and C_R accepts only the
+// >c/2 approval certificate.
 
 // onEquivocation fires when this node can prove an instance leader signed
 // two conflicting proposals.
@@ -175,12 +176,13 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 }
 
 // onNewLeader installs the replacement once a majority of referee members
-// has announced it.
-func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg) {
+// has announced it. An announcement counts only from the referee it names:
+// anyone can write another referee's ID into a message.
+func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg, from simnet.NodeID) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if n.eng.roster.RoleOf(m.Referee) != RoleReferee {
+	if m.Referee != from || n.eng.roster.RoleOf(from) != RoleReferee {
 		return
 	}
 	votes := n.leaderVotes[m.Successor]

@@ -445,6 +445,10 @@ func (n *Network) Metrics() *Metrics { return n.metrics }
 // Now returns the current virtual time.
 func (n *Network) Now() Time { return n.now }
 
+// Down reports whether the installed fault model has the node down now;
+// false without a model.
+func (n *Network) Down(id NodeID) bool { return n.faults != nil && n.faults.Down(n.now, id) }
+
 // Delivered returns the total number of messages delivered so far.
 func (n *Network) Delivered() uint64 { return n.delivered }
 
@@ -512,7 +516,7 @@ func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 	if n.sendAudit != nil {
 		n.sendAudit(msg)
 	}
-	if n.faults != nil && n.faults.Down(n.now, msg.From) {
+	if n.Down(msg.From) {
 		return false // a crashed sender transmits nothing
 	}
 	sh := &n.metrics.lanes[0] // serial path: any shard is race-free

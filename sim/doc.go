@@ -22,11 +22,12 @@
 // (concurrent stage-graph rounds plus the simnet worker-pool size),
 // WithPowHardness, WithRecovery (§V-D leader re-selection on/off),
 // WithPreScreenCross (§VIII-A), WithParallelBlockGen (§VIII-B),
-// WithFaults (network fault model: loss, lag, partition, churn — an
-// active model arms silence-triggered leader recovery and per-phase
-// timeout verdicts; the zero model is byte-identical to the fault-free
-// engine), WithObserver, FromConfig, and FromJSON. Resolve applies
-// options without building, yielding the Config a run would use.
+// WithFaults (network fault model: loss, lag, partition, churn;
+// silence-triggered leader recovery and per-phase timeout verdicts run on
+// every network, so the zero model and any model that never acts are
+// byte-identical to the fault-free engine), WithObserver, FromConfig, and
+// FromJSON. Resolve applies options without building, yielding the Config
+// a run would use.
 //
 // Configuration is pure data: Config mirrors protocol.Params field for
 // field with behaviours and schemes as names, round-trips through JSON

@@ -3,6 +3,8 @@ package sim_test
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"cycledger/sim"
@@ -86,6 +88,45 @@ func TestFaultScenariosExerciseFaults(t *testing.T) {
 			}
 			if needsRecovery[name] && recoveries == 0 {
 				t.Fatalf("scenario %s completed no leader recovery", name)
+			}
+		})
+	}
+}
+
+// TestInertFaultModelChangesNothing: on every registered scenario without
+// a fault model, installing one that never acts — a partition that starts
+// long after the run ends — gives equal reports. Silence detection runs
+// on every network, so whether a model is installed is not a switch.
+func TestInertFaultModelChangesNothing(t *testing.T) {
+	inert := sim.WithFaults(sim.FaultsConfig{Partition: &sim.PartitionSpec{Split: 0.5, StartTick: 1e12}})
+	for _, scen := range sim.List() {
+		cfg, err := scen.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Faults != nil {
+			continue
+		}
+		t.Run(scen.Name, func(t *testing.T) {
+			switch {
+			case (scen.Name == "paper-scale" || scen.Name == "scale-10x") && os.Getenv("CYCLEDGER_PAPER_SCALE") == "":
+				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to run the paper-scale and 10×-scale scenarios")
+			case scen.Name == "scale-50x" && os.Getenv("CYCLEDGER_SCALE_BIG") == "":
+				t.Skip("set CYCLEDGER_SCALE_BIG=1 to run the 50×-scale scenario")
+			}
+			run := func(extra ...sim.Option) any {
+				s, err := scen.New(extra...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reports, err := s.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reports
+			}
+			if want, got := run(), run(inert); !reflect.DeepEqual(want, got) {
+				t.Fatal("an installed fault model that never acts changed the reports")
 			}
 		})
 	}

@@ -137,10 +137,11 @@ func WithAggregateCerts(on bool) Option {
 
 // WithFaults installs the network fault model: iid message loss,
 // beyond-bound lag, a two-group partition with a heal tick, and periodic
-// node churn (see FaultsConfig). An active model also arms the protocol's
-// silence watchdogs, so crashed or unreachable leaders are impeached and
-// phases that cannot conclude record timeout verdicts. The zero config is
-// the fault-free engine, byte-identical to never calling this option.
+// node churn (see FaultsConfig). The protocol answers with the defences
+// it runs on every network: silence watchdogs impeach crashed or
+// unreachable leaders, and phases that cannot conclude record timeout
+// verdicts. The zero config, and any model that never acts, give runs
+// byte-identical to never calling this option.
 func WithFaults(f FaultsConfig) Option {
 	return func(b *builder) error {
 		if err := f.Validate(); err != nil {
