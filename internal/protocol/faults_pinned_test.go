@@ -8,9 +8,14 @@ import "testing"
 // states the numbers — Σ Duration, Σ tx, Σ Dropped, Σ Late, recoveries and
 // timeout verdicts over two rounds of the default topology at seed 1 — for
 // every static spec alone and for one config enabling all of them plus
-// loss, lag and the adaptive planner, sequential and pipelined. The
-// literals were generated before the static models became Schedule
-// directives; a change that moves one changed fault behaviour.
+// loss, lag and the adaptive planner, sequential and pipelined. A change
+// that moves one changed fault behaviour.
+//
+// Re-pinned when a silence sweep that finds nobody silent stopped
+// scheduling a timer per partial-set member: each such sweep had taken a
+// tick and a scheduling key per member, so every later delay draw, loss
+// draw and window crossing shifted. With those no-op timers put back, the
+// previous literals are reproduced exactly.
 func TestFaultRunsPinned(t *testing.T) {
 	type total struct {
 		ticks, tx, dropped, late, recoveries, timeouts uint64
@@ -26,17 +31,17 @@ func TestFaultRunsPinned(t *testing.T) {
 		faults    *FaultsConfig
 		seq, pipe total
 	}{
-		{"partition", &FaultsConfig{Partition: partition}, total{1122, 160, 872, 0, 0, 4}, total{832, 160, 872, 0, 0, 4}},
-		{"one-way", &FaultsConfig{OneWay: oneWay}, total{1598, 160, 1352, 0, 8, 0}, total{1285, 160, 1352, 0, 8, 0}},
-		{"gray", &FaultsConfig{Gray: gray}, total{1290, 160, 1091, 0, 0, 1}, total{956, 160, 1091, 0, 0, 1}},
-		{"periodic-churn", &FaultsConfig{Churn: periodic}, total{1491, 160, 578, 0, 1, 0}, total{1190, 160, 578, 0, 1, 0}},
-		{"churn-windows", &FaultsConfig{Churn: windows}, total{1286, 160, 782, 0, 0, 0}, total{970, 160, 782, 0, 0, 0}},
-		{"burst", &FaultsConfig{Burst: burst}, total{1378, 151, 1804, 0, 0, 3}, total{1054, 151, 1804, 0, 0, 3}},
+		{"partition", &FaultsConfig{Partition: partition}, total{1136, 160, 872, 0, 0, 4}, total{852, 160, 872, 0, 0, 4}},
+		{"one-way", &FaultsConfig{OneWay: oneWay}, total{1591, 160, 1352, 0, 8, 0}, total{1269, 160, 1352, 0, 8, 0}},
+		{"gray", &FaultsConfig{Gray: gray}, total{1313, 160, 1090, 0, 0, 1}, total{977, 160, 1090, 0, 0, 1}},
+		{"periodic-churn", &FaultsConfig{Churn: periodic}, total{1495, 160, 621, 0, 1, 0}, total{1173, 160, 621, 0, 1, 0}},
+		{"churn-windows", &FaultsConfig{Churn: windows}, total{1345, 160, 333, 0, 0, 0}, total{1016, 160, 333, 0, 0, 0}},
+		{"burst", &FaultsConfig{Burst: burst}, total{1496, 158, 1872, 0, 1, 4}, total{1172, 158, 1872, 0, 1, 4}},
 		{"all", &FaultsConfig{
 			Loss: 0.02, LagFrac: 0.1, LagTicks: 20,
 			Partition: partition, OneWay: oneWay, Gray: gray, Churn: periodic, Burst: burst,
 			Adaptive: &AdaptiveSpec{Budget: 2, CrashLeaders: true, BracketDeadlines: true},
-		}, total{2104, 36, 3269, 758, 4, 19}, total{1606, 36, 3269, 758, 4, 19}},
+		}, total{2514, 35, 2956, 461, 8, 19}, total{2032, 35, 2956, 461, 8, 19}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]total
