@@ -115,12 +115,13 @@ func TestFaultsConfigClone(t *testing.T) {
 // split, lag without ticks, zero fractions) and an installed partition
 // that starts after the run both give reports byte-identical to a nil
 // config — on an honest population, and on one whose offline leaders the
-// silence watchdogs must evict.
+// silence watchdogs must evict. Honest cases run under the bare case name,
+// the offline-leader ones under "offline-leaders/".
 func TestNoFaultsByteIdenticalToFaultFree(t *testing.T) {
 	honest := DefaultParams()
 	honest.Rounds = 2
 	honest.CrossFrac = 0.5
-	for baseName, base := range map[string]Params{"honest": honest, "offline-leaders": offlineLeaderParams()} {
+	for prefix, base := range map[string]Params{"": honest, "offline-leaders/": offlineLeaderParams()} {
 		_, want := runEngine(t, base)
 		for name, faults := range map[string]*FaultsConfig{
 			"zero-config":         {},
@@ -129,7 +130,7 @@ func TestNoFaultsByteIdenticalToFaultFree(t *testing.T) {
 			"explicit-nil-fields": {Loss: 0, Churn: &ChurnSpec{Frac: 0}},
 			"inert-partition":     {Partition: &PartitionSpec{Split: 0.5, StartTick: 1e12}},
 		} {
-			t.Run(baseName+"/"+name, func(t *testing.T) {
+			t.Run(prefix+name, func(t *testing.T) {
 				p := base
 				p.Faults = faults
 				_, got := runEngine(t, p)
