@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
+	"sync"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -55,6 +56,26 @@ func (p Propose) layout(c *wire.Coder) Propose {
 	c.Bytes(&p.Sig)
 	return p
 }
+
+// PayloadDigest is the digest a leader signs for a payload: the hash of the
+// payload's tagged wire encoding, so it binds every field its layout walks.
+// A payload that does not encode — one of a type no layout is registered
+// for — has no digest: PayloadDigest returns the zero Digest, which no
+// encoding hashes to and under which onPropose adopts nothing.
+func PayloadDigest(payload any) crypto.Digest {
+	bp := digestBufs.Get().(*[]byte)
+	defer digestBufs.Put(bp)
+	enc, err := wire.AppendEncode((*bp)[:0], payload)
+	if err != nil {
+		return crypto.Digest{}
+	}
+	*bp = enc
+	return crypto.H(enc)
+}
+
+// digestBufs recycles PayloadDigest's encoding buffers: handlers on several
+// lanes digest at once, and a block's encoding is tens of kilobytes.
+var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // header is the part of a proposal the leader's signature covers, which is
 // all an equivocation witness needs.
@@ -487,9 +508,12 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 		return // duplicate
 	}
 	// The leader signed the digest, not the payload: whoever relays a proposal
-	// could put another payload under the header, so the two are compared.
-	if pl, ok := prop.Payload.(interface{ Digest() crypto.Digest }); ok && pl.Digest() != prop.Digest {
-		return
+	// could put another payload under the header, so the two are compared. A
+	// nil payload is agreement on the digest alone.
+	if prop.Payload != nil {
+		if d := PayloadDigest(prop.Payload); d.IsZero() || d != prop.Digest {
+			return
+		}
 	}
 	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
 		return

@@ -81,11 +81,14 @@ func (h *harness) down(ids ...simnet.NodeID) {
 	h.net.SetFaults(s)
 }
 
-func (h *harness) propose(payload string) crypto.Digest {
-	d := crypto.HString(payload)
+// propose has the leader propose the digest of name with a nil payload:
+// agreement on the digest alone, the form Algorithm 3 takes in this
+// package's tests (a payload would have to be a registered wire type).
+func (h *harness) propose(name string) crypto.Digest {
+	d := crypto.HString(name)
 	// Kick off via a timer on the leader so the proposal flows through a Context.
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
-		h.nodes[h.leader].Propose(ctx, 1, d, payload, len(payload))
+		h.nodes[h.leader].Propose(ctx, 1, d, nil, 0)
 	})
 	h.net.RunUntilIdle()
 	return d
@@ -140,7 +143,6 @@ func TestCertificateCostsFortyBytesAVoter(t *testing.T) {
 		if res == nil || len(res.Quorum.Votes) != c/2+1 || res.Quorum.Bitmap != nil {
 			t.Fatalf("c=%d: no per-voter certificate of a bare majority: %+v", c, res)
 		}
-		res.Payload = nil // a string is not a wire type
 		bare := *res
 		bare.Quorum.Votes = nil
 		enc, err := wire.Encode(*res)
@@ -197,8 +199,8 @@ func TestEquivocatingLeaderDetected(t *testing.T) {
 	dB := crypto.HString("version-B")
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
 		p := h.nodes[h.leader]
-		propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, "version-A")
-		propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, "version-B")
+		propA := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dA, nil)
+		propB := BuildPropose(p.Scheme, p.Keys, h.leader, 1, 1, dB, nil)
 		p.SendRaw(ctx, propA, h.members[1:4])
 		p.SendRaw(ctx, propB, h.members[4:])
 	})
@@ -465,14 +467,11 @@ func TestValidatePayloadWithholdsEchoes(t *testing.T) {
 	// semi-commitment check relies on this.
 	h := newHarness(t, 5, Ed25519Scheme{}, 11)
 	for _, p := range h.nodes {
-		p.ValidatePayload = func(sn uint64, payload any) bool {
-			s, _ := payload.(string)
-			return s != "poison"
-		}
+		p.ValidatePayload = func(sn uint64, payload any) bool { return payload != sealed{0} }
 	}
-	d := crypto.HString("poison")
+	d := PayloadDigest(sealed{0})
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
-		h.nodes[h.leader].Propose(ctx, 1, d, "poison", 6)
+		h.nodes[h.leader].Propose(ctx, 1, d, sealed{0}, 0)
 	})
 	h.net.RunUntilIdle()
 	for id := range h.nodes {
@@ -485,9 +484,9 @@ func TestValidatePayloadWithholdsEchoes(t *testing.T) {
 	}
 
 	// A clean payload on a fresh instance still goes through.
-	d2 := crypto.HString("clean")
+	d2 := PayloadDigest(sealed{1})
 	h.net.After(h.leader, 1, func(ctx *simnet.Context) {
-		h.nodes[h.leader].Propose(ctx, 2, d2, "clean", 5)
+		h.nodes[h.leader].Propose(ctx, 2, d2, sealed{1}, 0)
 	})
 	h.net.RunUntilIdle()
 	if h.accepted[h.members[1]] != d2 {

@@ -63,21 +63,26 @@ var diffSizes = []int{4, 7, 16}
 // diffSNs are the sequence numbers whose HasProposal/Decided are compared.
 var diffSNs = []uint64{1, 2, 1 + foreignSkew, 2 + foreignSkew}
 
-var diffDigests = [3]crypto.Digest{crypto.HString("d0"), crypto.HString("d1"), crypto.HString("d2")}
+// diffDigests are the three digests in play: the first two are those of
+// sealed{0} and sealed{1}, the third that of no payload. They are set once
+// sealed is registered, which happens in init.
+var diffDigests [3]crypto.Digest
 
-// sealed is a payload that, like the protocol layer's, knows its own digest:
-// a proposal carrying sealed{k} is adopted only under diffDigests[k]. It is
-// registered under a tag of the test binary's own, far from the declared ones.
+// sealed is a payload registered, like the protocol layer's, with the wire
+// codec: a proposal carrying sealed{k} is adopted only under its
+// PayloadDigest, diffDigests[k]. Its tag is the test binary's own, far from
+// the declared ones.
 type sealed struct{ K uint64 }
-
-func (s sealed) Digest() crypto.Digest { return diffDigests[s.K%3] }
 
 func (s sealed) layout(c *wire.Coder) sealed {
 	c.U64(&s.K)
 	return s
 }
 
-func init() { wire.Register(sealed.layout, 0x7000) }
+func init() {
+	wire.Register(sealed.layout, 0x7000)
+	diffDigests = [3]crypto.Digest{PayloadDigest(sealed{0}), PayloadDigest(sealed{1}), crypto.HString("d2")}
+}
 
 // diffPayloads are registered wire values (a proposal must encode); the
 // last one is what ValidatePayload rejects.
@@ -118,6 +123,9 @@ type rig struct {
 	ep   endpoint
 	log  []string
 	sent map[string]int // the endpoint's sends by tag, over the whole schedule
+	// adopted counts the OnAccepts of a sealed payload: the endpoint took
+	// and confirmed a real payload under the digest it encodes to.
+	adopted int
 }
 
 func enc(t testing.TB, v any) []byte {
@@ -136,6 +144,9 @@ func newRig(t testing.TB, w *world, oracle bool) *rig {
 	}
 	onAccept := func(_ *simnet.Context, sn uint64, d crypto.Digest, payload any) {
 		r.log = append(r.log, fmt.Sprintf("accept sn=%d %x %x", sn, d[:4], enc(t, payload)))
+		if _, ok := payload.(sealed); ok {
+			r.adopted++
+		}
 	}
 	onEquivocation := func(_ *simnet.Context, wit Witness) {
 		ab := [][]byte{enc(t, wit.A), enc(t, wit.B)}
@@ -333,11 +344,11 @@ func (sc *schedule) compare(i int, s step) {
 
 // runSchedule decodes data — three configuration bytes, then six per step —
 // and replays it on the table and the oracle. It returns how many effects
-// the schedule produced and how many sends under each tag, so callers can
-// tell a live schedule from noise.
-func runSchedule(t testing.TB, data []byte) (effects int, sent map[string]int) {
+// the schedule produced and the table's rig, whose sends and adoptions tell
+// a live schedule from noise.
+func runSchedule(t testing.TB, data []byte) (effects int, table *rig) {
 	if len(data) < 3 {
-		return 0, nil
+		return 0, &rig{}
 	}
 	w := newWorld(diffSizes[int(data[0])%len(diffSizes)], data[1]&1 == 1, data[1]&2 == 2, int(data[2]))
 	sc := &schedule{t: t, w: w, proposed: make(map[uint64]bool), shown: make(map[uint64]bool)}
@@ -350,19 +361,19 @@ func runSchedule(t testing.TB, data []byte) (effects int, sent map[string]int) {
 		effects += len(sc.rigs[0].log)
 		sc.compare(i, s)
 	}
-	return effects, sc.rigs[0].sent
+	return effects, sc.rigs[0]
 }
 
 // honestSchedule is a whole honest instance seen from one endpoint: the
-// proposal (delivered, or proposed locally on the leader), every member's
-// echo, two members' fetches (one of them asking twice), every member's
-// confirm.
+// proposal of sealed{0} (delivered, or proposed locally on the leader),
+// every member's echo, two members' fetches (one of them asking twice),
+// every member's confirm.
 func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte {
 	cfg := byte(ed25519)
-	first := step{op: opPropose}
+	first := step{op: opPropose, pay: 1}
 	if leaderSide {
 		cfg |= 2
-		first = step{op: opLocalPropose}
+		first = step{op: opLocalPropose, pay: 1}
 	}
 	data := []byte{byte(sizeIdx), cfg, selfPos}
 	add := func(s step) { data = append(data, s.op, s.who, s.dig, s.sig, s.where, s.pay) }
@@ -422,29 +433,33 @@ func TestAlgorithm3MatchesOracle(t *testing.T) {
 					// An honest instance is live: the member confirms, the
 					// leader decides — the oracle agreeing on silence would
 					// prove nothing.
-					n, sent := runSchedule(t, honest)
-					if n < 2 {
-						t.Fatalf("honest schedule produced %d effects", n)
+					n, table := runSchedule(t, honest)
+					if n < 2 || table.adopted != 1 {
+						t.Fatalf("honest schedule produced %d effects, adopted sealed{0} %d times", n, table.adopted)
 					}
 					// Two members fetch, one of them twice: two answers.
-					if sent[TagPropose] != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
-						t.Fatalf("honest schedule sent %d proposals", sent[TagPropose])
+					if sent := table.sent[TagPropose]; sent != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
+						t.Fatalf("honest schedule sent %d proposals", sent)
 					}
 					rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
 					variants := 150
 					if ed == 1 {
 						variants = 25 // real signatures: ~100 µs a step
 					}
-					live, fetches := 0, 0
+					live, fetches, adopted := 0, 0, 0
 					for v := 0; v < variants; v++ {
-						n, sent := runSchedule(t, disturb(rng, honest))
+						n, table := runSchedule(t, disturb(rng, honest))
 						if n > 0 {
 							live++
 						}
-						fetches += sent[TagFetch]
+						fetches += table.sent[TagFetch]
+						adopted += min(table.adopted, 1)
 					}
 					if live < variants/2 {
 						t.Fatalf("only %d of %d disturbed schedules produced any effect", live, variants)
+					}
+					if adopted == 0 {
+						t.Fatal("no disturbed schedule adopted a payload")
 					}
 					// Echoes moved ahead of the proposal make a member fetch.
 					if !leaderSide && fetches == 0 {

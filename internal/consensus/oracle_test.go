@@ -208,9 +208,12 @@ func (p *oracleProtocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if in.propose != nil {
 		return // duplicate
 	}
-	// The signature binds the digest; the payload has to hash to it.
-	if own, ok := prop.Payload.(interface{ Digest() crypto.Digest }); ok && own.Digest() != prop.Digest {
-		return
+	// The signature binds the digest; a payload, if there is one, has to
+	// encode, and its encoding has to hash to it.
+	if prop.Payload != nil {
+		if enc, err := wire.Encode(prop.Payload); err != nil || crypto.H(enc) != prop.Digest {
+			return
+		}
 	}
 	in.propose = &prop
 	// ECHO to the whole committee.

@@ -9,7 +9,6 @@
 package ledger
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"strconv"
 
@@ -17,7 +16,7 @@ import (
 	"cycledger/internal/wire"
 )
 
-// TxID uniquely identifies a transaction (hash of its canonical encoding).
+// TxID uniquely identifies a transaction (hash of its wire body).
 type TxID = crypto.Digest
 
 // OutPoint names one output of a prior transaction.
@@ -46,7 +45,7 @@ type Output struct {
 // Tx is a transfer: it consumes the UTXOs named by Inputs and creates
 // Outputs. Fee is implicit: sum(inputs) - sum(outputs).
 //
-// ID() is memoized: the first call hashes the canonical encoding and caches
+// ID() is memoized: the first call hashes the wire body and caches
 // the result, so the many downstream ID consumers (routing, payload
 // digests, block assembly, ledger apply) share one hash. The cache imposes
 // a copy-on-mutate discipline — see ID.
@@ -65,119 +64,34 @@ type Tx struct {
 	idSet bool
 }
 
-// encodedSize returns the exact length of the canonical encoding, so
-// encode can fill a single right-sized allocation.
-func (tx *Tx) encodedSize() int {
-	n := 8 + 4 + len(tx.Inputs)*(crypto.HashSize+4) + 4
-	for _, out := range tx.Outputs {
-		n += 4 + len(out.Owner) + 8
-	}
-	return n
-}
-
-// encode produces the canonical byte encoding used for hashing, written
-// into one exact-size buffer.
-func (tx *Tx) encode() []byte {
-	return tx.AppendEncode(make([]byte, 0, tx.encodedSize()))
-}
-
-// AppendEncode appends the canonical encoding to buf and returns the
-// extended slice. The wire codec frames this encoding verbatim, so hashing
-// and transport share one byte layout.
-func (tx *Tx) AppendEncode(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Inputs)))
-	for _, in := range tx.Inputs {
-		buf = append(buf, in.Tx[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, in.Index)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Outputs)))
-	for _, out := range tx.Outputs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(out.Owner)))
-		buf = append(buf, out.Owner...)
-		buf = binary.BigEndian.AppendUint64(buf, out.Amount)
-	}
-	return buf
-}
-
-// layout frames the canonical encoding for the wire codec: a transaction
-// travels as its hash preimage, so its three codec modes are the three
-// functions above and below rather than a field walk.
+// layout is the transaction's one description: its wire body, and the
+// preimage of its ID. A decoded transaction settles its ID from the bytes
+// just read, so it is shared already settled, like one the workload built.
 func (tx *Tx) layout(c *wire.Coder) *Tx {
-	c.Opaque(tx.encodedSize, tx.AppendEncode, func(b []byte) (n int, err error) {
-		tx, n, err = DecodeTx(b)
-		return n, err
+	start := len(c.Consumed())
+	if c.Reading() {
+		tx = new(Tx)
+	}
+	c.U64(&tx.Nonce)
+	wire.Slice(c, &tx.Inputs, crypto.HashSize+4, func(c *wire.Coder, in *OutPoint) {
+		wire.Hash(c, &in.Tx)
+		c.U32(&in.Index)
 	})
+	wire.Slice(c, &tx.Outputs, 4+8, func(c *wire.Coder, out *Output) {
+		c.String(&out.Owner)
+		c.U64(&out.Amount)
+	})
+	if body := c.Consumed(); body != nil {
+		tx.id, tx.idSet = crypto.H([]byte(txDomain), body[start:]), true
+	}
 	return tx
 }
 
 func init() { wire.Register((*Tx).layout, wire.TagTx) }
 
-// DecodeTx parses one canonical transaction encoding from the front of
-// buf, returning the transaction and the number of bytes consumed. The ID
-// cache is settled before the Tx is returned, preserving the
-// settled-before-shared invariant for decoded transactions. Counts are
-// validated against the remaining bytes before any allocation, so a
-// hostile length prefix cannot force a huge make.
-func DecodeTx(buf []byte) (*Tx, int, error) {
-	const minTx = 8 + 4 + 4
-	if len(buf) < minTx {
-		return nil, 0, errTruncated("tx header")
-	}
-	tx := &Tx{Nonce: binary.BigEndian.Uint64(buf)}
-	off := 8
-	nIn := int(binary.BigEndian.Uint32(buf[off:]))
-	off += 4
-	if nIn > (len(buf)-off)/(crypto.HashSize+4) {
-		return nil, 0, errTruncated("tx inputs")
-	}
-	if nIn > 0 {
-		tx.Inputs = make([]OutPoint, nIn)
-		for i := range tx.Inputs {
-			copy(tx.Inputs[i].Tx[:], buf[off:off+crypto.HashSize])
-			tx.Inputs[i].Index = binary.BigEndian.Uint32(buf[off+crypto.HashSize:])
-			off += crypto.HashSize + 4
-		}
-	}
-	if len(buf)-off < 4 {
-		return nil, 0, errTruncated("tx output count")
-	}
-	nOut := int(binary.BigEndian.Uint32(buf[off:]))
-	off += 4
-	if nOut > (len(buf)-off)/12 { // each output is at least 4+0+8 bytes
-		return nil, 0, errTruncated("tx outputs")
-	}
-	if nOut > 0 {
-		tx.Outputs = make([]Output, nOut)
-		for i := range tx.Outputs {
-			if len(buf)-off < 4 {
-				return nil, 0, errTruncated("tx owner length")
-			}
-			ol := int(binary.BigEndian.Uint32(buf[off:]))
-			off += 4
-			if ol > len(buf)-off-8 {
-				return nil, 0, errTruncated("tx owner")
-			}
-			tx.Outputs[i].Owner = string(buf[off : off+ol])
-			off += ol
-			tx.Outputs[i].Amount = binary.BigEndian.Uint64(buf[off:])
-			off += 8
-		}
-	}
-	// The bytes just parsed are the canonical encoding: hash them instead
-	// of re-encoding the transaction to hash it.
-	tx.id, tx.idSet = crypto.H([]byte(txDomain), buf[:off]), true
-	return tx, off, nil
-}
-
-// decodeError is the typed error for malformed canonical encodings.
-type decodeError string
-
-func (e decodeError) Error() string { return "ledger: truncated encoding: " + string(e) }
-
-func errTruncated(what string) error { return decodeError(what) }
-
-// ID returns the transaction hash, computing and caching it on first call.
+// ID returns the transaction hash, computing and caching it on first call:
+// the hash of the transaction's wire body (its layout without the frame
+// tag) under the domain tag "cycledger/tx/v1".
 //
 // Invariant (copy-on-mutate): a Tx must not be mutated after its ID has
 // been computed — the cache would go stale and the transaction would travel
@@ -188,7 +102,7 @@ func errTruncated(what string) error { return decodeError(what) }
 // settles the cache at creation time, before a Tx is shared.
 func (tx *Tx) ID() TxID {
 	if !tx.idSet {
-		tx.id = crypto.H([]byte(txDomain), tx.encode())
+		tx.id = crypto.H([]byte(txDomain), wire.AppendBody(make([]byte, 0, wire.Size(tx)), tx))
 		tx.idSet = true
 	}
 	return tx.id
@@ -198,7 +112,7 @@ func (tx *Tx) ID() TxID {
 // (test fixtures; production code follows copy-on-mutate instead).
 func (tx *Tx) ResetID() { tx.idSet = false }
 
-// Domain-separation tags: the transaction hash (ID and DecodeTx) and the
+// Domain-separation tags: the transaction hash (ID and layout) and the
 // user→shard map.
 const (
 	txDomain    = "cycledger/tx/v1"

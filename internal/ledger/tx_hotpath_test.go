@@ -1,12 +1,18 @@
 package ledger
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/wire"
 )
 
 // The three shard sets of one transaction, each as its own copy, over the one
@@ -87,39 +93,163 @@ func oracleTouchedShards(tx *Tx, view UTXOView, m uint64) []uint64 {
 }
 
 // oracleTxID recomputes the transaction hash from scratch, bypassing the
-// memo, using an independently written canonical encoder.
+// memo, over the retired encoder below.
 func oracleTxID(tx *Tx) TxID {
-	var buf []byte
-	var u64b [8]byte
-	var u32b [4]byte
-	put64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64b[i] = byte(v >> (56 - 8*i))
-		}
-		buf = append(buf, u64b[:]...)
-	}
-	put32 := func(v uint32) {
-		for i := 0; i < 4; i++ {
-			u32b[i] = byte(v >> (24 - 8*i))
-		}
-		buf = append(buf, u32b[:]...)
-	}
-	put64(tx.Nonce)
-	put32(uint32(len(tx.Inputs)))
-	for _, in := range tx.Inputs {
-		buf = append(buf, in.Tx[:]...)
-		put32(in.Index)
-	}
-	put32(uint32(len(tx.Outputs)))
-	for _, out := range tx.Outputs {
-		put32(uint32(len(out.Owner)))
-		buf = append(buf, out.Owner...)
-		put64(out.Amount)
-	}
-	return crypto.H([]byte("cycledger/tx/v1"), buf)
+	return crypto.H([]byte("cycledger/tx/v1"), oracleAppendEncode(tx, nil))
 }
 
+// oracleAppendEncode and oracleDecodeTx are the hand-written transaction
+// codec that preceded the layout, kept as functions (logic unchanged) as
+// the oracle the field walk must match: on the bytes it writes, on the
+// inputs it accepts or refuses, and on the ID it settles.
+
+func oracleAppendEncode(tx *Tx, buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Inputs)))
+	for _, in := range tx.Inputs {
+		buf = append(buf, in.Tx[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, in.Index)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tx.Outputs)))
+	for _, out := range tx.Outputs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(out.Owner)))
+		buf = append(buf, out.Owner...)
+		buf = binary.BigEndian.AppendUint64(buf, out.Amount)
+	}
+	return buf
+}
+
+func oracleDecodeTx(buf []byte) (*Tx, int, error) {
+	const minTx = 8 + 4 + 4
+	if len(buf) < minTx {
+		return nil, 0, errTruncated("tx header")
+	}
+	tx := &Tx{Nonce: binary.BigEndian.Uint64(buf)}
+	off := 8
+	nIn := int(binary.BigEndian.Uint32(buf[off:]))
+	off += 4
+	if nIn > (len(buf)-off)/(crypto.HashSize+4) {
+		return nil, 0, errTruncated("tx inputs")
+	}
+	if nIn > 0 {
+		tx.Inputs = make([]OutPoint, nIn)
+		for i := range tx.Inputs {
+			copy(tx.Inputs[i].Tx[:], buf[off:off+crypto.HashSize])
+			tx.Inputs[i].Index = binary.BigEndian.Uint32(buf[off+crypto.HashSize:])
+			off += crypto.HashSize + 4
+		}
+	}
+	if len(buf)-off < 4 {
+		return nil, 0, errTruncated("tx output count")
+	}
+	nOut := int(binary.BigEndian.Uint32(buf[off:]))
+	off += 4
+	if nOut > (len(buf)-off)/12 { // each output is at least 4+0+8 bytes
+		return nil, 0, errTruncated("tx outputs")
+	}
+	if nOut > 0 {
+		tx.Outputs = make([]Output, nOut)
+		for i := range tx.Outputs {
+			if len(buf)-off < 4 {
+				return nil, 0, errTruncated("tx owner length")
+			}
+			ol := int(binary.BigEndian.Uint32(buf[off:]))
+			off += 4
+			if ol > len(buf)-off-8 {
+				return nil, 0, errTruncated("tx owner")
+			}
+			tx.Outputs[i].Owner = string(buf[off : off+ol])
+			off += ol
+			tx.Outputs[i].Amount = binary.BigEndian.Uint64(buf[off:])
+			off += 8
+		}
+	}
+	tx.id, tx.idSet = crypto.H([]byte(txDomain), buf[:off]), true
+	return tx, off, nil
+}
+
+func errTruncated(what string) error { return errors.New("ledger: truncated encoding: " + what) }
+
 // --- randomized cross-checks ----------------------------------------------
+
+// TestTxLayoutMatchesRetiredCodec holds the layout to the retired codec on
+// randomized transactions: the frame's body is the oracle's encoding, and on
+// every prefix of that encoding and on mutated copies of it, a TagTx frame
+// decodes exactly when the oracle does — to the same transaction, the same
+// byte count and the same settled ID.
+func TestTxLayoutMatchesRetiredCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	agree := func(trial int, body []byte) {
+		t.Helper()
+		frame := append([]byte{0, byte(wire.TagTx)}, body...)
+		v, n, err := wire.Decode(frame)
+		want, wantN, wantErr := oracleDecodeTx(body)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: layout err %v, oracle err %v on %x", trial, err, wantErr, body)
+		}
+		if err != nil {
+			return
+		}
+		got := v.(*Tx)
+		if n != 2+wantN || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: layout read %d bytes as %+v, oracle %d bytes as %+v", trial, n-2, got, wantN, want)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		tx, _ := randomTxAndView(rng)
+		switch trial % 5 {
+		case 0:
+			tx.Inputs = nil
+		case 1:
+			tx.Outputs = append(tx.Outputs, Output{Owner: "", Amount: rng.Uint64()})
+		}
+		enc := oracleAppendEncode(tx, nil)
+		frame, err := wire.Encode(tx)
+		if err != nil || !bytes.Equal(frame[2:], enc) || wire.Size(tx) != len(frame) {
+			t.Fatalf("trial %d: frame %x (size %d, err %v), oracle body %x", trial, frame, wire.Size(tx), err, enc)
+		}
+		if !bytes.Equal(wire.AppendBody([]byte("x"), tx), append([]byte("x"), enc...)) {
+			t.Fatalf("trial %d: AppendBody differs from the oracle's encoding", trial)
+		}
+		if tx.ID() != oracleTxID(tx) {
+			t.Fatalf("trial %d: ID is not the hash of the oracle's encoding", trial)
+		}
+		for cut := 0; cut <= len(enc); cut++ {
+			agree(trial, enc[:cut])
+		}
+		for i := 0; i < 40; i++ {
+			mut := append([]byte(nil), enc...)
+			switch i % 4 {
+			case 0:
+				mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+			case 1: // a count or length prefix rewritten
+				binary.BigEndian.PutUint32(mut[rng.Intn(len(mut)-3):], uint32(rng.Intn(64)))
+			case 2:
+				mut = append(mut, byte(rng.Intn(256)))
+			default:
+				mut = mut[:rng.Intn(len(mut))]
+			}
+			agree(trial, mut)
+		}
+	}
+}
+
+// TestTxIDPinned pins two transaction IDs to the values the retired codec
+// gave them, so the preimage cannot drift with the layout.
+func TestTxIDPinned(t *testing.T) {
+	for want, tx := range map[string]*Tx{
+		"7697c0e33238cdf96a0ec9fc3ff4af2090e4c385b53f05183056e885c02f5c10": {
+			Inputs:  []OutPoint{{Tx: crypto.HString("pinned-in-a"), Index: 1}, {Tx: crypto.HString("pinned-in-b"), Index: 0}},
+			Outputs: []Output{{Owner: "alice", Amount: 40}, {Owner: "bob", Amount: 2}, {Owner: "", Amount: 1 << 40}},
+			Nonce:   7,
+		},
+		"96675f03b46e41e9dd806748fa06408c971346b336bb6b5cdf5b1b3ab5c21100": {},
+	} {
+		if id := tx.ID(); hex.EncodeToString(id[:]) != want {
+			t.Errorf("ID %x, want %s", id, want)
+		}
+	}
+}
 
 // randomTxAndView builds a transaction with a random mix of resolvable,
 // unresolvable, and duplicate-shard inputs/outputs plus a view resolving a

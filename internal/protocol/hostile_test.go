@@ -206,8 +206,6 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		}
 		return snScore
 	}
-	type digester interface{ Digest() crypto.Digest }
-
 	t.Run("propose", func(t *testing.T) {
 		e := seatedEngine(t)
 		leader := e.roster.Leaders[0]
@@ -228,12 +226,12 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		malformed := maps.Clone(ragged)
 		malformed["score, non-member"] = ScorePayload{Members: []simnet.NodeID{e.roster.Referee[0]}, Scores: []float64{1}}
 		for name, payload := range malformed {
-			well := digester(wellIntra)
+			var well any = wellIntra
 			if _, ok := payload.(ScorePayload); ok {
 				well = wellScore(e)
 			}
 			for _, from := range []simnet.NodeID{leader, relay} {
-				for _, d := range []crypto.Digest{payload.(digester).Digest(), well.Digest()} {
+				for _, d := range []crypto.Digest{consensus.PayloadDigest(payload), consensus.PayloadDigest(well)} {
 					propose(payload, d, from)
 					if echoes != 0 {
 						t.Fatalf("%s from %d under digest %x: echoed", name, from, d[:4])
@@ -242,8 +240,8 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			}
 		}
 		// Control: the well-formed payloads are endorsed.
-		for _, well := range []digester{wellScore(e), wellIntra} {
-			propose(well, well.Digest(), relay)
+		for _, well := range []any{wellScore(e), wellIntra} {
+			propose(well, consensus.PayloadDigest(well), relay)
 			if echoes == 0 {
 				t.Fatalf("well-formed %T drew no echo", well)
 			}
@@ -289,7 +287,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			// silence sweep would impeach them; this is about applying scores.
 			e.P.DisableRecovery = true
 			members := e.roster.Committee(0)
-			d := payload.Digest()
+			d := consensus.PayloadDigest(payload)
 			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}
 			for _, id := range members {
 				msg := append([]byte(consensus.TagConfirm), u64(e.round)...)
@@ -309,4 +307,61 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFetchedBlockMustMatchSignedDigest: a referee member misses the C_R
+// proposer's block PROPOSE and fetches it, and every relay answers with the
+// proposer's signed header over a block whose Rewards differ. The member
+// adopts nothing and propagates nothing: the digest the proposer signed is
+// the hash of the block's encoding, Rewards included. The peers that heard
+// the proposer take the honest block.
+func TestFetchedBlockMustMatchSignedDigest(t *testing.T) {
+	e := seatedEngine(t)
+	proposer, victim := e.roster.Referee[0], e.roster.Referee[len(e.roster.Referee)-1]
+	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: map[string]uint64{"n1": 3}}
+	forged := *blk
+	forged.Rewards = map[string]uint64{"n2": 3}
+	var heard *consensus.Propose
+	fetches := 0
+	for _, id := range e.roster.Referee {
+		if id == proposer || id == victim {
+			continue
+		}
+		relay := e.nodes[id]
+		e.Net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {
+			if prop, ok := msg.Payload.(consensus.Propose); ok && heard == nil {
+				heard = &prop
+			}
+			if msg.Tag != consensus.TagFetch || heard == nil {
+				relay.Handle(ctx, msg)
+				return
+			}
+			if msg.From == victim {
+				fetches++
+			}
+			var lie any = consensus.Propose{Round: heard.Round, SN: heard.SN, Digest: heard.Digest, Payload: &forged, Leader: heard.Leader, Sig: heard.Sig}
+			ctx.Send(msg.From, consensus.TagPropose, lie, wire.Size(lie))
+		})
+	}
+	cut := simnet.NewSchedule()
+	cut.Cut([]simnet.NodeID{proposer}, []simnet.NodeID{victim}, 0, 0)
+	e.Net.SetFaults(cut)
+	e.Net.SetSendAudit(func(m simnet.Message) {
+		if m.From == victim && m.Tag == TagBlock {
+			t.Errorf("the victim propagated a block to %d", m.To)
+		}
+	})
+	e.Net.After(proposer, 1, func(ctx *simnet.Context) {
+		e.nodes[proposer].consFor(proposer).Propose(ctx, snBlock, consensus.PayloadDigest(blk), blk, 0)
+	})
+	e.Net.RunUntilIdle()
+	if fetches != 1 {
+		t.Fatalf("the victim's fetch was answered %d times, want once", fetches)
+	}
+	if e.nodes[victim].consFor(proposer).HasProposal(snBlock) || e.nodes[victim].crBlock != nil {
+		t.Fatalf("the victim adopted a block with Rewards %v under the proposer's digest", e.nodes[victim].crBlock.Rewards)
+	}
+	if e.nodes[e.roster.Referee[1]].crBlock != blk {
+		t.Fatal("the proposer's block was not certified by the peers that heard it")
+	}
 }

@@ -157,24 +157,6 @@ func (p IntraPayload) layout(c *wire.Coder) IntraPayload {
 	return p
 }
 
-// Digest binds the payload canonically. A payload whose Voters and Votes
-// differ in length is malformed — no layout decodes it, no honest member
-// endorses it — and gets a digest of its own instead of an index panic.
-func (p IntraPayload) Digest() crypto.Digest {
-	if len(p.Voters) != len(p.Votes) {
-		return raggedDigest("intra", len(p.Voters), len(p.Votes))
-	}
-	parts := [][]byte{[]byte("intra")}
-	for _, tx := range p.Txs {
-		id := tx.ID()
-		parts = append(parts, id[:])
-	}
-	for i, v := range p.Votes {
-		parts = append(parts, nodeIDBytes(p.Voters[i]), voteBytes(v))
-	}
-	return crypto.H(parts...)
-}
-
 // IntraResultMsg certifies a committee's intra-shard decision to C_R.
 type IntraResultMsg struct {
 	Committee uint64
@@ -319,16 +301,6 @@ func (p InterPayload) layout(c *wire.Coder) InterPayload {
 	return p
 }
 
-// Digest binds the payload.
-func (p InterPayload) Digest() crypto.Digest {
-	parts := [][]byte{[]byte("inter"), u64(p.From)}
-	for _, tx := range p.Txs {
-		id := tx.ID()
-		parts = append(parts, id[:])
-	}
-	return crypto.H(parts...)
-}
-
 // ScorePayload is the Algorithm 3 payload of the reputation phase: every
 // member's score plus the underlying votes (§IV-E).
 type ScorePayload struct {
@@ -343,27 +315,6 @@ func (p ScorePayload) layout(c *wire.Coder) ScorePayload {
 		c.Fail("score list")
 	}
 	return p
-}
-
-// Digest binds the payload; Members and Scores of different lengths get
-// a digest of their own, as for IntraPayload.
-func (p ScorePayload) Digest() crypto.Digest {
-	if len(p.Members) != len(p.Scores) {
-		return raggedDigest("score", len(p.Members), len(p.Scores))
-	}
-	parts := [][]byte{[]byte("score")}
-	for i, id := range p.Members {
-		var sb [8]byte
-		binary.BigEndian.PutUint64(sb[:], uint64(int64(p.Scores[i]*1e9)))
-		parts = append(parts, nodeIDBytes(id), sb[:])
-	}
-	return crypto.H(parts...)
-}
-
-// raggedDigest is the digest of a payload whose parallel lists differ in
-// length: domain-separated from every well-formed payload's.
-func raggedDigest(kind string, a, b int) crypto.Digest {
-	return crypto.H([]byte(kind+"/ragged"), u64(uint64(a)), u64(uint64(b)))
 }
 
 // ScoreResultMsg certifies a committee's score list to C_R.
@@ -509,11 +460,6 @@ func (p EvictPayload) layout(c *wire.Coder) EvictPayload {
 	return p
 }
 
-// Digest binds the payload.
-func (p EvictPayload) Digest() crypto.Digest {
-	return crypto.H([]byte("evict"), u64(p.Committee), nodeIDBytes(p.Evicted), nodeIDBytes(p.Successor), []byte(p.Witness.Kind))
-}
-
 // NewLeaderMsg informs committee members of the replacement.
 type NewLeaderMsg struct {
 	Round     uint64
@@ -559,11 +505,6 @@ func (p SemiComPayload) layout(c *wire.Coder) SemiComPayload {
 	return p
 }
 
-// Digest binds the payload.
-func (p SemiComPayload) Digest() crypto.Digest {
-	return crypto.H([]byte("semicom"), u64(p.Committee), p.Msg.SemiCom[:])
-}
-
 // Block is the round's output (§IV-G).
 type Block struct {
 	Round        uint64
@@ -599,22 +540,6 @@ func (b *Block) layout(c *wire.Coder) *Block {
 		return k, v
 	})
 	return b
-}
-
-// Digest binds the block for C_R's Algorithm 3 instance.
-func (b *Block) Digest() crypto.Digest {
-	parts := [][]byte{[]byte("block"), u64(b.Round), b.Randomness[:], u64(b.Fees)}
-	for _, tx := range b.Txs {
-		id := tx.ID()
-		parts = append(parts, id[:])
-	}
-	for _, id := range b.NextReferee {
-		parts = append(parts, nodeIDBytes(id))
-	}
-	for _, id := range b.NextLeaders {
-		parts = append(parts, nodeIDBytes(id))
-	}
-	return crypto.H(parts...)
 }
 
 // BlockMsg propagates the decided block.
@@ -660,11 +585,6 @@ func (p UTXOPayload) layout(c *wire.Coder) UTXOPayload {
 	return p
 }
 
-// Digest binds the payload.
-func (p UTXOPayload) Digest() crypto.Digest {
-	return crypto.H([]byte("utxofinal"), u64(p.Committee), p.UTXO[:])
-}
-
 func u64(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
@@ -688,12 +608,4 @@ func voteSigMsg(round uint64, voter simnet.NodeID, votes reputation.VoteVector) 
 		buf = append(buf, byte(x+1))
 	}
 	return buf
-}
-
-func voteBytes(v reputation.VoteVector) []byte {
-	out := make([]byte, len(v))
-	for i, x := range v {
-		out[i] = byte(x + 1)
-	}
-	return out
 }

@@ -70,7 +70,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		if m.ListDigest() == m.SemiCom {
 			payload := SemiComPayload{Committee: m.Committee, Msg: m}
 			if p := n.consFor(n.ID); p != nil {
-				p.Propose(ctx, snSemiComBase+m.Committee, payload.Digest(), payload, 0)
+				p.Propose(ctx, snSemiComBase+m.Committee, consensus.PayloadDigest(payload), payload, 0)
 			}
 		} else if !n.eng.P.DisableRecovery {
 			n.proposeEviction(ctx, m.Committee, RecoveryWitness{
@@ -245,14 +245,14 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
 		alt := IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
-		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, payload.Digest(), payload)
-		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, alt.Digest(), alt)
+		propA := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
+		propB := consensus.BuildPropose(n.eng.P.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
 		half := len(n.committeeNodes) / 2
 		p.SendRaw(ctx, propA, n.committeeNodes[:half])
 		p.SendRaw(ctx, propB, n.committeeNodes[half:])
 		return
 	}
-	p.Propose(ctx, sn, payload.Digest(), payload, 0)
+	p.Propose(ctx, sn, consensus.PayloadDigest(payload), payload, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 		return
 	}
 	payload := InterPayload{From: n.comID, Txs: txs}
-	p.Propose(ctx, snInterOutBase+j, payload.Digest(), payload, 0)
+	p.Propose(ctx, snInterOutBase+j, consensus.PayloadDigest(payload), payload, 0)
 }
 
 // onInterQuery answers a §VIII-A pre-screen: the receiving leader marks
@@ -370,7 +370,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	case RoleLeader:
 		payload := InterPayload{From: m.From, Txs: m.Txs}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snInterInBase+m.From, payload.Digest(), payload, 0)
+			p.Propose(ctx, snInterInBase+m.From, consensus.PayloadDigest(payload), payload, 0)
 		}
 	case RolePartial:
 		// Lemma 7 liveness: if the leader stays silent for 2Γ, forward
@@ -394,7 +394,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.eng.successorFor(n.comID) == n.ID {
 					payload := InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
-						p.Propose(c2, snInterInBase+src, payload.Digest(), payload, 0)
+						p.Propose(c2, snInterInBase+src, consensus.PayloadDigest(payload), payload, 0)
 					}
 				}
 			})
@@ -460,7 +460,7 @@ func (n *Node) startScore(ctx *simnet.Context) {
 	}
 	payload := ScorePayload{Members: append([]simnet.NodeID(nil), n.voteOrder...), Scores: scores}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, snScore, payload.Digest(), payload, 0)
+		p.Propose(ctx, snScore, consensus.PayloadDigest(payload), payload, 0)
 	}
 }
 
@@ -600,7 +600,7 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 		n.utxoDigest = digest
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}
 		if p := n.consFor(n.ID); p != nil {
-			p.Propose(ctx, snUTXO, payload.Digest(), payload, 0)
+			p.Propose(ctx, snUTXO, consensus.PayloadDigest(payload), payload, 0)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cycledger/internal/committee"
+	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/pvss"
 	"cycledger/internal/reputation"
@@ -561,7 +562,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 	proposer := ref
 	e.Net.After(proposer.ID, 1, func(ctx *simnet.Context) {
 		if p := proposer.consFor(proposer.ID); p != nil {
-			p.Propose(ctx, snBlock, blk.Digest(), blk, 0)
+			p.Propose(ctx, snBlock, consensus.PayloadDigest(blk), blk, 0)
 		}
 	})
 

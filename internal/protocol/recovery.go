@@ -171,7 +171,7 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 	n.crEvictGen[k] = gen + 1
 	payload := EvictPayload{Committee: k, Evicted: evicted, Successor: successor, Witness: w}
 	if p := n.consFor(n.ID); p != nil {
-		p.Propose(ctx, sn, payload.Digest(), payload, 0)
+		p.Propose(ctx, sn, consensus.PayloadDigest(payload), payload, 0)
 	}
 }
 

@@ -242,7 +242,7 @@ func TestHostileCommitteeIndexDropped(t *testing.T) {
 	})
 	payload := EvictPayload{Committee: m, Evicted: leader.ID, Successor: partial.ID, Witness: silence}
 	e.Net.After(referee.ID, 1, func(ctx *simnet.Context) {
-		referee.consFor(referee.ID).Propose(ctx, snEvictBase, payload.Digest(), payload, 0)
+		referee.consFor(referee.ID).Propose(ctx, snEvictBase, consensus.PayloadDigest(payload), payload, 0)
 	})
 	e.Net.RunUntilIdle()
 	if !referee.consFor(referee.ID).Decided(snEvictBase) {

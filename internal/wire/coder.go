@@ -281,25 +281,13 @@ func Map[K cmp.Ordered, V any](c *Coder, p *map[K]V, min int, kv func(*Coder, K,
 	}
 }
 
-// Opaque walks a value that keeps a canonical encoding of its own (a
-// transaction, whose encoding is also its hash preimage): size is its exact
-// length, app appends it, and dec parses it from the front of the input and
-// returns the bytes consumed.
-func (c *Coder) Opaque(size func() int, app func([]byte) []byte, dec func([]byte) (int, error)) {
-	switch c.mode {
-	case counting:
-		c.n += size()
-	case appending:
-		c.buf = app(c.buf)
-	default:
-		if c.err != nil {
-			return
-		}
-		n, err := dec(c.buf[c.off:])
-		if err != nil {
-			c.Fail("opaque value")
-			return
-		}
-		c.off += n
+// Consumed returns the input read so far, or nil when the walk is not
+// reading or has failed. A layout whose type is named by the hash of its
+// body (a transaction) slices the body it just read out of it, instead of
+// encoding the decoded value again to hash it.
+func (c *Coder) Consumed() []byte {
+	if c.mode != reading || c.err != nil {
+		return nil
 	}
+	return c.buf[:c.off]
 }

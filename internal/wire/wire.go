@@ -10,7 +10,10 @@
 // (Register). Size, AppendEncode and Decode are that one walk in the
 // Coder's three modes, so a type's declared Send size, its encoding and
 // its decoder cannot disagree, and encode∘decode is the identity on every
-// registered type by construction as much as by test.
+// registered type by construction as much as by test. What is hashed is
+// that walk too: an Algorithm 3 payload's digest is the hash of its tagged
+// encoding (consensus.PayloadDigest), and a transaction's ID the hash of
+// its body (AppendBody), so a digest binds exactly the fields that travel.
 //
 // Every registered type is framed as [u16 tag][body], and has exactly one
 // tag. Body conventions: fixed-width big-endian integers; u32 length
@@ -61,7 +64,7 @@ const MaxMessageSize = 1 << 20
 const (
 	// TagNil frames a nil payload (e.g. the modeled PVSS beacon traffic).
 	TagNil uint16 = 0
-	// TagTx frames *ledger.Tx (body = the canonical hash encoding).
+	// TagTx frames *ledger.Tx (body = the preimage of its ID).
 	TagTx uint16 = 1
 	// TagTxList frames protocol.TxListMsg.
 	TagTxList uint16 = 2
@@ -363,6 +366,17 @@ func AppendEncode(buf []byte, v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// AppendBody appends the body of a value of registered type T — its
+// layout's encoding without the frame tag — to buf and returns the extended
+// slice: the preimage of a type named by the hash of its content (a
+// transaction's ID). T must be registered.
+func AppendBody[T any](buf []byte, v T) []byte {
+	c := newCoder(appending, buf)
+	byType[reflect.TypeFor[T]()].layout.(func(T, *Coder) T)(v, c)
+	_, buf, _ = c.done()
+	return buf
 }
 
 // Encode is the allocate-and-encode convenience over SizeHint +
