@@ -353,10 +353,8 @@ func seedSubset(frac float64, n int, seed int64) []simnet.NodeID {
 // also returns plan, the planner's own Schedule, stacked last in the
 // model; it stays apart from the static one so that the planner's
 // CloseOpen never retires a static open-ended window. A config that
-// compiles to no layer returns a nil model. That is only the network's
-// fast path — sends routed inline instead of through the serial drain —
-// and changes no outcome: an installed model that never acts gives the
-// same reports.
+// compiles to no layer returns a nil model, and that changes no outcome:
+// an installed model that never acts gives the same reports.
 func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simnet.Schedule) {
 	if f == nil {
 		return nil, nil

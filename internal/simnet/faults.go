@@ -15,16 +15,15 @@ type Fate struct {
 }
 
 // Faults is a pluggable network fault model. The one fault-free model is
-// a nil Faults: the engine then behaves byte-identically to a network that
-// never had a model. The implementations are three RNG layers (Loss, Lag,
-// BurstLoss), the deterministic Schedule, and Composite, which stacks
-// them.
+// a nil Faults; a model that never acts gives the same run. The
+// implementations are three RNG layers (Loss, Lag, BurstLoss), the
+// deterministic Schedule, and Composite, which stacks them.
 //
 // Determinism contract (the serial send drain's ordering contract — the one
 // place it is specified; Network.send implements it):
 //
-//   - While a model is installed, handler sends are not routed by the lanes
-//     that produced them. Each lane holds its sends, and after the tick's
+//   - Handler sends are not routed by the lanes that produced them, model
+//     or no model. Each lane holds its sends, and after the tick's
 //     execution barrier the driving goroutine drains them in merged (ks, kc)
 //     scheduling-key order — a pure function of causal origin, identical at
 //     any parallelism and registration order. Per message, in this order:

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -30,37 +32,83 @@ func partition(a, b []NodeID, from, to Time) *Schedule {
 	return s
 }
 
+// TestNoFaultsByteIdentical: installing an observer that never acts — an
+// empty Schedule, a send audit, or both — changes nothing at any lane
+// count: every run is event-for-event identical to the bare one-lane run,
+// with the same delivery times, the same totals and the same per-tag
+// counters.
 func TestNoFaultsByteIdentical(t *testing.T) {
-	// A run with an empty Schedule installed must be event-for-event
-	// identical to a run with no fault model at all: same delivery times,
-	// same metrics — though every send now takes the serial drain.
-	run := func(install bool) ([]Time, Counter) {
+	type outcome struct {
+		times [][]Time // per node, in delivery order
+		total Counter
+		tags  map[string]Counter
+	}
+	run := func(t *testing.T, faults Faults, audit bool, par int) outcome {
 		n := New(DefaultLatency(), 1234)
-		if install {
-			n.SetFaults(NewSchedule())
+		n.SetParallelism(par)
+		if faults != nil {
+			n.SetFaults(faults)
 		}
-		var times []Time
-		for id := NodeID(0); id < 10; id++ {
+		audited := 0
+		if audit {
+			n.SetSendAudit(func(Message) { audited++ })
+		}
+		const nodes = 10
+		times := make([][]Time, nodes) // a node's slice is written by its lane only
+		for id := NodeID(0); id < nodes; id++ {
 			id := id
 			n.Register(id, func(ctx *Context, msg Message) {
-				times = append(times, ctx.Now())
+				times[id] = append(times[id], ctx.Now())
 				if ctx.Now() < 100 {
-					ctx.Send((id+1)%10, "RING", nil, 7)
+					tag := "RING"
+					if id%2 == 1 {
+						tag = "HOP"
+					}
+					ctx.Send((id+1)%nodes, tag, nil, 7)
 				}
 			})
 		}
-		n.Send(0, 0, "RING", nil, 7)
+		for id := NodeID(0); id < nodes; id += 3 {
+			n.Send(id, id, "RING", nil, 7)
+		}
 		n.RunUntilIdle()
-		return times, n.Metrics().Total()
+		m := n.Metrics()
+		if audit && uint64(audited) != m.Total().Messages {
+			t.Fatalf("audit saw %d sends, metrics %d", audited, m.Total().Messages)
+		}
+		tags := map[string]Counter{}
+		for _, tag := range m.Tags() {
+			tags[tag] = m.Tag(tag)
+		}
+		return outcome{times, m.Total(), tags}
 	}
-	aT, aC := run(false)
-	bT, bC := run(true)
-	if len(aT) != len(bT) || aC != bC {
-		t.Fatalf("empty Schedule diverged: %d/%v events vs %d/%v", len(aT), aC, len(bT), bC)
+	want := run(t, nil, false, 1)
+	if want.total.Messages == 0 {
+		t.Fatal("the reference run sent nothing")
 	}
-	for i := range aT {
-		if aT[i] != bT[i] {
-			t.Fatalf("delivery %d at t=%d with an empty Schedule, t=%d without", i, bT[i], aT[i])
+	for _, c := range []struct {
+		name   string
+		faults func() Faults
+		audit  bool
+	}{
+		{"nil", func() Faults { return nil }, false},
+		{"empty-schedule", func() Faults { return NewSchedule() }, false},
+		{"audit", func() Faults { return nil }, true},
+		{"audit+empty-schedule", func() Faults { return NewSchedule() }, true},
+	} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par=%d", c.name, par), func(t *testing.T) {
+				got := run(t, c.faults(), c.audit, par)
+				if got.total != want.total {
+					t.Fatalf("Total() = %+v, want %+v", got.total, want.total)
+				}
+				if !reflect.DeepEqual(got.tags, want.tags) {
+					t.Fatalf("per-tag counters %v, want %v", got.tags, want.tags)
+				}
+				if !reflect.DeepEqual(got.times, want.times) {
+					t.Fatalf("delivery times %v, want %v", got.times, want.times)
+				}
+			})
 		}
 	}
 }

@@ -52,15 +52,14 @@ type Metrics struct {
 	totalDrop Counter
 	totalLate Counter
 	// lanes are the per-worker shards; lane i is written exclusively by
-	// the worker running lane i of the current macro-step (receives, dead-
-	// destination drops and inline-routed sends); the serial send path
-	// writes lane 0 between execution phases. mergeLanes folds them into
-	// the tables above. The fold is amortised: the Network folds every
-	// mergeEvery batches and at the end of every drain, so readers — which
-	// only run between drains — always see fully merged accounting (an
-	// external Send folds at once). The phase label is constant
-	// within a drain (SetPhase happens between drains), which is what
-	// makes deferring the fold safe.
+	// the worker running lane i of the current macro-step (receives and
+	// dead-destination drops); the serial send path writes lane 0 between
+	// execution phases. mergeLanes folds them into the tables above. The
+	// fold is amortised: the Network folds every mergeEvery batches and at
+	// the end of every drain, so readers — which only run between drains —
+	// always see fully merged accounting (an external Send folds at once).
+	// The phase label is constant within a drain (SetPhase happens between
+	// drains), which is what makes deferring the fold safe.
 	lanes []laneShard
 }
 

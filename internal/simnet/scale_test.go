@@ -243,41 +243,59 @@ func TestSetDownRecoveryWithFaultsNoSkipAlloc(t *testing.T) {
 // TestAdaptiveSteadyStateNoAlloc: an ACTIVE Schedule — crash, mute, and
 // directed-cut windows all in force while traffic flows — must
 // not break the steady-state zero-allocation property. Fate and Down are
-// pure window lookups and the slow path recycles Contexts through the
-// lane free lists, so a warm network under attack allocates nothing.
+// pure window lookups and every send goes through the lanes' held lists
+// and event free lists, so a warm network under attack allocates nothing.
+// The same holds with no schedule installed, and at four lanes, where the
+// execute phase runs on the worker pool.
 func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
 	}
-	n := New(DefaultLatency(), 17)
-	a := NewSchedule()
-	a.Crash(2, 1, 0)                      // node 2 down for the whole run
-	a.Mute(3, 1, 0)                       // node 3 gray: sends dropped, timers fire
-	a.Cut([]NodeID{0}, []NodeID{4}, 1, 0) // directed 0→4 cut
-	n.SetFaults(a)
-	bounce := func(ctx *Context, msg Message) {
-		if msg.Size > 1 {
-			ctx.Send(msg.From, "pong", nil, msg.Size-1)
-		}
-	}
-	for id := NodeID(0); id < 5; id++ {
-		n.Register(id, bounce)
-	}
-	drive := func() {
-		n.Send(0, 1, "ping", nil, 4) // healthy bounce pair
-		n.Send(0, 2, "ping", nil, 2) // into the crash window: dropped on delivery
-		n.Send(3, 1, "ping", nil, 2) // from the muted node: dropped at send
-		n.Send(0, 4, "ping", nil, 2) // across the cut: dropped at send
-		n.RunUntilIdle()
-	}
-	for i := 0; i < 400; i++ {
-		drive()
-	}
-	if n.Dropped() == 0 {
-		t.Fatal("adversary dropped nothing; the fault windows are not active")
-	}
-	allocs := testing.AllocsPerRun(100, drive)
-	if allocs > 0 {
-		t.Fatalf("steady-state Step under an active Schedule allocates %.1f/run, want 0", allocs)
+	for _, c := range []struct {
+		name     string
+		schedule bool
+		par      int
+	}{
+		{"schedule/par=1", true, 1},
+		{"schedule/par=4", true, 4},
+		{"none/par=1", false, 1},
+		{"none/par=4", false, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(DefaultLatency(), 17)
+			n.SetParallelism(c.par)
+			if c.schedule {
+				a := NewSchedule()
+				a.Crash(2, 1, 0)                      // node 2 down for the whole run
+				a.Mute(3, 1, 0)                       // node 3 gray: sends dropped, timers fire
+				a.Cut([]NodeID{0}, []NodeID{4}, 1, 0) // directed 0→4 cut
+				n.SetFaults(a)
+			}
+			bounce := func(ctx *Context, msg Message) {
+				if msg.Size > 1 {
+					ctx.Send(msg.From, "pong", nil, msg.Size-1)
+				}
+			}
+			for id := NodeID(0); id < 5; id++ {
+				n.Register(id, bounce)
+			}
+			drive := func() {
+				n.Send(0, 1, "ping", nil, 4) // healthy bounce pair
+				n.Send(0, 2, "ping", nil, 2) // into the crash window: dropped on delivery
+				n.Send(3, 1, "ping", nil, 2) // from the muted node: dropped at send
+				n.Send(0, 4, "ping", nil, 2) // across the cut: dropped at send
+				n.RunUntilIdle()
+			}
+			for i := 0; i < 400; i++ {
+				drive()
+			}
+			if c.schedule && n.Dropped() == 0 {
+				t.Fatal("adversary dropped nothing; the fault windows are not active")
+			}
+			allocs := testing.AllocsPerRun(100, drive)
+			if allocs > 0 {
+				t.Fatalf("steady-state Step allocates %.1f/run, want 0", allocs)
+			}
+		})
 	}
 }

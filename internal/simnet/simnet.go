@@ -15,19 +15,17 @@
 // A pluggable fault model (SetFaults) can additionally drop messages in
 // flight, delay them beyond the synchrony bound, or crash and rejoin nodes
 // on a schedule — see the Faults interface and the Loss, Lag, BurstLoss,
-// Schedule, and Composite implementations. Without a model the engine is
-// byte-identical to a fault-free network.
+// Schedule, and Composite implementations. A model that never acts gives
+// the same run as no model.
 //
 // The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
 // ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker
 // lane owns a calendar queue, an event free list, and one reusable Context;
 // a macro-step pops each lane's tick batch in parallel, renumbers the
 // merged batch once on the driving goroutine, executes lanes in parallel
-// with timers and same-lane sends pushed lane-locally, and exchanges
-// cross-lane sends through per-(src,dst) outboxes drained by the
-// destination lane. When something must observe sends serially — a fault
-// model, the send audit, or a payload Carrier — lanes hold their sends
-// instead and one serial drain routes them in key order (see send).
+// with timers pushed lane-locally and sends held, then drains the held
+// sends serially in key order through send — the one function that routes
+// every message, external or handler-made, fault model or not.
 // Determinism is carried by the scheduling key (ks, kc) — a pure function
 // of the event's causal origin — which every lane layout sorts identically,
 // so a seeded run produces identical results at any parallelism level and
@@ -190,14 +188,10 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// xmsg is one send on its way out of the lane that produced it: a value
-// record (never a pooled pointer) so event structs stay inside their
-// owning lane's free list. In a cross-lane outbox it carries its delivery
-// tick and the destination lane materialises it during the exchange phase;
-// in a held list (see send) only the key and the message matter — the
-// serial drain decides its fate and draws its delay.
+// xmsg is one handler send held by the lane that produced it until the
+// serial drain routes it (see send): a value record (never a pooled
+// pointer) so event structs stay inside their owning lane's free list.
 type xmsg struct {
-	at   Time
 	ks   uint64
 	kc   uint32
 	same bool // a held send whose payload is the previous send's (see effect)
@@ -205,7 +199,7 @@ type xmsg struct {
 }
 
 // lane is one scheduler shard: a calendar queue, pools, batch scratch, and
-// cross-lane outboxes, all owned by one worker lane. During a macro-step a
+// held sends, all owned by one worker lane. During a macro-step a
 // lane's state is touched only by the worker running that lane (or by the
 // driving goroutine in the serial phases), so no locks are needed.
 type lane struct {
@@ -219,12 +213,11 @@ type lane struct {
 	drops   uint64   // dead-destination drops recorded this step
 	freeEv  []*event // lane-local event pool
 	execCtx Context  // the lane's one reusable effect buffer
-	xout    [][]xmsg // xout[dst]: sends produced here for another lane
 	held    []xmsg   // sends awaiting the serial drain, ascending by key
 }
 
-func newLane(idx int, horizon Time, lanes int) *lane {
-	return &lane{idx: idx, q: newCalQueue(horizon), xout: make([][]xmsg, lanes)}
+func newLane(idx int, horizon Time) *lane {
+	return &lane{idx: idx, q: newCalQueue(horizon)}
 }
 
 // newEvent takes an event from the lane's free list (or allocates the
@@ -259,7 +252,7 @@ type Network struct {
 	now         Time
 	ctr         uint64        // unified key/sequence counter (see event)
 	slots       []nodeSlot    // handler + lane per node, indexed by NodeID
-	faults      Faults        // nil = fault-free (byte-identical to the pre-fault engine)
+	faults      Faults        // nil = fault-free
 	sendAudit   func(Message) // optional per-send assertion hook (size audits in tests)
 	carrier     Carrier       // nil = payloads ride in the event (the simulator proper)
 	carried     bool          // the carrier accepted the payload of the current run of same sends
@@ -285,7 +278,7 @@ const mergeEvery = 32
 
 // poolCutoff is the batch size below which a macro-step runs its phases
 // inline on the driving goroutine instead of dispatching the worker pool:
-// for a handful of events, three pool barriers cost more than the work.
+// for a handful of events, the pool barriers cost more than the work.
 const poolCutoff = 64
 
 // New creates a network with the given latency model and seed.
@@ -306,7 +299,7 @@ func New(latency Latency, seed int64) *Network {
 		horizon:     4*h + 64,
 		parallelism: 1,
 	}
-	n.lanes = []*lane{newLane(0, n.horizon, 1)}
+	n.lanes = []*lane{newLane(0, n.horizon)}
 	n.metrics.ensureLanes(1)
 	return n
 }
@@ -329,15 +322,11 @@ func (n *Network) SetParallelism(k int) {
 	}
 	n.parallelism = k
 	for len(n.lanes) < k {
-		n.lanes = append(n.lanes, newLane(len(n.lanes), n.horizon, k))
+		n.lanes = append(n.lanes, newLane(len(n.lanes), n.horizon))
 	}
 	n.lanes = n.lanes[:k]
 	for _, ln := range n.lanes {
 		ln.q.reset(n.now)
-		for len(ln.xout) < k {
-			ln.xout = append(ln.xout, nil)
-		}
-		ln.xout = ln.xout[:k]
 	}
 	for id := range n.slots {
 		n.slots[id].lane = int32(id % k)
@@ -390,16 +379,14 @@ func (n *Network) laneOf(id NodeID) *lane {
 	return n.lanes[n.laneFor(id, len(n.lanes))]
 }
 
-// SetFaults installs a fault model (nil restores the fault-free engine,
-// which is byte-identical to a network that never had SetFaults called).
-// Install before traffic starts; the model is read without
-// synchronisation during runs.
+// SetFaults installs a fault model (nil removes it). Install before
+// traffic starts; the model is read without synchronisation during runs.
 func (n *Network) SetFaults(f Faults) { n.faults = f }
 
 // SetSendAudit installs a hook observing every message at the moment it is
 // sent, before fault fates or delays are drawn. Tests use it to cross-check
-// each Send's declared Size against the wire codec's SizeHint; nil removes
-// the hook. The hook must not re-enter the Network.
+// each Send's declared Size against wire.Size; nil removes the hook. The
+// hook must not re-enter the Network.
 func (n *Network) SetSendAudit(fn func(Message)) { n.sendAudit = fn }
 
 // Carrier moves message payloads between nodes outside the scheduler: the
@@ -501,8 +488,7 @@ func (n *Network) nextKey() uint64 {
 	return k
 }
 
-// send is the one serial send path: external Sends, and — whenever a fault
-// model, a send audit or a carrier is installed — every handler send, via
+// send is the one send path: external Sends, and every handler send via
 // drainHeld. It runs on the driving goroutine only, in key order within a
 // step, which is the contract Faults documents: audit, crashed-sender
 // check, accounting, Fate, then the keyed delay draw and the push into the
@@ -554,13 +540,6 @@ func (n *Network) cursors() []int {
 	heads := n.heads[:len(n.lanes)]
 	clear(heads)
 	return heads
-}
-
-// holdsSends reports whether something must observe sends one at a time in
-// key order — a fault model's stateful Fate, the send audit, a carrier — so
-// that lanes hold them for drainHeld instead of routing them inline.
-func (n *Network) holdsSends() bool {
-	return n.faults != nil || n.sendAudit != nil || n.carrier != nil
 }
 
 // drainHeld routes the sends the lanes held back during execution, on the
@@ -656,12 +635,12 @@ func (n *Network) minTick() (Time, bool) {
 
 // stepAt runs the macro-step at tick t (which minTick reported as the
 // cross-lane earliest): parallel per-lane pop, serial renumber, parallel
-// execution, then the sends — the serial drain when they were held, the
-// parallel cross-lane exchange otherwise — and the serial counter fold.
+// execution, the serial drain of the held sends, and the serial counter
+// fold.
 func (n *Network) stepAt(t Time) {
 	n.now = t
 
-	// Phase A: every lane with events at t pops and key-sorts its batch,
+	// Pop: every lane with events at t pops and key-sorts its batch,
 	// running the dead-destination pre-pass (skip flags + drop accounting
 	// into the lane's own metrics shard) as it goes. Pooled only when the
 	// previous batch suggests the sort work dwarfs the barrier cost.
@@ -681,10 +660,9 @@ func (n *Network) stepAt(t Time) {
 	total := n.renumber()
 	n.lastPop = total
 
-	// Phase B: execute. Timers push into the lane's own calendar queue;
-	// sends are routed inline (same lane, or a value outbox) or held.
-	pooled := n.parallelism > 1 && total > 1
-	if pooled {
+	// Execute: timers push into the lane's own calendar queue; sends are
+	// held for the drain.
+	if n.parallelism > 1 && total > 1 {
 		n.dispatch(phaseExec)
 	} else {
 		for _, ln := range n.lanes {
@@ -694,27 +672,8 @@ func (n *Network) stepAt(t Time) {
 		}
 	}
 
-	if n.holdsSends() {
-		n.drainHeld()
-	} else {
-		// Phase C: destination lanes drain the outboxes addressed to them,
-		// materialising each record from their own free list.
-		xtotal := 0
-		for _, src := range n.lanes {
-			for _, recs := range src.xout {
-				xtotal += len(recs)
-			}
-		}
-		if xtotal > 0 {
-			if pooled && xtotal >= poolCutoff {
-				n.dispatch(phaseExchange)
-			} else {
-				for _, ln := range n.lanes {
-					n.exchangeLane(ln)
-				}
-			}
-		}
-	}
+	// Serial drain: every held send goes through send in (ks, kc) order.
+	n.drainHeld()
 
 	// Serial fold: batch counters and shard amortisation.
 	for _, ln := range n.lanes {
@@ -811,19 +770,16 @@ func (n *Network) renumber() int {
 
 // execLane runs one lane's batch — the one executor. The handler (or
 // timer) fires with the lane's reusable Context — on the node's own
-// process when a carrier is installed — then its effects apply inline,
+// process when a carrier is installed — then its effects apply in order,
 // keyed (producer seq, effect index): timers push into this lane's
-// calendar queue from this lane's free list; a send is either routed here
-// (same-lane push, or the value outbox of the destination lane, with its
-// send-side metrics in this lane's shard) or, when holdsSends, appended to
-// the lane's held list for drainHeld. Runs on pool workers; all state
-// touched is lane-owned.
+// calendar queue from this lane's free list; sends are appended to the
+// lane's held list for drainHeld. Runs on pool workers; all state touched
+// is lane-owned.
 func (n *Network) execLane(ln *lane) {
 	sh := &n.metrics.lanes[ln.idx]
 	ctx := &ln.execCtx
 	t := n.now
-	L := len(n.lanes)
-	hold, carrier := n.holdsSends(), n.carrier
+	carrier := n.carrier
 	for i, ev := range ln.batch {
 		if ln.anySkip && ln.skip[i] {
 			ln.freeEvent(ev)
@@ -867,44 +823,10 @@ func (n *Network) execLane(ln *lane) {
 				ln.q.push(ch)
 				continue
 			}
-			msg := ef.msg
-			if hold {
-				ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), same: ef.same, msg: msg})
-				continue
-			}
-			sh.recordSend(msg)
-			d := n.latency.DrawKeyed(n.seed, pseq, uint32(idx), msg.From, msg.To)
-			if dl := n.laneFor(msg.To, L); dl == ln.idx {
-				ch := ln.newEvent()
-				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.msg = t+d, pseq, uint32(idx), evMessage, msg.To, msg
-				ln.q.push(ch)
-			} else {
-				ln.xout[dl] = append(ln.xout[dl], xmsg{at: t + d, ks: pseq, kc: uint32(idx), msg: msg})
-			}
+			ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), same: ef.same, msg: ef.msg})
 		}
 		clear(ctx.out)
 		ctx.out = ctx.out[:0]
-	}
-}
-
-// exchangeLane drains every outbox addressed to this lane, materialising
-// each record as an event from this lane's free list. Runs on pool
-// workers: slot xout[src][dst] is written only by src during execution
-// and only by dst here, with the exec barrier ordering the two.
-func (n *Network) exchangeLane(dst *lane) {
-	for _, src := range n.lanes {
-		recs := src.xout[dst.idx]
-		if len(recs) == 0 {
-			continue
-		}
-		for i := range recs {
-			x := &recs[i]
-			ev := dst.newEvent()
-			ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.msg = x.at, x.ks, x.kc, evMessage, x.msg.To, x.msg
-			dst.q.push(ev)
-			recs[i] = xmsg{} // drop payload references
-		}
-		src.xout[dst.idx] = recs[:0]
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // At 10× paper scale that is tens of thousands of goroutine launches per
 // tick. Instead, a single process-wide pool of persistent workers serves
 // every Network: a macro-step publishes its batch state, submits one task
-// per participating lane and phase (pop, execute, exchange), and waits.
+// per participating lane and phase (pop, execute), and waits.
 // Sharing one pool across Networks (sweeps create thousands of them)
 // means no per-Network goroutines to leak and no finalizer bookkeeping; a
 // task holds its Network only for the duration of one lane phase.
@@ -31,21 +31,16 @@ type laneTask struct {
 const (
 	phasePop = iota
 	phaseExec
-	phaseExchange
 )
 
 // wants reports whether a lane participates in the given phase of the
 // current macro-step. Kept a method (not a closure) so dispatch stays
 // allocation-free on the steady-state path.
 func (n *Network) wants(phase int, ln *lane) bool {
-	switch phase {
-	case phasePop:
+	if phase == phasePop {
 		return ln.hasNext && ln.nextAt == n.now
-	case phaseExec:
-		return len(ln.batch) > 0
-	default: // phaseExchange: the per-source check is inside exchangeLane
-		return true
 	}
+	return len(ln.batch) > 0
 }
 
 // dispatch fans one phase out across the participating lanes and waits
@@ -72,13 +67,10 @@ func (n *Network) dispatch(phase int) {
 // runPhase executes one lane's share of a phase on a pool worker.
 func (n *Network) runPhase(phase, lane int) {
 	ln := n.lanes[lane]
-	switch phase {
-	case phasePop:
+	if phase == phasePop {
 		n.popLane(ln)
-	case phaseExec:
+	} else {
 		n.execLane(ln)
-	case phaseExchange:
-		n.exchangeLane(ln)
 	}
 }
 
