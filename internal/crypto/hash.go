@@ -4,7 +4,10 @@
 // deterministic signatures, and the role lottery used to select referee
 // committees and partial sets.
 //
-// Everything is built on the Go standard library only.
+// Everything is built on the Go standard library, except the PoW search's
+// SHA-256 block kernel on amd64 hosts with SHA extensions
+// (search_amd64.s, adapted from the standard library's own); SearchNonce
+// runs on the standard library everywhere else.
 //
 // The arithmetic helpers on Digest (Mod, BelowTarget) and the Target type
 // run on fixed [4]uint64 limbs via math/bits — no math/big, and therefore no
@@ -65,89 +68,56 @@ func HKeyed(key []byte, parts ...[]byte) Digest {
 	return d
 }
 
-// PrefixHasher computes H(prefix..., tail) for one fixed prefix and many
-// tails. The prefix's framed stream is absorbed once and the SHA-256
-// midstate snapshotted; and because H frames the tail with its length, for a
-// run of equal-length tails those 8 bytes are as fixed as the prefix, so a
-// second midstate is kept after prefix ‖ frame(len(tail)) — re-derived from
-// the first whenever the tail length changes. Each SumWith resumes the
-// second snapshot and absorbs only the tail itself, with the length-prefix
-// framing (H's private injectivity invariant) staying inside this package.
-// The PoW search uses it, evaluating one digest per attempted nonce: its
-// prefix and nonce frame are 128 bytes, two whole blocks absorbed once, so
-// an attempt costs one compression where the one-shot H spends three.
-// (Reading the state back through AppendBinary to skip Sum's copy of the
-// hash is faster still, but leans on the standard library's undocumented
-// serialisation layout: declined.) A PrefixHasher is not safe for
-// concurrent use; the zero value is not usable, construct with
-// NewPrefixHasher.
-type PrefixHasher struct {
-	h       midstateHash
-	prefix  []byte // midstate after the framed prefix parts
-	framed  []byte // midstate after prefix ‖ frame(tailLen)
-	tailLen int    // the tail length framed was taken for; -1 before the first SumWith
-	sum     []byte // digest scratch, reused across SumWith calls
-}
+// searchKernel is SearchNonce's raw-block backend: set at init where the
+// host has one (search_amd64.go), nil for the portable loop. It is handed
+// the framed stream before the nonce's value bytes, with zeroed capacity for
+// the nonce and SHA-256's padding. Tests clear it to force the portable path.
+var searchKernel func(t Target, start, max uint64, msg []byte) (nonce, tried uint64, ok bool)
 
-// midstateHash is a hash whose state can be snapshotted and resumed, as the
-// standard library's SHA-256 can.
-type midstateHash interface {
-	hash.Hash
-	encoding.BinaryAppender
-	encoding.BinaryUnmarshaler
-}
-
-// NewPrefixHasher absorbs the prefix parts (framed exactly as H frames
-// them) and snapshots the midstate.
-func NewPrefixHasher(prefix ...[]byte) (*PrefixHasher, error) {
-	h := sha256.New().(midstateHash)
-	var lenBuf [8]byte
+// SearchNonce returns the first n among start, start+1, … (wrapping) for
+// which H(prefix..., be64(n)).BelowTarget(t) holds, trying at most max
+// values; tried is how many it evaluated. The framed stream before the
+// nonce's 8 value bytes is fixed, so it is absorbed once: with a block
+// kernel an attempt is one call on the one or two padded final blocks,
+// otherwise the standard library's midstate is snapshotted and resumed.
+func SearchNonce(t Target, start, max uint64, prefix ...[]byte) (nonce, tried uint64, ok bool) {
+	n := 8 + 8 + 1 + 8 // the nonce's frame and value, the 0x80 pad byte, the bit length
 	for _, p := range prefix {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
+		n += 8 + len(p)
 	}
-	state, err := h.AppendBinary(nil)
+	msg := make([]byte, 0, (n+63)&^63)
+	for _, p := range prefix {
+		msg = binary.BigEndian.AppendUint64(msg, uint64(len(p)))
+		msg = append(msg, p...)
+	}
+	msg = binary.BigEndian.AppendUint64(msg, 8)
+	if searchKernel != nil {
+		return searchKernel(t, start, max, msg)
+	}
+	h := sha256.New().(interface {
+		hash.Hash
+		encoding.BinaryAppender
+		encoding.BinaryUnmarshaler
+	})
+	h.Write(msg)
+	// The snapshot and resume cannot fail: the hash reads back its own state.
+	mid, err := h.AppendBinary(nil)
 	if err != nil {
-		return nil, err
+		panic("crypto: snapshotting SHA-256 midstate: " + err.Error())
 	}
-	return &PrefixHasher{
-		h:       h,
-		prefix:  state,
-		framed:  make([]byte, 0, len(state)),
-		tailLen: -1,
-		sum:     make([]byte, 0, HashSize),
-	}, nil
-}
-
-// SumWith returns H(prefix..., tail), resuming the snapshotted midstate.
-// Steady-state calls — equal-length tails — do not allocate.
-func (p *PrefixHasher) SumWith(tail []byte) Digest {
-	if len(tail) != p.tailLen {
-		p.restore(p.prefix)
-		var lenBuf [8]byte
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(tail)))
-		p.h.Write(lenBuf[:])
-		framed, err := p.h.AppendBinary(p.framed[:0])
-		if err != nil {
-			panic("crypto: snapshotting SHA-256 midstate: " + err.Error())
+	var nb [8]byte
+	sum := make([]byte, 0, HashSize)
+	for i := uint64(0); i < max; i++ {
+		if err := h.UnmarshalBinary(mid); err != nil {
+			panic("crypto: resuming SHA-256 midstate: " + err.Error())
 		}
-		p.framed, p.tailLen = framed, len(tail)
-	} else {
-		p.restore(p.framed)
+		binary.BigEndian.PutUint64(nb[:], start+i)
+		h.Write(nb[:])
+		if Digest(h.Sum(sum[:0])).BelowTarget(t) {
+			return start + i, i + 1, true
+		}
 	}
-	p.h.Write(tail)
-	var d Digest
-	copy(d[:], p.h.Sum(p.sum[:0]))
-	return d
-}
-
-// restore resumes a midstate this hasher snapshotted itself; a mismatch is
-// unreachable short of memory corruption.
-func (p *PrefixHasher) restore(state []byte) {
-	if err := p.h.UnmarshalBinary(state); err != nil {
-		panic("crypto: resuming SHA-256 midstate: " + err.Error())
-	}
+	return 0, max, false
 }
 
 // HString is a convenience wrapper hashing string parts.

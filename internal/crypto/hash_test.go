@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -279,54 +280,170 @@ func TestModAndBelowTargetAllocFree(t *testing.T) {
 	}
 }
 
-func TestPrefixHasherMatchesH(t *testing.T) {
-	// Prefixes whose framed length (8 bytes of frame per part) lands one
-	// before, on and one after a SHA-256 block boundary — both the prefix's
-	// own end (63, 64, 65) and, in the PoW puzzle's shape with 31-, 32- and
-	// 33-byte keys, the end of prefix ‖ tail frame (127, 128, 129).
+// searchOracle is SearchNonce by brute force over the one-shot H.
+func searchOracle(t Target, start, max uint64, prefix [][]byte) (uint64, uint64, bool) {
+	for i := uint64(0); i < max; i++ {
+		if nonceDigest(prefix, start+i).BelowTarget(t) {
+			return start + i, i + 1, true
+		}
+	}
+	return 0, max, false
+}
+
+func nonceDigest(prefix [][]byte, nonce uint64) Digest {
+	return H(append(prefix[:len(prefix):len(prefix)], binary.BigEndian.AppendUint64(nil, nonce))...)
+}
+
+// onBackends runs f on each SearchNonce backend: the block kernel where the
+// host has one, then the portable loop (forced by clearing searchKernel).
+func onBackends(t *testing.T, f func(t *testing.T)) {
+	kernel := searchKernel
+	if kernel != nil {
+		t.Run("kernel", f)
+	} else {
+		t.Log("no block kernel on this host: portable backend only")
+	}
+	defer func() { searchKernel = kernel }()
+	searchKernel = nil
+	t.Run("portable", f)
+}
+
+// leastDigest returns, as a target, the least digest among the n nonces
+// from start, and that nonce's offset.
+func leastDigest(prefix [][]byte, start, n uint64) (least Target, at uint64) {
+	least = MaxTarget
+	for i := uint64(0); i < n; i++ {
+		d := nonceDigest(prefix, start+i)
+		var t Target
+		for j := range t {
+			t[j] = binary.BigEndian.Uint64(d[8*j:])
+		}
+		if t.Big().Cmp(least.Big()) < 0 {
+			least, at = t, i
+		}
+	}
+	return least, at
+}
+
+// puzzlePrefix is pow.Solve's prefix shape: tag, round, randomness, key.
+func puzzlePrefix(keyLen int) [][]byte {
 	filled := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
-	prefixes := [][][]byte{
-		{[]byte("tag"), []byte("round"), []byte("randomness-32-bytes-ish")},
-		{filled(55, 1)}, {filled(56, 2)}, {filled(57, 3)},
-		{filled(16, 4), filled(8, 5), filled(32, 6), filled(31, 7)},
-		{filled(16, 4), filled(8, 5), filled(32, 6), filled(32, 7)},
-		{filled(16, 4), filled(8, 5), filled(32, 6), filled(33, 7)},
-	}
-	for _, prefix := range prefixes {
-		ph, err := NewPrefixHasher(prefix...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(tail []byte) {
+	return [][]byte{[]byte("cycledger/pow/v1"), filled(8, 1), filled(32, 2), filled(keyLen, 3)}
+}
+
+func TestSearchNonceMatchesH(t *testing.T) {
+	onBackends(t, func(t *testing.T) {
+		check := func(name string, tg Target, start, max uint64, prefix [][]byte) (uint64, uint64, bool) {
 			t.Helper()
-			want := H(append(append([][]byte{}, prefix...), tail)...)
-			if got := ph.SumWith(tail); got != want {
-				t.Fatalf("prefix %d parts: SumWith(%d bytes) disagrees with one-shot H", len(prefix), len(tail))
+			n, tried, ok := SearchNonce(tg, start, max, prefix...)
+			wn, wtried, wok := searchOracle(tg, start, max, prefix)
+			if n != wn || tried != wtried || ok != wok {
+				t.Fatalf("%s: SearchNonce = (%d, %d, %v), oracle (%d, %d, %v)", name, n, tried, ok, wn, wtried, wok)
+			}
+			return n, tried, ok
+		}
+		eighth := FractionTargetLimbs(1, 8)
+		// One part of 0–127 bytes: the framed stream before the nonce's value
+		// is 16+len bytes, so its remainder mod 64 takes every value twice,
+		// once after one absorbed block and once after two. Remainders
+		// 48–63 leave no room for the padding, and 57–63 split the nonce
+		// itself: the final part is two blocks.
+		for n := 0; n < 128; n++ {
+			check(fmt.Sprintf("%d-byte part", n), eighth, uint64(n)<<40, 64, [][]byte{bytes.Repeat([]byte{byte(n)}, n)})
+		}
+		// The puzzle shape: a 32-byte key ends the nonce frame on a block
+		// boundary, 31- and 33-byte keys move it either way.
+		for _, keyLen := range []int{31, 32, 33} {
+			if _, _, ok := check(fmt.Sprintf("%d-byte key", keyLen), FractionTargetLimbs(1, 64), 7, 1024, puzzlePrefix(keyLen)); !ok {
+				t.Fatalf("%d-byte key: no solution in 1024 attempts at hardness 64", keyLen)
 			}
 		}
-		// Every tail length 0–130, interleaved from both ends so each step
-		// changes the length and the second snapshot is re-derived mid-run;
-		// then the same length again with other bytes, which resumes it.
-		for i := 0; i <= 130; i++ {
-			n := i / 2
-			if i%2 == 1 {
-				n = 130 - i/2
-			}
-			check(filled(n, byte(i)))
-			check(filled(n, byte(i+1)))
+		// A target equal to the least digest of a window ties its first limb
+		// there, so only the full compare accepts it; one less rejects it.
+		prefix := puzzlePrefix(32)
+		least, at := leastDigest(prefix, 100, 16)
+		if n, _, ok := check("tied target", least, 100, 16, prefix); !ok || n != 100+at {
+			t.Fatalf("tied target: found (%d, %v), want nonce %d", n, ok, 100+at)
 		}
-	}
-	// Steady-state SumWith — equal-length tails — must not allocate, also
-	// right after a change of length.
-	ph, err := NewPrefixHasher(prefixes[0]...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := []byte("12345678")
-	ph.SumWith(tail[:3])
-	ph.SumWith(tail)
-	allocs := testing.AllocsPerRun(100, func() { ph.SumWith(tail) })
-	if allocs != 0 {
-		t.Fatalf("SumWith allocated %.1f times per run", allocs)
+		below := least
+		below[3]-- // the least of 16 digests has a nonzero last limb
+		if _, _, ok := check("target one below", below, 100, 16, prefix); ok {
+			t.Fatal("a target one below the window's least digest was met")
+		}
+		// Wrap-around: four nonces before 2^64 and four after, on the first
+		// prefix whose least digest in that window falls after the wrap.
+		for tag := 0; ; tag++ {
+			prefix := [][]byte{[]byte(fmt.Sprintf("wrap-%d", tag))}
+			least, at := leastDigest(prefix, ^uint64(0)-3, 8)
+			if at < 4 {
+				continue
+			}
+			if n, _, ok := check("wrap-around", least, ^uint64(0)-3, 8, prefix); !ok || n != at-4 {
+				t.Fatalf("wrap-around: found (%d, %v), want nonce %d", n, ok, at-4)
+			}
+			break
+		}
+		// No budget, and a budget that runs out.
+		if n, tried, ok := check("max 0", MaxTarget, 5, 0, prefix); ok || n != 0 || tried != 0 {
+			t.Fatalf("max 0: (%d, %d, %v)", n, tried, ok)
+		}
+		if _, tried, ok := check("exhausted", Target{}, 5, 100, prefix); ok || tried != 100 {
+			t.Fatalf("exhausted budget: tried %d, ok %v", tried, ok)
+		}
+	})
+}
+
+func TestSearchNonceAllocsIndependentOfAttempts(t *testing.T) {
+	onBackends(t, func(t *testing.T) {
+		prefix := puzzlePrefix(32)
+		allocs := func(max uint64) float64 {
+			return testing.AllocsPerRun(20, func() { SearchNonce(Target{}, 0, max, prefix...) })
+		}
+		if one, many := allocs(1), allocs(1000); one != many {
+			t.Fatalf("SearchNonce allocated %.1f times for 1 attempt, %.1f for 1000", one, many)
+		}
+	})
+}
+
+// FuzzSearchNonce holds the kernel and the portable loop to the one-shot
+// oracle on two prefix parts, a target's first limb, a start and a budget.
+func FuzzSearchNonce(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte, limb, start uint64, budget uint16) {
+		tg, max := Target{limb, 1 << 63, 0, ^uint64(0)}, uint64(budget%257)
+		prefix := [][]byte{a, b}
+		wn, wtried, wok := searchOracle(tg, start, max, prefix)
+		kernel := searchKernel
+		defer func() { searchKernel = kernel }()
+		for _, backend := range []func(Target, uint64, uint64, []byte) (uint64, uint64, bool){kernel, nil} {
+			searchKernel = backend
+			if n, tried, ok := SearchNonce(tg, start, max, prefix...); n != wn || tried != wtried || ok != wok {
+				t.Fatalf("kernel %v: SearchNonce = (%d, %d, %v), oracle (%d, %d, %v)", backend != nil, n, tried, ok, wn, wtried, wok)
+			}
+		}
+	})
+}
+
+// BenchmarkSearchNonce times the search at the workloads' puzzle shape and
+// hardness (a 32-byte key, 1 in 4096), per attempt, on each backend.
+func BenchmarkSearchNonce(b *testing.B) {
+	prefix, target := puzzlePrefix(32), FractionTargetLimbs(1, 4096)
+	kernel := searchKernel
+	defer func() { searchKernel = kernel }()
+	for _, bk := range []struct {
+		name   string
+		search func(Target, uint64, uint64, []byte) (uint64, uint64, bool)
+	}{{"kernel", kernel}, {"portable", nil}} {
+		b.Run(bk.name, func(b *testing.B) {
+			if bk.name == "kernel" && kernel == nil {
+				b.Skip("no block kernel on this host")
+			}
+			searchKernel = bk.search
+			var attempts uint64
+			for i := 0; i < b.N; i++ {
+				_, tried, _ := SearchNonce(target, uint64(i)<<32, 1<<20, prefix...)
+				attempts += tried
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+		})
 	}
 }

@@ -65,30 +65,19 @@ var ErrNoSolution = errors.New("pow: attempt budget exhausted")
 //
 // The puzzle digest's framed stream is tag (8+16) ‖ round (8+8) ‖ R_r
 // (8+32) ‖ pk (8+32) ‖ nonce (8+8), and everything before the nonce's 8
-// value bytes — its length frame included — is fixed across the search: 128
-// bytes for a 32-byte key, exactly two SHA-256 blocks. Solve absorbs them
-// once into a crypto.PrefixHasher and resumes the snapshotted midstate per
-// attempt, absorbing only the nonce. That saves two of the three
-// compressions an attempt would cost through crypto.H (the search is the
-// simulator's single largest hashing consumer at realistic hardness) while
-// producing byte-identical digests — Verify still checks solutions through
-// the plain one-shot path.
+// value bytes is fixed across the search: 128 bytes for a 32-byte key,
+// exactly two SHA-256 blocks. crypto.SearchNonce absorbs them once and runs
+// the whole search in one call — one compression per attempt on a SHA-NI
+// host — producing the digests the one-shot path does; Verify still checks
+// solutions through crypto.H.
 func Solve(p Puzzle, pk crypto.PublicKey, start, maxAttempts uint64) (Solution, uint64, error) {
 	var rb [8]byte
 	binary.BigEndian.PutUint64(rb[:], p.Round)
-	ph, err := crypto.NewPrefixHasher([]byte("cycledger/pow/v1"), rb[:], p.Randomness[:], pk)
-	if err != nil {
-		return Solution{}, 0, err
+	nonce, tried, ok := crypto.SearchNonce(p.Target, start, maxAttempts, []byte("cycledger/pow/v1"), rb[:], p.Randomness[:], pk)
+	if !ok {
+		return Solution{}, tried, ErrNoSolution
 	}
-	var nb [8]byte
-	for i := uint64(0); i < maxAttempts; i++ {
-		nonce := start + i
-		binary.BigEndian.PutUint64(nb[:], nonce)
-		if ph.SumWith(nb[:]).BelowTarget(p.Target) {
-			return Solution{PK: pk, Nonce: nonce}, i + 1, nil
-		}
-	}
-	return Solution{}, maxAttempts, ErrNoSolution
+	return Solution{PK: pk, Nonce: nonce}, tried, nil
 }
 
 // Verify checks a claimed solution in a single hash evaluation.

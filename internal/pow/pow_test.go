@@ -131,3 +131,18 @@ func TestSolveMidstateMatchesOneShot(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSolve times Solve at the workloads' hardness (4096), per attempt.
+func BenchmarkSolve(b *testing.B) {
+	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(10)))
+	p := NewPuzzle(1, crypto.HString("bench"), 4096)
+	var attempts uint64
+	for i := 0; i < b.N; i++ {
+		_, tried, err := Solve(p, kp.PK, uint64(i)<<32, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		attempts += tried
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+}
