@@ -84,11 +84,11 @@ type AggregateScheme interface {
 	// contributors' bitmap bits.
 	Aggregate(sigs [][]byte) ([]byte, error)
 	// VerifyAggregate checks proof against the contributors named by
-	// bitmap: for each set bit i, roster[i] is taken to have signed the
-	// message parts msgAt(i). The bitmap must already be canonical for
-	// len(roster) (see Bitmap.Validate); VerifyAggregate itself imposes no
-	// quorum rule — thresholds belong to the certificate layer.
-	VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) [][]byte, proof []byte) error
+	// bitmap: for each set bit i, roster[i] is taken to have signed
+	// msgAt(i). The bitmap must already be canonical for len(roster) (see
+	// Bitmap.Validate); VerifyAggregate itself imposes no quorum rule —
+	// thresholds belong to the certificate layer.
+	VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) []byte, proof []byte) error
 }
 
 // Aggregate implements AggregateScheme: the proof is the XOR fold of the
@@ -115,7 +115,7 @@ func (HashScheme) Aggregate(sigs [][]byte) ([]byte, error) {
 // VerifyAggregate implements AggregateScheme: recompute the HKeyed tag of
 // every contributor named by the bitmap, XOR-fold them, and compare with
 // the proof in constant time.
-func (HashScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) [][]byte, proof []byte) error {
+func (HashScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) []byte, proof []byte) error {
 	if len(proof) != crypto.HashSize {
 		return crypto.ErrBadSignature
 	}
@@ -124,7 +124,7 @@ func (HashScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgA
 		if !bitmap.Has(i) {
 			continue
 		}
-		d := crypto.HKeyed(roster[i], msgAt(i)...)
+		d := crypto.HKeyed(roster[i], msgAt(i))
 		for j := range acc {
 			acc[j] ^= d[j]
 		}

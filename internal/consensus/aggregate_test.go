@@ -7,6 +7,7 @@ import (
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // certFixture builds a committee with real keypairs and a decision
@@ -44,7 +45,8 @@ func (f *certFixture) confirm(i int) Vote {
 
 // confirmBy signs the fixture's instance as id under kp, member or not.
 func (f *certFixture) confirmBy(id simnet.NodeID, kp crypto.KeyPair) Vote {
-	return Vote{Voter: id, Sig: HashScheme{}.Sign(kp, sigMsg(TagConfirm, f.res.Round, f.res.SN, f.res.Digest, int32(id)))}
+	conf := Confirm{Round: f.res.Round, SN: f.res.SN, Digest: f.res.Digest, Confirmer: id}
+	return Vote{Voter: id, Sig: HashScheme{}.Sign(kp, wire.SigningBytes(nil, conf))}
 }
 
 func (f *certFixture) pkOf(id simnet.NodeID) crypto.PublicKey { return f.keys[id].PK }

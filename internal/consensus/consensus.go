@@ -47,13 +47,18 @@ type Propose struct {
 	Sig     []byte
 }
 
+// layout leaves the payload out of the leader's signature: the signed Digest
+// binds it (onPropose), and an echo or a witness shows the signature without
+// it.
 func (p Propose) layout(c *wire.Coder) Propose {
 	c.U64(&p.Round)
 	c.U64(&p.SN)
 	wire.Hash(c, &p.Digest)
-	c.Any(&p.Payload)
+	if !c.Signing() {
+		c.Any(&p.Payload)
+	}
 	wire.ID(c, &p.Leader)
-	c.Bytes(&p.Sig)
+	c.Sig(&p.Sig)
 	return p
 }
 
@@ -77,8 +82,8 @@ func PayloadDigest(payload any) crypto.Digest {
 // lanes digest at once, and a block's encoding is tens of kilobytes.
 var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// header is the part of a proposal the leader's signature covers, which is
-// all an equivocation witness needs.
+// header is a proposal without its payload: what the leader's signature
+// covers, and all an equivocation witness needs.
 func (p Propose) header() Propose {
 	p.Payload = nil
 	return p
@@ -103,9 +108,9 @@ func (e Echo) layout(c *wire.Coder) Echo {
 	c.U64(&e.SN)
 	wire.Hash(c, &e.Digest)
 	wire.ID(c, &e.Echoer)
-	c.Bytes(&e.Sig)
+	c.Sig(&e.Sig)
 	wire.ID(c, &e.Leader)
-	c.Bytes(&e.LeaderSig)
+	c.Sig(&e.LeaderSig)
 	return e
 }
 
@@ -142,7 +147,7 @@ func (m Confirm) layout(c *wire.Coder) Confirm {
 	c.U64(&m.SN)
 	wire.Hash(c, &m.Digest)
 	wire.ID(c, &m.Confirmer)
-	c.Bytes(&m.Sig)
+	c.Sig(&m.Sig)
 	return m
 }
 
@@ -166,7 +171,7 @@ func (w Witness) Valid(scheme SignatureScheme, pk crypto.PublicKey) bool {
 		return false
 	}
 	for _, p := range []Propose{w.A, w.B} {
-		if scheme.Verify(pk, p.Sig, sigMsg(TagPropose, p.Round, p.SN, p.Digest, -1)) != nil {
+		if scheme.Verify(pk, p.Sig, wire.SigningBytes(nil, p)) != nil {
 			return false
 		}
 	}
@@ -201,11 +206,9 @@ func (r Result) layout(c *wire.Coder) Result {
 // having participated.
 func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
 	var buf []byte
-	var parts [1][]byte
-	return r.Quorum.Verify(scheme, committee, pkOf, func(voter simnet.NodeID) [][]byte {
-		buf = appendSigMsg(buf[:0], TagConfirm, r.Round, r.SN, r.Digest, int32(voter))
-		parts[0] = buf
-		return parts[:]
+	return r.Quorum.Verify(scheme, committee, pkOf, func(voter simnet.NodeID) []byte {
+		buf = wire.SigningBytes(buf[:0], Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: voter})
+		return buf
 	})
 }
 
@@ -323,10 +326,9 @@ type Protocol struct {
 	insts map[uint64]*instance
 	pos   map[simnet.NodeID]int // Committee's position index, built on first use
 	peers []simnet.NodeID       // Committee without Self, in order, built with pos
-	// The message being signed or verified and the one-element header the
-	// scheme is handed, reused across calls: schemes do not retain them.
-	sigBuf   []byte
-	sigParts [1][]byte
+	// The signing bytes of the message being signed or verified, reused
+	// across calls: schemes do not retain them.
+	sigBuf []byte
 }
 
 // rosterIndex maps every member of roster to its position in it.
@@ -373,19 +375,12 @@ func (p *Protocol) inst(sn uint64) *instance {
 	return in
 }
 
-// signed points the endpoint's scratch at the canonical signed message (see
-// sigMsg) and returns the parts to hand the scheme.
-func (p *Protocol) signed(tag string, round, sn uint64, digest crypto.Digest, withNode int32) [][]byte {
-	p.sigBuf = appendSigMsg(p.sigBuf[:0], tag, round, sn, digest, withNode)
-	p.sigParts[0] = p.sigBuf
-	return p.sigParts[:]
-}
-
 // BuildPropose constructs a signed proposal; exported so adversarial
 // leaders can craft conflicting proposals in tests and attack scenarios.
 func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeID, round, sn uint64, digest crypto.Digest, payload any) Propose {
-	sig := scheme.Sign(kp, sigMsg(TagPropose, round, sn, digest, -1))
-	return Propose{Round: round, SN: sn, Digest: digest, Payload: payload, Leader: leader, Sig: sig}
+	prop := Propose{Round: round, SN: sn, Digest: digest, Payload: payload, Leader: leader}
+	prop.Sig = scheme.Sign(kp, wire.SigningBytes(nil, prop))
+	return prop
 }
 
 // Propose starts an instance as the leader, broadcasting to every other
@@ -477,7 +472,8 @@ func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 			}
 		}
 	}
-	return p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, p.signed(TagPropose, prop.Round, prop.SN, prop.Digest, -1)...) == nil
+	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], *prop)
+	return p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, p.sigBuf) == nil
 }
 
 // checkEquivocation files a leader-signed proposal and reports whether the
@@ -525,11 +521,13 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 
 // echoOwn signs this node's echo of prop and files it in its own slot.
 func (p *Protocol) echoOwn(in *instance, prop Propose) Echo {
-	sig := p.Scheme.Sign(p.Keys, p.signed(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self))...)
+	e := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Leader: prop.Leader, LeaderSig: prop.Sig}
+	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
+	e.Sig = p.Scheme.Sign(p.Keys, p.sigBuf)
 	if i, member := p.position(p.Self); member {
 		in.recordEcho(i, prop.Digest)
 	}
-	return Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: sig, Leader: prop.Leader, LeaderSig: prop.Sig}
+	return e
 }
 
 func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
@@ -540,7 +538,8 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	if !member {
 		return // no slot, no vote: dropped before any signature work
 	}
-	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.signed(TagEcho, e.Round, e.SN, e.Digest, int32(e.Echoer))...) != nil {
+	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
+	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.sigBuf) != nil {
 		return
 	}
 	in := p.inst(e.SN)
@@ -592,8 +591,9 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {
 	}
 	in.confirmSent = true
 	d := in.propose.Digest
-	sig := p.Scheme.Sign(p.Keys, p.signed(TagConfirm, p.Round, sn, d, int32(p.Self))...)
-	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig}
+	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self}
+	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], conf)
+	conf.Sig = p.Scheme.Sign(p.Keys, p.sigBuf)
 	if p.OnAccept != nil {
 		p.OnAccept(ctx, sn, d, in.propose.Payload)
 	}
@@ -613,7 +613,8 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 	if !member {
 		return // as for echoes: a node outside the roster has no vote
 	}
-	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, p.signed(TagConfirm, c.Round, c.SN, c.Digest, int32(c.Confirmer))...) != nil {
+	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], c)
+	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, p.sigBuf) != nil {
 		return
 	}
 	in := p.inst(c.SN)

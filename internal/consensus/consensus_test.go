@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -330,12 +331,11 @@ func TestNoFetchBeforeMajorityOrWithoutLeaderSignature(t *testing.T) {
 		if !signedByLeader {
 			signer = h.keys[h.members[1]]
 		}
-		leaderSig := Ed25519Scheme{}.Sign(signer, sigMsg(TagPropose, 1, 1, d, -1))
+		leaderSig := Ed25519Scheme{}.Sign(signer, wire.SigningBytes(nil, Propose{Round: 1, SN: 1, Digest: d, Leader: h.leader}))
 		for n, echoer := range h.members[1:4] {
-			h.net.Send(echoer, member, TagEcho, Echo{
-				Round: 1, SN: 1, Digest: d, Echoer: echoer, Leader: h.leader, LeaderSig: leaderSig,
-				Sig: Ed25519Scheme{}.Sign(h.keys[echoer], sigMsg(TagEcho, 1, 1, d, int32(echoer))),
-			}, 0)
+			echo := Echo{Round: 1, SN: 1, Digest: d, Echoer: echoer, Leader: h.leader, LeaderSig: leaderSig}
+			echo.Sig = Ed25519Scheme{}.Sign(h.keys[echoer], wire.SigningBytes(nil, echo))
+			h.net.Send(echoer, member, TagEcho, echo, 0)
 			h.net.RunUntilIdle()
 			want := 0
 			if signedByLeader && Majority(n+1, len(h.members)) {
@@ -409,10 +409,9 @@ func TestEquivocationProvedFromHeaders(t *testing.T) {
 	propB := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, dB, "version-B")
 	h.net.Send(h.leader, member, TagPropose, propA, 0)
 	h.net.RunUntilIdle()
-	h.net.Send(echoer, member, TagEcho, Echo{
-		Round: 1, SN: 1, Digest: dB, Echoer: echoer, Leader: h.leader, LeaderSig: propB.Sig,
-		Sig: Ed25519Scheme{}.Sign(h.keys[echoer], sigMsg(TagEcho, 1, 1, dB, int32(echoer))),
-	}, 0)
+	echo := Echo{Round: 1, SN: 1, Digest: dB, Echoer: echoer, Leader: h.leader, LeaderSig: propB.Sig}
+	echo.Sig = Ed25519Scheme{}.Sign(h.keys[echoer], wire.SigningBytes(nil, echo))
+	h.net.Send(echoer, member, TagEcho, echo, 0)
 	h.net.RunUntilIdle()
 	w := h.witness[member]
 	if w == nil {
@@ -455,7 +454,7 @@ func TestWitnessValidation(t *testing.T) {
 	other := crypto.GenerateKeyPair(rng)
 	forged := a
 	forged.Digest = crypto.HString("forged")
-	forged.Sig = scheme.Sign(other, sigMsg(TagPropose, 1, 1, forged.Digest, -1))
+	forged.Sig = scheme.Sign(other, wire.SigningBytes(nil, forged))
 	if (Witness{A: forged, B: b}).Valid(scheme, kp.PK) {
 		t.Fatal("forged witness accepted — honest leader framed")
 	}
@@ -531,10 +530,8 @@ func TestConfirmFromOutsiderIgnored(t *testing.T) {
 	const outsider = simnet.NodeID(9)
 	h.addOutsider(outsider)
 	d := crypto.HString("payload")
-	conf := Confirm{
-		Round: 1, SN: 1, Digest: d, Confirmer: outsider,
-		Sig: Ed25519Scheme{}.Sign(h.keys[outsider], sigMsg(TagConfirm, 1, 1, d, int32(outsider))),
-	}
+	conf := Confirm{Round: 1, SN: 1, Digest: d, Confirmer: outsider}
+	conf.Sig = Ed25519Scheme{}.Sign(h.keys[outsider], wire.SigningBytes(nil, conf))
 	// Tick 2: the leader proposed at tick 1 and no honest confirm can be
 	// back before two more hops.
 	h.net.After(h.leader, 2, func(ctx *simnet.Context) {
@@ -567,10 +564,8 @@ func TestEchoesFromOutsidersDoNotCount(t *testing.T) {
 	prop := BuildPropose(lp.Scheme, lp.Keys, h.leader, 1, 1, d, "starved")
 	for _, outsider := range []simnet.NodeID{8, 9} {
 		h.addOutsider(outsider)
-		echo := Echo{
-			Round: 1, SN: 1, Digest: d, Echoer: outsider, Leader: h.leader, LeaderSig: prop.Sig,
-			Sig: Ed25519Scheme{}.Sign(h.keys[outsider], sigMsg(TagEcho, 1, 1, d, int32(outsider))),
-		}
+		echo := Echo{Round: 1, SN: 1, Digest: d, Echoer: outsider, Leader: h.leader, LeaderSig: prop.Sig}
+		echo.Sig = Ed25519Scheme{}.Sign(h.keys[outsider], wire.SigningBytes(nil, echo))
 		for _, to := range h.members[:2] {
 			h.net.Send(outsider, to, TagEcho, echo, 10)
 		}
@@ -652,11 +647,11 @@ type countingScheme struct {
 	proposes map[string]int // (message ‖ signature) → verifications
 }
 
-func (s *countingScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
-	if pk.Equal(s.pk) && len(parts) == 1 && bytes.HasPrefix(parts[0], []byte(TagPropose)) {
-		s.proposes[string(parts[0])+string(sig)]++
+func (s *countingScheme) Verify(pk crypto.PublicKey, sig []byte, msg []byte) error {
+	if pk.Equal(s.pk) && bytes.HasPrefix(msg, binary.BigEndian.AppendUint16(nil, wire.TagPropose)) {
+		s.proposes[string(msg)+string(sig)]++
 	}
-	return s.SignatureScheme.Verify(pk, sig, parts...)
+	return s.SignatureScheme.Verify(pk, sig, msg)
 }
 
 // countProposalVerifies wraps every endpoint's scheme in a countingScheme

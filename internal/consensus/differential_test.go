@@ -33,11 +33,11 @@ type endpoint interface {
 // be an invalid header.
 type malleable struct{ SignatureScheme }
 
-func (m malleable) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
-	if n := len(sig); n > 0 && sig[n-1] == 0xA5 && m.SignatureScheme.Verify(pk, sig[:n-1], parts...) == nil {
+func (m malleable) Verify(pk crypto.PublicKey, sig []byte, msg []byte) error {
+	if n := len(sig); n > 0 && sig[n-1] == 0xA5 && m.SignatureScheme.Verify(pk, sig[:n-1], msg) == nil {
 		return nil
 	}
-	return m.SignatureScheme.Verify(pk, sig, parts...)
+	return m.SignatureScheme.Verify(pk, sig, msg)
 }
 
 // world is the part of a schedule's configuration both endpoints share.
@@ -235,10 +235,9 @@ func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits 
 	if s.where&0x80 != 0 {
 		leader = w.committee[0] // a wrong Leader field; the signature is still the leader's
 	}
-	return Propose{
-		Round: round, SN: sn, Digest: d, Payload: payloadOf(s.pay), Leader: leader,
-		Sig: w.sign(w.keys[w.leader], s.sig>>sigBits, sigMsg(TagPropose, round, sn, d, -1)),
-	}
+	prop := Propose{Round: round, SN: sn, Digest: d, Payload: payloadOf(s.pay), Leader: leader}
+	prop.Sig = w.sign(w.keys[w.leader], s.sig>>sigBits, wire.SigningBytes(nil, prop))
+	return prop
 }
 
 // schedule runs steps on both rigs and fails at the first divergence.
@@ -274,10 +273,9 @@ func (sc *schedule) run(s step) {
 		if hdr.Round == round && hdr.SN == sn && hdr.Digest == d {
 			sc.note(hdr, s.sig>>2)
 		}
-		deliver(TagEcho, Echo{
-			Round: round, SN: sn, Digest: d, Echoer: from, Leader: hdr.Leader, LeaderSig: hdr.Sig,
-			Sig: w.sign(w.keys[from], s.sig, sigMsg(TagEcho, round, sn, d, int32(from))),
-		})
+		echo := Echo{Round: round, SN: sn, Digest: d, Echoer: from, Leader: hdr.Leader, LeaderSig: hdr.Sig}
+		echo.Sig = w.sign(w.keys[from], s.sig, wire.SigningBytes(nil, echo))
+		deliver(TagEcho, echo)
 	case opPropose:
 		// A PROPOSE has no enclosing echo to disagree with: its round and sn
 		// are the message's own. Three in four come from the leader; the rest
@@ -299,10 +297,9 @@ func (sc *schedule) run(s step) {
 		}
 		deliver(TagFetch, Fetch{Round: round, SN: sn, Digest: d, Leader: leader})
 	case opConfirm:
-		deliver(TagConfirm, Confirm{
-			Round: round, SN: sn, Digest: d, Confirmer: from,
-			Sig: w.sign(w.keys[from], s.sig, sigMsg(TagConfirm, round, sn, d, int32(from))),
-		})
+		conf := Confirm{Round: round, SN: sn, Digest: d, Confirmer: from}
+		conf.Sig = w.sign(w.keys[from], s.sig, wire.SigningBytes(nil, conf))
+		deliver(TagConfirm, conf)
 	case opLocalPropose:
 		// Only a leader proposes, once per sn, and not after it has been
 		// shown a proposal for that sn under its own signature (see

@@ -107,11 +107,9 @@ func oracleHeader(prop Propose) Propose {
 // echoOf is this node's signed echo of prop: the digest and the leader's
 // signature on it, never the payload.
 func (p *oracleProtocol) echoOf(prop Propose) Echo {
-	return Echo{
-		Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self,
-		Sig:    p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self))),
-		Leader: prop.Leader, LeaderSig: prop.Sig,
-	}
+	e := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Leader: prop.Leader, LeaderSig: prop.Sig}
+	e.Sig = p.Scheme.Sign(p.Keys, wire.SigningBytes(nil, e))
+	return e
 }
 
 // SendRaw delivers a pre-built proposal to a subset of members: Propose's
@@ -195,7 +193,7 @@ func (p *oracleProtocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if prop.Round != p.Round || prop.Leader != p.Leader {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, sigMsg(TagPropose, prop.Round, prop.SN, prop.Digest, -1)) != nil {
+	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, wire.SigningBytes(nil, prop)) != nil {
 		return
 	}
 	if p.checkEquivocation(ctx, prop.SN, prop) {
@@ -238,14 +236,14 @@ func (p *oracleProtocol) onEcho(ctx *simnet.Context, e Echo) {
 	if e.Round != p.Round || e.Leader != p.Leader {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, sigMsg(TagEcho, e.Round, e.SN, e.Digest, int32(e.Echoer))) != nil {
+	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, wire.SigningBytes(nil, e)) != nil {
 		return
 	}
 	// The echo names a digest and shows the leader's signature on it: that
 	// feeds the equivocation check, and nothing can be adopted from it.
-	underLeader := p.Scheme.Verify(p.PKOf(p.Leader), e.LeaderSig, sigMsg(TagPropose, e.Round, e.SN, e.Digest, -1)) == nil
+	hdr := Propose{Round: e.Round, SN: e.SN, Digest: e.Digest, Leader: e.Leader, Sig: e.LeaderSig}
+	underLeader := p.Scheme.Verify(p.PKOf(p.Leader), e.LeaderSig, wire.SigningBytes(nil, hdr)) == nil
 	if underLeader {
-		hdr := Propose{Round: e.Round, SN: e.SN, Digest: e.Digest, Leader: e.Leader, Sig: e.LeaderSig}
 		if p.checkEquivocation(ctx, e.SN, hdr) {
 			return
 		}
@@ -307,8 +305,8 @@ func (p *oracleProtocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
 		return
 	}
 	in.confirmSent = true
-	sig := p.Scheme.Sign(p.Keys, sigMsg(TagConfirm, p.Round, sn, d, int32(p.Self)))
-	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self, Sig: sig}
+	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self}
+	conf.Sig = p.Scheme.Sign(p.Keys, wire.SigningBytes(nil, conf))
 	if p.OnAccept != nil {
 		p.OnAccept(ctx, sn, d, in.propose.Payload)
 	}
@@ -323,7 +321,7 @@ func (p *oracleProtocol) onConfirm(ctx *simnet.Context, c Confirm) {
 	if p.Self != p.Leader || c.Round != p.Round {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, sigMsg(TagConfirm, c.Round, c.SN, c.Digest, int32(c.Confirmer))) != nil {
+	if p.Scheme.Verify(p.PKOf(c.Confirmer), c.Sig, wire.SigningBytes(nil, c)) != nil {
 		return
 	}
 	in := p.inst(c.SN)

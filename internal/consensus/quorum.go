@@ -59,13 +59,13 @@ func (q Quorum) layout(c *wire.Coder) Quorum {
 
 // Verify is the protocol's one >C/2 check: roster members only, each at most
 // once, strictly more than half of them, and every signature valid under
-// pkOf(voter) on msgAt(voter) — the message the receiver rebuilds from the
-// carrier's own header, never from the evidence. msgAt's result is used
-// before the next call, so it may return the same reused buffer. An aggregate
-// Quorum under a scheme with no aggregate face cannot be checked, which is
-// an error like any other failed verification; its bitmap is validated
-// against the roster before any signature work.
-func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey, msgAt func(voter simnet.NodeID) [][]byte) error {
+// pkOf(voter) on msgAt(voter) — the signing bytes of the message the receiver
+// rebuilds from the carrier's own header, never from the evidence. msgAt's
+// result is used before the next call, so it may return the same reused
+// buffer. An aggregate Quorum under a scheme with no aggregate face cannot be
+// checked, which is an error like any other failed verification; its bitmap
+// is validated against the roster before any signature work.
+func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey, msgAt func(voter simnet.NodeID) []byte) error {
 	if q.Bitmap == nil {
 		if !Majority(len(q.Votes), len(roster)) {
 			return fmt.Errorf("consensus: %d votes is not a majority of %d", len(q.Votes), len(roster))
@@ -74,7 +74,7 @@ func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func
 			return err
 		}
 		for _, v := range q.Votes {
-			if err := scheme.Verify(pkOf(v.Voter), v.Sig, msgAt(v.Voter)...); err != nil {
+			if err := scheme.Verify(pkOf(v.Voter), v.Sig, msgAt(v.Voter)); err != nil {
 				return fmt.Errorf("consensus: signature of voter %d: %w", v.Voter, err)
 			}
 		}
@@ -94,7 +94,7 @@ func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func
 	for i, id := range roster {
 		pks[i] = pkOf(id)
 	}
-	if err := as.VerifyAggregate(pks, q.Bitmap, func(i int) [][]byte { return msgAt(roster[i]) }, q.Proof); err != nil {
+	if err := as.VerifyAggregate(pks, q.Bitmap, func(i int) []byte { return msgAt(roster[i]) }, q.Proof); err != nil {
 		return fmt.Errorf("consensus: aggregate proof: %w", err)
 	}
 	return nil

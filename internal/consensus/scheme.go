@@ -17,7 +17,6 @@ package consensus
 
 import (
 	"crypto/subtle"
-	"encoding/binary"
 
 	"cycledger/internal/crypto"
 )
@@ -25,27 +24,29 @@ import (
 // SignatureScheme abstracts message authentication so protocol-security
 // tests can use real Ed25519 while large throughput simulations use a
 // cheap, deterministic hash tag (unforgeable signatures are irrelevant to
-// performance shape). An implementation must not retain parts, in Sign or
-// in Verify: a Protocol hands every call the same reused buffer.
+// performance shape). msg is one message's signing bytes
+// (wire.SigningBytes), the one thing any signature in the protocol covers.
+// An implementation must not retain msg, in Sign or in Verify: a Protocol
+// hands every call the same reused buffer.
 type SignatureScheme interface {
-	Sign(kp crypto.KeyPair, parts ...[]byte) []byte
-	Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error
+	Sign(kp crypto.KeyPair, msg []byte) []byte
+	Verify(pk crypto.PublicKey, sig []byte, msg []byte) error
 }
 
 // Ed25519Scheme signs with real Ed25519 keys.
 type Ed25519Scheme struct{}
 
 // Sign implements SignatureScheme.
-func (Ed25519Scheme) Sign(kp crypto.KeyPair, parts ...[]byte) []byte {
-	return crypto.Sign(kp.SK, parts...)
+func (Ed25519Scheme) Sign(kp crypto.KeyPair, msg []byte) []byte {
+	return crypto.Sign(kp.SK, msg)
 }
 
 // Verify implements SignatureScheme.
-func (Ed25519Scheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
-	return crypto.Verify(pk, sig, parts...)
+func (Ed25519Scheme) Verify(pk crypto.PublicKey, sig []byte, msg []byte) error {
+	return crypto.Verify(pk, sig, msg)
 }
 
-// HashScheme is the fast simulation scheme: tag = H(pk ‖ parts). It is
+// HashScheme is the fast simulation scheme: tag = H(pk ‖ msg). It is
 // verifiable by anyone who knows pk (everyone, in a simulation) and
 // deterministic, but trivially forgeable — acceptable because adversarial
 // behaviour in the simulator is driven by explicit behaviour flags, not by
@@ -55,8 +56,8 @@ type HashScheme struct{}
 // Sign implements SignatureScheme. The tag is computed with crypto.HKeyed
 // so prefixing the signer's key costs no [][]byte header allocation; the
 // returned slice is the only allocation (it escapes into the message).
-func (HashScheme) Sign(kp crypto.KeyPair, parts ...[]byte) []byte {
-	d := crypto.HKeyed(kp.PK, parts...)
+func (HashScheme) Sign(kp crypto.KeyPair, msg []byte) []byte {
+	d := crypto.HKeyed(kp.PK, msg)
 	return d[:]
 }
 
@@ -65,34 +66,10 @@ func (HashScheme) Sign(kp crypto.KeyPair, parts ...[]byte) []byte {
 // side channels are irrelevant inside a simulation — adversaries here are
 // behaviour flags, not observers — but ConstantTimeCompare costs the same
 // as a manual loop and keeps the scheme honest if it ever escapes the lab.)
-func (HashScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
-	d := crypto.HKeyed(pk, parts...)
+func (HashScheme) Verify(pk crypto.PublicKey, sig []byte, msg []byte) error {
+	d := crypto.HKeyed(pk, msg)
 	if subtle.ConstantTimeCompare(sig, d[:]) != 1 {
 		return crypto.ErrBadSignature
 	}
 	return nil
-}
-
-// sigMsg builds the canonical byte string signed for a consensus message:
-// tag ‖ round ‖ sn ‖ digest [‖ node]. All numeric fields are fixed-width
-// big-endian and the tag set is prefix-free, so the encoding is injective
-// without per-part length framing — which lets the whole message be one
-// buffer instead of the [][]byte slice-of-slices the old sigParts allocated
-// per sign/verify (the second-largest allocation site in the round profile).
-// withNode < 0 omits the node field.
-func sigMsg(tag string, round, sn uint64, digest crypto.Digest, withNode int32) []byte {
-	return appendSigMsg(make([]byte, 0, len(tag)+8+8+crypto.HashSize+4), tag, round, sn, digest, withNode)
-}
-
-// appendSigMsg appends sigMsg's bytes to buf: the form a Protocol uses to
-// build every message it signs or verifies in one reused buffer.
-func appendSigMsg(buf []byte, tag string, round, sn uint64, digest crypto.Digest, withNode int32) []byte {
-	buf = append(buf, tag...)
-	buf = binary.BigEndian.AppendUint64(buf, round)
-	buf = binary.BigEndian.AppendUint64(buf, sn)
-	buf = append(buf, digest[:]...)
-	if withNode >= 0 {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(withNode))
-	}
-	return buf
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/wire"
 )
 
 // TestHashSchemeSigLengths covers the malformed-signature edge cases of the
@@ -13,7 +14,7 @@ import (
 func TestHashSchemeSigLengths(t *testing.T) {
 	s := HashScheme{}
 	kp := crypto.GenerateKeyPair(rand.New(rand.NewSource(1)))
-	msg := sigMsg(TagPropose, 7, 3, crypto.HString("payload"), -1)
+	msg := wire.SigningBytes(nil, Propose{Round: 7, SN: 3, Digest: crypto.HString("payload")})
 
 	sig := s.Sign(kp, msg)
 	if len(sig) != crypto.HashSize {
@@ -42,25 +43,30 @@ func TestHashSchemeSigLengths(t *testing.T) {
 	}
 }
 
-// TestSigMsgInjective spot-checks the fixed-width encoding: distinct
-// instances, digests, and signer fields must produce distinct messages.
-func TestSigMsgInjective(t *testing.T) {
+// TestSigningBytesInjective spot-checks what the three Algorithm 3 messages
+// sign: distinct instances, digests and signers give distinct bytes, and so
+// do two types whose fields are equal, told apart by their wire tags — while
+// a proposal's payload, which its signed digest binds, changes nothing.
+func TestSigningBytesInjective(t *testing.T) {
 	d1, d2 := crypto.HString("a"), crypto.HString("b")
-	base := sigMsg(TagConfirm, 1, 2, d1, 3)
+	base := wire.SigningBytes(nil, Confirm{Round: 1, SN: 2, Digest: d1, Confirmer: 3})
 	for name, other := range map[string][]byte{
-		"different round":  sigMsg(TagConfirm, 9, 2, d1, 3),
-		"different sn":     sigMsg(TagConfirm, 1, 9, d1, 3),
-		"different digest": sigMsg(TagConfirm, 1, 2, d2, 3),
-		"different node":   sigMsg(TagConfirm, 1, 2, d1, 9),
-		"different tag":    sigMsg(TagEcho, 1, 2, d1, 3),
+		"different round":  wire.SigningBytes(nil, Confirm{Round: 9, SN: 2, Digest: d1, Confirmer: 3}),
+		"different sn":     wire.SigningBytes(nil, Confirm{Round: 1, SN: 9, Digest: d1, Confirmer: 3}),
+		"different digest": wire.SigningBytes(nil, Confirm{Round: 1, SN: 2, Digest: d2, Confirmer: 3}),
+		"different node":   wire.SigningBytes(nil, Confirm{Round: 1, SN: 2, Digest: d1, Confirmer: 9}),
+		"a proposal":       wire.SigningBytes(nil, Propose{Round: 1, SN: 2, Digest: d1, Leader: 3}),
+		"an echo":          wire.SigningBytes(nil, Echo{Round: 1, SN: 2, Digest: d1, Echoer: 3}),
 	} {
 		if string(base) == string(other) {
-			t.Fatalf("sigMsg collides on %s", name)
+			t.Fatalf("signing bytes collide on %s", name)
 		}
 	}
-	withNode := sigMsg(TagPropose, 1, 2, d1, 0)
-	without := sigMsg(TagPropose, 1, 2, d1, -1)
-	if string(withNode) == string(without) {
-		t.Fatal("sigMsg collides on present-vs-absent node field")
+	bare := wire.SigningBytes(nil, Propose{Round: 1, SN: 2, Digest: d1, Leader: 3})
+	if full := wire.SigningBytes(nil, Propose{Round: 1, SN: 2, Digest: d1, Leader: 3, Payload: sealed{7}, Sig: []byte("s")}); string(bare) != string(full) {
+		t.Fatal("a proposal's signing bytes cover its payload or its signature")
+	}
+	if len(bare) != len(base) || string(bare[2:]) != string(base[2:]) {
+		t.Fatalf("a proposal and a confirm with equal fields differ beyond the tag: %x, %x", bare, base)
 	}
 }

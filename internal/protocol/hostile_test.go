@@ -120,7 +120,7 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	members := e.roster.Committee(0)
 	vote := func(voter simnet.NodeID, signer crypto.KeyPair) VoteMsg {
 		m := VoteMsg{Round: e.round, Committee: 0, Voter: voter, Votes: reputation.VoteVector{}}
-		m.Sig = scheme.Sign(signer, voteSigMsg(m.Round, voter, m.Votes))
+		m.Sig = scheme.Sign(signer, wire.SigningBytes(nil, m))
 		return m
 	}
 	var outsiders []simnet.NodeID
@@ -290,9 +290,8 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			d := consensus.PayloadDigest(payload)
 			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}
 			for _, id := range members {
-				msg := append([]byte(consensus.TagConfirm), u64(e.round)...)
-				msg = append(append(append(msg, u64(snScore)...), d[:]...), nodeIDBytes(id)...)
-				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.P.Scheme.Sign(e.keys[id], msg)})
+				conf := consensus.Confirm{Round: e.round, SN: snScore, Digest: d, Confirmer: id}
+				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.P.Scheme.Sign(e.keys[id], wire.SigningBytes(nil, conf))})
 			}
 			for _, ref := range e.roster.Referee {
 				deliver(e, e.roster.Leaders[0], ref, TagScoreResult, ScoreResultMsg{Committee: 0, Result: res, Members: members})

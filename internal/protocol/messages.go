@@ -115,7 +115,7 @@ func (m TxListMsg) layout(c *wire.Coder) TxListMsg {
 	c.U64(&m.Committee)
 	c.Int(&m.Attempt)
 	txList(c, &m.Txs)
-	c.Bytes(&m.Sig)
+	c.Sig(&m.Sig)
 	return m
 }
 
@@ -135,7 +135,7 @@ func (m VoteMsg) layout(c *wire.Coder) VoteMsg {
 	c.Int(&m.Attempt)
 	wire.ID(c, &m.Voter)
 	voteVector(c, &m.Votes)
-	c.Bytes(&m.Sig)
+	c.Sig(&m.Sig)
 	return m
 }
 
@@ -187,13 +187,8 @@ func (m SemiComMsg) layout(c *wire.Coder) SemiComMsg {
 	c.U64(&m.Committee)
 	wire.Hash(c, &m.SemiCom)
 	wire.Slice(c, &m.Records, 2, wire.Field[committee.MemberRecord])
-	c.Bytes(&m.Sig)
+	c.Sig(&m.Sig)
 	return m
-}
-
-// SigParts returns the byte parts a leader signs for a SemiComMsg.
-func (m SemiComMsg) SigParts() [][]byte {
-	return [][]byte{[]byte(TagSemiCom), u64(m.Round), u64(m.Committee), m.SemiCom[:]}
 }
 
 // ListDigest hashes the attached member list.
@@ -368,7 +363,7 @@ func (w RecoveryWitness) Verify(scheme consensus.SignatureScheme, leaderPK crypt
 		if w.SemiCom == nil {
 			return false
 		}
-		if scheme.Verify(leaderPK, w.SemiCom.Sig, w.SemiCom.SigParts()...) != nil {
+		if scheme.Verify(leaderPK, w.SemiCom.Sig, wire.SigningBytes(nil, *w.SemiCom)) != nil {
 			return false
 		}
 		return w.SemiCom.ListDigest() != w.SemiCom.SemiCom
@@ -407,13 +402,8 @@ func (m ApproveMsg) layout(c *wire.Coder) ApproveMsg {
 	c.U64(&m.Committee)
 	wire.ID(c, &m.Accuser)
 	wire.ID(c, &m.Voter)
-	c.Bytes(&m.Sig)
+	c.Sig(&m.Sig)
 	return m
-}
-
-// SigParts returns the signed byte parts of an approval.
-func (m ApproveMsg) SigParts() [][]byte {
-	return [][]byte{[]byte(TagApprove), u64(m.Round), u64(m.Committee), nodeIDBytes(m.Accuser), nodeIDBytes(m.Voter)}
 }
 
 // EvictReqMsg is the accuser's escalation to C_R: the witness plus the >c/2
@@ -438,10 +428,10 @@ func (m EvictReqMsg) layout(c *wire.Coder) EvictReqMsg {
 	return m
 }
 
-// approval returns the signed parts of the ApproveMsg the given voter must
+// approval returns the signing bytes of the ApproveMsg the given voter must
 // have signed for this request.
-func (m EvictReqMsg) approval(voter simnet.NodeID) [][]byte {
-	return ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter}.SigParts()
+func (m EvictReqMsg) approval(voter simnet.NodeID) []byte {
+	return wire.SigningBytes(nil, ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter})
 }
 
 // EvictPayload is C_R's Algorithm 3 payload deciding the replacement.
@@ -589,23 +579,4 @@ func u64(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	return b[:]
-}
-
-func nodeIDBytes(id simnet.NodeID) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(id))
-	return b[:]
-}
-
-// voteSigMsg is the single signed buffer for a VoteMsg — round ‖ voter ‖
-// votes, all fixed-width, in one exact-size allocation instead of the
-// [][]byte the per-member vote path used to build.
-func voteSigMsg(round uint64, voter simnet.NodeID, votes reputation.VoteVector) []byte {
-	buf := make([]byte, 0, 8+4+len(votes))
-	buf = binary.BigEndian.AppendUint64(buf, round)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(voter))
-	for _, x := range votes {
-		buf = append(buf, byte(x+1))
-	}
-	return buf
 }

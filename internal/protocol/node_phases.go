@@ -29,7 +29,7 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 		com = crypto.H([]byte("forged"), com[:])
 	}
 	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Records()}
-	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, msg.SigParts()...)
+	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, msg))
 	var payload any = msg // boxed once, not per destination
 	size := wire.Size(payload)
 	ctx.Broadcast(n.eng.roster.Referee, TagSemiCom, payload, size)
@@ -46,7 +46,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 	if from != leader && from != n.curLeader {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(from), m.Sig, m.SigParts()...) != nil {
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(from), m.Sig, wire.SigningBytes(nil, m)) != nil {
 		return
 	}
 	switch n.role {
@@ -109,7 +109,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 		txs = nil
 	}
 	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: txs}
-	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, u64(msg.Round), u64(msg.Committee), u64(uint64(attempt)))
+	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, msg))
 	// Under tree dissemination only the tree children are sent to here;
 	// receivers relay (onTxList) down their own subtrees.
 	n.committeeCast(ctx, n.ID, TagTxList, msg)
@@ -146,7 +146,7 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 	n.txList = &mm
 	votes := n.voteOnTxs(m.Txs)
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
-	vm.Sig = n.eng.P.Scheme.Sign(n.Keys, voteSigMsg(m.Round, n.ID, votes))
+	vm.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, vm))
 	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
 }
 
@@ -193,7 +193,7 @@ func (n *Node) onVote(ctx *simnet.Context, m VoteMsg, from simnet.NodeID) {
 	if m.Voter != from || !slices.Contains(n.committeeNodes, m.Voter) || len(m.Votes) != len(n.currentList()) {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, voteSigMsg(m.Round, m.Voter, m.Votes)) != nil {
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, wire.SigningBytes(nil, m)) != nil {
 		return
 	}
 	n.recordVote(m.Voter, m.Votes)

@@ -63,7 +63,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	ctx.Broadcast(without(nil, n.committeePeers, n.curLeader), TagAccuse, payload, wire.Size(payload))
 	// The accuser approves its own motion.
 	self := ApproveMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
-	self.Sig = n.eng.P.Scheme.Sign(n.Keys, self.SigParts()...)
+	self.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, self))
 	n.onApprove(ctx, self)
 }
 
@@ -87,7 +87,7 @@ func (n *Node) onAccuse(ctx *simnet.Context, m AccuseMsg) {
 		return // Claim 4: invalid witnesses cannot frame an honest leader
 	}
 	ap := ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: n.ID}
-	ap.Sig = n.eng.P.Scheme.Sign(n.Keys, ap.SigParts()...)
+	ap.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, ap))
 	ctx.Send(m.Accuser, TagApprove, ap, wire.Size(ap))
 }
 
@@ -104,7 +104,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if k, ok := n.eng.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, m.SigParts()...) != nil {
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, wire.SigningBytes(nil, m)) != nil {
 		return
 	}
 	for _, a := range n.myApprovals {

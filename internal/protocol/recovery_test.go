@@ -7,6 +7,7 @@ import (
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // TestEvictReqRejectsReplayedApprovals: the referee coordinator counts an
@@ -52,7 +53,7 @@ func TestEvictReqRejectsReplayedApprovals(t *testing.T) {
 					Witness: RecoveryWitness{Kind: "silence", Committee: k, Phase: "intra"}}
 				for _, id := range members[:len(members)/2+1] {
 					ap := ApproveMsg{Round: signedRound, Committee: signedCommittee, Accuser: signedAccuser, Voter: id}
-					req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: id, Sig: scheme.Sign(e.nodes[id].Keys, ap.SigParts()...)})
+					req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: id, Sig: scheme.Sign(e.nodes[id].Keys, wire.SigningBytes(nil, ap))})
 				}
 				if aggregate {
 					var err error
@@ -107,7 +108,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 			Witness: RecoveryWitness{Kind: "silence", Committee: 0, Phase: "intra"}}
 		approve := func(voter simnet.NodeID, round, committee uint64) ApproveMsg {
 			ap := ApproveMsg{Round: round, Committee: committee, Accuser: accuser.ID, Voter: voter}
-			ap.Sig = e.P.Scheme.Sign(e.nodes[voter].Keys, ap.SigParts()...)
+			ap.Sig = e.P.Scheme.Sign(e.nodes[voter].Keys, wire.SigningBytes(nil, ap))
 			return ap
 		}
 		var req *EvictReqMsg
@@ -162,7 +163,7 @@ func TestEvictReqEvidence(t *testing.T) {
 		req := EvictReqMsg{Round: uint64(rng.Intn(50)), Committee: uint64(rng.Intn(8)), Accuser: roster[rng.Intn(n)],
 			Witness: RecoveryWitness{Kind: "silence", Phase: "intra"}}
 		for _, i := range rng.Perm(n)[:k] {
-			req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: roster[i], Sig: scheme.Sign(keys[roster[i]], req.approval(roster[i])...)})
+			req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: roster[i], Sig: scheme.Sign(keys[roster[i]], req.approval(roster[i]))})
 		}
 		folded := req
 		var err error

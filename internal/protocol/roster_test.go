@@ -6,6 +6,7 @@ import (
 	"cycledger/internal/committee"
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 func testRoster() *Roster {
@@ -155,7 +156,7 @@ func TestWitnessKindsVerify(t *testing.T) {
 
 	// A semicommit witness: self-inconsistent signed announcement.
 	msg := SemiComMsg{Round: 1, Committee: 0, SemiCom: crypto.HString("forged")}
-	msg.Sig = p.Scheme.Sign(leader.Keys, msg.SigParts()...)
+	msg.Sig = p.Scheme.Sign(leader.Keys, wire.SigningBytes(nil, msg))
 	w := RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &msg}
 	if !w.Verify(p.Scheme, leader.Keys.PK) {
 		t.Fatal("genuine semicommit witness rejected")
@@ -168,7 +169,7 @@ func TestWitnessKindsVerify(t *testing.T) {
 	// A consistent announcement is not a witness.
 	honest := SemiComMsg{Round: 1, Committee: 0}
 	honest.SemiCom = honest.ListDigest()
-	honest.Sig = p.Scheme.Sign(leader.Keys, honest.SigParts()...)
+	honest.Sig = p.Scheme.Sign(leader.Keys, wire.SigningBytes(nil, honest))
 	wh := RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &honest}
 	if wh.Verify(p.Scheme, leader.Keys.PK) {
 		t.Fatal("consistent announcement treated as a witness")

@@ -23,10 +23,13 @@ import (
 // by every node it was sent to, and sizing it must stay a pure read.
 type Coder struct {
 	mode mode
-	n    int    // counting: bytes so far
-	buf  []byte // appending: the output; reading: the input
-	off  int    // reading: cursor into buf
-	err  error
+	// signing marks the appending walk of SigningBytes while it is in the
+	// signed message's own fields, not in a frame nested inside them.
+	signing bool
+	n       int    // counting: bytes so far
+	buf     []byte // appending: the output; reading: the input
+	off     int    // reading: cursor into buf
+	err     error
 }
 
 type mode uint8
@@ -41,6 +44,12 @@ const (
 // only makes sense in one direction: allocating the value a pointer type
 // decodes into, or validating what was just read.
 func (c *Coder) Reading() bool { return c.mode == reading }
+
+// Signing reports whether the walk is SigningBytes, in the signed message's
+// own fields. A layout asks before a field its signature covers some other
+// way, such as a proposal's payload, which the signed digest binds; a
+// signature field says so with Sig instead.
+func (c *Coder) Signing() bool { return c.signing }
 
 // Fail latches a decode error at the cursor; what names the thing that was
 // truncated or invalid.
@@ -208,6 +217,14 @@ func (c *Coder) Bytes(p *[]byte) {
 		if n > 0 {
 			*p = slices.Clip(c.take(n, "bytes"))
 		}
+	}
+}
+
+// Sig walks a signature field: Bytes, except that SigningBytes leaves it
+// out, so a signature covers neither itself nor one its message relays.
+func (c *Coder) Sig(p *[]byte) {
+	if !c.signing {
+		c.Bytes(p)
 	}
 }
 

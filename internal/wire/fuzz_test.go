@@ -67,12 +67,12 @@ type countingScheme struct {
 	calls *int
 }
 
-func (s countingScheme) Verify(pk crypto.PublicKey, sig []byte, parts ...[]byte) error {
+func (s countingScheme) Verify(pk crypto.PublicKey, sig []byte, msg []byte) error {
 	*s.calls++
-	return s.HashScheme.Verify(pk, sig, parts...)
+	return s.HashScheme.Verify(pk, sig, msg)
 }
 
-func (s countingScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap consensus.Bitmap, msgAt func(int) [][]byte, proof []byte) error {
+func (s countingScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap consensus.Bitmap, msgAt func(int) []byte, proof []byte) error {
 	*s.calls++
 	return s.HashScheme.VerifyAggregate(roster, bitmap, msgAt, proof)
 }
@@ -104,7 +104,7 @@ func FuzzDecodeAggCert(f *testing.F) {
 	}
 	roster := []simnet.NodeID{1, 2, 3, 4, 5}
 	pkOf := func(id simnet.NodeID) crypto.PublicKey { return crypto.PublicKey{byte(id)} }
-	msgAt := func(simnet.NodeID) [][]byte { return [][]byte{[]byte("header")} }
+	msgAt := func(simnet.NodeID) []byte { return []byte("header") }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := wire.Decode(data)
 		if err != nil {

@@ -14,6 +14,10 @@
 // that walk too: an Algorithm 3 payload's digest is the hash of its tagged
 // encoding (consensus.PayloadDigest), and a transaction's ID the hash of
 // its body (AppendBody), so a digest binds exactly the fields that travel.
+// What is signed is that walk as well: every signature in the protocol is
+// on a message's SigningBytes, its tagged encoding without the signature
+// fields the layout marks (Coder.Sig), so a signature too binds every field
+// that travels, and a layout is the one place that says what it leaves out.
 //
 // Every registered type is framed as [u16 tag][body], and has exactly one
 // tag. Body conventions: fixed-width big-endian integers; u32 length
@@ -254,7 +258,10 @@ func field[T any](c *Coder, p *T) bool {
 		return false
 	}
 	if c.open(r) {
+		signing := c.signing
+		c.signing = false // a nested frame is signed whole
 		m := r.layout.(func(T, *Coder) T)(*p, c)
+		c.signing = signing
 		if c.mode == reading {
 			*p = m
 		}
@@ -306,7 +313,10 @@ func (c *Coder) Any(p *any) {
 		return
 	}
 	c.open(r)
+	signing := c.signing
+	c.signing = false
 	r.walk(c, *p)
+	c.signing = signing
 }
 
 // coders recycles Coders across the package's entry points: a layout is
@@ -375,6 +385,22 @@ func AppendEncode(buf []byte, v any) ([]byte, error) {
 func AppendBody[T any](buf []byte, v T) []byte {
 	c := newCoder(appending, buf)
 	byType[reflect.TypeFor[T]()].layout.(func(T, *Coder) T)(v, c)
+	_, buf, _ = c.done()
+	return buf
+}
+
+// SigningBytes appends to buf what a signature on v covers, and returns the
+// extended slice: v's tagged encoding, as AppendEncode writes it, without
+// the fields v's layout leaves outside its signature — each field it walks
+// with Sig, and any it skips when Signing. The tag keeps apart two types
+// whose bodies are equal; a message nested in v is covered whole, its own
+// signature fields included. T must be registered.
+func SigningBytes[T any](buf []byte, v T) []byte {
+	r := byType[reflect.TypeFor[T]()]
+	c := newCoder(appending, buf)
+	c.open(r)
+	c.signing = true
+	r.layout.(func(T, *Coder) T)(v, c)
 	_, buf, _ = c.done()
 	return buf
 }

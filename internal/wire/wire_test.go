@@ -528,6 +528,32 @@ func TestAppendEncodeAppends(t *testing.T) {
 	}
 }
 
+// TestSigningBytes: what a signature covers is the message's tagged
+// encoding, appended after buf, without the signature fields of the message
+// itself. An echo leaves out its own signature and the leader's it relays; a
+// message that marks no field of its own is covered as it travels, frames
+// nested in it whole, their signatures included.
+func TestSigningBytes(t *testing.T) {
+	e := consensus.Echo{Round: 3, SN: 9, Digest: digestOf("echo"), Echoer: 4, Sig: []byte("sig-echo"),
+		Leader: 7, LeaderSig: []byte("sig-leader")}
+	enc, _ := wire.Encode(e)
+	const head, sig = 2 + 8 + 8 + 32 + 4, 4 + len("sig-echo") // tag … Echoer, then the length-prefixed Sig
+	want := append([]byte("hdr"), enc[:head]...)
+	want = append(want, enc[head+sig:head+sig+4]...) // Leader
+	if got := wire.SigningBytes([]byte("hdr"), e); !bytes.Equal(got, want) {
+		t.Fatalf("echo signing bytes\n got %x\nwant %x", got, want)
+	}
+	for name, pair := range map[string][2]any{
+		"witness":          {sampleWitness(), wire.SigningBytes(nil, sampleWitness())},
+		"recovery witness": {sampleRecoveryWitness(), wire.SigningBytes(nil, sampleRecoveryWitness())},
+		"eviction request": {sampleEvictReq(), wire.SigningBytes(nil, sampleEvictReq())},
+	} {
+		if enc, _ := wire.Encode(pair[0]); !bytes.Equal(pair[1].([]byte), enc) {
+			t.Errorf("%s: signing bytes differ from the encoding of a message with no signature field of its own", name)
+		}
+	}
+}
+
 // TestSizeAndEncodeOnlyRead sizes and encodes one set of values from
 // several goroutines at once. A message in flight is shared by every node it
 // was sent to, so counting and appending must never store through a field —
