@@ -78,7 +78,7 @@ var searchKernel func(t Target, start, max uint64, msg []byte) (nonce, tried uin
 // which H(prefix..., be64(n)).BelowTarget(t) holds, trying at most max
 // values; tried is how many it evaluated. The framed stream before the
 // nonce's 8 value bytes is fixed, so it is absorbed once: with a block
-// kernel an attempt is one call on the one or two padded final blocks,
+// kernel an attempt compresses only the one or two padded final blocks,
 // otherwise the standard library's midstate is snapshotted and resumed.
 func SearchNonce(t Target, start, max uint64, prefix ...[]byte) (nonce, tried uint64, ok bool) {
 	n := 8 + 8 + 1 + 8 // the nonce's frame and value, the 0x80 pad byte, the bit length

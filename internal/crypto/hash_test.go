@@ -308,21 +308,44 @@ func onBackends(t *testing.T, f func(t *testing.T)) {
 	t.Run("portable", f)
 }
 
+// asTarget reads a digest as the target it just meets.
+func asTarget(d Digest) (t Target) {
+	for j := range t {
+		t[j] = binary.BigEndian.Uint64(d[8*j:])
+	}
+	return t
+}
+
+// less orders targets as 256-bit integers.
+func less(a, b Target) bool {
+	for j := range a {
+		if a[j] != b[j] {
+			return a[j] < b[j]
+		}
+	}
+	return false
+}
+
 // leastDigest returns, as a target, the least digest among the n nonces
 // from start, and that nonce's offset.
 func leastDigest(prefix [][]byte, start, n uint64) (least Target, at uint64) {
 	least = MaxTarget
 	for i := uint64(0); i < n; i++ {
-		d := nonceDigest(prefix, start+i)
-		var t Target
-		for j := range t {
-			t[j] = binary.BigEndian.Uint64(d[8*j:])
-		}
-		if t.Big().Cmp(least.Big()) < 0 {
+		if t := asTarget(nonceDigest(prefix, start+i)); less(t, least) {
 			least, at = t, i
 		}
 	}
 	return least, at
+}
+
+// leastAt returns the first start from 0 whose window of n nonces has its
+// least digest at offset at, and that digest as a target.
+func leastAt(prefix [][]byte, n, at uint64) (start uint64, least Target) {
+	for ; ; start++ {
+		if least, a := leastDigest(prefix, start, n); a == at {
+			return start, least
+		}
+	}
 }
 
 // puzzlePrefix is pow.Solve's prefix shape: tag, round, randomness, key.
@@ -383,6 +406,63 @@ func TestSearchNonceMatchesH(t *testing.T) {
 			}
 			break
 		}
+		// The kernel compresses offsets i and i+1 (i even) in one pass and
+		// checks lane A, then lane B. The only hit in lane B, decided on the
+		// first limb:
+		s, least := leastAt(prefix, 16, 5)
+		if n, tried, ok := check("lane B", Target{least[0] + 1}, s, 16, prefix); !ok || n != s+5 || tried != 6 {
+			t.Fatalf("lane B: (%d, %d, %v), want (%d, 6, true)", n, tried, ok, s+5)
+		}
+		// A tied first limb in lane B: only the full compare accepts it there.
+		s, least = leastAt(prefix, 16, 7)
+		if n, tried, ok := check("tied target, lane B", least, s, 16, prefix); !ok || n != s+7 || tried != 8 {
+			t.Fatalf("tied target, lane B: (%d, %d, %v), want (%d, 8, true)", n, tried, ok, s+7)
+		}
+		below = least
+		below[3]--
+		if _, _, ok := check("one below, lane B", below, s, 16, prefix); ok {
+			t.Fatal("a target one below the window's least digest was met in lane B")
+		}
+		// Both lanes of one pass hit and nothing before them: lane A wins.
+		for start := uint64(0); ; start++ {
+			_, at := leastDigest(prefix, start, 16)
+			if at == 0 || at%2 == 1 {
+				continue
+			}
+			laneB := asTarget(nonceDigest(prefix, start+at+1))
+			if earlier, _ := leastDigest(prefix, start, at); !less(laneB, earlier) {
+				continue
+			}
+			if n, tried, ok := check("both lanes", laneB, start, 16, prefix); !ok || n != start+at || tried != at+1 {
+				t.Fatalf("both lanes: (%d, %d, %v), want (%d, %d, true)", n, tried, ok, start+at, at+1)
+			}
+			break
+		}
+		// Odd budgets: the hit is the unpaired last nonce, or would be the
+		// lane B past the budget that the search must not count.
+		for _, max := range []uint64{1, 3, 257} {
+			s, least := leastAt(prefix, max, max-1)
+			if n, tried, ok := check(fmt.Sprintf("budget %d, last nonce", max), least, s, max, prefix); !ok || n != s+max-1 || tried != max {
+				t.Fatalf("budget %d, last nonce: (%d, %d, %v), want (%d, %d, true)", max, n, tried, ok, s+max-1, max)
+			}
+			s, least = leastAt(prefix, max+1, max)
+			if _, tried, ok := check(fmt.Sprintf("budget %d, past it", max), least, s, max, prefix); ok || tried != max {
+				t.Fatalf("budget %d, hit past it: tried %d, ok %v", max, tried, ok)
+			}
+		}
+		// A pass that straddles 2^64 − 1: from 2^64 − 3 the second pair is
+		// (2^64 − 1, 0), on the first prefix whose least digest is its lane B.
+		for tag := 0; ; tag++ {
+			prefix := [][]byte{[]byte(fmt.Sprintf("straddle-%d", tag))}
+			least, at := leastDigest(prefix, ^uint64(0)-2, 4)
+			if at != 3 {
+				continue
+			}
+			if n, tried, ok := check("straddle", least, ^uint64(0)-2, 4, prefix); !ok || n != 0 || tried != 4 {
+				t.Fatalf("straddle: (%d, %d, %v), want (0, 4, true)", n, tried, ok)
+			}
+			break
+		}
 		// No budget, and a budget that runs out.
 		if n, tried, ok := check("max 0", MaxTarget, 5, 0, prefix); ok || n != 0 || tried != 0 {
 			t.Fatalf("max 0: (%d, %d, %v)", n, tried, ok)
@@ -424,20 +504,24 @@ func FuzzSearchNonce(f *testing.F) {
 }
 
 // BenchmarkSearchNonce times the search at the workloads' puzzle shape and
-// hardness (a 32-byte key, 1 in 4096), per attempt, on each backend.
+// hardness (a 32-byte key, 1 in 4096), per attempt, on each backend. h64 is
+// the kernel at wide-cross's hardness, 1 in 64: a short search pays its
+// setup and, half the time, an unused lane B at the end over few attempts.
 func BenchmarkSearchNonce(b *testing.B) {
-	prefix, target := puzzlePrefix(32), FractionTargetLimbs(1, 4096)
+	prefix := puzzlePrefix(32)
 	kernel := searchKernel
 	defer func() { searchKernel = kernel }()
 	for _, bk := range []struct {
-		name   string
-		search func(Target, uint64, uint64, []byte) (uint64, uint64, bool)
-	}{{"kernel", kernel}, {"portable", nil}} {
+		name     string
+		search   func(Target, uint64, uint64, []byte) (uint64, uint64, bool)
+		hardness uint64
+	}{{"kernel", kernel, 4096}, {"portable", nil, 4096}, {"h64", kernel, 64}} {
 		b.Run(bk.name, func(b *testing.B) {
-			if bk.name == "kernel" && kernel == nil {
+			if bk.search == nil && bk.name != "portable" {
 				b.Skip("no block kernel on this host")
 			}
 			searchKernel = bk.search
+			target := FractionTargetLimbs(1, bk.hardness)
 			var attempts uint64
 			for i := 0; i < b.N; i++ {
 				_, tried, _ := SearchNonce(target, uint64(i)<<32, 1<<20, prefix...)
