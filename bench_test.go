@@ -421,7 +421,7 @@ func BenchmarkRoundHotPath(b *testing.B) {
 // (m=200, n≈19.5k) to 50× (m=1000, n≈97k), at full parallelism. One op
 // is one synthetic round. The protocol layer is deliberately absent —
 // this isolates the simnet core (per-lane calendar queues and free
-// lists, the serial send drain, lane-sharded metrics, persistent worker
+// lists, the serial send drain and traffic ledger, persistent worker
 // pool), whose contract is ≤ 1 amortized allocation per delivered
 // message; allocs/msg reports the measured value (allocs/op follows the
 // lane count, i.e. GOMAXPROCS). The 50× cell needs CYCLEDGER_SCALE_BIG=1

@@ -530,13 +530,8 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 		"referee": e.roster.Referee,
 	}
 	m := e.Net.Metrics()
-	var allIDs []simnet.NodeID
 	if report.Dropped > 0 {
 		report.PhaseDropped = make(map[string]simnet.Counter, len(phases))
-		allIDs = make([]simnet.NodeID, len(e.nodes))
-		for i := range e.nodes {
-			allIDs[i] = simnet.NodeID(i)
-		}
 	}
 	for _, ph := range phases {
 		var total simnet.Counter
@@ -551,10 +546,9 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 		report.Messages += total.Messages
 		report.Bytes += total.Bytes
 		if report.PhaseDropped != nil {
-			// Lost traffic per phase, keyed by the destination that never
-			// saw it — the resilience table's raw material. Never part of
-			// the sent/received Table II counters.
-			report.PhaseDropped[ph] = m.DroppedByNodes(ph, allIDs)
+			// Lost traffic per phase — the resilience table's raw
+			// material. Never part of the Table II sent counters.
+			report.PhaseDropped[ph] = m.PhaseDropped(ph)
 		}
 	}
 }

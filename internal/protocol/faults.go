@@ -41,7 +41,7 @@ type FaultsConfig struct {
 	OneWay *OneWayPartitionSpec `json:"one_way"`
 	// Gray, when non-nil with Frac > 0, gray-fails a seed-derived subset:
 	// those nodes receive but never send, their outbound traffic charged
-	// sent + dropped and never received.
+	// sent + dropped.
 	Gray *GraySpec `json:"gray"`
 	// Burst, when non-nil and active, injects Gilbert-Elliott two-state
 	// loss: drops arrive in time-correlated bursts instead of iid.
@@ -172,31 +172,13 @@ func (f *FaultsConfig) Validate() error {
 		return fmt.Errorf("protocol: negative fault lag (%d ticks)", f.LagTicks)
 	}
 	if p := f.Partition; p != nil {
-		if p.Split < 0 || p.Split > 1 {
-			return fmt.Errorf("protocol: partition split %v out of [0,1]", p.Split)
-		}
-		if p.StartTick < 0 {
-			return fmt.Errorf("protocol: negative partition start tick (%d)", p.StartTick)
-		}
-		if p.HealTick < 0 {
-			return fmt.Errorf("protocol: negative partition heal tick (%d)", p.HealTick)
-		}
-		if p.HealTick > 0 && p.HealTick <= p.StartTick {
-			return fmt.Errorf("protocol: partition heals at tick %d, at or before its start tick %d", p.HealTick, p.StartTick)
+		if err := validateCut("partition", p.Split, p.StartTick, p.HealTick); err != nil {
+			return err
 		}
 	}
 	if p := f.OneWay; p != nil {
-		if p.Split < 0 || p.Split > 1 {
-			return fmt.Errorf("protocol: one-way partition split %v out of [0,1]", p.Split)
-		}
-		if p.StartTick < 0 {
-			return fmt.Errorf("protocol: negative one-way partition start tick (%d)", p.StartTick)
-		}
-		if p.HealTick < 0 {
-			return fmt.Errorf("protocol: negative one-way partition heal tick (%d)", p.HealTick)
-		}
-		if p.HealTick > 0 && p.HealTick <= p.StartTick {
-			return fmt.Errorf("protocol: one-way partition heals at tick %d, at or before its start tick %d", p.HealTick, p.StartTick)
+		if err := validateCut("one-way partition", p.Split, p.StartTick, p.HealTick); err != nil {
+			return err
 		}
 	}
 	if g := f.Gray; g != nil {
@@ -259,6 +241,24 @@ func (f *FaultsConfig) Validate() error {
 		if a.Budget > 0 && !a.Static && !a.CrashLeaders && !a.GrayTopK && !a.BracketDeadlines {
 			return fmt.Errorf("protocol: adversary budget %d with no strategy selected (crash_leaders, gray_top_k, bracket_deadlines, or static)", a.Budget)
 		}
+	}
+	return nil
+}
+
+// validateCut checks a cut's split fraction and its start and heal ticks;
+// name is how the errors call the cut.
+func validateCut(name string, split float64, start, heal int64) error {
+	if split < 0 || split > 1 {
+		return fmt.Errorf("protocol: %s split %v out of [0,1]", name, split)
+	}
+	if start < 0 {
+		return fmt.Errorf("protocol: negative %s start tick (%d)", name, start)
+	}
+	if heal < 0 {
+		return fmt.Errorf("protocol: negative %s heal tick (%d)", name, heal)
+	}
+	if heal > 0 && heal <= start {
+		return fmt.Errorf("protocol: %s heals at tick %d, at or before its start tick %d", name, heal, start)
 	}
 	return nil
 }

@@ -88,6 +88,28 @@ func TestFaultsConfigValidate(t *testing.T) {
 	}
 }
 
+// TestCutValidationMessages pins the text of every cut rejection: the
+// two-way and one-way specs share one check and name themselves in it.
+func TestCutValidationMessages(t *testing.T) {
+	for _, c := range []struct {
+		f    FaultsConfig
+		want string
+	}{
+		{FaultsConfig{Partition: &PartitionSpec{Split: 1.2}}, "protocol: partition split 1.2 out of [0,1]"},
+		{FaultsConfig{Partition: &PartitionSpec{StartTick: -1}}, "protocol: negative partition start tick (-1)"},
+		{FaultsConfig{Partition: &PartitionSpec{HealTick: -3}}, "protocol: negative partition heal tick (-3)"},
+		{FaultsConfig{Partition: &PartitionSpec{StartTick: 100, HealTick: 40}}, "protocol: partition heals at tick 40, at or before its start tick 100"},
+		{FaultsConfig{OneWay: &OneWayPartitionSpec{Split: -0.5}}, "protocol: one-way partition split -0.5 out of [0,1]"},
+		{FaultsConfig{OneWay: &OneWayPartitionSpec{StartTick: -2}}, "protocol: negative one-way partition start tick (-2)"},
+		{FaultsConfig{OneWay: &OneWayPartitionSpec{HealTick: -1}}, "protocol: negative one-way partition heal tick (-1)"},
+		{FaultsConfig{OneWay: &OneWayPartitionSpec{StartTick: 50, HealTick: 50}}, "protocol: one-way partition heals at tick 50, at or before its start tick 50"},
+	} {
+		if err := c.f.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate() = %v, want %q", err, c.want)
+		}
+	}
+}
+
 // TestFaultsConfigClone: clones must not share nested pointers.
 func TestFaultsConfigClone(t *testing.T) {
 	orig := &FaultsConfig{Loss: 0.1, Partition: &PartitionSpec{Split: 0.5},
@@ -176,9 +198,8 @@ func TestOfflineLeadersEvictedWithoutFaultModel(t *testing.T) {
 	}
 }
 
-// TestLossyRoundAccounting: under iid loss the round still commits, the
-// report carries the dropped traffic, and delivered-bytes accounting
-// excludes the losses (sent ≥ received per phase).
+// TestLossyRoundAccounting: under iid loss the round still commits and
+// the report carries the dropped traffic, in total and per phase.
 func TestLossyRoundAccounting(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 2

@@ -153,6 +153,53 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	}
 }
 
+// TestTxListNeedsLeaderSignature: a member votes on, and relays down the
+// dissemination tree, only a TX list its acting leader signed. A list
+// signed by another member of the committee, or not signed at all, draws
+// neither a VOTE nor a relay, whoever the frame claims sent it; the
+// leader's own list draws both.
+func TestTxListNeedsLeaderSignature(t *testing.T) {
+	e := seatedEngine(t)
+	e.P.AggregateCerts = true // tree dissemination: members relay the list
+	leader := e.roster.Leaders[0]
+	var relay, other simnet.NodeID = -1, -1
+	for _, id := range e.roster.Committee(0) {
+		switch {
+		case id == leader:
+		case relay < 0:
+			relay = id // rank 1 in the tree rooted at the leader: it has children
+		case other < 0:
+			other = id
+		}
+	}
+	votes, relays := 0, 0
+	e.Net.SetSendAudit(func(m simnet.Message) {
+		switch {
+		case m.From == relay && m.Tag == TagVote:
+			votes++
+		case m.From == relay && m.Tag == TagTxList:
+			relays++
+		}
+	})
+	list := func(signer simnet.NodeID) TxListMsg {
+		m := TxListMsg{Round: e.round, Committee: 0}
+		if signer >= 0 {
+			m.Sig = e.P.Scheme.Sign(e.keys[signer], wire.SigningBytes(nil, m))
+		}
+		return m
+	}
+	for name, m := range map[string]TxListMsg{"signed by another member": list(other), "unsigned": list(-1)} {
+		deliver(e, leader, relay, TagTxList, m)
+		if votes != 0 || relays != 0 {
+			t.Fatalf("%s list: %d votes, %d relays, want none", name, votes, relays)
+		}
+	}
+	deliver(e, leader, relay, TagTxList, list(leader))
+	if votes != 1 || relays == 0 {
+		t.Fatalf("the leader's list: %d votes, %d relays, want 1 vote and a relay", votes, relays)
+	}
+}
+
 // TestNewLeaderCountsOnlyTheNamedReferee: a NEW_LEADER announcement counts
 // for the referee it names only when that referee sent it. A common member
 // that names a referee majority across its own messages installs nothing;

@@ -49,11 +49,9 @@ type Node struct {
 	validatedSemiComs map[uint64]crypto.Digest // key members: C_R-validated H(S) per committee
 
 	// Inter-committee phase.
-	interOut        map[uint64][]*ledger.Tx    // leader i: lists per target committee
-	interOutStarted map[uint64]bool            // leader i: consensus already started per target
-	interFwds       map[uint64]*InterFwdMsg    // leader/partial j: received per source
-	interResults    map[uint64]*InterResultMsg // leader i: round-trips completed
-	interDecided    map[uint64]*InterPayload   // committee j: decided incoming lists
+	interOut        map[uint64][]*ledger.Tx // leader i: lists per target committee
+	interOutStarted map[uint64]bool         // leader i: consensus already started per target
+	interFwds       map[uint64]*InterFwdMsg // leader/partial j: received per source
 
 	// Recovery.
 	myApprovals  []consensus.Vote                         // as accuser
@@ -71,19 +69,17 @@ type Node struct {
 	scoreSeen   bool
 
 	// Referee-committee state.
-	crSemiComs    map[uint64]*SemiComMsg
-	crMemberLists map[uint64][]simnet.NodeID
-	crIntra       map[uint64]*IntraResultMsg
-	crInter       map[[2]uint64]*InterResultMsg // keyed (from, to)
-	crScores      map[uint64]*ScoreResultMsg
-	crPow         map[simnet.NodeID]bool
-	crEvicted     map[uint64]*EvictPayload
-	crEvictGen    map[uint64]uint64 // coordinator: evictions already proposed per committee
-	crBlock       *Block
+	crSemiComs map[uint64]*SemiComMsg
+	crIntra    map[uint64]*IntraResultMsg
+	crInter    map[[2]uint64]*InterResultMsg // keyed (from, to)
+	crScores   map[uint64]*ScoreResultMsg
+	crPow      map[simnet.NodeID]bool
+	crEvicted  map[uint64]*EvictPayload
+	crEvictGen map[uint64]uint64 // coordinator: evictions already proposed per committee
+	crBlock    *Block
 
 	// Block phase.
-	block      *Block
-	utxoDigest crypto.Digest
+	block *Block
 }
 
 // resetRound clears per-round state and installs the node's seat.
@@ -111,8 +107,6 @@ func (n *Node) resetRound(r *Roster) {
 	n.interOut = make(map[uint64][]*ledger.Tx)
 	n.interOutStarted = make(map[uint64]bool)
 	n.interFwds = make(map[uint64]*InterFwdMsg)
-	n.interResults = make(map[uint64]*InterResultMsg)
-	n.interDecided = make(map[uint64]*InterPayload)
 	n.myApprovals = nil
 	n.myAccusation = nil
 	n.escalated = false
@@ -121,7 +115,6 @@ func (n *Node) resetRound(r *Roster) {
 	n.leaderHeard = false
 	n.scoreSeen = false
 	n.crSemiComs = make(map[uint64]*SemiComMsg)
-	n.crMemberLists = make(map[uint64][]simnet.NodeID)
 	n.crIntra = make(map[uint64]*IntraResultMsg)
 	n.crInter = make(map[[2]uint64]*InterResultMsg)
 	n.crScores = make(map[uint64]*ScoreResultMsg)
@@ -130,7 +123,6 @@ func (n *Node) resetRound(r *Roster) {
 	n.crEvictGen = make(map[uint64]uint64)
 	n.crBlock = nil
 	n.block = nil
-	n.utxoDigest = crypto.Digest{}
 }
 
 // without appends ids to buf, leaving out skip, and returns it.

@@ -56,11 +56,6 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		}
 		mm := m
 		n.crSemiComs[m.Committee] = &mm
-		var members []simnet.NodeID
-		for _, rec := range m.Records {
-			members = append(members, rec.Node)
-		}
-		n.crMemberLists[m.Committee] = members
 		// The coordinator for this committee drives the C_R validation
 		// instance (§IV-B step 2); an invalid commitment triggers an
 		// eviction instance instead ("expel the cheating leaders").
@@ -128,9 +123,14 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	})
 }
 
-// onTxList is the member side: vote and reply (§IV-C step 3).
+// onTxList is the member side: vote and reply (§IV-C step 3). Only a list
+// the acting leader signed is relayed or voted on; the signature covers the
+// whole list.
 func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
+		return
+	}
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(n.curLeader), m.Sig, wire.SigningBytes(nil, m)) != nil {
 		return
 	}
 	if n.txList == nil || n.txList.Attempt != m.Attempt {
@@ -415,23 +415,17 @@ func (n *Node) leaderProposedInterIn(src uint64) bool {
 	return false
 }
 
-// onInterResult records the round trip on leader i and referee members.
+// onInterResult records the round trip at referee members.
 func (n *Node) onInterResult(ctx *simnet.Context, m InterResultMsg) {
-	if m.Round != n.eng.round {
+	if m.Round != n.eng.round || n.role != RoleReferee {
 		return
 	}
-	switch {
-	case n.role == RoleReferee:
-		key := interKey(m.From, m.To)
-		if _, dup := n.crInter[key]; dup {
-			return
-		}
-		mm := m
-		n.crInter[key] = &mm
-	case n.role == RoleLeader && m.From == n.comID:
-		mm := m
-		n.interResults[m.To] = &mm
+	key := interKey(m.From, m.To)
+	if _, dup := n.crInter[key]; dup {
+		return
 	}
+	mm := m
+	n.crInter[key] = &mm
 }
 
 // ---------------------------------------------------------------------------
@@ -519,9 +513,6 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		ctx.Broadcast(n.eng.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
 	case res.SN >= snInterInBase && res.SN < snInterInBase+n.eng.roster.M:
 		i := res.SN - snInterInBase
-		if payload, ok := res.Payload.(InterPayload); ok {
-			n.interDecided[i] = &payload
-		}
 		var msg any = InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res)}
 		size := wire.Size(msg)
 		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
@@ -569,11 +560,6 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 		}
 		n.crBlock = blk
 		n.eng.propagateBlock(ctx, n.ID, blk)
-	case sn >= snInterInBase && sn < snInterInBase+n.eng.roster.M:
-		if p, ok := payload.(InterPayload); ok {
-			pp := p
-			n.interDecided[p.From] = &pp
-		}
 	}
 }
 
@@ -597,7 +583,6 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 		n.committeeCast(ctx, n.ID, TagBlock, m)
 		// Agree on the final shard-UTXO digest.
 		digest := crypto.H([]byte("utxo"), u64(n.eng.round), u64(n.comID), m.Block.Randomness[:])
-		n.utxoDigest = digest
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}
 		if p := n.consFor(n.ID); p != nil {
 			p.Propose(ctx, snUTXO, consensus.PayloadDigest(payload), payload, 0)

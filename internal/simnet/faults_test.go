@@ -35,13 +35,15 @@ func partition(a, b []NodeID, from, to Time) *Schedule {
 // TestNoFaultsByteIdentical: installing an observer that never acts — an
 // empty Schedule, a send audit, or both — changes nothing at any lane
 // count: every run is event-for-event identical to the bare one-lane run,
-// with the same delivery times, the same totals and the same per-tag
-// counters.
+// with the same delivery times and tags and the same totals.
 func TestNoFaultsByteIdentical(t *testing.T) {
+	type delivery struct {
+		at  Time
+		tag string
+	}
 	type outcome struct {
-		times [][]Time // per node, in delivery order
+		log   [][]delivery // per node, in delivery order
 		total Counter
-		tags  map[string]Counter
 	}
 	run := func(t *testing.T, faults Faults, audit bool, par int) outcome {
 		n := New(DefaultLatency(), 1234)
@@ -54,11 +56,11 @@ func TestNoFaultsByteIdentical(t *testing.T) {
 			n.SetSendAudit(func(Message) { audited++ })
 		}
 		const nodes = 10
-		times := make([][]Time, nodes) // a node's slice is written by its lane only
+		log := make([][]delivery, nodes) // a node's slice is written by its lane only
 		for id := NodeID(0); id < nodes; id++ {
 			id := id
 			n.Register(id, func(ctx *Context, msg Message) {
-				times[id] = append(times[id], ctx.Now())
+				log[id] = append(log[id], delivery{ctx.Now(), msg.Tag})
 				if ctx.Now() < 100 {
 					tag := "RING"
 					if id%2 == 1 {
@@ -76,11 +78,7 @@ func TestNoFaultsByteIdentical(t *testing.T) {
 		if audit && uint64(audited) != m.Total().Messages {
 			t.Fatalf("audit saw %d sends, metrics %d", audited, m.Total().Messages)
 		}
-		tags := map[string]Counter{}
-		for _, tag := range m.Tags() {
-			tags[tag] = m.Tag(tag)
-		}
-		return outcome{times, m.Total(), tags}
+		return outcome{log, m.Total()}
 	}
 	want := run(t, nil, false, 1)
 	if want.total.Messages == 0 {
@@ -102,11 +100,8 @@ func TestNoFaultsByteIdentical(t *testing.T) {
 				if got.total != want.total {
 					t.Fatalf("Total() = %+v, want %+v", got.total, want.total)
 				}
-				if !reflect.DeepEqual(got.tags, want.tags) {
-					t.Fatalf("per-tag counters %v, want %v", got.tags, want.tags)
-				}
-				if !reflect.DeepEqual(got.times, want.times) {
-					t.Fatalf("delivery times %v, want %v", got.times, want.times)
+				if !reflect.DeepEqual(got.log, want.log) {
+					t.Fatalf("deliveries %v, want %v", got.log, want.log)
 				}
 			})
 		}
@@ -124,20 +119,14 @@ func TestLossDropsAndAccounts(t *testing.T) {
 	if recv[1] != 0 {
 		t.Fatalf("lossy link delivered %d messages", recv[1])
 	}
-	if got := n.Dropped(); got != 20 {
-		t.Fatalf("Dropped() = %d, want 20", got)
-	}
-	// Sender charged, receiver not, dropped counter keyed by destination.
-	if c := n.Metrics().Sent("p", 0); c.Messages != 20 || c.Bytes != 200 {
+	// Sender charged, and the phase's dropped counter.
+	if c := n.Metrics().SentByNodes("p", []NodeID{0}); c.Messages != 20 || c.Bytes != 200 {
 		t.Fatalf("sent = %+v, want 20 msgs / 200 bytes", c)
 	}
-	if c := n.Metrics().Received("p", 1); c.Messages != 0 {
-		t.Fatalf("received = %+v, want zero (drops must not count as delivered)", c)
-	}
-	if c := n.Metrics().Dropped("p", 1); c.Messages != 20 || c.Bytes != 200 {
+	if c := n.Metrics().PhaseDropped("p"); c.Messages != 20 || c.Bytes != 200 {
 		t.Fatalf("dropped = %+v, want 20 msgs / 200 bytes", c)
 	}
-	if c := n.Metrics().DroppedTotal(); c.Messages != 20 {
+	if c := n.Metrics().DroppedTotal(); c.Messages != 20 || c.Bytes != 200 {
 		t.Fatalf("dropped total = %+v", c)
 	}
 }
@@ -153,8 +142,8 @@ func TestLossPartial(t *testing.T) {
 	if recv[1] == 0 || recv[1] == sent {
 		t.Fatalf("p=0.5 loss delivered %d of %d", recv[1], sent)
 	}
-	if uint64(recv[1])+n.Dropped() != sent {
-		t.Fatalf("delivered %d + dropped %d ≠ %d", recv[1], n.Dropped(), sent)
+	if dropped := n.Metrics().DroppedTotal().Messages; uint64(recv[1])+dropped != sent {
+		t.Fatalf("delivered %d + dropped %d ≠ %d", recv[1], dropped, sent)
 	}
 }
 
@@ -222,8 +211,8 @@ func TestChurnCrashAndRejoin(t *testing.T) {
 	if recv[1] != 0 {
 		t.Fatalf("down node received %d", recv[1])
 	}
-	if n.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1 (the delivery into the window)", n.Dropped())
+	if c := n.Metrics().DroppedTotal(); c.Messages != 1 {
+		t.Fatalf("dropped = %+v, want 1 (the delivery into the window)", c)
 	}
 
 	// After rejoin the node receives again.
@@ -245,7 +234,7 @@ func TestChurnCrashedSenderTransmitsNothing(t *testing.T) {
 	if recv[1] != 0 {
 		t.Fatal("message from a crashed sender was delivered")
 	}
-	if c := n.Metrics().Sent("p", 0); c.Messages != 0 {
+	if c := n.Metrics().SentByNodes("p", []NodeID{0}); c.Messages != 0 {
 		t.Fatalf("crashed sender charged %+v sent traffic", c)
 	}
 	// Timers owned by a crashed node do not fire.
@@ -276,7 +265,7 @@ func TestCompositeMerges(t *testing.T) {
 
 func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 	// The faulty engine must stay byte-deterministic at any worker count.
-	run := func(par int) (uint64, uint64, Counter) {
+	run := func(par int) (uint64, Counter, Counter) {
 		n := New(DefaultLatency(), 77)
 		n.SetParallelism(par)
 		s := crash(3, 30, 90)
@@ -295,14 +284,14 @@ func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 			n.Send(id, id, "G", nil, 3)
 		}
 		n.RunUntilIdle()
-		return n.Delivered(), n.Dropped(), n.Metrics().Total()
+		return n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total()
 	}
 	d1, x1, c1 := run(1)
 	d8, x8, c8 := run(8)
 	if d1 != d8 || x1 != x8 || c1 != c8 {
-		t.Fatalf("faulty run diverged across parallelism: (%d,%d,%v) vs (%d,%d,%v)", d1, x1, c1, d8, x8, c8)
+		t.Fatalf("faulty run diverged across parallelism: (%d,%v,%v) vs (%d,%v,%v)", d1, x1, c1, d8, x8, c8)
 	}
-	if x1 == 0 {
+	if x1.Messages == 0 {
 		t.Fatal("no drops under a 20% loss model")
 	}
 }
@@ -327,8 +316,8 @@ func TestOneWayPartitionAsymmetry(t *testing.T) {
 	if recv[0] != 1 || recv[1] != 1 || recv[3] != 1 {
 		t.Fatalf("non-cut directions: recv = %v", recv)
 	}
-	if n.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", n.Dropped())
+	if c := n.Metrics().DroppedTotal(); c.Messages != 1 {
+		t.Fatalf("dropped = %+v, want 1", c)
 	}
 
 	// After the heal tick the cut direction delivers too.
@@ -350,8 +339,8 @@ func TestOneWayPartitionStartTick(t *testing.T) {
 	n.After(0, 40, func(ctx *Context) { ctx.Send(1, "MID", nil, 1) })  // inside: dropped
 	n.After(0, 70, func(ctx *Context) { ctx.Send(1, "LATE", nil, 1) }) // after heal: delivered
 	n.RunUntilIdle()
-	if recv[1] != 2 || n.Dropped() != 1 {
-		t.Fatalf("recv=%d dropped=%d, want 2 delivered / 1 dropped", recv[1], n.Dropped())
+	if dropped := n.Metrics().DroppedTotal().Messages; recv[1] != 2 || dropped != 1 {
+		t.Fatalf("recv=%d dropped=%d, want 2 delivered / 1 dropped", recv[1], dropped)
 	}
 }
 
@@ -382,19 +371,12 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 	if recv[0] != 0 || recv[2] != 0 {
 		t.Fatalf("gray node's sends were delivered: recv = %v", recv)
 	}
-	// Accounting: the gray node's traffic is charged sent + dropped,
-	// never received.
-	if c := n.Metrics().Sent("p", 1); c.Messages != 2 || c.Bytes != 14 {
+	// Accounting: the gray node's traffic is charged sent + dropped.
+	if c := n.Metrics().SentByNodes("p", []NodeID{1}); c.Messages != 2 || c.Bytes != 14 {
 		t.Fatalf("gray sent = %+v, want 2 msgs / 14 bytes", c)
 	}
-	if c := n.Metrics().DroppedByNodes("p", []NodeID{0, 1, 2}); c.Messages != 2 || c.Bytes != 14 {
+	if c := n.Metrics().PhaseDropped("p"); c.Messages != 2 || c.Bytes != 14 {
 		t.Fatalf("dropped = %+v, want 2 msgs / 14 bytes", c)
-	}
-	if c := n.Metrics().Received("p", 0); c.Messages != 0 {
-		t.Fatalf("received at 0 = %+v, want zero", c)
-	}
-	if c := n.Metrics().Received("p", 2); c.Messages != 0 {
-		t.Fatalf("received at 2 = %+v, want zero", c)
 	}
 }
 

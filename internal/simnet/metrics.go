@@ -22,188 +22,82 @@ func (c *Counter) Add(o Counter) {
 	c.Bytes += o.Bytes
 }
 
-// Metrics accounts traffic per phase, per node, and per tag. The protocol
-// layer labels phases (SetPhase) and later aggregates per-node counters by
-// role to reproduce Table II.
+// Metrics is the traffic ledger the reports read: per phase label, what
+// each node sent and how much traffic was lost; cumulatively, everything
+// sent, lost, and delivered late. The protocol layer labels phases
+// (SetPhase) and sums the per-node sent counters by role to reproduce
+// Table II, and reads the lost traffic per phase for the resilience table.
 //
-// Fault accounting: a message lost in flight (or addressed to a crashed
-// node) is charged to the sender's `sent` counters — the transmission
-// happened — and to the `dropped` counters keyed by the destination that
-// never saw it, but never to `received`. Messages held beyond their
-// synchrony bound are charged to `late` (and still to `received` when they
-// eventually arrive). Keeping the delivered-bytes tables free of lost
-// traffic is what keeps Table II faithful under fault models.
+// Fault accounting: a message lost in flight, or addressed to a node that
+// is down when it arrives, is charged to its sender's sent counter — the
+// transmission happened — and to the dropped counter of the phase it was
+// lost in. A message held beyond its synchrony bound counts as late when
+// it is delivered; one that dies at a crashed destination counts as
+// dropped, never as late. A negative sender has no sent entry: its traffic
+// counts in the total only.
 //
-// Per-phase accounting lives in dense tables indexed by NodeID, one per
-// phase label, and holds every phase since the last ResetPhases: a network
-// that never resets keeps them all, one that resets every round holds one
-// round's worth, reusing the same tables round after round. The totals and
-// the per-tag counters are cumulative either way.
+// The goroutine driving the Network is the only writer: sends are counted
+// on the serial send path, and what the parallel executor loses or delivers
+// late is added at the end of each macro-step. mu orders those writes
+// against readers on other goroutines.
+//
+// Per-phase accounting holds every phase since the last ResetPhases: a
+// network that never resets keeps them all, one that resets every round
+// holds one round's worth, reusing the same tables round after round. The
+// totals are cumulative either way.
 type Metrics struct {
 	mu    sync.Mutex
 	phase string
-	// tables are the phases that saw traffic since the last ResetPhases;
-	// spare are zeroed tables kept for the phases that follow one.
+	// cur is the current label's table, nil until the label counts
+	// something; tables are the phases that saw traffic since the last
+	// ResetPhases, and spare are zeroed tables kept for the phases that
+	// follow one.
+	cur    *phaseTable
 	tables []*phaseTable
 	spare  []*phaseTable
 
-	byTag     map[string]*Counter
 	total     Counter
 	totalDrop Counter
 	totalLate Counter
-	// lanes are the per-worker shards; lane i is written exclusively by
-	// the worker running lane i of the current macro-step (receives and
-	// dead-destination drops); the serial send path writes lane 0 between
-	// execution phases. mergeLanes folds them into the tables above. The
-	// fold is amortised: the Network folds every mergeEvery batches and at
-	// the end of every drain, so readers — which only run between drains —
-	// always see fully merged accounting (an external Send folds at once).
-	// The phase label is constant within a drain (SetPhase happens between
-	// drains), which is what makes deferring the fold safe.
-	lanes []laneShard
 }
 
-// phaseTable is one phase's per-node counters, each slice indexed by
-// NodeID: sends keyed by the sender, receives by the destination, drops
-// by the destination that missed the message. A slice grows to the
-// highest ID it has counted.
+// phaseTable is one phase's ledger: sends indexed by the sender's NodeID,
+// grown to the highest ID counted, and the phase's lost traffic.
 type phaseTable struct {
-	name     string
-	sent     []Counter
-	received []Counter
-	dropped  []Counter
+	name    string
+	sent    []Counter
+	dropped Counter
 }
 
-// at returns the table entry for id, or the zero Counter when the table
-// never counted it.
-func at(tab []Counter, id NodeID) Counter {
-	if id >= 0 && int(id) < len(tab) {
-		return tab[id]
-	}
-	return Counter{}
-}
-
-// sumAt adds the table entries of a node set.
+// sumAt adds the table entries of a node set; an ID the table never
+// counted contributes nothing.
 func sumAt(tab []Counter, nodes []NodeID) Counter {
 	var sum Counter
 	for _, id := range nodes {
-		sum.Add(at(tab, id))
+		if id >= 0 && int(id) < len(tab) {
+			sum.Add(tab[id])
+		}
 	}
 	return sum
-}
-
-// laneShard accumulates one worker lane's traffic without locks. Entries
-// persist across batches (zeroed at fold) so steady-state recording
-// allocates nothing; touched lists the nodes and tags with live counts
-// since the last fold.
-type laneShard struct {
-	entries    []laneEntry // indexed by NodeID
-	touched    []NodeID
-	tags       map[string]*Counter
-	tagTouched []string
-	late       Counter
-	sentTotal  Counter
-	dropTotal  Counter
-}
-
-// laneEntry carries one node's shard-local counters: receives keyed by
-// the node as destination, sends keyed by it as sender, drops keyed by it
-// as the destination that missed the message.
-type laneEntry struct {
-	recv   Counter
-	sent   Counter
-	drop   Counter
-	active bool
-}
-
-// entry returns the node's shard entry, growing the shard for an ID it
-// has not seen. A negative ID has no entry: its traffic counts in the
-// totals and tags only.
-func (s *laneShard) entry(id NodeID) *laneEntry {
-	if id < 0 {
-		return nil
-	}
-	if int(id) >= len(s.entries) {
-		s.entries = append(s.entries, make([]laneEntry, int(id)+1-len(s.entries))...)
-	}
-	e := &s.entries[id]
-	if !e.active {
-		e.active = true
-		s.touched = append(s.touched, id)
-	}
-	return e
-}
-
-func (s *laneShard) recordRecv(msg Message) {
-	if e := s.entry(msg.To); e != nil {
-		e.recv.add(msg.Size)
-	}
-}
-
-func (s *laneShard) recordLate(msg Message) {
-	s.late.add(msg.Size)
-}
-
-func (s *laneShard) recordSend(msg Message) {
-	if e := s.entry(msg.From); e != nil {
-		e.sent.add(msg.Size)
-	}
-	tc := s.tags[msg.Tag]
-	if tc == nil {
-		tc = &Counter{}
-		s.tags[msg.Tag] = tc
-	}
-	if tc.Messages == 0 {
-		s.tagTouched = append(s.tagTouched, msg.Tag)
-	}
-	tc.add(msg.Size)
-	s.sentTotal.add(msg.Size)
-}
-
-func (s *laneShard) recordDropped(msg Message) {
-	if e := s.entry(msg.To); e != nil {
-		e.drop.add(msg.Size)
-	}
-	s.dropTotal.add(msg.Size)
-}
-
-// ensureLanes grows the shard set to at least k lanes. Called by the
-// Network at construction and SetParallelism, never concurrently with
-// workers.
-func (m *Metrics) ensureLanes(k int) {
-	if k < 1 {
-		k = 1
-	}
-	for len(m.lanes) < k {
-		m.lanes = append(m.lanes, laneShard{tags: make(map[string]*Counter)})
-	}
-}
-
-// addAt adds c to the id entry of a table, growing the table to cover id.
-func addAt(tab *[]Counter, id NodeID, c Counter) {
-	if c.Messages == 0 {
-		return
-	}
-	if int(id) >= len(*tab) {
-		*tab = append(*tab, make([]Counter, int(id)+1-len(*tab))...)
-	}
-	(*tab)[id].Add(c)
 }
 
 // table returns the current label's table, taking a spare one (or a new
 // one) when the label has none yet. Call with mu held.
 func (m *Metrics) table() *phaseTable {
-	if t := m.lookup(m.phase); t != nil {
-		return t
+	if m.cur != nil {
+		return m.cur
 	}
-	var t *phaseTable
-	if k := len(m.spare) - 1; k >= 0 {
-		t, m.spare = m.spare[k], m.spare[:k]
-	} else {
-		t = &phaseTable{}
+	t := m.lookup(m.phase)
+	if t == nil {
+		if k := len(m.spare) - 1; k >= 0 {
+			t, m.spare = m.spare[k], m.spare[:k]
+		} else {
+			t = &phaseTable{}
+		}
+		t.name = m.phase
+		m.tables = append(m.tables, t)
 	}
-	t.name = m.phase
-	m.tables = append(m.tables, t)
+	m.cur = t
 	return t
 }
 
@@ -218,87 +112,73 @@ func (m *Metrics) lookup(phase string) *phaseTable {
 	return nil
 }
 
-// mergeLanes folds every lane shard into the shared tables under the
-// current phase label. The fold is a sum of commutative counters, so the
-// result is deterministic no matter how the parallel lanes interleaved.
-func (m *Metrics) mergeLanes() {
+// recordSend charges one transmission to its sender under the current
+// phase and to the total.
+func (m *Metrics) recordSend(msg Message) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for li := range m.lanes {
-		s := &m.lanes[li]
-		if len(s.touched) > 0 {
-			t := m.table()
-			for _, id := range s.touched {
-				e := &s.entries[id]
-				addAt(&t.received, id, e.recv)
-				addAt(&t.sent, id, e.sent)
-				addAt(&t.dropped, id, e.drop)
-				*e = laneEntry{}
-			}
-			s.touched = s.touched[:0]
+	m.total.add(msg.Size)
+	if id := msg.From; id >= 0 {
+		t := m.table()
+		if int(id) >= len(t.sent) {
+			t.sent = append(t.sent, make([]Counter, int(id)+1-len(t.sent))...)
 		}
-		for _, tag := range s.tagTouched {
-			tc := s.tags[tag]
-			c := m.byTag[tag]
-			if c == nil {
-				c = &Counter{}
-				m.byTag[tag] = c
-			}
-			c.Add(*tc)
-			*tc = Counter{}
-		}
-		s.tagTouched = s.tagTouched[:0]
-		if s.sentTotal.Messages > 0 {
-			m.total.Add(s.sentTotal)
-			s.sentTotal = Counter{}
-		}
-		if s.dropTotal.Messages > 0 {
-			m.totalDrop.Add(s.dropTotal)
-			s.dropTotal = Counter{}
-		}
-		if s.late.Messages > 0 {
-			m.totalLate.Add(s.late)
-			s.late = Counter{}
-		}
+		t.sent[id].add(msg.Size)
 	}
+	m.mu.Unlock()
+}
+
+// recordDrops charges lost traffic to the current phase and to the total.
+func (m *Metrics) recordDrops(c Counter) {
+	if c.Messages == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.table().dropped.Add(c)
+	m.totalDrop.Add(c)
+	m.mu.Unlock()
+}
+
+// recordLate adds beyond-bound deliveries to the total.
+func (m *Metrics) recordLate(c Counter) {
+	if c.Messages == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.totalLate.Add(c)
+	m.mu.Unlock()
 }
 
 // NewMetrics returns empty accounting.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		phase: "init",
-		byTag: make(map[string]*Counter),
-	}
+	return &Metrics{phase: "init"}
 }
 
-// SetPhase labels all subsequent traffic with the given phase name. Call
-// only between drains: the lane shards fold under the label active when
-// the drain ends.
+// SetPhase labels all traffic counted from now on with the given phase
+// name. Call it while the network is idle, as the protocol layer does
+// between its phases' drains.
 func (m *Metrics) SetPhase(phase string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.phase = phase
+	m.phase, m.cur = phase, nil
 }
 
-// ResetPhases forgets every phase's per-node accounting — what Sent,
-// Received, Dropped, their ByNodes sums and Phases report — and labels the
-// traffic that follows "init" again, as on a new Metrics. The tables are
-// zeroed and kept for the phases to come, so a caller that resets once a
-// round holds one round of accounting however long it runs. Total,
-// DroppedTotal, LateTotal and the per-tag counters stay cumulative. Call
-// only between drains, like SetPhase.
+// ResetPhases forgets every phase's accounting — what SentByNodes,
+// PhaseDropped and Phases report — and labels the traffic that follows
+// "init" again, as on a new Metrics. The tables are zeroed and kept for the
+// phases to come, so a caller that resets once a round holds one round of
+// accounting however long it runs. Total, DroppedTotal and LateTotal stay
+// cumulative. Call it while the network is idle, like SetPhase.
 func (m *Metrics) ResetPhases() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, t := range m.tables {
 		clear(t.sent)
-		clear(t.received)
-		clear(t.dropped)
+		t.dropped = Counter{}
 		m.spare = append(m.spare, t)
 	}
 	clear(m.tables)
 	m.tables = m.tables[:0]
-	m.phase = "init"
+	m.phase, m.cur = "init", nil
 }
 
 // Counters returns how many per-(phase, node) counters the accounting
@@ -310,56 +190,18 @@ func (m *Metrics) Counters() int {
 	n := 0
 	for _, ts := range [][]*phaseTable{m.tables, m.spare} {
 		for _, t := range ts {
-			n += cap(t.sent) + cap(t.received) + cap(t.dropped)
+			n += cap(t.sent)
 		}
 	}
 	return n
 }
 
-// Phase returns the current phase label.
-func (m *Metrics) Phase() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.phase
-}
-
-// Sent returns the sender-side counter for (phase, node).
-func (m *Metrics) Sent(phase string, node NodeID) Counter {
+// PhaseDropped returns the traffic lost under a phase label.
+func (m *Metrics) PhaseDropped(phase string) Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t := m.lookup(phase); t != nil {
-		return at(t.sent, node)
-	}
-	return Counter{}
-}
-
-// Received returns the receiver-side counter for (phase, node).
-func (m *Metrics) Received(phase string, node NodeID) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.lookup(phase); t != nil {
-		return at(t.received, node)
-	}
-	return Counter{}
-}
-
-// Dropped returns the lost-traffic counter for (phase, destination node).
-func (m *Metrics) Dropped(phase string, node NodeID) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.lookup(phase); t != nil {
-		return at(t.dropped, node)
-	}
-	return Counter{}
-}
-
-// DroppedByNodes sums lost-traffic counters for a phase over a node set.
-// The lock is taken once for the whole set, not once per node.
-func (m *Metrics) DroppedByNodes(phase string, nodes []NodeID) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.lookup(phase); t != nil {
-		return sumAt(t.dropped, nodes)
+		return t.dropped
 	}
 	return Counter{}
 }
@@ -392,28 +234,6 @@ func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
 	return Counter{}
 }
 
-// Tag returns the counter for a message tag.
-func (m *Metrics) Tag(tag string) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c := m.byTag[tag]; c != nil {
-		return *c
-	}
-	return Counter{}
-}
-
-// Tags lists observed tags in sorted order.
-func (m *Metrics) Tags() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.byTag))
-	for t := range m.byTag {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Total returns whole-simulation traffic.
 func (m *Metrics) Total() Counter {
 	m.mu.Lock()
@@ -422,8 +242,8 @@ func (m *Metrics) Total() Counter {
 }
 
 // Phases lists phase labels that saw traffic since the last ResetPhases,
-// sorted. A phase counts as having seen traffic when anything was sent,
-// received, or dropped under its label — a phase whose every message was
+// sorted. A phase counts as having seen traffic when a node sent under its
+// label or traffic was lost under it — a phase whose every message was
 // lost still shows up.
 func (m *Metrics) Phases() []string {
 	m.mu.Lock()

@@ -9,17 +9,15 @@ import (
 	"testing"
 )
 
-// oracleMetrics is the map-based accounting the dense per-phase tables
-// replaced — (phase, node)-keyed maps that hold every phase ever labelled —
-// without its lane shards: every count goes straight into its map, which
-// is what the shards' folds amounted to. It is the oracle for Metrics.
+// oracleMetrics is map-based accounting of the ledger Metrics keeps —
+// (phase, node)-keyed sends and phase-keyed drops, holding every phase ever
+// labelled — fed message by message from outside the Network. It is the
+// oracle for Metrics.
 type oracleMetrics struct {
 	mu        sync.Mutex
 	phase     string
 	sent      map[phaseNode]*Counter
-	received  map[phaseNode]*Counter
-	dropped   map[phaseNode]*Counter
-	byTag     map[string]*Counter
+	dropped   map[string]*Counter
 	total     Counter
 	totalDrop Counter
 	totalLate Counter
@@ -32,65 +30,55 @@ type phaseNode struct {
 
 func newOracleMetrics() *oracleMetrics {
 	return &oracleMetrics{
-		phase:    "init",
-		sent:     make(map[phaseNode]*Counter),
-		received: make(map[phaseNode]*Counter),
-		dropped:  make(map[phaseNode]*Counter),
-		byTag:    make(map[string]*Counter),
+		phase:   "init",
+		sent:    make(map[phaseNode]*Counter),
+		dropped: make(map[string]*Counter),
 	}
 }
 
-func (m *oracleMetrics) bump(tab map[phaseNode]*Counter, id NodeID, size int) {
-	k := phaseNode{m.phase, id}
-	c := tab[k]
-	if c == nil {
-		c = &Counter{}
-		tab[k] = c
-	}
-	c.add(size)
-}
-
+// recordSend charges a send to its sender under the current phase — a
+// negative sender has no entry — and to the total.
 func (m *oracleMetrics) recordSend(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bump(m.sent, msg.From, msg.Size)
-	tc := m.byTag[msg.Tag]
-	if tc == nil {
-		tc = &Counter{}
-		m.byTag[msg.Tag] = tc
+	if msg.From >= 0 {
+		k := phaseNode{m.phase, msg.From}
+		if m.sent[k] == nil {
+			m.sent[k] = &Counter{}
+		}
+		m.sent[k].add(msg.Size)
 	}
-	tc.add(msg.Size)
 	m.total.add(msg.Size)
-}
-
-func (m *oracleMetrics) recordRecv(msg Message, late bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bump(m.received, msg.To, msg.Size)
-	if late {
-		m.totalLate.add(msg.Size)
-	}
 }
 
 func (m *oracleMetrics) recordDropped(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bump(m.dropped, msg.To, msg.Size)
+	if m.dropped[m.phase] == nil {
+		m.dropped[m.phase] = &Counter{}
+	}
+	m.dropped[m.phase].add(msg.Size)
 	m.totalDrop.add(msg.Size)
 }
 
-func (m *oracleMetrics) byNodes(tab map[phaseNode]*Counter, phase string, nodes []NodeID) Counter {
+func (m *oracleMetrics) recordLate(msg Message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.totalLate.add(msg.Size)
+}
+
+func (m *oracleMetrics) sentBy(phase string, nodes []NodeID) Counter {
 	var sum Counter
 	for _, id := range nodes {
-		if c := tab[phaseNode{phase, id}]; c != nil {
+		if c := m.sent[phaseNode{phase, id}]; c != nil {
 			sum.Add(*c)
 		}
 	}
 	return sum
 }
 
-func (m *oracleMetrics) get(tab map[phaseNode]*Counter, phase string, id NodeID) Counter {
-	if c := tab[phaseNode{phase, id}]; c != nil {
+func (m *oracleMetrics) droppedIn(phase string) Counter {
+	if c := m.dropped[phase]; c != nil {
 		return *c
 	}
 	return Counter{}
@@ -98,10 +86,11 @@ func (m *oracleMetrics) get(tab map[phaseNode]*Counter, phase string, id NodeID)
 
 func (m *oracleMetrics) phases() []string {
 	set := map[string]bool{}
-	for _, tab := range []map[phaseNode]*Counter{m.sent, m.received, m.dropped} {
-		for k := range tab {
-			set[k.phase] = true
-		}
+	for k := range m.sent {
+		set[k.phase] = true
+	}
+	for p := range m.dropped {
+		set[p] = true
 	}
 	out := make([]string, 0, len(set))
 	for p := range set {
@@ -142,15 +131,15 @@ func (o *oracleTap) Fate(now Time, from, to NodeID) Fate {
 
 func (o *oracleTap) Down(now Time, id NodeID) bool { return o.inner.Down(now, id) }
 
-// TestMetricsMatchMapOracle: the dense per-phase tables report exactly
-// what the map-based accounting reports, on randomised gossip over several
-// phases (one label revisited, and traffic before any label), at 1 and 3
-// lanes, with messages lost to NewLoss and lagged by NewLag, sends from and
-// to unregistered IDs, and ResetPhases between windows — where the oracle
-// is re-created, and the cumulative totals and tags are checked against
-// the sum of the windows.
+// TestMetricsMatchMapOracle: the ledger reports exactly what map-based
+// accounting reports, on randomised gossip over several phases (one label
+// revisited, and traffic before any label), at 1 and 3 lanes, with
+// messages lost to NewLoss and lagged by NewLag, sends from and to
+// unregistered IDs (one of them negative), and ResetPhases between windows
+// — where the oracle is re-created, and the cumulative totals are checked
+// against the sum of the windows.
 func TestMetricsMatchMapOracle(t *testing.T) {
-	const registered, ghosts = 11, 4 // IDs 11..14 have no handler
+	const registered, ghosts = 11, 4 // IDs 11..14 and -1 have no handler
 	for _, lanes := range []int{1, 3} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			n := New(DefaultLatency(), 5)
@@ -172,8 +161,9 @@ func TestMetricsMatchMapOracle(t *testing.T) {
 			tags := []string{"A", "B", "C"}
 			for id := NodeID(0); id < registered; id++ {
 				n.Register(id, func(ctx *Context, msg Message) {
-					_, late := tap.lagged.Load(lagKey{msg.Payload, msg.To})
-					tap.oracle.recordRecv(msg, late)
+					if _, late := tap.lagged.Load(lagKey{msg.Payload, msg.To}); late {
+						tap.oracle.recordLate(msg)
+					}
 					if msg.Size <= 1 {
 						return
 					}
@@ -192,13 +182,9 @@ func TestMetricsMatchMapOracle(t *testing.T) {
 			m := n.Metrics()
 			rng := rand.New(rand.NewSource(int64(lanes)))
 			var baseTotal, baseDrop, baseLate Counter
-			baseTags := map[string]Counter{}
 			for window := 0; window < 4; window++ {
 				if window > 0 {
 					baseTotal, baseDrop, baseLate = m.Total(), m.DroppedTotal(), m.LateTotal()
-					for _, tag := range m.Tags() {
-						baseTags[tag] = m.Tag(tag)
-					}
 					m.ResetPhases()
 					tap.oracle = newOracleMetrics()
 				}
@@ -208,13 +194,13 @@ func TestMetricsMatchMapOracle(t *testing.T) {
 						tap.oracle.phase = phase
 					}
 					for i, k := 0, 1+rng.Intn(6); i < k; i++ {
-						from := NodeID(rng.Intn(registered + ghosts))
-						to := NodeID(rng.Intn(registered + ghosts))
+						from := NodeID(rng.Intn(registered+ghosts+1) - 1)
+						to := NodeID(rng.Intn(registered+ghosts+1) - 1)
 						n.Send(from, to, tags[rng.Intn(3)], newID(), 2+rng.Intn(5))
 					}
 					n.RunUntilIdle()
 					compareWithOracle(t, fmt.Sprintf("window %d, phase %s", window, phase), m, tap.oracle,
-						registered+ghosts, baseTotal, baseDrop, baseLate, baseTags)
+						registered+ghosts, baseTotal, baseDrop, baseLate)
 				}
 			}
 			if m.DroppedTotal().Messages == 0 || m.LateTotal().Messages == 0 {
@@ -225,34 +211,27 @@ func TestMetricsMatchMapOracle(t *testing.T) {
 }
 
 func compareWithOracle(t *testing.T, where string, m *Metrics, o *oracleMetrics, ids int,
-	baseTotal, baseDrop, baseLate Counter, baseTags map[string]Counter) {
+	baseTotal, baseDrop, baseLate Counter) {
 	t.Helper()
 	phases := o.phases()
 	if got := m.Phases(); !slices.Equal(got, phases) {
 		t.Fatalf("%s: Phases() = %v, oracle %v", where, got, phases)
 	}
-	all := make([]NodeID, 0, ids+1)
+	all := make([]NodeID, 0, ids+2)
 	for id := NodeID(-1); id <= NodeID(ids); id++ {
 		all = append(all, id)
 	}
 	for _, ph := range append(phases, "never") {
-		for _, id := range all {
-			if got, want := m.Sent(ph, id), o.get(o.sent, ph, id); got != want {
-				t.Fatalf("%s: Sent(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
-			}
-			if got, want := m.Received(ph, id), o.get(o.received, ph, id); got != want {
-				t.Fatalf("%s: Received(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
-			}
-			if got, want := m.Dropped(ph, id), o.get(o.dropped, ph, id); got != want {
-				t.Fatalf("%s: Dropped(%s, %d) = %+v, oracle %+v", where, ph, id, got, want)
-			}
+		if got, want := m.PhaseDropped(ph), o.droppedIn(ph); got != want {
+			t.Fatalf("%s: PhaseDropped(%s) = %+v, oracle %+v", where, ph, got, want)
 		}
-		for _, set := range [][]NodeID{all, all[1 : ids/2], {3, 3, NodeID(ids - 1)}, nil} {
-			if got, want := m.SentByNodes(ph, set), o.byNodes(o.sent, ph, set); got != want {
+		sets := [][]NodeID{all, all[1 : ids/2], {3, 3, NodeID(ids - 1)}, nil}
+		for i := range all {
+			sets = append(sets, all[i:i+1])
+		}
+		for _, set := range sets {
+			if got, want := m.SentByNodes(ph, set), o.sentBy(ph, set); got != want {
 				t.Fatalf("%s: SentByNodes(%s, %v) = %+v, oracle %+v", where, ph, set, got, want)
-			}
-			if got, want := m.DroppedByNodes(ph, set), o.byNodes(o.dropped, ph, set); got != want {
-				t.Fatalf("%s: DroppedByNodes(%s, %v) = %+v, oracle %+v", where, ph, set, got, want)
 			}
 		}
 	}
@@ -265,25 +244,5 @@ func compareWithOracle(t *testing.T, where string, m *Metrics, o *oracleMetrics,
 	}
 	if got, want := m.LateTotal(), plus(baseLate, o.totalLate); got != want {
 		t.Fatalf("%s: LateTotal() = %+v, want %+v", where, got, want)
-	}
-	wantTags := map[string]Counter{}
-	for tag, c := range baseTags {
-		wantTags[tag] = c
-	}
-	for tag, c := range o.byTag {
-		wantTags[tag] = plus(wantTags[tag], *c)
-	}
-	var names []string
-	for tag := range wantTags {
-		names = append(names, tag)
-	}
-	sort.Strings(names)
-	if got := m.Tags(); !slices.Equal(got, names) {
-		t.Fatalf("%s: Tags() = %v, want %v", where, got, names)
-	}
-	for _, tag := range names {
-		if got := m.Tag(tag); got != wantTags[tag] {
-			t.Fatalf("%s: Tag(%s) = %+v, want %+v", where, tag, got, wantTags[tag])
-		}
 	}
 }

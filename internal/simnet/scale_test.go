@@ -46,7 +46,7 @@ func scaleClassifier(coms int) func(from, to NodeID) LinkClass {
 // runScaleGossip builds a coms-committee network, seeds committee-shaped
 // gossip, drains it, and returns a fingerprint over every observable the
 // determinism contract covers: clock, delivery counts, totals, and the
-// full per-node sent/received counter maps.
+// full per-node sent counters and received tallies.
 func runScaleGossip(t *testing.T, coms, parallelism int, shuffleReg bool) string {
 	t.Helper()
 	total := coms*scaleCSize + scaleRef
@@ -54,8 +54,10 @@ func runScaleGossip(t *testing.T, coms, parallelism int, shuffleReg bool) string
 	n := New(lat, 42)
 	n.SetParallelism(parallelism)
 
+	recv := make([]Counter, total) // a node's entry is written by its lane only
 	handler := func(id NodeID) Handler {
 		return func(ctx *Context, msg Message) {
+			recv[id].add(msg.Size)
 			if msg.Size <= 1 {
 				return
 			}
@@ -93,11 +95,11 @@ func runScaleGossip(t *testing.T, coms, parallelism int, shuffleReg bool) string
 	n.RunUntilIdle()
 
 	h := fnv.New64a()
-	fmt.Fprintf(h, "t=%d delivered=%d dropped=%d total=%v late=%v;",
-		n.Now(), n.Delivered(), n.Dropped(), n.Metrics().Total(), n.Metrics().LateTotal())
+	fmt.Fprintf(h, "t=%d delivered=%d dropped=%v total=%v late=%v;",
+		n.Now(), n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total(), n.Metrics().LateTotal())
 	for id := NodeID(0); id < NodeID(total); id++ {
-		s := n.Metrics().Sent("init", id)
-		r := n.Metrics().Received("init", id)
+		s := n.Metrics().SentByNodes("init", []NodeID{id})
+		r := recv[id]
 		if s.Messages|s.Bytes|r.Messages|r.Bytes != 0 {
 			fmt.Fprintf(h, "%d:%d,%d,%d,%d;", id, s.Messages, s.Bytes, r.Messages, r.Bytes)
 		}
@@ -206,8 +208,8 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 	if !found {
 		t.Fatalf("Phases() = %v, want it to include dropped-only phase %q", phases, "blackout")
 	}
-	if c := n.Metrics().Dropped("blackout", 1); c.Messages != 1 || c.Bytes != 9 {
-		t.Fatalf("Dropped(blackout, 1) = %+v, want 1 msg / 9 bytes", c)
+	if c := n.Metrics().PhaseDropped("blackout"); c.Messages != 1 || c.Bytes != 9 {
+		t.Fatalf("PhaseDropped(blackout) = %+v, want 1 msg / 9 bytes", c)
 	}
 }
 
@@ -289,7 +291,7 @@ func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				drive()
 			}
-			if c.schedule && n.Dropped() == 0 {
+			if c.schedule && n.Metrics().DroppedTotal().Messages == 0 {
 				t.Fatal("adversary dropped nothing; the fault windows are not active")
 			}
 			allocs := testing.AllocsPerRun(100, drive)

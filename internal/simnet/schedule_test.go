@@ -94,7 +94,7 @@ func TestAdaptiveEmptyPlanIsNoFaults(t *testing.T) {
 // fingerprint contract the scale suite pins for the fault-free core.
 func TestAdaptiveDeterminismShuffledRegistration(t *testing.T) {
 	const nodes = 24
-	run := func(par int, shuffleSeed int64) (Time, uint64, uint64, Counter) {
+	run := func(par int, shuffleSeed int64) (Time, uint64, Counter, Counter) {
 		n := New(DefaultLatency(), 99)
 		n.SetParallelism(par)
 		a := NewSchedule()
@@ -123,17 +123,17 @@ func TestAdaptiveDeterminismShuffledRegistration(t *testing.T) {
 			n.Send(id, id, "G", nil, 3)
 		}
 		n.RunUntilIdle()
-		return n.Now(), n.Delivered(), n.Dropped(), n.Metrics().Total()
+		return n.Now(), n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total()
 	}
 	t0, d0, x0, c0 := run(1, 0)
 	for _, alt := range [][2]int64{{4, 0}, {0, 0}, {1, 777}, {4, 555}} {
 		tA, dA, xA, cA := run(int(alt[0]), alt[1])
 		if tA != t0 || dA != d0 || xA != x0 || cA != c0 {
-			t.Fatalf("adaptive run diverged at par=%d shuffle=%d: (%d,%d,%d,%v) vs (%d,%d,%d,%v)",
+			t.Fatalf("adaptive run diverged at par=%d shuffle=%d: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 				alt[0], alt[1], tA, dA, xA, cA, t0, d0, x0, c0)
 		}
 	}
-	if x0 == 0 {
+	if x0.Messages == 0 {
 		t.Fatal("adaptive plan dropped nothing")
 	}
 }

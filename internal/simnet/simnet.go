@@ -9,8 +9,8 @@
 // number of worker lanes can compute delays independently.
 //
 // The simulator is the measurement substrate for Table II: it accounts
-// messages and bytes per (phase, node), which the protocol layer aggregates
-// per role.
+// sent messages and bytes per (phase, node), which the protocol layer
+// aggregates per role, and lost traffic per phase.
 //
 // A pluggable fault model (SetFaults) can additionally drop messages in
 // flight, delay them beyond the synchrony bound, or crash and rejoin nodes
@@ -203,21 +203,23 @@ type xmsg struct {
 // lane's state is touched only by the worker running that lane (or by the
 // driving goroutine in the serial phases), so no locks are needed.
 type lane struct {
-	idx     int
 	q       *calQueue
 	batch   []*event // current tick's events, key-sorted by popBatch
 	skip    []bool
 	anySkip bool
 	nextAt  Time // earliest pending tick, refreshed by minTick
 	hasNext bool
-	drops   uint64   // dead-destination drops recorded this step
+	// drops and late are this step's dead-destination drops and
+	// beyond-bound deliveries; stepAt adds them to the Metrics ledger.
+	drops   Counter
+	late    Counter
 	freeEv  []*event // lane-local event pool
 	execCtx Context  // the lane's one reusable effect buffer
 	held    []xmsg   // sends awaiting the serial drain, ascending by key
 }
 
-func newLane(idx int, horizon Time) *lane {
-	return &lane{idx: idx, q: newCalQueue(horizon)}
+func newLane(horizon Time) *lane {
+	return &lane{q: newCalQueue(horizon)}
 }
 
 // newEvent takes an event from the lane's free list (or allocates the
@@ -259,7 +261,6 @@ type Network struct {
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
-	dropped     uint64
 	horizon     Time
 
 	lanes   []*lane
@@ -267,14 +268,7 @@ type Network struct {
 	moved   []*event // SetParallelism redistribution scratch
 	stepWG  sync.WaitGroup
 	lastPop int // previous batch size, steers pooled-vs-inline pop
-	folds   int // batches since the last mergeLanes fold
 }
-
-// mergeEvery is how many batches may elapse between folds of the per-lane
-// metrics shards into the shared tables. Counters are monotone sums and the
-// phase label is constant within a drain, so folding is deferrable; every
-// drain folds before returning control to readers.
-const mergeEvery = 32
 
 // poolCutoff is the batch size below which a macro-step runs its phases
 // inline on the driving goroutine instead of dispatching the worker pool:
@@ -299,8 +293,7 @@ func New(latency Latency, seed int64) *Network {
 		horizon:     4*h + 64,
 		parallelism: 1,
 	}
-	n.lanes = []*lane{newLane(0, n.horizon)}
-	n.metrics.ensureLanes(1)
+	n.lanes = []*lane{newLane(n.horizon)}
 	return n
 }
 
@@ -322,7 +315,7 @@ func (n *Network) SetParallelism(k int) {
 	}
 	n.parallelism = k
 	for len(n.lanes) < k {
-		n.lanes = append(n.lanes, newLane(len(n.lanes), n.horizon))
+		n.lanes = append(n.lanes, newLane(n.horizon))
 	}
 	n.lanes = n.lanes[:k]
 	for _, ln := range n.lanes {
@@ -336,7 +329,6 @@ func (n *Network) SetParallelism(k int) {
 		n.moved[i] = nil
 	}
 	n.moved = n.moved[:0]
-	n.metrics.ensureLanes(k)
 }
 
 // Register installs the handler for a node. Re-registering replaces it
@@ -436,24 +428,19 @@ func (n *Network) Now() Time { return n.now }
 // false without a model.
 func (n *Network) Down(id NodeID) bool { return n.faults != nil && n.faults.Down(n.now, id) }
 
-// Delivered returns the total number of messages delivered so far.
+// Delivered returns how many events have been popped at their tick so
+// far: messages handed to a handler, messages to a node without one,
+// timers, and events skipped because their node was down.
 func (n *Network) Delivered() uint64 { return n.delivered }
-
-// Dropped returns the number of messages lost to faults or dead
-// destinations so far.
-func (n *Network) Dropped() uint64 { return n.dropped }
 
 // Send enqueues a message from outside any handler (e.g. test drivers and
 // round orchestration) under a fresh scheduling key. The key is consumed
 // only if the message is scheduled — one lost to the fault model leaves the
-// counter untouched — and the accounting is folded at once: the phase label
-// may change before the next drain, so an external send must not sit in a
-// lane shard.
+// counter untouched.
 func (n *Network) Send(from, to NodeID, tag string, payload any, size int) {
 	if n.send(Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, n.ctr, 0, false) {
 		n.ctr++
 	}
-	n.metrics.mergeLanes()
 }
 
 // Broadcast is Send to each destination in turn, known to carry one
@@ -464,7 +451,6 @@ func (n *Network) Broadcast(from NodeID, tos []NodeID, tag string, payload any, 
 			n.ctr++
 		}
 	}
-	n.metrics.mergeLanes()
 }
 
 // After schedules fn on the given node after delay d.
@@ -505,14 +491,12 @@ func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 	if n.Down(msg.From) {
 		return false // a crashed sender transmits nothing
 	}
-	sh := &n.metrics.lanes[0] // serial path: any shard is race-free
-	sh.recordSend(msg)
+	n.metrics.recordSend(msg)
 	var extra Time
 	if n.faults != nil {
 		fate := n.faults.Fate(n.now, msg.From, msg.To)
 		if fate.Drop {
-			sh.recordDropped(msg)
-			n.dropped++
+			n.metrics.recordDrops(Counter{Messages: 1, Bytes: uint64(msg.Size)})
 			return false
 		}
 		extra = fate.Delay
@@ -641,9 +625,9 @@ func (n *Network) stepAt(t Time) {
 	n.now = t
 
 	// Pop: every lane with events at t pops and key-sorts its batch,
-	// running the dead-destination pre-pass (skip flags + drop accounting
-	// into the lane's own metrics shard) as it goes. Pooled only when the
-	// previous batch suggests the sort work dwarfs the barrier cost.
+	// running the dead-destination pre-pass (skip flags + the lane's drop
+	// counter) as it goes. Pooled only when the previous batch suggests
+	// the sort work dwarfs the barrier cost.
 	if n.parallelism > 1 && n.lastPop >= poolCutoff {
 		n.dispatch(phasePop)
 	} else {
@@ -675,30 +659,24 @@ func (n *Network) stepAt(t Time) {
 	// Serial drain: every held send goes through send in (ks, kc) order.
 	n.drainHeld()
 
-	// Serial fold: batch counters and shard amortisation.
+	// Serial fold: batch sizes and the lanes' lost and late traffic.
 	for _, ln := range n.lanes {
 		if len(ln.batch) > 0 {
 			n.delivered += uint64(len(ln.batch))
 			ln.batch = ln.batch[:0]
 		}
-		if ln.drops > 0 {
-			n.dropped += ln.drops
-			ln.drops = 0
-		}
-	}
-	n.folds++
-	if n.folds >= mergeEvery {
-		n.metrics.mergeLanes()
-		n.folds = 0
+		n.metrics.recordDrops(ln.drops)
+		n.metrics.recordLate(ln.late)
+		ln.drops, ln.late = Counter{}, Counter{}
 	}
 }
 
 // popLane pops one lane's tick batch and runs the dead-destination
 // pre-pass: events owned by a node that is down per the fault model's
-// crash schedule are flagged, and skipped messages are accounted as
-// dropped into the lane's own shard (a shipped payload is discarded, so
-// the carrier never keeps what no delivery will claim). Runs on pool
-// workers; touches only lane-owned state plus the pure Faults.Down.
+// crash schedule are flagged, and skipped messages are counted in the
+// lane's drops (a shipped payload is discarded, so the carrier never
+// keeps what no delivery will claim). Runs on pool workers; touches only
+// lane-owned state plus the pure Faults.Down.
 func (n *Network) popLane(ln *lane) {
 	ln.batch = ln.q.popBatch(n.now, ln.batch[:0])
 	ln.anySkip = false
@@ -709,15 +687,13 @@ func (n *Network) popLane(ln *lane) {
 		ln.skip = make([]bool, len(ln.batch))
 	}
 	ln.skip = ln.skip[:len(ln.batch)]
-	sh := &n.metrics.lanes[ln.idx]
 	for i, ev := range ln.batch {
 		s := n.faults.Down(n.now, ev.node)
 		ln.skip[i] = s
 		if s {
 			ln.anySkip = true
 			if ev.kind == evMessage {
-				sh.recordDropped(ev.msg)
-				ln.drops++
+				ln.drops.add(ev.msg.Size)
 				if ev.shipped {
 					n.carrier.Discard(ev.ks, ev.kc, ev.node)
 				}
@@ -776,7 +752,6 @@ func (n *Network) renumber() int {
 // lane's held list for drainHeld. Runs on pool workers; all state touched
 // is lane-owned.
 func (n *Network) execLane(ln *lane) {
-	sh := &n.metrics.lanes[ln.idx]
 	ctx := &ln.execCtx
 	t := n.now
 	carrier := n.carrier
@@ -793,9 +768,8 @@ func (n *Network) execLane(ln *lane) {
 				ln.freeEvent(ev)
 				continue
 			}
-			sh.recordRecv(ev.msg)
 			if ev.late {
-				sh.recordLate(ev.msg)
+				ln.late.add(ev.msg.Size)
 			}
 			if carrier != nil {
 				carrier.Deliver(ctx, ev.ks, ev.kc, h)
@@ -831,9 +805,8 @@ func (n *Network) execLane(ln *lane) {
 }
 
 // Run processes events until the queue is empty or virtual time would
-// exceed `until` (0 means no limit), then folds the metrics shards so
-// readers between drains always see fully merged accounting. It returns
-// the number of events processed.
+// exceed `until` (0 means no limit). It returns the number of events
+// processed (see Delivered).
 func (n *Network) Run(until Time) uint64 {
 	start := n.delivered
 	for {
@@ -843,8 +816,6 @@ func (n *Network) Run(until Time) uint64 {
 		}
 		n.stepAt(t)
 	}
-	n.metrics.mergeLanes()
-	n.folds = 0
 	return n.delivered - start
 }
 

@@ -197,37 +197,38 @@ func TestRunUntilBound(t *testing.T) {
 
 func TestMetricsAccounting(t *testing.T) {
 	n := New(DefaultLatency(), 9)
-	n.Register(2, func(ctx *Context, msg Message) {})
-	n.Metrics().SetPhase("phase-a")
+	recv := 0
+	n.Register(2, func(ctx *Context, msg Message) { recv++ })
+	m := n.Metrics()
+	m.SetPhase("phase-a")
 	n.Send(1, 2, "X", nil, 100)
 	n.RunUntilIdle()
-	n.Metrics().SetPhase("phase-b")
+	m.SetPhase("phase-b")
 	n.Send(1, 2, "Y", nil, 50)
 	n.Send(1, 2, "Y", nil, 50)
 	n.RunUntilIdle()
 
-	if c := n.Metrics().Sent("phase-a", 1); c.Messages != 1 || c.Bytes != 100 {
+	if c := m.SentByNodes("phase-a", []NodeID{1}); c.Messages != 1 || c.Bytes != 100 {
 		t.Fatalf("phase-a sent = %+v", c)
 	}
-	if c := n.Metrics().Sent("phase-b", 1); c.Messages != 2 || c.Bytes != 100 {
+	if c := m.SentByNodes("phase-b", []NodeID{1, 2}); c.Messages != 2 || c.Bytes != 100 {
 		t.Fatalf("phase-b sent = %+v", c)
 	}
-	if c := n.Metrics().Received("phase-b", 2); c.Messages != 2 {
-		t.Fatalf("phase-b received = %+v", c)
+	if c := m.SentByNodes("phase-b", []NodeID{2}); c != (Counter{}) {
+		t.Fatalf("receiver charged %+v sent traffic", c)
 	}
-	if c := n.Metrics().Tag("Y"); c.Messages != 2 {
-		t.Fatalf("tag Y = %+v", c)
+	if recv != 3 {
+		t.Fatalf("delivered %d, want 3", recv)
 	}
-	if tot := n.Metrics().Total(); tot.Messages != 3 || tot.Bytes != 200 {
+	if tot := m.Total(); tot.Messages != 3 || tot.Bytes != 200 {
 		t.Fatalf("total = %+v", tot)
 	}
-	phases := n.Metrics().Phases()
+	if c := m.PhaseDropped("phase-b"); c != (Counter{}) {
+		t.Fatalf("phase-b dropped = %+v on a fault-free network", c)
+	}
+	phases := m.Phases()
 	if len(phases) != 2 || phases[0] != "phase-a" || phases[1] != "phase-b" {
 		t.Fatalf("phases = %v", phases)
-	}
-	tags := n.Metrics().Tags()
-	if len(tags) != 2 || tags[0] != "X" {
-		t.Fatalf("tags = %v", tags)
 	}
 }
 

@@ -68,13 +68,25 @@ func newLive(lat simnet.Latency, seed int64) (*simnet.Network, *transport.Live) 
 	return net, transport.NewLive(testCodec{}, net)
 }
 
+// observed is what runScenario's own handlers and send audit saw, beside
+// the network's ledger: events per phase, sends per tag (the audit runs on
+// the serial send path), and deliveries per phase and node (a node's
+// handler writes only its own entries).
+type observed struct {
+	counts [2]uint64
+	tags   map[string]simnet.Counter
+	recv   [2][5]simnet.Counter
+}
+
 // runScenario drives a small ping/pong/timer workload: jittered delays,
 // handler-issued sends and timers, a phase change, an external timer, a
 // modeled nil-payload broadcast, and a node that crashes between the
 // phases — every behaviour the live carrier (nil: the simulator alone)
 // must reproduce. faults are the layers under the crash.
-func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composite) (counts [2]uint64) {
+func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composite) *observed {
 	const n = 5
+	obs := &observed{tags: map[string]simnet.Counter{}}
+	phase := 0
 	peers := make([]simnet.NodeID, n)
 	for i := range peers {
 		peers[i] = simnet.NodeID(i)
@@ -82,11 +94,17 @@ func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composi
 	if len(faults) > 0 {
 		tr.SetFaults(faults)
 	}
+	tr.SetSendAudit(func(msg simnet.Message) {
+		c := obs.tags[msg.Tag]
+		c.Add(simnet.Counter{Messages: 1, Bytes: uint64(msg.Size)})
+		obs.tags[msg.Tag] = c
+	})
 	for i := 0; i < n; i++ {
 		if live != nil {
 			live.Attach(peers[i])
 		}
 		tr.Register(peers[i], func(ctx *simnet.Context, msg simnet.Message) {
+			obs.recv[phase][ctx.Node].Add(simnet.Counter{Messages: 1, Bytes: uint64(msg.Size)})
 			switch msg.Tag {
 			case "PING":
 				ctx.Send(msg.From, "PONG", "pong:"+msg.Payload.(string), 9)
@@ -103,23 +121,25 @@ func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composi
 	for i := 1; i < n; i++ {
 		tr.Send(0, peers[i], "PING", fmt.Sprintf("hello-%d", i), 5+i)
 	}
-	counts[0] = tr.RunUntilIdle()
+	obs.counts[0] = tr.RunUntilIdle()
 
 	tr.Metrics().SetPhase("cool")
+	phase = 1
 	crash := simnet.NewSchedule()
 	crash.Crash(3, tr.Now(), 0)
 	tr.SetFaults(append(simnet.Composite{crash}, faults...))
 	tr.Send(1, 0, "PING", "again", 10)
 	tr.Send(1, 3, "PING", "to-the-dead", 11)
 	tr.After(2, 7, func(c *simnet.Context) { c.Send(0, "PING", "from-timer", 12) })
-	counts[1] = tr.RunUntilIdle()
-	return counts
+	obs.counts[1] = tr.RunUntilIdle()
+	return obs
 }
 
 // TestLiveMatchesSimnet is the oracle-parity check at the transport
 // level: the same seeded scenario on the simulator and on the live
-// transport must agree on virtual time, event counts, and every metrics
-// view — sends, receives, drops, per phase, per node, per tag.
+// transport must agree on virtual time, event counts, every ledger view —
+// sends per phase and node, drops per phase, totals — and what the
+// scenario's handlers and audit counted, deliveries and tags.
 func TestLiveMatchesSimnet(t *testing.T) {
 	const seed = 42
 	lat := simnet.DefaultLatency()
@@ -128,65 +148,32 @@ func TestLiveMatchesSimnet(t *testing.T) {
 	net, live := newLive(lat, seed)
 	defer live.Close()
 
-	simCounts := runScenario(sim, nil, nil)
-	liveCounts := runScenario(net, live, nil)
-
-	if simCounts != liveCounts {
-		t.Errorf("event counts: sim %v, live %v", simCounts, liveCounts)
+	want := snapshot(sim, runScenario(sim, nil, nil))
+	got := snapshot(net, runScenario(net, live, nil))
+	if want != got {
+		t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", want, got)
 	}
-	if sim.Now() != net.Now() {
-		t.Errorf("virtual time: sim %d, live %d", sim.Now(), net.Now())
-	}
-	sm, lm := sim.Metrics(), net.Metrics()
-	if sm.Total() != lm.Total() {
-		t.Errorf("total traffic: sim %+v, live %+v", sm.Total(), lm.Total())
-	}
-	if sm.DroppedTotal() != lm.DroppedTotal() {
-		t.Errorf("dropped: sim %+v, live %+v", sm.DroppedTotal(), lm.DroppedTotal())
-	}
-	if sm.DroppedTotal().Messages == 0 {
+	if sim.Metrics().DroppedTotal().Messages == 0 {
 		t.Error("scenario produced no drops; the down-node path went unexercised")
-	}
-	simTags := sm.Tags()
-	if fmt.Sprint(simTags) != fmt.Sprint(lm.Tags()) {
-		t.Fatalf("tags: sim %v, live %v", simTags, lm.Tags())
-	}
-	for _, tag := range simTags {
-		if sm.Tag(tag) != lm.Tag(tag) {
-			t.Errorf("tag %s: sim %+v, live %+v", tag, sm.Tag(tag), lm.Tag(tag))
-		}
-	}
-	for _, phase := range []string{"warm", "cool"} {
-		for id := simnet.NodeID(0); id < 5; id++ {
-			if sm.Sent(phase, id) != lm.Sent(phase, id) {
-				t.Errorf("sent %s/%d: sim %+v, live %+v", phase, id, sm.Sent(phase, id), lm.Sent(phase, id))
-			}
-			if sm.Received(phase, id) != lm.Received(phase, id) {
-				t.Errorf("received %s/%d: sim %+v, live %+v", phase, id, sm.Received(phase, id), lm.Received(phase, id))
-			}
-			if sm.Dropped(phase, id) != lm.Dropped(phase, id) {
-				t.Errorf("dropped %s/%d: sim %+v, live %+v", phase, id, sm.Dropped(phase, id), lm.Dropped(phase, id))
-			}
-		}
 	}
 }
 
-// snapshot renders everything a scenario run leaves observable on a
-// transport — event counts, virtual time, and every metrics view — so two
-// runs compare with one string equality.
-func snapshot(tr *simnet.Network, counts [2]uint64) string {
+// snapshot renders everything a run leaves observable on a transport —
+// virtual time, every ledger view, and, when obs is not nil, what the
+// scenario observed itself — so two runs compare with one string equality.
+func snapshot(tr *simnet.Network, obs *observed) string {
 	var b strings.Builder
 	m := tr.Metrics()
-	fmt.Fprintf(&b, "counts %v now %d total %+v dropped %+v late %+v\n",
-		counts, tr.Now(), m.Total(), m.DroppedTotal(), m.LateTotal())
-	for _, tag := range m.Tags() {
-		fmt.Fprintf(&b, "tag %s %+v\n", tag, m.Tag(tag))
-	}
+	fmt.Fprintf(&b, "now %d total %+v dropped %+v late %+v\n",
+		tr.Now(), m.Total(), m.DroppedTotal(), m.LateTotal())
 	for _, phase := range m.Phases() {
+		fmt.Fprintf(&b, "%s dropped %+v\n", phase, m.PhaseDropped(phase))
 		for id := simnet.NodeID(0); id < 5; id++ {
-			fmt.Fprintf(&b, "%s/%d sent %+v received %+v dropped %+v\n",
-				phase, id, m.Sent(phase, id), m.Received(phase, id), m.Dropped(phase, id))
+			fmt.Fprintf(&b, "%s/%d sent %+v\n", phase, id, m.SentByNodes(phase, []simnet.NodeID{id}))
 		}
+	}
+	if obs != nil {
+		fmt.Fprintf(&b, "observed %+v\n", *obs)
 	}
 	return b.String()
 }
@@ -446,7 +433,7 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 			if !slices.Equal(want, got) {
 				t.Errorf("handlers saw different messages\n sim:  %q\n live: %q", want, got)
 			}
-			if a, b := snapshot(sim, [2]uint64{}), snapshot(net, [2]uint64{}); a != b {
+			if a, b := snapshot(sim, nil), snapshot(net, nil); a != b {
 				t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", a, b)
 			}
 			if d := sim.Metrics().DroppedTotal().Messages; d != tc.dropped {
