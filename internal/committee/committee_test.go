@@ -435,3 +435,104 @@ func TestConfigRejectsKeyMemberImpersonation(t *testing.T) {
 		t.Fatalf("fresh member: holds forged leader %v, honest key member %v", fresh.S.Contains(0), fresh.S.Contains(1))
 	}
 }
+
+// TestConfigUnionSkipsHeldRecords: a joiner unions overlapping member lists
+// and MEMBER announcements — records it already holds, a key member's record
+// presented with a proof the published one lacks, a forged record, its own
+// record, new records. It must build the directory and send the MEMBER
+// introductions that verifying every presented record builds and sends, and
+// verify each distinct valid record once.
+func TestConfigUnionSkipsHeldRecords(t *testing.T) {
+	const m, joiner = 1, simnet.NodeID(5)
+	rng := rand.New(rand.NewSource(15))
+	r := crypto.HString("round-rand")
+	keyRecs := []MemberRecord{
+		{Node: 0, PK: crypto.GenerateKeyPair(rng).PK},
+		{Node: 1, PK: crypto.GenerateKeyPair(rng).PK},
+	}
+	self, _, _ := record(rng, joiner, 1, r, m)
+	var common []MemberRecord // nodes 6–10
+	for id := simnet.NodeID(6); id <= 10; id++ {
+		rec, _, _ := record(rng, id, 1, r, m)
+		common = append(common, rec)
+	}
+	forged := common[4]
+	forged.Node = 11
+	forged.Hash[0] ^= 1
+	keyWithProof := keyRecs[1]
+	keyWithProof.Hash, keyWithProof.Proof = common[0].Hash, common[0].Proof
+	rekeyed, _, _ := record(rng, common[1].Node, 1, r, m) // valid, under a held ID
+	lists := [][]MemberRecord{
+		{keyRecs[0], keyRecs[1], common[0], common[1]},
+		{keyRecs[0], keyWithProof, common[0], common[1], common[2], forged},
+		{keyRecs[0], keyRecs[1], self, rekeyed, common[2], common[3]},
+	}
+	members := []MemberRecord{common[2], common[4], forged, common[4], common[1]}
+
+	// What verifying every presented record gives.
+	want := NewDirectory()
+	want.Add(self)
+	introduced := make(map[simnet.NodeID]bool)
+	var wantSends [][]simnet.NodeID
+	input := crypto.SortitionInput(1, r)
+	verify := func(rec MemberRecord) (MemberRecord, bool) {
+		for _, km := range keyRecs {
+			if km.Node == rec.Node {
+				return km, km.PK.Equal(rec.PK)
+			}
+		}
+		return rec, crypto.VRFVerify(rec.PK, input, crypto.VRFOutput{Hash: rec.Hash, Proof: rec.Proof}) == nil
+	}
+	for _, list := range lists {
+		var to []simnet.NodeID
+		for _, rec := range list {
+			rec, ok := verify(rec)
+			if !ok {
+				continue
+			}
+			want.Add(rec)
+			if rec.Node != joiner && !introduced[rec.Node] {
+				introduced[rec.Node] = true
+				to = append(to, rec.Node)
+			}
+		}
+		wantSends = append(wantSends, to)
+	}
+	for _, rec := range members {
+		if rec, ok := verify(rec); ok {
+			want.Add(rec)
+		}
+	}
+
+	cn := NewConfigNode(1, r, m, self, false, keyRecs)
+	net := simnet.New(simnet.DefaultLatency(), 15)
+	for id := simnet.NodeID(0); id <= 11; id++ {
+		net.Register(id, func(*simnet.Context, simnet.Message) {})
+	}
+	net.Register(joiner, func(ctx *simnet.Context, msg simnet.Message) { cn.Handle(ctx, msg) })
+	var sends [][]simnet.NodeID
+	net.SetSendAudit(func(msg simnet.Message) {
+		if msg.From == joiner && msg.Tag == TagMember {
+			sends[len(sends)-1] = append(sends[len(sends)-1], msg.To)
+		}
+	})
+	for _, list := range lists {
+		sends = append(sends, nil)
+		net.Send(0, joiner, TagMemList, MemListMsg{Records: list}, 10)
+		net.RunUntilIdle()
+	}
+	for _, rec := range members {
+		net.Send(rec.Node, joiner, TagMember, JoinRequest{Rec: rec}, 10)
+		net.RunUntilIdle()
+	}
+
+	if !reflect.DeepEqual(cn.S.Records(), want.Records()) {
+		t.Fatalf("directory %v, want %v", cn.S.Nodes(), want.Nodes())
+	}
+	if !reflect.DeepEqual(sends, wantSends) {
+		t.Fatalf("MEMBER sends %v, want %v", sends, wantSends)
+	}
+	if got := cn.Verified.Len(); got != len(common)+1 {
+		t.Fatalf("%d records verified, want the %d distinct valid ones", got, len(common)+1)
+	}
+}

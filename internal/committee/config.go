@@ -124,6 +124,23 @@ func (cn *ConfigNode) verify(rec MemberRecord) (MemberRecord, bool) {
 	return rec, cn.Verified.verify(rec)
 }
 
+// admit adds a presented record to S if it verifies, and reports whether
+// it was accepted. A record byte-identical to the one S holds for its node
+// is neither verified nor added again: S's records were published, are
+// this node's own, or verified, and a verdict is a function of the bytes.
+// In a joiner's union of the ≈ λ lists its key members send, that is
+// every record an earlier list carried.
+func (cn *ConfigNode) admit(rec MemberRecord) bool {
+	if cn.S.holds(&rec) {
+		return true
+	}
+	rec, ok := cn.verify(rec)
+	if ok {
+		cn.S.Add(rec)
+	}
+	return ok
+}
+
 // Start kicks off participation: a non-key member sends its join request
 // to every key member (whose addresses came from B^{r-1}).
 func (cn *ConfigNode) Start(ctx *simnet.Context) {
@@ -165,11 +182,9 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		// contacted yet.
 		cn.to = cn.to[:0]
 		for _, rec := range resp.Records {
-			rec, ok := cn.verify(rec)
-			if !ok {
+			if !cn.admit(rec) {
 				continue
 			}
-			cn.S.Add(rec)
 			if rec.Node != cn.Self.Node && !cn.introduced[rec.Node] {
 				cn.introduced[rec.Node] = true
 				cn.to = append(cn.to, rec.Node)
@@ -184,9 +199,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		if !ok {
 			return true
 		}
-		if rec, ok := cn.verify(req.Rec); ok {
-			cn.S.Add(rec)
-		}
+		cn.admit(req.Rec)
 	default:
 		return false
 	}

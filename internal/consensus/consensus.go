@@ -68,8 +68,8 @@ func (p Propose) layout(c *wire.Coder) Propose {
 // for — has no digest: PayloadDigest returns the zero Digest, which no
 // encoding hashes to and under which onPropose adopts nothing.
 func PayloadDigest(payload any) crypto.Digest {
-	bp := digestBufs.Get().(*[]byte)
-	defer digestBufs.Put(bp)
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
 	enc, err := wire.AppendEncode((*bp)[:0], payload)
 	if err != nil {
 		return crypto.Digest{}
@@ -78,9 +78,32 @@ func PayloadDigest(payload any) crypto.Digest {
 	return crypto.H(enc)
 }
 
-// digestBufs recycles PayloadDigest's encoding buffers: handlers on several
-// lanes digest at once, and a block's encoding is tens of kilobytes.
-var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bufs recycles PayloadDigest's encodings and the signing bytes of Sign,
+// Verify and Result.Verify: handlers on several lanes sign and digest at
+// once, and a block's encoding is tens of kilobytes. A buffer kept per
+// node instead would hold the largest message that node ever signed or
+// checked — a transaction list, on every member. (A Protocol keeps its
+// own, sigBuf: an endpoint lives one round and signs small messages.)
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Sign returns kp's signature under scheme on msg: on msg's
+// wire.SigningBytes, built in a pooled buffer (a scheme does not retain
+// it). It is how a signer with no buffer of its own signs.
+func Sign[T any](scheme SignatureScheme, kp crypto.KeyPair, msg T) []byte {
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	*bp = wire.SigningBytes((*bp)[:0], msg)
+	return scheme.Sign(kp, *bp)
+}
+
+// Verify checks that sig is pk's signature under scheme on msg's
+// wire.SigningBytes, built as Sign builds them.
+func Verify[T any](scheme SignatureScheme, pk crypto.PublicKey, sig []byte, msg T) error {
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	*bp = wire.SigningBytes((*bp)[:0], msg)
+	return scheme.Verify(pk, sig, *bp)
+}
 
 // header is a proposal without its payload: what the leader's signature
 // covers, and all an equivocation witness needs.
@@ -170,12 +193,7 @@ func (w Witness) Valid(scheme SignatureScheme, pk crypto.PublicKey) bool {
 	if w.A.Round != w.B.Round || w.A.SN != w.B.SN || w.A.Digest == w.B.Digest {
 		return false
 	}
-	for _, p := range []Propose{w.A, w.B} {
-		if scheme.Verify(pk, p.Sig, wire.SigningBytes(nil, p)) != nil {
-			return false
-		}
-	}
-	return true
+	return Verify(scheme, pk, w.A.Sig, w.A) == nil && Verify(scheme, pk, w.B.Sig, w.B) == nil
 }
 
 // Result is a decision and its certificate: the decided instance and
@@ -205,10 +223,11 @@ func (r Result) layout(c *wire.Coder) Result {
 // referee committee, remote leaders) use this to accept results without
 // having participated.
 func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
-	var buf []byte
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
 	return r.Quorum.Verify(scheme, committee, pkOf, func(voter simnet.NodeID) []byte {
-		buf = wire.SigningBytes(buf[:0], Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: voter})
-		return buf
+		*bp = wire.SigningBytes((*bp)[:0], Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: voter})
+		return *bp
 	})
 }
 
@@ -322,6 +341,12 @@ type Protocol struct {
 	// node withhold its echo, so an invalid proposal cannot gather a
 	// majority in an honest-majority committee.
 	ValidatePayload func(sn uint64, payload any) bool
+	// Echoes, when set, is where this endpoint looks an echo up before
+	// verifying it, and records one that verified: a process that runs
+	// every endpoint of one (round, leader) builds them all on one set, so
+	// each distinct echo is verified once, not by every member it reaches.
+	// Sharing endpoints must share Scheme and PKOf. Nil verifies every echo.
+	Echoes *VerifiedEchoes
 
 	insts map[uint64]*instance
 	pos   map[simnet.NodeID]int // Committee's position index, built on first use
@@ -379,7 +404,7 @@ func (p *Protocol) inst(sn uint64) *instance {
 // leaders can craft conflicting proposals in tests and attack scenarios.
 func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeID, round, sn uint64, digest crypto.Digest, payload any) Propose {
 	prop := Propose{Round: round, SN: sn, Digest: digest, Payload: payload, Leader: leader}
-	prop.Sig = scheme.Sign(kp, wire.SigningBytes(nil, prop))
+	prop.Sig = Sign(scheme, kp, prop)
 	return prop
 }
 
@@ -538,9 +563,12 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	if !member {
 		return // no slot, no vote: dropped before any signature work
 	}
-	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
-	if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.sigBuf) != nil {
-		return
+	if !p.Echoes.holds(&e) {
+		p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
+		if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.sigBuf) != nil {
+			return
+		}
+		p.Echoes.add(&e)
 	}
 	in := p.inst(e.SN)
 	// The header the echo carries is leader-signed, so it feeds the

@@ -17,7 +17,10 @@ import (
 // oracle (oracle_test.go) through the same schedule of proposals (direct and
 // relayed), echoes, fetches and confirms, and require every effect to match: each send (destination, tag,
 // declared size, encoded bytes), OnAccept, OnDecide's Result bytes,
-// OnEquivocation (witness as the set {A, B}), HasProposal and Decided.
+// OnEquivocation (witness as the set {A, B}), HasProposal and Decided. Every
+// schedule runs twice: with the endpoint verifying each echo itself, and
+// with it sharing a VerifiedEchoes with a second member's endpoint that has
+// been shown the whole schedule first (runSchedule).
 
 // endpoint is what the schedule drives: *Protocol and *oracleProtocol.
 type endpoint interface {
@@ -137,7 +140,7 @@ func enc(t testing.TB, v any) []byte {
 	return b
 }
 
-func newRig(t testing.TB, w *world, oracle bool) *rig {
+func newRig(t testing.TB, w *world, oracle bool, echoes *VerifiedEchoes) *rig {
 	r := &rig{net: simnet.New(simnet.DefaultLatency(), 1), sent: make(map[string]int)}
 	onDecide := func(_ *simnet.Context, res Result) {
 		r.log = append(r.log, fmt.Sprintf("decide %x", enc(t, res)))
@@ -163,7 +166,7 @@ func newRig(t testing.TB, w *world, oracle bool) *rig {
 	} else {
 		r.ep = &Protocol{
 			Round: diffRound, Self: w.self, Leader: w.leader, Committee: w.committee,
-			Keys: w.keys[w.self], PKOf: pkOf, Scheme: w.scheme,
+			Keys: w.keys[w.self], PKOf: pkOf, Scheme: w.scheme, Echoes: echoes,
 			OnDecide: onDecide, OnAccept: onAccept, OnEquivocation: onEquivocation, ValidatePayload: diffValidate,
 		}
 	}
@@ -240,13 +243,36 @@ func (w *world) proposal(s step, sn uint64, digBits, sigBits, snBits, roundBits 
 	return prop
 }
 
-// schedule runs steps on both rigs and fails at the first divergence.
+// schedule runs steps on its rigs — the table and the oracle, or a peer
+// alone — and fails at the first divergence.
 type schedule struct {
 	t        testing.TB
 	w        *world
-	rigs     [2]*rig // the table, the oracle
+	self     simnet.NodeID // the member the rigs' endpoints are
+	rigs     []*rig
 	proposed map[uint64]bool
 	shown    map[uint64]bool // sns for which the endpoint was shown a validly signed proposal
+}
+
+func newSchedule(t testing.TB, w *world, self simnet.NodeID, rigs ...*rig) *schedule {
+	return &schedule{t: t, w: w, self: self, rigs: rigs, proposed: make(map[uint64]bool), shown: make(map[uint64]bool)}
+}
+
+// sharingPeer builds the endpoint of the first member other than w.self on
+// the given set, and a schedule that delivers to it alone.
+func sharingPeer(t testing.TB, w *world, set *VerifiedEchoes) *schedule {
+	self := w.committee[0]
+	if self == w.self {
+		self = w.committee[1]
+	}
+	p := &Protocol{
+		Round: diffRound, Self: self, Leader: w.leader, Committee: w.committee, Keys: w.keys[self],
+		PKOf: func(id simnet.NodeID) crypto.PublicKey { return w.keys[id].PK }, Scheme: w.scheme,
+		ValidatePayload: diffValidate, Echoes: set,
+	}
+	r := &rig{net: simnet.New(simnet.DefaultLatency(), 2), ep: p}
+	r.net.Register(self, func(ctx *simnet.Context, msg simnet.Message) { p.Handle(ctx, msg) })
+	return newSchedule(t, w, self, r)
 }
 
 func (sc *schedule) each(f func(r *rig)) {
@@ -263,7 +289,7 @@ func (sc *schedule) run(s step) {
 	round := rarely(s.where>>1, staleRound, diffRound)
 	d := digestOf(s.dig)
 	deliver := func(tag string, payload any) {
-		sc.each(func(r *rig) { r.net.Send(from, w.self, tag, payload, 0) })
+		sc.each(func(r *rig) { r.net.Send(from, sc.self, tag, payload, 0) })
 	}
 	switch s.op % numOps {
 	case opEcho, opEchoAgain:
@@ -304,12 +330,12 @@ func (sc *schedule) run(s step) {
 		// Only a leader proposes, once per sn, and not after it has been
 		// shown a proposal for that sn under its own signature (see
 		// oracle_test.go's header for why that case is left out).
-		if w.self != w.leader || sc.proposed[sn] || sc.shown[sn] {
+		if sc.self != w.leader || sc.proposed[sn] || sc.shown[sn] {
 			return
 		}
 		sc.proposed[sn] = true
 		sc.each(func(r *rig) {
-			r.net.After(w.self, 1, func(ctx *simnet.Context) {
+			r.net.After(sc.self, 1, func(ctx *simnet.Context) {
 				r.ep.Propose(ctx, sn, diffDigests[0], payloadOf(s.pay), 0)
 			})
 		})
@@ -340,20 +366,32 @@ func (sc *schedule) compare(i int, s step) {
 }
 
 // runSchedule decodes data — three configuration bytes, then six per step —
-// and replays it on the table and the oracle. It returns how many effects
-// the schedule produced and the table's rig, whose sends and adoptions tell
-// a live schedule from noise.
-func runSchedule(t testing.TB, data []byte) (effects int, table *rig) {
+// and replays it on the table and the oracle. When shared is set, another
+// member's endpoint is shown the whole schedule first, on a VerifiedEchoes
+// the table then shares: every echo that verified there reaches the table
+// already verified, and every spoiled copy of one is shown to a table that
+// may not have filed the genuine one yet. It returns how many effects the
+// schedule produced and the table's rig, whose sends and adoptions tell a
+// live schedule from noise.
+func runSchedule(t testing.TB, data []byte, shared bool) (effects int, table *rig) {
 	if len(data) < 3 {
 		return 0, &rig{}
 	}
 	w := newWorld(diffSizes[int(data[0])%len(diffSizes)], data[1]&1 == 1, data[1]&2 == 2, int(data[2]))
-	sc := &schedule{t: t, w: w, proposed: make(map[uint64]bool), shown: make(map[uint64]bool)}
-	sc.rigs = [2]*rig{newRig(t, w, false), newRig(t, w, true)}
-	data = data[3:]
-	for i := 0; len(data) >= stepBytes && i < 512; i++ {
-		s := step{data[0], data[1], data[2], data[3], data[4], data[5]}
-		data = data[stepBytes:]
+	var steps []step
+	for data = data[3:]; len(data) >= stepBytes && len(steps) < 512; data = data[stepBytes:] {
+		steps = append(steps, step{data[0], data[1], data[2], data[3], data[4], data[5]})
+	}
+	var set *VerifiedEchoes
+	if shared {
+		set = NewVerifiedEchoes(diffRound, w.leader)
+		peer := sharingPeer(t, w, set)
+		for _, s := range steps {
+			peer.run(s)
+		}
+	}
+	sc := newSchedule(t, w, w.self, newRig(t, w, false, set), newRig(t, w, true, nil))
+	for i, s := range steps {
 		sc.run(s)
 		effects += len(sc.rigs[0].log)
 		sc.compare(i, s)
@@ -426,45 +464,52 @@ func TestAlgorithm3MatchesOracle(t *testing.T) {
 			for _, leaderSide := range []bool{false, true} {
 				name := fmt.Sprintf("c=%d/ed25519=%d/leader=%v", c, ed, leaderSide)
 				t.Run(name, func(t *testing.T) {
-					honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
-					// An honest instance is live: the member confirms, the
-					// leader decides — the oracle agreeing on silence would
-					// prove nothing.
-					n, table := runSchedule(t, honest)
-					if n < 2 || table.adopted != 1 {
-						t.Fatalf("honest schedule produced %d effects, adopted sealed{0} %d times", n, table.adopted)
-					}
-					// Two members fetch, one of them twice: two answers.
-					if sent := table.sent[TagPropose]; sent != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
-						t.Fatalf("honest schedule sent %d proposals", sent)
-					}
-					rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
-					variants := 150
-					if ed == 1 {
-						variants = 25 // real signatures: ~100 µs a step
-					}
-					live, fetches, adopted := 0, 0, 0
-					for v := 0; v < variants; v++ {
-						n, table := runSchedule(t, disturb(rng, honest))
-						if n > 0 {
-							live++
-						}
-						fetches += table.sent[TagFetch]
-						adopted += min(table.adopted, 1)
-					}
-					if live < variants/2 {
-						t.Fatalf("only %d of %d disturbed schedules produced any effect", live, variants)
-					}
-					if adopted == 0 {
-						t.Fatal("no disturbed schedule adopted a payload")
-					}
-					// Echoes moved ahead of the proposal make a member fetch.
-					if !leaderSide && fetches == 0 {
-						t.Fatal("no disturbed schedule made the member fetch")
-					}
+					t.Run("private", func(t *testing.T) { matchOracle(t, sizeIdx, ed, leaderSide, false) })
+					t.Run("shared", func(t *testing.T) { matchOracle(t, sizeIdx, ed, leaderSide, true) })
 				})
 			}
 		}
+	}
+}
+
+// matchOracle replays the honest schedule of one configuration and its
+// disturbed variants on the table and the oracle.
+func matchOracle(t *testing.T, sizeIdx, ed int, leaderSide, shared bool) {
+	c := diffSizes[sizeIdx]
+	honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
+	// An honest instance is live: the member confirms, the leader decides —
+	// the oracle agreeing on silence would prove nothing.
+	n, table := runSchedule(t, honest, shared)
+	if n < 2 || table.adopted != 1 {
+		t.Fatalf("honest schedule produced %d effects, adopted sealed{0} %d times", n, table.adopted)
+	}
+	// Two members fetch, one of them twice: two answers.
+	if sent := table.sent[TagPropose]; sent != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
+		t.Fatalf("honest schedule sent %d proposals", sent)
+	}
+	rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
+	variants := 150
+	if ed == 1 {
+		variants = 25 // real signatures: ~100 µs a step
+	}
+	live, fetches, adopted := 0, 0, 0
+	for v := 0; v < variants; v++ {
+		n, table := runSchedule(t, disturb(rng, honest), shared)
+		if n > 0 {
+			live++
+		}
+		fetches += table.sent[TagFetch]
+		adopted += min(table.adopted, 1)
+	}
+	if live < variants/2 {
+		t.Fatalf("only %d of %d disturbed schedules produced any effect", live, variants)
+	}
+	if adopted == 0 {
+		t.Fatal("no disturbed schedule adopted a payload")
+	}
+	// Echoes moved ahead of the proposal make a member fetch.
+	if !leaderSide && fetches == 0 {
+		t.Fatal("no disturbed schedule made the member fetch")
 	}
 }
 
@@ -479,5 +524,8 @@ func FuzzAlgorithm3(f *testing.F) {
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runSchedule(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runSchedule(t, data, false)
+		runSchedule(t, data, true)
+	})
 }

@@ -3,7 +3,6 @@ package protocol
 import (
 	"cycledger/internal/consensus"
 	"cycledger/internal/simnet"
-	"cycledger/internal/wire"
 )
 
 // Aggregate mode (Params.AggregateCerts) changes two things, both on the
@@ -48,18 +47,19 @@ func (e *Engine) treeStretch(c int) simnet.Time {
 // committeeCast is this node's step of a committee broadcast rooted at root.
 // Flat: the root sends to every other member and nobody relays. Tree: the
 // root and every relay send to their children only (treeRelay), so the
-// leader's egress is O(log C) sends. The payload's size is taken only once
-// this node is known to send — a flat-mode member calling in as a would-be
-// relay pays nothing.
-func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload any) {
+// leader's egress is O(log C) sends. size is the payload's declared size:
+// the root's wire.Size of it, taken once, and a relay's the size of the
+// message it received, which is the same payload — a relay never walks it
+// again.
+func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload any, size int) {
 	if n.eng.P.AggregateCerts {
-		n.treeRelay(ctx, root, tag, payload)
+		n.treeRelay(ctx, root, tag, payload, size)
 		return
 	}
 	if n.ID != root {
 		return
 	}
-	ctx.Broadcast(n.committeePeers, tag, payload, wire.Size(payload))
+	ctx.Broadcast(n.committeePeers, tag, payload, size)
 }
 
 // treeRelay sends the message to this node's children in the committee's
@@ -69,7 +69,7 @@ func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string
 // sender and relays derive it in one pass over the member list instead of
 // materializing a rank slice — the per-message rank/children allocations
 // were the broadcast path's top allocation site at large committees.
-func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, payload any) {
+func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, payload any, size int) {
 	members := n.committeeNodes
 	rootPos, my := -1, -1
 	for i, id := range members {
@@ -112,7 +112,7 @@ func (n *Node) treeRelay(ctx *simnet.Context, root simnet.NodeID, tag string, pa
 		kids[k] = members[ci]
 		k++
 	}
-	if k > 0 { // a leaf of the tree sizes nothing
-		ctx.Broadcast(kids[:k], tag, payload, wire.Size(payload))
+	if k > 0 {
+		ctx.Broadcast(kids[:k], tag, payload, size)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cycledger/internal/chain"
 	"cycledger/internal/committee"
+	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/ledger"
 	"cycledger/internal/pow"
@@ -131,6 +133,13 @@ type Engine struct {
 	screened    atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
 	hooks       Hooks                  // optional progress callbacks (SetHooks)
 
+	// echoes holds this round's verified echoes per instance leader, shared
+	// by every node's endpoint for that leader (echoesFor). consFor runs on
+	// handler lanes and live node goroutines, so echoMu guards the lazy
+	// creation of an entry; RunRound drops the sets when the round ends.
+	echoMu sync.Mutex
+	echoes map[simnet.NodeID]*consensus.VerifiedEchoes
+
 	// adversary, when non-nil, is the reactive planner re-targeting its
 	// fault budget at each round boundary (see adversary.go).
 	adversary *adversaryPlanner
@@ -165,6 +174,19 @@ func (e *Engine) noteScreened(n int) {
 	}
 }
 
+// echoesFor returns the round's verified-echo set for the instances leader
+// leads, creating it on first use.
+func (e *Engine) echoesFor(leader simnet.NodeID) *consensus.VerifiedEchoes {
+	e.echoMu.Lock()
+	defer e.echoMu.Unlock()
+	v := e.echoes[leader]
+	if v == nil {
+		v = consensus.NewVerifiedEchoes(e.round, leader)
+		e.echoes[leader] = v
+	}
+	return v
+}
+
 // NewEngine builds the node population, genesis state, and the round-1
 // roster (in a real deployment round 1's key members come from a bootstrap
 // block; here the engine plays that block's role).
@@ -173,12 +195,13 @@ func NewEngine(p Params) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		P:     p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		reput: reputation.NewLedger(),
-		utxo:  ledger.NewShardedStore(uint64(p.M)),
-		group: pvss.DefaultGroup(),
-		chain: chain.New(),
+		P:      p,
+		rng:    rand.New(rand.NewSource(p.Seed)),
+		reput:  reputation.NewLedger(),
+		echoes: make(map[simnet.NodeID]*consensus.VerifiedEchoes),
+		utxo:   ledger.NewShardedStore(uint64(p.M)),
+		group:  pvss.DefaultGroup(),
+		chain:  chain.New(),
 	}
 	e.lat = simnet.DefaultLatency()
 	e.lat.Classify = func(from, to simnet.NodeID) simnet.LinkClass {
@@ -497,6 +520,13 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	if err := runStages(e.roundStages(report), e.P.Pipelined); err != nil {
 		return nil, err
 	}
+	// Nothing reads a consensus endpoint after its round: they, and the
+	// echo sets they share, are released here, not at the next round's
+	// reset.
+	for _, n := range e.nodes {
+		clear(n.cons)
+	}
+	clear(e.echoes)
 
 	if e.P.Pipelined {
 		report.Duration = e.pipelinedDuration()

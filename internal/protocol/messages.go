@@ -363,7 +363,7 @@ func (w RecoveryWitness) Verify(scheme consensus.SignatureScheme, leaderPK crypt
 		if w.SemiCom == nil {
 			return false
 		}
-		if scheme.Verify(leaderPK, w.SemiCom.Sig, wire.SigningBytes(nil, *w.SemiCom)) != nil {
+		if consensus.Verify(scheme, leaderPK, w.SemiCom.Sig, *w.SemiCom) != nil {
 			return false
 		}
 		return w.SemiCom.ListDigest() != w.SemiCom.SemiCom
@@ -408,7 +408,7 @@ func (m ApproveMsg) layout(c *wire.Coder) ApproveMsg {
 
 // EvictReqMsg is the accuser's escalation to C_R: the witness plus the >c/2
 // approval certificate. Approvals holds the members' signatures only; the
-// ApproveMsg each one signed is rebuilt from this header (approval), so an
+// ApproveMsg each one signed is rebuilt from this header (approvals), so an
 // approval counts only if it was signed for this round, committee and
 // accuser.
 type EvictReqMsg struct {
@@ -428,10 +428,15 @@ func (m EvictReqMsg) layout(c *wire.Coder) EvictReqMsg {
 	return m
 }
 
-// approval returns the signing bytes of the ApproveMsg the given voter must
-// have signed for this request.
-func (m EvictReqMsg) approval(voter simnet.NodeID) []byte {
-	return wire.SigningBytes(nil, ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter})
+// approvals returns Quorum.Verify's msgAt for this request: the signing
+// bytes of the ApproveMsg a voter must have signed, built in one buffer
+// reused across the voters.
+func (m EvictReqMsg) approvals() func(voter simnet.NodeID) []byte {
+	var buf []byte
+	return func(voter simnet.NodeID) []byte {
+		buf = wire.SigningBytes(buf[:0], ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: voter})
+		return buf
+	}
 }
 
 // EvictPayload is C_R's Algorithm 3 payload deciding the replacement.

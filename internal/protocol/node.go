@@ -170,6 +170,7 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 		Keys:      n.Keys,
 		PKOf:      n.eng.pkOf,
 		Scheme:    n.eng.P.Scheme,
+		Echoes:    n.eng.echoesFor(leader),
 		OnDecide: func(ctx *simnet.Context, res consensus.Result) {
 			n.onConsensusDecide(ctx, res)
 		},
@@ -325,7 +326,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 	switch msg.Tag {
 	case TagTxList:
 		if m, ok := msg.Payload.(TxListMsg); ok {
-			n.onTxList(ctx, m)
+			n.onTxList(ctx, m, msg.Size)
 		}
 	case TagVote:
 		if m, ok := msg.Payload.(VoteMsg); ok {
@@ -387,7 +388,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		}
 	case TagBlock:
 		if m, ok := msg.Payload.(BlockMsg); ok {
-			n.onBlock(ctx, m)
+			n.onBlock(ctx, m, msg.Size)
 		}
 	case TagUTXOFinal:
 		if m, ok := msg.Payload.(UTXOFinalMsg); ok {

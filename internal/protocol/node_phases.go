@@ -29,7 +29,7 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 		com = crypto.H([]byte("forged"), com[:])
 	}
 	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Records()}
-	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, msg))
+	msg.Sig = consensus.Sign(n.eng.P.Scheme, n.Keys, msg)
 	var payload any = msg // boxed once, not per destination
 	size := wire.Size(payload)
 	ctx.Broadcast(n.eng.roster.Referee, TagSemiCom, payload, size)
@@ -46,7 +46,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 	if from != leader && from != n.curLeader {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(from), m.Sig, wire.SigningBytes(nil, m)) != nil {
+	if consensus.Verify(n.eng.P.Scheme, n.eng.pkOf(from), m.Sig, m) != nil {
 		return
 	}
 	switch n.role {
@@ -104,10 +104,10 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 		txs = nil
 	}
 	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: txs}
-	msg.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, msg))
+	msg.Sig = consensus.Sign(n.eng.P.Scheme, n.Keys, msg)
 	// Under tree dissemination only the tree children are sent to here;
 	// receivers relay (onTxList) down their own subtrees.
-	n.committeeCast(ctx, n.ID, TagTxList, msg)
+	n.committeeCast(ctx, n.ID, TagTxList, msg, wire.Size(msg))
 	// The leader votes too.
 	n.votes = make(map[simnet.NodeID]reputation.VoteVector)
 	n.voteOrder = nil
@@ -126,11 +126,11 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 // onTxList is the member side: vote and reply (§IV-C step 3). Only a list
 // the acting leader signed is relayed or voted on; the signature covers the
 // whole list.
-func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
+func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(n.curLeader), m.Sig, wire.SigningBytes(nil, m)) != nil {
+	if consensus.Verify(n.eng.P.Scheme, n.eng.pkOf(n.curLeader), m.Sig, m) != nil {
 		return
 	}
 	if n.txList == nil || n.txList.Attempt != m.Attempt {
@@ -140,13 +140,13 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 		// relay silences exactly its subtree, whose members then
 		// corroborate the intra silence watchdog (txList == nil) — the
 		// fault model sees tree faults with no extra machinery.
-		n.committeeCast(ctx, n.curLeader, TagTxList, m)
+		n.committeeCast(ctx, n.curLeader, TagTxList, m, size)
 	}
 	mm := m
 	n.txList = &mm
 	votes := n.voteOnTxs(m.Txs)
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
-	vm.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, vm))
+	vm.Sig = consensus.Sign(n.eng.P.Scheme, n.Keys, vm)
 	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
 }
 
@@ -193,7 +193,7 @@ func (n *Node) onVote(ctx *simnet.Context, m VoteMsg, from simnet.NodeID) {
 	if m.Voter != from || !slices.Contains(n.committeeNodes, m.Voter) || len(m.Votes) != len(n.currentList()) {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, wire.SigningBytes(nil, m)) != nil {
+	if consensus.Verify(n.eng.P.Scheme, n.eng.pkOf(m.Voter), m.Sig, m) != nil {
 		return
 	}
 	n.recordVote(m.Voter, m.Votes)
@@ -566,9 +566,10 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 // ---------------------------------------------------------------------------
 // Block phase
 
-// onBlock receives the round block; committee leaders then drive the final
-// UTXO consensus (§IV-G).
-func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
+// onBlock receives the round block, of the given declared size, and
+// forwards it unchanged; committee leaders then drive the final UTXO
+// consensus (§IV-G).
+func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg, size int) {
 	if n.block != nil || m.Block == nil {
 		return
 	}
@@ -576,11 +577,11 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg) {
 	if n.role != RoleLeader && n.role != RoleReferee && n.role != RoleIdle {
 		// Under tree dissemination committee members relay the block down
 		// their subtree (referees keep their own propagation path untouched).
-		n.committeeCast(ctx, n.curLeader, TagBlock, m)
+		n.committeeCast(ctx, n.curLeader, TagBlock, m, size)
 	}
 	if n.role == RoleLeader && !n.Behavior.Offline {
 		// Leaders forward the block inside their committee.
-		n.committeeCast(ctx, n.ID, TagBlock, m)
+		n.committeeCast(ctx, n.ID, TagBlock, m, size)
 		// Agree on the final shard-UTXO digest.
 		digest := crypto.H([]byte("utxo"), u64(n.eng.round), u64(n.comID), m.Block.Randomness[:])
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}

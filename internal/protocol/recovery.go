@@ -63,7 +63,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	ctx.Broadcast(without(nil, n.committeePeers, n.curLeader), TagAccuse, payload, wire.Size(payload))
 	// The accuser approves its own motion.
 	self := ApproveMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
-	self.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, self))
+	self.Sig = consensus.Sign(n.eng.P.Scheme, n.Keys, self)
 	n.onApprove(ctx, self)
 }
 
@@ -87,7 +87,7 @@ func (n *Node) onAccuse(ctx *simnet.Context, m AccuseMsg) {
 		return // Claim 4: invalid witnesses cannot frame an honest leader
 	}
 	ap := ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: n.ID}
-	ap.Sig = n.eng.P.Scheme.Sign(n.Keys, wire.SigningBytes(nil, ap))
+	ap.Sig = consensus.Sign(n.eng.P.Scheme, n.Keys, ap)
 	ctx.Send(m.Accuser, TagApprove, ap, wire.Size(ap))
 }
 
@@ -104,7 +104,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if k, ok := n.eng.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, wire.SigningBytes(nil, m)) != nil {
+	if consensus.Verify(n.eng.P.Scheme, n.eng.pkOf(m.Voter), m.Sig, m) != nil {
 		return
 	}
 	for _, a := range n.myApprovals {
@@ -147,7 +147,7 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 	// distinct committee members signed that the leader went quiet. The
 	// signed message is rebuilt from the request's header, so approvals
 	// collected in another round or for another accuser cannot be replayed.
-	if m.Approvals.Verify(n.eng.P.Scheme, n.eng.roster.Committee(m.Committee), n.eng.pkOf, m.approval) != nil {
+	if m.Approvals.Verify(n.eng.P.Scheme, n.eng.roster.Committee(m.Committee), n.eng.pkOf, m.approvals()) != nil {
 		return
 	}
 	n.proposeEviction(ctx, m.Committee, m.Witness)

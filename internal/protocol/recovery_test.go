@@ -135,7 +135,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 		if (req.Approvals.Bitmap != nil) != aggregate {
 			t.Errorf("aggregate=%v: evidence form %+v", aggregate, req.Approvals)
 		}
-		if err := req.Approvals.Verify(e.P.Scheme, members, e.pkOf, req.approval); err != nil {
+		if err := req.Approvals.Verify(e.P.Scheme, members, e.pkOf, req.approvals()); err != nil {
 			t.Errorf("aggregate=%v: the escalated request does not verify: %v", aggregate, err)
 		}
 	}
@@ -163,14 +163,14 @@ func TestEvictReqEvidence(t *testing.T) {
 		req := EvictReqMsg{Round: uint64(rng.Intn(50)), Committee: uint64(rng.Intn(8)), Accuser: roster[rng.Intn(n)],
 			Witness: RecoveryWitness{Kind: "silence", Phase: "intra"}}
 		for _, i := range rng.Perm(n)[:k] {
-			req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: roster[i], Sig: scheme.Sign(keys[roster[i]], req.approval(roster[i]))})
+			req.Approvals.Votes = append(req.Approvals.Votes, consensus.Vote{Voter: roster[i], Sig: scheme.Sign(keys[roster[i]], req.approvals()(roster[i]))})
 		}
 		folded := req
 		var err error
 		if folded.Approvals, err = req.Approvals.Fold(scheme, roster); err != nil {
 			t.Fatalf("trial %d: fold: %v", trial, err)
 		}
-		verifies := func(m EvictReqMsg) bool { return m.Approvals.Verify(scheme, roster, pkOf, m.approval) == nil }
+		verifies := func(m EvictReqMsg) bool { return m.Approvals.Verify(scheme, roster, pkOf, m.approvals()) == nil }
 		if got, want := verifies(req), 2*k > n; got != want || verifies(folded) != want {
 			t.Fatalf("trial %d (n=%d k=%d): per-voter verifies=%v, aggregate verifies=%v, majority=%v", trial, n, k, got, verifies(folded), want)
 		}
