@@ -64,7 +64,7 @@ func main() {
 	parallelBlockGen := flag.Bool("parallel-blockgen", def.ParallelBlockGen, "enable §VIII-B parallel block generation")
 	seed := flag.Int64("seed", def.Seed, "simulation seed (non-zero)")
 	par := flag.Int("parallel", def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
-	pipelined := flag.Bool("pipelined", def.Pipelined, "run rounds as a concurrent stage pipeline (§IV overlap)")
+	pipelined := flag.Bool("pipelined", def.Pipelined, "report round latency under the §IV pipeline (election overlaps processing); only Δt changes")
 	scheme := flag.String("scheme", def.Scheme, "signature scheme: hash|ed25519")
 	transport := flag.String("transport", def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")
 	top := flag.Int("top", 5, "reputation leaderboard size")

@@ -44,7 +44,7 @@ func (d *oracleDirectory) Nodes() []simnet.NodeID {
 	for id := range d.records {
 		out = append(out, id)
 	}
-	simnet.SortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -14,8 +14,8 @@ import (
 // concurrently in one process) share the same entries.
 //
 // The table is striped 64 ways by a string hash to keep the read-mostly
-// lock cheap: the workload prefetch stage, the routing pass, and block
-// assembly may all resolve shards concurrently under the pipelined engine.
+// lock cheap: an engine resolves shards from one goroutine, but a sweep
+// runs several engines at once over the one process-wide table.
 // Entries are never evicted — the population is the set of distinct user
 // identities, which is bounded by the simulated population, not by rounds.
 

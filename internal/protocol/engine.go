@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,11 +31,8 @@ type RecoveryEvent struct {
 
 // Hooks are optional callbacks fired as a round progresses, the engine's
 // half of the streaming observation API (the sim facade adapts them to its
-// Observer interface). Callbacks run synchronously on whichever goroutine
-// executes the stage: under Params.Pipelined the network phases run on
-// their own goroutines, serialised by the stage graph's dependency edges,
-// so invocations never overlap but do hop goroutines — implementations
-// must not assume a single caller goroutine.
+// Observer interface). Every callback runs synchronously, in order, on the
+// goroutine that calls RunRound, whatever Params.Pipelined says.
 type Hooks struct {
 	// PhaseStart fires when a network phase (config, semicommit, intra,
 	// inter, score, select, block) begins driving traffic.
@@ -69,9 +65,9 @@ type RoundReport struct {
 	Fees          uint64
 	Recoveries    []RecoveryEvent
 	Participants  int
-	// Duration is the round's simulated latency. Sequential engines pay
-	// the sum of all phase spans; with Params.Pipelined it is the critical
-	// path of the overlapped stage schedule (see pipelinedDuration).
+	// Duration is the round's simulated latency: the sum of all phase
+	// spans, or with Params.Pipelined the critical path of the §IV
+	// overlapped schedule (see pipelinedDuration).
 	Duration       simnet.Time
 	Messages       uint64
 	Bytes          uint64
@@ -123,9 +119,9 @@ type Engine struct {
 	nextRoster *Roster
 	reports    []*RoundReport
 
-	// Per-round pipeline state (see pipeline.go for the stage graph).
+	// Per-round stage state, handed from stage to stage (RunRound calls
+	// them in order).
 	work        *routedWork            // routed work lists + precomputed honest verdicts
-	nextBatch   []*ledger.Tx           // prefetched by the pipeline's prefetch stage
 	powSols     []powEntry             // participation-puzzle solutions, one per node
 	pending     *pendingBlock          // assembled-but-uncertified block state
 	stageSpans  map[string]simnet.Time // per-network-stage virtual spans
@@ -487,14 +483,13 @@ func (e *Engine) Run() ([]*RoundReport, error) {
 
 // RunRound executes one full protocol round and returns its report.
 //
-// The round is expressed as an explicit stage graph (see roundStages in
-// pipeline.go): network stages form the serial chain config → semicommit →
-// intra → inter → score → select → certify, while CPU-bound stages
-// (workload routing, PoW election work, block assembly, ledger apply,
-// next-round prefetch) hang off that chain by data dependency only. With
-// P.Pipelined the graph is executed concurrently, overlapping the paper's
-// §IV election/processing pipeline; otherwise it runs in topological order,
-// which reproduces the seed engine's sequential behaviour exactly.
+// The round's stages run in order on the calling goroutine. The network
+// stages config → semicommit → intra → inter → score → select → certify
+// drive the simulator, each through net, which records its virtual-time
+// span; the CPU stages (workload routing, PoW election work, block
+// assembly, ledger apply; pipeline.go) consume no virtual time and run
+// where their inputs are final. Params.Pipelined changes only how the
+// spans add up into Duration (pipelinedDuration), never what runs.
 func (e *Engine) RunRound() (*RoundReport, error) {
 	report := &RoundReport{
 		Round:        e.round,
@@ -509,7 +504,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	// The reactive adversary re-plans first: the roster is fixed, no
 	// traffic has moved, the network is idle — the snapshot point where
 	// appending fault windows cannot race in-flight evaluation. It reads
-	// the previous round's stage spans before roundStages resets them.
+	// the previous round's stage spans before they are reset below.
 	if e.adversary != nil {
 		e.adversary.replan(e.AdversaryView())
 	}
@@ -517,8 +512,28 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	dropStart := e.Net.Metrics().DroppedTotal()
 	lateStart := e.Net.Metrics().LateTotal()
 
-	if err := runStages(e.roundStages(report), e.P.Pipelined); err != nil {
-		return nil, err
+	e.stageSpans = make(map[string]simnet.Time)
+	net := func(name string, run func()) {
+		from := e.Net.Now()
+		run()
+		e.stageSpans[name] = e.Net.Now() - from
+	}
+	e.stageWorkload()
+	net("config", e.phaseConfig)
+	net("semicommit", func() { e.phaseSemiCommit(report) })
+	e.stagePow()
+	net("intra", func() { e.phaseIntra(report) })
+	net("inter", func() { e.phaseInter(report) })
+	net("score", func() { e.phaseScore(report) })
+	e.stageAssemble()
+	net("select", func() { e.phaseSelect(report) })
+	if err := e.stageLedger(report); err != nil {
+		return nil, fmt.Errorf("stage ledger: %w", err)
+	}
+	var err error
+	net("certify", func() { err = e.phaseBlock(report) })
+	if err != nil {
+		return nil, fmt.Errorf("stage certify: %w", err)
 	}
 	// Nothing reads a consensus endpoint after its round: they, and the
 	// echo sets they share, are released here, not at the next round's
@@ -581,16 +596,6 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 			report.PhaseDropped[ph] = m.PhaseDropped(ph)
 		}
 	}
-}
-
-// sortedCommitteeIDs is a small helper for deterministic iteration.
-func sortedCommitteeIDs[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // powPuzzle returns the participation puzzle for the next round.

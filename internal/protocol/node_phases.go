@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 
 	"cycledger/internal/consensus"
@@ -271,7 +272,7 @@ func (n *Node) startInter(ctx *simnet.Context) {
 	// Iterate targets in sorted order: ranging over the map directly would
 	// enqueue sends (and thus draw their simulated delays) in a
 	// run-dependent order, breaking seeded reproducibility.
-	targets := sortedCommitteeIDs(n.interOut)
+	targets := slices.Sorted(maps.Keys(n.interOut))
 	if !n.eng.P.PreScreenCross {
 		for _, j := range targets {
 			n.proposeInterOut(ctx, j, n.interOut[j])

@@ -39,7 +39,7 @@ type Params struct {
 
 	Scheme      consensus.SignatureScheme
 	Seed        int64
-	Parallelism int    // simnet worker pool; 0 = GOMAXPROCS
+	Parallelism int    // simnet lanes and CPU worker pool; 0 = GOMAXPROCS
 	PowHardness uint64 // expected hash attempts per participation puzzle
 
 	// DisableRecovery turns off the leader re-selection procedure —
@@ -53,15 +53,14 @@ type Params struct {
 	// at the referee committee (e.g. under a DoS workload).
 	PreScreenCross bool
 
-	// Pipelined executes each round as a concurrent stage graph instead of
-	// a strict phase sequence: the PoW election work, block assembly,
-	// ledger apply, and next-round workload routing overlap the network
-	// phases they have no data dependency on — the paper's §IV observation
-	// that committee election and transaction processing can proceed in
-	// parallel. Round reports are bit-identical to the sequential
-	// engine's at any parallelism level, except Duration, which becomes
-	// the critical path of the overlapped stage schedule instead of the
-	// sum of the phases.
+	// Pipelined reports each round's latency under the paper's §IV
+	// pipeline: the election track (participation PoW and the C_R beacon)
+	// overlaps transaction processing, and a round's configuration
+	// overlaps the previous block's propagation. It is a latency model,
+	// not an executor: the round runs the same stages in the same order
+	// either way, and every report field is identical except Duration,
+	// which becomes the critical path of the overlapped schedule instead
+	// of the sum of the phases.
 	Pipelined bool
 
 	// ParallelBlockGen enables the §VIII-B extension: committee members

@@ -3,6 +3,8 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"cycledger/internal/committee"
@@ -29,7 +31,7 @@ const maxRecoveryAttempts = 4
 // ---------------------------------------------------------------------------
 // Phase 1: committee configuration (§IV-A, Algorithm 2)
 //
-// In the pipelined schedule this stage (together with the semi-commitment
+// In the pipelined latency model this stage (together with the semi-commitment
 // exchange) overlaps the previous round's block certification and
 // propagation: it needs only the roster elected in the previous selection
 // phase, never the previous block's content. pipelinedDuration credits
@@ -176,9 +178,8 @@ func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 // Phase 3: intra-committee consensus (§IV-C, Algorithm 5)
 //
 // The batch was routed into per-shard work lists by the workload stage
-// (routing.go), which may overlap the configuration and semi-commitment
-// phases; this phase only primes each leader with its committee's list and
-// drives the vote rounds.
+// (routing.go) at the start of the round; this phase only primes each
+// leader with its committee's list and drives the vote rounds.
 
 func (e *Engine) phaseIntra(report *RoundReport) {
 	e.setPhase("intra")
@@ -215,7 +216,7 @@ func (e *Engine) phaseInter(report *RoundReport) {
 	// A committee times out when any of its outgoing cross-shard lists
 	// never completed the round trip to C_R.
 	e.noteTimeouts(report, "inter", func(k uint64) bool {
-		for _, j := range sortedCommitteeIDs(e.work.cross[k]) {
+		for j := range e.work.cross[k] {
 			if !e.refereeHas(func(n *Node) bool { return n.crInter[interKey(k, j)] != nil }) {
 				return false
 			}
@@ -271,11 +272,9 @@ func (e *Engine) phaseScore(report *RoundReport) {
 
 // refereeView returns the first online referee member — the engine's
 // window into C_R's certified state. Under a fault model, referees
-// currently crashed by the churn schedule are skipped too. It reads the
-// simnet clock, so it must only be called from network-stage context
-// (the stages that own the event loop); CPU stages that may overlap a
-// network stage read individual artifacts through refereeRecord /
-// refereeHas instead, which never touch the clock.
+// currently crashed by the churn schedule are skipped too, so the answer
+// depends on the simnet clock: it is the member that is up when the
+// caller's phase asks.
 func (e *Engine) refereeView() *Node {
 	for _, id := range e.roster.Referee {
 		if !e.nodeDown(id) {
@@ -304,8 +303,7 @@ func (e *Engine) refereeHas(has func(*Node) bool) bool {
 // artifact, scanning the roster in order — the single-holder read of
 // C_R's joint view (refereeHas is the existence check). Offline or
 // crashed members simply hold no records, so no liveness filtering is
-// needed, and the scan reads only node maps — never the simnet clock —
-// making it safe from CPU stages that overlap a network stage.
+// needed and the scan reads only node maps, never the simnet clock.
 func refereeRecord[T any](e *Engine, get func(*Node) *T) *T {
 	for _, id := range e.roster.Referee {
 		if v := get(e.nodes[id]); v != nil {
@@ -332,17 +330,16 @@ func (e *Engine) noteTimeouts(report *RoundReport, phase string, concluded func(
 //
 // This is the election track of the paper's pipeline: its traffic (PoW
 // submissions, the C_R randomness beacon) touches only referee bookkeeping
-// that the intra/inter/score chain never reads, so in the pipelined
-// schedule the whole stage overlaps transaction processing; only the final
-// reputation-ranked roster build consumes the score results, and that is
-// instantaneous in virtual time.
+// that the intra/inter/score chain never reads, so the pipelined latency
+// model (pipelinedDuration) lets the whole stage overlap transaction
+// processing; only the final reputation-ranked roster build consumes the
+// score results, and that is instantaneous in virtual time.
 
 func (e *Engine) phaseSelect(report *RoundReport) {
 	e.setPhase("select")
 	// Participation PoW: every online node submits its puzzle solution to
-	// C_R. The solving itself happened in the pow stage (pipeline.go),
-	// which may overlap the consensus phases; only the submission traffic
-	// belongs to this phase.
+	// C_R. The solving itself happened in the pow stage (pipeline.go); only
+	// the submission traffic belongs to this phase.
 	for i, n := range e.nodes {
 		entry := e.powSols[i]
 		if !entry.ok {
@@ -397,11 +394,7 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 			seen[id] = true
 		}
 	}
-	participants := make([]simnet.NodeID, 0, len(seen))
-	for id := range seen {
-		participants = append(participants, id)
-	}
-	simnet.SortNodeIDs(participants)
+	participants := slices.Sorted(maps.Keys(seen))
 	report.Participants = len(participants)
 
 	if len(participants) == 0 {
@@ -514,10 +507,10 @@ func (t *ticketSort) Swap(i, j int) {
 // ---------------------------------------------------------------------------
 // Phase 7: block certification and propagation (§IV-G)
 //
-// Candidate assembly and validation moved to the assemble stage and the
-// ledger apply to the ledger stage (pipeline.go); both are CPU-only and
-// may overlap the reputation/selection phases. This phase consumes their
-// output: it builds the block, has C_R certify it, and propagates it.
+// Candidate assembly and validation happen in the assemble stage and the
+// ledger apply in the ledger stage (pipeline.go), both CPU-only and run
+// before this phase. It consumes their output: it builds the block, has
+// C_R certify it, and propagates it.
 
 func (e *Engine) phaseBlock(report *RoundReport) error {
 	e.setPhase("block")

@@ -41,31 +41,34 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPipelinedDeterministicAcrossParallelism: a seeded pipelined run must
-// produce byte-identical reports at parallelism 1 and N — concurrency may
-// only change wall-clock time, never results.
+// TestPipelinedDeterministicAcrossParallelism: a seeded run, sequential or
+// pipelined, must produce byte-identical reports at parallelism 1 and N —
+// the simnet lanes and the CPU pool (PoW, verdicts) may only change
+// wall-clock time, never results.
 func TestPipelinedDeterministicAcrossParallelism(t *testing.T) {
-	base := DefaultParams()
-	base.Rounds = 3
-	base.Pipelined = true
-	base.CrossFrac = 0.5
-	base.InvalidFrac = 0.1
+	for _, pipelined := range []bool{false, true} {
+		base := DefaultParams()
+		base.Rounds = 3
+		base.Pipelined = pipelined
+		base.CrossFrac = 0.5
+		base.InvalidFrac = 0.1
 
-	var runs [][]*RoundReport
-	for _, par := range []int{1, 4, 0} { // 0 = GOMAXPROCS
-		p := base
-		p.Parallelism = par
-		_, reports := runEngine(t, p)
-		runs = append(runs, reports)
-	}
-	want := renderReports(runs[0])
-	for i, r := range runs[1:] {
-		if got := renderReports(r); got != want {
-			t.Fatalf("parallelism run %d diverged from parallelism 1:\n%s\nvs\n%s", i+1, want, got)
+		var runs [][]*RoundReport
+		for _, par := range []int{1, 4, 0} { // 0 = GOMAXPROCS
+			p := base
+			p.Parallelism = par
+			_, reports := runEngine(t, p)
+			runs = append(runs, reports)
 		}
-		for j := range runs[0] {
-			if !reflect.DeepEqual(runs[0][j], r[j]) {
-				t.Fatalf("round %d reports not deeply equal across parallelism", j+1)
+		want := renderReports(runs[0])
+		for i, r := range runs[1:] {
+			if got := renderReports(r); got != want {
+				t.Fatalf("pipelined=%v: parallelism run %d diverged from parallelism 1:\n%s\nvs\n%s", pipelined, i+1, want, got)
+			}
+			for j := range runs[0] {
+				if !reflect.DeepEqual(runs[0][j], r[j]) {
+					t.Fatalf("pipelined=%v: round %d reports not deeply equal across parallelism", pipelined, j+1)
+				}
 			}
 		}
 	}
@@ -183,7 +186,7 @@ func TestPipelinedConservationAndChain(t *testing.T) {
 	}
 }
 
-// TestPipelinedWithExtensionsAndAdversary: the stage graph must stay
+// TestPipelinedWithExtensionsAndAdversary: a pipelined run must stay
 // correct when the §VIII extensions and a byzantine minority are active
 // (pre-screen drops are counted via the atomic screen counter).
 func TestPipelinedWithExtensionsAndAdversary(t *testing.T) {
@@ -226,31 +229,6 @@ func TestScreenedCounterFoldsIntoReport(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("expected pre-screen drops under a heavily invalid cross workload")
-	}
-}
-
-// TestStageGraphDependencyError: an unknown dependency must surface as an
-// error, not a hang.
-func TestStageGraphDependencyError(t *testing.T) {
-	err := runStages([]stage{
-		{name: "a", run: func() error { return nil }},
-		{name: "b", deps: []string{"missing"}, run: func() error { return nil }},
-	}, true)
-	if err == nil {
-		t.Fatal("expected unknown-dependency error")
-	}
-}
-
-// TestStageGraphErrorPropagation: a failing stage must abort its
-// dependents and be reported once.
-func TestStageGraphErrorPropagation(t *testing.T) {
-	ran := false
-	err := runStages([]stage{
-		{name: "a", run: func() error { return fmt.Errorf("boom") }},
-		{name: "b", deps: []string{"a"}, run: func() error { ran = true; return nil }},
-	}, true)
-	if err == nil || ran {
-		t.Fatalf("err=%v ran=%v, want error and skipped dependent", err, ran)
 	}
 }
 

@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"sort"
+	"slices"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -203,7 +203,7 @@ func (r *Roster) AllNodes() []simnet.NodeID {
 		for id := range r.roles {
 			out = append(out, id)
 		}
-		simnet.SortNodeIDs(out)
+		slices.Sort(out)
 		r.cAllNodes = out
 	}
 	return r.cAllNodes
@@ -241,7 +241,7 @@ func (r *Roster) ReplaceLeader(k uint64, evicted, successor simnet.NodeID) {
 	r.Partials[k] = ps
 	r.roles[evicted] = RoleCommon
 	r.Commons[k] = append(r.Commons[k], evicted)
-	sort.Slice(r.Commons[k], func(i, j int) bool { return r.Commons[k][i] < r.Commons[k][j] })
+	slices.Sort(r.Commons[k])
 	r.rewarmReplace(k)
 }
 

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 
 	"cycledger/internal/ledger"
@@ -22,20 +24,11 @@ type routedWork struct {
 	verdicts map[uint64]reputation.VoteVector
 }
 
-// stageWorkload builds the round's routed work: it consumes the batch the
-// prefetch stage generated ahead of time (pipelined mode, round ≥ 2) or
-// draws one now, routes it once against the settled ledger view, and
-// precomputes per-shard honest verdicts. Routing always happens here —
-// never in the prefetch stage — so intra/cross classification sees the
-// previous round's applies and the pipelined engine's work lists are
-// identical to the sequential engine's.
+// stageWorkload builds the round's routed work, first thing in the round:
+// it draws the batch, routes it once against the ledger view the previous
+// round's apply left, and precomputes per-shard honest verdicts.
 func (e *Engine) stageWorkload() {
-	batch := e.nextBatch
-	e.nextBatch = nil
-	if batch == nil {
-		batch = e.gen.NextBatch(e.P.M * e.P.TxPerCommittee)
-	}
-	w := e.routeBatch(batch)
+	w := e.routeBatch(e.gen.NextBatch(e.P.M * e.P.TxPerCommittee))
 	e.precomputeVerdicts(w)
 	e.work = w
 }
@@ -87,61 +80,63 @@ func (e *Engine) routeBatch(batch []*ledger.Tx) *routedWork {
 }
 
 // effectiveParallelism resolves P.Parallelism for the engine's CPU worker
-// pools, additionally capped at GOMAXPROCS: unlike simnet's event pool,
+// pool, additionally capped at GOMAXPROCS: unlike simnet's event pool,
 // these stages are pure computation, so workers beyond the physical cores
 // only add scheduling overhead (results are pool-size-independent either
 // way).
 func (e *Engine) effectiveParallelism() int {
 	w := e.P.Parallelism
-	if max := runtime.GOMAXPROCS(0); w <= 0 || w > max {
-		w = max
+	if limit := runtime.GOMAXPROCS(0); w <= 0 || w > limit {
+		w = limit
 	}
 	return w
 }
 
-// precomputeVerdicts computes each committee's honest vote vector on a
-// per-shard worker pool. Every honest member of committee k evaluates the
+// fanOut calls do(i) for every i in [0, n) on the engine's CPU worker pool
+// (effectiveParallelism workers, at most n) and returns when all calls
+// have. Each call must write only state owned by its index, so results do
+// not depend on the pool size.
+func (e *Engine) fanOut(n int, do func(i int)) {
+	workers := min(e.effectiveParallelism(), n)
+	if workers <= 1 {
+		for i := range n {
+			do(i)
+		}
+		return
+	}
+	next := make(chan int, n)
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// precomputeVerdicts computes each committee's honest vote vector, one
+// shard per fanOut call. Every honest member of committee k evaluates the
 // same list in the same order against the same state, so the vector is a
 // per-shard fact, not a per-node one; nodes then derive their actual votes
 // from it through their Behavior (see voteOnTxs). Shard-local speculative
 // views (overlays over the striped store) keep validation free of
 // cross-shard lock contention.
 func (e *Engine) precomputeVerdicts(w *routedWork) {
-	w.verdicts = make(map[uint64]reputation.VoteVector, len(w.intra))
-	shards := make([]uint64, 0, len(w.intra))
-	for k := range w.intra {
-		shards = append(shards, k)
+	shards := slices.Collect(maps.Keys(w.intra))
+	verdicts := make([]reputation.VoteVector, len(shards))
+	e.fanOut(len(shards), func(i int) { verdicts[i] = e.honestVerdictFor(w.intra[shards[i]]) })
+	w.verdicts = make(map[uint64]reputation.VoteVector, len(shards))
+	for i, k := range shards {
+		w.verdicts[k] = verdicts[i]
 	}
-	workers := e.effectiveParallelism()
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		for _, k := range shards {
-			w.verdicts[k] = e.honestVerdictFor(w.intra[k])
-		}
-		return
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := make(chan uint64, len(shards))
-	for _, k := range shards {
-		next <- k
-	}
-	close(next)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				v := e.honestVerdictFor(w.intra[k])
-				mu.Lock()
-				w.verdicts[k] = v
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // honestVerdictFor evaluates one committee's list in order. With
@@ -192,16 +187,4 @@ func sameTxList(a, b []*ledger.Tx) bool {
 		}
 	}
 	return true
-}
-
-// stagePrefetch (pipelined mode) generates the next round's batch while
-// the current block is still being certified and propagated, so round
-// r+1's transaction processing overlaps round r's tail — the §IV
-// parallel-pipeline structure. It must run after the ledger stage: the
-// generator's Reject bookkeeping for this round reshapes its model before
-// the next batch is drawn. Only generation is prefetched; the per-shard
-// routing waits for the next workload stage so it classifies against the
-// post-apply ledger view.
-func (e *Engine) stagePrefetch() {
-	e.nextBatch = e.gen.NextBatch(e.P.M * e.P.TxPerCommittee)
 }

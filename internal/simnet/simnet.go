@@ -35,7 +35,6 @@ package simnet
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -834,9 +833,4 @@ func (n *Network) Pending() int {
 // String summarises the simulator state.
 func (n *Network) String() string {
 	return fmt.Sprintf("simnet{t=%d, pending=%d, delivered=%d}", n.now, n.Pending(), n.delivered)
-}
-
-// Sort helper used by higher layers for canonical node sets.
-func SortNodeIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

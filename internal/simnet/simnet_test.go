@@ -250,11 +250,3 @@ func TestBroadcastHelper(t *testing.T) {
 		}
 	}
 }
-
-func TestSortNodeIDs(t *testing.T) {
-	ids := []NodeID{5, 1, 3}
-	SortNodeIDs(ids)
-	if ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Fatalf("sorted = %v", ids)
-	}
-}

@@ -19,7 +19,7 @@
 //
 // The full option set: WithTopology, WithRounds, WithWorkload,
 // WithAdversary, WithSeed, WithScheme ("hash" or "ed25519"), WithPipeline
-// (concurrent stage-graph rounds plus the simnet worker-pool size),
+// (§IV pipelined round latency plus the worker-pool size),
 // WithPowHardness, WithRecovery (§V-D leader re-selection on/off),
 // WithPreScreenCross (§VIII-A), WithParallelBlockGen (§VIII-B),
 // WithFaults (network fault model: loss, lag, partition, churn;
@@ -68,17 +68,16 @@
 //
 // WithObserver attaches an Observer: OnPhase fires when a network phase
 // starts driving traffic, OnRecovery for each decided leader eviction,
-// OnRound after each completed round. The facade serialises all callbacks
-// under one mutex, so implementations never see concurrent invocations
-// even when the engine is Pipelined — but callbacks may arrive from
-// different goroutines, so an observer must not rely on goroutine-local
-// state. Callbacks run synchronously on the engine's critical path; keep
-// them short. Funcs adapts plain functions to the interface.
+// OnRound after each completed round. Callbacks run synchronously, in
+// order, on the goroutine driving the run, Pipelined or not, and the
+// facade serialises them under one mutex. They sit on the engine's
+// critical path; keep them short. Funcs adapts plain functions to the
+// interface.
 //
 // # Determinism and sweeps
 //
 // Runs with equal Configs (including Seed) are byte-identical at any
-// Parallelism, in both the sequential and pipelined engines. The
+// Parallelism, sequential or pipelined. The
 // sim/sweep subpackage builds on that to expand parameter grids over
 // Config, execute them on a worker pool, and aggregate statistics across
 // replicate seeds.

@@ -2,12 +2,11 @@ package sim
 
 import "cycledger/internal/protocol"
 
-// An Observer watches a run in flight. The facade serialises all
-// callbacks under one mutex, so implementations never see concurrent
-// invocations even when the engine is Pipelined — but callbacks may
-// arrive from different goroutines, so an observer must not rely on
-// goroutine-local state. Callbacks run synchronously on the engine's
-// critical path; keep them short.
+// An Observer watches a run in flight. Callbacks run synchronously, in
+// order, on the goroutine driving the run (the caller of Run or of the
+// Rounds iterator), Pipelined or not, and the facade serialises them
+// under one mutex. They sit on the engine's critical path; keep them
+// short.
 type Observer interface {
 	// OnPhase fires when a network phase (config, semicommit, intra,
 	// inter, score, select, block) starts driving traffic.

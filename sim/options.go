@@ -74,9 +74,11 @@ func WithScheme(name string) Option {
 	}
 }
 
-// WithPipeline controls the execution engine: pipelined runs each round as
-// a concurrent stage graph (§IV's election/processing overlap), and
-// parallelism sizes the simnet worker pool (0 = GOMAXPROCS).
+// WithPipeline sets how rounds are timed and run: pipelined reports each
+// round's Duration under §IV's election/processing overlap instead of as
+// the sum of its phases, and parallelism sizes the simnet lanes and the
+// CPU worker pool (0 = GOMAXPROCS). Neither changes any other report
+// field.
 func WithPipeline(pipelined bool, parallelism int) Option {
 	return func(b *builder) error {
 		b.cfg.Pipelined = pipelined

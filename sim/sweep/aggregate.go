@@ -32,7 +32,7 @@ type Metrics struct {
 	// BytesPerRound is simulated network bytes per round.
 	BytesPerRound float64 `json:"bytes_per_round"`
 	// TicksPerRound is simulated round latency: the sum of phase spans on
-	// the sequential engine, the stage-graph critical path when Pipelined.
+	// the sequential engine, the §IV critical path when Pipelined.
 	TicksPerRound float64 `json:"ticks_per_round"`
 	// DroppedPerRound is messages lost to the fault model per round
 	// (in flight or addressed to crashed nodes).
