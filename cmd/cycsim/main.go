@@ -44,29 +44,36 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the run as a JSON document instead of text")
 	list := flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 
-	// Declared flag defaults mirror the default config so -h tells the
-	// truth; only flags explicitly set on the command line (flag.Visit)
-	// override the scenario/config layers.
+	// Each run flag sets one field of the run document, named beside it.
+	// Declared defaults mirror the default config so -h tells the truth
+	// (its behaviour is honest, whose name is ""). Only flags given on the
+	// command line are applied: they form one JSON document, overlaid after
+	// the scenario and -config layers the way -config is.
 	def := sim.DefaultConfig()
-	m := flag.Int("m", def.M, "number of committees")
-	c := flag.Int("c", def.C, "committee size")
-	lambda := flag.Int("lambda", def.Lambda, "partial set size")
-	ref := flag.Int("ref", def.RefSize, "referee committee size")
-	rounds := flag.Int("rounds", def.Rounds, "rounds to simulate")
-	txs := flag.Int("tx", def.TxPerCommittee, "transactions offered per committee per round")
-	cross := flag.Float64("cross", def.CrossFrac, "cross-shard payment fraction")
-	invalid := flag.Float64("invalid", def.InvalidFrac, "invalid transaction fraction")
-	malicious := flag.Float64("malicious", def.MaliciousFrac, "byzantine node fraction (-behavior defaults to invert when this is set)")
-	behavior := flag.String("behavior", def.Behavior, "byzantine behavior: honest|invert|lazy|yes|offline|equivocate|forge|conceal|censor|suppress-score (comma-composable)")
-	corruptLeaders := flag.Bool("corrupt-leaders", def.CorruptLeaders, "spend the corruption budget on leader seats first")
-	noRecovery := flag.Bool("no-recovery", def.DisableRecovery, "disable leader re-selection (RapidChain-style baseline)")
-	prescreen := flag.Bool("prescreen", def.PreScreenCross, "enable §VIII-A cross-shard pre-screening")
-	parallelBlockGen := flag.Bool("parallel-blockgen", def.ParallelBlockGen, "enable §VIII-B parallel block generation")
-	seed := flag.Int64("seed", def.Seed, "simulation seed (non-zero)")
-	par := flag.Int("parallel", def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
-	pipelined := flag.Bool("pipelined", def.Pipelined, "report round latency under the §IV pipeline (election overlaps processing); only Δt changes")
-	scheme := flag.String("scheme", def.Scheme, "signature scheme: hash|ed25519")
-	transport := flag.String("transport", def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")
+	field := map[string]string{} // run flag → document field
+	run := func(name, docField string) string {
+		field[name] = docField
+		return name
+	}
+	flag.Int(run("m", "m"), def.M, "number of committees")
+	flag.Int(run("c", "c"), def.C, "committee size")
+	flag.Int(run("lambda", "lambda"), def.Lambda, "partial set size")
+	flag.Int(run("ref", "ref_size"), def.RefSize, "referee committee size")
+	flag.Int(run("rounds", "rounds"), def.Rounds, "rounds to simulate")
+	flag.Int(run("tx", "tx_per_committee"), def.TxPerCommittee, "transactions offered per committee per round")
+	flag.Float64(run("cross", "cross_frac"), def.CrossFrac, "cross-shard payment fraction")
+	flag.Float64(run("invalid", "invalid_frac"), def.InvalidFrac, "invalid transaction fraction")
+	flag.Float64(run("malicious", "malicious_frac"), def.MaliciousFrac, "byzantine node fraction (-behavior defaults to invert when this is set)")
+	flag.String(run("behavior", "behavior"), "", "byzantine behavior: honest|invert|lazy|yes|offline|equivocate|forge|conceal|censor|suppress-score (comma-composable)")
+	flag.Bool(run("corrupt-leaders", "corrupt_leaders"), def.CorruptLeaders, "spend the corruption budget on leader seats first")
+	flag.Bool(run("no-recovery", "disable_recovery"), def.DisableRecovery, "disable leader re-selection (RapidChain-style baseline)")
+	flag.Bool(run("prescreen", "pre_screen_cross"), def.PreScreenCross, "enable §VIII-A cross-shard pre-screening")
+	flag.Bool(run("parallel-blockgen", "parallel_block_gen"), def.ParallelBlockGen, "enable §VIII-B parallel block generation")
+	flag.Int64(run("seed", "seed"), def.Seed, "simulation seed (non-zero)")
+	flag.Int(run("parallel", "parallelism"), def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
+	flag.Bool(run("pipelined", "pipelined"), def.Pipelined, "report round latency under the §IV pipeline (election overlaps processing); only Δt changes")
+	flag.String(run("scheme", "scheme"), def.Scheme, "signature scheme: hash|ed25519")
+	flag.String(run("transport", "transport"), def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")
 	top := flag.Int("top", 5, "reputation leaderboard size")
 
 	var sweepAxes []sweep.Axis
@@ -134,41 +141,28 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// Individual flags override the scenario/config layers, but only the
-	// flags actually given on the command line.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	applyIf := func(name string, apply func()) {
-		if set[name] {
-			apply()
+	overlay := map[string]any{}
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if name, ok := field[f.Name]; ok {
+			overlay[name] = f.Value.(flag.Getter).Get()
 		}
-	}
-	applyIf("m", func() { cfg.M = *m })
-	applyIf("c", func() { cfg.C = *c })
-	applyIf("lambda", func() { cfg.Lambda = *lambda })
-	applyIf("ref", func() { cfg.RefSize = *ref })
-	applyIf("rounds", func() { cfg.Rounds = *rounds })
-	applyIf("tx", func() { cfg.TxPerCommittee = *txs })
-	applyIf("cross", func() { cfg.CrossFrac = *cross })
-	applyIf("invalid", func() { cfg.InvalidFrac = *invalid })
-	applyIf("malicious", func() { cfg.MaliciousFrac = *malicious })
-	applyIf("behavior", func() { cfg.Behavior = *behavior })
-	applyIf("corrupt-leaders", func() { cfg.CorruptLeaders = *corruptLeaders })
-	applyIf("no-recovery", func() { cfg.DisableRecovery = *noRecovery })
-	applyIf("prescreen", func() { cfg.PreScreenCross = *prescreen })
-	applyIf("parallel-blockgen", func() { cfg.ParallelBlockGen = *parallelBlockGen })
-	applyIf("seed", func() { cfg.Seed = *seed })
-	applyIf("parallel", func() { cfg.Parallelism = *par })
-	applyIf("pipelined", func() { cfg.Pipelined = *pipelined })
-	applyIf("scheme", func() { cfg.Scheme = *scheme })
-	applyIf("transport", func() { cfg.Transport = *transport })
+	})
 	// A command-line -malicious without -behavior keeps the old CLI's
 	// default of vote inversion. The fallback is scoped to the flag layer:
 	// a scenario or config file that sets a positive fraction without a
 	// behavior is passed through untouched, so validation rejects it as a
 	// silent no-op adversary instead of inventing one.
-	if set["malicious"] && !set["behavior"] && cfg.Behavior == "" {
-		cfg.Behavior = "invert"
+	if set["malicious"] && !set["behavior"] && !cfg.ByzantineBehavior.IsByzantine() {
+		overlay["behavior"] = "invert"
+	}
+	doc, err := json.Marshal(overlay)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if cfg, err = sim.Resolve(sim.FromConfig(cfg), sim.FromJSON(doc)); err != nil {
+		fatalf("%v", err)
 	}
 
 	// First Ctrl-C cancels the run (checked between rounds, so partial

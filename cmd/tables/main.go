@@ -24,7 +24,6 @@ import (
 
 	"cycledger/internal/analysis"
 	"cycledger/internal/baseline"
-	"cycledger/internal/protocol"
 	"cycledger/internal/simnet"
 	"cycledger/sim"
 	"cycledger/sim/sweep"
@@ -137,19 +136,19 @@ func printTable2() {
 // reduction the aggregate subsystem exists for.
 func printTraffic() {
 	phases := []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
+	scen, _ := sim.Lookup("paper-scale")
 	run := func(aggregate bool) map[string]simnet.Counter {
-		p := protocol.PaperScaleParams()
-		p.Rounds = 1
-		p.AggregateCerts = aggregate
-		e, err := protocol.NewEngine(p)
+		s, err := scen.New(sim.WithAggregateCerts(aggregate), sim.WithRounds(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
-		if _, err := e.Run(); err != nil {
+		defer s.Close()
+		if _, err := s.Run(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
+		e := s.Engine()
 		m := e.Net.Metrics()
 		out := make(map[string]simnet.Counter, len(phases))
 		for _, ph := range phases {
@@ -158,9 +157,13 @@ func printTraffic() {
 		return out
 	}
 
-	p := protocol.PaperScaleParams()
+	cfg, err := scen.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("Leader egress — per-voter vs aggregate certificates (m=%d, c=%d, λ=%d, n=%d, 1 round)\n\n",
-		p.M, p.C, p.Lambda, p.M*p.C+p.RefSize)
+		cfg.M, cfg.C, cfg.Lambda, cfg.TotalNodes())
 	plain := run(false)
 	agg := run(true)
 

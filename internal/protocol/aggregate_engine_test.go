@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cycledger/internal/consensus"
 	"cycledger/internal/simnet"
 )
 
@@ -146,7 +145,7 @@ func TestAggregateLeaderTrafficReduced(t *testing.T) {
 func TestAggregateRequiresCapableScheme(t *testing.T) {
 	p := DefaultParams()
 	p.AggregateCerts = true
-	p.Scheme = consensus.Ed25519Scheme{}
+	p.Scheme = "ed25519"
 	if _, err := NewEngine(p); err == nil {
 		t.Fatal("Ed25519 + AggregateCerts accepted")
 	}

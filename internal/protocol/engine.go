@@ -94,12 +94,13 @@ func (r *RoundReport) Throughput() int { return r.IntraIncluded + r.CrossInclude
 
 // Engine runs the full protocol over the one network it builds: the
 // deterministic simulator, carrying payloads itself by default or — with
-// Params.LiveCodec — handing them to the live carrier's concurrent node
-// processes.
+// Params.Transport "live" — handing them to the live carrier's concurrent
+// node processes.
 type Engine struct {
-	P    Params
-	Net  *simnet.Network
-	live *transport.Live // nil on the simulator
+	P      Params
+	Net    *simnet.Network
+	live   *transport.Live           // nil on the simulator
+	scheme consensus.SignatureScheme // P.Scheme resolved; every signature is made and checked with it
 
 	rng   *rand.Rand
 	keys  []crypto.KeyPair
@@ -185,13 +186,22 @@ func (e *Engine) echoesFor(leader simnet.NodeID) *consensus.VerifiedEchoes {
 
 // NewEngine builds the node population, genesis state, and the round-1
 // roster (in a real deployment round 1's key members come from a bootstrap
-// block; here the engine plays that block's role).
+// block; here the engine plays that block's role). It resolves p's names
+// once: the engine signs and verifies with the named scheme, and transport
+// "live" installs the live carrier with the wire codec.
 func NewEngine(p Params) (*Engine, error) {
+	return newEngine(p, transports[p.Transport])
+}
+
+// newEngine is NewEngine with the live carrier's codec given; nil runs the
+// simulator alone. Tests hand an instrumented codec in here.
+func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		P:      p,
+		scheme: schemes[p.Scheme],
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		reput:  reputation.NewLedger(),
 		echoes: make(map[simnet.NodeID]*consensus.VerifiedEchoes),
@@ -207,8 +217,8 @@ func NewEngine(p Params) (*Engine, error) {
 		return e.roster.linkClass(from, to)
 	}
 	e.Net = simnet.New(e.lat, p.Seed)
-	if p.LiveCodec != nil {
-		e.live = transport.NewLive(p.LiveCodec, e.Net)
+	if codec != nil {
+		e.live = transport.NewLive(codec, e.Net)
 	}
 	if p.Parallelism != 1 {
 		e.Net.SetParallelism(p.Parallelism)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cycledger/internal/consensus"
 	"cycledger/internal/simnet"
 )
 
@@ -81,7 +80,7 @@ func TestEngineDeterministic(t *testing.T) {
 func TestEngineEd25519SchemeRound(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 1
-	p.Scheme = consensus.Ed25519Scheme{}
+	p.Scheme = "ed25519"
 	_, reports := runEngine(t, p)
 	if reports[0].Throughput() == 0 {
 		t.Fatal("no transactions included under Ed25519")

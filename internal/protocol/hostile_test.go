@@ -114,7 +114,7 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 // not close collection; the genuine votes then do.
 func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	e := seatedEngine(t)
-	scheme := e.P.Scheme
+	scheme := e.scheme
 	leader := e.nodes[e.roster.Leaders[0]]
 	leader.recordVote(leader.ID, reputation.VoteVector{})
 	members := e.roster.Committee(0)
@@ -184,7 +184,7 @@ func TestTxListNeedsLeaderSignature(t *testing.T) {
 	list := func(signer simnet.NodeID) TxListMsg {
 		m := TxListMsg{Round: e.round, Committee: 0}
 		if signer >= 0 {
-			m.Sig = e.P.Scheme.Sign(e.keys[signer], wire.SigningBytes(nil, m))
+			m.Sig = e.scheme.Sign(e.keys[signer], wire.SigningBytes(nil, m))
 		}
 		return m
 	}
@@ -267,7 +267,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		// instance would be an equivocation, refused before any payload check.
 		propose := func(payload any, digest crypto.Digest, from simnet.NodeID) {
 			e.nodes[member].resetRound(e.roster)
-			prop := consensus.BuildPropose(e.P.Scheme, e.keys[leader], leader, e.round, snOf(payload), digest, payload)
+			prop := consensus.BuildPropose(e.scheme, e.keys[leader], leader, e.round, snOf(payload), digest, payload)
 			deliver(e, from, member, consensus.TagPropose, prop)
 		}
 		malformed := maps.Clone(ragged)
@@ -338,7 +338,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}
 			for _, id := range members {
 				conf := consensus.Confirm{Round: e.round, SN: snScore, Digest: d, Confirmer: id}
-				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.P.Scheme.Sign(e.keys[id], wire.SigningBytes(nil, conf))})
+				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.scheme.Sign(e.keys[id], wire.SigningBytes(nil, conf))})
 			}
 			for _, ref := range e.roster.Referee {
 				deliver(e, e.roster.Leaders[0], ref, TagScoreResult, ScoreResultMsg{Committee: 0, Result: res, Members: members})

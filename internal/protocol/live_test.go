@@ -33,9 +33,15 @@ func TestLiveEncodesOncePerFanout(t *testing.T) {
 	var encodes, decodes atomic.Int64
 	p := DefaultParams()
 	p.Rounds = 2
-	p.LiveCodec = countingCodec{encodes: &encodes, decodes: &decodes}
-	e, reports := runEngine(t, p)
+	e, err := newEngine(p, countingCodec{encodes: &encodes, decodes: &decodes})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
+	reports, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var msgs uint64
 	for _, r := range reports {
 		msgs += r.Messages

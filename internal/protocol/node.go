@@ -169,7 +169,7 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 		Committee: roster,
 		Keys:      n.Keys,
 		PKOf:      n.eng.pkOf,
-		Scheme:    n.eng.P.Scheme,
+		Scheme:    n.eng.scheme,
 		Echoes:    n.eng.echoesFor(leader),
 		OnDecide: func(ctx *simnet.Context, res consensus.Result) {
 			n.onConsensusDecide(ctx, res)
@@ -216,7 +216,7 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 			if p.Witness.Kind == "silence" {
 				return true
 			}
-			return p.Witness.Verify(n.eng.P.Scheme, n.eng.pkOf(p.Evicted))
+			return p.Witness.Verify(n.eng.scheme, n.eng.pkOf(p.Evicted))
 		default:
 			return true
 		}

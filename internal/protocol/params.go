@@ -15,43 +15,60 @@ import (
 
 	"cycledger/internal/consensus"
 	"cycledger/internal/transport"
+	"cycledger/internal/wire"
 )
 
-// Params configures a protocol simulation.
+// Params configures a protocol simulation. It is also the run's JSON
+// document (sim.Config is this type under the facade's name): every field
+// carries its document name, in document order, and the three values a run
+// selects by name are held as names — the byzantine behaviour (Behavior's
+// text form), the signature scheme and the transport, which NewEngine
+// resolves. No omitempty anywhere: a written document is a complete
+// snapshot, able to reset any field when overlaid on another (an omitted
+// zero would silently inherit whatever an earlier layer set).
 type Params struct {
-	M       int // number of ordinary committees (m)
-	C       int // expected committee size including leader and partial set (c)
-	Lambda  int // partial set size (λ)
-	RefSize int // referee committee size |C_R|
+	M       int `json:"m"`        // number of ordinary committees (m)
+	C       int `json:"c"`        // expected committee size including leader and partial set (c)
+	Lambda  int `json:"lambda"`   // partial set size (λ)
+	RefSize int `json:"ref_size"` // referee committee size |C_R|
 
-	Rounds         int     // rounds to simulate
-	TxPerCommittee int     // transactions offered to each committee per round
-	CrossFrac      float64 // fraction of cross-shard payments in the workload
-	InvalidFrac    float64 // fraction of invalid transactions injected
+	Rounds         int     `json:"rounds"`           // rounds to simulate
+	TxPerCommittee int     `json:"tx_per_committee"` // transactions offered to each committee per round
+	CrossFrac      float64 `json:"cross_frac"`       // fraction of cross-shard payments in the workload
+	InvalidFrac    float64 `json:"invalid_frac"`     // fraction of invalid transactions injected
 
 	// MaliciousFrac of all nodes follow ByzantineBehavior instead of the
 	// honest protocol. Drawn uniformly unless CorruptLeaders forces the
 	// adversary to spend its corruption budget on leader seats first
 	// (the paper's worst case for liveness).
-	MaliciousFrac     float64
-	ByzantineBehavior Behavior
-	CorruptLeaders    bool
+	MaliciousFrac     float64  `json:"malicious_frac"`
+	ByzantineBehavior Behavior `json:"behavior"`
+	CorruptLeaders    bool     `json:"corrupt_leaders"`
 
-	Scheme      consensus.SignatureScheme
-	Seed        int64
-	Parallelism int    // simnet lanes and CPU worker pool; 0 = GOMAXPROCS
-	PowHardness uint64 // expected hash attempts per participation puzzle
+	// Scheme names the signature scheme: "hash" (fast, simulation-grade;
+	// "" means the same) or "ed25519" (real signatures).
+	Scheme      string `json:"scheme"`
+	Seed        int64  `json:"seed"`
+	Parallelism int    `json:"parallelism"`  // simnet lanes and CPU worker pool; 0 = GOMAXPROCS
+	PowHardness uint64 `json:"pow_hardness"` // expected hash attempts per participation puzzle
+
+	// Transport names the network the round runs over: "sim" (the
+	// deterministic simulator; "" means the same) or "live" (every node a
+	// goroutine, every payload crossing between nodes as a frame of the
+	// wire codec). The engine's one simnet.Network schedules either way,
+	// so reports are identical, fault models included.
+	Transport string `json:"transport"`
 
 	// DisableRecovery turns off the leader re-selection procedure —
 	// the RapidChain-style baseline for the leader-fault experiment.
-	DisableRecovery bool
+	DisableRecovery bool `json:"disable_recovery"`
 
 	// PreScreenCross enables the §VIII-A extension: before packaging a
 	// cross-shard list, the sending leader queries the receiving leader
 	// for a validity preference and drops the transactions it flags,
 	// saving the two full Algorithm 3 runs on lists that would mostly die
 	// at the referee committee (e.g. under a DoS workload).
-	PreScreenCross bool
+	PreScreenCross bool `json:"pre_screen_cross"`
 
 	// Pipelined reports each round's latency under the paper's §IV
 	// pipeline: the election track (participation PoW and the C_R beacon)
@@ -61,21 +78,14 @@ type Params struct {
 	// either way, and every report field is identical except Duration,
 	// which becomes the critical path of the overlapped schedule instead
 	// of the sum of the phases.
-	Pipelined bool
+	Pipelined bool `json:"pipelined"`
 
 	// ParallelBlockGen enables the §VIII-B extension: committee members
 	// evaluate transaction lists in order against a copy-on-write overlay
 	// of the UTXO set, so a transaction spending an earlier transaction's
 	// output in the same round can be accepted. In the original protocol
 	// "at least one of them will be regarded as illegal".
-	ParallelBlockGen bool
-
-	// Faults injects a network fault model underneath the protocol:
-	// message loss, beyond-bound lag, a healing partition, and periodic
-	// node churn (see FaultsConfig). The protocol's defences do not depend
-	// on it: silence watchdogs and timeout verdicts run on every network.
-	// nil, and any model that never acts, give byte-identical runs.
-	Faults *FaultsConfig
+	ParallelBlockGen bool `json:"parallel_block_gen"`
 
 	// AggregateCerts is a sender-side choice with two effects. Decisions
 	// leaving a committee — intra/score/inter results, the UTXO finality
@@ -87,18 +97,32 @@ type Params struct {
 	// leader egress is O(log C) sends instead of O(C). Receivers never read
 	// it: the messages are the same in both modes and a receiver accepts
 	// whichever certificate form verifies. Requires a Scheme that
-	// implements consensus.AggregateScheme. Decisions, rewards, and
-	// recoveries are unchanged — only traffic shape; the equivalence is
-	// pinned by tests.
-	AggregateCerts bool
+	// implements consensus.AggregateScheme ("hash"). Decisions, rewards,
+	// and recoveries are unchanged — only traffic shape; the equivalence
+	// is pinned by tests.
+	AggregateCerts bool `json:"aggregate_certs"`
 
-	// LiveCodec, when non-nil, runs the round over the live carrier: every
-	// node is a goroutine and every payload crosses between nodes as a
-	// frame encoded by this codec (wire.Codec in production). The engine's
-	// one simnet.Network schedules either way, so reports are identical.
-	// nil is the deterministic simulator.
-	LiveCodec transport.Codec
+	// Faults injects a network fault model underneath the protocol:
+	// message loss, beyond-bound lag, a healing partition, and periodic
+	// node churn (see FaultsConfig); sweep axes address its fields by
+	// dotted path, e.g. "faults.loss". The protocol's defences do not
+	// depend on it: silence watchdogs and timeout verdicts run on every
+	// network. nil, and any model that never acts, give byte-identical
+	// runs.
+	Faults *FaultsConfig `json:"faults"`
 }
+
+// schemes and transports register, by name, the values Params.Scheme and
+// Params.Transport select; "" names each one's default. A nil codec is the
+// simulator carrying payloads itself.
+var (
+	schemes = map[string]consensus.SignatureScheme{
+		"":        consensus.HashScheme{},
+		"hash":    consensus.HashScheme{},
+		"ed25519": consensus.Ed25519Scheme{},
+	}
+	transports = map[string]transport.Codec{"": nil, "sim": nil, "live": wire.Codec{}}
+)
 
 // DefaultParams returns a small but fully-featured configuration: 4
 // committees of 16 (λ = 3) plus a 9-member referee committee.
@@ -111,10 +135,11 @@ func DefaultParams() Params {
 		Rounds:         3,
 		TxPerCommittee: 30,
 		CrossFrac:      1.0 / 3,
-		Scheme:         consensus.HashScheme{},
+		Scheme:         "hash",
 		Seed:           1,
 		Parallelism:    1,
 		PowHardness:    8,
+		Transport:      "sim",
 	}
 }
 
@@ -173,16 +198,29 @@ func (p Params) Validate() error {
 		// explicit choice (DefaultParams uses 1).
 		return fmt.Errorf("protocol: seed must be non-zero (set an explicit simulation seed)")
 	}
-	if p.Scheme == nil {
-		return fmt.Errorf("protocol: nil signature scheme")
+	if err := p.CheckNames(); err != nil {
+		return err
 	}
 	if p.AggregateCerts {
-		if _, ok := p.Scheme.(consensus.AggregateScheme); !ok {
-			return fmt.Errorf("protocol: AggregateCerts requires a scheme implementing consensus.AggregateScheme (got %T)", p.Scheme)
+		if _, ok := schemes[p.Scheme].(consensus.AggregateScheme); !ok {
+			return fmt.Errorf("protocol: AggregateCerts requires a scheme implementing consensus.AggregateScheme (got %q)", p.Scheme)
 		}
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// CheckNames reports a Scheme or Transport that names nothing. Validate
+// runs it, and so does decoding a run document; a Behavior checks its own
+// name as it decodes.
+func (p Params) CheckNames() error {
+	if _, ok := schemes[p.Scheme]; !ok {
+		return fmt.Errorf("protocol: unknown signature scheme %q (want hash or ed25519)", p.Scheme)
+	}
+	if _, ok := transports[p.Transport]; !ok {
+		return fmt.Errorf("protocol: unknown transport %q (want sim or live)", p.Transport)
 	}
 	return nil
 }

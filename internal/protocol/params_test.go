@@ -28,7 +28,8 @@ func TestValidateRejections(t *testing.T) {
 		{"malicious without behavior", func(p *Params) { p.MaliciousFrac = 0.2 }, "honest behavior"},
 		{"negative parallelism", func(p *Params) { p.Parallelism = -2 }, "parallelism"},
 		{"zero seed", func(p *Params) { p.Seed = 0 }, "seed"},
-		{"nil scheme", func(p *Params) { p.Scheme = nil }, "signature scheme"},
+		{"unknown scheme", func(p *Params) { p.Scheme = "rsa" }, "signature scheme"},
+		{"unknown transport", func(p *Params) { p.Transport = "pigeon" }, "transport"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,7 +108,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 			Witness: RecoveryWitness{Kind: "silence", Committee: 0, Phase: "intra"}}
 		approve := func(voter simnet.NodeID, round, committee uint64) ApproveMsg {
 			ap := ApproveMsg{Round: round, Committee: committee, Accuser: accuser.ID, Voter: voter}
-			ap.Sig = e.P.Scheme.Sign(e.nodes[voter].Keys, wire.SigningBytes(nil, ap))
+			ap.Sig = e.scheme.Sign(e.nodes[voter].Keys, wire.SigningBytes(nil, ap))
 			return ap
 		}
 		var req *EvictReqMsg
@@ -135,7 +135,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 		if (req.Approvals.Bitmap != nil) != aggregate {
 			t.Errorf("aggregate=%v: evidence form %+v", aggregate, req.Approvals)
 		}
-		if err := req.Approvals.Verify(e.P.Scheme, members, e.pkOf, req.approvals()); err != nil {
+		if err := req.Approvals.Verify(e.scheme, members, e.pkOf, req.approvals()); err != nil {
 			t.Errorf("aggregate=%v: the escalated request does not verify: %v", aggregate, err)
 		}
 	}

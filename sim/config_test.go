@@ -69,6 +69,17 @@ func TestConfigRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsUnknownNames: a misspelt behaviour, scheme or transport
+// fails as the document decodes, like a misspelt field, not when a run
+// built from it starts.
+func TestConfigRejectsUnknownNames(t *testing.T) {
+	for _, doc := range []string{`{"behavior": "sleepy"}`, `{"scheme": "rsa"}`, `{"transport": "pigeon"}`} {
+		if _, err := sim.ParseConfig([]byte(doc)); err == nil {
+			t.Errorf("%s accepted", doc)
+		}
+	}
+}
+
 func TestParseBehavior(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

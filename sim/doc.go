@@ -29,11 +29,12 @@
 // FromJSON. Resolve applies options without building, yielding the Config
 // a run would use.
 //
-// Configuration is pure data: Config mirrors protocol.Params field for
-// field with behaviours and schemes as names, round-trips through JSON
-// (Config.ToJSON, ParseConfig, FromJSON — overlay semantics, unknown
-// fields rejected), and converts via Config.Params. New constructs the
-// engine eagerly, so configuration errors surface at New, not at Run.
+// Configuration is pure data: Config is protocol.Params itself, the one
+// run description, holding the behaviour, scheme and transport as names.
+// It round-trips through JSON (Config.ToJSON, ParseConfig, FromJSON —
+// overlay semantics; an unknown field or name fails as the document
+// decodes), and Config.Params is a conversion. New constructs the engine
+// eagerly, so configuration errors surface at New, not at Run.
 //
 // # Scenarios
 //

@@ -1,5 +1,7 @@
 package sim
 
+import "cycledger/internal/protocol"
+
 // builder accumulates the effect of the options handed to New: a Config
 // (pure data, serialisable) plus the runtime-only attachments (observers).
 type builder struct {
@@ -46,11 +48,12 @@ func WithWorkload(txPerCommittee int, crossFrac, invalidFrac float64) Option {
 // liveness.
 func WithAdversary(frac float64, behavior string, corruptLeaders bool) Option {
 	return func(b *builder) error {
-		if _, err := ParseBehavior(behavior); err != nil {
+		bh, err := ParseBehavior(behavior)
+		if err != nil {
 			return err
 		}
 		b.cfg.MaliciousFrac = frac
-		b.cfg.Behavior = behavior
+		b.cfg.ByzantineBehavior = bh
 		b.cfg.CorruptLeaders = corruptLeaders
 		return nil
 	}
@@ -66,11 +69,8 @@ func WithSeed(seed int64) Option {
 // simulation-grade) or "ed25519" (real signatures).
 func WithScheme(name string) Option {
 	return func(b *builder) error {
-		if _, err := parseScheme(name); err != nil {
-			return err
-		}
 		b.cfg.Scheme = name
-		return nil
+		return protocol.Params(b.cfg).CheckNames()
 	}
 }
 
@@ -95,11 +95,8 @@ func WithPipeline(pipelined bool, parallelism int) Option {
 // tear the node processes down.
 func WithTransport(name string) Option {
 	return func(b *builder) error {
-		if _, err := parseTransport(name); err != nil {
-			return err
-		}
 		b.cfg.Transport = name
-		return nil
+		return protocol.Params(b.cfg).CheckNames()
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"cycledger/internal/protocol"
 )
 
 // A Scenario is a named, registered experiment: a description, the paper
@@ -90,15 +92,13 @@ func init() {
 		Description: "3 honest rounds at the default small topology (4 committees of 16, |C_R| = 9)",
 		Paper:       "§VI (small-scale smoke run)",
 	})
+	paper := Config(protocol.PaperScaleParams())
+	paper.Parallelism = 0 // GOMAXPROCS lanes: the round is heavy, and its report the same at any parallelism
 	mustRegister(Scenario{
 		Name:        "paper-scale",
-		Description: "the paper's headline setting: n = 2000, 20 committees of 97, λ = 40, |C_R| = 60 (heavy: minutes per round)",
+		Description: "the paper's headline setting: n = 2000, 20 committees of 97, λ = 40, |C_R| = 60 (heavy: ≈ 9 s per round on a two-core Xeon)",
 		Paper:       "§VI, Figs. 6–8 / Table II",
-		Options: []Option{
-			WithTopology(20, 97, 40, 60),
-			WithWorkload(100, 1.0/3, 0),
-			WithPipeline(false, 0),
-		},
+		Options:     []Option{FromConfig(paper)},
 	})
 	mustRegister(Scenario{
 		Name:        "scale-10x",

@@ -95,6 +95,9 @@ func TestGridValidation(t *testing.T) {
 		{"duplicate", Grid{Base: base, Axes: []Axis{{Field: "m", Values: []any{2}}, {Field: "m", Values: []any{3}}}}, "duplicate"},
 		{"unknown field", Grid{Base: base, Axes: []Axis{{Field: "nope", Values: []any{1}}}}, "nope"},
 		{"type mismatch", Grid{Base: base, Axes: []Axis{{Field: "m", Values: []any{"two"}}}}, "two"},
+		{"unknown behavior", Grid{Base: base, Axes: []Axis{{Field: "behavior", Values: []any{"invert", "sleepy"}}}}, "sleepy"},
+		{"unknown scheme", Grid{Base: base, Axes: []Axis{{Field: "scheme", Values: []any{"rsa"}}}}, "rsa"},
+		{"unknown transport", Grid{Base: base, Axes: []Axis{{Field: "transport", Values: []any{"pigeon"}}}}, "pigeon"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.g.Cells(); err == nil || !strings.Contains(err.Error(), tc.want) {
