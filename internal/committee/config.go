@@ -170,8 +170,9 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		}
 		// Respond with the current list, then add the joiner
 		// (Algorithm 2: "responds the current list back, and adds").
-		resp := MemListMsg{Records: cn.S.Records()}
-		ctx.Send(rec.Node, TagMemList, resp, wire.Size(resp))
+		// The answer shares S's records, which S copies before it next
+		// overwrites or moves one, and declares S's running size.
+		ctx.Send(rec.Node, TagMemList, MemListMsg{Records: cn.S.Snapshot()}, cn.S.ListSize())
 		cn.S.Add(rec)
 	case TagMemList:
 		resp, ok := msg.Payload.(MemListMsg)

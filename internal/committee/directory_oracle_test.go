@@ -9,7 +9,36 @@ import (
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
+
+// Directory's reads and writes that only tests use.
+
+// Merge unions another directory into this one.
+func (d *Directory) Merge(other *Directory) {
+	for _, rec := range other.records {
+		d.Add(rec)
+	}
+}
+
+// Nodes returns the member node IDs in sorted order.
+func (d *Directory) Nodes() []simnet.NodeID {
+	out := make([]simnet.NodeID, len(d.records))
+	for i := range d.records {
+		out[i] = d.records[i].Node
+	}
+	return out
+}
+
+// Records returns a copy of the records, sorted by node ID.
+func (d *Directory) Records() []MemberRecord {
+	return append(make([]MemberRecord, 0, len(d.records)), d.records...)
+}
+
+// Clone deep-copies the directory.
+func (d *Directory) Clone() *Directory {
+	return &Directory{records: d.Records(), recBytes: d.recBytes, sized: d.sized}
+}
 
 // oracleDirectory is Directory as it stood while it was a map that every
 // read sorted, verbatim but for the names: the form the sorted slice is
@@ -120,6 +149,57 @@ func sameAsOracle(t *testing.T, what string, d *Directory, o *oracleDirectory) {
 	}
 	if d.SemiCommitment() != o.SemiCommitment() {
 		t.Fatalf("%s: SemiCommitment differs from the oracle's", what)
+	}
+	if got, want := d.ListSize(), wire.Size(MemListMsg{Records: o.Records()}); got != want {
+		t.Fatalf("%s: ListSize %d, a MEM_LIST of the oracle's records is %d B", what, got, want)
+	}
+}
+
+// TestDirectorySnapshotsAreStable interleaves Snapshot with appends,
+// overwrites and inserts, on a directory and the map form: after every step,
+// every snapshot taken so far still shows the records the oracle held when
+// it was taken, and a MEM_LIST of the directory's records is ListSize bytes.
+func TestDirectorySnapshotsAreStable(t *testing.T) {
+	type snapshot struct {
+		got, want []MemberRecord
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, o := NewDirectory(), newOracleDirectory()
+		var snaps []snapshot
+		for step := 0; step < 150; step++ {
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			nodes := o.Nodes()
+			var id simnet.NodeID
+			switch op := rng.Intn(4); {
+			case op == 0:
+				snap := d.Snapshot()
+				if got, want := d.ListSize(), wire.Size(MemListMsg{Records: snap}); got != want {
+					t.Fatalf("%s: ListSize %d, the snapshot's MEM_LIST is %d B", what, got, want)
+				}
+				snaps = append(snaps, snapshot{snap, o.Records()})
+				sameAsOracle(t, what+" (snapshot)", d, o)
+				continue
+			case op == 1 || len(nodes) == 0: // append past the last record
+				id = simnet.NodeID(rng.Intn(3) - 5)
+				if len(nodes) > 0 {
+					id += nodes[len(nodes)-1] + 6
+				}
+			case op == 2: // overwrite a held record
+				id = nodes[rng.Intn(len(nodes))]
+			default: // insert before the last record, or overwrite one there
+				id = nodes[0] - 1 + simnet.NodeID(rng.Intn(int(nodes[len(nodes)-1]-nodes[0])+1))
+			}
+			rec := fakeRecord(rng, id)
+			d.Add(rec)
+			o.Add(rec)
+			sameAsOracle(t, what, d, o)
+			for i, s := range snaps {
+				if !slices.EqualFunc(s.got, s.want, func(a, b MemberRecord) bool { return reflect.DeepEqual(a, b) }) {
+					t.Fatalf("%s: snapshot %d changed after it was taken:\n%v\n%v", what, i, s.got, s.want)
+				}
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 )
 
 // SortitionResult is the outcome of Algorithm 1 for one node.
@@ -60,6 +61,15 @@ type MemberRecord struct {
 // independent of arrival order and every read is the slice as it lies.
 type Directory struct {
 	records []MemberRecord
+	// shared is set once a Snapshot aliases records: the next write to a
+	// record the snapshot shows goes to a copy of the list (appending past
+	// it does not).
+	shared bool
+	// recBytes is the sum of the records' wire.Size once sized is set: the
+	// first ListSize sums them, and Add keeps the sum from then on, so a
+	// directory that never answers a MEM_LIST never sizes a record.
+	recBytes int
+	sized    bool
 }
 
 // NewDirectory returns an empty member list.
@@ -87,23 +97,32 @@ func (d *Directory) holds(rec *MemberRecord) bool {
 // Add inserts a record, or overwrites the one its node already has. Lists
 // mostly arrive in order, so a record past the last is appended unsearched;
 // one that belongs earlier moves the records after it, a few KB at
-// committee sizes.
+// committee sizes — in the same pass that copies them, if a snapshot shows
+// them.
 func (d *Directory) Add(rec MemberRecord) {
-	if n := len(d.records); n == 0 || d.records[n-1].Node < rec.Node {
+	if d.sized {
+		d.recBytes += wire.Size(rec)
+	}
+	n := len(d.records)
+	if n == 0 || d.records[n-1].Node < rec.Node {
 		d.records = append(d.records, rec)
 		return
 	}
-	if i, found := d.find(rec.Node); found {
-		d.records[i] = rec
-	} else {
-		d.records = slices.Insert(d.records, i, rec)
+	i, found := d.find(rec.Node)
+	if found && d.sized {
+		d.recBytes -= wire.Size(d.records[i])
 	}
-}
-
-// Merge unions another directory into this one.
-func (d *Directory) Merge(other *Directory) {
-	for _, rec := range other.records {
-		d.Add(rec)
+	switch {
+	case d.shared:
+		recs := append(append(make([]MemberRecord, 0, n+1), d.records[:i]...), rec)
+		if found {
+			i++
+		}
+		d.records, d.shared = append(recs, d.records[i:]...), false
+	case found:
+		d.records[i] = rec
+	default:
+		d.records = slices.Insert(d.records, i, rec)
 	}
 }
 
@@ -116,23 +135,26 @@ func (d *Directory) Contains(id simnet.NodeID) bool {
 // Len returns the member count.
 func (d *Directory) Len() int { return len(d.records) }
 
-// Nodes returns the member node IDs in sorted order.
-func (d *Directory) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(d.records))
-	for i := range d.records {
-		out[i] = d.records[i].Node
+// Snapshot returns the records, ascending by node ID, without copying them:
+// the directory copies its list before it next overwrites or moves a record
+// the snapshot shows, so a snapshot keeps what the directory held when it
+// was taken. Nothing may write through it. A key member answers every
+// joiner's MEM_LIST with one.
+func (d *Directory) Snapshot() []MemberRecord {
+	d.shared = true
+	return slices.Clip(d.records)
+}
+
+// ListSize returns wire.Size(MemListMsg{Records: d.Snapshot()}) from the
+// running sum of the records' sizes: the size a MEM_LIST answer declares.
+func (d *Directory) ListSize() int {
+	if !d.sized {
+		for i := range d.records {
+			d.recBytes += wire.Size(d.records[i])
+		}
+		d.sized = true
 	}
-	return out
-}
-
-// Records returns a copy of the records, sorted by node ID.
-func (d *Directory) Records() []MemberRecord {
-	return append(make([]MemberRecord, 0, len(d.records)), d.records...)
-}
-
-// Clone deep-copies the directory.
-func (d *Directory) Clone() *Directory {
-	return &Directory{records: d.Records()}
+	return wire.Size(MemListMsg{}) + d.recBytes
 }
 
 // canonical returns the parts H(S) is taken over: the domain tag, then the

@@ -341,11 +341,13 @@ type Protocol struct {
 	// node withhold its echo, so an invalid proposal cannot gather a
 	// majority in an honest-majority committee.
 	ValidatePayload func(sn uint64, payload any) bool
-	// Echoes, when set, is where this endpoint looks an echo up before
-	// verifying it, and records one that verified: a process that runs
-	// every endpoint of one (round, leader) builds them all on one set, so
-	// each distinct echo is verified once, not by every member it reaches.
-	// Sharing endpoints must share Scheme and PKOf. Nil verifies every echo.
+	// Echoes, when set, is where this endpoint looks an echo, a leader-signed
+	// header or a pointer payload's digest match up before checking it, and
+	// records one that passed: a process that runs every endpoint of one
+	// (round, leader) builds them all on one set, so each distinct echo and
+	// header is verified once, and each proposed pointer digested once, not
+	// by every member it reaches. Sharing endpoints must share Scheme and
+	// PKOf. Nil checks everything.
 	Echoes *VerifiedEchoes
 
 	insts map[uint64]*instance
@@ -486,9 +488,9 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 // leaderSigned reports whether prop — a proposal or the header an echo
 // carries — already matched to this round and to in's sequence number, is
 // under the leader's signature. A retransmission — digest and signature bytes
-// equal to a header the instance holds — was verified when that one was
-// stored and is not verified again; anything else goes to the scheme, and a
-// failure is never remembered. in may be nil.
+// equal to a header the instance holds, or that Echoes holds — was verified
+// when that one was stored and is not verified again; anything else goes to
+// the scheme, and only a success is recorded in Echoes. in may be nil.
 func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 	if in != nil {
 		for i := range in.seen[:in.nseen] {
@@ -497,8 +499,15 @@ func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 			}
 		}
 	}
+	if p.Echoes.holdsHeader(prop) {
+		return true
+	}
 	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], *prop)
-	return p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, p.sigBuf) == nil
+	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, p.sigBuf) != nil {
+		return false
+	}
+	p.Echoes.addHeader(prop)
+	return true
 }
 
 // checkEquivocation files a leader-signed proposal and reports whether the
@@ -530,11 +539,13 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	}
 	// The leader signed the digest, not the payload: whoever relays a proposal
 	// could put another payload under the header, so the two are compared. A
-	// nil payload is agreement on the digest alone.
-	if prop.Payload != nil {
+	// nil payload is agreement on the digest alone. A pointer another endpoint
+	// on Echoes matched to this header is not encoded again.
+	if prop.Payload != nil && !p.Echoes.matched(&prop) {
 		if d := PayloadDigest(prop.Payload); d.IsZero() || d != prop.Digest {
 			return
 		}
+		p.Echoes.addMatch(&prop)
 	}
 	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
 		return

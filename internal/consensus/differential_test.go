@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cycledger/internal/crypto"
@@ -66,10 +67,10 @@ var diffSizes = []int{4, 7, 16}
 // diffSNs are the sequence numbers whose HasProposal/Decided are compared.
 var diffSNs = []uint64{1, 2, 1 + foreignSkew, 2 + foreignSkew}
 
-// diffDigests are the three digests in play: the first two are those of
-// sealed{0} and sealed{1}, the third that of no payload. They are set once
-// sealed is registered, which happens in init.
-var diffDigests [3]crypto.Digest
+// diffDigests are the four digests in play: those of sealed{0} and
+// sealed{1}, that of no payload, and that of a boxed{0}. They are set once
+// sealed and boxed are registered, which happens in init.
+var diffDigests [4]crypto.Digest
 
 // sealed is a payload registered, like the protocol layer's, with the wire
 // codec: a proposal carrying sealed{k} is adopted only under its
@@ -82,14 +83,36 @@ func (s sealed) layout(c *wire.Coder) sealed {
 	return s
 }
 
-func init() {
-	wire.Register(sealed.layout, 0x7000)
-	diffDigests = [3]crypto.Digest{PayloadDigest(sealed{0}), PayloadDigest(sealed{1}), crypto.HString("d2")}
+// boxed is sealed's pointer-shaped twin, registered as the protocol layer's
+// *IntraPayload is: an endpoint on a shared set skips the digest of a
+// pointer the set has matched to the proposal's header, so which pointer a
+// proposal carries, not only what it points to, is part of a schedule.
+// boxedWalks counts every walk of a boxed's layout.
+type boxed struct{ K uint64 }
+
+var boxedWalks atomic.Int64
+
+func (b *boxed) layout(c *wire.Coder) *boxed {
+	if c.Reading() {
+		b = new(boxed)
+	}
+	boxedWalks.Add(1)
+	c.U64(&b.K)
+	return b
 }
 
-// diffPayloads are registered wire values (a proposal must encode); the
-// last one is what ValidatePayload rejects.
-var diffPayloads = [4]any{nil, sealed{0}, sealed{1}, Confirm{SN: 2}}
+func init() {
+	wire.Register(sealed.layout, 0x7000)
+	wire.Register((*boxed).layout, 0x7001)
+	diffDigests = [4]crypto.Digest{PayloadDigest(sealed{0}), PayloadDigest(sealed{1}), crypto.HString("d2"), PayloadDigest(&boxed{0})}
+}
+
+// diffPayloads are registered wire values (a proposal must encode). Confirm
+// is what ValidatePayload rejects; the last three are pointers: one whose
+// digest is diffDigests[3], a second pointer to an equal value, and a
+// pointer to another value, which a relay can put under the first one's
+// header.
+var diffPayloads = [7]any{nil, sealed{0}, sealed{1}, Confirm{SN: 2}, &boxed{0}, &boxed{0}, &boxed{1}}
 
 func diffValidate(_ uint64, payload any) bool {
 	_, rejected := payload.(Confirm)
@@ -97,7 +120,7 @@ func diffValidate(_ uint64, payload any) bool {
 }
 
 // payloadOf maps a schedule byte to one of diffPayloads.
-func payloadOf(v byte) any { return diffPayloads[v%4] }
+func payloadOf(v byte) any { return diffPayloads[int(v)%len(diffPayloads)] }
 
 func newWorld(c int, ed25519, leaderSide bool, selfPos int) *world {
 	w := &world{keys: make(map[simnet.NodeID]crypto.KeyPair)}
@@ -126,8 +149,9 @@ type rig struct {
 	ep   endpoint
 	log  []string
 	sent map[string]int // the endpoint's sends by tag, over the whole schedule
-	// adopted counts the OnAccepts of a sealed payload: the endpoint took
-	// and confirmed a real payload under the digest it encodes to.
+	// adopted counts the OnAccepts of a sealed or boxed payload: the
+	// endpoint took and confirmed a real payload under the digest it
+	// encodes to.
 	adopted int
 }
 
@@ -147,7 +171,8 @@ func newRig(t testing.TB, w *world, oracle bool, echoes *VerifiedEchoes) *rig {
 	}
 	onAccept := func(_ *simnet.Context, sn uint64, d crypto.Digest, payload any) {
 		r.log = append(r.log, fmt.Sprintf("accept sn=%d %x %x", sn, d[:4], enc(t, payload)))
-		if _, ok := payload.(sealed); ok {
+		switch payload.(type) {
+		case sealed, *boxed:
 			r.adopted++
 		}
 	}
@@ -199,7 +224,7 @@ const (
 )
 
 func (s step) String() string {
-	return fmt.Sprintf("{op=%d who=%d dig=%#x sig=%#x where=%#x pay=%d}", s.op%numOps, s.who, s.dig, s.sig, s.where, s.pay%4)
+	return fmt.Sprintf("{op=%d who=%d dig=%#x sig=%#x where=%#x pay=%d}", s.op%numOps, s.who, s.dig, s.sig, s.where, int(s.pay)%len(diffPayloads))
 }
 
 // sign signs msg under kp, then spoils or re-encodes the signature:
@@ -225,8 +250,8 @@ func rarely(v byte, odd, usual uint64) uint64 {
 	return usual
 }
 
-// digestOf maps two schedule bits to one of the three digests in play.
-func digestOf(v byte) crypto.Digest { return diffDigests[v&3%3] }
+// digestOf maps two schedule bits to one of the four digests in play.
+func digestOf(v byte) crypto.Digest { return diffDigests[v&3] }
 
 // proposal forges a leader proposal from the step's fields at the given bit
 // offsets (a PROPOSE and the signature an echo carries read different bits).
@@ -336,7 +361,7 @@ func (sc *schedule) run(s step) {
 		sc.proposed[sn] = true
 		sc.each(func(r *rig) {
 			r.net.After(sc.self, 1, func(ctx *simnet.Context) {
-				r.ep.Propose(ctx, sn, diffDigests[0], payloadOf(s.pay), 0)
+				r.ep.Propose(ctx, sn, digestOf(s.dig), payloadOf(s.pay), 0)
 			})
 		})
 	}
@@ -400,18 +425,28 @@ func runSchedule(t testing.TB, data []byte, shared bool) (effects int, table *ri
 }
 
 // honestSchedule is a whole honest instance seen from one endpoint: the
-// proposal of sealed{0} (delivered, or proposed locally on the leader),
-// every member's echo, two members' fetches (one of them asking twice),
-// every member's confirm.
-func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte) []byte {
+// proposal of sealed{0}, or with pointer of the first boxed{0} (delivered,
+// or proposed locally on the leader), every member's echo, two members'
+// fetches (one of them asking twice), every member's confirm, all for the
+// proposal's digest. With pointer, at a member, another member relays
+// boxed{1} under the first boxed{0}'s header ahead of the leader's proposal.
+func honestSchedule(sizeIdx, ed25519 int, leaderSide bool, selfPos byte, pointer bool) []byte {
 	cfg := byte(ed25519)
+	var dig byte // every step's digests: diffDigests[0], or [3] (0b11 in both fields an echo reads)
 	first := step{op: opPropose, pay: 1}
+	if pointer {
+		dig, first.pay = 0x0f, 4
+	}
 	if leaderSide {
 		cfg |= 2
-		first = step{op: opLocalPropose, pay: 1}
+		first.op = opLocalPropose
 	}
 	data := []byte{byte(sizeIdx), cfg, selfPos}
-	add := func(s step) { data = append(data, s.op, s.who, s.dig, s.sig, s.where, s.pay) }
+	add := func(s step) { data = append(data, s.op, s.who, dig, s.sig, s.where, s.pay) }
+	relayed := step{op: opPropose, who: 3, pay: 6}
+	if pointer && !leaderSide {
+		add(relayed)
+	}
 	add(first)
 	c := diffSizes[sizeIdx]
 	for i := 0; i < c; i++ {
@@ -472,22 +507,28 @@ func TestAlgorithm3MatchesOracle(t *testing.T) {
 	}
 }
 
-// matchOracle replays the honest schedule of one configuration and its
-// disturbed variants on the table and the oracle.
+// matchOracle replays the honest schedules of one configuration — with a
+// value payload and with a pointer one — and their disturbed variants on
+// the table and the oracle.
 func matchOracle(t *testing.T, sizeIdx, ed int, leaderSide, shared bool) {
+	for variant, pointer := range []bool{false, true} {
+		matchOracleFrom(t, sizeIdx, ed, leaderSide, shared, honestSchedule(sizeIdx, ed, leaderSide, 1, pointer), int64(variant))
+	}
+}
+
+func matchOracleFrom(t *testing.T, sizeIdx, ed int, leaderSide, shared bool, honest []byte, variant int64) {
 	c := diffSizes[sizeIdx]
-	honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
 	// An honest instance is live: the member confirms, the leader decides —
 	// the oracle agreeing on silence would prove nothing.
 	n, table := runSchedule(t, honest, shared)
 	if n < 2 || table.adopted != 1 {
-		t.Fatalf("honest schedule produced %d effects, adopted sealed{0} %d times", n, table.adopted)
+		t.Fatalf("honest schedule produced %d effects, adopted its payload %d times", n, table.adopted)
 	}
 	// Two members fetch, one of them twice: two answers.
 	if sent := table.sent[TagPropose]; sent != map[bool]int{false: 2, true: c - 1 + 2}[leaderSide] {
 		t.Fatalf("honest schedule sent %d proposals", sent)
 	}
-	rng := rand.New(rand.NewSource(int64(100*c + 10*ed)))
+	rng := rand.New(rand.NewSource(int64(100*c+10*ed) + variant))
 	variants := 150
 	if ed == 1 {
 		variants = 25 // real signatures: ~100 µs a step
@@ -518,9 +559,11 @@ func FuzzAlgorithm3(f *testing.F) {
 	for sizeIdx := range diffSizes {
 		for ed := 0; ed < 2; ed++ {
 			for _, leaderSide := range []bool{false, true} {
-				honest := honestSchedule(sizeIdx, ed, leaderSide, 1)
-				f.Add(honest)
-				f.Add(disturb(rng, honest))
+				for _, pointer := range []bool{false, true} {
+					honest := honestSchedule(sizeIdx, ed, leaderSide, 1, pointer)
+					f.Add(honest)
+					f.Add(disturb(rng, honest))
+				}
 			}
 		}
 	}

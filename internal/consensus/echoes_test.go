@@ -77,6 +77,50 @@ func TestSharedEchoesVerifiedOncePerInstance(t *testing.T) {
 	}
 }
 
+func TestSharedProposalCheckedOncePerCommittee(t *testing.T) {
+	// An honest instance at c = 16 proposing a pointer payload. Endpoints on
+	// their own each verify the leader's header and digest the payload: c−1
+	// of each. Endpoints sharing one set do each once across the committee —
+	// and decide the same bytes.
+	const c = 16
+	var decided [2][]byte
+	for i, shared := range []bool{false, true} {
+		h := newHarness(t, c, HashScheme{}, 26)
+		h.shareEchoes(shared)
+		counts := h.countProposalVerifies()
+		payload := &boxed{K: 7}
+		d := PayloadDigest(payload)
+		var encodes int64
+		h.net.After(h.leader, 1, func(ctx *simnet.Context) {
+			h.nodes[h.leader].Propose(ctx, 1, d, payload, 0)
+			encodes = -boxedWalks.Load() // the leader sized its proposal: not an encode
+		})
+		h.net.RunUntilIdle()
+		encodes += boxedWalks.Load()
+		res := h.decided[h.leader]
+		if res == nil || res.Digest != d {
+			t.Fatalf("shared=%v: no decision", shared)
+		}
+		verifies := 0
+		for _, cs := range counts {
+			for _, n := range cs.proposes {
+				verifies += n
+			}
+		}
+		want := int64(c - 1)
+		if shared {
+			want = 1
+		}
+		if verifies != int(want) || encodes != want {
+			t.Fatalf("shared=%v: %d header verifications and %d payload encodes, want %d of each", shared, verifies, encodes, want)
+		}
+		decided[i] = enc(t, *res)
+	}
+	if !bytes.Equal(decided[0], decided[1]) {
+		t.Fatal("sharing proposal checks changed the decision")
+	}
+}
+
 func TestVerifiedEchoesAreExact(t *testing.T) {
 	// Once a genuine echo is recorded, an echo that differs from it in any
 	// signed or signature byte is verified afresh — and refused — at an
@@ -129,9 +173,9 @@ func TestVerifiedEchoesAreExact(t *testing.T) {
 	}
 }
 
-// TestVerifiedEchoesConcurrent shows an honest instance's echoes to two
-// endpoints, each on its own network and goroutine, through one set at
-// once; run it under -race.
+// TestVerifiedEchoesConcurrent shows an honest instance's proposal, of a
+// pointer payload, and its echoes to two endpoints, each on its own network
+// and goroutine, through one set at once; run it under -race.
 func TestVerifiedEchoesConcurrent(t *testing.T) {
 	const c = 16
 	rng := rand.New(rand.NewSource(25))
@@ -142,8 +186,9 @@ func TestVerifiedEchoesConcurrent(t *testing.T) {
 		keys[members[i]] = crypto.GenerateKeyPair(rng)
 	}
 	pkOf := func(id simnet.NodeID) crypto.PublicKey { return keys[id].PK }
-	leader, d := members[0], crypto.HString("concurrent")
-	prop := BuildPropose(HashScheme{}, keys[leader], leader, 1, 1, d, nil)
+	leader, payload := members[0], &boxed{K: 9}
+	d := PayloadDigest(payload)
+	prop := BuildPropose(HashScheme{}, keys[leader], leader, 1, 1, d, payload)
 	var echoes []Echo
 	for _, id := range members[1:] {
 		e := Echo{Round: 1, SN: 1, Digest: d, Echoer: id, Leader: leader, LeaderSig: prop.Sig}
@@ -160,14 +205,15 @@ func TestVerifiedEchoesConcurrent(t *testing.T) {
 			net := simnet.New(simnet.DefaultLatency(), int64(g))
 			net.Register(self, func(ctx *simnet.Context, msg simnet.Message) { p.Handle(ctx, msg) })
 			for pass := 0; pass < 3; pass++ {
+				net.Send(leader, self, TagPropose, prop, 0)
 				for i := range echoes {
 					e := echoes[(i+5*g)%len(echoes)]
 					net.Send(e.Echoer, self, TagEcho, e, 0)
 				}
 				net.RunUntilIdle()
 			}
-			if in := p.insts[1]; in == nil || in.echoesFor(d) != c-1 {
-				t.Errorf("endpoint %d did not file every echo", self)
+			if in := p.insts[1]; in == nil || in.echoesFor(d) != c-1 || !p.HasProposal(1) {
+				t.Errorf("endpoint %d did not adopt the proposal and file every echo", self)
 			}
 		}()
 	}

@@ -20,8 +20,8 @@ import (
 
 const payloadRound, payloadSN = 1, 1
 
-func intraPayload(txs int) protocol.IntraPayload {
-	var p protocol.IntraPayload
+func intraPayload(txs int) *protocol.IntraPayload {
+	p := new(protocol.IntraPayload)
 	for i := 0; i < txs; i++ {
 		p.Txs = append(p.Txs, &ledger.Tx{
 			Inputs:  []ledger.OutPoint{{Tx: crypto.HString("in"), Index: uint32(i)}},
@@ -102,7 +102,7 @@ func TestAdoptionChecksPayloadDigest(t *testing.T) {
 	net.SetFaults(nil)
 	net.Send(1, victim, consensus.TagPropose, *captured, wire.Size(*captured))
 	net.RunUntilIdle()
-	got, ok := accepted.(protocol.IntraPayload)
+	got, ok := accepted.(*protocol.IntraPayload)
 	if !ok || consensus.PayloadDigest(got) != consensus.PayloadDigest(honest) {
 		t.Fatalf("the honest copy was not adopted after the forged one: accepted %v", accepted)
 	}
@@ -197,7 +197,7 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 				Voters: []simnet.NodeID{1, 2},
 				Votes:  []reputation.VoteVector{{reputation.Yes}, {reputation.No}},
 			}
-		}, nil, map[string]func(*protocol.IntraPayload){
+		}, func(p protocol.IntraPayload) any { return &p }, map[string]func(*protocol.IntraPayload){
 			"Txs":    func(p *protocol.IntraPayload) { p.Txs[0] = tx(2) },
 			"Voters": func(p *protocol.IntraPayload) { p.Voters[1] = 3 },
 			"Votes":  func(p *protocol.IntraPayload) { p.Votes[1][0] = reputation.Unknown },
@@ -206,7 +206,7 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 	t.Run("InterPayload", func(t *testing.T) {
 		bindsEveryField(t, func() protocol.InterPayload {
 			return protocol.InterPayload{From: 2, Txs: []*ledger.Tx{tx(1)}}
-		}, nil, map[string]func(*protocol.InterPayload){
+		}, func(p protocol.InterPayload) any { return &p }, map[string]func(*protocol.InterPayload){
 			"From": func(p *protocol.InterPayload) { p.From = 3 },
 			"Txs":  func(p *protocol.InterPayload) { p.Txs[0] = tx(2) },
 		})

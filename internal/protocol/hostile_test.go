@@ -237,18 +237,18 @@ func TestNewLeaderCountsOnlyTheNamedReferee(t *testing.T) {
 // echo); by wire.Decode, bare or inside a certificate; and as a certified
 // score result at C_R (no panic, no reputation change).
 func TestMalformedPayloadsRefused(t *testing.T) {
-	wellIntra := IntraPayload{Voters: []simnet.NodeID{1, 2}, Votes: []reputation.VoteVector{{}, {}}}
+	wellIntra := &IntraPayload{Voters: []simnet.NodeID{1, 2}, Votes: []reputation.VoteVector{{}, {}}}
 	wellScore := func(e *Engine) ScorePayload {
 		return ScorePayload{Members: e.roster.Committee(0)[:2], Scores: []float64{0.5, 0.25}}
 	}
 	ragged := map[string]any{
-		"intra, extra voter":  IntraPayload{Voters: []simnet.NodeID{1, 2}, Votes: []reputation.VoteVector{{}}},
-		"intra, extra votes":  IntraPayload{Voters: []simnet.NodeID{1}, Votes: []reputation.VoteVector{{}, {}}},
+		"intra, extra voter":  &IntraPayload{Voters: []simnet.NodeID{1, 2}, Votes: []reputation.VoteVector{{}}},
+		"intra, extra votes":  &IntraPayload{Voters: []simnet.NodeID{1}, Votes: []reputation.VoteVector{{}, {}}},
 		"score, extra member": ScorePayload{Members: []simnet.NodeID{16, 17}, Scores: []float64{1}},
 		"score, extra score":  ScorePayload{Members: []simnet.NodeID{16}, Scores: []float64{1, 2}},
 	}
 	snOf := func(payload any) uint64 {
-		if _, ok := payload.(IntraPayload); ok {
+		if _, ok := payload.(*IntraPayload); ok {
 			return snIntraBase
 		}
 		return snScore

@@ -55,7 +55,7 @@ const (
 func init() {
 	wire.Register(TxListMsg.layout, wire.TagTxList)
 	wire.Register(VoteMsg.layout, wire.TagVote)
-	wire.Register(IntraPayload.layout, wire.TagIntraPayload)
+	wire.Register((*IntraPayload).layout, wire.TagIntraPayload)
 	wire.Register(IntraResultMsg.layout, wire.TagIntraResult)
 	wire.Register(SemiComMsg.layout, wire.TagSemiCom)
 	wire.Register(SemiComOKMsg.layout, wire.TagSemiComOK)
@@ -63,7 +63,7 @@ func init() {
 	wire.Register(InterResultMsg.layout, wire.TagInterResult)
 	wire.Register(InterQueryMsg.layout, wire.TagInterQuery)
 	wire.Register(InterPrefMsg.layout, wire.TagInterPref)
-	wire.Register(InterPayload.layout, wire.TagInterPayload)
+	wire.Register((*InterPayload).layout, wire.TagInterPayload)
 	wire.Register(ScorePayload.layout, wire.TagScorePayload)
 	wire.Register(ScoreResultMsg.layout, wire.TagScoreResult)
 	wire.Register(RecoveryWitness.layout, wire.TagRecoveryWitness)
@@ -140,14 +140,20 @@ func (m VoteMsg) layout(c *wire.Coder) VoteMsg {
 }
 
 // IntraPayload is the Algorithm 3 payload of the intra-committee phase:
-// the decided transaction set and the full vote list (§IV-C step 4).
+// the decided transaction set and the full vote list (§IV-C step 4). It is
+// proposed as a pointer, never written after, so the endpoints of one
+// committee that are handed the same pointer digest it once (see
+// consensus.VerifiedEchoes).
 type IntraPayload struct {
 	Txs    []*ledger.Tx
 	Voters []simnet.NodeID
 	Votes  []reputation.VoteVector
 }
 
-func (p IntraPayload) layout(c *wire.Coder) IntraPayload {
+func (p *IntraPayload) layout(c *wire.Coder) *IntraPayload {
+	if c.Reading() {
+		p = new(IntraPayload)
+	}
 	txList(c, &p.Txs)
 	nodeList(c, &p.Voters)
 	wire.Slice(c, &p.Votes, 4, voteVector)
@@ -284,13 +290,17 @@ func (m InterPrefMsg) layout(c *wire.Coder) InterPrefMsg {
 	return m
 }
 
-// InterPayload is the Algorithm 3 payload inside C_j for a received list.
+// InterPayload is the Algorithm 3 payload inside C_j for a received list,
+// and inside C_i for the list it sends; a pointer, like IntraPayload.
 type InterPayload struct {
 	From uint64
 	Txs  []*ledger.Tx
 }
 
-func (p InterPayload) layout(c *wire.Coder) InterPayload {
+func (p *InterPayload) layout(c *wire.Coder) *InterPayload {
+	if c.Reading() {
+		p = new(InterPayload)
+	}
 	c.U64(&p.From)
 	txList(c, &p.Txs)
 	return p

@@ -229,9 +229,9 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 		}
 	}
 	switch p := payload.(type) {
-	case InterPayload:
+	case *InterPayload:
 		return n.checkInterPayload(p)
-	case IntraPayload:
+	case *IntraPayload:
 		return len(p.Voters) == len(p.Votes)
 	case ScorePayload:
 		// C_R applies a certified score list entry by entry: every entry
@@ -253,7 +253,7 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 // checkInterPayload structurally validates a cross-shard list proposed
 // inside the receiving committee: it must match a certified InterFwdMsg
 // this node has seen, or at minimum be non-malformed.
-func (n *Node) checkInterPayload(p InterPayload) bool {
+func (n *Node) checkInterPayload(p *InterPayload) bool {
 	fwd, ok := n.interFwds[p.From]
 	if !ok {
 		// Common members do not receive InterFwd directly; they rely on

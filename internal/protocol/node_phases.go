@@ -29,7 +29,7 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 		// strongest detectable forgery (Theorem 2's first case).
 		com = crypto.H([]byte("forged"), com[:])
 	}
-	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Records()}
+	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Snapshot()}
 	msg.Sig = consensus.Sign(n.eng.scheme, n.Keys, msg)
 	var payload any = msg // boxed once, not per destination
 	size := wire.Size(payload)
@@ -236,8 +236,8 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 			dec = append(dec, tx)
 		}
 	}
-	payload := IntraPayload{Txs: dec, Voters: append([]simnet.NodeID(nil), n.voteOrder...), Votes: voteList}
-	n.intraDecided = &payload
+	payload := &IntraPayload{Txs: dec, Voters: append([]simnet.NodeID(nil), n.voteOrder...), Votes: voteList}
+	n.intraDecided = payload
 	sn := snIntraBase + uint64(attempt)
 	p := n.consFor(n.ID)
 	if p == nil {
@@ -245,7 +245,7 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	}
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
-		alt := IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
+		alt := &IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
 		propA := consensus.BuildPropose(n.eng.scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
 		propB := consensus.BuildPropose(n.eng.scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
 		half := len(n.committeeNodes) / 2
@@ -301,7 +301,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 	if p == nil {
 		return
 	}
-	payload := InterPayload{From: n.comID, Txs: txs}
+	payload := &InterPayload{From: n.comID, Txs: txs}
 	p.Propose(ctx, snInterOutBase+j, consensus.PayloadDigest(payload), payload, 0)
 }
 
@@ -369,7 +369,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 
 	switch n.role {
 	case RoleLeader:
-		payload := InterPayload{From: m.From, Txs: m.Txs}
+		payload := &InterPayload{From: m.From, Txs: m.Txs}
 		if p := n.consFor(n.ID); p != nil {
 			p.Propose(ctx, snInterInBase+m.From, consensus.PayloadDigest(payload), payload, 0)
 		}
@@ -393,7 +393,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 					return
 				}
 				if n.eng.successorFor(n.comID) == n.ID {
-					payload := InterPayload{From: src, Txs: mm.Txs}
+					payload := &InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
 						p.Propose(c2, snInterInBase+src, consensus.PayloadDigest(payload), payload, 0)
 					}
@@ -496,8 +496,8 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 	switch {
 	case res.SN >= snIntraBase && res.SN < snIntraBase+100:
 		// Intra decision certified: report to C_R (§IV-C step 5).
-		if payload, ok := res.Payload.(IntraPayload); ok {
-			n.intraDecided = &payload
+		if payload, ok := res.Payload.(*IntraPayload); ok {
+			n.intraDecided = payload
 		}
 		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.eng.roster.Referee, TagIntraResult, msg, wire.Size(msg))
@@ -506,7 +506,7 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		ctx.Broadcast(n.eng.roster.Referee, TagScoreResult, msg, wire.Size(msg))
 	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.eng.roster.M:
 		j := res.SN - snInterOutBase
-		payload, ok := res.Payload.(InterPayload)
+		payload, ok := res.Payload.(*InterPayload)
 		if !ok {
 			return
 		}

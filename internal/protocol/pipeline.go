@@ -99,7 +99,7 @@ func (e *Engine) stageAssemble() {
 	}
 	for k := uint64(0); k < e.roster.M; k++ {
 		if msg := refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }); msg != nil {
-			if payload, ok := msg.Result.Payload.(IntraPayload); ok {
+			if payload, ok := msg.Result.Payload.(*IntraPayload); ok {
 				add(payload.Txs)
 			}
 		}
@@ -108,7 +108,7 @@ func (e *Engine) stageAssemble() {
 		for to := uint64(0); to < e.roster.M; to++ {
 			key := interKey(from, to)
 			if msg := refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[key] }); msg != nil {
-				if payload, ok := msg.Result.Payload.(InterPayload); ok {
+				if payload, ok := msg.Result.Payload.(*InterPayload); ok {
 					add(payload.Txs)
 				}
 			}

@@ -18,7 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/encoding.golden 
 // per fixture in fixtures() order. The file was generated by the encoder as
 // it stood before the per-type layouts replaced the hand-written encode and
 // decode switches; regenerate it (-update) only for a deliberate format
-// change, which is also a re-baseline of every traffic figure.
+// change, which is also a re-baseline of every traffic figure. A type column
+// is compared without a leading "*": a payload that became pointer-shaped
+// kept its tag and its bytes, and its line stands.
 func TestEncodingGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, v := range fixtures() {
@@ -44,7 +46,7 @@ func TestEncodingGolden(t *testing.T) {
 		t.Fatalf("%d fixtures, golden file has %d", len(gotLines)-1, len(wantLines)-1)
 	}
 	for i := range gotLines {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
+		if !bytes.Equal(bytes.TrimPrefix(gotLines[i], []byte("*")), bytes.TrimPrefix(wantLines[i], []byte("*"))) {
 			t.Errorf("fixture %d encodes differently:\n got %s\nwant %s", i, gotLines[i], wantLines[i])
 		}
 	}

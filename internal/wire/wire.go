@@ -418,8 +418,9 @@ func Encode(v any) ([]byte, error) {
 // Decode parses one tagged message from the front of data, returning the
 // decoded value and the number of bytes consumed. The returned value has
 // the dynamic type the protocol layer's handlers assert on: value types
-// for messages, pointers for the two pointer-shaped payloads (transactions
-// and blocks), and untyped nil for TagNil.
+// for messages, pointers for the pointer-shaped payloads (transactions,
+// blocks, and the intra and inter Algorithm 3 payloads), and untyped nil
+// for TagNil.
 //
 // Buffers larger than MaxMessageSize are rejected outright; every length
 // and count prefix is validated against the remaining bytes before

@@ -44,7 +44,7 @@ func sampleTx(nonce uint64) *ledger.Tx {
 }
 
 func samplePropose(sn uint64) consensus.Propose {
-	payload := protocol.IntraPayload{
+	payload := &protocol.IntraPayload{
 		Txs:    []*ledger.Tx{sampleTx(sn)},
 		Voters: []simnet.NodeID{1, 2, 5},
 		Votes: []reputation.VoteVector{
@@ -86,7 +86,7 @@ func sampleResult() consensus.Result {
 		Round:   3,
 		SN:      9,
 		Digest:  digestOf("result"),
-		Payload: protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
+		Payload: &protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
 		Quorum:  sampleQuorum(),
 	}
 }
@@ -96,7 +96,7 @@ func sampleAggResult() consensus.Result {
 		Round:   3,
 		SN:      9,
 		Digest:  digestOf("agg-result"),
-		Payload: protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
+		Payload: &protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
 		Quorum:  sampleAggQuorum(),
 	}
 }
@@ -177,13 +177,13 @@ func fixtures() []any {
 		protocol.TxListMsg{Round: 3, Committee: 1, Attempt: 2, Txs: []*ledger.Tx{sampleTx(1), sampleTx(2)}, Sig: []byte("sig")},
 		protocol.VoteMsg{Round: 3, Committee: 1, Attempt: 2, Voter: 6,
 			Votes: reputation.VoteVector{reputation.Yes, reputation.No}, Sig: []byte("sig")},
-		protocol.IntraPayload{Txs: []*ledger.Tx{sampleTx(4)}, Voters: []simnet.NodeID{1, 2},
+		&protocol.IntraPayload{Txs: []*ledger.Tx{sampleTx(4)}, Voters: []simnet.NodeID{1, 2},
 			Votes: []reputation.VoteVector{{reputation.Yes}, {reputation.Unknown}}},
 		sampleSemiCom(),
 		protocol.SemiComOKMsg{Round: 3, SemiComs: map[uint64]crypto.Digest{0: digestOf("c0"), 2: digestOf("c2")}},
 		protocol.InterQueryMsg{Round: 3, From: 0, To: 2, Txs: []*ledger.Tx{sampleTx(6)}},
 		protocol.InterPrefMsg{Round: 3, From: 2, To: 0, Valid: []bool{true, false, true}},
-		protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(7)}},
+		&protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(7)}},
 		protocol.ScorePayload{Members: []simnet.NodeID{1, 2}, Scores: []float64{0.25, -1.5}},
 		sampleRecoveryWitness(),
 		protocol.RecoveryWitness{Kind: "silence", Committee: 2, Phase: "semicommit"},
