@@ -272,7 +272,7 @@ func TestConfigVerifiesEachProofOnce(t *testing.T) {
 	}
 	// Sharing changes who pays, not what anyone learns.
 	for id, cn := range nodes {
-		if got, want := cn.S.Records(), private[id].S.Records(); !reflect.DeepEqual(got, want) {
+		if got, want := cn.S.Snapshot(), private[id].S.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("member %d: directory differs between shared and private sets", id)
 		}
 	}
@@ -333,7 +333,7 @@ func TestVerifiedSetIsExact(t *testing.T) {
 		if cn.S.Contains(8) {
 			t.Fatalf("%s: forged record accepted", name)
 		}
-		if got := cn.S.Records()[1]; !reflect.DeepEqual(got, valid) {
+		if got := cn.S.Snapshot()[1]; !reflect.DeepEqual(got, valid) {
 			t.Fatalf("%s: forged record replaced the verified one", name)
 		}
 		if cn.Verified.Len() != 1 {
@@ -406,8 +406,8 @@ func TestConfigRejectsKeyMemberImpersonation(t *testing.T) {
 	if key.S.Len() != 4 || common.S.Len() != 4 {
 		t.Fatalf("honest join: key member knows %d, common member %d, want 4 and 4", key.S.Len(), common.S.Len())
 	}
-	keyRecords, keyCommit := key.S.Records(), key.S.SemiCommitment()
-	commonRecords, commonCommit := common.S.Records(), common.S.SemiCommitment()
+	keyRecords, keyCommit := key.S.Snapshot(), key.S.SemiCommitment()
+	commonRecords, commonCommit := common.S.Snapshot(), common.S.SemiCommitment()
 
 	// The forgery: the leader's ID over the attacker's own key, with a
 	// sortition proof that is valid for that key.
@@ -418,10 +418,10 @@ func TestConfigRejectsKeyMemberImpersonation(t *testing.T) {
 	net.Send(9, 5, TagMemList, MemListMsg{Records: []MemberRecord{forged, keyRecs[1], keyRecs[2]}}, 10)
 	net.RunUntilIdle()
 
-	if !reflect.DeepEqual(key.S.Records(), keyRecords) || key.S.SemiCommitment() != keyCommit {
+	if !reflect.DeepEqual(key.S.Snapshot(), keyRecords) || key.S.SemiCommitment() != keyCommit {
 		t.Fatal("key member: a forged record replaced the leader's published one")
 	}
-	if !reflect.DeepEqual(common.S.Records(), commonRecords) || common.S.SemiCommitment() != commonCommit {
+	if !reflect.DeepEqual(common.S.Snapshot(), commonRecords) || common.S.SemiCommitment() != commonCommit {
 		t.Fatal("common member: a forged record replaced the leader's published one")
 	}
 
@@ -526,7 +526,7 @@ func TestConfigUnionSkipsHeldRecords(t *testing.T) {
 		net.RunUntilIdle()
 	}
 
-	if !reflect.DeepEqual(cn.S.Records(), want.Records()) {
+	if !reflect.DeepEqual(cn.S.Snapshot(), want.Snapshot()) {
 		t.Fatalf("directory %v, want %v", cn.S.Nodes(), want.Nodes())
 	}
 	if !reflect.DeepEqual(sends, wantSends) {

@@ -170,8 +170,7 @@ func (cn *ConfigNode) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		}
 		// Respond with the current list, then add the joiner
 		// (Algorithm 2: "responds the current list back, and adds").
-		// The answer shares S's records, which S copies before it next
-		// overwrites or moves one, and declares S's running size.
+		// The answer declares S's running size rather than walking the list.
 		ctx.Send(rec.Node, TagMemList, MemListMsg{Records: cn.S.Snapshot()}, cn.S.ListSize())
 		cn.S.Add(rec)
 	case TagMemList:

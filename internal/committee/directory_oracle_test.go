@@ -30,14 +30,9 @@ func (d *Directory) Nodes() []simnet.NodeID {
 	return out
 }
 
-// Records returns a copy of the records, sorted by node ID.
-func (d *Directory) Records() []MemberRecord {
-	return append(make([]MemberRecord, 0, len(d.records)), d.records...)
-}
-
 // Clone deep-copies the directory.
 func (d *Directory) Clone() *Directory {
-	return &Directory{records: d.Records(), recBytes: d.recBytes, sized: d.sized}
+	return &Directory{records: d.Snapshot(), recBytes: d.recBytes}
 }
 
 // oracleDirectory is Directory as it stood while it was a map that every
@@ -144,8 +139,8 @@ func sameAsOracle(t *testing.T, what string, d *Directory, o *oracleDirectory) {
 	if got, want := d.Nodes(), o.Nodes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Nodes %v, oracle %v", what, got, want)
 	}
-	if got, want := d.Records(), o.Records(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Records differ from the oracle's:\n%v\n%v", what, got, want)
+	if got, want := d.Snapshot(), o.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Snapshot differs from the oracle's:\n%v\n%v", what, got, want)
 	}
 	if d.SemiCommitment() != o.SemiCommitment() {
 		t.Fatalf("%s: SemiCommitment differs from the oracle's", what)
@@ -246,7 +241,7 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 		// SemiCommitmentOf is the digest of the directory a list builds,
 		// whatever the list: canonical, shuffled, with a node listed twice
 		// at a distance, and with one listed twice side by side.
-		sorted := d.Records()
+		sorted := d.Snapshot()
 		shuffled := append([]MemberRecord(nil), sorted...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		duplicated := append(append([]MemberRecord(nil), shuffled...), fakeRecord(rng, shuffled[0].Node), fakeRecord(rng, sorted[0].Node))

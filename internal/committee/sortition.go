@@ -61,15 +61,8 @@ type MemberRecord struct {
 // independent of arrival order and every read is the slice as it lies.
 type Directory struct {
 	records []MemberRecord
-	// shared is set once a Snapshot aliases records: the next write to a
-	// record the snapshot shows goes to a copy of the list (appending past
-	// it does not).
-	shared bool
-	// recBytes is the sum of the records' wire.Size once sized is set: the
-	// first ListSize sums them, and Add keeps the sum from then on, so a
-	// directory that never answers a MEM_LIST never sizes a record.
+	// recBytes is the sum of the records' wire.Size, kept by Add.
 	recBytes int
-	sized    bool
 }
 
 // NewDirectory returns an empty member list.
@@ -97,31 +90,17 @@ func (d *Directory) holds(rec *MemberRecord) bool {
 // Add inserts a record, or overwrites the one its node already has. Lists
 // mostly arrive in order, so a record past the last is appended unsearched;
 // one that belongs earlier moves the records after it, a few KB at
-// committee sizes — in the same pass that copies them, if a snapshot shows
-// them.
+// committee sizes.
 func (d *Directory) Add(rec MemberRecord) {
-	if d.sized {
-		d.recBytes += wire.Size(rec)
-	}
-	n := len(d.records)
-	if n == 0 || d.records[n-1].Node < rec.Node {
+	d.recBytes += wire.Size(rec)
+	if n := len(d.records); n == 0 || d.records[n-1].Node < rec.Node {
 		d.records = append(d.records, rec)
 		return
 	}
-	i, found := d.find(rec.Node)
-	if found && d.sized {
+	if i, found := d.find(rec.Node); found {
 		d.recBytes -= wire.Size(d.records[i])
-	}
-	switch {
-	case d.shared:
-		recs := append(append(make([]MemberRecord, 0, n+1), d.records[:i]...), rec)
-		if found {
-			i++
-		}
-		d.records, d.shared = append(recs, d.records[i:]...), false
-	case found:
 		d.records[i] = rec
-	default:
+	} else {
 		d.records = slices.Insert(d.records, i, rec)
 	}
 }
@@ -135,25 +114,14 @@ func (d *Directory) Contains(id simnet.NodeID) bool {
 // Len returns the member count.
 func (d *Directory) Len() int { return len(d.records) }
 
-// Snapshot returns the records, ascending by node ID, without copying them:
-// the directory copies its list before it next overwrites or moves a record
-// the snapshot shows, so a snapshot keeps what the directory held when it
-// was taken. Nothing may write through it. A key member answers every
-// joiner's MEM_LIST with one.
+// Snapshot returns a copy of the records, ascending by node ID.
 func (d *Directory) Snapshot() []MemberRecord {
-	d.shared = true
-	return slices.Clip(d.records)
+	return append(make([]MemberRecord, 0, len(d.records)), d.records...)
 }
 
 // ListSize returns wire.Size(MemListMsg{Records: d.Snapshot()}) from the
 // running sum of the records' sizes: the size a MEM_LIST answer declares.
 func (d *Directory) ListSize() int {
-	if !d.sized {
-		for i := range d.records {
-			d.recBytes += wire.Size(d.records[i])
-		}
-		d.sized = true
-	}
 	return wire.Size(MemListMsg{}) + d.recBytes
 }
 

@@ -129,10 +129,11 @@ func (v *VerifiedEchoes) addHeader(prop *Propose) {
 }
 
 // matched reports whether prop's payload is the very pointer that was
-// matched to prop's (sn, digest). A payload that is not a pointer matches
-// nothing.
+// matched to prop's (sn, digest). The set holds pointers only, so a value
+// payload compares unequal to every entry (without panicking: the dynamic
+// types differ) and matches nothing.
 func (v *VerifiedEchoes) matched(prop *Propose) bool {
-	if !v.covers(prop.Round, prop.Leader) || !isPointer(prop.Payload) {
+	if !v.covers(prop.Round, prop.Leader) {
 		return false
 	}
 	v.mu.RLock()
