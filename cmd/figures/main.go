@@ -60,14 +60,9 @@ func main() {
 		// The scalability property (§III-D): measured throughput grows
 		// with the committee count. One sweep over m, seeds replicated,
 		// all points running concurrently on the worker pool.
-		base, err := sim.Resolve(
-			sim.WithTopology(2, 16, 3, 9),
-			sim.WithRounds(*rounds),
-		)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
+		base := sim.DefaultConfig()
+		base.M, base.C, base.Lambda, base.RefSize = 2, 16, 3, 9
+		base.Rounds = *rounds
 		g := sweep.Grid{
 			Base:  base,
 			Axes:  []sweep.Axis{{Field: "m", Values: []any{2, 4, 6, 8}}},
@@ -87,14 +82,9 @@ func main() {
 		// Throughput and the round-report resilience counters (drops,
 		// beyond-bound deliveries, phase timeouts) as message loss rises —
 		// one sweep over the fault model's loss axis.
-		base, err := sim.Resolve(
-			sim.WithTopology(2, 16, 3, 9),
-			sim.WithRounds(*rounds),
-		)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
+		base := sim.DefaultConfig()
+		base.M, base.C, base.Lambda, base.RefSize = 2, 16, 3, 9
+		base.Rounds = *rounds
 		g := sweep.Grid{
 			Base:  base,
 			Axes:  []sweep.Axis{{Field: "faults.loss", Values: []any{0.0, 0.02, 0.05, 0.1, 0.15, 0.2}}},
@@ -119,18 +109,13 @@ func main() {
 		// the intra deadline) next to the equal-budget oblivious arm. The
 		// base carries the full strategy set at budget 0 — the fault-free
 		// baseline — and the axes overlay only the budget and the arm.
-		base, err := sim.Resolve(
-			sim.WithRounds(*rounds),
-			sim.WithFaults(sim.FaultsConfig{Adaptive: &sim.AdaptiveSpec{
-				CrashLeaders:     true,
-				GrayTopK:         true,
-				BracketDeadlines: true,
-			}}),
-		)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
+		base := sim.DefaultConfig()
+		base.Rounds = *rounds
+		base.Faults = &sim.FaultsConfig{Adaptive: &sim.AdaptiveSpec{
+			CrashLeaders:     true,
+			GrayTopK:         true,
+			BracketDeadlines: true,
+		}}
 		g := sweep.Grid{
 			Base: base,
 			Axes: []sweep.Axis{

@@ -138,7 +138,7 @@ func printTraffic() {
 	phases := []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
 	scen, _ := sim.Lookup("paper-scale")
 	run := func(aggregate bool) map[string]simnet.Counter {
-		s, err := scen.New(sim.WithAggregateCerts(aggregate), sim.WithRounds(1))
+		s, err := scen.New(sim.FromJSON(fmt.Appendf(nil, `{"aggregate_certs": %t, "rounds": 1}`, aggregate)))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)

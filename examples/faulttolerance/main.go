@@ -1,5 +1,5 @@
 // Fault tolerance: run the protocol over a degraded network and watch it
-// absorb the damage. The fault model (sim.WithFaults) composes iid
+// absorb the damage. The fault model (the run's Faults field) composes iid
 // message loss with node churn that takes out a slice of the population —
 // including, sooner or later, a leader seat. An observer streams what the
 // protocol does about it: silence watchdogs impeach unreachable leaders
@@ -23,23 +23,21 @@ import (
 )
 
 func run(faulty bool) []*sim.RoundReport {
-	opts := []sim.Option{
-		sim.WithRounds(3),
-		sim.WithSeed(5), // a seed whose churn schedule hits leader seats
-		sim.WithObserver(sim.Funcs{
-			Recovery: func(ev sim.RecoveryEvent) {
-				fmt.Printf("  recovery: committee %d evicted node %d (%s) → node %d\n",
-					ev.Committee, ev.Evicted, ev.Kind, ev.Successor)
-			},
-		}),
-	}
+	cfg := sim.DefaultConfig()
+	cfg.Rounds = 3
+	cfg.Seed = 5 // a seed whose churn schedule hits leader seats
 	if faulty {
-		opts = append(opts, sim.WithFaults(sim.FaultsConfig{
+		cfg.Faults = &sim.FaultsConfig{
 			Loss:  0.03,
 			Churn: &sim.ChurnSpec{Frac: 0.15, Period: 500, Downtime: 150},
-		}))
+		}
 	}
-	s, err := sim.New(opts...)
+	s, err := sim.New(sim.FromConfig(cfg), sim.WithObserver(sim.Funcs{
+		Recovery: func(ev sim.RecoveryEvent) {
+			fmt.Printf("  recovery: committee %d evicted node %d (%s) → node %d\n",
+				ev.Committee, ev.Evicted, ev.Kind, ev.Successor)
+		},
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

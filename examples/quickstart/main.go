@@ -1,6 +1,6 @@
 // Quickstart: run three rounds of CycLedger with default parameters and
 // print what happened. This is the smallest end-to-end use of the public
-// sim facade — build with options, consume rounds from the streaming
+// sim facade — build a run from a document, consume rounds from the streaming
 // iterator as they complete:
 //
 //	go run ./examples/quickstart
@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	s, err := sim.New(sim.WithRounds(3)) // 4 committees × 16 nodes + 9 referees
+	s, err := sim.New(sim.FromJSON([]byte(`{"rounds": 3}`))) // 4 committees × 16 nodes + 9 referees
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,25 +8,19 @@ import (
 )
 
 func TestConfigJSONRoundTrip(t *testing.T) {
-	want, err := sim.Resolve(
-		sim.WithTopology(8, 20, 4, 15),
-		sim.WithRounds(5),
-		sim.WithWorkload(50, 0.4, 0.1),
-		sim.WithAdversary(0.1, "equivocate,conceal", true),
-		sim.WithScheme("ed25519"),
-		sim.WithSeed(99),
-		sim.WithPipeline(true, 4),
-		sim.WithRecovery(false),
-		sim.WithPreScreenCross(true),
-		sim.WithParallelBlockGen(true),
-		sim.WithPowHardness(64),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.PowHardness != 64 {
-		t.Fatalf("WithPowHardness(64) left pow_hardness at %d", want.PowHardness)
-	}
+	want := sim.DefaultConfig()
+	want.M, want.C, want.Lambda, want.RefSize = 8, 20, 4, 15
+	want.Rounds = 5
+	want.TxPerCommittee, want.CrossFrac, want.InvalidFrac = 50, 0.4, 0.1
+	want.MaliciousFrac, want.CorruptLeaders = 0.1, true
+	want.ByzantineBehavior = sim.Behavior{EquivocateIntra: true, ConcealCross: true}
+	want.Scheme = "ed25519"
+	want.Seed = 99
+	want.Pipelined, want.Parallelism = true, 4
+	want.DisableRecovery = true
+	want.PreScreenCross = true
+	want.ParallelBlockGen = true
+	want.PowHardness = 64
 	data, err := want.ToJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -108,23 +102,27 @@ func TestParseBehavior(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadInputs: every bad run document fails at New, whether
+// decoding rejects it or the engine's validation does.
 func TestNewRejectsBadInputs(t *testing.T) {
-	for name, opts := range map[string][]sim.Option{
-		"unknown behavior": {sim.WithAdversary(0.1, "sleepy", false)},
-		"unknown scheme":   {sim.WithScheme("rsa")},
-		"zero seed":        {sim.WithSeed(0)},
-		"bad fraction":     {sim.WithWorkload(10, 1.5, 0)},
-		"bad topology":     {sim.WithTopology(0, 16, 3, 9)},
+	for name, doc := range map[string]string{
+		"unknown behavior":     `{"behavior": "sleepy"}`,
+		"unknown scheme":       `{"scheme": "rsa"}`,
+		"zero seed":            `{"seed": 0}`,
+		"cross fraction 1.5":   `{"cross_frac": 1.5}`,
+		"zero committees":      `{"m": 0}`,
+		"loss 1.5":             `{"faults": {"loss": 1.5}}`,
+		"churn with no period": `{"faults": {"churn": {"frac": 0.5}}}`,
 	} {
-		if _, err := sim.New(opts...); err == nil {
-			t.Errorf("New accepted %s", name)
+		if _, err := sim.New(sim.FromJSON([]byte(doc))); err == nil {
+			t.Errorf("New accepted %s: %s", name, doc)
 		}
 	}
 }
 
 func TestScenarioRegistry(t *testing.T) {
-	names := []string{"default", "paper-scale", "scale-10x", "scale-50x", "leader-fault",
-		"no-recovery", "dos-prescreen", "parallel-blockgen", "cross-heavy", "reputation"}
+	names := []string{"default", "paper-scale", "leader-fault", "no-recovery",
+		"dos-prescreen", "parallel-blockgen", "cross-heavy", "reputation"}
 	for _, name := range names {
 		s, ok := sim.Lookup(name)
 		if !ok {

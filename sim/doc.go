@@ -6,28 +6,27 @@
 //
 // # Building a simulation
 //
-// A simulation is assembled with functional options, applied in order
-// with later options overriding earlier ones:
+// A run is one document, Config, and each of its fields is set one way: by
+// assigning it, or by overlaying a JSON document that names it. New starts
+// from DefaultConfig and applies its options in order, later options
+// overriding earlier ones:
 //
-//	s, err := sim.New(
-//		sim.WithTopology(8, 20, 4, 15),          // m committees of c, partial sets of λ, |C_R|
-//		sim.WithRounds(5),
-//		sim.WithWorkload(50, 0.4, 0),            // tx/committee, cross fraction, invalid fraction
-//		sim.WithAdversary(0.1, "conceal", true), // corrupted fraction, behaviour, leaders first
-//		sim.WithSeed(42),
-//	)
+//	cfg := sim.DefaultConfig()
+//	cfg.M, cfg.C, cfg.Lambda, cfg.RefSize = 8, 20, 4, 15 // m committees of c, partial sets of λ, |C_R|
+//	cfg.Rounds, cfg.Seed = 5, 42
+//	s, err := sim.New(sim.FromConfig(cfg))
 //
-// The full option set: WithTopology, WithRounds, WithWorkload,
-// WithAdversary, WithSeed, WithScheme ("hash" or "ed25519"), WithPipeline
-// (§IV pipelined round latency plus the worker-pool size),
-// WithPowHardness, WithRecovery (§V-D leader re-selection on/off),
-// WithPreScreenCross (§VIII-A), WithParallelBlockGen (§VIII-B),
-// WithFaults (network fault model: loss, lag, partition, churn;
-// silence-triggered leader recovery and per-phase timeout verdicts run on
-// every network, so the zero model and any model that never acts are
-// byte-identical to the fault-free engine), WithObserver, FromConfig, and
-// FromJSON. Resolve applies options without building, yielding the Config
-// a run would use.
+// is the same run as the document a -config file or a bench workload holds:
+//
+//	s, err := sim.New(sim.FromJSON([]byte(`{"m": 8, "c": 20, "lambda": 4, "ref_size": 15, "rounds": 5, "seed": 42}`)))
+//
+// The options are FromConfig (replace the document), FromJSON (overlay the
+// fields it names) and WithObserver (attach callbacks, which no document
+// holds). The network fault model is the faults field (loss,
+// lag, partition, churn); silence-triggered leader recovery and per-phase
+// timeout verdicts run on every network, so the zero model and any model
+// that never acts are byte-identical to the fault-free engine. Resolve
+// applies options without building, yielding the Config a run would use.
 //
 // Configuration is pure data: Config is protocol.Params itself, the one
 // run description, holding the behaviour, scheme and transport as names.
@@ -44,7 +43,7 @@
 // run, optionally specialised by extra options applied over the preset:
 //
 //	scen, _ := sim.Lookup("leader-fault")
-//	s, err := scen.New(sim.WithRounds(1))
+//	s, err := scen.New(sim.FromJSON([]byte(`{"rounds": 1}`)))
 //
 // # Running: Run and the Rounds iterator
 //

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -44,9 +45,12 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 				mode = "pipelined"
 			}
 			t.Run(name+"/"+mode, func(t *testing.T) {
-				want := runScenario(t, name, sim.WithPipeline(pipelined, 1))
+				mode := func(par int) sim.Option {
+					return sim.FromJSON(fmt.Appendf(nil, `{"pipelined": %t, "parallelism": %d}`, pipelined, par))
+				}
+				want := runScenario(t, name, mode(1))
 				for _, par := range []int{4, 0} { // 0 = GOMAXPROCS
-					if got := runScenario(t, name, sim.WithPipeline(pipelined, par)); got != want {
+					if got := runScenario(t, name, mode(par)); got != want {
 						t.Fatalf("scenario %s diverged at parallelism %d", name, par)
 					}
 				}
@@ -98,7 +102,7 @@ func TestFaultScenariosExerciseFaults(t *testing.T) {
 // long after the run ends — gives equal reports. Silence detection runs
 // on every network, so whether a model is installed is not a switch.
 func TestInertFaultModelChangesNothing(t *testing.T) {
-	inert := sim.WithFaults(sim.FaultsConfig{Partition: &sim.PartitionSpec{Split: 0.5, StartTick: 1e12}})
+	inert := sim.FromJSON([]byte(`{"faults": {"partition": {"split": 0.5, "start_tick": 1000000000000}}}`))
 	for _, scen := range sim.List() {
 		cfg, err := scen.Config()
 		if err != nil {
@@ -108,11 +112,8 @@ func TestInertFaultModelChangesNothing(t *testing.T) {
 			continue
 		}
 		t.Run(scen.Name, func(t *testing.T) {
-			switch {
-			case (scen.Name == "paper-scale" || scen.Name == "scale-10x") && os.Getenv("CYCLEDGER_PAPER_SCALE") == "":
-				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to run the paper-scale and 10×-scale scenarios")
-			case scen.Name == "scale-50x" && os.Getenv("CYCLEDGER_SCALE_BIG") == "":
-				t.Skip("set CYCLEDGER_SCALE_BIG=1 to run the 50×-scale scenario")
+			if scen.Name == "paper-scale" && os.Getenv("CYCLEDGER_PAPER_SCALE") == "" {
+				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to run the paper-scale scenario")
 			}
 			run := func(extra ...sim.Option) any {
 				s, err := scen.New(extra...)
@@ -132,26 +133,13 @@ func TestInertFaultModelChangesNothing(t *testing.T) {
 	}
 }
 
-// TestWithFaultsRejectsInvalidSpec: option-level validation fires before a
-// simulation is built.
-func TestWithFaultsRejectsInvalidSpec(t *testing.T) {
-	if _, err := sim.New(sim.WithFaults(sim.FaultsConfig{Loss: 1.5})); err == nil {
-		t.Fatal("WithFaults accepted loss probability 1.5")
-	}
-	if _, err := sim.New(sim.WithFaults(sim.FaultsConfig{Churn: &sim.ChurnSpec{Frac: 0.5}})); err == nil {
-		t.Fatal("WithFaults accepted churn with no period")
-	}
-}
-
 // TestFaultsConfigJSONRoundTrip: Config.Faults survives ToJSON/ParseConfig
 // and overlays merge leaf by leaf without clobbering sibling fields.
 func TestFaultsConfigJSONRoundTrip(t *testing.T) {
-	cfg, err := sim.Resolve(sim.WithFaults(sim.FaultsConfig{
+	cfg := sim.DefaultConfig()
+	cfg.Faults = &sim.FaultsConfig{
 		Loss:      0.05,
 		Partition: &sim.PartitionSpec{Split: 0.5, HealTick: 200},
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 	data, err := cfg.ToJSON()
 	if err != nil {
@@ -191,15 +179,13 @@ func TestFaultsConfigJSONRoundTrip(t *testing.T) {
 // sweep axes rely on ("faults.adaptive.budget") merges without clobbering
 // the sibling strategy flags.
 func TestExtendedFaultsJSONRoundTrip(t *testing.T) {
-	cfg, err := sim.Resolve(sim.WithFaults(sim.FaultsConfig{
+	cfg := sim.DefaultConfig()
+	cfg.Faults = &sim.FaultsConfig{
 		OneWay:   &sim.OneWayPartitionSpec{Split: 0.3, StartTick: 50, HealTick: 200},
 		Gray:     &sim.GraySpec{Frac: 0.1},
 		Burst:    &sim.BurstLossSpec{PEnter: 0.02, PExit: 0.2, Loss: 0.9},
 		Churn:    &sim.ChurnSpec{Frac: 0.2, Windows: []sim.WindowSpec{{From: 10, To: 40}}},
 		Adaptive: &sim.AdaptiveSpec{Budget: 4, CrashLeaders: true, GrayTopK: true, BracketDeadlines: true},
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 	data, err := cfg.ToJSON()
 	if err != nil {

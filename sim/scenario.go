@@ -9,8 +9,9 @@ import (
 )
 
 // A Scenario is a named, registered experiment: a description, the paper
-// anchor it reproduces, and the option list that configures it. Scenario
-// diversity is data — a registry entry — not a copy-pasted main function.
+// anchor it reproduces, and the options that configure it — for the
+// built-in presets, one run-document overlay. Scenario diversity is data —
+// a registry entry — not a copy-pasted main function.
 type Scenario struct {
 	Name        string
 	Description string
@@ -81,10 +82,14 @@ func mustRegister(s Scenario) {
 	}
 }
 
+// doc is a preset written as one run-document overlay on DefaultConfig:
+// the JSON keys of a bench workload or a -config file.
+func doc(overlay string) []Option { return []Option{FromJSON([]byte(overlay))} }
+
 // Built-in presets reproducing the paper's evaluation matrix. The
 // leader-fault pair corrupts exactly the m bootstrap leader seats: with
 // the default topology (n = 4·16+9 = 73) a 0.06 budget is ⌊4.38⌋ = 4
-// nodes, all spent on the four leader seats via CorruptLeaders (0.06
+// nodes, all spent on the four leader seats via corrupt_leaders (0.06
 // rather than 4/73, whose float product can truncate to 3).
 func init() {
 	mustRegister(Scenario{
@@ -101,82 +106,40 @@ func init() {
 		Options:     []Option{FromConfig(paper)},
 	})
 	mustRegister(Scenario{
-		Name:        "scale-10x",
-		Description: "the ROADMAP scale ceiling: the paper's geometry with 10× the committees (m = 200, n ≈ 19.5k) on the sharded simnet core (very heavy: use few rounds and full parallelism)",
-		Paper:       "§III-D scalability, extrapolated ×10",
-		Options: []Option{
-			WithTopology(200, 97, 40, 60),
-			WithWorkload(100, 1.0/3, 0),
-			WithPipeline(false, 0),
-		},
-	})
-	mustRegister(Scenario{
-		Name:        "scale-50x",
-		Description: "the lane-sharded scheduler's ceiling: the paper's geometry with 50× the committees (m = 1000, n ≈ 97k); extremely heavy — run a single round at full parallelism",
-		Paper:       "§III-D scalability, extrapolated ×50",
-		Options: []Option{
-			WithTopology(1000, 97, 40, 60),
-			WithWorkload(100, 1.0/3, 0),
-			WithPipeline(false, 0),
-			WithRounds(1),
-		},
-	})
-	mustRegister(Scenario{
 		Name:        "leader-fault",
 		Description: "every bootstrap leader equivocates and conceals cross-shard lists; recovery evicts them mid-round",
 		Paper:       "§V-D, Algorithm 6 / Fig. 6",
-		Options: []Option{
-			WithRounds(1),
-			WithWorkload(30, 0.5, 0),
-			WithAdversary(0.06, "equivocate,conceal", true),
-		},
+		Options:     doc(`{"rounds": 1, "tx_per_committee": 30, "cross_frac": 0.5, "malicious_frac": 0.06, "behavior": "equivocate,conceal", "corrupt_leaders": true}`),
 	})
 	mustRegister(Scenario{
 		Name:        "no-recovery",
 		Description: "the leader-fault adversary with leader re-selection disabled — the RapidChain-style liveness baseline",
 		Paper:       "§V-D baseline / Table I \"dishonest leaders\" row",
-		Options: []Option{
-			WithRounds(1),
-			WithWorkload(30, 0.5, 0),
-			WithAdversary(0.06, "equivocate,conceal", true),
-			WithRecovery(false),
-		},
+		Options:     doc(`{"rounds": 1, "tx_per_committee": 30, "cross_frac": 0.5, "malicious_frac": 0.06, "behavior": "equivocate,conceal", "corrupt_leaders": true, "disable_recovery": true}`),
 	})
 	mustRegister(Scenario{
 		Name:        "dos-prescreen",
 		Description: "a DoS-flavoured workload (60% cross-shard, half invalid) with §VIII-A receiver pre-screening enabled",
 		Paper:       "§VIII-A (cross-shard pre-screening)",
-		Options: []Option{
-			WithWorkload(40, 0.6, 0.5),
-			WithPreScreenCross(true),
-		},
+		Options:     doc(`{"tx_per_committee": 40, "cross_frac": 0.6, "invalid_frac": 0.5, "pre_screen_cross": true}`),
 	})
 	mustRegister(Scenario{
 		Name:        "parallel-blockgen",
 		Description: "copy-on-write overlay validation so same-round dependent transactions are both accepted",
 		Paper:       "§VIII-B (parallel block generation)",
-		Options: []Option{
-			WithWorkload(40, 1.0/3, 0),
-			WithParallelBlockGen(true),
-		},
+		Options:     doc(`{"tx_per_committee": 40, "parallel_block_gen": true}`),
 	})
 	mustRegister(Scenario{
 		Name:        "cross-heavy",
 		Description: "6 committees with 80% cross-shard payments — the workload that stresses inter-committee consensus",
 		Paper:       "§IV-D (inter-committee consensus)",
-		Options: []Option{
-			WithTopology(6, 16, 3, 9),
-			WithWorkload(40, 0.8, 0),
-		},
+		Options:     doc(`{"m": 6, "c": 16, "lambda": 3, "ref_size": 9, "tx_per_committee": 40, "cross_frac": 0.8}`),
 	})
 	mustRegister(Scenario{
 		Name:        "reputation",
 		Description: "4 rounds with a 20% vote-inverting minority: honest reputation climbs, byzantine reward weight collapses",
 		Paper:       "§VII (incentive layer) / Fig. 4",
-		Options: []Option{
-			WithRounds(4),
-			WithAdversary(0.2, "invert", false),
-		},
+		Options:     doc(`{"rounds": 4, "malicious_frac": 0.2, "behavior": "invert"}`),
 	})
 	// Fault-model scenarios: the network degrades, the protocol degrades
 	// gracefully — dropped traffic is accounted, silent leaders are
@@ -186,45 +149,30 @@ func init() {
 		Name:        "lossy",
 		Description: "5% iid message loss: throughput dips, dropped traffic is accounted, quorums still carry the round",
 		Paper:       "§III-B network model under loss (this repo's fault extension)",
-		Options: []Option{
-			WithRounds(3),
-			WithFaults(FaultsConfig{Loss: 0.05}),
-		},
+		Options:     doc(`{"rounds": 3, "faults": {"loss": 0.05}}`),
 	})
 	mustRegister(Scenario{
 		Name:        "partition-heal",
 		Description: "the population is split in half until tick 250, then heals: round 1 degrades with timeout verdicts, later rounds recover",
 		Paper:       "partition tolerance (this repo's fault extension)",
-		Options: []Option{
-			WithRounds(2),
-			WithFaults(FaultsConfig{Partition: &PartitionSpec{Split: 0.5, HealTick: 250}}),
-		},
+		Options:     doc(`{"rounds": 2, "faults": {"partition": {"split": 0.5, "heal_tick": 250}}}`),
 	})
 	mustRegister(Scenario{
 		Name:        "churn",
 		Description: "15% of nodes crash and rejoin on a staggered 500-tick cycle; silence watchdogs impeach crashed leaders mid-round",
 		Paper:       "§V-D recovery under crash faults (this repo's fault extension)",
-		Options: []Option{
-			WithRounds(3),
-			WithFaults(FaultsConfig{Churn: &ChurnSpec{Frac: 0.15, Period: 500, Downtime: 150}}),
-		},
+		Options:     doc(`{"rounds": 3, "faults": {"churn": {"frac": 0.15, "period": 500, "downtime": 150}}}`),
 	})
 	mustRegister(Scenario{
 		Name:        "gray-failure",
 		Description: "10% of nodes gray-fail — they receive and their timers fire, but every message they send is lost; silent seats are impeached, not framed",
 		Paper:       "gray/asymmetric failures (this repo's fault extension)",
-		Options: []Option{
-			WithRounds(3),
-			WithFaults(FaultsConfig{Gray: &GraySpec{Frac: 0.10}}),
-		},
+		Options:     doc(`{"rounds": 3, "faults": {"gray": {"frac": 0.1}}}`),
 	})
 	mustRegister(Scenario{
 		Name:        "targeted-leaders",
 		Description: "the reactive adversary spends 4 budget units per round crashing the leaders the lottery just elected; recovery chains through successors",
 		Paper:       "adaptive adversary frontier (this repo's robustness extension)",
-		Options: []Option{
-			WithRounds(3),
-			WithFaults(FaultsConfig{Adaptive: &AdaptiveSpec{Budget: 4, CrashLeaders: true}}),
-		},
+		Options:     doc(`{"rounds": 3, "faults": {"adaptive": {"budget": 4, "crash_leaders": true}}}`),
 	})
 }

@@ -21,10 +21,9 @@ type (
 	RecoveryEvent = protocol.RecoveryEvent
 	// Behavior is a byzantine node's deviation profile.
 	Behavior = protocol.Behavior
-	// FaultsConfig describes the network fault model (WithFaults /
-	// Config.Faults): message loss, beyond-bound lag, partition, churn,
-	// asymmetric cuts, gray failures, burst loss, and the reactive
-	// adversary.
+	// FaultsConfig describes the network fault model, a run's faults
+	// field: message loss, beyond-bound lag, partition, churn, asymmetric
+	// cuts, gray failures, burst loss, and the reactive adversary.
 	FaultsConfig = protocol.FaultsConfig
 	// PartitionSpec cuts the population in two groups until a heal tick.
 	PartitionSpec = protocol.PartitionSpec
@@ -141,7 +140,7 @@ func (s *Sim) Reports() []*RoundReport { return s.eng.Reports() }
 
 // Close releases the simulation's transport. The simulator transport holds
 // no resources, but live runs keep one goroutine per node alive until
-// closed, so callers using WithTransport("live") should defer Close.
+// closed, so a caller whose run sets transport "live" should defer Close.
 func (s *Sim) Close() error { return s.eng.Close() }
 
 // Engine exposes the underlying protocol engine for uses the facade does

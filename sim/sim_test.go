@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,11 +21,8 @@ import (
 func TestScenarioGolden(t *testing.T) {
 	for _, scen := range sim.List() {
 		t.Run(scen.Name, func(t *testing.T) {
-			if (scen.Name == "paper-scale" || scen.Name == "scale-10x") && os.Getenv("CYCLEDGER_PAPER_SCALE") == "" {
-				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to golden-test the paper-scale and 10×-scale scenarios")
-			}
-			if scen.Name == "scale-50x" && os.Getenv("CYCLEDGER_SCALE_BIG") == "" {
-				t.Skip("set CYCLEDGER_SCALE_BIG=1 to golden-test the 50×-scale scenario (a ~97k-node round, twice)")
+			if scen.Name == "paper-scale" && os.Getenv("CYCLEDGER_PAPER_SCALE") == "" {
+				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to golden-test the paper-scale scenario")
 			}
 			cfg, err := scen.Config()
 			if err != nil {
@@ -66,14 +65,13 @@ func TestScenarioGolden(t *testing.T) {
 	}
 }
 
-// small returns options for a fast topology used by the behavioural tests.
-func small(extra ...sim.Option) []sim.Option {
-	opts := []sim.Option{
-		sim.WithTopology(2, 6, 1, 3),
-		sim.WithWorkload(6, 0.25, 0),
-		sim.WithSeed(7),
-	}
-	return append(opts, extra...)
+// small returns a fast topology used by the behavioural tests.
+func small() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.M, cfg.C, cfg.Lambda, cfg.RefSize = 2, 6, 1, 3
+	cfg.TxPerCommittee, cfg.CrossFrac = 6, 0.25
+	cfg.Seed = 7
+	return cfg
 }
 
 func TestRunCancellation(t *testing.T) {
@@ -89,16 +87,17 @@ func TestRunCancellation(t *testing.T) {
 			var seen int
 			var s *sim.Sim
 			var err error
-			s, err = sim.New(small(
-				sim.WithRounds(1000), // would run for a very long time uncancelled
-				sim.WithPipeline(pipelined, 2),
+			cfg := small()
+			cfg.Rounds = 1000 // would run for a very long time uncancelled
+			cfg.Pipelined, cfg.Parallelism = pipelined, 2
+			s, err = sim.New(sim.FromConfig(cfg),
 				sim.WithObserver(sim.Funcs{Round: func(r *sim.RoundReport) {
 					seen++
 					if seen == stopAfter {
 						cancel()
 					}
 				}}),
-			)...)
+			)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +125,9 @@ func TestRunCancellation(t *testing.T) {
 }
 
 func TestRunPreCancelled(t *testing.T) {
-	s, err := sim.New(small(sim.WithRounds(3))...)
+	cfg := small()
+	cfg.Rounds = 3
+	s, err := sim.New(sim.FromConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,9 @@ func TestRunPreCancelled(t *testing.T) {
 }
 
 func TestRoundsIteratorResume(t *testing.T) {
-	s, err := sim.New(small(sim.WithRounds(3))...)
+	cfg := small()
+	cfg.Rounds = 3
+	s, err := sim.New(sim.FromConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,26 +226,50 @@ func TestObserverStream(t *testing.T) {
 	}
 }
 
-// TestObserverPipelinedRace exists for the -race CI job: observer
-// callbacks under the pipelined engine hop stage goroutines and must stay
-// serialised by the facade.
-func TestObserverPipelinedRace(t *testing.T) {
-	var events int
-	s, err := sim.New(small(
-		sim.WithRounds(2),
-		sim.WithPipeline(true, 2),
-		sim.WithObserver(sim.Funcs{
-			Phase: func(uint64, string) { events++ },
-			Round: func(*sim.RoundReport) { events++ },
-		}),
-	)...)
-	if err != nil {
-		t.Fatal(err)
+// TestObserverRunsOnCallerGoroutine: every observer callback fires on the
+// goroutine that calls Run — on the live transport too, where message
+// handlers run on node goroutines. The CI race job adds a second witness:
+// a callback fired from a simnet lane or a node goroutine would race on
+// the unsynchronised counter.
+func TestObserverRunsOnCallerGoroutine(t *testing.T) {
+	for _, transport := range []string{"sim", "live"} {
+		t.Run(transport, func(t *testing.T) {
+			cfg := small()
+			cfg.Rounds = 2
+			cfg.Pipelined, cfg.Parallelism = true, 2
+			cfg.Transport = transport
+			caller := goroutineID()
+			var events, elsewhere int
+			fire := func() {
+				events++
+				if goroutineID() != caller {
+					elsewhere++
+				}
+			}
+			s, err := sim.New(sim.FromConfig(cfg), sim.WithObserver(sim.Funcs{
+				Phase: func(uint64, string) { fire() },
+				Round: func(*sim.RoundReport) { fire() },
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if events == 0 {
+				t.Fatal("no observer events fired")
+			}
+			if elsewhere != 0 {
+				t.Fatalf("%d of %d observer events fired off the goroutine calling Run", elsewhere, events)
+			}
+		})
 	}
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Fatal("no observer events fired")
-	}
+}
+
+// goroutineID returns the calling goroutine's number, the second field of
+// its stack trace's header line ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }

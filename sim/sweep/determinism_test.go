@@ -13,12 +13,7 @@ import (
 
 // gridBenchBase is testBase without the testing.T plumbing, for benches.
 func gridBenchBase() (sim.Config, error) {
-	return sim.Resolve(
-		sim.WithTopology(2, 8, 2, 5),
-		sim.WithRounds(2),
-		sim.WithWorkload(10, 0.5, 0),
-		sim.WithSeed(3),
-	)
+	return sim.ParseConfig([]byte(`{"m": 2, "c": 8, "lambda": 2, "ref_size": 5, "rounds": 2, "tx_per_committee": 10, "cross_frac": 0.5, "seed": 3}`))
 }
 
 // renderAll materialises every writer's output for a result, the byte

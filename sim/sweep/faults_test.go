@@ -53,13 +53,10 @@ func TestDottedFaultAxis(t *testing.T) {
 // TestDottedFaultAxisKeepsSiblingLeaves: a dotted axis over one fault leaf
 // must not clobber the base config's other fault fields.
 func TestDottedFaultAxisKeepsSiblingLeaves(t *testing.T) {
-	base := testBase(t)
-	resolved, err := sim.Resolve(sim.FromConfig(base), sim.WithFaults(sim.FaultsConfig{
+	resolved := testBase(t)
+	resolved.Faults = &sim.FaultsConfig{
 		Loss:      0.02,
 		Partition: &sim.PartitionSpec{Split: 0.5, HealTick: 100},
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 	g := Grid{Base: resolved, Axes: []Axis{{Field: "faults.loss", Values: []any{0.0, 0.2}}}}
 	cells, err := g.Cells()

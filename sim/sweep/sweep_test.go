@@ -16,12 +16,7 @@ import (
 // testBase is a deliberately tiny configuration so grid tests stay fast.
 func testBase(t *testing.T) sim.Config {
 	t.Helper()
-	cfg, err := sim.Resolve(
-		sim.WithTopology(2, 6, 2, 5),
-		sim.WithRounds(2),
-		sim.WithWorkload(8, 0.5, 0),
-		sim.WithSeed(11),
-	)
+	cfg, err := sim.ParseConfig([]byte(`{"m": 2, "c": 6, "lambda": 2, "ref_size": 5, "rounds": 2, "tx_per_committee": 8, "cross_frac": 0.5, "seed": 11}`))
 	if err != nil {
 		t.Fatal(err)
 	}

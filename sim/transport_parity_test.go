@@ -20,7 +20,9 @@ import (
 func TestTransportParity(t *testing.T) {
 	run := func(transport string) []*sim.RoundReport {
 		t.Helper()
-		s, err := sim.New(sim.WithTransport(transport))
+		cfg := sim.DefaultConfig()
+		cfg.Transport = transport
+		s, err := sim.New(sim.FromConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,10 +49,11 @@ func TestTransportParity(t *testing.T) {
 func TestTransportParityByzantine(t *testing.T) {
 	run := func(transport string) []*sim.RoundReport {
 		t.Helper()
-		s, err := sim.New(small(
-			sim.WithAdversary(0.2, "equivocate,conceal", true),
-			sim.WithTransport(transport),
-		)...)
+		cfg := small()
+		cfg.MaliciousFrac, cfg.CorruptLeaders = 0.2, true
+		cfg.ByzantineBehavior = sim.Behavior{EquivocateIntra: true, ConcealCross: true}
+		cfg.Transport = transport
+		s, err := sim.New(sim.FromConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +78,10 @@ func TestTransportParityByzantine(t *testing.T) {
 func TestTransportParityAggregate(t *testing.T) {
 	run := func(transport string) []*sim.RoundReport {
 		t.Helper()
-		s, err := sim.New(small(
-			sim.WithAggregateCerts(true),
-			sim.WithTransport(transport),
-		)...)
+		cfg := small()
+		cfg.AggregateCerts = true
+		cfg.Transport = transport
+		s, err := sim.New(sim.FromConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +109,13 @@ func TestTransportParityAggregate(t *testing.T) {
 func TestTransportParityFaulted(t *testing.T) {
 	run := func(transport string) []*sim.RoundReport {
 		t.Helper()
-		s, err := sim.New(small(
-			sim.WithFaults(sim.FaultsConfig{
-				Loss:     0.02,
-				Adaptive: &sim.AdaptiveSpec{Budget: 4, CrashLeaders: true},
-			}),
-			sim.WithTransport(transport),
-		)...)
+		cfg := small()
+		cfg.Faults = &sim.FaultsConfig{
+			Loss:     0.02,
+			Adaptive: &sim.AdaptiveSpec{Budget: 4, CrashLeaders: true},
+		}
+		cfg.Transport = transport
+		s, err := sim.New(sim.FromConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +146,10 @@ func TestTransportParityFaulted(t *testing.T) {
 // TestTransportNameValidation checks the facade's transport plumbing:
 // unknown names fail, the live transport resolves.
 func TestTransportNameValidation(t *testing.T) {
-	if _, err := sim.New(sim.WithTransport("carrier-pigeon")); err == nil {
+	if _, err := sim.New(sim.FromJSON([]byte(`{"transport": "carrier-pigeon"}`))); err == nil {
 		t.Error("unknown transport name accepted")
 	}
-	if _, err := sim.Resolve(sim.WithTransport("live")); err != nil {
+	if _, err := sim.Resolve(sim.FromJSON([]byte(`{"transport": "live"}`))); err != nil {
 		t.Errorf("live transport rejected by Resolve: %v", err)
 	}
 }
@@ -158,11 +161,11 @@ func TestTransportNameValidation(t *testing.T) {
 // One simnet lane keeps the process-wide worker pool out of the count.
 func TestSimCloseLeavesNoGoroutines(t *testing.T) {
 	before := settledGoroutines()
-	s, err := sim.New(small(
-		sim.WithTransport("live"),
-		sim.WithPipeline(false, 1),
-		sim.WithRounds(2),
-	)...)
+	cfg := small()
+	cfg.Transport = "live"
+	cfg.Parallelism = 1
+	cfg.Rounds = 2
+	s, err := sim.New(sim.FromConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
