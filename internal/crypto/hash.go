@@ -5,9 +5,9 @@
 // committees and partial sets.
 //
 // Everything is built on the Go standard library, except the PoW search's
-// SHA-256 block kernel on amd64 hosts with SHA extensions
-// (search_amd64.s, adapted from the standard library's own); SearchNonce
-// runs on the standard library everywhere else.
+// SHA-256 block kernels on amd64 hosts with AVX-512VL or SHA extensions
+// (search_amd64.s); SearchNonce runs on the standard library everywhere
+// else.
 //
 // The arithmetic helpers on Digest (Mod, BelowTarget) and the Target type
 // run on fixed [4]uint64 limbs via math/bits — no math/big, and therefore no
@@ -68,11 +68,34 @@ func HKeyed(key []byte, parts ...[]byte) Digest {
 	return d
 }
 
-// searchKernel is SearchNonce's raw-block backend: set at init where the
-// host has one (search_amd64.go), nil for the portable loop. It is handed
-// the framed stream before the nonce's value bytes, with zeroed capacity for
-// the nonce and SHA-256's padding. Tests clear it to force the portable path.
-var searchKernel func(t Target, start, max uint64, msg []byte) (nonce, tried uint64, ok bool)
+// A blockKernel is a SearchNonce backend on a raw SHA-256 block kernel that
+// compresses lanes nonces per pass. search is handed lanes and the framed
+// stream before the nonce's value bytes, with zeroed capacity for the
+// nonce and SHA-256's padding; usable reports whether the host runs it.
+type blockKernel struct {
+	name   string
+	lanes  int
+	usable func() bool
+	search func(lanes int, t Target, start, max uint64, msg []byte) (nonce, tried uint64, ok bool)
+}
+
+// portableLoop is the backend without a block kernel (a nil search):
+// SearchNonce resumes the standard library's midstate per attempt.
+var portableLoop = blockKernel{name: "portable", lanes: 1, usable: func() bool { return true }}
+
+// searchKernel is SearchNonce's backend: at init, the first of blockKernels
+// (widest first; none off amd64) that the host runs, else portableLoop.
+// Tests swap it to run every backend on one host.
+var searchKernel = portableLoop
+
+func init() {
+	for _, k := range blockKernels {
+		if k.usable() {
+			searchKernel = k
+			break
+		}
+	}
+}
 
 // SearchNonce returns the first n among start, start+1, … (wrapping) for
 // which H(prefix..., be64(n)).BelowTarget(t) holds, trying at most max
@@ -91,8 +114,8 @@ func SearchNonce(t Target, start, max uint64, prefix ...[]byte) (nonce, tried ui
 		msg = append(msg, p...)
 	}
 	msg = binary.BigEndian.AppendUint64(msg, 8)
-	if searchKernel != nil {
-		return searchKernel(t, start, max, msg)
+	if k := searchKernel; k.search != nil {
+		return k.search(k.lanes, t, start, max, msg)
 	}
 	h := sha256.New().(interface {
 		hash.Hash

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -294,18 +295,25 @@ func nonceDigest(prefix [][]byte, nonce uint64) Digest {
 	return H(append(prefix[:len(prefix):len(prefix)], binary.BigEndian.AppendUint64(nil, nonce))...)
 }
 
-// onBackends runs f on each SearchNonce backend: the block kernel where the
-// host has one, then the portable loop (forced by clearing searchKernel).
+// backends lists every SearchNonce backend of this build: the block
+// kernels, widest first, then the portable loop.
+func backends() []blockKernel {
+	return append(slices.Clip(blockKernels), portableLoop)
+}
+
+// onBackends runs f as a subtest named for each backend, with searchKernel
+// set to it; a kernel the host cannot run is a skipped subtest.
 func onBackends(t *testing.T, f func(t *testing.T)) {
-	kernel := searchKernel
-	if kernel != nil {
-		t.Run("kernel", f)
-	} else {
-		t.Log("no block kernel on this host: portable backend only")
+	defer func(k blockKernel) { searchKernel = k }(searchKernel)
+	for _, k := range backends() {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.usable() {
+				t.Skipf("this host cannot run the %s kernel", k.name)
+			}
+			searchKernel = k
+			f(t)
+		})
 	}
-	defer func() { searchKernel = kernel }()
-	searchKernel = nil
-	t.Run("portable", f)
 }
 
 // asTarget reads a digest as the target it just meets.
@@ -406,41 +414,47 @@ func TestSearchNonceMatchesH(t *testing.T) {
 			}
 			break
 		}
-		// The kernel compresses offsets i and i+1 (i even) in one pass and
-		// checks lane A, then lane B. The only hit in lane B, decided on the
-		// first limb:
-		s, least := leastAt(prefix, 16, 5)
-		if n, tried, ok := check("lane B", Target{least[0] + 1}, s, 16, prefix); !ok || n != s+5 || tried != 6 {
-			t.Fatalf("lane B: (%d, %d, %v), want (%d, 6, true)", n, tried, ok, s+5)
+		// A kernel of w lanes compresses offsets i … i+w−1 (i a multiple of
+		// w) in one pass and checks them in order; the portable loop runs
+		// the two-lane cases. In every lane k of the second pass: the only
+		// hit, decided on the first limb; a tied first limb, which only the
+		// full compare accepts; and that target one below, which misses.
+		w := uint64(max(searchKernel.lanes, 2))
+		for k := uint64(0); k < w; k++ {
+			at := w + k
+			s, least := leastAt(prefix, 2*w, at)
+			if n, tried, ok := check(fmt.Sprintf("lane %d", k), Target{least[0] + 1}, s, 2*w, prefix); !ok || n != s+at || tried != at+1 {
+				t.Fatalf("lane %d: (%d, %d, %v), want (%d, %d, true)", k, n, tried, ok, s+at, at+1)
+			}
+			if n, tried, ok := check(fmt.Sprintf("tied target, lane %d", k), least, s, 2*w, prefix); !ok || n != s+at || tried != at+1 {
+				t.Fatalf("tied target, lane %d: (%d, %d, %v), want (%d, %d, true)", k, n, tried, ok, s+at, at+1)
+			}
+			below := least
+			below[3]--
+			if _, _, ok := check(fmt.Sprintf("one below, lane %d", k), below, s, 2*w, prefix); ok {
+				t.Fatalf("a target one below the window's least digest was met in lane %d", k)
+			}
 		}
-		// A tied first limb in lane B: only the full compare accepts it there.
-		s, least = leastAt(prefix, 16, 7)
-		if n, tried, ok := check("tied target, lane B", least, s, 16, prefix); !ok || n != s+7 || tried != 8 {
-			t.Fatalf("tied target, lane B: (%d, %d, %v), want (%d, 8, true)", n, tried, ok, s+7)
-		}
-		below = least
-		below[3]--
-		if _, _, ok := check("one below, lane B", below, s, 16, prefix); ok {
-			t.Fatal("a target one below the window's least digest was met in lane B")
-		}
-		// Both lanes of one pass hit and nothing before them: lane A wins.
+		// Two lanes of the second pass hit, its last and an earlier one,
+		// and nothing before them: the lower lane wins.
 		for start := uint64(0); ; start++ {
-			_, at := leastDigest(prefix, start, 16)
-			if at == 0 || at%2 == 1 {
+			_, at := leastDigest(prefix, start, 2*w)
+			if at < w || at == 2*w-1 {
 				continue
 			}
-			laneB := asTarget(nonceDigest(prefix, start+at+1))
-			if earlier, _ := leastDigest(prefix, start, at); !less(laneB, earlier) {
+			last := asTarget(nonceDigest(prefix, start+2*w-1))
+			if earlier, _ := leastDigest(prefix, start, at); !less(last, earlier) {
 				continue
 			}
-			if n, tried, ok := check("both lanes", laneB, start, 16, prefix); !ok || n != start+at || tried != at+1 {
-				t.Fatalf("both lanes: (%d, %d, %v), want (%d, %d, true)", n, tried, ok, start+at, at+1)
+			if n, tried, ok := check("two lanes", last, start, 2*w, prefix); !ok || n != start+at || tried != at+1 {
+				t.Fatalf("two lanes: (%d, %d, %v), want (%d, %d, true)", n, tried, ok, start+at, at+1)
 			}
 			break
 		}
-		// Odd budgets: the hit is the unpaired last nonce, or would be the
-		// lane B past the budget that the search must not count.
-		for _, max := range []uint64{1, 3, 257} {
+		// Budgets that end a pass early, or just after one: the hit is the
+		// last nonce inside the budget, or would be the first past it, in a
+		// lane the search must not count.
+		for _, max := range slices.Compact([]uint64{1, w - 1, w + 1, 257}) {
 			s, least := leastAt(prefix, max, max-1)
 			if n, tried, ok := check(fmt.Sprintf("budget %d, last nonce", max), least, s, max, prefix); !ok || n != s+max-1 || tried != max {
 				t.Fatalf("budget %d, last nonce: (%d, %d, %v), want (%d, %d, true)", max, n, tried, ok, s+max-1, max)
@@ -450,18 +464,35 @@ func TestSearchNonceMatchesH(t *testing.T) {
 				t.Fatalf("budget %d, hit past it: tried %d, ok %v", max, tried, ok)
 			}
 		}
-		// A pass that straddles 2^64 − 1: from 2^64 − 3 the second pair is
-		// (2^64 − 1, 0), on the first prefix whose least digest is its lane B.
-		for tag := 0; ; tag++ {
-			prefix := [][]byte{[]byte(fmt.Sprintf("straddle-%d", tag))}
-			least, at := leastDigest(prefix, ^uint64(0)-2, 4)
-			if at != 3 {
-				continue
+		// A second pass with w/2 nonces either side of a boundary, from
+		// boundary − w − w/2, on the first prefix whose least digest in
+		// the window lies past the boundary. Across 2^64 − 1 the nonce
+		// wraps to 0. Across a 2^32 boundary the nonce's high word differs
+		// between the lanes: with the puzzle's 32-byte key the nonce is the
+		// final block's first two words, so a kernel that shared W[0]
+		// across lanes would miss the hit.
+		for _, c := range []struct {
+			name     string
+			boundary uint64
+			prefix   func(tag int) [][]byte
+		}{
+			{"straddle 2^64", 0, func(tag int) [][]byte { return [][]byte{[]byte(fmt.Sprintf("straddle-%d", tag))} }},
+			{"cross 2^32", 7 << 32, func(tag int) [][]byte {
+				return append(puzzlePrefix(32)[:3], bytes.Repeat([]byte{byte(tag)}, 32))
+			}},
+		} {
+			from := c.boundary - w - w/2
+			for tag := 0; ; tag++ {
+				prefix := c.prefix(tag)
+				least, at := leastDigest(prefix, from, 2*w)
+				if at < w+w/2 {
+					continue
+				}
+				if n, tried, ok := check(c.name, least, from, 2*w, prefix); !ok || n != from+at || tried != at+1 {
+					t.Fatalf("%s: (%d, %d, %v), want (%d, %d, true)", c.name, n, tried, ok, from+at, at+1)
+				}
+				break
 			}
-			if n, tried, ok := check("straddle", least, ^uint64(0)-2, 4, prefix); !ok || n != 0 || tried != 4 {
-				t.Fatalf("straddle: (%d, %d, %v), want (0, 4, true)", n, tried, ok)
-			}
-			break
 		}
 		// No budget, and a budget that runs out.
 		if n, tried, ok := check("max 0", MaxTarget, 5, 0, prefix); ok || n != 0 || tried != 0 {
@@ -485,43 +516,53 @@ func TestSearchNonceAllocsIndependentOfAttempts(t *testing.T) {
 	})
 }
 
-// FuzzSearchNonce holds the kernel and the portable loop to the one-shot
-// oracle on two prefix parts, a target's first limb, a start and a budget.
+// FuzzSearchNonce holds every backend the host runs to the one-shot oracle
+// on two prefix parts, a target's first limb, a start and a budget.
 func FuzzSearchNonce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte, limb, start uint64, budget uint16) {
 		tg, max := Target{limb, 1 << 63, 0, ^uint64(0)}, uint64(budget%257)
 		prefix := [][]byte{a, b}
 		wn, wtried, wok := searchOracle(tg, start, max, prefix)
-		kernel := searchKernel
-		defer func() { searchKernel = kernel }()
-		for _, backend := range []func(Target, uint64, uint64, []byte) (uint64, uint64, bool){kernel, nil} {
-			searchKernel = backend
+		defer func(k blockKernel) { searchKernel = k }(searchKernel)
+		for _, k := range backends() {
+			if !k.usable() {
+				continue
+			}
+			searchKernel = k
 			if n, tried, ok := SearchNonce(tg, start, max, prefix...); n != wn || tried != wtried || ok != wok {
-				t.Fatalf("kernel %v: SearchNonce = (%d, %d, %v), oracle (%d, %d, %v)", backend != nil, n, tried, ok, wn, wtried, wok)
+				t.Fatalf("%s: SearchNonce = (%d, %d, %v), oracle (%d, %d, %v)", k.name, n, tried, ok, wn, wtried, wok)
 			}
 		}
 	})
 }
 
 // BenchmarkSearchNonce times the search at the workloads' puzzle shape and
-// hardness (a 32-byte key, 1 in 4096), per attempt, on each backend. h64 is
-// the kernel at wide-cross's hardness, 1 in 64: a short search pays its
-// setup and, half the time, an unused lane B at the end over few attempts.
+// hardness (a 32-byte key, 1 in 4096), per attempt, on each backend.
+// h64-<kernel> is a kernel at wide-cross's hardness, 1 in 64: a short
+// search pays its setup, and its last pass's unused lanes, over few
+// attempts.
 func BenchmarkSearchNonce(b *testing.B) {
 	prefix := puzzlePrefix(32)
-	kernel := searchKernel
-	defer func() { searchKernel = kernel }()
-	for _, bk := range []struct {
+	defer func(k blockKernel) { searchKernel = k }(searchKernel)
+	type row struct {
 		name     string
-		search   func(Target, uint64, uint64, []byte) (uint64, uint64, bool)
+		backend  blockKernel
 		hardness uint64
-	}{{"kernel", kernel, 4096}, {"portable", nil, 4096}, {"h64", kernel, 64}} {
-		b.Run(bk.name, func(b *testing.B) {
-			if bk.search == nil && bk.name != "portable" {
-				b.Skip("no block kernel on this host")
+	}
+	var rows []row
+	for _, k := range backends() {
+		rows = append(rows, row{k.name, k, 4096})
+	}
+	for _, k := range blockKernels {
+		rows = append(rows, row{"h64-" + k.name, k, 64})
+	}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			if !r.backend.usable() {
+				b.Skipf("this host cannot run the %s kernel", r.backend.name)
 			}
-			searchKernel = bk.search
-			target := FractionTargetLimbs(1, bk.hardness)
+			searchKernel = r.backend
+			target := FractionTargetLimbs(1, r.hardness)
 			var attempts uint64
 			for i := 0; i < b.N; i++ {
 				_, tried, _ := SearchNonce(target, uint64(i)<<32, 1<<20, prefix...)
