@@ -64,6 +64,18 @@ func hasAVX512() bool {
 	return ebx&ebx7 == ebx7
 }
 
+// HasADX reports BMI2 (CPUID.7.0:EBX[8]) and ADX (CPUID.7.0:EBX[19]): the
+// MULX and ADCX/ADOX that pvss's Montgomery kernel executes. It is false
+// off amd64.
+func HasADX() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const ebx7 = 1<<8 | 1<<19
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&ebx7 == ebx7
+}
+
 // shaniHost caches hasSHANI for searchLanes' midstate.
 var shaniHost = hasSHANI()
 

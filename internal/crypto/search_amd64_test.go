@@ -88,6 +88,7 @@ func TestBlockAVX512x8MatchesSHA256(t *testing.T) {
 // TestSearchKernelMatchesCPU logs the kernel SearchNonce runs and holds it
 // to the feature bits, read here from CPUID and XCR0 independently of
 // hasAVX512 and hasSHANI, and, on Linux, to the flags the kernel reports.
+// It also holds HasADX, pvss's kernel probe, to CPUID.
 func TestSearchKernelMatchesCPU(t *testing.T) {
 	t.Logf("SearchNonce kernel: %s (%d lanes)", searchKernel.name, searchKernel.lanes)
 	bit := func(r uint32, i uint) bool { return r>>i&1 == 1 }
@@ -116,6 +117,9 @@ func TestSearchKernelMatchesCPU(t *testing.T) {
 	}
 	if hasAVX512() != avx512 || hasSHANI() != shani {
 		t.Fatalf("hasAVX512 %v, hasSHANI %v; the feature bits say %v, %v", hasAVX512(), hasSHANI(), avx512, shani)
+	}
+	if adx := bit(ebx7, 8) && bit(ebx7, 19); HasADX() != adx {
+		t.Fatalf("HasADX %v; the feature bits say BMI2 and ADX %v", HasADX(), adx)
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

@@ -17,12 +17,16 @@
 // full.
 //
 // Group elements are kept in Montgomery form (mont.go: twelve 64-bit limbs,
-// one multiplication routine) and G is raised through a two-table Lim–Lee
-// comb; math/big remains for scalars mod Q and at the *big.Int boundary of
-// the exported API. That is as far as the arithmetic goes, on purpose.
-// Measured at n = 9 and declined: four comb tables (an Exp 41 → 35 µs, one
-// RunBeacon 6.6 → 5.7 ms, for another 49 KB held live and a comb past the
-// 64 KiB it is pinned under) and assembly. Declined on operation count, not
+// one multiplication routine, run by the MULX/ADX kernel of mont_amd64.s
+// where the host has BMI2 and ADX and by a Go loop elsewhere) and G is
+// raised through a two-table Lim–Lee comb; math/big remains for scalars
+// mod Q and at the *big.Int boundary of the exported API. That is as far
+// as the arithmetic goes, on purpose. On a shared two-core Xeon at
+// GOMAXPROCS 1 a product costs ≈ 190–270 ns on the kernel (≈ 350–650 ns
+// on the loop), an Exp ≈ 40 µs and a RunBeacon at n = 9 ≈ 5.6–6.4 ms.
+// Measured there and declined: four comb tables (an Exp ≈ 40 → 33–39 µs,
+// a RunBeacon within its noise, for another 49 KB held live and a comb
+// past the 64 KiB it is pinned under). Declined on operation count, not
 // measured: a dedicated squaring (≈ 8% of an Exp) and Horner's rule in the
 // exponent for VerifyShare's right-hand side (≈ 0.5 ms a round), which
 // raises to i^j unreduced where the code reduces mod Q — the two differ for

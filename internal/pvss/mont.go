@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+
+	"cycledger/internal/crypto"
 )
 
 // limbs is the fixed width of a group element: 12 × 64 = 768 bits, the
@@ -66,13 +68,30 @@ func fromLimbs(z fe) *big.Int {
 	return new(big.Int).SetBytes(buf[:])
 }
 
+// useADX picks mul's backend once, at init: montMulADX (mont_amd64.s)
+// where the host has BMI2 and ADX, else the Go loop mulGeneric. Every fe
+// is fully reduced, so the two agree bit for bit. Tests swap it to run
+// both on one host.
+var useADX = crypto.HasADX()
+
 // mul sets z = x·y·R⁻¹ mod p, the Montgomery product; z may alias x or y.
-// Each limb of x takes one pass over the running sum t: add x[i]·y and the
-// multiple q·p that clears t's low word, and drop that word. The Oakley
-// prime's top limb is all ones, so t < 2p does not fit twelve words: the
-// overflow is kept in a thirteenth (top, 0 or 1) and one conditional
-// subtraction at the end brings t below p.
+// The backends are called directly, not through a func value, so that x,
+// y and z do not escape.
 func (m *mont) mul(z, x, y *fe) {
+	if useADX {
+		montMulADX(z, x, y, &m.p, m.n0)
+		return
+	}
+	m.mulGeneric(z, x, y)
+}
+
+// mulGeneric is mul in Go: the only backend off amd64 and montMulADX's
+// oracle. Each limb of x takes one pass over the running sum t: add x[i]·y
+// and the multiple q·p that clears t's low word, and drop that word. The
+// Oakley prime's top limb is all ones, so t < 2p does not fit twelve
+// words: the overflow is kept in a thirteenth (top, 0 or 1) and one
+// conditional subtraction at the end brings t below p.
+func (m *mont) mulGeneric(z, x, y *fe) {
 	var t fe
 	var top uint64
 	for i := 0; i < limbs; i++ {

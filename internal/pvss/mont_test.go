@@ -3,26 +3,70 @@ package pvss
 import (
 	"math/big"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
+
+	"cycledger/internal/crypto"
 )
 
 // montModuli are the moduli the Montgomery arithmetic is compared with
 // math/big under: the default prime (top limb all ones), two of
-// TestExpSmallGroups' tiny safe primes, and the one-limb prime 2^64 − 59.
+// TestExpSmallGroups' tiny safe primes, the one-limb prime 2^64 − 59, and
+// three random odd 768-bit moduli, top bit set, whose running sums reach
+// the kernel's fourteenth word. The default prime has n0 = 1, so only the
+// others catch a product that skips the multiplication by n0.
 func montModuli() []*big.Int {
 	oneLimb := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(59))
-	return []*big.Int{testGroup().P, big.NewInt(7), big.NewInt(2063), oneLimb}
+	moduli := []*big.Int{testGroup().P, big.NewInt(7), big.NewInt(2063), oneLimb}
+	rng := rand.New(rand.NewSource(31))
+	for range 3 {
+		p := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64*limbs))
+		moduli = append(moduli, p.SetBit(p.SetBit(p, 64*limbs-1, 1), 0, 1))
+	}
+	return moduli
 }
 
-// checkMontMul compares one product with the package's math/big mulMod:
-// into a fresh z, into x, into y, and as a square in place when a is b.
+// montKernels are mul's backends, by name; adx is usable only where the
+// host has BMI2 and ADX.
+var montKernels = []struct {
+	name        string
+	adx, usable bool
+}{
+	{"adx", true, crypto.HasADX()},
+	{"generic", false, true},
+}
+
+// onMontKernels runs f as a subtest named for each Montgomery kernel, with
+// useADX set to it; a kernel the host cannot run is a skipped subtest.
+func onMontKernels(t *testing.T, f func(t *testing.T)) {
+	defer func(adx bool) { useADX = adx }(useADX)
+	for _, k := range montKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.usable {
+				t.Skipf("this host cannot run the %s kernel", k.name)
+			}
+			useADX = k.adx
+			f(t)
+		})
+	}
+}
+
+// checkMontMul compares one product with the package's math/big mulMod
+// and with mulGeneric: into a fresh z, into x, into y, and as a square in
+// place when a is b.
 func checkMontMul(t *testing.T, m *mont, a, b *big.Int) {
 	t.Helper()
 	p := m.modulus
 	want := mulMod(new(big.Int).Mod(a, p), new(big.Int).Mod(b, p), p)
 	x, y := m.enter(a), m.enter(b)
-	var z fe
+	var z, oracle fe
 	m.mul(&z, &x, &y)
+	m.mulGeneric(&oracle, &x, &y)
+	if z != oracle {
+		t.Fatalf("p=%v: %v·%v = %x, mulGeneric %x", p, a, b, z, oracle)
+	}
 	if fromLimbs(z).Cmp(p) >= 0 {
 		t.Fatalf("p=%v: %v·%v left unreduced as %v", p, a, b, fromLimbs(z))
 	}
@@ -48,6 +92,10 @@ func checkMontMul(t *testing.T, m *mont, a, b *big.Int) {
 }
 
 func TestMontMulMatchesBig(t *testing.T) {
+	onMontKernels(t, testMontMulMatchesBig)
+}
+
+func testMontMulMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, p := range montModuli() {
 		m := newMont(p)
@@ -83,6 +131,10 @@ func TestMontMulMatchesBig(t *testing.T) {
 }
 
 func TestMontPowMatchesBig(t *testing.T) {
+	onMontKernels(t, testMontPowMatchesBig)
+}
+
+func testMontPowMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, p := range montModuli() {
 		m := newMont(p)
@@ -113,7 +165,8 @@ func TestNewMontRefusesBadModulus(t *testing.T) {
 }
 
 // FuzzMontMul compares products of arbitrary integers, signed and
-// oversized, with the oracle under each of montModuli.
+// oversized, with the oracles under each of montModuli, on every kernel
+// the host runs.
 func FuzzMontMul(f *testing.F) {
 	var monts []*mont
 	for _, p := range montModuli() {
@@ -136,6 +189,65 @@ func FuzzMontMul(f *testing.F) {
 		if neg {
 			x.Neg(x)
 		}
-		checkMontMul(t, monts[int(which)%len(monts)], x, y)
+		onMontKernels(t, func(t *testing.T) {
+			checkMontMul(t, monts[int(which)%len(monts)], x, y)
+		})
+	})
+}
+
+// TestMontKernelMatchesCPU logs the kernel mont.mul runs and holds it to
+// the host: adx exactly where crypto.HasADX holds, which is never off
+// amd64 and, on Linux, is where /proc/cpuinfo lists both bmi2 and adx.
+func TestMontKernelMatchesCPU(t *testing.T) {
+	name := "generic"
+	if useADX {
+		name = "adx"
+	}
+	t.Logf("mont.mul kernel: %s", name)
+	if useADX != crypto.HasADX() {
+		t.Fatalf("kernel %s, but BMI2 and ADX: %v", name, crypto.HasADX())
+	}
+	if runtime.GOARCH != "amd64" {
+		if crypto.HasADX() {
+			t.Fatalf("HasADX on %s, which has no MULX/ADX kernel", runtime.GOARCH)
+		}
+		return
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if got := flags["bmi2"] && flags["adx"]; got != crypto.HasADX() {
+		t.Errorf("/proc/cpuinfo says BMI2 and ADX %v, HasADX %v", got, crypto.HasADX())
+	}
+}
+
+// BenchmarkMontMul times one product of the default group on each kernel,
+// as the chain x = x·y that an exponentiation runs.
+func BenchmarkMontMul(b *testing.B) {
+	m := testGroup().m
+	rng := rand.New(rand.NewSource(1))
+	x, y := m.enter(new(big.Int).Rand(rng, m.modulus)), m.enter(new(big.Int).Rand(rng, m.modulus))
+	b.Run("adx", func(b *testing.B) {
+		if !crypto.HasADX() {
+			b.Skip("this host cannot run the adx kernel")
+		}
+		for i := 0; i < b.N; i++ {
+			montMulADX(&x, &x, &y, &m.p, m.n0)
+		}
+	})
+	b.Run("generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.mulGeneric(&x, &x, &y)
+		}
 	})
 }
