@@ -1,23 +1,13 @@
-// Package cycledger_test holds the benchmark harness that regenerates
-// every table and figure of the paper's evaluation (see EXPERIMENTS.md for
-// the experiment ↔ bench index):
+// Package cycledger_test holds the repository's go test -bench timing
+// cells: the round hot path (BenchmarkRoundHotPath), the sequential
+// against the §IV pipelined latency model (BenchmarkPipelinedThroughput),
+// the simulator core at the scale ceiling (BenchmarkScaleCeiling) and the
+// two signature schemes (BenchmarkEd25519VsHashScheme). They are for
+// profiling while working; nothing records or gates their output. The
+// performance contract is BENCHMARK.json, driven by bench/.
 //
-//	Table I  → BenchmarkTable1FailProb
-//	Table II → BenchmarkTable2Complexity
-//	Fig. 4   → BenchmarkFig4RewardMap
-//	Fig. 5   → BenchmarkFig5CommitteeFailure
-//	§V-C     → BenchmarkPartialSetSecurity
-//	§III-D   → BenchmarkScalabilityThroughput
-//	Table I "dishonest leaders" row → BenchmarkLeaderFaultRecovery
-//	§VII     → BenchmarkReputationConvergence
-//	DESIGN.md ablation → BenchmarkAblationParallelCommittees
-//
-// These are plain go test -bench functions: nothing records or gates their
-// output. The performance contract is BENCHMARK.json, driven by bench/.
-//
-// Benches report their headline quantities via b.ReportMetric, so
-// `go test -bench . -benchmem` prints the reproduced numbers alongside
-// timing.
+// The paper's tables and figures are not here: cycsim -artefact prints
+// each one, and cmd/cycsim's TestClaims checks its headline.
 package cycledger_test
 
 import (
@@ -27,301 +17,11 @@ import (
 	"runtime"
 	"testing"
 
-	"cycledger/internal/analysis"
-	"cycledger/internal/baseline"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/protocol"
-	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
 )
-
-// BenchmarkTable1FailProb regenerates Table I's failure-probability column
-// at the paper's parameters (m=20, c=100, λ=40) for all four protocols.
-func BenchmarkTable1FailProb(b *testing.B) {
-	rows := baseline.TableI()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, row := range rows {
-			sink += row.FailProb(20, 100, 40)
-		}
-	}
-	for _, row := range rows {
-		b.ReportMetric(row.FailProb(20, 100, 40), "fail_"+row.Name)
-	}
-	_ = sink
-}
-
-// BenchmarkTable2Complexity runs one full protocol round and reports the
-// per-role traffic that reproduces Table II's communication rows.
-func BenchmarkTable2Complexity(b *testing.B) {
-	p := protocol.DefaultParams()
-	p.Rounds = 1
-	var last *protocol.RoundReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		e, err := protocol.NewEngine(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reports, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = reports[0]
-	}
-	b.StopTimer()
-	for _, phase := range []string{"config", "semicommit", "intra", "inter", "block"} {
-		for role, c := range last.RoleTraffic[phase] {
-			b.ReportMetric(float64(c.Messages), fmt.Sprintf("msgs_%s_%s", phase, role))
-		}
-	}
-}
-
-// BenchmarkFig4RewardMap evaluates g(x) across Fig. 4's domain and reports
-// the anchor values.
-func BenchmarkFig4RewardMap(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for x := -5.0; x <= 20; x += 0.01 {
-			sink += reputation.G(x)
-		}
-	}
-	b.ReportMetric(reputation.G(0), "g(0)")
-	b.ReportMetric(reputation.G(-5), "g(-5)")
-	b.ReportMetric(reputation.G(20), "g(20)")
-	_ = sink
-}
-
-// BenchmarkFig5CommitteeFailure computes the exact hypergeometric failure
-// curve of Fig. 5 (population 2000, 666 malicious) and reports the paper's
-// spot values.
-func BenchmarkFig5CommitteeFailure(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for c := int64(40); c <= 240; c += 40 {
-			sink += analysis.RatFloat(analysis.CommitteeFailureProb(2000, 666, c))
-		}
-	}
-	exact := analysis.RatFloat(analysis.CommitteeFailureProb(2000, 666, 240))
-	b.ReportMetric(exact, "exact_c240")
-	b.ReportMetric(analysis.SimplifiedTailBound(240), "paper_bound_c240")
-	b.ReportMetric(analysis.RatFloat(analysis.UnionBound(20, analysis.CommitteeFailureProb(2000, 666, 240))), "union_m20")
-	_ = sink
-}
-
-// BenchmarkPartialSetSecurity reproduces §V-C: (1/3)^λ over λ and the
-// union bound at m=20.
-func BenchmarkPartialSetSecurity(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for lam := int64(10); lam <= 60; lam += 10 {
-			sink += analysis.RatLog10(analysis.PartialSetFailureProb(lam))
-		}
-	}
-	b.ReportMetric(analysis.RatLog10(analysis.PartialSetFailureProb(40)), "log10_lam40")
-	b.ReportMetric(analysis.RatLog10(analysis.UnionBound(20, analysis.PartialSetFailureProb(40))), "log10_union20")
-	_ = sink
-}
-
-// BenchmarkScalabilityThroughput sweeps the committee count m at fixed c
-// and reports included transactions per round — the paper's Scalability
-// property (|TX| grows quasi-linearly with n).
-func BenchmarkScalabilityThroughput(b *testing.B) {
-	for _, m := range []int{2, 4, 8} {
-		m := m
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			p := protocol.DefaultParams()
-			p.M = m
-			p.Rounds = 1
-			var tput int
-			for i := 0; i < b.N; i++ {
-				p.Seed = int64(i + 1)
-				e, err := protocol.NewEngine(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reports, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tput = reports[0].Throughput()
-			}
-			b.ReportMetric(float64(tput), "tx/round")
-			b.ReportMetric(float64(p.TotalNodes()), "nodes")
-		})
-	}
-}
-
-// BenchmarkLeaderFaultRecovery compares cross-shard inclusion with all
-// leaders concealing cross-shard lists, recovery on vs off — the Table I
-// row "High Efficiency w.r.t Dishonest Leaders".
-func BenchmarkLeaderFaultRecovery(b *testing.B) {
-	base := protocol.DefaultParams()
-	base.Rounds = 1
-	base.CrossFrac = 0.6
-	base.MaliciousFrac = float64(base.M) / float64(base.TotalNodes())
-	base.CorruptLeaders = true
-	base.ByzantineBehavior = protocol.Behavior{ConcealCross: true}
-
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"recovery_on", false}, {"recovery_off", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			p := base
-			p.DisableRecovery = mode.disable
-			var cross int
-			for i := 0; i < b.N; i++ {
-				p.Seed = int64(i + 1)
-				e, err := protocol.NewEngine(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reports, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cross = reports[0].CrossIncluded
-			}
-			b.ReportMetric(float64(cross), "cross_tx")
-		})
-	}
-}
-
-// BenchmarkReputationConvergence runs rounds with a byzantine voter
-// minority and reports the reputation separation between the honest and
-// byzantine populations (§VII).
-func BenchmarkReputationConvergence(b *testing.B) {
-	p := protocol.DefaultParams()
-	p.Rounds = 3
-	p.MaliciousFrac = 0.2
-	p.ByzantineBehavior = protocol.Behavior{Vote: protocol.VoteInvert}
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		e, err := protocol.NewEngine(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		var hSum, bSum float64
-		var hN, bN int
-		for id := 0; id < p.TotalNodes(); id++ {
-			nid := simnet.NodeID(id)
-			rep := e.Reputation().Get(e.NameOf(nid))
-			if e.IsByzantine(nid) {
-				bSum += rep
-				bN++
-			} else {
-				hSum += rep
-				hN++
-			}
-		}
-		gap = hSum/float64(hN) - bSum/float64(bN)
-	}
-	b.ReportMetric(gap, "rep_gap")
-}
-
-// BenchmarkAblationParallelCommittees measures the simnet worker-pool
-// ablation from DESIGN.md: same round at parallelism 1 vs 4.
-func BenchmarkAblationParallelCommittees(b *testing.B) {
-	for _, par := range []int{1, 4} {
-		par := par
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			p := protocol.DefaultParams()
-			p.M = 8
-			p.Rounds = 1
-			p.Parallelism = par
-			for i := 0; i < b.N; i++ {
-				p.Seed = int64(i + 1)
-				e, err := protocol.NewEngine(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPreScreen measures the §VIII-A extension under a
-// DoS-like workload (40% invalid transactions): inter-phase bytes and
-// surviving throughput, pre-screening off vs on.
-func BenchmarkAblationPreScreen(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"prescreen_off", false}, {"prescreen_on", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			p := protocol.DefaultParams()
-			p.Rounds = 1
-			p.CrossFrac = 0.6
-			p.InvalidFrac = 0.4
-			p.PreScreenCross = mode.on
-			var interBytes uint64
-			var tput int
-			for i := 0; i < b.N; i++ {
-				p.Seed = int64(i + 1)
-				e, err := protocol.NewEngine(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reports, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				interBytes = reports[0].PhaseTraffic["inter"].Bytes
-				tput = reports[0].Throughput()
-			}
-			b.ReportMetric(float64(interBytes), "inter_bytes")
-			b.ReportMetric(float64(tput), "tx/round")
-		})
-	}
-}
-
-// BenchmarkAblationParallelBlockGen measures the §VIII-B extension:
-// rejected (mostly chained) transactions and throughput with overlay
-// voting off vs on.
-func BenchmarkAblationParallelBlockGen(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"chains_rejected", false}, {"chains_accepted", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			p := protocol.DefaultParams()
-			p.Rounds = 2
-			p.ParallelBlockGen = mode.on
-			var tput, rejected int
-			for i := 0; i < b.N; i++ {
-				p.Seed = int64(i + 1)
-				e, err := protocol.NewEngine(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reports, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tput, rejected = 0, 0
-				for _, r := range reports {
-					tput += r.Throughput()
-					rejected += r.Rejected
-				}
-			}
-			b.ReportMetric(float64(tput), "tx_total")
-			b.ReportMetric(float64(rejected), "rejected")
-		})
-	}
-}
 
 // BenchmarkPipelinedThroughput compares the sequential round latency with
 // the §IV pipelined latency model (Params.Pipelined) on the sharded

@@ -20,6 +20,13 @@
 //	go run ./cmd/cycsim -sweep "m=2,4,8,16" -seeds 5 -sweep-out csv
 //	go run ./cmd/cycsim -scenario cross-heavy -sweep "pipelined=false,true" -seeds 3
 //	go run ./cmd/cycsim -sweep-file grid.json -workers 8 -sweep-out json
+//
+// -artefact prints one table or figure of the paper's evaluation (see
+// artefact.go; -list-scenarios lists them). A measured artefact's base
+// takes the place of a scenario under -config and the run flags:
+//
+//	go run ./cmd/cycsim -artefact table1
+//	go run ./cmd/cycsim -artefact scalability -seeds 1 -sweep-out csv
 package main
 
 import (
@@ -27,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -42,7 +50,8 @@ func main() {
 	scenario := flag.String("scenario", "", "registered scenario to run (see -list-scenarios)")
 	configPath := flag.String("config", "", "JSON config file (overlaid on the scenario)")
 	jsonOut := flag.Bool("json", false, "emit the run as a JSON document instead of text")
-	list := flag.Bool("list-scenarios", false, "list registered scenarios and exit")
+	list := flag.Bool("list-scenarios", false, "list registered scenarios and artefacts and exit")
+	artefactName := flag.String("artefact", "", "paper table or figure to print (see -list-scenarios); not with -scenario, -sweep or -sweep-file")
 
 	// Each run flag sets one field of the run document, named beside it.
 	// Declared defaults mirror the default config so -h tells the truth
@@ -118,10 +127,32 @@ func main() {
 		for _, s := range sim.List() {
 			fmt.Printf("%-18s %s\n%18s reproduces: %s\n", s.Name, s.Description, "", s.Paper)
 		}
+		fmt.Println("\nartefacts (-artefact NAME):")
+		for _, a := range artefacts {
+			fmt.Printf("%-18s %s\n", a.name, a.paper)
+		}
 		return
 	}
 
 	var opts []sim.Option
+	var art artefact
+	var artGrid sweep.Grid
+	if *artefactName != "" {
+		if *scenario != "" || len(sweepAxes) > 0 || *sweepFile != "" {
+			fatalf("-artefact cannot be combined with -scenario, -sweep or -sweep-file")
+		}
+		var ok bool
+		if art, ok = lookupArtefact(*artefactName); !ok {
+			fatalf("unknown artefact %q (try -list-scenarios)", *artefactName)
+		}
+		if !art.analytic() {
+			var err error
+			if artGrid, err = art.sweepGrid(); err != nil {
+				fatalf("%v", err)
+			}
+			opts = append(opts, sim.FromConfig(artGrid.Base))
+		}
+	}
 	if *scenario != "" {
 		scen, ok := sim.Lookup(*scenario)
 		if !ok {
@@ -157,6 +188,9 @@ func main() {
 	if set["malicious"] && !set["behavior"] && !cfg.ByzantineBehavior.IsByzantine() {
 		overlay["behavior"] = "invert"
 	}
+	if art.analytic() && (*configPath != "" || len(overlay) > 0) {
+		fatalf("artefact %s is analytic: it takes no -config or run flags", art.name)
+	}
 	doc, err := json.Marshal(overlay)
 	if err != nil {
 		fatalf("%v", err)
@@ -172,16 +206,37 @@ func main() {
 	defer stop()
 	go func() { <-ctx.Done(); stop() }()
 
-	if len(sweepAxes) > 0 || *sweepFile != "" {
-		runSweep(ctx, cfg, sweepCLI{
-			axes:     sweepAxes,
-			file:     *sweepFile,
-			seeds:    *seeds,
-			seedsSet: set["seeds"],
-			workers:  *workers,
-			format:   *sweepOut,
-			metrics:  *sweepMetrics,
-		})
+	if art.print != nil {
+		if err := art.print(ctx, os.Stdout, cfg); err != nil {
+			fatalf("%v", err)
+		}
+		return
+	}
+	if art.name != "" || len(sweepAxes) > 0 || *sweepFile != "" {
+		g := sweep.Grid{Base: cfg, Axes: artGrid.Axes, Seeds: *seeds}
+		if art.name != "" && !set["seeds"] {
+			g.Seeds = artGrid.Seeds
+		}
+		metrics := *sweepMetrics
+		if art.metrics != "" && !set["sweep-metrics"] {
+			metrics = art.metrics
+		}
+		if *sweepFile != "" {
+			data, err := os.ReadFile(*sweepFile)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			if g, err = sweep.ParseGrid(data, cfg); err != nil {
+				fatalf("%v", err)
+			}
+			if set["seeds"] {
+				g.Seeds = *seeds
+			}
+		}
+		g.Axes = append(g.Axes, sweepAxes...)
+		if err := runSweep(ctx, os.Stdout, g, *workers, *sweepOut, metrics); err != nil {
+			fatalf("%v", err)
+		}
 		return
 	}
 
@@ -192,93 +247,58 @@ func main() {
 	runText(ctx, cfg, *top)
 }
 
-// sweepCLI carries the sweep-mode flags into runSweep.
-type sweepCLI struct {
-	axes     []sweep.Axis
-	file     string
-	seeds    int
-	seedsSet bool
-	workers  int
-	format   string
-	metrics  string
-}
-
-// runSweep assembles the grid (the resolved single-run config is its
-// base; a -sweep-file overlays and -sweep axes append), executes it on
-// the worker pool with a progress line on stderr, and writes the
-// aggregate in the requested format. Like single runs, an interrupted
-// sweep still writes the points whose replicates completed.
-func runSweep(ctx context.Context, cfg sim.Config, cli sweepCLI) {
-	g := sweep.Grid{Base: cfg, Seeds: cli.seeds}
-	if cli.file != "" {
-		data, err := os.ReadFile(cli.file)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		g, err = sweep.ParseGrid(data, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if cli.seedsSet {
-			g.Seeds = cli.seeds
-		}
-	}
-	g.Axes = append(g.Axes, cli.axes...)
-
+// runSweep executes the grid on the worker pool with a progress line on
+// stderr and writes the aggregate to w in the given format. Like single
+// runs, an interrupted sweep still writes the points whose replicates
+// completed before it returns the error.
+func runSweep(ctx context.Context, w io.Writer, g sweep.Grid, workers int, format, metricList string) error {
 	// Reject output-shaping typos before the sweep runs, not after: a bad
 	// -sweep-out or -sweep-metrics must not discard an hour of cells.
-	switch cli.format {
+	switch format {
 	case "table", "markdown", "csv", "json":
 	default:
-		fatalf("unknown sweep output format %q (want table|markdown|csv|json)", cli.format)
+		return fmt.Errorf("unknown sweep output format %q (want table|markdown|csv|json)", format)
 	}
 	var metrics []string
-	for _, name := range strings.Split(cli.metrics, ",") {
+	for _, name := range strings.Split(metricList, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			metrics = append(metrics, name)
 		}
 	}
 	if err := sweep.ValidateMetrics(metrics...); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	runner := sweep.Runner{
-		Workers: cli.workers,
+		Workers: workers,
 		Progress: func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d cells", done, total)
 		},
 	}
 	res, runErr := runner.Run(ctx, g)
 	if res == nil {
-		fatalf("%v", runErr)
+		return runErr
 	}
 	fmt.Fprintln(os.Stderr)
 
+	var lines []string
 	var err error
-	switch cli.format {
+	switch format {
 	case "csv":
-		err = sweep.WriteCSV(os.Stdout, res, metrics...)
+		err = sweep.WriteCSV(w, res, metrics...)
 	case "json":
-		err = sweep.WriteJSON(os.Stdout, res)
+		err = sweep.WriteJSON(w, res)
 	case "markdown":
-		err = printLines(sweep.Markdown(res, metrics...))
+		lines, err = sweep.Markdown(res, metrics...)
 	default: // "table"; the format set was validated before the run
-		err = printLines(sweep.Table(res, metrics...))
+		lines, err = sweep.Table(res, metrics...)
 	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if runErr != nil {
-		fatalf("%v (partial results above)", runErr)
-	}
-}
-
-func printLines(lines []string, err error) error {
 	if err != nil {
 		return err
 	}
-	for _, line := range lines {
-		fmt.Println(line)
+	writeLines(w, lines)
+	if runErr != nil {
+		return fmt.Errorf("%v (partial results above)", runErr)
 	}
 	return nil
 }

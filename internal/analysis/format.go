@@ -6,8 +6,8 @@ import (
 	"unicode/utf8"
 )
 
-// This file holds the table renderers shared by cmd/tables and the sweep
-// writers: FormatTable produces aligned plain text for terminals,
+// This file holds the table renderers shared by cycsim -artefact and the
+// sweep writers: FormatTable produces aligned plain text for terminals,
 // MarkdownTable produces a pipe table for documents. Both right-align
 // columns whose body cells are all numeric, so magnitude comparisons line
 // up the way the paper's tables print them.

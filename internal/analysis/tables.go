@@ -2,74 +2,10 @@ package analysis
 
 import "math"
 
-// Table I of the paper compares CycLedger with Elastico, OmniLedger and
-// RapidChain. The failure-probability column is analytic; this file encodes
-// each protocol's formula so cmd/tables and the benches can regenerate the
-// row for any (n, m, c, λ).
-
-// ProtocolFailure holds a protocol's per-round failure probability model.
-type ProtocolFailure struct {
-	Name string
-	// Prob returns the per-round failure probability for m committees of
-	// size c with partial sets of size lambda (ignored by protocols
-	// without partial sets).
-	Prob func(m, c, lambda int64) float64
-}
-
-// FailureModels returns the four Table I failure rows, in paper order.
-//
-//   - Elastico:   Ω(m·e^{-c/40})   (1/4 resiliency ⇒ weaker exponent)
-//   - OmniLedger: O(m·e^{-c/40})
-//   - RapidChain: m·e^{-c/12} + (1/2)^27  (reference-committee term)
-//   - CycLedger:  m·(e^{-c/12} + (1/3)^λ)
-func FailureModels() []ProtocolFailure {
-	return []ProtocolFailure{
-		{Name: "Elastico", Prob: func(m, c, _ int64) float64 {
-			return clampProb(float64(m) * math.Exp(-float64(c)/40))
-		}},
-		{Name: "OmniLedger", Prob: func(m, c, _ int64) float64 {
-			return clampProb(float64(m) * math.Exp(-float64(c)/40))
-		}},
-		{Name: "RapidChain", Prob: func(m, c, _ int64) float64 {
-			return clampProb(float64(m)*math.Exp(-float64(c)/12) + math.Pow(0.5, 27))
-		}},
-		{Name: "CycLedger", Prob: func(m, c, lambda int64) float64 {
-			return clampProb(float64(m) * (math.Exp(-float64(c)/12) + math.Pow(1.0/3, float64(lambda))))
-		}},
-	}
-}
-
-func clampProb(p float64) float64 {
-	if p > 1 {
-		return 1
-	}
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
-// Resiliency returns each protocol's adversarial tolerance as a fraction of
-// n (Table I row 1).
-func Resiliency() map[string]float64 {
-	return map[string]float64{
-		"Elastico":   1.0 / 4,
-		"OmniLedger": 1.0 / 4,
-		"RapidChain": 1.0 / 3,
-		"CycLedger":  1.0 / 3,
-	}
-}
-
-// StoragePerNode returns the Table I storage-complexity expression evaluated
-// numerically for each protocol (units: abstract items). n = mc.
-func StoragePerNode(n, m, c int64) map[string]float64 {
-	return map[string]float64{
-		"Elastico":   float64(n),
-		"OmniLedger": float64(c) + math.Log(float64(m)),
-		"RapidChain": float64(c),
-		"CycLedger":  float64(m*m)/float64(n) + float64(c),
-	}
-}
+// This file holds the failure expressions that span rounds and protocols:
+// a run of epochs, Elastico's §II collapse, and CycLedger's exact
+// per-round failure. Table I's rows, with their own formulas, are
+// internal/baseline's TableI; cycsim -artefact table1 prints them.
 
 // EpochFailure returns the probability that at least one of `epochs`
 // independent rounds fails, given per-round failure probability p:
@@ -105,5 +41,5 @@ func ElasticoEpochClaim(epochs int) float64 {
 func CycLedgerRoundFailure(n, t, m, c, lambda int64) float64 {
 	tail := RatFloat(CommitteeFailureProb(n, t, c))
 	ps := RatFloat(PartialSetFailureProb(lambda))
-	return clampProb(float64(m) * (tail + ps))
+	return min(1, float64(m)*(tail+ps))
 }

@@ -3,17 +3,22 @@ package analysis
 import (
 	"math"
 	"testing"
+
+	"cycledger/internal/baseline"
 )
 
 func TestFailureModelsOrderingAtPaperParams(t *testing.T) {
-	// With n=2000, m=20, c=100, λ=40: CycLedger and RapidChain (1/3
-	// resiliency, e^{-c/12}) must beat Elastico/OmniLedger (e^{-c/40});
-	// CycLedger must be at least as good as RapidChain because (1/3)^40
-	// is far below RapidChain's (1/2)^27 reference-committee term.
-	const m, c, lam = 20, 100, 40
+	// With n=2000, m=20, c=100, λ=40: Table I's CycLedger and RapidChain
+	// rows (1/3 resiliency, e^{-c/12}) must beat Elastico/OmniLedger
+	// (e^{-c/40}); CycLedger must be at least as good as RapidChain
+	// because (1/3)^40 is far below RapidChain's (1/2)^27
+	// reference-committee term. The exact models keep the gap: CycLedger's
+	// hypergeometric round failure (≈ 5.8e-3) stays far below Elastico's
+	// per-round failure over 16 PBFT committees (≈ 0.33).
+	const n, tt, m, c, lam = 2000, 666, 20, 100, 40
 	probs := map[string]float64{}
-	for _, pm := range FailureModels() {
-		probs[pm.Name] = pm.Prob(m, c, lam)
+	for _, row := range baseline.TableI() {
+		probs[row.Name] = row.FailProb(m, c, lam)
 	}
 	if probs["CycLedger"] > probs["RapidChain"] {
 		t.Fatalf("CycLedger %.3g worse than RapidChain %.3g", probs["CycLedger"], probs["RapidChain"])
@@ -24,40 +29,29 @@ func TestFailureModelsOrderingAtPaperParams(t *testing.T) {
 	if probs["Elastico"] != probs["OmniLedger"] {
 		t.Fatal("Elastico and OmniLedger share the same asymptotic model")
 	}
-}
-
-func TestFailureModelsClamped(t *testing.T) {
-	for _, pm := range FailureModels() {
-		p := pm.Prob(1e6, 1, 1)
-		if p < 0 || p > 1 {
-			t.Fatalf("%s probability %g outside [0,1]", pm.Name, p)
-		}
+	exact, elastico := CycLedgerRoundFailure(n, tt, m, c, lam), ElasticoEpochClaim(1)
+	if exact*10 > elastico {
+		t.Fatalf("exact CycLedger round failure %.3g not far below Elastico's %.3g", exact, elastico)
 	}
 }
 
 func TestResiliencyTable(t *testing.T) {
-	r := Resiliency()
-	if r["CycLedger"] != 1.0/3 || r["RapidChain"] != 1.0/3 {
-		t.Fatal("1/3-resilient protocols wrong")
+	// Each Table I row's resiliency fixes the adversary the exact models
+	// use at n=2000: 500 malicious nodes for the 1/4-resilient protocols
+	// (ElasticoEpochClaim), 666 for the 1/3-resilient ones (the Fig. 5
+	// checks). Tolerating more, a CycLedger committee still fails less
+	// often (≥ c/2 of 666) than a PBFT committee does (≥ c/3 of 500).
+	const n, c = 2000, 100
+	want := map[string]int64{"Elastico": 500, "OmniLedger": 500, "RapidChain": 666, "CycLedger": 666}
+	for _, row := range baseline.TableI() {
+		if got := int64(row.ResiliencyFrac * n); got != want[row.Name] {
+			t.Fatalf("%s tolerates %d of %d, want %d", row.Name, got, n, want[row.Name])
+		}
 	}
-	if r["Elastico"] != 1.0/4 || r["OmniLedger"] != 1.0/4 {
-		t.Fatal("1/4-resilient protocols wrong")
-	}
-}
-
-func TestStoragePerNodeShapes(t *testing.T) {
-	// At n=2000, m=20, c=100: Elastico stores O(n), far above the sharded
-	// protocols; CycLedger stores m²/n + c which is close to RapidChain's c.
-	s := StoragePerNode(2000, 20, 100)
-	if s["Elastico"] <= s["CycLedger"]*5 {
-		t.Fatal("Elastico storage should dwarf CycLedger's")
-	}
-	wantCyc := 400.0/2000 + 100
-	if math.Abs(s["CycLedger"]-wantCyc) > 1e-9 {
-		t.Fatalf("CycLedger storage = %g, want %g", s["CycLedger"], wantCyc)
-	}
-	if s["RapidChain"] != 100 {
-		t.Fatalf("RapidChain storage = %g, want c", s["RapidChain"])
+	cyc := RatFloat(CommitteeFailureProb(n, 666, c))
+	pbft := RatFloat(HypergeomTail(n, 500, c, 34))
+	if cyc >= pbft {
+		t.Fatalf("CycLedger committee failure %.3g not below PBFT's %.3g", cyc, pbft)
 	}
 }
 
@@ -103,7 +97,7 @@ func TestCycLedgerRoundFailureTracksFormula(t *testing.T) {
 	// factor of 5.
 	const n, tt, m, c, lam = 2000, 666, 20, 100, 40
 	exact := CycLedgerRoundFailure(n, tt, m, c, lam)
-	formula := FailureModels()[3].Prob(m, c, lam)
+	formula := m * (math.Exp(-c/12.0) + math.Pow(1.0/3, lam))
 	if exact <= 0 {
 		t.Fatal("exact failure should be positive at these parameters")
 	}

@@ -2,14 +2,12 @@
 // OmniLedger, RapidChain — alongside CycLedger: their resiliency,
 // complexity classes, storage, per-round failure probability, and the
 // qualitative columns (decentralization, leader-fault efficiency,
-// incentives, connection burden). The numeric columns delegate to
-// internal/analysis; the executable RapidChain-style behaviour (no leader
-// recovery) lives in internal/protocol as the DisableRecovery ablation.
+// incentives, connection burden). The executable RapidChain-style
+// behaviour (no leader recovery) lives in internal/protocol as the
+// DisableRecovery ablation.
 package baseline
 
-import (
-	"cycledger/internal/analysis"
-)
+import "math"
 
 // Row is one protocol's Table I entry.
 type Row struct {
@@ -30,28 +28,25 @@ type Row struct {
 	ConnectionBurden string // heavy / light
 }
 
-// TableI returns the four protocol rows in paper order.
+// TableI returns the four protocol rows in paper order. Each row's
+// failure probability is its Table I expression, capped at 1:
+//
+//   - Elastico:   Ω(m·e^{-c/40})   (1/4 resiliency ⇒ weaker exponent)
+//   - OmniLedger: O(m·e^{-c/40})
+//   - RapidChain: m·e^{-c/12} + (1/2)^27  (reference-committee term)
+//   - CycLedger:  m·(e^{-c/12} + (1/3)^λ)
+//
+// and its storage is the Table I class evaluated in abstract items.
 func TableI() []Row {
-	models := analysis.FailureModels()
-	find := func(name string) func(m, c, lambda int64) float64 {
-		for _, pm := range models {
-			if pm.Name == name {
-				return pm.Prob
-			}
-		}
-		panic("baseline: unknown model " + name)
-	}
-	storage := func(name string) func(n, m, c int64) float64 {
-		return func(n, m, c int64) float64 {
-			return analysis.StoragePerNode(n, m, c)[name]
-		}
-	}
 	return []Row{
 		{
 			Name: "Elastico", Resiliency: "t < n/4", ResiliencyFrac: 0.25,
 			Complexity: "Ω(n)", Storage: "O(n)",
 			FailProbExpr: "Ω(m·e^{-c/40})",
-			FailProb:     find("Elastico"), StorageItems: storage("Elastico"),
+			FailProb: func(m, c, _ int64) float64 {
+				return min(1, float64(m)*math.Exp(-float64(c)/40))
+			},
+			StorageItems:     func(n, _, _ int64) float64 { return float64(n) },
 			Decentralization: "no always-honest party",
 			LeaderFaultOK:    false, Incentives: false, ConnectionBurden: "heavy",
 		},
@@ -59,7 +54,10 @@ func TableI() []Row {
 			Name: "OmniLedger", Resiliency: "t < n/4", ResiliencyFrac: 0.25,
 			Complexity: "O(n)", Storage: "O(c + log m)",
 			FailProbExpr: "O(m·e^{-c/40})",
-			FailProb:     find("OmniLedger"), StorageItems: storage("OmniLedger"),
+			FailProb: func(m, c, _ int64) float64 {
+				return min(1, float64(m)*math.Exp(-float64(c)/40))
+			},
+			StorageItems:     func(_, m, c int64) float64 { return float64(c) + math.Log(float64(m)) },
 			Decentralization: "an honest client",
 			LeaderFaultOK:    false, Incentives: false, ConnectionBurden: "heavy",
 		},
@@ -67,7 +65,10 @@ func TableI() []Row {
 			Name: "RapidChain", Resiliency: "t < n/3", ResiliencyFrac: 1.0 / 3,
 			Complexity: "O(n)", Storage: "O(c)",
 			FailProbExpr: "m·e^{-c/12} + (1/2)^27",
-			FailProb:     find("RapidChain"), StorageItems: storage("RapidChain"),
+			FailProb: func(m, c, _ int64) float64 {
+				return min(1, float64(m)*math.Exp(-float64(c)/12)+math.Pow(0.5, 27))
+			},
+			StorageItems:     func(_, _, c int64) float64 { return float64(c) },
 			Decentralization: "an honest reference committee",
 			LeaderFaultOK:    false, Incentives: false, ConnectionBurden: "heavy",
 		},
@@ -75,7 +76,10 @@ func TableI() []Row {
 			Name: "CycLedger", Resiliency: "t < n/3", ResiliencyFrac: 1.0 / 3,
 			Complexity: "O(n)", Storage: "O(m²/n + c)",
 			FailProbExpr: "m(e^{-c/12} + (1/3)^λ)",
-			FailProb:     find("CycLedger"), StorageItems: storage("CycLedger"),
+			FailProb: func(m, c, lambda int64) float64 {
+				return min(1, float64(m)*(math.Exp(-float64(c)/12)+math.Pow(1.0/3, float64(lambda))))
+			},
+			StorageItems:     func(n, m, c int64) float64 { return float64(m*m)/float64(n) + float64(c) },
 			Decentralization: "no always-honest party",
 			LeaderFaultOK:    true, Incentives: true, ConnectionBurden: "light",
 		},

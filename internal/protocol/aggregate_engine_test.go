@@ -116,7 +116,7 @@ func TestAggregateDeterministicAcrossParallelism(t *testing.T) {
 // TestAggregateLeaderTrafficReduced measures the point of the feature at
 // test scale: committee leaders' sent bytes must drop when certificates
 // aggregate and broadcasts ride the dissemination tree. (The paper-scale
-// factor is reported by cmd/tables -table traffic; see EXPERIMENTS.md.)
+// factor is reported by cycsim -artefact traffic; see EXPERIMENTS.md.)
 func TestAggregateLeaderTrafficReduced(t *testing.T) {
 	leaderSent := func(aggregate bool) simnet.Counter {
 		p := DefaultParams()

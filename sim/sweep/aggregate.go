@@ -205,7 +205,7 @@ type Point struct {
 
 // A CellResult is one completed cell: its per-round-average Metrics and
 // the raw round reports for consumers that need more than the aggregate
-// (cmd/tables reads per-phase role traffic from them).
+// (cycsim -artefact table2 reads per-phase role traffic from them).
 type CellResult struct {
 	Cell
 	// Metrics are the run's per-round averages.

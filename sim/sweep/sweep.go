@@ -306,7 +306,7 @@ type Runner struct {
 	// CellResult. Off by default: a large sweep only needs the folded
 	// Metrics, and holding each round's full report (per-phase role
 	// traffic included) for every cell until output is unbounded memory.
-	// cmd/tables turns it on to read Table II's traffic matrices.
+	// cycsim -artefact table2 turns it on to read the traffic matrices.
 	KeepReports bool
 }
 
