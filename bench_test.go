@@ -26,10 +26,10 @@ import (
 // BenchmarkPipelinedThroughput compares the sequential round latency with
 // the §IV pipelined latency model (Params.Pipelined) on the sharded
 // ledger store, across committee counts and worker-pool sizes.
-// PowHardness is raised toward a realistic participation-puzzle cost so
-// the benchmark exposes what the paper's §IV pipeline is for: the
-// election work hides behind transaction processing instead of
-// serialising after it.
+// PowHardness stays at the default 8: the pipeline is a latency model over
+// the stages' virtual spans, so the election track's overlap with
+// transaction processing shows in ticks, and no wall-clock PoW cost hides
+// behind anything.
 //
 // Headline read: at equal tx/round, the pipelined simulated round latency
 // (ticks/round, and therefore tx/tick) beats the sequential sum at every m
@@ -50,7 +50,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 					p.M = m
 					p.Rounds = 2
 					p.Parallelism = par
-					p.PowHardness = 1 << 12
+					p.PowHardness = 8
 					p.Pipelined = mode.pipelined
 					var tput int
 					var ticks float64

@@ -5,7 +5,7 @@
 // committees and partial sets.
 //
 // Everything is built on the Go standard library, except the PoW search's
-// SHA-256 block kernels on amd64 hosts with AVX-512VL or SHA extensions
+// eight-lane SHA-256 block kernel on amd64 hosts with AVX-512VL
 // (search_amd64.s); SearchNonce runs on the standard library everywhere
 // else.
 //
@@ -68,41 +68,13 @@ func HKeyed(key []byte, parts ...[]byte) Digest {
 	return d
 }
 
-// A blockKernel is a SearchNonce backend on a raw SHA-256 block kernel that
-// compresses lanes nonces per pass. search is handed lanes and the framed
-// stream before the nonce's value bytes, with zeroed capacity for the
-// nonce and SHA-256's padding; usable reports whether the host runs it.
-type blockKernel struct {
-	name   string
-	lanes  int
-	usable func() bool
-	search func(lanes int, t Target, start, max uint64, msg []byte) (nonce, tried uint64, ok bool)
-}
-
-// portableLoop is the backend without a block kernel (a nil search):
-// SearchNonce resumes the standard library's midstate per attempt.
-var portableLoop = blockKernel{name: "portable", lanes: 1, usable: func() bool { return true }}
-
-// searchKernel is SearchNonce's backend: at init, the first of blockKernels
-// (widest first; none off amd64) that the host runs, else portableLoop.
-// Tests swap it to run every backend on one host.
-var searchKernel = portableLoop
-
-func init() {
-	for _, k := range blockKernels {
-		if k.usable() {
-			searchKernel = k
-			break
-		}
-	}
-}
-
 // SearchNonce returns the first n among start, start+1, … (wrapping) for
 // which H(prefix..., be64(n)).BelowTarget(t) holds, trying at most max
 // values; tried is how many it evaluated. The framed stream before the
-// nonce's 8 value bytes is fixed, so it is absorbed once: with a block
-// kernel an attempt compresses only the one or two padded final blocks,
-// otherwise the standard library's midstate is snapshotted and resumed.
+// nonce's 8 value bytes is fixed, so it is absorbed once: on AVX-512VL
+// (useAVX512) eight attempts share a pass of the block kernel, each
+// compressing only the one or two padded final blocks; otherwise the
+// standard library's midstate is snapshotted and resumed per attempt.
 func SearchNonce(t Target, start, max uint64, prefix ...[]byte) (nonce, tried uint64, ok bool) {
 	n := 8 + 8 + 1 + 8 // the nonce's frame and value, the 0x80 pad byte, the bit length
 	for _, p := range prefix {
@@ -114,8 +86,8 @@ func SearchNonce(t Target, start, max uint64, prefix ...[]byte) (nonce, tried ui
 		msg = append(msg, p...)
 	}
 	msg = binary.BigEndian.AppendUint64(msg, 8)
-	if k := searchKernel; k.search != nil {
-		return k.search(k.lanes, t, start, max, msg)
+	if useAVX512 {
+		return searchLanes(t, start, max, msg)
 	}
 	h := sha256.New().(interface {
 		hash.Hash

@@ -295,22 +295,38 @@ func nonceDigest(prefix [][]byte, nonce uint64) Digest {
 	return H(append(prefix[:len(prefix):len(prefix)], binary.BigEndian.AppendUint64(nil, nonce))...)
 }
 
-// backends lists every SearchNonce backend of this build: the block
-// kernels, widest first, then the portable loop.
-func backends() []blockKernel {
-	return append(slices.Clip(blockKernels), portableLoop)
+// A searchBackend is one of SearchNonce's backends: the one useAVX512
+// selects, by name, and whether the host runs it.
+type searchBackend struct {
+	name           string
+	avx512, usable bool
 }
 
-// onBackends runs f as a subtest named for each backend, with searchKernel
+// searchBackends are SearchNonce's backends; avx512 is usable only where
+// the host runs blockAVX512x8, which useAVX512 holds at init.
+var searchBackends = []searchBackend{
+	{"avx512", true, useAVX512},
+	{"portable", false, true},
+}
+
+// lanes is how many nonces the selected backend compresses per pass.
+func lanes() int {
+	if useAVX512 {
+		return 8
+	}
+	return 1
+}
+
+// onBackends runs f as a subtest named for each backend, with useAVX512
 // set to it; a kernel the host cannot run is a skipped subtest.
 func onBackends(t *testing.T, f func(t *testing.T)) {
-	defer func(k blockKernel) { searchKernel = k }(searchKernel)
-	for _, k := range backends() {
+	defer func(avx512 bool) { useAVX512 = avx512 }(useAVX512)
+	for _, k := range searchBackends {
 		t.Run(k.name, func(t *testing.T) {
-			if !k.usable() {
+			if !k.usable {
 				t.Skipf("this host cannot run the %s kernel", k.name)
 			}
-			searchKernel = k
+			useAVX512 = k.avx512
 			f(t)
 		})
 	}
@@ -419,7 +435,7 @@ func TestSearchNonceMatchesH(t *testing.T) {
 		// the two-lane cases. In every lane k of the second pass: the only
 		// hit, decided on the first limb; a tied first limb, which only the
 		// full compare accepts; and that target one below, which misses.
-		w := uint64(max(searchKernel.lanes, 2))
+		w := uint64(max(lanes(), 2))
 		for k := uint64(0); k < w; k++ {
 			at := w + k
 			s, least := leastAt(prefix, 2*w, at)
@@ -523,12 +539,12 @@ func FuzzSearchNonce(f *testing.F) {
 		tg, max := Target{limb, 1 << 63, 0, ^uint64(0)}, uint64(budget%257)
 		prefix := [][]byte{a, b}
 		wn, wtried, wok := searchOracle(tg, start, max, prefix)
-		defer func(k blockKernel) { searchKernel = k }(searchKernel)
-		for _, k := range backends() {
-			if !k.usable() {
+		defer func(avx512 bool) { useAVX512 = avx512 }(useAVX512)
+		for _, k := range searchBackends {
+			if !k.usable {
 				continue
 			}
-			searchKernel = k
+			useAVX512 = k.avx512
 			if n, tried, ok := SearchNonce(tg, start, max, prefix...); n != wn || tried != wtried || ok != wok {
 				t.Fatalf("%s: SearchNonce = (%d, %d, %v), oracle (%d, %d, %v)", k.name, n, tried, ok, wn, wtried, wok)
 			}
@@ -538,30 +554,23 @@ func FuzzSearchNonce(f *testing.F) {
 
 // BenchmarkSearchNonce times the search at the workloads' puzzle shape and
 // hardness (a 32-byte key, 1 in 4096), per attempt, on each backend.
-// h64-<kernel> is a kernel at wide-cross's hardness, 1 in 64: a short
+// h64-avx512 is the kernel at wide-cross's hardness, 1 in 64: a short
 // search pays its setup, and its last pass's unused lanes, over few
 // attempts.
 func BenchmarkSearchNonce(b *testing.B) {
 	prefix := puzzlePrefix(32)
-	defer func(k blockKernel) { searchKernel = k }(searchKernel)
-	type row struct {
+	defer func(avx512 bool) { useAVX512 = avx512 }(useAVX512)
+	avx512, portable := searchBackends[0], searchBackends[1]
+	for _, r := range []struct {
 		name     string
-		backend  blockKernel
+		backend  searchBackend
 		hardness uint64
-	}
-	var rows []row
-	for _, k := range backends() {
-		rows = append(rows, row{k.name, k, 4096})
-	}
-	for _, k := range blockKernels {
-		rows = append(rows, row{"h64-" + k.name, k, 64})
-	}
-	for _, r := range rows {
+	}{{"avx512", avx512, 4096}, {"portable", portable, 4096}, {"h64-avx512", avx512, 64}} {
 		b.Run(r.name, func(b *testing.B) {
-			if !r.backend.usable() {
+			if !r.backend.usable {
 				b.Skipf("this host cannot run the %s kernel", r.backend.name)
 			}
-			searchKernel = r.backend
+			useAVX512 = r.backend.avx512
 			target := FractionTargetLimbs(1, r.hardness)
 			var attempts uint64
 			for i := 0; i < b.N; i++ {

@@ -1,22 +1,16 @@
-// The PoW search's two SHA-256 block kernels: blockSHANIx2, two lanes on
-// the SHA extensions, and blockAVX512x8, eight lanes on AVX-512VL. cpuid
-// and xgetbv read what hasSHANI and hasAVX512 test.
+// The PoW search's SHA-256 block kernel, blockAVX512x8: eight lanes on
+// AVX-512VL. cpuid and xgetbv read what hasAVX512 tests, and cpuid what
+// HasADX tests.
 //
-// blockSHANIx2 with its K256 and flip_mask tables is adapted from Go 1.24's
+// The K256 and flip_mask tables are copied from Go 1.24's
 // crypto/internal/fips140/sha256/sha256block_amd64.s:
 //
 // Copyright 2024 The Go Authors. All rights reserved.
 // Use of this source code is governed by a BSD-style
 // license that can be found in the Go distribution's LICENSE file.
 //
-// Two changes. VMOVDQU/VMOVDQA became MOVOU/MOVO, so the kernel needs SHA,
-// SSSE3 and SSE4.1 but not AVX. And it compresses two messages at once:
-// the routine's round body is emitted twice per 4-round chunk, once per
-// lane, with lane B's registers renamed.
-//
-// blockAVX512x8 is original to this repository. It reads its round
-// constants from the same K256 table, where K[t] sits at byte
-// 32·(t/4) + 4·(t%4).
+// blockAVX512x8 is original to this repository. K256 holds each group of
+// four round constants twice, so K[t] sits at byte 32·(t/4) + 4·(t%4).
 
 #include "textflag.h"
 
@@ -176,393 +170,6 @@ DATA K256<>+500(SB)/4, $0xa4506ceb
 DATA K256<>+504(SB)/4, $0xbef9a3f7
 DATA K256<>+508(SB)/4, $0xc67178f2
 GLOBL K256<>(SB), RODATA|NOPTR, $512
-
-// func blockSHANIx2(dig *[2][8]uint32, a, b []byte)
-// Requires: SHA, SSE2, SSE4.1, SSSE3
-//
-// Compresses a into dig[0] and b into dig[1]. len(b) must equal len(a);
-// only whole 64-byte blocks are read. One lane's 64 SHA256RNDS2 are a
-// serial chain, so the two independent chains are interleaved chunk by
-// chunk and the core overlaps them. Register map:
-//
-//	X0        SHA256RNDS2's implicit message operand, shared
-//	X8        the byte-flip mask, shared
-//	X1-X2     lane A state       X9-X10    lane B state
-//	X3-X6     lane A schedule    X11-X14   lane B schedule
-//	X7        lane A temporary   X15       lane B temporary
-//	SI        lane A data        BX        lane B data
-//
-// SHA-NI has no VEX form and reaches only X0-X15, so the per-block
-// feed-forward values spill to the 64-byte frame. X15 is clobbered; the
-// function is ABI0, and Go's wrapper zeroes X15 again after the call.
-TEXT ·blockSHANIx2(SB), $64-56
-	MOVQ    dig+0(FP), DI
-	MOVQ    a_base+8(FP), SI
-	MOVQ    a_len+16(FP), DX
-	MOVQ    b_base+32(FP), BX
-	SHRQ    $0x06, DX
-	SHLQ    $0x06, DX
-	CMPQ    DX, $0x00
-	JEQ     done
-	ADDQ    SI, DX
-	MOVOU   (DI), X1
-	MOVOU   16(DI), X2
-	PSHUFD  $0xb1, X1, X1
-	PSHUFD  $0x1b, X2, X2
-	MOVO    X1, X7
-	PALIGNR $0x08, X2, X1
-	PBLENDW $0xf0, X7, X2
-	MOVOU   32(DI), X9
-	MOVOU   48(DI), X10
-	PSHUFD  $0xb1, X9, X9
-	PSHUFD  $0x1b, X10, X10
-	MOVO    X9, X15
-	PALIGNR $0x08, X10, X9
-	PBLENDW $0xf0, X15, X10
-	MOVO    flip_mask<>+0(SB), X8
-	LEAQ    K256<>+0(SB), AX
-
-roundLoop:
-	// save hash values for addition after rounds
-	MOVOU X1, (SP)
-	MOVOU X2, 16(SP)
-	MOVOU X9, 32(SP)
-	MOVOU X10, 48(SP)
-
-	// do rounds 0-59
-	MOVOU       (SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X3
-	PADDD       (AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVOU       (BX), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X11
-	PADDD       (AX), X0
-	SHA256RNDS2 X0, X9, X10
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	MOVOU       16(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X4
-	PADDD       32(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVOU       16(BX), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X12
-	PADDD       32(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X12, X11
-	MOVOU       32(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X5
-	PADDD       64(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVOU       32(BX), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X13
-	PADDD       64(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X13, X12
-	MOVOU       48(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X6
-	PADDD       96(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVOU       48(BX), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X14
-	PADDD       96(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X14, X15
-	PALIGNR     $0x04, X13, X15
-	PADDD       X15, X11
-	SHA256MSG2  X14, X11
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X14, X13
-	MOVO        X3, X0
-	PADDD       128(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X11, X0
-	PADDD       128(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X11, X15
-	PALIGNR     $0x04, X14, X15
-	PADDD       X15, X12
-	SHA256MSG2  X11, X12
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X11, X14
-	MOVO        X4, X0
-	PADDD       160(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X12, X0
-	PADDD       160(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X12, X15
-	PALIGNR     $0x04, X11, X15
-	PADDD       X15, X13
-	SHA256MSG2  X12, X13
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X12, X11
-	MOVO        X5, X0
-	PADDD       192(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X13, X0
-	PADDD       192(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X13, X15
-	PALIGNR     $0x04, X12, X15
-	PADDD       X15, X14
-	SHA256MSG2  X13, X14
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X13, X12
-	MOVO        X6, X0
-	PADDD       224(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X14, X0
-	PADDD       224(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X14, X15
-	PALIGNR     $0x04, X13, X15
-	PADDD       X15, X11
-	SHA256MSG2  X14, X11
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X14, X13
-	MOVO        X3, X0
-	PADDD       256(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X11, X0
-	PADDD       256(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X11, X15
-	PALIGNR     $0x04, X14, X15
-	PADDD       X15, X12
-	SHA256MSG2  X11, X12
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X11, X14
-	MOVO        X4, X0
-	PADDD       288(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X12, X0
-	PADDD       288(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X12, X15
-	PALIGNR     $0x04, X11, X15
-	PADDD       X15, X13
-	SHA256MSG2  X12, X13
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X12, X11
-	MOVO        X5, X0
-	PADDD       320(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X13, X0
-	PADDD       320(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X13, X15
-	PALIGNR     $0x04, X12, X15
-	PADDD       X15, X14
-	SHA256MSG2  X13, X14
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X13, X12
-	MOVO        X6, X0
-	PADDD       352(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X14, X0
-	PADDD       352(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X14, X15
-	PALIGNR     $0x04, X13, X15
-	PADDD       X15, X11
-	SHA256MSG2  X14, X11
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X14, X13
-	MOVO        X3, X0
-	PADDD       384(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X11, X0
-	PADDD       384(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X11, X15
-	PALIGNR     $0x04, X14, X15
-	PADDD       X15, X12
-	SHA256MSG2  X11, X12
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	SHA256MSG1  X11, X14
-	MOVO        X4, X0
-	PADDD       416(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVO        X12, X0
-	PADDD       416(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X12, X15
-	PALIGNR     $0x04, X11, X15
-	PADDD       X15, X13
-	SHA256MSG2  X12, X13
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-	MOVO        X5, X0
-	PADDD       448(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVO        X13, X0
-	PADDD       448(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	MOVO        X13, X15
-	PALIGNR     $0x04, X12, X15
-	PADDD       X15, X14
-	SHA256MSG2  X13, X14
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-
-	// do rounds 60-63
-	MOVO        X6, X0
-	PADDD       480(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVO        X14, X0
-	PADDD       480(AX), X0
-	SHA256RNDS2 X0, X9, X10
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X10, X9
-
-	// add current hash values with previously saved
-	MOVOU (SP), X0
-	PADDD X0, X1
-	MOVOU 16(SP), X0
-	PADDD X0, X2
-	MOVOU 32(SP), X0
-	PADDD X0, X9
-	MOVOU 48(SP), X0
-	PADDD X0, X10
-
-	// advance data pointers; loop until buffer empty
-	ADDQ $0x40, SI
-	ADDQ $0x40, BX
-	CMPQ DX, SI
-	JNE  roundLoop
-
-	// write hash values back in the correct order
-	PSHUFD  $0x1b, X1, X1
-	PSHUFD  $0xb1, X2, X2
-	MOVO    X1, X7
-	PBLENDW $0xf0, X2, X1
-	PALIGNR $0x08, X7, X2
-	MOVOU   X1, (DI)
-	MOVOU   X2, 16(DI)
-	PSHUFD  $0x1b, X9, X9
-	PSHUFD  $0xb1, X10, X10
-	MOVO    X9, X15
-	PBLENDW $0xf0, X10, X9
-	PALIGNR $0x08, X15, X10
-	MOVOU   X9, 32(DI)
-	MOVOU   X10, 48(DI)
-
-done:
-	RET
 
 // TRANSPOSE writes the transpose of the 8×8 matrix of 32-bit words whose
 // rows are r0–r7 to t0–t7 (t0 gets word 0 of every row), and clobbers

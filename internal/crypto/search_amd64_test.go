@@ -18,36 +18,6 @@ func pad(m []byte) []byte {
 	return binary.BigEndian.AppendUint64(p, uint64(len(m))*8)
 }
 
-// TestBlockSHANIx2MatchesSHA256 runs the two-lane kernel from the IV on
-// messages padded by hand, one to three blocks long, and holds each lane
-// to the standard library: once with different messages in the two lanes,
-// once with the same slice in both.
-func TestBlockSHANIx2MatchesSHA256(t *testing.T) {
-	if !hasSHANI() {
-		t.Skip("no SHA extensions on this host: the kernel cannot run")
-	}
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n <= 183; n++ {
-		ma, mb := make([]byte, n), make([]byte, n)
-		rng.Read(ma)
-		rng.Read(mb)
-		pa, pb := pad(ma), pad(mb)
-		for _, c := range []struct {
-			name   string
-			a, b   []byte
-			ma, mb []byte
-		}{{"distinct", pa, pb, ma, mb}, {"same", pa, pa, ma, ma}} {
-			h := [2][8]uint32{iv, iv}
-			blockSHANIx2(&h, c.a, c.b)
-			for lane, m := range [][]byte{c.ma, c.mb} {
-				if got, want := digestOf(h[lane]), Digest(sha256.Sum256(m)); got != want {
-					t.Fatalf("%d bytes, %s lanes: lane %c = %x, want %x", n, c.name, 'A'+lane, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestBlockAVX512x8MatchesSHA256 runs the eight-lane kernel from the IV on
 // messages padded by hand, one to three blocks long, and holds each lane
 // to the standard library: once with a different message in every lane,
@@ -87,10 +57,14 @@ func TestBlockAVX512x8MatchesSHA256(t *testing.T) {
 
 // TestSearchKernelMatchesCPU logs the kernel SearchNonce runs and holds it
 // to the feature bits, read here from CPUID and XCR0 independently of
-// hasAVX512 and hasSHANI, and, on Linux, to the flags the kernel reports.
-// It also holds HasADX, pvss's kernel probe, to CPUID.
+// hasAVX512, and, on Linux, to the flags the kernel reports. It also holds
+// HasADX, pvss's kernel probe, to CPUID.
 func TestSearchKernelMatchesCPU(t *testing.T) {
-	t.Logf("SearchNonce kernel: %s (%d lanes)", searchKernel.name, searchKernel.lanes)
+	name := "portable"
+	if useAVX512 {
+		name = "avx512"
+	}
+	t.Logf("SearchNonce kernel: %s (%d lanes)", name, lanes())
 	bit := func(r uint32, i uint) bool { return r>>i&1 == 1 }
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
@@ -104,19 +78,11 @@ func TestSearchKernelMatchesCPU(t *testing.T) {
 		osAVX512 = bit(xcr0, 1) && bit(xcr0, 2) && bit(xcr0, 5) && bit(xcr0, 6) && bit(xcr0, 7)
 	}
 	avx512 := osAVX512 && bit(ebx7, 5) && bit(ebx7, 16) && bit(ebx7, 31)
-	shani := bit(ecx1, 9) && bit(ecx1, 19) && bit(ebx7, 29)
-	want := "portable"
-	switch {
-	case avx512:
-		want = "avx512"
-	case shani:
-		want = "shani"
+	if useAVX512 != avx512 {
+		t.Fatalf("kernel %s, but AVX-512VL usable: %v", name, avx512)
 	}
-	if searchKernel.name != want {
-		t.Fatalf("kernel %s, want %s (AVX-512VL usable %v, SHA-NI %v)", searchKernel.name, want, avx512, shani)
-	}
-	if hasAVX512() != avx512 || hasSHANI() != shani {
-		t.Fatalf("hasAVX512 %v, hasSHANI %v; the feature bits say %v, %v", hasAVX512(), hasSHANI(), avx512, shani)
+	if hasAVX512() != avx512 {
+		t.Fatalf("hasAVX512 %v; the feature bits say %v", hasAVX512(), avx512)
 	}
 	if adx := bit(ebx7, 8) && bit(ebx7, 19); HasADX() != adx {
 		t.Fatalf("HasADX %v; the feature bits say BMI2 and ADX %v", HasADX(), adx)
@@ -137,8 +103,5 @@ func TestSearchKernelMatchesCPU(t *testing.T) {
 	// Linux lists the AVX-512 flags only where it enables their state.
 	if got := flags["avx2"] && flags["avx512f"] && flags["avx512vl"]; got != avx512 {
 		t.Errorf("/proc/cpuinfo says AVX-512VL usable %v, the feature bits %v", got, avx512)
-	}
-	if got := flags["ssse3"] && flags["sse4_1"] && flags["sha_ni"]; got != shani {
-		t.Errorf("/proc/cpuinfo says SHA-NI %v, the feature bits %v", got, shani)
 	}
 }

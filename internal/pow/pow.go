@@ -67,10 +67,10 @@ var ErrNoSolution = errors.New("pow: attempt budget exhausted")
 // (8+32) ‖ pk (8+32) ‖ nonce (8+8), and everything before the nonce's 8
 // value bytes is fixed across the search: 128 bytes for a 32-byte key,
 // exactly two SHA-256 blocks. crypto.SearchNonce absorbs them once and runs
-// the whole search in one call — on amd64 one compression per attempt, and
-// eight attempts per kernel pass with AVX-512VL or two with SHA-NI —
-// producing the digests, the nonce and the attempt count the one-shot path
-// does; Verify still checks solutions through crypto.H.
+// the whole search in one call — one compression per attempt, and on amd64
+// with AVX-512VL eight attempts per kernel pass — producing the digests,
+// the nonce and the attempt count the one-shot path does; Verify still
+// checks solutions through crypto.H.
 func Solve(p Puzzle, pk crypto.PublicKey, start, maxAttempts uint64) (Solution, uint64, error) {
 	var rb [8]byte
 	binary.BigEndian.PutUint64(rb[:], p.Round)

@@ -610,9 +610,5 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 
 // powPuzzle returns the participation puzzle for the next round.
 func (e *Engine) powPuzzle() pow.Puzzle {
-	hardness := e.P.PowHardness
-	if hardness == 0 {
-		hardness = 8
-	}
-	return pow.NewPuzzle(e.round+1, e.randomness, hardness)
+	return pow.NewPuzzle(e.round+1, e.randomness, e.P.PowHardness)
 }

@@ -192,6 +192,11 @@ func (p Params) Validate() error {
 	if p.Parallelism < 0 {
 		return fmt.Errorf("protocol: negative parallelism (%d)", p.Parallelism)
 	}
+	if p.PowHardness < 1 {
+		// The puzzle needs at least one expected attempt; a zero is a
+		// forgotten field, not a request for the default.
+		return fmt.Errorf("protocol: pow_hardness must be ≥ 1")
+	}
 	if p.Seed == 0 {
 		// A zero seed is almost always a forgotten field, and it would
 		// silently collide with every other zero-seeded run; require an

@@ -27,6 +27,7 @@ func TestValidateRejections(t *testing.T) {
 		{"malicious fraction at one", func(p *Params) { p.MaliciousFrac = 1 }, "malicious fraction"},
 		{"malicious without behavior", func(p *Params) { p.MaliciousFrac = 0.2 }, "honest behavior"},
 		{"negative parallelism", func(p *Params) { p.Parallelism = -2 }, "parallelism"},
+		{"zero pow hardness", func(p *Params) { p.PowHardness = 0 }, "pow_hardness"},
 		{"zero seed", func(p *Params) { p.Seed = 0 }, "seed"},
 		{"unknown scheme", func(p *Params) { p.Scheme = "rsa" }, "signature scheme"},
 		{"unknown transport", func(p *Params) { p.Transport = "pigeon" }, "transport"},
