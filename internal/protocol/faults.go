@@ -9,11 +9,11 @@ import (
 
 // FaultsConfig is the serialisable description of the network fault model
 // a run injects underneath the protocol: iid message loss, beyond-bound
-// message lag, a two-group partition with a heal tick, and periodic node
-// churn. It is pure data — the sim facade carries it in Config.Faults and
-// sweep axes address its fields by dotted JSON path (e.g. "faults.loss") —
-// and the engine compiles it (Build) into simnet fault layers at
-// construction time.
+// message lag, a two-group partition with a heal tick, periodic node
+// churn, gray failure and the reactive adversary. It is pure data — the
+// sim facade carries it in Config.Faults and sweep axes address its fields
+// by dotted JSON path (e.g. "faults.loss") — and the engine compiles it
+// (Build) into simnet fault layers at construction time.
 //
 // A nil pointer, a config that compiles to no fault (the zero config, a
 // split that leaves one side empty, a fraction below one node) and one
@@ -35,17 +35,10 @@ type FaultsConfig struct {
 	// nodes on a periodic schedule; crashed nodes rejoin after their
 	// downtime window.
 	Churn *ChurnSpec `json:"churn"`
-	// OneWay, when non-nil with 0 < Split < 1, drops messages from the
-	// first node group to the second while delivering the reverse
-	// direction — the asymmetric-link failure.
-	OneWay *OneWayPartitionSpec `json:"one_way"`
 	// Gray, when non-nil with Frac > 0, gray-fails a seed-derived subset:
 	// those nodes receive but never send, their outbound traffic charged
 	// sent + dropped.
 	Gray *GraySpec `json:"gray"`
-	// Burst, when non-nil and active, injects Gilbert-Elliott two-state
-	// loss: drops arrive in time-correlated bursts instead of iid.
-	Burst *BurstLossSpec `json:"burst"`
 	// Adaptive, when non-nil with Budget > 0, arms the reactive adversary:
 	// a planner that watches each round's roster and re-targets its fault
 	// budget at the nodes that matter (see AdaptiveSpec).
@@ -65,19 +58,6 @@ type PartitionSpec struct {
 	HealTick int64 `json:"heal_tick"`
 }
 
-// OneWayPartitionSpec is the asymmetric cut: messages from the first
-// ⌊Split·n⌋ node IDs to the rest are dropped in [StartTick, HealTick);
-// the reverse direction keeps delivering.
-type OneWayPartitionSpec struct {
-	// Split is the fraction of the population on the sending (muted) side.
-	Split float64 `json:"split"`
-	// StartTick is when the cut takes effect (0 = from the start).
-	StartTick int64 `json:"start_tick"`
-	// HealTick is when the cut heals (0 = never; otherwise must come
-	// after StartTick).
-	HealTick int64 `json:"heal_tick"`
-}
-
 // GraySpec gray-fails ⌊Frac·n⌋ nodes (a seed-derived uniform subset):
 // they receive and their timers fire, but every message they send is lost
 // in flight.
@@ -86,44 +66,17 @@ type GraySpec struct {
 	Frac float64 `json:"frac"`
 }
 
-// BurstLossSpec is Gilbert-Elliott two-state loss: per consulted message
-// the channel enters the bad state with probability PEnter, leaves it
-// with probability PExit, and drops messages with probability Loss while
-// bad. Active when PEnter > 0 and Loss > 0 (PExit must then be positive,
-// or the "burst" would be a permanent outage).
-type BurstLossSpec struct {
-	// PEnter is the good→bad transition probability per message.
-	PEnter float64 `json:"p_enter"`
-	// PExit is the bad→good transition probability per message.
-	PExit float64 `json:"p_exit"`
-	// Loss is the drop probability while the channel is bad.
-	Loss float64 `json:"loss"`
-}
-
-// WindowSpec is one explicit downtime window in ticks: down in [From, To).
-// To = 0 means the node never rejoins (only valid for the last window).
-type WindowSpec struct {
-	From int64 `json:"from"`
-	To   int64 `json:"to"`
-}
-
-// ChurnSpec crashes ⌊Frac·n⌋ nodes (a seed-derived uniform subset) either
-// on a staggered periodic schedule — each churner down for Downtime ticks
+// ChurnSpec crashes ⌊Frac·n⌋ nodes (a seed-derived uniform subset) on a
+// staggered periodic schedule: each churner is down for Downtime ticks
 // out of every Period, with per-node phase offsets so the population
-// never drops all at once — or on an explicit, shared list of Windows.
-// The two schedules are mutually exclusive.
+// never drops all at once.
 type ChurnSpec struct {
 	// Frac is the fraction of the population subject to churn.
 	Frac float64 `json:"frac"`
-	// Period is the cycle length in ticks (periodic schedule).
+	// Period is the cycle length in ticks.
 	Period int64 `json:"period"`
 	// Downtime is how many ticks of each period a churner spends crashed.
 	Downtime int64 `json:"downtime"`
-	// Windows, when non-empty, replaces the periodic schedule with
-	// explicit downtime windows applied to every churner. Windows must be
-	// sorted, non-overlapping, and well-formed (To after From, with To = 0
-	// only on the last window).
-	Windows []WindowSpec `json:"windows"`
 }
 
 // AdaptiveSpec arms the reactive adversary (adversary.go): at every round
@@ -172,13 +125,17 @@ func (f *FaultsConfig) Validate() error {
 		return fmt.Errorf("protocol: negative fault lag (%d ticks)", f.LagTicks)
 	}
 	if p := f.Partition; p != nil {
-		if err := validateCut("partition", p.Split, p.StartTick, p.HealTick); err != nil {
-			return err
+		if p.Split < 0 || p.Split > 1 {
+			return fmt.Errorf("protocol: partition split %v out of [0,1]", p.Split)
 		}
-	}
-	if p := f.OneWay; p != nil {
-		if err := validateCut("one-way partition", p.Split, p.StartTick, p.HealTick); err != nil {
-			return err
+		if p.StartTick < 0 {
+			return fmt.Errorf("protocol: negative partition start tick (%d)", p.StartTick)
+		}
+		if p.HealTick < 0 {
+			return fmt.Errorf("protocol: negative partition heal tick (%d)", p.HealTick)
+		}
+		if p.HealTick > 0 && p.HealTick <= p.StartTick {
+			return fmt.Errorf("protocol: partition heals at tick %d, at or before its start tick %d", p.HealTick, p.StartTick)
 		}
 	}
 	if g := f.Gray; g != nil {
@@ -186,46 +143,11 @@ func (f *FaultsConfig) Validate() error {
 			return fmt.Errorf("protocol: gray-failure fraction %v out of [0,1]", g.Frac)
 		}
 	}
-	if b := f.Burst; b != nil {
-		if b.PEnter < 0 || b.PEnter > 1 {
-			return fmt.Errorf("protocol: burst enter probability %v out of [0,1]", b.PEnter)
-		}
-		if b.PExit < 0 || b.PExit > 1 {
-			return fmt.Errorf("protocol: burst exit probability %v out of [0,1]", b.PExit)
-		}
-		if b.Loss < 0 || b.Loss > 1 {
-			return fmt.Errorf("protocol: burst loss probability %v out of [0,1]", b.Loss)
-		}
-		if b.PEnter > 0 && b.Loss > 0 && b.PExit <= 0 {
-			return fmt.Errorf("protocol: burst loss with exit probability 0 is a permanent outage, not a burst")
-		}
-	}
 	if c := f.Churn; c != nil {
 		if c.Frac < 0 || c.Frac > 1 {
 			return fmt.Errorf("protocol: churn fraction %v out of [0,1]", c.Frac)
 		}
-		if len(c.Windows) > 0 {
-			if c.Period != 0 || c.Downtime != 0 {
-				return fmt.Errorf("protocol: churn windows and periodic schedule are mutually exclusive")
-			}
-			for i, w := range c.Windows {
-				if w.From < 0 {
-					return fmt.Errorf("protocol: churn window %d starts at negative tick %d", i, w.From)
-				}
-				if w.To != 0 && w.To <= w.From {
-					return fmt.Errorf("protocol: churn window %d ends at tick %d, at or before its start %d", i, w.To, w.From)
-				}
-				if i > 0 {
-					prev := c.Windows[i-1]
-					if prev.To == 0 {
-						return fmt.Errorf("protocol: churn window %d never ends but is followed by window %d", i-1, i)
-					}
-					if w.From < prev.To {
-						return fmt.Errorf("protocol: churn windows %d and %d overlap ([%d,%d) then [%d,%d))", i-1, i, prev.From, prev.To, w.From, w.To)
-					}
-				}
-			}
-		} else if c.Frac > 0 {
+		if c.Frac > 0 {
 			if c.Period < 1 {
 				return fmt.Errorf("protocol: churn period %d must be ≥ 1", c.Period)
 			}
@@ -245,24 +167,6 @@ func (f *FaultsConfig) Validate() error {
 	return nil
 }
 
-// validateCut checks a cut's split fraction and its start and heal ticks;
-// name is how the errors call the cut.
-func validateCut(name string, split float64, start, heal int64) error {
-	if split < 0 || split > 1 {
-		return fmt.Errorf("protocol: %s split %v out of [0,1]", name, split)
-	}
-	if start < 0 {
-		return fmt.Errorf("protocol: negative %s start tick (%d)", name, start)
-	}
-	if heal < 0 {
-		return fmt.Errorf("protocol: negative %s heal tick (%d)", name, heal)
-	}
-	if heal > 0 && heal <= start {
-		return fmt.Errorf("protocol: %s heals at tick %d, at or before its start tick %d", name, heal, start)
-	}
-	return nil
-}
-
 // Clone returns a deep copy (nil-safe), so JSON overlays and sweep cells
 // never mutate a spec shared with another config value.
 func (f *FaultsConfig) Clone() *FaultsConfig {
@@ -276,20 +180,11 @@ func (f *FaultsConfig) Clone() *FaultsConfig {
 	}
 	if f.Churn != nil {
 		ch := *f.Churn
-		ch.Windows = append([]WindowSpec(nil), f.Churn.Windows...)
 		c.Churn = &ch
-	}
-	if f.OneWay != nil {
-		p := *f.OneWay
-		c.OneWay = &p
 	}
 	if f.Gray != nil {
 		g := *f.Gray
 		c.Gray = &g
-	}
-	if f.Burst != nil {
-		b := *f.Burst
-		c.Burst = &b
 	}
 	if f.Adaptive != nil {
 		a := *f.Adaptive
@@ -305,7 +200,6 @@ const (
 	faultSeedLag   = 0x6c616721 // "lag!"
 	faultSeedChurn = 0x63687572 // "chur"
 	faultSeedGray  = 0x67726179 // "gray"
-	faultSeedBurst = 0x62727374 // "brst"
 	faultSeedAdapt = 0x61646170 // "adap"
 )
 
@@ -344,12 +238,11 @@ func seedSubset(frac float64, n int, seed int64) []simnet.NodeID {
 }
 
 // Build compiles the spec for a population of n nodes under the given run
-// seed into the model the engine installs: the RNG layers Loss, Lag and
-// BurstLoss in that order (each draws from its own seeded stream once per
-// message, so their order is part of the output), then one Schedule
-// holding every static directive — a two-way partition is the cuts A→B
-// and B→A, a one-way partition the cut A→B, gray failure a mute from tick
-// 0, churn crash windows or periodic crashes. With an adaptive budget it
+// seed into the model the engine installs: the RNG layers Loss and Lag in
+// that order (each draws from its own seeded stream once per message, so
+// their order is part of the output), then one Schedule holding every
+// static directive — a partition is the cuts A→B and B→A, gray failure a
+// mute from tick 0, churn periodic crashes. With an adaptive budget it
 // also returns plan, the planner's own Schedule, stacked last in the
 // model; it stays apart from the static one so that the planner's
 // CloseOpen never retires a static open-ended window. A config that
@@ -366,9 +259,6 @@ func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simn
 	if f.LagFrac > 0 && f.LagTicks > 0 {
 		layers = append(layers, simnet.NewLag(f.LagFrac, simnet.Time(f.LagTicks), seed^faultSeedLag))
 	}
-	if b := f.Burst; b != nil && b.PEnter > 0 && b.Loss > 0 {
-		layers = append(layers, simnet.NewBurstLoss(b.PEnter, b.PExit, b.Loss, seed^faultSeedBurst))
-	}
 	var static *simnet.Schedule
 	sched := func() *simnet.Schedule {
 		if static == nil {
@@ -383,11 +273,6 @@ func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simn
 			sched().Cut(b, a, from, to)
 		}
 	}
-	if p := f.OneWay; p != nil {
-		if a, b, ok := splitGroups(p.Split, n); ok {
-			sched().Cut(a, b, simnet.Time(p.StartTick), simnet.Time(p.HealTick))
-		}
-	}
 	if g := f.Gray; g != nil {
 		for _, id := range seedSubset(g.Frac, n, seed^faultSeedGray) {
 			sched().Mute(id, 0, 0)
@@ -396,15 +281,10 @@ func (f *FaultsConfig) Build(n int, seed int64) (model simnet.Faults, plan *simn
 	if c := f.Churn; c != nil {
 		nodes := seedSubset(c.Frac, n, seed^faultSeedChurn)
 		for j, id := range nodes {
-			for _, w := range c.Windows {
-				sched().Crash(id, simnet.Time(w.From), simnet.Time(w.To))
-			}
-			if len(c.Windows) == 0 {
-				// Stagger churners evenly across the period so the crash
-				// load is spread, not synchronised.
-				offset := int64(j) * c.Period / int64(len(nodes))
-				sched().CrashEvery(id, simnet.Time(offset), simnet.Time(c.Period), simnet.Time(c.Downtime))
-			}
+			// Stagger churners evenly across the period so the crash load
+			// is spread, not synchronised.
+			offset := int64(j) * c.Period / int64(len(nodes))
+			sched().CrashEvery(id, simnet.Time(offset), simnet.Time(c.Period), simnet.Time(c.Downtime))
 		}
 	}
 	if static != nil {

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cycledger/internal/simnet"
@@ -55,76 +54,6 @@ func (p *oraclePartition) Fate(now simnet.Time, from, to simnet.NodeID) simnet.F
 }
 
 func (p *oraclePartition) Down(simnet.Time, simnet.NodeID) bool { return false }
-
-// oracleChurn crashes nodes on a fixed schedule of windows.
-type oracleChurn struct {
-	windows map[simnet.NodeID][]simnet.Window
-}
-
-func newOracleChurn(windows map[simnet.NodeID][]simnet.Window) *oracleChurn {
-	c := &oracleChurn{windows: make(map[simnet.NodeID][]simnet.Window, len(windows))}
-	for id, ws := range windows {
-		sorted := append([]simnet.Window(nil), ws...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].From < sorted[j].From })
-		c.windows[id] = sorted
-	}
-	return c
-}
-
-func (c *oracleChurn) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
-	return simnet.Fate{}
-}
-
-func (c *oracleChurn) Down(now simnet.Time, node simnet.NodeID) bool {
-	for _, w := range c.windows[node] {
-		if now < w.From {
-			return false
-		}
-		if w.To == 0 || now < w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// oracleOneWay drops src→dst traffic in [startAt, healAt).
-type oracleOneWay struct {
-	src     map[simnet.NodeID]struct{}
-	dst     map[simnet.NodeID]struct{}
-	startAt simnet.Time
-	healAt  simnet.Time
-}
-
-func newOracleOneWay(src, dst []simnet.NodeID, startAt, healAt simnet.Time) *oracleOneWay {
-	p := &oracleOneWay{
-		src:     make(map[simnet.NodeID]struct{}, len(src)),
-		dst:     make(map[simnet.NodeID]struct{}, len(dst)),
-		startAt: startAt,
-		healAt:  healAt,
-	}
-	for _, id := range src {
-		p.src[id] = struct{}{}
-	}
-	for _, id := range dst {
-		p.dst[id] = struct{}{}
-	}
-	return p
-}
-
-func (p *oracleOneWay) Fate(now simnet.Time, from, to simnet.NodeID) simnet.Fate {
-	if now < p.startAt || (p.healAt > 0 && now >= p.healAt) {
-		return simnet.Fate{}
-	}
-	if _, s := p.src[from]; !s {
-		return simnet.Fate{}
-	}
-	if _, d := p.dst[to]; !d {
-		return simnet.Fate{}
-	}
-	return simnet.Fate{Drop: true}
-}
-
-func (p *oracleOneWay) Down(simnet.Time, simnet.NodeID) bool { return false }
 
 // oracleGray loses every message a gray node sends.
 type oracleGray struct {
@@ -179,13 +108,7 @@ func oracleActive(f *FaultsConfig) bool {
 	if c := f.Churn; c != nil && c.Frac > 0 {
 		return true
 	}
-	if p := f.OneWay; p != nil && p.Split > 0 && p.Split < 1 {
-		return true
-	}
 	if g := f.Gray; g != nil && g.Frac > 0 {
-		return true
-	}
-	if b := f.Burst; b != nil && b.PEnter > 0 && b.Loss > 0 {
 		return true
 	}
 	if a := f.Adaptive; a != nil && a.Budget > 0 {
@@ -207,18 +130,9 @@ func oracleBuild(f *FaultsConfig, n int, seed int64) (simnet.Faults, *simnet.Sch
 	if f.LagFrac > 0 && f.LagTicks > 0 {
 		layers = append(layers, simnet.NewLag(f.LagFrac, simnet.Time(f.LagTicks), seed^faultSeedLag))
 	}
-	if b := f.Burst; b != nil && b.PEnter > 0 && b.Loss > 0 {
-		layers = append(layers, simnet.NewBurstLoss(b.PEnter, b.PExit, b.Loss, seed^faultSeedBurst))
-	}
 	if p := f.Partition; p != nil && p.Split > 0 && p.Split < 1 {
 		if a, b, ok := splitGroups(p.Split, n); ok {
 			layers = append(layers, newOraclePartition([][]simnet.NodeID{a, b},
-				simnet.Time(p.StartTick), simnet.Time(p.HealTick)))
-		}
-	}
-	if p := f.OneWay; p != nil && p.Split > 0 && p.Split < 1 {
-		if a, b, ok := splitGroups(p.Split, n); ok {
-			layers = append(layers, newOracleOneWay(a, b,
 				simnet.Time(p.StartTick), simnet.Time(p.HealTick)))
 		}
 	}
@@ -229,23 +143,11 @@ func oracleBuild(f *FaultsConfig, n int, seed int64) (simnet.Faults, *simnet.Sch
 	}
 	if c := f.Churn; c != nil && c.Frac > 0 {
 		if nodes := seedSubset(c.Frac, n, seed^faultSeedChurn); len(nodes) > 0 {
-			if len(c.Windows) > 0 {
-				ws := make([]simnet.Window, len(c.Windows))
-				for i, w := range c.Windows {
-					ws[i] = simnet.Window{From: simnet.Time(w.From), To: simnet.Time(w.To)}
-				}
-				byNode := make(map[simnet.NodeID][]simnet.Window, len(nodes))
-				for _, id := range nodes {
-					byNode[id] = ws
-				}
-				layers = append(layers, newOracleChurn(byNode))
-			} else {
-				offsets := make(map[simnet.NodeID]int64, len(nodes))
-				for j, id := range nodes {
-					offsets[id] = int64(j) * c.Period / int64(len(nodes))
-				}
-				layers = append(layers, &oraclePeriodicChurn{offsets: offsets, period: c.Period, downtime: c.Downtime})
+			offsets := make(map[simnet.NodeID]int64, len(nodes))
+			for j, id := range nodes {
+				offsets[id] = int64(j) * c.Period / int64(len(nodes))
 			}
+			layers = append(layers, &oraclePeriodicChurn{offsets: offsets, period: c.Period, downtime: c.Downtime})
 		}
 	}
 	var model simnet.Faults
@@ -291,13 +193,6 @@ func (b *fuzzBytes) frac() float64 { return float64(b.next()) / 255 }
 func faultsFromBytes(b *fuzzBytes) *FaultsConfig {
 	flags := b.next()
 	f := &FaultsConfig{}
-	window := func() (start, heal int64) {
-		start = 4 * int64(b.next())
-		if h := b.next(); h > 0 {
-			heal = start + 4*int64(h)
-		}
-		return
-	}
 	if flags&1 != 0 {
 		f.Loss = b.frac() / 2
 	}
@@ -305,38 +200,19 @@ func faultsFromBytes(b *fuzzBytes) *FaultsConfig {
 		f.LagFrac, f.LagTicks = b.frac(), int64(b.next()%50)
 	}
 	if flags&4 != 0 {
-		p := &PartitionSpec{Split: b.frac()}
-		p.StartTick, p.HealTick = window()
+		p := &PartitionSpec{Split: b.frac(), StartTick: 4 * int64(b.next())}
+		if h := b.next(); h > 0 {
+			p.HealTick = p.StartTick + 4*int64(h)
+		}
 		f.Partition = p
-	}
-	if flags&8 != 0 {
-		p := &OneWayPartitionSpec{Split: b.frac()}
-		p.StartTick, p.HealTick = window()
-		f.OneWay = p
 	}
 	if flags&16 != 0 {
 		f.Gray = &GraySpec{Frac: b.frac()}
 	}
 	if flags&32 != 0 {
-		c := &ChurnSpec{Frac: b.frac()}
-		if k := b.next(); k%2 == 0 {
-			c.Period = 2 + int64(b.next()%200)
-			c.Downtime = 1 + int64(b.next())%(c.Period-1)
-		} else {
-			var at int64
-			for i := 0; i <= int(k/2%3); i++ {
-				from := at + 2*int64(b.next())
-				at = from + 1 + 2*int64(b.next())
-				c.Windows = append(c.Windows, WindowSpec{From: from, To: at})
-			}
-			if k&8 != 0 {
-				c.Windows[len(c.Windows)-1].To = 0
-			}
-		}
+		c := &ChurnSpec{Frac: b.frac(), Period: 2 + int64(b.next()%200)}
+		c.Downtime = 1 + int64(b.next())%(c.Period-1)
 		f.Churn = c
-	}
-	if flags&64 != 0 {
-		f.Burst = &BurstLossSpec{PEnter: b.frac(), PExit: float64(1+int(b.next())) / 256, Loss: b.frac()}
 	}
 	if flags&128 != 0 {
 		f.Adaptive = &AdaptiveSpec{Budget: int(b.next() % 4), CrashLeaders: true}
@@ -391,9 +267,6 @@ func FuzzScheduleOracle(f *testing.F) {
 		if p := cfg.Partition; p != nil {
 			edge(p.StartTick, p.HealTick)
 		}
-		if p := cfg.OneWay; p != nil {
-			edge(p.StartTick, p.HealTick)
-		}
 		if gotPlan != nil {
 			ids := func() []simnet.NodeID { return []simnet.NodeID{simnet.NodeID(int(b.next()) % n)} }
 			direct := func(s *simnet.Schedule, kind byte, node, dst []simnet.NodeID, at simnet.Time) {
@@ -421,9 +294,6 @@ func FuzzScheduleOracle(f *testing.F) {
 		}
 		fateTimes := len(times)
 		if c := cfg.Churn; c != nil {
-			for _, w := range c.Windows {
-				edge(w.From, w.To)
-			}
 			for now := int64(0); now < 2*c.Period+2; now++ {
 				times = append(times, simnet.Time(now))
 			}
@@ -438,10 +308,6 @@ func FuzzScheduleOracle(f *testing.F) {
 		}
 		splits := []int{0, n - 1}
 		if p := cfg.Partition; p != nil {
-			c := int(p.Split * float64(n))
-			splits = append(splits, c-1, c)
-		}
-		if p := cfg.OneWay; p != nil {
 			c := int(p.Split * float64(n))
 			splits = append(splits, c-1, c)
 		}

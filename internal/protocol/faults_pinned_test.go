@@ -16,32 +16,30 @@ import "testing"
 // tick and a scheduling key per member, so every later delay draw, loss
 // draw and window crossing shifted. With those no-op timers put back, the
 // previous literals are reproduced exactly.
+//
+// The "all" row lost the one-way partition and burst loss when those specs
+// were removed; its literals are that reduced config run on the code from
+// before the removal, which this code reproduces exactly.
 func TestFaultRunsPinned(t *testing.T) {
 	type total struct {
 		ticks, tx, dropped, late, recoveries, timeouts uint64
 	}
 	partition := &PartitionSpec{Split: 0.5, StartTick: 300, HealTick: 700}
-	oneWay := &OneWayPartitionSpec{Split: 0.3, StartTick: 100, HealTick: 500}
 	gray := &GraySpec{Frac: 0.1}
 	periodic := &ChurnSpec{Frac: 0.15, Period: 500, Downtime: 150}
-	windows := &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 100, To: 250}, {From: 800, To: 900}}}
-	burst := &BurstLossSpec{PEnter: 0.02, PExit: 0.2, Loss: 0.9}
 	for _, tc := range []struct {
 		name      string
 		faults    *FaultsConfig
 		seq, pipe total
 	}{
 		{"partition", &FaultsConfig{Partition: partition}, total{1136, 160, 872, 0, 0, 4}, total{852, 160, 872, 0, 0, 4}},
-		{"one-way", &FaultsConfig{OneWay: oneWay}, total{1591, 160, 1352, 0, 8, 0}, total{1269, 160, 1352, 0, 8, 0}},
 		{"gray", &FaultsConfig{Gray: gray}, total{1313, 160, 1090, 0, 0, 1}, total{977, 160, 1090, 0, 0, 1}},
 		{"periodic-churn", &FaultsConfig{Churn: periodic}, total{1495, 160, 621, 0, 1, 0}, total{1173, 160, 621, 0, 1, 0}},
-		{"churn-windows", &FaultsConfig{Churn: windows}, total{1345, 160, 333, 0, 0, 0}, total{1016, 160, 333, 0, 0, 0}},
-		{"burst", &FaultsConfig{Burst: burst}, total{1496, 158, 1872, 0, 1, 4}, total{1172, 158, 1872, 0, 1, 4}},
 		{"all", &FaultsConfig{
 			Loss: 0.02, LagFrac: 0.1, LagTicks: 20,
-			Partition: partition, OneWay: oneWay, Gray: gray, Churn: periodic, Burst: burst,
+			Partition: partition, Gray: gray, Churn: periodic,
 			Adaptive: &AdaptiveSpec{Budget: 2, CrashLeaders: true, BracketDeadlines: true},
-		}, total{2514, 35, 2956, 461, 8, 19}, total{2032, 35, 2956, 461, 8, 19}},
+		}, total{2024, 41, 2440, 554, 4, 14}, total{1552, 41, 2440, 554, 4, 14}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]total

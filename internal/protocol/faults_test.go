@@ -24,21 +24,8 @@ func TestFaultsConfigValidate(t *testing.T) {
 		{Partition: &PartitionSpec{Split: 0.5, StartTick: -1}},
 		{Partition: &PartitionSpec{Split: 0.5, StartTick: 100, HealTick: 100}}, // heal ≤ start
 		{Partition: &PartitionSpec{Split: 0.5, StartTick: 100, HealTick: 40}},  // heal before start
-		{OneWay: &OneWayPartitionSpec{Split: 1.2}},
-		{OneWay: &OneWayPartitionSpec{Split: 0.5, StartTick: -1}},
-		{OneWay: &OneWayPartitionSpec{Split: 0.5, StartTick: 50, HealTick: 40}},
 		{Gray: &GraySpec{Frac: -0.1}},
 		{Gray: &GraySpec{Frac: 1.5}},
-		{Burst: &BurstLossSpec{PEnter: 1.2, PExit: 0.5, Loss: 0.5}},
-		{Burst: &BurstLossSpec{PEnter: 0.1, PExit: -0.5, Loss: 0.5}},
-		{Burst: &BurstLossSpec{PEnter: 0.1, PExit: 0.5, Loss: 1.5}},
-		{Burst: &BurstLossSpec{PEnter: 0.1, PExit: 0, Loss: 0.5}},                                           // permanent outage
-		{Churn: &ChurnSpec{Frac: 0.2, Period: 100, Downtime: 10, Windows: []WindowSpec{{From: 0, To: 10}}}}, // both schedules
-		{Churn: &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: -1, To: 10}}}},                           // negative start
-		{Churn: &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 10, To: 5}}}},                            // ends before start
-		{Churn: &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 10, To: 10}}}},                           // empty window
-		{Churn: &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 0, To: 0}, {From: 10, To: 20}}}},         // open window not last
-		{Churn: &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 0, To: 20}, {From: 10, To: 30}}}},        // overlap
 		{Adaptive: &AdaptiveSpec{Budget: -1}},
 		{Adaptive: &AdaptiveSpec{Budget: 3}}, // budget with no strategy
 	}
@@ -64,10 +51,7 @@ func TestFaultsConfigValidate(t *testing.T) {
 		t.Fatal("composite config compiled to no model")
 	}
 	good2 := FaultsConfig{
-		OneWay:   &OneWayPartitionSpec{Split: 0.3, StartTick: 50, HealTick: 200},
 		Gray:     &GraySpec{Frac: 0.1},
-		Burst:    &BurstLossSpec{PEnter: 0.02, PExit: 0.2, Loss: 0.9},
-		Churn:    &ChurnSpec{Frac: 0.2, Windows: []WindowSpec{{From: 10, To: 40}, {From: 60, To: 0}}},
 		Adaptive: &AdaptiveSpec{Budget: 4, CrashLeaders: true, GrayTopK: true, BracketDeadlines: true},
 	}
 	if err := good2.Validate(); err != nil {
@@ -88,8 +72,7 @@ func TestFaultsConfigValidate(t *testing.T) {
 	}
 }
 
-// TestCutValidationMessages pins the text of every cut rejection: the
-// two-way and one-way specs share one check and name themselves in it.
+// TestCutValidationMessages pins the text of every partition rejection.
 func TestCutValidationMessages(t *testing.T) {
 	for _, c := range []struct {
 		f    FaultsConfig
@@ -99,10 +82,6 @@ func TestCutValidationMessages(t *testing.T) {
 		{FaultsConfig{Partition: &PartitionSpec{StartTick: -1}}, "protocol: negative partition start tick (-1)"},
 		{FaultsConfig{Partition: &PartitionSpec{HealTick: -3}}, "protocol: negative partition heal tick (-3)"},
 		{FaultsConfig{Partition: &PartitionSpec{StartTick: 100, HealTick: 40}}, "protocol: partition heals at tick 40, at or before its start tick 100"},
-		{FaultsConfig{OneWay: &OneWayPartitionSpec{Split: -0.5}}, "protocol: one-way partition split -0.5 out of [0,1]"},
-		{FaultsConfig{OneWay: &OneWayPartitionSpec{StartTick: -2}}, "protocol: negative one-way partition start tick (-2)"},
-		{FaultsConfig{OneWay: &OneWayPartitionSpec{HealTick: -1}}, "protocol: negative one-way partition heal tick (-1)"},
-		{FaultsConfig{OneWay: &OneWayPartitionSpec{StartTick: 50, HealTick: 50}}, "protocol: one-way partition heals at tick 50, at or before its start tick 50"},
 	} {
 		if err := c.f.Validate(); err == nil || err.Error() != c.want {
 			t.Errorf("Validate() = %v, want %q", err, c.want)
@@ -113,21 +92,17 @@ func TestCutValidationMessages(t *testing.T) {
 // TestFaultsConfigClone: clones must not share nested pointers.
 func TestFaultsConfigClone(t *testing.T) {
 	orig := &FaultsConfig{Loss: 0.1, Partition: &PartitionSpec{Split: 0.5},
-		Churn:    &ChurnSpec{Frac: 0.1, Windows: []WindowSpec{{From: 5, To: 10}}},
-		OneWay:   &OneWayPartitionSpec{Split: 0.3},
+		Churn:    &ChurnSpec{Frac: 0.1, Period: 100, Downtime: 10},
 		Gray:     &GraySpec{Frac: 0.2},
-		Burst:    &BurstLossSpec{PEnter: 0.1, PExit: 0.5, Loss: 0.9},
 		Adaptive: &AdaptiveSpec{Budget: 4, CrashLeaders: true}}
 	c := orig.Clone()
 	c.Partition.Split = 0.9
 	c.Churn.Frac = 0.7
-	c.Churn.Windows[0].To = 99
-	c.OneWay.Split = 0.8
+	c.Churn.Period = 99
 	c.Gray.Frac = 0.9
-	c.Burst.Loss = 0.1
 	c.Adaptive.Budget = 16
-	if orig.Partition.Split != 0.5 || orig.Churn.Frac != 0.1 || orig.Churn.Windows[0].To != 10 ||
-		orig.OneWay.Split != 0.3 || orig.Gray.Frac != 0.2 || orig.Burst.Loss != 0.9 || orig.Adaptive.Budget != 4 {
+	if orig.Partition.Split != 0.5 || orig.Churn.Frac != 0.1 || orig.Churn.Period != 100 ||
+		orig.Gray.Frac != 0.2 || orig.Adaptive.Budget != 4 {
 		t.Fatalf("Clone shares nested pointers: %+v", orig)
 	}
 }

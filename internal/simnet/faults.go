@@ -16,8 +16,8 @@ type Fate struct {
 
 // Faults is a pluggable network fault model. The one fault-free model is
 // a nil Faults; a model that never acts gives the same run. The
-// implementations are three RNG layers (Loss, Lag, BurstLoss), the
-// deterministic Schedule, and Composite, which stacks them.
+// implementations are two RNG layers (Loss, Lag), the deterministic
+// Schedule, and Composite, which stacks them.
 //
 // Determinism contract (the serial send drain's ordering contract — the one
 // place it is specified; Network.send implements it):
@@ -33,7 +33,7 @@ type Fate struct {
 //     Sends take the same path on the driver's goroutine.
 //   - Fate is therefore consulted exactly once per transmitted message, on
 //     one goroutine, in deterministic order — implementations may consume
-//     their own seeded RNG and keep state (Loss, Lag, BurstLoss do).
+//     their own seeded RNG and keep state (Loss and Lag do).
 //   - Down must be a pure function of (now, node): it is evaluated during
 //     (possibly parallel) event execution and re-evaluated freely, so it
 //     must not mutate state or draw randomness.
@@ -105,58 +105,6 @@ func (l *Lag) Fate(Time, NodeID, NodeID) Fate {
 
 // Down implements Faults.
 func (l *Lag) Down(Time, NodeID) bool { return false }
-
-// BurstLoss is Gilbert-Elliott two-state loss: the channel alternates
-// between a good state (no loss) and a bad state (loss with probability
-// lossBad), transitioning per consulted message with probabilities pEnter
-// (good→bad) and pExit (bad→good). Because Fate is consulted once per
-// message in deterministic order, the chain advances deterministically
-// and drops arrive in time-correlated bursts rather than iid — the loss
-// pattern of interference or a flapping route. Construct with
-// NewBurstLoss.
-type BurstLoss struct {
-	pEnter  float64
-	pExit   float64
-	lossBad float64
-	bad     bool
-	rng     *rand.Rand
-}
-
-// NewBurstLoss returns a Gilbert-Elliott loss model with its own
-// deterministic RNG. Probabilities are clamped to [0, 1].
-func NewBurstLoss(pEnter, pExit, lossBad float64, seed int64) *BurstLoss {
-	clamp := func(p float64) float64 {
-		if p < 0 {
-			return 0
-		}
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	return &BurstLoss{
-		pEnter:  clamp(pEnter),
-		pExit:   clamp(pExit),
-		lossBad: clamp(lossBad),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Fate implements Faults: advance the two-state chain, then draw the loss
-// verdict from the current state.
-func (b *BurstLoss) Fate(Time, NodeID, NodeID) Fate {
-	if b.bad {
-		if b.rng.Float64() < b.pExit {
-			b.bad = false
-		}
-	} else if b.rng.Float64() < b.pEnter {
-		b.bad = true
-	}
-	return Fate{Drop: b.bad && b.rng.Float64() < b.lossBad}
-}
-
-// Down implements Faults.
-func (b *BurstLoss) Down(Time, NodeID) bool { return false }
 
 // Composite layers several fault models: a message is dropped if any
 // layer drops it, extra delays add up, and a node is down if any layer

@@ -380,45 +380,6 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 	}
 }
 
-func TestBurstLossCorrelatedAndDeterministic(t *testing.T) {
-	// Fates from one seed are reproducible, and drops cluster: with a low
-	// entry probability and a high in-burst loss rate, the drop sequence
-	// must contain a run of consecutive drops that iid loss at the same
-	// overall rate would essentially never produce.
-	fates := func(seed int64) []bool {
-		b := NewBurstLoss(0.02, 0.2, 0.95, seed)
-		out := make([]bool, 2000)
-		for i := range out {
-			out[i] = b.Fate(0, 0, 1).Drop
-		}
-		return out
-	}
-	a, bb := fates(42), fates(42)
-	for i := range a {
-		if a[i] != bb[i] {
-			t.Fatalf("burst fates diverged at message %d for equal seeds", i)
-		}
-	}
-	drops, run, maxRun := 0, 0, 0
-	for _, d := range a {
-		if d {
-			drops++
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	if drops == 0 || drops == len(a) {
-		t.Fatalf("burst loss dropped %d of %d", drops, len(a))
-	}
-	if maxRun < 3 {
-		t.Fatalf("longest drop burst = %d, want ≥ 3 (loss is not time-correlated)", maxRun)
-	}
-}
-
 func TestLaggedMessageToCrashedNodeIsDroppedNotLate(t *testing.T) {
 	lat := DefaultLatency()
 	lat.Deterministic = true

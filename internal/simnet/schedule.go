@@ -15,10 +15,10 @@ func (w Window) covers(now Time) bool {
 // Schedule is the one deterministic fault model: per node, crash windows
 // and periodic crashes (Down), mute windows — a gray failure, the node
 // receives and its timers fire but everything it sends is lost — and
-// directed cuts (Fate). A two-way partition is two cuts, churn is crash
-// windows or periodic crashes; the config layer compiles every static
-// spec into one Schedule, and the reactive adversary's planner appends to
-// a second one at round boundaries.
+// directed cuts (Fate). A partition is two cuts, churn is periodic
+// crashes; the config layer compiles every static spec into one Schedule,
+// and the reactive adversary's planner appends crash windows, mutes and
+// cuts to a second one at round boundaries.
 //
 // The determinism argument: directives are appended only while the
 // network is idle (before the run, or between rounds on the goroutine

@@ -14,9 +14,9 @@
 //
 // A pluggable fault model (SetFaults) can additionally drop messages in
 // flight, delay them beyond the synchrony bound, or crash and rejoin nodes
-// on a schedule — see the Faults interface and the Loss, Lag, BurstLoss,
-// Schedule, and Composite implementations. A model that never acts gives
-// the same run as no model.
+// on a schedule — see the Faults interface and the Loss, Lag, Schedule,
+// and Composite implementations. A model that never acts gives the same
+// run as no model.
 //
 // The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
 // ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker

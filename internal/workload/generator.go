@@ -1,8 +1,8 @@
 // Package workload generates the transaction streams "continuously sent to
 // the network by external users" (§III-D): seeded, reproducible UTXO
-// payment workloads with a configurable cross-shard ratio, Zipf-distributed
-// user popularity, and optional injection of invalid transactions
-// (double spends, overspends) so committees' rejection paths are exercised.
+// payment workloads with a configurable cross-shard ratio, uniformly drawn
+// senders, and optional injection of invalid transactions (double spends,
+// overspends) so committees' rejection paths are exercised.
 package workload
 
 import (
@@ -19,7 +19,6 @@ type Config struct {
 	InitialBalance uint64  // coins minted per user at genesis
 	CrossShardFrac float64 // fraction of payments targeting another shard
 	InvalidFrac    float64 // fraction of structurally invalid transactions
-	ZipfS          float64 // Zipf exponent for sender popularity (<=1 → uniform)
 	Seed           int64
 }
 
@@ -51,7 +50,6 @@ type Generator struct {
 	// spendable tracks outpoints this generator may spend next, per user.
 	spendable map[string][]spendableOut
 	genesis   []*ledger.Tx
-	zipf      *rand.Zipf
 	nonce     uint64
 }
 
@@ -79,9 +77,6 @@ func New(cfg Config) (*Generator, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		spendable: make(map[string][]spendableOut),
-	}
-	if cfg.ZipfS > 1 {
-		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS, 1, uint64(cfg.Users-1))
 	}
 	g.users = make([]string, cfg.Users)
 	g.shards = make(map[string]uint64, cfg.Users)
@@ -113,17 +108,11 @@ func (g *Generator) Genesis() []*ledger.Tx { return g.genesis }
 // Users returns the user identities.
 func (g *Generator) Users() []string { return g.users }
 
-// pickSender returns a user with at least one spendable output, biased by
-// the Zipf distribution when configured.
+// pickSender returns a uniformly drawn user with at least one spendable
+// output.
 func (g *Generator) pickSender() (string, bool) {
 	for attempt := 0; attempt < 4*len(g.users); attempt++ {
-		var idx int
-		if g.zipf != nil {
-			idx = int(g.zipf.Uint64())
-		} else {
-			idx = g.rng.Intn(len(g.users))
-		}
-		u := g.users[idx]
+		u := g.users[g.rng.Intn(len(g.users))]
 		if len(g.spendable[u]) > 0 {
 			return u, true
 		}

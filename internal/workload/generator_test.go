@@ -191,22 +191,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestZipfSenders(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Users = 100
-	cfg.ZipfS = 1.5
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := buildSet(t, g)
-	txs := g.NextBatch(100)
-	valid, _, _ := ledger.ValidateBatch(txs, s)
-	if len(valid) != len(txs) {
-		t.Fatalf("zipf workload produced invalid txs: %d/%d", len(valid), len(txs))
-	}
-}
-
 func TestLongRunDoesNotStarve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users = 50

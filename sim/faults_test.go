@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cycledger/sim"
@@ -173,18 +174,31 @@ func TestFaultsConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExtendedFaultsJSONRoundTrip: the PR 9 fault fields — one-way
-// partitions, gray failures, burst loss, churn windows, and the adaptive
-// adversary — survive ToJSON/ParseConfig, and the dotted-leaf overlay the
-// sweep axes rely on ("faults.adaptive.budget") merges without clobbering
-// the sibling strategy flags.
+// TestRetiredFaultFormsRejected: a document that still sets one of the
+// fault forms the config no longer has — burst loss, a one-way partition,
+// explicit churn windows — fails as it decodes instead of running without
+// them.
+func TestRetiredFaultFormsRejected(t *testing.T) {
+	for _, doc := range []string{
+		`{"faults":{"burst":{}}}`,
+		`{"faults":{"one_way":{}}}`,
+		`{"faults":{"churn":{"windows":[]}}}`,
+	} {
+		if _, err := sim.ParseConfig([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("ParseConfig(%s) error = %v, want an unknown field", doc, err)
+		}
+	}
+}
+
+// TestExtendedFaultsJSONRoundTrip: gray failures, periodic churn and the
+// adaptive adversary survive ToJSON/ParseConfig, and the dotted-leaf
+// overlay the sweep axes rely on ("faults.adaptive.budget") merges without
+// clobbering the sibling strategy flags.
 func TestExtendedFaultsJSONRoundTrip(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Faults = &sim.FaultsConfig{
-		OneWay:   &sim.OneWayPartitionSpec{Split: 0.3, StartTick: 50, HealTick: 200},
 		Gray:     &sim.GraySpec{Frac: 0.1},
-		Burst:    &sim.BurstLossSpec{PEnter: 0.02, PExit: 0.2, Loss: 0.9},
-		Churn:    &sim.ChurnSpec{Frac: 0.2, Windows: []sim.WindowSpec{{From: 10, To: 40}}},
+		Churn:    &sim.ChurnSpec{Frac: 0.2, Period: 300, Downtime: 40},
 		Adaptive: &sim.AdaptiveSpec{Budget: 4, CrashLeaders: true, GrayTopK: true, BracketDeadlines: true},
 	}
 	data, err := cfg.ToJSON()
@@ -196,10 +210,8 @@ func TestExtendedFaultsJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := back.Faults
-	if f == nil || f.OneWay == nil || f.OneWay.HealTick != 200 ||
-		f.Gray == nil || f.Gray.Frac != 0.1 ||
-		f.Burst == nil || f.Burst.PExit != 0.2 ||
-		f.Churn == nil || len(f.Churn.Windows) != 1 || f.Churn.Windows[0].To != 40 ||
+	if f == nil || f.Gray == nil || f.Gray.Frac != 0.1 ||
+		f.Churn == nil || f.Churn.Period != 300 || f.Churn.Downtime != 40 ||
 		f.Adaptive == nil || f.Adaptive.Budget != 4 || !f.Adaptive.BracketDeadlines {
 		t.Fatalf("extended fault fields did not round-trip: %+v", f)
 	}

@@ -22,23 +22,15 @@ type (
 	// Behavior is a byzantine node's deviation profile.
 	Behavior = protocol.Behavior
 	// FaultsConfig describes the network fault model, a run's faults
-	// field: message loss, beyond-bound lag, partition, churn, asymmetric
-	// cuts, gray failures, burst loss, and the reactive adversary.
+	// field: message loss, beyond-bound lag, partition, churn, gray
+	// failures, and the reactive adversary.
 	FaultsConfig = protocol.FaultsConfig
 	// PartitionSpec cuts the population in two groups until a heal tick.
 	PartitionSpec = protocol.PartitionSpec
-	// OneWayPartitionSpec drops one direction across a cut, delivering the
-	// reverse — the asymmetric-link failure.
-	OneWayPartitionSpec = protocol.OneWayPartitionSpec
 	// GraySpec gray-fails a node subset: they receive but never send.
 	GraySpec = protocol.GraySpec
-	// BurstLossSpec injects Gilbert-Elliott time-correlated loss bursts.
-	BurstLossSpec = protocol.BurstLossSpec
-	// ChurnSpec crashes a node subset on a staggered periodic schedule or
-	// an explicit window list.
+	// ChurnSpec crashes a node subset on a staggered periodic schedule.
 	ChurnSpec = protocol.ChurnSpec
-	// WindowSpec is one explicit churn downtime window in ticks.
-	WindowSpec = protocol.WindowSpec
 	// AdaptiveSpec arms the reactive adversary: a per-round budget re-aimed
 	// at each round's leaders, successors, and deadline brackets.
 	AdaptiveSpec = protocol.AdaptiveSpec

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"cycledger/sim"
@@ -80,5 +81,24 @@ func TestDottedAxisUnknownLeafRejected(t *testing.T) {
 	g := Grid{Base: testBase(t), Axes: []Axis{{Field: "faults.losss", Values: []any{0.1}}}}
 	if _, err := g.Cells(); err == nil {
 		t.Fatal("unknown dotted leaf accepted")
+	}
+}
+
+// TestRetiredFaultAxisRejected: an axis over a fault form the document no
+// longer has (burst loss) fails as the grid expands, and Run returns
+// before any cell starts.
+func TestRetiredFaultAxisRejected(t *testing.T) {
+	ax, err := ParseAxis("faults.burst.loss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{Base: testBase(t), Axes: []Axis{ax}}
+	if _, err := g.Cells(); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("Cells() error = %v, want an unknown field", err)
+	}
+	ran := 0
+	res, err := Runner{Workers: 1, Progress: func(int, int) { ran++ }}.Run(context.Background(), g)
+	if err == nil || res != nil || ran != 0 {
+		t.Fatalf("Run = (%v, %v) after %d cells, want an error before any cell", res, err, ran)
 	}
 }
