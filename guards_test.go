@@ -1,0 +1,745 @@
+package cycledger_test
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// A guard keeps the one implementation of a mechanism from getting a second
+// one beside it: a retired name, declaration or file coming back fails
+// TestGuards with the row's reason.
+type guard struct {
+	name   string
+	reason string
+	// paths are git pathspecs over the module tree: a pattern with a "*" is
+	// a glob whose "*" also matches "/", one without is the path itself or a
+	// directory above it, and ":!" excludes. With no positive pattern every
+	// path is selected.
+	paths []string
+	// find returns one line per place in files that breaks the rule, as
+	// "path:line:text" where it has a line.
+	find func(files []file) []string
+	// fixture holds the retired form; the row must fire on it.
+	fixture file
+}
+
+// file is one file of the tree, its path slash-separated and relative to
+// the module root.
+type file struct {
+	path, src string
+}
+
+// whyLayout, whyQuorum, whySigning, whyFaults, whyPoW, whyShared and
+// whyArtefact are the reasons shared by the rows of one mechanism.
+const (
+	whyLayout = "A message's wire layout is its one layout method (internal/wire), sized with wire.Size. " +
+		"A WireSize() method or a revived mirror file would be a second description that has to be kept in step by hand. " +
+		"So would a hand-picked digest preimage (a payload's digest is the hash of its encoding, consensus.PayloadDigest), " +
+		"an adoption check that trusts a payload's own Digest() (onPropose checks every non-nil payload with PayloadDigest), " +
+		"or a transaction codec beside the transaction's layout (ledger.Tx.layout is a field walk)."
+	whyQuorum = "\"More than half of a roster signed this\" is checked in one place, consensus.Quorum.Verify. " +
+		"Echo evidence carried per voter again, a second frame form behind a second tag (a type has one tag), " +
+		"or a non-test file outside internal/consensus that calls VerifyAggregate, reads a Quorum's bitmap " +
+		"or ranges over a Quorum's Votes would be a second one. Senders build a Quorum and receivers call Verify; neither looks inside."
+	whySigning = "A signature covers its message's layout: every Sign and Verify in the protocol is handed one " +
+		"wire.SigningBytes result, the tagged encoding without the signature fields the layout marks. " +
+		"A hand-picked preimage beside the layout would be a second description of the message, free to skip fields " +
+		"(the six retired ones skipped six), and a scheme call handed several parts is one."
+	whyFaults = "\"X is down in [a, b)\", \"X's sends are lost\" and \"x→y drops in [a, b)\" are directives of one " +
+		"deterministic model, simnet.Schedule, which every static fault spec and the adaptive planner compile to; " +
+		"the rest of simnet's models draw randomness (Loss, Lag) or stack others (Composite), and nil is fault-free. " +
+		"A Fate or Down method declared outside internal/simnet, or a retired per-spec model coming back, would be " +
+		"a second implementation of the schedule; burst loss, the one-way partition spec and explicit churn windows are retired forms."
+	whyPoW = "pow.Solve is one crypto.SearchNonce call, which owns the framing, the midstate and the block kernel, " +
+		"and one search loop (searchLanes) drives the kernel. A prefix hasher resumed per attempt, or pow reaching " +
+		"into SHA-256 itself, would be a second search loop with its own per-attempt cost. So would a second " +
+		"compression routine beside the eight-lane one, such as either SHA-NI kernel (single-lane or two-lane) " +
+		"that the tree once had: crypto's assembly declares cpuid, xgetbv and blockAVX512x8, and the only other " +
+		"assembly is pvss's Montgomery product, montMulADX, which reads its feature bits through crypto.HasADX."
+	whyShared = "A key member answers every joiner's MEM_LIST with cn.S.Snapshot() and declares the directory's " +
+		"running cn.S.ListSize(): walking the answer again is O(c) work per joiner. The intra and inter Algorithm 3 " +
+		"payloads are proposed as pointers, so the endpoints of a committee on one consensus.VerifiedEchoes digest " +
+		"a proposed payload once: a value literal would be digested by every member again."
+	whyArtefact = "Every table and figure of the paper is a cycsim -artefact entry with a headline that " +
+		"cmd/cycsim's TestClaims checks. A second printer binary or a paper benchmark in the root package " +
+		"would describe an artefact again, with nothing asserting it."
+)
+
+var guards = []guard{
+	{
+		name:    "One layout per message: WireSize methods",
+		reason:  whyLayout,
+		paths:   []string{"*.go", ":!*_test.go", ":!bench"},
+		find:    declares("WireSize"),
+		fixture: file{"internal/ledger/size.go", "package ledger\n\nfunc (tx *Tx) WireSize() int { return 0 }\n"},
+	},
+	{
+		name:    "One layout per message: payload Digest methods",
+		reason:  whyLayout,
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    grep(`func \([^)]*\) Digest\(\) crypto\.Digest`),
+		fixture: file{"internal/protocol/digest.go", "package protocol\n\nfunc (p *IntraPayload) Digest() crypto.Digest { return crypto.Digest{} }\n"},
+	},
+	{
+		name:    "One layout per message: self-digesting payloads",
+		reason:  whyLayout,
+		paths:   []string{"internal/consensus/*.go", ":!*_test.go"},
+		find:    grep(regexp.QuoteMeta("interface{ Digest() crypto.Digest }")),
+		fixture: file{"internal/consensus/digester.go", "package consensus\n\ntype digester = interface{ Digest() crypto.Digest }\n"},
+	},
+	{
+		name:    "One layout per message: transaction codec",
+		reason:  whyLayout,
+		paths:   []string{"*.go", ":!*_test.go"},
+		find:    grep(`Opaque\(|DecodeTx|encodedSize`),
+		fixture: file{"internal/ledger/codec.go", "package ledger\n\nfunc DecodeTx(b []byte) (*Tx, error) { return nil, nil }\n"},
+	},
+	{
+		name:    "One layout per message: size mirrors",
+		reason:  whyLayout,
+		paths:   []string{"internal/protocol/messages_wire.go", "internal/consensus/wiresize.go", "internal/committee/wiresize.go"},
+		find:    exists,
+		fixture: file{"internal/consensus/wiresize.go", "package consensus\n"},
+	},
+	{
+		name:    "One quorum check: per-voter echoes and second tags",
+		reason:  whyQuorum,
+		paths:   []string{"internal/*.go", ":!*_test.go"},
+		find:    grep(`EchoSigs|func \(c \*Coder\) Alt\b`),
+		fixture: file{"internal/wire/alt.go", "package wire\n\nfunc (c *Coder) Alt(tag Tag) {}\n"},
+	},
+	{
+		name:    "One quorum check: majority loops",
+		reason:  whyQuorum,
+		paths:   []string{"internal/*.go", ":!*_test.go", ":!internal/consensus"},
+		find:    grep(`VerifyAggregate\(|\.Bitmap\.(Validate|Count)\(|range [^{]*(Quorum|Approvals)\.Votes`),
+		fixture: file{"internal/protocol/majority.go", "package protocol\n\nfunc majority(m *EvictReqMsg) (n int) {\n\tfor range m.Quorum.Votes {\n\t\tn++\n\t}\n\treturn n\n}\n"},
+	},
+	{
+		name:    "One signing rule: hand-written preimages",
+		reason:  whySigning,
+		paths:   []string{"*.go", ":!*_test.go"},
+		find:    grepWords(`SigParts|voteSigMsg|sigMsg|appendSigMsg|nodeIDBytes`),
+		fixture: file{"internal/protocol/sigmsg.go", "package protocol\n\nfunc sigMsg(parts ...[]byte) []byte { return nil }\n"},
+	},
+	{
+		name:    "One signing rule: one message per scheme call",
+		reason:  whySigning,
+		paths:   []string{"*.go", ":!*_test.go"},
+		find:    schemeCalls,
+		fixture: file{"internal/consensus/parts.go", "package consensus\n\nfunc signParts(p *Protocol, a, b []byte) []byte {\n\treturn p.Scheme.Sign(p.Keys, a, b)\n}\n"},
+	},
+	{
+		name: "Signing bytes into reused buffers",
+		reason: "Signing bytes grown from nil on every sign or verify were an eighth of a wide-cross round's " +
+			"allocated objects. consensus.Sign and consensus.Verify build them in a pooled buffer, and " +
+			"Quorum.Verify's msgAt reuses one across the voters of a call.",
+		paths:   []string{"internal/*.go", ":!*_test.go"},
+		find:    grep(`SigningBytes\(nil`),
+		fixture: file{"internal/protocol/sign.go", "package protocol\n\nfunc signed(m any) []byte { return wire.SigningBytes(nil, m) }\n"},
+	},
+	{
+		name:    "One fault schedule: fault models outside simnet",
+		reason:  whyFaults,
+		paths:   []string{"internal/*.go", ":!*_test.go", ":!internal/simnet"},
+		find:    declares("Fate", "Down"),
+		fixture: file{"internal/protocol/churn.go", "package protocol\n\ntype churn struct{}\n\nfunc (churn) Down(id int, at int64) bool { return false }\n"},
+	},
+	{
+		name:    "One fault schedule: retired models and forms",
+		reason:  whyFaults,
+		paths:   []string{"*.go", ":!*_test.go"},
+		find:    grepWords(`NewChurn|NewGrayFailure|NewOneWayPartition|NewPartition|NewPartitionAt|NoFaults|periodicChurn|NewBurstLoss|BurstLoss|OneWayPartitionSpec|BurstLossSpec|WindowSpec`),
+		fixture: file{"internal/simnet/burst.go", "package simnet\n\nfunc NewBurstLoss(p float64) Model { return nil }\n"},
+	},
+	{
+		name: "Silence is always on",
+		reason: "Silence watchdogs and dropped-traffic accounting run on every network; a sweep that finds " +
+			"nobody silent costs nothing, so a model that never acts changes no report. The engine asking whether " +
+			"a fault model is installed would bring back a fault-free path and a fault-model path for one idea; " +
+			"simnet.Network.Down is its one question to the model, and report.Dropped the round's.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    grep(`\be\.faults\b|InstallFaults|faults (==|!=) nil`),
+		fixture: file{"internal/protocol/silence.go", "package protocol\n\nfunc (e *Engine) silent() bool { return e.faults != nil }\n"},
+	},
+	{
+		name: "Accounting holds one round",
+		reason: "simnet's per-phase accounting is a dense table per phase label, indexed by NodeID, and the " +
+			"engine resets it at every round start (Metrics.ResetPhases), so labels are bare phase names. A label " +
+			"namespaced by round, or a (phase, node)-keyed map, would bring back accounting that grows with every round of the run.",
+		paths:   []string{"internal/*.go", "cmd/*.go", ":!*_test.go"},
+		find:    grep(`phaseLabel|phaseNode|r%03d|"r001/`),
+		fixture: file{"internal/protocol/label.go", "package protocol\n\nfunc label(r int, p string) string { return fmt.Sprintf(\"r%03d/%s\", r, p) }\n"},
+	},
+	{
+		name: "One send path",
+		reason: "Every message the simulator carries — an external Send or a handler's send, with or without " +
+			"a fault model, audit or carrier — is held by its lane and routed by Network.send in (ks, kc) order. " +
+			"Per-lane outboxes, an exchange phase, or a switch on what is installed would bring back a second " +
+			"executor whose equivalence every determinism argument then has to cover.",
+		paths:   []string{"internal/simnet/*.go", ":!*_test.go"},
+		find:    grep(`\bxout\b|exchangeLane|holdsSends|phaseExchange`),
+		fixture: file{"internal/simnet/outbox.go", "package simnet\n\nfunc (n *Network) exchangeLane(l *lane) {}\n"},
+	},
+	{
+		name: "One traffic ledger",
+		reason: "simnet.Metrics counts what a report reads — sent per (phase, node), lost per phase, and the " +
+			"sent, lost and late totals — and the driving goroutine writes it: sends on the serial send path, each " +
+			"lane's lost and late Counters at the end of its macro-step. Per-lane shards folded on a timer, per-tag " +
+			"counters, or a receive table would bring back accounting that nothing reads. (internal/wire's byTag is " +
+			"the codec registry's tag table, not a traffic counter.)",
+		paths:   []string{"internal/*.go", ":!*_test.go", ":!internal/wire"},
+		find:    grepWords(`laneShard|laneEntry|mergeLanes|mergeEvery|recordRecv|byTag`),
+		fixture: file{"internal/simnet/shard.go", "package simnet\n\ntype laneShard struct{ sent []Counter }\n"},
+	},
+	{
+		name:    "One PoW search: SHA-NI kernels",
+		reason:  whyPoW,
+		paths:   []string{":!CHANGES.md", ":!ROADMAP.md"},
+		find:    grepWords(`blockSHANI(x2)?|hasSHANI|shaniHost`),
+		fixture: file{"internal/crypto/shani_amd64.go", "package crypto\n\nvar hasSHANI = false\n"},
+	},
+	{
+		name:   "One PoW search: assembly symbols",
+		reason: whyPoW,
+		paths:  []string{"*.s"},
+		find: grepExcept(`^[[:space:]]*TEXT`,
+			`^internal/crypto/search_amd64\.s:[0-9]+:TEXT[[:space:]]+·(cpuid|xgetbv|blockAVX512x8)\(SB\)`,
+			`^internal/pvss/mont_amd64\.s:[0-9]+:TEXT[[:space:]]+·montMulADX\(SB\)`),
+		fixture: file{"internal/crypto/block_amd64.s", "#include \"textflag.h\"\n\nTEXT ·block(SB), NOSPLIT, $0-32\n\tRET\n"},
+	},
+	{
+		name:    "One PoW search: prefix hasher",
+		reason:  whyPoW,
+		paths:   []string{"*.go", ":!*_test.go"},
+		find:    grep(`PrefixHasher|SumWith`),
+		fixture: file{"internal/crypto/prefix.go", "package crypto\n\ntype PrefixHasher struct{}\n"},
+	},
+	{
+		name:    "One PoW search: pow hashes through crypto",
+		reason:  whyPoW,
+		paths:   []string{"internal/pow"},
+		find:    grep(`sha256\.|UnmarshalBinary`),
+		fixture: file{"internal/pow/direct.go", "package pow\n\nimport \"crypto/sha256\"\n\nvar h = sha256.New()\n"},
+	},
+	{
+		name: "One round executor",
+		reason: "Engine.RunRound calls a round's stages in order on its own goroutine; Params.Pipelined only " +
+			"changes how their virtual spans add up into Duration. A dependency-graph scheduler, a prefetched next " +
+			"batch, or a sort helper beside package slices would bring back a second way to run a round.",
+		paths:   []string{"internal/*.go"},
+		find:    grepWords(`runStages|stagePrefetch|nextBatch|SortNodeIDs`),
+		fixture: file{"internal/protocol/stages.go", "package protocol\n\nfunc (e *Engine) runStages() {}\n"},
+	},
+	{
+		name: "One run description",
+		reason: "protocol.Params is the run's JSON document and sim.Config is that type: the behaviour, scheme " +
+			"and transport are names resolved in protocol, and cycsim's flags are an overlay like -config. A " +
+			"field-by-field copy, an inverse name table or a typed flag assignment would bring back a second " +
+			"description to keep in step.",
+		paths:   []string{"*.go", ":!*_test.go", ":!bench"},
+		find:    grepWords(`configFromParams|schemeName|parseScheme|parseTransport|LiveCodec|applyIf`),
+		fixture: file{"sim/names.go", "package sim\n\nfunc schemeName(s string) string { return s }\n"},
+	},
+	{
+		name: "One way to set a run field",
+		reason: "A run field is set by assigning a sim.Config field or by a JSON document (sim.FromJSON, " +
+			"-config, a bench overlay); sim's options are FromConfig, FromJSON and WithObserver. A per-field " +
+			"setter would be a second way to set it, with its own checks and its own sign conventions to keep " +
+			"in step with the document.",
+		paths:   []string{"*.go", "README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"},
+		find:    grepWords(`With(Topology|Rounds|Workload|Adversary|Seed|Scheme|Pipeline|Transport|PowHardness|Recovery|PreScreenCross|ParallelBlockGen|AggregateCerts|Faults)`),
+		fixture: file{"sim/setters.go", "package sim\n\nfunc WithSeed(seed int64) Option { return nil }\n"},
+	},
+	{
+		name:    "A shared input is checked once per committee: MEM_LIST answers",
+		reason:  whyShared,
+		paths:   []string{"internal/committee/config.go"},
+		find:    grep(`cn\.S\.Records\(\)|wire\.Size\(resp\)`),
+		fixture: file{"internal/committee/config.go", "package committee\n\nfunc listSize(cn *ConfigNode) int { return len(cn.S.Records()) }\n"},
+	},
+	{
+		name:    "A shared input is checked once per committee: payload literals",
+		reason:  whyShared,
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    grep(`(^|[^&])(IntraPayload|InterPayload)\{`),
+		fixture: file{"internal/protocol/payload.go", "package protocol\n\nvar proposed = IntraPayload{}\n"},
+	},
+	{
+		name:    "One benchmark system",
+		reason:  "The go test -bench → JSON trajectory was deleted in favour of bench/, driven by BENCHMARK.json.",
+		paths:   []string{"BENCH_round.json", "tools/benchjson", "internal/perfbench"},
+		find:    exists,
+		fixture: file{"BENCH_round.json", "{}\n"},
+	},
+	{
+		name:    "One command per paper artefact: printer binaries",
+		reason:  whyArtefact,
+		paths:   []string{"cmd/figures", "cmd/tables"},
+		find:    exists,
+		fixture: file{"cmd/figures/main.go", "package main\n\nfunc main() {}\n"},
+	},
+	{
+		name:    "One command per paper artefact: paper benchmarks",
+		reason:  whyArtefact,
+		paths:   []string{"*_test.go", ":!*/*"},
+		find:    grep(`func Benchmark(Table1|Table2|Fig4|Fig5|PartialSet|Scalability|LeaderFault|ReputationConvergence|Ablation)`),
+		fixture: file{"paper_test.go", "package cycledger_test\n\nfunc BenchmarkTable1(b *testing.B) {}\n"},
+	},
+	{
+		name: "No unsafe outside tests",
+		reason: "What the engine knows about two values being one — a broadcast's payload, a frame body shared " +
+			"by its recipients — it is told by the scheduler; nothing under internal/ or sim/ may find it out by " +
+			"comparing interface words or headers through package unsafe.",
+		paths:   []string{"internal/*.go", "sim/*.go", ":!*_test.go"},
+		find:    imports("unsafe"),
+		fixture: file{"internal/transport/alias.go", "package transport\n\nimport \"unsafe\"\n\nvar _ = unsafe.Pointer(nil)\n"},
+	},
+	{
+		name: "Echoes carry no proposal",
+		reason: "An Echo carries the leader's signature on the proposal's header, never the proposal: a member " +
+			"without the payload fetches it once. A Propose field in a consensus message would ship the proposal " +
+			"(c−1)² times a round again.",
+		paths:   []string{"internal/consensus/consensus.go"},
+		find:    grep(`Propose  *Propose`),
+		fixture: file{"internal/consensus/consensus.go", "package consensus\n\ntype Echo struct {\n\tPropose Propose\n}\n"},
+	},
+	{
+		name: "The beacon reduces in Montgomery form",
+		reason: "pvss's field elements are [12]uint64 Montgomery residues multiplied by mont.mul; math/big is " +
+			"only for scalars mod Q and at the API boundary. A QuoRem reduction chain or its scratch buffers would " +
+			"be a second field arithmetic beside it.",
+		paths:   []string{"internal/pvss/*.go", ":!*_test.go"},
+		find:    grep(`QuoRem|scratch`),
+		fixture: file{"internal/pvss/reduce.go", "package pvss\n\nfunc reduce(x, q *big.Int) { x.QuoRem(x, q, new(big.Int)) }\n"},
+	},
+	{
+		name: "One goroutine per node",
+		reason: "The live transport starts one goroutine per node, in Attach, and every frame is shipped, " +
+			"discarded and claimed in barrier-separated phases of a macro-step. A second go statement would be a " +
+			"goroutine that the mailboxes' lock-free phases do not account for.",
+		paths:   []string{"internal/transport/*.go", ":!*_test.go"},
+		find:    oneGoStatement,
+		fixture: file{"internal/transport/pump.go", "package transport\n\nfunc pump(f func()) {\n\tgo f()\n}\n"},
+	},
+	{
+		name: "The evidence form is chosen in cast.go",
+		reason: "Params.AggregateCerts decides whether a certificate carries per-voter or aggregate evidence, " +
+			"and cast.go is where the engine reads it; every other stage builds and checks a consensus.Quorum " +
+			"whatever its form.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go", ":!internal/protocol/cast.go"},
+		find:    grep(`P.AggregateCerts`),
+		fixture: file{"internal/protocol/evidence.go", "package protocol\n\nfunc (e *Engine) aggregate() bool { return e.P.AggregateCerts }\n"},
+	},
+	{
+		name: "Doc comments",
+		reason: "sim, sim/sweep, internal/wire and internal/transport are the documented surface: every " +
+			"package, and every exported function, method on an exported receiver, type, var and const, carries a doc comment.",
+		paths:   []string{"sim/*.go", "internal/wire/*.go", "internal/transport/*.go", ":!*_test.go"},
+		find:    undocumented,
+		fixture: file{"sim/undocumented.go", "package sim\n\nfunc F() {}\n\ntype T struct{}\n\nfunc (T) M() {}\n\ntype t struct{}\n\nfunc (t) M() {}\n\nvar V = 1\n\nconst C = 1\n"},
+	},
+	{
+		name:    "Doc comments: one checker",
+		reason:  "The doc-comment check is the \"Doc comments\" row of this table, run by go test.",
+		paths:   []string{"tools/doccheck"},
+		find:    exists,
+		fixture: file{"tools/doccheck/main.go", "package main\n\nfunc main() {}\n"},
+	},
+	{
+		name: "The examples are checked",
+		reason: "The examples are sim's Example functions (sim/example_test.go), whose Output blocks go test " +
+			"compares; a program under examples/ prints what nothing asserts.",
+		paths:   []string{"examples"},
+		find:    exists,
+		fixture: file{"examples/quickstart/main.go", "package main\n\nfunc main() {}\n"},
+	},
+}
+
+// guardFile is this file, which holds every retired form as a fixture.
+const guardFile = "guards_test.go"
+
+func TestGuards(t *testing.T) {
+	paths, err := walk(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]string{} // each file is read once across the rows
+	read := func(p string) (string, error) {
+		if src, ok := srcs[p]; ok {
+			return src, nil
+		}
+		b, err := os.ReadFile(filepath.FromSlash(p))
+		if err != nil {
+			return "", err
+		}
+		if bytes.IndexByte(b[:min(len(b), 8000)], 0) >= 0 {
+			// A binary file, such as the test binary go test -cpuprofile
+			// leaves here, holds no source form; git grep -I skips it too.
+			b = nil
+		}
+		srcs[p] = string(b)
+		return srcs[p], nil
+	}
+	for _, g := range guards {
+		t.Run(g.name, func(t *testing.T) {
+			if g.fixture.path == "" {
+				t.Fatal("the row has no fixture")
+			}
+			fixture := func(string) (string, error) { return g.fixture.src, nil }
+			if hits := g.run([]string{g.fixture.path}, fixture); len(hits) == 0 {
+				t.Errorf("the row does not fire on its fixture %s", g.fixture.path)
+			}
+			hits := g.run(paths, read)
+			if len(hits) > 0 {
+				t.Errorf("%s\n\t%s", g.reason, strings.Join(hits, "\n\t"))
+			}
+		})
+	}
+}
+
+// walk lists the files under root, slash-separated and relative to it,
+// skipping .git and the guard file.
+func walk(root string) (paths []string, err error) {
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		switch {
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case !d.IsDir() && rel != guardFile:
+			paths = append(paths, rel)
+		}
+		return nil
+	})
+	return paths, err
+}
+
+// run applies the row to the files among paths that its pathspecs select.
+func (g guard) run(paths []string, read func(string) (string, error)) []string {
+	var files []file
+	var hits []string
+	for _, p := range paths {
+		if !selects(g.paths, p) {
+			continue
+		}
+		src, err := read(p)
+		if err != nil {
+			hits = append(hits, fmt.Sprintf("%s: %v", p, err))
+			continue
+		}
+		files = append(files, file{p, src})
+	}
+	return append(hits, g.find(files)...)
+}
+
+// selects reports whether the pathspecs select p, as git grep's do.
+func selects(specs []string, p string) bool {
+	in, positive := false, false
+	for _, s := range specs {
+		if ex, ok := strings.CutPrefix(s, ":!"); ok {
+			if pathspec(ex, p) {
+				return false
+			}
+			continue
+		}
+		positive = true
+		in = in || pathspec(s, p)
+	}
+	return in || !positive
+}
+
+// pathspec matches one git pathspec: a glob whose "*" matches any run of
+// characters, "/" included, or, without a "*", the path itself or a
+// directory above it.
+func pathspec(pattern, p string) bool {
+	if !strings.Contains(pattern, "*") {
+		return p == pattern || strings.HasPrefix(p, pattern+"/")
+	}
+	return glob(pattern, p)
+}
+
+// glob matches pattern against all of p, a "*" matching any run of characters.
+func glob(pattern, p string) bool {
+	head, rest, star := strings.Cut(pattern, "*")
+	if !star {
+		return p == pattern
+	}
+	if !strings.HasPrefix(p, head) {
+		return false
+	}
+	for i := len(head); i <= len(p); i++ {
+		if glob(rest, p[i:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// grep reports every line that re matches, as git grep -nE does.
+func grep(re string) func([]file) []string {
+	r := regexp.MustCompile(re)
+	return func(files []file) (hits []string) {
+		for _, f := range files {
+			for i, line := range strings.Split(f.src, "\n") {
+				if r.MatchString(line) {
+					hits = append(hits, fmt.Sprintf("%s:%d:%s", f.path, i+1, line))
+				}
+			}
+		}
+		return hits
+	}
+}
+
+// grepWords is grep of whole words, as git grep -nwE.
+func grepWords(re string) func([]file) []string {
+	return grep(`\b(?:` + re + `)\b`)
+}
+
+// grepExcept is grep without the hits ("path:line:text") that one of
+// allowed matches.
+func grepExcept(re string, allowed ...string) func([]file) []string {
+	all := grep(re)
+	var allow []*regexp.Regexp
+	for _, a := range allowed {
+		allow = append(allow, regexp.MustCompile(a))
+	}
+	return func(files []file) (hits []string) {
+		for _, h := range all(files) {
+			if !slices.ContainsFunc(allow, func(a *regexp.Regexp) bool { return a.MatchString(h) }) {
+				hits = append(hits, h)
+			}
+		}
+		return hits
+	}
+}
+
+// exists reports every file selected: the row's paths are retired.
+func exists(files []file) (hits []string) {
+	for _, f := range files {
+		hits = append(hits, f.path)
+	}
+	return hits
+}
+
+// source is one parsed Go file.
+type source struct {
+	*ast.File
+	fset  *token.FileSet
+	lines []string
+	path  string
+}
+
+// parse parses files; a file that does not parse is a hit.
+func parse(files []file) (srcs []source, hits []string) {
+	for _, f := range files {
+		fset := token.NewFileSet()
+		af, err := parser.ParseFile(fset, f.path, f.src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			hits = append(hits, err.Error())
+			continue
+		}
+		srcs = append(srcs, source{af, fset, strings.Split(f.src, "\n"), f.path})
+	}
+	return srcs, hits
+}
+
+// at is n's line in git grep -n form.
+func (s source) at(n ast.Node) string {
+	line := s.fset.Position(n.Pos()).Line
+	return fmt.Sprintf("%s:%d:%s", s.path, line, s.lines[line-1])
+}
+
+// inspect reports every node of files that fires says breaks the rule.
+func inspect(fires func(ast.Node) bool) func([]file) []string {
+	return func(files []file) []string {
+		srcs, hits := parse(files)
+		for _, s := range srcs {
+			ast.Inspect(s.File, func(n ast.Node) bool {
+				if n != nil && fires(n) {
+					hits = append(hits, s.at(n))
+				}
+				return true
+			})
+		}
+		return hits
+	}
+}
+
+// declares reports a method declared with one of names.
+func declares(names ...string) func([]file) []string {
+	return inspect(func(n ast.Node) bool {
+		d, ok := n.(*ast.FuncDecl)
+		return ok && d.Recv != nil && slices.Contains(names, d.Name.Name)
+	})
+}
+
+// imports reports an import of pkg.
+func imports(pkg string) func([]file) []string {
+	return inspect(func(n ast.Node) bool {
+		s, ok := n.(*ast.ImportSpec)
+		return ok && s.Path.Value == `"`+pkg+`"`
+	})
+}
+
+// schemeCalls reports a signature scheme's Sign handed more than a key and
+// a message, its Verify handed more than a key, a signature and a message,
+// or either handed a spread list. The scheme is whatever the call's
+// receiver names *scheme or *Scheme.
+var schemeCalls = inspect(func(n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !strings.HasSuffix(strings.ToLower(lastName(sel.X)), "scheme") {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "Sign":
+		return call.Ellipsis.IsValid() || len(call.Args) > 2
+	case "Verify":
+		return call.Ellipsis.IsValid() || len(call.Args) > 3
+	}
+	return false
+})
+
+// lastName is the last identifier of x, a name or a selector, or "".
+func lastName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
+}
+
+// oneGoStatement reports every go statement unless there is exactly one,
+// in a function named Attach.
+func oneGoStatement(files []file) []string {
+	srcs, hits := parse(files)
+	var attach, elsewhere []string
+	for _, s := range srcs {
+		for _, d := range s.Decls {
+			fn, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				if _, ok := n.(*ast.GoStmt); !ok {
+					return true
+				}
+				if fn != nil && fn.Name.Name == "Attach" {
+					attach = append(attach, s.at(n))
+				} else {
+					elsewhere = append(elsewhere, s.at(n))
+				}
+				return true
+			})
+		}
+	}
+	switch {
+	case len(attach) == 1 && len(elsewhere) == 0:
+		return hits
+	case len(attach)+len(elsewhere) == 0:
+		return append(hits, "no go statement in Attach")
+	}
+	return append(append(hits, attach...), elsewhere...)
+}
+
+// undocumented reports, per directory, an exported function, method on an
+// exported receiver, type, var or const without a doc comment, and a
+// package without a package doc comment.
+func undocumented(files []file) []string {
+	srcs, hits := parse(files)
+	var dirs []string
+	documented := map[string]bool{}
+	for _, s := range srcs {
+		dir := path.Dir(s.path)
+		if _, ok := documented[dir]; !ok {
+			dirs = append(dirs, dir)
+		}
+		documented[dir] = documented[dir] || s.Doc != nil
+		report := func(pos token.Pos, format string, args ...any) {
+			hits = append(hits, fmt.Sprintf("%s: %s", s.fset.Position(pos), fmt.Sprintf(format, args...)))
+		}
+		for _, decl := range s.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && exportedReceiver(d.Recv) && d.Doc == nil {
+					kind := "function"
+					if d.Recv != nil {
+						kind = "method"
+					}
+					report(d.Pos(), "exported %s %s has no doc comment", kind, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() && d.Doc == nil && sp.Doc == nil {
+							report(sp.Pos(), "exported type %s has no doc comment", sp.Name.Name)
+						}
+					case *ast.ValueSpec:
+						if d.Doc != nil || sp.Doc != nil {
+							continue
+						}
+						for _, name := range sp.Names {
+							if name.IsExported() {
+								report(name.Pos(), "exported %s %s has no doc comment", d.Tok, name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, dir := range dirs {
+		if !documented[dir] {
+			hits = append(hits, dir+": package has no package doc comment")
+		}
+	}
+	return hits
+}
+
+// exportedReceiver reports whether the receiver list (nil for plain
+// functions) names an exported type; methods on unexported types are not
+// part of the documented surface.
+func exportedReceiver(recv *ast.FieldList) bool {
+	if recv == nil {
+		return true
+	}
+	for _, field := range recv.List {
+		t := field.Type
+		for {
+			switch x := t.(type) {
+			case *ast.StarExpr:
+				t = x.X
+			case *ast.IndexExpr: // generic receiver T[P]
+				t = x.X
+			case *ast.IndexListExpr: // generic receiver T[P1, P2]
+				t = x.X
+			case *ast.Ident:
+				return x.IsExported()
+			default:
+				return false
+			}
+		}
+	}
+	return false
+}
