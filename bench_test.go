@@ -34,9 +34,8 @@ import (
 // Headline read: at equal tx/round, the pipelined simulated round latency
 // (ticks/round, and therefore tx/tick) beats the sequential sum at every m
 // and parallelism. Both modes execute the same stages in the same order,
-// so ns/op moves with parallelism only: on multi-core hosts par=4 fans the
-// PoW and the verdict precompute over the CPU pool and the events over
-// simnet lanes, whichever mode reports the latency.
+// so ns/op moves with parallelism only: on multi-core hosts par=4 spreads
+// the events over simnet lanes, whichever mode reports the latency.
 func BenchmarkPipelinedThroughput(b *testing.B) {
 	for _, m := range []int{4, 8} {
 		for _, par := range []int{1, 4} {

@@ -79,7 +79,7 @@ func main() {
 	flag.Bool(run("prescreen", "pre_screen_cross"), def.PreScreenCross, "enable §VIII-A cross-shard pre-screening")
 	flag.Bool(run("parallel-blockgen", "parallel_block_gen"), def.ParallelBlockGen, "enable §VIII-B parallel block generation")
 	flag.Int64(run("seed", "seed"), def.Seed, "simulation seed (non-zero)")
-	flag.Int(run("parallel", "parallelism"), def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
+	flag.Int(run("parallel", "parallelism"), def.Parallelism, "simnet lanes (0 = GOMAXPROCS)")
 	flag.Bool(run("pipelined", "pipelined"), def.Pipelined, "report round latency under the §IV pipeline (election overlaps processing); only Δt changes")
 	flag.String(run("scheme", "scheme"), def.Scheme, "signature scheme: hash|ed25519")
 	flag.String(run("transport", "transport"), def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")

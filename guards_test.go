@@ -334,6 +334,15 @@ var guards = []guard{
 		fixture: file{"internal/transport/pump.go", "package transport\n\nfunc pump(f func()) {\n\tgo f()\n}\n"},
 	},
 	{
+		name: "The engine runs a round on one goroutine",
+		reason: "A round's stages, PoW search and verdicts included, run in order on the goroutine that calls " +
+			"RunRound; Params.Parallelism sizes the simnet lanes only. A go statement in the engine would bring " +
+			"back a CPU pool beside the lanes: a second concurrency whose results must not depend on its width.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    inspect(func(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }),
+		fixture: file{"internal/protocol/pool.go", "package protocol\n\nfunc (e *Engine) fanOut(do func()) {\n\tgo do()\n}\n"},
+	},
+	{
 		name: "The evidence form is chosen in cast.go",
 		reason: "Params.AggregateCerts decides whether a certificate carries per-voter or aggregate evidence, " +
 			"and cast.go is where the engine reads it; every other stage builds and checks a consensus.Quorum " +

@@ -307,14 +307,3 @@ func TestLeadersSelectedByReputation(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelEngineMatchesSerial(t *testing.T) {
-	p := DefaultParams()
-	p.Rounds = 1
-	_, serial := runEngine(t, p)
-	p.Parallelism = 4
-	_, parallel := runEngine(t, p)
-	if serial[0].Throughput() != parallel[0].Throughput() || serial[0].Messages != parallel[0].Messages {
-		t.Fatalf("parallel run diverged: %+v vs %+v", serial[0], parallel[0])
-	}
-}

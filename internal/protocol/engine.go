@@ -499,7 +499,10 @@ func (e *Engine) Run() ([]*RoundReport, error) {
 // span; the CPU stages (workload routing, PoW election work, block
 // assembly, ledger apply; pipeline.go) consume no virtual time and run
 // where their inputs are final. Params.Pipelined changes only how the
-// spans add up into Duration (pipelinedDuration), never what runs.
+// spans add up into Duration (pipelinedDuration), never what runs. A live
+// send or delivery that failed (transport.Live.Err) ends the round with
+// that error at the next stage boundary: the network stages after it are
+// skipped, and the ledger does not move.
 func (e *Engine) RunRound() (*RoundReport, error) {
 	report := &RoundReport{
 		Round:        e.round,
@@ -523,10 +526,17 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	lateStart := e.Net.Metrics().LateTotal()
 
 	e.stageSpans = make(map[string]simnet.Time)
+	var liveErr error
 	net := func(name string, run func()) {
+		if liveErr != nil {
+			return
+		}
 		from := e.Net.Now()
 		run()
 		e.stageSpans[name] = e.Net.Now() - from
+		if e.live != nil && e.live.Err() != nil {
+			liveErr = fmt.Errorf("stage %s: %w", name, e.live.Err())
+		}
 	}
 	e.stageWorkload()
 	net("config", e.phaseConfig)
@@ -537,11 +547,17 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	net("score", func() { e.phaseScore(report) })
 	e.stageAssemble()
 	net("select", func() { e.phaseSelect(report) })
+	if liveErr != nil {
+		return nil, liveErr
+	}
 	if err := e.stageLedger(report); err != nil {
 		return nil, fmt.Errorf("stage ledger: %w", err)
 	}
 	var err error
 	net("certify", func() { err = e.phaseBlock(report) })
+	if liveErr != nil {
+		return nil, liveErr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("stage certify: %w", err)
 	}

@@ -65,18 +65,6 @@ func TestEngineMultiRound(t *testing.T) {
 	}
 }
 
-func TestEngineDeterministic(t *testing.T) {
-	p := DefaultParams()
-	p.Rounds = 2
-	_, a := runEngine(t, p)
-	_, b := runEngine(t, p)
-	for i := range a {
-		if a[i].Throughput() != b[i].Throughput() || a[i].Fees != b[i].Fees || a[i].Messages != b[i].Messages {
-			t.Fatalf("round %d diverged: %+v vs %+v", i+1, a[i], b[i])
-		}
-	}
-}
-
 func TestEngineEd25519SchemeRound(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 1

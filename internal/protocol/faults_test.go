@@ -549,7 +549,7 @@ func adaptiveSpec(budget int) *FaultsConfig {
 // TestAdaptiveAdversaryDeterminism: the reactive planner's runs are
 // byte-identical across simnet parallelism, sequential and pipelined —
 // re-planning at round boundaries compiles to the same pure Fate/Down
-// plan no matter how the worker pool schedules events.
+// plan no matter how the simnet lanes schedule events.
 func TestAdaptiveAdversaryDeterminism(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		mode := "sequential"

@@ -152,9 +152,10 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 }
 
 // voteOnTxs produces this node's vote vector: the committee's honest
-// verdict vector (precomputed once per shard on the routing worker pool,
-// see Engine.precomputeVerdicts; recomputed only if a byzantine leader
-// substituted a different list) transformed by the behaviour strategy.
+// verdict vector (precomputed once per shard as the round's work is
+// routed, see Engine.precomputeVerdicts; recomputed only if a byzantine
+// leader substituted a different list) transformed by the behaviour
+// strategy.
 // With ParallelBlockGen (§VIII-B) the honest verdicts are computed in list
 // order against a copy-on-write overlay, so chained transactions in one
 // list can both pass.

@@ -49,7 +49,7 @@ type Params struct {
 	// "" means the same) or "ed25519" (real signatures).
 	Scheme      string `json:"scheme"`
 	Seed        int64  `json:"seed"`
-	Parallelism int    `json:"parallelism"`  // simnet lanes and CPU worker pool; 0 = GOMAXPROCS
+	Parallelism int    `json:"parallelism"`  // simnet lanes; 0 = GOMAXPROCS
 	PowHardness uint64 `json:"pow_hardness"` // expected hash attempts per participation puzzle
 
 	// Transport names the network the round runs over: "sim" (the

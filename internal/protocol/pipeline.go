@@ -49,23 +49,21 @@ type powEntry struct {
 }
 
 // stagePow performs the §IV-F election legwork: every online node solves
-// the next round's participation puzzle, fanned out over the worker pool.
-// The puzzle depends only on the round number and the current randomness,
-// both fixed when the round opens, and the search is deterministic, so
-// the solutions are the same at any pool size. They are submitted on the
-// network during the selection phase.
+// the next round's participation puzzle. The puzzle depends only on the
+// round number and the current randomness, both fixed when the round
+// opens, and the search is deterministic. The solutions are submitted on
+// the network during the selection phase.
 func (e *Engine) stagePow() {
 	puzzle := e.powPuzzle()
 	e.powSols = make([]powEntry, len(e.nodes))
-	e.fanOut(len(e.nodes), func(i int) {
-		n := e.nodes[i]
+	for i, n := range e.nodes {
 		if n.Behavior.Offline {
-			return
+			continue
 		}
 		if sol, _, err := pow.Solve(puzzle, n.Keys.PK, uint64(n.ID)<<32, 1<<22); err == nil {
 			e.powSols[i] = powEntry{ok: true, sol: sol}
 		}
-	})
+	}
 }
 
 // pendingBlock carries the assembled-but-uncertified block state from the

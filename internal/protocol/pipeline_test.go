@@ -43,8 +43,7 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 
 // TestPipelinedDeterministicAcrossParallelism: a seeded run, sequential or
 // pipelined, must produce byte-identical reports at parallelism 1 and N —
-// the simnet lanes and the CPU pool (PoW, verdicts) may only change
-// wall-clock time, never results.
+// the simnet lanes may only change wall-clock time, never results.
 func TestPipelinedDeterministicAcrossParallelism(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		base := DefaultParams()

@@ -1,11 +1,6 @@
 package protocol
 
 import (
-	"maps"
-	"runtime"
-	"slices"
-	"sync"
-
 	"cycledger/internal/ledger"
 	"cycledger/internal/reputation"
 )
@@ -13,10 +8,9 @@ import (
 // routedWork is one round's transaction assignment, produced exactly once
 // per round by the workload stage: the offered batch split into per-shard
 // intra lists and (input shard → output shard) cross lists, plus the
-// honest verdict vector for each committee's list, precomputed on a
-// per-shard worker pool against shard-local views so the (identical)
-// honest validation work is not repeated by every committee member inside
-// the network simulation.
+// honest verdict vector for each committee's list, precomputed against
+// shard-local views so the (identical) honest validation work is not
+// repeated by every committee member inside the network simulation.
 type routedWork struct {
 	offered  []*ledger.Tx
 	intra    map[uint64][]*ledger.Tx
@@ -79,63 +73,17 @@ func (e *Engine) routeBatch(batch []*ledger.Tx) *routedWork {
 	return w
 }
 
-// effectiveParallelism resolves P.Parallelism for the engine's CPU worker
-// pool, additionally capped at GOMAXPROCS: unlike simnet's event pool,
-// these stages are pure computation, so workers beyond the physical cores
-// only add scheduling overhead (results are pool-size-independent either
-// way).
-func (e *Engine) effectiveParallelism() int {
-	w := e.P.Parallelism
-	if limit := runtime.GOMAXPROCS(0); w <= 0 || w > limit {
-		w = limit
-	}
-	return w
-}
-
-// fanOut calls do(i) for every i in [0, n) on the engine's CPU worker pool
-// (effectiveParallelism workers, at most n) and returns when all calls
-// have. Each call must write only state owned by its index, so results do
-// not depend on the pool size.
-func (e *Engine) fanOut(n int, do func(i int)) {
-	workers := min(e.effectiveParallelism(), n)
-	if workers <= 1 {
-		for i := range n {
-			do(i)
-		}
-		return
-	}
-	next := make(chan int, n)
-	for i := range n {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// precomputeVerdicts computes each committee's honest vote vector, one
-// shard per fanOut call. Every honest member of committee k evaluates the
-// same list in the same order against the same state, so the vector is a
-// per-shard fact, not a per-node one; nodes then derive their actual votes
-// from it through their Behavior (see voteOnTxs). Shard-local speculative
-// views (overlays over the striped store) keep validation free of
-// cross-shard lock contention.
+// precomputeVerdicts computes each committee's honest vote vector. Every
+// honest member of committee k evaluates the same list in the same order
+// against the same state, so the vector is a per-shard fact, not a
+// per-node one; nodes then derive their actual votes from it through
+// their Behavior (see voteOnTxs). Shard-local speculative views (overlays
+// over the striped store) leave the store itself untouched, so the shards
+// may be evaluated in any order.
 func (e *Engine) precomputeVerdicts(w *routedWork) {
-	shards := slices.Collect(maps.Keys(w.intra))
-	verdicts := make([]reputation.VoteVector, len(shards))
-	e.fanOut(len(shards), func(i int) { verdicts[i] = e.honestVerdictFor(w.intra[shards[i]]) })
-	w.verdicts = make(map[uint64]reputation.VoteVector, len(shards))
-	for i, k := range shards {
-		w.verdicts[k] = verdicts[i]
+	w.verdicts = make(map[uint64]reputation.VoteVector, len(w.intra))
+	for k, txs := range w.intra {
+		w.verdicts[k] = e.honestVerdictFor(txs)
 	}
 }
 

@@ -38,15 +38,13 @@ func (l *Live) CorruptFrames(id simnet.NodeID, fn func(head, body []byte)) {
 }
 
 // Claim delivers every frame waiting in node id's mailbox to h, outside any
-// run, and returns what the first delivery to fail panicked with.
-func (l *Live) Claim(id simnet.NodeID, h simnet.Handler) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = r.(error)
+// run, and returns the first of those deliveries to fail.
+func (l *Live) Claim(id simnet.NodeID, h simnet.Handler) error {
+	n := l.nodes[id]
+	for key := range n.mailbox {
+		if err := l.run(n, job{ctx: &simnet.Context{Node: id}, h: h, key: key}); err != nil {
+			return err
 		}
-	}()
-	for key := range l.nodes[id].mailbox {
-		l.Deliver(&simnet.Context{Node: id}, key.ks, key.kc, h)
 	}
 	return nil
 }

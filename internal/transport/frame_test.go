@@ -146,10 +146,11 @@ func TestFrameFieldsOutOfRange(t *testing.T) {
 // TestLiveCorruptFramePanics checks the delivery-side guards on a broadcast
 // to four nodes, whose frames are four headers over one shared body: a
 // frame whose bytes no longer parse, or that answers another key than the
-// one its delivery claims, stops the delivery with a panic naming the node
-// and the key (and the tag, once one was read) instead of running a handler
-// on it. Damage to the shared body is met by every recipient; damage to
-// one header by that recipient alone.
+// one its delivery claims, runs no handler, and the delivery returns an
+// error naming the node and the key (and the tag, once one was read),
+// which Err keeps from the first failure on. Damage to the shared body is
+// met by every recipient; damage to one header by that recipient alone.
+// The name is kept from when such a delivery panicked.
 func TestLiveCorruptFramePanics(t *testing.T) {
 	const victim = simnet.NodeID(2)
 	peers := []simnet.NodeID{0, 1, 2, 3}
@@ -187,16 +188,19 @@ func TestLiveCorruptFramePanics(t *testing.T) {
 					continue
 				}
 				if err == nil {
-					t.Fatalf("node %d: delivery of a corrupt frame did not panic with an error", id)
+					t.Fatalf("node %d: delivery of a corrupt frame returned no error", id)
 				}
 				for _, want := range []string{fmt.Sprintf("to node %d under key (", id), tc.want} {
 					if !strings.Contains(err.Error(), want) {
-						t.Errorf("node %d: panic %q does not mention %q", id, err, want)
+						t.Errorf("node %d: error %q does not mention %q", id, err, want)
 					}
 				}
 				if ran {
 					t.Errorf("node %d: handler ran on a corrupt frame", id)
 				}
+			}
+			if err := live.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Err() = %v, want the first failure, mentioning %q", err, tc.want)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cycledger/internal/simnet"
 )
@@ -45,10 +46,11 @@ import (
 // node's goroutine while that same lane waits in Deliver.
 //
 // The Network's worker lanes bound how many nodes run at once within a
-// tick. A frame that fails to encode or to parse is a programming error
-// (the codec is fuzz-hardened and the frames never leave the process), so
-// the delivery panics with the underlying error rather than silently
-// diverging from the simulator.
+// tick. A payload that fails to encode is not shipped, and a frame that
+// is missing, fails to parse or answers another key runs no handler; the
+// first such failure, naming the node and the key, is kept for Err, and
+// the engine ends the round with it at its next stage boundary rather
+// than report a run that silently diverged from the simulator.
 type Live struct {
 	codec Codec
 	body  []byte // the encoding in the frame Ship filed last
@@ -56,6 +58,8 @@ type Live struct {
 	nodes  map[simnet.NodeID]*liveNode
 	wg     sync.WaitGroup // the node goroutines, one per attached node
 	closed bool
+
+	err atomic.Pointer[error] // the first send or delivery that failed; lanes deliver concurrently
 }
 
 // NewLive builds a live carrier and installs it on net, which must be
@@ -137,16 +141,31 @@ func (n *liveNode) exec(codec Codec, j job) error {
 	return nil
 }
 
-// run hands one job to the node's goroutine and waits for it.
-func (l *Live) run(n *liveNode, j job) {
+// run hands one job to the node's goroutine, waits for it and returns its
+// failure, which it also records for Err.
+func (l *Live) run(n *liveNode, j job) error {
 	n.work <- j
-	if err := <-n.done; err != nil {
-		panic(fmt.Errorf("transport: live delivery to node %d under key (%d, %d): %w", n.id, j.key.ks, j.key.kc, err))
+	err := <-n.done
+	if err != nil {
+		err = fmt.Errorf("transport: live delivery to node %d under key (%d, %d): %w", n.id, j.key.ks, j.key.kc, err)
+		l.err.CompareAndSwap(nil, &err)
 	}
+	return err
+}
+
+// Err returns the first send or delivery that failed, or nil: a payload
+// that did not encode, or a frame that was missing, did not parse or
+// answered another key. The message it carried ran no handler.
+func (l *Live) Err() error {
+	if p := l.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Ship implements simnet.Carrier: file a header of the destination's own
-// in its mailbox, beside the payload's encoding.
+// in its mailbox, beside the payload's encoding. A payload that does not
+// encode is recorded for Err and not shipped.
 func (l *Live) Ship(ks uint64, kc uint32, msg simnet.Message, same bool) bool {
 	dst := l.nodes[msg.To]
 	if dst == nil {
@@ -155,7 +174,9 @@ func (l *Live) Ship(ks uint64, kc uint32, msg simnet.Message, same bool) bool {
 	key := msgKey{ks, kc}
 	f, err := l.frameFor(key, msg, same)
 	if err != nil {
-		panic(fmt.Errorf("transport: live send from node %d to node %d under key (%d, %d): %w", msg.From, msg.To, ks, kc, err))
+		err = fmt.Errorf("transport: live send from node %d to node %d under key (%d, %d): %w", msg.From, msg.To, ks, kc, err)
+		l.err.CompareAndSwap(nil, &err)
+		return false
 	}
 	dst.mailbox[key] = f
 	return true
@@ -180,6 +201,7 @@ func (l *Live) frameFor(key msgKey, msg simnet.Message, same bool) (frame, error
 
 // Deliver implements simnet.Carrier: the destination's goroutine claims
 // the frame shipped under (ks, kc), decodes it and runs h on the message.
+// A frame that fails is recorded for Err.
 func (l *Live) Deliver(ctx *simnet.Context, ks uint64, kc uint32, h simnet.Handler) {
 	l.run(l.nodes[ctx.Node], job{ctx: ctx, h: h, key: msgKey{ks, kc}})
 }

@@ -9,7 +9,7 @@ import (
 	"cycledger/sim"
 )
 
-var updateConfigGolden = flag.Bool("update", false, "rewrite testdata/config.golden from this build's configs")
+var update = flag.Bool("update", false, "rewrite testdata/config.golden and testdata/runs from this build")
 
 // TestConfigGolden pins the run document byte for byte: DefaultConfig's
 // ToJSON, then every registered scenario's resolved ToJSON in List order,
@@ -37,7 +37,7 @@ func TestConfigGolden(t *testing.T) {
 		add(scen.Name, cfg)
 	}
 	const path = "testdata/config.golden"
-	if *updateConfigGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

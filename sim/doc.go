@@ -2,7 +2,8 @@
 // that every binary, example, and test builds on instead of hand-wiring
 // protocol.Params. The facade adds nothing to the engine's semantics — a
 // sim run is byte-identical to driving protocol.NewEngine with the
-// equivalent Params (enforced per scenario by TestScenarioGolden).
+// equivalent Params, and both reproduce each built-in scenario's committed
+// report golden (TestScenarioGolden).
 //
 // # Building a simulation
 //
@@ -77,7 +78,7 @@
 // # Determinism and sweeps
 //
 // Runs with equal Configs (including Seed) are byte-identical at any
-// Parallelism, sequential or pipelined. The
+// Parallelism and over either transport, sequential or pipelined. The
 // sim/sweep subpackage builds on that to expand parameter grids over
 // Config, execute them on a worker pool, and aggregate statistics across
 // replicate seeds.

@@ -2,68 +2,14 @@ package sim_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"cycledger/internal/protocol"
 	"cycledger/sim"
 )
-
-// TestScenarioGolden proves the facade adds nothing to the engine's
-// semantics: for every registered scenario, sim.New(...).Run is
-// byte-identical (under canonical JSON, which sorts all map keys) to
-// constructing protocol.NewEngine with the equivalent Params directly.
-func TestScenarioGolden(t *testing.T) {
-	for _, scen := range sim.List() {
-		t.Run(scen.Name, func(t *testing.T) {
-			if scen.Name == "paper-scale" && os.Getenv("CYCLEDGER_PAPER_SCALE") == "" {
-				t.Skip("set CYCLEDGER_PAPER_SCALE=1 to golden-test the paper-scale scenario")
-			}
-			cfg, err := scen.Config()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := cfg.Params()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := protocol.NewEngine(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			s, err := scen.New()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			wantJSON, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJSON, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(wantJSON) != string(gotJSON) {
-				t.Errorf("facade run diverges from direct engine run\n direct: %s\n facade: %s", wantJSON, gotJSON)
-			}
-		})
-	}
-}
 
 // small returns a fast topology used by the behavioural tests.
 func small() sim.Config {
