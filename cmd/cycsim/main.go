@@ -82,7 +82,7 @@ func main() {
 	flag.Int(run("parallel", "parallelism"), def.Parallelism, "simnet lanes (0 = GOMAXPROCS)")
 	flag.Bool(run("pipelined", "pipelined"), def.Pipelined, "report round latency under the §IV pipeline (election overlaps processing); only Δt changes")
 	flag.String(run("scheme", "scheme"), def.Scheme, "signature scheme: hash|ed25519")
-	flag.String(run("transport", "transport"), def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes exchanging wire bytes; report-identical, fault models included)")
+	flag.String(run("transport", "transport"), def.Transport, "network transport: sim (deterministic simulator) | live (every payload crosses between nodes as wire bytes; report-identical, fault models included)")
 	top := flag.Int("top", 5, "reputation leaderboard size")
 
 	var sweepAxes []sweep.Axis

@@ -345,8 +345,8 @@ func TestVerifiedSetIsExact(t *testing.T) {
 	}
 }
 
-// TestVerifiedSetConcurrent has several goroutines — simnet lanes or live
-// node goroutines in the engine — verify the same valid and forged records
+// TestVerifiedSetConcurrent has several goroutines — simnet lanes in the
+// engine — verify the same valid and forged records
 // through one set at once; run it under -race.
 func TestVerifiedSetConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))

@@ -94,8 +94,8 @@ func (r *RoundReport) Throughput() int { return r.IntraIncluded + r.CrossInclude
 
 // Engine runs the full protocol over the one network it builds: the
 // deterministic simulator, carrying payloads itself by default or — with
-// Params.Transport "live" — handing them to the live carrier's concurrent
-// node processes.
+// Params.Transport "live" — as frames of the wire codec, through the live
+// carrier.
 type Engine struct {
 	P      Params
 	Net    *simnet.Network
@@ -132,23 +132,14 @@ type Engine struct {
 
 	// echoes holds this round's verified echoes per instance leader, shared
 	// by every node's endpoint for that leader (echoesFor). consFor runs on
-	// handler lanes and live node goroutines, so echoMu guards the lazy
-	// creation of an entry; RunRound drops the sets when the round ends.
+	// the simnet lanes, concurrently, so echoMu guards the lazy creation of
+	// an entry; RunRound drops the sets when the round ends.
 	echoMu sync.Mutex
 	echoes map[simnet.NodeID]*consensus.VerifiedEchoes
 
 	// adversary, when non-nil, is the reactive planner re-targeting its
 	// fault budget at each round boundary (see adversary.go).
 	adversary *adversaryPlanner
-}
-
-// Close joins the live carrier's node goroutines (one per node; nothing to
-// do on the simulator). The engine must not run further rounds afterwards.
-func (e *Engine) Close() error {
-	if e.live != nil {
-		e.live.Close()
-	}
-	return nil
 }
 
 // nodeDown reports whether a node is unreachable right now: explicitly
@@ -241,9 +232,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: e.keys[i], eng: e}
 		e.nodes[i] = node
 		e.Net.Register(node.ID, node.Handle)
-		if e.live != nil {
-			e.live.Attach(node.ID)
-		}
 	}
 	e.assignByzantine()
 

@@ -12,7 +12,7 @@ import (
 )
 
 // countingCodec is the wire codec counting its calls: AppendEncode runs on
-// the serial send drain, Decode on the node goroutines of every lane. The
+// the serial send drain, Decode on every lane. The
 // call numbered failEncode, or failDecode, counted from 1, fails; 0 fails
 // none.
 type countingCodec struct {
@@ -37,7 +37,7 @@ func (c countingCodec) Decode(data []byte) (any, int, error) {
 
 // TestLiveEncodesOncePerFanout checks, by counting, that the live carrier
 // serialises a fan-out once: over two default rounds every frame is decoded
-// by the node that claims it, while the encoder runs less than once for
+// by each node it reaches, while the encoder runs less than once for
 // every six of them — a round's traffic is proposals, echoes, lists and
 // blocks sent to whole committees, and each is one Broadcast.
 func TestLiveEncodesOncePerFanout(t *testing.T) {
@@ -48,7 +48,6 @@ func TestLiveEncodesOncePerFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	reports, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +68,7 @@ func TestLiveEncodesOncePerFanout(t *testing.T) {
 
 // TestLiveFailureIsAnError: a payload that fails to encode once, or a
 // frame that fails to decode once, ends the run with an error naming the
-// node and the key, not a panic, and Close still joins every node
-// goroutine.
+// nodes, not a panic, and the run leaves no goroutine behind.
 func TestLiveFailureIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -88,12 +86,11 @@ func TestLiveFailureIsAnError(t *testing.T) {
 				t.Fatal(err)
 			}
 			reports, err := e.Run()
-			e.Close()
 			if err == nil {
 				t.Fatalf("a run with an injected %s failure returned no error", tc.name)
 			}
 			t.Log(err)
-			for _, want := range []string{tc.want, "under key (", "injected " + tc.name + " failure"} {
+			for _, want := range []string{tc.want, "from node", "to node", "injected " + tc.name + " failure"} {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
@@ -102,14 +99,14 @@ func TestLiveFailureIsAnError(t *testing.T) {
 				t.Errorf("%d rounds reported before the failure in round 1", len(reports))
 			}
 			if after := settledGoroutines(); after != before {
-				t.Errorf("goroutines leaked: %d before the engine, %d after Close", before, after)
+				t.Errorf("goroutines leaked: %d before the engine, %d after its run", before, after)
 			}
 		})
 	}
 }
 
 // settledGoroutines returns the goroutine count once it has held still for
-// 20 ms, so that goroutines a Close joined have also been retired.
+// 20 ms, so that goroutines that have exited are also retired.
 func settledGoroutines() int {
 	n, still := runtime.NumGoroutine(), 0
 	for deadline := time.Now().Add(2 * time.Second); still < 4 && time.Now().Before(deadline); {

@@ -53,10 +53,10 @@ type Params struct {
 	PowHardness uint64 `json:"pow_hardness"` // expected hash attempts per participation puzzle
 
 	// Transport names the network the round runs over: "sim" (the
-	// deterministic simulator; "" means the same) or "live" (every node a
-	// goroutine, every payload crossing between nodes as a frame of the
-	// wire codec). The engine's one simnet.Network schedules either way,
-	// so reports are identical, fault models included.
+	// deterministic simulator; "" means the same) or "live" (every payload
+	// crossing between nodes as a frame of the wire codec, decoded by each
+	// receiver). The engine's one simnet.Network schedules either way, so
+	// reports are identical, fault models included.
 	Transport string `json:"transport"`
 
 	// DisableRecovery turns off the leader re-selection procedure —

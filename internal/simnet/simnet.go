@@ -157,12 +157,10 @@ type event struct {
 	kind eventKind
 	node NodeID // destination (message) or owner (timer)
 	late bool   // held beyond the synchrony bound by the fault model
-	// shipped: the payload travels by the Carrier, which holds it under this
-	// event's key until the delivery claims (or discards) it; msg then keeps
-	// only the accounting fields.
-	shipped bool
-	msg     Message
-	fn      func(*Context)
+	// msg.Payload is, with a Carrier installed, the frame Ship made of the
+	// payload (nil if it made none).
+	msg Message
+	fn  func(*Context)
 }
 
 // eventHeap orders events by (at, ks, kc). It backs the calendar queue's
@@ -193,7 +191,7 @@ func (h *eventHeap) Pop() any {
 type xmsg struct {
 	ks   uint64
 	kc   uint32
-	same bool // a held send whose payload is the previous send's (see effect)
+	same bool // a held send that is the previous one but for its destination (see effect)
 	msg  Message
 }
 
@@ -256,7 +254,7 @@ type Network struct {
 	faults      Faults        // nil = fault-free
 	sendAudit   func(Message) // optional per-send assertion hook (size audits in tests)
 	carrier     Carrier       // nil = payloads ride in the event (the simulator proper)
-	carried     bool          // the carrier accepted the payload of the current run of same sends
+	carried     bool          // the carrier framed a message of the current run of same sends
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -380,37 +378,30 @@ func (n *Network) SetFaults(f Faults) { n.faults = f }
 // hook must not re-enter the Network.
 func (n *Network) SetSendAudit(fn func(Message)) { n.sendAudit = fn }
 
-// Carrier moves message payloads between nodes outside the scheduler: the
-// live transport installs one so that every payload crosses its codec and
-// a link while the Network keeps the clock, the queue, the delay draw, the
-// fault model and the accounting. With a carrier installed an event holds
-// only a message's accounting fields (From, To, Tag, Size) and the carrier
-// holds the payload under the event's scheduling key.
+// Carrier moves message payloads between nodes as bytes: the live
+// transport installs one so that every payload crosses its codec while the
+// Network keeps the clock, the queue, the delay draw, the fault model and
+// the accounting. With a carrier installed the payload an event holds is
+// the frame Ship made of the message's payload, and its delivery hands the
+// frame to Deliver.
 type Carrier interface {
-	// Ship takes charge of the payload of a message that will be delivered
-	// under key (ks, kc). It is called from the serial send path (see
-	// Faults), after the audit, crash and Fate checks. Returning false
-	// means the carrier has no process for msg.To: the event still advances
-	// the clock and the delivery count, but no handler runs for it — a
-	// message to an unregistered node.
+	// Ship returns the frame that carries msg, or nil if it cannot make
+	// one. It is called from the serial send path (see Faults), after the
+	// audit, crash and Fate checks. A message without a frame still
+	// advances the clock and the delivery count, but no handler runs for
+	// it.
 	//
-	// same reports that msg.Payload is the very value of the last message
-	// this carrier accepted (Ship returned true) — a later destination of
-	// one Context.Broadcast — so whatever the carrier made of that payload
-	// it may use again. A broadcast's earlier copies that never reached the
-	// carrier (lost to Fate, sent while the sender was down, refused for
-	// want of a process) do not count: the first copy it sees has same
-	// false.
-	Ship(ks uint64, kc uint32, msg Message, same bool) bool
-	// Deliver claims the payload shipped under (ks, kc) for node ctx.Node
-	// and runs h on that node's own process, returning once h has filled
-	// ctx. Lanes call it concurrently, never twice at once for one node.
-	Deliver(ctx *Context, ks uint64, kc uint32, h Handler)
-	// Fire runs a timer of node ctx.Node on that node's own process.
-	Fire(ctx *Context, fn func(*Context))
-	// Discard claims and drops the payload shipped under (ks, kc) to a
-	// destination that was down at delivery time.
-	Discard(ks uint64, kc uint32, to NodeID)
+	// same reports that msg differs from the last message this carrier
+	// framed only in its destination — a later destination of one
+	// Broadcast — so the carrier may return that frame again. A
+	// broadcast's earlier copies that never reached the carrier (lost to
+	// Fate, sent while the sender was down, or not framed) do not count:
+	// the first copy it frames has same false.
+	Ship(msg Message, same bool) any
+	// Deliver runs h for node ctx.Node on the message that msg carries:
+	// msg is the event's message, its Payload the frame Ship returned.
+	// Lanes call it concurrently, never twice at once for one node.
+	Deliver(ctx *Context, msg Message, h Handler)
 }
 
 // SetCarrier installs the payload carrier (nil restores in-event payloads).
@@ -478,8 +469,9 @@ func (n *Network) nextKey() uint64 {
 // step, which is the contract Faults documents: audit, crashed-sender
 // check, accounting, Fate, then the keyed delay draw and the push into the
 // destination's lane. It reports whether the message was scheduled. same
-// marks a send whose payload is the previous call's (see effect): only the
-// carrier is told, and only if it accepted an earlier copy of this run.
+// marks a send that is the previous call's but for its destination (see
+// effect): only the carrier is told, and only if it framed an earlier copy
+// of this run.
 func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 	if !same {
 		n.carried = false
@@ -507,9 +499,8 @@ func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 	// a crashed destination counts as dropped, never as late.
 	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
 	if n.carrier != nil {
-		ev.shipped = n.carrier.Ship(ks, kc, msg, n.carried)
-		n.carried = n.carried || ev.shipped
-		ev.msg.Payload = nil
+		ev.msg.Payload = n.carrier.Ship(msg, n.carried)
+		n.carried = n.carried || ev.msg.Payload != nil
 	}
 	dl.q.push(ev)
 	return true
@@ -570,8 +561,8 @@ type Context struct {
 
 type effect struct {
 	isTimer bool
-	// same: this send carries the very payload value of the effect before
-	// it — set by Broadcast, the one place that knows — so a carrier can
+	// same: this send is the effect before it but for its destination —
+	// set by Broadcast, the one place that knows — so a carrier can
 	// serialise a fan-out once. It changes nothing else about the send.
 	same  bool
 	msg   Message
@@ -673,9 +664,8 @@ func (n *Network) stepAt(t Time) {
 // popLane pops one lane's tick batch and runs the dead-destination
 // pre-pass: events owned by a node that is down per the fault model's
 // crash schedule are flagged, and skipped messages are counted in the
-// lane's drops (a shipped payload is discarded, so the carrier never
-// keeps what no delivery will claim). Runs on pool workers; touches only
-// lane-owned state plus the pure Faults.Down.
+// lane's drops. Runs on pool workers; touches only lane-owned state plus
+// the pure Faults.Down.
 func (n *Network) popLane(ln *lane) {
 	ln.batch = ln.q.popBatch(n.now, ln.batch[:0])
 	ln.anySkip = false
@@ -693,9 +683,6 @@ func (n *Network) popLane(ln *lane) {
 			ln.anySkip = true
 			if ev.kind == evMessage {
 				ln.drops.add(ev.msg.Size)
-				if ev.shipped {
-					n.carrier.Discard(ev.ks, ev.kc, ev.node)
-				}
 			}
 		}
 	}
@@ -744,8 +731,8 @@ func (n *Network) renumber() int {
 }
 
 // execLane runs one lane's batch — the one executor. The handler (or
-// timer) fires with the lane's reusable Context — on the node's own
-// process when a carrier is installed — then its effects apply in order,
+// timer) fires with the lane's reusable Context — a message through the
+// carrier's Deliver when one is installed — then its effects apply in order,
 // keyed (producer seq, effect index): timers push into this lane's
 // calendar queue from this lane's free list; sends are appended to the
 // lane's held list for drainHeld. Runs on pool workers; all state touched
@@ -763,7 +750,7 @@ func (n *Network) execLane(ln *lane) {
 		switch ev.kind {
 		case evMessage:
 			h := n.handlerOf(ev.node)
-			if h == nil || (carrier != nil && !ev.shipped) {
+			if h == nil || (carrier != nil && ev.msg.Payload == nil) {
 				ln.freeEvent(ev)
 				continue
 			}
@@ -771,16 +758,12 @@ func (n *Network) execLane(ln *lane) {
 				ln.late.add(ev.msg.Size)
 			}
 			if carrier != nil {
-				carrier.Deliver(ctx, ev.ks, ev.kc, h)
+				carrier.Deliver(ctx, ev.msg, h)
 			} else {
 				h(ctx, ev.msg)
 			}
 		case evTimer:
-			if carrier != nil {
-				carrier.Fire(ctx, ev.fn)
-			} else {
-				ev.fn(ctx)
-			}
+			ev.fn(ctx)
 		}
 		pseq, node := ev.seq, ev.node
 		ln.freeEvent(ev) // may be recycled for a child immediately below

@@ -13,114 +13,95 @@ import (
 // anything is sized from it.
 const maxFrame = 2 << 20
 
-// A frame is two byte strings, filed side by side in the destination's
-// mailbox. The header belongs to one recipient:
+// A frame is one byte string, the message as a link would carry it:
 //
-//	[u32 length][u64 ks][u32 kc][u32 from][u16 tagLen][tag][u32 declared size]
+//	[u32 length][u32 from][u16 tagLen][tag][u32 declared size][body]
 //
-// and the body is the codec's encoding of the payload. The length prefix
-// counts everything after itself, header remainder and body together —
-// the two laid end to end are the frame as one link would carry it.
+// where the body is the codec's encoding of the payload and the length
+// prefix counts everything after itself. The destination is not in the
+// frame, so every recipient of one broadcast gets the same frame. The
+// declared size travels separately from the encoding because the
+// simulation's traffic model sizes a few modeled messages (PVSS beacon
+// shares) analytically rather than by serialisation.
 //
-// (ks, kc) is the scheduling key of the message's delivery event — the
-// frame is filed under it, and the delivery, which carries the same key,
-// checks it claimed exactly its frame. The declared size travels separately
-// from the encoding because the simulation's traffic model sizes a few
-// modeled messages (PVSS beacon shares) analytically rather than by
-// serialisation.
-//
-// Who may touch what: a header is written once by Ship and read once by
-// the node that claims it. A body is written once, by the Ship that first
-// met the payload, and is immutable from then on: every later copy of the
-// same broadcast files the same slice under its own header, so the
-// recipients' goroutines read it concurrently, and what each decodes from
-// it may alias it (see package wire) for as long as the decoded value
-// lives.
+// A frame is written once, by the Ship that made it, and is immutable from
+// then on: the recipients' lanes read it concurrently, and what each
+// decodes from it may alias it (see package wire) for as long as the
+// decoded value lives.
 
 // Sizes of the layout's fixed parts.
 const (
-	framePrefix = 4             // length prefix
-	frameHeader = 8 + 4 + 4 + 2 // key, from, tag length
-	frameSize   = 4             // declared size
+	framePrefix = 4     // length prefix
+	frameHeader = 4 + 2 // from, tag length
+	frameSize   = 4     // declared size
 )
 
-// msgKey is a delivery event's scheduling key, the mailbox index.
-type msgKey struct {
-	ks uint64
-	kc uint32
+// header is what a frame says of the message it carries, beside the
+// payload: the fields its delivery must agree with.
+type header struct {
+	from simnet.NodeID
+	tag  []byte
+	size int
 }
 
-// frame is one mailbox entry: a recipient's header and the body it shares
-// with the other recipients of the broadcast.
-type frame struct {
-	head, body []byte
-}
-
-// encodeHeader builds the header that files body under key as msg. A field
-// the layout cannot carry is an error, never a truncation: the frame would
-// parse as some other message.
-func encodeHeader(key msgKey, msg simnet.Message, body []byte) ([]byte, error) {
+// encodeFrame builds the frame that carries msg. A field the layout cannot
+// carry is an error, never a truncation: the frame would parse as some
+// other message.
+func encodeFrame(codec Codec, msg simnet.Message) ([]byte, error) {
 	if len(msg.Tag) > math.MaxUint16 {
 		return nil, fmt.Errorf("tag of %d bytes does not fit its u16 length", len(msg.Tag))
 	}
 	if msg.Size < 0 || msg.Size > math.MaxInt32 {
 		return nil, fmt.Errorf("declared size %d of %s does not fit a non-negative i32", msg.Size, msg.Tag)
 	}
-	n := frameHeader + len(msg.Tag) + frameSize
-	head := make([]byte, 0, framePrefix+n)
-	head = binary.BigEndian.AppendUint32(head, uint32(n+len(body)))
-	head = binary.BigEndian.AppendUint64(head, key.ks)
-	head = binary.BigEndian.AppendUint32(head, key.kc)
-	head = binary.BigEndian.AppendUint32(head, uint32(int32(msg.From)))
-	head = binary.BigEndian.AppendUint16(head, uint16(len(msg.Tag)))
-	head = append(head, msg.Tag...)
-	head = binary.BigEndian.AppendUint32(head, uint32(msg.Size))
-	return head, nil
+	// The declared size is the encoding's length for every serialised
+	// message, so the frame is filled without regrowth.
+	f := make([]byte, framePrefix, framePrefix+frameHeader+len(msg.Tag)+frameSize+min(msg.Size, maxFrame))
+	f = binary.BigEndian.AppendUint32(f, uint32(msg.From))
+	f = binary.BigEndian.AppendUint16(f, uint16(len(msg.Tag)))
+	f = append(f, msg.Tag...)
+	f = binary.BigEndian.AppendUint32(f, uint32(msg.Size))
+	f, err := codec.AppendEncode(f, msg.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("encoding %s payload %T: %w", msg.Tag, msg.Payload, err)
+	}
+	binary.BigEndian.PutUint32(f, uint32(len(f)-framePrefix))
+	return f, nil
 }
 
-// parseFrame parses one whole frame held in memory and destined to node
-// `to`, returning the key it answers and the reconstructed message. The
-// tag of an accepted frame is interned in tags (a node sees a few dozen
-// distinct ones), so a frame costs no string allocation. The payload is
-// decoded from f.body in place and may alias it.
-func parseFrame(f frame, codec Codec, to simnet.NodeID, tags map[string]string) (msgKey, simnet.Message, error) {
-	fail := func(err error) (msgKey, simnet.Message, error) { return msgKey{}, simnet.Message{}, err }
-	if len(f.head) < framePrefix {
-		return fail(fmt.Errorf("frame header of %d bytes is shorter than its length prefix", len(f.head)))
+// parseFrame parses one whole frame held in memory, returning its header
+// and the decoded payload. The payload is decoded from f in place and may
+// alias it; the header's tag is a slice of f.
+func parseFrame(f []byte, codec Codec) (header, any, error) {
+	fail := func(err error) (header, any, error) { return header{}, nil, err }
+	if len(f) < framePrefix+frameHeader {
+		return fail(fmt.Errorf("frame of %d bytes is shorter than its fixed header", len(f)))
 	}
-	n := binary.BigEndian.Uint32(f.head)
+	n := binary.BigEndian.Uint32(f)
 	if n > maxFrame {
 		return fail(fmt.Errorf("frame length %d exceeds cap %d", n, maxFrame))
 	}
-	head := f.head[framePrefix:]
-	if int(n) != len(head)+len(f.body) {
-		return fail(fmt.Errorf("frame declares %d bytes but holds %d of header and %d of body", n, len(head), len(f.body)))
+	if int(n) != len(f)-framePrefix {
+		return fail(fmt.Errorf("frame declares %d bytes but holds %d", n, len(f)-framePrefix))
 	}
-	if len(head) < frameHeader {
-		return fail(fmt.Errorf("frame header of %d bytes is shorter than its fixed part", len(head)))
+	h := header{from: simnet.NodeID(binary.BigEndian.Uint32(f[framePrefix:]))}
+	tagLen := int(binary.BigEndian.Uint16(f[framePrefix+4:]))
+	rest := f[framePrefix+frameHeader:]
+	if len(rest) < tagLen+frameSize {
+		return fail(fmt.Errorf("frame of %d bytes ends inside its %d-byte tag and declared size", len(f), tagLen))
 	}
-	key := msgKey{ks: binary.BigEndian.Uint64(head), kc: binary.BigEndian.Uint32(head[8:])}
-	from := simnet.NodeID(int32(binary.BigEndian.Uint32(head[12:])))
-	tagLen := int(binary.BigEndian.Uint16(head[16:]))
-	if len(head) != frameHeader+tagLen+frameSize {
-		return fail(fmt.Errorf("frame header of %d bytes does not end with its %d-byte tag and declared size", len(head), tagLen))
+	h.tag = rest[:tagLen]
+	h.size = int(int32(binary.BigEndian.Uint32(rest[tagLen:])))
+	if h.size < 0 {
+		return fail(fmt.Errorf("%s frame has negative declared size %d", h.tag, h.size))
 	}
-	rawTag := head[frameHeader : frameHeader+tagLen]
-	size := int(int32(binary.BigEndian.Uint32(head[frameHeader+tagLen:])))
-	if size < 0 {
-		return fail(fmt.Errorf("%s frame has negative declared size %d", rawTag, size))
-	}
-	payload, used, err := codec.Decode(f.body)
+	body := rest[tagLen+frameSize:]
+	payload, used, err := codec.Decode(body)
 	if err != nil {
-		return fail(fmt.Errorf("decoding %s payload: %w", rawTag, err))
+		return fail(fmt.Errorf("decoding %s payload: %w", h.tag, err))
 	}
-	if used != len(f.body) {
-		return fail(fmt.Errorf("%s payload decoded %d of %d bytes", rawTag, used, len(f.body)))
+	if used != len(body) {
+		return fail(fmt.Errorf("%s payload decoded %d of %d bytes", h.tag, used, len(body)))
 	}
-	tag, ok := tags[string(rawTag)] // a map index by converted bytes does not allocate
-	if !ok {
-		tag = string(rawTag)
-		tags[tag] = tag
-	}
-	return key, simnet.Message{From: from, To: to, Tag: tag, Payload: payload, Size: size}, nil
+	return h, payload, nil
 }

@@ -4,11 +4,10 @@
 // keys, the keyed delay draw, the fault model and the traffic accounting;
 // an engine that is given nothing else runs with payloads riding inside
 // the Network's events (the deterministic simulator). Live is a
-// simnet.Carrier installed on that Network: every registered node becomes
-// a real concurrent goroutine, and payloads cross node boundaries
-// exclusively as codec-encoded frames (see frame.go), filed in the
-// destination's mailbox from the Network's serial send drain and claimed
-// by key at delivery. Since the scheduler is shared, any scenario —
+// simnet.Carrier installed on that Network: payloads cross node boundaries
+// exclusively as codec-encoded frames (see frame.go), encoded on the
+// Network's serial send drain and decoded by each receiver on the lane
+// that delivers to it. Since the scheduler is shared, any scenario —
 // faulted or not — produces identical virtual-time schedules, and
 // therefore identical RoundReports, byte for byte, with or without the
 // carrier.

@@ -3,11 +3,9 @@ package transport_test
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"cycledger/internal/simnet"
 	"cycledger/internal/transport"
@@ -81,9 +79,9 @@ type observed struct {
 // runScenario drives a small ping/pong/timer workload: jittered delays,
 // handler-issued sends and timers, a phase change, an external timer, a
 // modeled nil-payload broadcast, and a node that crashes between the
-// phases — every behaviour the live carrier (nil: the simulator alone)
-// must reproduce. faults are the layers under the crash.
-func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composite) *observed {
+// phases — every behaviour the live carrier must reproduce. faults are the
+// layers under the crash.
+func runScenario(tr *simnet.Network, faults simnet.Composite) *observed {
 	const n = 5
 	obs := &observed{tags: map[string]simnet.Counter{}}
 	phase := 0
@@ -100,9 +98,6 @@ func runScenario(tr *simnet.Network, live *transport.Live, faults simnet.Composi
 		obs.tags[msg.Tag] = c
 	})
 	for i := 0; i < n; i++ {
-		if live != nil {
-			live.Attach(peers[i])
-		}
 		tr.Register(peers[i], func(ctx *simnet.Context, msg simnet.Message) {
 			obs.recv[phase][ctx.Node].Add(simnet.Counter{Messages: 1, Bytes: uint64(msg.Size)})
 			switch msg.Tag {
@@ -146,12 +141,14 @@ func TestLiveMatchesSimnet(t *testing.T) {
 
 	sim := simnet.New(lat, seed)
 	net, live := newLive(lat, seed)
-	defer live.Close()
 
-	want := snapshot(sim, runScenario(sim, nil, nil))
-	got := snapshot(net, runScenario(net, live, nil))
+	want := snapshot(sim, runScenario(sim, nil))
+	got := snapshot(net, runScenario(net, nil))
 	if want != got {
 		t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", want, got)
+	}
+	if err := live.Err(); err != nil {
+		t.Error(err)
 	}
 	if sim.Metrics().DroppedTotal().Messages == 0 {
 		t.Error("scenario produced no drops; the down-node path went unexercised")
@@ -182,9 +179,7 @@ func snapshot(tr *simnet.Network, obs *observed) string {
 // iid loss, beyond-bound lag and a crash/rejoin window are applied by the
 // shared scheduler before the live transport's carrier sees a message, so
 // both transports must agree on every observable, late and dropped
-// traffic included — and once the run is idle no mailbox may still hold a
-// frame, neither of a message that died at a down destination (Discard
-// drains what a crashed node never claims) nor of any other.
+// traffic included.
 func TestLiveMatchesSimnetFaulted(t *testing.T) {
 	const seed = 42
 	lat := simnet.DefaultLatency()
@@ -202,18 +197,17 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := simnet.New(lat, seed)
 			net, live := newLive(lat, seed)
-			defer live.Close()
 			simFaults := tc.faults()
-			want := snapshot(sim, runScenario(sim, nil, simFaults))
-			got := snapshot(net, runScenario(net, live, tc.faults()))
+			want := snapshot(sim, runScenario(sim, simFaults))
+			got := snapshot(net, runScenario(net, tc.faults()))
 			if want != got {
 				t.Errorf("live diverges from the simulator\n sim:\n%s live:\n%s", want, got)
 			}
 			if simFaults != nil && (sim.Metrics().LateTotal().Messages == 0 || sim.Metrics().DroppedTotal().Messages < 2) {
 				t.Errorf("fault model did not bite: late %+v dropped %+v", sim.Metrics().LateTotal(), sim.Metrics().DroppedTotal())
 			}
-			if n := live.Buffered(); n != 0 {
-				t.Errorf("%d frames left in mailboxes after the run", n)
+			if err := live.Err(); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -224,10 +218,8 @@ func TestLiveMatchesSimnetFaulted(t *testing.T) {
 // different pointer with equal contents, so the scheduler's event never
 // carried it.
 func TestLivePayloadIsolation(t *testing.T) {
-	net, live := newLive(simnet.DefaultLatency(), 1)
-	defer live.Close()
+	net, _ := newLive(simnet.DefaultLatency(), 1)
 	var got *note
-	live.Attach(0)
 	net.Register(0, func(ctx *simnet.Context, msg simnet.Message) { got = msg.Payload.(*note) })
 	sent := &note{text: "by value"}
 	net.Send(1, 0, "NOTE", sent, 13)
@@ -246,9 +238,7 @@ func TestLivePayloadIsolation(t *testing.T) {
 // TestLiveSendAudit checks the audit hook observes live sends with the
 // declared size, before delivery.
 func TestLiveSendAudit(t *testing.T) {
-	net, live := newLive(simnet.DefaultLatency(), 1)
-	defer live.Close()
-	live.Attach(0)
+	net, _ := newLive(simnet.DefaultLatency(), 1)
 	net.Register(0, func(ctx *simnet.Context, msg simnet.Message) {})
 	var seen []simnet.Message
 	net.SetSendAudit(func(m simnet.Message) { seen = append(seen, m) })
@@ -257,60 +247,6 @@ func TestLiveSendAudit(t *testing.T) {
 	if len(seen) != 1 || seen[0].Tag != "PING" || seen[0].Size != 6 {
 		t.Fatalf("audit saw %v", seen)
 	}
-}
-
-// TestLiveCloseIdempotent checks Close twice is safe and leaves the
-// network's accessors usable.
-func TestLiveCloseIdempotent(t *testing.T) {
-	net, live := newLive(simnet.DefaultLatency(), 1)
-	for id := simnet.NodeID(0); id < 2; id++ {
-		live.Attach(id)
-		net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {})
-	}
-	net.Send(0, 1, "PING", "x", 6)
-	net.RunUntilIdle()
-	live.Close()
-	live.Close()
-	if net.Now() == 0 {
-		t.Error("virtual time lost after Close")
-	}
-}
-
-// TestLiveOneGoroutinePerNode pins the carrier's shape: it starts one
-// goroutine per attached node and nothing per link, message or round, so
-// after a two-phase scenario that has used nine directed links the count is
-// the pre-NewLive baseline plus the five nodes exactly — and
-// Close waits for all of them: the count is back at the baseline, and a
-// second Close changes nothing.
-func TestLiveOneGoroutinePerNode(t *testing.T) {
-	before := settledGoroutines()
-	net, live := newLive(simnet.DefaultLatency(), 42)
-	runScenario(net, live, nil)
-	if during := runtime.NumGoroutine(); during != before+5 {
-		t.Errorf("%d goroutines for 5 attached nodes (%d before NewLive, %d during)", during-before, before, during)
-	}
-	live.Close()
-	if after := settledGoroutines(); after != before {
-		t.Errorf("goroutines leaked: %d before NewLive, %d after Close", before, after)
-	}
-	live.Close()
-}
-
-// settledGoroutines returns the goroutine count once it has held still for
-// 20 ms: goroutines that a Close already joined have passed their last
-// statement, but the runtime may take a moment longer to retire them, and
-// an exact count needs a baseline without them.
-func settledGoroutines() int {
-	n, still := runtime.NumGoroutine(), 0
-	for deadline := time.Now().Add(2 * time.Second); still < 4 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
-		}
-	}
-	return n
 }
 
 // countingCodec is testCodec counting its AppendEncode calls, all of which
@@ -348,10 +284,9 @@ func (f *crashAfter) Down(_ simnet.Time, node simnet.NodeID) bool {
 // runFanout drives two broadcasts from node 0 to tos — a string at tick 1,
 // a *note at tick 3 — each answered by every recipient with a two-way
 // broadcast of its own, and returns what each handler was handed, in
-// delivery order. Node 0 is attached to live (nil: the simulator alone) and
-// so is every node of tos below 6; a higher one has neither process nor
-// handler.
-func runFanout(net *simnet.Network, live *transport.Live, tos []simnet.NodeID, faults simnet.Faults) []string {
+// delivery order. Node 0 has a handler, and so has every node of tos below
+// 6; a higher one has none.
+func runFanout(net *simnet.Network, tos []simnet.NodeID, faults simnet.Faults) []string {
 	var log []string
 	if faults != nil {
 		net.SetFaults(faults)
@@ -359,9 +294,6 @@ func runFanout(net *simnet.Network, live *transport.Live, tos []simnet.NodeID, f
 	for _, id := range append([]simnet.NodeID{0}, tos...) {
 		if id >= 6 {
 			continue
-		}
-		if live != nil {
-			live.Attach(id)
 		}
 		net.Register(id, func(ctx *simnet.Context, msg simnet.Message) {
 			text, _ := msg.Payload.(string)
@@ -382,12 +314,13 @@ func runFanout(net *simnet.Network, live *transport.Live, tos []simnet.NodeID, f
 
 // TestLiveFanoutEncodesOnce is the carrier's side of "a broadcast is
 // serialised once", counted: every Context.Broadcast costs one AppendEncode
-// however many attached nodes it reaches, and still exactly one when its
-// first copy never reached the carrier — lost to Fate, or addressed to a
-// node with no process — or when the sender goes down part-way through, or
-// a recipient is down by the time its copy arrives. Each run must match the
-// simulator in everything observable, payloads included, and leave no frame
-// behind.
+// however many nodes it reaches, and still exactly one when its first copy
+// never reached the carrier (lost to Fate), when a copy is addressed to a
+// node with no handler (the "unattached" cases, named from when such a
+// node had no process either), when the sender goes down part-way
+// through, or when a recipient is down by the time its copy arrives. Each
+// run must match the simulator in everything observable, payloads
+// included.
 func TestLiveFanoutEncodesOnce(t *testing.T) {
 	lat := simnet.DefaultLatency()
 	peers := []simnet.NodeID{1, 2, 3, 4}
@@ -395,7 +328,7 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 		name   string
 		tos    []simnet.NodeID
 		faults func() simnet.Faults
-		// broadcasts that put at least one frame in a mailbox
+		// broadcasts with at least one copy framed
 		broadcasts int
 		dropped    uint64
 	}{
@@ -422,13 +355,12 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := simnet.New(lat, 7)
-			want := runFanout(sim, nil, tc.tos, tc.faults())
+			want := runFanout(sim, tc.tos, tc.faults())
 
 			var encodes int
 			net := simnet.New(lat, 7)
 			live := transport.NewLive(countingCodec{encodes: &encodes}, net)
-			defer live.Close()
-			got := runFanout(net, live, tc.tos, tc.faults())
+			got := runFanout(net, tc.tos, tc.faults())
 
 			if !slices.Equal(want, got) {
 				t.Errorf("handlers saw different messages\n sim:  %q\n live: %q", want, got)
@@ -442,8 +374,8 @@ func TestLiveFanoutEncodesOnce(t *testing.T) {
 			if encodes != tc.broadcasts {
 				t.Errorf("%d AppendEncode calls for %d broadcasts", encodes, tc.broadcasts)
 			}
-			if n := live.Buffered(); n != 0 {
-				t.Errorf("%d frames left in mailboxes after the run", n)
+			if err := live.Err(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

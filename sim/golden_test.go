@@ -133,7 +133,6 @@ func TestScenarioGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer eng.Close()
 				got, err := eng.Run()
 				if err != nil {
 					t.Fatal(err)

@@ -130,10 +130,9 @@ func (s *Sim) Run(ctx context.Context) ([]*RoundReport, error) {
 // Reports returns the reports of the rounds completed so far.
 func (s *Sim) Reports() []*RoundReport { return s.eng.Reports() }
 
-// Close releases the simulation's transport. The simulator transport holds
-// no resources, but live runs keep one goroutine per node alive until
-// closed, so a caller whose run sets transport "live" should defer Close.
-func (s *Sim) Close() error { return s.eng.Close() }
+// Close releases nothing and returns nil: neither transport holds a
+// resource beyond the Sim's memory. It is kept for callers that defer it.
+func (s *Sim) Close() error { return nil }
 
 // Engine exposes the underlying protocol engine for uses the facade does
 // not cover (roster inspection, chain re-verification, …).

@@ -173,10 +173,10 @@ func TestObserverStream(t *testing.T) {
 }
 
 // TestObserverRunsOnCallerGoroutine: every observer callback fires on the
-// goroutine that calls Run — on the live transport too, where message
-// handlers run on node goroutines. The CI race job adds a second witness:
-// a callback fired from a simnet lane or a node goroutine would race on
-// the unsynchronised counter.
+// goroutine that calls Run, on either transport, while message handlers
+// run on the simnet lanes. The CI race job adds a second witness: a
+// callback fired from a simnet lane would race on the unsynchronised
+// counter.
 func TestObserverRunsOnCallerGoroutine(t *testing.T) {
 	for _, transport := range []string{"sim", "live"} {
 		t.Run(transport, func(t *testing.T) {

@@ -414,7 +414,6 @@ func runCell(ctx context.Context, cell Cell, keepReports bool) (*CellResult, err
 	if err != nil {
 		return nil, err
 	}
-	// A live-transport cell keeps node goroutines and links up until closed.
 	defer s.Close()
 	reports, err := s.Run(ctx)
 	if err != nil {

@@ -238,9 +238,8 @@ func TestSweepRunsAndAggregates(t *testing.T) {
 }
 
 // TestSweepClosesLiveCells runs a small grid over the transport axis and
-// checks every live cell was closed on its way out: the goroutine count
-// returns to its pre-sweep baseline instead of keeping each cell's node
-// processes until the process exits.
+// checks that no cell, live or not, leaves a goroutine behind: the count
+// returns to its pre-sweep baseline once the workers are done.
 func TestSweepClosesLiveCells(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := Grid{
@@ -255,8 +254,8 @@ func TestSweepClosesLiveCells(t *testing.T) {
 	if !res.Complete() {
 		t.Fatalf("sweep incomplete: %d cells", len(res.Cells))
 	}
-	// Close returns once every goroutine has passed its last statement; the
-	// runtime may take a moment longer to retire them.
+	// A worker that has passed its last statement may take the runtime a
+	// moment longer to retire.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
