@@ -120,11 +120,11 @@ func BenchmarkRoundHotPath(b *testing.B) {
 // stepped from the paper's scale (m=20, c=97, n=2000) through 10×
 // (m=200, n≈19.5k) to 50× (m=1000, n≈97k), at full parallelism. One op
 // is one synthetic round. The protocol layer is deliberately absent —
-// this isolates the simnet core (per-lane calendar queues and free
-// lists, the serial send drain and traffic ledger, persistent worker
-// pool), whose contract is ≤ 1 amortized allocation per delivered
-// message; allocs/msg reports the measured value (allocs/op follows the
-// lane count, i.e. GOMAXPROCS). The 50× cell needs CYCLEDGER_SCALE_BIG=1
+// this isolates the simnet core (the one calendar queue and event free
+// list, the serial effect drain and traffic ledger, lanes that run
+// handlers on the persistent worker pool), whose contract is ≤ 1
+// amortized allocation per delivered message; allocs/msg reports the
+// measured value (allocs/op follows the lane count, i.e. GOMAXPROCS). The 50× cell needs CYCLEDGER_SCALE_BIG=1
 // (the CI scale-big job sets it): one warm round alone delivers ~200k
 // messages.
 func BenchmarkScaleCeiling(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 
 	"cycledger/internal/analysis"
 	"cycledger/internal/baseline"
+	"cycledger/internal/protocol"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
 	"cycledger/sim"
@@ -171,9 +172,6 @@ func printEpochs(_ context.Context, w io.Writer, _ sim.Config) error {
 	return nil
 }
 
-// tablePhases are the protocol phases Table II and the traffic table list.
-var tablePhases = []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
-
 // roleTraffic runs cfg at m and 2m (c fixed, so n doubles) and keeps the
 // reports, whose per-phase role traffic Table II reads.
 func roleTraffic(ctx context.Context, cfg sim.Config) (*sweep.Result, error) {
@@ -201,7 +199,7 @@ func printTable2(ctx context.Context, w io.Writer, cfg sim.Config) error {
 		cs.M, cs.C, cs.TotalNodes(), cl.M, cl.C, cl.TotalNodes())
 	header := []string{"phase", "role", "msgs_S", "msgs_L", "exp", "bytes_S", "bytes_L", "exp"}
 	var rows [][]string
-	for _, phase := range tablePhases {
+	for _, phase := range protocol.Phases {
 		for _, role := range []string{"common", "key", "referee"} {
 			ms := float64(rs.RoleTraffic[phase][role].Messages)
 			ml := float64(rl.RoleTraffic[phase][role].Messages)
@@ -233,8 +231,8 @@ func leaderEgress(ctx context.Context, cfg sim.Config, aggregate bool) (map[stri
 	}
 	e := s.Engine()
 	m := e.Net.Metrics()
-	out := make(map[string]simnet.Counter, len(tablePhases))
-	for _, ph := range tablePhases {
+	out := make(map[string]simnet.Counter, len(protocol.Phases))
+	for _, ph := range protocol.Phases {
 		out[ph] = m.SentByNodes(ph, e.Roster().Leaders)
 	}
 	return out, nil
@@ -257,7 +255,7 @@ func printTraffic(ctx context.Context, w io.Writer, cfg sim.Config) error {
 	header := []string{"phase", "msgs_plain", "msgs_agg", "bytes_plain", "bytes_agg", "factor"}
 	var rows [][]string
 	var tp, ta simnet.Counter
-	for _, ph := range tablePhases {
+	for _, ph := range protocol.Phases {
 		cp, ca := plain[ph], agg[ph]
 		tp.Add(cp)
 		ta.Add(ca)

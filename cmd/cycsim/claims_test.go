@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cycledger/internal/protocol"
 	"cycledger/internal/simnet"
 	"cycledger/sim"
 	"cycledger/sim/sweep"
@@ -175,7 +176,7 @@ func checkTable2(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, large := res.Cells[0].Reports[0].RoleTraffic, res.Cells[1].Reports[0].RoleTraffic
-	for _, phase := range tablePhases {
+	for _, phase := range protocol.Phases {
 		for _, role := range []string{"common", "key"} {
 			s, l := small[phase][role].Messages, large[phase][role].Messages
 			if s == 0 && l == 0 {
@@ -277,7 +278,7 @@ func checkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tp, ta simnet.Counter
-	for _, ph := range tablePhases {
+	for _, ph := range protocol.Phases {
 		tp.Add(plain[ph])
 		ta.Add(agg[ph])
 	}

@@ -185,7 +185,7 @@ var guards = []guard{
 	{
 		name: "One send path",
 		reason: "Every message the simulator carries — an external Send or a handler's send, with or without " +
-			"a fault model, audit or carrier — is held by its lane and routed by Network.send in (ks, kc) order. " +
+			"a fault model, audit or carrier — is routed by Network.send on the driving goroutine, in (ks, kc) order. " +
 			"Per-lane outboxes, an exchange phase, or a switch on what is installed would bring back a second " +
 			"executor whose equivalence every determinism argument then has to cover.",
 		paths:   []string{"internal/simnet/*.go", ":!*_test.go"},
@@ -195,13 +195,26 @@ var guards = []guard{
 	{
 		name: "One traffic ledger",
 		reason: "simnet.Metrics counts what a report reads — sent per (phase, node), lost per phase, and the " +
-			"sent, lost and late totals — and the driving goroutine writes it: sends on the serial send path, each " +
-			"lane's lost and late Counters at the end of its macro-step. Per-lane shards folded on a timer, per-tag " +
+			"sent, lost and late totals — and the driving goroutine writes it: sends on the send path, and the " +
+			"traffic a step finds lost at a down node or late at the end of the step. Per-lane shards folded on a timer, per-tag " +
 			"counters, or a receive table would bring back accounting that nothing reads. (internal/wire's byTag is " +
 			"the codec registry's tag table, not a traffic counter.)",
 		paths:   []string{"internal/*.go", ":!*_test.go", ":!internal/wire"},
 		find:    grepWords(`laneShard|laneEntry|mergeLanes|mergeEvery|recordRecv|byTag`),
 		fixture: file{"internal/simnet/shard.go", "package simnet\n\ntype laneShard struct{ sent []Counter }\n"},
+	},
+	{
+		name: "One calendar queue: lanes run handlers",
+		reason: "A Network has one clock, one calQueue and one event free list, and only its driving goroutine " +
+			"pushes, pops or frees an event: lanes split a tick's batch to run handlers and nothing else. A queue in a " +
+			"lane, or the per-lane pop, k-way merges and held sends that put the lanes' queues back in order " +
+			"(popLane, minTick, renumber, cursors, drainHeld, xmsg, phasePop), would bring back a second copy of " +
+			"the order that the one queue already keeps.",
+		paths: []string{"internal/simnet/*.go", ":!*_test.go"},
+		find: func(files []file) []string {
+			return append(laneQueues(files), grepWords(`drainHeld|renumber|popLane|minTick|cursors|xmsg|phasePop`)(files)...)
+		},
+		fixture: file{"internal/simnet/lanes.go", "package simnet\n\ntype lane struct {\n\tq     *calQueue\n\tbatch []*event\n}\n"},
 	},
 	{
 		name:    "One PoW search: SHA-NI kernels",
@@ -637,6 +650,23 @@ var schemeCalls = inspect(func(n ast.Node) bool {
 		return call.Ellipsis.IsValid() || len(call.Args) > 3
 	}
 	return false
+})
+
+// laneQueues reports a field of type calQueue, or a pointer to one, in a
+// struct named lane.
+var laneQueues = inspect(func(n ast.Node) bool {
+	ts, ok := n.(*ast.TypeSpec)
+	if !ok || ts.Name.Name != "lane" {
+		return false
+	}
+	st, ok := ts.Type.(*ast.StructType)
+	return ok && slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool {
+		t := f.Type
+		if p, ok := t.(*ast.StarExpr); ok {
+			t = p.X
+		}
+		return lastName(t) == "calQueue"
+	})
 })
 
 // lastName is the last identifier of x, a name or a selector, or "".

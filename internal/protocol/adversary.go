@@ -46,7 +46,7 @@ type AdversaryView struct {
 	// will draw next round's leaders from.
 	ReputationRank []simnet.NodeID
 	// PhaseWindows maps each network stage (config, semicommit, intra,
-	// inter, score, select, certify) to its expected span as offsets from
+	// inter, score, select, block) to its expected span as offsets from
 	// Now: the previous round's measured stage spans when available,
 	// otherwise an estimate from the synchrony bounds — including the tree
 	// dissemination depth stretch under AggregateCerts.
@@ -90,10 +90,9 @@ func (e *Engine) AdversaryView() AdversaryView {
 // aggregate certificates route committee broadcasts over the binomial
 // tree.
 func (e *Engine) phaseSchedule() map[string]simnet.Window {
-	order := []string{"config", "semicommit", "intra", "inter", "score", "select", "certify"}
-	spans := make(map[string]simnet.Time, len(order))
+	spans := make(map[string]simnet.Time, len(Phases))
 	if len(e.stageSpans) > 0 {
-		for _, ph := range order {
+		for _, ph := range Phases {
 			spans[ph] = e.stageSpans[ph]
 		}
 	} else {
@@ -105,11 +104,11 @@ func (e *Engine) phaseSchedule() map[string]simnet.Window {
 		spans["inter"] = 2 + 4*g
 		spans["score"] = 2 + 2*g + stretch
 		spans["select"] = 2 + 2*g
-		spans["certify"] = 2 + 2*g + 2*d
+		spans["block"] = 2 + 2*g + 2*d
 	}
-	out := make(map[string]simnet.Window, len(order))
+	out := make(map[string]simnet.Window, len(Phases))
 	var off simnet.Time
-	for _, ph := range order {
+	for _, ph := range Phases {
 		out[ph] = simnet.Window{From: off, To: off + spans[ph]}
 		off += spans[ph]
 	}

@@ -122,13 +122,13 @@ type Engine struct {
 
 	// Per-round stage state, handed from stage to stage (RunRound calls
 	// them in order).
-	work        *routedWork            // routed work lists + precomputed honest verdicts
-	powSols     []powEntry             // participation-puzzle solutions, one per node
-	pending     *pendingBlock          // assembled-but-uncertified block state
-	stageSpans  map[string]simnet.Time // per-network-stage virtual spans
-	prevCertify simnet.Time            // previous round's certify span (cross-round overlap)
-	screened    atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
-	hooks       Hooks                  // optional progress callbacks (SetHooks)
+	work       *routedWork            // routed work lists + precomputed honest verdicts
+	powSols    []powEntry             // participation-puzzle solutions, one per node
+	pending    *pendingBlock          // assembled-but-uncertified block state
+	stageSpans map[string]simnet.Time // per-network-stage virtual spans
+	prevBlock  simnet.Time            // previous round's block span (cross-round overlap)
+	screened   atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
+	hooks      Hooks                  // optional progress callbacks (SetHooks)
 
 	// echoes holds this round's verified echoes per instance leader, shared
 	// by every node's endpoint for that leader (echoesFor). consFor runs on
@@ -459,6 +459,11 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
 }
 
+// Phases are a round's seven network phases in order. Each names the
+// phase's traffic label (setPhase), its virtual span and its timeouts, and
+// is a row of Table II.
+var Phases = []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
+
 // setPhase labels the traffic that follows with the bare phase name: the
 // network's per-phase accounting holds the current round only (RunRound
 // resets it), so a label needs no round number.
@@ -482,7 +487,7 @@ func (e *Engine) Run() ([]*RoundReport, error) {
 // RunRound executes one full protocol round and returns its report.
 //
 // The round's stages run in order on the calling goroutine. The network
-// stages config → semicommit → intra → inter → score → select → certify
+// stages config → semicommit → intra → inter → score → select → block
 // drive the simulator, each through net, which records its virtual-time
 // span; the CPU stages (workload routing, PoW election work, block
 // assembly, ledger apply; pipeline.go) consume no virtual time and run
@@ -542,12 +547,12 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 		return nil, fmt.Errorf("stage ledger: %w", err)
 	}
 	var err error
-	net("certify", func() { err = e.phaseBlock(report) })
+	net("block", func() { err = e.phaseBlock(report) })
 	if liveErr != nil {
 		return nil, liveErr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("stage certify: %w", err)
+		return nil, fmt.Errorf("stage block: %w", err)
 	}
 	// Nothing reads a consensus endpoint after its round: they, and the
 	// echo sets they share, are released here, not at the next round's
@@ -582,7 +587,6 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 // collectTraffic aggregates the round's per-phase, per-role counters for
 // Table II.
 func (e *Engine) collectTraffic(report *RoundReport) {
-	phases := []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
 	roleSets := map[string][]simnet.NodeID{
 		"common":  e.roster.CommonsOfAll(),
 		"key":     e.roster.AllKeyMembers(),
@@ -590,9 +594,9 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 	}
 	m := e.Net.Metrics()
 	if report.Dropped > 0 {
-		report.PhaseDropped = make(map[string]simnet.Counter, len(phases))
+		report.PhaseDropped = make(map[string]simnet.Counter, len(Phases))
 	}
-	for _, ph := range phases {
+	for _, ph := range Phases {
 		var total simnet.Counter
 		byRole := make(map[string]simnet.Counter, len(roleSets))
 		for role, ids := range roleSets {

@@ -26,7 +26,7 @@ import (
 //   - Round r+1's configuration and semi-commitment exchange depend on the
 //     roster elected in round r's selection stage, not on round r's block,
 //     so they overlap the previous block's certification/propagation tail;
-//     the overlap is credited against this round (prevCertify).
+//     the overlap is credited against this round (prevBlock).
 //
 // CPU stages consume no virtual time. The result is deterministic: it is
 // derived purely from per-stage virtual spans.
@@ -34,11 +34,11 @@ func (e *Engine) pipelinedDuration() simnet.Time {
 	s := e.stageSpans
 	processing := s["intra"] + s["inter"] + s["score"]
 	election := s["select"]
-	dur := s["config"] + s["semicommit"] + max(processing, election) + s["certify"]
-	if overlap := min(s["config"]+s["semicommit"], e.prevCertify); overlap > 0 {
+	dur := s["config"] + s["semicommit"] + max(processing, election) + s["block"]
+	if overlap := min(s["config"]+s["semicommit"], e.prevBlock); overlap > 0 {
 		dur -= overlap
 	}
-	e.prevCertify = s["certify"]
+	e.prevBlock = s["block"]
 	return dur
 }
 

@@ -18,12 +18,11 @@ import (
 // returns the slice to the queue's free list and the next push into an
 // empty bucket takes one from it, so the capacity the ring retains
 // follows the ticks that are occupied at once, not every slot's
-// high-water burst. Under the lane-sharded scheduler each worker lane owns
-// one calQueue and pushes into it concurrently with the other lanes' pushes
-// into theirs, so bucket append order is whatever the lane's execution
-// produced; popBatch sorts the tick's events by their (ks, kc) scheduling
-// key, which restores the one canonical order no matter which lane — or
-// how many lanes — produced the pushes.
+// high-water burst. A Network has one calQueue, and only its driving
+// goroutine pushes into it, in scheduling-key order, so a bucket is
+// already in (ks, kc) order; popBatch sorts the tick's events by key, which
+// merges the bucket with the tick's overflow events and costs one pass
+// over a sorted batch.
 type calQueue struct {
 	base      Time // last popped tick; every live event is strictly later
 	mask      Time
@@ -94,8 +93,8 @@ func (q *calQueue) peek() (Time, bool) {
 }
 
 // keyLess is the canonical intra-tick order: the (ks, kc) scheduling key,
-// a pure function of the event's causal origin (see simnet.go), so every
-// lane layout sorts a tick's events identically.
+// a pure function of the event's causal origin (see simnet.go), so any
+// lane count numbers a tick's events identically.
 func keyLess(a, b *event) int {
 	switch {
 	case a.ks < b.ks:
@@ -136,27 +135,6 @@ func (q *calQueue) popBatch(t Time, out []*event) []*event {
 	return out
 }
 
-// drain appends every queued event to out in arbitrary order and empties
-// the queue. Used when SetParallelism redistributes pending events across
-// a new lane layout; order is irrelevant because popBatch sorts by key.
-func (q *calQueue) drain(out []*event) []*event {
-	if q.inBuckets > 0 {
-		for i, b := range q.buckets {
-			if b != nil {
-				out = append(out, b...)
-				q.release(Time(i))
-			}
-		}
-		q.inBuckets = 0
-	}
-	out = append(out, q.overflow...)
-	for i := range q.overflow {
-		q.overflow[i] = nil
-	}
-	q.overflow = q.overflow[:0]
-	return out
-}
-
 // release empties bucket idx into the free list, dropping its event
 // references.
 func (q *calQueue) release(idx Time) {
@@ -164,10 +142,4 @@ func (q *calQueue) release(idx Time) {
 	clear(b)
 	q.free = append(q.free, b[:0])
 	q.buckets[idx] = nil
-}
-
-// reset re-anchors the ring at the given tick. Only valid on an empty
-// queue (after drain); every subsequent push must be strictly later.
-func (q *calQueue) reset(base Time) {
-	q.base = base
 }

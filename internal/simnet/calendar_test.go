@@ -13,9 +13,9 @@ import (
 // the exact same (at, ks, kc) sequence, batch by batch. Delays straddle
 // the bucket horizon so the overflow heap and the same-tick
 // bucket/overflow merge are exercised, not just the ring fast path.
-// Pushes arrive in shuffled key order — the lane-sharded scheduler pushes
-// in whatever order its lanes execute — so the test also pins popBatch's
-// sort-at-pop contract.
+// Pushes arrive in shuffled key order, so the test also pins popBatch's
+// sort-at-pop contract, which merges a tick's bucket with its overflow
+// events.
 func TestCalendarQueueMatchesHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
@@ -137,11 +137,11 @@ func TestCalendarQueueOverflowBoundary(t *testing.T) {
 }
 
 // TestCalendarQueuePerLaneBoundary runs a boundary-heavy schedule through
-// a multi-lane Network: far-future timers (overflow in every lane's
-// queue, at delays pinned to the ring span and its neighbours)
+// a Network at several lane counts: far-future timers (overflow in the
+// one queue, at delays pinned to the ring span and its neighbours)
 // interleaved with near sends must produce the identical delivery log at
-// parallelism 1, 3, and 8 — each per-lane queue handles its own overflow
-// boundary and the merged order stays canonical.
+// parallelism 1, 3, and 8 — the queue handles its overflow boundary and
+// the order stays canonical however many lanes run the handlers.
 func TestCalendarQueuePerLaneBoundary(t *testing.T) {
 	span := newCalQueue(4*100 + 64).nbucket // the ring span New() picks for DefaultLatency
 	run := func(par int) []uint64 {

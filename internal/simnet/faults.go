@@ -19,24 +19,26 @@ type Fate struct {
 // implementations are two RNG layers (Loss, Lag), the deterministic
 // Schedule, and Composite, which stacks them.
 //
-// Determinism contract (the serial send drain's ordering contract — the one
-// place it is specified; Network.send implements it):
+// Determinism contract (the send path's ordering contract — the one place
+// it is specified; Network.send implements it):
 //
-//   - Handler sends are not routed by the lanes that produced them, model
-//     or no model. Each lane holds its sends, and after the tick's
-//     execution barrier the driving goroutine drains them in merged (ks, kc)
-//     scheduling-key order — a pure function of causal origin, identical at
-//     any parallelism and registration order. Per message, in this order:
-//     send audit, Down(now, sender) (a crashed sender transmits nothing and
-//     is charged nothing), sent accounting, Fate, and for a survivor the
-//     payload carrier's Ship, the keyed delay draw and the push. External
-//     Sends take the same path on the driver's goroutine.
+//   - Handler sends are not routed by the lanes that ran the handlers,
+//     model or no model. A lane only records its handlers' effects; after
+//     the tick's execution barrier the driving goroutine applies them in
+//     batch order, which is (ks, kc) scheduling-key order — a pure function
+//     of causal origin, identical at any lane count and registration order.
+//     Per message, in this order: send audit, Down(now, sender) (a crashed
+//     sender transmits nothing and is charged nothing), sent accounting,
+//     Fate, and for a survivor the payload carrier's Ship, the keyed delay
+//     draw and the push. External Sends take the same path on the driver's
+//     goroutine.
 //   - Fate is therefore consulted exactly once per transmitted message, on
 //     one goroutine, in deterministic order — implementations may consume
 //     their own seeded RNG and keep state (Loss and Lag do).
-//   - Down must be a pure function of (now, node): it is evaluated during
-//     (possibly parallel) event execution and re-evaluated freely, so it
-//     must not mutate state or draw randomness.
+//   - Down must be a pure function of (now, node): the step asks it which
+//     popped events run, the send path asks it about each sender, and
+//     Network.Down lets anyone ask at any time, so it must not mutate state
+//     or draw randomness.
 type Faults interface {
 	// Fate decides what happens to a message sent now from→to.
 	Fate(now Time, from, to NodeID) Fate

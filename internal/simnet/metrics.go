@@ -37,9 +37,9 @@ func (c *Counter) Add(o Counter) {
 // counts in the total only.
 //
 // The goroutine driving the Network is the only writer: sends are counted
-// on the serial send path, and what the parallel executor loses or delivers
-// late is added at the end of each macro-step. mu orders those writes
-// against readers on other goroutines.
+// on the send path, and the events a step finds lost at a down destination
+// or delivered late are added at the end of the step. mu orders those
+// writes against readers on other goroutines.
 //
 // Per-phase accounting holds every phase since the last ResetPhases: a
 // network that never resets keeps them all, one that resets every round

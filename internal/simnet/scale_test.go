@@ -245,10 +245,10 @@ func TestSetDownRecoveryWithFaultsNoSkipAlloc(t *testing.T) {
 // TestAdaptiveSteadyStateNoAlloc: an ACTIVE Schedule — crash, mute, and
 // directed-cut windows all in force while traffic flows — must
 // not break the steady-state zero-allocation property. Fate and Down are
-// pure window lookups and every send goes through the lanes' held lists
-// and event free lists, so a warm network under attack allocates nothing.
-// The same holds with no schedule installed, and at four lanes, where the
-// execute phase runs on the worker pool.
+// pure window lookups and every effect goes through the lanes' reusable
+// effect buffers and the event free list, so a warm network under attack
+// allocates nothing. The same holds with no schedule installed, and at
+// four lanes, where a tick whose events span lanes runs on the worker pool.
 func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")

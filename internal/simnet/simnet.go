@@ -18,23 +18,25 @@
 // and Composite implementations. A model that never acts gives the same
 // run as no model.
 //
-// The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
-// ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker
-// lane owns a calendar queue, an event free list, and one reusable Context;
-// a macro-step pops each lane's tick batch in parallel, renumbers the
-// merged batch once on the driving goroutine, executes lanes in parallel
-// with timers pushed lane-locally and sends held, then drains the held
-// sends serially in key order through send — the one function that routes
-// every message, external or handler-made, fault model or not.
-// Determinism is carried by the scheduling key (ks, kc) — a pure function
-// of the event's causal origin — which every lane layout sorts identically,
-// so a seeded run produces identical results at any parallelism level and
-// any registration order. Steady-state message traffic allocates nothing.
+// The scheduler keeps one clock, one calendar queue and one event free
+// list, and only the goroutine driving the Network touches them (see
+// ARCHITECTURE.md, "One queue; lanes run handlers"). A step pops one tick's
+// batch in (ks, kc) scheduling-key order, gives every event its seq,
+// decides which events run, and hands each worker lane the events of the
+// nodes it owns; lanes only run handlers, recording their effects. After
+// the execution barrier the driving goroutine applies the effects in batch
+// order — timers pushed, sends routed through send, the one function that
+// routes every message, external or handler-made, fault model or not.
+// Determinism is carried by the scheduling key — a pure function of the
+// event's causal origin — so a seeded run produces identical results at
+// any lane count and any registration order. Steady-state message traffic
+// allocates nothing.
 package simnet
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -137,22 +139,19 @@ const (
 	evTimer
 )
 
-// event is one scheduled delivery. Two orderings coexist:
-//
-//   - (ks, kc) is the scheduling key, assigned at creation: ks is the
-//     final seq of the event that produced it (or a fresh counter value
-//     for external Send/After, with kc = 0) and kc is the index among
-//     that producer's effects. The key is a pure function of causal
-//     origin — independent of which lane pushed the event and of the
-//     real-time interleaving of lanes — and globally unique, because
-//     every counter value seeds the keys of exactly one event's effects.
-//   - seq is the final execution sequence, assigned when the event's tick
-//     batch is renumbered on the driving goroutine in merged (at, ks, kc)
-//     order. It exists so the event's own effects can be keyed.
+// event is one scheduled delivery, ordered by its tick and its scheduling
+// key (ks, kc), assigned at creation: ks is the seq of the event that
+// produced it (or a fresh counter value for external Send/After, with
+// kc = 0) and kc is the index among that producer's effects. An event's
+// seq is drawn from the same counter when its tick is popped: the step
+// takes one value per batch position, in (ks, kc) order, skipped events
+// included. The key is a pure function of causal origin — independent of
+// which lane ran the producer and of the real-time interleaving of lanes —
+// and globally unique, because every counter value seeds the keys of
+// exactly one event's effects.
 type event struct {
 	at   Time
 	ks   uint64
-	seq  uint64
 	kc   uint32
 	kind eventKind
 	node NodeID // destination (message) or owner (timer)
@@ -185,92 +184,44 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// xmsg is one handler send held by the lane that produced it until the
-// serial drain routes it (see send): a value record (never a pooled
-// pointer) so event structs stay inside their owning lane's free list.
-type xmsg struct {
-	ks   uint64
-	kc   uint32
-	same bool // a held send that is the previous one but for its destination (see effect)
-	msg  Message
-}
-
-// lane is one scheduler shard: a calendar queue, pools, batch scratch, and
-// held sends, all owned by one worker lane. During a macro-step a
-// lane's state is touched only by the worker running that lane (or by the
-// driving goroutine in the serial phases), so no locks are needed.
+// lane is one execution shard of a tick's batch: the batch positions of
+// the events its nodes own, and the one reusable Context their handlers
+// write effects into. While the lanes execute, a lane is touched only by
+// the worker running it; the driving goroutine fills pos before and reads
+// and empties ctx.out after, so no locks are needed.
 type lane struct {
-	q       *calQueue
-	batch   []*event // current tick's events, key-sorted by popBatch
-	skip    []bool
-	anySkip bool
-	nextAt  Time // earliest pending tick, refreshed by minTick
-	hasNext bool
-	// drops and late are this step's dead-destination drops and
-	// beyond-bound deliveries; stepAt adds them to the Metrics ledger.
-	drops   Counter
-	late    Counter
-	freeEv  []*event // lane-local event pool
-	execCtx Context  // the lane's one reusable effect buffer
-	held    []xmsg   // sends awaiting the serial drain, ascending by key
+	pos []int32 // batch positions this lane runs this tick, ascending
+	ctx Context // every effect its events produced this tick, in order
 }
 
-func newLane(horizon Time) *lane {
-	return &lane{q: newCalQueue(horizon)}
-}
-
-// newEvent takes an event from the lane's free list (or allocates the
-// first time). Events return to the list of the lane that delivered them.
-func (ln *lane) newEvent() *event {
-	if k := len(ln.freeEv) - 1; k >= 0 {
-		ev := ln.freeEv[k]
-		ln.freeEv[k] = nil
-		ln.freeEv = ln.freeEv[:k]
-		return ev
-	}
-	return &event{}
-}
-
-func (ln *lane) freeEvent(ev *event) {
-	*ev = event{} // drop payload/fn references before pooling
-	ln.freeEv = append(ln.freeEv, ev)
-}
-
-// nodeSlot is the dense per-node table entry: the handler plus the
-// worker-lane assignment precomputed at Register/SetParallelism time, so
-// a step needs no per-batch map or order slice to group events.
-type nodeSlot struct {
-	h    Handler
-	lane int32
+// span locates one batch event's effects: the lane that ran it (-1 if it
+// did not run) and the range of that lane's effect buffer it wrote.
+type span struct {
+	lane   int32
+	lo, hi int32
 }
 
 // Network is the simulator instance.
 type Network struct {
-	latency     Latency
-	seed        uint64 // raw seed fed to DrawKeyed
-	now         Time
-	ctr         uint64        // unified key/sequence counter (see event)
-	slots       []nodeSlot    // handler + lane per node, indexed by NodeID
-	faults      Faults        // nil = fault-free
-	sendAudit   func(Message) // optional per-send assertion hook (size audits in tests)
-	carrier     Carrier       // nil = payloads ride in the event (the simulator proper)
-	carried     bool          // the carrier framed a message of the current run of same sends
-	metrics     *Metrics
-	parallelism int
-	delivered   uint64
-	horizon     Time
+	latency   Latency
+	seed      uint64 // raw seed fed to DrawKeyed
+	now       Time
+	ctr       uint64        // unified key/sequence counter (see event)
+	handlers  []Handler     // indexed by NodeID
+	faults    Faults        // nil = fault-free
+	sendAudit func(Message) // optional per-send assertion hook (size audits in tests)
+	carrier   Carrier       // nil = payloads ride in the event (the simulator proper)
+	carried   bool          // the carrier framed a message of the current run of same sends
+	metrics   *Metrics
+	delivered uint64
 
-	lanes   []*lane
-	heads   []int    // merge cursors (renumber, drainHeld)
-	moved   []*event // SetParallelism redistribution scratch
-	stepWG  sync.WaitGroup
-	lastPop int // previous batch size, steers pooled-vs-inline pop
+	q      *calQueue
+	freeEv []*event // event pool
+	batch  []*event // the current tick's events, key-sorted by popBatch
+	spans  []span   // the current tick's effects, per batch position
+	lanes  []*lane
+	stepWG sync.WaitGroup
 }
-
-// poolCutoff is the batch size below which a macro-step runs its phases
-// inline on the driving goroutine instead of dispatching the worker pool:
-// for a handful of events, the pool barriers cost more than the work.
-const poolCutoff = 64
 
 // New creates a network with the given latency model and seed.
 func New(latency Latency, seed int64) *Network {
@@ -281,91 +232,64 @@ func New(latency Latency, seed int64) *Network {
 	if latency.Delta > h {
 		h = latency.Delta
 	}
-	n := &Network{
+	return &Network{
 		latency: latency,
 		seed:    uint64(seed),
 		metrics: NewMetrics(),
 		// Cover the protocol's timer horizon (up to 4Γ phase guards and 6Δ
 		// watchdog sweeps) so only fault-model lag overflows to the heap.
-		horizon:     4*h + 64,
-		parallelism: 1,
+		q:     newCalQueue(4*h + 64),
+		lanes: []*lane{{}},
 	}
-	n.lanes = []*lane{newLane(n.horizon)}
-	return n
 }
 
 // SetParallelism sets the worker-lane count. k ≤ 0 selects GOMAXPROCS.
-// Lane assignments of already registered nodes are recomputed and pending
-// events are redistributed across the new lane layout (their scheduling
-// keys travel with them, so the merged order — and therefore the run — is
-// unchanged), so call order against Register and traffic does not matter.
+// Lanes hold nothing between steps — every pending event is in the one
+// queue — so it may be called at any point between runs.
 func (n *Network) SetParallelism(k int) {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	if k == n.parallelism && len(n.lanes) == k {
-		return
-	}
-	n.moved = n.moved[:0]
-	for _, ln := range n.lanes {
-		n.moved = ln.q.drain(n.moved)
-	}
-	n.parallelism = k
 	for len(n.lanes) < k {
-		n.lanes = append(n.lanes, newLane(n.horizon))
+		n.lanes = append(n.lanes, &lane{})
 	}
 	n.lanes = n.lanes[:k]
-	for _, ln := range n.lanes {
-		ln.q.reset(n.now)
-	}
-	for id := range n.slots {
-		n.slots[id].lane = int32(id % k)
-	}
-	for i, ev := range n.moved {
-		n.lanes[n.laneFor(ev.node, k)].q.push(ev)
-		n.moved[i] = nil
-	}
-	n.moved = n.moved[:0]
 }
 
 // Register installs the handler for a node. Re-registering replaces it
-// (used when a node changes role between rounds). The node's worker lane
-// is precomputed here: a stable modulo hash of the ID, so routing an
-// event to its lane is a single indexed lookup.
+// (used when a node changes role between rounds).
 func (n *Network) Register(id NodeID, h Handler) {
 	if id < 0 {
 		panic("simnet: Register with negative NodeID")
 	}
-	for int(id) >= len(n.slots) {
-		n.slots = append(n.slots, nodeSlot{lane: int32(len(n.slots) % n.parallelism)})
+	for int(id) >= len(n.handlers) {
+		n.handlers = append(n.handlers, nil)
 	}
-	n.slots[id].h = h
+	n.handlers[id] = h
 }
 
 func (n *Network) handlerOf(id NodeID) Handler {
-	if id >= 0 && int(id) < len(n.slots) {
-		return n.slots[id].h
+	if id >= 0 && int(id) < len(n.handlers) {
+		return n.handlers[id]
 	}
 	return nil
 }
 
-// laneFor returns the node's worker lane under the given lane count —
-// the precomputed slot value on the hot path, the same modulo hash for
-// unregistered IDs.
-func (n *Network) laneFor(id NodeID, lanes int) int {
-	if id >= 0 && int(id) < len(n.slots) {
-		return int(n.slots[id].lane)
+// newEvent takes an event from the free list (or allocates the first
+// time).
+func (n *Network) newEvent() *event {
+	if k := len(n.freeEv) - 1; k >= 0 {
+		ev := n.freeEv[k]
+		n.freeEv[k] = nil
+		n.freeEv = n.freeEv[:k]
+		return ev
 	}
-	l := int(id) % lanes
-	if l < 0 {
-		l += lanes
-	}
-	return l
+	return &event{}
 }
 
-// laneOf returns the lane that owns the node's events.
-func (n *Network) laneOf(id NodeID) *lane {
-	return n.lanes[n.laneFor(id, len(n.lanes))]
+func (n *Network) freeEvent(ev *event) {
+	*ev = event{} // drop payload/fn references before pooling
+	n.freeEv = append(n.freeEv, ev)
 }
 
 // SetFaults installs a fault model (nil removes it). Install before
@@ -445,30 +369,26 @@ func (n *Network) Broadcast(from NodeID, tos []NodeID, tag string, payload any, 
 
 // After schedules fn on the given node after delay d.
 func (n *Network) After(node NodeID, d Time, fn func(*Context)) {
-	if d < 1 {
-		d = 1
-	}
-	ln := n.laneOf(node)
-	ev := ln.newEvent()
-	ev.at, ev.ks, ev.kind, ev.node, ev.fn = n.now+d, n.nextKey(), evTimer, node, fn
-	ln.q.push(ev)
+	ev := n.newEvent()
+	ev.at, ev.ks, ev.kind, ev.node, ev.fn = n.now+max(d, 1), n.nextKey(), evTimer, node, fn
+	n.q.push(ev)
 }
 
 // nextKey consumes one counter value for an externally created event's
 // scheduling key (kc = 0). Handler effects never consume the counter at
-// creation — they are keyed by their producer's seq, which the renumber
-// pass drew from the same counter — so keys stay globally unique.
+// creation — they are keyed by their producer's seq, which the step drew
+// from the same counter — so keys stay globally unique.
 func (n *Network) nextKey() uint64 {
 	k := n.ctr
 	n.ctr++
 	return k
 }
 
-// send is the one send path: external Sends, and every handler send via
-// drainHeld. It runs on the driving goroutine only, in key order within a
-// step, which is the contract Faults documents: audit, crashed-sender
-// check, accounting, Fate, then the keyed delay draw and the push into the
-// destination's lane. It reports whether the message was scheduled. same
+// send is the one send path: external Sends, and every handler send as
+// its step applies its effects. It runs on the driving goroutine only, in
+// key order within a step, which is the contract Faults documents: audit,
+// crashed-sender check, accounting, Fate, then the keyed delay draw and the
+// push into the queue. It reports whether the message was scheduled. same
 // marks a send that is the previous call's but for its destination (see
 // effect): only the carrier is told, and only if it framed an earlier copy
 // of this run.
@@ -493,8 +413,7 @@ func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 		extra = fate.Delay
 	}
 	d := n.latency.DrawKeyed(n.seed, ks, kc, msg.From, msg.To)
-	dl := n.laneOf(msg.To)
-	ev := dl.newEvent()
+	ev := n.newEvent()
 	// Late is tallied at delivery, not here: a lagged message that dies at
 	// a crashed destination counts as dropped, never as late.
 	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
@@ -502,57 +421,14 @@ func (n *Network) send(msg Message, ks uint64, kc uint32, same bool) bool {
 		ev.msg.Payload = n.carrier.Ship(msg, n.carried)
 		n.carried = n.carried || ev.msg.Payload != nil
 	}
-	dl.q.push(ev)
+	n.q.push(ev)
 	return true
 }
 
-// cursors returns one zeroed merge cursor per lane (reused scratch).
-func (n *Network) cursors() []int {
-	if cap(n.heads) < len(n.lanes) {
-		n.heads = make([]int, len(n.lanes))
-	}
-	heads := n.heads[:len(n.lanes)]
-	clear(heads)
-	return heads
-}
-
-// drainHeld routes the sends the lanes held back during execution, on the
-// driving goroutine, in merged (ks, kc) order. Each lane's list is already
-// ascending (a lane executes its batch in key order), and one producer's
-// sends are contiguous in it, so the merge picks a lane per producer.
-func (n *Network) drainHeld() {
-	heads := n.cursors()
-	for {
-		var best *xmsg
-		bi := -1
-		for i, ln := range n.lanes {
-			if heads[i] < len(ln.held) {
-				x := &ln.held[heads[i]]
-				if best == nil || x.ks < best.ks {
-					best, bi = x, i
-				}
-			}
-		}
-		if best == nil {
-			break
-		}
-		held, ks := n.lanes[bi].held, best.ks
-		h := heads[bi]
-		for ; h < len(held) && held[h].ks == ks; h++ {
-			n.send(held[h].msg, ks, held[h].kc, held[h].same)
-		}
-		heads[bi] = h
-	}
-	for _, ln := range n.lanes {
-		clear(ln.held) // drop payload references, keep capacity
-		ln.held = ln.held[:0]
-	}
-}
-
-// Context is the per-delivery effect buffer handed to handlers. Handlers
-// must route all sends and timers through it; the executing lane applies
-// the effects in the order the handler produced them, keyed by
-// (producer seq, effect index).
+// Context is the effect buffer handed to handlers. Handlers must route all
+// sends and timers through it; after the tick's lanes have run, the driving
+// goroutine applies the effects in batch order and, per event, in the order
+// the handler produced them, keyed by (producer seq, effect index).
 type Context struct {
 	Node NodeID
 	now  Time
@@ -564,7 +440,9 @@ type effect struct {
 	// same: this send is the effect before it but for its destination —
 	// set by Broadcast, the one place that knows — so a carrier can
 	// serialise a fan-out once. It changes nothing else about the send.
-	same  bool
+	same bool
+	// msg is the message a send carries; a timer's holds only From, the
+	// node it fires on.
 	msg   Message
 	delay Time
 	fn    func(*Context)
@@ -589,200 +467,119 @@ func (c *Context) Broadcast(tos []NodeID, tag string, payload any, size int) {
 
 // After schedules fn on this node after d ticks.
 func (c *Context) After(d Time, fn func(*Context)) {
-	c.out = append(c.out, effect{isTimer: true, delay: d, fn: fn})
+	c.out = append(c.out, effect{isTimer: true, msg: Message{From: c.Node}, delay: d, fn: fn})
 }
 
-// minTick refreshes every lane's earliest pending tick and returns the
-// cross-lane minimum — the serial reduction that replaced the old global
-// peek. O(lanes) slice-header scans per macro-step.
-func (n *Network) minTick() (Time, bool) {
-	t := Time(-1)
-	for _, ln := range n.lanes {
-		lt, ok := ln.q.peek()
-		ln.nextAt, ln.hasNext = lt, ok
-		if ok && (t < 0 || lt < t) {
-			t = lt
-		}
-	}
-	return t, t >= 0
-}
-
-// stepAt runs the macro-step at tick t (which minTick reported as the
-// cross-lane earliest): parallel per-lane pop, serial renumber, parallel
-// execution, the serial drain of the held sends, and the serial counter
-// fold.
+// stepAt runs the step at tick t, the queue's earliest. On the driving
+// goroutine it pops the tick's batch in key order, gives every event its
+// seq (base + its batch position), decides which events run and hands each
+// to its node's lane (node mod lanes); the lanes run the handlers; then,
+// back on the driving goroutine, the batch is freed and every event's
+// effects apply in batch order, keyed (seq, effect index) — timers pushed,
+// sends through send. Freeing the batch first lets its events carry their
+// effects, so the event pool grows to the queue's peak and no further.
 func (n *Network) stepAt(t Time) {
 	n.now = t
-
-	// Pop: every lane with events at t pops and key-sorts its batch,
-	// running the dead-destination pre-pass (skip flags + the lane's drop
-	// counter) as it goes. Pooled only when the previous batch suggests
-	// the sort work dwarfs the barrier cost.
-	if n.parallelism > 1 && n.lastPop >= poolCutoff {
-		n.dispatch(phasePop)
-	} else {
-		for _, ln := range n.lanes {
-			if ln.hasNext && ln.nextAt == t {
-				n.popLane(ln)
-			}
+	n.batch = n.q.popBatch(t, n.batch[:0])
+	n.spans = slices.Grow(n.spans[:0], len(n.batch))[:len(n.batch)]
+	base := n.ctr
+	n.ctr += uint64(len(n.batch))
+	var drops, late Counter
+	k, active := len(n.lanes), 0
+	for i, ev := range n.batch {
+		n.spans[i].lane = -1
+		if !n.runs(ev, &drops) {
+			continue
 		}
+		if ev.late {
+			late.add(ev.msg.Size)
+		}
+		l := int(ev.node) % k
+		if l < 0 {
+			l += k
+		}
+		ln := n.lanes[l]
+		if len(ln.pos) == 0 {
+			active++
+		}
+		ln.pos = append(ln.pos, int32(i))
+		n.spans[i].lane = int32(l)
 	}
 
-	// Serial barrier: assign final seqs in merged (ks, kc) order — the one
-	// canonical order every lane layout produces — so the keys of every
-	// event's effects are independent of parallelism.
-	total := n.renumber()
-	n.lastPop = total
-
-	// Execute: timers push into the lane's own calendar queue; sends are
-	// held for the drain.
-	if n.parallelism > 1 && total > 1 {
-		n.dispatch(phaseExec)
+	if active > 1 {
+		n.dispatch(active)
 	} else {
 		for _, ln := range n.lanes {
-			if len(ln.batch) > 0 {
+			if len(ln.pos) > 0 {
 				n.execLane(ln)
 			}
 		}
 	}
 
-	// Serial drain: every held send goes through send in (ks, kc) order.
-	n.drainHeld()
-
-	// Serial fold: batch sizes and the lanes' lost and late traffic.
-	for _, ln := range n.lanes {
-		if len(ln.batch) > 0 {
-			n.delivered += uint64(len(ln.batch))
-			ln.batch = ln.batch[:0]
-		}
-		n.metrics.recordDrops(ln.drops)
-		n.metrics.recordLate(ln.late)
-		ln.drops, ln.late = Counter{}, Counter{}
+	for _, ev := range n.batch {
+		n.freeEvent(ev)
 	}
-}
-
-// popLane pops one lane's tick batch and runs the dead-destination
-// pre-pass: events owned by a node that is down per the fault model's
-// crash schedule are flagged, and skipped messages are counted in the
-// lane's drops. Runs on pool workers; touches only lane-owned state plus
-// the pure Faults.Down.
-func (n *Network) popLane(ln *lane) {
-	ln.batch = ln.q.popBatch(n.now, ln.batch[:0])
-	ln.anySkip = false
-	if n.faults == nil {
-		return
-	}
-	if cap(ln.skip) < len(ln.batch) {
-		ln.skip = make([]bool, len(ln.batch))
-	}
-	ln.skip = ln.skip[:len(ln.batch)]
-	for i, ev := range ln.batch {
-		s := n.faults.Down(n.now, ev.node)
-		ln.skip[i] = s
-		if s {
-			ln.anySkip = true
-			if ev.kind == evMessage {
-				ln.drops.add(ev.msg.Size)
-			}
-		}
-	}
-}
-
-// renumber assigns final seqs to the popped batch in merged (ks, kc)
-// order via an L-way merge over the key-sorted lane batches. Returns the
-// batch total.
-func (n *Network) renumber() int {
-	total, active := 0, 0
-	var single *lane
-	for _, ln := range n.lanes {
-		if len(ln.batch) > 0 {
-			total += len(ln.batch)
-			active++
-			single = ln
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	if active == 1 {
-		for _, ev := range single.batch {
-			ev.seq = n.ctr
-			n.ctr++
-		}
-		return total
-	}
-	heads := n.cursors()
-	for done := 0; done < total; done++ {
-		var best *event
-		bi := -1
-		for i, ln := range n.lanes {
-			if heads[i] < len(ln.batch) {
-				ev := ln.batch[heads[i]]
-				if best == nil || keyLess(ev, best) < 0 {
-					best, bi = ev, i
-				}
-			}
-		}
-		best.seq = n.ctr
-		n.ctr++
-		heads[bi]++
-	}
-	return total
-}
-
-// execLane runs one lane's batch — the one executor. The handler (or
-// timer) fires with the lane's reusable Context — a message through the
-// carrier's Deliver when one is installed — then its effects apply in order,
-// keyed (producer seq, effect index): timers push into this lane's
-// calendar queue from this lane's free list; sends are appended to the
-// lane's held list for drainHeld. Runs on pool workers; all state touched
-// is lane-owned.
-func (n *Network) execLane(ln *lane) {
-	ctx := &ln.execCtx
-	t := n.now
-	carrier := n.carrier
-	for i, ev := range ln.batch {
-		if ln.anySkip && ln.skip[i] {
-			ln.freeEvent(ev)
+	for i, sp := range n.spans {
+		if sp.lane < 0 {
 			continue
 		}
-		ctx.Node, ctx.now = ev.node, t
-		switch ev.kind {
-		case evMessage:
-			h := n.handlerOf(ev.node)
-			if h == nil || (carrier != nil && ev.msg.Payload == nil) {
-				ln.freeEvent(ev)
+		seq, out := base+uint64(i), n.lanes[sp.lane].ctx.out[sp.lo:sp.hi]
+		for idx := range out {
+			ef := &out[idx]
+			if !ef.isTimer {
+				n.send(ef.msg, seq, uint32(idx), ef.same)
 				continue
 			}
-			if ev.late {
-				ln.late.add(ev.msg.Size)
-			}
-			if carrier != nil {
-				carrier.Deliver(ctx, ev.msg, h)
-			} else {
-				h(ctx, ev.msg)
-			}
-		case evTimer:
+			ch := n.newEvent()
+			ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = t+max(ef.delay, 1), seq, uint32(idx), evTimer, ef.msg.From, ef.fn
+			n.q.push(ch)
+		}
+	}
+	for _, ln := range n.lanes {
+		clear(ln.ctx.out) // drop payload references, keep capacity
+		ln.ctx.out = ln.ctx.out[:0]
+		ln.pos = ln.pos[:0]
+	}
+	n.delivered += uint64(len(n.batch))
+	n.metrics.recordDrops(drops)
+	n.metrics.recordLate(late)
+}
+
+// runs reports whether a popped event executes. An event whose node the
+// fault model has down does not, and a message to it counts in drops;
+// nor does a message to a node without a handler, or one the carrier made
+// no frame for.
+func (n *Network) runs(ev *event, drops *Counter) bool {
+	if n.Down(ev.node) {
+		if ev.kind == evMessage {
+			drops.add(ev.msg.Size)
+		}
+		return false
+	}
+	return ev.kind == evTimer || n.handlerOf(ev.node) != nil && (n.carrier == nil || ev.msg.Payload != nil)
+}
+
+// execLane runs one lane's events in batch order — the one executor. The
+// handler (or timer) fires with the lane's Context, a message through the
+// carrier's Deliver when one is installed, and the effects it records are
+// the event's span of the lane's buffer. Runs on pool workers; it writes
+// only the lane and the spans of the lane's batch positions.
+func (n *Network) execLane(ln *lane) {
+	ctx := &ln.ctx
+	ctx.now = n.now
+	for _, i := range ln.pos {
+		ev, sp := n.batch[i], &n.spans[i]
+		sp.lo = int32(len(ctx.out))
+		ctx.Node = ev.node
+		switch {
+		case ev.kind == evTimer:
 			ev.fn(ctx)
+		case n.carrier != nil:
+			n.carrier.Deliver(ctx, ev.msg, n.handlers[ev.node])
+		default:
+			n.handlers[ev.node](ctx, ev.msg)
 		}
-		pseq, node := ev.seq, ev.node
-		ln.freeEvent(ev) // may be recycled for a child immediately below
-		for idx := range ctx.out {
-			ef := &ctx.out[idx]
-			if ef.isTimer {
-				d := ef.delay
-				if d < 1 {
-					d = 1
-				}
-				ch := ln.newEvent()
-				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = t+d, pseq, uint32(idx), evTimer, node, ef.fn
-				ln.q.push(ch)
-				continue
-			}
-			ln.held = append(ln.held, xmsg{ks: pseq, kc: uint32(idx), same: ef.same, msg: ef.msg})
-		}
-		clear(ctx.out)
-		ctx.out = ctx.out[:0]
+		sp.hi = int32(len(ctx.out))
 	}
 }
 
@@ -792,7 +589,7 @@ func (n *Network) execLane(ln *lane) {
 func (n *Network) Run(until Time) uint64 {
 	start := n.delivered
 	for {
-		t, ok := n.minTick()
+		t, ok := n.q.peek()
 		if !ok || (until > 0 && t > until) {
 			break
 		}
@@ -805,13 +602,7 @@ func (n *Network) Run(until Time) uint64 {
 func (n *Network) RunUntilIdle() uint64 { return n.Run(0) }
 
 // Pending returns the number of queued events (for tests).
-func (n *Network) Pending() int {
-	total := 0
-	for _, ln := range n.lanes {
-		total += ln.q.len()
-	}
-	return total
-}
+func (n *Network) Pending() int { return n.q.len() }
 
 // String summarises the simulator state.
 func (n *Network) String() string {

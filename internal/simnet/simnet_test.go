@@ -146,10 +146,12 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestParallelismDeterminism(t *testing.T) {
-	// The same seed must give identical metrics at parallelism 1 and 8.
-	run := func(par int) (uint64, uint64) {
+	// The same seed must give identical metrics at parallelism 1 and 8,
+	// and when the lane count changes between runs (1 → 4 → 2, switching
+	// every 15 ticks while traffic is in flight).
+	run := func(pars ...int) (uint64, uint64) {
 		n := New(DefaultLatency(), 99)
-		n.SetParallelism(par)
+		n.SetParallelism(pars[0])
 		// Branching factor 2 doubles traffic every hop; keep the horizon
 		// short so the event count stays in the tens of thousands.
 		for id := NodeID(0); id < 50; id++ {
@@ -163,16 +165,21 @@ func TestParallelismDeterminism(t *testing.T) {
 		for id := NodeID(0); id < 50; id++ {
 			n.Send(id, id, "GOSSIP", nil, 3)
 		}
+		for i, par := range pars[1:] {
+			n.Run(Time(15 * (i + 1)))
+			n.SetParallelism(par)
+		}
 		n.RunUntilIdle()
 		return n.Delivered(), n.Metrics().Total().Bytes
 	}
 	d1, b1 := run(1)
-	d8, b8 := run(8)
-	if d1 != d8 || b1 != b8 {
-		t.Fatalf("parallel run diverged: (%d,%d) vs (%d,%d)", d1, b1, d8, b8)
-	}
 	if d1 == 0 {
 		t.Fatal("nothing delivered")
+	}
+	for _, pars := range [][]int{{8}, {1, 4, 2}} {
+		if d, b := run(pars...); d != d1 || b != b1 {
+			t.Fatalf("lanes %v diverged: (%d,%d) vs (%d,%d)", pars, d1, b1, d, b)
+		}
 	}
 }
 
