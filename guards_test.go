@@ -374,6 +374,24 @@ var guards = []guard{
 		fixture: file{"internal/protocol/evidence.go", "package protocol\n\nfunc (e *Engine) aggregate() bool { return e.P.AggregateCerts }\n"},
 	},
 	{
+		name: "The report matrix is the one equivalence check",
+		reason: "Two runs of one configuration that must report the same rounds are a cell of sim's " +
+			"TestScenarioGolden: a row and a column, against the row's golden. A test that runs a row again to " +
+			"compare it over lanes, the live transport or a mode the matrix has a column for is a second check " +
+			"of the same cell, and these retired ones each were.",
+		paths:   []string{"*_test.go"},
+		find:    grep(`func Test(TransportParity|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential)\b`),
+		fixture: file{"sim/transport_parity_test.go", "package sim_test\n\nfunc TestTransportParity(t *testing.T) {}\n"},
+	},
+	{
+		name: "Test-only surface stays in tests",
+		reason: "A function only tests call is test code: it lives in its package's tests or export_test.go, " +
+			"not in the production surface. These were exported from production files with no non-test caller.",
+		paths:   []string{"*.go", ":!*_test.go", ":!bench"},
+		find:    declares("Tip", "Decided", "ResetID", "CommitmentToSecret", "Counters", "SpendableCount", "Delivered"),
+		fixture: file{"internal/chain/tip.go", "package chain\n\nfunc (c *Chain) Tip() (Header, bool) { return Header{}, false }\n"},
+	},
+	{
 		name: "Doc comments",
 		reason: "sim, sim/sweep, internal/wire and internal/transport are the documented surface: every " +
 			"package, and every exported function, method on an exported receiver, type, var and const, carries a doc comment.",

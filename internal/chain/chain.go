@@ -96,16 +96,6 @@ func (c *Chain) Len() int {
 	return len(c.entries)
 }
 
-// Tip returns the latest header.
-func (c *Chain) Tip() (Header, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.entries) == 0 {
-		return Header{}, false
-	}
-	return c.entries[len(c.entries)-1].Header, true
-}
-
 // At returns the entry at height i (0-based).
 func (c *Chain) At(i int) (Entry, bool) {
 	c.mu.RLock()

@@ -43,8 +43,7 @@ func TestAppendAndVerify(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	tip, ok := c.Tip()
-	if !ok || tip.Round != 2 {
+	if tip := c.entries[len(c.entries)-1].Header; tip.Round != 2 {
 		t.Fatalf("tip = %+v", tip)
 	}
 	if e, ok := c.At(0); !ok || e.Header.Round != 1 {

@@ -684,9 +684,3 @@ func (p *Protocol) HasProposal(sn uint64) bool {
 	in, ok := p.insts[sn]
 	return ok && in.propose != nil
 }
-
-// Decided reports whether the leader reached a decision for sn.
-func (p *Protocol) Decided(sn uint64) bool {
-	in, ok := p.insts[sn]
-	return ok && in.decided
-}

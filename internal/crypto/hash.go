@@ -21,6 +21,8 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"hash"
 	"math/bits"
 )
@@ -131,6 +133,19 @@ func HString(parts ...string) Digest {
 
 // Bytes returns the digest as a byte slice.
 func (d Digest) Bytes() []byte { return d[:] }
+
+// MarshalText writes the digest as lowercase hex, the form a report's JSON
+// holds it in.
+func (d Digest) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, d[:]), nil }
+
+// UnmarshalText reads the hex form MarshalText writes.
+func (d *Digest) UnmarshalText(b []byte) error {
+	if hex.DecodedLen(len(b)) != HashSize {
+		return fmt.Errorf("crypto: digest of %d hex digits, want %d", len(b), 2*HashSize)
+	}
+	_, err := hex.Decode(d[:], b)
+	return err
+}
 
 // Uint64 folds the first 8 bytes of the digest into an unsigned integer.
 // It is used for "hash mod m" style committee assignment.

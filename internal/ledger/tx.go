@@ -108,10 +108,6 @@ func (tx *Tx) ID() TxID {
 	return tx.id
 }
 
-// ResetID clears the memoized hash after a deliberate in-place mutation
-// (test fixtures; production code follows copy-on-mutate instead).
-func (tx *Tx) ResetID() { tx.idSet = false }
-
 // Domain-separation tags: the transaction hash (ID and layout) and the
 // user→shard map.
 const (

@@ -345,7 +345,7 @@ func TestShardOfMatchesOracle(t *testing.T) {
 
 // TestTxIDCacheMatchesRecompute exercises the memoized ID across the
 // mutation patterns the copy-on-mutate invariant allows: build-then-hash,
-// mutate-before-first-ID, copy-on-mutate, and explicit ResetID.
+// mutate-before-first-ID, copy-on-mutate, and clearing the memo (idSet).
 func TestTxIDCacheMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -373,11 +373,11 @@ func TestTxIDCacheMatchesRecompute(t *testing.T) {
 			t.Fatalf("trial %d: derived ID disagrees with recompute", trial)
 		}
 
-		// Deliberate in-place mutation must go through ResetID.
+		// A deliberate in-place mutation must clear the memo.
 		tx.Nonce++
-		tx.ResetID()
+		tx.idSet = false
 		if tx.ID() != oracleTxID(tx) {
-			t.Fatalf("trial %d: post-ResetID ID disagrees with recompute", trial)
+			t.Fatalf("trial %d: ID after clearing the memo disagrees with recompute", trial)
 		}
 	}
 }
@@ -424,7 +424,7 @@ func BenchmarkTxID(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tx.ResetID()
+			tx.idSet = false
 			_ = tx.ID()
 		}
 	})

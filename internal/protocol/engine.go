@@ -74,8 +74,9 @@ type RoundReport struct {
 	PhaseTraffic   map[string]simnet.Counter            // phase → totals
 	RoleTraffic    map[string]map[string]simnet.Counter // phase → role → totals
 	Rewards        map[string]uint64
-	BlockDelivered int // nodes that received the block
-	Screened       int // cross-shard txs dropped by §VIII-A pre-screening
+	BlockDelivered int           // nodes that received the block
+	Block          crypto.Digest // hash of the header the round appended to the chain
+	Screened       int           // cross-shard txs dropped by §VIII-A pre-screening
 
 	// Fault-model observability. Dropped and Late are zero on a network
 	// that loses and lags nothing, and PhaseDropped is nil in any round

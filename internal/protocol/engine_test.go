@@ -77,12 +77,12 @@ func TestEngineEd25519SchemeRound(t *testing.T) {
 
 // TestAccountingHoldsOneRound: the network's per-phase accounting is reset
 // at every round start, so after each round it holds exactly that round's
-// traffic, what it holds after round 12 is what it held after round 3 —
-// the same tables, reused — and its labels are the bare phase names, with
-// no round number in them.
+// traffic, and its labels are the bare phase names, with no round number
+// in them. That a reset keeps the tables for reuse is simnet's
+// TestMetricsAccounting.
 func TestAccountingHoldsOneRound(t *testing.T) {
 	p := DefaultParams()
-	p.Rounds = 12
+	p.Rounds = 4
 	e, err := NewEngine(p)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,6 @@ func TestAccountingHoldsOneRound(t *testing.T) {
 	for i := range all {
 		all[i] = simnet.NodeID(i)
 	}
-	held := 0
 	for round := 1; round <= p.Rounds; round++ {
 		before := m.Total()
 		if _, err := e.RunRound(); err != nil {
@@ -108,16 +107,5 @@ func TestAccountingHoldsOneRound(t *testing.T) {
 		if sent := m.Total().Messages - before.Messages; inTables.Messages != sent {
 			t.Fatalf("round %d: per-phase tables hold %d sends, the round sent %d", round, inTables.Messages, sent)
 		}
-		switch round {
-		case 3:
-			held = m.Counters()
-		case p.Rounds:
-			if got := m.Counters(); got != held {
-				t.Fatalf("per-phase counters held: %d after round 3, %d after round %d", held, got, round)
-			}
-		}
-	}
-	if held == 0 {
-		t.Fatal("no per-phase counters held")
 	}
 }

@@ -595,9 +595,11 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 			report.BlockDelivered++
 		}
 	}
-	if _, err := e.chain.Append(e.round, blk.Randomness, blk.Fees, blk.Txs); err != nil {
+	h, err := e.chain.Append(e.round, blk.Randomness, blk.Fees, blk.Txs)
+	if err != nil {
 		return fmt.Errorf("protocol: appending block: %w", err)
 	}
+	report.Block = h.Hash()
 	e.randomness = e.nextRoster.Randomness
 	return nil
 }

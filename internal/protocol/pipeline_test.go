@@ -2,76 +2,12 @@ package protocol
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"cycledger/internal/consensus"
 	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
 )
-
-// TestPipelinedMatchesSequential: the pipelined stage graph must produce
-// byte-for-byte the same round reports as the sequential schedule across
-// multiple rounds — same routing, same votes, same traffic, same rewards
-// (the prefetch stage only pre-generates; routing always classifies
-// against the settled view). Only Duration may differ: the pipelined
-// schedule's critical path must be strictly shorter than the sequential
-// sum of phases, every round.
-func TestPipelinedMatchesSequential(t *testing.T) {
-	seq := DefaultParams()
-	seq.Rounds = 3
-	seq.CrossFrac = 0.5
-	seq.InvalidFrac = 0.1
-	_, a := runEngine(t, seq)
-
-	pip := seq
-	pip.Pipelined = true
-	_, b := runEngine(t, pip)
-
-	for i := range a {
-		if b[i].Duration >= a[i].Duration {
-			t.Fatalf("round %d: pipelined duration %d not shorter than sequential %d",
-				i+1, b[i].Duration, a[i].Duration)
-		}
-		ac, bc := *a[i], *b[i]
-		ac.Duration, bc.Duration = 0, 0
-		if !reflect.DeepEqual(&ac, &bc) {
-			t.Fatalf("pipelined round %d diverged from sequential:\nseq: %+v\npip: %+v", i+1, ac, bc)
-		}
-	}
-}
-
-// TestPipelinedDeterministicAcrossParallelism: a seeded run, sequential or
-// pipelined, must produce byte-identical reports at parallelism 1 and N —
-// the simnet lanes may only change wall-clock time, never results.
-func TestPipelinedDeterministicAcrossParallelism(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		base := DefaultParams()
-		base.Rounds = 3
-		base.Pipelined = pipelined
-		base.CrossFrac = 0.5
-		base.InvalidFrac = 0.1
-
-		var runs [][]*RoundReport
-		for _, par := range []int{1, 4, 0} { // 0 = GOMAXPROCS
-			p := base
-			p.Parallelism = par
-			_, reports := runEngine(t, p)
-			runs = append(runs, reports)
-		}
-		want := renderReports(runs[0])
-		for i, r := range runs[1:] {
-			if got := renderReports(r); got != want {
-				t.Fatalf("pipelined=%v: parallelism run %d diverged from parallelism 1:\n%s\nvs\n%s", pipelined, i+1, want, got)
-			}
-			for j := range runs[0] {
-				if !reflect.DeepEqual(runs[0][j], r[j]) {
-					t.Fatalf("pipelined=%v: round %d reports not deeply equal across parallelism", pipelined, j+1)
-				}
-			}
-		}
-	}
-}
 
 // renderReports serialises reports to a canonical byte string (dereferenced,
 // so pointer identity never leaks into the comparison).

@@ -101,12 +101,6 @@ func (d *Deal) VerifyShare(s Share) error {
 	return nil
 }
 
-// CommitmentToSecret returns C_0 = g^secret, the public commitment to the
-// dealt secret.
-func (d *Deal) CommitmentToSecret() *big.Int {
-	return new(big.Int).Set(d.Commitments[0])
-}
-
 // Reconstruct recovers the secret from at least Threshold shares by
 // Lagrange interpolation at zero. Shares must have distinct indices.
 func Reconstruct(g *Group, threshold int, shares []Share) (*big.Int, error) {

@@ -181,7 +181,7 @@ func TestCommitmentToSecretMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.CommitmentToSecret().Cmp(g.Exp(secret)) != 0 {
+	if d.Commitments[0].Cmp(g.Exp(secret)) != 0 {
 		t.Fatal("C_0 != g^secret")
 	}
 }

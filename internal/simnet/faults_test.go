@@ -284,7 +284,7 @@ func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 			n.Send(id, id, "G", nil, 3)
 		}
 		n.RunUntilIdle()
-		return n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total()
+		return n.delivered, n.Metrics().DroppedTotal(), n.Metrics().Total()
 	}
 	d1, x1, c1 := run(1)
 	d8, x8, c8 := run(8)

@@ -181,21 +181,6 @@ func (m *Metrics) ResetPhases() {
 	m.phase, m.cur = "init", nil
 }
 
-// Counters returns how many per-(phase, node) counters the accounting
-// holds, in use or kept for reuse: a measure of what it retains, which
-// stays flat across rounds for a caller that calls ResetPhases each round.
-func (m *Metrics) Counters() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, ts := range [][]*phaseTable{m.tables, m.spare} {
-		for _, t := range ts {
-			n += cap(t.sent)
-		}
-	}
-	return n
-}
-
 // PhaseDropped returns the traffic lost under a phase label.
 func (m *Metrics) PhaseDropped(phase string) Counter {
 	m.mu.Lock()

@@ -96,7 +96,7 @@ func runScaleGossip(t *testing.T, coms, parallelism int, shuffleReg bool) string
 
 	h := fnv.New64a()
 	fmt.Fprintf(h, "t=%d delivered=%d dropped=%v total=%v late=%v;",
-		n.Now(), n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total(), n.Metrics().LateTotal())
+		n.Now(), n.delivered, n.Metrics().DroppedTotal(), n.Metrics().Total(), n.Metrics().LateTotal())
 	for id := NodeID(0); id < NodeID(total); id++ {
 		s := n.Metrics().SentByNodes("init", []NodeID{id})
 		r := recv[id]
@@ -104,7 +104,7 @@ func runScaleGossip(t *testing.T, coms, parallelism int, shuffleReg bool) string
 			fmt.Fprintf(h, "%d:%d,%d,%d,%d;", id, s.Messages, s.Bytes, r.Messages, r.Bytes)
 		}
 	}
-	return fmt.Sprintf("%x (delivered=%d)", h.Sum64(), n.Delivered())
+	return fmt.Sprintf("%x (delivered=%d)", h.Sum64(), n.delivered)
 }
 
 // TestScaleDeterminism10x: at the 10× paper-scale topology, a seeded run
@@ -178,7 +178,7 @@ func TestEventPoolReuseRace(t *testing.T) {
 	// also schedules one timer which sends one more message.
 	wantMsgs := uint64(nodes * (depth + (depth - 1)))
 	wantTimers := uint64(nodes * (depth - 1))
-	if got := n.Delivered(); got != wantMsgs+wantTimers {
+	if got := n.delivered; got != wantMsgs+wantTimers {
 		t.Fatalf("delivered %d events, want %d", got, wantMsgs+wantTimers)
 	}
 	if got := n.Metrics().Total().Messages; got != wantMsgs {

@@ -123,7 +123,7 @@ func TestAdaptiveDeterminismShuffledRegistration(t *testing.T) {
 			n.Send(id, id, "G", nil, 3)
 		}
 		n.RunUntilIdle()
-		return n.Now(), n.Delivered(), n.Metrics().DroppedTotal(), n.Metrics().Total()
+		return n.Now(), n.delivered, n.Metrics().DroppedTotal(), n.Metrics().Total()
 	}
 	t0, d0, x0, c0 := run(1, 0)
 	for _, alt := range [][2]int64{{4, 0}, {0, 0}, {1, 777}, {4, 555}} {

@@ -342,11 +342,6 @@ func (n *Network) Now() Time { return n.now }
 // false without a model.
 func (n *Network) Down(id NodeID) bool { return n.faults != nil && n.faults.Down(n.now, id) }
 
-// Delivered returns how many events have been popped at their tick so
-// far: messages handed to a handler, messages to a node without one,
-// timers, and events skipped because their node was down.
-func (n *Network) Delivered() uint64 { return n.delivered }
-
 // Send enqueues a message from outside any handler (e.g. test drivers and
 // round orchestration) under a fresh scheduling key. The key is consumed
 // only if the message is scheduled — one lost to the fault model leaves the
@@ -585,7 +580,8 @@ func (n *Network) execLane(ln *lane) {
 
 // Run processes events until the queue is empty or virtual time would
 // exceed `until` (0 means no limit). It returns the number of events
-// processed (see Delivered).
+// popped: messages handed to a handler, messages to a node without one,
+// timers, and events skipped because their node was down.
 func (n *Network) Run(until Time) uint64 {
 	start := n.delivered
 	for {

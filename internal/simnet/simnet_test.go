@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"cmp"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -146,12 +148,15 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestParallelismDeterminism(t *testing.T) {
-	// The same seed must give identical metrics at parallelism 1 and 8,
-	// and when the lane count changes between runs (1 → 4 → 2, switching
-	// every 15 ticks while traffic is in flight).
+	// The same seed must give identical metrics at parallelism 1, 8 and 0
+	// (GOMAXPROCS lanes), and when the lane count changes between runs
+	// (1 → 4 → 2, switching every 15 ticks while traffic is in flight).
 	run := func(pars ...int) (uint64, uint64) {
 		n := New(DefaultLatency(), 99)
 		n.SetParallelism(pars[0])
+		if want := cmp.Or(pars[0], runtime.GOMAXPROCS(0)); len(n.lanes) != want {
+			t.Fatalf("parallelism %d runs %d lanes, want %d", pars[0], len(n.lanes), want)
+		}
 		// Branching factor 2 doubles traffic every hop; keep the horizon
 		// short so the event count stays in the tens of thousands.
 		for id := NodeID(0); id < 50; id++ {
@@ -170,13 +175,13 @@ func TestParallelismDeterminism(t *testing.T) {
 			n.SetParallelism(par)
 		}
 		n.RunUntilIdle()
-		return n.Delivered(), n.Metrics().Total().Bytes
+		return n.delivered, n.Metrics().Total().Bytes
 	}
 	d1, b1 := run(1)
 	if d1 == 0 {
 		t.Fatal("nothing delivered")
 	}
-	for _, pars := range [][]int{{8}, {1, 4, 2}} {
+	for _, pars := range [][]int{{8}, {0}, {1, 4, 2}} {
 		if d, b := run(pars...); d != d1 || b != b1 {
 			t.Fatalf("lanes %v diverged: (%d,%d) vs (%d,%d)", pars, d1, b1, d, b)
 		}
@@ -237,6 +242,39 @@ func TestMetricsAccounting(t *testing.T) {
 	if len(phases) != 2 || phases[0] != "phase-a" || phases[1] != "phase-b" {
 		t.Fatalf("phases = %v", phases)
 	}
+
+	// A reset forgets the phases but keeps their tables: the same two
+	// phases again, round after round, hold what the first round held.
+	held := heldCounters(m)
+	for round := 0; round < 3; round++ {
+		m.ResetPhases()
+		if len(m.Phases()) != 0 {
+			t.Fatalf("phases %v after ResetPhases", m.Phases())
+		}
+		for _, ph := range []string{"phase-a", "phase-b"} {
+			m.SetPhase(ph)
+			n.Send(1, 2, "X", nil, 10)
+			n.RunUntilIdle()
+		}
+		if got := heldCounters(m); got != held {
+			t.Fatalf("reset %d: %d per-phase counters held, %d before", round+1, got, held)
+		}
+	}
+	if c := m.SentByNodes("phase-a", []NodeID{1}); c.Messages != 1 || c.Bytes != 10 {
+		t.Fatalf("phase-a sent = %+v after ResetPhases", c)
+	}
+}
+
+// heldCounters counts the per-(phase, node) counters m holds, in use or
+// kept for reuse: what its per-phase accounting retains.
+func heldCounters(m *Metrics) int {
+	n := 0
+	for _, ts := range [][]*phaseTable{m.tables, m.spare} {
+		for _, t := range ts {
+			n += cap(t.sent)
+		}
+	}
+	return n
 }
 
 func TestBroadcastHelper(t *testing.T) {

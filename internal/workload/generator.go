@@ -253,7 +253,3 @@ func (g *Generator) Reject(tx *ledger.Tx) {
 		}
 	}
 }
-
-// SpendableCount reports how many outputs the generator believes user u
-// can spend (test hook).
-func (g *Generator) SpendableCount(u string) int { return len(g.spendable[u]) }

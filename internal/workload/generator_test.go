@@ -168,9 +168,9 @@ func TestRejectRollsBackOutputs(t *testing.T) {
 			owned++ // payment plus change can share an owner
 		}
 	}
-	before := g.SpendableCount(recv)
+	before := len(g.spendable[recv])
 	g.Reject(tx)
-	after := g.SpendableCount(recv)
+	after := len(g.spendable[recv])
 	if after != before-owned {
 		t.Fatalf("spendable count %d -> %d, want rollback by %d", before, after, owned)
 	}

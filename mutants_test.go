@@ -1,0 +1,236 @@
+package cycledger_test
+
+import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// A mutant is a deliberate bug and the tests that must see it: TestMutants
+// builds the tree with file's one occurrence of old replaced by new and runs
+// go test -run run over pkgs. A killed mutant must fail that run. A
+// surviving one must pass it: it records a blind spot of the suite, and the
+// change that closes the blind spot flips it to killed. A flip the other
+// way loosens a check.
+type mutant struct {
+	name     string
+	file     string // slash-separated, relative to the module root
+	old, new string
+	pkgs     []string
+	run      string
+	env      []string // extra environment, KEY=value
+	flags    []string // extra go test flags
+	want     string   // "killed" or "survives"
+	reason   string
+}
+
+var mutants = []mutant{
+	{
+		name: "the lane count seeds the delay draw",
+		file: "internal/simnet/simnet.go",
+		old:  "d := n.latency.DrawKeyed(n.seed, ks, kc, msg.From, msg.To)",
+		new:  "d := n.latency.DrawKeyed(n.seed+uint64(len(n.lanes)-1), ks, kc, msg.From, msg.To)",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^default$/^(golden|lanes)$",
+		want: "killed",
+		reason: "A message's delay is drawn from its key and the seed alone, so any lane count runs the same " +
+			"schedule: the lanes column.",
+	},
+	{
+		name: "the first Yes vote decoded reads No",
+		file: "internal/protocol/messages.go",
+		old:  "\t\t*v = reputation.Vote(b) - 1\n\t})\n}\n",
+		new: "\t\t*v = reputation.Vote(b) - 1\n\t\tif *v == reputation.Yes && !flipped {\n\t\t\tflipped, *v = true, reputation.No\n" +
+			"\t\t}\n\t})\n}\n\nvar flipped bool\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^partition-heal$/^(golden|live)$",
+		want: "killed",
+		reason: "Only the live transport decodes what it sends, and a decoded message must equal the one sent: " +
+			"the live column, on the row whose run reads a vote vector off the wire.",
+	},
+	{
+		name:   "the pipelined duration is the plain sum",
+		file:   "internal/protocol/pipeline.go",
+		old:    "\te.prevBlock = s[\"block\"]\n\treturn dur\n",
+		new:    "\te.prevBlock = s[\"block\"]\n\treturn s[\"config\"] + s[\"semicommit\"] + processing + election + s[\"block\"]\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^(golden|pipelined)$",
+		want:   "killed",
+		reason: "The §IV pipelined schedule overlaps stages, so its round is strictly shorter: the pipelined column.",
+	},
+	{
+		name:   "one fee unit moves from payee 0 to payee 1",
+		file:   "internal/reputation/reputation.go",
+		old:    "\t\tout[fracs[i%uint64(n)].idx]++\n\t}\n\treturn out\n",
+		new:    "\t\tout[fracs[i%uint64(n)].idx]++\n\t}\n\tif n > 1 && out[0] > 0 {\n\t\tout[0], out[1] = out[0]-1, out[1]+1\n\t}\n\treturn out\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^golden$",
+		want:   "killed",
+		reason: "The §IV-G reward split is pinned by every golden that pays fees.",
+	},
+	{
+		name: "the live transport hands over the sender's payload",
+		file: "internal/transport/live.go",
+		old:  "\tl.last = f\n\treturn l.last\n",
+		new:  "\t_ = f\n\tl.last = msg.Payload\n\treturn l.last\n",
+		pkgs: []string{"./internal/transport"},
+		run:  "TestLivePayloadIsolation",
+		want: "killed",
+		reason: "A live delivery runs its handler only on a payload decoded from its frame: one that bypassed " +
+			"the codec runs none.",
+	},
+	{
+		name:   "every copy of a fan-out is encoded again",
+		file:   "internal/transport/live.go",
+		old:    "\tif same {\n\t\treturn l.last\n\t}\n",
+		new:    "",
+		pkgs:   []string{"./internal/transport", "./internal/protocol"},
+		run:    "TestLiveFanoutEncodesOnce|TestLiveEncodesOncePerFanout",
+		want:   "killed",
+		reason: "A broadcast is encoded once, and its copies share the frame.",
+	},
+	{
+		name:   "a frame may leave body bytes unread",
+		file:   "internal/transport/frame.go",
+		old:    "\tif used != len(body) {\n",
+		new:    "\tif used > len(body) {\n",
+		pkgs:   []string{"./internal/transport"},
+		run:    "FuzzParseFrame",
+		want:   "killed",
+		reason: "A frame holds one payload and nothing after it: FuzzParseFrame's trailing-byte seeds.",
+	},
+	{
+		name:   "a delivery skips the frame header check",
+		file:   "internal/transport/live.go",
+		old:    "\tif hd.from != msg.From || string(hd.tag) != msg.Tag || hd.size != msg.Size {\n",
+		new:    "\tif false {\n",
+		pkgs:   []string{"./internal/transport"},
+		run:    "TestLiveCorruptFramePanics",
+		want:   "killed",
+		reason: "A frame whose sender, tag or declared size disagrees with its delivery runs no handler.",
+	},
+	{
+		name: "a skipped event takes no seq",
+		file: "internal/simnet/simnet.go",
+		old: "\tfor i, sp := range n.spans {\n\t\tif sp.lane < 0 {\n\t\t\tcontinue\n\t\t}\n" +
+			"\t\tseq, out := base+uint64(i), n.lanes[sp.lane].ctx.out[sp.lo:sp.hi]\n",
+		new: "\tran := uint64(0)\n\tfor _, sp := range n.spans {\n\t\tif sp.lane < 0 {\n\t\t\tcontinue\n\t\t}\n" +
+			"\t\tseq, out := base+ran, n.lanes[sp.lane].ctx.out[sp.lo:sp.hi]\n\t\tran++\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^small-faulted$/^golden$",
+		want: "killed",
+		reason: "Every popped event takes the seq of its batch position, run or skipped for a down node, so the " +
+			"keys of what it sends do not depend on who is down at the same tick.",
+	},
+	{
+		name: "effects apply lane by lane",
+		file: "internal/simnet/simnet.go",
+		old:  "\tfor i, sp := range n.spans {\n",
+		new: "\tfor _, i := range func() (o []int32) {\n\t\tfor _, ln := range n.lanes {\n\t\t\to = append(o, ln.pos...)\n" +
+			"\t\t}\n\t\treturn o\n\t}() {\n\t\tsp := n.spans[i]\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^(lossy|small-faulted)$/^(golden|lanes)$",
+		want: "killed",
+		reason: "A step's effects apply in batch order whatever lane ran them, so a fault model draws in the same " +
+			"order at any lane count: the lanes column, on the rows that lose messages.",
+	},
+	{
+		name:   "a lane takes events by batch position",
+		file:   "internal/simnet/simnet.go",
+		old:    "\t\tl := int(ev.node) % k\n",
+		new:    "\t\tl := i % k\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^small$/",
+		env:    []string{"GOMAXPROCS=2"},
+		flags:  []string{"-race"},
+		want:   "killed",
+		reason: "A node's events run on one lane, so no two lanes run one node's handlers at once: the race detector.",
+	},
+	{
+		name:   "the chain records this round's randomness",
+		file:   "internal/protocol/phases.go",
+		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, blk.Txs)",
+		new:    "e.chain.Append(e.round, e.randomness, blk.Fees, blk.Txs)",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^golden$",
+		want:   "killed",
+		reason: "A block carries the next round's randomness, and a report's Block hash pins the header.",
+	},
+	{
+		name:   "the transaction root hashes a block's IDs in reverse order",
+		file:   "internal/chain/chain.go",
+		old:    "\tfor _, tx := range txs {\n\t\tid := tx.ID()\n",
+		new:    "\tfor i := range txs {\n\t\tid := txs[len(txs)-1-i].ID()\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^golden$",
+		want:   "killed",
+		reason: "A header's transaction root covers the block's order, and a report's Block hash pins the header.",
+	},
+	{
+		name: "the pipelined duration is the plain sum under aggregate certificates",
+		file: "internal/protocol/pipeline.go",
+		old:  "\te.prevBlock = s[\"block\"]\n\treturn dur\n",
+		new: "\te.prevBlock = s[\"block\"]\n\tif e.P.AggregateCerts {\n" +
+			"\t\treturn s[\"config\"] + s[\"semicommit\"] + processing + election + s[\"block\"]\n\t}\n\treturn dur\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^(golden|aggregate|aggregate-pipelined-lanes)$",
+		want:   "killed",
+		reason: "The pipelined schedule shortens an aggregate round too: the aggregate-pipelined-lanes column.",
+	},
+}
+
+// TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
+// builds and tests a package or two, one under the race detector, so the
+// table takes minutes (run it with -timeout 30m). The go command's -overlay
+// flag swaps the mutated file in at build time; the tree is not touched.
+func TestMutants(t *testing.T) {
+	if os.Getenv("CYCLEDGER_MUTANTS") == "" {
+		t.Skip("set CYCLEDGER_MUTANTS=1 to run the mutant table")
+	}
+	for _, m := range mutants {
+		t.Run(m.name, func(t *testing.T) {
+			if m.want != "killed" && m.want != "survives" {
+				t.Fatalf("want %q, not killed or survives", m.want)
+			}
+			src, err := os.ReadFile(filepath.FromSlash(m.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), m.old); n != 1 {
+				t.Fatalf("%s holds the old text %d times, want once: %q", m.file, n, m.old)
+			}
+			dir := t.TempDir()
+			mutated := filepath.Join(dir, filepath.Base(m.file))
+			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), m.old, m.new, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			abs, err := filepath.Abs(filepath.FromSlash(m.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlay, err := json.Marshal(map[string]map[string]string{"Replace": {abs: mutated}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlayFile := filepath.Join(dir, "overlay.json")
+			if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := append([]string{"test", "-count=1", "-overlay", overlayFile, "-run", m.run}, m.flags...)
+			cmd := exec.Command("go", append(args, m.pkgs...)...)
+			cmd.Env = append(os.Environ(), m.env...)
+			out, err := cmd.CombinedOutput()
+			switch failed := err != nil; {
+			case strings.Contains(string(out), "[build failed]") || strings.Contains(string(out), "[setup failed]"):
+				t.Fatalf("the mutant does not build:\n%s", out)
+			case failed && m.want == "survives":
+				t.Errorf("a surviving mutant is now killed; flip its row to killed:\n%s", out)
+			case !failed && m.want == "killed":
+				t.Errorf("the mutant survives go test %s: %s", strings.Join(cmd.Args[2:], " "), m.reason)
+			}
+		})
+	}
+}

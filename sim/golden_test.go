@@ -61,6 +61,8 @@ var columns = []column{
 	{name: "aggregate", overlay: `{"aggregate_certs": true}`, mask: noTraffic, faultFree: true},
 	{name: "aggregate-lanes-live", overlay: `{"aggregate_certs": true, "parallelism": 4, "transport": "live"}`,
 		base: "aggregate", faultFree: true},
+	{name: "aggregate-pipelined-lanes", overlay: `{"aggregate_certs": true, "pipelined": true, "parallelism": 4}`,
+		base: "aggregate", mask: noDuration, lower: true, faultFree: true},
 }
 
 // noDuration zeroes what the pipelined schedule changes: Duration alone.
@@ -84,7 +86,7 @@ func noTraffic(r sim.RoundReport) sim.RoundReport {
 // built by protocol.NewEngine directly. The columns then run it over four
 // simnet lanes, over the live transport, with an inert fault model, and in
 // the pipelined and aggregate modes, each mode alone and over lanes and
-// live together (see columns). paper-scale runs only with
+// live together, and the two modes together over lanes (see columns). paper-scale runs only with
 // CYCLEDGER_PAPER_SCALE=1, and only its golden and engine columns.
 // -update rewrites the goldens: only for a change that moves reports on
 // purpose, and saying why.

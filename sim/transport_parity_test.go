@@ -11,37 +11,6 @@ import (
 	"cycledger/sim"
 )
 
-// TestTransportParity is the wire/transport subsystem's payoff check: the
-// full default scenario run over the live transport — real concurrent node
-// processes exchanging codec-encoded bytes — produces RoundReports
-// identical to the deterministic simulator, Duration included: the live
-// transport is the same simnet scheduler (one clock, one key counter, one
-// keyed delay draw) with payloads carried over links instead of in events.
-func TestTransportParity(t *testing.T) {
-	run := func(transport string) []*sim.RoundReport {
-		t.Helper()
-		cfg := sim.DefaultConfig()
-		cfg.Transport = transport
-		s, err := sim.New(sim.FromConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reports, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-	want := run("sim")
-	got := run("live")
-	if !reflect.DeepEqual(want, got) {
-		wantJSON, _ := json.Marshal(want)
-		gotJSON, _ := json.Marshal(got)
-		t.Errorf("live transport diverges from the simulator oracle\n sim:  %s\n live: %s", wantJSON, gotJSON)
-	}
-}
-
 // TestTransportParityByzantine extends the oracle check to a byzantine
 // population: deviating behaviours change the message mix (equivocation,
 // concealment), and every variant must still cross the live transport
