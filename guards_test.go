@@ -204,6 +204,16 @@ var guards = []guard{
 		fixture: file{"internal/simnet/shard.go", "package simnet\n\ntype laneShard struct{ sent []Counter }\n"},
 	},
 	{
+		name: "One traffic ledger: owned by the driving goroutine",
+		reason: "simnet.Metrics is written and read only by the goroutine that drives its Network — sends after " +
+			"a step's barrier or between steps, a step's drops and late deliveries at its end, relabels between " +
+			"drains — and lanes, which run handlers, never reach it. A lock in metrics.go would guard a sharing " +
+			"that does not happen and cost every send an atomic operation.",
+		paths:   []string{"internal/simnet/metrics.go"},
+		find:    imports("sync"),
+		fixture: file{"internal/simnet/metrics.go", "package simnet\n\nimport \"sync\"\n\ntype Metrics struct{ mu sync.Mutex }\n"},
+	},
+	{
 		name: "One calendar queue: lanes run handlers",
 		reason: "A Network has one clock, one calQueue and one event free list, and only its driving goroutine " +
 			"pushes, pops or frees an event: lanes split a tick's batch to run handlers and nothing else. A queue in a " +

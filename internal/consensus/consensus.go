@@ -237,6 +237,10 @@ func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf f
 type instance struct {
 	propose *Propose // the adopted proposal
 	slots   []slot   // slots[i] belongs to Committee[i]
+	// digests are the distinct digests members echoed, in the order they
+	// were first filed; a slot names its echo's digest by index here, which
+	// keeps a slot to a few bytes and a c-member instance's table small.
+	digests []crypto.Digest
 	// votes counts the echoes filed for propose.Digest: kept as echoes
 	// arrive, recounted once when a proposal is adopted after them.
 	votes       int
@@ -258,8 +262,8 @@ type instance struct {
 type slot struct {
 	echoed    bool
 	confirmed bool
-	served    bool          // its Fetch has been answered
-	digest    crypto.Digest // the digest the member echoed
+	served    bool  // its Fetch has been answered
+	digest    int32 // the index in digests of the digest the member echoed
 }
 
 // equivocated reports whether the leader signed two digests for this
@@ -268,9 +272,13 @@ func (in *instance) equivocated() bool { return in.nseen == len(in.seen) }
 
 // echoesFor counts the members whose filed echo is for digest.
 func (in *instance) echoesFor(digest crypto.Digest) int {
+	d := slices.Index(in.digests, digest)
+	if d < 0 {
+		return 0
+	}
 	n := 0
 	for i := range in.slots {
-		if s := &in.slots[i]; s.echoed && s.digest == digest {
+		if s := &in.slots[i]; s.echoed && s.digest == int32(d) {
 			n++
 		}
 	}
@@ -309,7 +317,12 @@ func (in *instance) recordEcho(i int, digest crypto.Digest) {
 	if s.echoed {
 		return
 	}
-	s.echoed, s.digest = true, digest
+	d := slices.Index(in.digests, digest)
+	if d < 0 {
+		d = len(in.digests)
+		in.digests = append(in.digests, digest)
+	}
+	s.echoed, s.digest = true, int32(d)
 	if in.propose != nil && digest == in.propose.Digest {
 		in.votes++
 	}
@@ -351,30 +364,21 @@ type Protocol struct {
 	Echoes *VerifiedEchoes
 
 	insts map[uint64]*instance
-	pos   map[simnet.NodeID]int // Committee's position index, built on first use
-	peers []simnet.NodeID       // Committee without Self, in order, built with pos
+	seats *seats          // Committee's position index, Echoes' shared one when set; built on first use
+	peers []simnet.NodeID // Committee without Self, in order, built with seats
 	// The signing bytes of the message being signed or verified, reused
 	// across calls: schemes do not retain them.
 	sigBuf []byte
 }
 
-// rosterIndex maps every member of roster to its position in it.
-func rosterIndex(roster []simnet.NodeID) map[simnet.NodeID]int {
-	pos := make(map[simnet.NodeID]int, len(roster))
-	for i, id := range roster {
-		pos[id] = i
-	}
-	return pos
-}
-
-// index derives the roster's two views, pos and peers, on first use, so
+// index derives the roster's two views, seats and peers, on first use, so
 // that a Protocol built as a struct literal needs no constructor; Committee
-// must not change after that.
+// and Echoes must not change after that.
 func (p *Protocol) index() {
-	if p.pos != nil {
+	if p.seats != nil {
 		return
 	}
-	p.pos = rosterIndex(p.Committee)
+	p.seats = p.Echoes.seatsFor(p.Committee)
 	p.peers = make([]simnet.NodeID, 0, len(p.Committee))
 	for _, id := range p.Committee {
 		if id != p.Self {
@@ -386,8 +390,7 @@ func (p *Protocol) index() {
 // position returns id's index in Committee.
 func (p *Protocol) position(id simnet.NodeID) (int, bool) {
 	p.index()
-	i, ok := p.pos[id]
-	return i, ok
+	return p.seats.of(id)
 }
 
 func (p *Protocol) inst(sn uint64) *instance {
@@ -574,12 +577,12 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	if !member {
 		return // no slot, no vote: dropped before any signature work
 	}
-	if !p.Echoes.holds(&e) {
+	if !p.Echoes.holds(&e, i) {
 		p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
 		if p.Scheme.Verify(p.PKOf(e.Echoer), e.Sig, p.sigBuf) != nil {
 			return
 		}
-		p.Echoes.add(&e)
+		p.Echoes.add(&e, i, len(p.Committee))
 	}
 	in := p.inst(e.SN)
 	// The header the echo carries is leader-signed, so it feeds the

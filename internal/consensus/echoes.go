@@ -2,19 +2,12 @@ package consensus
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
 )
-
-// echoKey names an echo among those of one (round, leader): its instance,
-// its echoer and the digest it endorses.
-type echoKey struct {
-	sn     uint64
-	echoer simnet.NodeID
-	digest crypto.Digest
-}
 
 // headerKey names a proposal header among those of one (round, leader): its
 // instance and the digest the leader signed.
@@ -23,17 +16,81 @@ type headerKey struct {
 	digest crypto.Digest
 }
 
+// echoRow holds the echoes of one instance that verified, each at its
+// echoer's position in the roster of the endpoint that verified it.
+type echoRow struct {
+	sn uint64
+	at []echoEntry
+}
+
+// echoEntry is an echo that verified: its echoer, the digest it endorses and
+// its signature bytes.
+type echoEntry struct {
+	set    bool
+	echoer simnet.NodeID
+	digest crypto.Digest
+	sig    string
+}
+
+// seats is a roster's position index: pos[id] is id's position in roster,
+// -1 for an ID below len(pos) that roster does not hold. An ID that is
+// negative or past the table's end has no position either. Built once, it is
+// read without a lock.
+type seats struct {
+	roster []simnet.NodeID
+	pos    []int32
+}
+
+// newSeats indexes roster. A member listed twice holds its last position, and
+// the table is as long as roster's largest ID, so roster is one the engine
+// drew from its population, never one a message supplied.
+func newSeats(roster []simnet.NodeID) *seats {
+	top := simnet.NodeID(-1)
+	for _, id := range roster {
+		top = max(top, id)
+	}
+	s := &seats{roster: roster, pos: make([]int32, int(top)+1)}
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
+	for i, id := range roster {
+		if id >= 0 {
+			s.pos[id] = int32(i)
+		}
+	}
+	return s
+}
+
+// of returns id's position in the roster.
+func (s *seats) of(id simnet.NodeID) (int, bool) {
+	if id < 0 || int(id) >= len(s.pos) {
+		return -1, false
+	}
+	i := s.pos[id]
+	return int(i), i >= 0
+}
+
 // VerifiedEchoes holds what has passed a check for the instances of one
 // (round, leader), so that the endpoints of one committee check each shared
-// input once, not once per member.
+// input once, not once per member, and the roster index those endpoints look
+// their senders up in.
+//
+// Rosters. Every endpoint on the set whose Committee is equal to another's
+// reads the one position index built for that roster (seatsFor): in
+// Algorithm 3's echo round each of the c members is shown c−1 echoes, and
+// one table that they all read stays in cache where c tables would not.
 //
 // Echoes. An echo's verdict is a pure function of the bytes Verify reads —
 // its signing bytes (round, sn, digest, echoer, leader) and its signature —
 // and of the echoer's key, so endpoints that share a scheme and a PKI need
 // not verify again what one of them has: in Algorithm 3's echo round every
 // member is shown every other member's echo, c(c−1) checks of c−1 distinct
-// messages. A hit is exact: the set's round and leader, and the echo's sn,
-// echoer, digest and signature bytes, equal those of an echo that verified.
+// messages. A verified echo is kept per instance at its echoer's position,
+// and a hit is exact: the set's round and leader, and the echo's sn, echoer,
+// digest and signature bytes, equal those of an echo that verified. A
+// position names no one on its own: endpoints whose rosters differ may file
+// different echoers at one position, and the echoer comparison keeps each
+// from taking the other's entry.
 //
 // Proposals. The leader's signature on a header (round, sn, digest, leader)
 // is held the same way, keyed (sn, digest) → signature bytes, whether the
@@ -52,7 +109,8 @@ type VerifiedEchoes struct {
 	leader simnet.NodeID
 
 	mu       sync.RWMutex
-	ok       map[echoKey]string   // the echo's signature bytes
+	rosters  []*seats
+	echoes   []echoRow            // one per instance, searched by sn
 	headers  map[headerKey]string // the leader's signature bytes
 	payloads map[headerKey]any    // a pointer payload that digested to the key's digest
 }
@@ -62,10 +120,28 @@ type VerifiedEchoes struct {
 func NewVerifiedEchoes(round uint64, leader simnet.NodeID) *VerifiedEchoes {
 	return &VerifiedEchoes{
 		round: round, leader: leader,
-		ok:       make(map[echoKey]string),
 		headers:  make(map[headerKey]string),
 		payloads: make(map[headerKey]any),
 	}
+}
+
+// seatsFor returns roster's position index: the one every endpoint on the set
+// with an equal roster reads, built by the first to ask. A nil set builds one
+// for the caller alone.
+func (v *VerifiedEchoes) seatsFor(roster []simnet.NodeID) *seats {
+	if v == nil {
+		return newSeats(roster)
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, s := range v.rosters {
+		if slices.Equal(s.roster, roster) {
+			return s
+		}
+	}
+	s := newSeats(roster)
+	v.rosters = append(v.rosters, s)
+	return s
 }
 
 // Len returns how many distinct echoes have been recorded. Each cost one
@@ -74,7 +150,15 @@ func NewVerifiedEchoes(round uint64, leader simnet.NodeID) *VerifiedEchoes {
 func (v *VerifiedEchoes) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.ok)
+	n := 0
+	for _, r := range v.echoes {
+		for _, x := range r.at {
+			if x.set {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // covers reports whether a message of round and leader belongs in the set.
@@ -83,25 +167,49 @@ func (v *VerifiedEchoes) covers(round uint64, leader simnet.NodeID) bool {
 	return v != nil && round == v.round && leader == v.leader
 }
 
-// holds reports whether an echo with e's exact bytes has verified.
-func (v *VerifiedEchoes) holds(e *Echo) bool {
+// row returns sn's row, nil if no echo of sn has verified. Call with mu held.
+func (v *VerifiedEchoes) row(sn uint64) *echoRow {
+	for i := range v.echoes {
+		if v.echoes[i].sn == sn {
+			return &v.echoes[i]
+		}
+	}
+	return nil
+}
+
+// holds reports whether an echo with e's exact bytes has verified at
+// position i.
+func (v *VerifiedEchoes) holds(e *Echo, i int) bool {
 	if !v.covers(e.Round, e.Leader) {
 		return false
 	}
+	hit := false
 	v.mu.RLock()
-	sig, ok := v.ok[echoKey{e.SN, e.Echoer, e.Digest}]
+	if r := v.row(e.SN); r != nil && i < len(r.at) {
+		x := &r.at[i]
+		hit = x.set && x.echoer == e.Echoer && x.digest == e.Digest && x.sig == string(e.Sig)
+	}
 	v.mu.RUnlock()
-	return ok && sig == string(e.Sig)
+	return hit
 }
 
-// add records e, which has just verified. A key holds one signature: a
-// second encoding that verifies under it replaces the first.
-func (v *VerifiedEchoes) add(e *Echo) {
+// add records e, which has just verified, at position i of a roster of size
+// members. A position holds one echo: another that verifies there replaces
+// it.
+func (v *VerifiedEchoes) add(e *Echo, i, size int) {
 	if !v.covers(e.Round, e.Leader) {
 		return
 	}
 	v.mu.Lock()
-	v.ok[echoKey{e.SN, e.Echoer, e.Digest}] = string(e.Sig)
+	r := v.row(e.SN)
+	if r == nil {
+		v.echoes = append(v.echoes, echoRow{sn: e.SN})
+		r = &v.echoes[len(v.echoes)-1]
+	}
+	if i >= len(r.at) {
+		r.at = append(r.at, make([]echoEntry, max(size, i+1)-len(r.at))...)
+	}
+	r.at[i] = echoEntry{set: true, echoer: e.Echoer, digest: e.Digest, sig: string(e.Sig)}
 	v.mu.Unlock()
 }
 

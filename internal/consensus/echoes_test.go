@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,5 +221,165 @@ func TestVerifiedEchoesConcurrent(t *testing.T) {
 	wg.Wait()
 	if set.Len() != c-1 {
 		t.Fatalf("the set holds %d echoes, want %d", set.Len(), c-1)
+	}
+}
+
+func TestEchoMemoIsExactAtItsPosition(t *testing.T) {
+	// An echo held at (sn, position) is a hit only for its own echoer, digest
+	// and signature bytes; every other echo shown at that position, and the
+	// same echo at another position, sn, round or leader, misses.
+	set := NewVerifiedEchoes(1, 0)
+	held := Echo{Round: 1, SN: 4, Digest: crypto.HString("held"), Echoer: 3, Sig: []byte("the echoer's signature"), Leader: 0}
+	set.add(&held, 2, 5)
+	if !set.holds(&held, 2) {
+		t.Fatal("the held echo misses at its own position")
+	}
+	variant := func(edit func(*Echo)) Echo {
+		e := held
+		e.Sig = slices.Clone(held.Sig)
+		edit(&e)
+		return e
+	}
+	for name, e := range map[string]Echo{
+		"another echoer":        variant(func(e *Echo) { e.Echoer = 4 }),
+		"another digest":        variant(func(e *Echo) { e.Digest = crypto.HString("other") }),
+		"other signature bytes": variant(func(e *Echo) { e.Sig[0] ^= 1 }),
+		"a signature prefix":    variant(func(e *Echo) { e.Sig = e.Sig[:len(e.Sig)-1] }),
+		"a longer signature":    variant(func(e *Echo) { e.Sig = append(e.Sig, 0) }),
+		"another sn":            variant(func(e *Echo) { e.SN = 5 }),
+		"another round":         variant(func(e *Echo) { e.Round = 2 }),
+		"another leader":        variant(func(e *Echo) { e.Leader = 1 }),
+	} {
+		if set.holds(&e, 2) {
+			t.Errorf("%s: a hit at the held echo's position", name)
+		}
+	}
+	for _, i := range []int{0, 1, 3, 4, 5, 100} {
+		if set.holds(&held, i) {
+			t.Errorf("the held echo hits at position %d, held at 2", i)
+		}
+	}
+	if zero := (Echo{Round: 1, SN: 4, Leader: 0}); set.holds(&zero, 0) {
+		t.Error("an empty position of the row hits for node 0's unsigned echo of the zero digest")
+	}
+	// A position holds one echo: another that verifies there replaces it.
+	other := variant(func(e *Echo) { e.Echoer, e.Sig = 7, []byte("another signature") })
+	set.add(&other, 2, 5)
+	if set.holds(&held, 2) || !set.holds(&other, 2) || set.Len() != 1 {
+		t.Fatalf("after a replacement: held %v, other %v, %d entries", set.holds(&held, 2), set.holds(&other, 2), set.Len())
+	}
+}
+
+func TestSeatsPlaceRosterMembersOnly(t *testing.T) {
+	roster := []simnet.NodeID{5, 2, 9, 2}
+	s := newSeats(roster)
+	for id, want := range map[simnet.NodeID]int{5: 0, 9: 2, 2: 3} { // a member listed twice holds its last position
+		if i, ok := s.of(id); !ok || i != want {
+			t.Errorf("of(%d) = %d, %v; want %d", id, i, ok, want)
+		}
+	}
+	if len(s.pos) != 10 {
+		t.Fatalf("the table is %d long, want the largest ID + 1", len(s.pos))
+	}
+	for _, id := range []simnet.NodeID{-1, -1 << 31, 10, 1 << 30, 0, 3, 8} { // negative, past the end, inside but not in the roster
+		if i, ok := s.of(id); ok {
+			t.Errorf("of(%d) = %d: a NodeID outside the roster has a position", id, i)
+		}
+	}
+	if _, ok := newSeats(nil).of(0); ok {
+		t.Error("an empty roster places someone")
+	}
+
+	// One set hands one table to every equal roster, and its own to any other.
+	set := NewVerifiedEchoes(1, 5)
+	a, b := set.seatsFor(roster), set.seatsFor(slices.Clone(roster))
+	c := set.seatsFor([]simnet.NodeID{5, 9, 2})
+	if a != b || a == c {
+		t.Fatalf("equal rosters share a table: %v; unequal rosters share one: %v", a == b, a == c)
+	}
+	var none *VerifiedEchoes
+	if none.seatsFor(roster) == none.seatsFor(roster) {
+		t.Fatal("without a set, endpoints share a table")
+	}
+}
+
+func TestEchoMemoRostersThatDifferShareNoHits(t *testing.T) {
+	// Two endpoints of one (round, leader) on one set, whose rosters place
+	// members 1 and 2 the other way round. A's filing of 1's echo sits at the
+	// position where B seats 2. An echo that claims 2 as echoer but carries
+	// 1's digest and signature bytes — a hit, were the position the key — is
+	// verified afresh at B and refused; 1's own echo is verified afresh at B
+	// (B seats 1 elsewhere) and filed.
+	const leader = simnet.NodeID(0)
+	rosterA := []simnet.NodeID{0, 1, 2, 3, 4}
+	rosterB := []simnet.NodeID{0, 2, 1, 3, 4}
+	rng := rand.New(rand.NewSource(27))
+	keys := make(map[simnet.NodeID]crypto.KeyPair)
+	for _, id := range rosterA {
+		keys[id] = crypto.GenerateKeyPair(rng)
+	}
+	counter := &echoCounter{SignatureScheme: HashScheme{}}
+	set := NewVerifiedEchoes(1, leader)
+	endpoint := func(self simnet.NodeID, roster []simnet.NodeID) *Protocol {
+		return &Protocol{Round: 1, Self: self, Leader: leader, Committee: roster, Keys: keys[self],
+			PKOf: func(id simnet.NodeID) crypto.PublicKey { return keys[id].PK }, Scheme: counter, Echoes: set}
+	}
+	a, b := endpoint(3, rosterA), endpoint(4, rosterB)
+	d := crypto.HString("proposal")
+	prop := BuildPropose(HashScheme{}, keys[leader], leader, 1, 1, d, nil)
+	genuine := Echo{Round: 1, SN: 1, Digest: d, Echoer: 1, Leader: leader, LeaderSig: prop.Sig}
+	genuine.Sig = Sign(HashScheme{}, keys[1], genuine)
+	show := func(p *Protocol, e Echo) (verified int64) {
+		before := counter.n.Load()
+		p.Handle(&simnet.Context{}, simnet.Message{From: e.Echoer, To: p.Self, Tag: TagEcho, Payload: e})
+		return counter.n.Load() - before
+	}
+	if n := show(a, genuine); n != 1 || set.Len() != 1 {
+		t.Fatalf("A: the genuine echo took %d verifications and left %d in the set", n, set.Len())
+	}
+	if a.seats == b.seats {
+		t.Fatal("endpoints with different rosters read one position index")
+	}
+	relabelled := genuine
+	relabelled.Echoer = 2
+	if n := show(b, relabelled); n != 1 {
+		t.Fatalf("B: the relabelled echo took %d verifications, want 1", n)
+	}
+	if b.insts[1] != nil {
+		t.Fatal("B filed an echo whose signature is another echoer's")
+	}
+	if n := show(b, genuine); n != 1 {
+		t.Fatalf("B: the genuine echo took %d verifications, want 1 (B seats its echoer elsewhere)", n)
+	}
+	if in := b.insts[1]; in == nil || !in.slots[2].echoed || in.slots[1].echoed {
+		t.Fatal("B did not file the genuine echo at its echoer's position, and only there")
+	}
+}
+
+func TestEchoMemoHitAllocatesNothing(t *testing.T) {
+	// After an honest c = 16 instance on a shared set, an echo every endpoint
+	// has filed is delivered again to one of them: the position lookup, the
+	// memo hit and the filing allocate nothing.
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	h := newHarness(t, 16, HashScheme{}, 28)
+	counter, _ := h.shareEchoes(true)
+	d := h.propose("allocs")
+	if res := h.decided[h.leader]; res == nil || res.Digest != d {
+		t.Fatal("no decision")
+	}
+	echoer, to := h.members[3], h.nodes[h.members[5]]
+	prop := BuildPropose(HashScheme{}, h.keys[h.leader], h.leader, 1, 1, d, nil)
+	e := Echo{Round: 1, SN: 1, Digest: d, Echoer: echoer, Leader: h.leader, LeaderSig: prop.Sig}
+	e.Sig = Sign(HashScheme{}, h.keys[echoer], e)
+	msg := simnet.Message{From: echoer, To: to.Self, Tag: TagEcho, Payload: e}
+	ctx := &simnet.Context{}
+	before := counter.n.Load()
+	if allocs := testing.AllocsPerRun(100, func() { to.Handle(ctx, msg) }); allocs != 0 {
+		t.Fatalf("a delivered echo that hits the memo allocates %.1f times", allocs)
+	}
+	if n := counter.n.Load() - before; n != 0 {
+		t.Fatalf("the filed echo was verified %d times: not a memo hit", n)
 	}
 }

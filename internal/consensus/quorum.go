@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -102,14 +103,14 @@ func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func
 
 // seat places every vote at its voter's position in roster: the positions
 // taken, and each one's signature (nil elsewhere). A voter outside the roster
-// or listed twice is an error.
+// or listed twice is an error. The roster may be one a message carried, so
+// each voter is found by a scan, not in a table as long as its largest ID.
 func (q Quorum) seat(roster []simnet.NodeID) (Bitmap, [][]byte, error) {
-	pos := rosterIndex(roster)
 	taken := NewBitmap(len(roster))
 	sigs := make([][]byte, len(roster))
 	for _, v := range q.Votes {
-		i, member := pos[v.Voter]
-		if !member {
+		i := slices.Index(roster, v.Voter)
+		if i < 0 {
 			return nil, nil, fmt.Errorf("consensus: voter %d not in roster", v.Voter)
 		}
 		if taken.Has(i) {

@@ -131,8 +131,9 @@ type Engine struct {
 	screened   atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
 	hooks      Hooks                  // optional progress callbacks (SetHooks)
 
-	// echoes holds this round's verified echoes per instance leader, shared
-	// by every node's endpoint for that leader (echoesFor). consFor runs on
+	// echoes holds this round's verified echoes per instance leader, and
+	// the position index of that leader's roster, shared by every node's
+	// endpoint for that leader (echoesFor). consFor runs on
 	// the simnet lanes, concurrently, so echoMu guards the lazy creation of
 	// an entry; RunRound drops the sets when the round ends.
 	echoMu sync.Mutex
@@ -560,6 +561,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	// reset.
 	for _, n := range e.nodes {
 		clear(n.cons)
+		n.cons = n.cons[:0]
 	}
 	clear(e.echoes)
 

@@ -34,7 +34,7 @@ type Node struct {
 	committeeNodes []simnet.NodeID
 	committeePeers []simnet.NodeID // committeeNodes without this node, in order
 	cfg            *committee.ConfigNode
-	cons           map[simnet.NodeID]*consensus.Protocol
+	cons           []*consensus.Protocol // this round's endpoints, at most one per instance leader
 
 	// Intra-committee phase.
 	leaderTxs    []*ledger.Tx                            // engine-primed TXList (leader seat)
@@ -95,7 +95,8 @@ func (n *Node) resetRound(r *Roster) {
 		n.curLeader = -1
 		n.committeeNodes, n.committeePeers = nil, nil
 	}
-	n.cons = make(map[simnet.NodeID]*consensus.Protocol)
+	clear(n.cons)
+	n.cons = n.cons[:0]
 	n.leaderTxs = nil
 	n.txList = nil
 	n.votes = make(map[simnet.NodeID]reputation.VoteVector)
@@ -144,8 +145,10 @@ func (n *Node) committeeSize() int { return len(n.committeeNodes) }
 // and partial-set members as fallback proposers (restricted by sn range in
 // validatePayload).
 func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
-	if p, ok := n.cons[leader]; ok {
-		return p
+	for _, p := range n.cons {
+		if p.Leader == leader {
+			return p
+		}
 	}
 	var roster []simnet.NodeID
 	switch {
@@ -184,7 +187,7 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 			return n.validatePayload(leader, sn, payload)
 		},
 	}
-	n.cons[leader] = p
+	n.cons = append(n.cons, p)
 	return p
 }
 

@@ -404,11 +404,10 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	}
 }
 
+// leaderProposedInterIn reports whether any endpoint of this node — the
+// current leader's, or a fallback proposer's — holds a proposal for src's
+// incoming list.
 func (n *Node) leaderProposedInterIn(src uint64) bool {
-	if p, ok := n.cons[n.curLeader]; ok && p.HasProposal(snInterInBase+src) {
-		return true
-	}
-	// Also satisfied if a fallback instance already decided/accepted.
 	for _, p := range n.cons {
 		if p.HasProposal(snInterInBase + src) {
 			return true

@@ -49,8 +49,10 @@ type Roster struct {
 	// Commons[k] is filled in by sortition at configuration time.
 	Commons [][]simnet.NodeID
 
-	roles map[simnet.NodeID]Role
-	comOf map[simnet.NodeID]uint64
+	// places is the seat table, indexed by NodeID: each node's role and
+	// committee, RoleIdle past the end and for a node the roster does not
+	// name. linkClass reads it on every send.
+	places []place
 
 	// Cached role-index slices. Accessors used to rebuild these on every
 	// call — an O(n) scan per lookup that dominated recipient fan-outs at
@@ -97,52 +99,65 @@ func newRoster(round uint64, randomness crypto.Digest, m uint64) *Roster {
 		Partials:   make([][]simnet.NodeID, m),
 		Commons:    make([][]simnet.NodeID, m),
 		Leaders:    make([]simnet.NodeID, m),
-		roles:      make(map[simnet.NodeID]Role),
-		comOf:      make(map[simnet.NodeID]uint64),
 	}
+}
+
+// place is one node's row of the seat table: its role and, for a leader,
+// partial or common member, the committee it serves.
+type place struct {
+	role Role
+	com  uint64
+}
+
+// placeOf returns id's row; an ID the table does not reach is idle.
+func (r *Roster) placeOf(id simnet.NodeID) place {
+	if id < 0 || int(id) >= len(r.places) {
+		return place{role: RoleIdle}
+	}
+	return r.places[id]
+}
+
+// seat writes id's row, growing the table to reach it.
+func (r *Roster) seat(id simnet.NodeID, role Role, k uint64) {
+	for int(id) >= len(r.places) {
+		r.places = append(r.places, place{role: RoleIdle})
+	}
+	r.places[id] = place{role: role, com: k}
 }
 
 func (r *Roster) setReferee(ids []simnet.NodeID) {
 	r.Referee = ids
 	for _, id := range ids {
-		r.roles[id] = RoleReferee
+		r.seat(id, RoleReferee, 0)
 	}
 	r.invalidate()
 }
 
 func (r *Roster) setLeader(k uint64, id simnet.NodeID) {
 	r.Leaders[k] = id
-	r.roles[id] = RoleLeader
-	r.comOf[id] = k
+	r.seat(id, RoleLeader, k)
 	r.invalidate()
 }
 
 func (r *Roster) addPartial(k uint64, id simnet.NodeID) {
 	r.Partials[k] = append(r.Partials[k], id)
-	r.roles[id] = RolePartial
-	r.comOf[id] = k
+	r.seat(id, RolePartial, k)
 	r.invalidate()
 }
 
 func (r *Roster) addCommon(k uint64, id simnet.NodeID) {
 	r.Commons[k] = append(r.Commons[k], id)
-	r.roles[id] = RoleCommon
-	r.comOf[id] = k
+	r.seat(id, RoleCommon, k)
 	r.invalidate()
 }
 
 // RoleOf returns the node's role (RoleIdle if absent).
-func (r *Roster) RoleOf(id simnet.NodeID) Role {
-	if role, ok := r.roles[id]; ok {
-		return role
-	}
-	return RoleIdle
-}
+func (r *Roster) RoleOf(id simnet.NodeID) Role { return r.placeOf(id).role }
 
 // CommitteeOf returns the committee a non-referee node serves.
 func (r *Roster) CommitteeOf(id simnet.NodeID) (uint64, bool) {
-	k, ok := r.comOf[id]
-	return k, ok
+	p := r.placeOf(id)
+	return p.com, p.role != RoleReferee && p.role != RoleIdle
 }
 
 // Committee returns every member of committee k (leader first, then
@@ -199,11 +214,12 @@ func (r *Roster) AllKeyMembers() []simnet.NodeID {
 // cached index; treat it as read-only.
 func (r *Roster) AllNodes() []simnet.NodeID {
 	if r.cAllNodes == nil {
-		out := make([]simnet.NodeID, 0, len(r.roles))
-		for id := range r.roles {
-			out = append(out, id)
+		out := []simnet.NodeID{}
+		for id, p := range r.places {
+			if p.role != RoleIdle {
+				out = append(out, simnet.NodeID(id))
+			}
 		}
-		slices.Sort(out)
 		r.cAllNodes = out
 	}
 	return r.cAllNodes
@@ -225,12 +241,14 @@ func (r *Roster) CommonsOfAll() []simnet.NodeID {
 // ReplaceLeader installs a new leader for committee k after a recovery
 // (§V-D): the new leader leaves the partial set; the evicted node is
 // demoted to common member (it stays connected but holds no key seat).
-// The mutations bypass the invalidate-everything mutators so the caches a
-// replacement cannot change survive; rewarmReplace rebuilds the rest.
+// Both rows of the seat table change here, so the links of both are
+// classified by their new roles from the next send on. The mutations bypass
+// the invalidate-everything mutators so the caches a replacement cannot
+// change survive; rewarmReplace rebuilds the rest.
 func (r *Roster) ReplaceLeader(k uint64, evicted, successor simnet.NodeID) {
 	r.Leaders[k] = successor
-	r.roles[successor] = RoleLeader
-	r.comOf[successor] = k
+	r.seat(successor, RoleLeader, k)
+	r.seat(evicted, RoleCommon, k)
 	// Remove the successor from the partial set.
 	ps := r.Partials[k][:0]
 	for _, id := range r.Partials[k] {
@@ -239,7 +257,6 @@ func (r *Roster) ReplaceLeader(k uint64, evicted, successor simnet.NodeID) {
 		}
 	}
 	r.Partials[k] = ps
-	r.roles[evicted] = RoleCommon
 	r.Commons[k] = append(r.Commons[k], evicted)
 	slices.Sort(r.Commons[k])
 	r.rewarmReplace(k)
@@ -272,17 +289,15 @@ func (r *Roster) rewarmReplace(k uint64) {
 // intra-referee) links are Δ-bounded; links among key members and referee
 // members are Γ-bounded; everything else is partially synchronous.
 func (r *Roster) linkClass(from, to simnet.NodeID) simnet.LinkClass {
-	fr, fOK := r.roles[from]
-	tr, tOK := r.roles[to]
-	if !fOK || !tOK {
+	f, t := r.placeOf(from), r.placeOf(to)
+	fr, tr := f.role, t.role
+	if fr == RoleIdle || tr == RoleIdle {
 		return simnet.LinkPartial
 	}
 	if fr == RoleReferee && tr == RoleReferee {
 		return simnet.LinkIntra
 	}
-	fk, _ := r.comOf[from]
-	tk, _ := r.comOf[to]
-	if fr != RoleReferee && tr != RoleReferee && fk == tk {
+	if fr != RoleReferee && tr != RoleReferee && f.com == t.com {
 		return simnet.LinkIntra
 	}
 	// Cross-committee: synchronous only among key members (and between

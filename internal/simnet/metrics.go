@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Counter accumulates message and byte totals.
 type Counter struct {
@@ -36,17 +33,26 @@ func (c *Counter) Add(o Counter) {
 // dropped, never as late. A negative sender has no sent entry: its traffic
 // counts in the total only.
 //
-// The goroutine driving the Network is the only writer: sends are counted
-// on the send path, and the events a step finds lost at a down destination
-// or delivered late are added at the end of the step. mu orders those
-// writes against readers on other goroutines.
+// A Metrics is owned by the driving goroutine — the one that calls the
+// Network's Send, After and Run — and has no lock: only that goroutine writes
+// or reads it, and never while lanes run. Its writes are these:
+//   - send counts a send, and a Fate drop, as it applies an effect or an
+//     external Send: after the step's barrier, or between steps;
+//   - stepAt adds the step's drops at down destinations and its late
+//     deliveries at its end, after the barrier;
+//   - SetPhase and ResetPhases relabel it between drains, when the network
+//     is idle.
+//
+// A lane runs handlers between a step's dispatch and its barrier, and a
+// handler reaches the Network only through its Context, which holds no
+// Metrics; so no lane runs at any of those writes. The readers (reports,
+// tests) run between drains on the same goroutine.
 //
 // Per-phase accounting holds every phase since the last ResetPhases: a
 // network that never resets keeps them all, one that resets every round
 // holds one round's worth, reusing the same tables round after round. The
 // totals are cumulative either way.
 type Metrics struct {
-	mu    sync.Mutex
 	phase string
 	// cur is the current label's table, nil until the label counts
 	// something; tables are the phases that saw traffic since the last
@@ -82,7 +88,7 @@ func sumAt(tab []Counter, nodes []NodeID) Counter {
 }
 
 // table returns the current label's table, taking a spare one (or a new
-// one) when the label has none yet. Call with mu held.
+// one) when the label has none yet.
 func (m *Metrics) table() *phaseTable {
 	if m.cur != nil {
 		return m.cur
@@ -102,7 +108,7 @@ func (m *Metrics) table() *phaseTable {
 }
 
 // lookup returns the table of a phase label, nil when the label saw no
-// traffic since the last ResetPhases. Call with mu held.
+// traffic since the last ResetPhases.
 func (m *Metrics) lookup(phase string) *phaseTable {
 	for _, t := range m.tables {
 		if t.name == phase {
@@ -115,7 +121,6 @@ func (m *Metrics) lookup(phase string) *phaseTable {
 // recordSend charges one transmission to its sender under the current
 // phase and to the total.
 func (m *Metrics) recordSend(msg Message) {
-	m.mu.Lock()
 	m.total.add(msg.Size)
 	if id := msg.From; id >= 0 {
 		t := m.table()
@@ -124,7 +129,6 @@ func (m *Metrics) recordSend(msg Message) {
 		}
 		t.sent[id].add(msg.Size)
 	}
-	m.mu.Unlock()
 }
 
 // recordDrops charges lost traffic to the current phase and to the total.
@@ -132,10 +136,8 @@ func (m *Metrics) recordDrops(c Counter) {
 	if c.Messages == 0 {
 		return
 	}
-	m.mu.Lock()
 	m.table().dropped.Add(c)
 	m.totalDrop.Add(c)
-	m.mu.Unlock()
 }
 
 // recordLate adds beyond-bound deliveries to the total.
@@ -143,9 +145,7 @@ func (m *Metrics) recordLate(c Counter) {
 	if c.Messages == 0 {
 		return
 	}
-	m.mu.Lock()
 	m.totalLate.Add(c)
-	m.mu.Unlock()
 }
 
 // NewMetrics returns empty accounting.
@@ -157,8 +157,6 @@ func NewMetrics() *Metrics {
 // name. Call it while the network is idle, as the protocol layer does
 // between its phases' drains.
 func (m *Metrics) SetPhase(phase string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.phase, m.cur = phase, nil
 }
 
@@ -169,8 +167,6 @@ func (m *Metrics) SetPhase(phase string) {
 // accounting however long it runs. Total, DroppedTotal and LateTotal stay
 // cumulative. Call it while the network is idle, like SetPhase.
 func (m *Metrics) ResetPhases() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, t := range m.tables {
 		clear(t.sent)
 		t.dropped = Counter{}
@@ -183,8 +179,6 @@ func (m *Metrics) ResetPhases() {
 
 // PhaseDropped returns the traffic lost under a phase label.
 func (m *Metrics) PhaseDropped(phase string) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if t := m.lookup(phase); t != nil {
 		return t.dropped
 	}
@@ -193,26 +187,17 @@ func (m *Metrics) PhaseDropped(phase string) Counter {
 
 // DroppedTotal returns whole-simulation lost traffic.
 func (m *Metrics) DroppedTotal() Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.totalDrop
 }
 
 // LateTotal returns whole-simulation beyond-bound traffic (delivered, but
 // after the fault model's extra delay).
 func (m *Metrics) LateTotal() Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.totalLate
 }
 
-// SentByNodes sums sender-side counters for a phase over a node set. The
-// lock is taken once for the whole set, not once per node — Table II
-// aggregation walks full rosters, which at large scale made per-node
-// locking the dominant cost of report collection.
+// SentByNodes sums sender-side counters for a phase over a node set.
 func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if t := m.lookup(phase); t != nil {
 		return sumAt(t.sent, nodes)
 	}
@@ -221,8 +206,6 @@ func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
 
 // Total returns whole-simulation traffic.
 func (m *Metrics) Total() Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.total
 }
 
@@ -231,8 +214,6 @@ func (m *Metrics) Total() Counter {
 // label or traffic was lost under it — a phase whose every message was
 // lost still shows up.
 func (m *Metrics) Phases() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.tables))
 	for _, t := range m.tables {
 		out = append(out, t.name)

@@ -213,6 +213,39 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 	}
 }
 
+// TestSendAccountingAllocatesNothing: Network.send's accounting — each send
+// charged to its sender under the current phase, each Fate drop to the
+// phase, a step's late deliveries to the total — allocates nothing once a
+// round's phase tables exist, round after round.
+func TestSendAccountingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	n := New(DefaultLatency(), 17)
+	n.SetFaults(Composite{NewLoss(0.3, 3), NewLag(0.3, 20, 4)})
+	for id := NodeID(0); id < 2; id++ {
+		n.Register(id, func(*Context, Message) {})
+	}
+	m := n.Metrics()
+	round := func() {
+		m.ResetPhases()
+		for _, phase := range []string{"config", "inter", "block"} {
+			m.SetPhase(phase)
+			for from := NodeID(0); from < 8; from++ {
+				n.Send(from, from%2, "x", nil, 40)
+			}
+			n.RunUntilIdle()
+		}
+	}
+	round() // grow the phase tables, the event pool and the queue
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of sends allocates %.1f times in accounting and delivery", allocs)
+	}
+	if m.DroppedTotal().Messages == 0 || m.LateTotal().Messages == 0 {
+		t.Fatalf("faults did not bite: dropped %+v, late %+v", m.DroppedTotal(), m.LateTotal())
+	}
+}
+
 // TestSetDownRecoveryWithFaultsNoSkipAlloc: with a fault model installed
 // the dead-destination pre-pass always runs, but the skip buffer is
 // reused — steady-state Steps still allocate nothing once warm.

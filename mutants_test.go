@@ -180,6 +180,29 @@ var mutants = []mutant{
 		want:   "killed",
 		reason: "The pipelined schedule shortens an aggregate round too: the aggregate-pipelined-lanes column.",
 	},
+	{
+		name:   "an echo memo hit skips the signature bytes",
+		file:   "internal/consensus/echoes.go",
+		old:    "hit = x.set && x.echoer == e.Echoer && x.digest == e.Digest && x.sig == string(e.Sig)",
+		new:    "hit = x.set",
+		pkgs:   []string{"./internal/consensus"},
+		run:    "TestVerifiedEchoesAreExact",
+		want:   "killed",
+		reason: "An echo held at (sn, position) is a hit only for the same echoer, digest and signature bytes.",
+	},
+	{
+		name: "the seat table keeps the evicted leader's row",
+		file: "internal/protocol/roster.go",
+		old:  "\tr.seat(successor, RoleLeader, k)\n\tr.seat(evicted, RoleCommon, k)\n",
+		new:  "",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^adaptive-full$/^golden$",
+		want: "killed",
+		reason: "linkClass reads roles from the seat table on every send, so a §V-D recovery reclassifies the " +
+			"evicted leader's links for the rest of the round. leader-fault's golden does not see it: nothing its " +
+			"evicted leader sends after the eviction is drawn on those links. adaptive-full's round 1, with four " +
+			"evictions, ends a tick later.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
