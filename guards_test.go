@@ -106,6 +106,16 @@ var guards = []guard{
 		fixture: file{"internal/ledger/codec.go", "package ledger\n\nfunc DecodeTx(b []byte) (*Tx, error) { return nil, nil }\n"},
 	},
 	{
+		name: "One layout per message: a decoded transaction hashes nothing",
+		reason: "A transaction's ID is computed on its first ID call and published through its atomic memo word, " +
+			"so a block or list decodes without hashing bodies that most receivers never ask about. Coder.Consumed, " +
+			"which let a layout hash the body it had just read, and the unsynchronised idSet flag, which made every " +
+			"caller settle an ID before sharing the transaction, would bring both back.",
+		paths:   []string{"internal/ledger/*.go", "internal/wire/*.go", ":!*_test.go"},
+		find:    grepWords(`Consumed|idSet`),
+		fixture: file{"internal/wire/coder.go", "package wire\n\nfunc (c *Coder) Consumed() []byte { return c.buf[:c.off] }\n"},
+	},
+	{
 		name:    "One layout per message: size mirrors",
 		reason:  whyLayout,
 		paths:   []string{"internal/protocol/messages_wire.go", "internal/consensus/wiresize.go", "internal/committee/wiresize.go"},

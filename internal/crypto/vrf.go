@@ -10,13 +10,17 @@ import (
 // that hash was honestly derived from α, yet hash is pseudorandom to anyone
 // without SK.
 //
-// We use the classic "VRF from unique signatures" construction
-// (Micali-Rabin-Vadhan style): π = Sig_SK(α) with a deterministic signature
-// scheme, hash = H(π). Ed25519 signing in the Go standard library is
-// deterministic (RFC 8032), so for a fixed key pair there is exactly one
-// proof per input, which gives uniqueness; pseudorandomness of hash follows
-// from modelling H as a random oracle; verifiability is signature
-// verification. This matches the three properties the sortition relies on.
+// We use the shape of the "VRF from unique signatures" construction
+// (Micali-Rabin-Vadhan style): π = Sig_SK(α), hash = H(π). Verifiability is
+// signature verification, and pseudorandomness of hash follows from
+// modelling H as a random oracle. Uniqueness does not hold: it needs a
+// signature scheme with one valid signature per (key, message), and Ed25519
+// is not one. Go's Ed25519 signer is deterministic (RFC 8032), so an honest
+// signer produces one proof per input, but verification accepts a signature
+// made with any nonce. A key holder can therefore produce many valid
+// (hash, π) pairs for one α and pick the one whose hash mod m seats it in
+// the committee it wants (Algorithm 1). An RFC 9381 ECVRF, whose proof is
+// unique, would close this; it is an open item in ROADMAP.md.
 
 // VRFOutput carries the pseudorandom hash and the proof that certifies it.
 type VRFOutput struct {

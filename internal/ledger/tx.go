@@ -11,6 +11,7 @@ package ledger
 import (
 	"encoding/hex"
 	"strconv"
+	"sync/atomic"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/wire"
@@ -45,10 +46,12 @@ type Output struct {
 // Tx is a transfer: it consumes the UTXOs named by Inputs and creates
 // Outputs. Fee is implicit: sum(inputs) - sum(outputs).
 //
-// ID() is memoized: the first call hashes the wire body and caches
-// the result, so the many downstream ID consumers (routing, payload
-// digests, block assembly, ledger apply) share one hash. The cache imposes
-// a copy-on-mutate discipline — see ID.
+// ID() is memoized: the first call hashes the wire body and publishes the
+// result in the struct, so the many downstream ID consumers (routing,
+// payload digests, block assembly, ledger apply) share one hash. Nothing
+// else hashes: a decoded transaction, like one the workload built, has no
+// ID until one is asked for. The memo imposes a copy-on-mutate discipline
+// — see ID.
 type Tx struct {
 	Inputs  []OutPoint
 	Outputs []Output
@@ -56,20 +59,26 @@ type Tx struct {
 	// equal payments between the same parties in one round).
 	Nonce uint64
 
-	// id memoizes ID(). idSet is not synchronised: the workload generator
-	// computes the ID once at creation, before a transaction is shared with
-	// the engine, after which concurrent readers only ever see the settled
-	// cache (see the interning/caching invariants note in ARCHITECTURE.md).
-	id    TxID
-	idSet bool
+	// id memoizes ID(); memo says whether it is published (idUnset,
+	// idWriting, idSettled). Only the goroutine that moves memo from
+	// idUnset to idWriting writes id, and readers read it only after
+	// seeing idSettled, so concurrent first calls are race-free.
+	memo atomic.Uint32
+	id   TxID
 }
 
+// The states of Tx.memo.
+const (
+	idUnset uint32 = iota
+	idWriting
+	idSettled
+)
+
 // layout is the transaction's one description: its wire body, and the
-// preimage of its ID. A decoded transaction settles its ID from the bytes
-// just read, so it is shared already settled, like one the workload built.
+// preimage of its ID. Reading decodes into tx when the caller hands it a
+// zero Tx (an entry of a decoded list's slab), else into a new one.
 func (tx *Tx) layout(c *wire.Coder) *Tx {
-	start := len(c.Consumed())
-	if c.Reading() {
+	if c.Reading() && tx == nil {
 		tx = new(Tx)
 	}
 	c.U64(&tx.Nonce)
@@ -81,31 +90,35 @@ func (tx *Tx) layout(c *wire.Coder) *Tx {
 		c.String(&out.Owner)
 		c.U64(&out.Amount)
 	})
-	if body := c.Consumed(); body != nil {
-		tx.id, tx.idSet = crypto.H([]byte(txDomain), body[start:]), true
-	}
 	return tx
 }
 
 func init() { wire.Register((*Tx).layout, wire.TagTx) }
 
-// ID returns the transaction hash, computing and caching it on first call:
-// the hash of the transaction's wire body (its layout without the frame
-// tag) under the domain tag "cycledger/tx/v1".
+// ID returns the transaction hash: the hash of the transaction's wire body
+// (its layout without the frame tag, wire.AppendBody) under the domain tag
+// "cycledger/tx/v1". The encoding is canonical, so a decoded transaction's
+// ID is the hash of the bytes it was read from. The first call computes it
+// and publishes it in the struct without a lock; later calls read it. Any
+// number of goroutines may make the first call at once: each computes the
+// same hash, and one publishes it.
 //
 // Invariant (copy-on-mutate): a Tx must not be mutated after its ID has
-// been computed — the cache would go stale and the transaction would travel
+// been computed — the memo would go stale and the transaction would travel
 // under a hash that no longer matches its content. Code that needs a
 // variant of an existing transaction must build a new Tx (sharing the
-// Inputs/Outputs slices is fine; the cache lives in the struct, not the
-// slices). The first ID call is not goroutine-safe; the workload generator
-// settles the cache at creation time, before a Tx is shared.
+// Inputs/Outputs slices is fine; the memo lives in the struct, not the
+// slices).
 func (tx *Tx) ID() TxID {
-	if !tx.idSet {
-		tx.id = crypto.H([]byte(txDomain), wire.AppendBody(make([]byte, 0, wire.Size(tx)), tx))
-		tx.idSet = true
+	if tx.memo.Load() == idSettled {
+		return tx.id
 	}
-	return tx.id
+	id := crypto.H([]byte(txDomain), wire.AppendBody(make([]byte, 0, wire.Size(tx)), tx))
+	if tx.memo.CompareAndSwap(idUnset, idWriting) {
+		tx.id = id
+		tx.memo.Store(idSettled)
+	}
+	return id
 }
 
 // Domain-separation tags: the transaction hash (ID and layout) and the

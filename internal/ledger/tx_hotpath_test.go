@@ -164,7 +164,6 @@ func oracleDecodeTx(buf []byte) (*Tx, int, error) {
 			off += 8
 		}
 	}
-	tx.id, tx.idSet = crypto.H([]byte(txDomain), buf[:off]), true
 	return tx, off, nil
 }
 
@@ -176,7 +175,7 @@ func errTruncated(what string) error { return errors.New("ledger: truncated enco
 // randomized transactions: the frame's body is the oracle's encoding, and on
 // every prefix of that encoding and on mutated copies of it, a TagTx frame
 // decodes exactly when the oracle does — to the same transaction, the same
-// byte count and the same settled ID.
+// byte count and an ID that hashes the bytes read.
 func TestTxLayoutMatchesRetiredCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	agree := func(trial int, body []byte) {
@@ -193,6 +192,9 @@ func TestTxLayoutMatchesRetiredCodec(t *testing.T) {
 		got := v.(*Tx)
 		if n != 2+wantN || !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: layout read %d bytes as %+v, oracle %d bytes as %+v", trial, n-2, got, wantN, want)
+		}
+		if got.ID() != crypto.H([]byte(txDomain), body[:wantN]) {
+			t.Fatalf("trial %d: decoded ID is not the hash of the body read", trial)
 		}
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -345,7 +347,7 @@ func TestShardOfMatchesOracle(t *testing.T) {
 
 // TestTxIDCacheMatchesRecompute exercises the memoized ID across the
 // mutation patterns the copy-on-mutate invariant allows: build-then-hash,
-// mutate-before-first-ID, copy-on-mutate, and clearing the memo (idSet).
+// mutate-before-first-ID, copy-on-mutate, and clearing the memo.
 func TestTxIDCacheMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -375,7 +377,7 @@ func TestTxIDCacheMatchesRecompute(t *testing.T) {
 
 		// A deliberate in-place mutation must clear the memo.
 		tx.Nonce++
-		tx.idSet = false
+		tx.memo.Store(idUnset)
 		if tx.ID() != oracleTxID(tx) {
 			t.Fatalf("trial %d: ID after clearing the memo disagrees with recompute", trial)
 		}
@@ -424,7 +426,7 @@ func BenchmarkTxID(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tx.idSet = false
+			tx.memo.Store(idUnset)
 			_ = tx.ID()
 		}
 	})

@@ -364,9 +364,9 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 func TestFetchedBlockMustMatchSignedDigest(t *testing.T) {
 	e := seatedEngine(t)
 	proposer, victim := e.roster.Referee[0], e.roster.Referee[len(e.roster.Referee)-1]
-	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: map[string]uint64{"n1": 3}}
+	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: []Reward{{"n1", 3}}}
 	forged := *blk
-	forged.Rewards = map[string]uint64{"n2": 3}
+	forged.Rewards = []Reward{{"n2", 3}}
 	var heard *consensus.Propose
 	fetches := 0
 	for _, id := range e.roster.Referee {

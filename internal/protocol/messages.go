@@ -83,7 +83,21 @@ func init() {
 // Field walks shared by several layouts: a list of tagged transactions, a
 // node list, and a vote vector (one byte per vote, vote+1, so 0..2).
 
-func txList(c *wire.Coder, p *[]*ledger.Tx) { wire.Slice(c, p, 2, wire.Field[*ledger.Tx]) }
+// txList walks a list of tagged transactions. Reading decodes every entry
+// into one slab of Tx structs, not one allocation each; the slab lives as
+// long as any of its entries.
+func txList(c *wire.Coder, p *[]*ledger.Tx) {
+	var slab []ledger.Tx
+	wire.Slice(c, p, 2, func(c *wire.Coder, tx **ledger.Tx) {
+		if c.Reading() {
+			if slab == nil {
+				slab = make([]ledger.Tx, len(*p))
+			}
+			*tx, slab = &slab[0], slab[1:]
+		}
+		wire.Field(c, tx)
+	})
+}
 
 func nodeList(c *wire.Coder, p *[]simnet.NodeID) { wire.Slice(c, p, 4, wire.ID[simnet.NodeID]) }
 
@@ -519,8 +533,38 @@ type Block struct {
 	NextReferee  []simnet.NodeID
 	NextLeaders  []simnet.NodeID
 	NextPartials [][]simnet.NodeID
-	Reputations  map[string]float64
-	Rewards      map[string]uint64
+	Reputations  []Score  // every tracked node's reputation, ascending by name
+	Rewards      []Reward // this round's non-zero fee shares, ascending by name
+}
+
+// Score is one node's entry in a block's reputation list.
+type Score struct {
+	Name  string
+	Value float64
+}
+
+// Reward is one node's entry in a block's reward list.
+type Reward struct {
+	Name   string
+	Amount uint64
+}
+
+func (s Score) name() string  { return s.Name }
+func (r Reward) name() string { return r.Name }
+
+// nameOrder fails a read of a block's score or reward list whose names do
+// not strictly ascend, so each list has one encoding and decode → encode is
+// exact.
+func nameOrder[T interface{ name() string }](c *wire.Coder, s []T) {
+	if !c.Reading() {
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i-1].name() >= s[i].name() {
+			c.Fail("name order")
+			return
+		}
+	}
 }
 
 func (b *Block) layout(c *wire.Coder) *Block {
@@ -534,16 +578,16 @@ func (b *Block) layout(c *wire.Coder) *Block {
 	nodeList(c, &b.NextReferee)
 	nodeList(c, &b.NextLeaders)
 	wire.Slice(c, &b.NextPartials, 4, nodeList)
-	wire.Map(c, &b.Reputations, 4+8, func(c *wire.Coder, k string, v float64) (string, float64) {
-		c.String(&k)
-		c.F64(&v)
-		return k, v
+	wire.Slice(c, &b.Reputations, 4+8, func(c *wire.Coder, s *Score) {
+		c.String(&s.Name)
+		c.F64(&s.Value)
 	})
-	wire.Map(c, &b.Rewards, 4+8, func(c *wire.Coder, k string, v uint64) (string, uint64) {
-		c.String(&k)
-		c.U64(&v)
-		return k, v
+	nameOrder(c, b.Reputations)
+	wire.Slice(c, &b.Rewards, 4+8, func(c *wire.Coder, r *Reward) {
+		c.String(&r.Name)
+		c.U64(&r.Amount)
 	})
+	nameOrder(c, b.Rewards)
 	return b
 }
 

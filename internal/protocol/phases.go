@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
@@ -533,11 +534,19 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		reps = append(reps, e.reput.Get(name))
 	}
 	rewards := reputation.DistributeRewards(reps, fees)
+	var paid []Reward
 	for i, name := range partNames {
 		if rewards[i] > 0 {
 			report.Rewards[name] = rewards[i]
+			paid = append(paid, Reward{name, rewards[i]})
 		}
 	}
+	snap := e.reput.Snapshot()
+	scores := make([]Score, 0, len(snap))
+	for name, v := range snap {
+		scores = append(scores, Score{name, v})
+	}
+	slices.SortFunc(scores, func(a, b Score) int { return strings.Compare(a.Name, b.Name) })
 
 	blk := &Block{
 		Round:        e.round,
@@ -547,8 +556,8 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		NextReferee:  e.nextRoster.Referee,
 		NextLeaders:  e.nextRoster.Leaders,
 		NextPartials: e.nextRoster.Partials,
-		Reputations:  e.reput.Snapshot(),
-		Rewards:      report.Rewards,
+		Reputations:  scores,
+		Rewards:      paid,
 	}
 
 	// C_R certifies the block via Algorithm 3, then propagates it.

@@ -297,14 +297,3 @@ func Map[K cmp.Ordered, V any](c *Coder, p *map[K]V, min int, kv func(*Coder, K,
 		*p = m
 	}
 }
-
-// Consumed returns the input read so far, or nil when the walk is not
-// reading or has failed. A layout whose type is named by the hash of its
-// body (a transaction) slices the body it just read out of it, instead of
-// encoding the decoded value again to hash it.
-func (c *Coder) Consumed() []byte {
-	if c.mode != reading || c.err != nil {
-		return nil
-	}
-	return c.buf[:c.off]
-}

@@ -27,8 +27,10 @@ import (
 
 func digestOf(s string) crypto.Digest { return crypto.H([]byte(s)) }
 
+// sampleTx leaves its ID unhashed, as a decoded transaction's is, so that
+// DeepEqual compares like with like.
 func sampleTx(nonce uint64) *ledger.Tx {
-	tx := &ledger.Tx{
+	return &ledger.Tx{
 		Inputs: []ledger.OutPoint{
 			{Tx: digestOf("in-a"), Index: 0},
 			{Tx: digestOf("in-b"), Index: 3},
@@ -39,8 +41,6 @@ func sampleTx(nonce uint64) *ledger.Tx {
 		},
 		Nonce: nonce,
 	}
-	tx.ID() // settle the cached ID so DeepEqual sees both sides settled
-	return tx
 }
 
 func samplePropose(sn uint64) consensus.Propose {
@@ -224,8 +224,8 @@ func sampleBlock() *protocol.Block {
 		NextReferee:  []simnet.NodeID{0, 1, 2},
 		NextLeaders:  []simnet.NodeID{3, 4},
 		NextPartials: [][]simnet.NodeID{{5, 6}, {7}},
-		Reputations:  map[string]float64{"node-0001": 0.5, "node-0002": -0.25},
-		Rewards:      map[string]uint64{"node-0001": 10, "node-0002": 3},
+		Reputations:  []protocol.Score{{Name: "node-0001", Value: 0.5}, {Name: "node-0002", Value: -0.25}},
+		Rewards:      []protocol.Reward{{Name: "node-0001", Amount: 10}, {Name: "node-0002", Amount: 3}},
 	}
 }
 
@@ -414,7 +414,8 @@ func TestDecodeRejectsOversize(t *testing.T) {
 // TestDecodeRejectsJunk checks hostile inputs error instead of panicking
 // or over-allocating: unknown tags, hostile counts, bad vote bytes, a
 // nested type-tag mismatch, a certificate carrier whose nested frame is
-// well-formed but not a certificate, and a Quorum of neither form.
+// well-formed but not a certificate, a Quorum of neither form, and a
+// block whose score or reward names do not strictly ascend.
 func TestDecodeRejectsJunk(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},
@@ -439,6 +440,18 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	carrier := []byte{0, byte(wire.TagIntraResult), 0, 0, 0, 0, 0, 0, 0, 1}
 	carrier = append(append(carrier, notCert...), 0, 0, 0, 0)
 	cases["carrier with non-certificate nested frame"] = carrier
+	for name, mutate := range map[string]func(b *protocol.Block){
+		"scores swapped":   func(b *protocol.Block) { b.Reputations[0], b.Reputations[1] = b.Reputations[1], b.Reputations[0] },
+		"scores repeated":  func(b *protocol.Block) { b.Reputations[1].Name = b.Reputations[0].Name },
+		"rewards swapped":  func(b *protocol.Block) { b.Rewards[0], b.Rewards[1] = b.Rewards[1], b.Rewards[0] },
+		"rewards repeated": func(b *protocol.Block) { b.Rewards[1].Name = b.Rewards[0].Name },
+	} {
+		b := sampleBlock()
+		mutate(b)
+		if cases[name], err = wire.Encode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, data := range cases {
 		if _, _, err := wire.Decode(data); err == nil {
 			t.Errorf("%s: decoded without error", name)

@@ -168,12 +168,7 @@ func (g *Generator) nextTx() (tx *ledger.Tx, ok bool) {
 		return nil, false
 	}
 	if g.cfg.InvalidFrac > 0 && g.rng.Float64() < g.cfg.InvalidFrac {
-		bad := g.invalidTx(sender)
-		// Settle the memoized ID before the transaction is shared: nodes
-		// hash cross-shard candidate lists on the simnet worker pool, and
-		// the first ID() call is the only one that is not concurrency-safe.
-		bad.ID()
-		return bad, true
+		return g.invalidTx(sender), true
 	}
 	cross := g.rng.Float64() < g.cfg.CrossShardFrac
 	receiver := g.pickReceiver(sender, cross)

@@ -203,6 +203,28 @@ var mutants = []mutant{
 			"evicted leader sends after the eviction is drawn on those links. adaptive-full's round 1, with four " +
 			"evictions, ends a tick later.",
 	},
+	{
+		name: "the list decoder points every entry at one slab Tx",
+		file: "internal/protocol/messages.go",
+		old:  "\t\t\t*tx, slab = &slab[0], slab[1:]\n",
+		new:  "\t\t\t*tx = &slab[0]\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^default$/^(golden|live)$",
+		want: "killed",
+		reason: "Every decoded list's entries would all be its last transaction. Only the live transport decodes " +
+			"what it sends: the live column.",
+	},
+	{
+		name: "phaseBlock ships the score list unsorted",
+		file: "internal/protocol/phases.go",
+		old:  "\tslices.SortFunc(scores, func(a, b Score) int { return strings.Compare(a.Name, b.Name) })\n",
+		new:  "\t_ = strings.Compare\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^default$/^(golden|live)$",
+		want: "killed",
+		reason: "The score list leaves in the reputation map's order. A block's lists decode only when their names " +
+			"strictly ascend, so the live column's receivers refuse the block and the run ends in an error.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
