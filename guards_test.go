@@ -385,6 +385,15 @@ var guards = []guard{
 		fixture: file{"internal/protocol/pool.go", "package protocol\n\nfunc (e *Engine) fanOut(do func()) {\n\tgo do()\n}\n"},
 	},
 	{
+		name: "A node keeps no decoded block",
+		reason: "A node forwards the round block and records only that it arrived; a referee keeps the certified " +
+			"block it re-serves, and RunRound releases it with the rest of the round state at the append. A block " +
+			"field on Node would keep every live receiver's decoded copy, the largest thing a round retains.",
+		paths:   []string{"internal/protocol/node.go"},
+		find:    grep(`\bblock\s+\*Block\b`),
+		fixture: file{"internal/protocol/node.go", "package protocol\n\ntype Node struct {\n\tblock *Block\n}\n"},
+	},
+	{
 		name: "The evidence form is chosen in cast.go",
 		reason: "Params.AggregateCerts decides whether a certificate carries per-voter or aggregate evidence, " +
 			"and cast.go is where the engine reads it; every other stage builds and checks a consensus.Quorum " +

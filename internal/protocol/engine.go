@@ -556,14 +556,17 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stage block: %w", err)
 	}
-	// Nothing reads a consensus endpoint after its round: they, and the
-	// echo sets they share, are released here, not at the next round's
-	// reset.
+	// The block is appended and phaseBlock has read the delivery verdicts:
+	// nothing reads a node's round state, the echo sets its consensus
+	// endpoints share, or the round's routed work and pending block after
+	// this point, so they are released here, not at the next round's reset.
 	for _, n := range e.nodes {
 		clear(n.cons)
-		n.cons = n.cons[:0]
+		n.consBuf = n.cons[:0]
+		n.roundState = roundState{}
 	}
 	clear(e.echoes)
+	e.work, e.pending = nil, nil
 
 	if e.P.Pipelined {
 		report.Duration = e.pipelinedDuration()

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,4 +109,80 @@ func TestAccountingHoldsOneRound(t *testing.T) {
 			t.Fatalf("round %d: per-phase tables hold %d sends, the round sent %d", round, inTables.Messages, sent)
 		}
 	}
+}
+
+// TestRoundStateReleasedAtAppend checks that a finished round keeps nothing
+// in its nodes: after every RunRound, on the sim and the live transport,
+// each node's round state is the zero value and no node reaches a *Block,
+// neither a decoded copy of the round block nor a referee's certified one.
+func TestRoundStateReleasedAtAppend(t *testing.T) {
+	if blocks := blocksIn(&Node{roundState: roundState{crBlock: &Block{}}}); blocks != 1 {
+		t.Fatalf("the walk finds %d blocks in a node holding one", blocks)
+	}
+	for _, transport := range []string{"sim", "live"} {
+		t.Run(transport, func(t *testing.T) {
+			p := DefaultParams()
+			p.Transport = transport
+			e, err := NewEngine(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 1; round <= 2; round++ {
+				if _, err := e.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range e.nodes {
+					if !reflect.ValueOf(n.roundState).IsZero() {
+						t.Fatalf("round %d: node %d keeps round state", round, n.ID)
+					}
+					if blocks := blocksIn(n); blocks > 0 {
+						t.Fatalf("round %d: node %d reaches %d blocks", round, n.ID, blocks)
+					}
+				}
+			}
+		})
+	}
+}
+
+// blocksIn counts the distinct *Block values reachable from n's fields,
+// leaving out its engine.
+func blocksIn(n *Node) int {
+	blockType := reflect.TypeFor[*Block]()
+	seen := map[uintptr]bool{}
+	blocks := 0
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			if v.Type() == blockType {
+				blocks++
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := range v.NumField() {
+				if v.Type() != reflect.TypeFor[Node]() || v.Type().Field(i).Name != "eng" {
+					walk(v.Field(i))
+				}
+			}
+		case reflect.Slice, reflect.Array:
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(n))
+	return blocks
 }

@@ -27,14 +27,26 @@ type Node struct {
 	// configuration phase of that roster's round presents its proof.
 	seat committee.SortitionResult
 
-	// Round state (reset by resetRound).
+	// This round's place in the roster, installed by resetRound: role,
+	// committee and acting leader. committeePeers and consBuf keep their
+	// arrays across rounds.
 	role           Role
 	comID          uint64
 	curLeader      simnet.NodeID
 	committeeNodes []simnet.NodeID
-	committeePeers []simnet.NodeID // committeeNodes without this node, in order
-	cfg            *committee.ConfigNode
-	cons           []*consensus.Protocol // this round's endpoints, at most one per instance leader
+	committeePeers []simnet.NodeID       // committeeNodes without this node, in order
+	consBuf        []*consensus.Protocol // the array cons appends into, every entry nil
+
+	roundState
+}
+
+// roundState is everything a node learns during one round. resetRound
+// installs a fresh value at round start and RunRound sets it to the zero
+// value once the round's block is appended, so a finished round keeps
+// nothing the next one does not read.
+type roundState struct {
+	cfg  *committee.ConfigNode
+	cons []*consensus.Protocol // this round's endpoints, at most one per instance leader
 
 	// Intra-committee phase.
 	leaderTxs    []*ledger.Tx                            // engine-primed TXList (leader seat)
@@ -76,13 +88,14 @@ type Node struct {
 	crPow      map[simnet.NodeID]bool
 	crEvicted  map[uint64]*EvictPayload
 	crEvictGen map[uint64]uint64 // coordinator: evictions already proposed per committee
-	crBlock    *Block
+	crBlock    *Block            // the certified block, re-served to successors
 
-	// Block phase.
-	block *Block
+	// Block phase: the round block reached this node. The block itself is
+	// forwarded, not kept.
+	gotBlock bool
 }
 
-// resetRound clears per-round state and installs the node's seat.
+// resetRound installs the node's seat and a fresh round state.
 func (n *Node) resetRound(r *Roster) {
 	n.role = r.RoleOf(n.ID)
 	n.comID = 0
@@ -95,35 +108,23 @@ func (n *Node) resetRound(r *Roster) {
 		n.curLeader = -1
 		n.committeeNodes, n.committeePeers = nil, nil
 	}
-	clear(n.cons)
-	n.cons = n.cons[:0]
-	n.leaderTxs = nil
-	n.txList = nil
-	n.votes = make(map[simnet.NodeID]reputation.VoteVector)
-	n.voteOrder = nil
-	n.intraDecided = nil
-	n.semiComLocal = nil
-	n.localDirectory = nil
-	n.validatedSemiComs = make(map[uint64]crypto.Digest)
-	n.interOut = make(map[uint64][]*ledger.Tx)
-	n.interOutStarted = make(map[uint64]bool)
-	n.interFwds = make(map[uint64]*InterFwdMsg)
-	n.myApprovals = nil
-	n.myAccusation = nil
-	n.escalated = false
-	n.leaderVotes = make(map[simnet.NodeID]map[simnet.NodeID]bool)
-	n.accusedOnce = make(map[string]bool)
-	n.leaderHeard = false
-	n.scoreSeen = false
-	n.crSemiComs = make(map[uint64]*SemiComMsg)
-	n.crIntra = make(map[uint64]*IntraResultMsg)
-	n.crInter = make(map[[2]uint64]*InterResultMsg)
-	n.crScores = make(map[uint64]*ScoreResultMsg)
-	n.crPow = make(map[simnet.NodeID]bool)
-	n.crEvicted = make(map[uint64]*EvictPayload)
-	n.crEvictGen = make(map[uint64]uint64)
-	n.crBlock = nil
-	n.block = nil
+	n.roundState = roundState{
+		cons:              n.consBuf[:0],
+		votes:             make(map[simnet.NodeID]reputation.VoteVector),
+		validatedSemiComs: make(map[uint64]crypto.Digest),
+		interOut:          make(map[uint64][]*ledger.Tx),
+		interOutStarted:   make(map[uint64]bool),
+		interFwds:         make(map[uint64]*InterFwdMsg),
+		leaderVotes:       make(map[simnet.NodeID]map[simnet.NodeID]bool),
+		accusedOnce:       make(map[string]bool),
+		crSemiComs:        make(map[uint64]*SemiComMsg),
+		crIntra:           make(map[uint64]*IntraResultMsg),
+		crInter:           make(map[[2]uint64]*InterResultMsg),
+		crScores:          make(map[uint64]*ScoreResultMsg),
+		crPow:             make(map[simnet.NodeID]bool),
+		crEvicted:         make(map[uint64]*EvictPayload),
+		crEvictGen:        make(map[uint64]uint64),
+	}
 }
 
 // without appends ids to buf, leaving out skip, and returns it.

@@ -571,10 +571,10 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 // forwards it unchanged; committee leaders then drive the final UTXO
 // consensus (§IV-G).
 func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg, size int) {
-	if n.block != nil || m.Block == nil {
+	if n.gotBlock || m.Block == nil {
 		return
 	}
-	n.block = m.Block
+	n.gotBlock = true
 	if n.role != RoleLeader && n.role != RoleReferee && n.role != RoleIdle {
 		// Under tree dissemination committee members relay the block down
 		// their subtree (referees keep their own propagation path untouched).

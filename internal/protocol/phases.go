@@ -596,11 +596,11 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		}
 	}
 	e.noteTimeouts(report, "block", func(k uint64) bool {
-		return e.nodes[e.roster.Leaders[k]].block != nil
+		return e.nodes[e.roster.Leaders[k]].gotBlock
 	})
 
 	for _, n := range e.nodes {
-		if n.block != nil || (n.role == RoleReferee && n.crBlock != nil) {
+		if n.gotBlock || (n.role == RoleReferee && n.crBlock != nil) {
 			report.BlockDelivered++
 		}
 	}

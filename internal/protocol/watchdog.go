@@ -110,7 +110,7 @@ func (n *Node) silenceCorroborated(phase string) bool {
 	case "score":
 		return !n.scoreSeen
 	case "block":
-		return n.block == nil
+		return !n.gotBlock
 	}
 	return false
 }

@@ -32,7 +32,7 @@ func (w Window) covers(now Time) bool {
 // draws no randomness of its own; a caller wanting randomised targets
 // consumes its own RNG before appending.
 type Schedule struct {
-	nodes map[NodeID]*directives
+	nodes []*directives // indexed by NodeID; nil for a node with none
 }
 
 // directives is one node's share of the schedule.
@@ -59,17 +59,28 @@ type cut struct {
 // NewSchedule returns an empty schedule: no node is ever down and every
 // message is delivered until the first directive is appended.
 func NewSchedule() *Schedule {
-	return &Schedule{nodes: make(map[NodeID]*directives)}
+	return &Schedule{}
 }
 
-// of returns the node's directives, creating them on first use.
+// of returns the node's directives, creating them, and growing the table to
+// reach node, on first use. node is a network node, never negative.
 func (s *Schedule) of(node NodeID) *directives {
-	d := s.nodes[node]
-	if d == nil {
-		d = &directives{}
-		s.nodes[node] = d
+	if int(node) >= len(s.nodes) {
+		s.nodes = append(s.nodes, make([]*directives, int(node)+1-len(s.nodes))...)
 	}
-	return d
+	if s.nodes[node] == nil {
+		s.nodes[node] = &directives{}
+	}
+	return s.nodes[node]
+}
+
+// at returns the node's directives, nil for a node with none, a negative
+// ID included.
+func (s *Schedule) at(node NodeID) *directives {
+	if node < 0 || int(node) >= len(s.nodes) {
+		return nil
+	}
+	return s.nodes[node]
 }
 
 // Crash schedules node down in [from, to) (to = 0: until CloseOpen or
@@ -120,6 +131,9 @@ func (s *Schedule) CloseOpen(now Time) {
 		}
 	}
 	for _, d := range s.nodes {
+		if d == nil {
+			continue
+		}
 		for i := range d.crash {
 			end(&d.crash[i])
 		}
@@ -145,7 +159,7 @@ func anyCovers(ws []Window, now Time) bool {
 // Fate implements Faults: drop sends from muted nodes and sends crossing
 // an active directed cut.
 func (s *Schedule) Fate(now Time, from, to NodeID) Fate {
-	d := s.nodes[from]
+	d := s.at(from)
 	if d == nil {
 		return Fate{}
 	}
@@ -165,7 +179,7 @@ func (s *Schedule) Fate(now Time, from, to NodeID) Fate {
 // Down implements Faults: a pure lookup over the node's crash windows and
 // periodic crashes.
 func (s *Schedule) Down(now Time, node NodeID) bool {
-	d := s.nodes[node]
+	d := s.at(node)
 	if d == nil {
 		return false
 	}

@@ -32,6 +32,11 @@ func TestAdaptiveCrashMuteCutSemantics(t *testing.T) {
 	if a.Fate(29, 3, 4).Drop || a.Fate(60, 3, 4).Drop {
 		t.Fatal("cut active outside [30,60)")
 	}
+	// Nodes past the last with directives, and negative IDs (an external
+	// sender), have none.
+	if a.Down(15, 0) || a.Down(15, 6) || a.Down(15, -1) || a.Fate(40, 6, 4).Drop || a.Fate(40, -1, 4).Drop {
+		t.Fatal("a node without directives is faulted")
+	}
 }
 
 func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {

@@ -225,6 +225,27 @@ var mutants = []mutant{
 		reason: "The score list leaves in the reputation map's order. A block's lists decode only when their names " +
 			"strictly ascend, so the live column's receivers refuse the block and the run ends in an error.",
 	},
+	{
+		name:   "the round-end release is skipped",
+		file:   "internal/protocol/engine.go",
+		old:    "\t\tn.roundState = roundState{}\n",
+		new:    "\t\t_ = n\n",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "TestRoundStateReleasedAtAppend",
+		want:   "killed",
+		reason: "Every node would keep its last round's maps, lists and referee records until the next round's reset.",
+	},
+	{
+		name: "the release runs before phaseBlock's delivery count",
+		file: "internal/protocol/phases.go",
+		old:  "\tfor _, n := range e.nodes {\n\t\tif n.gotBlock ||",
+		new:  "\tfor _, n := range e.nodes {\n\t\tn.roundState = roundState{}\n\t}\n\tfor _, n := range e.nodes {\n\t\tif n.gotBlock ||",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^default$/^golden$",
+		want: "killed",
+		reason: "The delivery count reads which nodes got the block, so a release ahead of it counts none: every " +
+			"golden's BlockDelivered falls to zero.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
