@@ -409,8 +409,30 @@ var guards = []guard{
 			"compare it over lanes, the live transport or a mode the matrix has a column for is a second check " +
 			"of the same cell, and these retired ones each were.",
 		paths:   []string{"*_test.go"},
-		find:    grep(`func Test(TransportParity|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential)\b`),
+		find:    grep(`func Test(TransportParity(Byzantine|Aggregate|Faulted)?|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential)\b`),
 		fixture: file{"sim/transport_parity_test.go", "package sim_test\n\nfunc TestTransportParity(t *testing.T) {}\n"},
+	},
+	{
+		name: "A roster is indexed once",
+		reason: "A roster's builder writes its four seat lists and index derives the seat table and every member " +
+			"list from them, when the engine installs the roster and after ReplaceLeader. Lazy caches, the setters " +
+			"that invalidated them and the warm-ups that rebuilt them ahead of the lanes were three ways of keeping " +
+			"the same lists in step.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    declares("invalidate", "warm", "rewarmReplace", "setReferee", "setLeader", "addPartial", "addCommon"),
+		fixture: file{"internal/protocol/roster.go", "package protocol\n\nfunc (r *Roster) warm() {}\n"},
+	},
+	{
+		name: "The scenario registry is a fixed table",
+		reason: "sim's init registers the built-in scenarios once; a project-local experiment is a Scenario value " +
+			"or a run document. A Register function would bring back a registry that changes after init, and the " +
+			"lock it needs.",
+		paths: []string{"sim/*.go", ":!*_test.go"},
+		find: inspect(func(n ast.Node) bool {
+			d, ok := n.(*ast.FuncDecl)
+			return ok && d.Recv == nil && d.Name.Name == "Register"
+		}),
+		fixture: file{"sim/scenario.go", "package sim\n\nfunc Register(s Scenario) error { return nil }\n"},
 	},
 	{
 		name: "Test-only surface stays in tests",

@@ -37,7 +37,7 @@ type AdversaryView struct {
 	Leaders []simnet.NodeID
 	// Successors holds each committee's succession order: the partial-set
 	// members sorted ascending by ID, the order §V-D's eviction installs
-	// replacements in (successorFor picks the lowest ID).
+	// replacements in (Roster.successorFor picks the lowest ID).
 	Successors [][]simnet.NodeID
 	// Referee is the referee committee C_R.
 	Referee []simnet.NodeID

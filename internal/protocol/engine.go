@@ -261,7 +261,7 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 
 	e.randomness = crypto.H([]byte("cycledger/genesis"), u64(uint64(p.Seed)))
 	e.roster = e.bootstrapRoster()
-	e.roster.warm()
+	e.roster.index()
 	e.round = 1
 	return e, nil
 }
@@ -309,19 +309,17 @@ func (e *Engine) assignByzantine() {
 // via sortition (resolved in the configuration phase).
 func (e *Engine) bootstrapRoster() *Roster {
 	r := newRoster(1, e.randomness, uint64(e.P.M))
-	var ref []simnet.NodeID
 	for i := 0; i < e.P.RefSize; i++ {
-		ref = append(ref, simnet.NodeID(i))
+		r.Referee = append(r.Referee, simnet.NodeID(i))
 	}
-	r.setReferee(ref)
 	idx := e.P.RefSize
 	for k := 0; k < e.P.M; k++ {
-		r.setLeader(uint64(k), simnet.NodeID(idx))
+		r.Leaders[k] = simnet.NodeID(idx)
 		idx++
 	}
 	for j := 0; j < e.P.Lambda; j++ {
 		for k := 0; k < e.P.M; k++ {
-			r.addPartial(uint64(k), simnet.NodeID(idx))
+			r.Partials[k] = append(r.Partials[k], simnet.NodeID(idx))
 			idx++
 		}
 	}
@@ -342,7 +340,7 @@ func (e *Engine) assignCommons(r *Roster, from int) {
 func (e *Engine) seatCommon(r *Roster, id simnet.NodeID) {
 	n := e.nodes[id]
 	n.seat = committee.Sortition(n.Keys, r.Round, r.Randomness, r.M)
-	r.addCommon(n.seat.CommitteeID, id)
+	r.Commons[n.seat.CommitteeID] = append(r.Commons[n.seat.CommitteeID], id)
 }
 
 // nodeIndex bounds-checks a (possibly wire-supplied) NodeID against a
@@ -415,27 +413,6 @@ func (e *Engine) GenesisUTXO() (*ledger.ShardedStore, error) {
 		}
 	}
 	return s, nil
-}
-
-// coordinatorFor maps a committee to its referee-committee coordinator for
-// C_R-internal Algorithm 3 instances.
-func (e *Engine) coordinatorFor(k uint64) simnet.NodeID {
-	return e.roster.Referee[int(k)%len(e.roster.Referee)]
-}
-
-// successorFor picks the replacement leader: the lowest-ID partial member.
-func (e *Engine) successorFor(k uint64) simnet.NodeID {
-	ps := e.roster.Partials[k]
-	if len(ps) == 0 {
-		return -1
-	}
-	min := ps[0]
-	for _, id := range ps[1:] {
-		if id < min {
-			min = id
-		}
-	}
-	return min
 }
 
 // propagateBlock spreads the decided block: each referee member serves the
@@ -584,7 +561,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 
 	// Advance to the next round.
 	e.roster = e.nextRoster
-	e.roster.warm()
+	e.roster.index()
 	e.nextRoster = nil
 	e.round++
 	return report, nil

@@ -509,7 +509,7 @@ func TestChainedRecoveryThroughCrashedSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	leader := e.Roster().Leaders[0]
-	successor := e.successorFor(0) // lowest-ID partial: the first replacement
+	successor := e.roster.successorFor(0) // lowest-ID partial: the first replacement
 	s := simnet.NewSchedule()
 	s.Crash(leader, 1, 0)
 	s.Crash(successor, 1, 0)

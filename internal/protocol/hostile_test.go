@@ -210,7 +210,7 @@ func TestNewLeaderCountsOnlyTheNamedReferee(t *testing.T) {
 	if e.roster.RoleOf(forger) != RoleCommon {
 		t.Fatalf("node %d is %v, want a common member", forger, e.roster.RoleOf(forger))
 	}
-	leader, successor := e.roster.Leaders[0], e.successorFor(0)
+	leader, successor := e.roster.Leaders[0], e.roster.successorFor(0)
 	peer := e.nodes[e.roster.Partials[0][len(e.roster.Partials[0])-1]]
 	majority := e.roster.Referee[:len(e.roster.Referee)/2+1]
 	announce := func(from, referee, to simnet.NodeID) {

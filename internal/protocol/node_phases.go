@@ -60,7 +60,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		// The coordinator for this committee drives the C_R validation
 		// instance (§IV-B step 2); an invalid commitment triggers an
 		// eviction instance instead ("expel the cheating leaders").
-		if n.eng.coordinatorFor(m.Committee) != n.ID {
+		if n.eng.roster.coordinatorFor(m.Committee) != n.ID {
 			return
 		}
 		if m.ListDigest() == m.SemiCom {
@@ -393,7 +393,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.leaderProposedInterIn(src) {
 					return
 				}
-				if n.eng.successorFor(n.comID) == n.ID {
+				if n.eng.roster.successorFor(n.comID) == n.ID {
 					payload := &InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
 						p.Propose(c2, snInterInBase+src, consensus.PayloadDigest(payload), payload, 0)

@@ -137,7 +137,7 @@ func (e *Engine) allCommittees() []uint64 {
 func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 	var affected []uint64
 	for k := uint64(0); k < e.roster.M; k++ {
-		coord := e.nodes[e.coordinatorFor(k)]
+		coord := e.nodes[e.roster.coordinatorFor(k)]
 		ev := coord.crEvicted[k]
 		if ev == nil || e.roster.Leaders[k] == ev.Successor {
 			continue
@@ -168,10 +168,8 @@ func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 		// the config phase; it re-announces in the next attempt.
 		affected = append(affected, k)
 	}
-	// ReplaceLeader selectively rewarmed the cached role indexes it
-	// changed (committee lists, key members, commons) while the network
-	// was idle; the node set — and thus the AllNodes cache — is untouched
-	// by evictions, so no full warm() is needed before the re-run step.
+	// ReplaceLeader re-indexed the roster while the network was idle, so
+	// the re-run step's handlers read the new seats.
 	return affected
 }
 
@@ -425,7 +423,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	if refCount > len(pool) {
 		refCount = len(pool)
 	}
-	r.setReferee(append([]simnet.NodeID(nil), pool[:refCount]...))
+	r.Referee = append([]simnet.NodeID(nil), pool[:refCount]...)
 	pool = pool[refCount:]
 
 	// Leaders: the m highest-reputation participants (§IV-F).
@@ -439,7 +437,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	taken := make(map[simnet.NodeID]bool)
 	for k, name := range top {
 		id := byName[name]
-		r.setLeader(uint64(k), id)
+		r.Leaders[k] = id
 		taken[id] = true
 	}
 	rest := pool[:0]
@@ -459,7 +457,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	for _, id := range pool {
 		k := crypto.PartialSetCommittee(e.round+1, next, e.pkOf(id), r.M)
 		if len(r.Partials[k]) < e.P.Lambda {
-			r.addPartial(k, id)
+			r.Partials[k] = append(r.Partials[k], id)
 		} else {
 			leftover = append(leftover, id)
 		}
@@ -467,7 +465,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	li := 0
 	for k := uint64(0); k < r.M; k++ {
 		for len(r.Partials[k]) < e.P.Lambda && li < len(leftover) {
-			r.addPartial(k, leftover[li])
+			r.Partials[k] = append(r.Partials[k], leftover[li])
 			li++
 		}
 	}

@@ -129,7 +129,7 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 	if n.role != RoleReferee || m.Round != n.eng.round || m.Committee >= n.eng.roster.M {
 		return
 	}
-	if n.eng.coordinatorFor(m.Committee) != n.ID {
+	if n.eng.roster.coordinatorFor(m.Committee) != n.ID {
 		return
 	}
 	// Deduplicate only while an eviction is in flight (decided but not yet
@@ -159,7 +159,7 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 // re-eviction never re-proposes on a consumed instance.
 func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness) {
 	evicted := n.eng.roster.Leaders[k]
-	successor := n.eng.successorFor(k)
+	successor := n.eng.roster.successorFor(k)
 	if successor < 0 {
 		return
 	}

@@ -61,7 +61,7 @@ func TestEvictReqRejectsReplayedApprovals(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				coord := e.nodes[e.coordinatorFor(k)]
+				coord := e.nodes[e.roster.coordinatorFor(k)]
 				e.Net.After(coord.ID, 1, func(ctx *simnet.Context) { coord.onEvictReq(ctx, req) })
 				e.Net.RunUntilIdle()
 				return coord.crEvictGen[k] > 0
@@ -205,7 +205,7 @@ func TestHostileCommitteeIndexDropped(t *testing.T) {
 	m := e.roster.M
 	leader, partial := e.nodes[e.roster.Leaders[0]], e.nodes[e.roster.Partials[0][0]]
 	// The referee whose turn it would be to coordinate committee m.
-	referee := e.nodes[e.coordinatorFor(m)]
+	referee := e.nodes[e.roster.coordinatorFor(m)]
 	silence := RecoveryWitness{Kind: "silence", Committee: m, Phase: "intra"}
 	sent := 0
 	e.Net.SetSendAudit(func(simnet.Message) { sent++ })

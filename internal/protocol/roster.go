@@ -36,7 +36,13 @@ func (r Role) String() string {
 
 // Roster fixes who plays which role in a round. Leaders and partial sets
 // for round r are selected during round r-1 (§IV-F); common members join
-// their committees during the configuration phase via sortition.
+// their committees by sortition (Algorithm 1).
+//
+// A roster is built in two steps: its builder writes the four seat lists,
+// and index derives everything the accessors return from them. The engine
+// indexes a roster on its driving goroutine when it installs it, and
+// ReplaceLeader re-indexes after the one mid-round edit (§V-D), so message
+// handlers on lanes only read. The returned slices are read-only.
 type Roster struct {
 	Round      uint64
 	Randomness crypto.Digest
@@ -45,50 +51,18 @@ type Roster struct {
 	Referee  []simnet.NodeID
 	Leaders  []simnet.NodeID   // Leaders[k] leads committee k
 	Partials [][]simnet.NodeID // Partials[k] is committee k's partial set
-
-	// Commons[k] is filled in by sortition at configuration time.
-	Commons [][]simnet.NodeID
+	Commons  [][]simnet.NodeID // Commons[k] is committee k's sortition members
 
 	// places is the seat table, indexed by NodeID: each node's role and
 	// committee, RoleIdle past the end and for a node the roster does not
 	// name. linkClass reads it on every send.
 	places []place
 
-	// Cached role-index slices. Accessors used to rebuild these on every
-	// call — an O(n) scan per lookup that dominated recipient fan-outs at
-	// large rosters. They are built lazily and invalidated whenever
-	// membership changes; callers must treat the returned slices as
-	// read-only (every in-repo consumer only ranges over them).
-	cCommittees [][]simnet.NodeID
-	cKeyMembers [][]simnet.NodeID
-	cAllKey     []simnet.NodeID
-	cAllNodes   []simnet.NodeID
-	cCommons    []simnet.NodeID
-}
-
-// invalidate drops the cached role indexes after a membership change.
-func (r *Roster) invalidate() {
-	r.cCommittees = nil
-	r.cKeyMembers = nil
-	r.cAllKey = nil
-	r.cAllNodes = nil
-	r.cCommons = nil
-}
-
-// warm eagerly rebuilds every cached role index. The lazy rebuild in the
-// accessors is not goroutine-safe, so the engine calls warm on its
-// single-threaded round-driving goroutine whenever the live roster
-// changes — at install on a round boundary and after mid-round leader
-// evictions — guaranteeing the parallel message handlers only ever read
-// already-built caches.
-func (r *Roster) warm() {
-	for k := uint64(0); k < r.M; k++ {
-		r.Committee(k)
-		r.KeyMembers(k)
-	}
-	r.AllKeyMembers()
-	r.AllNodes()
-	r.CommonsOfAll()
+	committees [][]simnet.NodeID // committees[k]: leader, partial set, commons
+	keyMembers [][]simnet.NodeID // keyMembers[k]: the prefix leader, partial set
+	allKey     []simnet.NodeID
+	allNodes   []simnet.NodeID
+	commons    []simnet.NodeID
 }
 
 func newRoster(round uint64, randomness crypto.Digest, m uint64) *Roster {
@@ -117,38 +91,47 @@ func (r *Roster) placeOf(id simnet.NodeID) place {
 	return r.places[id]
 }
 
-// seat writes id's row, growing the table to reach it.
-func (r *Roster) seat(id simnet.NodeID, role Role, k uint64) {
-	for int(id) >= len(r.places) {
-		r.places = append(r.places, place{role: RoleIdle})
-	}
-	r.places[id] = place{role: role, com: k}
-}
-
-func (r *Roster) setReferee(ids []simnet.NodeID) {
-	r.Referee = ids
+// seat writes the rows of ids, growing the table to reach them.
+func (r *Roster) seat(role Role, k uint64, ids ...simnet.NodeID) {
 	for _, id := range ids {
-		r.seat(id, RoleReferee, 0)
+		for int(id) >= len(r.places) {
+			r.places = append(r.places, place{role: RoleIdle})
+		}
+		r.places[id] = place{role: role, com: k}
 	}
-	r.invalidate()
 }
 
-func (r *Roster) setLeader(k uint64, id simnet.NodeID) {
-	r.Leaders[k] = id
-	r.seat(id, RoleLeader, k)
-	r.invalidate()
-}
-
-func (r *Roster) addPartial(k uint64, id simnet.NodeID) {
-	r.Partials[k] = append(r.Partials[k], id)
-	r.seat(id, RolePartial, k)
-	r.invalidate()
-}
-
-func (r *Roster) addCommon(k uint64, id simnet.NodeID) {
-	r.Commons[k] = append(r.Commons[k], id)
-	r.seat(id, RoleCommon, k)
-	r.invalidate()
+// index derives the seat table and every member list from the seat lists.
+// It seats the referee committee, then the leaders, the partial sets and
+// the commons; a node named in two lists keeps the later seat.
+func (r *Roster) index() {
+	r.places = r.places[:0]
+	r.seat(RoleReferee, 0, r.Referee...)
+	for k := range r.M {
+		r.seat(RoleLeader, k, r.Leaders[k])
+	}
+	for k := range r.M {
+		r.seat(RolePartial, k, r.Partials[k]...)
+	}
+	for k := range r.M {
+		r.seat(RoleCommon, k, r.Commons[k]...)
+	}
+	r.committees = make([][]simnet.NodeID, r.M)
+	r.keyMembers = make([][]simnet.NodeID, r.M)
+	r.allKey, r.commons, r.allNodes = []simnet.NodeID{}, []simnet.NodeID{}, []simnet.NodeID{}
+	for k := range r.M {
+		c := make([]simnet.NodeID, 0, 1+len(r.Partials[k])+len(r.Commons[k]))
+		c = append(append(append(c, r.Leaders[k]), r.Partials[k]...), r.Commons[k]...)
+		keys := 1 + len(r.Partials[k])
+		r.committees[k], r.keyMembers[k] = c, c[:keys:keys]
+		r.allKey = append(r.allKey, r.keyMembers[k]...)
+		r.commons = append(r.commons, r.Commons[k]...)
+	}
+	for id, p := range r.places {
+		if p.role != RoleIdle {
+			r.allNodes = append(r.allNodes, simnet.NodeID(id))
+		}
+	}
 }
 
 // RoleOf returns the node's role (RoleIdle if absent).
@@ -160,129 +143,48 @@ func (r *Roster) CommitteeOf(id simnet.NodeID) (uint64, bool) {
 	return p.com, p.role != RoleReferee && p.role != RoleIdle
 }
 
-// Committee returns every member of committee k (leader first, then
-// partial set, then commons), sorted within each group. The slice is a
-// cached index rebuilt only after membership changes; treat it as
-// read-only.
-func (r *Roster) Committee(k uint64) []simnet.NodeID {
-	if r.cCommittees == nil {
-		r.cCommittees = make([][]simnet.NodeID, r.M)
-	}
-	if r.cCommittees[k] == nil {
-		out := make([]simnet.NodeID, 0, 1+len(r.Partials[k])+len(r.Commons[k]))
-		out = append(out, r.Leaders[k])
-		out = append(out, r.Partials[k]...)
-		out = append(out, r.Commons[k]...)
-		r.cCommittees[k] = out
-	}
-	return r.cCommittees[k]
-}
+// Committee returns every member of committee k: leader first, then the
+// partial set, then the commons.
+func (r *Roster) Committee(k uint64) []simnet.NodeID { return r.committees[k] }
 
-// KeyMembers returns committee k's leader and partial set. The slice is a
-// cached index; treat it as read-only.
-func (r *Roster) KeyMembers(k uint64) []simnet.NodeID {
-	if r.cKeyMembers == nil {
-		r.cKeyMembers = make([][]simnet.NodeID, r.M)
-	}
-	if r.cKeyMembers[k] == nil {
-		out := make([]simnet.NodeID, 0, 1+len(r.Partials[k]))
-		out = append(out, r.Leaders[k])
-		out = append(out, r.Partials[k]...)
-		r.cKeyMembers[k] = out
-	}
-	return r.cKeyMembers[k]
-}
+// KeyMembers returns committee k's leader and partial set.
+func (r *Roster) KeyMembers(k uint64) []simnet.NodeID { return r.keyMembers[k] }
 
 // AllKeyMembers returns the leaders and partial-set members of every
 // committee — the node set with Γ-bounded links in the network model.
-// The slice is a cached index; treat it as read-only.
-func (r *Roster) AllKeyMembers() []simnet.NodeID {
-	if r.cAllKey == nil {
-		var out []simnet.NodeID
-		for k := uint64(0); k < r.M; k++ {
-			out = append(out, r.KeyMembers(k)...)
-		}
-		if out == nil {
-			out = []simnet.NodeID{}
-		}
-		r.cAllKey = out
-	}
-	return r.cAllKey
+func (r *Roster) AllKeyMembers() []simnet.NodeID { return r.allKey }
+
+// AllNodes returns every participating node this round, ascending.
+func (r *Roster) AllNodes() []simnet.NodeID { return r.allNodes }
+
+// CommonsOfAll returns all common members across committees.
+func (r *Roster) CommonsOfAll() []simnet.NodeID { return r.commons }
+
+// coordinatorFor maps a committee to its referee-committee coordinator for
+// C_R-internal Algorithm 3 instances.
+func (r *Roster) coordinatorFor(k uint64) simnet.NodeID {
+	return r.Referee[int(k)%len(r.Referee)]
 }
 
-// AllNodes returns every participating node this round. The slice is a
-// cached index; treat it as read-only.
-func (r *Roster) AllNodes() []simnet.NodeID {
-	if r.cAllNodes == nil {
-		out := []simnet.NodeID{}
-		for id, p := range r.places {
-			if p.role != RoleIdle {
-				out = append(out, simnet.NodeID(id))
-			}
-		}
-		r.cAllNodes = out
+// successorFor picks the replacement leader: the lowest-ID partial member.
+func (r *Roster) successorFor(k uint64) simnet.NodeID {
+	if len(r.Partials[k]) == 0 {
+		return -1
 	}
-	return r.cAllNodes
-}
-
-// CommonsOfAll returns all common members across committees. The slice is
-// a cached index; treat it as read-only.
-func (r *Roster) CommonsOfAll() []simnet.NodeID {
-	if r.cCommons == nil {
-		out := []simnet.NodeID{}
-		for _, cs := range r.Commons {
-			out = append(out, cs...)
-		}
-		r.cCommons = out
-	}
-	return r.cCommons
+	return slices.Min(r.Partials[k])
 }
 
 // ReplaceLeader installs a new leader for committee k after a recovery
 // (§V-D): the new leader leaves the partial set; the evicted node is
 // demoted to common member (it stays connected but holds no key seat).
-// Both rows of the seat table change here, so the links of both are
-// classified by their new roles from the next send on. The mutations bypass
-// the invalidate-everything mutators so the caches a replacement cannot
-// change survive; rewarmReplace rebuilds the rest.
+// The re-index reseats both, so the links of both are classified by their
+// new roles from the next send on.
 func (r *Roster) ReplaceLeader(k uint64, evicted, successor simnet.NodeID) {
 	r.Leaders[k] = successor
-	r.seat(successor, RoleLeader, k)
-	r.seat(evicted, RoleCommon, k)
-	// Remove the successor from the partial set.
-	ps := r.Partials[k][:0]
-	for _, id := range r.Partials[k] {
-		if id != successor {
-			ps = append(ps, id)
-		}
-	}
-	r.Partials[k] = ps
+	r.Partials[k] = slices.DeleteFunc(r.Partials[k], func(id simnet.NodeID) bool { return id == successor })
 	r.Commons[k] = append(r.Commons[k], evicted)
 	slices.Sort(r.Commons[k])
-	r.rewarmReplace(k)
-}
-
-// rewarmReplace rebuilds only the cached indexes a leader replacement in
-// committee k can change: that committee's member lists, the global
-// key-member set, and the commons set. The participating node set is
-// untouched (the evicted leader stays as a common member), so cAllNodes
-// survives — the full warm()'s O(n log n) node re-sort was the dominant
-// cost of recovery rounds at large rosters. Rebuilding runs eagerly on
-// the caller's goroutine, preserving warm()'s contract that the parallel
-// message handlers only ever read already-built caches.
-func (r *Roster) rewarmReplace(k uint64) {
-	if r.cCommittees != nil {
-		r.cCommittees[k] = nil
-	}
-	if r.cKeyMembers != nil {
-		r.cKeyMembers[k] = nil
-	}
-	r.cAllKey = nil
-	r.cCommons = nil
-	r.Committee(k)
-	r.KeyMembers(k)
-	r.AllKeyMembers()
-	r.CommonsOfAll()
+	r.index()
 }
 
 // linkClass classifies a link for the latency model: intra-committee (or

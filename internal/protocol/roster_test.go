@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"cycledger/internal/committee"
@@ -11,15 +12,11 @@ import (
 
 func testRoster() *Roster {
 	r := newRoster(1, crypto.HString("rand"), 2)
-	r.setReferee([]simnet.NodeID{0, 1, 2})
-	r.setLeader(0, 3)
-	r.setLeader(1, 4)
-	r.addPartial(0, 5)
-	r.addPartial(0, 6)
-	r.addPartial(1, 7)
-	r.addPartial(1, 8)
-	r.addCommon(0, 9)
-	r.addCommon(1, 10)
+	r.Referee = []simnet.NodeID{0, 1, 2}
+	r.Leaders = []simnet.NodeID{3, 4}
+	r.Partials = [][]simnet.NodeID{{5, 6}, {7, 8}}
+	r.Commons = [][]simnet.NodeID{{9}, {10}}
+	r.index()
 	return r
 }
 
@@ -66,24 +63,49 @@ func TestRosterCommitteeComposition(t *testing.T) {
 func TestRosterReplaceLeader(t *testing.T) {
 	r := testRoster()
 	r.ReplaceLeader(0, 3, 5)
-	if r.Leaders[0] != 5 {
-		t.Fatal("leader not replaced")
+	if r.Leaders[0] != 5 || !slices.Equal(r.Partials[0], []simnet.NodeID{6}) || !slices.Equal(r.Commons[0], []simnet.NodeID{3, 9}) {
+		t.Fatalf("seat lists after the replacement: leaders %v, partials %v, commons %v", r.Leaders, r.Partials, r.Commons)
 	}
-	if r.RoleOf(5) != RoleLeader {
-		t.Fatal("successor role not updated")
-	}
-	if r.RoleOf(3) != RoleCommon {
-		t.Fatal("evicted node not demoted")
-	}
-	// Successor removed from the partial set.
-	for _, id := range r.Partials[0] {
-		if id == 5 {
-			t.Fatal("successor still in partial set")
+	// Every accessor reads the re-indexed roster: the successor leads, the
+	// evicted leader is a common member of the same committee, and
+	// committee 1 and the node set are unchanged.
+	for name, tc := range map[string]struct{ got, want []simnet.NodeID }{
+		"Committee(0)":  {r.Committee(0), []simnet.NodeID{5, 6, 3, 9}},
+		"Committee(1)":  {r.Committee(1), []simnet.NodeID{4, 7, 8, 10}},
+		"KeyMembers(0)": {r.KeyMembers(0), []simnet.NodeID{5, 6}},
+		"KeyMembers(1)": {r.KeyMembers(1), []simnet.NodeID{4, 7, 8}},
+		"AllKeyMembers": {r.AllKeyMembers(), []simnet.NodeID{5, 6, 4, 7, 8}},
+		"CommonsOfAll":  {r.CommonsOfAll(), []simnet.NodeID{3, 9, 10}},
+		"AllNodes":      {r.AllNodes(), []simnet.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+	} {
+		if !slices.Equal(tc.got, tc.want) {
+			t.Errorf("%s = %v, want %v", name, tc.got, tc.want)
 		}
 	}
-	// Committee membership preserved (same node count).
-	if len(r.Committee(0)) != 4 {
-		t.Fatalf("committee size changed: %v", r.Committee(0))
+	for _, tc := range []struct {
+		id   simnet.NodeID
+		role Role
+	}{{5, RoleLeader}, {3, RoleCommon}} {
+		if got := r.RoleOf(tc.id); got != tc.role {
+			t.Errorf("RoleOf(%d) = %v, want %v", tc.id, got, tc.role)
+		}
+		if k, ok := r.CommitteeOf(tc.id); !ok || k != 0 {
+			t.Errorf("CommitteeOf(%d) = %d, %v, want 0, true", tc.id, k, ok)
+		}
+	}
+	// The successor's links are a leader's, the evicted node's a common
+	// member's: key links to other key members and the referee committee
+	// for the one, partially synchronous ones for the other.
+	for _, tc := range []struct {
+		from, to simnet.NodeID
+		want     simnet.LinkClass
+	}{
+		{5, 4, simnet.LinkKey}, {5, 0, simnet.LinkKey}, {5, 3, simnet.LinkIntra},
+		{3, 4, simnet.LinkPartial}, {3, 0, simnet.LinkPartial}, {3, 9, simnet.LinkIntra},
+	} {
+		if got := r.linkClass(tc.from, tc.to); got != tc.want {
+			t.Errorf("linkClass(%d,%d) = %v, want %v", tc.from, tc.to, got, tc.want)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func (e *Engine) runSilenceSweep(phase string, ks []uint64) {
 		if phase != "semicommit" || e.refereeHas(func(n *Node) bool { return n.crSemiComs[k] != nil }) {
 			continue
 		}
-		if coord := e.nodes[e.coordinatorFor(k)]; coord.seesSemiComSilence(k) {
+		if coord := e.nodes[e.roster.coordinatorFor(k)]; coord.seesSemiComSilence(k) {
 			e.Net.After(coord.ID, 1, func(ctx *simnet.Context) {
 				coord.proposeEviction(ctx, k, RecoveryWitness{Kind: "silence", Committee: k, Phase: phase})
 			})

@@ -191,17 +191,27 @@ var mutants = []mutant{
 		reason: "An echo held at (sn, position) is a hit only for the same echoer, digest and signature bytes.",
 	},
 	{
-		name: "the seat table keeps the evicted leader's row",
+		name: "ReplaceLeader does not re-index",
 		file: "internal/protocol/roster.go",
-		old:  "\tr.seat(successor, RoleLeader, k)\n\tr.seat(evicted, RoleCommon, k)\n",
-		new:  "",
+		old:  "\tslices.Sort(r.Commons[k])\n\tr.index()\n",
+		new:  "\tslices.Sort(r.Commons[k])\n",
 		pkgs: []string{"./sim"},
 		run:  "TestScenarioGolden/^adaptive-full$/^golden$",
 		want: "killed",
 		reason: "linkClass reads roles from the seat table on every send, so a §V-D recovery reclassifies the " +
-			"evicted leader's links for the rest of the round. leader-fault's golden does not see it: nothing its " +
-			"evicted leader sends after the eviction is drawn on those links. adaptive-full's round 1, with four " +
-			"evictions, ends a tick later.",
+			"evicted leader's links for the rest of the round, and the re-run step reaches the committee through " +
+			"its re-indexed lists. adaptive-full's round 1 has four evictions.",
+	},
+	{
+		name: "the installed roster is not indexed",
+		file: "internal/protocol/engine.go",
+		old:  "\te.roster = e.nextRoster\n\te.roster.index()\n",
+		new:  "\te.roster = e.nextRoster\n",
+		pkgs: []string{"./sim"},
+		run:  "TestScenarioGolden/^default$/^golden$",
+		want: "killed",
+		reason: "Nothing builds on read: a roster that is not indexed at install has no seat table or member " +
+			"lists, and round 2 of the default golden fails on the first committee it reads.",
 	},
 	{
 		name: "the list decoder points every entry at one slab Tx",

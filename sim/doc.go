@@ -38,10 +38,11 @@
 //
 // # Scenarios
 //
-// The scenario registry names the paper's experiments as data. Lookup
-// retrieves a preset by name, List enumerates them, Register adds
-// project-local ones (names must be unique), and Scenario.New builds a
-// run, optionally specialised by extra options applied over the preset:
+// The scenario registry, a fixed table, names the paper's experiments as
+// data. Lookup retrieves a preset by name, List enumerates them, and
+// Scenario.New builds a run, optionally specialised by extra options
+// applied over the preset; a project-local experiment is a Scenario value
+// or a run document, not a registry entry:
 //
 //	scen, _ := sim.Lookup("leader-fault")
 //	s, err := scen.New(sim.FromJSON([]byte(`{"rounds": 1}`)))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,8 +63,29 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 
 // TestFaultScenariosExerciseFaults: each registered fault scenario must
 // actually degrade the network — dropped traffic for loss and partitions,
-// at least one silence recovery or timeout verdict under churn.
+// at least one silence recovery or timeout verdict under churn. The
+// small-faulted row's golden must drop traffic and recover a leader, or its
+// matrix cells (the live transport's among them) compare fault-free runs.
 func TestFaultScenariosExerciseFaults(t *testing.T) {
+	t.Run("small-faulted", func(t *testing.T) {
+		raw, err := os.ReadFile(filepath.Join("testdata", "runs", "small-faulted.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reports []*sim.RoundReport
+		if err := json.Unmarshal(raw, &reports); err != nil {
+			t.Fatal(err)
+		}
+		var dropped uint64
+		var recoveries int
+		for _, r := range reports {
+			dropped += r.Dropped
+			recoveries += len(r.Recoveries)
+		}
+		if dropped == 0 || recoveries == 0 {
+			t.Errorf("small-faulted's golden dropped %d messages and recovered %d leaders; both must be non-zero", dropped, recoveries)
+		}
+	})
 	// Scenarios whose injected faults must additionally force at least one
 	// completed leader recovery (crashed or silenced seats get impeached).
 	needsRecovery := map[string]bool{"targeted-leaders": true}

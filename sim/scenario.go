@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cycledger/internal/protocol"
 )
@@ -35,51 +34,32 @@ func (s Scenario) Config() (Config, error) {
 	return Resolve(s.Options...)
 }
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]Scenario
-}{m: make(map[string]Scenario)}
-
-// Register adds a scenario to the registry. Names must be non-empty and
-// unique; registering a duplicate is an error so presets cannot be
-// silently shadowed.
-func Register(s Scenario) error {
-	if s.Name == "" {
-		return fmt.Errorf("sim: scenario with empty name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[s.Name]; dup {
-		return fmt.Errorf("sim: scenario %q already registered", s.Name)
-	}
-	registry.m[s.Name] = s
-	return nil
-}
+// registry is the fixed table of built-in scenarios, filled by init.
+var registry = map[string]Scenario{}
 
 // Lookup finds a registered scenario by name.
 func Lookup(name string) (Scenario, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	s, ok := registry.m[name]
+	s, ok := registry[name]
 	return s, ok
 }
 
 // List returns every registered scenario, sorted by name.
 func List() []Scenario {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Scenario, 0, len(registry.m))
-	for _, s := range registry.m {
+	out := make([]Scenario, 0, len(registry))
+	for _, s := range registry {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
+// mustRegister adds a built-in scenario; an empty or repeated name is a
+// programming error.
 func mustRegister(s Scenario) {
-	if err := Register(s); err != nil {
-		panic(err)
+	if _, dup := registry[s.Name]; dup || s.Name == "" {
+		panic(fmt.Sprintf("sim: scenario name %q empty or already registered", s.Name))
 	}
+	registry[s.Name] = s
 }
 
 // doc is a preset written as one run-document overlay on DefaultConfig:
