@@ -409,7 +409,7 @@ var guards = []guard{
 			"compare it over lanes, the live transport or a mode the matrix has a column for is a second check " +
 			"of the same cell, and these retired ones each were.",
 		paths:   []string{"*_test.go"},
-		find:    grep(`func Test(TransportParity(Byzantine|Aggregate|Faulted)?|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential)\b`),
+		find:    grep(`func Test(TransportParity(Byzantine|Aggregate|Faulted)?|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential|AdaptiveAdversaryDeterminism)\b`),
 		fixture: file{"sim/transport_parity_test.go", "package sim_test\n\nfunc TestTransportParity(t *testing.T) {}\n"},
 	},
 	{
@@ -421,6 +421,16 @@ var guards = []guard{
 		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
 		find:    declares("invalidate", "warm", "rewarmReplace", "setReferee", "setLeader", "addPartial", "addCommon"),
 		fixture: file{"internal/protocol/roster.go", "package protocol\n\nfunc (r *Roster) warm() {}\n"},
+	},
+	{
+		name: "One key directory",
+		reason: "Every node's public key and the run's scheme live in one consensus.PKI that the engine builds with " +
+			"the keys and hands each node; a signature is checked through it, which refuses an ID it has no key for. " +
+			"An engine key table, a pkOf lookup or a scheme read off the engine would be a second directory, and the " +
+			"old one handed an unknown ID's nil key to the scheme.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    grep(`func \([^)]*\) pkOf\(|\beng\.(scheme|pkOf)\b|\be\.keys\b`),
+		fixture: file{"internal/protocol/engine.go", "package protocol\n\nfunc (e *Engine) pkOf(id simnet.NodeID) crypto.PublicKey { return e.keys[id].PK }\n"},
 	},
 	{
 		name: "The scenario registry is a fixed table",

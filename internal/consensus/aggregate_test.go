@@ -51,6 +51,9 @@ func (f *certFixture) confirmBy(id simnet.NodeID, kp crypto.KeyPair) Vote {
 
 func (f *certFixture) pkOf(id simnet.NodeID) crypto.PublicKey { return f.keys[id].PK }
 
+// pki is the committee's key directory under scheme.
+func (f *certFixture) pki(scheme SignatureScheme) *PKI { return pkiOver(scheme, f.committee, f.pkOf) }
+
 // aggregate folds the fixture's certificate, failing the test on error.
 func (f *certFixture) aggregate(t *testing.T) Result {
 	t.Helper()
@@ -86,8 +89,8 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 		if folded.Round != oracle.Round || folded.SN != oracle.SN || folded.Digest != oracle.Digest || folded.Payload != oracle.Payload {
 			t.Fatalf("trial %d: fold changed the decision: %+v vs %+v", trial, oracle, folded)
 		}
-		wantErr := oracle.Verify(HashScheme{}, f.committee, f.pkOf) != nil
-		gotErr := folded.Verify(HashScheme{}, f.committee, f.pkOf) != nil
+		wantErr := oracle.Verify(f.pki(HashScheme{}), f.committee) != nil
+		gotErr := folded.Verify(f.pki(HashScheme{}), f.committee) != nil
 		if wantErr != gotErr {
 			t.Fatalf("trial %d (n=%d k=%d): per-voter Verify err=%v, aggregate Verify err=%v",
 				trial, n, k, wantErr, gotErr)
@@ -111,10 +114,10 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 func TestAggResultVerifyNeedsAggregateScheme(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := newCertFixture(rng, 7, []int{0, 1, 2, 3})
-	if err := f.aggregate(t).Verify(Ed25519Scheme{}, f.committee, f.pkOf); err == nil {
+	if err := f.aggregate(t).Verify(f.pki(Ed25519Scheme{}), f.committee); err == nil {
 		t.Fatal("aggregate certificate accepted under Ed25519Scheme")
 	}
-	if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
+	if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err != nil {
 		t.Fatalf("per-voter certificate rejected: %v", err)
 	}
 }
@@ -128,7 +131,7 @@ func TestAggregateRejections(t *testing.T) {
 	const n = 9
 	f := newCertFixture(rng, n, []int{0, 2, 3, 5, 8}) // 5 of 9: strict majority
 	ar := f.aggregate(t)
-	if err := ar.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
+	if err := ar.Verify(f.pki(HashScheme{}), f.committee); err != nil {
 		t.Fatalf("baseline aggregate cert rejected: %v", err)
 	}
 
@@ -137,7 +140,7 @@ func TestAggregateRejections(t *testing.T) {
 		bad := ar
 		bad.Quorum.Bitmap, bad.Quorum.Proof = ar.Quorum.Bitmap.Clone(), append([]byte(nil), ar.Quorum.Proof...)
 		mutate(&bad)
-		if err := bad.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+		if err := bad.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 			t.Errorf("%s: aggregate cert accepted", name)
 		}
 	}
@@ -155,16 +158,16 @@ func TestAggregateRejections(t *testing.T) {
 	// Same certificate against a roster with different keys: every tag
 	// recomputes differently, so the proof cannot verify.
 	other := newCertFixture(rng, n, nil)
-	if err := ar.Verify(HashScheme{}, other.committee, other.pkOf); err == nil {
+	if err := ar.Verify(other.pki(HashScheme{}), other.committee); err == nil {
 		t.Error("wrong roster: aggregate cert accepted")
 	}
 
 	// Exactly half the committee is not a strict majority.
 	half := newCertFixture(rng, 8, []int{0, 1, 2, 3})
-	if err := half.aggregate(t).Verify(HashScheme{}, half.committee, half.pkOf); err == nil {
+	if err := half.aggregate(t).Verify(half.pki(HashScheme{}), half.committee); err == nil {
 		t.Error("exact half: aggregate cert accepted")
 	}
-	if err := half.res.Verify(HashScheme{}, half.committee, half.pkOf); err == nil {
+	if err := half.res.Verify(half.pki(HashScheme{}), half.committee); err == nil {
 		t.Error("exact half: per-voter cert accepted (oracle disagrees)")
 	}
 }
@@ -204,27 +207,27 @@ func TestVerifyCertEdges(t *testing.T) {
 
 	t.Run("exact half rejected", func(t *testing.T) {
 		f := newCertFixture(rng, 6, []int{0, 1, 2})
-		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+		if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 			t.Error("3 of 6 confirms accepted")
 		}
 	})
 	t.Run("one past half accepted", func(t *testing.T) {
 		f := newCertFixture(rng, 6, []int{0, 1, 2, 3})
-		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err != nil {
+		if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err != nil {
 			t.Errorf("4 of 6 confirms rejected: %v", err)
 		}
 	})
 	t.Run("duplicate voter rejected", func(t *testing.T) {
 		f := newCertFixture(rng, 5, []int{0, 1, 2})
 		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirm(2))
-		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+		if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 			t.Error("duplicate confirmer accepted")
 		}
 	})
 	t.Run("duplicates cannot fake a majority", func(t *testing.T) {
 		f := newCertFixture(rng, 5, []int{0, 1})
 		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirm(1), f.confirm(1))
-		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+		if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 			t.Error("padded duplicate confirms accepted")
 		}
 	})
@@ -233,7 +236,7 @@ func TestVerifyCertEdges(t *testing.T) {
 		stranger := crypto.GenerateKeyPair(rng)
 		f.keys[7777] = stranger
 		f.res.Quorum.Votes = append(f.res.Quorum.Votes, f.confirmBy(7777, stranger))
-		if err := f.res.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+		if err := f.res.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 			t.Error("confirmer outside the roster accepted")
 		}
 	})
@@ -246,9 +249,15 @@ func TestVerifyCertEdges(t *testing.T) {
 		} {
 			moved := f.res
 			mutate(&moved)
-			if err := moved.Verify(HashScheme{}, f.committee, f.pkOf); err == nil {
+			if err := moved.Verify(f.pki(HashScheme{}), f.committee); err == nil {
 				t.Errorf("votes signed for another %s accepted", name)
 			}
+		}
+	})
+	t.Run("empty committee refused", func(t *testing.T) {
+		f := newCertFixture(rng, 3, []int{0, 1})
+		if VerifyCert(HashScheme{}, f.res, nil, f.pkOf) == nil || VerifyAggCert(HashScheme{}, f.aggregate(t), nil, f.pkOf) == nil {
+			t.Error("a certificate verifies over an empty committee")
 		}
 	})
 }

@@ -96,13 +96,13 @@ func Sign[T any](scheme SignatureScheme, kp crypto.KeyPair, msg T) []byte {
 	return scheme.Sign(kp, *bp)
 }
 
-// Verify checks that sig is pk's signature under scheme on msg's
+// Verify checks that sig is id's signature under pki on msg's
 // wire.SigningBytes, built as Sign builds them.
-func Verify[T any](scheme SignatureScheme, pk crypto.PublicKey, sig []byte, msg T) error {
+func Verify[T any](pki *PKI, id simnet.NodeID, sig []byte, msg T) error {
 	bp := bufs.Get().(*[]byte)
 	defer bufs.Put(bp)
 	*bp = wire.SigningBytes((*bp)[:0], msg)
-	return scheme.Verify(pk, sig, *bp)
+	return pki.Verify(id, sig, *bp)
 }
 
 // header is a proposal without its payload: what the leader's signature
@@ -187,13 +187,13 @@ func (w Witness) layout(c *wire.Coder) Witness {
 }
 
 // Valid reports whether the witness is self-consistent (same instance,
-// different digests) and both signatures verify under pk. Per Claim 4,
-// a witness that fails Valid cannot frame an honest leader.
-func (w Witness) Valid(scheme SignatureScheme, pk crypto.PublicKey) bool {
+// different digests) and both signatures verify under leader's key. Per
+// Claim 4, a witness that fails Valid cannot frame an honest leader.
+func (w Witness) Valid(pki *PKI, leader simnet.NodeID) bool {
 	if w.A.Round != w.B.Round || w.A.SN != w.B.SN || w.A.Digest == w.B.Digest {
 		return false
 	}
-	return Verify(scheme, pk, w.A.Sig, w.A) == nil && Verify(scheme, pk, w.B.Sig, w.B) == nil
+	return Verify(pki, leader, w.A.Sig, w.A) == nil && Verify(pki, leader, w.B.Sig, w.B) == nil
 }
 
 // Result is a decision and its certificate: the decided instance and
@@ -222,10 +222,10 @@ func (r Result) layout(c *wire.Coder) Result {
 // result's own instance and digest (Quorum.Verify). Third parties (the
 // referee committee, remote leaders) use this to accept results without
 // having participated.
-func (r Result) Verify(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
+func (r Result) Verify(pki *PKI, committee []simnet.NodeID) error {
 	bp := bufs.Get().(*[]byte)
 	defer bufs.Put(bp)
-	return r.Quorum.Verify(scheme, committee, pkOf, func(voter simnet.NodeID) []byte {
+	return r.Quorum.Verify(pki, committee, func(voter simnet.NodeID) []byte {
 		*bp = wire.SigningBytes((*bp)[:0], Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: voter})
 		return *bp
 	})

@@ -72,6 +72,11 @@ func newHarness(t *testing.T, size int, scheme SignatureScheme, seed int64) *har
 	return h
 }
 
+// pki is the committee's key directory under scheme.
+func (h *harness) pki(scheme SignatureScheme) *PKI {
+	return pkiOver(scheme, h.members, func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK })
+}
+
 // down takes the given members offline for the whole run: they receive
 // nothing, their timers do not fire, and what they send is lost.
 func (h *harness) down(ids ...simnet.NodeID) {
@@ -125,8 +130,7 @@ func TestConsensusCertVerifies(t *testing.T) {
 	if res == nil {
 		t.Fatal("no decision")
 	}
-	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
-	if err := res.Verify(Ed25519Scheme{}, h.members, pkOf); err != nil {
+	if err := res.Verify(h.pki(Ed25519Scheme{}), h.members); err != nil {
 		t.Fatalf("honest certificate rejected: %v", err)
 	}
 }
@@ -160,19 +164,19 @@ func TestCertRejectsForgery(t *testing.T) {
 	h := newHarness(t, 5, Ed25519Scheme{}, 3)
 	h.propose("payload")
 	res := *h.decided[h.leader]
-	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
+	pki := h.pki(Ed25519Scheme{})
 
 	// Tampered digest.
 	bad := res
 	bad.Digest = crypto.HString("other")
-	if err := bad.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
+	if err := bad.Verify(pki, h.members); err == nil {
 		t.Fatal("tampered digest certificate accepted")
 	}
 
 	// Dropped confirms below quorum.
 	bad2 := res
 	bad2.Quorum.Votes = bad2.Quorum.Votes[:2]
-	if err := bad2.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
+	if err := bad2.Verify(pki, h.members); err == nil {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 
@@ -180,7 +184,7 @@ func TestCertRejectsForgery(t *testing.T) {
 	bad3 := res
 	votes := res.Quorum.Votes
 	bad3.Quorum.Votes = append(slices.Clone(votes[:2]), votes[1], votes[1])
-	if err := bad3.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
+	if err := bad3.Verify(pki, h.members); err == nil {
 		t.Fatal("duplicate-confirmer certificate accepted")
 	}
 
@@ -189,7 +193,7 @@ func TestCertRejectsForgery(t *testing.T) {
 	outsider := votes[0]
 	outsider.Voter = 99
 	bad4.Quorum.Votes = append([]Vote{outsider}, votes[1:]...)
-	if err := bad4.Verify(Ed25519Scheme{}, h.members, pkOf); err == nil {
+	if err := bad4.Verify(pki, h.members); err == nil {
 		t.Fatal("outsider certificate accepted")
 	}
 }
@@ -214,7 +218,7 @@ func TestEquivocatingLeaderDetected(t *testing.T) {
 			continue
 		}
 		found = true
-		if !w.Valid(Ed25519Scheme{}, h.keys[h.leader].PK) {
+		if !w.Valid(h.pki(Ed25519Scheme{}), h.leader) {
 			t.Fatalf("member %d built an invalid witness", id)
 		}
 	}
@@ -417,7 +421,7 @@ func TestEquivocationProvedFromHeaders(t *testing.T) {
 	if w == nil {
 		t.Fatal("equivocation shown by an echo header went undetected")
 	}
-	if !w.Valid(Ed25519Scheme{}, h.keys[h.leader].PK) {
+	if !w.Valid(h.pki(Ed25519Scheme{}), h.leader) {
 		t.Fatal("witness built from headers does not verify")
 	}
 	if w.A.Digest != propA.Digest || w.B.Digest != dB {
@@ -435,18 +439,19 @@ func TestWitnessValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	kp := crypto.GenerateKeyPair(rng)
 	scheme := Ed25519Scheme{}
+	pki := NewPKI(scheme, []crypto.PublicKey{nil, kp.PK}) // kp is node 1's
 	a := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("a"), nil)
 	b := BuildPropose(scheme, kp, 1, 1, 1, crypto.HString("b"), nil)
-	if !(Witness{A: a, B: b}).Valid(scheme, kp.PK) {
+	if !(Witness{A: a, B: b}).Valid(pki, 1) {
 		t.Fatal("genuine witness rejected")
 	}
 	// Same digest: not equivocation.
-	if (Witness{A: a, B: a}).Valid(scheme, kp.PK) {
+	if (Witness{A: a, B: a}).Valid(pki, 1) {
 		t.Fatal("same-digest witness accepted")
 	}
 	// Different instance: not equivocation.
 	c := BuildPropose(scheme, kp, 1, 1, 2, crypto.HString("c"), nil)
-	if (Witness{A: a, B: c}).Valid(scheme, kp.PK) {
+	if (Witness{A: a, B: c}).Valid(pki, 1) {
 		t.Fatal("cross-instance witness accepted")
 	}
 	// Forged signature: a fabricated message cannot frame the leader
@@ -455,7 +460,7 @@ func TestWitnessValidation(t *testing.T) {
 	forged := a
 	forged.Digest = crypto.HString("forged")
 	forged.Sig = scheme.Sign(other, wire.SigningBytes(nil, forged))
-	if (Witness{A: forged, B: b}).Valid(scheme, kp.PK) {
+	if (Witness{A: forged, B: b}).Valid(pki, 1) {
 		t.Fatal("forged witness accepted — honest leader framed")
 	}
 }
@@ -547,8 +552,7 @@ func TestConfirmFromOutsiderIgnored(t *testing.T) {
 			t.Fatal("outsider's confirm folded into the certificate")
 		}
 	}
-	pkOf := func(n simnet.NodeID) crypto.PublicKey { return h.keys[n].PK }
-	if err := res.Verify(Ed25519Scheme{}, h.members, pkOf); err != nil {
+	if err := res.Verify(h.pki(Ed25519Scheme{}), h.members); err != nil {
 		t.Fatalf("honest leader's certificate rejected: %v", err)
 	}
 }
@@ -601,7 +605,7 @@ func TestEquivocationWitnessDeterministic(t *testing.T) {
 		got := make(map[simnet.NodeID]Witness)
 		for id, w := range h.witness {
 			got[id] = *w
-			if !w.Valid(Ed25519Scheme{}, h.keys[h.leader].PK) {
+			if !w.Valid(h.pki(Ed25519Scheme{}), h.leader) {
 				t.Fatalf("run %d: member %d built an invalid witness", run, id)
 			}
 		}

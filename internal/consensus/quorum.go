@@ -59,14 +59,14 @@ func (q Quorum) layout(c *wire.Coder) Quorum {
 }
 
 // Verify is the protocol's one >C/2 check: roster members only, each at most
-// once, strictly more than half of them, and every signature valid under
-// pkOf(voter) on msgAt(voter) — the signing bytes of the message the receiver
-// rebuilds from the carrier's own header, never from the evidence. msgAt's
-// result is used before the next call, so it may return the same reused
-// buffer. An aggregate Quorum under a scheme with no aggregate face cannot be
-// checked, which is an error like any other failed verification; its bitmap
-// is validated against the roster before any signature work.
-func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey, msgAt func(voter simnet.NodeID) []byte) error {
+// once, strictly more than half of them, and every signature valid under the
+// voter's key in pki on msgAt(voter) — the signing bytes of the message the
+// receiver rebuilds from the carrier's own header, never from the evidence.
+// msgAt's result is used before the next call, so it may return the same
+// reused buffer. An aggregate Quorum under a scheme with no aggregate face, or
+// over a roster naming an ID pki has no key for, cannot be checked, which is
+// an error like any other; its bitmap is validated against the roster first.
+func (q Quorum) Verify(pki *PKI, roster []simnet.NodeID, msgAt func(voter simnet.NodeID) []byte) error {
 	if q.Bitmap == nil {
 		if !Majority(len(q.Votes), len(roster)) {
 			return fmt.Errorf("consensus: %d votes is not a majority of %d", len(q.Votes), len(roster))
@@ -75,15 +75,15 @@ func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func
 			return err
 		}
 		for _, v := range q.Votes {
-			if err := scheme.Verify(pkOf(v.Voter), v.Sig, msgAt(v.Voter)); err != nil {
+			if err := pki.Verify(v.Voter, v.Sig, msgAt(v.Voter)); err != nil {
 				return fmt.Errorf("consensus: signature of voter %d: %w", v.Voter, err)
 			}
 		}
 		return nil
 	}
-	as, ok := scheme.(AggregateScheme)
+	as, ok := pki.Scheme.(AggregateScheme)
 	if !ok {
-		return fmt.Errorf("consensus: aggregate quorum under %T, which cannot verify aggregates", scheme)
+		return fmt.Errorf("consensus: aggregate quorum under %T, which cannot verify aggregates", pki.Scheme)
 	}
 	if err := q.Bitmap.Validate(len(roster)); err != nil {
 		return err
@@ -93,7 +93,9 @@ func (q Quorum) Verify(scheme SignatureScheme, roster []simnet.NodeID, pkOf func
 	}
 	pks := make([]crypto.PublicKey, len(roster))
 	for i, id := range roster {
-		pks[i] = pkOf(id)
+		if pks[i] = pki.PK(id); pks[i] == nil {
+			return fmt.Errorf("consensus: no key for roster member %d", id)
+		}
 	}
 	if err := as.VerifyAggregate(pks, q.Bitmap, func(i int) []byte { return msgAt(roster[i]) }, q.Proof); err != nil {
 		return fmt.Errorf("consensus: aggregate proof: %w", err)
@@ -151,19 +153,31 @@ func (q Quorum) Fold(scheme AggregateScheme, roster []simnet.NodeID) (Quorum, er
 
 // The four names below are the ones bench/cells.go verifies and folds a
 // certificate by; they stay until a benchmark PR moves it to the methods.
-// Each is the method it names and nothing more.
+// Each is the method it names, the two verifiers through pkiOver.
 
 // AggResult is Result: one struct holds a certificate in either form.
 type AggResult = Result
 
-// VerifyCert is res.Verify.
+// VerifyCert is res.Verify, through a PKI of pkOf's keys for the committee.
 func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
-	return res.Verify(scheme, committee, pkOf)
+	return res.Verify(pkiOver(scheme, committee, pkOf), committee)
 }
 
-// VerifyAggCert is ar.Verify.
+// VerifyAggCert is ar.Verify, as VerifyCert.
 func VerifyAggCert(scheme AggregateScheme, ar AggResult, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) error {
-	return ar.Verify(scheme, committee, pkOf)
+	return ar.Verify(pkiOver(scheme, committee, pkOf), committee)
+}
+
+// pkiOver is a PKI of pkOf's key for each committee member.
+func pkiOver(scheme SignatureScheme, committee []simnet.NodeID, pkOf func(simnet.NodeID) crypto.PublicKey) *PKI {
+	keys := make([]crypto.PublicKey, 0, len(committee))
+	for _, id := range committee {
+		if id >= 0 {
+			keys = append(keys, make([]crypto.PublicKey, max(0, int(id)+1-len(keys)))...) // up to id
+			keys[id] = pkOf(id)
+		}
+	}
+	return NewPKI(scheme, keys)
 }
 
 // AggregateResult is res with its Quorum folded over the committee roster

@@ -17,9 +17,42 @@ package consensus
 
 import (
 	"crypto/subtle"
+	"fmt"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/simnet"
 )
+
+// PKI is the public-key infrastructure of §III-A: the run's signature scheme
+// and every node's public key, indexed by NodeID. Immutable once built, it is
+// read from any lane without a lock; a message names its signer by ID.
+type PKI struct {
+	Scheme SignatureScheme
+	keys   []crypto.PublicKey
+}
+
+// NewPKI returns the directory in which node i's key is keys[i].
+func NewPKI(scheme SignatureScheme, keys []crypto.PublicKey) *PKI {
+	return &PKI{Scheme: scheme, keys: keys}
+}
+
+// PK returns id's public key, or nil for an ID outside the population.
+func (p *PKI) PK(id simnet.NodeID) crypto.PublicKey {
+	if id < 0 || int(id) >= len(p.keys) {
+		return nil
+	}
+	return p.keys[id]
+}
+
+// Verify checks that sig is id's signature on msg. An ID with no key is
+// refused before the scheme runs: HashScheme accepts the tag under a nil
+// key, which anyone can compute.
+func (p *PKI) Verify(id simnet.NodeID, sig []byte, msg []byte) error {
+	if pk := p.PK(id); pk != nil {
+		return p.Scheme.Verify(pk, sig, msg)
+	}
+	return fmt.Errorf("consensus: no key for signer %d", id)
+}
 
 // SignatureScheme abstracts message authentication so protocol-security
 // tests can use real Ed25519 while large throughput simulations use a

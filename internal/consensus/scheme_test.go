@@ -5,8 +5,67 @@ import (
 	"testing"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/simnet"
 	"cycledger/internal/wire"
 )
+
+// TestUnknownSignersRefused: a carried roster may name any ID, and the PKI
+// has no key for one outside the population. HashScheme accepts the tag
+// under the nil key, which anyone can compute, so a certificate whose
+// voters are all outsiders, signed that way, must be refused by the PKI in
+// either form — while the population's own certificate still verifies.
+func TestUnknownSignersRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	population := make([]crypto.KeyPair, 4)
+	keys := make([]crypto.PublicKey, len(population))
+	for i := range population {
+		population[i] = crypto.GenerateKeyPair(rng)
+		keys[i] = population[i].PK
+	}
+	pki := NewPKI(HashScheme{}, keys)
+	res := Result{Round: 2, SN: 5, Digest: crypto.HString("forged")}
+	sign := func(roster []simnet.NodeID, kpOf func(simnet.NodeID) crypto.KeyPair) Result {
+		r := res
+		for _, id := range roster {
+			conf := Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: id}
+			r.Quorum.Votes = append(r.Quorum.Votes, Vote{Voter: id, Sig: HashScheme{}.Sign(kpOf(id), wire.SigningBytes(nil, conf))})
+		}
+		return r
+	}
+	members := []simnet.NodeID{0, 1, 2}
+	outsiders := []simnet.NodeID{-1, 4, 1 << 30}
+	genuine := sign(members, func(id simnet.NodeID) crypto.KeyPair { return population[id] })
+	forged := sign(outsiders, func(simnet.NodeID) crypto.KeyPair { return crypto.KeyPair{} })
+	for _, id := range outsiders {
+		if pk := pki.PK(id); pk != nil {
+			t.Fatalf("PK(%d) = %x for an ID outside the population", id, pk)
+		}
+	}
+	first := Confirm{Round: res.Round, SN: res.SN, Digest: res.Digest, Confirmer: outsiders[0]}
+	if (HashScheme{}).Verify(nil, forged.Quorum.Votes[0].Sig, wire.SigningBytes(nil, first)) != nil {
+		t.Fatal("the scheme refuses a tag under the nil key; the forgery below proves nothing")
+	}
+	for _, form := range []string{"per-voter", "aggregate"} {
+		t.Run(form, func(t *testing.T) {
+			genuine, forged := genuine, forged
+			if form == "aggregate" {
+				var err error
+				if genuine, err = AggregateResult(HashScheme{}, genuine, members); err != nil {
+					t.Fatal(err)
+				}
+				if forged, err = AggregateResult(HashScheme{}, forged, outsiders); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := genuine.Verify(pki, members); err != nil {
+				t.Fatalf("the population's certificate is refused: %v", err)
+			}
+			if err := forged.Verify(pki, outsiders); err == nil {
+				t.Fatal("a certificate signed under the nil key by three IDs outside the population verifies")
+			}
+		})
+	}
+}
 
 // TestHashSchemeSigLengths covers the malformed-signature edge cases of the
 // constant-time verifier: truncated, oversized, empty, and bit-flipped tags

@@ -19,7 +19,7 @@ import (
 // fold cannot fail for voters the collector admitted from that roster; if it
 // ever did, the per-voter form is still valid.
 func (n *Node) evidence(q consensus.Quorum, roster []simnet.NodeID) consensus.Quorum {
-	if as, ok := n.eng.scheme.(consensus.AggregateScheme); ok && n.eng.P.AggregateCerts {
+	if as, ok := n.pki.Scheme.(consensus.AggregateScheme); ok && n.eng.P.AggregateCerts {
 		if folded, err := q.Fold(as, roster); err == nil {
 			return folded
 		}

@@ -98,13 +98,12 @@ func (r *RoundReport) Throughput() int { return r.IntraIncluded + r.CrossInclude
 // Params.Transport "live" — as frames of the wire codec, through the live
 // carrier.
 type Engine struct {
-	P      Params
-	Net    *simnet.Network
-	live   *transport.Live           // nil on the simulator
-	scheme consensus.SignatureScheme // P.Scheme resolved; every signature is made and checked with it
+	P    Params
+	Net  *simnet.Network
+	live *transport.Live // nil on the simulator
+	pki  *consensus.PKI  // P.Scheme resolved and every node's public key; each node holds it too
 
 	rng   *rand.Rand
-	keys  []crypto.KeyPair
 	names []string
 	nodes []*Node
 
@@ -194,7 +193,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	}
 	e := &Engine{
 		P:      p,
-		scheme: schemes[p.Scheme],
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		reput:  reputation.NewLedger(),
 		echoes: make(map[simnet.NodeID]*consensus.VerifiedEchoes),
@@ -225,13 +223,14 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	e.Net.SetFaults(model)
 
 	n := p.TotalNodes()
-	e.keys = make([]crypto.KeyPair, n)
+	pks := make([]crypto.PublicKey, n)
+	e.pki = consensus.NewPKI(schemes[p.Scheme], pks) // pks is filled as the keys are drawn
 	e.names = make([]string, n)
 	e.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
-		e.keys[i] = crypto.GenerateKeyPair(e.rng)
 		e.names[i] = fmt.Sprintf("node-%04d", i)
-		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: e.keys[i], eng: e}
+		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: crypto.GenerateKeyPair(e.rng), pki: e.pki, eng: e}
+		pks[i] = node.Keys.PK
 		e.nodes[i] = node
 		e.Net.Register(node.ID, node.Handle)
 	}
@@ -352,15 +351,6 @@ func nodeIndex(id simnet.NodeID, n int) int {
 		return -1
 	}
 	return int(id)
-}
-
-// pkOf resolves a node's public key (the PKI of §III-A).
-func (e *Engine) pkOf(id simnet.NodeID) crypto.PublicKey {
-	i := nodeIndex(id, len(e.keys))
-	if i < 0 {
-		return nil
-	}
-	return e.keys[i].PK
 }
 
 // NameOf returns a node's stable identity string, or "" for an ID outside

@@ -546,36 +546,6 @@ func adaptiveSpec(budget int) *FaultsConfig {
 	}}
 }
 
-// TestAdaptiveAdversaryDeterminism: the reactive planner's runs are
-// byte-identical across simnet parallelism, sequential and pipelined —
-// re-planning at round boundaries compiles to the same pure Fate/Down
-// plan no matter how the simnet lanes schedule events.
-func TestAdaptiveAdversaryDeterminism(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		mode := "sequential"
-		if pipelined {
-			mode = "pipelined"
-		}
-		t.Run(mode, func(t *testing.T) {
-			var want string
-			for i, par := range []int{1, 4, 0} {
-				p := DefaultParams()
-				p.Rounds = 2
-				p.Pipelined = pipelined
-				p.Parallelism = par
-				p.Faults = adaptiveSpec(6)
-				_, reports := runEngine(t, p)
-				got := renderReports(reports)
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("adaptive run diverged between parallelism 1 and %d:\n%s\nvs\n%s", par, want, got)
-				}
-			}
-		})
-	}
-}
-
 // TestAdaptiveDegradesMoreThanStatic pins the resilience frontier's
 // headline property: at equal budget, the reactive adversary (crashing
 // the leaders it just watched win) must hurt strictly more than the

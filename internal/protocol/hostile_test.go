@@ -43,7 +43,7 @@ func deliver(e *Engine, from, to simnet.NodeID, tag string, payload any) {
 func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 	type inject func(e *Engine, x, y simnet.NodeID, puzzle pow.Puzzle) (from simnet.NodeID, m PowMsg)
 	solve := func(e *Engine, id simnet.NodeID, puzzle pow.Puzzle) pow.Solution {
-		sol, _, err := pow.Solve(puzzle, e.keys[id].PK, 0, 1<<20)
+		sol, _, err := pow.Solve(puzzle, e.nodes[id].Keys.PK, 0, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 	}
 	for name, in := range map[string]inject{
 		"bad nonce": func(e *Engine, x, _ simnet.NodeID, puzzle pow.Puzzle) (simnet.NodeID, PowMsg) {
-			sol := pow.Solution{PK: e.keys[x].PK}
+			sol := pow.Solution{PK: e.nodes[x].Keys.PK}
 			for pow.Verify(puzzle, sol) {
 				sol.Nonce++
 			}
@@ -114,7 +114,7 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 // not close collection; the genuine votes then do.
 func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	e := seatedEngine(t)
-	scheme := e.scheme
+	scheme := e.pki.Scheme
 	leader := e.nodes[e.roster.Leaders[0]]
 	leader.recordVote(leader.ID, reputation.VoteVector{})
 	members := e.roster.Committee(0)
@@ -135,9 +135,9 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 			continue
 		}
 		o := outsiders[i]
-		deliver(e, o, leader.ID, TagVote, vote(o, e.keys[o]))                  // an outsider as itself
-		deliver(e, x, leader.ID, TagVote, vote(id, e.keys[x]))                 // an outsider as a member
-		deliver(e, id, leader.ID, TagVote, vote(id, e.keys[x]))                // a member, forged signature
+		deliver(e, o, leader.ID, TagVote, vote(o, e.nodes[o].Keys))            // an outsider as itself
+		deliver(e, x, leader.ID, TagVote, vote(id, e.nodes[x].Keys))           // an outsider as a member
+		deliver(e, id, leader.ID, TagVote, vote(id, e.nodes[x].Keys))          // a member, forged signature
 		deliver(e, id, leader.ID, TagVote, VoteMsg{Round: e.round, Voter: id}) // a member, no signature
 	}
 	if len(leader.votes) != 1 || leader.intraDecided != nil {
@@ -145,7 +145,7 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	}
 	for _, id := range members {
 		if id != leader.ID {
-			deliver(e, id, leader.ID, TagVote, vote(id, e.keys[id]))
+			deliver(e, id, leader.ID, TagVote, vote(id, e.nodes[id].Keys))
 		}
 	}
 	if len(leader.votes) != len(members) || leader.intraDecided == nil {
@@ -184,7 +184,7 @@ func TestTxListNeedsLeaderSignature(t *testing.T) {
 	list := func(signer simnet.NodeID) TxListMsg {
 		m := TxListMsg{Round: e.round, Committee: 0}
 		if signer >= 0 {
-			m.Sig = e.scheme.Sign(e.keys[signer], wire.SigningBytes(nil, m))
+			m.Sig = e.pki.Scheme.Sign(e.nodes[signer].Keys, wire.SigningBytes(nil, m))
 		}
 		return m
 	}
@@ -267,7 +267,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		// instance would be an equivocation, refused before any payload check.
 		propose := func(payload any, digest crypto.Digest, from simnet.NodeID) {
 			e.nodes[member].resetRound(e.roster)
-			prop := consensus.BuildPropose(e.scheme, e.keys[leader], leader, e.round, snOf(payload), digest, payload)
+			prop := consensus.BuildPropose(e.pki.Scheme, e.nodes[leader].Keys, leader, e.round, snOf(payload), digest, payload)
 			deliver(e, from, member, consensus.TagPropose, prop)
 		}
 		malformed := maps.Clone(ragged)
@@ -338,7 +338,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}
 			for _, id := range members {
 				conf := consensus.Confirm{Round: e.round, SN: snScore, Digest: d, Confirmer: id}
-				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.scheme.Sign(e.keys[id], wire.SigningBytes(nil, conf))})
+				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.pki.Scheme.Sign(e.nodes[id].Keys, wire.SigningBytes(nil, conf))})
 			}
 			for _, ref := range e.roster.Referee {
 				deliver(e, e.roster.Leaders[0], ref, TagScoreResult, ScoreResultMsg{Committee: 0, Result: res, Members: members})

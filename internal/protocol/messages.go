@@ -181,7 +181,7 @@ func (p *IntraPayload) layout(c *wire.Coder) *IntraPayload {
 type IntraResultMsg struct {
 	Committee uint64
 	Result    consensus.Result
-	Members   []simnet.NodeID // the roster the certificate is checked against
+	Members   []simnet.NodeID // the roster the certificate is checked against, as carried: nothing binds it yet (ROADMAP.md 2(iii))
 }
 
 func (m IntraResultMsg) layout(c *wire.Coder) IntraResultMsg {
@@ -241,7 +241,7 @@ type InterFwdMsg struct {
 	To      uint64 // output committee j
 	Txs     []*ledger.Tx
 	Cert    consensus.Result // C_i's Algorithm 3 certificate
-	Members []simnet.NodeID  // C_i's member list (checked against H(S_i))
+	Members []simnet.NodeID  // C_i's roster as carried; Cert is checked against it, and nothing binds it to H(S_i) yet (ROADMAP.md 2(iii))
 }
 
 func (m InterFwdMsg) layout(c *wire.Coder) InterFwdMsg {
@@ -374,20 +374,20 @@ func (w RecoveryWitness) layout(c *wire.Coder) RecoveryWitness {
 	return w
 }
 
-// Verify checks the witness against the accused leader's public key. A
+// Verify checks the witness against the accused leader's key in pki. A
 // witness is valid only if it contains a leader-signed self-incriminating
 // message (Claims 3 and 4). Silence witnesses always fail here — silence
 // cannot be proven cryptographically; their call sites gate on local
 // corroboration and the approval certificate instead.
-func (w RecoveryWitness) Verify(scheme consensus.SignatureScheme, leaderPK crypto.PublicKey) bool {
+func (w RecoveryWitness) Verify(pki *consensus.PKI, leader simnet.NodeID) bool {
 	switch w.Kind {
 	case "equivocation":
-		return w.Equiv != nil && w.Equiv.Valid(scheme, leaderPK)
+		return w.Equiv != nil && w.Equiv.Valid(pki, leader)
 	case "semicommit":
 		if w.SemiCom == nil {
 			return false
 		}
-		if consensus.Verify(scheme, leaderPK, w.SemiCom.Sig, *w.SemiCom) != nil {
+		if consensus.Verify(pki, leader, w.SemiCom.Sig, *w.SemiCom) != nil {
 			return false
 		}
 		return w.SemiCom.ListDigest() != w.SemiCom.SemiCom

@@ -20,6 +20,7 @@ type Node struct {
 	Keys     crypto.KeyPair
 	Behavior Behavior
 
+	pki *consensus.PKI // every node's key, under the run's scheme (§III-A)
 	eng *Engine
 
 	// seat is the Algorithm 1 result that made this node a common member
@@ -172,8 +173,8 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 		Leader:    leader,
 		Committee: roster,
 		Keys:      n.Keys,
-		PKOf:      n.eng.pkOf,
-		Scheme:    n.eng.scheme,
+		PKOf:      n.pki.PK,
+		Scheme:    n.pki.Scheme,
 		Echoes:    n.eng.echoesFor(leader),
 		OnDecide: func(ctx *simnet.Context, res consensus.Result) {
 			n.onConsensusDecide(ctx, res)
@@ -220,7 +221,7 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 			if p.Witness.Kind == "silence" {
 				return true
 			}
-			return p.Witness.Verify(n.eng.scheme, n.eng.pkOf(p.Evicted))
+			return p.Witness.Verify(n.pki, p.Evicted)
 		default:
 			return true
 		}

@@ -30,7 +30,7 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 		com = crypto.H([]byte("forged"), com[:])
 	}
 	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Snapshot()}
-	msg.Sig = consensus.Sign(n.eng.scheme, n.Keys, msg)
+	msg.Sig = consensus.Sign(n.pki.Scheme, n.Keys, msg)
 	var payload any = msg // boxed once, not per destination
 	size := wire.Size(payload)
 	ctx.Broadcast(n.eng.roster.Referee, TagSemiCom, payload, size)
@@ -47,7 +47,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 	if from != leader && from != n.curLeader {
 		return
 	}
-	if consensus.Verify(n.eng.scheme, n.eng.pkOf(from), m.Sig, m) != nil {
+	if consensus.Verify(n.pki, from, m.Sig, m) != nil {
 		return
 	}
 	switch n.role {
@@ -105,7 +105,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 		txs = nil
 	}
 	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: txs}
-	msg.Sig = consensus.Sign(n.eng.scheme, n.Keys, msg)
+	msg.Sig = consensus.Sign(n.pki.Scheme, n.Keys, msg)
 	// Under tree dissemination only the tree children are sent to here;
 	// receivers relay (onTxList) down their own subtrees.
 	n.committeeCast(ctx, n.ID, TagTxList, msg, wire.Size(msg))
@@ -131,7 +131,7 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if consensus.Verify(n.eng.scheme, n.eng.pkOf(n.curLeader), m.Sig, m) != nil {
+	if consensus.Verify(n.pki, n.curLeader, m.Sig, m) != nil {
 		return
 	}
 	if n.txList == nil || n.txList.Attempt != m.Attempt {
@@ -147,7 +147,7 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	n.txList = &mm
 	votes := n.voteOnTxs(m.Txs)
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
-	vm.Sig = consensus.Sign(n.eng.scheme, n.Keys, vm)
+	vm.Sig = consensus.Sign(n.pki.Scheme, n.Keys, vm)
 	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
 }
 
@@ -195,7 +195,7 @@ func (n *Node) onVote(ctx *simnet.Context, m VoteMsg, from simnet.NodeID) {
 	if m.Voter != from || !slices.Contains(n.committeeNodes, m.Voter) || len(m.Votes) != len(n.currentList()) {
 		return
 	}
-	if consensus.Verify(n.eng.scheme, n.eng.pkOf(m.Voter), m.Sig, m) != nil {
+	if consensus.Verify(n.pki, m.Voter, m.Sig, m) != nil {
 		return
 	}
 	n.recordVote(m.Voter, m.Votes)
@@ -247,8 +247,8 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
 		alt := &IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
-		propA := consensus.BuildPropose(n.eng.scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
-		propB := consensus.BuildPropose(n.eng.scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
+		propA := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
+		propB := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
 		half := len(n.committeeNodes) / 2
 		p.SendRaw(ctx, propA, n.committeeNodes[:half])
 		p.SendRaw(ctx, propB, n.committeeNodes[half:])
@@ -359,7 +359,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	}
 	// The certificate's >c/2 quorum over the carried roster is the binding
 	// check (§IV-D: "a faulty leader cannot fabricate a consensus result").
-	if err := m.Cert.Verify(n.eng.scheme, m.Members, n.eng.pkOf); err != nil {
+	if err := m.Cert.Verify(n.pki, m.Members); err != nil {
 		return
 	}
 	if _, dup := n.interFwds[m.From]; dup {
@@ -464,7 +464,7 @@ func (n *Node) onScoreResult(ctx *simnet.Context, m ScoreResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
-	if err := m.Result.Verify(n.eng.scheme, m.Members, n.eng.pkOf); err != nil {
+	if err := m.Result.Verify(n.pki, m.Members); err != nil {
 		return
 	}
 	if _, dup := n.crScores[m.Committee]; dup {
@@ -479,7 +479,7 @@ func (n *Node) onIntraResult(ctx *simnet.Context, m IntraResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
-	if err := m.Result.Verify(n.eng.scheme, m.Members, n.eng.pkOf); err != nil {
+	if err := m.Result.Verify(n.pki, m.Members); err != nil {
 		return
 	}
 	if _, dup := n.crIntra[m.Committee]; dup {
@@ -604,7 +604,7 @@ func (n *Node) onPow(ctx *simnet.Context, m PowMsg, from simnet.NodeID) {
 	if n.role != RoleReferee || m.Node != from || m.Round != n.eng.round {
 		return
 	}
-	if !bytes.Equal(m.Solution.PK, n.eng.pkOf(m.Node)) || !pow.Verify(n.eng.powPuzzle(), m.Solution) {
+	if !bytes.Equal(m.Solution.PK, n.pki.PK(m.Node)) || !pow.Verify(n.eng.powPuzzle(), m.Solution) {
 		return
 	}
 	n.crPow[m.Node] = true

@@ -88,8 +88,8 @@ func TestEngineLookupGuards(t *testing.T) {
 	}
 	n := p.TotalNodes()
 	for _, id := range []simnet.NodeID{-1, simnet.NodeID(n), 1 << 20} {
-		if pk := e.pkOf(id); pk != nil {
-			t.Errorf("pkOf(%d) returned a key for an out-of-range ID", id)
+		if pk := e.pki.PK(id); pk != nil {
+			t.Errorf("PKI.PK(%d) returned a key for an out-of-range ID", id)
 		}
 		if name := e.NameOf(id); name != "" {
 			t.Errorf("NameOf(%d) = %q, want empty", id, name)
@@ -98,8 +98,8 @@ func TestEngineLookupGuards(t *testing.T) {
 			t.Errorf("IsByzantine(%d) = true for an out-of-range ID", id)
 		}
 	}
-	if pk := e.pkOf(0); pk == nil {
-		t.Error("pkOf(0) returned nil for a valid ID")
+	if pk := e.pki.PK(0); pk == nil {
+		t.Error("PKI.PK(0) returned nil for a valid ID")
 	}
 	if name := e.NameOf(simnet.NodeID(n - 1)); name == "" {
 		t.Error("NameOf of the last node is empty")

@@ -51,12 +51,12 @@ func (e *Engine) phaseConfig() {
 	for k := uint64(0); k < e.roster.M; k++ {
 		keyRecs := make([]committee.MemberRecord, 0, 1+len(e.roster.Partials[k]))
 		for _, id := range e.roster.KeyMembers(k) {
-			keyRecs = append(keyRecs, committee.MemberRecord{Node: id, PK: e.pkOf(id)})
+			keyRecs = append(keyRecs, committee.MemberRecord{Node: id, PK: e.pki.PK(id)})
 		}
 		for _, id := range e.roster.Committee(k) {
 			n := e.nodes[id]
 			isKey := n.role == RoleLeader || n.role == RolePartial
-			self := committee.MemberRecord{Node: id, PK: e.pkOf(id)}
+			self := committee.MemberRecord{Node: id, PK: e.pki.PK(id)}
 			if !isKey {
 				// Drawn when the roster seated it (seatCommon).
 				self.Hash = n.seat.Out.Hash
@@ -417,7 +417,7 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 
 	// Referee committee: lowest lottery tickets win.
 	sortByTicket(pool, func(id simnet.NodeID) crypto.Digest {
-		return crypto.LotteryTicket(e.round+1, next, e.pkOf(id), crypto.RoleReferee)
+		return crypto.LotteryTicket(e.round+1, next, e.pki.PK(id), crypto.RoleReferee)
 	})
 	refCount := e.P.RefSize
 	if refCount > len(pool) {
@@ -451,11 +451,11 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	// Partial sets: ranked partial-set tickets, committee by hash mod m,
 	// deficits filled from the remaining ranking.
 	sortByTicket(pool, func(id simnet.NodeID) crypto.Digest {
-		return crypto.LotteryTicket(e.round+1, next, e.pkOf(id), crypto.RolePartialSet)
+		return crypto.LotteryTicket(e.round+1, next, e.pki.PK(id), crypto.RolePartialSet)
 	})
 	var leftover []simnet.NodeID
 	for _, id := range pool {
-		k := crypto.PartialSetCommittee(e.round+1, next, e.pkOf(id), r.M)
+		k := crypto.PartialSetCommittee(e.round+1, next, e.pki.PK(id), r.M)
 		if len(r.Partials[k]) < e.P.Lambda {
 			r.Partials[k] = append(r.Partials[k], id)
 		} else {

@@ -63,7 +63,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	ctx.Broadcast(without(nil, n.committeePeers, n.curLeader), TagAccuse, payload, wire.Size(payload))
 	// The accuser approves its own motion.
 	self := ApproveMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
-	self.Sig = consensus.Sign(n.eng.scheme, n.Keys, self)
+	self.Sig = consensus.Sign(n.pki.Scheme, n.Keys, self)
 	n.onApprove(ctx, self)
 }
 
@@ -83,11 +83,11 @@ func (n *Node) onAccuse(ctx *simnet.Context, m AccuseMsg) {
 		if !n.silenceCorroborated(m.Witness.Phase) {
 			return
 		}
-	} else if !m.Witness.Verify(n.eng.scheme, n.eng.pkOf(n.curLeader)) {
+	} else if !m.Witness.Verify(n.pki, n.curLeader) {
 		return // Claim 4: invalid witnesses cannot frame an honest leader
 	}
 	ap := ApproveMsg{Round: m.Round, Committee: m.Committee, Accuser: m.Accuser, Voter: n.ID}
-	ap.Sig = consensus.Sign(n.eng.scheme, n.Keys, ap)
+	ap.Sig = consensus.Sign(n.pki.Scheme, n.Keys, ap)
 	ctx.Send(m.Accuser, TagApprove, ap, wire.Size(ap))
 }
 
@@ -104,7 +104,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	if k, ok := n.eng.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if consensus.Verify(n.eng.scheme, n.eng.pkOf(m.Voter), m.Sig, m) != nil {
+	if consensus.Verify(n.pki, m.Voter, m.Sig, m) != nil {
 		return
 	}
 	for _, a := range n.myApprovals {
@@ -140,14 +140,14 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 		return
 	}
 	leader := n.eng.roster.Leaders[m.Committee]
-	if m.Witness.Kind != "silence" && !m.Witness.Verify(n.eng.scheme, n.eng.pkOf(leader)) {
+	if m.Witness.Kind != "silence" && !m.Witness.Verify(n.pki, leader) {
 		return
 	}
 	// For silence the approval certificate is the whole evidence: >c/2
 	// distinct committee members signed that the leader went quiet. The
 	// signed message is rebuilt from the request's header, so approvals
 	// collected in another round or for another accuser cannot be replayed.
-	if m.Approvals.Verify(n.eng.scheme, n.eng.roster.Committee(m.Committee), n.eng.pkOf, m.approvals()) != nil {
+	if m.Approvals.Verify(n.pki, n.eng.roster.Committee(m.Committee), m.approvals()) != nil {
 		return
 	}
 	n.proposeEviction(ctx, m.Committee, m.Witness)

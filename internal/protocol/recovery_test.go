@@ -108,7 +108,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 			Witness: RecoveryWitness{Kind: "silence", Committee: 0, Phase: "intra"}}
 		approve := func(voter simnet.NodeID, round, committee uint64) ApproveMsg {
 			ap := ApproveMsg{Round: round, Committee: committee, Accuser: accuser.ID, Voter: voter}
-			ap.Sig = e.scheme.Sign(e.nodes[voter].Keys, wire.SigningBytes(nil, ap))
+			ap.Sig = e.pki.Scheme.Sign(e.nodes[voter].Keys, wire.SigningBytes(nil, ap))
 			return ap
 		}
 		var req *EvictReqMsg
@@ -135,7 +135,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 		if (req.Approvals.Bitmap != nil) != aggregate {
 			t.Errorf("aggregate=%v: evidence form %+v", aggregate, req.Approvals)
 		}
-		if err := req.Approvals.Verify(e.scheme, members, e.pkOf, req.approvals()); err != nil {
+		if err := req.Approvals.Verify(e.pki, members, req.approvals()); err != nil {
 			t.Errorf("aggregate=%v: the escalated request does not verify: %v", aggregate, err)
 		}
 	}
@@ -155,11 +155,13 @@ func TestEvictReqEvidence(t *testing.T) {
 		k := rng.Intn(n + 1)
 		roster := make([]simnet.NodeID, n)
 		keys := make(map[simnet.NodeID]crypto.KeyPair, n)
+		pks := make([]crypto.PublicKey, 7+3*n)
 		for i := range roster {
 			roster[i] = simnet.NodeID(7 + 3*i)
 			keys[roster[i]] = crypto.GenerateKeyPair(rng)
+			pks[roster[i]] = keys[roster[i]].PK
 		}
-		pkOf := func(id simnet.NodeID) crypto.PublicKey { return keys[id].PK }
+		pki := consensus.NewPKI(scheme, pks)
 		req := EvictReqMsg{Round: uint64(rng.Intn(50)), Committee: uint64(rng.Intn(8)), Accuser: roster[rng.Intn(n)],
 			Witness: RecoveryWitness{Kind: "silence", Phase: "intra"}}
 		for _, i := range rng.Perm(n)[:k] {
@@ -170,7 +172,7 @@ func TestEvictReqEvidence(t *testing.T) {
 		if folded.Approvals, err = req.Approvals.Fold(scheme, roster); err != nil {
 			t.Fatalf("trial %d: fold: %v", trial, err)
 		}
-		verifies := func(m EvictReqMsg) bool { return m.Approvals.Verify(scheme, roster, pkOf, m.approvals()) == nil }
+		verifies := func(m EvictReqMsg) bool { return m.Approvals.Verify(pki, roster, m.approvals()) == nil }
 		if got, want := verifies(req), 2*k > n; got != want || verifies(folded) != want {
 			t.Fatalf("trial %d (n=%d k=%d): per-voter verifies=%v, aggregate verifies=%v, majority=%v", trial, n, k, got, verifies(folded), want)
 		}

@@ -178,26 +178,26 @@ func TestWitnessKindsVerify(t *testing.T) {
 
 	// A semicommit witness: self-inconsistent signed announcement.
 	msg := SemiComMsg{Round: 1, Committee: 0, SemiCom: crypto.HString("forged")}
-	msg.Sig = e.scheme.Sign(leader.Keys, wire.SigningBytes(nil, msg))
+	msg.Sig = e.pki.Scheme.Sign(leader.Keys, wire.SigningBytes(nil, msg))
 	w := RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &msg}
-	if !w.Verify(e.scheme, leader.Keys.PK) {
+	if !w.Verify(e.pki, leader.ID) {
 		t.Fatal("genuine semicommit witness rejected")
 	}
 	// Same message against another node's key: framing fails (Claim 4).
 	other := e.nodes[e.roster.Leaders[1]]
-	if w.Verify(e.scheme, other.Keys.PK) {
+	if w.Verify(e.pki, other.ID) {
 		t.Fatal("witness framed a different leader")
 	}
 	// A consistent announcement is not a witness.
 	honest := SemiComMsg{Round: 1, Committee: 0}
 	honest.SemiCom = honest.ListDigest()
-	honest.Sig = e.scheme.Sign(leader.Keys, wire.SigningBytes(nil, honest))
+	honest.Sig = e.pki.Scheme.Sign(leader.Keys, wire.SigningBytes(nil, honest))
 	wh := RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &honest}
-	if wh.Verify(e.scheme, leader.Keys.PK) {
+	if wh.Verify(e.pki, leader.ID) {
 		t.Fatal("consistent announcement treated as a witness")
 	}
 	// Unknown kinds never verify.
-	if (RecoveryWitness{Kind: "gossip"}).Verify(e.scheme, leader.Keys.PK) {
+	if (RecoveryWitness{Kind: "gossip"}).Verify(e.pki, leader.ID) {
 		t.Fatal("unknown witness kind accepted")
 	}
 }

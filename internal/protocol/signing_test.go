@@ -180,7 +180,7 @@ func TestSemiComWitnessBindsRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scheme := e.scheme
+		scheme := e.pki.Scheme
 		announced := make(map[uint64]SemiComMsg)
 		signer := make(map[uint64]simnet.NodeID)
 		e.Net.SetSendAudit(func(m simnet.Message) {
@@ -195,8 +195,7 @@ func TestSemiComWitnessBindsRecords(t *testing.T) {
 		if honest.Sig == nil || other.Sig == nil {
 			t.Fatalf("under %T: committees 0 and 1 announced no semi-commitment", scheme)
 		}
-		pk := e.keys[signer[0]].PK
-		if (RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &honest}).Verify(scheme, pk) {
+		if (RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &honest}).Verify(e.pki, signer[0]) {
 			t.Fatalf("under %T: an honest announcement verifies as a witness", scheme)
 		}
 		swapped := honest
@@ -204,7 +203,7 @@ func TestSemiComWitnessBindsRecords(t *testing.T) {
 		if swapped.ListDigest() == swapped.SemiCom {
 			t.Fatalf("under %T: the swapped list commits to the same digest", scheme)
 		}
-		if (RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &swapped}).Verify(scheme, pk) {
+		if (RecoveryWitness{Kind: "semicommit", Committee: 0, SemiCom: &swapped}).Verify(e.pki, signer[0]) {
 			t.Errorf("under %T: an honest leader's announcement with its list swapped verifies as a semicommit witness", scheme)
 		}
 	}

@@ -103,7 +103,10 @@ func FuzzDecodeAggCert(f *testing.F) {
 		f.Add(bad)
 	}
 	roster := []simnet.NodeID{1, 2, 3, 4, 5}
-	pkOf := func(id simnet.NodeID) crypto.PublicKey { return crypto.PublicKey{byte(id)} }
+	keys := make([]crypto.PublicKey, 6)
+	for _, id := range roster {
+		keys[id] = crypto.PublicKey{byte(id)}
+	}
 	msgAt := func(simnet.NodeID) []byte { return []byte("header") }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := wire.Decode(data)
@@ -135,7 +138,7 @@ func FuzzDecodeAggCert(f *testing.F) {
 			t.Fatalf("accepted Quorum does not re-encode to the bytes it was read from:\n   in %x\n  out %x", data[:n], enc)
 		}
 		calls := 0
-		err = q.Verify(countingScheme{calls: &calls}, roster, pkOf, msgAt)
+		err = q.Verify(consensus.NewPKI(countingScheme{calls: &calls}, keys), roster, msgAt)
 		if q.Bitmap != nil && q.Bitmap.Validate(len(roster)) != nil && (err == nil || calls != 0) {
 			t.Fatalf("non-canonical bitmap %08b: Verify err=%v after %d scheme calls", q.Bitmap, err, calls)
 		}

@@ -256,6 +256,16 @@ var mutants = []mutant{
 		reason: "The delivery count reads which nodes got the block, so a release ahead of it counts none: every " +
 			"golden's BlockDelivered falls to zero.",
 	},
+	{
+		name:   "PKI.Verify hands an unknown ID's nil key to the scheme",
+		file:   "internal/consensus/scheme.go",
+		old:    "\tif pk := p.PK(id); pk != nil {\n",
+		new:    "\tif pk := p.PK(id); true {\n",
+		pkgs:   []string{"./internal/consensus"},
+		run:    "TestUnknownSignersRefused/per-voter",
+		want:   "killed",
+		reason: "HashScheme accepts a tag under the nil key, which anyone can compute: a roster of IDs outside the population would certify anything.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
