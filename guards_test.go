@@ -116,6 +116,20 @@ var guards = []guard{
 		fixture: file{"internal/wire/coder.go", "package wire\n\nfunc (c *Coder) Consumed() []byte { return c.buf[:c.off] }\n"},
 	},
 	{
+		name: "One layout per message: a held list is checked by its layout",
+		reason: "A transaction list a message carries is held as the bytes it arrived as, and those bytes are " +
+			"checked at delivery by the list's own layout in the Coder's checking walk (wire.Coder.Hold), " +
+			"which refuses exactly what reading the list would. A hand-written skimmer that steps over the " +
+			"list's bytes would be a second description of a transaction, free to accept what a reader then " +
+			"cannot decode, and every relay, signature and digest copies the bytes it accepted.",
+		paths: []string{"internal/wire/*.go", "internal/ledger/*.go", "internal/protocol/*.go", ":!*_test.go"},
+		find: inspect(func(n ast.Node) bool {
+			d, ok := n.(*ast.FuncDecl)
+			return ok && (strings.Contains(d.Name.Name, "skim") || strings.Contains(d.Name.Name, "Skim"))
+		}),
+		fixture: file{"internal/protocol/skim.go", "package protocol\n\nfunc skimTxList(b []byte) (int, error) { return 0, nil }\n"},
+	},
+	{
 		name:    "One layout per message: size mirrors",
 		reason:  whyLayout,
 		paths:   []string{"internal/protocol/messages_wire.go", "internal/consensus/wiresize.go", "internal/committee/wiresize.go"},

@@ -21,15 +21,15 @@ import (
 const payloadRound, payloadSN = 1, 1
 
 func intraPayload(txs int) *protocol.IntraPayload {
-	p := new(protocol.IntraPayload)
+	var list []*ledger.Tx
 	for i := 0; i < txs; i++ {
-		p.Txs = append(p.Txs, &ledger.Tx{
+		list = append(list, &ledger.Tx{
 			Inputs:  []ledger.OutPoint{{Tx: crypto.HString("in"), Index: uint32(i)}},
 			Outputs: []ledger.Output{{Owner: "alice", Amount: 1}},
 			Nonce:   uint64(i),
 		})
 	}
-	return p
+	return &protocol.IntraPayload{Txs: protocol.TxsOf(list...)}
 }
 
 // committeeOf registers c endpoints on a fresh network, the first one the
@@ -193,22 +193,22 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 	t.Run("IntraPayload", func(t *testing.T) {
 		bindsEveryField(t, func() protocol.IntraPayload {
 			return protocol.IntraPayload{
-				Txs:    []*ledger.Tx{tx(1)},
+				Txs:    protocol.TxsOf(tx(1)),
 				Voters: []simnet.NodeID{1, 2},
 				Votes:  []reputation.VoteVector{{reputation.Yes}, {reputation.No}},
 			}
 		}, func(p protocol.IntraPayload) any { return &p }, map[string]func(*protocol.IntraPayload){
-			"Txs":    func(p *protocol.IntraPayload) { p.Txs[0] = tx(2) },
+			"Txs":    func(p *protocol.IntraPayload) { p.Txs = protocol.TxsOf(tx(2)) },
 			"Voters": func(p *protocol.IntraPayload) { p.Voters[1] = 3 },
 			"Votes":  func(p *protocol.IntraPayload) { p.Votes[1][0] = reputation.Unknown },
 		})
 	})
 	t.Run("InterPayload", func(t *testing.T) {
 		bindsEveryField(t, func() protocol.InterPayload {
-			return protocol.InterPayload{From: 2, Txs: []*ledger.Tx{tx(1)}}
+			return protocol.InterPayload{From: 2, Txs: protocol.TxsOf(tx(1))}
 		}, func(p protocol.InterPayload) any { return &p }, map[string]func(*protocol.InterPayload){
 			"From": func(p *protocol.InterPayload) { p.From = 3 },
-			"Txs":  func(p *protocol.InterPayload) { p.Txs[0] = tx(2) },
+			"Txs":  func(p *protocol.InterPayload) { p.Txs = protocol.TxsOf(tx(2)) },
 		})
 	})
 	t.Run("ScorePayload", func(t *testing.T) {
@@ -255,7 +255,7 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 	t.Run("Block", func(t *testing.T) {
 		bindsEveryField(t, func() protocol.Block {
 			return protocol.Block{
-				Round: 3, Txs: []*ledger.Tx{tx(1)}, Fees: 7, Randomness: crypto.HString("R"),
+				Round: 3, Txs: protocol.TxsOf(tx(1)), Fees: 7, Randomness: crypto.HString("R"),
 				NextReferee: []simnet.NodeID{1, 2}, NextLeaders: []simnet.NodeID{3, 4},
 				NextPartials: [][]simnet.NodeID{{5}, {6}},
 				Reputations:  []protocol.Score{{Name: "n1", Value: 0.5}},
@@ -263,7 +263,7 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 			}
 		}, func(b protocol.Block) any { return &b }, map[string]func(*protocol.Block){
 			"Round":        func(b *protocol.Block) { b.Round = 4 },
-			"Txs":          func(b *protocol.Block) { b.Txs[0] = tx(2) },
+			"Txs":          func(b *protocol.Block) { b.Txs = protocol.TxsOf(tx(2)) },
 			"Fees":         func(b *protocol.Block) { b.Fees = 8 },
 			"Randomness":   func(b *protocol.Block) { b.Randomness = crypto.HString("Q") },
 			"NextReferee":  func(b *protocol.Block) { b.NextReferee[1] = 9 },

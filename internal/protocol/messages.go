@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
@@ -83,13 +84,56 @@ func init() {
 // Field walks shared by several layouts: a list of tagged transactions, a
 // node list, and a vote vector (one byte per vote, vote+1, so 0..2).
 
-// txList walks a list of tagged transactions. Reading decodes every entry
+// TxList is a list of transactions as a message carries it. A list the
+// program built holds its transactions. A list decoded from a frame holds
+// the bytes it arrived as, checked at delivery (wire.Coder.Hold), and Txs
+// decodes them for each reader that asks: a receiver that relays the list
+// or checks a signature over it never decodes it, and a value shared by
+// several receivers is never written. Both forms size, encode, sign and
+// digest to the same bytes.
+type TxList struct {
+	txs  []*ledger.Tx
+	held []byte
+}
+
+// TxsOf returns the list of txs, which the caller leaves unmodified from
+// then on.
+func TxsOf(txs ...*ledger.Tx) TxList { return TxList{txs: txs} }
+
+// Txs returns the list's transactions: the ones it was built of, or a fresh
+// decode of the bytes it arrived as, which nothing else holds.
+func (l TxList) Txs() []*ledger.Tx {
+	if l.held == nil {
+		return l.txs
+	}
+	txs, n, err := wire.ReadHeld(l.held, txSlice)
+	if err != nil || n != len(l.held) {
+		panic(fmt.Sprintf("protocol: a transaction list of %d bytes checked at delivery reads %d of them: %v", len(l.held), n, err))
+	}
+	return txs
+}
+
+// txList walks a message's transaction list, held as its bytes when read.
+func txList(c *wire.Coder, p *TxList) {
+	if !c.Hold(&p.held, checkTxSlice) {
+		txSlice(c, &p.txs)
+	}
+}
+
+// checkTxSlice is the check Hold runs: txSlice, into a list it drops.
+func checkTxSlice(c *wire.Coder) {
+	var txs []*ledger.Tx
+	txSlice(c, &txs)
+}
+
+// txSlice walks a list of tagged transactions. Reading decodes every entry
 // into one slab of Tx structs, not one allocation each; the slab lives as
-// long as any of its entries.
-func txList(c *wire.Coder, p *[]*ledger.Tx) {
+// long as any of its entries. Checking walks every entry through the one
+// Tx of a single-entry slab.
+func txSlice(c *wire.Coder, p *[]*ledger.Tx) {
 	var slab []ledger.Tx
 	wire.Slice(c, p, 2, func(c *wire.Coder, tx **ledger.Tx) {
-		if c.Reading() {
+		if c.Reading() && *tx == nil {
 			if slab == nil {
 				slab = make([]ledger.Tx, len(*p))
 			}
@@ -120,7 +164,7 @@ type TxListMsg struct {
 	Round     uint64
 	Committee uint64
 	Attempt   int // bumped when a recovered leader re-runs the phase
-	Txs       []*ledger.Tx
+	Txs       TxList
 	Sig       []byte
 }
 
@@ -159,7 +203,7 @@ func (m VoteMsg) layout(c *wire.Coder) VoteMsg {
 // committee that are handed the same pointer digest it once (see
 // consensus.VerifiedEchoes).
 type IntraPayload struct {
-	Txs    []*ledger.Tx
+	Txs    TxList
 	Voters []simnet.NodeID
 	Votes  []reputation.VoteVector
 }
@@ -239,7 +283,7 @@ type InterFwdMsg struct {
 	Round   uint64
 	From    uint64 // input committee i
 	To      uint64 // output committee j
-	Txs     []*ledger.Tx
+	Txs     TxList
 	Cert    consensus.Result // C_i's Algorithm 3 certificate
 	Members []simnet.NodeID  // C_i's roster as carried; Cert is checked against it, and nothing binds it to H(S_i) yet (ROADMAP.md 2(iii))
 }
@@ -276,7 +320,7 @@ type InterQueryMsg struct {
 	Round uint64
 	From  uint64
 	To    uint64
-	Txs   []*ledger.Tx
+	Txs   TxList
 }
 
 func (m InterQueryMsg) layout(c *wire.Coder) InterQueryMsg {
@@ -308,7 +352,7 @@ func (m InterPrefMsg) layout(c *wire.Coder) InterPrefMsg {
 // and inside C_i for the list it sends; a pointer, like IntraPayload.
 type InterPayload struct {
 	From uint64
-	Txs  []*ledger.Tx
+	Txs  TxList
 }
 
 func (p *InterPayload) layout(c *wire.Coder) *InterPayload {
@@ -527,7 +571,7 @@ func (p SemiComPayload) layout(c *wire.Coder) SemiComPayload {
 // Block is the round's output (§IV-G).
 type Block struct {
 	Round        uint64
-	Txs          []*ledger.Tx
+	Txs          TxList
 	Fees         uint64
 	Randomness   crypto.Digest // R_{r+1}
 	NextReferee  []simnet.NodeID

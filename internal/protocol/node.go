@@ -265,11 +265,12 @@ func (n *Node) checkInterPayload(p *InterPayload) bool {
 		// the certificate checks done by key members and the quorum.
 		return true
 	}
-	if len(fwd.Txs) != len(p.Txs) {
+	want, got := fwd.Txs.Txs(), p.Txs.Txs()
+	if len(want) != len(got) {
 		return false
 	}
-	for i := range p.Txs {
-		if fwd.Txs[i].ID() != p.Txs[i].ID() {
+	for i := range got {
+		if want[i].ID() != got[i].ID() {
 			return false
 		}
 	}

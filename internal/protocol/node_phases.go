@@ -104,7 +104,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.CensorAll {
 		txs = nil
 	}
-	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: txs}
+	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: TxsOf(txs...)}
 	msg.Sig = consensus.Sign(n.pki.Scheme, n.Keys, msg)
 	// Under tree dissemination only the tree children are sent to here;
 	// receivers relay (onTxList) down their own subtrees.
@@ -145,7 +145,7 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	}
 	mm := m
 	n.txList = &mm
-	votes := n.voteOnTxs(m.Txs)
+	votes := n.voteOnTxs(m.Txs.Txs())
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
 	vm.Sig = consensus.Sign(n.pki.Scheme, n.Keys, vm)
 	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
@@ -237,7 +237,7 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 			dec = append(dec, tx)
 		}
 	}
-	payload := &IntraPayload{Txs: dec, Voters: append([]simnet.NodeID(nil), n.voteOrder...), Votes: voteList}
+	payload := &IntraPayload{Txs: TxsOf(dec...), Voters: append([]simnet.NodeID(nil), n.voteOrder...), Votes: voteList}
 	n.intraDecided = payload
 	sn := snIntraBase + uint64(attempt)
 	p := n.consFor(n.ID)
@@ -246,7 +246,7 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	}
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
-		alt := &IntraPayload{Txs: nil, Voters: payload.Voters, Votes: payload.Votes}
+		alt := &IntraPayload{Voters: payload.Voters, Votes: payload.Votes}
 		propA := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
 		propB := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
 		half := len(n.committeeNodes) / 2
@@ -282,7 +282,7 @@ func (n *Node) startInter(ctx *simnet.Context) {
 	}
 	for _, j := range targets {
 		j, txs := j, n.interOut[j]
-		query := InterQueryMsg{Round: n.eng.round, From: n.comID, To: j, Txs: txs}
+		query := InterQueryMsg{Round: n.eng.round, From: n.comID, To: j, Txs: TxsOf(txs...)}
 		ctx.Send(n.eng.roster.Leaders[j], TagInterQuery, query, wire.Size(query))
 		ctx.After(4*n.eng.lat.Gamma, func(c *simnet.Context) {
 			if n.interOutStarted[j] {
@@ -302,7 +302,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 	if p == nil {
 		return
 	}
-	payload := &InterPayload{From: n.comID, Txs: txs}
+	payload := &InterPayload{From: n.comID, Txs: TxsOf(txs...)}
 	p.Propose(ctx, snInterOutBase+j, consensus.PayloadDigest(payload), payload, 0)
 }
 
@@ -315,8 +315,9 @@ func (n *Node) onInterQuery(ctx *simnet.Context, m InterQueryMsg) {
 	if n.Behavior.ConcealCross || n.Behavior.Offline {
 		return
 	}
-	valid := make([]bool, len(m.Txs))
-	for i, tx := range m.Txs {
+	txs := m.Txs.Txs()
+	valid := make([]bool, len(txs))
+	for i, tx := range txs {
 		_, err := ledger.Validate(tx, n.eng.utxo)
 		valid[i] = err == nil
 	}

@@ -548,7 +548,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 
 	blk := &Block{
 		Round:        e.round,
-		Txs:          valid,
+		Txs:          TxsOf(valid...),
 		Fees:         fees,
 		Randomness:   e.nextRoster.Randomness,
 		NextReferee:  e.nextRoster.Referee,
@@ -602,7 +602,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 			report.BlockDelivered++
 		}
 	}
-	h, err := e.chain.Append(e.round, blk.Randomness, blk.Fees, blk.Txs)
+	h, err := e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)
 	if err != nil {
 		return fmt.Errorf("protocol: appending block: %w", err)
 	}

@@ -98,7 +98,7 @@ func (e *Engine) stageAssemble() {
 	for k := uint64(0); k < e.roster.M; k++ {
 		if msg := refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }); msg != nil {
 			if payload, ok := msg.Result.Payload.(*IntraPayload); ok {
-				add(payload.Txs)
+				add(payload.Txs.Txs())
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func (e *Engine) stageAssemble() {
 			key := interKey(from, to)
 			if msg := refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[key] }); msg != nil {
 				if payload, ok := msg.Result.Payload.(*InterPayload); ok {
-					add(payload.Txs)
+					add(payload.Txs.Txs())
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func signedTypes() []signedMsg {
 	}
 	d := crypto.HString("digest")
 	return []signedMsg{
-		signed(TxListMsg{Round: 3, Committee: 1, Attempt: 2, Txs: []*ledger.Tx{tx(7), tx(8)}, Sig: []byte("sig")}, "Sig"),
+		signed(TxListMsg{Round: 3, Committee: 1, Attempt: 2, Txs: TxsOf(tx(7), tx(8)), Sig: []byte("sig")}, "Sig"),
 		signed(VoteMsg{Round: 3, Committee: 1, Attempt: 2, Voter: 6,
 			Votes: reputation.VoteVector{reputation.Yes, reputation.No}, Sig: []byte("sig")}, "Sig"),
 		signed(SemiComMsg{Round: 3, Committee: 1, SemiCom: d, Records: []committee.MemberRecord{record(3), record(8)},
@@ -62,11 +62,18 @@ func signedTypes() []signedMsg {
 // by the field's path: every exported number, flag, string and digest
 // reachable through struct fields, pointers and a slice's first element,
 // every non-empty slice cut short by one, and every non-nil interface
-// emptied. Nothing v shares is written.
+// emptied; a transaction list flips as the slice it reads as. Nothing v
+// shares is written.
 func flips(v reflect.Value) map[string]reflect.Value {
 	out := make(map[string]reflect.Value)
 	switch v.Kind() {
 	case reflect.Struct:
+		if l, ok := v.Interface().(TxList); ok {
+			for path, fv := range flips(reflect.ValueOf(l.Txs())) {
+				out[path] = reflect.ValueOf(TxsOf(fv.Interface().([]*ledger.Tx)...))
+			}
+			return out
+		}
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Type().Field(i); f.IsExported() {
 				for path, fv := range flips(v.Field(i)) {

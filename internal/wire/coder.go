@@ -9,10 +9,13 @@ import (
 )
 
 // A Coder is the cursor a layout function walks its fields against. It
-// runs in one of three modes, fixed for the whole walk: counting adds up
-// the bytes the fields would take, appending writes them, reading parses
-// them back into the fields. A layout therefore describes a type once —
-// the same calls, in the same order, size it, encode it and decode it.
+// runs in one of four modes: counting adds up the bytes the fields would
+// take, appending writes them, reading parses them back into the fields,
+// and checking is reading with nothing kept — it accepts or refuses the
+// input exactly as reading would, but builds no string and walks a list's
+// elements through one scratch element (Hold runs it). A layout therefore
+// describes a type once — the same calls, in the same order, size it,
+// encode it, decode it and check it.
 //
 // Reading is bounds-checked: the first failure latches, and every later
 // read is a cheap no-op that leaves its field at the zero value, so a
@@ -27,8 +30,8 @@ type Coder struct {
 	// signed message's own fields, not in a frame nested inside them.
 	signing bool
 	n       int    // counting: bytes so far
-	buf     []byte // appending: the output; reading: the input
-	off     int    // reading: cursor into buf
+	buf     []byte // appending: the output; reading and checking: the input
+	off     int    // reading and checking: cursor into buf
 	err     error
 }
 
@@ -38,12 +41,17 @@ const (
 	counting mode = iota
 	appending
 	reading
+	checking
 )
 
-// Reading reports whether the walk is decoding. A layout asks when a step
-// only makes sense in one direction: allocating the value a pointer type
-// decodes into, or validating what was just read.
-func (c *Coder) Reading() bool { return c.mode == reading }
+// Reading reports whether the walk is decoding, or checking what it would
+// decode. A layout asks when a step only makes sense in one direction:
+// allocating the value a pointer type decodes into, or validating what was
+// just read. A checking walk decodes its fields into scratch values, so a
+// validation that reads one element sees it; one that compares elements
+// does not (nameOrder), and a field whose layout holds such a check is not
+// one to Hold.
+func (c *Coder) Reading() bool { return c.mode >= reading }
 
 // Signing reports whether the walk is SigningBytes, in the signed message's
 // own fields. A layout asks before a field its signature covers some other
@@ -92,7 +100,7 @@ func (c *Coder) Bool(p *bool) {
 		b = 1
 	}
 	c.U8(&b)
-	if c.mode == reading {
+	if c.Reading() {
 		*p = b != 0
 	}
 }
@@ -142,7 +150,7 @@ func (c *Coder) U64(p *uint64) {
 func (c *Coder) Int(p *int) {
 	v := uint32(int32(*p))
 	c.U32(&v)
-	if c.mode == reading {
+	if c.Reading() {
 		*p = int(int32(v))
 	}
 }
@@ -152,7 +160,7 @@ func (c *Coder) Int(p *int) {
 func ID[T ~int32](c *Coder, p *T) {
 	v := uint32(*p)
 	c.U32(&v)
-	if c.mode == reading {
+	if c.Reading() {
 		*p = T(int32(v))
 	}
 }
@@ -161,7 +169,7 @@ func ID[T ~int32](c *Coder, p *T) {
 func (c *Coder) F64(p *float64) {
 	v := math.Float64bits(*p)
 	c.U64(&v)
-	if c.mode == reading {
+	if c.Reading() {
 		*p = math.Float64frombits(v)
 	}
 }
@@ -186,7 +194,7 @@ func Hash[T ~[32]byte](c *Coder, p *T) {
 func (c *Coder) Len(n, min int) int {
 	v := uint32(n)
 	c.U32(&v)
-	if c.mode != reading {
+	if !c.Reading() {
 		return n
 	}
 	if c.err != nil {
@@ -236,20 +244,34 @@ func (c *Coder) String(p *string) {
 		c.n += n
 	case appending:
 		c.buf = append(c.buf, *p...)
-	default:
+	case reading:
 		*p = string(c.take(n, "string"))
+	default:
+		c.take(n, "string")
 	}
 }
 
 // Slice walks a count-prefixed list, each element through elem; min is the
 // least number of bytes one element can take. An empty list decodes as nil.
+// Checking walks every element through (*p)[0], reusing *p's capacity when
+// it has any, so a list nested in that element reuses its own in turn and a
+// checked list allocates once per level, not once per element.
 func Slice[T any](c *Coder, p *[]T, min int, elem func(*Coder, *T)) {
 	n := c.Len(len(*p), min)
-	if c.mode == reading {
+	switch c.mode {
+	case reading:
 		*p = nil
 		if n > 0 {
 			*p = make([]T, n)
 		}
+	case checking:
+		if n > 0 && cap(*p) == 0 {
+			*p = make([]T, 1)
+		}
+		for i := 0; i < n && c.err == nil; i++ {
+			elem(c, &(*p)[:1][0])
+		}
+		return
 	}
 	s := *p
 	for i := range s {
@@ -258,6 +280,55 @@ func Slice[T any](c *Coder, p *[]T, min int, elem func(*Coder, *T)) {
 		}
 		elem(c, &s[i])
 	}
+}
+
+// Hold walks a field that a decode keeps as the bytes it arrived as, and
+// reports whether it did; where it did not, the caller walks the field as
+// itself. Reading runs check — the field's own walk, into a value it then
+// drops — over the input in the checking mode, so the field is refused
+// exactly where the reading walk would refuse it, and sets *span to the
+// bytes the walk covered: a slice of the input, capacity clipped to its
+// length, under the ownership rule of the package comment. ReadHeld decodes
+// it when a reader asks. Counting and appending a field that has a span
+// copy the span. That copy is the field's encoding because a held field's
+// layout is canonical (one encoding per value) and walks no field a
+// signature leaves out. A field with no span, one the program built, and
+// any field inside a checking walk, walk as themselves.
+func (c *Coder) Hold(span *[]byte, check func(*Coder)) bool {
+	switch c.mode {
+	case reading:
+		start := c.off
+		c.mode = checking
+		check(c)
+		c.mode = reading
+		*span = nil
+		if c.err == nil {
+			*span = slices.Clip(c.buf[start:c.off])
+		}
+		return true
+	case counting:
+		if *span != nil {
+			c.n += len(*span)
+			return true
+		}
+	case appending:
+		if *span != nil {
+			c.buf = append(c.buf, *span...)
+			return true
+		}
+	}
+	return false
+}
+
+// ReadHeld decodes the front of span with walk, the reading walk of the
+// layout Hold checked it with, and returns the value and the bytes it read;
+// a span Hold kept reads whole. Each call decodes afresh and writes nothing
+// to span.
+func ReadHeld[T any](span []byte, walk func(*Coder, *T)) (v T, n int, err error) {
+	c := newCoder(reading, span)
+	walk(c, &v)
+	n, _, err = c.done()
+	return v, n, err
 }
 
 // Map walks a count-prefixed map, each entry through kv, which walks the

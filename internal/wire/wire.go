@@ -7,13 +7,18 @@
 // (Coder), and a tag→type registry, and imports none of the message
 // packages. Each message package describes a type once, as a layout — one
 // walk over its fields against a Coder — and registers it under its tag
-// (Register). Size, AppendEncode and Decode are that one walk in the
-// Coder's three modes, so a type's declared Send size, its encoding and
+// (Register). Size, AppendEncode and Decode are that one walk in three of
+// the Coder's four modes, so a type's declared Send size, its encoding and
 // its decoder cannot disagree, and encode∘decode is the identity on every
-// registered type by construction as much as by test. What is hashed is
-// that walk too: an Algorithm 3 payload's digest is the hash of its tagged
-// encoding (consensus.PayloadDigest), and a transaction's ID the hash of
-// its body (AppendBody), so a digest binds exactly the fields that travel.
+// registered type by construction as much as by test. The fourth mode,
+// checking, is the reading walk with nothing kept: Decode runs it over a
+// field it holds as the bytes it arrived as (Coder.Hold, a message's
+// transaction list), so the field is refused or accepted at Decode exactly
+// as reading it would be, and is read only where a receiver asks
+// (ReadHeld). What is hashed is that walk too: an Algorithm 3 payload's
+// digest is the hash of its tagged encoding (consensus.PayloadDigest), and
+// a transaction's ID the hash of its body (AppendBody), so a digest binds
+// exactly the fields that travel.
 // What is signed is that walk as well: every signature in the protocol is
 // on a message's SigningBytes, its tagged encoding without the signature
 // fields the layout marks (Coder.Sig), so a signature too binds every field
@@ -39,15 +44,16 @@
 // targets in fuzz_test.go exercise exactly this).
 //
 // Ownership: Decode does not copy byte-slice fields (signatures, proofs,
-// bitmaps) out of its input — each is a slice of data, capacity clipped to
-// its length. Whoever calls Decode therefore keeps data unmodified for as
-// long as the decoded value, or anything taken from it, is alive; a caller
-// that reuses its read buffer copies first. In return the decoder writes
-// nothing to data and, like Size and AppendEncode, nothing through the
-// value's fields, so any number of goroutines may decode one buffer at
-// once — which is how the recipients of one live broadcast share its
-// encoding (transport/frame.go). Handlers already may not mutate a payload:
-// in the simulator one value is shared by all its recipients.
+// bitmaps) or held fields out of its input — each is a slice of data,
+// capacity clipped to its length. Whoever calls Decode therefore keeps
+// data unmodified for as long as the decoded value, or anything taken from
+// it, is alive; a caller that reuses its read buffer copies first. In
+// return the decoder writes nothing to data and, like Size and
+// AppendEncode, nothing through the value's fields, so any number of
+// goroutines may decode one buffer at once — which is how the recipients
+// of one live broadcast share its encoding (transport/frame.go). Handlers
+// already may not mutate a payload: in the simulator one value is shared
+// by all its recipients.
 package wire
 
 import (
@@ -230,7 +236,7 @@ func (c *Coder) unknownTag(tag uint16) {
 func (c *Coder) open(r *row) bool {
 	tag := r.tag
 	c.u16(&tag)
-	if c.mode != reading {
+	if !c.Reading() {
 		return true
 	}
 	switch {
@@ -262,7 +268,7 @@ func field[T any](c *Coder, p *T) bool {
 		c.signing = false // a nested frame is signed whole
 		m := r.layout.(func(T, *Coder) T)(*p, c)
 		c.signing = signing
-		if c.mode == reading {
+		if c.Reading() {
 			*p = m
 		}
 	}
@@ -277,7 +283,7 @@ func Optional[T any](c *Coder, p **T) {
 	if !present {
 		return
 	}
-	if c.mode == reading {
+	if c.Reading() {
 		*p = new(T)
 	}
 	Field(c, *p)
@@ -287,7 +293,7 @@ func Optional[T any](c *Coder, p **T) {
 // Algorithm 3 payload): the frame is told by the value's dynamic type when
 // counting and appending, by its tag when reading.
 func (c *Coder) Any(p *any) {
-	if c.mode == reading {
+	if c.Reading() {
 		var tag uint16
 		c.u16(&tag)
 		*p = nil
@@ -334,7 +340,7 @@ func newCoder(m mode, buf []byte) *Coder {
 // bytes counted or consumed, the output buffer, and the latched error.
 func (c *Coder) done() (n int, out []byte, err error) {
 	n, out, err = c.n, c.buf, c.err
-	if c.mode == reading {
+	if c.Reading() {
 		n = c.off
 	}
 	*c = Coder{}

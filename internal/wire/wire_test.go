@@ -45,7 +45,7 @@ func sampleTx(nonce uint64) *ledger.Tx {
 
 func samplePropose(sn uint64) consensus.Propose {
 	payload := &protocol.IntraPayload{
-		Txs:    []*ledger.Tx{sampleTx(sn)},
+		Txs:    protocol.TxsOf(sampleTx(sn)),
 		Voters: []simnet.NodeID{1, 2, 5},
 		Votes: []reputation.VoteVector{
 			{reputation.No, reputation.Unknown, reputation.Yes},
@@ -86,7 +86,7 @@ func sampleResult() consensus.Result {
 		Round:   3,
 		SN:      9,
 		Digest:  digestOf("result"),
-		Payload: &protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
+		Payload: &protocol.InterPayload{From: 2, Txs: protocol.TxsOf(sampleTx(11))},
 		Quorum:  sampleQuorum(),
 	}
 }
@@ -96,7 +96,7 @@ func sampleAggResult() consensus.Result {
 		Round:   3,
 		SN:      9,
 		Digest:  digestOf("agg-result"),
-		Payload: &protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(11)}},
+		Payload: &protocol.InterPayload{From: 2, Txs: protocol.TxsOf(sampleTx(11))},
 		Quorum:  sampleAggQuorum(),
 	}
 }
@@ -148,7 +148,7 @@ func carrierFixtures(cert consensus.Result) []any {
 	return []any{
 		protocol.IntraResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2, 3}},
 		protocol.ScoreResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2}},
-		protocol.InterFwdMsg{Round: 3, From: 0, To: 2, Txs: []*ledger.Tx{sampleTx(5)},
+		protocol.InterFwdMsg{Round: 3, From: 0, To: 2, Txs: protocol.TxsOf(sampleTx(5)),
 			Cert: cert, Members: []simnet.NodeID{4, 5}},
 		protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: cert},
 		protocol.UTXOFinalMsg{Round: 3, Committee: 1, Digest: digestOf("utxo"), Result: cert},
@@ -174,16 +174,16 @@ func fixtures() []any {
 	return append(out,
 		nil,
 		sampleTx(1),
-		protocol.TxListMsg{Round: 3, Committee: 1, Attempt: 2, Txs: []*ledger.Tx{sampleTx(1), sampleTx(2)}, Sig: []byte("sig")},
+		listFixture(),
 		protocol.VoteMsg{Round: 3, Committee: 1, Attempt: 2, Voter: 6,
 			Votes: reputation.VoteVector{reputation.Yes, reputation.No}, Sig: []byte("sig")},
-		&protocol.IntraPayload{Txs: []*ledger.Tx{sampleTx(4)}, Voters: []simnet.NodeID{1, 2},
+		&protocol.IntraPayload{Txs: protocol.TxsOf(sampleTx(4)), Voters: []simnet.NodeID{1, 2},
 			Votes: []reputation.VoteVector{{reputation.Yes}, {reputation.Unknown}}},
 		sampleSemiCom(),
 		protocol.SemiComOKMsg{Round: 3, SemiComs: map[uint64]crypto.Digest{0: digestOf("c0"), 2: digestOf("c2")}},
-		protocol.InterQueryMsg{Round: 3, From: 0, To: 2, Txs: []*ledger.Tx{sampleTx(6)}},
+		protocol.InterQueryMsg{Round: 3, From: 0, To: 2, Txs: protocol.TxsOf(sampleTx(6))},
 		protocol.InterPrefMsg{Round: 3, From: 2, To: 0, Valid: []bool{true, false, true}},
-		&protocol.InterPayload{From: 2, Txs: []*ledger.Tx{sampleTx(7)}},
+		&protocol.InterPayload{From: 2, Txs: protocol.TxsOf(sampleTx(7))},
 		protocol.ScorePayload{Members: []simnet.NodeID{1, 2}, Scores: []float64{0.25, -1.5}},
 		sampleRecoveryWitness(),
 		protocol.RecoveryWitness{Kind: "silence", Committee: 2, Phase: "semicommit"},
@@ -218,7 +218,7 @@ func fixtures() []any {
 func sampleBlock() *protocol.Block {
 	return &protocol.Block{
 		Round:        3,
-		Txs:          []*ledger.Tx{sampleTx(20), sampleTx(21)},
+		Txs:          protocol.TxsOf(sampleTx(20), sampleTx(21)),
 		Fees:         13,
 		Randomness:   digestOf("rand"),
 		NextReferee:  []simnet.NodeID{0, 1, 2},
@@ -231,8 +231,9 @@ func sampleBlock() *protocol.Block {
 
 // TestRoundTrip checks, for every registered type, the codec's core
 // contract: len(Encode(v)) == SizeHint(v), Decode consumes the whole
-// buffer, the decoded value equals the original, and no strict
-// prefix of a valid encoding decodes (injective framing). A case is named
+// buffer, the decoded value equals the original once its held transaction
+// lists are read (eager), and no strict prefix of a valid encoding decodes
+// (injective framing). A case is named
 // by its index and goldenType, so a payload that became pointer-shaped
 // keeps the name it had.
 func TestRoundTrip(t *testing.T) {
@@ -257,7 +258,7 @@ func TestRoundTrip(t *testing.T) {
 			if n != len(enc) {
 				t.Fatalf("Decode consumed %d of %d bytes", n, len(enc))
 			}
-			if !reflect.DeepEqual(dec, v) {
+			if !reflect.DeepEqual(eager(dec), v) {
 				t.Fatalf("round-trip mismatch:\n got %#v\nwant %#v", dec, v)
 			}
 			for k := 0; k < len(enc); k++ {
@@ -414,8 +415,11 @@ func TestDecodeRejectsOversize(t *testing.T) {
 // TestDecodeRejectsJunk checks hostile inputs error instead of panicking
 // or over-allocating: unknown tags, hostile counts, bad vote bytes, a
 // nested type-tag mismatch, a certificate carrier whose nested frame is
-// well-formed but not a certificate, a Quorum of neither form, and a
-// block whose score or reward names do not strictly ascend.
+// well-formed but not a certificate, a Quorum of neither form, a block
+// whose score or reward names do not strictly ascend, and a corrupt
+// transaction inside a block's list or a leader's list broadcast. A held
+// list is checked at Decode, so each corrupt transaction fails there, not at
+// the list's first reader; the intact frame it was cut from decodes.
 func TestDecodeRejectsJunk(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},
@@ -423,8 +427,9 @@ func TestDecodeRejectsJunk(t *testing.T) {
 		"unknown tag": {0xff, 0xff},
 		// TagTxList with a 4-billion transaction count.
 		"hostile count": {0, byte(wire.TagTxList), 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff},
-		// TagVote whose vote vector contains byte 3 (valid votes are 0..2).
-		"bad vote": {0, byte(wire.TagVote), 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 3},
+		// TagVote from voter 6 whose vote vector contains byte 3 (valid votes
+		// are 0..2), then an empty signature.
+		"bad vote": {0, byte(wire.TagVote), 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 6, 0, 0, 0, 1, 3, 0, 0, 0, 0},
 		// TagBlockMsg with presence byte 1 followed by a Solution, not a Block.
 		"wrong nested type": {0, byte(wire.TagBlockMsg), 1, 0, byte(wire.TagSolution), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		// TagQuorum with form byte 2, then what would be an empty vote list.
@@ -452,11 +457,43 @@ func TestDecodeRejectsJunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for carrier, v := range map[string]any{"block": sampleBlock(), "list": listFixture()} {
+		enc, err := wire.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, _, err := wire.Decode(enc); err != nil || !reflect.DeepEqual(eager(dec), v) {
+			t.Fatalf("intact %s: decodes as %v, err %v", carrier, dec, err)
+		}
+		var first *ledger.Tx
+		txLists(v, func(l *protocol.TxList) { first = l.Txs()[0] })
+		one, _ := wire.Encode(first)
+		tx := bytes.Index(enc, one[:2+8]) // the first transaction's tag and nonce
+		if tx < 0 {
+			t.Fatalf("intact %s: no transaction at the head of its list", carrier)
+		}
+		inputs := tx + 2 + 8
+		owner := inputs + 4 + len(first.Inputs)*(crypto.HashSize+4) + 4
+		for what, corrupt := range map[string]func(b []byte){
+			"wrong nested tag":           func(b []byte) { b[tx+1] = byte(wire.TagVote) },
+			"input count past the end":   func(b []byte) { binary.BigEndian.PutUint32(b[inputs:], uint32(len(b))) },
+			"output string past the end": func(b []byte) { binary.BigEndian.PutUint32(b[owner:], uint32(len(b))) },
+		} {
+			bad := bytes.Clone(enc)
+			corrupt(bad)
+			cases[carrier+": "+what] = bad
+		}
+	}
 	for name, data := range cases {
 		if _, _, err := wire.Decode(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
+}
+
+// listFixture is the fixtures' leader list broadcast.
+func listFixture() protocol.TxListMsg {
+	return protocol.TxListMsg{Round: 3, Committee: 1, Attempt: 2, Txs: protocol.TxsOf(sampleTx(1), sampleTx(2)), Sig: []byte("sig")}
 }
 
 // TestEngineSendSizesMatchCodec runs real engine scenarios with the

@@ -152,8 +152,8 @@ var mutants = []mutant{
 	{
 		name:   "the chain records this round's randomness",
 		file:   "internal/protocol/phases.go",
-		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, blk.Txs)",
-		new:    "e.chain.Append(e.round, e.randomness, blk.Fees, blk.Txs)",
+		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)",
+		new:    "e.chain.Append(e.round, e.randomness, blk.Fees, valid)",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^golden$",
 		want:   "killed",
@@ -223,6 +223,18 @@ var mutants = []mutant{
 		want: "killed",
 		reason: "Every decoded list's entries would all be its last transaction. Only the live transport decodes " +
 			"what it sends: the live column.",
+	},
+	{
+		name: "the checking walk skips a transaction's outputs",
+		file: "internal/wire/coder.go",
+		old:  "\t\t\telem(c, &(*p)[:1][0])\n",
+		new:  "\t\t\tif min != 4+8 {\n\t\t\t\telem(c, &(*p)[:1][0])\n\t\t\t}\n",
+		pkgs: []string{"./internal/wire"},
+		run:  "TestDecodeRejectsJunk",
+		want: "killed",
+		reason: "A held list is checked at Decode by walking every entry of every list in it; an output entry is " +
+			"the one a checked list holds that takes at least 4+8 bytes. Walked past, the check ends inside the " +
+			"list, and the intact block and list frames the junk cases are cut from no longer decode.",
 	},
 	{
 		name: "phaseBlock ships the score list unsorted",
