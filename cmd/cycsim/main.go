@@ -107,9 +107,11 @@ func main() {
 
 	// Profiling hooks: the CPU profile brackets the whole run (including
 	// sweep workers); the heap profile is captured after the run settles so
-	// it shows steady-state retention, not transient garbage. stopProfiles
-	// also runs on the fatalf path, so an interrupted run still leaves
-	// usable profiles behind. See EXPERIMENTS.md, "Profiling & benchmarking".
+	// it shows steady-state retention, not transient garbage: a single run
+	// writes it while it still holds the simulation (writeHeapProfile), any
+	// other command at exit. stopProfiles also runs on the fatalf path, so
+	// an interrupted run still leaves usable profiles behind. See
+	// EXPERIMENTS.md, "Profiling & benchmarking".
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -329,6 +331,7 @@ func runText(ctx context.Context, cfg sim.Config, top int) {
 				rec.Committee, rec.Evicted, rec.Kind, rec.Successor)
 		}
 	}
+	writeHeapProfile()
 
 	// An interrupted run still reports the rounds that did complete.
 	fmt.Printf("\nreputation leaderboard (top %d):\n", top)
@@ -356,6 +359,7 @@ func runJSON(ctx context.Context, cfg sim.Config, top int) {
 	}
 	defer s.Close()
 	reports, runErr := s.Run(ctx)
+	writeHeapProfile()
 	if reports == nil {
 		reports = []*sim.RoundReport{} // keep "rounds" an array even when nothing completed
 	}
@@ -412,19 +416,28 @@ func stopProfiles() {
 		pprof.StopCPUProfile()
 		cpuProfiling = false
 	}
-	if memProfilePath != "" {
-		path := memProfilePath
-		memProfilePath = ""
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cycsim: "+err.Error())
-			return
-		}
-		defer f.Close()
-		runtime.GC() // settle the heap so the profile shows live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cycsim: "+err.Error())
-		}
+	writeHeapProfile()
+}
+
+// writeHeapProfile writes the requested heap profile, once. runText and
+// runJSON call it after their rounds, while they still hold the Sim, so the
+// profile's in-use view shows what a run retains: written from main's
+// defer, it would find the simulation unreachable and show nothing in use.
+func writeHeapProfile() {
+	if memProfilePath == "" {
+		return
+	}
+	path := memProfilePath
+	memProfilePath = ""
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cycsim: "+err.Error())
+		return
+	}
+	defer f.Close()
+	runtime.GC() // settle the heap so the profile shows live objects
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fmt.Fprintln(os.Stderr, "cycsim: "+err.Error())
 	}
 }
 

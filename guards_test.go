@@ -408,6 +408,16 @@ var guards = []guard{
 		fixture: file{"internal/protocol/node.go", "package protocol\n\ntype Node struct {\n\tblock *Block\n}\n"},
 	},
 	{
+		name: "The chain keeps bytes",
+		reason: "A committed block's transactions are stored as their list encoding, one pointer-free slice per " +
+			"round, and decoded afresh for each reader (At, Verify). A chain type other than the read form Entry " +
+			"that holds a ledger.Tx, or an Entry, would keep every committed transaction as three heap objects for " +
+			"the whole run, the largest thing a run retained.",
+		paths:   []string{"internal/chain/*.go", ":!*_test.go"},
+		find:    heldTxs,
+		fixture: file{"internal/chain/chain.go", "package chain\n\ntype Chain struct {\n\tmu      sync.RWMutex\n\tentries []Entry\n}\n"},
+	},
+	{
 		name: "The evidence form is chosen in cast.go",
 		reason: "Params.AggregateCerts decides whether a certificate carries per-voter or aggregate evidence, " +
 			"and cast.go is where the engine reads it; every other stage builds and checks a consensus.Quorum " +
@@ -759,6 +769,30 @@ var laneQueues = inspect(func(n ast.Node) bool {
 			t = p.X
 		}
 		return lastName(t) == "calQueue"
+	})
+})
+
+// heldTxs reports a struct type other than Entry with a field whose type
+// names ledger.Tx or Entry, in any shape: a pointer, a slice, a map.
+var heldTxs = inspect(func(n ast.Node) bool {
+	ts, ok := n.(*ast.TypeSpec)
+	if !ok || ts.Name.Name == "Entry" {
+		return false
+	}
+	st, ok := ts.Type.(*ast.StructType)
+	return ok && slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool {
+		holds := false
+		ast.Inspect(f.Type, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				holds = holds || lastName(x.X) == "ledger" && x.Sel.Name == "Tx"
+				return false
+			case *ast.Ident:
+				holds = holds || x.Name == "Entry"
+			}
+			return true
+		})
+		return holds
 	})
 })
 

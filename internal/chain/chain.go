@@ -2,6 +2,11 @@
 // releases each round (§IV-G) and verifies its integrity: every block
 // links to its predecessor by hash, rounds are consecutive, and the
 // per-block transaction sets replay cleanly against a UTXO set.
+//
+// A stored block is its header and its transactions as bytes, in the list
+// layout a block travels in (ledger.TxSlice): one pointer-free slice per
+// round, not the decoded transactions, which nothing reads once the round
+// has committed. A reader gets them decoded afresh (At, Verify).
 package chain
 
 import (
@@ -35,27 +40,39 @@ func (h Header) Hash() crypto.Digest {
 	return crypto.H([]byte("cycledger/header/v1"), round[:], h.Prev[:], h.TxRoot[:], h.Randomness[:], fees[:])
 }
 
-// TxRootOf computes the transaction root: H over the ordered tx IDs.
+// TxRootOf computes the transaction root: H over the ordered tx IDs. The
+// IDs are gathered in one slice, not one allocation each.
 func TxRootOf(txs []*ledger.Tx) crypto.Digest {
+	ids := make([]ledger.TxID, len(txs))
 	parts := make([][]byte, 0, len(txs)+1)
 	parts = append(parts, []byte("txroot"))
-	for _, tx := range txs {
-		id := tx.ID()
-		parts = append(parts, id[:])
+	for i, tx := range txs {
+		ids[i] = tx.ID()
+		parts = append(parts, ids[i][:])
 	}
 	return crypto.H(parts...)
 }
 
-// Entry is one stored block: header plus body.
+// Entry is one stored block in its read form: the header and the block's
+// transactions, decoded from the stored bytes for the caller alone.
 type Entry struct {
 	Header Header
 	Txs    []*ledger.Tx
 }
 
+// stored is one block as the chain keeps it: the header and the
+// transactions' list encoding (ledger.EncodeTxs).
+type stored struct {
+	header Header
+	txs    []byte
+}
+
 // Chain is an append-only verified block store. Safe for concurrent use.
+// It holds each block's transactions as bytes, and decodes them for each
+// reader that asks.
 type Chain struct {
 	mu      sync.RWMutex
-	entries []Entry
+	entries []stored
 }
 
 // New returns an empty chain.
@@ -63,14 +80,15 @@ func New() *Chain { return &Chain{} }
 
 // Append verifies and stores the next block: the round must follow the
 // tip, the prev hash must match the tip's hash, and the declared tx root
-// must cover the body.
+// must cover the body. The chain keeps the list encoding of txs, not txs:
+// the caller may reuse or drop the slice and its transactions.
 func (c *Chain) Append(round uint64, randomness crypto.Digest, fees uint64, txs []*ledger.Tx) (Header, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var prev crypto.Digest
 	nextRound := uint64(1)
 	if len(c.entries) > 0 {
-		tip := c.entries[len(c.entries)-1].Header
+		tip := c.entries[len(c.entries)-1].header
 		prev = tip.Hash()
 		nextRound = tip.Round + 1
 	}
@@ -85,7 +103,7 @@ func (c *Chain) Append(round uint64, randomness crypto.Digest, fees uint64, txs 
 		Fees:       fees,
 		TxCount:    len(txs),
 	}
-	c.entries = append(c.entries, Entry{Header: h, Txs: txs})
+	c.entries = append(c.entries, stored{header: h, txs: ledger.EncodeTxs(txs)})
 	return h, nil
 }
 
@@ -96,18 +114,27 @@ func (c *Chain) Len() int {
 	return len(c.entries)
 }
 
-// At returns the entry at height i (0-based).
+// At returns the entry at height i (0-based), its transactions decoded
+// afresh from the stored bytes on every call: nothing the caller does to
+// them reaches the chain or another caller.
 func (c *Chain) At(i int) (Entry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if i < 0 || i >= len(c.entries) {
 		return Entry{}, false
 	}
-	return c.entries[i], true
+	e := c.entries[i]
+	txs, err := ledger.ReadTxs(e.txs)
+	if err != nil {
+		panic(fmt.Sprintf("chain: height %d stores a list Append did not encode: %v", i, err))
+	}
+	return Entry{Header: e.header, Txs: txs}, true
 }
 
 // Verify re-checks the whole chain: linkage, round numbering, tx roots,
-// and (when a genesis UTXO snapshot is supplied) transaction replay.
+// and (when a genesis UTXO snapshot is supplied) transaction replay. It
+// decodes each entry's transactions once, and a list that does not decode
+// is an error.
 func (c *Chain) Verify(genesis *ledger.ShardedStore) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -117,21 +144,26 @@ func (c *Chain) Verify(genesis *ledger.ShardedStore) error {
 		view = genesis.Snapshot()
 	}
 	for i, e := range c.entries {
-		if e.Header.Round != uint64(i+1) {
-			return fmt.Errorf("chain: height %d has round %d", i, e.Header.Round)
+		h := e.header
+		if h.Round != uint64(i+1) {
+			return fmt.Errorf("chain: height %d has round %d", i, h.Round)
 		}
-		if e.Header.Prev != prev {
+		if h.Prev != prev {
 			return fmt.Errorf("chain: height %d breaks linkage", i)
 		}
-		if e.Header.TxRoot != TxRootOf(e.Txs) {
+		txs, err := ledger.ReadTxs(e.txs)
+		if err != nil {
+			return fmt.Errorf("chain: height %d body: %w", i, err)
+		}
+		if h.TxRoot != TxRootOf(txs) {
 			return fmt.Errorf("chain: height %d tx root mismatch", i)
 		}
-		if e.Header.TxCount != len(e.Txs) {
+		if h.TxCount != len(txs) {
 			return fmt.Errorf("chain: height %d tx count mismatch", i)
 		}
 		if view != nil {
 			var fees uint64
-			for _, tx := range e.Txs {
+			for _, tx := range txs {
 				fee, err := ledger.Validate(tx, view)
 				if err != nil {
 					return fmt.Errorf("chain: height %d tx replay: %w", i, err)
@@ -141,11 +173,11 @@ func (c *Chain) Verify(genesis *ledger.ShardedStore) error {
 				}
 				fees += fee
 			}
-			if fees != e.Header.Fees {
-				return fmt.Errorf("chain: height %d fees %d != declared %d", i, fees, e.Header.Fees)
+			if fees != h.Fees {
+				return fmt.Errorf("chain: height %d fees %d != declared %d", i, fees, h.Fees)
 			}
 		}
-		prev = e.Header.Hash()
+		prev = h.Hash()
 	}
 	return nil
 }

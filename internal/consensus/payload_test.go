@@ -258,8 +258,8 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 				Round: 3, Txs: protocol.TxsOf(tx(1)), Fees: 7, Randomness: crypto.HString("R"),
 				NextReferee: []simnet.NodeID{1, 2}, NextLeaders: []simnet.NodeID{3, 4},
 				NextPartials: [][]simnet.NodeID{{5}, {6}},
-				Reputations:  []protocol.Score{{Name: "n1", Value: 0.5}},
-				Rewards:      []protocol.Reward{{Name: "n1", Amount: 2}},
+				Reputations:  protocol.NamesOf(protocol.Score{Name: "n1", Value: 0.5}),
+				Rewards:      protocol.NamesOf(protocol.Reward{Name: "n1", Amount: 2}),
 			}
 		}, func(b protocol.Block) any { return &b }, map[string]func(*protocol.Block){
 			"Round":        func(b *protocol.Block) { b.Round = 4 },
@@ -269,8 +269,8 @@ func TestPayloadDigestBindsEveryField(t *testing.T) {
 			"NextReferee":  func(b *protocol.Block) { b.NextReferee[1] = 9 },
 			"NextLeaders":  func(b *protocol.Block) { b.NextLeaders[1] = 9 },
 			"NextPartials": func(b *protocol.Block) { b.NextPartials[1][0] = 9 },
-			"Reputations":  func(b *protocol.Block) { b.Reputations[0].Value = 0.75 },
-			"Rewards":      func(b *protocol.Block) { b.Rewards[0].Amount = 3 },
+			"Reputations":  func(b *protocol.Block) { b.Reputations = protocol.NamesOf(protocol.Score{Name: "n1", Value: 0.75}) },
+			"Rewards":      func(b *protocol.Block) { b.Rewards = protocol.NamesOf(protocol.Reward{Name: "n1", Amount: 3}) },
 		})
 	})
 	t.Run("UTXOPayload", func(t *testing.T) {

@@ -364,9 +364,9 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 func TestFetchedBlockMustMatchSignedDigest(t *testing.T) {
 	e := seatedEngine(t)
 	proposer, victim := e.roster.Referee[0], e.roster.Referee[len(e.roster.Referee)-1]
-	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: []Reward{{"n1", 3}}}
+	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: NamesOf(Reward{"n1", 3})}
 	forged := *blk
-	forged.Rewards = []Reward{{"n2", 3}}
+	forged.Rewards = NamesOf(Reward{"n2", 3})
 	var heard *consensus.Propose
 	fetches := 0
 	for _, id := range e.roster.Referee {
@@ -405,7 +405,7 @@ func TestFetchedBlockMustMatchSignedDigest(t *testing.T) {
 		t.Fatalf("the victim's fetch was answered %d times, want once", fetches)
 	}
 	if e.nodes[victim].consFor(proposer).HasProposal(snBlock) || e.nodes[victim].crBlock != nil {
-		t.Fatalf("the victim adopted a block with Rewards %v under the proposer's digest", e.nodes[victim].crBlock.Rewards)
+		t.Fatalf("the victim adopted a block with Rewards %v under the proposer's digest", e.nodes[victim].crBlock.Rewards.List())
 	}
 	if e.nodes[e.roster.Referee[1]].crBlock != blk {
 		t.Fatal("the proposer's block was not certified by the peers that heard it")

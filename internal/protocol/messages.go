@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -106,41 +107,19 @@ func (l TxList) Txs() []*ledger.Tx {
 	if l.held == nil {
 		return l.txs
 	}
-	txs, n, err := wire.ReadHeld(l.held, txSlice)
-	if err != nil || n != len(l.held) {
-		panic(fmt.Sprintf("protocol: a transaction list of %d bytes checked at delivery reads %d of them: %v", len(l.held), n, err))
+	txs, err := ledger.ReadTxs(l.held)
+	if err != nil {
+		panic(fmt.Sprintf("protocol: a transaction list checked at delivery does not read: %v", err))
 	}
 	return txs
 }
 
-// txList walks a message's transaction list, held as its bytes when read.
+// txList walks a message's transaction list (ledger.TxSlice), held as its
+// bytes when read.
 func txList(c *wire.Coder, p *TxList) {
-	if !c.Hold(&p.held, checkTxSlice) {
-		txSlice(c, &p.txs)
+	if !c.Hold(&p.held, ledger.CheckTxSlice) {
+		ledger.TxSlice(c, &p.txs)
 	}
-}
-
-// checkTxSlice is the check Hold runs: txSlice, into a list it drops.
-func checkTxSlice(c *wire.Coder) {
-	var txs []*ledger.Tx
-	txSlice(c, &txs)
-}
-
-// txSlice walks a list of tagged transactions. Reading decodes every entry
-// into one slab of Tx structs, not one allocation each; the slab lives as
-// long as any of its entries. Checking walks every entry through the one
-// Tx of a single-entry slab.
-func txSlice(c *wire.Coder, p *[]*ledger.Tx) {
-	var slab []ledger.Tx
-	wire.Slice(c, p, 2, func(c *wire.Coder, tx **ledger.Tx) {
-		if c.Reading() && *tx == nil {
-			if slab == nil {
-				slab = make([]ledger.Tx, len(*p))
-			}
-			*tx, slab = &slab[0], slab[1:]
-		}
-		wire.Field(c, tx)
-	})
 }
 
 func nodeList(c *wire.Coder, p *[]simnet.NodeID) { wire.Slice(c, p, 4, wire.ID[simnet.NodeID]) }
@@ -577,8 +556,8 @@ type Block struct {
 	NextReferee  []simnet.NodeID
 	NextLeaders  []simnet.NodeID
 	NextPartials [][]simnet.NodeID
-	Reputations  []Score  // every tracked node's reputation, ascending by name
-	Rewards      []Reward // this round's non-zero fee shares, ascending by name
+	Reputations  Names[Score]  // every tracked node's reputation, ascending by name
+	Rewards      Names[Reward] // this round's non-zero fee shares, ascending by name
 }
 
 // Score is one node's entry in a block's reputation list.
@@ -593,22 +572,70 @@ type Reward struct {
 	Amount uint64
 }
 
-func (s Score) name() string  { return s.Name }
-func (r Reward) name() string { return r.Name }
+// Names is a block's score or reward list, strictly ascending by name. Like
+// TxList, a list the program built holds its entries, and a list decoded
+// from a frame holds the bytes it arrived as, checked at delivery with its
+// name order, and List decodes them for each reader that asks. No receiver
+// reads either list in a round, so a block's receivers build no string per
+// tracked node.
+type Names[T Score | Reward] struct {
+	list []T
+	held []byte
+}
 
-// nameOrder fails a read of a block's score or reward list whose names do
-// not strictly ascend, so each list has one encoding and decode → encode is
-// exact.
-func nameOrder[T interface{ name() string }](c *wire.Coder, s []T) {
-	if !c.Reading() {
-		return
+// NamesOf returns the list of entries, which the caller has sorted by name
+// and leaves unmodified from then on.
+func NamesOf[T Score | Reward](entries ...T) Names[T] { return Names[T]{list: entries} }
+
+// List returns the list's entries: the ones it was built of, or a fresh
+// decode of the bytes it arrived as, which nothing else holds.
+func (l Names[T]) List() []T {
+	if l.held == nil {
+		return l.list
 	}
-	for i := 1; i < len(s); i++ {
-		if s[i-1].name() >= s[i].name() {
-			c.Fail("name order")
-			return
+	list, n, err := wire.ReadHeld(l.held, nameSlice[T])
+	if err != nil || n != len(l.held) {
+		panic(fmt.Sprintf("protocol: a name list of %d bytes checked at delivery reads %d of them: %v", len(l.held), n, err))
+	}
+	return list
+}
+
+// nameList walks a block's score or reward list, held as its bytes when
+// read.
+func nameList[T Score | Reward](c *wire.Coder, p *Names[T]) {
+	if !c.Hold(&p.held, checkNameSlice[T]) {
+		nameSlice(c, &p.list)
+	}
+}
+
+// checkNameSlice is the check Hold runs: nameSlice, into a list it drops.
+func checkNameSlice[T Score | Reward](c *wire.Coder) {
+	var list []T
+	nameSlice(c, &list)
+}
+
+// nameSlice walks a score or reward list: each entry's name, then its value.
+// A read or check fails a list whose names do not strictly ascend, so each
+// list has one encoding and decode → encode is exact. It compares the
+// names' input bytes, which a check builds no string from.
+func nameSlice[T Score | Reward](c *wire.Coder, p *[]T) {
+	var prev []byte
+	first := true
+	wire.Slice(c, p, 4+8, func(c *wire.Coder, e *T) {
+		var name []byte
+		switch e := any(e).(type) {
+		case *Score:
+			name = c.String(&e.Name)
+			c.F64(&e.Value)
+		case *Reward:
+			name = c.String(&e.Name)
+			c.U64(&e.Amount)
 		}
-	}
+		if c.Reading() && !first && bytes.Compare(prev, name) >= 0 {
+			c.Fail("name order")
+		}
+		prev, first = name, false
+	})
 }
 
 func (b *Block) layout(c *wire.Coder) *Block {
@@ -622,16 +649,8 @@ func (b *Block) layout(c *wire.Coder) *Block {
 	nodeList(c, &b.NextReferee)
 	nodeList(c, &b.NextLeaders)
 	wire.Slice(c, &b.NextPartials, 4, nodeList)
-	wire.Slice(c, &b.Reputations, 4+8, func(c *wire.Coder, s *Score) {
-		c.String(&s.Name)
-		c.F64(&s.Value)
-	})
-	nameOrder(c, b.Reputations)
-	wire.Slice(c, &b.Rewards, 4+8, func(c *wire.Coder, r *Reward) {
-		c.String(&r.Name)
-		c.U64(&r.Amount)
-	})
-	nameOrder(c, b.Rewards)
+	nameList(c, &b.Reputations)
+	nameList(c, &b.Rewards)
 	return b
 }
 

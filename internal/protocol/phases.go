@@ -554,8 +554,8 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		NextReferee:  e.nextRoster.Referee,
 		NextLeaders:  e.nextRoster.Leaders,
 		NextPartials: e.nextRoster.Partials,
-		Reputations:  scores,
-		Rewards:      paid,
+		Reputations:  NamesOf(scores...),
+		Rewards:      NamesOf(paid...),
 	}
 
 	// C_R certifies the block via Algorithm 3, then propagates it.

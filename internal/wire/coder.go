@@ -49,8 +49,8 @@ const (
 // allocating the value a pointer type decodes into, or validating what was
 // just read. A checking walk decodes its fields into scratch values, so a
 // validation that reads one element sees it; one that compares elements
-// does not (nameOrder), and a field whose layout holds such a check is not
-// one to Hold.
+// compares what the walk returns of them instead (String's bytes), since
+// the scratch element holds only the last.
 func (c *Coder) Reading() bool { return c.mode >= reading }
 
 // Signing reports whether the walk is SigningBytes, in the signed message's
@@ -236,19 +236,25 @@ func (c *Coder) Sig(p *[]byte) {
 	}
 }
 
-// String walks a length-prefixed string.
-func (c *Coder) String(p *string) {
+// String walks a length-prefixed string. Reading and checking also return
+// the string's bytes, a slice of the input, so a check that compares
+// strings can compare what checking builds no string from (a block's name
+// order); counting and appending return nil.
+func (c *Coder) String(p *string) []byte {
 	n := c.Len(len(*p), 1)
 	switch c.mode {
 	case counting:
 		c.n += n
 	case appending:
 		c.buf = append(c.buf, *p...)
-	case reading:
-		*p = string(c.take(n, "string"))
 	default:
-		c.take(n, "string")
+		b := c.take(n, "string")
+		if c.mode == reading {
+			*p = string(b)
+		}
+		return b
 	}
+	return nil
 }
 
 // Slice walks a count-prefixed list, each element through elem; min is the
@@ -322,13 +328,27 @@ func (c *Coder) Hold(span *[]byte, check func(*Coder)) bool {
 
 // ReadHeld decodes the front of span with walk, the reading walk of the
 // layout Hold checked it with, and returns the value and the bytes it read;
-// a span Hold kept reads whole. Each call decodes afresh and writes nothing
-// to span.
+// a span Hold kept, or EncodeHeld made, reads whole. Each call decodes
+// afresh and writes nothing to span.
 func ReadHeld[T any](span []byte, walk func(*Coder, *T)) (v T, n int, err error) {
 	c := newCoder(reading, span)
 	walk(c, &v)
 	n, _, err = c.done()
 	return v, n, err
+}
+
+// EncodeHeld returns v's encoding under walk in an exactly-sized slice: the
+// span Hold would keep for v, for a store that keeps a field as bytes
+// without a frame to hold them from. Like Size and AppendEncode it writes
+// nothing through v.
+func EncodeHeld[T any](v T, walk func(*Coder, *T)) []byte {
+	c := newCoder(counting, nil)
+	walk(c, &v)
+	n, _, _ := c.done()
+	c = newCoder(appending, make([]byte, 0, n))
+	walk(c, &v)
+	_, buf, _ := c.done()
+	return buf
 }
 
 // Map walks a count-prefixed map, each entry through kv, which walks the

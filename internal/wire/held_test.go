@@ -16,50 +16,75 @@ import (
 // order, and returns the copy of v it walked: what visit stores lands there,
 // and in whatever v's pointers reach.
 func txLists(v any, visit func(*protocol.TxList)) any {
+	return structs(v, func(p any) bool {
+		l, ok := p.(*protocol.TxList)
+		if ok {
+			visit(l)
+		}
+		return ok
+	})
+}
+
+// structs calls visit on the address of every struct reachable from v, in
+// field order, and walks into a struct's fields where visit returns false;
+// it returns the copy of v it walked, as txLists does.
+func structs(v any, visit func(any) bool) any {
 	if v == nil {
 		return nil
 	}
 	c := reflect.New(reflect.TypeOf(v)).Elem()
 	c.Set(reflect.ValueOf(v))
-	walkTxLists(c, visit)
+	walkStructs(c, visit)
 	return c.Interface()
 }
 
-func walkTxLists(v reflect.Value, visit func(*protocol.TxList)) {
+func walkStructs(v reflect.Value, visit func(any) bool) {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if !v.IsNil() {
-			walkTxLists(v.Elem(), visit)
+			walkStructs(v.Elem(), visit)
 		}
 	case reflect.Interface:
 		if !v.IsNil() {
 			c := reflect.New(v.Elem().Type()).Elem()
 			c.Set(v.Elem())
-			walkTxLists(c, visit)
+			walkStructs(c, visit)
 			v.Set(c)
 		}
 	case reflect.Struct:
-		if l, ok := v.Addr().Interface().(*protocol.TxList); ok {
-			visit(l)
+		if visit(v.Addr().Interface()) {
 			return
 		}
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Field(i); f.CanSet() {
-				walkTxLists(f, visit)
+				walkStructs(f, visit)
 			}
 		}
 	case reflect.Slice:
 		for i := 0; i < v.Len(); i++ {
-			walkTxLists(v.Index(i), visit)
+			walkStructs(v.Index(i), visit)
 		}
 	}
 }
 
-// eager returns v with every transaction list it holds as bytes read into
-// transactions: the value a decode that read every list would return, so a
-// decoded value compares with DeepEqual to the value that was encoded.
+// eager returns v with every list it holds as bytes read into entries — a
+// transaction list, a block's score and reward lists: the value a decode
+// that read every list would return, so a decoded value compares with
+// DeepEqual to the value that was encoded.
 func eager(v any) any {
-	return txLists(v, func(l *protocol.TxList) { *l = protocol.TxsOf(l.Txs()...) })
+	return structs(v, func(p any) bool {
+		switch l := p.(type) {
+		case *protocol.TxList:
+			*l = protocol.TxsOf(l.Txs()...)
+		case *protocol.Names[protocol.Score]:
+			*l = protocol.NamesOf(l.List()...)
+		case *protocol.Names[protocol.Reward]:
+			*l = protocol.NamesOf(l.List()...)
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // heldBytes is the span a decoded list holds, nil for a list the program

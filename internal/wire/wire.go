@@ -12,10 +12,12 @@
 // its decoder cannot disagree, and encode∘decode is the identity on every
 // registered type by construction as much as by test. The fourth mode,
 // checking, is the reading walk with nothing kept: Decode runs it over a
-// field it holds as the bytes it arrived as (Coder.Hold, a message's
-// transaction list), so the field is refused or accepted at Decode exactly
-// as reading it would be, and is read only where a receiver asks
-// (ReadHeld). What is hashed is that walk too: an Algorithm 3 payload's
+// field it holds as the bytes it arrived as (Coder.Hold: a message's
+// transaction list, a block's score and reward lists), so the field is
+// refused or accepted at Decode exactly as reading it would be, and is read
+// only where a receiver asks (ReadHeld). A store that keeps a field as
+// bytes without a frame to hold them from encodes them with EncodeHeld (a
+// chain entry's transactions). What is hashed is that walk too: an Algorithm 3 payload's
 // digest is the hash of its tagged encoding (consensus.PayloadDigest), and
 // a transaction's ID the hash of its body (AppendBody), so a digest binds
 // exactly the fields that travel.

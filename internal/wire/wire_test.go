@@ -224,8 +224,8 @@ func sampleBlock() *protocol.Block {
 		NextReferee:  []simnet.NodeID{0, 1, 2},
 		NextLeaders:  []simnet.NodeID{3, 4},
 		NextPartials: [][]simnet.NodeID{{5, 6}, {7}},
-		Reputations:  []protocol.Score{{Name: "node-0001", Value: 0.5}, {Name: "node-0002", Value: -0.25}},
-		Rewards:      []protocol.Reward{{Name: "node-0001", Amount: 10}, {Name: "node-0002", Amount: 3}},
+		Reputations:  protocol.NamesOf(protocol.Score{Name: "node-0001", Value: 0.5}, protocol.Score{Name: "node-0002", Value: -0.25}),
+		Rewards:      protocol.NamesOf(protocol.Reward{Name: "node-0001", Amount: 10}, protocol.Reward{Name: "node-0002", Amount: 3}),
 	}
 }
 
@@ -446,10 +446,10 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	carrier = append(append(carrier, notCert...), 0, 0, 0, 0)
 	cases["carrier with non-certificate nested frame"] = carrier
 	for name, mutate := range map[string]func(b *protocol.Block){
-		"scores swapped":   func(b *protocol.Block) { b.Reputations[0], b.Reputations[1] = b.Reputations[1], b.Reputations[0] },
-		"scores repeated":  func(b *protocol.Block) { b.Reputations[1].Name = b.Reputations[0].Name },
-		"rewards swapped":  func(b *protocol.Block) { b.Rewards[0], b.Rewards[1] = b.Rewards[1], b.Rewards[0] },
-		"rewards repeated": func(b *protocol.Block) { b.Rewards[1].Name = b.Rewards[0].Name },
+		"scores swapped":   func(b *protocol.Block) { s := b.Reputations.List(); s[0], s[1] = s[1], s[0] },
+		"scores repeated":  func(b *protocol.Block) { s := b.Reputations.List(); s[1].Name = s[0].Name },
+		"rewards swapped":  func(b *protocol.Block) { r := b.Rewards.List(); r[0], r[1] = r[1], r[0] },
+		"rewards repeated": func(b *protocol.Block) { r := b.Rewards.List(); r[1].Name = r[0].Name },
 	} {
 		b := sampleBlock()
 		mutate(b)

@@ -162,8 +162,8 @@ var mutants = []mutant{
 	{
 		name:   "the transaction root hashes a block's IDs in reverse order",
 		file:   "internal/chain/chain.go",
-		old:    "\tfor _, tx := range txs {\n\t\tid := tx.ID()\n",
-		new:    "\tfor i := range txs {\n\t\tid := txs[len(txs)-1-i].ID()\n",
+		old:    "\tfor i, tx := range txs {\n\t\tids[i] = tx.ID()\n",
+		new:    "\tfor i := range txs {\n\t\tids[i] = txs[len(txs)-1-i].ID()\n",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^golden$",
 		want:   "killed",
@@ -215,7 +215,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "the list decoder points every entry at one slab Tx",
-		file: "internal/protocol/messages.go",
+		file: "internal/ledger/list.go",
 		old:  "\t\t\t*tx, slab = &slab[0], slab[1:]\n",
 		new:  "\t\t\t*tx = &slab[0]\n",
 		pkgs: []string{"./sim"},
@@ -277,6 +277,16 @@ var mutants = []mutant{
 		run:    "TestUnknownSignersRefused/per-voter",
 		want:   "killed",
 		reason: "HashScheme accepts a tag under the nil key, which anyone can compute: a roster of IDs outside the population would certify anything.",
+	},
+	{
+		name:   "the stored list omits its last transaction",
+		file:   "internal/chain/chain.go",
+		old:    "txs: ledger.EncodeTxs(txs)}",
+		new:    "txs: ledger.EncodeTxs(txs[:max(len(txs), 1)-1])}",
+		pkgs:   []string{"./internal/chain"},
+		run:    ".",
+		want:   "killed",
+		reason: "A header's root and count cover every transaction appended, so a body stored one short reads back short through At and fails Verify.",
 	},
 }
 
