@@ -391,9 +391,10 @@ var guards = []guard{
 	},
 	{
 		name: "The engine runs a round on one goroutine",
-		reason: "A round's stages, PoW search and verdicts included, run in order on the goroutine that calls " +
-			"RunRound; Params.Parallelism sizes the simnet lanes only. A go statement in the engine would bring " +
-			"back a CPU pool beside the lanes: a second concurrency whose results must not depend on its width.",
+		reason: "A round's stages, the PoW search included, run in order on the goroutine that calls RunRound; " +
+			"Params.Parallelism sizes the simnet lanes only, and members validate the lists they vote on in the " +
+			"handlers those lanes run. A go statement in the engine would bring back a CPU pool beside the lanes: " +
+			"a second concurrency whose results must not depend on its width.",
 		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
 		find:    inspect(func(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }),
 		fixture: file{"internal/protocol/pool.go", "package protocol\n\nfunc (e *Engine) fanOut(do func()) {\n\tgo do()\n}\n"},
@@ -433,7 +434,7 @@ var guards = []guard{
 			"compare it over lanes, the live transport or a mode the matrix has a column for is a second check " +
 			"of the same cell, and these retired ones each were.",
 		paths:   []string{"*_test.go"},
-		find:    grep(`func Test(TransportParity(Byzantine|Aggregate|Faulted)?|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential|AdaptiveAdversaryDeterminism)\b`),
+		find:    grep(`func Test(TransportParity(Byzantine|Aggregate|Faulted)?|PipelinedMatchesSequential|PipelinedDeterministicAcrossParallelism|AggregatePipelinedMatchesSequential|AdaptiveAdversaryDeterminism|AggregateReportsMatchBaseline)\b`),
 		fixture: file{"sim/transport_parity_test.go", "package sim_test\n\nfunc TestTransportParity(t *testing.T) {}\n"},
 	},
 	{
@@ -455,6 +456,28 @@ var guards = []guard{
 		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
 		find:    grep(`func \([^)]*\) pkOf\(|\beng\.(scheme|pkOf)\b|\be\.keys\b`),
 		fixture: file{"internal/protocol/engine.go", "package protocol\n\nfunc (e *Engine) pkOf(id simnet.NodeID) crypto.PublicKey { return e.keys[id].PK }\n"},
+	},
+	{
+		name: "Members validate what they vote on",
+		reason: "A committee member validates the list it is handed against its shard view when it votes " +
+			"(Node.voteOnTxs), and only the behaviours that read a verdict do. Verdicts the engine computed at " +
+			"routing time, handed to a member whose list matched the engine's by pointer and computed again " +
+			"when it did not, were a fast and a slow path for one decision, and made every member pay for a " +
+			"verdict that lazy and yes voters never read.",
+		paths: []string{"internal/protocol/*.go", ":!*_test.go"},
+		find: inspect(func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				return slices.Contains([]string{"precomputeVerdicts", "honestVerdicts", "sameTxList"}, x.Name.Name)
+			case *ast.StructType:
+				return slices.ContainsFunc(x.Fields.List, func(f *ast.Field) bool {
+					return slices.ContainsFunc(f.Names, func(id *ast.Ident) bool { return id.Name == "verdicts" })
+				})
+			}
+			return false
+		}),
+		fixture: file{"internal/protocol/routing.go", "package protocol\n\ntype routedWork struct {\n\tverdicts map[uint64]reputation.VoteVector\n}\n\n" +
+			"func sameTxList(a, b []*ledger.Tx) bool { return len(a) == len(b) }\n"},
 	},
 	{
 		name: "The scenario registry is a fixed table",

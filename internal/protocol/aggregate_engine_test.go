@@ -1,65 +1,10 @@
 package protocol
 
 import (
-	"reflect"
 	"testing"
 
 	"cycledger/internal/simnet"
 )
-
-// stripTraffic zeroes the fields aggregate mode is allowed to change —
-// traffic totals (fewer, smaller messages shift the seeded per-send delay
-// RNG) and the duration they induce — leaving every protocol outcome
-// (inclusion, fees, rewards, recoveries, timeouts) for exact comparison.
-func stripTraffic(reports []*RoundReport) []RoundReport {
-	out := make([]RoundReport, len(reports))
-	for i, r := range reports {
-		c := *r
-		c.Duration = 0
-		c.Messages = 0
-		c.Bytes = 0
-		c.PhaseTraffic = nil
-		c.RoleTraffic = nil
-		out[i] = c
-	}
-	return out
-}
-
-// TestAggregateReportsMatchBaseline: switching on aggregate certificates +
-// tree dissemination must not change any protocol decision — the reports
-// are identical to the per-voter engine's except for the traffic fields.
-// This is the engine-level face of the per-voter ≡ aggregate Quorum property.
-func TestAggregateReportsMatchBaseline(t *testing.T) {
-	scenarios := map[string]func(*Params){
-		"default": func(p *Params) {},
-		"cross-heavy": func(p *Params) {
-			p.CrossFrac = 0.5
-			p.InvalidFrac = 0.1
-		},
-		"byzantine": func(p *Params) {
-			p.MaliciousFrac = 0.2
-			p.CorruptLeaders = true
-			p.ByzantineBehavior = Behavior{EquivocateIntra: true, ConcealCross: true}
-		},
-	}
-	for name, tweak := range scenarios {
-		t.Run(name, func(t *testing.T) {
-			base := DefaultParams()
-			base.Rounds = 2
-			tweak(&base)
-			_, plain := runEngine(t, base)
-
-			agg := base
-			agg.AggregateCerts = true
-			_, agged := runEngine(t, agg)
-
-			a, b := stripTraffic(plain), stripTraffic(agged)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("aggregate reports diverge from baseline:\nbaseline %+v\naggregate %+v", a, b)
-			}
-		})
-	}
-}
 
 // TestAggregateDeterministicAcrossParallelism: a pipelined aggregate run
 // gives identical reports, Duration included, at 1, 4 and GOMAXPROCS simnet

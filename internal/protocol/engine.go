@@ -122,7 +122,7 @@ type Engine struct {
 
 	// Per-round stage state, handed from stage to stage (RunRound calls
 	// them in order).
-	work       *routedWork            // routed work lists + precomputed honest verdicts
+	work       *routedWork            // this round's routed intra and cross lists
 	powSols    []powEntry             // participation-puzzle solutions, one per node
 	pending    *pendingBlock          // assembled-but-uncertified block state
 	stageSpans map[string]simnet.Time // per-network-stage virtual spans

@@ -151,27 +151,54 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	ctx.Send(n.curLeader, TagVote, vm, wire.Size(vm))
 }
 
-// voteOnTxs produces this node's vote vector: the committee's honest
-// verdict vector (precomputed once per shard as the round's work is
-// routed, see Engine.precomputeVerdicts; recomputed only if a byzantine
-// leader substituted a different list) transformed by the behaviour
-// strategy.
-// With ParallelBlockGen (§VIII-B) the honest verdicts are computed in list
-// order against a copy-on-write overlay, so chained transactions in one
-// list can both pass.
+// voteOnTxs produces this node's vote vector on the list it was handed
+// (§IV-C step 3). The behaviours that read a verdict, honest and invert,
+// validate the list against the node's shard view (validateList); lazy
+// and yes answer without validating anything.
 func (n *Node) voteOnTxs(txs []*ledger.Tx) reputation.VoteVector {
-	honest := n.eng.honestVerdicts(n.comID, txs)
-	out := make(reputation.VoteVector, len(txs))
-	for i := range txs {
-		switch n.Behavior.Vote {
-		case VoteHonest:
-			out[i] = honest[i]
-		case VoteInvert:
-			out[i] = -honest[i]
-		case VoteLazy:
-			out[i] = reputation.Unknown
-		case VoteYes:
+	vote := n.Behavior.Vote
+	if vote == VoteHonest || vote == VoteInvert {
+		out := validateList(txs, n.shardView(), n.eng.P.ParallelBlockGen)
+		if vote == VoteInvert {
+			for i := range out {
+				out[i] = -out[i]
+			}
+		}
+		return out
+	}
+	out := make(reputation.VoteVector, len(txs)) // lazy: all Unknown
+	if vote == VoteYes {
+		for i := range out {
 			out[i] = reputation.Yes
+		}
+	}
+	return out
+}
+
+// shardView is the UTXO state this node validates its committee's list
+// against: the engine's store, read-only while the network runs, until
+// nodes keep their own shard state (ROADMAP.md item 5).
+func (n *Node) shardView() ledger.UTXOView { return n.eng.utxo }
+
+// validateList is the honest verdict on a list, in list order. With
+// chained (ParallelBlockGen, §VIII-B) the list is judged against a
+// private copy-on-write overlay over view, so a transaction spending an
+// earlier one's output in the same list can pass; otherwise each
+// transaction is judged independently against view. view is only read.
+func validateList(txs []*ledger.Tx, view ledger.UTXOView, chained bool) reputation.VoteVector {
+	var overlay *ledger.Overlay
+	if chained {
+		overlay = ledger.NewOverlay(view)
+		view = overlay
+	}
+	out := make(reputation.VoteVector, len(txs))
+	for i, tx := range txs {
+		out[i] = reputation.No
+		if _, err := ledger.Validate(tx, view); err == nil {
+			out[i] = reputation.Yes
+			if overlay != nil {
+				_ = overlay.ApplyTx(tx) // cannot fail: tx just validated against overlay
+			}
 		}
 	}
 	return out

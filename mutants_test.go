@@ -288,6 +288,16 @@ var mutants = []mutant{
 		want:   "killed",
 		reason: "A header's root and count cover every transaction appended, so a body stored one short reads back short through At and fails Verify.",
 	},
+	{
+		name:   "a member validates against an empty view",
+		file:   "internal/protocol/node_phases.go",
+		old:    "func (n *Node) shardView() ledger.UTXOView { return n.eng.utxo }",
+		new:    "func (n *Node) shardView() ledger.UTXOView { return ledger.NewShardedStore(1) }",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "TestMemberValidatesItsList",
+		want:   "killed",
+		reason: "A member's verdict is its own validation of the list it was handed, against its shard's UTXO state: a payment out of a genesis output must pass.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row

@@ -36,9 +36,10 @@ var extraRows = []struct{ name, doc string }{
 // raceRows are the rows the matrix runs under the race detector, which
 // makes a run about ten times slower: the default scenario, the
 // eviction-heavy and fault scenarios, whose handlers race if anything
-// does, and the small rows.
+// does, parallel-blockgen, whose members each build an overlay over the
+// shared store on the lanes, and the small rows.
 var raceRows = []string{"default", "leader-fault", "lossy", "partition-heal", "churn", "gray-failure", "targeted-leaders",
-	"small", "small-byzantine", "small-faulted"}
+	"parallel-blockgen", "small", "small-byzantine", "small-faulted"}
 
 // A column is one way to run a row: overlay, a run document, applied over
 // the row's options. Its reports must equal those of the column named
