@@ -243,12 +243,16 @@ var guards = []guard{
 			"pushes, pops or frees an event: lanes split a tick's batch to run handlers and nothing else. A queue in a " +
 			"lane, or the per-lane pop, k-way merges and held sends that put the lanes' queues back in order " +
 			"(popLane, minTick, renumber, cursors, drainHeld, xmsg, phasePop), would bring back a second copy of " +
-			"the order that the one queue already keeps.",
+			"the order that the one queue already keeps. A calendar slot links its events through event.next: " +
+			"per-tick event slices ([][]*event) and a free list of them would keep each burst's capacity after " +
+			"its tick is popped.",
 		paths: []string{"internal/simnet/*.go", ":!*_test.go"},
 		find: func(files []file) []string {
-			return append(laneQueues(files), grepWords(`drainHeld|renumber|popLane|minTick|cursors|xmsg|phasePop`)(files)...)
+			hits := append(laneQueues(files), eventSlices(files)...)
+			return append(hits, grepWords(`drainHeld|renumber|popLane|minTick|cursors|xmsg|phasePop`)(files)...)
 		},
-		fixture: file{"internal/simnet/lanes.go", "package simnet\n\ntype lane struct {\n\tq     *calQueue\n\tbatch []*event\n}\n"},
+		fixture: file{"internal/simnet/calendar.go", "package simnet\n\ntype calQueue struct {\n\tbase      Time\n\tmask      Time\n" +
+			"\tnbucket   Time\n\tinBuckets int\n\tbuckets   [][]*event\n\tfree      [][]*event\n\toverflow  eventHeap\n}\n"},
 	},
 	{
 		name:    "One PoW search: SHA-NI kernels",
@@ -793,6 +797,24 @@ var laneQueues = inspect(func(n ast.Node) bool {
 		}
 		return lastName(t) == "calQueue"
 	})
+})
+
+// eventSlices reports a field of type [][]*event.
+var eventSlices = inspect(func(n ast.Node) bool {
+	f, ok := n.(*ast.Field)
+	if !ok {
+		return false
+	}
+	outer, ok := f.Type.(*ast.ArrayType)
+	if !ok {
+		return false
+	}
+	inner, ok := outer.Elt.(*ast.ArrayType)
+	if !ok {
+		return false
+	}
+	p, ok := inner.Elt.(*ast.StarExpr)
+	return ok && lastName(p.X) == "event"
 })
 
 // heldTxs reports a struct type other than Entry with a field whose type

@@ -163,10 +163,11 @@ func (c *Chain) Verify(genesis *ledger.ShardedStore) error {
 		}
 		if view != nil {
 			var fees uint64
-			for _, tx := range txs {
+			for j, tx := range txs {
 				fee, err := ledger.Validate(tx, view)
 				if err != nil {
-					return fmt.Errorf("chain: height %d tx replay: %w", i, err)
+					id := tx.ID()
+					return fmt.Errorf("chain: height %d tx %d (%x) replay: %w", i, j, id[:4], err)
 				}
 				if err := view.ApplyTx(tx); err != nil {
 					return fmt.Errorf("chain: height %d apply: %w", i, err)

@@ -114,6 +114,49 @@ func TestValidateOverflow(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing pins Validate at zero allocations on the
+// accept path and on every reject path, against the store and against an
+// overlay over it: members validate every transaction of the list they
+// vote on and keep only the verdict.
+func TestValidateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	s := NewShardedStore(4)
+	op := mint(t, s, "alice", 10, 1)
+	big := mint(t, s, "x", ^uint64(0)-1, 2)
+	wide := &Tx{Inputs: make([]OutPoint, MaxTxArity+1), Outputs: []Output{{Owner: "b", Amount: 1}}}
+	cases := []struct {
+		name string
+		tx   *Tx
+		want error
+	}{
+		{"accepted", &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "b", Amount: 7}}}, nil},
+		{"empty", &Tx{}, ErrEmptyTx},
+		{"too many inputs", wide, ErrTooManyInOut},
+		{"missing input", &Tx{Inputs: []OutPoint{{Index: 9}}, Outputs: []Output{{Owner: "b", Amount: 1}}}, ErrMissingInput},
+		{"duplicate input", &Tx{Inputs: []OutPoint{op, op}, Outputs: []Output{{Owner: "b", Amount: 1}}}, ErrDoubleSpend},
+		{"input sum overflows", &Tx{Inputs: []OutPoint{big, op}, Outputs: []Output{{Owner: "b", Amount: 1}}}, ErrOverflowOutput},
+		{"zero output", &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "b", Amount: 0}}}, ErrZeroOutput},
+		{"output sum overflows", &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "b", Amount: ^uint64(0)}, {Owner: "c", Amount: 1}}}, ErrOverflowOutput},
+		{"insufficient", &Tx{Inputs: []OutPoint{op}, Outputs: []Output{{Owner: "b", Amount: 11}}}, ErrInsufficient},
+	}
+	views := []struct {
+		name string
+		view UTXOView
+	}{{"store", s}, {"overlay", NewOverlay(s)}}
+	for _, v := range views {
+		for _, tc := range cases {
+			if _, err := Validate(tc.tx, v.view); err != tc.want {
+				t.Fatalf("%s, %s: err = %v, want %v", v.name, tc.name, err, tc.want)
+			}
+			if n := testing.AllocsPerRun(100, func() { Validate(tc.tx, v.view) }); n != 0 {
+				t.Errorf("%s, %s: Validate allocates %.1f times, want 0", v.name, tc.name, n)
+			}
+		}
+	}
+}
+
 func TestApplyTxAtomic(t *testing.T) {
 	s := NewShardedStore(4)
 	op := mint(t, s, "alice", 10, 1)

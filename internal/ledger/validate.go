@@ -1,9 +1,6 @@
 package ledger
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Validation errors, distinguishable so adversarial tests can assert on the
 // exact rejection reason.
@@ -24,7 +21,9 @@ const MaxTxArity = 128
 // Validate is the authentication predicate V of §III-D: it checks that the
 // transaction is well-formed, every input exists unspent in the view, no
 // input is consumed twice, and the inputs cover the outputs. The fee
-// (inputs − outputs) is returned on success.
+// (inputs − outputs) is returned on success. A rejection is one of the
+// sentinel errors above, unwrapped, so it allocates nothing: members run
+// Validate on every transaction they vote on and keep only the verdict.
 func Validate(tx *Tx, view UTXOView) (fee uint64, err error) {
 	if len(tx.Inputs) == 0 || len(tx.Outputs) == 0 {
 		return 0, ErrEmptyTx
@@ -36,12 +35,12 @@ func Validate(tx *Tx, view UTXOView) (fee uint64, err error) {
 	seen := make(map[OutPoint]bool, len(tx.Inputs))
 	for _, in := range tx.Inputs {
 		if seen[in] {
-			return 0, fmt.Errorf("%w: %v", ErrDoubleSpend, in)
+			return 0, ErrDoubleSpend
 		}
 		seen[in] = true
 		out, ok := view.Get(in)
 		if !ok {
-			return 0, fmt.Errorf("%w: %v", ErrMissingInput, in)
+			return 0, ErrMissingInput
 		}
 		next := inSum + out.Amount
 		if next < inSum {
@@ -61,7 +60,7 @@ func Validate(tx *Tx, view UTXOView) (fee uint64, err error) {
 		outSum = next
 	}
 	if inSum < outSum {
-		return 0, fmt.Errorf("%w: in=%d out=%d", ErrInsufficient, inSum, outSum)
+		return 0, ErrInsufficient
 	}
 	return inSum - outSum, nil
 }

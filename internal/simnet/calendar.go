@@ -10,28 +10,30 @@ import (
 // scheduled within the synchrony bounds of the current tick, and a step
 // always drains one whole tick at a time.
 //
-// Near-future events live in a power-of-two ring of per-tick buckets
-// covering (base, base+nbucket]; pushing and popping them is a slice
-// append and a slice swap, with no comparisons. Events beyond the horizon
+// Near-future events live in a power-of-two ring of per-tick slots
+// covering (base, base+nbucket]; pushing and popping them is a pointer
+// link and a list walk, with no comparisons. Events beyond the horizon
 // (fault-model lag, long watchdog timers) overflow into a small binary
-// heap. A bucket holds a slice only while it has events: popping a tick
-// returns the slice to the queue's free list and the next push into an
-// empty bucket takes one from it, so the capacity the ring retains
-// follows the ticks that are occupied at once, not every slot's
-// high-water burst. A Network has one calQueue, and only its driving
-// goroutine pushes into it, in scheduling-key order, so a bucket is
-// already in (ks, kc) order; popBatch sorts the tick's events by key, which
-// merges the bucket with the tick's overflow events and costs one pass
-// over a sorted batch.
+// heap. A slot is a FIFO threaded through the events' own next field, so
+// the ring holds two pointers a tick and no storage of its own: whatever
+// the bursts, the queue retains its fixed ring and its overflow heap, and
+// the events themselves belong to the Network's pool. A Network has one
+// calQueue, and only its driving goroutine pushes into it, in
+// scheduling-key order, so a slot is already in (ks, kc) order; popBatch
+// sorts the tick's events by key, which merges the slot with the tick's
+// overflow events and costs one pass over a sorted batch.
 type calQueue struct {
-	base      Time // last popped tick; every live event is strictly later
-	mask      Time
-	nbucket   Time
-	inBuckets int
-	buckets   [][]*event // nil while empty
-	free      [][]*event // emptied bucket slices, capacity kept
-	overflow  eventHeap
+	base     Time // last popped tick; every live event is strictly later
+	mask     Time
+	nbucket  Time
+	inRing   int    // events linked into ring slots
+	ring     []tick // tick at lives in ring[at&mask]
+	overflow eventHeap
 }
+
+// tick is one ring slot: its events in push order, linked through
+// event.next (both nil while empty).
+type tick struct{ head, tail *event }
 
 // newCalQueue sizes the ring to cover the given near-future horizon
 // (rounded up to a power of two, clamped to [256, 8192] ticks).
@@ -43,41 +45,38 @@ func newCalQueue(horizon Time) *calQueue {
 	return &calQueue{
 		mask:    nb - 1,
 		nbucket: nb,
-		buckets: make([][]*event, nb),
+		ring:    make([]tick, nb),
 	}
 }
 
-func (q *calQueue) len() int { return q.inBuckets + len(q.overflow) }
+func (q *calQueue) len() int { return q.inRing + len(q.overflow) }
 
 // push files an event under its tick. Ticks at or before base cannot
 // occur (all schedule paths add ≥ 1 to the current time), but the
 // overflow heap handles them correctly if a custom driver ever does.
 func (q *calQueue) push(ev *event) {
 	if d := ev.at - q.base; d >= 1 && d <= q.nbucket {
-		idx := ev.at & q.mask
-		b := q.buckets[idx]
-		if b == nil {
-			if k := len(q.free) - 1; k >= 0 {
-				b = q.free[k]
-				q.free[k] = nil
-				q.free = q.free[:k]
-			}
+		s := &q.ring[ev.at&q.mask]
+		if s.tail == nil {
+			s.head = ev
+		} else {
+			s.tail.next = ev
 		}
-		q.buckets[idx] = append(b, ev)
-		q.inBuckets++
+		s.tail = ev
+		q.inRing++
 		return
 	}
 	heap.Push(&q.overflow, ev)
 }
 
-// peek returns the earliest pending tick. The bucket scan is bounded by
-// the ring size and touches only slice headers, which in practice is far
+// peek returns the earliest pending tick. The slot scan is bounded by
+// the ring size and touches only slot heads, which in practice is far
 // cheaper than maintaining heap order for every message.
 func (q *calQueue) peek() (Time, bool) {
 	bt := Time(-1)
-	if q.inBuckets > 0 {
+	if q.inRing > 0 {
 		for d := Time(1); d <= q.nbucket; d++ {
-			if len(q.buckets[(q.base+d)&q.mask]) > 0 {
+			if q.ring[(q.base+d)&q.mask].head != nil {
 				bt = q.base + d
 				break
 			}
@@ -110,36 +109,28 @@ func keyLess(a, b *event) int {
 }
 
 // popBatch appends every event scheduled at tick t to out, sorted by
-// scheduling key, and advances base to t. The emptied bucket's slice goes
-// to the free list, capacity kept, so steady-state traffic never
-// reallocates.
+// scheduling key, and advances base to t. The tick's slot is walked into
+// out and unlinked, so a popped event's next is nil again and the slot is
+// empty.
 func (q *calQueue) popBatch(t Time, out []*event) []*event {
 	start := len(out)
-	var bucket []*event
-	idx := t & q.mask
-	if q.inBuckets > 0 && t > q.base && t-q.base <= q.nbucket {
-		bucket = q.buckets[idx]
-		out = append(out, bucket...)
+	if q.inRing > 0 && t > q.base && t-q.base <= q.nbucket {
+		s := &q.ring[t&q.mask]
+		for ev := s.head; ev != nil; {
+			next := ev.next
+			ev.next = nil
+			out = append(out, ev)
+			q.inRing--
+			ev = next
+		}
+		*s = tick{}
 	}
 	for len(q.overflow) > 0 && q.overflow[0].at == t {
 		out = append(out, heap.Pop(&q.overflow).(*event))
 	}
 	slices.SortFunc(out[start:], keyLess)
-	if bucket != nil {
-		q.inBuckets -= len(bucket)
-		q.release(idx)
-	}
 	if t > q.base {
 		q.base = t
 	}
 	return out
-}
-
-// release empties bucket idx into the free list, dropping its event
-// references.
-func (q *calQueue) release(idx Time) {
-	b := q.buckets[idx]
-	clear(b)
-	q.free = append(q.free, b[:0])
-	q.buckets[idx] = nil
 }

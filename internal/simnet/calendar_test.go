@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestCalendarQueueMatchesHeapOrder drives the calendar queue and the old
@@ -196,51 +197,84 @@ func TestCalendarQueuePerLaneBoundary(t *testing.T) {
 	}
 }
 
-// TestCalendarBucketsRetainOneBurst: a burst of B events cycled through
-// every slot of the ring — B pushes at the next tick, one pop, repeated
-// for two full revolutions — leaves the queue holding O(B) bucket
-// capacity, because an emptied bucket hands its slice to the free list
-// and the next occupied one takes it back, not B in each of the nbucket
-// slots. Once warm, a further revolution allocates nothing.
-func TestCalendarBucketsRetainOneBurst(t *testing.T) {
-	const burst = 64
-	q := newCalQueue(200) // 256-tick ring
-	evs := make([]*event, burst)
-	for i := range evs {
-		evs[i] = &event{}
+// TestCalendarQueueHoldsNoBucketStorage: traffic spread over many ticks
+// occupied at once, each with its own burst size and their pushes
+// interleaved as a step's effects interleave, pops in key order with
+// every slot empty after the drain, and push and popBatch allocate
+// nothing, on a cold queue and on a warm one. A slot threads its events
+// through event.next, so the queue keeps no per-tick storage that a burst
+// could grow and a later tick inherit; an event stays 96 bytes with that
+// link, so the event pool costs no more either.
+func TestCalendarQueueHoldsNoBucketStorage(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz > 96 {
+		t.Fatalf("event is %d bytes, want at most 96", sz)
 	}
-	out := make([]*event, 0, burst)
+	const span = 200 // ticks occupied at once, inside the 256-tick ring
+	var bursts [span]int
+	total, peak := 0, 0
+	for i := range bursts {
+		bursts[i] = 1 + (i*i*7+i*3)%61 // uneven: 1..61 events
+		total += bursts[i]
+		peak = max(peak, bursts[i])
+	}
+	pool := make([]event, total)
+	out := make([]*event, 0, peak)
 	key := uint64(0)
-	revolution := func() {
-		for i := Time(0); i < q.nbucket; i++ {
-			at := q.base + 1
-			for _, ev := range evs {
-				*ev = event{at: at, ks: key}
-				key++
-				q.push(ev)
+	traffic := func(q *calQueue) {
+		base := q.base
+		n := 0
+		for r := 0; r < peak; r++ {
+			for i, b := range bursts {
+				if r < b {
+					ev := &pool[n]
+					n++
+					*ev = event{at: base + 1 + Time(i), ks: key}
+					key++
+					q.push(ev)
+				}
 			}
-			if out = q.popBatch(at, out[:0]); len(out) != burst {
-				t.Fatalf("tick %d: popped %d events, pushed %d", at, len(out), burst)
+		}
+		for i, b := range bursts {
+			at, ok := q.peek()
+			if !ok || at != base+1+Time(i) {
+				t.Fatalf("peek = %d, %v; want tick %d", at, ok, base+1+Time(i))
+			}
+			out = q.popBatch(at, out[:0])
+			if len(out) != b {
+				t.Fatalf("tick %d: popped %d events, pushed %d", at, len(out), b)
+			}
+			for j, ev := range out {
+				if ev.at != at || ev.next != nil || (j > 0 && ev.ks <= out[j-1].ks) {
+					t.Fatalf("tick %d: event %d is (at=%d, ks=%d, next set %v) out of order",
+						at, j, ev.at, ev.ks, ev.next != nil)
+				}
+			}
+		}
+		if q.len() != 0 {
+			t.Fatalf("drained queue holds %d events", q.len())
+		}
+		for i, s := range q.ring {
+			if s != (tick{}) {
+				t.Fatalf("slot %d still links events after the drain", i)
 			}
 		}
 	}
-	revolution()
-	revolution()
-	retained := 0
-	for _, b := range q.buckets {
-		retained += cap(b)
-	}
-	for _, b := range q.free {
-		retained += cap(b)
-	}
-	if retained > 2*burst {
-		t.Fatalf("a %d-event burst through %d slots retains %d bucket slots, want at most %d",
-			burst, q.nbucket, retained, 2*burst)
+
+	warm := newCalQueue(200)
+	for range 3 { // wraps the ring
+		traffic(warm)
 	}
 	if raceEnabled {
 		return // allocation counting is unreliable under -race
 	}
-	if allocs := testing.AllocsPerRun(5, revolution); allocs > 0 {
-		t.Fatalf("a warm revolution allocates %.1f times, want 0", allocs)
+	cold := []*calQueue{newCalQueue(200), newCalQueue(200)}
+	if allocs := testing.AllocsPerRun(1, func() {
+		traffic(cold[0])
+		cold = cold[1:]
+	}); allocs > 0 {
+		t.Fatalf("traffic through a cold queue allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { traffic(warm) }); allocs > 0 {
+		t.Fatalf("traffic through a warm queue allocates %.1f times, want 0", allocs)
 	}
 }

@@ -132,7 +132,7 @@ func (l Latency) DrawKeyed(seed, ks uint64, kc uint32, from, to NodeID) Time {
 	return Time(x%uint64(b)) + 1
 }
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evMessage eventKind = iota
@@ -148,14 +148,16 @@ const (
 // included. The key is a pure function of causal origin — independent of
 // which lane ran the producer and of the real-time interleaving of lanes —
 // and globally unique, because every counter value seeds the keys of
-// exactly one event's effects.
+// exactly one event's effects. While it waits in a calendar slot, next
+// links it to the slot's following event.
 type event struct {
 	at   Time
 	ks   uint64
 	kc   uint32
 	kind eventKind
-	node NodeID // destination (message) or owner (timer)
 	late bool   // held beyond the synchrony bound by the fault model
+	node NodeID // destination (message) or owner (timer)
+	next *event // the next event of its calendar slot (nil outside one)
 	// msg.Payload is, with a Carrier installed, the frame Ship made of the
 	// payload (nil if it made none).
 	msg Message

@@ -200,7 +200,7 @@ func (g *Generator) nextTx() (tx *ledger.Tx, ok bool) {
 }
 
 // pendingOuts registers the new outputs as spendable in the generator's
-// model (optimistically; Reject rolls back when the protocol drops a tx).
+// model (optimistically; Reject withdraws them when the protocol drops a tx).
 func (g *Generator) pendingOuts(tx *ledger.Tx, id ledger.TxID) {
 	for i, o := range tx.Outputs {
 		op := ledger.OutPoint{Tx: id, Index: uint32(i)}
@@ -232,9 +232,10 @@ func (g *Generator) invalidTx(sender string) *ledger.Tx {
 }
 
 // Reject informs the generator that a transaction was not accepted, so the
-// outputs it optimistically registered are withdrawn and its inputs
-// restored (amount bookkeeping only; exactness is not required for load
-// generation but keeps long simulations from starving).
+// outputs it optimistically registered are withdrawn. Its inputs are not
+// restored: the coin it spent stays out of the generator's model although
+// the ledger still holds it unspent (amount bookkeeping only; exactness is
+// not required for load generation).
 func (g *Generator) Reject(tx *ledger.Tx) {
 	id := tx.ID()
 	for i, o := range tx.Outputs {

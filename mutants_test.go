@@ -150,6 +150,16 @@ var mutants = []mutant{
 		reason: "A node's events run on one lane, so no two lanes run one node's handlers at once: the race detector.",
 	},
 	{
+		name:   "a popped tick stays linked in its slot",
+		file:   "internal/simnet/calendar.go",
+		old:    "\t\t*s = tick{}\n",
+		new:    "",
+		pkgs:   []string{"./internal/simnet"},
+		run:    "^TestCalendarQueueMatchesHeapOrder$",
+		want:   "killed",
+		reason: "popBatch unlinks the tick it pops, so the ring's next revolution finds that slot empty: the heap oracle.",
+	},
+	{
 		name:   "the chain records this round's randomness",
 		file:   "internal/protocol/phases.go",
 		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)",
