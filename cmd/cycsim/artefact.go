@@ -220,20 +220,18 @@ func printTable2(ctx context.Context, w io.Writer, cfg sim.Config) error {
 
 // leaderEgress runs one round of cfg with aggregate certificates off or
 // on and returns the committee leaders' sent traffic per phase.
-func leaderEgress(ctx context.Context, cfg sim.Config, aggregate bool) (map[string]simnet.Counter, error) {
+func leaderEgress(ctx context.Context, cfg sim.Config, aggregate bool) (out [len(protocol.Phases)]simnet.Counter, err error) {
 	s, err := sim.New(sim.FromConfig(cfg), sim.FromJSON(fmt.Appendf(nil, `{"aggregate_certs": %t, "rounds": 1}`, aggregate)))
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	defer s.Close()
 	if _, err := s.Run(ctx); err != nil {
-		return nil, err
+		return out, err
 	}
 	e := s.Engine()
-	m := e.Net.Metrics()
-	out := make(map[string]simnet.Counter, len(protocol.Phases))
-	for _, ph := range protocol.Phases {
-		out[ph] = m.SentByNodes(ph, e.Roster().Leaders)
+	for ph := range out {
+		out[ph] = e.Net.Metrics().SentByNodes(ph, e.Roster().Leaders)
 	}
 	return out, nil
 }
@@ -255,7 +253,7 @@ func printTraffic(ctx context.Context, w io.Writer, cfg sim.Config) error {
 	header := []string{"phase", "msgs_plain", "msgs_agg", "bytes_plain", "bytes_agg", "factor"}
 	var rows [][]string
 	var tp, ta simnet.Counter
-	for _, ph := range protocol.Phases {
+	for ph, name := range protocol.Phases {
 		cp, ca := plain[ph], agg[ph]
 		tp.Add(cp)
 		ta.Add(ca)
@@ -263,7 +261,7 @@ func printTraffic(ctx context.Context, w io.Writer, cfg sim.Config) error {
 		if ca.Bytes > 0 {
 			factor = fmt.Sprintf("%.1fx", float64(cp.Bytes)/float64(ca.Bytes))
 		}
-		rows = append(rows, []string{ph,
+		rows = append(rows, []string{name,
 			fmt.Sprint(cp.Messages), fmt.Sprint(ca.Messages),
 			fmt.Sprint(cp.Bytes), fmt.Sprint(ca.Bytes), factor})
 	}

@@ -278,7 +278,7 @@ func checkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tp, ta simnet.Counter
-	for _, ph := range protocol.Phases {
+	for ph := range protocol.Phases {
 		tp.Add(plain[ph])
 		ta.Add(agg[ph])
 	}
@@ -286,7 +286,7 @@ func checkTraffic(t *testing.T) {
 	if got := factor(tp, ta); got != total {
 		t.Errorf("m=%d: leader egress falls %s× in total, want %s×", cfg.M, got, total)
 	}
-	if got := factor(plain["block"], agg["block"]); got != block {
+	if got := factor(plain[protocol.PhaseBlock], agg[protocol.PhaseBlock]); got != block {
 		t.Errorf("m=%d: leader egress falls %s× in the block phase, want %s×", cfg.M, got, block)
 	}
 }

@@ -200,11 +200,23 @@ var guards = []guard{
 	{
 		name: "Accounting holds one round",
 		reason: "simnet's per-phase accounting is a dense table per phase label, indexed by NodeID, and the " +
-			"engine resets it at every round start (Metrics.ResetPhases), so labels are bare phase names. A label " +
+			"engine resets it at every round start (Metrics.ResetPhases), so labels are phase indices. A label " +
 			"namespaced by round, or a (phase, node)-keyed map, would bring back accounting that grows with every round of the run.",
 		paths:   []string{"internal/*.go", "cmd/*.go", ":!*_test.go"},
 		find:    grep(`phaseLabel|phaseNode|r%03d|"r001/`),
 		fixture: file{"internal/protocol/label.go", "package protocol\n\nfunc label(r int, p string) string { return fmt.Sprintf(\"r%03d/%s\", r, p) }\n"},
+	},
+	{
+		name: "A phase is an index",
+		reason: "A round's network phases are protocol.Phase, a small integer in round order: simnet.Metrics " +
+			"labels traffic with it and keeps one table per label in a slice indexed by it, and the engine's stage " +
+			"spans and the adversary's phase windows are arrays indexed by it. Names (Phases[p]) live only at the " +
+			"boundaries a reader sees: hooks, reports and wire fields. A string label, a lookup by name, a " +
+			"stageSpans map or a spare table list would bring back five places that each have to agree on a name.",
+		paths: []string{"internal/simnet/*.go", "internal/protocol/*.go", ":!*_test.go"},
+		find:  grep(`\b(SetPhase|setPhase|SentByNodes|PhaseDropped|lookup)\(\w+ string\b|\bstageSpans\s+map\b|\bspare\s+\[\]\*?phaseTable\b`),
+		fixture: file{"internal/simnet/metrics.go", "package simnet\n\ntype Metrics struct {\n\tphase  string\n\tcur    *phaseTable\n" +
+			"\ttables []*phaseTable\n\tspare  []*phaseTable\n}\n\nfunc (m *Metrics) SetPhase(phase string) { m.phase, m.cur = phase, nil }\n"},
 	},
 	{
 		name: "One send path",

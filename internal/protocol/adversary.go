@@ -45,12 +45,11 @@ type AdversaryView struct {
 	// descending (ties by name) — the §IV-F ranking the referee committee
 	// will draw next round's leaders from.
 	ReputationRank []simnet.NodeID
-	// PhaseWindows maps each network stage (config, semicommit, intra,
-	// inter, score, select, block) to its expected span as offsets from
-	// Now: the previous round's measured stage spans when available,
-	// otherwise an estimate from the synchrony bounds — including the tree
-	// dissemination depth stretch under AggregateCerts.
-	PhaseWindows map[string]simnet.Window
+	// PhaseWindows holds each network stage's expected span, indexed by
+	// Phase, as offsets from Now: the previous round's measured stage spans
+	// when available, otherwise an estimate from the synchrony bounds —
+	// including the tree dissemination depth stretch under AggregateCerts.
+	PhaseWindows [len(Phases)]simnet.Window
 }
 
 // AdversaryView snapshots the state a reactive adversary plans against.
@@ -85,32 +84,30 @@ func (e *Engine) AdversaryView() AdversaryView {
 // phaseSchedule estimates, as offsets from the coming round's start, the
 // window each network stage will occupy. After round 1 the estimate is
 // simply the previous round's measured stage spans (the adversary watched
-// the schedule happen); for the first round it is derived from the
-// synchrony bounds Δ/Γ, stretched by the dissemination tree depth when
-// aggregate certificates route committee broadcasts over the binomial
-// tree.
-func (e *Engine) phaseSchedule() map[string]simnet.Window {
-	spans := make(map[string]simnet.Time, len(Phases))
-	if len(e.stageSpans) > 0 {
-		for _, ph := range Phases {
-			spans[ph] = e.stageSpans[ph]
-		}
-	} else {
+// the schedule happen); for the first round, whose spans are all still
+// zero, it is derived from the synchrony bounds Δ/Γ, stretched by the
+// dissemination tree depth when aggregate certificates route committee
+// broadcasts over the binomial tree.
+func (e *Engine) phaseSchedule() [len(Phases)]simnet.Window {
+	spans := e.stageSpans
+	if spans == [len(Phases)]simnet.Time{} {
 		d, g := e.lat.Delta, e.lat.Gamma
 		stretch := e.treeStretch(e.P.C)
-		spans["config"] = 2 + 2*d
-		spans["semicommit"] = 2 + 2*g + stretch
-		spans["intra"] = 2 + 6*d + stretch + 2*g // §IV-C collection deadline + result to C_R
-		spans["inter"] = 2 + 4*g
-		spans["score"] = 2 + 2*g + stretch
-		spans["select"] = 2 + 2*g
-		spans["block"] = 2 + 2*g + 2*d
+		spans = [...]simnet.Time{
+			PhaseConfig:     2 + 2*d,
+			PhaseSemiCommit: 2 + 2*g + stretch,
+			PhaseIntra:      2 + 6*d + stretch + 2*g, // §IV-C collection deadline + result to C_R
+			PhaseInter:      2 + 4*g,
+			PhaseScore:      2 + 2*g + stretch,
+			PhaseSelect:     2 + 2*g,
+			PhaseBlock:      2 + 2*g + 2*d,
+		}
 	}
-	out := make(map[string]simnet.Window, len(Phases))
+	var out [len(Phases)]simnet.Window
 	var off simnet.Time
-	for _, ph := range Phases {
-		out[ph] = simnet.Window{From: off, To: off + spans[ph]}
-		off += spans[ph]
+	for ph, span := range spans {
+		out[ph] = simnet.Window{From: off, To: off + span}
+		off += span
 	}
 	return out
 }
@@ -258,6 +255,6 @@ func (pl *adversaryPlanner) replan(v AdversaryView) {
 // end plus a Γ margin, so the certified result's flight to C_R falls
 // inside the cut however the drain schedules it.
 func (pl *adversaryPlanner) bracket(v AdversaryView) (from, to simnet.Time) {
-	w := v.PhaseWindows["intra"]
+	w := v.PhaseWindows[PhaseIntra]
 	return v.Now + w.From, v.Now + w.To + 2*pl.margin
 }

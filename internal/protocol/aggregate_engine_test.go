@@ -41,8 +41,8 @@ func TestAggregateLeaderTrafficReduced(t *testing.T) {
 		e, _ := runEngine(t, p)
 		var sum simnet.Counter
 		m := e.Net.Metrics()
-		for _, ph := range []string{"config", "semicommit", "intra", "inter", "score", "select", "block"} {
-			sum.Add(m.SentByNodes(ph, e.roster.Leaders))
+		for _, ph := range []Phase{PhaseConfig, PhaseSemiCommit, PhaseIntra, PhaseInter, PhaseScore, PhaseSelect, PhaseBlock} {
+			sum.Add(m.SentByNodes(int(ph), e.roster.Leaders))
 		}
 		return sum
 	}

@@ -122,13 +122,13 @@ type Engine struct {
 
 	// Per-round stage state, handed from stage to stage (RunRound calls
 	// them in order).
-	work       *routedWork            // this round's routed intra and cross lists
-	powSols    []powEntry             // participation-puzzle solutions, one per node
-	pending    *pendingBlock          // assembled-but-uncertified block state
-	stageSpans map[string]simnet.Time // per-network-stage virtual spans
-	prevBlock  simnet.Time            // previous round's block span (cross-round overlap)
-	screened   atomic.Int64           // §VIII-A pre-screen drops (handler hot path)
-	hooks      Hooks                  // optional progress callbacks (SetHooks)
+	work       *routedWork              // this round's routed intra and cross lists
+	powSols    []powEntry               // participation-puzzle solutions, one per node
+	pending    *pendingBlock            // assembled-but-uncertified block state
+	stageSpans [len(Phases)]simnet.Time // per-network-stage virtual spans
+	prevBlock  simnet.Time              // previous round's block span (cross-round overlap)
+	screened   atomic.Int64             // §VIII-A pre-screen drops (handler hot path)
+	hooks      Hooks                    // optional progress callbacks (SetHooks)
 
 	// echoes holds this round's verified echoes per instance leader, and
 	// the position index of that leader's roster, shared by every node's
@@ -428,20 +428,27 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
 }
 
-// Phases are a round's seven network phases in order. Each names the
-// phase's traffic label (setPhase), its virtual span and its timeouts, and
-// is a row of Table II.
-var Phases = []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
+// Phase is one of a round's seven network phases, numbered in round order.
+// It is the phase's traffic label (simnet.Metrics.SetPhase) and the index
+// of its virtual span, and each is a row of Table II.
+type Phase int
 
-// setPhase labels the traffic that follows with the bare phase name: the
-// network's per-phase accounting holds the current round only (RunRound
-// resets it), so a label needs no round number.
-func (e *Engine) setPhase(phase string) {
-	e.Net.Metrics().SetPhase(phase)
-	if e.hooks.PhaseStart != nil {
-		e.hooks.PhaseStart(e.round, phase)
-	}
-}
+const (
+	PhaseConfig Phase = iota
+	PhaseSemiCommit
+	PhaseIntra
+	PhaseInter
+	PhaseScore
+	PhaseSelect
+	PhaseBlock
+)
+
+// Phases are the phases' names, indexed by Phase: the keys of a report's
+// traffic maps and what Hooks.PhaseStart is handed.
+var Phases = [...]string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
+
+// String is the phase's name, Phases[p].
+func (p Phase) String() string { return Phases[p] }
 
 // Run executes the configured number of rounds.
 func (e *Engine) Run() ([]*RoundReport, error) {
@@ -487,28 +494,32 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	dropStart := e.Net.Metrics().DroppedTotal()
 	lateStart := e.Net.Metrics().LateTotal()
 
-	e.stageSpans = make(map[string]simnet.Time)
+	e.stageSpans = [len(Phases)]simnet.Time{}
 	var liveErr error
-	net := func(name string, run func()) {
+	net := func(ph Phase, run func()) {
 		if liveErr != nil {
 			return
 		}
+		e.Net.Metrics().SetPhase(int(ph))
+		if e.hooks.PhaseStart != nil {
+			e.hooks.PhaseStart(e.round, ph.String())
+		}
 		from := e.Net.Now()
 		run()
-		e.stageSpans[name] = e.Net.Now() - from
+		e.stageSpans[ph] = e.Net.Now() - from
 		if e.live != nil && e.live.Err() != nil {
-			liveErr = fmt.Errorf("stage %s: %w", name, e.live.Err())
+			liveErr = fmt.Errorf("stage %s: %w", ph, e.live.Err())
 		}
 	}
 	e.stageWorkload()
-	net("config", e.phaseConfig)
-	net("semicommit", func() { e.phaseSemiCommit(report) })
+	net(PhaseConfig, e.phaseConfig)
+	net(PhaseSemiCommit, func() { e.phaseSemiCommit(report) })
 	e.stagePow()
-	net("intra", func() { e.phaseIntra(report) })
-	net("inter", func() { e.phaseInter(report) })
-	net("score", func() { e.phaseScore(report) })
+	net(PhaseIntra, func() { e.phaseIntra(report) })
+	net(PhaseInter, func() { e.phaseInter(report) })
+	net(PhaseScore, func() { e.phaseScore(report) })
 	e.stageAssemble()
-	net("select", func() { e.phaseSelect(report) })
+	net(PhaseSelect, func() { e.phaseSelect(report) })
 	if liveErr != nil {
 		return nil, liveErr
 	}
@@ -516,7 +527,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 		return nil, fmt.Errorf("stage ledger: %w", err)
 	}
 	var err error
-	net("block", func() { err = e.phaseBlock(report) })
+	net(PhaseBlock, func() { err = e.phaseBlock(report) })
 	if liveErr != nil {
 		return nil, liveErr
 	}
@@ -560,31 +571,34 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 // collectTraffic aggregates the round's per-phase, per-role counters for
 // Table II.
 func (e *Engine) collectTraffic(report *RoundReport) {
-	roleSets := map[string][]simnet.NodeID{
-		"common":  e.roster.CommonsOfAll(),
-		"key":     e.roster.AllKeyMembers(),
-		"referee": e.roster.Referee,
+	roles := [...]struct {
+		name string
+		ids  []simnet.NodeID
+	}{
+		{"common", e.roster.CommonsOfAll()},
+		{"key", e.roster.AllKeyMembers()},
+		{"referee", e.roster.Referee},
 	}
 	m := e.Net.Metrics()
 	if report.Dropped > 0 {
 		report.PhaseDropped = make(map[string]simnet.Counter, len(Phases))
 	}
-	for _, ph := range Phases {
+	for ph, name := range Phases {
 		var total simnet.Counter
-		byRole := make(map[string]simnet.Counter, len(roleSets))
-		for role, ids := range roleSets {
-			c := m.SentByNodes(ph, ids)
-			byRole[role] = c
+		byRole := make(map[string]simnet.Counter, len(roles))
+		for _, r := range roles {
+			c := m.SentByNodes(ph, r.ids)
+			byRole[r.name] = c
 			total.Add(c)
 		}
-		report.PhaseTraffic[ph] = total
-		report.RoleTraffic[ph] = byRole
+		report.PhaseTraffic[name] = total
+		report.RoleTraffic[name] = byRole
 		report.Messages += total.Messages
 		report.Bytes += total.Bytes
 		if report.PhaseDropped != nil {
 			// Lost traffic per phase — the resilience table's raw
 			// material. Never part of the Table II sent counters.
-			report.PhaseDropped[ph] = m.PhaseDropped(ph)
+			report.PhaseDropped[name] = m.PhaseDropped(ph)
 		}
 	}
 }

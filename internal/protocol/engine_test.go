@@ -2,7 +2,7 @@ package protocol
 
 import (
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"cycledger/internal/simnet"
@@ -78,9 +78,9 @@ func TestEngineEd25519SchemeRound(t *testing.T) {
 
 // TestAccountingHoldsOneRound: the network's per-phase accounting is reset
 // at every round start, so after each round it holds exactly that round's
-// traffic, and its labels are the bare phase names, with no round number
-// in them. That a reset keeps the tables for reuse is simnet's
-// TestMetricsAccounting.
+// traffic under the Phase labels, and each round fires Hooks.PhaseStart
+// once per phase, in round order. That a reset zeroes every table is
+// simnet's TestMetricsAccounting.
 func TestAccountingHoldsOneRound(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 4
@@ -88,6 +88,8 @@ func TestAccountingHoldsOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var started []string
+	e.SetHooks(Hooks{PhaseStart: func(_ uint64, phase string) { started = append(started, phase) }})
 	m := e.Net.Metrics()
 	all := make([]simnet.NodeID, p.TotalNodes())
 	for i := range all {
@@ -95,14 +97,15 @@ func TestAccountingHoldsOneRound(t *testing.T) {
 	}
 	for round := 1; round <= p.Rounds; round++ {
 		before := m.Total()
+		started = started[:0]
 		if _, err := e.RunRound(); err != nil {
 			t.Fatal(err)
 		}
+		if !slices.Equal(started, Phases[:]) {
+			t.Fatalf("round %d: PhaseStart fired %v, want %v", round, started, Phases)
+		}
 		var inTables simnet.Counter
-		for _, ph := range m.Phases() {
-			if strings.ContainsAny(ph, "0123456789") {
-				t.Fatalf("round %d: phase label %q carries a number", round, ph)
-			}
+		for ph := range Phases {
 			inTables.Add(m.SentByNodes(ph, all))
 		}
 		if sent := m.Total().Messages - before.Messages; inTables.Messages != sent {

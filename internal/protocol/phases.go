@@ -39,7 +39,6 @@ const maxRecoveryAttempts = 4
 // that overlap against the round's simulated latency.
 
 func (e *Engine) phaseConfig() {
-	e.setPhase("config")
 	for _, n := range e.nodes {
 		n.resetRound(e.roster)
 	}
@@ -85,7 +84,6 @@ func (e *Engine) phaseConfig() {
 // Phase 2: semi-commitment exchange (§IV-B, Algorithm 4)
 
 func (e *Engine) phaseSemiCommit(report *RoundReport) {
-	e.setPhase("semicommit")
 	e.leaderPhase(report, "semicommit", func(leader *Node, k uint64, attempt int) func(*simnet.Context) {
 		return leader.startSemiCommit
 	})
@@ -181,7 +179,6 @@ func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 // leader with its committee's list and drives the vote rounds.
 
 func (e *Engine) phaseIntra(report *RoundReport) {
-	e.setPhase("intra")
 	e.leaderPhase(report, "intra", func(leader *Node, k uint64, attempt int) func(*simnet.Context) {
 		leader.leaderTxs = e.work.intra[k]
 		return func(ctx *simnet.Context) { leader.startIntra(ctx, attempt) }
@@ -198,7 +195,6 @@ func (e *Engine) phaseIntra(report *RoundReport) {
 // same one-shot routing pass as the intra lists.
 
 func (e *Engine) phaseInter(report *RoundReport) {
-	e.setPhase("inter")
 	for k := uint64(0); k < e.roster.M; k++ {
 		lists := e.work.cross[k]
 		if len(lists) == 0 {
@@ -228,7 +224,6 @@ func (e *Engine) phaseInter(report *RoundReport) {
 // Phase 5: reputation updating (§IV-E)
 
 func (e *Engine) phaseScore(report *RoundReport) {
-	e.setPhase("score")
 	for k := uint64(0); k < e.roster.M; k++ {
 		leader := e.nodes[e.roster.Leaders[k]]
 		e.Net.After(leader.ID, 1, leader.startScore)
@@ -335,7 +330,6 @@ func (e *Engine) noteTimeouts(report *RoundReport, phase string, concluded func(
 // score results, and that is instantaneous in virtual time.
 
 func (e *Engine) phaseSelect(report *RoundReport) {
-	e.setPhase("select")
 	// Participation PoW: every online node submits its puzzle solution to
 	// C_R. The solving itself happened in the pow stage (pipeline.go); only
 	// the submission traffic belongs to this phase.
@@ -512,7 +506,6 @@ func (t *ticketSort) Swap(i, j int) {
 // C_R certify it, and propagates it.
 
 func (e *Engine) phaseBlock(report *RoundReport) error {
-	e.setPhase("block")
 	if e.nextRoster == nil {
 		return fmt.Errorf("protocol: selection phase did not produce a roster")
 	}

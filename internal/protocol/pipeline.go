@@ -32,13 +32,13 @@ import (
 // derived purely from per-stage virtual spans.
 func (e *Engine) pipelinedDuration() simnet.Time {
 	s := e.stageSpans
-	processing := s["intra"] + s["inter"] + s["score"]
-	election := s["select"]
-	dur := s["config"] + s["semicommit"] + max(processing, election) + s["block"]
-	if overlap := min(s["config"]+s["semicommit"], e.prevBlock); overlap > 0 {
+	processing := s[PhaseIntra] + s[PhaseInter] + s[PhaseScore]
+	election := s[PhaseSelect]
+	dur := s[PhaseConfig] + s[PhaseSemiCommit] + max(processing, election) + s[PhaseBlock]
+	if overlap := min(s[PhaseConfig]+s[PhaseSemiCommit], e.prevBlock); overlap > 0 {
 		dur -= overlap
 	}
-	e.prevBlock = s["block"]
+	e.prevBlock = s[PhaseBlock]
 	return dur
 }
 

@@ -32,7 +32,7 @@ func TestEvictReqRejectsReplayedApprovals(t *testing.T) {
 			for _, n := range e.nodes {
 				n.resetRound(e.roster)
 			}
-			e.setPhase("intra")
+			e.Net.Metrics().SetPhase(int(PhaseIntra))
 			scheme := consensus.HashScheme{}
 
 			// evicts hands committee k's referee coordinator a silence
@@ -101,7 +101,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 		for _, n := range e.nodes {
 			n.resetRound(e.roster)
 		}
-		e.setPhase("intra")
+		e.Net.Metrics().SetPhase(int(PhaseIntra))
 		members := e.roster.Committee(0)
 		accuser := e.nodes[e.roster.Partials[0][0]]
 		accuser.myAccusation = &AccuseMsg{Round: e.round, Committee: 0, Accuser: accuser.ID,
@@ -203,7 +203,7 @@ func TestHostileCommitteeIndexDropped(t *testing.T) {
 	for _, n := range e.nodes {
 		n.resetRound(e.roster)
 	}
-	e.setPhase("intra")
+	e.Net.Metrics().SetPhase(int(PhaseIntra))
 	m := e.roster.M
 	leader, partial := e.nodes[e.roster.Leaders[0]], e.nodes[e.roster.Partials[0][0]]
 	// The referee whose turn it would be to coordinate committee m.

@@ -111,7 +111,7 @@ func TestNoFaultsByteIdentical(t *testing.T) {
 func TestLossDropsAndAccounts(t *testing.T) {
 	n, recv := echoNet(DefaultLatency(), 5, 2)
 	n.SetFaults(NewLoss(1, 99)) // drop everything
-	n.Metrics().SetPhase("p")
+	n.Metrics().SetPhase(1)
 	for i := 0; i < 20; i++ {
 		n.Send(0, 1, "X", nil, 10)
 	}
@@ -120,10 +120,10 @@ func TestLossDropsAndAccounts(t *testing.T) {
 		t.Fatalf("lossy link delivered %d messages", recv[1])
 	}
 	// Sender charged, and the phase's dropped counter.
-	if c := n.Metrics().SentByNodes("p", []NodeID{0}); c.Messages != 20 || c.Bytes != 200 {
+	if c := n.Metrics().SentByNodes(1, []NodeID{0}); c.Messages != 20 || c.Bytes != 200 {
 		t.Fatalf("sent = %+v, want 20 msgs / 200 bytes", c)
 	}
-	if c := n.Metrics().PhaseDropped("p"); c.Messages != 20 || c.Bytes != 200 {
+	if c := n.Metrics().PhaseDropped(1); c.Messages != 20 || c.Bytes != 200 {
 		t.Fatalf("dropped = %+v, want 20 msgs / 200 bytes", c)
 	}
 	if c := n.Metrics().DroppedTotal(); c.Messages != 20 || c.Bytes != 200 {
@@ -227,14 +227,14 @@ func TestChurnCrashedSenderTransmitsNothing(t *testing.T) {
 	lat := DefaultLatency()
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 12, 2)
-	n.Metrics().SetPhase("p")
+	n.Metrics().SetPhase(1)
 	n.SetFaults(crash(0, 0, 0)) // down forever
 	n.Send(0, 1, "X", nil, 1)
 	n.RunUntilIdle()
 	if recv[1] != 0 {
 		t.Fatal("message from a crashed sender was delivered")
 	}
-	if c := n.Metrics().SentByNodes("p", []NodeID{0}); c.Messages != 0 {
+	if c := n.Metrics().SentByNodes(1, []NodeID{0}); c.Messages != 0 {
 		t.Fatalf("crashed sender charged %+v sent traffic", c)
 	}
 	// Timers owned by a crashed node do not fire.
@@ -348,7 +348,7 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 	lat := DefaultLatency()
 	lat.Deterministic = true
 	n, recv := echoNet(lat, 23, 3)
-	n.Metrics().SetPhase("p")
+	n.Metrics().SetPhase(1)
 	s := NewSchedule()
 	s.Mute(1, 0, 0)
 	n.SetFaults(s)
@@ -372,10 +372,10 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 		t.Fatalf("gray node's sends were delivered: recv = %v", recv)
 	}
 	// Accounting: the gray node's traffic is charged sent + dropped.
-	if c := n.Metrics().SentByNodes("p", []NodeID{1}); c.Messages != 2 || c.Bytes != 14 {
+	if c := n.Metrics().SentByNodes(1, []NodeID{1}); c.Messages != 2 || c.Bytes != 14 {
 		t.Fatalf("gray sent = %+v, want 2 msgs / 14 bytes", c)
 	}
-	if c := n.Metrics().PhaseDropped("p"); c.Messages != 2 || c.Bytes != 14 {
+	if c := n.Metrics().PhaseDropped(1); c.Messages != 2 || c.Bytes != 14 {
 		t.Fatalf("dropped = %+v, want 2 msgs / 14 bytes", c)
 	}
 }

@@ -1,7 +1,5 @@
 package simnet
 
-import "sort"
-
 // Counter accumulates message and byte totals.
 type Counter struct {
 	Messages uint64
@@ -21,9 +19,11 @@ func (c *Counter) Add(o Counter) {
 
 // Metrics is the traffic ledger the reports read: per phase label, what
 // each node sent and how much traffic was lost; cumulatively, everything
-// sent, lost, and delivered late. The protocol layer labels phases
-// (SetPhase) and sums the per-node sent counters by role to reproduce
-// Table II, and reads the lost traffic per phase for the resilience table.
+// sent, lost, and delivered late. A label is a small non-negative integer,
+// 0 until SetPhase names another. The protocol layer labels its phases by
+// their index in the round (SetPhase) and sums the per-node sent counters
+// by role to reproduce Table II, and reads the lost traffic per phase for
+// the resilience table.
 //
 // Fault accounting: a message lost in flight, or addressed to a node that
 // is down when it arrives, is charged to its sender's sent counter — the
@@ -48,19 +48,14 @@ func (c *Counter) Add(o Counter) {
 // Metrics; so no lane runs at any of those writes. The readers (reports,
 // tests) run between drains on the same goroutine.
 //
-// Per-phase accounting holds every phase since the last ResetPhases: a
-// network that never resets keeps them all, one that resets every round
-// holds one round's worth, reusing the same tables round after round. The
-// totals are cumulative either way.
+// Per-phase accounting holds the traffic since the last ResetPhases, in one
+// table per label up to the highest label counted. A reset zeroes the
+// tables in place, so a network that resets every round holds one round's
+// worth in the same tables round after round. The totals are cumulative
+// either way.
 type Metrics struct {
-	phase string
-	// cur is the current label's table, nil until the label counts
-	// something; tables are the phases that saw traffic since the last
-	// ResetPhases, and spare are zeroed tables kept for the phases that
-	// follow one.
-	cur    *phaseTable
-	tables []*phaseTable
-	spare  []*phaseTable
+	phase  int
+	tables []phaseTable // indexed by label
 
 	total     Counter
 	totalDrop Counter
@@ -70,7 +65,6 @@ type Metrics struct {
 // phaseTable is one phase's ledger: sends indexed by the sender's NodeID,
 // grown to the highest ID counted, and the phase's lost traffic.
 type phaseTable struct {
-	name    string
 	sent    []Counter
 	dropped Counter
 }
@@ -87,35 +81,20 @@ func sumAt(tab []Counter, nodes []NodeID) Counter {
 	return sum
 }
 
-// table returns the current label's table, taking a spare one (or a new
-// one) when the label has none yet.
-func (m *Metrics) table() *phaseTable {
-	if m.cur != nil {
-		return m.cur
+// at returns a label's table; a label past the tables reads as an empty one.
+func (m *Metrics) at(phase int) phaseTable {
+	if phase >= 0 && phase < len(m.tables) {
+		return m.tables[phase]
 	}
-	t := m.lookup(m.phase)
-	if t == nil {
-		if k := len(m.spare) - 1; k >= 0 {
-			t, m.spare = m.spare[k], m.spare[:k]
-		} else {
-			t = &phaseTable{}
-		}
-		t.name = m.phase
-		m.tables = append(m.tables, t)
-	}
-	m.cur = t
-	return t
+	return phaseTable{}
 }
 
-// lookup returns the table of a phase label, nil when the label saw no
-// traffic since the last ResetPhases.
-func (m *Metrics) lookup(phase string) *phaseTable {
-	for _, t := range m.tables {
-		if t.name == phase {
-			return t
-		}
+// table returns the current label's table, growing the tables to it.
+func (m *Metrics) table() *phaseTable {
+	if m.phase >= len(m.tables) {
+		m.tables = append(m.tables, make([]phaseTable, m.phase+1-len(m.tables))...)
 	}
-	return nil
+	return &m.tables[m.phase]
 }
 
 // recordSend charges one transmission to its sender under the current
@@ -148,41 +127,31 @@ func (m *Metrics) recordLate(c Counter) {
 	m.totalLate.Add(c)
 }
 
-// NewMetrics returns empty accounting.
-func NewMetrics() *Metrics {
-	return &Metrics{phase: "init"}
-}
-
 // SetPhase labels all traffic counted from now on with the given phase
-// name. Call it while the network is idle, as the protocol layer does
-// between its phases' drains.
-func (m *Metrics) SetPhase(phase string) {
-	m.phase, m.cur = phase, nil
+// index (non-negative). Call it while the network is idle, as the protocol
+// layer does between its phases' drains.
+func (m *Metrics) SetPhase(phase int) {
+	m.phase = phase
 }
 
-// ResetPhases forgets every phase's accounting — what SentByNodes,
-// PhaseDropped and Phases report — and labels the traffic that follows
-// "init" again, as on a new Metrics. The tables are zeroed and kept for the
-// phases to come, so a caller that resets once a round holds one round of
-// accounting however long it runs. Total, DroppedTotal and LateTotal stay
-// cumulative. Call it while the network is idle, like SetPhase.
+// ResetPhases zeroes every label's accounting — what SentByNodes and
+// PhaseDropped report — in place and labels the traffic that follows 0
+// again, as on a new Metrics. A caller that resets once a round holds one
+// round of accounting however long it runs. Total, DroppedTotal and
+// LateTotal stay cumulative. Call it while the network is idle, like
+// SetPhase.
 func (m *Metrics) ResetPhases() {
-	for _, t := range m.tables {
-		clear(t.sent)
-		t.dropped = Counter{}
-		m.spare = append(m.spare, t)
+	for i := range m.tables {
+		clear(m.tables[i].sent)
+		m.tables[i].dropped = Counter{}
 	}
-	clear(m.tables)
-	m.tables = m.tables[:0]
-	m.phase, m.cur = "init", nil
+	m.phase = 0
 }
 
-// PhaseDropped returns the traffic lost under a phase label.
-func (m *Metrics) PhaseDropped(phase string) Counter {
-	if t := m.lookup(phase); t != nil {
-		return t.dropped
-	}
-	return Counter{}
+// PhaseDropped returns the traffic lost under a phase label; a label that
+// counted nothing reads zero.
+func (m *Metrics) PhaseDropped(phase int) Counter {
+	return m.at(phase).dropped
 }
 
 // DroppedTotal returns whole-simulation lost traffic.
@@ -196,28 +165,12 @@ func (m *Metrics) LateTotal() Counter {
 	return m.totalLate
 }
 
-// SentByNodes sums sender-side counters for a phase over a node set.
-func (m *Metrics) SentByNodes(phase string, nodes []NodeID) Counter {
-	if t := m.lookup(phase); t != nil {
-		return sumAt(t.sent, nodes)
-	}
-	return Counter{}
+// SentByNodes sums sender-side counters for a phase label over a node set.
+func (m *Metrics) SentByNodes(phase int, nodes []NodeID) Counter {
+	return sumAt(m.at(phase).sent, nodes)
 }
 
 // Total returns whole-simulation traffic.
 func (m *Metrics) Total() Counter {
 	return m.total
-}
-
-// Phases lists phase labels that saw traffic since the last ResetPhases,
-// sorted. A phase counts as having seen traffic when a node sent under its
-// label or traffic was lost under it — a phase whose every message was
-// lost still shows up.
-func (m *Metrics) Phases() []string {
-	out := make([]string, 0, len(m.tables))
-	for _, t := range m.tables {
-		out = append(out, t.name)
-	}
-	sort.Strings(out)
-	return out
 }

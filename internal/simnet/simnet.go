@@ -237,7 +237,7 @@ func New(latency Latency, seed int64) *Network {
 	return &Network{
 		latency: latency,
 		seed:    uint64(seed),
-		metrics: NewMetrics(),
+		metrics: new(Metrics),
 		// Cover the protocol's timer horizon (up to 4Γ phase guards and 6Δ
 		// watchdog sweeps) so only fault-model lag overflows to the heap.
 		q:     newCalQueue(4*h + 64),

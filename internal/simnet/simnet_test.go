@@ -212,21 +212,21 @@ func TestMetricsAccounting(t *testing.T) {
 	recv := 0
 	n.Register(2, func(ctx *Context, msg Message) { recv++ })
 	m := n.Metrics()
-	m.SetPhase("phase-a")
+	m.SetPhase(1)
 	n.Send(1, 2, "X", nil, 100)
 	n.RunUntilIdle()
-	m.SetPhase("phase-b")
+	m.SetPhase(2)
 	n.Send(1, 2, "Y", nil, 50)
 	n.Send(1, 2, "Y", nil, 50)
 	n.RunUntilIdle()
 
-	if c := m.SentByNodes("phase-a", []NodeID{1}); c.Messages != 1 || c.Bytes != 100 {
-		t.Fatalf("phase-a sent = %+v", c)
+	if c := m.SentByNodes(1, []NodeID{1}); c.Messages != 1 || c.Bytes != 100 {
+		t.Fatalf("label 1 sent = %+v", c)
 	}
-	if c := m.SentByNodes("phase-b", []NodeID{1, 2}); c.Messages != 2 || c.Bytes != 100 {
-		t.Fatalf("phase-b sent = %+v", c)
+	if c := m.SentByNodes(2, []NodeID{1, 2}); c.Messages != 2 || c.Bytes != 100 {
+		t.Fatalf("label 2 sent = %+v", c)
 	}
-	if c := m.SentByNodes("phase-b", []NodeID{2}); c != (Counter{}) {
+	if c := m.SentByNodes(2, []NodeID{2}); c != (Counter{}) {
 		t.Fatalf("receiver charged %+v sent traffic", c)
 	}
 	if recv != 3 {
@@ -235,23 +235,26 @@ func TestMetricsAccounting(t *testing.T) {
 	if tot := m.Total(); tot.Messages != 3 || tot.Bytes != 200 {
 		t.Fatalf("total = %+v", tot)
 	}
-	if c := m.PhaseDropped("phase-b"); c != (Counter{}) {
-		t.Fatalf("phase-b dropped = %+v on a fault-free network", c)
+	if c := m.PhaseDropped(2); c != (Counter{}) {
+		t.Fatalf("label 2 dropped = %+v on a fault-free network", c)
 	}
-	phases := m.Phases()
-	if len(phases) != 2 || phases[0] != "phase-a" || phases[1] != "phase-b" {
-		t.Fatalf("phases = %v", phases)
+	for _, ph := range []int{0, 3} {
+		if c := m.SentByNodes(ph, []NodeID{1, 2}); c != (Counter{}) {
+			t.Fatalf("label %d, never sent under, reads %+v", ph, c)
+		}
 	}
 
-	// A reset forgets the phases but keeps their tables: the same two
-	// phases again, round after round, hold what the first round held.
+	// A reset zeroes the tables in place: the same two labels again, round
+	// after round, hold what the first round held.
 	held := heldCounters(m)
 	for round := 0; round < 3; round++ {
 		m.ResetPhases()
-		if len(m.Phases()) != 0 {
-			t.Fatalf("phases %v after ResetPhases", m.Phases())
+		for ph := range 3 {
+			if c := m.SentByNodes(ph, []NodeID{1, 2}); c != (Counter{}) {
+				t.Fatalf("label %d reads %+v after ResetPhases", ph, c)
+			}
 		}
-		for _, ph := range []string{"phase-a", "phase-b"} {
+		for _, ph := range []int{1, 2} {
 			m.SetPhase(ph)
 			n.Send(1, 2, "X", nil, 10)
 			n.RunUntilIdle()
@@ -260,19 +263,17 @@ func TestMetricsAccounting(t *testing.T) {
 			t.Fatalf("reset %d: %d per-phase counters held, %d before", round+1, got, held)
 		}
 	}
-	if c := m.SentByNodes("phase-a", []NodeID{1}); c.Messages != 1 || c.Bytes != 10 {
-		t.Fatalf("phase-a sent = %+v after ResetPhases", c)
+	if c := m.SentByNodes(1, []NodeID{1}); c.Messages != 1 || c.Bytes != 10 {
+		t.Fatalf("label 1 sent = %+v after ResetPhases", c)
 	}
 }
 
 // heldCounters counts the per-(phase, node) counters m holds, in use or
-// kept for reuse: what its per-phase accounting retains.
+// zeroed: what its per-phase accounting retains.
 func heldCounters(m *Metrics) int {
 	n := 0
-	for _, ts := range [][]*phaseTable{m.tables, m.spare} {
-		for _, t := range ts {
-			n += cap(t.sent)
-		}
+	for _, t := range m.tables {
+		n += cap(t.sent)
 	}
 	return n
 }

@@ -112,13 +112,13 @@ func runScenario(tr *simnet.Network, faults simnet.Composite) *observed {
 			}
 		})
 	}
-	tr.Metrics().SetPhase("warm")
+	tr.Metrics().SetPhase(1)
 	for i := 1; i < n; i++ {
 		tr.Send(0, peers[i], "PING", fmt.Sprintf("hello-%d", i), 5+i)
 	}
 	obs.counts[0] = tr.RunUntilIdle()
 
-	tr.Metrics().SetPhase("cool")
+	tr.Metrics().SetPhase(2)
 	phase = 1
 	crash := simnet.NewSchedule()
 	crash.Crash(3, tr.Now(), 0)
@@ -163,10 +163,10 @@ func snapshot(tr *simnet.Network, obs *observed) string {
 	m := tr.Metrics()
 	fmt.Fprintf(&b, "now %d total %+v dropped %+v late %+v\n",
 		tr.Now(), m.Total(), m.DroppedTotal(), m.LateTotal())
-	for _, phase := range m.Phases() {
-		fmt.Fprintf(&b, "%s dropped %+v\n", phase, m.PhaseDropped(phase))
+	for phase := range 3 { // runFanout sends under label 0, runScenario under 1 and 2
+		fmt.Fprintf(&b, "%d dropped %+v\n", phase, m.PhaseDropped(phase))
 		for id := simnet.NodeID(0); id < 5; id++ {
-			fmt.Fprintf(&b, "%s/%d sent %+v\n", phase, id, m.SentByNodes(phase, []simnet.NodeID{id}))
+			fmt.Fprintf(&b, "%d/%d sent %+v\n", phase, id, m.SentByNodes(phase, []simnet.NodeID{id}))
 		}
 	}
 	if obs != nil {

@@ -54,8 +54,8 @@ var mutants = []mutant{
 	{
 		name:   "the pipelined duration is the plain sum",
 		file:   "internal/protocol/pipeline.go",
-		old:    "\te.prevBlock = s[\"block\"]\n\treturn dur\n",
-		new:    "\te.prevBlock = s[\"block\"]\n\treturn s[\"config\"] + s[\"semicommit\"] + processing + election + s[\"block\"]\n",
+		old:    "\te.prevBlock = s[PhaseBlock]\n\treturn dur\n",
+		new:    "\te.prevBlock = s[PhaseBlock]\n\treturn s[PhaseConfig] + s[PhaseSemiCommit] + processing + election + s[PhaseBlock]\n",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^(golden|pipelined)$",
 		want:   "killed",
@@ -182,9 +182,9 @@ var mutants = []mutant{
 	{
 		name: "the pipelined duration is the plain sum under aggregate certificates",
 		file: "internal/protocol/pipeline.go",
-		old:  "\te.prevBlock = s[\"block\"]\n\treturn dur\n",
-		new: "\te.prevBlock = s[\"block\"]\n\tif e.P.AggregateCerts {\n" +
-			"\t\treturn s[\"config\"] + s[\"semicommit\"] + processing + election + s[\"block\"]\n\t}\n\treturn dur\n",
+		old:  "\te.prevBlock = s[PhaseBlock]\n\treturn dur\n",
+		new: "\te.prevBlock = s[PhaseBlock]\n\tif e.P.AggregateCerts {\n" +
+			"\t\treturn s[PhaseConfig] + s[PhaseSemiCommit] + processing + election + s[PhaseBlock]\n\t}\n\treturn dur\n",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^(golden|aggregate|aggregate-pipelined-lanes)$",
 		want:   "killed",
@@ -307,6 +307,16 @@ var mutants = []mutant{
 		run:    "TestMemberValidatesItsList",
 		want:   "killed",
 		reason: "A member's verdict is its own validation of the list it was handed, against its shard's UTXO state: a payment out of a genesis output must pass.",
+	},
+	{
+		name:   "ResetPhases keeps a label's sent counters",
+		file:   "internal/simnet/metrics.go",
+		old:    "\t\tclear(m.tables[i].sent)\n",
+		new:    "",
+		pkgs:   []string{"./internal/simnet", "./internal/protocol"},
+		run:    "^(TestMetricsMatchMapOracle|TestMetricsAccounting|TestAccountingHoldsOneRound)$",
+		want:   "killed",
+		reason: "A reset zeroes every label's table in place, so after it the ledger holds the new window's or round's sends only.",
 	},
 }
 
