@@ -496,6 +496,32 @@ var guards = []guard{
 			"func sameTxList(a, b []*ledger.Tx) bool { return len(a) == len(b) }\n"},
 	},
 	{
+		name: "Nodes know only what they were told",
+		reason: "A node acts on what its round handed it: the run's parameters, the latency bounds, its UTXO view, " +
+			"the round's echo sets and the roster that seated it, which its embedded view holds (node.go). A struct " +
+			"field typed *Engine puts the whole engine back within a handler's reach, where a read of shared memory " +
+			"stands in for a message the node never received; the engine reads nodes, nodes do not read the engine.",
+		paths: []string{"internal/protocol/*.go", ":!*_test.go"},
+		find: func(files []file) []string {
+			srcs, hits := parse(files)
+			for _, s := range srcs {
+				ast.Inspect(s.File, func(n ast.Node) bool {
+					if st, ok := n.(*ast.StructType); ok {
+						for _, f := range st.Fields.List {
+							if star, ok := f.Type.(*ast.StarExpr); ok && fmt.Sprint(star.X) == "Engine" {
+								hits = append(hits, s.at(f))
+							}
+						}
+					}
+					return true
+				})
+			}
+			return hits
+		},
+		fixture: file{"internal/protocol/node.go", "package protocol\n\ntype Node struct {\n\tID       simnet.NodeID\n\tName     string\n" +
+			"\tKeys     crypto.KeyPair\n\tBehavior Behavior\n\n\tpki *consensus.PKI\n\teng *Engine\n}\n"},
+	},
+	{
 		name: "The scenario registry is a fixed table",
 		reason: "sim's init registers the built-in scenarios once; a project-local experiment is a Scenario value " +
 			"or a run document. A Register function would bring back a registry that changes after init, and the " +

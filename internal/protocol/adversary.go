@@ -92,7 +92,7 @@ func (e *Engine) phaseSchedule() [len(Phases)]simnet.Window {
 	spans := e.stageSpans
 	if spans == [len(Phases)]simnet.Time{} {
 		d, g := e.lat.Delta, e.lat.Gamma
-		stretch := e.treeStretch(e.P.C)
+		stretch := treeStretch(&e.P, e.lat, e.P.C)
 		spans = [...]simnet.Time{
 			PhaseConfig:     2 + 2*d,
 			PhaseSemiCommit: 2 + 2*g + stretch,

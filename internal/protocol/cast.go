@@ -19,7 +19,7 @@ import (
 // fold cannot fail for voters the collector admitted from that roster; if it
 // ever did, the per-voter form is still valid.
 func (n *Node) evidence(q consensus.Quorum, roster []simnet.NodeID) consensus.Quorum {
-	if as, ok := n.pki.Scheme.(consensus.AggregateScheme); ok && n.eng.P.AggregateCerts {
+	if as, ok := n.pki.Scheme.(consensus.AggregateScheme); ok && n.P.AggregateCerts {
 		if folded, err := q.Fold(as, roster); err == nil {
 			return folded
 		}
@@ -37,11 +37,11 @@ func (n *Node) certify(res consensus.Result) consensus.Result {
 // treeStretch is the extra time a broadcast to a c-member committee needs
 // before its deadline: up to ⌈log₂ c⌉ relay hops of Δ each under tree
 // dissemination, nothing when the root reaches every member directly.
-func (e *Engine) treeStretch(c int) simnet.Time {
-	if !e.P.AggregateCerts {
+func treeStretch(p *Params, lat simnet.Latency, c int) simnet.Time {
+	if !p.AggregateCerts {
 		return 0
 	}
-	return simnet.Time(simnet.TreeDepth(c)) * e.lat.Delta
+	return simnet.Time(simnet.TreeDepth(c)) * lat.Delta
 }
 
 // committeeCast is this node's step of a committee broadcast rooted at root.
@@ -52,7 +52,7 @@ func (e *Engine) treeStretch(c int) simnet.Time {
 // message it received, which is the same payload — a relay never walks it
 // again.
 func (n *Node) committeeCast(ctx *simnet.Context, root simnet.NodeID, tag string, payload any, size int) {
-	if n.eng.P.AggregateCerts {
+	if n.P.AggregateCerts {
 		n.treeRelay(ctx, root, tag, payload, size)
 		return
 	}

@@ -3,20 +3,16 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"cycledger/internal/chain"
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
 	"cycledger/internal/ledger"
-	"cycledger/internal/pow"
 	"cycledger/internal/pvss"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
 	"cycledger/internal/transport"
-	"cycledger/internal/wire"
 	"cycledger/internal/workload"
 )
 
@@ -116,7 +112,6 @@ type Engine struct {
 	roster *Roster
 	round  uint64
 
-	randomness crypto.Digest
 	nextRoster *Roster
 	reports    []*RoundReport
 
@@ -127,16 +122,8 @@ type Engine struct {
 	pending    *pendingBlock            // assembled-but-uncertified block state
 	stageSpans [len(Phases)]simnet.Time // per-network-stage virtual spans
 	prevBlock  simnet.Time              // previous round's block span (cross-round overlap)
-	screened   atomic.Int64             // §VIII-A pre-screen drops (handler hot path)
 	hooks      Hooks                    // optional progress callbacks (SetHooks)
-
-	// echoes holds this round's verified echoes per instance leader, and
-	// the position index of that leader's roster, shared by every node's
-	// endpoint for that leader (echoesFor). consFor runs on
-	// the simnet lanes, concurrently, so echoMu guards the lazy creation of
-	// an entry; RunRound drops the sets when the round ends.
-	echoMu sync.Mutex
-	echoes map[simnet.NodeID]*consensus.VerifiedEchoes
+	echoes     echoSets                 // this round's verified echoes, which every node's view points to
 
 	// adversary, when non-nil, is the reactive planner re-targeting its
 	// fault budget at each round boundary (see adversary.go).
@@ -151,29 +138,6 @@ func (e *Engine) nodeDown(id simnet.NodeID) bool {
 		return true
 	}
 	return e.nodes[i].Behavior.Offline || e.Net.Down(id)
-}
-
-// noteScreened tallies §VIII-A pre-screen drops. It is called from
-// handlers that may run on the simnet worker pool, so it must stay
-// lock-free: a single atomic add, folded into the round report when the
-// round closes.
-func (e *Engine) noteScreened(n int) {
-	if n > 0 {
-		e.screened.Add(int64(n))
-	}
-}
-
-// echoesFor returns the round's verified-echo set for the instances leader
-// leads, creating it on first use.
-func (e *Engine) echoesFor(leader simnet.NodeID) *consensus.VerifiedEchoes {
-	e.echoMu.Lock()
-	defer e.echoMu.Unlock()
-	v := e.echoes[leader]
-	if v == nil {
-		v = consensus.NewVerifiedEchoes(e.round, leader)
-		e.echoes[leader] = v
-	}
-	return v
 }
 
 // NewEngine builds the node population, genesis state, and the round-1
@@ -195,7 +159,7 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 		P:      p,
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		reput:  reputation.NewLedger(),
-		echoes: make(map[simnet.NodeID]*consensus.VerifiedEchoes),
+		echoes: echoSets{sets: make(map[simnet.NodeID]*consensus.VerifiedEchoes)},
 		utxo:   ledger.NewShardedStore(uint64(p.M)),
 		group:  pvss.DefaultGroup(),
 		chain:  chain.New(),
@@ -227,9 +191,11 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	e.pki = consensus.NewPKI(schemes[p.Scheme], pks) // pks is filled as the keys are drawn
 	e.names = make([]string, n)
 	e.nodes = make([]*Node, n)
+	v := view{P: &e.P, lat: e.lat, utxo: e.utxo, echoes: &e.echoes}
+	v.lat.Classify = nil // a node reads the bounds; the link classifier reads the engine's roster
 	for i := 0; i < n; i++ {
 		e.names[i] = fmt.Sprintf("node-%04d", i)
-		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: crypto.GenerateKeyPair(e.rng), pki: e.pki, eng: e}
+		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: crypto.GenerateKeyPair(e.rng), pki: e.pki, view: v}
 		pks[i] = node.Keys.PK
 		e.nodes[i] = node
 		e.Net.Register(node.ID, node.Handle)
@@ -258,7 +224,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 		}
 	}
 
-	e.randomness = crypto.H([]byte("cycledger/genesis"), u64(uint64(p.Seed)))
 	e.roster = e.bootstrapRoster()
 	e.roster.index()
 	e.round = 1
@@ -303,11 +268,12 @@ func (e *Engine) assignByzantine() {
 	}
 }
 
-// bootstrapRoster builds round 1's roster: referee first, then leaders,
-// then partial sets round-robin; everyone else joins as a common member
-// via sortition (resolved in the configuration phase).
+// bootstrapRoster builds round 1's roster, under the genesis randomness:
+// referee first, then leaders, then partial sets round-robin; everyone else
+// joins as a common member via sortition (resolved in the configuration
+// phase).
 func (e *Engine) bootstrapRoster() *Roster {
-	r := newRoster(1, e.randomness, uint64(e.P.M))
+	r := newRoster(1, crypto.H([]byte("cycledger/genesis"), u64(uint64(e.P.Seed))), uint64(e.P.M))
 	for i := 0; i < e.P.RefSize; i++ {
 		r.Referee = append(r.Referee, simnet.NodeID(i))
 	}
@@ -403,29 +369,6 @@ func (e *Engine) GenesisUTXO() (*ledger.ShardedStore, error) {
 		}
 	}
 	return s, nil
-}
-
-// propagateBlock spreads the decided block: each referee member serves the
-// slice of leaders assigned to it round-robin; leaders forward within
-// their committees (onBlock). This splits the paper's O(mn) referee burden
-// across C_R.
-func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *Block) {
-	idx := -1
-	for i, id := range e.roster.Referee {
-		if id == refID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	var leaders []simnet.NodeID
-	for k := idx; k < e.P.M; k += len(e.roster.Referee) {
-		leaders = append(leaders, e.roster.Leaders[k])
-	}
-	var msg any = BlockMsg{Block: blk}
-	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
 }
 
 // Phase is one of a round's seven network phases, numbered in round order.
@@ -538,12 +481,14 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	// nothing reads a node's round state, the echo sets its consensus
 	// endpoints share, or the round's routed work and pending block after
 	// this point, so they are released here, not at the next round's reset.
+	// A leader's §VIII-A drops are the last thing read from its round state.
 	for _, n := range e.nodes {
+		report.Screened += n.screened
 		clear(n.cons)
 		n.consBuf = n.cons[:0]
 		n.roundState = roundState{}
 	}
-	clear(e.echoes)
+	clear(e.echoes.sets)
 	e.work, e.pending = nil, nil
 
 	if e.P.Pipelined {
@@ -551,7 +496,6 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	} else {
 		report.Duration = e.Net.Now() - start
 	}
-	report.Screened = int(e.screened.Swap(0))
 	dropEnd := e.Net.Metrics().DroppedTotal()
 	lateEnd := e.Net.Metrics().LateTotal()
 	report.Dropped = dropEnd.Messages - dropStart.Messages
@@ -601,9 +545,4 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 			report.PhaseDropped[name] = m.PhaseDropped(ph)
 		}
 	}
-}
-
-// powPuzzle returns the participation puzzle for the next round.
-func (e *Engine) powPuzzle() pow.Puzzle {
-	return pow.NewPuzzle(e.round+1, e.randomness, e.P.PowHardness)
 }

@@ -66,7 +66,7 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 		}
 		e.SetHooks(Hooks{PhaseStart: func(_ uint64, phase string) {
 			if phase == "select" && in != nil {
-				from, m := in(e, byz[0], byz[1], e.powPuzzle())
+				from, m := in(e, byz[0], byz[1], e.roster.puzzle(e.P.PowHardness))
 				var msg any = m
 				e.Net.Broadcast(from, e.roster.Referee, TagPow, msg, wire.Size(msg))
 			}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"slices"
+	"sync"
 
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
@@ -12,8 +13,9 @@ import (
 )
 
 // Node is one protocol participant: a state machine driven by simulated
-// messages. All mutable state is node-local; the engine reads it between
-// phases (after the network is idle), so parallel event execution is safe.
+// messages. What it knows beyond its own state is its view; it never reads
+// the engine. The engine reads nodes, between phases (after the network is
+// idle), so parallel event execution is safe.
 type Node struct {
 	ID       simnet.NodeID
 	Name     string
@@ -21,7 +23,7 @@ type Node struct {
 	Behavior Behavior
 
 	pki *consensus.PKI // every node's key, under the run's scheme (§III-A)
-	eng *Engine
+	view
 
 	// seat is the Algorithm 1 result that made this node a common member
 	// of the roster that last seated it that way (Engine.seatCommon); the
@@ -39,6 +41,40 @@ type Node struct {
 	consBuf        []*consensus.Protocol // the array cons appends into, every entry nil
 
 	roundState
+}
+
+// view is what a node is handed rather than learns: the run's parameters,
+// the latency bounds, the UTXO state it validates against, the round's
+// shared echo sets, and the roster that seated it this round (installed by
+// resetRound; the round number and randomness are the roster's).
+type view struct {
+	P      *Params // the engine's: an edit made after NewEngine reaches every node
+	lat    simnet.Latency
+	utxo   ledger.UTXOView
+	echoes *echoSets
+	roster *Roster
+}
+
+// echoSets holds the round's verified echoes per instance leader, shared by
+// every node's endpoint for that leader. consFor runs on the simnet lanes,
+// concurrently, so mu guards the lazy creation of an entry; RunRound drops
+// the sets when the round ends.
+type echoSets struct {
+	mu   sync.Mutex
+	sets map[simnet.NodeID]*consensus.VerifiedEchoes
+}
+
+// of returns the round's verified-echo set for the instances leader leads,
+// creating it on first use.
+func (s *echoSets) of(round uint64, leader simnet.NodeID) *consensus.VerifiedEchoes {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.sets[leader]
+	if v == nil {
+		v = consensus.NewVerifiedEchoes(round, leader)
+		s.sets[leader] = v
+	}
+	return v
 }
 
 // roundState is everything a node learns during one round. resetRound
@@ -65,6 +101,7 @@ type roundState struct {
 	interOut        map[uint64][]*ledger.Tx // leader i: lists per target committee
 	interOutStarted map[uint64]bool         // leader i: consensus already started per target
 	interFwds       map[uint64]*InterFwdMsg // leader/partial j: received per source
+	screened        int                     // leader i: cross-shard txs dropped by §VIII-A pre-screening
 
 	// Recovery.
 	myApprovals  []consensus.Vote                         // as accuser
@@ -96,8 +133,10 @@ type roundState struct {
 	gotBlock bool
 }
 
-// resetRound installs the node's seat and a fresh round state.
+// resetRound installs the round's roster, the node's seat on it and a
+// fresh round state.
 func (n *Node) resetRound(r *Roster) {
+	n.roster = r
 	n.role = r.RoleOf(n.ID)
 	n.comID = 0
 	if k, ok := r.CommitteeOf(n.ID); ok {
@@ -155,10 +194,10 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 	var roster []simnet.NodeID
 	switch {
 	case n.role == RoleReferee:
-		if n.eng.roster.RoleOf(leader) != RoleReferee {
+		if n.roster.RoleOf(leader) != RoleReferee {
 			return nil
 		}
-		roster = n.eng.roster.Referee
+		roster = n.roster.Referee
 	case n.role == RoleIdle:
 		return nil
 	default:
@@ -168,14 +207,14 @@ func (n *Node) consFor(leader simnet.NodeID) *consensus.Protocol {
 		roster = n.committeeNodes
 	}
 	p := &consensus.Protocol{
-		Round:     n.eng.round,
+		Round:     n.roster.Round,
 		Self:      n.ID,
 		Leader:    leader,
 		Committee: roster,
 		Keys:      n.Keys,
 		PKOf:      n.pki.PK,
 		Scheme:    n.pki.Scheme,
-		Echoes:    n.eng.echoesFor(leader),
+		Echoes:    n.echoes.of(n.roster.Round, leader),
 		OnDecide: func(ctx *simnet.Context, res consensus.Result) {
 			n.onConsensusDecide(ctx, res)
 		},
@@ -197,7 +236,7 @@ func (n *Node) legitimateCommitteeLeader(leader simnet.NodeID) bool {
 	if leader == n.curLeader {
 		return true
 	}
-	for _, id := range n.eng.roster.Partials[n.comID] {
+	for _, id := range n.roster.Partials[n.comID] {
 		if id == leader {
 			return true
 		}
@@ -229,7 +268,7 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 	// Fallback proposers (partial set) are only entitled to drive
 	// inter-committee incoming instances (Lemma 7 liveness path).
 	if leader != n.curLeader {
-		if sn < snInterInBase || sn >= snInterInBase+n.eng.roster.M {
+		if sn < snInterInBase || sn >= snInterInBase+n.roster.M {
 			return false
 		}
 	}

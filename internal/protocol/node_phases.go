@@ -29,21 +29,21 @@ func (n *Node) startSemiCommit(ctx *simnet.Context) {
 		// strongest detectable forgery (Theorem 2's first case).
 		com = crypto.H([]byte("forged"), com[:])
 	}
-	msg := SemiComMsg{Round: n.eng.round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Snapshot()}
+	msg := SemiComMsg{Round: n.roster.Round, Committee: n.comID, SemiCom: com, Records: n.localDirectory.Snapshot()}
 	msg.Sig = consensus.Sign(n.pki.Scheme, n.Keys, msg)
 	var payload any = msg // boxed once, not per destination
 	size := wire.Size(payload)
-	ctx.Broadcast(n.eng.roster.Referee, TagSemiCom, payload, size)
-	ctx.Broadcast(n.eng.roster.Partials[n.comID], TagSemiCom, payload, size)
+	ctx.Broadcast(n.roster.Referee, TagSemiCom, payload, size)
+	ctx.Broadcast(n.roster.Partials[n.comID], TagSemiCom, payload, size)
 }
 
 // onSemiCom handles a leader's announcement, on both referee members and
 // partial-set members.
 func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) {
-	if m.Committee >= n.eng.roster.M {
+	if m.Committee >= n.roster.M {
 		return
 	}
-	leader := n.eng.roster.Leaders[m.Committee]
+	leader := n.roster.Leaders[m.Committee]
 	if from != leader && from != n.curLeader {
 		return
 	}
@@ -60,7 +60,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		// The coordinator for this committee drives the C_R validation
 		// instance (§IV-B step 2); an invalid commitment triggers an
 		// eviction instance instead ("expel the cheating leaders").
-		if n.eng.roster.coordinatorFor(m.Committee) != n.ID {
+		if n.roster.coordinatorFor(m.Committee) != n.ID {
 			return
 		}
 		if m.ListDigest() == m.SemiCom {
@@ -68,7 +68,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 			if p := n.consFor(n.ID); p != nil {
 				p.Propose(ctx, snSemiComBase+m.Committee, consensus.PayloadDigest(payload), payload, 0)
 			}
-		} else if !n.eng.P.DisableRecovery {
+		} else if !n.P.DisableRecovery {
 			n.proposeEviction(ctx, m.Committee, RecoveryWitness{
 				Kind: "semicommit", Committee: m.Committee, SemiCom: &mm,
 			})
@@ -85,7 +85,7 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 		if !bad && n.localDirectory != nil && len(m.Records) < n.localDirectory.Len() {
 			bad = true
 		}
-		if bad && !n.eng.P.DisableRecovery {
+		if bad && !n.P.DisableRecovery {
 			n.accuse(ctx, RecoveryWitness{Kind: "semicommit", Committee: n.comID, SemiCom: &mm})
 		}
 	}
@@ -104,7 +104,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.CensorAll {
 		txs = nil
 	}
-	msg := TxListMsg{Round: n.eng.round, Committee: n.comID, Attempt: attempt, Txs: TxsOf(txs...)}
+	msg := TxListMsg{Round: n.roster.Round, Committee: n.comID, Attempt: attempt, Txs: TxsOf(txs...)}
 	msg.Sig = consensus.Sign(n.pki.Scheme, n.Keys, msg)
 	// Under tree dissemination only the tree children are sent to here;
 	// receivers relay (onTxList) down their own subtrees.
@@ -118,7 +118,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	// so the deadline stretches by that many Δ in tree mode; fault-free
 	// rounds are unaffected — the leader concludes on the last vote, not
 	// the deadline.
-	deadline := 6*n.eng.lat.Delta + n.eng.treeStretch(len(n.committeeNodes))
+	deadline := 6*n.lat.Delta + treeStretch(n.P, n.lat, len(n.committeeNodes))
 	ctx.After(deadline, func(c *simnet.Context) {
 		n.finishIntra(c, attempt)
 	})
@@ -128,7 +128,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 // the acting leader signed is relayed or voted on; the signature covers the
 // whole list.
 func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
-	if m.Committee != n.comID || m.Round != n.eng.round {
+	if m.Committee != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	if consensus.Verify(n.pki, n.curLeader, m.Sig, m) != nil {
@@ -153,12 +153,12 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 
 // voteOnTxs produces this node's vote vector on the list it was handed
 // (§IV-C step 3). The behaviours that read a verdict, honest and invert,
-// validate the list against the node's shard view (validateList); lazy
-// and yes answer without validating anything.
+// validate the list against the node's UTXO view (validateList); lazy and
+// yes answer without validating anything.
 func (n *Node) voteOnTxs(txs []*ledger.Tx) reputation.VoteVector {
 	vote := n.Behavior.Vote
 	if vote == VoteHonest || vote == VoteInvert {
-		out := validateList(txs, n.shardView(), n.eng.P.ParallelBlockGen)
+		out := validateList(txs, n.utxo, n.P.ParallelBlockGen)
 		if vote == VoteInvert {
 			for i := range out {
 				out[i] = -out[i]
@@ -174,11 +174,6 @@ func (n *Node) voteOnTxs(txs []*ledger.Tx) reputation.VoteVector {
 	}
 	return out
 }
-
-// shardView is the UTXO state this node validates its committee's list
-// against: the engine's store, read-only while the network runs, until
-// nodes keep their own shard state (ROADMAP.md item 5).
-func (n *Node) shardView() ledger.UTXOView { return n.eng.utxo }
 
 // validateList is the honest verdict on a list, in list order. With
 // chained (ParallelBlockGen, §VIII-B) the list is judged against a
@@ -216,7 +211,7 @@ func (n *Node) recordVote(voter simnet.NodeID, v reputation.VoteVector) {
 // the member it names, under that member's signature: the count closes
 // collection at committeeSize, so a vote for anyone else is a vote stolen.
 func (n *Node) onVote(ctx *simnet.Context, m VoteMsg, from simnet.NodeID) {
-	if n.ID != n.curLeader || m.Committee != n.comID || m.Round != n.eng.round {
+	if n.ID != n.curLeader || m.Committee != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	if m.Voter != from || !slices.Contains(n.committeeNodes, m.Voter) || len(m.Votes) != len(n.currentList()) {
@@ -274,8 +269,8 @@ func (n *Node) finishIntra(ctx *simnet.Context, attempt int) {
 	if n.Behavior.EquivocateIntra {
 		// Split the committee and propose two conflicting decisions.
 		alt := &IntraPayload{Voters: payload.Voters, Votes: payload.Votes}
-		propA := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(payload), payload)
-		propB := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.eng.round, sn, consensus.PayloadDigest(alt), alt)
+		propA := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.roster.Round, sn, consensus.PayloadDigest(payload), payload)
+		propB := consensus.BuildPropose(n.pki.Scheme, n.Keys, n.ID, n.roster.Round, sn, consensus.PayloadDigest(alt), alt)
 		half := len(n.committeeNodes) / 2
 		p.SendRaw(ctx, propA, n.committeeNodes[:half])
 		p.SendRaw(ctx, propB, n.committeeNodes[half:])
@@ -301,7 +296,7 @@ func (n *Node) startInter(ctx *simnet.Context) {
 	// enqueue sends (and thus draw their simulated delays) in a
 	// run-dependent order, breaking seeded reproducibility.
 	targets := slices.Sorted(maps.Keys(n.interOut))
-	if !n.eng.P.PreScreenCross {
+	if !n.P.PreScreenCross {
 		for _, j := range targets {
 			n.proposeInterOut(ctx, j, n.interOut[j])
 		}
@@ -309,9 +304,9 @@ func (n *Node) startInter(ctx *simnet.Context) {
 	}
 	for _, j := range targets {
 		j, txs := j, n.interOut[j]
-		query := InterQueryMsg{Round: n.eng.round, From: n.comID, To: j, Txs: TxsOf(txs...)}
-		ctx.Send(n.eng.roster.Leaders[j], TagInterQuery, query, wire.Size(query))
-		ctx.After(4*n.eng.lat.Gamma, func(c *simnet.Context) {
+		query := InterQueryMsg{Round: n.roster.Round, From: n.comID, To: j, Txs: TxsOf(txs...)}
+		ctx.Send(n.roster.Leaders[j], TagInterQuery, query, wire.Size(query))
+		ctx.After(4*n.lat.Gamma, func(c *simnet.Context) {
 			if n.interOutStarted[j] {
 				return
 			}
@@ -336,7 +331,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 // onInterQuery answers a §VIII-A pre-screen: the receiving leader marks
 // each candidate against its view. A concealing leader ignores queries.
 func (n *Node) onInterQuery(ctx *simnet.Context, m InterQueryMsg) {
-	if n.role != RoleLeader || m.To != n.comID || m.Round != n.eng.round || m.From >= n.eng.roster.M {
+	if n.role != RoleLeader || m.To != n.comID || m.Round != n.roster.Round || m.From >= n.roster.M {
 		return
 	}
 	if n.Behavior.ConcealCross || n.Behavior.Offline {
@@ -345,17 +340,17 @@ func (n *Node) onInterQuery(ctx *simnet.Context, m InterQueryMsg) {
 	txs := m.Txs.Txs()
 	valid := make([]bool, len(txs))
 	for i, tx := range txs {
-		_, err := ledger.Validate(tx, n.eng.utxo)
+		_, err := ledger.Validate(tx, n.utxo)
 		valid[i] = err == nil
 	}
 	pref := InterPrefMsg{Round: m.Round, From: m.From, To: m.To, Valid: valid}
-	ctx.Send(n.eng.roster.Leaders[m.From], TagInterPref, pref, wire.Size(pref))
+	ctx.Send(n.roster.Leaders[m.From], TagInterPref, pref, wire.Size(pref))
 }
 
 // onInterPref filters the pending list by the receiver's preference and
 // starts the committee consensus on the survivors.
 func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
-	if n.role != RoleLeader || m.From != n.comID || m.Round != n.eng.round {
+	if n.role != RoleLeader || m.From != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	txs, ok := n.interOut[m.To]
@@ -368,7 +363,7 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 			kept = append(kept, tx)
 		}
 	}
-	n.eng.noteScreened(len(txs) - len(kept))
+	n.screened += len(txs) - len(kept)
 	if len(kept) == 0 {
 		n.interOutStarted[m.To] = true // nothing worth two consensus runs
 		return
@@ -379,7 +374,7 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 // onInterFwd receives a certified cross-shard list on the output
 // committee's key members.
 func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
-	if m.To != n.comID || m.Round != n.eng.round {
+	if m.To != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	if n.Behavior.ConcealCross && n.role == RoleLeader {
@@ -407,11 +402,11 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 		// the set; after another 2Γ, the first partial member assumes
 		// proposer duty. Disabled together with recovery for the
 		// RapidChain-style baseline.
-		if n.eng.P.DisableRecovery {
+		if n.P.DisableRecovery {
 			return
 		}
 		src := m.From
-		wait := 2 * n.eng.lat.Gamma
+		wait := 2 * n.lat.Gamma
 		ctx.After(wait, func(c *simnet.Context) {
 			if n.leaderProposedInterIn(src) {
 				return
@@ -421,7 +416,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 				if n.leaderProposedInterIn(src) {
 					return
 				}
-				if n.eng.roster.successorFor(n.comID) == n.ID {
+				if n.roster.successorFor(n.comID) == n.ID {
 					payload := &InterPayload{From: src, Txs: mm.Txs}
 					if p := n.consFor(n.ID); p != nil {
 						p.Propose(c2, snInterInBase+src, consensus.PayloadDigest(payload), payload, 0)
@@ -446,7 +441,7 @@ func (n *Node) leaderProposedInterIn(src uint64) bool {
 
 // onInterResult records the round trip at referee members.
 func (n *Node) onInterResult(ctx *simnet.Context, m InterResultMsg) {
-	if m.Round != n.eng.round || n.role != RoleReferee {
+	if m.Round != n.roster.Round || n.role != RoleReferee {
 		return
 	}
 	key := interKey(m.From, m.To)
@@ -528,32 +523,32 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 			n.intraDecided = payload
 		}
 		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
-		ctx.Broadcast(n.eng.roster.Referee, TagIntraResult, msg, wire.Size(msg))
+		ctx.Broadcast(n.roster.Referee, TagIntraResult, msg, wire.Size(msg))
 	case res.SN == snScore:
 		var msg any = ScoreResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
-		ctx.Broadcast(n.eng.roster.Referee, TagScoreResult, msg, wire.Size(msg))
-	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.eng.roster.M:
+		ctx.Broadcast(n.roster.Referee, TagScoreResult, msg, wire.Size(msg))
+	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.roster.M:
 		j := res.SN - snInterOutBase
 		payload, ok := res.Payload.(*InterPayload)
 		if !ok {
 			return
 		}
-		var fwd any = InterFwdMsg{Round: n.eng.round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res), Members: n.committeeNodes}
-		ctx.Broadcast(n.eng.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
-	case res.SN >= snInterInBase && res.SN < snInterInBase+n.eng.roster.M:
+		var fwd any = InterFwdMsg{Round: n.roster.Round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res), Members: n.committeeNodes}
+		ctx.Broadcast(n.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
+	case res.SN >= snInterInBase && res.SN < snInterInBase+n.roster.M:
 		i := res.SN - snInterInBase
-		var msg any = InterResultMsg{Round: n.eng.round, From: i, To: n.comID, Result: n.certify(res)}
+		var msg any = InterResultMsg{Round: n.roster.Round, From: i, To: n.comID, Result: n.certify(res)}
 		size := wire.Size(msg)
-		ctx.Send(n.eng.roster.Leaders[i], TagInterResult, msg, size)
-		ctx.Broadcast(n.eng.roster.Referee, TagInterResult, msg, size)
-	case res.SN >= snSemiComBase && res.SN < snSemiComBase+n.eng.roster.M:
+		ctx.Send(n.roster.Leaders[i], TagInterResult, msg, size)
+		ctx.Broadcast(n.roster.Referee, TagInterResult, msg, size)
+	case res.SN >= snSemiComBase && res.SN < snSemiComBase+n.roster.M:
 		// C_R validated a commitment: announce to all key members
 		// (§IV-B step 2).
 		k := res.SN - snSemiComBase
 		if payload, ok := res.Payload.(SemiComPayload); ok {
 			n.validatedSemiComs[k] = payload.Msg.SemiCom
-			var ok any = SemiComOKMsg{Round: n.eng.round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
-			ctx.Broadcast(n.eng.roster.AllKeyMembers(), TagSemiComOK, ok, wire.Size(ok))
+			var ok any = SemiComOKMsg{Round: n.roster.Round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
+			ctx.Broadcast(n.roster.AllKeyMembers(), TagSemiComOK, ok, wire.Size(ok))
 		}
 	case res.SN >= snEvictBase && res.SN < snBlock:
 		// Eviction instance (any generation — see proposeEviction): decided
@@ -564,8 +559,8 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		// propagation burden.
 	case res.SN == snUTXO:
 		if payload, ok := res.Payload.(UTXOPayload); ok {
-			var msg any = UTXOFinalMsg{Round: n.eng.round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res)}
-			ctx.Broadcast(n.eng.roster.Referee, TagUTXOFinal, msg, wire.Size(msg))
+			var msg any = UTXOFinalMsg{Round: n.roster.Round, Committee: n.comID, Digest: payload.UTXO, Result: n.certify(res)}
+			ctx.Broadcast(n.roster.Referee, TagUTXOFinal, msg, wire.Size(msg))
 		}
 	}
 }
@@ -574,26 +569,43 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 	switch {
 	case n.role == RoleReferee && sn >= snEvictBase && sn < snBlock:
 		ev, ok := payload.(EvictPayload)
-		if !ok || ev.Committee >= n.eng.roster.M {
+		if !ok || ev.Committee >= n.roster.M {
 			return
 		}
 		evv := ev
 		n.crEvicted[ev.Committee] = &evv
 		// Every referee member notifies the committee (Algorithm 6).
-		var msg any = NewLeaderMsg{Round: n.eng.round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
-		ctx.Broadcast(n.eng.roster.Committee(ev.Committee), TagNewLeader, msg, wire.Size(msg))
+		var msg any = NewLeaderMsg{Round: n.roster.Round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
+		ctx.Broadcast(n.roster.Committee(ev.Committee), TagNewLeader, msg, wire.Size(msg))
 	case n.role == RoleReferee && sn == snBlock:
 		blk, ok := payload.(*Block)
 		if !ok {
 			return
 		}
 		n.crBlock = blk
-		n.eng.propagateBlock(ctx, n.ID, blk)
+		n.propagateBlock(ctx, blk)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Block phase
+
+// propagateBlock spreads the decided block: each referee member serves the
+// slice of leaders assigned to it round-robin; leaders forward within
+// their committees (onBlock). This splits the paper's O(mn) referee burden
+// across C_R.
+func (n *Node) propagateBlock(ctx *simnet.Context, blk *Block) {
+	idx := slices.Index(n.roster.Referee, n.ID)
+	if idx < 0 {
+		return
+	}
+	var leaders []simnet.NodeID
+	for k := idx; k < len(n.roster.Leaders); k += len(n.roster.Referee) {
+		leaders = append(leaders, n.roster.Leaders[k])
+	}
+	var msg any = BlockMsg{Block: blk}
+	ctx.Broadcast(leaders, TagBlock, msg, wire.Size(msg))
+}
 
 // onBlock receives the round block, of the given declared size, and
 // forwards it unchanged; committee leaders then drive the final UTXO
@@ -612,7 +624,7 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg, size int) {
 		// Leaders forward the block inside their committee.
 		n.committeeCast(ctx, n.ID, TagBlock, m, size)
 		// Agree on the final shard-UTXO digest.
-		digest := crypto.H([]byte("utxo"), u64(n.eng.round), u64(n.comID), m.Block.Randomness[:])
+		digest := crypto.H([]byte("utxo"), u64(n.roster.Round), u64(n.comID), m.Block.Randomness[:])
 		payload := UTXOPayload{Committee: n.comID, UTXO: digest}
 		if p := n.consFor(n.ID); p != nil {
 			p.Propose(ctx, snUTXO, consensus.PayloadDigest(payload), payload, 0)
@@ -629,10 +641,10 @@ func (n *Node) onUTXOFinal(ctx *simnet.Context, m UTXOFinalMsg) {
 // participates only through its own submission, this round, of a solution
 // under its own key that the puzzle accepts.
 func (n *Node) onPow(ctx *simnet.Context, m PowMsg, from simnet.NodeID) {
-	if n.role != RoleReferee || m.Node != from || m.Round != n.eng.round {
+	if n.role != RoleReferee || m.Node != from || m.Round != n.roster.Round {
 		return
 	}
-	if !bytes.Equal(m.Solution.PK, n.pki.PK(m.Node)) || !pow.Verify(n.eng.powPuzzle(), m.Solution) {
+	if !bytes.Equal(m.Solution.PK, n.pki.PK(m.Node)) || !pow.Verify(n.roster.puzzle(n.P.PowHardness), m.Solution) {
 		return
 	}
 	n.crPow[m.Node] = true

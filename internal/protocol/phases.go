@@ -364,7 +364,7 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 		members[i] = pvss.BeaconMember{ID: e.names[id], Behavior: b}
 	}
 	res, err := pvss.RunBeacon(e.group, members, e.rng)
-	next := crypto.H([]byte("fallback"), e.randomness[:])
+	next := crypto.H([]byte("fallback"), e.roster.Randomness[:])
 	if err == nil {
 		next = res.Randomness
 	}
@@ -600,6 +600,5 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 		return fmt.Errorf("protocol: appending block: %w", err)
 	}
 	report.Block = h.Hash()
-	e.randomness = e.nextRoster.Randomness
 	return nil
 }

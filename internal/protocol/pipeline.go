@@ -54,7 +54,7 @@ type powEntry struct {
 // opens, and the search is deterministic. The solutions are submitted on
 // the network during the selection phase.
 func (e *Engine) stagePow() {
-	puzzle := e.powPuzzle()
+	puzzle := e.roster.puzzle(e.P.PowHardness)
 	e.powSols = make([]powEntry, len(e.nodes))
 	for i, n := range e.nodes {
 		if n.Behavior.Offline {

@@ -28,7 +28,7 @@ import (
 // onEquivocation fires when this node can prove an instance leader signed
 // two conflicting proposals.
 func (n *Node) onEquivocation(ctx *simnet.Context, leader simnet.NodeID, w consensus.Witness) {
-	if n.eng.P.DisableRecovery || n.role == RoleReferee {
+	if n.P.DisableRecovery || n.role == RoleReferee {
 		return
 	}
 	if leader != n.curLeader {
@@ -55,14 +55,14 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 		return
 	}
 	n.accusedOnce[key] = true
-	msg := AccuseMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Witness: w}
+	msg := AccuseMsg{Round: n.roster.Round, Committee: n.comID, Accuser: n.ID, Witness: w}
 	n.myAccusation = &msg
 	n.myApprovals = nil
 	n.escalated = false
 	var payload any = msg
 	ctx.Broadcast(without(nil, n.committeePeers, n.curLeader), TagAccuse, payload, wire.Size(payload))
 	// The accuser approves its own motion.
-	self := ApproveMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
+	self := ApproveMsg{Round: n.roster.Round, Committee: n.comID, Accuser: n.ID, Voter: n.ID}
 	self.Sig = consensus.Sign(n.pki.Scheme, n.Keys, self)
 	n.onApprove(ctx, self)
 }
@@ -70,7 +70,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 // onAccuse verifies the witness and votes (§V-D: "we say a witness is
 // valid if and only if the pair can derive dishonest behaviors").
 func (n *Node) onAccuse(ctx *simnet.Context, m AccuseMsg) {
-	if m.Committee != n.comID || m.Round != n.eng.round {
+	if m.Committee != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	if n.Behavior.IsByzantine() {
@@ -101,7 +101,7 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 	// committee's roster, and one vote that fails either refuses the request:
 	// an approval for another round or committee, or from outside the
 	// committee, is not collected.
-	if k, ok := n.eng.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.eng.round {
+	if k, ok := n.roster.CommitteeOf(m.Voter); !ok || k != n.comID || m.Committee != n.comID || m.Round != n.roster.Round {
 		return
 	}
 	if consensus.Verify(n.pki, m.Voter, m.Sig, m) != nil {
@@ -117,29 +117,29 @@ func (n *Node) onApprove(ctx *simnet.Context, m ApproveMsg) {
 		return
 	}
 	n.escalated = true
-	req := EvictReqMsg{Round: n.eng.round, Committee: n.comID, Accuser: n.ID, Witness: n.myAccusation.Witness,
-		Approvals: n.evidence(consensus.Quorum{Votes: n.myApprovals}, n.eng.roster.Committee(n.comID))}
+	req := EvictReqMsg{Round: n.roster.Round, Committee: n.comID, Accuser: n.ID, Witness: n.myAccusation.Witness,
+		Approvals: n.evidence(consensus.Quorum{Votes: n.myApprovals}, n.roster.Committee(n.comID))}
 	var payload any = req
-	ctx.Broadcast(n.eng.roster.Referee, TagEvictReq, payload, wire.Size(payload))
+	ctx.Broadcast(n.roster.Referee, TagEvictReq, payload, wire.Size(payload))
 }
 
 // onEvictReq is the referee side: the committee's coordinator verifies the
 // witness and approval certificate and starts the eviction instance.
 func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
-	if n.role != RoleReferee || m.Round != n.eng.round || m.Committee >= n.eng.roster.M {
+	if n.role != RoleReferee || m.Round != n.roster.Round || m.Committee >= n.roster.M {
 		return
 	}
-	if n.eng.roster.coordinatorFor(m.Committee) != n.ID {
+	if n.roster.coordinatorFor(m.Committee) != n.ID {
 		return
 	}
 	// Deduplicate only while an eviction is in flight (decided but not yet
 	// folded into the roster). Once the recorded successor holds the seat,
 	// a fresh request — against the new leader — may start the next
 	// eviction, so recovery can chain through a crashed successor.
-	if ev, done := n.crEvicted[m.Committee]; done && n.eng.roster.Leaders[m.Committee] != ev.Successor {
+	if ev, done := n.crEvicted[m.Committee]; done && n.roster.Leaders[m.Committee] != ev.Successor {
 		return
 	}
-	leader := n.eng.roster.Leaders[m.Committee]
+	leader := n.roster.Leaders[m.Committee]
 	if m.Witness.Kind != "silence" && !m.Witness.Verify(n.pki, leader) {
 		return
 	}
@@ -147,7 +147,7 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 	// distinct committee members signed that the leader went quiet. The
 	// signed message is rebuilt from the request's header, so approvals
 	// collected in another round or for another accuser cannot be replayed.
-	if m.Approvals.Verify(n.pki, n.eng.roster.Committee(m.Committee), m.approvals()) != nil {
+	if m.Approvals.Verify(n.pki, n.roster.Committee(m.Committee), m.approvals()) != nil {
 		return
 	}
 	n.proposeEviction(ctx, m.Committee, m.Witness)
@@ -158,13 +158,13 @@ func (n *Node) onEvictReq(ctx *simnet.Context, m EvictReqMsg) {
 // gets a fresh sequence number (generation-stepped by m), so a chained
 // re-eviction never re-proposes on a consumed instance.
 func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness) {
-	evicted := n.eng.roster.Leaders[k]
-	successor := n.eng.roster.successorFor(k)
+	evicted := n.roster.Leaders[k]
+	successor := n.roster.successorFor(k)
 	if successor < 0 {
 		return
 	}
 	gen := n.crEvictGen[k]
-	sn := snEvictBase + gen*n.eng.roster.M + k
+	sn := snEvictBase + gen*n.roster.M + k
 	if sn >= snBlock {
 		return // out of eviction instances this round
 	}
@@ -179,10 +179,10 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 // has announced it. An announcement counts only from the referee it names:
 // anyone can write another referee's ID into a message.
 func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg, from simnet.NodeID) {
-	if m.Committee != n.comID || m.Round != n.eng.round {
+	if m.Committee != n.comID || m.Round != n.roster.Round {
 		return
 	}
-	if m.Referee != from || n.eng.roster.RoleOf(from) != RoleReferee {
+	if m.Referee != from || n.roster.RoleOf(from) != RoleReferee {
 		return
 	}
 	votes := n.leaderVotes[m.Successor]
@@ -191,7 +191,7 @@ func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg, from simnet.Node
 		n.leaderVotes[m.Successor] = votes
 	}
 	votes[m.Referee] = true
-	if !consensus.Majority(len(votes), len(n.eng.roster.Referee)) {
+	if !consensus.Majority(len(votes), len(n.roster.Referee)) {
 		return
 	}
 	if n.curLeader == m.Successor {

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/pow"
 	"cycledger/internal/simnet"
 )
 
@@ -159,6 +160,13 @@ func (r *Roster) AllNodes() []simnet.NodeID { return r.allNodes }
 
 // CommonsOfAll returns all common members across committees.
 func (r *Roster) CommonsOfAll() []simnet.NodeID { return r.commons }
+
+// puzzle is the participation puzzle of the roster's round (§IV-F), a
+// function of the next round's number and this round's randomness:
+// stagePow solves it, and C_R checks each submission against it (onPow).
+func (r *Roster) puzzle(hardness uint64) pow.Puzzle {
+	return pow.NewPuzzle(r.Round+1, r.Randomness, hardness)
+}
 
 // coordinatorFor maps a committee to its referee-committee coordinator for
 // C_R-internal Algorithm 3 instances.

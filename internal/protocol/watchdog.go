@@ -80,7 +80,7 @@ func (n *Node) seesSemiComSilence(k uint64) bool {
 		return false
 	}
 	ev, done := n.crEvicted[k]
-	return !done || n.eng.roster.Leaders[k] == ev.Successor
+	return !done || n.roster.Leaders[k] == ev.Successor
 }
 
 // silenceCorroborated reports whether this member's own view of the phase

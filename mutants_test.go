@@ -163,7 +163,7 @@ var mutants = []mutant{
 		name:   "the chain records this round's randomness",
 		file:   "internal/protocol/phases.go",
 		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)",
-		new:    "e.chain.Append(e.round, e.randomness, blk.Fees, valid)",
+		new:    "e.chain.Append(e.round, e.roster.Randomness, blk.Fees, valid)",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^golden$",
 		want:   "killed",
@@ -301,12 +301,42 @@ var mutants = []mutant{
 	{
 		name:   "a member validates against an empty view",
 		file:   "internal/protocol/node_phases.go",
-		old:    "func (n *Node) shardView() ledger.UTXOView { return n.eng.utxo }",
-		new:    "func (n *Node) shardView() ledger.UTXOView { return ledger.NewShardedStore(1) }",
+		old:    "out := validateList(txs, n.utxo, n.P.ParallelBlockGen)",
+		new:    "out := validateList(txs, ledger.NewShardedStore(1), n.P.ParallelBlockGen)",
 		pkgs:   []string{"./internal/protocol"},
 		run:    "TestMemberValidatesItsList",
 		want:   "killed",
 		reason: "A member's verdict is its own validation of the list it was handed, against its shard's UTXO state: a payment out of a genesis output must pass.",
+	},
+	{
+		name:   "a member's verdict on a list's first transaction is flipped",
+		file:   "internal/protocol/node_phases.go",
+		old:    "\treturn out\n}\n\nfunc (n *Node) recordVote",
+		new:    "\tif len(out) > 0 {\n\t\tout[0] = -out[0]\n\t}\n\treturn out\n}\n\nfunc (n *Node) recordVote",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "TestRoundOracle",
+		want:   "killed",
+		reason: "A committee decides a transaction on its members' own validation of it: the round oracle commits each list's valid first transaction.",
+	},
+	{
+		name:   "Eq. 1's cosine is a plain dot product",
+		file:   "internal/reputation/reputation.go",
+		old:    "\treturn dot / (math.Sqrt(nv) * math.Sqrt(nd)), nil\n",
+		new:    "\treturn dot, nil\n",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "TestRoundOracle",
+		want:   "killed",
+		reason: "A member's round score is the cosine of its vote and the decision: the round oracle's reputation table.",
+	},
+	{
+		name:   "the fee split drops its largest-remainder step",
+		file:   "internal/reputation/reputation.go",
+		old:    "\tfor i := uint64(0); i < remaining; i++ {\n\t\tout[fracs[i%uint64(n)].idx]++\n\t}\n",
+		new:    "\t_ = remaining\n",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "TestRoundOracle",
+		want:   "killed",
+		reason: "The §IV-G split pays out every fee unit, the floored shares and then the remainder by largest fractional part: the round oracle's rewards.",
 	},
 	{
 		name:   "ResetPhases keeps a label's sent counters",
