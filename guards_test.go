@@ -522,6 +522,51 @@ var guards = []guard{
 			"\tKeys     crypto.KeyPair\n\tBehavior Behavior\n\n\tpki *consensus.PKI\n\teng *Engine\n}\n"},
 	},
 	{
+		name: "A round's stages hand results forward",
+		reason: "RunRound hands each stage's result to the next as a value: the PoW solutions to select, the next " +
+			"roster and the ledger stage's valid list and fees to block. The engine keeps only state that outlives " +
+			"a stage, and the round number is its roster's. A pending block between an assemble and a ledger stage, " +
+			"engine fields that carried a stage's result or copied roster.Round, a refereeHas beside refereeRecord, " +
+			"or a second cross-shard classification of a candidate that routing already filed would be second " +
+			"copies of one round.",
+		paths: []string{"internal/protocol/*.go", ":!*_test.go"},
+		find: func(files []file) []string {
+			retired := []string{"pendingBlock", "stageAssemble", "refereeHas"}
+			fields := []string{"round", "powSols", "pending", "nextRoster"}
+			srcs, hits := parse(files)
+			for _, s := range srcs {
+				ast.Inspect(s.File, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.FuncDecl:
+						if slices.Contains(retired, x.Name.Name) {
+							hits = append(hits, s.at(x))
+						}
+					case *ast.TypeSpec:
+						if slices.Contains(retired, x.Name.Name) {
+							hits = append(hits, s.at(x))
+						}
+						if st, ok := x.Type.(*ast.StructType); ok && x.Name.Name == "Engine" {
+							for _, f := range st.Fields.List {
+								if slices.ContainsFunc(f.Names, func(id *ast.Ident) bool { return slices.Contains(fields, id.Name) }) {
+									hits = append(hits, s.at(f))
+								}
+							}
+						}
+					case *ast.CallExpr:
+						if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "IsCrossShard" && fmt.Sprint(sel.X) == "ledger" {
+							hits = append(hits, s.at(x))
+						}
+					}
+					return true
+				})
+			}
+			return hits
+		},
+		fixture: file{"internal/protocol/pipeline.go", "package protocol\n\ntype Engine struct {\n\troster *Roster\n\tround  uint64\n}\n\n" +
+			"type pendingBlock struct{ valid []*ledger.Tx }\n\nfunc (e *Engine) stageAssemble() {}\n\n" +
+			"func (e *Engine) cross(tx *ledger.Tx) bool { return ledger.IsCrossShard(tx, e.utxo, e.roster.M) }\n"},
+	},
+	{
 		name: "The scenario registry is a fixed table",
 		reason: "sim's init registers the built-in scenarios once; a project-local experiment is a Scenario value " +
 			"or a run document. A Register function would bring back a registry that changes after init, and the " +

@@ -190,8 +190,12 @@ func (sc *ShardScratch) Compute(tx *Tx, view UTXOView, m uint64) {
 }
 
 // IsCrossShard reports whether the transaction touches more than one shard.
-// It exits on the second distinct shard without materialising any set, so
-// the per-candidate check during block assembly is allocation-free.
+// It exits on the second distinct shard without materialising any set. The
+// protocol does not call it: routing classifies each transaction once
+// (ShardScratch.Compute), and the ledger stage counts a candidate as
+// cross-shard when an inter result carried it. Its one caller is the
+// benchmark's ledger.prepare_commit_ns_per_tx cell (bench/cells.go), which
+// ROADMAP.md 30(b) retires.
 func IsCrossShard(tx *Tx, view UTXOView, m uint64) bool {
 	var first uint64
 	seen := false

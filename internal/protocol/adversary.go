@@ -57,7 +57,7 @@ type AdversaryView struct {
 // through it.
 func (e *Engine) AdversaryView() AdversaryView {
 	v := AdversaryView{
-		Round:   e.round,
+		Round:   e.roster.Round,
 		Now:     e.Net.Now(),
 		Leaders: append([]simnet.NodeID(nil), e.roster.Leaders...),
 		Referee: append([]simnet.NodeID(nil), e.roster.Referee...),

@@ -158,7 +158,7 @@ func TestInvertedVotersLoseReputation(t *testing.T) {
 	var honestSum, byzSum float64
 	var honestN, byzN int
 	for _, n := range e.nodes {
-		rep := e.Reputation().Get(n.Name)
+		rep := e.Reputation().Get(e.names[n.ID])
 		if n.Behavior.Vote == VoteInvert {
 			byzSum += rep
 			byzN++
@@ -184,8 +184,8 @@ func TestLazyVotersEarnNothing(t *testing.T) {
 	e, _ := runEngine(t, p)
 	for _, n := range e.nodes {
 		if n.Behavior.Vote == VoteLazy {
-			if rep := e.Reputation().Get(n.Name); rep != 0 {
-				t.Fatalf("lazy voter %s has reputation %g, want 0", n.Name, rep)
+			if rep := e.Reputation().Get(e.names[n.ID]); rep != 0 {
+				t.Fatalf("lazy voter %s has reputation %g, want 0", e.names[n.ID], rep)
 			}
 		}
 	}
@@ -235,8 +235,8 @@ func TestSuppressedScorePhaseOnlyHurtsOwnCommittee(t *testing.T) {
 		if rec.Committee != uint64(k) || rec.Evicted != n.ID || rec.Kind != "silence" {
 			t.Fatalf("recovery %d is %+v, want committee %d's leader %d evicted for silence", k, rec, k, n.ID)
 		}
-		if n.role != RoleCommon || e.Reputation().Get(n.Name) != -1 {
-			t.Fatalf("evicted leader %d: role %v, reputation %g; want common at -1", n.ID, n.role, e.Reputation().Get(n.Name))
+		if n.role != RoleCommon || e.Reputation().Get(e.names[n.ID]) != -1 {
+			t.Fatalf("evicted leader %d: role %v, reputation %g; want common at -1", n.ID, n.role, e.Reputation().Get(e.names[n.ID]))
 		}
 	}
 	// No committee scored, so no node that was a common member at round

@@ -110,16 +110,12 @@ type Engine struct {
 	chain  *chain.Chain
 	lat    simnet.Latency
 	roster *Roster
-	round  uint64
 
-	nextRoster *Roster
-	reports    []*RoundReport
+	reports []*RoundReport
 
-	// Per-round stage state, handed from stage to stage (RunRound calls
-	// them in order).
+	// Per-round state that outlives the stage that made it; a stage's
+	// other results are handed to the next as values (RunRound).
 	work       *routedWork              // this round's routed intra and cross lists
-	powSols    []powEntry               // participation-puzzle solutions, one per node
-	pending    *pendingBlock            // assembled-but-uncertified block state
 	stageSpans [len(Phases)]simnet.Time // per-network-stage virtual spans
 	prevBlock  simnet.Time              // previous round's block span (cross-round overlap)
 	hooks      Hooks                    // optional progress callbacks (SetHooks)
@@ -195,7 +191,7 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	v.lat.Classify = nil // a node reads the bounds; the link classifier reads the engine's roster
 	for i := 0; i < n; i++ {
 		e.names[i] = fmt.Sprintf("node-%04d", i)
-		node := &Node{ID: simnet.NodeID(i), Name: e.names[i], Keys: crypto.GenerateKeyPair(e.rng), pki: e.pki, view: v}
+		node := &Node{ID: simnet.NodeID(i), Keys: crypto.GenerateKeyPair(e.rng), pki: e.pki, view: v}
 		pks[i] = node.Keys.PK
 		e.nodes[i] = node
 		e.Net.Register(node.ID, node.Handle)
@@ -226,7 +222,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 
 	e.roster = e.bootstrapRoster()
 	e.roster.index()
-	e.round = 1
 	return e, nil
 }
 
@@ -408,16 +403,19 @@ func (e *Engine) Run() ([]*RoundReport, error) {
 // The round's stages run in order on the calling goroutine. The network
 // stages config → semicommit → intra → inter → score → select → block
 // drive the simulator, each through net, which records its virtual-time
-// span; the CPU stages (workload routing, PoW election work, block
-// assembly, ledger apply; pipeline.go) consume no virtual time and run
-// where their inputs are final. Params.Pipelined changes only how the
-// spans add up into Duration (pipelinedDuration), never what runs. A live
+// span; the CPU stages (workload routing, PoW election work, the ledger;
+// pipeline.go) consume no virtual time and run where their inputs are
+// final. Each stage hands its result to the next as a value: the PoW
+// solutions to select, and select's next roster and the ledger's valid
+// list and fees to block; the roster is installed once the block is
+// appended. Params.Pipelined changes only how the spans add up into
+// Duration (pipelinedDuration), never what runs. A live
 // send or delivery that failed (transport.Live.Err) ends the round with
 // that error at the next stage boundary: the network stages after it are
 // skipped, and the ledger does not move.
 func (e *Engine) RunRound() (*RoundReport, error) {
 	report := &RoundReport{
-		Round:        e.round,
+		Round:        e.roster.Round,
 		PhaseTraffic: make(map[string]simnet.Counter),
 		RoleTraffic:  make(map[string]map[string]simnet.Counter),
 		Rewards:      make(map[string]uint64),
@@ -445,7 +443,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 		}
 		e.Net.Metrics().SetPhase(int(ph))
 		if e.hooks.PhaseStart != nil {
-			e.hooks.PhaseStart(e.round, ph.String())
+			e.hooks.PhaseStart(e.roster.Round, ph.String())
 		}
 		from := e.Net.Now()
 		run()
@@ -457,20 +455,20 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	e.stageWorkload()
 	net(PhaseConfig, e.phaseConfig)
 	net(PhaseSemiCommit, func() { e.phaseSemiCommit(report) })
-	e.stagePow()
+	sols := e.stagePow()
 	net(PhaseIntra, func() { e.phaseIntra(report) })
 	net(PhaseInter, func() { e.phaseInter(report) })
 	net(PhaseScore, func() { e.phaseScore(report) })
-	e.stageAssemble()
-	net(PhaseSelect, func() { e.phaseSelect(report) })
+	var next *Roster
+	net(PhaseSelect, func() { next = e.phaseSelect(report, sols) })
 	if liveErr != nil {
 		return nil, liveErr
 	}
-	if err := e.stageLedger(report); err != nil {
+	valid, fees, err := e.stageLedger(report)
+	if err != nil {
 		return nil, fmt.Errorf("stage ledger: %w", err)
 	}
-	var err error
-	net(PhaseBlock, func() { err = e.phaseBlock(report) })
+	net(PhaseBlock, func() { err = e.phaseBlock(report, next, valid, fees) })
 	if liveErr != nil {
 		return nil, liveErr
 	}
@@ -479,8 +477,8 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	}
 	// The block is appended and phaseBlock has read the delivery verdicts:
 	// nothing reads a node's round state, the echo sets its consensus
-	// endpoints share, or the round's routed work and pending block after
-	// this point, so they are released here, not at the next round's reset.
+	// endpoints share, or the round's routed work after this point, so they
+	// are released here, not at the next round's reset.
 	// A leader's §VIII-A drops are the last thing read from its round state.
 	for _, n := range e.nodes {
 		report.Screened += n.screened
@@ -489,7 +487,7 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 		n.roundState = roundState{}
 	}
 	clear(e.echoes.sets)
-	e.work, e.pending = nil, nil
+	e.work = nil
 
 	if e.P.Pipelined {
 		report.Duration = e.pipelinedDuration()
@@ -505,10 +503,8 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	e.reports = append(e.reports, report)
 
 	// Advance to the next round.
-	e.roster = e.nextRoster
+	e.roster = next
 	e.roster.index()
-	e.nextRoster = nil
-	e.round++
 	return report, nil
 }
 

@@ -79,7 +79,7 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 	}
 	base := run(nil)
 	if got := run(func(e *Engine, x, _ simnet.NodeID, puzzle pow.Puzzle) (simnet.NodeID, PowMsg) {
-		return x, PowMsg{Round: e.round, Node: x, Solution: solve(e, x, puzzle)}
+		return x, PowMsg{Round: e.roster.Round, Node: x, Solution: solve(e, x, puzzle)}
 	}); got != base+1 {
 		t.Fatalf("a valid own submission counted %d participants, want %d", got, base+1)
 	}
@@ -89,16 +89,16 @@ func TestParticipationNeedsOwnValidSolution(t *testing.T) {
 			for pow.Verify(puzzle, sol) {
 				sol.Nonce++
 			}
-			return x, PowMsg{Round: e.round, Node: x, Solution: sol}
+			return x, PowMsg{Round: e.roster.Round, Node: x, Solution: sol}
 		},
 		"stale round": func(e *Engine, x, _ simnet.NodeID, puzzle pow.Puzzle) (simnet.NodeID, PowMsg) {
-			return x, PowMsg{Round: e.round - 1, Node: x, Solution: solve(e, x, puzzle)}
+			return x, PowMsg{Round: e.roster.Round - 1, Node: x, Solution: solve(e, x, puzzle)}
 		},
 		"solution claimed for another ID": func(e *Engine, x, y simnet.NodeID, puzzle pow.Puzzle) (simnet.NodeID, PowMsg) {
-			return y, PowMsg{Round: e.round, Node: y, Solution: solve(e, x, puzzle)}
+			return y, PowMsg{Round: e.roster.Round, Node: y, Solution: solve(e, x, puzzle)}
 		},
 		"frame sent on another's behalf": func(e *Engine, x, y simnet.NodeID, puzzle pow.Puzzle) (simnet.NodeID, PowMsg) {
-			return x, PowMsg{Round: e.round, Node: y, Solution: solve(e, y, puzzle)}
+			return x, PowMsg{Round: e.roster.Round, Node: y, Solution: solve(e, y, puzzle)}
 		},
 	} {
 		if got := run(in); got != base {
@@ -119,7 +119,7 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 	leader.recordVote(leader.ID, reputation.VoteVector{})
 	members := e.roster.Committee(0)
 	vote := func(voter simnet.NodeID, signer crypto.KeyPair) VoteMsg {
-		m := VoteMsg{Round: e.round, Committee: 0, Voter: voter, Votes: reputation.VoteVector{}}
+		m := VoteMsg{Round: e.roster.Round, Committee: 0, Voter: voter, Votes: reputation.VoteVector{}}
 		m.Sig = scheme.Sign(signer, wire.SigningBytes(nil, m))
 		return m
 	}
@@ -135,10 +135,10 @@ func TestVotesAuthenticatedAndRosterBound(t *testing.T) {
 			continue
 		}
 		o := outsiders[i]
-		deliver(e, o, leader.ID, TagVote, vote(o, e.nodes[o].Keys))            // an outsider as itself
-		deliver(e, x, leader.ID, TagVote, vote(id, e.nodes[x].Keys))           // an outsider as a member
-		deliver(e, id, leader.ID, TagVote, vote(id, e.nodes[x].Keys))          // a member, forged signature
-		deliver(e, id, leader.ID, TagVote, VoteMsg{Round: e.round, Voter: id}) // a member, no signature
+		deliver(e, o, leader.ID, TagVote, vote(o, e.nodes[o].Keys))                   // an outsider as itself
+		deliver(e, x, leader.ID, TagVote, vote(id, e.nodes[x].Keys))                  // an outsider as a member
+		deliver(e, id, leader.ID, TagVote, vote(id, e.nodes[x].Keys))                 // a member, forged signature
+		deliver(e, id, leader.ID, TagVote, VoteMsg{Round: e.roster.Round, Voter: id}) // a member, no signature
 	}
 	if len(leader.votes) != 1 || leader.intraDecided != nil {
 		t.Fatalf("hostile votes recorded: %d votes, collection closed %v", len(leader.votes), leader.intraDecided != nil)
@@ -182,7 +182,7 @@ func TestTxListNeedsLeaderSignature(t *testing.T) {
 		}
 	})
 	list := func(signer simnet.NodeID) TxListMsg {
-		m := TxListMsg{Round: e.round, Committee: 0}
+		m := TxListMsg{Round: e.roster.Round, Committee: 0}
 		if signer >= 0 {
 			m.Sig = e.pki.Scheme.Sign(e.nodes[signer].Keys, wire.SigningBytes(nil, m))
 		}
@@ -214,7 +214,7 @@ func TestNewLeaderCountsOnlyTheNamedReferee(t *testing.T) {
 	peer := e.nodes[e.roster.Partials[0][len(e.roster.Partials[0])-1]]
 	majority := e.roster.Referee[:len(e.roster.Referee)/2+1]
 	announce := func(from, referee, to simnet.NodeID) {
-		deliver(e, from, peer.ID, TagNewLeader, NewLeaderMsg{Round: e.round, Committee: 0, Evicted: leader, Successor: to, Referee: referee})
+		deliver(e, from, peer.ID, TagNewLeader, NewLeaderMsg{Round: e.roster.Round, Committee: 0, Evicted: leader, Successor: to, Referee: referee})
 	}
 	for _, ref := range majority {
 		announce(forger, ref, forger)
@@ -267,7 +267,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		// instance would be an equivocation, refused before any payload check.
 		propose := func(payload any, digest crypto.Digest, from simnet.NodeID) {
 			e.nodes[member].resetRound(e.roster)
-			prop := consensus.BuildPropose(e.pki.Scheme, e.nodes[leader].Keys, leader, e.round, snOf(payload), digest, payload)
+			prop := consensus.BuildPropose(e.pki.Scheme, e.nodes[leader].Keys, leader, e.roster.Round, snOf(payload), digest, payload)
 			deliver(e, from, member, consensus.TagPropose, prop)
 		}
 		malformed := maps.Clone(ragged)
@@ -335,9 +335,9 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 			e.P.DisableRecovery = true
 			members := e.roster.Committee(0)
 			d := consensus.PayloadDigest(payload)
-			res := consensus.Result{Round: e.round, SN: snScore, Digest: d, Payload: payload}
+			res := consensus.Result{Round: e.roster.Round, SN: snScore, Digest: d, Payload: payload}
 			for _, id := range members {
-				conf := consensus.Confirm{Round: e.round, SN: snScore, Digest: d, Confirmer: id}
+				conf := consensus.Confirm{Round: e.roster.Round, SN: snScore, Digest: d, Confirmer: id}
 				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.pki.Scheme.Sign(e.nodes[id].Keys, wire.SigningBytes(nil, conf))})
 			}
 			for _, ref := range e.roster.Referee {
@@ -364,7 +364,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 func TestFetchedBlockMustMatchSignedDigest(t *testing.T) {
 	e := seatedEngine(t)
 	proposer, victim := e.roster.Referee[0], e.roster.Referee[len(e.roster.Referee)-1]
-	blk := &Block{Round: e.round, Fees: 3, Randomness: crypto.HString("R"), Rewards: NamesOf(Reward{"n1", 3})}
+	blk := &Block{Round: e.roster.Round, Fees: 3, Randomness: crypto.HString("R"), Rewards: NamesOf(Reward{"n1", 3})}
 	forged := *blk
 	forged.Rewards = NamesOf(Reward{"n2", 3})
 	var heard *consensus.Propose

@@ -18,7 +18,6 @@ import (
 // idle), so parallel event execution is safe.
 type Node struct {
 	ID       simnet.NodeID
-	Name     string
 	Keys     crypto.KeyPair
 	Behavior Behavior
 

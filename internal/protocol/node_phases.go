@@ -633,8 +633,8 @@ func (n *Node) onBlock(ctx *simnet.Context, m BlockMsg, size int) {
 }
 
 func (n *Node) onUTXOFinal(ctx *simnet.Context, m UTXOFinalMsg) {
-	// Recorded for completeness; C_R forwards these to the next round's
-	// partial sets, which the engine models directly.
+	// Records nothing: the digest the block phase agrees on commits to no
+	// state, so no receiver has anything to check (ROADMAP.md 2(vii)).
 }
 
 // onPow records participation-puzzle solutions at C_R (§IV-F): a node

@@ -11,6 +11,7 @@ import (
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
+	"cycledger/internal/ledger"
 	"cycledger/internal/pvss"
 	"cycledger/internal/reputation"
 	"cycledger/internal/simnet"
@@ -46,7 +47,7 @@ func (e *Engine) phaseConfig() {
 	// endpoints. They share one verified-proof set, so the engine verifies
 	// each sortition proof of the round once however many endpoints are
 	// shown it; the set dies with the endpoints when the phase ends.
-	verified := committee.NewVerifiedSet(e.round, e.roster.Randomness)
+	verified := committee.NewVerifiedSet(e.roster.Round, e.roster.Randomness)
 	for k := uint64(0); k < e.roster.M; k++ {
 		keyRecs := make([]committee.MemberRecord, 0, 1+len(e.roster.Partials[k]))
 		for _, id := range e.roster.KeyMembers(k) {
@@ -90,7 +91,7 @@ func (e *Engine) phaseSemiCommit(report *RoundReport) {
 	// Committees whose announcement never reached C_R conclude the phase
 	// with a timeout verdict instead of blocking the round.
 	e.noteTimeouts(report, "semicommit", func(k uint64) bool {
-		return e.refereeHas(func(n *Node) bool { return n.crSemiComs[k] != nil })
+		return refereeRecord(e, func(n *Node) *SemiComMsg { return n.crSemiComs[k] }) != nil
 	})
 }
 
@@ -143,7 +144,7 @@ func (e *Engine) applyEvictions(report *RoundReport) []uint64 {
 		e.roster.ReplaceLeader(k, ev.Evicted, ev.Successor)
 		e.reput.Punish(e.names[ev.Evicted])
 		rec := RecoveryEvent{
-			Round: e.round, Committee: k, Evicted: ev.Evicted, Successor: ev.Successor, Kind: ev.Witness.Kind,
+			Round: e.roster.Round, Committee: k, Evicted: ev.Evicted, Successor: ev.Successor, Kind: ev.Witness.Kind,
 		}
 		report.Recoveries = append(report.Recoveries, rec)
 		if e.hooks.Recovery != nil {
@@ -184,7 +185,7 @@ func (e *Engine) phaseIntra(report *RoundReport) {
 		return func(ctx *simnet.Context) { leader.startIntra(ctx, attempt) }
 	})
 	e.noteTimeouts(report, "intra", func(k uint64) bool {
-		return e.refereeHas(func(n *Node) bool { return n.crIntra[k] != nil })
+		return refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }) != nil
 	})
 }
 
@@ -212,7 +213,7 @@ func (e *Engine) phaseInter(report *RoundReport) {
 	// never completed the round trip to C_R.
 	e.noteTimeouts(report, "inter", func(k uint64) bool {
 		for j := range e.work.cross[k] {
-			if !e.refereeHas(func(n *Node) bool { return n.crInter[interKey(k, j)] != nil }) {
+			if refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[interKey(k, j)] }) == nil {
 				return false
 			}
 		}
@@ -233,7 +234,7 @@ func (e *Engine) phaseScore(report *RoundReport) {
 	// so the committee concludes with a timeout verdict instead.
 	e.settle(report, "score", e.allCommittees())
 	e.noteTimeouts(report, "score", func(k uint64) bool {
-		return e.refereeHas(func(n *Node) bool { return n.crScores[k] != nil })
+		return refereeRecord(e, func(n *Node) *ScoreResultMsg { return n.crScores[k] }) != nil
 	})
 	// C_R applies certified score lists to the reputation table. The
 	// certificate may live on any member (one crashed mid-phase misses
@@ -258,7 +259,7 @@ func (e *Engine) phaseScore(report *RoundReport) {
 	// Leaders that completed the intra phase earn their workload bonus
 	// (§VII-A).
 	for k := uint64(0); k < e.roster.M; k++ {
-		if e.refereeHas(func(n *Node) bool { return n.crIntra[k] != nil }) {
+		if refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }) != nil {
 			e.reput.Bonus(e.names[e.roster.Leaders[k]], 1)
 		}
 	}
@@ -278,26 +279,14 @@ func (e *Engine) refereeView() *Node {
 	return e.nodes[e.roster.Referee[0]]
 }
 
-// refereeHas reports whether any referee member holds a phase artifact —
-// C_R's joint view. A member crashed for part of a phase misses results
-// its peers recorded, so a single member's map is the wrong oracle for
-// "did this phase conclude"; scanning the committee in roster order is
-// deterministic and, on fault-free runs, equivalent to asking the first
-// online member (offline members hold empty maps).
-func (e *Engine) refereeHas(has func(*Node) bool) bool {
-	for _, id := range e.roster.Referee {
-		if has(e.nodes[id]) {
-			return true
-		}
-	}
-	return false
-}
-
-// refereeRecord returns the first referee member's copy of a certified
-// artifact, scanning the roster in order — the single-holder read of
-// C_R's joint view (refereeHas is the existence check). Offline or
-// crashed members simply hold no records, so no liveness filtering is
-// needed and the scan reads only node maps, never the simnet clock.
+// refereeRecord reads C_R's joint view: the first referee member's copy of
+// a certified artifact, scanning the roster in order, or nil when no member
+// holds one. A member crashed for part of a phase misses results its peers
+// recorded, so a single member's map is the wrong oracle for "did this
+// phase conclude"; the scan is deterministic and, on fault-free runs,
+// equivalent to asking the first online member. Offline or crashed members
+// simply hold no records, so no liveness filtering is needed and the scan
+// reads only node maps, never the simnet clock.
 func refereeRecord[T any](e *Engine, get func(*Node) *T) *T {
 	for _, id := range e.roster.Referee {
 		if v := get(e.nodes[id]); v != nil {
@@ -327,21 +316,21 @@ func (e *Engine) noteTimeouts(report *RoundReport, phase string, concluded func(
 // that the intra/inter/score chain never reads, so the pipelined latency
 // model (pipelinedDuration) lets the whole stage overlap transaction
 // processing; only the final reputation-ranked roster build consumes the
-// score results, and that is instantaneous in virtual time.
+// score results, and that is instantaneous in virtual time. The phase
+// submits the pow stage's solutions and returns the roster it elects.
 
-func (e *Engine) phaseSelect(report *RoundReport) {
+func (e *Engine) phaseSelect(report *RoundReport, sols []powEntry) *Roster {
 	// Participation PoW: every online node submits its puzzle solution to
 	// C_R. The solving itself happened in the pow stage (pipeline.go); only
 	// the submission traffic belongs to this phase.
 	for i, n := range e.nodes {
-		entry := e.powSols[i]
+		entry := sols[i]
 		if !entry.ok {
 			continue
 		}
-		var msg any = PowMsg{Round: e.round, Node: n.ID, Solution: entry.sol}
+		var msg any = PowMsg{Round: e.roster.Round, Node: n.ID, Solution: entry.sol}
 		e.Net.Broadcast(n.ID, e.roster.Referee, TagPow, msg, wire.Size(msg))
 	}
-	e.powSols = nil
 	e.Net.RunUntilIdle()
 
 	// Distributed randomness via PVSS among a referee quorum; traffic is
@@ -399,19 +388,20 @@ func (e *Engine) phaseSelect(report *RoundReport) {
 		// roster instead of halting. Participants stays 0 in the report.
 		participants = e.roster.AllNodes()
 	}
-	e.nextRoster = e.buildNextRoster(next, participants)
+	return e.buildNextRoster(next, participants)
 }
 
 // buildNextRoster runs the selection rules of §IV-F: uniformly random
 // referee committee and partial sets (ranked lottery tickets under the new
 // randomness), reputation-ranked leaders.
 func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeID) *Roster {
-	r := newRoster(e.round+1, next, uint64(e.P.M))
+	round := e.roster.Round + 1
+	r := newRoster(round, next, uint64(e.P.M))
 	pool := append([]simnet.NodeID(nil), participants...)
 
 	// Referee committee: lowest lottery tickets win.
 	sortByTicket(pool, func(id simnet.NodeID) crypto.Digest {
-		return crypto.LotteryTicket(e.round+1, next, e.pki.PK(id), crypto.RoleReferee)
+		return crypto.LotteryTicket(round, next, e.pki.PK(id), crypto.RoleReferee)
 	})
 	refCount := e.P.RefSize
 	if refCount > len(pool) {
@@ -445,11 +435,11 @@ func (e *Engine) buildNextRoster(next crypto.Digest, participants []simnet.NodeI
 	// Partial sets: ranked partial-set tickets, committee by hash mod m,
 	// deficits filled from the remaining ranking.
 	sortByTicket(pool, func(id simnet.NodeID) crypto.Digest {
-		return crypto.LotteryTicket(e.round+1, next, e.pki.PK(id), crypto.RolePartialSet)
+		return crypto.LotteryTicket(round, next, e.pki.PK(id), crypto.RolePartialSet)
 	})
 	var leftover []simnet.NodeID
 	for _, id := range pool {
-		k := crypto.PartialSetCommittee(e.round+1, next, e.pki.PK(id), r.M)
+		k := crypto.PartialSetCommittee(round, next, e.pki.PK(id), r.M)
 		if len(r.Partials[k]) < e.P.Lambda {
 			r.Partials[k] = append(r.Partials[k], id)
 		} else {
@@ -500,17 +490,13 @@ func (t *ticketSort) Swap(i, j int) {
 // ---------------------------------------------------------------------------
 // Phase 7: block certification and propagation (§IV-G)
 //
-// Candidate assembly and validation happen in the assemble stage and the
-// ledger apply in the ledger stage (pipeline.go), both CPU-only and run
-// before this phase. It consumes their output: it builds the block, has
-// C_R certify it, and propagates it.
+// The block's transactions were collected, validated and applied in the
+// ledger stage (pipeline.go), CPU-only and run before this phase. It
+// consumes that stage's valid list and fees and the selection phase's next
+// roster: it builds the block, has C_R certify it, and propagates it.
 
-func (e *Engine) phaseBlock(report *RoundReport) error {
-	if e.nextRoster == nil {
-		return fmt.Errorf("protocol: selection phase did not produce a roster")
-	}
+func (e *Engine) phaseBlock(report *RoundReport, next *Roster, valid []*ledger.Tx, fees uint64) error {
 	ref := e.refereeView()
-	valid, fees := e.pending.valid, e.pending.fees
 
 	// Rewards: fees split proportionally to g(reputation) across this
 	// round's participants (§IV-G).
@@ -540,13 +526,13 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 	slices.SortFunc(scores, func(a, b Score) int { return strings.Compare(a.Name, b.Name) })
 
 	blk := &Block{
-		Round:        e.round,
+		Round:        e.roster.Round,
 		Txs:          TxsOf(valid...),
 		Fees:         fees,
-		Randomness:   e.nextRoster.Randomness,
-		NextReferee:  e.nextRoster.Referee,
-		NextLeaders:  e.nextRoster.Leaders,
-		NextPartials: e.nextRoster.Partials,
+		Randomness:   next.Randomness,
+		NextReferee:  next.Referee,
+		NextLeaders:  next.Leaders,
+		NextPartials: next.Partials,
 		Reputations:  NamesOf(scores...),
 		Rewards:      NamesOf(paid...),
 	}
@@ -595,7 +581,7 @@ func (e *Engine) phaseBlock(report *RoundReport) error {
 			report.BlockDelivered++
 		}
 	}
-	h, err := e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)
+	h, err := e.chain.Append(e.roster.Round, blk.Randomness, blk.Fees, valid)
 	if err != nil {
 		return fmt.Errorf("protocol: appending block: %w", err)
 	}

@@ -51,54 +51,50 @@ type powEntry struct {
 // stagePow performs the §IV-F election legwork: every online node solves
 // the next round's participation puzzle. The puzzle depends only on the
 // round number and the current randomness, both fixed when the round
-// opens, and the search is deterministic. The solutions are submitted on
-// the network during the selection phase.
-func (e *Engine) stagePow() {
+// opens, and the search is deterministic. It returns one entry per node;
+// the selection phase submits them on the network.
+func (e *Engine) stagePow() []powEntry {
 	puzzle := e.roster.puzzle(e.P.PowHardness)
-	e.powSols = make([]powEntry, len(e.nodes))
+	sols := make([]powEntry, len(e.nodes))
 	for i, n := range e.nodes {
 		if n.Behavior.Offline {
 			continue
 		}
 		if sol, _, err := pow.Solve(puzzle, n.Keys.PK, uint64(n.ID)<<32, 1<<22); err == nil {
-			e.powSols[i] = powEntry{ok: true, sol: sol}
+			sols[i] = powEntry{ok: true, sol: sol}
 		}
 	}
+	return sols
 }
 
-// pendingBlock carries the assembled-but-uncertified block state from the
-// assemble stage to the ledger and certify stages.
-type pendingBlock struct {
-	valid       []*ledger.Tx
-	fees        uint64
-	crossBefore map[ledger.TxID]bool
-}
-
-// stageAssemble collects the certified committee results from C_R's view,
-// de-duplicates them, and validates the candidate set against the current
-// ledger (cross-shard double spends across paths die here). It is pure
-// CPU over the crIntra/crInter maps, which are final once the inter phase
-// drains; it runs after the score phase.
-func (e *Engine) stageAssemble() {
-	// C_R's joint view: a certified result may live on any referee member
-	// (one crashed mid-phase misses messages its peers recorded), so the
-	// candidate set is the union across members via refereeRecord — on
-	// fault-free runs exactly the first online member's view.
+// stageLedger builds the §IV-G block contents: C_R's certified intra and
+// inter results, de-duplicated, validated against the ledger (cross-shard
+// double spends across paths die here) and applied to the sharded store,
+// with every offered transaction left out settled as a reject. It runs after
+// the selection phase and before the block is certified, so a failed apply
+// aborts the round before anything is appended to the chain; the
+// generator's Reject calls reshape its model before the next round's
+// workload stage draws a batch. The crIntra/crInter maps it reads are final
+// once the inter phase drains, and the store has not moved since routing.
+func (e *Engine) stageLedger(report *RoundReport) ([]*ledger.Tx, uint64, error) {
+	// carried maps each candidate to whether an inter result carried it:
+	// routing filed it as cross-shard.
 	var candidates []*ledger.Tx
-	seen := make(map[ledger.TxID]bool)
-	add := func(txs []*ledger.Tx) {
+	carried := make(map[ledger.TxID]bool)
+	add := func(txs []*ledger.Tx, inter bool) {
 		for _, tx := range txs {
 			id := tx.ID()
-			if !seen[id] {
-				seen[id] = true
+			was, seen := carried[id]
+			if !seen {
 				candidates = append(candidates, tx)
 			}
+			carried[id] = was || inter
 		}
 	}
 	for k := uint64(0); k < e.roster.M; k++ {
 		if msg := refereeRecord(e, func(n *Node) *IntraResultMsg { return n.crIntra[k] }); msg != nil {
 			if payload, ok := msg.Result.Payload.(*IntraPayload); ok {
-				add(payload.Txs.Txs())
+				add(payload.Txs.Txs(), false)
 			}
 		}
 	}
@@ -107,48 +103,32 @@ func (e *Engine) stageAssemble() {
 			key := interKey(from, to)
 			if msg := refereeRecord(e, func(n *Node) *InterResultMsg { return n.crInter[key] }); msg != nil {
 				if payload, ok := msg.Result.Payload.(*InterPayload); ok {
-					add(payload.Txs.Txs())
+					add(payload.Txs.Txs(), true)
 				}
 			}
 		}
 	}
 
-	crossBefore := make(map[ledger.TxID]bool)
-	for _, tx := range candidates {
-		if ledger.IsCrossShard(tx, e.utxo, e.roster.M) {
-			crossBefore[tx.ID()] = true
-		}
-	}
 	valid, fees, _ := ledger.ValidateBatch(candidates, e.utxo)
-	e.pending = &pendingBlock{valid: valid, fees: fees, crossBefore: crossBefore}
-}
-
-// stageLedger applies the validated set to the sharded store and settles
-// the workload bookkeeping, after the selection phase and before the block
-// is certified: a failed apply aborts the round before anything is
-// appended to the chain. The generator's Reject calls here reshape its
-// model before the next round's workload stage draws a batch.
-func (e *Engine) stageLedger(report *RoundReport) error {
-	p := e.pending
-	included := make(map[ledger.TxID]bool, len(p.valid))
-	for _, tx := range p.valid {
+	included := make(map[ledger.TxID]bool, len(valid))
+	for _, tx := range valid {
 		id := tx.ID()
-		if p.crossBefore[id] {
+		if carried[id] {
 			report.CrossIncluded++
 		} else {
 			report.IntraIncluded++
 		}
 		included[id] = true
 		if err := e.utxo.ApplyTx(tx); err != nil {
-			return fmt.Errorf("protocol: applying validated tx: %w", err)
+			return nil, 0, fmt.Errorf("protocol: applying validated tx: %w", err)
 		}
 	}
-	report.Fees = p.fees
+	report.Fees = fees
 	for _, tx := range e.work.offered {
 		if !included[tx.ID()] {
 			report.Rejected++
 			e.gen.Reject(tx)
 		}
 	}
-	return nil
+	return valid, fees, nil
 }

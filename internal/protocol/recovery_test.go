@@ -49,7 +49,7 @@ func TestEvictReqRejectsReplayedApprovals(t *testing.T) {
 				if otherAccuser {
 					signedAccuser = members[len(members)-1]
 				}
-				req := EvictReqMsg{Round: e.round, Committee: k, Accuser: accuser,
+				req := EvictReqMsg{Round: e.roster.Round, Committee: k, Accuser: accuser,
 					Witness: RecoveryWitness{Kind: "silence", Committee: k, Phase: "intra"}}
 				for _, id := range members[:len(members)/2+1] {
 					ap := ApproveMsg{Round: signedRound, Committee: signedCommittee, Accuser: signedAccuser, Voter: id}
@@ -67,16 +67,16 @@ func TestEvictReqRejectsReplayedApprovals(t *testing.T) {
 				return coord.crEvictGen[k] > 0
 			}
 
-			if evicts(0, e.round-1, 0, false) {
+			if evicts(0, e.roster.Round-1, 0, false) {
 				t.Error("approvals signed in the previous round started an eviction")
 			}
-			if evicts(1, e.round, 1, true) {
+			if evicts(1, e.roster.Round, 1, true) {
 				t.Error("approvals signed for another accuser started an eviction")
 			}
-			if evicts(2, e.round, 0, false) {
+			if evicts(2, e.roster.Round, 0, false) {
 				t.Error("approvals signed about another committee started an eviction")
 			}
-			if !evicts(3, e.round, 3, false) {
+			if !evicts(3, e.roster.Round, 3, false) {
 				t.Error("approvals signed for this request did not start an eviction")
 			}
 		})
@@ -104,7 +104,7 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 		e.Net.Metrics().SetPhase(int(PhaseIntra))
 		members := e.roster.Committee(0)
 		accuser := e.nodes[e.roster.Partials[0][0]]
-		accuser.myAccusation = &AccuseMsg{Round: e.round, Committee: 0, Accuser: accuser.ID,
+		accuser.myAccusation = &AccuseMsg{Round: e.roster.Round, Committee: 0, Accuser: accuser.ID,
 			Witness: RecoveryWitness{Kind: "silence", Committee: 0, Phase: "intra"}}
 		approve := func(voter simnet.NodeID, round, committee uint64) ApproveMsg {
 			ap := ApproveMsg{Round: round, Committee: committee, Accuser: accuser.ID, Voter: voter}
@@ -118,14 +118,14 @@ func TestAccuserCollectsOnlyCountableApprovals(t *testing.T) {
 			}
 		})
 		e.Net.After(accuser.ID, 1, func(ctx *simnet.Context) {
-			accuser.onApprove(ctx, approve(e.roster.Committee(1)[3], e.round, 0))
-			accuser.onApprove(ctx, approve(members[1], e.round-1, 0))
-			accuser.onApprove(ctx, approve(members[2], e.round, 1))
+			accuser.onApprove(ctx, approve(e.roster.Committee(1)[3], e.roster.Round, 0))
+			accuser.onApprove(ctx, approve(members[1], e.roster.Round-1, 0))
+			accuser.onApprove(ctx, approve(members[2], e.roster.Round, 1))
 			if len(accuser.myApprovals) != 0 {
 				t.Errorf("aggregate=%v: collected %d approvals C_R would refuse", aggregate, len(accuser.myApprovals))
 			}
 			for _, id := range members[:len(members)/2+1] {
-				accuser.onApprove(ctx, approve(id, e.round, 0))
+				accuser.onApprove(ctx, approve(id, e.roster.Round, 0))
 			}
 		})
 		e.Net.RunUntilIdle()
@@ -218,10 +218,10 @@ func TestHostileCommitteeIndexDropped(t *testing.T) {
 		tag     string
 		payload any
 	}{
-		{"semi-commitment at a referee", referee, leader.ID, TagSemiCom, SemiComMsg{Round: e.round, Committee: m}},
-		{"semi-commitment at a partial member", partial, leader.ID, TagSemiCom, SemiComMsg{Round: e.round, Committee: m}},
-		{"inter query at a leader", leader, e.roster.Leaders[1], TagInterQuery, InterQueryMsg{Round: e.round, From: m, To: leader.comID}},
-		{"eviction request at its coordinator", referee, partial.ID, TagEvictReq, EvictReqMsg{Round: e.round, Committee: m, Accuser: partial.ID, Witness: silence}},
+		{"semi-commitment at a referee", referee, leader.ID, TagSemiCom, SemiComMsg{Round: e.roster.Round, Committee: m}},
+		{"semi-commitment at a partial member", partial, leader.ID, TagSemiCom, SemiComMsg{Round: e.roster.Round, Committee: m}},
+		{"inter query at a leader", leader, e.roster.Leaders[1], TagInterQuery, InterQueryMsg{Round: e.roster.Round, From: m, To: leader.comID}},
+		{"eviction request at its coordinator", referee, partial.ID, TagEvictReq, EvictReqMsg{Round: e.roster.Round, Committee: m, Accuser: partial.ID, Witness: silence}},
 	} {
 		e.Net.After(c.to.ID, 1, func(ctx *simnet.Context) {
 			c.to.Handle(ctx, simnet.Message{From: c.from, To: c.to.ID, Tag: c.tag, Payload: c.payload})

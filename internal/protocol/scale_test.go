@@ -191,7 +191,7 @@ func TestReputationGapGrowsOverRounds(t *testing.T) {
 		var h, b float64
 		var hn, bn int
 		for _, n := range e.nodes {
-			rep := e.reput.Get(n.Name)
+			rep := e.reput.Get(e.names[n.ID])
 			if n.Behavior.IsByzantine() {
 				b += rep
 				bn++

@@ -36,7 +36,7 @@ func TestVerifiedSetBoundedByRound(t *testing.T) {
 				runtime.SetFinalizer(cur, func(*committee.VerifiedSet) { freed.Add(1) })
 			}
 			if n.cfg.Verified != cur {
-				t.Errorf("round %d: node %d consults a set of its own", e.round, n.ID)
+				t.Errorf("round %d: node %d consults a set of its own", e.roster.Round, n.ID)
 			}
 		}
 		if cur != nil {
@@ -89,12 +89,12 @@ func TestConfigRecordIsSeatSortition(t *testing.T) {
 			return
 		}
 		rec := msg.Payload.(committee.JoinRequest).Rec
-		want := committee.Sortition(e.nodes[rec.Node].Keys, e.round, e.roster.Randomness, e.roster.M)
+		want := committee.Sortition(e.nodes[rec.Node].Keys, e.roster.Round, e.roster.Randomness, e.roster.M)
 		if rec.Hash != want.Out.Hash || !bytes.Equal(rec.Proof, want.Out.Proof) {
-			t.Errorf("round %d: node %d presents a record that is not its fresh sortition", e.round, rec.Node)
+			t.Errorf("round %d: node %d presents a record that is not its fresh sortition", e.roster.Round, rec.Node)
 		}
 		if k, _ := e.roster.CommitteeOf(rec.Node); k != want.CommitteeID {
-			t.Errorf("round %d: node %d seated in committee %d, sortition says %d", e.round, rec.Node, k, want.CommitteeID)
+			t.Errorf("round %d: node %d seated in committee %d, sortition says %d", e.roster.Round, rec.Node, k, want.CommitteeID)
 		}
 		checked++
 	})

@@ -53,7 +53,7 @@ func (e *Engine) runSilenceSweep(phase string, ks []uint64) {
 				})
 			}
 		}
-		if phase != "semicommit" || e.refereeHas(func(n *Node) bool { return n.crSemiComs[k] != nil }) {
+		if phase != "semicommit" || refereeRecord(e, func(n *Node) *SemiComMsg { return n.crSemiComs[k] }) != nil {
 			continue
 		}
 		if coord := e.nodes[e.roster.coordinatorFor(k)]; coord.seesSemiComSilence(k) {

@@ -162,8 +162,8 @@ var mutants = []mutant{
 	{
 		name:   "the chain records this round's randomness",
 		file:   "internal/protocol/phases.go",
-		old:    "e.chain.Append(e.round, blk.Randomness, blk.Fees, valid)",
-		new:    "e.chain.Append(e.round, e.roster.Randomness, blk.Fees, valid)",
+		old:    "e.chain.Append(e.roster.Round, blk.Randomness, blk.Fees, valid)",
+		new:    "e.chain.Append(e.roster.Round, e.roster.Randomness, blk.Fees, valid)",
 		pkgs:   []string{"./sim"},
 		run:    "TestScenarioGolden/^default$/^golden$",
 		want:   "killed",
@@ -215,8 +215,8 @@ var mutants = []mutant{
 	{
 		name: "the installed roster is not indexed",
 		file: "internal/protocol/engine.go",
-		old:  "\te.roster = e.nextRoster\n\te.roster.index()\n",
-		new:  "\te.roster = e.nextRoster\n",
+		old:  "\te.roster = next\n\te.roster.index()\n",
+		new:  "\te.roster = next\n",
 		pkgs: []string{"./sim"},
 		run:  "TestScenarioGolden/^default$/^golden$",
 		want: "killed",
@@ -337,6 +337,16 @@ var mutants = []mutant{
 		run:    "TestRoundOracle",
 		want:   "killed",
 		reason: "The §IV-G split pays out every fee unit, the floored shares and then the remainder by largest fractional part: the round oracle's rewards.",
+	},
+	{
+		name:   "the ledger stage files an inter-carried candidate as intra",
+		file:   "internal/protocol/pipeline.go",
+		old:    "add(payload.Txs.Txs(), true)",
+		new:    "add(payload.Txs.Txs(), false)",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "^TestRoundOracle$",
+		want:   "killed",
+		reason: "A candidate is cross-shard when an inter result carried it: the round oracle classifies each transaction once, at routing, and counts intra and cross apart.",
 	},
 	{
 		name:   "ResetPhases keeps a label's sent counters",
