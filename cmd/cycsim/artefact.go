@@ -199,12 +199,12 @@ func printTable2(ctx context.Context, w io.Writer, cfg sim.Config) error {
 		cs.M, cs.C, cs.TotalNodes(), cl.M, cl.C, cl.TotalNodes())
 	header := []string{"phase", "role", "msgs_S", "msgs_L", "exp", "bytes_S", "bytes_L", "exp"}
 	var rows [][]string
-	for _, phase := range protocol.Phases {
-		for _, role := range []string{"common", "key", "referee"} {
-			ms := float64(rs.RoleTraffic[phase][role].Messages)
-			ml := float64(rl.RoleTraffic[phase][role].Messages)
-			bs := float64(rs.RoleTraffic[phase][role].Bytes)
-			bl := float64(rl.RoleTraffic[phase][role].Bytes)
+	for ph, phase := range protocol.Phases {
+		for r, role := range protocol.TrafficRoles {
+			ms := float64(rs.RoleTraffic[ph][r].Messages)
+			ml := float64(rl.RoleTraffic[ph][r].Messages)
+			bs := float64(rs.RoleTraffic[ph][r].Bytes)
+			bl := float64(rl.RoleTraffic[ph][r].Bytes)
 			rows = append(rows, []string{
 				phase, role,
 				fmt.Sprintf("%.0f", ms), fmt.Sprintf("%.0f", ml), fmt.Sprintf("%.2f", growth(ms, ml)),

@@ -176,9 +176,9 @@ func checkTable2(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, large := res.Cells[0].Reports[0].RoleTraffic, res.Cells[1].Reports[0].RoleTraffic
-	for _, phase := range protocol.Phases {
-		for _, role := range []string{"common", "key"} {
-			s, l := small[phase][role].Messages, large[phase][role].Messages
+	for ph, phase := range protocol.Phases {
+		for r, role := range protocol.TrafficRoles[:2] { // common and key
+			s, l := small[ph][r].Messages, large[ph][r].Messages
 			if s == 0 && l == 0 {
 				continue
 			}

@@ -435,6 +435,17 @@ var guards = []guard{
 		fixture: file{"internal/chain/chain.go", "package chain\n\ntype Chain struct {\n\tmu      sync.RWMutex\n\tentries []Entry\n}\n"},
 	},
 	{
+		name: "A report keeps no growing map",
+		reason: "A run keeps every round's report, so a report holds fixed-size values and the block's paid list: " +
+			"RoleTraffic and PhaseDropped are arrays indexed by Phase (and role), Rewards is the paid list the block " +
+			"carries. Each writes the JSON of the map it replaced. A map field, or a field of a map type declared " +
+			"beside it, is a hash table per report for the whole run; PhaseTraffic stays one until bench indexes it " +
+			"by Phase.",
+		paths:   []string{"internal/protocol/*.go", ":!*_test.go"},
+		find:    reportMaps,
+		fixture: file{"internal/protocol/engine.go", "package protocol\n\ntype RoundReport struct {\n\tPhaseTraffic map[string]simnet.Counter\n\tRewards      map[string]uint64\n}\n"},
+	},
+	{
 		name: "The evidence form is chosen in cast.go",
 		reason: "Params.AggregateCerts decides whether a certificate carries per-voter or aggregate evidence, " +
 			"and cast.go is where the engine reads it; every other stage builds and checks a consensus.Quorum " +
@@ -923,6 +934,54 @@ var heldTxs = inspect(func(n ast.Node) bool {
 		return holds
 	})
 })
+
+// reportMaps reports a field of RoundReport other than PhaseTraffic whose
+// type is or holds a map, or names a map type declared among files.
+func reportMaps(files []file) []string {
+	srcs, hits := parse(files)
+	mapTypes := map[string]bool{}
+	for _, s := range srcs {
+		ast.Inspect(s.File, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				_, isMap := ts.Type.(*ast.MapType)
+				mapTypes[ts.Name.Name] = mapTypes[ts.Name.Name] || isMap
+			}
+			return true
+		})
+	}
+	for _, s := range srcs {
+		ast.Inspect(s.File, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "RoundReport" {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			for _, f := range st.Fields.List {
+				if len(f.Names) == 1 && f.Names[0].Name == "PhaseTraffic" {
+					continue
+				}
+				holds := false
+				ast.Inspect(f.Type, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.MapType:
+						holds = true
+					case *ast.Ident:
+						holds = holds || mapTypes[x.Name]
+					}
+					return !holds
+				})
+				if holds {
+					hits = append(hits, s.at(f))
+				}
+			}
+			return false
+		})
+	}
+	return hits
+}
 
 // lastName is the last identifier of x, a name or a selector, or "".
 func lastName(x ast.Expr) string {

@@ -285,8 +285,8 @@ func TestRewardsSumToFees(t *testing.T) {
 	_, reports := runEngine(t, p)
 	r := reports[0]
 	var sum uint64
-	for _, amt := range r.Rewards {
-		sum += amt
+	for _, paid := range r.Rewards {
+		sum += paid.Amount
 	}
 	if sum != r.Fees {
 		t.Fatalf("rewards sum %d != fees %d", sum, r.Fees)

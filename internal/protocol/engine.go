@@ -67,23 +67,23 @@ type RoundReport struct {
 	Duration       simnet.Time
 	Messages       uint64
 	Bytes          uint64
-	PhaseTraffic   map[string]simnet.Counter            // phase → totals
-	RoleTraffic    map[string]map[string]simnet.Counter // phase → role → totals
-	Rewards        map[string]uint64
-	BlockDelivered int           // nodes that received the block
-	Block          crypto.Digest // hash of the header the round appended to the chain
-	Screened       int           // cross-shard txs dropped by §VIII-A pre-screening
+	PhaseTraffic   map[string]simnet.Counter // phase name → totals
+	RoleTraffic    RoleTraffic               // Table II: phase → role → totals
+	Rewards        RewardList                // the block's paid list: non-zero fee shares, ascending by name
+	BlockDelivered int                       // nodes that received the block
+	Block          crypto.Digest             // hash of the header the round appended to the chain
+	Screened       int                       // cross-shard txs dropped by §VIII-A pre-screening
 
 	// Fault-model observability. Dropped and Late are zero on a network
 	// that loses and lags nothing, and PhaseDropped is nil in any round
 	// that dropped nothing; Timeouts is computed on every run — a
 	// byzantine-quiet committee (e.g. an offline leader with recovery
 	// disabled) records timeout verdicts even on a fault-free network.
-	Dropped      uint64                    // messages lost in flight or to crashed nodes
-	DroppedBytes uint64                    // bytes of the dropped messages
-	Late         uint64                    // messages delivered beyond their synchrony bound
-	Timeouts     []PhaseTimeout            // phases concluded by timeout, in phase order
-	PhaseDropped map[string]simnet.Counter // phase → lost traffic (nil when the round dropped nothing)
+	Dropped      uint64         // messages lost in flight or to crashed nodes
+	DroppedBytes uint64         // bytes of the dropped messages
+	Late         uint64         // messages delivered beyond their synchrony bound
+	Timeouts     []PhaseTimeout // phases concluded by timeout, in phase order
+	PhaseDropped *PhaseCounters // phase → lost traffic (nil when the round dropped nothing)
 }
 
 // Throughput returns included transactions per round.
@@ -414,12 +414,7 @@ func (e *Engine) Run() ([]*RoundReport, error) {
 // that error at the next stage boundary: the network stages after it are
 // skipped, and the ledger does not move.
 func (e *Engine) RunRound() (*RoundReport, error) {
-	report := &RoundReport{
-		Round:        e.roster.Round,
-		PhaseTraffic: make(map[string]simnet.Counter),
-		RoleTraffic:  make(map[string]map[string]simnet.Counter),
-		Rewards:      make(map[string]uint64),
-	}
+	report := &RoundReport{Round: e.roster.Round}
 	// The network's per-phase accounting holds one round: the previous
 	// round's, read by its collectTraffic, stays readable until here, and
 	// this round's phases reuse its tables.
@@ -509,36 +504,34 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 }
 
 // collectTraffic aggregates the round's per-phase, per-role counters for
-// Table II.
+// Table II, and the lost traffic per phase of a round that lost any. It
+// writes the report's arrays in place, so what it allocates does not
+// depend on the roster's size.
 func (e *Engine) collectTraffic(report *RoundReport) {
-	roles := [...]struct {
-		name string
-		ids  []simnet.NodeID
-	}{
-		{"common", e.roster.CommonsOfAll()},
-		{"key", e.roster.AllKeyMembers()},
-		{"referee", e.roster.Referee},
+	roles := [len(TrafficRoles)][]simnet.NodeID{
+		e.roster.CommonsOfAll(),
+		e.roster.AllKeyMembers(),
+		e.roster.Referee,
 	}
 	m := e.Net.Metrics()
+	report.PhaseTraffic = make(map[string]simnet.Counter, len(Phases))
 	if report.Dropped > 0 {
-		report.PhaseDropped = make(map[string]simnet.Counter, len(Phases))
+		report.PhaseDropped = new(PhaseCounters)
 	}
 	for ph, name := range Phases {
 		var total simnet.Counter
-		byRole := make(map[string]simnet.Counter, len(roles))
-		for _, r := range roles {
-			c := m.SentByNodes(ph, r.ids)
-			byRole[r.name] = c
+		for r, ids := range roles {
+			c := m.SentByNodes(ph, ids)
+			report.RoleTraffic[ph][r] = c
 			total.Add(c)
 		}
 		report.PhaseTraffic[name] = total
-		report.RoleTraffic[name] = byRole
 		report.Messages += total.Messages
 		report.Bytes += total.Bytes
 		if report.PhaseDropped != nil {
 			// Lost traffic per phase — the resilience table's raw
 			// material. Never part of the Table II sent counters.
-			report.PhaseDropped[name] = m.PhaseDropped(ph)
+			report.PhaseDropped[ph] = m.PhaseDropped(ph)
 		}
 	}
 }

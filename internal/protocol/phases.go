@@ -510,14 +510,22 @@ func (e *Engine) phaseBlock(report *RoundReport, next *Roster, valid []*ledger.T
 	for _, name := range partNames {
 		reps = append(reps, e.reput.Get(name))
 	}
+	// The paid list is exactly sized: the report keeps it for the run, and
+	// the block carries the same slice.
 	rewards := reputation.DistributeRewards(reps, fees)
-	var paid []Reward
+	n := 0
+	for _, r := range rewards {
+		if r > 0 {
+			n++
+		}
+	}
+	paid := make([]Reward, 0, n)
 	for i, name := range partNames {
 		if rewards[i] > 0 {
-			report.Rewards[name] = rewards[i]
 			paid = append(paid, Reward{name, rewards[i]})
 		}
 	}
+	report.Rewards = paid
 	snap := e.reput.Snapshot()
 	scores := make([]Score, 0, len(snap))
 	for name, v := range snap {

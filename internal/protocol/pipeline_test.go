@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"fmt"
+	"encoding/json"
 	"testing"
 
 	"cycledger/internal/consensus"
@@ -9,12 +9,17 @@ import (
 	"cycledger/internal/wire"
 )
 
-// renderReports serialises reports to a canonical byte string (dereferenced,
-// so pointer identity never leaks into the comparison).
+// renderReports serialises reports to a canonical byte string, one JSON
+// line each, so pointer identity (a PhaseDropped) never leaks into the
+// comparison.
 func renderReports(reports []*RoundReport) string {
 	s := ""
 	for _, r := range reports {
-		s += fmt.Sprintf("%+v\n", *r)
+		b, err := json.Marshal(r)
+		if err != nil {
+			panic(err)
+		}
+		s += string(b) + "\n"
 	}
 	return s
 }

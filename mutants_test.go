@@ -349,6 +349,26 @@ var mutants = []mutant{
 		reason: "A candidate is cross-shard when an inter result carried it: the round oracle classifies each transaction once, at routing, and counts intra and cross apart.",
 	},
 	{
+		name:   "RoleTraffic's JSON writes phases in index order",
+		file:   "internal/protocol/report.go",
+		old:    "return cmp.Compare(Phases[a], Phases[b])",
+		new:    "return cmp.Compare(a, b)",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^default$/^golden$",
+		want:   "killed",
+		reason: "A report's per-phase arrays write the object encoding/json wrote for the phase-keyed maps they replaced, keys in name order: the goldens' bytes.",
+	},
+	{
+		name:   "an empty reward list is written as null",
+		file:   "internal/protocol/report.go",
+		old:    "func (l RewardList) MarshalJSON() ([]byte, error) {\n",
+		new:    "func (l RewardList) MarshalJSON() ([]byte, error) {\n\tif len(l) == 0 {\n\t\treturn []byte(\"null\"), nil\n\t}\n",
+		pkgs:   []string{"./sim"},
+		run:    "TestScenarioGolden/^small-faulted$/^golden$",
+		want:   "killed",
+		reason: "A round that paid nobody wrote an empty map, {}, and its paid list writes the same: the small-faulted golden, whose first round paid nobody.",
+	},
+	{
 		name:   "ResetPhases keeps a label's sent counters",
 		file:   "internal/simnet/metrics.go",
 		old:    "\t\tclear(m.tables[i].sent)\n",

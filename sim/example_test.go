@@ -275,8 +275,8 @@ func Example_reputation() {
 	var rewHonest, rewByz uint64
 	totalRewards := make(map[string]uint64)
 	for _, r := range reports {
-		for name, amt := range r.Rewards {
-			totalRewards[name] += amt
+		for _, paid := range r.Rewards {
+			totalRewards[paid.Name] += paid.Amount
 		}
 	}
 	for id := 0; id < s.TotalNodes(); id++ {

@@ -75,7 +75,7 @@ func noDuration(r sim.RoundReport) sim.RoundReport {
 // noTraffic zeroes what aggregate certificates change: the traffic totals
 // (fewer, smaller messages) and the Duration they induce.
 func noTraffic(r sim.RoundReport) sim.RoundReport {
-	r.Duration, r.Messages, r.Bytes, r.PhaseTraffic, r.RoleTraffic = 0, 0, 0, nil, nil
+	r.Duration, r.Messages, r.Bytes, r.PhaseTraffic, r.RoleTraffic = 0, 0, 0, nil, protocol.RoleTraffic{}
 	return r
 }
 
