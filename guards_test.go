@@ -590,6 +590,22 @@ var guards = []guard{
 		fixture: file{"sim/scenario.go", "package sim\n\nfunc Register(s Scenario) error { return nil }\n"},
 	},
 	{
+		name: "A sweep metric is one row",
+		reason: "A sweep metric is one metricDefs row in sim/sweep: its name, whose place fixes its column, and its " +
+			"value in one round. Summarize averages every row in one loop, and Metrics holds Rounds and one mean per " +
+			"row, written under the row's name. A Metrics field per metric, or a report field read in Summarize, is a " +
+			"second place to keep in step with the table: the struct field, the row, and Summarize's accumulate and " +
+			"divide lines were four.",
+		paths: []string{"sim/sweep/*.go", ":!*_test.go"},
+		find:  sweepMetricRows,
+		fixture: file{"sim/sweep/aggregate.go", "package sweep\n\ntype Metrics struct {\n\tRounds int\n\tTxPerRound float64\n" +
+			"\tIntraPerRound float64\n\tCrossPerRound float64\n\tRejectedPerRound float64\n\tScreenedPerRound float64\n" +
+			"\tRecoveriesPerRound float64\n\tFeesPerRound float64\n\tMsgsPerRound float64\n\tBytesPerRound float64\n" +
+			"\tTicksPerRound float64\n\tDroppedPerRound float64\n\tDroppedBytesPerRound float64\n\tLatePerRound float64\n" +
+			"\tTimeoutsPerRound float64\n}\n\nfunc Summarize(reports []*sim.RoundReport) Metrics {\n\tvar m Metrics\n" +
+			"\tfor _, r := range reports {\n\t\tm.TxPerRound += float64(r.Throughput())\n\t}\n\treturn m\n}\n"},
+	},
+	{
 		name: "Test-only surface stays in tests",
 		reason: "A function only tests call is test code: it lives in its package's tests or export_test.go, " +
 			"not in the production surface. These were exported from production files with no non-test caller.",
@@ -978,6 +994,56 @@ func reportMaps(files []file) []string {
 				}
 			}
 			return false
+		})
+	}
+	return hits
+}
+
+// sweepMetricRows reports a field of Metrics other than Rounds and means,
+// and a selector in Summarize on a report: on a parameter, an element of
+// one, or the variable that ranges over one.
+func sweepMetricRows(files []file) []string {
+	srcs, hits := parse(files)
+	for _, s := range srcs {
+		ast.Inspect(s.File, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok && x.Name.Name == "Metrics" {
+					for _, f := range st.Fields.List {
+						if len(f.Names) != 1 || !slices.Contains([]string{"Rounds", "means"}, f.Names[0].Name) {
+							hits = append(hits, s.at(f))
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if x.Name.Name != "Summarize" || x.Body == nil {
+					return true
+				}
+				reports := map[string]bool{}
+				for _, f := range x.Type.Params.List {
+					for _, id := range f.Names {
+						reports[id.Name] = true
+					}
+				}
+				ast.Inspect(x.Body, func(n ast.Node) bool {
+					switch y := n.(type) {
+					case *ast.RangeStmt:
+						if v, ok := y.Value.(*ast.Ident); ok && reports[fmt.Sprint(y.X)] {
+							reports[v.Name] = true
+						}
+					case *ast.SelectorExpr:
+						r := y.X
+						if ix, ok := r.(*ast.IndexExpr); ok {
+							r = ix.X
+						}
+						if id, ok := r.(*ast.Ident); ok && reports[id.Name] {
+							hits = append(hits, s.at(y))
+						}
+					}
+					return true
+				})
+			}
+			return true
 		})
 	}
 	return hits

@@ -156,7 +156,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		reput:  reputation.NewLedger(),
 		echoes: echoSets{sets: make(map[simnet.NodeID]*consensus.VerifiedEchoes)},
-		utxo:   ledger.NewShardedStore(uint64(p.M)),
 		group:  pvss.DefaultGroup(),
 		chain:  chain.New(),
 	}
@@ -182,7 +181,23 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 	}
 	e.Net.SetFaults(model)
 
+	// Workload and genesis first: every node's view holds the ledger.
 	n := p.TotalNodes()
+	gen, err := workload.New(workload.Config{
+		Users:          2 * n,
+		Shards:         uint64(p.M),
+		InitialBalance: 1_000,
+		CrossShardFrac: p.CrossFrac,
+		InvalidFrac:    p.InvalidFrac,
+		Seed:           p.Seed + 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.gen = gen
+	if e.utxo, err = e.GenesisUTXO(); err != nil {
+		return nil, err
+	}
 	pks := make([]crypto.PublicKey, n)
 	e.pki = consensus.NewPKI(schemes[p.Scheme], pks) // pks is filled as the keys are drawn
 	e.names = make([]string, n)
@@ -197,29 +212,6 @@ func newEngine(p Params, codec transport.Codec) (*Engine, error) {
 		e.Net.Register(node.ID, node.Handle)
 	}
 	e.assignByzantine()
-
-	// Workload and genesis.
-	gen, err := workload.New(workload.Config{
-		Users:          2 * n,
-		Shards:         uint64(p.M),
-		InitialBalance: 1_000,
-		CrossShardFrac: p.CrossFrac,
-		InvalidFrac:    p.InvalidFrac,
-		Seed:           p.Seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.gen = gen
-	for _, tx := range gen.Genesis() {
-		id := tx.ID()
-		for i, o := range tx.Outputs {
-			if err := e.utxo.Add(ledger.OutPoint{Tx: id, Index: uint32(i)}, o); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	e.roster = e.bootstrapRoster()
 	e.roster.index()
 	return e, nil
@@ -351,8 +343,9 @@ func (e *Engine) Reports() []*RoundReport { return e.reports }
 // Chain returns the verified block store accumulated across rounds.
 func (e *Engine) Chain() *chain.Chain { return e.chain }
 
-// GenesisUTXO rebuilds the genesis UTXO snapshot, striped like the live
-// ledger, for external chain re-verification.
+// GenesisUTXO builds the genesis UTXO set, striped like the live ledger:
+// the engine's starting ledger, and a fresh copy for external chain
+// re-verification.
 func (e *Engine) GenesisUTXO() (*ledger.ShardedStore, error) {
 	s := ledger.NewShardedStore(uint64(e.P.M))
 	for _, tx := range e.gen.Genesis() {

@@ -231,11 +231,12 @@ func TestNewLeaderCountsOnlyTheNamedReferee(t *testing.T) {
 }
 
 // TestMalformedPayloadsRefused: Intra and Score payloads whose parallel
-// lists differ in length, and a Score payload naming a non-member, are
-// refused everywhere they can arrive — as a leader-signed PROPOSE, direct
-// or relayed, under their own digest or a well-formed one (no panic, no
-// echo); by wire.Decode, bare or inside a certificate; and as a certified
-// score result at C_R (no panic, no reputation change).
+// lists differ in length, and a Score payload naming a non-member or a
+// member twice (C_R would add its score twice), are refused everywhere
+// they can arrive — as a leader-signed PROPOSE, direct or relayed, under
+// their own digest or a well-formed one (no panic, no echo); by
+// wire.Decode, bare or inside a certificate; and as a certified score
+// result at C_R (no panic, no reputation change).
 func TestMalformedPayloadsRefused(t *testing.T) {
 	wellIntra := &IntraPayload{Voters: []simnet.NodeID{1, 2}, Votes: []reputation.VoteVector{{}, {}}}
 	wellScore := func(e *Engine) ScorePayload {
@@ -272,6 +273,8 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 		}
 		malformed := maps.Clone(ragged)
 		malformed["score, non-member"] = ScorePayload{Members: []simnet.NodeID{e.roster.Referee[0]}, Scores: []float64{1}}
+		twice := e.roster.Committee(0)[0]
+		malformed["score, repeated member"] = ScorePayload{Members: []simnet.NodeID{twice, twice}, Scores: []float64{0.5, 0.25}}
 		for name, payload := range malformed {
 			var well any = wellIntra
 			if _, ok := payload.(ScorePayload); ok {

@@ -278,12 +278,12 @@ func (n *Node) validatePayload(leader simnet.NodeID, sn uint64, payload any) boo
 		return len(p.Voters) == len(p.Votes)
 	case ScorePayload:
 		// C_R applies a certified score list entry by entry: every entry
-		// must name a member of this committee.
+		// must name a member of this committee, and none twice.
 		if len(p.Members) != len(p.Scores) {
 			return false
 		}
-		for _, id := range p.Members {
-			if !slices.Contains(n.committeeNodes, id) {
+		for i, id := range p.Members {
+			if !slices.Contains(n.committeeNodes, id) || slices.Contains(p.Members[:i], id) {
 				return false
 			}
 		}

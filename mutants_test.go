@@ -378,6 +378,26 @@ var mutants = []mutant{
 		want:   "killed",
 		reason: "A reset zeroes every label's table in place, so after it the ledger holds the new window's or round's sends only.",
 	},
+	{
+		name:   "the score check accepts a repeated member",
+		file:   "internal/protocol/node.go",
+		old:    "slices.Contains(p.Members[:i], id)",
+		new:    "i < 0",
+		pkgs:   []string{"./internal/protocol"},
+		run:    "^TestMalformedPayloadsRefused$/^propose$",
+		want:   "killed",
+		reason: "C_R adds a certified score list entry by entry, so a member endorses a list only if it names each member once.",
+	},
+	{
+		name:   "intra_per_round reads CrossIncluded",
+		file:   "sim/sweep/aggregate.go",
+		old:    "return float64(r.IntraIncluded)",
+		new:    "return float64(r.CrossIncluded)",
+		pkgs:   []string{"./sim/sweep"},
+		run:    "^TestSummarizeAveragesEachRow$",
+		want:   "killed",
+		reason: "Each metric row reads its own report field: the hand-built reports give every field a value no other holds.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row

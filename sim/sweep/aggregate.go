@@ -1,76 +1,70 @@
 package sweep
 
 import (
+	"encoding/json"
 	"math"
+	"strconv"
 
 	"cycledger/sim"
 )
 
 // Metrics are one run's per-round averages, the quantities the aggregator
-// folds across replicate seeds. Every field is a mean over the run's
-// completed rounds, so runs of different lengths remain comparable.
+// folds across replicate seeds: one mean per metricDefs row over the run's
+// completed rounds, so runs of different lengths remain comparable. It
+// encodes as one JSON object, "rounds" and then each metric by name in
+// MetricNames order.
 type Metrics struct {
 	// Rounds is the number of completed rounds the averages cover.
-	Rounds int `json:"rounds"`
-	// TxPerRound is included transactions (intra + cross) per round.
-	TxPerRound float64 `json:"tx_per_round"`
-	// IntraPerRound is included intra-shard transactions per round.
-	IntraPerRound float64 `json:"intra_per_round"`
-	// CrossPerRound is included cross-shard transactions per round.
-	CrossPerRound float64 `json:"cross_per_round"`
-	// RejectedPerRound is rejected transactions per round.
-	RejectedPerRound float64 `json:"rejected_per_round"`
-	// ScreenedPerRound is cross-shard transactions dropped by §VIII-A
-	// pre-screening per round.
-	ScreenedPerRound float64 `json:"screened_per_round"`
-	// RecoveriesPerRound is decided leader evictions (§V-D) per round.
-	RecoveriesPerRound float64 `json:"recoveries_per_round"`
-	// FeesPerRound is collected transaction fees per round.
-	FeesPerRound float64 `json:"fees_per_round"`
-	// MsgsPerRound is simulated network messages per round.
-	MsgsPerRound float64 `json:"msgs_per_round"`
-	// BytesPerRound is simulated network bytes per round.
-	BytesPerRound float64 `json:"bytes_per_round"`
-	// TicksPerRound is simulated round latency: the sum of phase spans on
-	// the sequential engine, the §IV critical path when Pipelined.
-	TicksPerRound float64 `json:"ticks_per_round"`
-	// DroppedPerRound is messages lost to the fault model per round
-	// (in flight or addressed to crashed nodes).
-	DroppedPerRound float64 `json:"dropped_per_round"`
-	// DroppedBytesPerRound is the wire volume of the dropped messages per
-	// round — with BytesPerRound it separates "many small control messages
-	// lost" from "a transaction list lost".
-	DroppedBytesPerRound float64 `json:"dropped_bytes_per_round"`
-	// LatePerRound is messages delivered beyond their synchrony bound per
-	// round.
-	LatePerRound float64 `json:"late_per_round"`
-	// TimeoutsPerRound is phase-timeout verdicts (committees that could
-	// not conclude a phase with a quorum) per round.
-	TimeoutsPerRound float64 `json:"timeouts_per_round"`
+	Rounds int
+	means  [len(metricDefs)]float64
 }
 
-// metricDefs fixes the metric identifiers and their canonical (writer
-// column) order; MetricNames, the writers and the aggregator all read
-// through it, so a new metric needs exactly one entry here plus its
-// Metrics field.
-var metricDefs = []struct {
-	name string
-	get  func(Metrics) float64
+// MarshalJSON writes {"rounds": Rounds, name: mean, …} in metricDefs order.
+func (m Metrics) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt([]byte(`{"rounds":`), int64(m.Rounds), 10)
+	for i, d := range metricDefs {
+		v, err := json.Marshal(m.means[i])
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"`+d.name+`":`...)
+		b = append(b, v...)
+	}
+	return append(b, '}'), nil
+}
+
+// metricDefs is the one definition of a sweep metric: its name, whose
+// place here is its writer column, and its value in one round, which
+// Summarize averages over a run. A new metric is one row.
+var metricDefs = [...]struct {
+	name  string
+	value func(*sim.RoundReport) float64
 }{
-	{"tx_per_round", func(m Metrics) float64 { return m.TxPerRound }},
-	{"intra_per_round", func(m Metrics) float64 { return m.IntraPerRound }},
-	{"cross_per_round", func(m Metrics) float64 { return m.CrossPerRound }},
-	{"rejected_per_round", func(m Metrics) float64 { return m.RejectedPerRound }},
-	{"screened_per_round", func(m Metrics) float64 { return m.ScreenedPerRound }},
-	{"recoveries_per_round", func(m Metrics) float64 { return m.RecoveriesPerRound }},
-	{"fees_per_round", func(m Metrics) float64 { return m.FeesPerRound }},
-	{"msgs_per_round", func(m Metrics) float64 { return m.MsgsPerRound }},
-	{"bytes_per_round", func(m Metrics) float64 { return m.BytesPerRound }},
-	{"ticks_per_round", func(m Metrics) float64 { return m.TicksPerRound }},
-	{"dropped_per_round", func(m Metrics) float64 { return m.DroppedPerRound }},
-	{"dropped_bytes_per_round", func(m Metrics) float64 { return m.DroppedBytesPerRound }},
-	{"late_per_round", func(m Metrics) float64 { return m.LatePerRound }},
-	{"timeouts_per_round", func(m Metrics) float64 { return m.TimeoutsPerRound }},
+	// Included transactions, intra + cross.
+	{"tx_per_round", func(r *sim.RoundReport) float64 { return float64(r.Throughput()) }},
+	{"intra_per_round", func(r *sim.RoundReport) float64 { return float64(r.IntraIncluded) }},
+	{"cross_per_round", func(r *sim.RoundReport) float64 { return float64(r.CrossIncluded) }},
+	{"rejected_per_round", func(r *sim.RoundReport) float64 { return float64(r.Rejected) }},
+	// Cross-shard transactions dropped by §VIII-A pre-screening.
+	{"screened_per_round", func(r *sim.RoundReport) float64 { return float64(r.Screened) }},
+	// Decided leader evictions (§V-D).
+	{"recoveries_per_round", func(r *sim.RoundReport) float64 { return float64(len(r.Recoveries)) }},
+	{"fees_per_round", func(r *sim.RoundReport) float64 { return float64(r.Fees) }},
+	{"msgs_per_round", func(r *sim.RoundReport) float64 { return float64(r.Messages) }},
+	{"bytes_per_round", func(r *sim.RoundReport) float64 { return float64(r.Bytes) }},
+	// Simulated round latency: the sum of phase spans on the sequential
+	// engine, the §IV critical path when Pipelined.
+	{"ticks_per_round", func(r *sim.RoundReport) float64 { return float64(r.Duration) }},
+	// Messages lost to the fault model, in flight or addressed to crashed
+	// nodes, and their wire volume: with bytes_per_round it separates "many
+	// small control messages lost" from "a transaction list lost".
+	{"dropped_per_round", func(r *sim.RoundReport) float64 { return float64(r.Dropped) }},
+	{"dropped_bytes_per_round", func(r *sim.RoundReport) float64 { return float64(r.DroppedBytes) }},
+	// Messages delivered beyond their synchrony bound.
+	{"late_per_round", func(r *sim.RoundReport) float64 { return float64(r.Late) }},
+	// Phase-timeout verdicts: committees that could not conclude a phase
+	// with a quorum.
+	{"timeouts_per_round", func(r *sim.RoundReport) float64 { return float64(len(r.Timeouts)) }},
 }
 
 // MetricNames returns the metric identifiers in canonical column order —
@@ -83,7 +77,8 @@ func MetricNames() []string {
 	return out
 }
 
-// Summarize folds a run's round reports into per-round average Metrics.
+// Summarize folds a run's round reports into per-round average Metrics:
+// each mean is the sum of its row's values in report order, divided once.
 // An empty report list yields the zero Metrics.
 func Summarize(reports []*sim.RoundReport) Metrics {
 	var m Metrics
@@ -91,37 +86,14 @@ func Summarize(reports []*sim.RoundReport) Metrics {
 		return m
 	}
 	for _, r := range reports {
-		m.TxPerRound += float64(r.Throughput())
-		m.IntraPerRound += float64(r.IntraIncluded)
-		m.CrossPerRound += float64(r.CrossIncluded)
-		m.RejectedPerRound += float64(r.Rejected)
-		m.ScreenedPerRound += float64(r.Screened)
-		m.RecoveriesPerRound += float64(len(r.Recoveries))
-		m.FeesPerRound += float64(r.Fees)
-		m.MsgsPerRound += float64(r.Messages)
-		m.BytesPerRound += float64(r.Bytes)
-		m.TicksPerRound += float64(r.Duration)
-		m.DroppedPerRound += float64(r.Dropped)
-		m.DroppedBytesPerRound += float64(r.DroppedBytes)
-		m.LatePerRound += float64(r.Late)
-		m.TimeoutsPerRound += float64(len(r.Timeouts))
+		for i, d := range metricDefs {
+			m.means[i] += d.value(r)
+		}
 	}
-	n := float64(len(reports))
 	m.Rounds = len(reports)
-	m.TxPerRound /= n
-	m.IntraPerRound /= n
-	m.CrossPerRound /= n
-	m.RejectedPerRound /= n
-	m.ScreenedPerRound /= n
-	m.RecoveriesPerRound /= n
-	m.FeesPerRound /= n
-	m.MsgsPerRound /= n
-	m.BytesPerRound /= n
-	m.TicksPerRound /= n
-	m.DroppedPerRound /= n
-	m.DroppedBytesPerRound /= n
-	m.LatePerRound /= n
-	m.TimeoutsPerRound /= n
+	for i := range m.means {
+		m.means[i] /= float64(m.Rounds)
+	}
 	return m
 }
 
@@ -254,9 +226,9 @@ func aggregate(g Grid, completed []*CellResult) []Point {
 		}
 		stats := make(map[string]Stat, len(metricDefs))
 		samples := make([]float64, len(ms))
-		for _, def := range metricDefs {
+		for j, def := range metricDefs {
 			for i, m := range ms {
-				samples[i] = def.get(m)
+				samples[i] = m.means[j]
 			}
 			stats[def.name] = NewStat(samples)
 		}

@@ -1,15 +1,19 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"cycledger/internal/simnet"
 	"cycledger/sim"
 )
 
@@ -176,6 +180,65 @@ func TestSummarizeAndStats(t *testing.T) {
 	}
 	if got := NewStat(nil); got != (Stat{}) {
 		t.Errorf("empty Stat = %+v", got)
+	}
+}
+
+// TestSummarizeAveragesEachRow folds two hand-built reports in which every
+// field a metric reads holds a value no other field holds, so a row that
+// reads the wrong field, or a mean that sums or divides wrongly, gives the
+// wrong number under its name. A cell's JSON metrics are "rounds" and then
+// every metric, in MetricNames order.
+func TestSummarizeAveragesEachRow(t *testing.T) {
+	report := func(k int) *sim.RoundReport {
+		return &sim.RoundReport{
+			IntraIncluded: 10 * k, CrossIncluded: 20 * k, Rejected: 3 * k, Screened: 4 * k,
+			Recoveries: make([]sim.RecoveryEvent, 5*k), Fees: uint64(6 * k),
+			Messages: uint64(7 * k), Bytes: uint64(8 * k), Duration: simnet.Time(9 * k),
+			Dropped: uint64(11 * k), DroppedBytes: uint64(12 * k), Late: uint64(13 * k),
+			Timeouts: make([]sim.PhaseTimeout, 14*k),
+		}
+	}
+	// The mean of k = 1 and k = 3 is twice the k = 1 report.
+	want := map[string]float64{
+		"rounds": 2, "tx_per_round": 60, "intra_per_round": 20, "cross_per_round": 40,
+		"rejected_per_round": 6, "screened_per_round": 8, "recoveries_per_round": 10,
+		"fees_per_round": 12, "msgs_per_round": 14, "bytes_per_round": 16, "ticks_per_round": 18,
+		"dropped_per_round": 22, "dropped_bytes_per_round": 24, "late_per_round": 26,
+		"timeouts_per_round": 28,
+	}
+	b, err := json.Marshal(CellResult{Metrics: Summarize([]*sim.RoundReport{report(1), report(3)})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell struct{ Metrics json.RawMessage }
+	if err := json.Unmarshal(b, &cell); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(cell.Metrics))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v float64
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		name := key.(string)
+		keys = append(keys, name)
+		if w, ok := want[name]; !ok || v != w {
+			t.Errorf("%s = %v, want %v", name, v, w)
+		}
+	}
+	if wantKeys := append([]string{"rounds"}, MetricNames()...); !slices.Equal(keys, wantKeys) {
+		t.Errorf("metrics keys %v, want %v", keys, wantKeys)
+	}
+	if got := Summarize(nil); got != (Metrics{}) {
+		t.Errorf("Summarize(nil) = %+v, want the zero Metrics", got)
 	}
 }
 
