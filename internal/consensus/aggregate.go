@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cycledger/internal/crypto"
+	"cycledger/internal/simnet"
 )
 
 // Bitmap records which roster members contributed to an aggregate
@@ -76,7 +77,7 @@ func (b Bitmap) Clone() Bitmap {
 // proof, verified against the roster's public keys and a voter bitmap. The
 // interface is shaped so a pairing-based scheme (BLS à la blscosi) can drop
 // in: Aggregate needs only the signatures, and VerifyAggregate reconstructs
-// each contributor's message from its roster position via msgAt.
+// each contributor's message from its ID via msgAt.
 type AggregateScheme interface {
 	SignatureScheme
 	// Aggregate folds the given signatures into one constant-size proof.
@@ -85,10 +86,11 @@ type AggregateScheme interface {
 	Aggregate(sigs [][]byte) ([]byte, error)
 	// VerifyAggregate checks proof against the contributors named by
 	// bitmap: for each set bit i, roster[i] is taken to have signed
-	// msgAt(i). The bitmap must already be canonical for len(roster) (see
-	// Bitmap.Validate); VerifyAggregate itself imposes no quorum rule —
-	// thresholds belong to the certificate layer.
-	VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) []byte, proof []byte) error
+	// msgAt(roster[i]) under its key in pki. The bitmap must already be
+	// canonical for len(roster) (see Bitmap.Validate) and every roster
+	// member must have a key; VerifyAggregate itself imposes no quorum
+	// rule — thresholds belong to the certificate layer.
+	VerifyAggregate(pki *PKI, roster []simnet.NodeID, bitmap Bitmap, msgAt func(voter simnet.NodeID) []byte, proof []byte) error
 }
 
 // Aggregate implements AggregateScheme: the proof is the XOR fold of the
@@ -115,16 +117,16 @@ func (HashScheme) Aggregate(sigs [][]byte) ([]byte, error) {
 // VerifyAggregate implements AggregateScheme: recompute the HKeyed tag of
 // every contributor named by the bitmap, XOR-fold them, and compare with
 // the proof in constant time.
-func (HashScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap Bitmap, msgAt func(i int) []byte, proof []byte) error {
+func (HashScheme) VerifyAggregate(pki *PKI, roster []simnet.NodeID, bitmap Bitmap, msgAt func(voter simnet.NodeID) []byte, proof []byte) error {
 	if len(proof) != crypto.HashSize {
 		return crypto.ErrBadSignature
 	}
 	var acc [crypto.HashSize]byte
-	for i := range roster {
+	for i, id := range roster {
 		if !bitmap.Has(i) {
 			continue
 		}
-		d := crypto.HKeyed(roster[i], msgAt(i))
+		d := crypto.HKeyed(pki.PK(id), msgAt(id))
 		for j := range acc {
 			acc[j] ^= d[j]
 		}

@@ -107,6 +107,27 @@ func TestAggregateEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestResultVerifyAllocatesNothing: a referee or a remote leader checks
+// every certificate it is shown, so checking a valid one, per voter or
+// aggregate, allocates nothing — no key list, no roster bitmap, and no
+// closure or copy of the result.
+func TestResultVerifyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	const n = 16
+	f := newCertFixture(rand.New(rand.NewSource(44)), n, randSubset(rand.New(rand.NewSource(45)), n, n/2+1))
+	pki := f.pki(HashScheme{})
+	for name, res := range map[string]Result{"per-voter": f.res, "aggregate": f.aggregate(t)} {
+		if err := res.Verify(pki, f.committee); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = res.Verify(pki, f.committee) }); allocs != 0 {
+			t.Errorf("%s: Result.Verify allocates %.0f times", name, allocs)
+		}
+	}
+}
+
 // TestAggResultVerifyNeedsAggregateScheme: under a scheme with no aggregate
 // face an aggregate certificate is refused with an error — never a panic,
 // never an acceptance — while the per-voter form of the same decision still

@@ -68,13 +68,13 @@ func (p Propose) layout(c *wire.Coder) Propose {
 // for — has no digest: PayloadDigest returns the zero Digest, which no
 // encoding hashes to and under which onPropose adopts nothing.
 func PayloadDigest(payload any) crypto.Digest {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
-	enc, err := wire.AppendEncode((*bp)[:0], payload)
+	s := bufs.Get().(*scratch)
+	defer bufs.Put(s)
+	enc, err := wire.AppendEncode(s.buf[:0], payload)
 	if err != nil {
 		return crypto.Digest{}
 	}
-	*bp = enc
+	s.buf = enc
 	return crypto.H(enc)
 }
 
@@ -84,32 +84,45 @@ func PayloadDigest(payload any) crypto.Digest {
 // node instead would hold the largest message that node ever signed or
 // checked — a transaction list, on every member. (A Protocol keeps its
 // own, sigBuf: an endpoint lives one round and signs small messages.)
-var bufs = sync.Pool{New: func() any { return new([]byte) }}
+var bufs = sync.Pool{New: func() any { return newScratch() }}
+
+// scratch is one of bufs' buffers. confirmAt, bound to it once, is the msgAt
+// of Result.Verify: the signing bytes, in buf, of confirm under a voter. A
+// func handed on through AggregateScheme's interface escapes, so a closure
+// built per call would be an allocation per certificate checked.
+type scratch struct {
+	buf       []byte
+	confirm   Confirm
+	confirmAt func(voter simnet.NodeID) []byte
+}
+
+func newScratch() *scratch {
+	s := new(scratch)
+	s.confirmAt = func(voter simnet.NodeID) []byte {
+		s.confirm.Confirmer = voter
+		s.buf = wire.SigningBytes(s.buf[:0], s.confirm)
+		return s.buf
+	}
+	return s
+}
 
 // Sign returns kp's signature under scheme on msg: on msg's
 // wire.SigningBytes, built in a pooled buffer (a scheme does not retain
 // it). It is how a signer with no buffer of its own signs.
 func Sign[T any](scheme SignatureScheme, kp crypto.KeyPair, msg T) []byte {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
-	*bp = wire.SigningBytes((*bp)[:0], msg)
-	return scheme.Sign(kp, *bp)
+	s := bufs.Get().(*scratch)
+	defer bufs.Put(s)
+	s.buf = wire.SigningBytes(s.buf[:0], msg)
+	return scheme.Sign(kp, s.buf)
 }
 
 // Verify checks that sig is id's signature under pki on msg's
 // wire.SigningBytes, built as Sign builds them.
 func Verify[T any](pki *PKI, id simnet.NodeID, sig []byte, msg T) error {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
-	*bp = wire.SigningBytes((*bp)[:0], msg)
-	return pki.Verify(id, sig, *bp)
-}
-
-// header is a proposal without its payload: what the leader's signature
-// covers, and all an equivocation witness needs.
-func (p Propose) header() Propose {
-	p.Payload = nil
-	return p
+	s := bufs.Get().(*scratch)
+	defer bufs.Put(s)
+	s.buf = wire.SigningBytes(s.buf[:0], msg)
+	return pki.Verify(id, sig, s.buf)
 }
 
 // Echo is a member's endorsement of a digest. It carries the leader's
@@ -221,41 +234,54 @@ func (r Result) layout(c *wire.Coder) Result {
 // half of the committee, each member once, signed the Confirm of this
 // result's own instance and digest (Quorum.Verify). Third parties (the
 // referee committee, remote leaders) use this to accept results without
-// having participated.
+// having participated. A valid certificate is checked without allocating.
 func (r Result) Verify(pki *PKI, committee []simnet.NodeID) error {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
-	return r.Quorum.Verify(pki, committee, func(voter simnet.NodeID) []byte {
-		*bp = wire.SigningBytes((*bp)[:0], Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest, Confirmer: voter})
-		return *bp
-	})
+	s := bufs.Get().(*scratch)
+	defer bufs.Put(s)
+	s.confirm = Confirm{Round: r.Round, SN: r.SN, Digest: r.Digest}
+	return r.Quorum.Verify(pki, committee, s.confirmAt)
 }
 
 // instance holds per-(round, sn) state on one node as a table indexed by
 // position in Protocol.Committee: a member's vote lives in its slot, so a
-// member votes once and a node outside the roster has no vote at all.
+// member votes once and a node outside the roster has no vote at all. It
+// keeps only what is its own: the round, sn and leader of every header it
+// files are the endpoint's and the instance's, so a header is filed as its
+// digest and signature.
 type instance struct {
-	propose *Propose // the adopted proposal
-	slots   []slot   // slots[i] belongs to Committee[i]
+	slots []slot // slots[i] belongs to Committee[i]
 	// digests are the distinct digests members echoed, in the order they
 	// were first filed; a slot names its echo's digest by index here, which
 	// keeps a slot to a few bytes and a c-member instance's table small.
 	digests []crypto.Digest
-	// votes counts the echoes filed for propose.Digest: kept as echoes
-	// arrive, recounted once when a proposal is adopted after them.
-	votes       int
-	confirmSent bool
-	fetched     bool // a member asks for a missed proposal once
+	// seen holds the first two distinct digests the leader signed for the
+	// instance, in arrival order, each with its signature. It can never
+	// usefully hold more: the second proves equivocation. Every entry was
+	// verified before it was stored (or signed here, on the leader), which
+	// is what lets leaderSigned recognise a retransmission of one by its
+	// bytes.
+	seen [2]signedDigest
+	// propose is the adopted proposal's header (an entry of seen unless
+	// adopt had to copy it) and payload its payload; propose is nil until
+	// one is adopted.
+	propose *signedDigest
+	payload any
 	// leader side: the confirms that count, in arrival order
 	confirms []Vote
-	decided  bool
-	// seen holds the headers of the first two distinct-digest proposals under
-	// the leader's signature, in arrival order. It can never usefully hold
-	// more: the second proves equivocation. Every entry was verified before
-	// it was stored (or signed here, on the leader), which is what lets
-	// leaderSigned recognise a retransmission of one by its bytes.
-	seen  [2]Propose
-	nseen int
+	// votes counts the echoes filed for propose's digest: kept as echoes
+	// arrive, recounted once when a proposal is adopted after them.
+	votes       int
+	nseen       uint8
+	confirmSent bool
+	fetched     bool // a member asks for a missed proposal once
+	decided     bool
+}
+
+// signedDigest is a proposal header as an instance files it: the digest and
+// the leader's signature on it.
+type signedDigest struct {
+	digest crypto.Digest
+	sig    []byte
 }
 
 // slot is one member's part in an instance.
@@ -268,7 +294,7 @@ type slot struct {
 
 // equivocated reports whether the leader signed two digests for this
 // instance.
-func (in *instance) equivocated() bool { return in.nseen == len(in.seen) }
+func (in *instance) equivocated() bool { return int(in.nseen) == len(in.seen) }
 
 // echoesFor counts the members whose filed echo is for digest.
 func (in *instance) echoesFor(digest crypto.Digest) int {
@@ -285,27 +311,38 @@ func (in *instance) echoesFor(digest crypto.Digest) int {
 	return n
 }
 
-// adopt takes prop as the instance's proposal and counts the echoes that
-// arrived ahead of it.
-func (in *instance) adopt(prop Propose) {
-	in.propose = &prop
-	in.votes = in.echoesFor(prop.Digest)
+// filed returns the header seen holds for digest, nil if none.
+func (in *instance) filed(digest crypto.Digest) *signedDigest {
+	for i := range in.seen[:in.nseen] {
+		if in.seen[i].digest == digest {
+			return &in.seen[i]
+		}
+	}
+	return nil
 }
 
-// remember files a leader-signed proposal under its digest and reports
+// adopt takes the proposal of digest under sig, with payload, as the
+// instance's and counts the echoes that arrived ahead of it. Its header is
+// the one seen holds for digest; it is copied only when seen holds other
+// signature bytes for digest, or holds two other digests.
+func (in *instance) adopt(digest crypto.Digest, sig []byte, payload any) {
+	h := in.filed(digest)
+	if h == nil || !bytes.Equal(h.sig, sig) {
+		h = &signedDigest{digest: digest, sig: sig}
+	}
+	in.propose, in.payload = h, payload
+	in.votes = in.echoesFor(digest)
+}
+
+// remember files a leader-signed header under its digest and reports
 // whether it is the second distinct digest — the one that completes an
 // equivocation witness. A digest already held, or a third one, changes
 // nothing.
-func (in *instance) remember(prop *Propose) bool {
-	for i := range in.seen[:in.nseen] {
-		if in.seen[i].Digest == prop.Digest {
-			return false
-		}
-	}
-	if in.equivocated() {
+func (in *instance) remember(digest crypto.Digest, sig []byte) bool {
+	if in.filed(digest) != nil || in.equivocated() {
 		return false
 	}
-	in.seen[in.nseen] = prop.header()
+	in.seen[in.nseen] = signedDigest{digest: digest, sig: sig}
 	in.nseen++
 	return in.equivocated()
 }
@@ -323,7 +360,7 @@ func (in *instance) recordEcho(i int, digest crypto.Digest) {
 		in.digests = append(in.digests, digest)
 	}
 	s.echoed, s.digest = true, int32(d)
-	if in.propose != nil && digest == in.propose.Digest {
+	if in.propose != nil && digest == in.propose.digest {
 		in.votes++
 	}
 }
@@ -421,11 +458,11 @@ func BuildPropose(scheme SignatureScheme, kp crypto.KeyPair, leader simnet.NodeI
 func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest, payload any, _ int) {
 	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload)
 	in := p.inst(sn)
-	in.adopt(prop)
-	in.remember(&prop)
+	in.remember(digest, prop.Sig)
+	in.adopt(digest, prop.Sig, payload)
 	p.cast(ctx, TagPropose, prop)
 	// The leader implicitly echoes and confirms its own proposal.
-	p.echoOwn(in, prop)
+	p.echoOwn(in, &prop)
 }
 
 // SendRaw delivers a pre-built proposal to a subset of members (never to
@@ -496,10 +533,8 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 // the scheme, and only a success is recorded in Echoes. in may be nil.
 func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 	if in != nil {
-		for i := range in.seen[:in.nseen] {
-			if s := &in.seen[i]; s.Digest == prop.Digest && bytes.Equal(s.Sig, prop.Sig) {
-				return true
-			}
+		if s := in.filed(prop.Digest); s != nil && bytes.Equal(s.sig, prop.Sig) {
+			return true
 		}
 	}
 	if p.Echoes.holdsHeader(prop) {
@@ -517,10 +552,15 @@ func (p *Protocol) leaderSigned(in *instance, prop *Propose) bool {
 // leader has equivocated on this instance, firing OnEquivocation when prop
 // is what proves it: the witness is {first digest seen, second}.
 func (p *Protocol) checkEquivocation(ctx *simnet.Context, in *instance, prop *Propose) bool {
-	if in.remember(prop) && p.OnEquivocation != nil {
-		p.OnEquivocation(ctx, Witness{A: in.seen[0], B: in.seen[1]})
+	if in.remember(prop.Digest, prop.Sig) && p.OnEquivocation != nil {
+		p.OnEquivocation(ctx, Witness{A: p.header(prop.SN, &in.seen[0]), B: p.header(prop.SN, &in.seen[1])})
 	}
 	return in.equivocated()
+}
+
+// header is the proposal header h files for instance sn of this endpoint.
+func (p *Protocol) header(sn uint64, h *signedDigest) Propose {
+	return Propose{Round: p.Round, SN: sn, Digest: h.digest, Leader: p.Leader, Sig: h.sig}
 }
 
 func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
@@ -553,13 +593,13 @@ func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
 	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
 		return
 	}
-	in.adopt(prop)
-	p.cast(ctx, TagEcho, p.echoOwn(in, prop))
+	in.adopt(prop.Digest, prop.Sig, prop.Payload)
+	p.cast(ctx, TagEcho, p.echoOwn(in, &prop))
 	p.maybeConfirm(ctx, prop.SN, in)
 }
 
 // echoOwn signs this node's echo of prop and files it in its own slot.
-func (p *Protocol) echoOwn(in *instance, prop Propose) Echo {
+func (p *Protocol) echoOwn(in *instance, prop *Propose) Echo {
 	e := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Leader: prop.Leader, LeaderSig: prop.Sig}
 	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], e)
 	e.Sig = p.Scheme.Sign(p.Keys, p.sigBuf)
@@ -617,11 +657,13 @@ func (p *Protocol) maybeFetch(ctx *simnet.Context, in *instance, e Echo) {
 func (p *Protocol) onFetch(ctx *simnet.Context, from simnet.NodeID, f Fetch) {
 	i, member := p.position(from)
 	in := p.insts[f.SN]
-	if !member || f.Round != p.Round || f.Leader != p.Leader || in == nil || in.propose == nil || in.propose.Digest != f.Digest || in.slots[i].served {
+	if !member || f.Round != p.Round || f.Leader != p.Leader || in == nil || in.propose == nil || in.propose.digest != f.Digest || in.slots[i].served {
 		return
 	}
 	in.slots[i].served = true
-	p.SendRaw(ctx, *in.propose, []simnet.NodeID{from})
+	prop := p.header(f.SN, in.propose)
+	prop.Payload = in.payload
+	p.SendRaw(ctx, prop, []simnet.NodeID{from})
 }
 
 func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {
@@ -632,12 +674,12 @@ func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64, in *instance) {
 		return
 	}
 	in.confirmSent = true
-	d := in.propose.Digest
+	d := in.propose.digest
 	conf := Confirm{Round: p.Round, SN: sn, Digest: d, Confirmer: p.Self}
 	p.sigBuf = wire.SigningBytes(p.sigBuf[:0], conf)
 	conf.Sig = p.Scheme.Sign(p.Keys, p.sigBuf)
 	if p.OnAccept != nil {
-		p.OnAccept(ctx, sn, d, in.propose.Payload)
+		p.OnAccept(ctx, sn, d, in.payload)
 	}
 	if p.Self == p.Leader {
 		p.onConfirm(ctx, conf)
@@ -660,19 +702,22 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 		return
 	}
 	in := p.inst(c.SN)
-	if in.propose == nil || c.Digest != in.propose.Digest || in.decided {
+	if in.propose == nil || c.Digest != in.propose.digest || in.decided {
 		return
 	}
 	if in.slots[i].confirmed {
 		return
 	}
 	in.slots[i].confirmed = true
+	if in.confirms == nil {
+		in.confirms = make([]Vote, 0, len(p.Committee)/2+1) // a majority: no vote past it is kept
+	}
 	in.confirms = append(in.confirms, Vote{Voter: c.Confirmer, Sig: c.Sig})
 	if !Majority(len(in.confirms), len(p.Committee)) {
 		return
 	}
 	in.decided = true
-	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.propose.Payload, Quorum: Quorum{Votes: in.confirms}}
+	res := Result{Round: p.Round, SN: c.SN, Digest: c.Digest, Payload: in.payload, Quorum: Quorum{Votes: in.confirms}}
 	in.confirms = nil
 	slices.SortFunc(res.Quorum.Votes, func(a, b Vote) int { return cmp.Compare(a.Voter, b.Voter) })
 	if p.OnDecide != nil {

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"sync"
@@ -17,19 +18,22 @@ type headerKey struct {
 }
 
 // echoRow holds the echoes of one instance that verified, each at its
-// echoer's position in the roster of the endpoint that verified it.
+// echoer's position in the roster of the endpoint that verified it. Like an
+// instance's slots, an entry names its digest by index in digests.
 type echoRow struct {
-	sn uint64
-	at []echoEntry
+	sn      uint64
+	at      []echoEntry
+	digests []crypto.Digest
 }
 
-// echoEntry is an echo that verified: its echoer, the digest it endorses and
-// its signature bytes.
+// echoEntry is an echo that verified: its signature bytes, as the echo
+// carried them (a delivered message is never written), its echoer and the
+// index in its row's digests of the digest it endorses. An entry with no
+// signature is empty.
 type echoEntry struct {
-	set    bool
+	sig    []byte
 	echoer simnet.NodeID
-	digest crypto.Digest
-	sig    string
+	digest int32
 }
 
 // seats is a roster's position index: pos[id] is id's position in roster,
@@ -111,7 +115,7 @@ type VerifiedEchoes struct {
 	mu       sync.RWMutex
 	rosters  []*seats
 	echoes   []echoRow            // one per instance, searched by sn
-	headers  map[headerKey]string // the leader's signature bytes
+	headers  map[headerKey][]byte // the leader's signature bytes, as shown
 	payloads map[headerKey]any    // a pointer payload that digested to the key's digest
 }
 
@@ -120,7 +124,7 @@ type VerifiedEchoes struct {
 func NewVerifiedEchoes(round uint64, leader simnet.NodeID) *VerifiedEchoes {
 	return &VerifiedEchoes{
 		round: round, leader: leader,
-		headers:  make(map[headerKey]string),
+		headers:  make(map[headerKey][]byte),
 		payloads: make(map[headerKey]any),
 	}
 }
@@ -153,7 +157,7 @@ func (v *VerifiedEchoes) Len() int {
 	n := 0
 	for _, r := range v.echoes {
 		for _, x := range r.at {
-			if x.set {
+			if x.sig != nil {
 				n++
 			}
 		}
@@ -187,7 +191,7 @@ func (v *VerifiedEchoes) holds(e *Echo, i int) bool {
 	v.mu.RLock()
 	if r := v.row(e.SN); r != nil && i < len(r.at) {
 		x := &r.at[i]
-		hit = x.set && x.echoer == e.Echoer && x.digest == e.Digest && x.sig == string(e.Sig)
+		hit = x.sig != nil && x.echoer == e.Echoer && r.digests[x.digest] == e.Digest && bytes.Equal(x.sig, e.Sig)
 	}
 	v.mu.RUnlock()
 	return hit
@@ -195,9 +199,9 @@ func (v *VerifiedEchoes) holds(e *Echo, i int) bool {
 
 // add records e, which has just verified, at position i of a roster of size
 // members. A position holds one echo: another that verifies there replaces
-// it.
+// it. A row is made at the roster's size when its first echo verifies.
 func (v *VerifiedEchoes) add(e *Echo, i, size int) {
-	if !v.covers(e.Round, e.Leader) {
+	if !v.covers(e.Round, e.Leader) || len(e.Sig) == 0 {
 		return
 	}
 	v.mu.Lock()
@@ -209,7 +213,12 @@ func (v *VerifiedEchoes) add(e *Echo, i, size int) {
 	if i >= len(r.at) {
 		r.at = append(r.at, make([]echoEntry, max(size, i+1)-len(r.at))...)
 	}
-	r.at[i] = echoEntry{set: true, echoer: e.Echoer, digest: e.Digest, sig: string(e.Sig)}
+	d := slices.Index(r.digests, e.Digest)
+	if d < 0 {
+		d = len(r.digests)
+		r.digests = append(r.digests, e.Digest)
+	}
+	r.at[i] = echoEntry{sig: e.Sig, echoer: e.Echoer, digest: int32(d)}
 	v.mu.Unlock()
 }
 
@@ -222,7 +231,7 @@ func (v *VerifiedEchoes) holdsHeader(prop *Propose) bool {
 	v.mu.RLock()
 	sig, ok := v.headers[headerKey{prop.SN, prop.Digest}]
 	v.mu.RUnlock()
-	return ok && sig == string(prop.Sig)
+	return ok && bytes.Equal(sig, prop.Sig)
 }
 
 // addHeader records prop's header, which has just verified; as for echoes,
@@ -232,7 +241,7 @@ func (v *VerifiedEchoes) addHeader(prop *Propose) {
 		return
 	}
 	v.mu.Lock()
-	v.headers[headerKey{prop.SN, prop.Digest}] = string(prop.Sig)
+	v.headers[headerKey{prop.SN, prop.Digest}] = prop.Sig
 	v.mu.Unlock()
 }
 

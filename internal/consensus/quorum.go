@@ -66,13 +66,16 @@ func (q Quorum) layout(c *wire.Coder) Quorum {
 // reused buffer. An aggregate Quorum under a scheme with no aggregate face, or
 // over a roster naming an ID pki has no key for, cannot be checked, which is
 // an error like any other; its bitmap is validated against the roster first.
+// A valid Quorum is checked without allocating.
 func (q Quorum) Verify(pki *PKI, roster []simnet.NodeID, msgAt func(voter simnet.NodeID) []byte) error {
 	if q.Bitmap == nil {
 		if !Majority(len(q.Votes), len(roster)) {
 			return fmt.Errorf("consensus: %d votes is not a majority of %d", len(q.Votes), len(roster))
 		}
-		if _, _, err := q.seat(roster); err != nil {
-			return err
+		for k := range q.Votes {
+			if err := q.admit(roster, k); err != nil {
+				return err
+			}
 		}
 		for _, v := range q.Votes {
 			if err := pki.Verify(v.Voter, v.Sig, msgAt(v.Voter)); err != nil {
@@ -91,33 +94,42 @@ func (q Quorum) Verify(pki *PKI, roster []simnet.NodeID, msgAt func(voter simnet
 	if n := q.Bitmap.Count(); !Majority(n, len(roster)) {
 		return fmt.Errorf("consensus: %d aggregate votes is not a majority of %d", n, len(roster))
 	}
-	pks := make([]crypto.PublicKey, len(roster))
-	for i, id := range roster {
-		if pks[i] = pki.PK(id); pks[i] == nil {
+	for _, id := range roster {
+		if pki.PK(id) == nil {
 			return fmt.Errorf("consensus: no key for roster member %d", id)
 		}
 	}
-	if err := as.VerifyAggregate(pks, q.Bitmap, func(i int) []byte { return msgAt(roster[i]) }, q.Proof); err != nil {
+	if err := as.VerifyAggregate(pki, roster, q.Bitmap, msgAt, q.Proof); err != nil {
 		return fmt.Errorf("consensus: aggregate proof: %w", err)
 	}
 	return nil
 }
 
-// seat places every vote at its voter's position in roster: the positions
-// taken, and each one's signature (nil elsewhere). A voter outside the roster
-// or listed twice is an error. The roster may be one a message carried, so
-// each voter is found by a scan, not in a table as long as its largest ID.
+// admit checks the k-th vote's voter: a roster member, and not the voter
+// of an earlier vote. The roster may be one a message carried, so a voter
+// is found by a scan, not in a table as long as its largest ID, and an
+// earlier vote by a scan of the votes, which allocates nothing.
+func (q Quorum) admit(roster []simnet.NodeID, k int) error {
+	voter := q.Votes[k].Voter
+	if !slices.Contains(roster, voter) {
+		return fmt.Errorf("consensus: voter %d not in roster", voter)
+	}
+	if slices.ContainsFunc(q.Votes[:k], func(v Vote) bool { return v.Voter == voter }) {
+		return fmt.Errorf("consensus: duplicate voter %d", voter)
+	}
+	return nil
+}
+
+// seat places every vote at its voter's position in roster (admit): the
+// positions taken, and each one's signature (nil elsewhere).
 func (q Quorum) seat(roster []simnet.NodeID) (Bitmap, [][]byte, error) {
 	taken := NewBitmap(len(roster))
 	sigs := make([][]byte, len(roster))
-	for _, v := range q.Votes {
+	for k, v := range q.Votes {
+		if err := q.admit(roster, k); err != nil {
+			return nil, nil, err
+		}
 		i := slices.Index(roster, v.Voter)
-		if i < 0 {
-			return nil, nil, fmt.Errorf("consensus: voter %d not in roster", v.Voter)
-		}
-		if taken.Has(i) {
-			return nil, nil, fmt.Errorf("consensus: duplicate voter %d", v.Voter)
-		}
 		taken.Set(i)
 		sigs[i] = v.Sig
 	}

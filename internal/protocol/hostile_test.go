@@ -302,7 +302,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 	t.Run("decode", func(t *testing.T) {
 		e := seatedEngine(t)
 		for name, payload := range ragged {
-			res := ScoreResultMsg{Result: consensus.Result{SN: snOf(payload), Payload: payload}}
+			res := &ScoreResultMsg{Result: consensus.Result{SN: snOf(payload), Payload: payload}}
 			for _, v := range []any{payload, res} {
 				buf, err := wire.Encode(v)
 				if err != nil {
@@ -344,7 +344,7 @@ func TestMalformedPayloadsRefused(t *testing.T) {
 				res.Quorum.Votes = append(res.Quorum.Votes, consensus.Vote{Voter: id, Sig: e.pki.Scheme.Sign(e.nodes[id].Keys, wire.SigningBytes(nil, conf))})
 			}
 			for _, ref := range e.roster.Referee {
-				deliver(e, e.roster.Leaders[0], ref, TagScoreResult, ScoreResultMsg{Committee: 0, Result: res, Members: members})
+				deliver(e, e.roster.Leaders[0], ref, TagScoreResult, &ScoreResultMsg{Committee: 0, Result: res, Members: members})
 			}
 			if e.nodes[e.roster.Referee[0]].crScores[0] == nil {
 				t.Fatalf("%s: C_R did not accept the certified result; the test certifies wrongly", name)

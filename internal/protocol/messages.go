@@ -58,16 +58,16 @@ func init() {
 	wire.Register(TxListMsg.layout, wire.TagTxList)
 	wire.Register(VoteMsg.layout, wire.TagVote)
 	wire.Register((*IntraPayload).layout, wire.TagIntraPayload)
-	wire.Register(IntraResultMsg.layout, wire.TagIntraResult)
+	wire.Register((*IntraResultMsg).layout, wire.TagIntraResult)
 	wire.Register(SemiComMsg.layout, wire.TagSemiCom)
 	wire.Register(SemiComOKMsg.layout, wire.TagSemiComOK)
-	wire.Register(InterFwdMsg.layout, wire.TagInterFwd)
-	wire.Register(InterResultMsg.layout, wire.TagInterResult)
+	wire.Register((*InterFwdMsg).layout, wire.TagInterFwd)
+	wire.Register((*InterResultMsg).layout, wire.TagInterResult)
 	wire.Register(InterQueryMsg.layout, wire.TagInterQuery)
 	wire.Register(InterPrefMsg.layout, wire.TagInterPref)
 	wire.Register((*InterPayload).layout, wire.TagInterPayload)
 	wire.Register(ScorePayload.layout, wire.TagScorePayload)
-	wire.Register(ScoreResultMsg.layout, wire.TagScoreResult)
+	wire.Register((*ScoreResultMsg).layout, wire.TagScoreResult)
 	wire.Register(RecoveryWitness.layout, wire.TagRecoveryWitness)
 	wire.Register(AccuseMsg.layout, wire.TagAccuse)
 	wire.Register(ApproveMsg.layout, wire.TagApprove)
@@ -200,14 +200,20 @@ func (p *IntraPayload) layout(c *wire.Coder) *IntraPayload {
 	return p
 }
 
-// IntraResultMsg certifies a committee's intra-shard decision to C_R.
+// IntraResultMsg certifies a committee's intra-shard decision to C_R. It
+// travels as a pointer, never written once sent, like the other carriers of
+// a certificate (InterFwdMsg, InterResultMsg, ScoreResultMsg): a referee
+// keeps the message it was handed rather than a copy of it.
 type IntraResultMsg struct {
 	Committee uint64
 	Result    consensus.Result
 	Members   []simnet.NodeID // the roster the certificate is checked against, as carried: nothing binds it yet (ROADMAP.md 2(iii))
 }
 
-func (m IntraResultMsg) layout(c *wire.Coder) IntraResultMsg {
+func (m *IntraResultMsg) layout(c *wire.Coder) *IntraResultMsg {
+	if c.Reading() {
+		m = new(IntraResultMsg)
+	}
 	c.U64(&m.Committee)
 	wire.Field(c, &m.Result)
 	nodeList(c, &m.Members)
@@ -240,7 +246,8 @@ func (m SemiComMsg) ListDigest() crypto.Digest {
 }
 
 // SemiComOKMsg is C_R's announcement of the validated commitments to all
-// key members.
+// key members. No later step of the round reads it, so a receiver keeps
+// nothing of it: it is sent, delivered and counted as traffic.
 type SemiComOKMsg struct {
 	Round    uint64
 	SemiComs map[uint64]crypto.Digest // committee → validated H(S)
@@ -267,7 +274,10 @@ type InterFwdMsg struct {
 	Members []simnet.NodeID  // C_i's roster as carried; Cert is checked against it, and nothing binds it to H(S_i) yet (ROADMAP.md 2(iii))
 }
 
-func (m InterFwdMsg) layout(c *wire.Coder) InterFwdMsg {
+func (m *InterFwdMsg) layout(c *wire.Coder) *InterFwdMsg {
+	if c.Reading() {
+		m = new(InterFwdMsg)
+	}
 	c.U64(&m.Round)
 	c.U64(&m.From)
 	c.U64(&m.To)
@@ -285,7 +295,10 @@ type InterResultMsg struct {
 	Result consensus.Result
 }
 
-func (m InterResultMsg) layout(c *wire.Coder) InterResultMsg {
+func (m *InterResultMsg) layout(c *wire.Coder) *InterResultMsg {
+	if c.Reading() {
+		m = new(InterResultMsg)
+	}
 	c.U64(&m.Round)
 	c.U64(&m.From)
 	c.U64(&m.To)
@@ -366,7 +379,10 @@ type ScoreResultMsg struct {
 	Members   []simnet.NodeID
 }
 
-func (m ScoreResultMsg) layout(c *wire.Coder) ScoreResultMsg {
+func (m *ScoreResultMsg) layout(c *wire.Coder) *ScoreResultMsg {
+	if c.Reading() {
+		m = new(ScoreResultMsg)
+	}
 	c.U64(&m.Committee)
 	wire.Field(c, &m.Result)
 	nodeList(c, &m.Members)

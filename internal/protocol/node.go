@@ -79,22 +79,23 @@ func (s *echoSets) of(round uint64, leader simnet.NodeID) *consensus.VerifiedEch
 // roundState is everything a node learns during one round. resetRound
 // installs a fresh value at round start and RunRound sets it to the zero
 // value once the round's block is appended, so a finished round keeps
-// nothing the next one does not read.
+// nothing the next one does not read. Its maps start nil and are made on
+// first write (put): most nodes write few of them in a round.
 type roundState struct {
 	cfg  *committee.ConfigNode
 	cons []*consensus.Protocol // this round's endpoints, at most one per instance leader
 
 	// Intra-committee phase.
-	leaderTxs    []*ledger.Tx                            // engine-primed TXList (leader seat)
-	txList       *TxListMsg                              // member: latest list received
-	votes        map[simnet.NodeID]reputation.VoteVector // leader: collected votes
-	voteOrder    []simnet.NodeID
-	intraDecided *IntraPayload // leader: Algorithm 3 outcome
+	leaderTxs     []*ledger.Tx                            // engine-primed TXList (leader seat)
+	gotTxList     bool                                    // member: a list from the acting leader arrived
+	txListAttempt int                                     // member: the Attempt of the latest one
+	votes         map[simnet.NodeID]reputation.VoteVector // leader: collected votes
+	voteOrder     []simnet.NodeID
+	intraDecided  *IntraPayload // leader: Algorithm 3 outcome
 
 	// Semi-commitment phase.
-	semiComLocal      *SemiComMsg              // partial member: leader's announcement
-	localDirectory    *committee.Directory     // S as assembled from the config phase
-	validatedSemiComs map[uint64]crypto.Digest // key members: C_R-validated H(S) per committee
+	semiComHeard   bool                 // partial member: the leader's announcement arrived
+	localDirectory *committee.Directory // S as assembled from the config phase
 
 	// Inter-committee phase.
 	interOut        map[uint64][]*ledger.Tx // leader i: lists per target committee
@@ -118,7 +119,7 @@ type roundState struct {
 	scoreSeen   bool
 
 	// Referee-committee state.
-	crSemiComs map[uint64]*SemiComMsg
+	crSemiComs map[uint64]bool // committees whose announcement arrived
 	crIntra    map[uint64]*IntraResultMsg
 	crInter    map[[2]uint64]*InterResultMsg // keyed (from, to)
 	crScores   map[uint64]*ScoreResultMsg
@@ -147,23 +148,15 @@ func (n *Node) resetRound(r *Roster) {
 		n.curLeader = -1
 		n.committeeNodes, n.committeePeers = nil, nil
 	}
-	n.roundState = roundState{
-		cons:              n.consBuf[:0],
-		votes:             make(map[simnet.NodeID]reputation.VoteVector),
-		validatedSemiComs: make(map[uint64]crypto.Digest),
-		interOut:          make(map[uint64][]*ledger.Tx),
-		interOutStarted:   make(map[uint64]bool),
-		interFwds:         make(map[uint64]*InterFwdMsg),
-		leaderVotes:       make(map[simnet.NodeID]map[simnet.NodeID]bool),
-		accusedOnce:       make(map[string]bool),
-		crSemiComs:        make(map[uint64]*SemiComMsg),
-		crIntra:           make(map[uint64]*IntraResultMsg),
-		crInter:           make(map[[2]uint64]*InterResultMsg),
-		crScores:          make(map[uint64]*ScoreResultMsg),
-		crPow:             make(map[simnet.NodeID]bool),
-		crEvicted:         make(map[uint64]*EvictPayload),
-		crEvictGen:        make(map[uint64]uint64),
+	n.roundState = roundState{cons: n.consBuf[:0]}
+}
+
+// put sets (*m)[k] = v, making the map on its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
 	}
+	(*m)[k] = v
 }
 
 // without appends ids to buf, leaving out skip, and returns it.
@@ -380,22 +373,16 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 		if m, ok := msg.Payload.(SemiComMsg); ok {
 			n.onSemiCom(ctx, m, msg.From)
 		}
-	case TagSemiComOK:
-		if m, ok := msg.Payload.(SemiComOKMsg); ok {
-			for k, d := range m.SemiComs {
-				n.validatedSemiComs[k] = d
-			}
-		}
 	case TagIntraResult:
-		if m, ok := msg.Payload.(IntraResultMsg); ok {
+		if m, ok := msg.Payload.(*IntraResultMsg); ok {
 			n.onIntraResult(ctx, m)
 		}
 	case TagInterFwd:
-		if m, ok := msg.Payload.(InterFwdMsg); ok {
+		if m, ok := msg.Payload.(*InterFwdMsg); ok {
 			n.onInterFwd(ctx, m)
 		}
 	case TagInterResult:
-		if m, ok := msg.Payload.(InterResultMsg); ok {
+		if m, ok := msg.Payload.(*InterResultMsg); ok {
 			n.onInterResult(ctx, m)
 		}
 	case TagInterQuery:
@@ -407,7 +394,7 @@ func (n *Node) Handle(ctx *simnet.Context, msg simnet.Message) {
 			n.onInterPref(ctx, m)
 		}
 	case TagScoreResult:
-		if m, ok := msg.Payload.(ScoreResultMsg); ok {
+		if m, ok := msg.Payload.(*ScoreResultMsg); ok {
 			n.onScoreResult(ctx, m)
 		}
 	case TagAccuse:

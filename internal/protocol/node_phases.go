@@ -52,11 +52,10 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 	}
 	switch n.role {
 	case RoleReferee:
-		if _, dup := n.crSemiComs[m.Committee]; dup {
+		if n.crSemiComs[m.Committee] {
 			return
 		}
-		mm := m
-		n.crSemiComs[m.Committee] = &mm
+		put(&n.crSemiComs, m.Committee, true)
 		// The coordinator for this committee drives the C_R validation
 		// instance (§IV-B step 2); an invalid commitment triggers an
 		// eviction instance instead ("expel the cheating leaders").
@@ -69,16 +68,13 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 				p.Propose(ctx, snSemiComBase+m.Committee, consensus.PayloadDigest(payload), payload, 0)
 			}
 		} else if !n.P.DisableRecovery {
-			n.proposeEviction(ctx, m.Committee, RecoveryWitness{
-				Kind: "semicommit", Committee: m.Committee, SemiCom: &mm,
-			})
+			n.proposeEviction(ctx, m.Committee, semiComWitness(m))
 		}
 	case RolePartial:
 		if m.Committee != n.comID {
 			return
 		}
-		mm := m
-		n.semiComLocal = &mm
+		n.semiComHeard = true
 		// §IV-B step 3: verify the leader's commitment against the list;
 		// the list must also cover everything we know locally.
 		bad := m.ListDigest() != m.SemiCom
@@ -86,9 +82,16 @@ func (n *Node) onSemiCom(ctx *simnet.Context, m SemiComMsg, from simnet.NodeID) 
 			bad = true
 		}
 		if bad && !n.P.DisableRecovery {
-			n.accuse(ctx, RecoveryWitness{Kind: "semicommit", Committee: n.comID, SemiCom: &mm})
+			n.accuse(ctx, semiComWitness(m))
 		}
 	}
+}
+
+// semiComWitness is the evidence against the leader that signed m, an
+// announcement whose commitment does not match its list. It holds its own
+// copy of m, made only when there is a witness to make.
+func semiComWitness(m SemiComMsg) RecoveryWitness {
+	return RecoveryWitness{Kind: "semicommit", Committee: m.Committee, SemiCom: &m}
 }
 
 // ---------------------------------------------------------------------------
@@ -110,7 +113,7 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	// receivers relay (onTxList) down their own subtrees.
 	n.committeeCast(ctx, n.ID, TagTxList, msg, wire.Size(msg))
 	// The leader votes too.
-	n.votes = make(map[simnet.NodeID]reputation.VoteVector)
+	n.votes = nil
 	n.voteOrder = nil
 	n.recordVote(n.ID, n.voteOnTxs(txs))
 	// Collection deadline: 6Δ (§IV-C step 4). Tree dissemination adds up
@@ -134,17 +137,16 @@ func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg, size int) {
 	if consensus.Verify(n.pki, n.curLeader, m.Sig, m) != nil {
 		return
 	}
-	if n.txList == nil || n.txList.Attempt != m.Attempt {
+	if !n.gotTxList || n.txListAttempt != m.Attempt {
 		// First sight of this list (or of a recovery re-run): under tree
 		// dissemination, forward it down this node's subtree before voting,
 		// so the whole committee is reached in ≤ ⌈log₂ C⌉ hops. A crashed
 		// relay silences exactly its subtree, whose members then
-		// corroborate the intra silence watchdog (txList == nil) — the
+		// corroborate the intra silence watchdog (!gotTxList) — the
 		// fault model sees tree faults with no extra machinery.
 		n.committeeCast(ctx, n.curLeader, TagTxList, m, size)
 	}
-	mm := m
-	n.txList = &mm
+	n.gotTxList, n.txListAttempt = true, m.Attempt
 	votes := n.voteOnTxs(m.Txs.Txs())
 	vm := VoteMsg{Round: m.Round, Committee: m.Committee, Attempt: m.Attempt, Voter: n.ID, Votes: votes}
 	vm.Sig = consensus.Sign(n.pki.Scheme, n.Keys, vm)
@@ -203,7 +205,7 @@ func (n *Node) recordVote(voter simnet.NodeID, v reputation.VoteVector) {
 	if _, dup := n.votes[voter]; dup {
 		return
 	}
-	n.votes[voter] = v
+	put(&n.votes, voter, v)
 	n.voteOrder = append(n.voteOrder, voter)
 }
 
@@ -319,7 +321,7 @@ func (n *Node) proposeInterOut(ctx *simnet.Context, j uint64, txs []*ledger.Tx) 
 	if n.interOutStarted[j] {
 		return
 	}
-	n.interOutStarted[j] = true
+	put(&n.interOutStarted, j, true)
 	p := n.consFor(n.ID)
 	if p == nil {
 		return
@@ -365,7 +367,7 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 	}
 	n.screened += len(txs) - len(kept)
 	if len(kept) == 0 {
-		n.interOutStarted[m.To] = true // nothing worth two consensus runs
+		put(&n.interOutStarted, m.To, true) // nothing worth two consensus runs
 		return
 	}
 	n.proposeInterOut(ctx, m.To, kept)
@@ -373,7 +375,7 @@ func (n *Node) onInterPref(ctx *simnet.Context, m InterPrefMsg) {
 
 // onInterFwd receives a certified cross-shard list on the output
 // committee's key members.
-func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
+func (n *Node) onInterFwd(ctx *simnet.Context, m *InterFwdMsg) {
 	if m.To != n.comID || m.Round != n.roster.Round {
 		return
 	}
@@ -388,8 +390,7 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 	if _, dup := n.interFwds[m.From]; dup {
 		return
 	}
-	mm := m
-	n.interFwds[m.From] = &mm
+	put(&n.interFwds, m.From, m)
 
 	switch n.role {
 	case RoleLeader:
@@ -411,13 +412,13 @@ func (n *Node) onInterFwd(ctx *simnet.Context, m InterFwdMsg) {
 			if n.leaderProposedInterIn(src) {
 				return
 			}
-			c.Send(n.curLeader, TagInterFwd, mm, wire.Size(mm))
+			c.Send(n.curLeader, TagInterFwd, m, wire.Size(m))
 			c.After(wait, func(c2 *simnet.Context) {
 				if n.leaderProposedInterIn(src) {
 					return
 				}
 				if n.roster.successorFor(n.comID) == n.ID {
-					payload := &InterPayload{From: src, Txs: mm.Txs}
+					payload := &InterPayload{From: src, Txs: m.Txs}
 					if p := n.consFor(n.ID); p != nil {
 						p.Propose(c2, snInterInBase+src, consensus.PayloadDigest(payload), payload, 0)
 					}
@@ -440,7 +441,7 @@ func (n *Node) leaderProposedInterIn(src uint64) bool {
 }
 
 // onInterResult records the round trip at referee members.
-func (n *Node) onInterResult(ctx *simnet.Context, m InterResultMsg) {
+func (n *Node) onInterResult(ctx *simnet.Context, m *InterResultMsg) {
 	if m.Round != n.roster.Round || n.role != RoleReferee {
 		return
 	}
@@ -448,8 +449,7 @@ func (n *Node) onInterResult(ctx *simnet.Context, m InterResultMsg) {
 	if _, dup := n.crInter[key]; dup {
 		return
 	}
-	mm := m
-	n.crInter[key] = &mm
+	put(&n.crInter, key, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,7 +483,7 @@ func (n *Node) startScore(ctx *simnet.Context) {
 }
 
 // onScoreResult stores a committee's certified score list at C_R.
-func (n *Node) onScoreResult(ctx *simnet.Context, m ScoreResultMsg) {
+func (n *Node) onScoreResult(ctx *simnet.Context, m *ScoreResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
@@ -493,12 +493,11 @@ func (n *Node) onScoreResult(ctx *simnet.Context, m ScoreResultMsg) {
 	if _, dup := n.crScores[m.Committee]; dup {
 		return
 	}
-	mm := m
-	n.crScores[m.Committee] = &mm
+	put(&n.crScores, m.Committee, m)
 }
 
 // onIntraResult stores a committee's certified intra decision at C_R.
-func (n *Node) onIntraResult(ctx *simnet.Context, m IntraResultMsg) {
+func (n *Node) onIntraResult(ctx *simnet.Context, m *IntraResultMsg) {
 	if n.role != RoleReferee {
 		return
 	}
@@ -508,8 +507,7 @@ func (n *Node) onIntraResult(ctx *simnet.Context, m IntraResultMsg) {
 	if _, dup := n.crIntra[m.Committee]; dup {
 		return
 	}
-	mm := m
-	n.crIntra[m.Committee] = &mm
+	put(&n.crIntra, m.Committee, m)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,10 +520,10 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if payload, ok := res.Payload.(*IntraPayload); ok {
 			n.intraDecided = payload
 		}
-		var msg any = IntraResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
+		var msg any = &IntraResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.roster.Referee, TagIntraResult, msg, wire.Size(msg))
 	case res.SN == snScore:
-		var msg any = ScoreResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
+		var msg any = &ScoreResultMsg{Committee: n.comID, Result: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.roster.Referee, TagScoreResult, msg, wire.Size(msg))
 	case res.SN >= snInterOutBase && res.SN < snInterOutBase+n.roster.M:
 		j := res.SN - snInterOutBase
@@ -533,11 +531,11 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		if !ok {
 			return
 		}
-		var fwd any = InterFwdMsg{Round: n.roster.Round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res), Members: n.committeeNodes}
+		var fwd any = &InterFwdMsg{Round: n.roster.Round, From: n.comID, To: j, Txs: payload.Txs, Cert: n.certify(res), Members: n.committeeNodes}
 		ctx.Broadcast(n.roster.KeyMembers(j), TagInterFwd, fwd, wire.Size(fwd)) // leader, then partial set
 	case res.SN >= snInterInBase && res.SN < snInterInBase+n.roster.M:
 		i := res.SN - snInterInBase
-		var msg any = InterResultMsg{Round: n.roster.Round, From: i, To: n.comID, Result: n.certify(res)}
+		var msg any = &InterResultMsg{Round: n.roster.Round, From: i, To: n.comID, Result: n.certify(res)}
 		size := wire.Size(msg)
 		ctx.Send(n.roster.Leaders[i], TagInterResult, msg, size)
 		ctx.Broadcast(n.roster.Referee, TagInterResult, msg, size)
@@ -546,7 +544,6 @@ func (n *Node) onConsensusDecide(ctx *simnet.Context, res consensus.Result) {
 		// (§IV-B step 2).
 		k := res.SN - snSemiComBase
 		if payload, ok := res.Payload.(SemiComPayload); ok {
-			n.validatedSemiComs[k] = payload.Msg.SemiCom
 			var ok any = SemiComOKMsg{Round: n.roster.Round, SemiComs: map[uint64]crypto.Digest{k: payload.Msg.SemiCom}}
 			ctx.Broadcast(n.roster.AllKeyMembers(), TagSemiComOK, ok, wire.Size(ok))
 		}
@@ -573,7 +570,7 @@ func (n *Node) onConsensusAccept(ctx *simnet.Context, sn uint64, d crypto.Digest
 			return
 		}
 		evv := ev
-		n.crEvicted[ev.Committee] = &evv
+		put(&n.crEvicted, ev.Committee, &evv)
 		// Every referee member notifies the committee (Algorithm 6).
 		var msg any = NewLeaderMsg{Round: n.roster.Round, Committee: ev.Committee, Evicted: ev.Evicted, Successor: ev.Successor, Referee: n.ID}
 		ctx.Broadcast(n.roster.Committee(ev.Committee), TagNewLeader, msg, wire.Size(msg))
@@ -647,7 +644,7 @@ func (n *Node) onPow(ctx *simnet.Context, m PowMsg, from simnet.NodeID) {
 	if !bytes.Equal(m.Solution.PK, n.pki.PK(m.Node)) || !pow.Verify(n.roster.puzzle(n.P.PowHardness), m.Solution) {
 		return
 	}
-	n.crPow[m.Node] = true
+	put(&n.crPow, m.Node, true)
 }
 
 func interKey(from, to uint64) [2]uint64 { return [2]uint64{from, to} }

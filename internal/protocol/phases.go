@@ -90,9 +90,13 @@ func (e *Engine) phaseSemiCommit(report *RoundReport) {
 	})
 	// Committees whose announcement never reached C_R conclude the phase
 	// with a timeout verdict instead of blocking the round.
-	e.noteTimeouts(report, "semicommit", func(k uint64) bool {
-		return refereeRecord(e, func(n *Node) *SemiComMsg { return n.crSemiComs[k] }) != nil
-	})
+	e.noteTimeouts(report, "semicommit", e.semiComArrived)
+}
+
+// semiComArrived reports whether committee k's announcement reached a
+// referee member.
+func (e *Engine) semiComArrived(k uint64) bool {
+	return slices.ContainsFunc(e.roster.Referee, func(id simnet.NodeID) bool { return e.nodes[id].crSemiComs[k] })
 }
 
 // leaderPhase drives a phase whose every step starts at the leaders: each

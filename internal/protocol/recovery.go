@@ -54,7 +54,7 @@ func (n *Node) accuse(ctx *simnet.Context, w RecoveryWitness) {
 	if n.accusedOnce[key] || n.Behavior.Offline {
 		return
 	}
-	n.accusedOnce[key] = true
+	put(&n.accusedOnce, key, true)
 	msg := AccuseMsg{Round: n.roster.Round, Committee: n.comID, Accuser: n.ID, Witness: w}
 	n.myAccusation = &msg
 	n.myApprovals = nil
@@ -168,7 +168,7 @@ func (n *Node) proposeEviction(ctx *simnet.Context, k uint64, w RecoveryWitness)
 	if sn >= snBlock {
 		return // out of eviction instances this round
 	}
-	n.crEvictGen[k] = gen + 1
+	put(&n.crEvictGen, k, gen+1)
 	payload := EvictPayload{Committee: k, Evicted: evicted, Successor: successor, Witness: w}
 	if p := n.consFor(n.ID); p != nil {
 		p.Propose(ctx, sn, consensus.PayloadDigest(payload), payload, 0)
@@ -188,7 +188,7 @@ func (n *Node) onNewLeader(ctx *simnet.Context, m NewLeaderMsg, from simnet.Node
 	votes := n.leaderVotes[m.Successor]
 	if votes == nil {
 		votes = make(map[simnet.NodeID]bool)
-		n.leaderVotes[m.Successor] = votes
+		put(&n.leaderVotes, m.Successor, votes)
 	}
 	votes[m.Referee] = true
 	if !consensus.Majority(len(votes), len(n.roster.Referee)) {

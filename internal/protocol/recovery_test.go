@@ -231,7 +231,7 @@ func TestHostileCommitteeIndexDropped(t *testing.T) {
 			t.Errorf("%s: answered with %d messages", c.name, sent)
 		}
 	}
-	if len(referee.crSemiComs)+len(referee.crEvictGen) != 0 || partial.semiComLocal != nil || len(partial.accusedOnce) != 0 {
+	if len(referee.crSemiComs)+len(referee.crEvictGen) != 0 || partial.semiComHeard || len(partial.accusedOnce) != 0 {
 		t.Error("a message for committee m left state behind")
 	}
 

@@ -53,7 +53,7 @@ func (e *Engine) runSilenceSweep(phase string, ks []uint64) {
 				})
 			}
 		}
-		if phase != "semicommit" || refereeRecord(e, func(n *Node) *SemiComMsg { return n.crSemiComs[k] }) != nil {
+		if phase != "semicommit" || e.semiComArrived(k) {
 			continue
 		}
 		if coord := e.nodes[e.roster.coordinatorFor(k)]; coord.seesSemiComSilence(k) {
@@ -76,7 +76,7 @@ func (n *Node) seesSilence(phase string) bool {
 // eviction for k still waiting to be folded into the roster. It mirrors
 // the coordinator's authority over forged commitments (onSemiCom).
 func (n *Node) seesSemiComSilence(k uint64) bool {
-	if n.role != RoleReferee || n.Behavior.Offline || n.Behavior.IsByzantine() || n.crSemiComs[k] != nil {
+	if n.role != RoleReferee || n.Behavior.Offline || n.Behavior.IsByzantine() || n.crSemiComs[k] {
 		return false
 	}
 	ev, done := n.crEvicted[k]
@@ -102,11 +102,11 @@ func (n *Node) silenceCorroborated(phase string) bool {
 		// their votes; mid-round crashes are the referee-side detector's
 		// job.
 		if n.role == RolePartial {
-			return n.semiComLocal == nil
+			return !n.semiComHeard
 		}
 		return !n.leaderHeard
 	case "intra":
-		return n.txList == nil
+		return !n.gotTxList
 	case "score":
 		return !n.scoreSeen
 	case "block":

@@ -72,9 +72,9 @@ func (s countingScheme) Verify(pk crypto.PublicKey, sig []byte, msg []byte) erro
 	return s.HashScheme.Verify(pk, sig, msg)
 }
 
-func (s countingScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap consensus.Bitmap, msgAt func(int) []byte, proof []byte) error {
+func (s countingScheme) VerifyAggregate(pki *consensus.PKI, roster []simnet.NodeID, bitmap consensus.Bitmap, msgAt func(simnet.NodeID) []byte, proof []byte) error {
 	*s.calls++
-	return s.HashScheme.VerifyAggregate(roster, bitmap, msgAt, proof)
+	return s.HashScheme.VerifyAggregate(pki, roster, bitmap, msgAt, proof)
 }
 
 // FuzzDecodeAggCert drills into the consensus.Quorum frame in both evidence
@@ -90,7 +90,7 @@ func (s countingScheme) VerifyAggregate(roster []crypto.PublicKey, bitmap consen
 func FuzzDecodeAggCert(f *testing.F) {
 	for _, v := range []any{
 		sampleQuorum(), sampleAggQuorum(), sampleResult(), sampleAggResult(), sampleEvictReq(), sampleAggEvictReq(),
-		protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: sampleAggResult()},
+		&protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: sampleAggResult()},
 	} {
 		enc, err := wire.Encode(v)
 		if err != nil {
@@ -124,7 +124,7 @@ func FuzzDecodeAggCert(f *testing.F) {
 			q = m.Quorum
 		case protocol.EvictReqMsg:
 			q = m.Approvals
-		case protocol.InterResultMsg:
+		case *protocol.InterResultMsg:
 			q = m.Result.Quorum
 		default:
 			return

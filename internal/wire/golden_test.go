@@ -55,8 +55,12 @@ func TestEncodingGolden(t *testing.T) {
 // file was written, by the value type its lines name: their tags and bytes
 // did not move.
 var pointerShaped = map[string]string{
-	"*protocol.IntraPayload": "protocol.IntraPayload",
-	"*protocol.InterPayload": "protocol.InterPayload",
+	"*protocol.IntraPayload":   "protocol.IntraPayload",
+	"*protocol.InterPayload":   "protocol.InterPayload",
+	"*protocol.IntraResultMsg": "protocol.IntraResultMsg",
+	"*protocol.ScoreResultMsg": "protocol.ScoreResultMsg",
+	"*protocol.InterFwdMsg":    "protocol.InterFwdMsg",
+	"*protocol.InterResultMsg": "protocol.InterResultMsg",
 }
 
 // goldenType is the type a fixture's golden line names: its %T, but for

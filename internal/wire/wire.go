@@ -427,8 +427,9 @@ func Encode(v any) ([]byte, error) {
 // decoded value and the number of bytes consumed. The returned value has
 // the dynamic type the protocol layer's handlers assert on: value types
 // for messages, pointers for the pointer-shaped payloads (transactions,
-// blocks, and the intra and inter Algorithm 3 payloads), and untyped nil
-// for TagNil.
+// blocks, the intra and inter Algorithm 3 payloads, and the messages that
+// carry a certificate to C_R or across committees), and untyped nil for
+// TagNil.
 //
 // Buffers larger than MaxMessageSize are rejected outright; every length
 // and count prefix is validated against the remaining bytes before

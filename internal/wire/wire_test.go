@@ -146,11 +146,11 @@ func sampleRecoveryWitness() protocol.RecoveryWitness {
 // round-trips with both.
 func carrierFixtures(cert consensus.Result) []any {
 	return []any{
-		protocol.IntraResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2, 3}},
-		protocol.ScoreResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2}},
-		protocol.InterFwdMsg{Round: 3, From: 0, To: 2, Txs: protocol.TxsOf(sampleTx(5)),
+		&protocol.IntraResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2, 3}},
+		&protocol.ScoreResultMsg{Committee: 1, Result: cert, Members: []simnet.NodeID{1, 2}},
+		&protocol.InterFwdMsg{Round: 3, From: 0, To: 2, Txs: protocol.TxsOf(sampleTx(5)),
 			Cert: cert, Members: []simnet.NodeID{4, 5}},
-		protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: cert},
+		&protocol.InterResultMsg{Round: 3, From: 2, To: 0, Result: cert},
 		protocol.UTXOFinalMsg{Round: 3, Committee: 1, Digest: digestOf("utxo"), Result: cert},
 	}
 }
@@ -290,7 +290,7 @@ func TestCarrierSizesPinned(t *testing.T) {
 	}
 	for form, cert := range []consensus.Result{sampleResult(), sampleAggResult()} {
 		for _, v := range carrierFixtures(cert) {
-			name := fmt.Sprintf("%T", v)
+			name := goldenType(v)
 			got, err := wire.SizeHint(v)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -193,12 +193,22 @@ var mutants = []mutant{
 	{
 		name:   "an echo memo hit skips the signature bytes",
 		file:   "internal/consensus/echoes.go",
-		old:    "hit = x.set && x.echoer == e.Echoer && x.digest == e.Digest && x.sig == string(e.Sig)",
-		new:    "hit = x.set",
+		old:    "hit = x.sig != nil && x.echoer == e.Echoer && r.digests[x.digest] == e.Digest && bytes.Equal(x.sig, e.Sig)",
+		new:    "hit = x.sig != nil",
 		pkgs:   []string{"./internal/consensus"},
 		run:    "TestVerifiedEchoesAreExact",
 		want:   "killed",
 		reason: "An echo held at (sn, position) is a hit only for the same echoer, digest and signature bytes.",
+	},
+	{
+		name:   "the instance table hands a known sn a fresh instance",
+		file:   "internal/consensus/consensus.go",
+		old:    "\tif in := p.insts[sn]; in != nil {\n\t\treturn in\n\t}\n",
+		new:    "",
+		pkgs:   []string{"./internal/consensus"},
+		run:    "TestAlgorithm3MatchesOracle",
+		want:   "killed",
+		reason: "An instance is found by its sn, never made twice: a fresh one forgets the echoes and the proposal it held.",
 	},
 	{
 		name: "ReplaceLeader does not re-index",
