@@ -73,7 +73,7 @@ func (q Quorum) Verify(pki *PKI, roster []simnet.NodeID, msgAt func(voter simnet
 			return fmt.Errorf("consensus: %d votes is not a majority of %d", len(q.Votes), len(roster))
 		}
 		for k := range q.Votes {
-			if err := q.admit(roster, k); err != nil {
+			if _, err := q.admit(roster, k); err != nil {
 				return err
 			}
 		}
@@ -105,19 +105,21 @@ func (q Quorum) Verify(pki *PKI, roster []simnet.NodeID, msgAt func(voter simnet
 	return nil
 }
 
-// admit checks the k-th vote's voter: a roster member, and not the voter
-// of an earlier vote. The roster may be one a message carried, so a voter
-// is found by a scan, not in a table as long as its largest ID, and an
-// earlier vote by a scan of the votes, which allocates nothing.
-func (q Quorum) admit(roster []simnet.NodeID, k int) error {
+// admit checks the k-th vote's voter — a roster member, and not the voter
+// of an earlier vote — and returns its position in roster. The roster may be
+// one a message carried, so a voter is found by a scan, not in a table as
+// long as its largest ID, and an earlier vote by a scan of the votes, which
+// allocates nothing.
+func (q Quorum) admit(roster []simnet.NodeID, k int) (int, error) {
 	voter := q.Votes[k].Voter
-	if !slices.Contains(roster, voter) {
-		return fmt.Errorf("consensus: voter %d not in roster", voter)
+	i := slices.Index(roster, voter)
+	if i < 0 {
+		return 0, fmt.Errorf("consensus: voter %d not in roster", voter)
 	}
 	if slices.ContainsFunc(q.Votes[:k], func(v Vote) bool { return v.Voter == voter }) {
-		return fmt.Errorf("consensus: duplicate voter %d", voter)
+		return 0, fmt.Errorf("consensus: duplicate voter %d", voter)
 	}
-	return nil
+	return i, nil
 }
 
 // seat places every vote at its voter's position in roster (admit): the
@@ -126,10 +128,10 @@ func (q Quorum) seat(roster []simnet.NodeID) (Bitmap, [][]byte, error) {
 	taken := NewBitmap(len(roster))
 	sigs := make([][]byte, len(roster))
 	for k, v := range q.Votes {
-		if err := q.admit(roster, k); err != nil {
+		i, err := q.admit(roster, k)
+		if err != nil {
 			return nil, nil, err
 		}
-		i := slices.Index(roster, v.Voter)
 		taken.Set(i)
 		sigs[i] = v.Sig
 	}
