@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -125,6 +126,38 @@ func TestResultVerifyAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { _ = res.Verify(pki, f.committee) }); allocs != 0 {
 			t.Errorf("%s: Result.Verify allocates %.0f times", name, allocs)
 		}
+	}
+}
+
+// TestFoldBytesDoNotGrowWithRoster: folding nine votes allocates the
+// bitmap, the proof and a list of the nine signatures, so a roster of 1024
+// costs no more than one of 16 beyond its larger bitmap.
+func TestFoldBytesDoNotGrowWithRoster(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	const votes, runs = 9, 200
+	bytesAt := func(n int) uint64 {
+		f := newCertFixture(rand.New(rand.NewSource(46)), n, randSubset(rand.New(rand.NewSource(47)), n, votes))
+		fold := func() {
+			if _, err := f.res.Quorum.Fold(HashScheme{}, f.committee); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fold()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fold()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesAt(16), bytesAt(1024)
+	bitmap := uint64(len(NewBitmap(1024)))
+	t.Logf("Fold of %d votes: %d bytes over 16 members, %d over 1024", votes, small, large)
+	if large > small+bitmap {
+		t.Fatalf("Fold allocates %d bytes over 1024 members and %d over 16: more than the %d-byte bitmap apart", large, small, bitmap)
 	}
 }
 

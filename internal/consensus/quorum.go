@@ -122,40 +122,32 @@ func (q Quorum) admit(roster []simnet.NodeID, k int) (int, error) {
 	return i, nil
 }
 
-// seat places every vote at its voter's position in roster (admit): the
-// positions taken, and each one's signature (nil elsewhere).
-func (q Quorum) seat(roster []simnet.NodeID) (Bitmap, [][]byte, error) {
-	taken := NewBitmap(len(roster))
-	sigs := make([][]byte, len(roster))
-	for k, v := range q.Votes {
-		i, err := q.admit(roster, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		taken.Set(i)
-		sigs[i] = v.Sig
-	}
-	return taken, sigs, nil
-}
-
 // Fold returns the aggregate form of a per-voter Quorum: a bitmap over the
 // roster order plus one proof of the signatures, taken in ascending roster
 // position per the Aggregate contract. A voter outside the roster or listed
 // twice is an error. The signatures are not verified — a sender folds
 // evidence it collected, and checked, itself. An aggregate Quorum is
-// returned as it is.
+// returned as it is. Besides the bitmap and the proof, Fold allocates one
+// list of the votes' signatures, whatever the roster's length.
 func (q Quorum) Fold(scheme AggregateScheme, roster []simnet.NodeID) (Quorum, error) {
 	if q.Bitmap != nil {
 		return q, nil
 	}
-	bm, byPos, err := q.seat(roster)
-	if err != nil {
-		return Quorum{}, err
+	bm := NewBitmap(len(roster))
+	for k := range q.Votes {
+		i, err := q.admit(roster, k)
+		if err != nil {
+			return Quorum{}, err
+		}
+		bm.Set(i)
 	}
-	sigs := byPos[:0]
-	for i, sig := range byPos {
+	// Walk the seats taken in roster order, each to its one vote (admit
+	// seated every voter at its first position).
+	sigs := make([][]byte, 0, len(q.Votes))
+	for i, id := range roster {
 		if bm.Has(i) {
-			sigs = append(sigs, sig)
+			k := slices.IndexFunc(q.Votes, func(v Vote) bool { return v.Voter == id })
+			sigs = append(sigs, q.Votes[k].Sig)
 		}
 	}
 	proof, err := scheme.Aggregate(sigs)

@@ -99,16 +99,13 @@ func RunBeacon(g *Group, members []BeaconMember, rng *rand.Rand) (*BeaconResult,
 
 	// Phase 2: verification and complaints. Every member verifies its own
 	// share of every deal; any valid complaint disqualifies the dealer.
+	// Here one process holds every member's share, so a deal's n checks
+	// are one Deal.Verify: it fails exactly when some member's VerifyShare
+	// would, or a commitment lies outside the group, at t exponentiations
+	// a deal instead of n.
 	var qualified []dealt
 	for _, dl := range deals {
-		bad := false
-		for _, s := range dl.deal.Shares {
-			if err := dl.deal.VerifyShare(s); err != nil {
-				bad = true
-				break
-			}
-		}
-		if bad {
+		if dl.deal.Verify() != nil {
 			res.Disqualified = append(res.Disqualified, dl.member.ID)
 			continue
 		}

@@ -193,13 +193,20 @@ func TestBeaconAllocCeiling(t *testing.T) {
 	}
 }
 
+// BenchmarkRunBeacon times an honest beacon at the engine's size (n = 9,
+// engineBeaconMax), at 15 and 31, and at 60, a paper-scale referee
+// committee; the group and its comb are built before the timer starts.
 func BenchmarkRunBeacon(b *testing.B) {
 	g := testGroup()
-	members, rng := honestMembers(9), rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunBeacon(g, members, rng); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{9, 15, 31, 60} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			members, rng := honestMembers(n), rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunBeacon(g, members, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -23,20 +23,35 @@
 // mod Q and at the *big.Int boundary of the exported API. That is as far
 // as the arithmetic goes, on purpose. On a shared two-core Xeon at
 // GOMAXPROCS 1 a product costs ≈ 190–270 ns on the kernel (≈ 350–650 ns
-// on the loop), an Exp ≈ 40 µs and a RunBeacon at n = 9 ≈ 5.6–6.4 ms.
+// on the loop), an Exp ≈ 25–35 µs, and a RunBeacon ≈ 2.6–3.1 ms at n = 9,
+// ≈ 7 ms at 15, ≈ 31 ms at 31 and ≈ 115–190 ms at 60.
+//
+// The beacon checks each deal once, with Deal.Verify. A deal's n shares
+// are n points of one polynomial of degree below t, so Verify interpolates
+// it through the first t shares mod Q, refuses the deal if another share is
+// off it, and compares G raised to each coefficient with the commitment to
+// it: t exponentiations of G a deal, where n VerifyShare calls make n and
+// raise every commitment to a power besides. The check is exact: it
+// accepts precisely the deals whose every share passes VerifyShare and
+// whose commitments all lie in the order-Q subgroup (at least t shares,
+// indices distinct mod Q). That last condition is where the two differ: a
+// commitment outside the subgroup can pass every VerifyShare (C₁ and C₂
+// both negated mod p do), and Verify refuses it. VerifyShare stays as one
+// member's check of its own share and as Verify's test oracle.
+//
 // Measured there and declined: four comb tables (an Exp ≈ 40 → 33–39 µs,
 // a RunBeacon within its noise, for another 49 KB held live and a comb
 // past the 64 KiB it is pinned under). Declined on operation count, not
 // measured: a dedicated squaring (≈ 8% of an Exp) and Horner's rule in the
-// exponent for VerifyShare's right-hand side (≈ 0.5 ms a round), which
-// raises to i^j unreduced where the code reduces mod Q — the two differ for
-// a hostile commitment outside the order-Q subgroup once i^j ≥ Q. Declined
-// as a different program: folding a dealer's n share checks into one random
-// linear combination, which makes an exact check a probabilistic one.
+// exponent for VerifyShare's right-hand side (≈ 0.5 ms a round while the
+// beacon ran it, none now), which raises to i^j unreduced where the code
+// reduces mod Q — the two differ for a hostile commitment outside the
+// order-Q subgroup once i^j ≥ Q. Declined as a different program: folding a
+// dealer's n share checks into one random linear combination, which makes
+// an exact check a probabilistic one.
 package pvss
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -136,22 +151,24 @@ func (g *Group) Exp(e *big.Int) *big.Int {
 }
 
 // exp is Exp without the step out of Montgomery form. Column j of table k
-// gathers bit cols·i + k·span + j of e from every row i into one index;
+// gathers bit n = cols·i + k·span + j of e from every row i into one index;
 // walking the columns from the top, squaring once per column, rebuilds G^e.
-// The package comment lists what would make this faster and why it is not
-// done.
+// The bits are read from e's limbs, laid out once. The package comment
+// lists what would make this faster and why it is not done.
 func (g *Group) exp(e *big.Int) fe {
 	if e.Sign() < 0 || e.Cmp(g.Q) >= 0 {
 		e = new(big.Int).Mod(e, g.Q)
 	}
+	x := toLimbs(e)
 	span := g.cols / combTables
 	acc := g.m.one
 	for j := span - 1; j >= 0; j-- {
 		g.m.mul(&acc, &acc, &acc)
 		for k := 0; k < combTables; k++ {
-			u := uint(0)
+			u := uint64(0)
 			for i := combRows - 1; i >= 0; i-- {
-				u = u<<1 | e.Bit(i*g.cols+k*span+j)
+				n := i*g.cols + k*span + j
+				u = u<<1 | x[n>>6]>>(n&63)&1
 			}
 			if u != 0 {
 				g.m.mul(&acc, &acc, &g.comb[k*combSize+int(u)-1])
@@ -159,35 +176,4 @@ func (g *Group) exp(e *big.Int) fe {
 		}
 	}
 	return acc
-}
-
-// mulMod returns a*b mod m.
-func mulMod(a, b, m *big.Int) *big.Int {
-	return new(big.Int).Mod(new(big.Int).Mul(a, b), m)
-}
-
-// lagrangeAtZero computes the Lagrange coefficient for index xi among the
-// set xs, evaluated at 0, over Z_q:  ∏_{xj≠xi} xj/(xj-xi).
-func lagrangeAtZero(g *Group, xi int64, xs []int64) (*big.Int, error) {
-	num := big.NewInt(1)
-	den := big.NewInt(1)
-	bi := big.NewInt(xi)
-	for _, xj := range xs {
-		if xj == xi {
-			continue
-		}
-		bj := big.NewInt(xj)
-		num = mulMod(num, new(big.Int).Mod(bj, g.Q), g.Q)
-		diff := new(big.Int).Sub(bj, bi)
-		diff.Mod(diff, g.Q)
-		den = mulMod(den, diff, g.Q)
-	}
-	if den.Sign() == 0 {
-		return nil, fmt.Errorf("pvss: duplicate share indices")
-	}
-	denInv := new(big.Int).ModInverse(den, g.Q)
-	if denInv == nil {
-		return nil, fmt.Errorf("pvss: non-invertible denominator")
-	}
-	return mulMod(num, denInv, g.Q), nil
 }

@@ -53,7 +53,13 @@ func onMontKernels(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkMontMul compares one product with the package's math/big mulMod
+// mulMod returns a*b mod m with math/big: the product the Montgomery form
+// replaced, kept as its oracle.
+func mulMod(a, b, m *big.Int) *big.Int {
+	return new(big.Int).Mod(new(big.Int).Mul(a, b), m)
+}
+
+// checkMontMul compares one product with math/big's (mulMod)
 // and with mulGeneric: into a fresh z, into x, into y, and as a square in
 // place when a is b.
 func checkMontMul(t *testing.T, m *mont, a, b *big.Int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 )
 
 // Share is one participant's piece of a dealt secret. Index is the
@@ -50,16 +51,91 @@ func NewDeal(g *Group, n, t int, rng *rand.Rand) (*Deal, *big.Int, error) {
 }
 
 // evalPoly evaluates the polynomial with the given coefficients (constant
-// term first) at x over Z_q, using Horner's rule.
+// term first) at x over Z_q, using Horner's rule. Each step multiplies by
+// x, a word, so the sum is reduced once, at the end.
 func evalPoly(coeffs []*big.Int, x int64, q *big.Int) *big.Int {
 	bx := big.NewInt(x)
 	acc := new(big.Int)
 	for j := len(coeffs) - 1; j >= 0; j-- {
 		acc.Mul(acc, bx)
 		acc.Add(acc, coeffs[j])
-		acc.Mod(acc, q)
 	}
-	return acc
+	return acc.Mod(acc, q)
+}
+
+// interpolate returns the coefficients, constant term first, of the one
+// polynomial over Z_q of degree below t = len(xs) through the points
+// (xs[i], ys[i]); the xs are distinct residues mod q. It is Lagrange's
+// formula in coefficient form. With M(x) = ∏_i (x − x_i) and
+// c_i = y_i / ∏_{j≠i} (x_i − x_j),
+//
+//	f(x) = Σ_i c_i · M(x)/(x − x_i).
+//
+// M, the products ∏_{j≠i} (x_i − x_j) and each quotient M(x)/(x − x_i) are
+// kept as exact integers, built by multiplying by points, which are words:
+// for the indices 1…t a deal hands out they are a few words at most. The
+// c_i share one inversion (Montgomery's trick), and each coefficient is
+// reduced once.
+func interpolate(xs []int64, ys []*big.Int, q *big.Int) []*big.Int {
+	t := len(xs)
+	var w big.Int
+	m := make([]big.Int, t+1) // M, one factor (x − x_j) at a time
+	m[0].SetInt64(1)
+	for j, xj := range xs {
+		w.SetInt64(-xj)
+		for l := j + 1; l > 0; l-- {
+			m[l].Add(&m[l-1], m[l].Mul(&m[l], &w))
+		}
+		m[0].Mul(&m[0], &w)
+	}
+	// d_i = ∏_{j≠i} (x_i − x_j) mod q, and the prefix products d_0 ⋯ d_i.
+	d, pre := make([]big.Int, t), make([]big.Int, t)
+	for i, xi := range xs {
+		d[i].SetInt64(1)
+		for j, xj := range xs {
+			if j != i {
+				d[i].Mul(&d[i], w.SetInt64(xi-xj))
+			}
+		}
+		d[i].Mod(&d[i], q)
+		if i == 0 {
+			pre[0].Set(&d[0])
+		} else {
+			pre[i].Mod(w.Mul(&d[i], &pre[i-1]), q)
+		}
+	}
+	// One inversion: 1/d_i is (d_0 ⋯ d_{i−1}) / (d_0 ⋯ d_i), walking the
+	// inverse of the prefix product down; c_i is y_i times it. The walk has
+	// read the prefix product it overwrites with 1/d_i.
+	c := pre
+	inv := new(big.Int).ModInverse(&pre[t-1], q)
+	for i := t - 1; i > 0; i-- {
+		c[i].Mod(w.Mul(inv, &pre[i-1]), q)
+		inv.Mod(w.Mul(inv, &d[i]), q)
+	}
+	c[0].Set(inv)
+	for i := range c {
+		c[i].Mod(w.Mul(&c[i], ys[i]), q)
+	}
+	// Add c_i times M(x)/(x − x_i), whose coefficients synthetic division
+	// yields from the top: the one at x^k is m_{k+1} + x_i times the one
+	// at x^{k+1}.
+	f, sums := make([]*big.Int, t), make([]big.Int, t)
+	for k := range f {
+		f[k] = &sums[k]
+	}
+	var quo big.Int
+	for i, xi := range xs {
+		quo.SetInt64(0)
+		for k := t - 1; k >= 0; k-- {
+			quo.Add(&m[k+1], quo.Mul(&quo, w.SetInt64(xi)))
+			f[k].Add(f[k], w.Mul(&c[i], &quo))
+		}
+	}
+	for _, a := range f {
+		a.Mod(a, q)
+	}
+	return f
 }
 
 // VerifyShare checks a share against the public commitments:
@@ -101,33 +177,85 @@ func (d *Deal) VerifyShare(s Share) error {
 	return nil
 }
 
-// Reconstruct recovers the secret from at least Threshold shares by
-// Lagrange interpolation at zero. Shares must have distinct indices.
+// Verify checks every share of the deal against its commitments at once.
+// The n shares of an honest deal are n points of one polynomial of degree
+// below t, so Verify interpolates it through the first t shares, refuses
+// the deal if any other share is off it, and then compares G raised to each
+// of its coefficients with the commitment to that coefficient: t
+// exponentiations of the generator where n VerifyShare calls make n, and no
+// commitment raised to a power.
+//
+// It accepts exactly the deals whose every share passes VerifyShare and
+// whose every commitment lies in the order-Q subgroup, and it refuses fewer
+// than t shares or two indices equal mod Q. With every C_j = G^{c_j} in the
+// subgroup, every VerifyShare passes exactly when every share lies on
+// Σ c_j x^j, which is then the interpolated polynomial; and shares on a
+// polynomial f with C_j = G^{a_j} for its coefficients make every right-hand
+// side G^{f(i)}. The subgroup is where the two checks part: C₁ and C₂ both
+// negated mod p pass every VerifyShare, since (−1)^{i+i²} = 1, and Verify
+// refuses them.
+func (d *Deal) Verify() error {
+	g, t := d.Group, d.Threshold
+	if t < 1 || len(d.Commitments) != t {
+		return fmt.Errorf("pvss: %d commitments for threshold %d", len(d.Commitments), t)
+	}
+	if len(d.Shares) < t {
+		return fmt.Errorf("pvss: %d shares below threshold %d", len(d.Shares), t)
+	}
+	if j := slices.Index(d.Commitments, nil); j >= 0 {
+		return fmt.Errorf("pvss: commitment %d is missing", j)
+	}
+	xs, ys, err := g.points(d.Shares)
+	if err != nil {
+		return err
+	}
+	f := interpolate(xs[:t], ys[:t], g.Q)
+	for _, s := range d.Shares[t:] {
+		if evalPoly(f, s.Index, g.Q).Cmp(s.Value) != 0 {
+			return fmt.Errorf("pvss: share %d is off the polynomial of the first %d", s.Index, t)
+		}
+	}
+	for j, a := range f {
+		if g.exp(a) != g.m.enter(d.Commitments[j]) {
+			return fmt.Errorf("pvss: commitment %d does not match the shares", j)
+		}
+	}
+	return nil
+}
+
+// points reads shares as points of a polynomial over Z_Q. It refuses an
+// index that is not positive, a value outside [0, Q) and two indices equal
+// mod Q, and returns the indices reduced mod Q and the values.
+func (g *Group) points(shares []Share) ([]int64, []*big.Int, error) {
+	xs, ys := make([]int64, len(shares)), make([]*big.Int, len(shares))
+	for i, s := range shares {
+		if s.Index <= 0 {
+			return nil, nil, fmt.Errorf("pvss: share index %d must be positive", s.Index)
+		}
+		if s.Value == nil || s.Value.Sign() < 0 || s.Value.Cmp(g.Q) >= 0 {
+			return nil, nil, fmt.Errorf("pvss: share %d value out of field range", s.Index)
+		}
+		xs[i], ys[i] = s.Index, s.Value
+		if g.Q.IsInt64() {
+			xs[i] %= g.Q.Int64()
+		}
+		if slices.Contains(xs[:i], xs[i]) {
+			return nil, nil, fmt.Errorf("pvss: share index %d repeats another mod Q", s.Index)
+		}
+	}
+	return xs, ys, nil
+}
+
+// Reconstruct recovers the secret from at least threshold shares: the
+// constant term of the polynomial through the first threshold of them,
+// which must have positive indices, distinct mod Q.
 func Reconstruct(g *Group, threshold int, shares []Share) (*big.Int, error) {
-	if len(shares) < threshold {
+	if threshold < 1 || len(shares) < threshold {
 		return nil, fmt.Errorf("pvss: %d shares below threshold %d", len(shares), threshold)
 	}
-	use := shares[:threshold]
-	xs := make([]int64, len(use))
-	seen := make(map[int64]bool, len(use))
-	for i, s := range use {
-		if s.Value == nil || s.Value.Sign() < 0 || s.Value.Cmp(g.Q) >= 0 {
-			return nil, fmt.Errorf("pvss: share %d value out of field range", s.Index)
-		}
-		if seen[s.Index] {
-			return nil, fmt.Errorf("pvss: duplicate share index %d", s.Index)
-		}
-		seen[s.Index] = true
-		xs[i] = s.Index
+	xs, ys, err := g.points(shares[:threshold])
+	if err != nil {
+		return nil, err
 	}
-	secret := new(big.Int)
-	for _, s := range use {
-		coef, err := lagrangeAtZero(g, s.Index, xs)
-		if err != nil {
-			return nil, err
-		}
-		secret.Add(secret, mulMod(coef, s.Value, g.Q))
-		secret.Mod(secret, g.Q)
-	}
-	return secret, nil
+	return interpolate(xs, ys, g.Q)[0], nil
 }

@@ -408,6 +408,38 @@ var mutants = []mutant{
 		want:   "killed",
 		reason: "Each metric row reads its own report field: the hand-built reports give every field a value no other holds.",
 	},
+	{
+		name: "Deal.Verify skips the shares past the first t",
+		file: "internal/pvss/shamir.go",
+		old:  "for _, s := range d.Shares[t:] {",
+		new:  "for _, s := range d.Shares[t:t] {",
+		pkgs: []string{"./internal/pvss"},
+		run:  "^TestDealVerifyMatchesShareChecks$",
+		want: "killed",
+		reason: "A share past the first t is checked only against the interpolated polynomial: the oracle corrupts each " +
+			"share in turn. The beacon's corrupt dealer does not see it, since it corrupts shares among the first t, " +
+			"which the commitment comparison refuses.",
+	},
+	{
+		name:   "Deal.Verify compares only the commitment to the secret",
+		file:   "internal/pvss/shamir.go",
+		old:    "for j, a := range f {",
+		new:    "for j, a := range f[:1] {",
+		pkgs:   []string{"./internal/pvss"},
+		run:    "^TestDealVerifyMatchesShareChecks$",
+		want:   "killed",
+		reason: "Every commitment binds its coefficient: the oracle replaces each in turn with a wrong one in the subgroup.",
+	},
+	{
+		name:   "the comb reads an exponent's bits from the wrong limb",
+		file:   "internal/pvss/field.go",
+		old:    "x[n>>6]",
+		new:    "x[n>>5]",
+		pkgs:   []string{"./internal/pvss"},
+		run:    "^TestExpMatchesBig$",
+		want:   "killed",
+		reason: "Exp must equal math/big's exponentiation on every exponent: single bits walk every limb.",
+	},
 }
 
 // TestMutants runs the mutant table, with CYCLEDGER_MUTANTS=1 only: each row
